@@ -12,73 +12,115 @@ inverse, so that W * M * W^adj = D can be re-checked by plain matrix
 multiplication; the inertia of M equals the sign counts of D by congruence
 invariance.  For inputs where plain diagonal pivoting suffices, W is a
 permuted unit triangular transform, i.e. the classical pivoted LDL*.
+
+Both the elimination and the re-check run on integer rows: a row of M or W (or
+a column of W^-1) is a list of Gaussian-integer numerators over one positive
+denominator, kept in lowest terms.  GaussianRational appears only at the
+boundary, when a certificate is built or read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .hermform import HermitianMatrix
-from .scalars import ONE, ZERO, GaussianRational
+from .scalars import ZERO, GaussianRational
 
 Vector = tuple[GaussianRational, ...]
 MatrixRows = tuple[Vector, ...]
 
 
-def mat_mul(a, b) -> MatrixRows:
-    rows = len(a)
-    inner = len(b)
-    cols = len(b[0]) if inner else 0
-    out = []
-    for i in range(rows):
-        row = []
-        ai = a[i]
-        for j in range(cols):
-            acc = ZERO
-            for k in range(inner):
-                x = ai[k]
-                y = b[k][j]
-                if x.is_zero() or y.is_zero():
-                    continue
-                acc = acc + x * y
-            row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
+class _Row:
+    """The vector (re[j] + i*im[j]) / den over int lists, den > 0, in lowest terms."""
+
+    __slots__ = ("re", "im", "den")
+
+    def __init__(self, re: list[int], im: list[int], den: int = 1):
+        self.re = re
+        self.im = im
+        self.den = den
+
+    @classmethod
+    def unit(cls, n: int, j: int) -> "_Row":
+        re = [0] * n
+        re[j] = 1
+        return cls(re, [0] * n)
+
+    @classmethod
+    def from_gaussians(cls, entries, conjugate: bool = False) -> "_Row":
+        dens = [c.re.denominator for c in entries] + [c.im.denominator for c in entries]
+        den = lcm(*dens)
+        # Scaling by the lcm of the denominators leaves content 1: lowest terms.
+        re = [c.re.numerator * (den // c.re.denominator) for c in entries]
+        im = [c.im.numerator * (den // c.im.denominator) for c in entries]
+        return cls(re, [-y for y in im] if conjugate else im, den)
+
+    def to_gaussians(self) -> Vector:
+        den = self.den
+        return tuple(
+            GaussianRational(Fraction(x, den), Fraction(y, den)) if x or y else ZERO
+            for x, y in zip(self.re, self.im)
+        )
+
+    def nonzero(self) -> list[int]:
+        return [j for j, (x, y) in enumerate(zip(self.re, self.im)) if x or y]
+
+    def swap(self, k: int, t: int) -> None:
+        re, im = self.re, self.im
+        re[k], re[t] = re[t], re[k]
+        im[k], im[t] = im[t], im[k]
+
+    def add_scaled(self, cr: int, ci: int, q: int, other: "_Row", nz=None) -> None:
+        """self += ((cr + i*ci) / q) * other, exactly; q > 0.
+
+        `nz` lists the nonzero indices of `other` when the caller has them.
+        """
+        b = q * other.den
+        g = gcd(cr, ci, b)
+        if g != 1:
+            cr, ci, b = cr // g, ci // g, b // g
+        a = self.den
+        g = gcd(a, b)
+        mu, mt = b // g, a // g
+        re, im = self.re, self.im
+        if mu != 1:
+            re = [x * mu for x in re]
+            im = [y * mu for y in im]
+        ar, ai = cr * mt, ci * mt
+        ore, oim = other.re, other.im
+        for j in other.nonzero() if nz is None else nz:
+            x, y = ore[j], oim[j]
+            re[j] += ar * x - ai * y
+            im[j] += ar * y + ai * x
+        den = a * mu
+        g = gcd(den, *re, *im)
+        if g != 1:
+            re = [x // g for x in re]
+            im = [y // g for y in im]
+            den //= g
+        self.re, self.im, self.den = re, im, den
 
 
-def mat_adjoint(a) -> MatrixRows:
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    return tuple(tuple(a[i][j].conjugate() for i in range(rows)) for j in range(cols))
+def _combine(coeffs: _Row, rows: list[_Row], rows_nz: list[list[int]]) -> _Row:
+    """The row vector coeffs * rows, where rows[a] is row a of a matrix."""
+    out = _Row([0] * len(coeffs.re), [0] * len(coeffs.re))
+    for a in coeffs.nonzero():
+        out.add_scaled(coeffs.re[a], coeffs.im[a], coeffs.den, rows[a], rows_nz[a])
+    return out
 
 
-def mat_identity(size: int) -> MatrixRows:
-    return tuple(
-        tuple(ONE if i == j else ZERO for j in range(size)) for i in range(size)
-    )
-
-
-def _primitive(vec: list[GaussianRational]) -> Vector:
-    # Scale by a positive rational so entries are Gaussian integers with content 1,
-    # then fix the overall real sign; keeps witnesses small and deterministic.
-    denom = 1
-    for c in vec:
-        denom = denom * c.re.denominator // gcd(denom, c.re.denominator)
-        denom = denom * c.im.denominator // gcd(denom, c.im.denominator)
-    numer = 0
-    for c in vec:
-        numer = gcd(numer, abs(c.re.numerator * (denom // c.re.denominator)))
-        numer = gcd(numer, abs(c.im.numerator * (denom // c.im.denominator)))
-    factor = GaussianRational(Fraction(denom, numer if numer else 1))
-    scaled = [c * factor for c in vec]
-    for c in scaled:
-        if not c.is_zero():
-            if c.re < 0 or (c.re == 0 and c.im < 0):
-                scaled = [-x for x in scaled]
-            break
-    return tuple(scaled)
+def _dot(a: _Row, b: _Row, nz: list[int]) -> tuple[int, int]:
+    """Numerators (re, im) of sum_j a[j] * b[j] over a.den * b.den; nz lists
+    the nonzero indices of a."""
+    are, aim, bre, bim = a.re, a.im, b.re, b.im
+    re = im = 0
+    for j in nz:
+        x, y, u, v = are[j], aim[j], bre[j], bim[j]
+        re += x * u - y * v
+        im += x * v + y * u
+    return re, im
 
 
 @dataclass(eq=True)
@@ -112,18 +154,37 @@ class SignatureCertificate:
             return False, "inertia counts do not sum to the size"
         if sorted(self.permutation) != list(range(n)):
             return False, "permutation is not a permutation"
-        if len(self.diag) != n or len(self.transform) != n or len(self.transform_inv) != n:
+        if (
+            len(self.diag) != n
+            or len(self.transform) != n
+            or len(self.transform_inv) != n
+            or any(len(row) != n for row in self.transform)
+            or any(len(row) != n for row in self.transform_inv)
+            or (self.witness is not None and len(self.witness) != n)
+        ):
             return False, "component sizes disagree"
-        ident = mat_identity(n)
-        if mat_mul(self.transform, self.transform_inv) != ident:
-            return False, "transform inverse is wrong"
-        product = mat_mul(
-            mat_mul(self.transform, self.matrix.entries), mat_adjoint(self.transform)
-        )
-        for i in range(n):
-            for j in range(n):
-                want = GaussianRational(self.diag[i]) if i == j else ZERO
-                if product[i][j] != want:
+        w = [_Row.from_gaussians(row) for row in self.transform]
+        w_nz = [row.nonzero() for row in w]
+        winv_cols = [_Row.from_gaussians(col) for col in zip(*self.transform_inv)]
+        for i, row in enumerate(w):
+            for j, col in enumerate(winv_cols):
+                re, im = _dot(row, col, w_nz[i])
+                if im or re != (row.den * col.den if i == j else 0):
+                    return False, "transform inverse is wrong"
+        m = [_Row.from_gaussians(row) for row in self.matrix.entries]
+        m_nz = [row.nonzero() for row in m]
+        w_conj = [_Row.from_gaussians(row, conjugate=True) for row in self.transform]
+        for i, row in enumerate(w):
+            wm = _combine(row, m, m_nz)
+            wm_nz = wm.nonzero()
+            d = Fraction(self.diag[i])
+            for j, other in enumerate(w_conj):
+                re, im = _dot(wm, other, wm_nz)
+                if i == j:
+                    ok = not im and re * d.denominator == d.numerator * wm.den * other.den
+                else:
+                    ok = not (re or im)
+                if not ok:
                     return False, f"congruence identity fails at ({i},{j})"
         pos = sum(1 for d in self.diag if d > 0)
         neg = sum(1 for d in self.diag if d < 0)
@@ -132,22 +193,26 @@ class SignatureCertificate:
         if self.n_neg > 0 and self.witness is None:
             return False, "negative inertia without witness"
         if self.witness is not None:
-            value = _quadratic_value(self.matrix, self.witness)
-            if not (value.im == 0 and value.re < 0):
+            row = _combine(_Row.from_gaussians(self.witness, conjugate=True), m, m_nz)
+            re, im = _dot(row, _Row.from_gaussians(self.witness), row.nonzero())
+            if not (im == 0 and re < 0):
                 return False, "witness value is not negative"
         return True, "ok"
 
 
-def _quadratic_value(matrix: HermitianMatrix, vec) -> GaussianRational:
-    acc = ZERO
-    for i, vi in enumerate(vec):
-        if vi.is_zero():
-            continue
-        for j, vj in enumerate(vec):
-            if vj.is_zero():
-                continue
-            acc = acc + vi.conjugate() * matrix.at(i, j) * vj
-    return acc
+def _primitive_witness(row: _Row) -> Vector:
+    # conj(row) scaled by a positive rational to Gaussian integers with content
+    # 1, then the overall real sign fixed; keeps witnesses small and deterministic.
+    g = gcd(*row.re, *row.im)
+    re = [x // g for x in row.re]
+    im = [-y // g for y in row.im]
+    for x, y in zip(re, im):
+        if x or y:
+            if x < 0 or (x == 0 and y < 0):
+                re = [-x for x in re]
+                im = [-y for y in im]
+            break
+    return _Row(re, im).to_gaussians()
 
 
 def ldl_signature(matrix: HermitianMatrix) -> SignatureCertificate:
@@ -162,9 +227,13 @@ def ldl_signature(matrix: HermitianMatrix) -> SignatureCertificate:
     if not isinstance(matrix, HermitianMatrix):
         matrix = HermitianMatrix.from_rows(matrix)
     n = matrix.size
-    s = [list(row) for row in matrix.entries]
-    w = [list(row) for row in mat_identity(n)]
-    winv = [list(row) for row in mat_identity(n)]
+    # s holds the rows of the working matrix.  Rows before the current step
+    # are finished pivots and are never read again, so an elimination step
+    # only applies row operations: by Hermitian symmetry the matching column
+    # operations change nothing but the finished pivot row.
+    s = [_Row.from_gaussians(row) for row in matrix.entries]
+    w = [_Row.unit(n, j) for j in range(n)]
+    winv = [_Row.unit(n, j) for j in range(n)]  # columns of W^-1
     perm = list(range(n))
     diag: list[Fraction] = []
 
@@ -172,64 +241,62 @@ def ldl_signature(matrix: HermitianMatrix) -> SignatureCertificate:
         if k == t:
             return
         s[k], s[t] = s[t], s[k]
-        for row in s:
-            row[k], row[t] = row[t], row[k]
+        for row in s[k:]:
+            row.swap(k, t)
         w[k], w[t] = w[t], w[k]
-        for row in winv:
-            row[k], row[t] = row[t], row[k]
+        winv[k], winv[t] = winv[t], winv[k]
         perm[k], perm[t] = perm[t], perm[k]
-
-    def add_row(u: int, t: int, c: GaussianRational) -> None:
-        # Congruence by E = I + c e_u e_t^T: row u += c row t, col u += conj(c) col t.
-        cc = c.conjugate()
-        su, st = s[u], s[t]
-        for j in range(n):
-            if not st[j].is_zero():
-                su[j] = su[j] + c * st[j]
-        for row in s:
-            if not row[t].is_zero():
-                row[u] = row[u] + cc * row[t]
-        wu, wt = w[u], w[t]
-        for j in range(n):
-            if not wt[j].is_zero():
-                wu[j] = wu[j] + c * wt[j]
-        for row in winv:
-            if not row[u].is_zero():
-                row[t] = row[t] - c * row[u]
 
     k = 0
     while k < n:
-        best = None
-        best_abs = Fraction(0)
+        best, best_num, best_den = None, 0, 1
         for t in range(k, n):
-            dtt = s[t][t]
-            if dtt.im != 0:
+            row = s[t]
+            if row.im[t]:
                 raise ValueError("matrix is not Hermitian: complex diagonal entry")
-            mag = abs(dtt.re)
-            if mag > best_abs:
-                best, best_abs = t, mag
+            mag = abs(row.re[t])
+            if mag * best_den > best_num * row.den:
+                best, best_num, best_den = t, mag, row.den
         if best is None:
-            hollow = None
-            for t in range(k, n):
-                for u in range(t + 1, n):
-                    if not s[t][u].is_zero():
-                        hollow = (t, u)
-                        break
-                if hollow:
-                    break
+            hollow = next(
+                ((t, u) for t in range(k, n) for u in range(t + 1, n)
+                 if s[t].re[u] or s[t].im[u]),
+                None,
+            )
             if hollow is None:
                 diag.extend([Fraction(0)] * (n - k))
                 break
+            # Congruence by E = I + c e_u e_t^T with c = conj(s[t][u]):
+            # row u += c row t, then col u += conj(c) col t.
             t, u = hollow
-            add_row(u, t, s[t][u].conjugate())
+            src = s[t]
+            cr, ci, q = src.re[u], -src.im[u], src.den
+            s[u].add_scaled(cr, ci, q, src)
+            unit_u = _Row.unit(n, u)
+            for row in s[k:]:
+                x, y = row.re[t], row.im[t]
+                if x or y:
+                    row.add_scaled(cr * x + ci * y, cr * y - ci * x, q * row.den, unit_u, [u])
+            w[u].add_scaled(cr, ci, q, w[t])
+            winv[t].add_scaled(-cr, -ci, q, winv[u])
             continue
         swap(k, best)
-        d = s[k][k].re
-        diag.append(d)
+        pivot = s[k]
+        p, dk = pivot.re[k], pivot.den
+        diag.append(Fraction(p, dk))
+        sign = 1 if p > 0 else -1
+        pivot_nz = pivot.nonzero()
+        w_nz = w[k].nonzero()
         for i in range(k + 1, n):
-            if s[i][k].is_zero():
+            row = s[i]
+            a, b = row.re[k], row.im[k]
+            if not (a or b):
                 continue
-            add_row(i, k, -(s[i][k] / d))
+            # c = -(s[i][k] / d) = (cr + i*ci) / q with d = p / dk
+            cr, ci, q = -sign * a * dk, -sign * b * dk, row.den * abs(p)
+            row.add_scaled(cr, ci, q, pivot, pivot_nz)
+            w[i].add_scaled(cr, ci, q, w[k], w_nz)
+            winv[k].add_scaled(-cr, -ci, q, winv[i])
         k += 1
 
     n_pos = sum(1 for d in diag if d > 0)
@@ -239,7 +306,7 @@ def ldl_signature(matrix: HermitianMatrix) -> SignatureCertificate:
     witness = None
     if n_neg > 0:
         idx = next(i for i, d in enumerate(diag) if d < 0)
-        witness = _primitive([w[idx][j].conjugate() for j in range(n)])
+        witness = _primitive_witness(w[idx])
 
     return SignatureCertificate(
         matrix=matrix,
@@ -247,8 +314,8 @@ def ldl_signature(matrix: HermitianMatrix) -> SignatureCertificate:
         n_neg=n_neg,
         n_zero=n_zero,
         permutation=tuple(perm),
-        transform=tuple(tuple(row) for row in w),
-        transform_inv=tuple(tuple(row) for row in winv),
+        transform=tuple(row.to_gaussians() for row in w),
+        transform_inv=tuple(zip(*(col.to_gaussians() for col in winv))),
         diag=tuple(diag),
         witness=witness,
     )

@@ -23,7 +23,7 @@ from pathlib import Path
 
 from . import serialize
 from .certify import ldl_signature
-from .factor import difference_of_squares, holomorphic_factor, numeric_factor
+from .factor import _positive_factor, difference_of_squares, numeric_factor
 from .hermform import coefficient_matrix
 from .parsing import ParseError, parse_expression, parse_real_symbol, uses_real_variables
 from .stabilize import find_minimal_d, multiplier_power, stabilization_sweep
@@ -156,11 +156,11 @@ def cmd_factor(args) -> int:
     form, text = _load_form(args)
     try:
         shifted = multiplier_power(form, args.d)
-        matrix, _ = coefficient_matrix(shifted, mode="bidegree")
+        matrix, basis = coefficient_matrix(shifted, mode="bidegree")
     except ValueError as exc:
         raise InputProblem(str(exc)) from exc
     cert = ldl_signature(matrix)
-    factor = holomorphic_factor(shifted) if cert.is_positive_semidefinite() else None
+    factor = _positive_factor(shifted, cert, basis) if cert.is_positive_semidefinite() else None
     result: dict = {"certificate": serialize.certificate_to_obj(cert)}
     verdicts = {
         "d": args.d,

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .hermform import BihermitianForm, HoloPolyMatrix
-from .scalars import GaussianRational, as_gaussian
+from .scalars import ONE, GaussianRational, as_gaussian
 from .symbols import RealSymbol
 
 
@@ -85,8 +85,7 @@ _ExprPoly = dict[_MonoKey, GaussianRational]
 def _poly_const(c: GaussianRational) -> _ExprPoly:
     return {(): c} if c else {}
 
-def _poly_add(p: _ExprPoly, q: _ExprPoly) -> _ExprPoly:
-    out = dict(p)
+def _poly_add_into(out: _ExprPoly, q: _ExprPoly) -> None:
     for key, c in q.items():
         acc = out.get(key)
         acc = c if acc is None else acc + c
@@ -94,7 +93,6 @@ def _poly_add(p: _ExprPoly, q: _ExprPoly) -> _ExprPoly:
             out.pop(key, None)
         else:
             out[key] = acc
-    return out
 
 def _poly_scale(p: _ExprPoly, c: GaussianRational) -> _ExprPoly:
     if c.is_zero():
@@ -107,13 +105,20 @@ def _mono_mul(a: _MonoKey, b: _MonoKey) -> _MonoKey:
         exps[var] = exps.get(var, 0) + e
     return tuple(sorted(exps.items()))
 
+def _coeff_mul(a: GaussianRational, b: GaussianRational) -> GaussianRational:
+    # Most factors of a typed term are bare variables with coefficient 1.
+    if a == ONE:
+        return b
+    return a if b == ONE else a * b
+
 def _poly_mul(p: _ExprPoly, q: _ExprPoly) -> _ExprPoly:
     out: _ExprPoly = {}
     for ka, ca in p.items():
         for kb, cb in q.items():
             key = _mono_mul(ka, kb)
             acc = out.get(key)
-            acc = ca * cb if acc is None else acc + ca * cb
+            prod = _coeff_mul(ca, cb)
+            acc = prod if acc is None else acc + prod
             if acc.is_zero():
                 out.pop(key, None)
             else:
@@ -121,10 +126,20 @@ def _poly_mul(p: _ExprPoly, q: _ExprPoly) -> _ExprPoly:
     return out
 
 def _poly_pow(p: _ExprPoly, e: int) -> _ExprPoly:
-    out = _poly_const(as_gaussian(1))
-    for _ in range(e):
-        out = _poly_mul(out, p)
-    return out
+    if e == 0:
+        return _poly_const(ONE)
+    if len(p) == 1:
+        # A single term: scale its exponents and power its coefficient once.
+        ((key, c),) = p.items()
+        return {tuple((var, k * e) for var, k in key): c if c == ONE else c**e}
+    out = None
+    while True:
+        if e & 1:
+            out = p if out is None else _poly_mul(out, p)
+        e >>= 1
+        if not e:
+            return out
+        p = _poly_mul(p, p)
 
 
 class _Parser:
@@ -181,7 +196,8 @@ class _Parser:
         return entries
 
     def parse_expr(self) -> _ExprPoly:
-        poly = self.parse_term()
+        poly: _ExprPoly = {}
+        _poly_add_into(poly, self.parse_term())
         while True:
             token = self.peek()
             if token.kind == "op" and token.value in "+-":
@@ -189,7 +205,7 @@ class _Parser:
                 rhs = self.parse_term()
                 if token.value == "-":
                     rhs = _poly_scale(rhs, as_gaussian(-1))
-                poly = _poly_add(poly, rhs)
+                _poly_add_into(poly, rhs)
             else:
                 return poly
 

@@ -12,7 +12,7 @@ import time
 from dataclasses import dataclass, field
 
 from .certify import SignatureCertificate, ldl_signature
-from .factor import WeightedGramFactor, holomorphic_factor, strict_holomorphic_factor
+from .factor import WeightedGramFactor, _positive_factor
 from .hermform import (
     BihermitianForm,
     bidegree,
@@ -114,7 +114,7 @@ def find_minimal_d(
     report = StabilizationReport(mode=mode, d_max=d_max, d_min=None)
     shifted = form
     for d in range(d_max + 1):
-        matrix, _ = coefficient_matrix(shifted, mode="bidegree")
+        matrix, basis = coefficient_matrix(shifted, mode="bidegree")
         cert = ldl_signature(matrix)
         passes = (
             cert.is_positive_definite()
@@ -134,10 +134,7 @@ def find_minimal_d(
         )
         if passes:
             report.d_min = d
-            if mode == "strict":
-                report.factor = strict_holomorphic_factor(shifted)
-            else:
-                report.factor = holomorphic_factor(shifted)
+            report.factor = _positive_factor(shifted, cert, basis)
             return report
         if d < d_max:
             shifted = multiplier_shift(shifted)

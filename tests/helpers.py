@@ -5,13 +5,14 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 from hermfact import (
     BihermitianForm,
     GaussianRational,
     HermitianMatrix,
     HoloPolyMatrix,
+    SignatureCertificate,
     enumerate_degree,
 )
 
@@ -94,6 +95,192 @@ def quadratic_value(matrix: HermitianMatrix, vec) -> GaussianRational:
         for j, vj in enumerate(vec):
             acc = acc + vi.conjugate() * matrix.at(i, j) * vj
     return acc
+
+
+# ---------------------------------------------------------------------------
+# dense matrix products and the reference certification kernel
+#
+# The reference kernel is the straightforward elimination over
+# GaussianRational entries that the integer-row kernel in hermfact.certify
+# replaced; the package must emit field-for-field identical certificates
+# and the same verify verdicts.
+
+
+ZERO = GaussianRational()
+ONE = GaussianRational(Fraction(1))
+
+
+def mat_mul(a, b):
+    rows = len(a)
+    inner = len(b)
+    cols = len(b[0]) if inner else 0
+    out = []
+    for i in range(rows):
+        row = []
+        ai = a[i]
+        for j in range(cols):
+            acc = ZERO
+            for k in range(inner):
+                x = ai[k]
+                y = b[k][j]
+                if x.is_zero() or y.is_zero():
+                    continue
+                acc = acc + x * y
+            row.append(acc)
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def mat_adjoint(a):
+    rows = len(a)
+    cols = len(a[0]) if rows else 0
+    return tuple(tuple(a[i][j].conjugate() for i in range(rows)) for j in range(cols))
+
+
+def mat_identity(size: int):
+    return tuple(
+        tuple(ONE if i == j else ZERO for j in range(size)) for i in range(size)
+    )
+
+
+def _reference_primitive(vec):
+    denom = 1
+    for c in vec:
+        denom = denom * c.re.denominator // gcd(denom, c.re.denominator)
+        denom = denom * c.im.denominator // gcd(denom, c.im.denominator)
+    numer = 0
+    for c in vec:
+        numer = gcd(numer, abs(c.re.numerator * (denom // c.re.denominator)))
+        numer = gcd(numer, abs(c.im.numerator * (denom // c.im.denominator)))
+    factor = GaussianRational(Fraction(denom, numer if numer else 1))
+    scaled = [c * factor for c in vec]
+    for c in scaled:
+        if not c.is_zero():
+            if c.re < 0 or (c.re == 0 and c.im < 0):
+                scaled = [-x for x in scaled]
+            break
+    return tuple(scaled)
+
+
+def reference_ldl_signature(matrix: HermitianMatrix) -> SignatureCertificate:
+    """Pivoted congruence diagonalization entry by entry over GaussianRational."""
+    n = matrix.size
+    s = [list(row) for row in matrix.entries]
+    w = [list(row) for row in mat_identity(n)]
+    winv = [list(row) for row in mat_identity(n)]
+    perm = list(range(n))
+    diag: list[Fraction] = []
+
+    def swap(k: int, t: int) -> None:
+        if k == t:
+            return
+        s[k], s[t] = s[t], s[k]
+        for row in s:
+            row[k], row[t] = row[t], row[k]
+        w[k], w[t] = w[t], w[k]
+        for row in winv:
+            row[k], row[t] = row[t], row[k]
+        perm[k], perm[t] = perm[t], perm[k]
+
+    def add_row(u: int, t: int, c: GaussianRational) -> None:
+        cc = c.conjugate()
+        su, st = s[u], s[t]
+        for j in range(n):
+            if not st[j].is_zero():
+                su[j] = su[j] + c * st[j]
+        for row in s:
+            if not row[t].is_zero():
+                row[u] = row[u] + cc * row[t]
+        wu, wt = w[u], w[t]
+        for j in range(n):
+            if not wt[j].is_zero():
+                wu[j] = wu[j] + c * wt[j]
+        for row in winv:
+            if not row[u].is_zero():
+                row[t] = row[t] - c * row[u]
+
+    k = 0
+    while k < n:
+        best = None
+        best_abs = Fraction(0)
+        for t in range(k, n):
+            dtt = s[t][t]
+            if dtt.im != 0:
+                raise ValueError("matrix is not Hermitian: complex diagonal entry")
+            mag = abs(dtt.re)
+            if mag > best_abs:
+                best, best_abs = t, mag
+        if best is None:
+            hollow = None
+            for t in range(k, n):
+                for u in range(t + 1, n):
+                    if not s[t][u].is_zero():
+                        hollow = (t, u)
+                        break
+                if hollow:
+                    break
+            if hollow is None:
+                diag.extend([Fraction(0)] * (n - k))
+                break
+            t, u = hollow
+            add_row(u, t, s[t][u].conjugate())
+            continue
+        swap(k, best)
+        d = s[k][k].re
+        diag.append(d)
+        for i in range(k + 1, n):
+            if s[i][k].is_zero():
+                continue
+            add_row(i, k, -(s[i][k] / d))
+        k += 1
+
+    n_pos = sum(1 for d in diag if d > 0)
+    n_neg = sum(1 for d in diag if d < 0)
+    witness = None
+    if n_neg > 0:
+        idx = next(i for i, d in enumerate(diag) if d < 0)
+        witness = _reference_primitive([w[idx][j].conjugate() for j in range(n)])
+    return SignatureCertificate(
+        matrix=matrix,
+        n_pos=n_pos,
+        n_neg=n_neg,
+        n_zero=n - n_pos - n_neg,
+        permutation=tuple(perm),
+        transform=tuple(tuple(row) for row in w),
+        transform_inv=tuple(tuple(row) for row in winv),
+        diag=tuple(diag),
+        witness=witness,
+    )
+
+
+def reference_verify(cert: SignatureCertificate) -> tuple[bool, str]:
+    """SignatureCertificate.verify by dense GaussianRational products."""
+    n = cert.size
+    if cert.n_pos + cert.n_neg + cert.n_zero != n:
+        return False, "inertia counts do not sum to the size"
+    if sorted(cert.permutation) != list(range(n)):
+        return False, "permutation is not a permutation"
+    if len(cert.diag) != n or len(cert.transform) != n or len(cert.transform_inv) != n:
+        return False, "component sizes disagree"
+    if mat_mul(cert.transform, cert.transform_inv) != mat_identity(n):
+        return False, "transform inverse is wrong"
+    product = mat_mul(mat_mul(cert.transform, cert.matrix.entries), mat_adjoint(cert.transform))
+    for i in range(n):
+        for j in range(n):
+            want = GaussianRational(cert.diag[i]) if i == j else ZERO
+            if product[i][j] != want:
+                return False, f"congruence identity fails at ({i},{j})"
+    pos = sum(1 for d in cert.diag if d > 0)
+    neg = sum(1 for d in cert.diag if d < 0)
+    if (pos, neg) != (cert.n_pos, cert.n_neg):
+        return False, "inertia does not match the diagonal signs"
+    if cert.n_neg > 0 and cert.witness is None:
+        return False, "negative inertia without witness"
+    if cert.witness is not None:
+        value = quadratic_value(cert.matrix, cert.witness)
+        if not (value.im == 0 and value.re < 0):
+            return False, "witness value is not negative"
+    return True, "ok"
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -13,14 +14,17 @@ from hermfact import (
     is_positive_semidefinite,
     ldl_signature,
 )
-from hermfact.certify import mat_adjoint, mat_mul
 
 from helpers import (
+    mat_adjoint,
+    mat_mul,
     quadratic_value,
     rand_gauss,
     rand_hermitian_matrix,
     rand_holo_matrix,
     rand_pd_matrix,
+    reference_ldl_signature,
+    reference_verify,
 )
 
 
@@ -226,11 +230,95 @@ def test_certificate_verify_catches_tampering():
     assert good
     bad_diag = list(cert.diag)
     bad_diag[0] += 1
-    import dataclasses
-
     tampered = dataclasses.replace(cert, diag=tuple(bad_diag))
     ok, reason = tampered.verify()
     assert not ok and "congruence" in reason
     tampered = dataclasses.replace(cert, n_pos=cert.n_pos + 1, n_zero=cert.n_zero - 1)
     ok, _ = tampered.verify()
     assert not ok
+
+
+def _hollow_matrix(rng, size):
+    # zero diagonal: the first step has no pivot and must create one
+    rows = [list(row) for row in rand_hermitian_matrix(rng, size, 7).entries]
+    for k in range(size):
+        rows[k][k] = GaussianRational()
+    return HermitianMatrix.from_rows(rows)
+
+
+def _singular_matrix(rng, size):
+    # signed sum of fewer rank-one terms than the size
+    rank = rng.randint(0, size - 1)
+    vectors = [[rand_gauss(rng, 3) for _ in range(size)] for _ in range(rank)]
+    signs = [GaussianRational(rng.choice((1, -1))) for _ in range(rank)]
+    rows = [
+        [
+            sum(
+                (sg * vec[i] * vec[j].conjugate() for sg, vec in zip(signs, vectors)),
+                GaussianRational(),
+            )
+            for j in range(size)
+        ]
+        for i in range(size)
+    ]
+    return HermitianMatrix.from_rows(rows)
+
+
+def _tamperings(cert):
+    n = cert.size
+    one = GaussianRational(1)
+    i, j = n // 2, n - 1
+
+    def bump(rows):
+        rows = [list(row) for row in rows]
+        rows[i][j] = rows[i][j] + one
+        return tuple(tuple(row) for row in rows)
+
+    yield {"diag": (cert.diag[0] + 1,) + cert.diag[1:]}
+    yield {"transform": bump(cert.transform)}
+    yield {"transform_inv": bump(cert.transform_inv)}
+    yield {"matrix": HermitianMatrix(bump(cert.matrix.entries))}
+    yield {"n_pos": cert.n_pos + 1}
+    yield {"permutation": (0,) * n}
+    if cert.witness is not None:
+        yield {"witness": (cert.witness[0] + one,) + cert.witness[1:]}
+        yield {"witness": None}
+    elif n > 0:
+        yield {"witness": (one,) + (GaussianRational(),) * (n - 1)}
+
+
+def test_integer_row_kernel_matches_reference_kernel():
+    # Field-for-field identical certificates and verify verdicts against the
+    # GaussianRational reference, on plain, hollow and singular matrices.
+    rng = random.Random(2024)
+    hollow_steps = singular = tampered = 0
+    for trial in range(200):
+        size = rng.randint(1, 12)
+        kind = trial % 4
+        if kind == 0:
+            matrix = rand_hermitian_matrix(rng, size, 9)
+        elif kind == 1:
+            matrix = rand_hermitian_matrix(rng, size, 10**4)
+        elif kind == 2:
+            matrix = _hollow_matrix(rng, size)
+        else:
+            matrix = _singular_matrix(rng, size)
+        cert = ldl_signature(matrix)
+        want = reference_ldl_signature(matrix)
+        assert cert.permutation == want.permutation
+        assert cert.transform == want.transform
+        assert cert.transform_inv == want.transform_inv
+        assert cert.diag == want.diag
+        assert cert.witness == want.witness
+        assert inertia(cert) == inertia(want)
+        assert cert.verify() == (True, "ok")
+        hollow_steps += kind == 2 and size > 1 and any(
+            not c.is_zero() for row in matrix.entries for c in row
+        )
+        singular += kind == 3 and cert.n_zero > 0
+        if trial % 5 == 0:
+            for change in _tamperings(cert):
+                bad = dataclasses.replace(cert, **change)
+                assert bad.verify() == reference_verify(bad), change
+                tampered += 1
+    assert hollow_steps > 40 and singular > 40 and tampered > 300

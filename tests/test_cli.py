@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from hermfact import serialize
 from hermfact.cli import main
 
@@ -224,6 +226,36 @@ def test_verify_command_paths(capsys, tmp_path):
 
     code, _, _ = run(capsys, ["verify", str(tmp_path / "missing.json")])
     assert code == 2
+
+
+def _shorten_transform_row(cert):
+    cert["transform"][1] = cert["transform"][1][:-1]
+
+
+def _shorten_transform_inv_row(cert):
+    cert["transform_inv"][1] = cert["transform_inv"][1][:-1]
+
+
+def _lengthen_witness(cert):
+    cert["witness"].append(["1", "0"])
+
+
+@pytest.mark.parametrize(
+    "malform",
+    [_shorten_transform_row, _shorten_transform_inv_row, _lengthen_witness],
+    ids=["short_transform_row", "short_transform_inv_row", "long_witness"],
+)
+def test_verify_rejects_malformed_certificate_shapes(capsys, tmp_path, malform):
+    code, out, _ = run(capsys, ["check", "-e", SQUARE_DIFFERENCE, "--mode", "semi"])
+    cert = json.loads(out)["result"]["certificate"]
+    assert cert["witness"] is not None and cert["size"] == 3
+    malform(cert)
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(cert))
+    code, out, err = run(capsys, ["verify", str(path)])
+    assert code == 1
+    assert json.loads(out) == {"valid": False, "reason": "component sizes disagree"}
+    assert "Traceback" not in err
 
 
 def test_json_form_input(capsys, tmp_path):

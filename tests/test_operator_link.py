@@ -17,11 +17,13 @@ from hermfact import (
     pairing_identity_check,
     reproducing_check,
 )
-from hermfact.certify import ldl_signature, mat_adjoint, mat_mul
+from hermfact.certify import ldl_signature
 from hermfact.hermform import HermitianMatrix
 
 from helpers import (
     diagonal_quartic,
+    mat_adjoint,
+    mat_mul,
     quartic_family,
     rand_gauss,
     rand_hermsym_form,

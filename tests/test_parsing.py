@@ -11,7 +11,7 @@ from hermfact import (
     parse_expression,
     parse_real_symbol,
 )
-from hermfact.parsing import ParseError
+from hermfact.parsing import ParseError, _Parser, _poly_const, _poly_mul, _poly_pow
 
 from helpers import diagonal_quartic, quartic_family, rand_hermsym_form
 
@@ -125,4 +125,19 @@ def test_parse_euclidean_pairing():
     assert parse_expression("z1*zb1 + z2*zb2") == euclidean_pairing(2)
     assert parse_expression(format_form(quartic_family(Fraction(-19, 10)))) == quartic_family(
         Fraction(-19, 10)
+    )
+
+
+@pytest.mark.parametrize(
+    "base",
+    ["z1", "(2/3 - i)*z1^2*zb2", "z1 + zb1", "(1/2)*z1 - i*z2*zb1 + 3", "0", "5/7"],
+)
+def test_power_equals_repeated_multiplication(base):
+    poly = _Parser(base).parse_expr()
+    product = _poly_const(GaussianRational(1))
+    for e in range(9):
+        assert _poly_pow(poly, e) == product
+        product = _poly_mul(product, poly)
+    assert parse_expression(f"({base})^7 + z1*zb1") == parse_expression(
+        "*".join([f"({base})"] * 7) + " + z1*zb1"
     )
