@@ -1,22 +1,22 @@
 """Exact inertia certificates for Hermitian matrices over the Gaussian rationals.
 
-The decision procedure is a pivoted congruence diagonalization: at each step
-the largest-magnitude (rational comparison) real diagonal entry of the trailing
-block is chosen as a 1x1 pivot and eliminated.  When the trailing block has an
-all-zero diagonal but is nonzero — which certifies indefiniteness on the spot —
-a unit row combination first creates a positive diagonal entry so the
-diagonalization can always run to completion with exact inertia.
+The decision procedure is a pivoted LDL*: each step eliminates with the
+largest-magnitude real diagonal entry of the trailing block (rational
+comparison).  A nonzero trailing block with an all-zero diagonal is
+indefinite; its first nonzero off-diagonal entry a becomes the "hollow" 2x2
+pivot [[0, a], [conj(a), 0]] (Bunch & Kaufman, Math. Comp. 31, 1977), which
+has one positive and one negative eigenvalue.
 
-The certificate records the accumulated congruence W together with its exact
-inverse, so that W * M * W^adj = D can be re-checked by plain matrix
-multiplication; the inertia of M equals the sign counts of D by congruence
-invariance.  For inputs where plain diagonal pivoting suffices, W is a
-permuted unit triangular transform, i.e. the classical pivoted LDL*.
+The certificate records W with W * M * W^adj = D, where W is unit lower
+triangular once its columns are put in pivot order and D is diagonal apart
+from the hollow blocks; the inertia of M is that of D.  W is invertible by its
+structure alone, so no inverse is stored: `inverse_columns` derives it for
+factor extraction.
 
-Both the elimination and the re-check run on integer rows: a row of M or W (or
-a column of W^-1) is a list of Gaussian-integer numerators over one positive
-denominator, kept in lowest terms.  GaussianRational appears only at the
-boundary, when a certificate is built or read.
+Both the elimination and the re-check run on integer rows: a row of M or W is
+a list of Gaussian-integer numerators over one positive denominator, kept in
+lowest terms.  GaussianRational appears only where a certificate is built or
+read.
 """
 
 from __future__ import annotations
@@ -29,7 +29,11 @@ from .hermform import HermitianMatrix
 from .scalars import ZERO, GaussianRational
 
 Vector = tuple[GaussianRational, ...]
-MatrixRows = tuple[Vector, ...]
+# (index, value) pairs: the strictly-lower entries of a row of W in pivot
+# coordinates, or the hollow blocks (k, a) of D.
+Entries = tuple[tuple[int, GaussianRational], ...]
+
+ONE = GaussianRational(Fraction(1))
 
 
 class _Row:
@@ -49,13 +53,13 @@ class _Row:
         return cls(re, [0] * n)
 
     @classmethod
-    def from_gaussians(cls, entries, conjugate: bool = False) -> "_Row":
+    def from_gaussians(cls, entries) -> "_Row":
         dens = [c.re.denominator for c in entries] + [c.im.denominator for c in entries]
         den = lcm(*dens)
         # Scaling by the lcm of the denominators leaves content 1: lowest terms.
         re = [c.re.numerator * (den // c.re.denominator) for c in entries]
         im = [c.im.numerator * (den // c.im.denominator) for c in entries]
-        return cls(re, [-y for y in im] if conjugate else im, den)
+        return cls(re, im, den)
 
     def to_gaussians(self) -> Vector:
         den = self.den
@@ -112,29 +116,36 @@ def _combine(coeffs: _Row, rows: list[_Row], rows_nz: list[list[int]]) -> _Row:
 
 
 def _dot(a: _Row, b: _Row, nz: list[int]) -> tuple[int, int]:
-    """Numerators (re, im) of sum_j a[j] * b[j] over a.den * b.den; nz lists
-    the nonzero indices of a."""
+    """Numerators (re, im) of sum_j a[j] * conj(b[j]) over a.den * b.den; nz
+    covers the nonzero indices of a or of b."""
     are, aim, bre, bim = a.re, a.im, b.re, b.im
     re = im = 0
     for j in nz:
         x, y, u, v = are[j], aim[j], bre[j], bim[j]
-        re += x * u - y * v
-        im += x * v + y * u
+        re += x * u + y * v
+        im += y * u - x * v
     return re, im
 
 
 @dataclass(eq=True)
 class SignatureCertificate:
-    """Checkable congruence record: transform * matrix * transform^adj = diag."""
+    """Checkable congruence record: W * matrix * W^adj = D.
+
+    `transform` holds W by its strictly-lower entries in pivot coordinates:
+    row i lists (j, c) with 0 <= j < i ascending and means
+    W[i][permutation[j]] = c; W[i][permutation[i]] = 1, every other entry is
+    0.  D has `diag` on its diagonal (0 at block slots) and, for each (k, a)
+    in `blocks`, the hollow block [[0, a], [conj(a), 0]] at slots k, k + 1.
+    """
 
     matrix: HermitianMatrix
     n_pos: int
     n_neg: int
     n_zero: int
     permutation: tuple[int, ...]
-    transform: MatrixRows
-    transform_inv: MatrixRows
+    transform: tuple[Entries, ...]
     diag: tuple[Fraction, ...]
+    blocks: Entries
     witness: Vector | None
 
     @property
@@ -150,54 +161,77 @@ class SignatureCertificate:
     def verify(self) -> tuple[bool, str]:
         """Re-check every claim by exact arithmetic; returns (ok, reason)."""
         n = self.size
+        perm = self.permutation
         if self.n_pos + self.n_neg + self.n_zero != n:
             return False, "inertia counts do not sum to the size"
-        if sorted(self.permutation) != list(range(n)):
+        if sorted(perm) != list(range(n)):
             return False, "permutation is not a permutation"
         if (
             len(self.diag) != n
             or len(self.transform) != n
-            or len(self.transform_inv) != n
-            or any(len(row) != n for row in self.transform)
-            or any(len(row) != n for row in self.transform_inv)
             or (self.witness is not None and len(self.witness) != n)
         ):
             return False, "component sizes disagree"
-        w = [_Row.from_gaussians(row) for row in self.transform]
-        w_nz = [row.nonzero() for row in w]
-        winv_cols = [_Row.from_gaussians(col) for col in zip(*self.transform_inv)]
-        for i, row in enumerate(w):
-            for j, col in enumerate(winv_cols):
-                re, im = _dot(row, col, w_nz[i])
-                if im or re != (row.den * col.den if i == j else 0):
-                    return False, "transform inverse is wrong"
-        m = [_Row.from_gaussians(row) for row in self.matrix.entries]
+        for i, entries in enumerate(self.transform):
+            cols = [-1] + [j for j, _ in entries] + [i]
+            if any(a >= b for a, b in zip(cols, cols[1:])):
+                return False, "transform is not unit lower triangular in pivot order"
+        end = -1
+        for k, a in self.blocks:
+            if not end < k < n - 1 or a.is_zero() or self.diag[k] or self.diag[k + 1]:
+                return False, "blocks are not disjoint hollow 2x2 pivots"
+            end = k + 1
+        # The rest runs in pivot coordinates: W becomes L, M becomes P M P^T
+        # and the witness v becomes P v, which keeps v* M v.
+        entries = self.matrix.entries
+        m = [_Row.from_gaussians([entries[r][c] for c in perm]) for r in perm]
+        if any(
+            row.re[j] * m[j].den != m[j].re[i] * row.den
+            or row.im[j] * m[j].den != -m[j].im[i] * row.den
+            for i, row in enumerate(m) for j in range(i + 1)
+        ):
+            return False, "matrix is not Hermitian"
+        # So L M L^adj is Hermitian too, and its lower triangle decides.
         m_nz = [row.nonzero() for row in m]
-        w_conj = [_Row.from_gaussians(row, conjugate=True) for row in self.transform]
-        for i, row in enumerate(w):
-            wm = _combine(row, m, m_nz)
-            wm_nz = wm.nonzero()
-            d = Fraction(self.diag[i])
-            for j, other in enumerate(w_conj):
-                re, im = _dot(wm, other, wm_nz)
-                if i == j:
-                    ok = not im and re * d.denominator == d.numerator * wm.den * other.den
-                else:
-                    ok = not (re or im)
-                if not ok:
+        lower = self._lower_rows()
+        lower_nz = [row.nonzero() for row in lower]
+        below = {(k + 1, k): a.conjugate() for k, a in self.blocks}
+        for i, row in enumerate(lower):
+            lm = _combine(row, m, m_nz)
+            for j in range(i + 1):
+                re, im = _dot(lm, lower[j], lower_nz[j])
+                want = GaussianRational(self.diag[i]) if i == j else below.get((i, j), ZERO)
+                den = lm.den * lower[j].den
+                if (
+                    re * want.re.denominator != want.re.numerator * den
+                    or im * want.im.denominator != want.im.numerator * den
+                ):
                     return False, f"congruence identity fails at ({i},{j})"
-        pos = sum(1 for d in self.diag if d > 0)
-        neg = sum(1 for d in self.diag if d < 0)
+        pos = len(self.blocks) + sum(1 for d in self.diag if d > 0)
+        neg = len(self.blocks) + sum(1 for d in self.diag if d < 0)
         if (pos, neg) != (self.n_pos, self.n_neg):
             return False, "inertia does not match the diagonal signs"
         if self.n_neg > 0 and self.witness is None:
             return False, "negative inertia without witness"
         if self.witness is not None:
-            row = _combine(_Row.from_gaussians(self.witness, conjugate=True), m, m_nz)
-            re, im = _dot(row, _Row.from_gaussians(self.witness), row.nonzero())
+            # with c = conj(v), v* M v = sum_l (c M)_l conj(c_l)
+            c = _Row.from_gaussians([self.witness[r].conjugate() for r in perm])
+            row = _combine(c, m, m_nz)
+            re, im = _dot(row, c, row.nonzero())
             if not (im == 0 and re < 0):
                 return False, "witness value is not negative"
         return True, "ok"
+
+    def _lower_rows(self) -> list[_Row]:
+        """The rows of L: W in pivot coordinates, unit lower triangular."""
+        rows = []
+        for i, entries in enumerate(self.transform):
+            dense = [ZERO] * self.size
+            dense[i] = ONE
+            for j, c in entries:
+                dense[j] = c
+            rows.append(_Row.from_gaussians(dense))
+        return rows
 
 
 def _primitive_witness(row: _Row) -> Vector:
@@ -216,13 +250,13 @@ def _primitive_witness(row: _Row) -> Vector:
 
 
 def ldl_signature(matrix: HermitianMatrix) -> SignatureCertificate:
-    """Exact pivoted diagonalization with inertia and an indefiniteness witness.
+    """Exact pivoted LDL* with inertia and an indefiniteness witness.
 
     Pivot rule: largest-magnitude real diagonal entry of the trailing block,
     lowest index on ties.  An all-zero trailing diagonal with a nonzero
-    off-diagonal entry a at (t, u) proves indefiniteness; row u gains
-    conj(a) * row t, creating the positive diagonal entry 2|a|^2, and the
-    elimination continues.
+    off-diagonal entry proves indefiniteness: the first such entry a, at
+    (t, u) with t < u in row-major order, moves t and u to the next two slots
+    and eliminates with the 2x2 pivot [[0, a], [conj(a), 0]].
     """
     if not isinstance(matrix, HermitianMatrix):
         matrix = HermitianMatrix.from_rows(matrix)
@@ -230,22 +264,33 @@ def ldl_signature(matrix: HermitianMatrix) -> SignatureCertificate:
     # s holds the rows of the working matrix.  Rows before the current step
     # are finished pivots and are never read again, so an elimination step
     # only applies row operations: by Hermitian symmetry the matching column
-    # operations change nothing but the finished pivot row.
+    # operations change nothing but the finished pivot rows.
     s = [_Row.from_gaussians(row) for row in matrix.entries]
     w = [_Row.unit(n, j) for j in range(n)]
-    winv = [_Row.unit(n, j) for j in range(n)]  # columns of W^-1
     perm = list(range(n))
     diag: list[Fraction] = []
+    blocks: list[tuple[int, GaussianRational]] = []
+    # W^adj x is a witness when x^adj D x < 0: x = e_k at the first negative
+    # pivot, or x = e_k - conj(a) e_{k+1} (value -2|a|^2) at the first block.
+    negative: _Row | None = None
 
     def swap(k: int, t: int) -> None:
         if k == t:
             return
         s[k], s[t] = s[t], s[k]
-        for row in s[k:]:
+        for row in s:  # all rows: a 2x2 step's second swap must reach row k too
             row.swap(k, t)
         w[k], w[t] = w[t], w[k]
-        winv[k], winv[t] = winv[t], winv[k]
         perm[k], perm[t] = perm[t], perm[k]
+
+    pivot_nz: dict[int, tuple[list[int], list[int]]] = {}
+
+    def eliminate(r: int, k: int, cr: int, ci: int, q: int) -> None:
+        # row r += ((cr + i*ci) / q) * row k in s and in W; row k is a pivot
+        if k not in pivot_nz:
+            pivot_nz[k] = (s[k].nonzero(), w[k].nonzero())
+        s[r].add_scaled(cr, ci, q, s[k], pivot_nz[k][0])
+        w[r].add_scaled(cr, ci, q, w[k], pivot_nz[k][1])
 
     k = 0
     while k < n:
@@ -257,68 +302,93 @@ def ldl_signature(matrix: HermitianMatrix) -> SignatureCertificate:
             mag = abs(row.re[t])
             if mag * best_den > best_num * row.den:
                 best, best_num, best_den = t, mag, row.den
-        if best is None:
-            hollow = next(
-                ((t, u) for t in range(k, n) for u in range(t + 1, n)
-                 if s[t].re[u] or s[t].im[u]),
-                None,
-            )
-            if hollow is None:
-                diag.extend([Fraction(0)] * (n - k))
-                break
-            # Congruence by E = I + c e_u e_t^T with c = conj(s[t][u]):
-            # row u += c row t, then col u += conj(c) col t.
-            t, u = hollow
-            src = s[t]
-            cr, ci, q = src.re[u], -src.im[u], src.den
-            s[u].add_scaled(cr, ci, q, src)
-            unit_u = _Row.unit(n, u)
-            for row in s[k:]:
-                x, y = row.re[t], row.im[t]
+        if best is not None:
+            swap(k, best)
+            pivot = s[k]
+            p, dk = pivot.re[k], pivot.den
+            diag.append(Fraction(p, dk))
+            sign = 1 if p > 0 else -1
+            if sign < 0 and negative is None:
+                negative = w[k]
+            for i in range(k + 1, n):
+                x, y = s[i].re[k], s[i].im[k]
                 if x or y:
-                    row.add_scaled(cr * x + ci * y, cr * y - ci * x, q * row.den, unit_u, [u])
-            w[u].add_scaled(cr, ci, q, w[t])
-            winv[t].add_scaled(-cr, -ci, q, winv[u])
+                    # c = -(s[i][k] / d) with d = p / dk
+                    eliminate(i, k, -sign * x * dk, -sign * y * dk, s[i].den * abs(p))
+            k += 1
             continue
-        swap(k, best)
-        pivot = s[k]
-        p, dk = pivot.re[k], pivot.den
-        diag.append(Fraction(p, dk))
-        sign = 1 if p > 0 else -1
-        pivot_nz = pivot.nonzero()
-        w_nz = w[k].nonzero()
-        for i in range(k + 1, n):
-            row = s[i]
-            a, b = row.re[k], row.im[k]
-            if not (a or b):
-                continue
-            # c = -(s[i][k] / d) = (cr + i*ci) / q with d = p / dk
-            cr, ci, q = -sign * a * dk, -sign * b * dk, row.den * abs(p)
-            row.add_scaled(cr, ci, q, pivot, pivot_nz)
-            w[i].add_scaled(cr, ci, q, w[k], w_nz)
-            winv[k].add_scaled(-cr, -ci, q, winv[i])
-        k += 1
+        hollow = next(
+            ((t, u) for t in range(k, n) for u in range(t + 1, n)
+             if s[t].re[u] or s[t].im[u]),
+            None,
+        )
+        if hollow is None:
+            diag.extend([Fraction(0)] * (n - k))
+            break
+        t, u = hollow
+        swap(k, t)
+        swap(k + 1, u)
+        # a = s[k][k+1] = (ar + i*ai) / dk; s[k+1][k] = conj(a)
+        ar, ai, dk = s[k].re[k + 1], s[k].im[k + 1], s[k].den
+        norm = ar * ar + ai * ai
+        blocks.append((k, GaussianRational(Fraction(ar, dk), Fraction(ai, dk))))
+        diag.extend([Fraction(0), Fraction(0)])
+        if negative is None:
+            negative = _Row(list(w[k].re), list(w[k].im), w[k].den)
+            negative.add_scaled(-ar, -ai, dk, w[k + 1])
+        for i in range(k + 2, n):
+            xr, xi, yr, yi = s[i].re[k], s[i].im[k], s[i].re[k + 1], s[i].im[k + 1]
+            q = s[i].den * norm
+            # row i -= (y / a) * row k + (x / conj(a)) * row k+1, (x, y) = s[i][k:k+2]
+            if yr or yi:
+                eliminate(i, k, -dk * (yr * ar + yi * ai), -dk * (yi * ar - yr * ai), q)
+            if xr or xi:
+                eliminate(i, k + 1, -dk * (xr * ar - xi * ai), -dk * (xr * ai + xi * ar), q)
+        k += 2
 
-    n_pos = sum(1 for d in diag if d > 0)
-    n_neg = sum(1 for d in diag if d < 0)
-    n_zero = n - n_pos - n_neg
-
-    witness = None
-    if n_neg > 0:
-        idx = next(i for i, d in enumerate(diag) if d < 0)
-        witness = _primitive_witness(w[idx])
+    n_pos = len(blocks) + sum(1 for d in diag if d > 0)
+    n_neg = len(blocks) + sum(1 for d in diag if d < 0)
+    transform = []
+    for i, row in enumerate(w):
+        entries = row.to_gaussians()
+        transform.append(tuple((j, entries[perm[j]]) for j in range(i) if entries[perm[j]]))
 
     return SignatureCertificate(
         matrix=matrix,
         n_pos=n_pos,
         n_neg=n_neg,
-        n_zero=n_zero,
+        n_zero=n - n_pos - n_neg,
         permutation=tuple(perm),
-        transform=tuple(row.to_gaussians() for row in w),
-        transform_inv=tuple(zip(*(col.to_gaussians() for col in winv))),
+        transform=tuple(transform),
         diag=tuple(diag),
-        witness=witness,
+        blocks=tuple(blocks),
+        witness=None if negative is None else _primitive_witness(negative),
     )
+
+
+def inverse_columns(cert: SignatureCertificate) -> list[Vector]:
+    """The columns of W^-1, so that M = W^-1 D W^-adj: column k is the vector
+    that slot k of D weighs.
+
+    W = L P with L unit lower triangular, so W^-1 = P^T L^-1, and the rows of
+    L^-1 come by forward substitution.
+    """
+    n, perm = cert.size, cert.permutation
+    inv: list[_Row] = []
+    for i, row in enumerate(cert._lower_rows()):
+        out = _Row.unit(n, i)
+        for j in range(i):
+            if row.re[j] or row.im[j]:
+                out.add_scaled(-row.re[j], -row.im[j], row.den, inv[j])
+        inv.append(out)
+    rows = [row.to_gaussians() for row in inv]
+    columns = []
+    for k in range(n):
+        column = [ZERO] * n
+        for j in range(k, n):
+            column[perm[j]] = rows[j][k]
+        columns.append(tuple(column))
+    return columns
 
 
 def is_positive_definite(matrix: HermitianMatrix) -> tuple[bool, SignatureCertificate]:
@@ -338,18 +408,23 @@ def gram_decomposition(
 ) -> tuple[list[tuple[Fraction, Vector]], list[tuple[Fraction, Vector]]]:
     """Write M = sum a_k u_k u_k^adj - sum b_l v_l v_l^adj exactly, a_k, b_l > 0.
 
-    The vectors are the columns of the inverse transform in pivot order, so the
-    positive part has exactly n_pos terms and the negative part n_neg.
+    The vectors come from the columns of W^-1 in pivot order: column k for a
+    1x1 pivot, and for a hollow block a with columns x, y the split
+    a x y^adj + conj(a) y x^adj = 1/2 (x + conj(a) y)(..)^adj - 1/2 (x - conj(a) y)(..)^adj.
+    The positive part has exactly n_pos terms and the negative part n_neg.
     """
     cert = ldl_signature(matrix)
+    columns = inverse_columns(cert)
     positives: list[tuple[Fraction, Vector]] = []
     negatives: list[tuple[Fraction, Vector]] = []
     for k, d in enumerate(cert.diag):
-        if d == 0:
-            continue
-        column = tuple(cert.transform_inv[row][k] for row in range(cert.size))
         if d > 0:
-            positives.append((d, column))
-        else:
-            negatives.append((-d, column))
+            positives.append((d, columns[k]))
+        elif d < 0:
+            negatives.append((-d, columns[k]))
+    half = Fraction(1, 2)
+    for k, a in cert.blocks:
+        x, y = columns[k], [a.conjugate() * c for c in columns[k + 1]]
+        positives.append((half, tuple(p + q for p, q in zip(x, y))))
+        negatives.append((half, tuple(p - q for p, q in zip(x, y))))
     return positives, negatives

@@ -61,43 +61,25 @@ def _load_form(args):
         raise InputProblem(str(exc)) from exc
 
 
-def _emit(args, report: dict) -> None:
-    body = serialize.pretty_json(report)
-    sys.stdout.write(body)
-    out = getattr(args, "out", None)
-    if out:
-        Path(out).write_text(body)
-
-
 def _mirror_certificates(args, report: dict) -> None:
     cert_dir = getattr(args, "cert_dir", None)
     if not cert_dir:
         return
     directory = Path(cert_dir)
     directory.mkdir(parents=True, exist_ok=True)
-    count = 0
-    stack = [report.get("result")]
-    while stack:
-        item = stack.pop()
-        if isinstance(item, dict):
-            if item.get("kind") in {
-                "signature_certificate",
-                "weighted_gram_factor",
-                "stabilization_report",
-                "ellipticity_report",
-            }:
-                digest = serialize.digest_of_obj(item)[7:19]
-                name = f"{report['command'][0]}-{count:03d}-{digest}.json"
-                (directory / name).write_text(serialize.pretty_json(item))
-                count += 1
-            if item.get("kind") != "stabilization_report":
-                stack.extend(item.values())
-        elif isinstance(item, list):
-            stack.extend(item)
+    # A stabilization report is mirrored whole; other artifacts also have
+    # their embedded ones mirrored apart.
+    enter = serialize.ARTIFACT_KINDS - {"stabilization_report"}
+    for count, item in enumerate(serialize.embedded_artifacts(report.get("result"), enter)):
+        digest = serialize.digest_of_obj(item)[7:19]
+        name = f"{report['command'][0]}-{count:03d}-{digest}.json"
+        (directory / name).write_text(serialize.pretty_json(item))
 
 
 def _finish(args, command: list[str], input_text: str, verdicts: dict, result: dict,
-            started: float) -> dict:
+            started: float, stdout: str | None = None) -> dict:
+    """Assemble the run report, mirror its artifacts, and write it to --out and
+    to stdout (or `stdout` instead, when given)."""
     report = {
         "kind": "run_report",
         "command": command,
@@ -108,7 +90,10 @@ def _finish(args, command: list[str], input_text: str, verdicts: dict, result: d
     report["digest"] = serialize.digest_of_obj(report)
     report["timings"] = {"total_seconds": time.perf_counter() - started}
     _mirror_certificates(args, report)
-    _emit(args, report)
+    body = serialize.pretty_json(report)
+    sys.stdout.write(body if stdout is None else stdout)
+    if getattr(args, "out", None):
+        Path(args.out).write_text(body)
     return report
 
 
@@ -220,36 +205,29 @@ def _load_family(args) -> tuple[list[tuple[str, object]], str]:
 def cmd_sweep(args) -> int:
     started = time.perf_counter()
     family, text = _load_family(args)
-    rows = stabilization_sweep(family, args.mode, args.dmax, workers=args.parallel)
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["label", "d_min", "matrix_size_at_d_min", "elapsed_seconds"])
     table = []
-    for row in rows:
+    for row in stabilization_sweep(family, args.mode, args.dmax):
+        elapsed = f"{row.elapsed:.6f}"
         if row.error is not None:
-            writer.writerow([row.label, "error", "", f"{row.elapsed:.6f}"])
+            writer.writerow([row.label, "error", "", elapsed])
             table.append({"label": row.label, "error": row.error})
-        elif row.report.found():
-            size = row.report.steps[-1].size
-            writer.writerow([row.label, row.report.d_min, size, f"{row.elapsed:.6f}"])
-            table.append(
-                {
-                    "label": row.label,
-                    "d_min": row.report.d_min,
-                    "stabilization": serialize.stabilization_to_obj(row.report),
-                }
-            )
+            continue
+        report = row.report
+        if report.found():
+            writer.writerow([row.label, report.d_min, report.steps[-1].size, elapsed])
         else:
-            writer.writerow([row.label, "absent", "", f"{row.elapsed:.6f}"])
-            table.append(
-                {
-                    "label": row.label,
-                    "d_min": None,
-                    "stabilization": serialize.stabilization_to_obj(row.report),
-                }
-            )
+            writer.writerow([row.label, "absent", "", elapsed])
+        table.append(
+            {
+                "label": row.label,
+                "d_min": report.d_min,
+                "stabilization": serialize.stabilization_to_obj(report),
+            }
+        )
     csv_text = buffer.getvalue()
-    sys.stdout.write(csv_text)
     if args.csv:
         Path(args.csv).write_text(csv_text)
     verdicts = {
@@ -260,18 +238,8 @@ def cmd_sweep(args) -> int:
             for r in table
         ],
     }
-    report = {
-        "kind": "run_report",
-        "command": ["sweep", "--mode", args.mode, "--dmax", str(args.dmax)],
-        "input_digest": serialize.digest_of_text(text),
-        "verdicts": verdicts,
-        "result": {"rows": table},
-    }
-    report["digest"] = serialize.digest_of_obj(report)
-    report["timings"] = {"total_seconds": time.perf_counter() - started}
-    _mirror_certificates(args, report)
-    if args.out:
-        Path(args.out).write_text(serialize.pretty_json(report))
+    _finish(args, ["sweep", "--mode", args.mode, "--dmax", str(args.dmax)], text, verdicts,
+            {"rows": table}, started, stdout=csv_text)
     return EXIT_PASS
 
 
@@ -401,7 +369,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["strict", "semi"], default="strict")
     p.add_argument("--dmax", type=int, default=16)
     p.add_argument("--csv", help="also write the CSV table to this file")
-    p.add_argument("--parallel", type=int, default=1, help="concurrent family entries")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("symbol", help="certify ellipticity of a constant-coefficient symbol")

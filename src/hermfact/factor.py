@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-from .certify import SignatureCertificate, gram_decomposition, ldl_signature
+from .certify import SignatureCertificate, gram_decomposition, inverse_columns, ldl_signature
 from .hermform import (
     BihermitianForm,
     CoefficientBasis,
@@ -84,13 +84,21 @@ def difference_of_squares(
 def _positive_factor(
     form: BihermitianForm, cert: SignatureCertificate, basis: CoefficientBasis
 ) -> WeightedGramFactor:
-    parts = []
-    for k, d in enumerate(cert.diag):
-        if d == 0:
-            continue
-        column = tuple(cert.transform_inv[row][k] for row in range(cert.size))
-        parts.append((d, column))
+    columns = inverse_columns(cert)
+    parts = [(d, columns[k]) for k, d in enumerate(cert.diag) if d != 0]
     return WeightedGramFactor(_factor_from_parts(parts, basis, form.n), form)
+
+
+def _holomorphic_factor(form: BihermitianForm, strict: bool) -> WeightedGramFactor | None:
+    if not is_hermitian_symmetric(form):
+        raise ValueError("holomorphic factorization requires a Hermitian-symmetric form")
+    if bidegree(form) is None:
+        raise ValueError("holomorphic factorization requires a single bidegree")
+    matrix, basis = coefficient_matrix(form, mode="bidegree")
+    cert = ldl_signature(matrix)
+    if not (cert.is_positive_definite() if strict else cert.is_positive_semidefinite()):
+        return None
+    return _positive_factor(form, cert, basis)
 
 
 def holomorphic_factor(form: BihermitianForm) -> WeightedGramFactor | None:
@@ -100,15 +108,7 @@ def holomorphic_factor(form: BihermitianForm) -> WeightedGramFactor | None:
     number of rows is its rank.  None signals non-factorability (the negative
     witness is available from the certification module).
     """
-    if not is_hermitian_symmetric(form):
-        raise ValueError("holomorphic factorization requires a Hermitian-symmetric form")
-    if bidegree(form) is None:
-        raise ValueError("holomorphic factorization requires a single bidegree")
-    matrix, basis = coefficient_matrix(form, mode="bidegree")
-    cert = ldl_signature(matrix)
-    if not cert.is_positive_semidefinite():
-        return None
-    return _positive_factor(form, cert, basis)
+    return _holomorphic_factor(form, strict=False)
 
 
 def strict_holomorphic_factor(form: BihermitianForm) -> WeightedGramFactor | None:
@@ -117,15 +117,7 @@ def strict_holomorphic_factor(form: BihermitianForm) -> WeightedGramFactor | Non
     Present exactly when the coefficient matrix is positive definite; the row
     count then equals the full dimension r * N.
     """
-    if not is_hermitian_symmetric(form):
-        raise ValueError("holomorphic factorization requires a Hermitian-symmetric form")
-    if bidegree(form) is None:
-        raise ValueError("holomorphic factorization requires a single bidegree")
-    matrix, basis = coefficient_matrix(form, mode="bidegree")
-    cert = ldl_signature(matrix)
-    if not cert.is_positive_definite():
-        return None
-    return _positive_factor(form, cert, basis)
+    return _holomorphic_factor(form, strict=True)
 
 
 def sqrt_fraction(value: Fraction, digits: int) -> Fraction:

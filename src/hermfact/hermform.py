@@ -425,21 +425,3 @@ def evaluate(form: BihermitianForm, z, w) -> list[list[complex]]:
                 term *= (wk**b).conjugate()
         out[i][j] += term
     return out
-
-
-def evaluate_holo_exact(a: HoloPolyMatrix, z) -> list[list[GaussianRational]]:
-    """Exact s-by-r value of a holomorphic polynomial matrix at z."""
-    z = tuple(as_gaussian(c) for c in z)
-    if len(z) != a.n:
-        raise ValueError("point length differs from ambient dimension")
-    s, r = a.shape
-    out = [[ZERO] * r for _ in range(s)]
-    for k in range(s):
-        for i in range(r):
-            for alpha, coeff in a.rows[k][i].items():
-                term = coeff
-                mv = _monomial_value(z, alpha)
-                if mv is not None:
-                    term = term * mv
-                out[k][i] = out[k][i] + term
-    return out

@@ -17,7 +17,7 @@ from .certify import SignatureCertificate
 from .factor import WeightedGramFactor
 from .hermform import BihermitianForm, HermitianMatrix, HoloPolyMatrix, gram
 from .scalars import GaussianRational
-from .stabilize import StabilizationReport, StabilizationStep
+from .stabilize import StabilizationReport
 from .symbols import EllipticityReport
 
 
@@ -143,16 +143,26 @@ def obj_to_matrix_rows(obj) -> tuple:
     return tuple(tuple(pair_to_gaussian(pair) for pair in row) for row in obj)
 
 
+def _entries_to_obj(entries) -> list[list]:
+    return [[j, fraction_to_str(c.re), fraction_to_str(c.im)] for j, c in entries]
+
+
+def _obj_to_entries(items) -> tuple:
+    return tuple((j, GaussianRational(Fraction(re), Fraction(im))) for j, re, im in items)
+
+
 def certificate_to_obj(cert: SignatureCertificate) -> dict:
+    """W is written as its strictly-lower nonzeros in pivot coordinates, one
+    list of [j, re, im] per row; D as `diag` plus hollow `blocks` [k, re, im]."""
     return {
         "kind": "signature_certificate",
         "size": cert.size,
         "matrix": matrix_to_obj(cert.matrix.entries),
         "inertia": {"pos": cert.n_pos, "neg": cert.n_neg, "zero": cert.n_zero},
         "permutation": list(cert.permutation),
-        "transform": matrix_to_obj(cert.transform),
-        "transform_inv": matrix_to_obj(cert.transform_inv),
+        "transform": [_entries_to_obj(row) for row in cert.transform],
         "diag": [fraction_to_str(d) for d in cert.diag],
+        "blocks": _entries_to_obj(cert.blocks),
         "witness": [gaussian_to_pair(c) for c in cert.witness] if cert.witness else None,
     }
 
@@ -167,21 +177,11 @@ def obj_to_certificate(obj: dict) -> SignatureCertificate:
         n_neg=obj["inertia"]["neg"],
         n_zero=obj["inertia"]["zero"],
         permutation=tuple(obj["permutation"]),
-        transform=obj_to_matrix_rows(obj["transform"]),
-        transform_inv=obj_to_matrix_rows(obj["transform_inv"]),
+        transform=tuple(_obj_to_entries(row) for row in obj["transform"]),
         diag=tuple(Fraction(d) for d in obj["diag"]),
+        blocks=_obj_to_entries(obj["blocks"]),
         witness=tuple(pair_to_gaussian(pair) for pair in witness) if witness else None,
     )
-
-
-def step_to_obj(step: StabilizationStep) -> dict:
-    return {
-        "d": step.d,
-        "size": step.size,
-        "inertia": {"pos": step.n_pos, "neg": step.n_neg, "zero": step.n_zero},
-        "passes": step.passes,
-        "certificate": certificate_to_obj(step.certificate),
-    }
 
 
 def stabilization_to_obj(report: StabilizationReport) -> dict:
@@ -190,7 +190,11 @@ def stabilization_to_obj(report: StabilizationReport) -> dict:
         "mode": report.mode,
         "d_max": report.d_max,
         "d_min": report.d_min,
-        "trail": [step_to_obj(step) for step in report.steps],
+        # A step's size and inertia are its certificate's; they are not copied.
+        "trail": [
+            {"d": step.d, "passes": step.passes, "certificate": certificate_to_obj(step.certificate)}
+            for step in report.steps
+        ],
         "factor": factor_to_obj(report.factor) if report.factor is not None else None,
     }
 
@@ -251,17 +255,76 @@ def digest_of_text(text: str) -> str:
     return "sha256:" + hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+ARTIFACT_KINDS = frozenset(
+    {"signature_certificate", "weighted_gram_factor", "stabilization_report", "ellipticity_report"}
+)
+
+
+def embedded_artifacts(obj, enter=frozenset()):
+    """The artifacts inside obj, in a fixed order; the walk goes on inside an
+    artifact only when its kind is in `enter`."""
+    stack = [obj]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, dict):
+            kind = item.get("kind")
+            if kind in ARTIFACT_KINDS:
+                yield item
+            if kind not in ARTIFACT_KINDS or kind in enter:
+                stack.extend(item.values())
+        elif isinstance(item, list):
+            stack.extend(item)
+
+
+def _verify_trail(obj: dict) -> tuple[bool, str]:
+    """A stabilization report proves its d_min claim when its trail runs
+    d = 0, 1, ..., last with every certificate valid, every step before the
+    last failing, and the last step passing exactly when d_min is its d (at
+    most d_max), failing at d_max otherwise."""
+    trail = obj["trail"]
+    if not trail or [step["d"] for step in trail] != list(range(len(trail))):
+        return False, "trail does not run d = 0, 1, ... without gaps"
+    for step in trail:
+        cert = step["certificate"]
+        if cert.get("kind") != "signature_certificate":
+            raise ValueError("not a serialized signature certificate")
+        ok, reason = verify_obj(cert)
+        if not ok:
+            return False, f"trail d={step['d']}: {reason}"
+        # The certificate just verified, so its inertia counts are proven
+        # and its size is the row count of its matrix.
+        inertia = cert["inertia"]
+        passes = (
+            inertia["pos"] == cert["size"] if obj["mode"] == "strict" else inertia["neg"] == 0
+        )
+        if passes != step["passes"]:
+            return False, f"trail d={step['d']}: pass flag contradicts inertia"
+    last = trail[-1]
+    if any(step["passes"] for step in trail[:-1]):
+        return False, "d_min is not minimal"
+    if obj.get("d_min") != (last["d"] if last["passes"] else None):
+        return False, "d_min does not match the trail"
+    if last["passes"] and last["d"] > obj["d_max"]:
+        return False, "trail runs past d_max"
+    if not last["passes"] and last["d"] != obj["d_max"]:
+        return False, "trail stops before d_max"
+    return True, "ok"
+
+
 def verify_obj(obj: dict) -> tuple[bool, str]:
     """Re-check a serialized artifact from its own data alone.
 
-    Supports signature certificates (congruence identity, inertia, witness),
-    weighted factors (exact gram reconstruction), stabilization reports
-    (every trail certificate plus the minimality claims), and run reports /
-    ellipticity reports (every embedded artifact).
+    Supports signature certificates (structure of W and D, congruence
+    identity, inertia, witness), weighted factors (exact gram reconstruction),
+    stabilization reports (every trail certificate plus the minimality
+    claims), and run reports / ellipticity reports (every embedded artifact).
     """
     kind = obj.get("kind")
     if kind == "signature_certificate":
-        return obj_to_certificate(obj).verify()
+        cert = obj_to_certificate(obj)
+        if obj.get("size") != cert.size:
+            return False, "component sizes disagree"
+        return cert.verify()
     if kind == "weighted_gram_factor":
         factor = obj_to_factor(obj)
         if factor.matrix.weights is not None and any(
@@ -272,33 +335,10 @@ def verify_obj(obj: dict) -> tuple[bool, str]:
             return False, "factor does not reconstruct its target"
         return True, "ok"
     if kind == "stabilization_report":
-        for step in obj["trail"]:
-            cert = step["certificate"]
-            if cert.get("kind") != "signature_certificate":
-                raise ValueError("not a serialized signature certificate")
-            ok, reason = verify_obj(cert)
-            if not ok:
-                return False, f"trail d={step['d']}: {reason}"
-            # The certificate just verified, so its inertia counts are proven
-            # and its size is the row count of its matrix.
-            inertia = cert["inertia"]
-            passes = (
-                inertia["pos"] == len(cert["matrix"])
-                if obj["mode"] == "strict"
-                else inertia["neg"] == 0
-            )
-            if passes != step["passes"]:
-                return False, f"trail d={step['d']}: pass flag contradicts inertia"
-        d_min = obj.get("d_min")
-        if d_min is not None:
-            trail = {step["d"]: step for step in obj["trail"]}
-            if d_min not in trail or not trail[d_min]["passes"]:
-                return False, "d_min does not pass"
-            if d_min - 1 in trail and trail[d_min - 1]["passes"]:
-                return False, "d_min is not minimal"
-        if obj.get("factor") is not None:
+        ok, reason = _verify_trail(obj)
+        if ok and obj.get("factor") is not None:
             return verify_obj(obj["factor"])
-        return True, "ok"
+        return ok, reason
     if kind == "ellipticity_report":
         for key in ("factor", "stabilization"):
             if obj.get(key) is not None:
@@ -307,25 +347,11 @@ def verify_obj(obj: dict) -> tuple[bool, str]:
                     return False, f"{key}: {reason}"
         return True, "ok"
     if kind == "run_report":
-        payload = obj.get("result")
         checked = False
-        stack = [payload]
-        while stack:
-            item = stack.pop()
-            if isinstance(item, dict):
-                if item.get("kind") in {
-                    "signature_certificate",
-                    "weighted_gram_factor",
-                    "stabilization_report",
-                    "ellipticity_report",
-                }:
-                    ok, reason = verify_obj(item)
-                    if not ok:
-                        return False, reason
-                    checked = True
-                else:
-                    stack.extend(item.values())
-            elif isinstance(item, list):
-                stack.extend(item)
+        for item in embedded_artifacts(obj.get("result")):
+            ok, reason = verify_obj(item)
+            if not ok:
+                return False, reason
+            checked = True
         return (True, "ok") if checked else (False, "report embeds no certificates")
     raise ValueError(f"unsupported artifact kind: {kind!r}")

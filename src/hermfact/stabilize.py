@@ -19,7 +19,6 @@ from .hermform import (
     coefficient_matrix,
     is_hermitian_symmetric,
 )
-from .multiindex import enumerate_degree, multinomial
 from .scalars import ZERO
 
 MODES = ("strict", "semi")
@@ -47,39 +46,27 @@ def multiplier_shift(form: BihermitianForm) -> BihermitianForm:
 
 
 def multiplier_power(form: BihermitianForm, d: int) -> BihermitianForm:
-    """The kernel <z, w>^d * F via direct multinomial convolution.
-
-    Agrees exactly with d iterated applications of multiplier_shift.
-    """
+    """The kernel <z, w>^d * F: d applications of multiplier_shift."""
     if d < 0:
         raise ValueError("multiplier exponent must be nonnegative")
     if bidegree(form) is None:
         raise ValueError("multiplier power requires a single bidegree")
-    if d == 0:
-        return form
-    acc = {}
-    for gamma in enumerate_degree(form.n, d):
-        weight = multinomial(d, gamma)
-        for (i, j, alpha, beta), coeff in form.support.items():
-            key = (
-                i,
-                j,
-                tuple(a + g for a, g in zip(alpha, gamma)),
-                tuple(b + g for b, g in zip(beta, gamma)),
-            )
-            acc[key] = acc.get(key, ZERO) + coeff * weight
-    return BihermitianForm.from_terms(form.n, form.r, acc)
+    for _ in range(d):
+        form = multiplier_shift(form)
+    return form
 
 
 @dataclass(eq=True)
 class StabilizationStep:
+    """One exponent of the search; its size and inertia are the certificate's."""
+
     d: int
-    size: int
-    n_pos: int
-    n_neg: int
-    n_zero: int
     passes: bool
     certificate: SignatureCertificate
+
+    @property
+    def size(self) -> int:
+        return self.certificate.size
 
 
 @dataclass(eq=True)
@@ -121,17 +108,7 @@ def find_minimal_d(
             if mode == "strict"
             else cert.is_positive_semidefinite()
         )
-        report.steps.append(
-            StabilizationStep(
-                d=d,
-                size=matrix.size,
-                n_pos=cert.n_pos,
-                n_neg=cert.n_neg,
-                n_zero=cert.n_zero,
-                passes=passes,
-                certificate=cert,
-            )
-        )
+        report.steps.append(StabilizationStep(d=d, passes=passes, certificate=cert))
         if passes:
             report.d_min = d
             report.factor = _positive_factor(shifted, cert, basis)
@@ -149,30 +126,14 @@ class SweepRow:
     elapsed: float
 
 
-def _sweep_entry(label: str, form: BihermitianForm, mode: str, d_max: int) -> SweepRow:
-    start = time.perf_counter()
-    try:
-        report = find_minimal_d(form, mode, d_max)
-        return SweepRow(label, report, None, time.perf_counter() - start)
-    except ValueError as exc:
-        return SweepRow(label, None, str(exc), time.perf_counter() - start)
-
-
-def stabilization_sweep(
-    family, mode: str, d_max: int, workers: int = 1
-) -> list[SweepRow]:
-    """Run find_minimal_d over a labelled family; per-row errors do not abort.
-
-    Rows come back in input order regardless of `workers`.
-    """
-    entries = list(family)
-    if workers > 1 and len(entries) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_sweep_entry, label, form, mode, d_max)
-                for label, form in entries
-            ]
-            return [f.result() for f in futures]
-    return [_sweep_entry(label, form, mode, d_max) for label, form in entries]
+def stabilization_sweep(family, mode: str, d_max: int) -> list[SweepRow]:
+    """Run find_minimal_d over a labelled family in order; per-row errors do not abort."""
+    rows = []
+    for label, form in family:
+        start = time.perf_counter()
+        try:
+            report, error = find_minimal_d(form, mode, d_max), None
+        except ValueError as exc:
+            report, error = None, str(exc)
+        rows.append(SweepRow(label, report, error, time.perf_counter() - start))
+    return rows

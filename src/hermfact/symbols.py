@@ -66,14 +66,6 @@ class RealSymbol:
         return len(degrees) <= 1
 
 
-def symbol_add(p: RealSymbol, q: RealSymbol) -> RealSymbol:
-    if p.nvars != q.nvars:
-        raise ValueError("variable count mismatch")
-    return RealSymbol.from_terms(
-        p.nvars, list(p.terms.items()) + list(q.terms.items())
-    )
-
-
 def symbol_multiply(p: RealSymbol, q: RealSymbol) -> RealSymbol:
     if p.nvars != q.nvars:
         raise ValueError("variable count mismatch")

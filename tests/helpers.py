@@ -4,6 +4,7 @@ independent brute-force oracles the tests freeze expected values from."""
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd
 
@@ -102,8 +103,11 @@ def quadratic_value(matrix: HermitianMatrix, vec) -> GaussianRational:
 #
 # The reference kernel is the straightforward elimination over
 # GaussianRational entries that the integer-row kernel in hermfact.certify
-# replaced; the package must emit field-for-field identical certificates
-# and the same verify verdicts.
+# replaced.  It keeps the older hollow step (a unit row combination instead
+# of a 2x2 pivot) and tracks W^-1 beside W, so on inputs without a hollow step
+# the package must emit the same permutation, W, diagonal and witness, and
+# derive the same W^-1.  reference_verify re-checks the package's certificate
+# format by dense products and must give the same verdicts as verify.
 
 
 ZERO = GaussianRational()
@@ -162,7 +166,22 @@ def _reference_primitive(vec):
     return tuple(scaled)
 
 
-def reference_ldl_signature(matrix: HermitianMatrix) -> SignatureCertificate:
+@dataclass
+class ReferenceCertificate:
+    """The reference kernel's record: dense W and W^-1, rows in pivot order."""
+
+    matrix: HermitianMatrix
+    n_pos: int
+    n_neg: int
+    n_zero: int
+    permutation: tuple[int, ...]
+    transform: tuple
+    transform_inv: tuple
+    diag: tuple[Fraction, ...]
+    witness: tuple | None
+
+
+def reference_ldl_signature(matrix: HermitianMatrix) -> ReferenceCertificate:
     """Pivoted congruence diagonalization entry by entry over GaussianRational."""
     n = matrix.size
     s = [list(row) for row in matrix.entries]
@@ -240,7 +259,7 @@ def reference_ldl_signature(matrix: HermitianMatrix) -> SignatureCertificate:
     if n_neg > 0:
         idx = next(i for i, d in enumerate(diag) if d < 0)
         witness = _reference_primitive([w[idx][j].conjugate() for j in range(n)])
-    return SignatureCertificate(
+    return ReferenceCertificate(
         matrix=matrix,
         n_pos=n_pos,
         n_neg=n_neg,
@@ -253,6 +272,29 @@ def reference_ldl_signature(matrix: HermitianMatrix) -> SignatureCertificate:
     )
 
 
+def dense_transform(cert: SignatureCertificate):
+    """W as dense rows in the matrix's own coordinates."""
+    n, perm = cert.size, cert.permutation
+    rows = []
+    for i, entries in enumerate(cert.transform):
+        row = [ZERO] * n
+        row[perm[i]] = ONE
+        for j, c in entries:
+            row[perm[j]] = c
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def dense_d(cert: SignatureCertificate):
+    """D as dense rows: the diagonal plus the hollow 2x2 blocks."""
+    n = cert.size
+    rows = [[GaussianRational(cert.diag[i]) if i == j else ZERO for j in range(n)] for i in range(n)]
+    for k, a in cert.blocks:
+        rows[k][k + 1] = a
+        rows[k + 1][k] = a.conjugate()
+    return tuple(tuple(row) for row in rows)
+
+
 def reference_verify(cert: SignatureCertificate) -> tuple[bool, str]:
     """SignatureCertificate.verify by dense GaussianRational products."""
     n = cert.size
@@ -260,18 +302,35 @@ def reference_verify(cert: SignatureCertificate) -> tuple[bool, str]:
         return False, "inertia counts do not sum to the size"
     if sorted(cert.permutation) != list(range(n)):
         return False, "permutation is not a permutation"
-    if len(cert.diag) != n or len(cert.transform) != n or len(cert.transform_inv) != n:
+    if (
+        len(cert.diag) != n
+        or len(cert.transform) != n
+        or (cert.witness is not None and len(cert.witness) != n)
+    ):
         return False, "component sizes disagree"
-    if mat_mul(cert.transform, cert.transform_inv) != mat_identity(n):
-        return False, "transform inverse is wrong"
-    product = mat_mul(mat_mul(cert.transform, cert.matrix.entries), mat_adjoint(cert.transform))
+    for i, entries in enumerate(cert.transform):
+        cols = [j for j, _ in entries]
+        if cols != sorted(set(cols)) or any(not 0 <= j < i for j in cols):
+            return False, "transform is not unit lower triangular in pivot order"
+    starts = [k for k, _ in cert.blocks]
+    if (
+        any(not 0 <= k < n - 1 for k in starts)
+        or any(b < a + 2 for a, b in zip(starts, starts[1:]))
+        or any(a.is_zero() or cert.diag[k] != 0 or cert.diag[k + 1] != 0 for k, a in cert.blocks)
+    ):
+        return False, "blocks are not disjoint hollow 2x2 pivots"
+    entries = cert.matrix.entries
+    if any(entries[i][j] != entries[j][i].conjugate() for i in range(n) for j in range(n)):
+        return False, "matrix is not Hermitian"
+    w = dense_transform(cert)
+    product = mat_mul(mat_mul(w, entries), mat_adjoint(w))
+    want = dense_d(cert)
     for i in range(n):
-        for j in range(n):
-            want = GaussianRational(cert.diag[i]) if i == j else ZERO
-            if product[i][j] != want:
+        for j in range(i + 1):
+            if product[i][j] != want[i][j]:
                 return False, f"congruence identity fails at ({i},{j})"
-    pos = sum(1 for d in cert.diag if d > 0)
-    neg = sum(1 for d in cert.diag if d < 0)
+    pos = len(cert.blocks) + sum(1 for d in cert.diag if d > 0)
+    neg = len(cert.blocks) + sum(1 for d in cert.diag if d < 0)
     if (pos, neg) != (cert.n_pos, cert.n_neg):
         return False, "inertia does not match the diagonal signs"
     if cert.n_neg > 0 and cert.witness is None:

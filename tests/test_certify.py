@@ -14,8 +14,11 @@ from hermfact import (
     is_positive_semidefinite,
     ldl_signature,
 )
+from hermfact.certify import inverse_columns
 
 from helpers import (
+    dense_d,
+    dense_transform,
     mat_adjoint,
     mat_mul,
     quadratic_value,
@@ -32,14 +35,17 @@ def inertia(cert):
     return (cert.n_pos, cert.n_neg, cert.n_zero)
 
 
+def dense_inverse(cert):
+    """W^-1 as dense rows, from the columns the package derives."""
+    columns = inverse_columns(cert)
+    return tuple(tuple(column[r] for column in columns) for r in range(cert.size))
+
+
 def reconstruct(cert):
-    """Independent reconstruction: M must equal Winv * D * Winv^adj."""
-    n = cert.size
-    diag_rows = tuple(
-        tuple(GaussianRational(cert.diag[i]) if i == j else GaussianRational() for j in range(n))
-        for i in range(n)
-    )
-    return mat_mul(mat_mul(cert.transform_inv, diag_rows), mat_adjoint(cert.transform_inv))
+    """Independent reconstruction: M must equal Winv * D * Winv^adj, with Winv
+    derived from W."""
+    winv = dense_inverse(cert)
+    return mat_mul(mat_mul(winv, dense_d(cert)), mat_adjoint(winv))
 
 
 def test_identity_inertia():
@@ -52,6 +58,9 @@ def test_identity_inertia():
 def test_hollow_two_by_two():
     cert = ldl_signature(HermitianMatrix.from_rows([[0, 1], [1, 0]]))
     assert inertia(cert) == (1, 1, 0)
+    assert cert.blocks == ((0, GaussianRational(1)),)
+    assert cert.diag == (0, 0)
+    assert cert.transform == ((), ())
     assert cert.witness == (GaussianRational(1), GaussianRational(-1))
     assert quadratic_value(cert.matrix, cert.witness) == GaussianRational(-2)
     assert cert.verify() == (True, "ok")
@@ -205,21 +214,24 @@ def test_pd_gram_built_matrices():
 
 
 def test_transform_is_permuted_unit_triangular_without_hollow_fix():
-    # on a PD matrix the accumulated transform is unit lower triangular after
-    # undoing the pivot permutation, i.e. classical pivoted LDL*
+    # W is unit lower triangular after undoing the pivot permutation, i.e.
+    # classical pivoted LDL*; hollow steps are 2x2 blocks of D, not row
+    # combinations in W, so this holds on zero-diagonal matrices too.
     rng = random.Random(3)
-    matrix = rand_hermitian_matrix(rng, 6, 4)
-    cert = ldl_signature(matrix)
-    perm = cert.permutation
-    n = cert.size
-    w = cert.transform
-    for i in range(n):
-        # W row i, in pivot coordinates, must be unit on the diagonal and
-        # vanish on later pivots
-        row = [w[i][perm[j]] for j in range(n)]
-        assert row[i] == GaussianRational(1)
-        for j in range(i + 1, n):
-            assert row[j].is_zero()
+    for matrix in (rand_hermitian_matrix(rng, 6, 4), _hollow_matrix(rng, 6)):
+        cert = ldl_signature(matrix)
+        perm = cert.permutation
+        n = cert.size
+        w = dense_transform(cert)
+        for i in range(n):
+            # W row i, in pivot coordinates, must be unit on the diagonal and
+            # vanish on later pivots
+            row = [w[i][perm[j]] for j in range(n)]
+            assert row[i] == GaussianRational(1)
+            for j in range(i + 1, n):
+                assert row[j].is_zero()
+        assert mat_mul(mat_mul(w, matrix.entries), mat_adjoint(w)) == dense_d(cert)
+    assert cert.blocks  # the zero-diagonal matrix took a 2x2 step
 
 
 def test_certificate_verify_catches_tampering():
@@ -267,19 +279,36 @@ def _singular_matrix(rng, size):
 def _tamperings(cert):
     n = cert.size
     one = GaussianRational(1)
-    i, j = n // 2, n - 1
+    last = n - 1
 
-    def bump(rows):
-        rows = [list(row) for row in rows]
-        rows[i][j] = rows[i][j] + one
-        return tuple(tuple(row) for row in rows)
+    def w_rows(row):
+        return cert.transform[:last] + (row,)
 
     yield {"diag": (cert.diag[0] + 1,) + cert.diag[1:]}
-    yield {"transform": bump(cert.transform)}
-    yield {"transform_inv": bump(cert.transform_inv)}
-    yield {"matrix": HermitianMatrix(bump(cert.matrix.entries))}
+    if n > 1:
+        # a value of W changed, or an entry put where W must be 0 or 1, at a
+        # negative index, or out of order
+        entries = dict(cert.transform[last])
+        entries[0] = entries.get(0, GaussianRational()) + one
+        yield {"transform": w_rows(tuple(sorted(entries.items())))}
+        yield {"transform": w_rows(cert.transform[last] + ((last, one),))}
+        yield {"transform": w_rows(((-1, one),))}
+        yield {"transform": w_rows(tuple(reversed(tuple(sorted(entries.items())))))}
+    yield {"transform": cert.transform[:last]}
+    yield {"matrix": HermitianMatrix(_bump_entry(cert.matrix.entries, n // 2, last, one))}
     yield {"n_pos": cert.n_pos + 1}
     yield {"permutation": (0,) * n}
+    if cert.blocks:
+        # a block's value changed or zero, a block dropped, overlapping or
+        # past the end
+        k, a = cert.blocks[0]
+        yield {"blocks": ((k, a + one),) + cert.blocks[1:]}
+        yield {"blocks": ((k, GaussianRational()),) + cert.blocks[1:]}
+        yield {"blocks": cert.blocks[1:]}
+        yield {"blocks": cert.blocks + ((cert.blocks[-1][0] + 1, one),)}
+        yield {"blocks": ((last, one),)}
+    elif n > 1:
+        yield {"blocks": ((0, one),)}
     if cert.witness is not None:
         yield {"witness": (cert.witness[0] + one,) + cert.witness[1:]}
         yield {"witness": None}
@@ -287,9 +316,16 @@ def _tamperings(cert):
         yield {"witness": (one,) + (GaussianRational(),) * (n - 1)}
 
 
+def _bump_entry(rows, i, j, delta):
+    rows = [list(row) for row in rows]
+    rows[i][j] = rows[i][j] + delta
+    return tuple(tuple(row) for row in rows)
+
+
 def test_integer_row_kernel_matches_reference_kernel():
-    # Field-for-field identical certificates and verify verdicts against the
-    # GaussianRational reference, on plain, hollow and singular matrices.
+    # Without a hollow step: the same permutation, W, diag, witness and W^-1 as
+    # the GaussianRational reference.  With one (zero-diagonal matrices): the
+    # same inertia.  verify and reference_verify agree on every tampering.
     rng = random.Random(2024)
     hollow_steps = singular = tampered = 0
     for trial in range(200):
@@ -305,16 +341,16 @@ def test_integer_row_kernel_matches_reference_kernel():
             matrix = _singular_matrix(rng, size)
         cert = ldl_signature(matrix)
         want = reference_ldl_signature(matrix)
-        assert cert.permutation == want.permutation
-        assert cert.transform == want.transform
-        assert cert.transform_inv == want.transform_inv
-        assert cert.diag == want.diag
-        assert cert.witness == want.witness
         assert inertia(cert) == inertia(want)
         assert cert.verify() == (True, "ok")
-        hollow_steps += kind == 2 and size > 1 and any(
-            not c.is_zero() for row in matrix.entries for c in row
-        )
+        if cert.blocks:
+            hollow_steps += 1
+        else:
+            assert cert.permutation == want.permutation
+            assert dense_transform(cert) == want.transform
+            assert dense_inverse(cert) == want.transform_inv
+            assert cert.diag == want.diag
+            assert cert.witness == want.witness
         singular += kind == 3 and cert.n_zero > 0
         if trial % 5 == 0:
             for change in _tamperings(cert):
@@ -322,3 +358,4 @@ def test_integer_row_kernel_matches_reference_kernel():
                 assert bad.verify() == reference_verify(bad), change
                 tampered += 1
     assert hollow_steps > 40 and singular > 40 and tampered > 300
+

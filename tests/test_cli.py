@@ -142,22 +142,6 @@ def test_sweep_empty_family(capsys, tmp_path):
     assert out.strip() == "label,d_min,matrix_size_at_d_min,elapsed_seconds"
 
 
-def test_sweep_parallel_matches_sequential(capsys, tmp_path):
-    family = [
-        {"label": "a", "expr": "z1^2*zb1^2 + 2*z1*z2*zb1*zb2 + z2^2*zb2^2"},
-        {"label": "b", "expr": INDEFINITE_QUARTIC},
-    ]
-    family_file = tmp_path / "family.json"
-    family_file.write_text(json.dumps(family))
-    out_a = tmp_path / "a.json"
-    out_b = tmp_path / "b.json"
-    run(capsys, ["sweep", str(family_file), "--dmax", "5", "--out", str(out_a)])
-    run(capsys, ["sweep", str(family_file), "--dmax", "5", "--parallel", "2", "--out", str(out_b)])
-    report_a = serialize.strip_volatile(json.loads(out_a.read_text()))
-    report_b = serialize.strip_volatile(json.loads(out_b.read_text()))
-    assert report_a == report_b
-
-
 def test_symbol_command(capsys):
     code, out, _ = run(capsys, ["symbol", "-e", "x1^2 + x2^2"])
     assert code == 0
@@ -228,33 +212,74 @@ def test_verify_command_paths(capsys, tmp_path):
     assert code == 2
 
 
-def _shorten_transform_row(cert):
-    cert["transform"][1] = cert["transform"][1][:-1]
+HOLLOW = "z1*zb2 + z2*zb1"
 
 
-def _shorten_transform_inv_row(cert):
-    cert["transform_inv"][1] = cert["transform_inv"][1][:-1]
+def _drop_transform_row(cert):
+    cert["transform"].pop()
 
 
 def _lengthen_witness(cert):
     cert["witness"].append(["1", "0"])
 
 
+def _transform_index_on_diagonal(cert):
+    cert["transform"][1] = [[1, "1", "0"]]
+
+
+def _transform_index_negative(cert):
+    cert["transform"][2] = [[-1, "1", "0"]]
+
+
+def _transform_index_past_size(cert):
+    cert["transform"][2] = [[3, "1", "0"]]
+
+
+def _overlapping_block(cert):
+    cert["blocks"].append([1, "1", "0"])
+
+
+def _block_out_of_range(cert):
+    cert["blocks"] = [[1, "1", "0"]]
+
+
+SIZES = "component sizes disagree"
+LOWER = "transform is not unit lower triangular in pivot order"
+BLOCKS = "blocks are not disjoint hollow 2x2 pivots"
+
+
 @pytest.mark.parametrize(
-    "malform",
-    [_shorten_transform_row, _shorten_transform_inv_row, _lengthen_witness],
-    ids=["short_transform_row", "short_transform_inv_row", "long_witness"],
+    "expr, malform, reason",
+    [
+        (SQUARE_DIFFERENCE, _drop_transform_row, SIZES),
+        (SQUARE_DIFFERENCE, _lengthen_witness, SIZES),
+        (SQUARE_DIFFERENCE, _transform_index_on_diagonal, LOWER),
+        (SQUARE_DIFFERENCE, _transform_index_negative, LOWER),
+        (SQUARE_DIFFERENCE, _transform_index_past_size, LOWER),
+        (HOLLOW, _overlapping_block, BLOCKS),
+        (HOLLOW, _block_out_of_range, BLOCKS),
+    ],
+    ids=[
+        "short_transform_row",
+        "long_witness",
+        "transform_index_on_diagonal",
+        "transform_index_negative",
+        "transform_index_past_size",
+        "overlapping_block",
+        "block_out_of_range",
+    ],
 )
-def test_verify_rejects_malformed_certificate_shapes(capsys, tmp_path, malform):
-    code, out, _ = run(capsys, ["check", "-e", SQUARE_DIFFERENCE, "--mode", "semi"])
+def test_verify_rejects_malformed_certificate_shapes(capsys, tmp_path, expr, malform, reason):
+    code, out, _ = run(capsys, ["check", "-e", expr, "--n", "2", "--mode", "semi"])
     cert = json.loads(out)["result"]["certificate"]
-    assert cert["witness"] is not None and cert["size"] == 3
+    assert cert["witness"] is not None
+    assert cert["blocks"] if expr == HOLLOW else cert["size"] == 3
     malform(cert)
     path = tmp_path / "malformed.json"
     path.write_text(json.dumps(cert))
     code, out, err = run(capsys, ["verify", str(path)])
     assert code == 1
-    assert json.loads(out) == {"valid": False, "reason": "component sizes disagree"}
+    assert json.loads(out) == {"valid": False, "reason": reason}
     assert "Traceback" not in err
 
 

@@ -81,10 +81,16 @@ def test_verify_rejects_tampered_certificate():
     ok, _ = serialize.verify_obj(tampered)
     assert not ok
 
+    # W is stored as its strictly-lower entries: change the first entry of
+    # the last row (or create one) so the congruence no longer holds.
     tampered = json.loads(json.dumps(obj))
-    tampered["transform"][0][0] = ["2", "0"]
-    ok, _ = serialize.verify_obj(tampered)
-    assert not ok
+    row = tampered["transform"][-1]
+    if row and row[0][0] == 0:
+        row[0][1] = serialize.fraction_to_str(Fraction(row[0][1]) + 1)
+    else:
+        row.insert(0, [0, "1", "0"])
+    ok, reason = serialize.verify_obj(tampered)
+    assert not ok and "congruence" in reason
 
     if obj["witness"]:
         tampered = json.loads(json.dumps(obj))
@@ -117,6 +123,58 @@ def test_stabilization_report_round_trip_verify():
     tampered["d_min"] = 4
     ok, reason = serialize.verify_obj(tampered)
     assert not ok and "d_min" in reason
+
+
+FORGERY_FORM = "z1^2*zb1^2 - 3/2*z1*z2*zb1*zb2 + z2^2*zb2^2"
+
+
+@pytest.fixture(scope="module")
+def forgery_report():
+    from hermfact import parse_expression
+
+    report = find_minimal_d(parse_expression(FORGERY_FORM), "strict", 12)
+    assert report.d_min == 7
+    obj = serialize.stabilization_to_obj(report)
+    assert serialize.verify_obj(obj) == (True, "ok")
+    return obj
+
+
+def test_stabilization_trail_cut_to_d_min_is_rejected(forgery_report):
+    forged = json.loads(json.dumps(forgery_report))
+    forged["trail"] = forged["trail"][-1:]
+    assert serialize.verify_obj(forged) == (
+        False,
+        "trail does not run d = 0, 1, ... without gaps",
+    )
+
+
+def test_stabilization_trail_stopping_short_of_d_max_is_rejected(forgery_report):
+    forged = json.loads(json.dumps(forgery_report))
+    forged["d_min"] = None
+    forged["trail"] = forged["trail"][:1]
+    forged["factor"] = None
+    assert serialize.verify_obj(forged) == (False, "trail stops before d_max")
+
+
+def test_stabilization_d_max_below_d_min_is_rejected(forgery_report):
+    forged = json.loads(json.dumps(forgery_report))
+    forged["d_max"] = 0
+    assert serialize.verify_obj(forged) == (False, "trail runs past d_max")
+
+
+def test_stabilization_step_carries_no_inertia_copy(forgery_report):
+    # The step's size and inertia were unread copies of the certificate's and
+    # could be rewritten freely; now only the certificate's exist, and
+    # rewriting those is caught.
+    step = forgery_report["trail"][0]
+    assert set(step) == {"d", "passes", "certificate"}
+    forged = json.loads(json.dumps(forgery_report))
+    forged["trail"][0]["certificate"]["inertia"] = {"pos": 3, "neg": 0, "zero": 0}
+    ok, reason = serialize.verify_obj(forged)
+    assert not ok and reason.startswith("trail d=0:")
+    forged = json.loads(json.dumps(forgery_report))
+    forged["trail"][0]["certificate"]["size"] = 4
+    assert serialize.verify_obj(forged) == (False, "trail d=0: component sizes disagree")
 
 
 def test_ellipticity_report_serialization():
