@@ -274,7 +274,7 @@ def cmd_symbol(args) -> int:
         "verdict": report.verdict,
         "d": report.d,
         "order": report.order,
-        "complex_dim": report.complex_dim,
+        "complex_dim": report.form.n,
         "variety_condition": report.variety_condition,
         "summary": summary,
     }

@@ -13,11 +13,19 @@ import hashlib
 import json
 from fractions import Fraction
 
-from .certify import SignatureCertificate
+from .certify import SignatureCertificate, inertia_of_d
 from .factor import WeightedGramFactor
-from .hermform import BihermitianForm, HermitianMatrix, HoloPolyMatrix, gram
-from .scalars import GaussianRational
-from .stabilize import StabilizationReport
+from .hermform import (
+    BihermitianForm,
+    HermitianMatrix,
+    HoloPolyMatrix,
+    coefficient_matrix,
+    evaluate_exact,
+    gram,
+    scale,
+)
+from .scalars import ZERO, GaussianRational
+from .stabilize import MODES, StabilizationReport, multiplier_shift
 from .symbols import EllipticityReport
 
 
@@ -147,18 +155,41 @@ def _entries_to_obj(entries) -> list[list]:
     return [[j, fraction_to_str(c.re), fraction_to_str(c.im)] for j, c in entries]
 
 
+FORMAT_ERROR = "artifact is not in the current certificate format"
+CONGRUENCE_KEYS = frozenset({"permutation", "transform", "diag", "blocks", "witness"})
+CERTIFICATE_KEYS = CONGRUENCE_KEYS | {"kind", "size", "matrix"}
+STABILIZATION_KEYS = frozenset({"kind", "mode", "d_max", "d_min", "form", "trail", "factor"})
+ELLIPTICITY_KEYS = frozenset({
+    "kind", "form", "verdict", "d", "witness_point", "sign_change", "sign_flipped",
+    "variety_condition", "stabilization",
+})
+
+
+def _require_keys(obj, keys: frozenset, what: str) -> None:
+    if not isinstance(obj, dict) or obj.keys() != keys:
+        names = ", ".join(sorted(keys))
+        raise ValueError(f"{FORMAT_ERROR}: {what} must have exactly the keys {names}")
+
+
+def _require_mode(mode) -> None:
+    if mode not in MODES:
+        raise ValueError(f"{FORMAT_ERROR}: mode must be one of {', '.join(MODES)}, not {mode!r}")
+
+
 def _obj_to_entries(items) -> tuple:
+    if not isinstance(items, list) or not all(
+        isinstance(item, list) and len(item) == 3 and type(item[0]) is int
+        and isinstance(item[1], str) and isinstance(item[2], str)
+        for item in items
+    ):
+        raise ValueError(f"{FORMAT_ERROR}: transform and blocks entries must be [int, str, str]")
     return tuple((j, GaussianRational(Fraction(re), Fraction(im))) for j, re, im in items)
 
 
-def certificate_to_obj(cert: SignatureCertificate) -> dict:
-    """W is written as its strictly-lower nonzeros in pivot coordinates, one
-    list of [j, re, im] per row; D as `diag` plus hollow `blocks` [k, re, im]."""
+def _congruence_to_obj(cert: SignatureCertificate) -> dict:
+    """W as its strictly-lower nonzeros in pivot coordinates, one list of
+    [j, re, im] per row; D as `diag` plus hollow `blocks` [k, re, im]."""
     return {
-        "kind": "signature_certificate",
-        "size": cert.size,
-        "matrix": matrix_to_obj(cert.matrix.entries),
-        "inertia": {"pos": cert.n_pos, "neg": cert.n_neg, "zero": cert.n_zero},
         "permutation": list(cert.permutation),
         "transform": [_entries_to_obj(row) for row in cert.transform],
         "diag": [fraction_to_str(d) for d in cert.diag],
@@ -167,15 +198,10 @@ def certificate_to_obj(cert: SignatureCertificate) -> dict:
     }
 
 
-def obj_to_certificate(obj: dict) -> SignatureCertificate:
-    if obj.get("kind") != "signature_certificate":
-        raise ValueError("not a serialized signature certificate")
-    witness = obj.get("witness")
+def _obj_to_congruence(obj: dict, matrix: HermitianMatrix) -> SignatureCertificate:
+    witness = obj["witness"]
     return SignatureCertificate(
-        matrix=HermitianMatrix.from_rows(obj_to_matrix_rows(obj["matrix"])),
-        n_pos=obj["inertia"]["pos"],
-        n_neg=obj["inertia"]["neg"],
-        n_zero=obj["inertia"]["zero"],
+        matrix=matrix,
         permutation=tuple(obj["permutation"]),
         transform=tuple(_obj_to_entries(row) for row in obj["transform"]),
         diag=tuple(Fraction(d) for d in obj["diag"]),
@@ -184,17 +210,33 @@ def obj_to_certificate(obj: dict) -> SignatureCertificate:
     )
 
 
+def certificate_to_obj(cert: SignatureCertificate) -> dict:
+    """A standalone certificate carries its matrix; its inertia is read off D."""
+    return {
+        "kind": "signature_certificate",
+        "size": cert.size,
+        "matrix": matrix_to_obj(cert.matrix.entries),
+        **_congruence_to_obj(cert),
+    }
+
+
+def obj_to_certificate(obj: dict) -> SignatureCertificate:
+    if obj.get("kind") != "signature_certificate":
+        raise ValueError("not a serialized signature certificate")
+    _require_keys(obj, CERTIFICATE_KEYS, "a signature certificate")
+    return _obj_to_congruence(obj, HermitianMatrix.from_rows(obj_to_matrix_rows(obj["matrix"])))
+
+
 def stabilization_to_obj(report: StabilizationReport) -> dict:
+    """The trail holds one congruence per d = 0, 1, ...; each step's matrix,
+    d and pass flag follow from the form, so they are not stored."""
     return {
         "kind": "stabilization_report",
         "mode": report.mode,
         "d_max": report.d_max,
         "d_min": report.d_min,
-        # A step's size and inertia are its certificate's; they are not copied.
-        "trail": [
-            {"d": step.d, "passes": step.passes, "certificate": certificate_to_obj(step.certificate)}
-            for step in report.steps
-        ],
+        "form": form_to_obj(report.form),
+        "trail": [_congruence_to_obj(step.certificate) for step in report.steps],
         "factor": factor_to_obj(report.factor) if report.factor is not None else None,
     }
 
@@ -202,13 +244,9 @@ def stabilization_to_obj(report: StabilizationReport) -> dict:
 def ellipticity_to_obj(report: EllipticityReport) -> dict:
     return {
         "kind": "ellipticity_report",
-        "real_dim": report.real_dim,
-        "complex_dim": report.complex_dim,
-        "order": report.order,
+        "form": form_to_obj(report.form),
         "verdict": report.verdict,
         "d": report.d,
-        "e_matrix": matrix_to_obj(report.e_matrix.entries) if report.e_matrix else None,
-        "factor": factor_to_obj(report.factor) if report.factor else None,
         "witness_point": [gaussian_to_pair(c) for c in report.witness_point]
         if report.witness_point
         else None,
@@ -276,53 +314,150 @@ def embedded_artifacts(obj, enter=frozenset()):
             stack.extend(item)
 
 
-def _verify_trail(obj: dict) -> tuple[bool, str]:
-    """A stabilization report proves its d_min claim when its trail runs
-    d = 0, 1, ..., last with every certificate valid, every step before the
-    last failing, and the last step passing exactly when d_min is its d (at
-    most d_max), failing at d_max otherwise."""
+def _verify_stabilization(obj: dict) -> tuple[bool, str]:
+    """A stabilization report proves its d_min claim when its trail certifies
+    the coefficient matrix of <z,w>^d F for d = 0, 1, ..., last, every step
+    before the last fails, the last passes exactly when d_min is its d (at
+    most d_max) and fails at d_max otherwise, and the factor is one of
+    <z,w>^d_min F."""
+    _require_keys(obj, STABILIZATION_KEYS, "a stabilization report")
+    _require_mode(obj["mode"])
+    strict = obj["mode"] == "strict"
+    form = obj_to_form(obj["form"])
     trail = obj["trail"]
-    if not trail or [step["d"] for step in trail] != list(range(len(trail))):
-        return False, "trail does not run d = 0, 1, ... without gaps"
-    for step in trail:
-        cert = step["certificate"]
-        if cert.get("kind") != "signature_certificate":
-            raise ValueError("not a serialized signature certificate")
-        ok, reason = verify_obj(cert)
+    passes = False
+    for d, record in enumerate(trail):
+        _require_keys(record, CONGRUENCE_KEYS, "a trail step")
+        if d:
+            form = multiplier_shift(form)
+        matrix, _ = coefficient_matrix(form, mode="bidegree")
+        cert = _obj_to_congruence(record, matrix)
+        ok, reason = cert.verify()
         if not ok:
-            return False, f"trail d={step['d']}: {reason}"
-        # The certificate just verified, so its inertia counts are proven
-        # and its size is the row count of its matrix.
-        inertia = cert["inertia"]
-        passes = (
-            inertia["pos"] == cert["size"] if obj["mode"] == "strict" else inertia["neg"] == 0
-        )
-        if passes != step["passes"]:
-            return False, f"trail d={step['d']}: pass flag contradicts inertia"
-    last = trail[-1]
-    if any(step["passes"] for step in trail[:-1]):
-        return False, "d_min is not minimal"
-    if obj.get("d_min") != (last["d"] if last["passes"] else None):
+            return False, f"trail d={d}: {reason}"
+        passes = cert.is_positive_definite() if strict else cert.is_positive_semidefinite()
+        if passes and d < len(trail) - 1:
+            return False, "d_min is not minimal"
+    last = len(trail) - 1
+    if obj["d_min"] != (last if passes else None):
         return False, "d_min does not match the trail"
-    if last["passes"] and last["d"] > obj["d_max"]:
+    if passes and last > obj["d_max"]:
         return False, "trail runs past d_max"
-    if not last["passes"] and last["d"] != obj["d_max"]:
+    if not passes and last != obj["d_max"]:
         return False, "trail stops before d_max"
+    factor = obj["factor"]
+    if (factor is not None) != passes or (passes and obj_to_form(factor["target"]) != form):
+        return False, "factor is not one of the form shifted d_min times"
+    return verify_obj(factor) if passes else (True, "ok")
+
+
+def _sphere_value(form: BihermitianForm, pairs) -> GaussianRational | None:
+    """The symbol's exact value at a point, or None off the unit sphere."""
+    point = tuple(pair_to_gaussian(pair) for pair in pairs)
+    if sum(c.abs2() for c in point) != 1:
+        return None
+    return evaluate_exact(form, point, point)[0][0]
+
+
+def _verify_ellipticity(obj: dict) -> tuple[bool, str]:
+    """An ellipticity report proves its verdict about its embedded form:
+    "not_elliptic" by an exact zero, or exact values of opposite sign, on the
+    unit sphere; "certified" and "not_certified" by a strict stabilization
+    report of the form (of -form when sign_flipped) whose d_min is d."""
+    _require_keys(obj, ELLIPTICITY_KEYS, "an ellipticity report")
+    form = obj_to_form(obj["form"])
+    verdict, stabilization = obj["verdict"], obj["stabilization"]
+    if verdict == "not_elliptic":
+        if stabilization is not None or obj["d"] is not None:
+            return False, "verdict does not match the stabilization"
+        if form.r != 1:
+            return False, "the form is not a scalar symbol"
+        point, change = obj["witness_point"], obj["sign_change"]
+        if point is None and change is None:
+            return False, "not_elliptic report names no point"
+        if point is not None and _sphere_value(form, point) != ZERO:
+            return False, "witness point is not a zero of the symbol on the unit sphere"
+        if change is not None:
+            pos = _sphere_value(form, change["positive_at"])
+            neg = _sphere_value(form, change["negative_at"])
+            if pos is None or neg is None or not (pos.im == neg.im == 0 and pos.re > 0 > neg.re):
+                return False, "sign-change points do not have opposite signs on the unit sphere"
+        return True, "ok"
+    if verdict not in ("certified", "not_certified"):
+        raise ValueError(f"{FORMAT_ERROR}: unknown ellipticity verdict {verdict!r}")
+    if stabilization is None:
+        return False, "verdict does not match the stabilization"
+    ok, reason = verify_obj(stabilization)
+    if not ok:
+        return False, f"stabilization: {reason}"
+    searched = scale(form, -1) if obj["sign_flipped"] else form
+    if stabilization["mode"] != "strict" or obj_to_form(stabilization["form"]) != searched:
+        return False, "stabilization is not a strict search on the report's form"
+    d_min = stabilization["d_min"]
+    if obj["d"] != d_min or (verdict == "certified") != (d_min is not None):
+        return False, "verdict does not match the stabilization"
+    return True, "ok"
+
+
+def _proven_verdicts(command: str, verdicts: dict, result: dict) -> dict:
+    """The run-report verdict fields that the verified artifacts in `result`
+    decide, with the values they decide."""
+    if command in ("check", "factor"):
+        cert = result["certificate"]
+        pos, neg = inertia_of_d([Fraction(d) for d in cert["diag"]], cert["blocks"])
+    if command == "check":
+        _require_mode(verdicts["mode"])
+        size = cert["size"]
+        return {
+            "passes": pos == size if verdicts["mode"] == "strict" else neg == 0,
+            "inertia": {"pos": pos, "neg": neg, "zero": size - pos - neg},
+            "matrix_size": size,
+        }
+    if command == "factor":
+        factor = result.get("factor")
+        return {"factorable": neg == 0, "rows": len(factor["rows"]) if factor else 0}
+    if command == "stabilize":
+        d_min = result["stabilization"]["d_min"]
+        return {"d_min": d_min, "found": d_min is not None}
+    if command == "symbol":
+        ellipticity = result["ellipticity"]
+        return {"verdict": ellipticity["verdict"], "d": ellipticity["d"]}
+    return {}
+
+
+def _verify_run_report(obj: dict) -> tuple[bool, str]:
+    """Every embedded artifact verifies, and the verdicts say what they prove."""
+    result = obj.get("result")
+    checked = False
+    for item in embedded_artifacts(result):
+        ok, reason = verify_obj(item)
+        if not ok:
+            return False, reason
+        checked = True
+    if not checked:
+        return False, "report embeds no certificates"
+    verdicts = obj["verdicts"]
+    proven = _proven_verdicts(obj["command"][0], verdicts, result)
+    if any(verdicts.get(key) != value for key, value in proven.items()):
+        return False, "verdicts do not match the embedded artifacts"
     return True, "ok"
 
 
 def verify_obj(obj: dict) -> tuple[bool, str]:
-    """Re-check a serialized artifact from its own data alone.
+    """Re-check a serialized artifact by exact arithmetic.
 
     Supports signature certificates (structure of W and D, congruence
-    identity, inertia, witness), weighted factors (exact gram reconstruction),
-    stabilization reports (every trail certificate plus the minimality
-    claims), and run reports / ellipticity reports (every embedded artifact).
+    identity, witness), weighted factors (exact gram reconstruction),
+    stabilization reports (each trail congruence against the matrix rebuilt
+    from the embedded form, the minimality claims and the factor's target),
+    ellipticity reports (the sphere points or the stabilization of the
+    embedded form) and run reports (every embedded artifact, and the verdicts
+    they decide).  An artifact not in the current format raises ValueError.
     """
     kind = obj.get("kind")
     if kind == "signature_certificate":
         cert = obj_to_certificate(obj)
-        if obj.get("size") != cert.size:
+        if obj["size"] != cert.size:
             return False, "component sizes disagree"
         return cert.verify()
     if kind == "weighted_gram_factor":
@@ -335,23 +470,9 @@ def verify_obj(obj: dict) -> tuple[bool, str]:
             return False, "factor does not reconstruct its target"
         return True, "ok"
     if kind == "stabilization_report":
-        ok, reason = _verify_trail(obj)
-        if ok and obj.get("factor") is not None:
-            return verify_obj(obj["factor"])
-        return ok, reason
+        return _verify_stabilization(obj)
     if kind == "ellipticity_report":
-        for key in ("factor", "stabilization"):
-            if obj.get(key) is not None:
-                ok, reason = verify_obj(obj[key])
-                if not ok:
-                    return False, f"{key}: {reason}"
-        return True, "ok"
+        return _verify_ellipticity(obj)
     if kind == "run_report":
-        checked = False
-        for item in embedded_artifacts(obj.get("result")):
-            ok, reason = verify_obj(item)
-            if not ok:
-                return False, reason
-            checked = True
-        return (True, "ok") if checked else (False, "report embeds no certificates")
+        return _verify_run_report(obj)
     raise ValueError(f"unsupported artifact kind: {kind!r}")

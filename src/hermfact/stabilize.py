@@ -71,6 +71,7 @@ class StabilizationStep:
 
 @dataclass(eq=True)
 class StabilizationReport:
+    form: BihermitianForm
     mode: str
     d_max: int
     d_min: int | None
@@ -98,7 +99,7 @@ def find_minimal_d(
         raise ValueError("stabilization search requires a Hermitian-symmetric form")
     if bidegree(form) is None:
         raise ValueError("stabilization search requires a single bidegree")
-    report = StabilizationReport(mode=mode, d_max=d_max, d_min=None)
+    report = StabilizationReport(form=form, mode=mode, d_max=d_max, d_min=None)
     shifted = form
     for d in range(d_max + 1):
         matrix, basis = coefficient_matrix(shifted, mode="bidegree")

@@ -20,7 +20,6 @@ from math import comb
 from .factor import WeightedGramFactor
 from .hermform import (
     BihermitianForm,
-    HermitianMatrix,
     bidegree,
     evaluate_exact,
     is_hermitian_symmetric,
@@ -227,18 +226,22 @@ def sphere_sample_points(n: int, extra: int = 60, seed: int = 7) -> list[tuple[G
 
 @dataclass(eq=True)
 class EllipticityReport:
-    real_dim: int
-    complex_dim: int
-    order: int
+    form: BihermitianForm
     verdict: str  # "certified", "not_certified", or "not_elliptic"
     d: int | None
-    e_matrix: HermitianMatrix | None
-    factor: WeightedGramFactor | None
     witness_point: tuple[GaussianRational, ...] | None
     sign_pair: tuple | None
     sign_flipped: bool
     stabilization: StabilizationReport | None
     variety_condition: str = "not checked"
+
+    @property
+    def order(self) -> int:
+        return 2 * (bidegree(self.form) or 0)
+
+    @property
+    def factor(self) -> WeightedGramFactor | None:
+        return self.stabilization.factor if self.stabilization is not None else None
 
 
 def _sample_symbol(form: BihermitianForm):
@@ -267,15 +270,10 @@ def certify_elliptic_form(form: BihermitianForm, d_max: int) -> EllipticityRepor
         raise ValueError("symbol kernel must be Hermitian-symmetric (real-valued)")
     if not is_complex_bihomogeneous(form):
         raise ValueError("symbol is not complex-bihomogeneous; certification does not apply")
-    m = bidegree(form)
     base = EllipticityReport(
-        real_dim=2 * form.n,
-        complex_dim=form.n,
-        order=2 * (m or 0),
+        form=form,
         verdict="not_certified",
         d=None,
-        e_matrix=None,
-        factor=None,
         witness_point=None,
         sign_pair=None,
         sign_flipped=False,
@@ -300,8 +298,6 @@ def certify_elliptic_form(form: BihermitianForm, d_max: int) -> EllipticityRepor
     if report.found():
         base.verdict = "certified"
         base.d = report.d_min
-        base.e_matrix = report.steps[-1].certificate.matrix
-        base.factor = report.factor
     return base
 
 

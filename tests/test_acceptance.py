@@ -383,10 +383,10 @@ def test_criterion_9_verifier_accepts_corpus_and_rejects_tampering(cli_corpus):
                 continue
             obj["rows"][0]["weight"] = "355/113"
         elif kind == "stabilization_report":
-            obj["trail"][0]["certificate"]["diag"][0] = "355/113"
+            obj["trail"][0]["diag"][0] = "355/113"
         elif kind == "ellipticity_report":
             if obj.get("stabilization"):
-                obj["stabilization"]["trail"][0]["certificate"]["diag"][0] = "355/113"
+                obj["stabilization"]["trail"][0]["diag"][0] = "355/113"
             else:
                 continue
         else:

@@ -245,9 +245,11 @@ def test_certificate_verify_catches_tampering():
     tampered = dataclasses.replace(cert, diag=tuple(bad_diag))
     ok, reason = tampered.verify()
     assert not ok and "congruence" in reason
-    tampered = dataclasses.replace(cert, n_pos=cert.n_pos + 1, n_zero=cert.n_zero - 1)
-    ok, _ = tampered.verify()
-    assert not ok
+    # The inertia is read off D, so claiming another one means changing D.
+    flipped = dataclasses.replace(cert, diag=(-cert.diag[0],) + cert.diag[1:])
+    assert inertia(flipped) != inertia(cert)
+    ok, reason = flipped.verify()
+    assert not ok and "congruence" in reason
 
 
 def _hollow_matrix(rng, size):
@@ -296,7 +298,7 @@ def _tamperings(cert):
         yield {"transform": w_rows(tuple(reversed(tuple(sorted(entries.items())))))}
     yield {"transform": cert.transform[:last]}
     yield {"matrix": HermitianMatrix(_bump_entry(cert.matrix.entries, n // 2, last, one))}
-    yield {"n_pos": cert.n_pos + 1}
+    yield {"diag": cert.diag[:last] + (-cert.diag[last],)}
     yield {"permutation": (0,) * n}
     if cert.blocks:
         # a block's value changed or zero, a block dropped, overlapping or

@@ -314,3 +314,112 @@ def test_reports_are_deterministic(capsys, tmp_path):
 def test_missing_input_is_usage_error(capsys):
     code, _, err = run(capsys, ["check"])
     assert code == 2 and "input" in err
+
+
+def _dense_transform_with_inverse(report):
+    # The certificate format before W was stored sparse: dense W and W^-1
+    # rows of [re, im] pairs, a stored inertia, no blocks.
+    cert = report["result"]["certificate"]
+    n = cert["size"]
+    identity = [[["1" if i == j else "0", "0"] for j in range(n)] for i in range(n)]
+    cert["transform"], cert["transform_inv"] = identity, identity
+    cert["inertia"] = report["verdicts"]["inertia"]
+    del cert["blocks"]
+    return cert
+
+
+def _transform_rows_of_pairs(report):
+    cert = report["result"]["certificate"]
+    cert["transform"] = [[["0", "0"]] * i for i in range(cert["size"])]
+    return cert
+
+
+def _stored_inertia(report):
+    cert = report["result"]["certificate"]
+    cert["inertia"] = report["verdicts"]["inertia"]
+    return cert
+
+
+def _trail_step_with_certificate(report):
+    # A trail step as it was before the trail was bound to the form: d, a
+    # pass flag and a whole certificate.
+    stabilization = report["result"]["stabilization"]
+    step = stabilization["trail"][0]
+    stabilization["trail"][0] = {
+        "d": 0,
+        "passes": False,
+        "certificate": {"kind": "signature_certificate", "size": 3, "matrix": [], **step},
+    }
+    return stabilization
+
+
+def _unknown_mode(report):
+    stabilization = report["result"]["stabilization"]
+    stabilization["mode"] = "foo"
+    return stabilization
+
+
+@pytest.mark.parametrize(
+    "argv, outdate",
+    [
+        (["check", "-e", SQUARE_DIFFERENCE], _dense_transform_with_inverse),
+        (["check", "-e", SQUARE_DIFFERENCE], _transform_rows_of_pairs),
+        (["check", "-e", SQUARE_DIFFERENCE], _stored_inertia),
+        (["stabilize", "-e", INDEFINITE_QUARTIC, "--dmax", "5"], _trail_step_with_certificate),
+        (["stabilize", "-e", INDEFINITE_QUARTIC, "--dmax", "5"], _unknown_mode),
+    ],
+    ids=[
+        "dense_transform_with_inverse",
+        "transform_rows_of_pairs",
+        "stored_inertia",
+        "trail_step_with_certificate",
+        "unknown_mode",
+    ],
+)
+def test_verify_refuses_other_formats(capsys, tmp_path, argv, outdate):
+    _, out, _ = run(capsys, argv)
+    path = tmp_path / "outdated.json"
+    path.write_text(json.dumps(outdate(json.loads(out))))
+    code, out, err = run(capsys, ["verify", str(path)])
+    assert code == 2 and out == ""
+    assert "not in the current certificate format" in err
+    assert "Traceback" not in err
+
+
+def test_verify_binds_run_report_verdicts(capsys, tmp_path):
+    code, out, _ = run(capsys, ["check", "-e", "z1*zb1 - z2*zb2", "--mode", "semi"])
+    assert code == 1
+    report = json.loads(out)
+    path = tmp_path / "report.json"
+    path.write_text(out)
+    assert run(capsys, ["verify", str(path)])[0] == 0
+    report["verdicts"]["passes"] = True
+    report["verdicts"]["inertia"] = {"pos": 2, "neg": 0, "zero": 0}
+    path.write_text(json.dumps(report))
+    code, out, _ = run(capsys, ["verify", str(path)])
+    assert code == 1
+    assert json.loads(out) == {"valid": False, "reason": "verdicts do not match the embedded artifacts"}
+
+
+@pytest.mark.parametrize(
+    "argv, field, value",
+    [
+        (["check", "-e", DIAGONAL_QUARTIC, "--mode", "strict"], "passes", True),
+        (["check", "-e", DIAGONAL_QUARTIC, "--mode", "strict"], "matrix_size", 4),
+        (["stabilize", "-e", INDEFINITE_QUARTIC, "--dmax", "5"], "d_min", 2),
+        (["stabilize", "-e", INDEFINITE_QUARTIC, "--dmax", "5"], "found", False),
+        (["factor", "-e", SQUARE_DIFFERENCE], "factorable", True),
+        (["factor", "-e", DIAGONAL_QUARTIC], "rows", 3),
+        (["symbol", "-e", DIAGONAL_QUARTIC], "verdict", "not_certified"),
+        (["symbol", "-e", DIAGONAL_QUARTIC], "d", 0),
+    ],
+)
+def test_verify_rejects_each_rewritten_verdict(capsys, tmp_path, argv, field, value):
+    _, out, _ = run(capsys, argv)
+    report = json.loads(out)
+    assert report["verdicts"][field] != value
+    report["verdicts"][field] = value
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(report))
+    code, out, _ = run(capsys, ["verify", str(path)])
+    assert code == 1 and json.loads(out)["reason"] == "verdicts do not match the embedded artifacts"

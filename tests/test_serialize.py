@@ -5,11 +5,13 @@ from fractions import Fraction
 import pytest
 
 from hermfact import (
+    HermitianMatrix,
     certify_elliptic_form,
     difference_of_squares,
     find_minimal_d,
     holomorphic_factor,
     ldl_signature,
+    parse_expression,
 )
 from hermfact import serialize
 
@@ -73,14 +75,6 @@ def test_verify_rejects_tampered_certificate():
     ok, reason = serialize.verify_obj(tampered)
     assert not ok and "congruence" in reason
 
-    tampered = json.loads(json.dumps(obj))
-    tampered["inertia"]["pos"], tampered["inertia"]["zero"] = (
-        tampered["inertia"]["zero"],
-        tampered["inertia"]["pos"],
-    )
-    ok, _ = serialize.verify_obj(tampered)
-    assert not ok
-
     # W is stored as its strictly-lower entries: change the first entry of
     # the last row (or create one) so the congruence no longer holds.
     tampered = json.loads(json.dumps(obj))
@@ -114,10 +108,12 @@ def test_stabilization_report_round_trip_verify():
     ok, reason = serialize.verify_obj(json.loads(json.dumps(obj)))
     assert ok, reason
 
+    # A step's pass flag is derived from its D: claiming a pass means
+    # rewriting D, which the rebuilt matrix no longer matches.
     tampered = json.loads(json.dumps(obj))
-    tampered["trail"][1]["passes"] = True
+    tampered["trail"][1]["diag"] = ["1"] * len(tampered["trail"][1]["diag"])
     ok, reason = serialize.verify_obj(tampered)
-    assert not ok
+    assert not ok and reason.startswith("trail d=1:")
 
     tampered = json.loads(json.dumps(obj))
     tampered["d_min"] = 4
@@ -130,8 +126,6 @@ FORGERY_FORM = "z1^2*zb1^2 - 3/2*z1*z2*zb1*zb2 + z2^2*zb2^2"
 
 @pytest.fixture(scope="module")
 def forgery_report():
-    from hermfact import parse_expression
-
     report = find_minimal_d(parse_expression(FORGERY_FORM), "strict", 12)
     assert report.d_min == 7
     obj = serialize.stabilization_to_obj(report)
@@ -142,10 +136,8 @@ def forgery_report():
 def test_stabilization_trail_cut_to_d_min_is_rejected(forgery_report):
     forged = json.loads(json.dumps(forgery_report))
     forged["trail"] = forged["trail"][-1:]
-    assert serialize.verify_obj(forged) == (
-        False,
-        "trail does not run d = 0, 1, ... without gaps",
-    )
+    # The trail's first step is checked against the matrix of F itself.
+    assert serialize.verify_obj(forged) == (False, "trail d=0: permutation is not a permutation")
 
 
 def test_stabilization_trail_stopping_short_of_d_max_is_rejected(forgery_report):
@@ -163,18 +155,34 @@ def test_stabilization_d_max_below_d_min_is_rejected(forgery_report):
 
 
 def test_stabilization_step_carries_no_inertia_copy(forgery_report):
-    # The step's size and inertia were unread copies of the certificate's and
-    # could be rewritten freely; now only the certificate's exist, and
-    # rewriting those is caught.
-    step = forgery_report["trail"][0]
-    assert set(step) == {"d", "passes", "certificate"}
+    # A step stores only its congruence; its matrix, d, size, inertia and
+    # pass flag follow from the embedded form and the step's position.
+    assert set(forgery_report) == {
+        "kind", "mode", "d_max", "d_min", "form", "trail", "factor",
+    }
+    for step in forgery_report["trail"]:
+        assert set(step) == {"permutation", "transform", "diag", "blocks", "witness"}
+
+
+def test_stabilization_trail_certificate_of_another_matrix_is_rejected(forgery_report):
+    # A valid certificate of diag(1, -1, 1) in place of the d = 0 step, whose
+    # matrix is diag(1, -3/2, 1).
+    other = serialize.certificate_to_obj(ldl_signature(HermitianMatrix.diagonal([1, -1, 1])))
+    assert serialize.verify_obj(other) == (True, "ok")
     forged = json.loads(json.dumps(forgery_report))
-    forged["trail"][0]["certificate"]["inertia"] = {"pos": 3, "neg": 0, "zero": 0}
-    ok, reason = serialize.verify_obj(forged)
-    assert not ok and reason.startswith("trail d=0:")
+    forged["trail"][0] = {key: other[key] for key in forged["trail"][0]}
+    assert serialize.verify_obj(forged) == (False, "trail d=0: congruence identity fails at (1,1)")
+
+
+def test_stabilization_factor_of_another_form_is_rejected(forgery_report):
+    other = serialize.factor_to_obj(holomorphic_factor(parse_expression("z1*zb1 + z2*zb2")))
+    assert serialize.verify_obj(other) == (True, "ok")
+    reason = "factor is not one of the form shifted d_min times"
     forged = json.loads(json.dumps(forgery_report))
-    forged["trail"][0]["certificate"]["size"] = 4
-    assert serialize.verify_obj(forged) == (False, "trail d=0: component sizes disagree")
+    forged["factor"] = other
+    assert serialize.verify_obj(forged) == (False, reason)
+    forged["factor"] = None
+    assert serialize.verify_obj(forged) == (False, reason)
 
 
 def test_ellipticity_report_serialization():
@@ -184,6 +192,70 @@ def test_ellipticity_report_serialization():
     assert ok, reason
     assert obj["verdict"] == "certified"
     assert obj["variety_condition"] == "not checked"
+
+
+def test_artifact_key_sets():
+    cert = serialize.certificate_to_obj(ldl_signature(HermitianMatrix.diagonal([1, -1])))
+    assert set(cert) == {
+        "kind", "size", "matrix", "permutation", "transform", "diag", "blocks", "witness",
+    }
+    report = serialize.ellipticity_to_obj(certify_elliptic_form(diagonal_quartic(), 4))
+    assert set(report) == {
+        "kind", "form", "verdict", "d", "witness_point", "sign_change", "sign_flipped",
+        "variety_condition", "stabilization",
+    }
+    assert report["form"] == report["stabilization"]["form"]
+
+
+def _ellipticity_obj(expr, n=None, d_max=4):
+    report = certify_elliptic_form(parse_expression(expr, n=n), d_max)
+    obj = json.loads(json.dumps(serialize.ellipticity_to_obj(report)))
+    assert serialize.verify_obj(obj) == (True, "ok")
+    return obj
+
+
+def test_not_elliptic_witness_point_is_evaluated():
+    # z1*zb1 on C^2 vanishes at (0, 1); the point (3, 5) is off the sphere and
+    # (1, 0) is on it where the symbol is 1.
+    obj = _ellipticity_obj("z1*zb1", n=2)
+    assert obj["verdict"] == "not_elliptic" and obj["witness_point"] == [["0", "0"], ["1", "0"]]
+    reason = "witness point is not a zero of the symbol on the unit sphere"
+    for point in ([["3", "0"], ["5", "0"]], [["1", "0"], ["0", "0"]]):
+        forged = json.loads(json.dumps(obj))
+        forged["witness_point"] = point
+        assert serialize.verify_obj(forged) == (False, reason)
+    forged = json.loads(json.dumps(obj))
+    forged["witness_point"] = None
+    assert serialize.verify_obj(forged) == (False, "not_elliptic report names no point")
+
+
+def test_not_elliptic_sign_change_is_evaluated():
+    obj = _ellipticity_obj("z1^2*zb1^2 - 3*z1*z2*zb1*zb2 + z2^2*zb2^2")
+    change = obj["sign_change"]
+    assert obj["verdict"] == "not_elliptic" and change
+    reason = "sign-change points do not have opposite signs on the unit sphere"
+    forged = json.loads(json.dumps(obj))
+    forged["sign_change"] = {"positive_at": change["negative_at"], "negative_at": change["positive_at"]}
+    assert serialize.verify_obj(forged) == (False, reason)
+    forged["sign_change"] = {"positive_at": change["positive_at"], "negative_at": [["1", "0"], ["1", "0"]]}
+    assert serialize.verify_obj(forged) == (False, reason)
+
+
+def test_certified_ellipticity_is_bound_to_its_form():
+    obj = _ellipticity_obj("-z1^2*zb1^2 - z2^2*zb2^2")
+    assert obj["verdict"] == "certified" and obj["sign_flipped"] and obj["d"] == 1
+    reason = "stabilization is not a strict search on the report's form"
+    forged = json.loads(json.dumps(obj))
+    forged["sign_flipped"] = False
+    assert serialize.verify_obj(forged) == (False, reason)
+    other = _ellipticity_obj("z1^2*zb1^2 - z1*z2*zb1*zb2 + z2^2*zb2^2")
+    forged = json.loads(json.dumps(obj))
+    forged["stabilization"] = other["stabilization"]
+    assert serialize.verify_obj(forged) == (False, reason)
+    for key, value in (("d", 0), ("verdict", "not_certified"), ("verdict", "not_elliptic")):
+        forged = json.loads(json.dumps(obj))
+        forged[key] = value
+        assert serialize.verify_obj(forged) == (False, "verdict does not match the stabilization")
 
 
 def test_decomposition_factors_serialize_and_verify():
