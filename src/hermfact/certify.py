@@ -13,109 +13,36 @@ from the hollow blocks; the inertia of M is that of D.  W is invertible by its
 structure alone, so no inverse is stored: `inverse_columns` derives it for
 factor extraction.
 
-Both the elimination and the re-check run on integer rows: a row of M or W is
-a list of Gaussian-integer numerators over one positive denominator, kept in
-lowest terms.  GaussianRational appears only where a certificate is built or
-read.
+Both the elimination and the re-check run on the `GaussianRow`s that a
+HermitianMatrix stores: Gaussian-integer numerators over one positive
+denominator, in lowest terms.  GaussianRational appears only where a
+certificate is built or read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
-from .hermform import HermitianMatrix
-from .scalars import ZERO, GaussianRational
+from .hermform import HermitianMatrix, hermitian_defect
+from .scalars import ONE, ZERO, GaussianRational, GaussianRow
 
 Vector = tuple[GaussianRational, ...]
 # (index, value) pairs: the strictly-lower entries of a row of W in pivot
 # coordinates, or the hollow blocks (k, a) of D.
 Entries = tuple[tuple[int, GaussianRational], ...]
 
-ONE = GaussianRational(Fraction(1))
 
-
-class _Row:
-    """The vector (re[j] + i*im[j]) / den over int lists, den > 0, in lowest terms."""
-
-    __slots__ = ("re", "im", "den")
-
-    def __init__(self, re: list[int], im: list[int], den: int = 1):
-        self.re = re
-        self.im = im
-        self.den = den
-
-    @classmethod
-    def unit(cls, n: int, j: int) -> "_Row":
-        re = [0] * n
-        re[j] = 1
-        return cls(re, [0] * n)
-
-    @classmethod
-    def from_gaussians(cls, entries) -> "_Row":
-        dens = [c.re.denominator for c in entries] + [c.im.denominator for c in entries]
-        den = lcm(*dens)
-        # Scaling by the lcm of the denominators leaves content 1: lowest terms.
-        re = [c.re.numerator * (den // c.re.denominator) for c in entries]
-        im = [c.im.numerator * (den // c.im.denominator) for c in entries]
-        return cls(re, im, den)
-
-    def to_gaussians(self) -> Vector:
-        den = self.den
-        return tuple(
-            GaussianRational(Fraction(x, den), Fraction(y, den)) if x or y else ZERO
-            for x, y in zip(self.re, self.im)
-        )
-
-    def nonzero(self) -> list[int]:
-        return [j for j, (x, y) in enumerate(zip(self.re, self.im)) if x or y]
-
-    def swap(self, k: int, t: int) -> None:
-        re, im = self.re, self.im
-        re[k], re[t] = re[t], re[k]
-        im[k], im[t] = im[t], im[k]
-
-    def add_scaled(self, cr: int, ci: int, q: int, other: "_Row", nz=None) -> None:
-        """self += ((cr + i*ci) / q) * other, exactly; q > 0.
-
-        `nz` lists the nonzero indices of `other` when the caller has them.
-        """
-        b = q * other.den
-        g = gcd(cr, ci, b)
-        if g != 1:
-            cr, ci, b = cr // g, ci // g, b // g
-        a = self.den
-        g = gcd(a, b)
-        mu, mt = b // g, a // g
-        re, im = self.re, self.im
-        if mu != 1:
-            re = [x * mu for x in re]
-            im = [y * mu for y in im]
-        ar, ai = cr * mt, ci * mt
-        ore, oim = other.re, other.im
-        for j in other.nonzero() if nz is None else nz:
-            x, y = ore[j], oim[j]
-            re[j] += ar * x - ai * y
-            im[j] += ar * y + ai * x
-        den = a * mu
-        g = gcd(den, *re, *im)
-        if g != 1:
-            re = [x // g for x in re]
-            im = [y // g for y in im]
-            den //= g
-        self.re, self.im, self.den = re, im, den
-
-
-def _combine(coeffs: _Row, rows: list[_Row], rows_nz: list[list[int]]) -> _Row:
+def _combine(coeffs: GaussianRow, rows: list[GaussianRow], rows_nz: list[list[int]]) -> GaussianRow:
     """The row vector coeffs * rows, where rows[a] is row a of a matrix."""
-    out = _Row([0] * len(coeffs.re), [0] * len(coeffs.re))
+    out = GaussianRow([0] * len(coeffs.re), [0] * len(coeffs.re))
     for a in coeffs.nonzero():
         out.add_scaled(coeffs.re[a], coeffs.im[a], coeffs.den, rows[a], rows_nz[a])
     return out
 
 
-def _dot(a: _Row, b: _Row, nz: list[int]) -> tuple[int, int]:
+def _dot(a: GaussianRow, b: GaussianRow, nz: list[int]) -> tuple[int, int]:
     """Numerators (re, im) of sum_j a[j] * conj(b[j]) over a.den * b.den; nz
     covers the nonzero indices of a or of b."""
     are, aim, bre, bim = a.re, a.im, b.re, b.im
@@ -198,16 +125,11 @@ class SignatureCertificate:
             if not end < k < n - 1 or a.is_zero() or self.diag[k] or self.diag[k + 1]:
                 return False, "blocks are not disjoint hollow 2x2 pivots"
             end = k + 1
+        if hermitian_defect(self.matrix.rows) is not None:
+            return False, "matrix is not Hermitian"
         # The rest runs in pivot coordinates: W becomes L, M becomes P M P^T
         # and the witness v becomes P v, which keeps v* M v.
-        entries = self.matrix.entries
-        m = [_Row.from_gaussians([entries[r][c] for c in perm]) for r in perm]
-        if any(
-            row.re[j] * m[j].den != m[j].re[i] * row.den
-            or row.im[j] * m[j].den != -m[j].im[i] * row.den
-            for i, row in enumerate(m) for j in range(i + 1)
-        ):
-            return False, "matrix is not Hermitian"
+        m = [self.matrix.rows[r].permuted(perm) for r in perm]
         # So L M L^adj is Hermitian too, and its lower triangle decides.
         m_nz = [row.nonzero() for row in m]
         lower = self._lower_rows()
@@ -228,26 +150,21 @@ class SignatureCertificate:
             return False, "negative inertia without witness"
         if self.witness is not None:
             # with c = conj(v), v* M v = sum_l (c M)_l conj(c_l)
-            c = _Row.from_gaussians([self.witness[r].conjugate() for r in perm])
+            c = GaussianRow.from_entries(n, enumerate(self.witness[r].conjugate() for r in perm))
             row = _combine(c, m, m_nz)
             re, im = _dot(row, c, row.nonzero())
             if not (im == 0 and re < 0):
                 return False, "witness value is not negative"
         return True, "ok"
 
-    def _lower_rows(self) -> list[_Row]:
+    def _lower_rows(self) -> list[GaussianRow]:
         """The rows of L: W in pivot coordinates, unit lower triangular."""
-        rows = []
-        for i, entries in enumerate(self.transform):
-            dense = [ZERO] * self.size
-            dense[i] = ONE
-            for j, c in entries:
-                dense[j] = c
-            rows.append(_Row.from_gaussians(dense))
-        return rows
+        n = self.size
+        return [GaussianRow.from_entries(n, entries + ((i, ONE),))
+                for i, entries in enumerate(self.transform)]
 
 
-def _primitive_witness(row: _Row) -> Vector:
+def _primitive_witness(row: GaussianRow) -> Vector:
     # conj(row) scaled by a positive rational to Gaussian integers with content
     # 1, then the overall real sign fixed; keeps witnesses small and deterministic.
     g = gcd(*row.re, *row.im)
@@ -259,7 +176,7 @@ def _primitive_witness(row: _Row) -> Vector:
                 re = [-x for x in re]
                 im = [-y for y in im]
             break
-    return _Row(re, im).to_gaussians()
+    return GaussianRow(re, im).to_gaussians()
 
 
 def ldl_signature(matrix: HermitianMatrix) -> SignatureCertificate:
@@ -278,14 +195,14 @@ def ldl_signature(matrix: HermitianMatrix) -> SignatureCertificate:
     # are finished pivots and are never read again, so an elimination step
     # only applies row operations: by Hermitian symmetry the matching column
     # operations change nothing but the finished pivot rows.
-    s = [_Row.from_gaussians(row) for row in matrix.entries]
-    w = [_Row.unit(n, j) for j in range(n)]
+    s = [row.copy() for row in matrix.rows]
+    w = [GaussianRow.from_entries(n, [(j, ONE)]) for j in range(n)]
     perm = list(range(n))
     diag: list[Fraction] = []
     blocks: list[tuple[int, GaussianRational]] = []
     # W^adj x is a witness when x^adj D x < 0: x = e_k at the first negative
     # pivot, or x = e_k - conj(a) e_{k+1} (value -2|a|^2) at the first block.
-    negative: _Row | None = None
+    negative: GaussianRow | None = None
 
     def swap(k: int, t: int) -> None:
         if k == t:
@@ -347,7 +264,7 @@ def ldl_signature(matrix: HermitianMatrix) -> SignatureCertificate:
         blocks.append((k, GaussianRational(Fraction(ar, dk), Fraction(ai, dk))))
         diag.extend([Fraction(0), Fraction(0)])
         if negative is None:
-            negative = _Row(list(w[k].re), list(w[k].im), w[k].den)
+            negative = w[k].copy()
             negative.add_scaled(-ar, -ai, dk, w[k + 1])
         for i in range(k + 2, n):
             xr, xi, yr, yi = s[i].re[k], s[i].im[k], s[i].re[k + 1], s[i].im[k + 1]
@@ -359,10 +276,8 @@ def ldl_signature(matrix: HermitianMatrix) -> SignatureCertificate:
                 eliminate(i, k + 1, -dk * (xr * ar - xi * ai), -dk * (xr * ai + xi * ar), q)
         k += 2
 
-    transform = []
-    for i, row in enumerate(w):
-        entries = row.to_gaussians()
-        transform.append(tuple((j, entries[perm[j]]) for j in range(i) if entries[perm[j]]))
+    transform = [tuple((j, row.at(c)) for j, c in enumerate(perm[:i]) if row.re[c] or row.im[c])
+                 for i, row in enumerate(w)]
 
     return SignatureCertificate(
         matrix=matrix,
@@ -382,9 +297,9 @@ def inverse_columns(cert: SignatureCertificate) -> list[Vector]:
     L^-1 come by forward substitution.
     """
     n, perm = cert.size, cert.permutation
-    inv: list[_Row] = []
+    inv: list[GaussianRow] = []
     for i, row in enumerate(cert._lower_rows()):
-        out = _Row.unit(n, i)
+        out = GaussianRow.from_entries(n, [(i, ONE)])
         for j in range(i):
             if row.re[j] or row.im[j]:
                 out.add_scaled(-row.re[j], -row.im[j], row.den, inv[j])

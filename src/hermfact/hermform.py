@@ -21,7 +21,7 @@ from .multiindex import (
     dim_homogeneous,
     enumerate_degree,
 )
-from .scalars import ZERO, GaussianRational, as_gaussian
+from .scalars import ZERO, GaussianRational, GaussianRow, as_gaussian
 
 TermKey = tuple[int, int, MultiIndex, MultiIndex]
 Poly = dict[MultiIndex, GaussianRational]
@@ -139,24 +139,20 @@ class HoloPolyMatrix:
 
 @dataclass(eq=True)
 class HermitianMatrix:
-    """Dense Hermitian matrix over the Gaussian rationals."""
+    """Hermitian matrix over the Gaussian rationals, held as one GaussianRow per
+    row; the constructor trusts its rows, `from_rows` is the checked entry point."""
 
-    entries: tuple[tuple[GaussianRational, ...], ...]
+    rows: tuple[GaussianRow, ...]
 
     @classmethod
     def from_rows(cls, rows) -> "HermitianMatrix":
-        entries = tuple(tuple(as_gaussian(x) for x in row) for row in rows)
-        size = len(entries)
-        for row in entries:
-            if len(row) != size:
-                raise ValueError("matrix must be square")
-        for k in range(size):
-            if entries[k][k].im != 0:
-                raise ValueError(f"diagonal entry {k} is not real")
-            for l in range(k):
-                if entries[k][l] != entries[l][k].conjugate():
-                    raise ValueError(f"entries ({k},{l}) and ({l},{k}) are not conjugate")
-        return cls(entries)
+        """The checked constructor: a square Hermitian array of scalars, else ValueError."""
+        matrix = cls(tuple(GaussianRow.from_entries(len(row), enumerate(map(as_gaussian, row)))
+                           for row in rows))
+        defect = hermitian_defect(matrix.rows)
+        if defect is not None:
+            raise ValueError(defect)
+        return matrix
 
     @classmethod
     def diagonal(cls, values) -> "HermitianMatrix":
@@ -172,10 +168,28 @@ class HermitianMatrix:
 
     @property
     def size(self) -> int:
-        return len(self.entries)
+        return len(self.rows)
+
+    @property
+    def entries(self) -> tuple[tuple[GaussianRational, ...], ...]:
+        """The dense entries, derived from the rows."""
+        return tuple(row.to_gaussians() for row in self.rows)
 
     def at(self, k: int, l: int) -> GaussianRational:
-        return self.entries[k][l]
+        return self.rows[k].at(l)
+
+
+def hermitian_defect(rows) -> str | None:
+    """Why the rows do not form a square Hermitian matrix, or None when they do."""
+    if any(len(row.re) != len(rows) for row in rows):
+        return "matrix must be square"
+    for k, row in enumerate(rows):
+        for l, other in enumerate(rows[: k + 1]):
+            if (row.re[l] * other.den != other.re[k] * row.den
+                    or row.im[l] * other.den != -other.im[k] * row.den):
+                return (f"diagonal entry {k} is not real" if k == l
+                        else f"entries ({k},{l}) and ({l},{k}) are not conjugate")
+    return None
 
 
 @dataclass(eq=True, frozen=True)
@@ -353,11 +367,12 @@ def coefficient_matrix(
         raise ValueError("coefficient matrix requires a Hermitian-symmetric form")
     basis = coefficient_basis(form, mode)
     size = len(basis.pairs)
-    rows = [[ZERO] * size for _ in range(size)]
     lookup = basis._lookup
+    # Symmetry of the form is symmetry of the rows, so they need no re-check.
+    by_row: list[list] = [[] for _ in range(size)]
     for (i, j, alpha, beta), coeff in form.support.items():
-        rows[lookup[(i, alpha)]][lookup[(j, beta)]] = coeff
-    return HermitianMatrix.from_rows(rows), basis
+        by_row[lookup[(i, alpha)]].append((lookup[(j, beta)], coeff))
+    return HermitianMatrix(tuple(GaussianRow.from_entries(size, row) for row in by_row)), basis
 
 
 def from_coefficient_matrix(
@@ -371,11 +386,10 @@ def from_coefficient_matrix(
         )
     pairs = _basis_pairs(n, r, [m])
     terms = {}
-    for k, (i, alpha) in enumerate(pairs):
-        for l, (j, beta) in enumerate(pairs):
-            c = matrix.at(k, l)
-            if not c.is_zero():
-                terms[(i, j, alpha, beta)] = c
+    for (i, alpha), row in zip(pairs, matrix.rows):
+        for l in row.nonzero():
+            j, beta = pairs[l]
+            terms[(i, j, alpha, beta)] = row.at(l)
     return BihermitianForm.from_terms(n, r, terms)
 
 

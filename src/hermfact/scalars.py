@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 
 def _frac(x) -> Fraction:
@@ -147,3 +148,79 @@ def as_gaussian(x) -> GaussianRational:
 ZERO = GaussianRational()
 ONE = GaussianRational(Fraction(1))
 IMAG_UNIT = GaussianRational(Fraction(0), Fraction(1))
+
+
+@dataclass(eq=True, slots=True)
+class GaussianRow:
+    """The vector (re[j] + i*im[j]) / den over int lists, den > 0, in lowest
+    terms, which makes it unique: rows compare by their fields.  `swap` and
+    `add_scaled` change a row in place; `copy` one that others hold."""
+
+    re: list[int]
+    im: list[int]
+    den: int = 1
+
+    @classmethod
+    def from_entries(cls, n: int, entries) -> "GaussianRow":
+        """The length-n row with GaussianRational c at j for each (j, c), else 0."""
+        entries = list(entries)
+        den = lcm(*(d for _, c in entries for d in (c.re.denominator, c.im.denominator)))
+        # Scaling by the lcm of the denominators leaves content 1: lowest terms.
+        re, im = [0] * n, [0] * n
+        for j, c in entries:
+            re[j] = c.re.numerator * (den // c.re.denominator)
+            im[j] = c.im.numerator * (den // c.im.denominator)
+        return cls(re, im, den)
+
+    def at(self, j: int) -> GaussianRational:
+        x, y = self.re[j], self.im[j]
+        return GaussianRational(Fraction(x, self.den), Fraction(y, self.den)) if x or y else ZERO
+
+    def to_gaussians(self) -> tuple[GaussianRational, ...]:
+        return tuple(self.at(j) for j in range(len(self.re)))
+
+    def copy(self) -> "GaussianRow":
+        return GaussianRow(list(self.re), list(self.im), self.den)
+
+    def permuted(self, perm) -> "GaussianRow":
+        """The row whose entry j is this row's entry perm[j]."""
+        re, im = self.re, self.im
+        return GaussianRow([re[c] for c in perm], [im[c] for c in perm], self.den)
+
+    def nonzero(self) -> list[int]:
+        return [j for j, (x, y) in enumerate(zip(self.re, self.im)) if x or y]
+
+    def swap(self, k: int, t: int) -> None:
+        re, im = self.re, self.im
+        re[k], re[t] = re[t], re[k]
+        im[k], im[t] = im[t], im[k]
+
+    def add_scaled(self, cr: int, ci: int, q: int, other: "GaussianRow", nz=None) -> None:
+        """self += ((cr + i*ci) / q) * other, exactly; q > 0.
+
+        `nz` lists the nonzero indices of `other` when the caller has them.
+        """
+        b = q * other.den
+        g = gcd(cr, ci, b)
+        if g != 1:
+            cr, ci, b = cr // g, ci // g, b // g
+        a = self.den
+        g = gcd(a, b)
+        mu, mt = b // g, a // g
+        re, im = self.re, self.im
+        if mu != 1:
+            re = [x * mu for x in re]
+            im = [y * mu for y in im]
+        ar, ai = cr * mt, ci * mt
+        ore, oim = other.re, other.im
+        for j in other.nonzero() if nz is None else nz:
+            x, y = ore[j], oim[j]
+            re[j] += ar * x - ai * y
+            im[j] += ar * y + ai * x
+        den = a * mu
+        g = gcd(den, *re, *im)
+        if g != 1:
+            re = [x // g for x in re]
+            im = [y // g for y in im]
+            den //= g
+        self.re, self.im, self.den = re, im, den

@@ -19,6 +19,7 @@ from .hermform import (
     BihermitianForm,
     HermitianMatrix,
     HoloPolyMatrix,
+    bidegree,
     coefficient_matrix,
     evaluate_exact,
     gram,
@@ -43,6 +44,8 @@ def gaussian_to_pair(c: GaussianRational) -> list[str]:
 
 
 def pair_to_gaussian(pair) -> GaussianRational:
+    if not (isinstance(pair, list) and len(pair) == 2 and all(isinstance(x, str) for x in pair)):
+        raise ValueError("a Gaussian rational must be a pair [re, im] of strings")
     return GaussianRational(Fraction(pair[0]), Fraction(pair[1]))
 
 
@@ -64,7 +67,7 @@ def form_to_obj(form: BihermitianForm) -> dict:
 
 
 def obj_to_form(obj: dict) -> BihermitianForm:
-    if obj.get("kind") != "bihermitian_form":
+    if not isinstance(obj, dict) or obj.get("kind") != "bihermitian_form":
         raise ValueError("not a serialized kernel")
     terms = []
     for term in obj["terms"]:
@@ -120,11 +123,12 @@ def holo_to_obj(matrix: HoloPolyMatrix) -> dict:
 def obj_to_holo(obj: dict) -> HoloPolyMatrix:
     if obj.get("kind") != "holo_poly_matrix":
         raise ValueError("not a serialized holomorphic matrix")
+    shape = obj["shape"]
+    if not (isinstance(shape, list) and len(shape) == 2):
+        raise ValueError("a holomorphic matrix shape must be [rows, columns]")
     rows = [[_obj_to_poly(entry) for entry in row["entries"]] for row in obj["rows"]]
     weights = [Fraction(row["weight"]) for row in obj["rows"]]
-    return HoloPolyMatrix.from_rows(
-        obj["n"], rows, weights if rows else None, ncols=obj["shape"][1]
-    )
+    return HoloPolyMatrix.from_rows(obj["n"], rows, weights if rows else None, ncols=shape[1])
 
 
 def factor_to_obj(factor: WeightedGramFactor) -> dict:
@@ -141,14 +145,6 @@ def obj_to_factor(obj: dict) -> WeightedGramFactor:
     inner["kind"] = "holo_poly_matrix"
     matrix = obj_to_holo({k: v for k, v in inner.items() if k != "target"})
     return WeightedGramFactor(matrix, obj_to_form(obj["target"]))
-
-
-def matrix_to_obj(rows) -> list[list[list[str]]]:
-    return [[gaussian_to_pair(entry) for entry in row] for row in rows]
-
-
-def obj_to_matrix_rows(obj) -> tuple:
-    return tuple(tuple(pair_to_gaussian(pair) for pair in row) for row in obj)
 
 
 def _entries_to_obj(entries) -> list[list]:
@@ -211,11 +207,11 @@ def _obj_to_congruence(obj: dict, matrix: HermitianMatrix) -> SignatureCertifica
 
 
 def certificate_to_obj(cert: SignatureCertificate) -> dict:
-    """A standalone certificate carries its matrix; its inertia is read off D."""
+    """A standalone certificate carries its dense matrix; its inertia is read off D."""
     return {
         "kind": "signature_certificate",
         "size": cert.size,
-        "matrix": matrix_to_obj(cert.matrix.entries),
+        "matrix": [[gaussian_to_pair(c) for c in row.to_gaussians()] for row in cert.matrix.rows],
         **_congruence_to_obj(cert),
     }
 
@@ -224,7 +220,8 @@ def obj_to_certificate(obj: dict) -> SignatureCertificate:
     if obj.get("kind") != "signature_certificate":
         raise ValueError("not a serialized signature certificate")
     _require_keys(obj, CERTIFICATE_KEYS, "a signature certificate")
-    return _obj_to_congruence(obj, HermitianMatrix.from_rows(obj_to_matrix_rows(obj["matrix"])))
+    rows = [[pair_to_gaussian(pair) for pair in row] for row in obj["matrix"]]
+    return _obj_to_congruence(obj, HermitianMatrix.from_rows(rows))
 
 
 def stabilization_to_obj(report: StabilizationReport) -> dict:
@@ -417,17 +414,26 @@ def _proven_verdicts(command: str, verdicts: dict, result: dict) -> dict:
         factor = result.get("factor")
         return {"factorable": neg == 0, "rows": len(factor["rows"]) if factor else 0}
     if command == "stabilize":
-        d_min = result["stabilization"]["d_min"]
-        return {"d_min": d_min, "found": d_min is not None}
+        stabilization = result["stabilization"]
+        d_min = stabilization["d_min"]
+        return {"mode": stabilization["mode"], "d_max": stabilization["d_max"],
+                "d_min": d_min, "found": d_min is not None}
     if command == "symbol":
         ellipticity = result["ellipticity"]
-        return {"verdict": ellipticity["verdict"], "d": ellipticity["d"]}
+        form = obj_to_form(ellipticity["form"])
+        return {"verdict": ellipticity["verdict"], "d": ellipticity["d"],
+                "order": 2 * (bidegree(form) or 0), "complex_dim": form.n,
+                "variety_condition": ellipticity["variety_condition"]}
+    # check's bidegree is not bound: a certificate holds a matrix, not a form.
     return {}
 
 
 def _verify_run_report(obj: dict) -> tuple[bool, str]:
     """Every embedded artifact verifies, and the verdicts say what they prove."""
-    result = obj.get("result")
+    command, verdicts, result = obj.get("command"), obj.get("verdicts"), obj.get("result")
+    if not (isinstance(command, list) and command and all(isinstance(a, str) for a in command)
+            and isinstance(verdicts, dict)):
+        raise ValueError("a run report needs a command list of strings and a verdicts object")
     checked = False
     for item in embedded_artifacts(result):
         ok, reason = verify_obj(item)
@@ -436,8 +442,7 @@ def _verify_run_report(obj: dict) -> tuple[bool, str]:
         checked = True
     if not checked:
         return False, "report embeds no certificates"
-    verdicts = obj["verdicts"]
-    proven = _proven_verdicts(obj["command"][0], verdicts, result)
+    proven = _proven_verdicts(command[0], verdicts, result)
     if any(verdicts.get(key) != value for key, value in proven.items()):
         return False, "verdicts do not match the embedded artifacts"
     return True, "ok"
@@ -452,8 +457,11 @@ def verify_obj(obj: dict) -> tuple[bool, str]:
     from the embedded form, the minimality claims and the factor's target),
     ellipticity reports (the sphere points or the stabilization of the
     embedded form) and run reports (every embedded artifact, and the verdicts
-    they decide).  An artifact not in the current format raises ValueError.
+    they decide).  An artifact not in the current format, or not of an
+    artifact's shape, raises ValueError.
     """
+    if not isinstance(obj, dict):
+        raise ValueError("an artifact must be a JSON object")
     kind = obj.get("kind")
     if kind == "signature_certificate":
         cert = obj_to_certificate(obj)

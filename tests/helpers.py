@@ -16,6 +16,7 @@ from hermfact import (
     SignatureCertificate,
     enumerate_degree,
 )
+from hermfact.hermform import coefficient_basis
 
 # ---------------------------------------------------------------------------
 # canonical instances
@@ -96,6 +97,17 @@ def quadratic_value(matrix: HermitianMatrix, vec) -> GaussianRational:
         for j, vj in enumerate(vec):
             acc = acc + vi.conjugate() * matrix.at(i, j) * vj
     return acc
+
+
+def reference_coefficient_matrix(form: BihermitianForm, mode: str = "auto") -> HermitianMatrix:
+    """The dense construction: a GaussianRational grid filled from the
+    support, then the checked HermitianMatrix.from_rows."""
+    basis = coefficient_basis(form, mode)
+    size = len(basis.pairs)
+    rows = [[GaussianRational()] * size for _ in range(size)]
+    for (i, j, alpha, beta), coeff in form.support.items():
+        rows[basis.index(i, alpha)][basis.index(j, beta)] = coeff
+    return HermitianMatrix.from_rows(rows)
 
 
 # ---------------------------------------------------------------------------

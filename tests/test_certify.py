@@ -6,6 +6,7 @@ import pytest
 
 from hermfact import (
     GaussianRational,
+    GaussianRow,
     HermitianMatrix,
     coefficient_matrix,
     gram,
@@ -297,7 +298,8 @@ def _tamperings(cert):
         yield {"transform": w_rows(((-1, one),))}
         yield {"transform": w_rows(tuple(reversed(tuple(sorted(entries.items())))))}
     yield {"transform": cert.transform[:last]}
-    yield {"matrix": HermitianMatrix(_bump_entry(cert.matrix.entries, n // 2, last, one))}
+    bumped = _bump_entry(cert.matrix.entries, n // 2, last, one)
+    yield {"matrix": HermitianMatrix(tuple(GaussianRow.from_entries(n, enumerate(row)) for row in bumped))}
     yield {"diag": cert.diag[:last] + (-cert.diag[last],)}
     yield {"permutation": (0,) * n}
     if cert.blocks:

@@ -412,6 +412,11 @@ def test_verify_binds_run_report_verdicts(capsys, tmp_path):
         (["factor", "-e", DIAGONAL_QUARTIC], "rows", 3),
         (["symbol", "-e", DIAGONAL_QUARTIC], "verdict", "not_certified"),
         (["symbol", "-e", DIAGONAL_QUARTIC], "d", 0),
+        (["stabilize", "-e", INDEFINITE_QUARTIC, "--dmax", "5"], "mode", "semi"),
+        (["stabilize", "-e", INDEFINITE_QUARTIC, "--dmax", "5"], "d_max", 6),
+        (["symbol", "-e", "x1^2+x2^2"], "order", 4),
+        (["symbol", "-e", "x1^2+x2^2"], "complex_dim", 2),
+        (["symbol", "-e", "x1^2+x2^2"], "variety_condition", "holds"),
     ],
 )
 def test_verify_rejects_each_rewritten_verdict(capsys, tmp_path, argv, field, value):
@@ -423,3 +428,59 @@ def test_verify_rejects_each_rewritten_verdict(capsys, tmp_path, argv, field, va
     path.write_text(json.dumps(report))
     code, out, _ = run(capsys, ["verify", str(path)])
     assert code == 1 and json.loads(out)["reason"] == "verdicts do not match the embedded artifacts"
+
+
+
+def _stabilization_form_list(capsys):
+    report = json.loads(run(capsys, ["stabilize", "-e", INDEFINITE_QUARTIC, "--dmax", "5"])[1])
+    report["result"]["stabilization"]["form"] = []
+    return report
+
+
+def _verdicts_list(capsys):
+    report = json.loads(run(capsys, ["stabilize", "-e", INDEFINITE_QUARTIC, "--dmax", "5"])[1])
+    report["verdicts"] = []
+    return report
+
+
+def _command_string(capsys):
+    # command[0] of the string is "s", a command with no bound verdicts
+    report = json.loads(run(capsys, ["stabilize", "-e", INDEFINITE_QUARTIC, "--dmax", "5"])[1])
+    report["command"] = "stabilize"
+    return report
+
+
+def _factor_shape_of_one(capsys):
+    report = json.loads(run(capsys, ["factor", "-e", DIAGONAL_QUARTIC])[1])
+    report["result"]["factor"]["shape"] = [4]
+    return report
+
+
+def _witness_pair_of_one(capsys):
+    report = json.loads(run(capsys, ["check", "-e", SQUARE_DIFFERENCE, "--mode", "semi"])[1])
+    report["result"]["certificate"]["witness"][0] = ["1"]
+    return report
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda capsys: [1, 2],
+        lambda capsys: "x",
+        lambda capsys: 5,
+        lambda capsys: None,
+        _stabilization_form_list,
+        _verdicts_list,
+        _command_string,
+        _witness_pair_of_one,
+        _factor_shape_of_one,
+    ],
+    ids=["list", "string", "number", "null", "form_list", "verdicts_list", "command_string",
+         "witness_pair_of_one", "factor_shape_of_one"],
+)
+def test_verify_malformed_shapes_are_input_errors(capsys, tmp_path, make):
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(make(capsys)))
+    code, out, err = run(capsys, ["verify", str(path)])
+    assert code == 2 and out == "" and err.startswith("error: ")
+    assert "Traceback" not in err
