@@ -76,10 +76,17 @@ def _mirror_certificates(args, report: dict) -> None:
         (directory / name).write_text(serialize.pretty_json(item))
 
 
-def _finish(args, command: list[str], input_text: str, verdicts: dict, result: dict,
-            started: float, stdout: str | None = None) -> dict:
-    """Assemble the run report, mirror its artifacts, and write it to --out and
-    to stdout (or `stdout` instead, when given)."""
+def _finish(args, command: list[str], input_text: str, result: dict, started: float,
+            stdout: str | None = None, unbound=None) -> dict:
+    """Assemble the run report, with the verdicts `serialize.run_verdicts`
+    derives from `result` (and, for the command of `serialize.UNBOUND_VERDICT`,
+    that verdict, valued `unbound`, which no artifact decides), mirror its
+    artifacts, and write it to --out and to stdout (or `stdout` instead, when
+    given)."""
+    verdicts = serialize.run_verdicts(command, result)
+    unbound_command, unbound_key = serialize.UNBOUND_VERDICT
+    if command[0] == unbound_command:
+        verdicts[unbound_key] = unbound
     report = {
         "kind": "run_report",
         "command": command,
@@ -104,18 +111,10 @@ def cmd_check(args) -> int:
         matrix, basis = coefficient_matrix(form)
     except ValueError as exc:
         raise InputProblem(str(exc)) from exc
-    cert = ldl_signature(matrix)
-    passes = cert.is_positive_definite() if args.mode == "strict" else cert.is_positive_semidefinite()
-    verdicts = {
-        "mode": args.mode,
-        "passes": passes,
-        "inertia": {"pos": cert.n_pos, "neg": cert.n_neg, "zero": cert.n_zero},
-        "matrix_size": matrix.size,
-        "bidegree": basis.bidegree,
-    }
-    _finish(args, ["check", "--mode", args.mode], text, verdicts,
-            {"certificate": serialize.certificate_to_obj(cert)}, started)
-    return EXIT_PASS if passes else EXIT_FAIL
+    result = {"certificate": serialize.certificate_to_obj(ldl_signature(matrix))}
+    report = _finish(args, ["check", "--mode", args.mode], text, result, started,
+                     unbound=basis.bidegree)
+    return EXIT_PASS if report["verdicts"]["passes"] else EXIT_FAIL
 
 
 def cmd_stabilize(args) -> int:
@@ -125,14 +124,8 @@ def cmd_stabilize(args) -> int:
         report = find_minimal_d(form, args.mode, args.dmax)
     except ValueError as exc:
         raise InputProblem(str(exc)) from exc
-    verdicts = {
-        "mode": args.mode,
-        "d_max": args.dmax,
-        "d_min": report.d_min,
-        "found": report.found(),
-    }
     _finish(args, ["stabilize", "--mode", args.mode, "--dmax", str(args.dmax)], text,
-            verdicts, {"stabilization": serialize.stabilization_to_obj(report)}, started)
+            {"stabilization": serialize.stabilization_to_obj(report)}, started)
     return EXIT_PASS if report.found() else EXIT_INCONCLUSIVE
 
 
@@ -144,35 +137,33 @@ def cmd_factor(args) -> int:
         matrix, basis = coefficient_matrix(shifted, mode="bidegree")
     except ValueError as exc:
         raise InputProblem(str(exc)) from exc
+    command = ["factor", "--d", str(args.d)]
     cert = ldl_signature(matrix)
-    factor = _positive_factor(shifted, cert, basis) if cert.is_positive_semidefinite() else None
-    result: dict = {"certificate": serialize.certificate_to_obj(cert)}
-    verdicts = {
-        "d": args.d,
-        "factorable": factor is not None,
-        "rows": len(factor.matrix.rows) if factor is not None else 0,
-    }
-    if factor is not None:
-        result["factor"] = serialize.factor_to_obj(factor)
-        if args.numeric:
-            numeric = numeric_factor(factor, args.float_digits)
-            result["numeric_factor"] = {
-                "kind": "numeric_factor",
-                "float_digits": args.float_digits,
-                "rows": [
-                    [
-                        {
-                            "alpha": list(alpha),
-                            "value": [coeff.real, coeff.imag],
-                        }
-                        for poly in row
-                        for alpha, coeff in sorted(poly.items())
-                    ]
-                    for row in numeric.rows
-                ],
-            }
-    _finish(args, ["factor", "--d", str(args.d)], text, verdicts, result, started)
-    return EXIT_PASS if factor is not None else EXIT_FAIL
+    if not cert.is_positive_semidefinite():
+        # Only a failing certificate is kept: a factor proves PSD by itself.
+        _finish(args, command, text, {"certificate": serialize.certificate_to_obj(cert)}, started)
+        return EXIT_FAIL
+    factor = _positive_factor(shifted, cert, basis)
+    result = {"factor": serialize.factor_to_obj(factor)}
+    if args.numeric:
+        numeric = numeric_factor(factor, args.float_digits)
+        result["numeric_factor"] = {
+            "kind": "numeric_factor",
+            "float_digits": args.float_digits,
+            "rows": [
+                [
+                    {
+                        "alpha": list(alpha),
+                        "value": [coeff.real, coeff.imag],
+                    }
+                    for poly in row
+                    for alpha, coeff in sorted(poly.items())
+                ]
+                for row in numeric.rows
+            ],
+        }
+    _finish(args, command, text, result, started)
+    return EXIT_PASS
 
 
 def _load_family(args) -> tuple[list[tuple[str, object]], str]:
@@ -220,25 +211,11 @@ def cmd_sweep(args) -> int:
             writer.writerow([row.label, report.d_min, report.steps[-1].size, elapsed])
         else:
             writer.writerow([row.label, "absent", "", elapsed])
-        table.append(
-            {
-                "label": row.label,
-                "d_min": report.d_min,
-                "stabilization": serialize.stabilization_to_obj(report),
-            }
-        )
+        table.append({"label": row.label, "stabilization": serialize.stabilization_to_obj(report)})
     csv_text = buffer.getvalue()
     if args.csv:
         Path(args.csv).write_text(csv_text)
-    verdicts = {
-        "mode": args.mode,
-        "d_max": args.dmax,
-        "rows": [
-            {"label": r["label"], "d_min": r.get("d_min"), "error": r.get("error")}
-            for r in table
-        ],
-    }
-    _finish(args, ["sweep", "--mode", args.mode, "--dmax", str(args.dmax)], text, verdicts,
+    _finish(args, ["sweep", "--mode", args.mode, "--dmax", str(args.dmax)], text,
             {"rows": table}, started, stdout=csv_text)
     return EXIT_PASS
 
@@ -259,31 +236,12 @@ def cmd_symbol(args) -> int:
             report = certify_elliptic_form(form, args.dmax)
     except (ParseError, ValueError, KeyError, json.JSONDecodeError) as exc:
         raise InputProblem(str(exc)) from exc
-    if report.verdict == "certified":
-        rows = len(report.factor.matrix.rows)
-        summary = (
-            f"elliptic: certified at exponent d={report.d}; the lifted symbol is a "
-            f"squared norm of {rows} holomorphic differential operator rows"
-        )
-    elif report.verdict == "not_elliptic":
-        reason = "exact zero" if report.witness_point is not None else "sign change"
-        summary = f"not elliptic: {reason} of the symbol on the unit sphere"
-    else:
-        summary = f"not certified up to d={args.dmax}"
-    verdicts = {
-        "verdict": report.verdict,
-        "d": report.d,
-        "order": report.order,
-        "complex_dim": report.form.n,
-        "variety_condition": report.variety_condition,
-        "summary": summary,
-    }
     result = {"ellipticity": serialize.ellipticity_to_obj(report)}
     if report.factor is not None:
         result["operator_rows"] = [
             format_diff_operator_row(row, weight) for weight, row in report.factor.rows
         ]
-    _finish(args, ["symbol", "--dmax", str(args.dmax)], text, verdicts, result, started)
+    _finish(args, ["symbol", "--dmax", str(args.dmax)], text, result, started)
     if report.verdict == "certified":
         return EXIT_PASS
     if report.verdict == "not_elliptic":
@@ -298,16 +256,11 @@ def cmd_decompose(args) -> int:
         positive, negative = difference_of_squares(form)
     except ValueError as exc:
         raise InputProblem(str(exc)) from exc
-    verdicts = {
-        "positive_rank": len(positive.matrix.rows),
-        "negative_rank": len(negative.matrix.rows),
-        "sum_of_squares": len(negative.matrix.rows) == 0,
-    }
     result = {
         "positive": serialize.factor_to_obj(positive),
         "negative": serialize.factor_to_obj(negative),
     }
-    _finish(args, ["decompose"], text, verdicts, result, started)
+    _finish(args, ["decompose"], text, result, started)
     return EXIT_PASS
 
 

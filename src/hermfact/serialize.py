@@ -157,7 +157,7 @@ CERTIFICATE_KEYS = CONGRUENCE_KEYS | {"kind", "size", "matrix"}
 STABILIZATION_KEYS = frozenset({"kind", "mode", "d_max", "d_min", "form", "trail", "factor"})
 ELLIPTICITY_KEYS = frozenset({
     "kind", "form", "verdict", "d", "witness_point", "sign_change", "sign_flipped",
-    "variety_condition", "stabilization",
+    "stabilization",
 })
 
 
@@ -167,9 +167,10 @@ def _require_keys(obj, keys: frozenset, what: str) -> None:
         raise ValueError(f"{FORMAT_ERROR}: {what} must have exactly the keys {names}")
 
 
-def _require_mode(mode) -> None:
+def _require_mode(mode) -> str:
     if mode not in MODES:
         raise ValueError(f"{FORMAT_ERROR}: mode must be one of {', '.join(MODES)}, not {mode!r}")
+    return mode
 
 
 def _obj_to_entries(items) -> tuple:
@@ -254,7 +255,6 @@ def ellipticity_to_obj(report: EllipticityReport) -> dict:
         if report.sign_pair
         else None,
         "sign_flipped": report.sign_flipped,
-        "variety_condition": report.variety_condition,
         "stabilization": stabilization_to_obj(report.stabilization)
         if report.stabilization
         else None,
@@ -396,54 +396,126 @@ def _verify_ellipticity(obj: dict) -> tuple[bool, str]:
     return True, "ok"
 
 
-def _proven_verdicts(command: str, verdicts: dict, result: dict) -> dict:
-    """The run-report verdict fields that the verified artifacts in `result`
-    decide, with the values they decide."""
-    if command in ("check", "factor"):
-        cert = result["certificate"]
-        pos, neg = inertia_of_d([Fraction(d) for d in cert["diag"]], cert["blocks"])
-    if command == "check":
-        _require_mode(verdicts["mode"])
-        size = cert["size"]
-        return {
-            "passes": pos == size if verdicts["mode"] == "strict" else neg == 0,
-            "inertia": {"pos": pos, "neg": neg, "zero": size - pos - neg},
-            "matrix_size": size,
-        }
-    if command == "factor":
-        factor = result.get("factor")
-        return {"factorable": neg == 0, "rows": len(factor["rows"]) if factor else 0}
-    if command == "stabilize":
-        stabilization = result["stabilization"]
-        d_min = stabilization["d_min"]
-        return {"mode": stabilization["mode"], "d_max": stabilization["d_max"],
-                "d_min": d_min, "found": d_min is not None}
-    if command == "symbol":
-        ellipticity = result["ellipticity"]
+# The one verdict that no artifact decides: a certificate holds a matrix, not
+# the form it came from.
+UNBOUND_VERDICT = ("check", "bidegree")
+
+
+def _artifact(container, key: str, kind: str) -> dict:
+    """container[key], which must be an artifact of `kind` in a container that
+    is not itself an artifact: the walk over a run report's embedded
+    artifacts, which stops at an artifact, has then verified it."""
+    if not isinstance(container, dict) or container.get("kind") in ARTIFACT_KINDS:
+        raise ValueError(f"a run report's {key} must sit in an object that is not an artifact")
+    item = container.get(key)
+    if not isinstance(item, dict) or item.get("kind") != kind:
+        raise ValueError(f"a run report's {key} must be a {kind}")
+    return item
+
+
+def _option(command: list[str], flag: str) -> str:
+    if flag not in command[1:-1]:
+        raise ValueError(f"a {command[0]} run report's command needs {flag}")
+    return command[command.index(flag) + 1]
+
+
+def _search_bounds(command: list[str]) -> tuple[str, int]:
+    return _require_mode(_option(command, "--mode")), int(_option(command, "--dmax"))
+
+
+def _require_searched(stabilization: dict, mode: str, d_max: int, what: str) -> None:
+    if (stabilization["mode"], stabilization["d_max"]) != (mode, d_max):
+        raise ValueError(f"{what} was not searched with the command's --mode and --dmax")
+
+
+def _inertia(cert: dict) -> tuple[int, int]:
+    return inertia_of_d([Fraction(d) for d in cert["diag"]], cert["blocks"])
+
+
+def _symbol_summary(ellipticity: dict) -> str:
+    verdict, stabilization = ellipticity["verdict"], ellipticity["stabilization"]
+    if verdict == "certified":
+        return (f"elliptic: certified at exponent d={ellipticity['d']}; the lifted symbol is a "
+                f"squared norm of {len(stabilization['factor']['rows'])} holomorphic "
+                "differential operator rows")
+    if verdict == "not_elliptic":
+        reason = "exact zero" if ellipticity["witness_point"] is not None else "sign change"
+        return f"not elliptic: {reason} of the symbol on the unit sphere"
+    return f"not certified up to d={stabilization['d_max']}"
+
+
+def run_verdicts(command: list[str], result: dict) -> dict:
+    """The verdict block of a run report: what the artifacts in `result`
+    prove, with the options of `command` that no artifact records.  The CLI
+    adds the UNBOUND_VERDICT to a `check` block."""
+    name = command[0]
+    if name == "check":
+        mode = _require_mode(_option(command, "--mode"))
+        cert = _artifact(result, "certificate", "signature_certificate")
+        (pos, neg), size = _inertia(cert), cert["size"]
+        return {"mode": mode, "passes": pos == size if mode == "strict" else neg == 0,
+                "inertia": {"pos": pos, "neg": neg, "zero": size - pos - neg}, "matrix_size": size}
+    if name == "stabilize":
+        mode, d_max = _search_bounds(command)
+        stabilization = _artifact(result, "stabilization", "stabilization_report")
+        _require_searched(stabilization, mode, d_max, "the stabilization")
+        return {"mode": mode, "d_max": d_max,
+                "d_min": stabilization["d_min"], "found": stabilization["d_min"] is not None}
+    if name == "factor":
+        # A factor proves PSD, so the certificate is there only to prove that
+        # no factor exists.
+        d = int(_option(command, "--d"))
+        if "factor" not in result:
+            if _inertia(_artifact(result, "certificate", "signature_certificate"))[1] == 0:
+                raise ValueError("a factor report with a PSD certificate must carry its factor")
+            return {"d": d, "factorable": False, "rows": 0}
+        if "certificate" in result:
+            raise ValueError("a factor report carries its factor or its certificate, not both")
+        rows = len(_artifact(result, "factor", "weighted_gram_factor")["rows"])
+        return {"d": d, "factorable": True, "rows": rows}
+    if name == "sweep":
+        mode, d_max = _search_bounds(command)
+        rows = []
+        for row in result["rows"]:
+            verdict = {"label": row["label"], "d_min": None, "error": row.get("error")}
+            if verdict["error"] is None:
+                stabilization = _artifact(row, "stabilization", "stabilization_report")
+                _require_searched(stabilization, mode, d_max, f"sweep row {row['label']!r}")
+                verdict["d_min"] = stabilization["d_min"]
+            rows.append(verdict)
+        return {"mode": mode, "d_max": d_max, "rows": rows}
+    if name == "symbol":
+        ellipticity = _artifact(result, "ellipticity", "ellipticity_report")
+        if ellipticity["stabilization"] is not None:
+            # The ellipticity check has made this a strict search.
+            _require_searched(ellipticity["stabilization"], "strict",
+                              int(_option(command, "--dmax")), "the symbol's stabilization")
         form = obj_to_form(ellipticity["form"])
         return {"verdict": ellipticity["verdict"], "d": ellipticity["d"],
                 "order": 2 * (bidegree(form) or 0), "complex_dim": form.n,
-                "variety_condition": ellipticity["variety_condition"]}
-    # check's bidegree is not bound: a certificate holds a matrix, not a form.
-    return {}
+                "summary": _symbol_summary(ellipticity)}
+    if name == "decompose":
+        positive = len(_artifact(result, "positive", "weighted_gram_factor")["rows"])
+        negative = len(_artifact(result, "negative", "weighted_gram_factor")["rows"])
+        return {"positive_rank": positive, "negative_rank": negative,
+                "sum_of_squares": negative == 0}
+    raise ValueError(f"unknown run report command {name!r}")
 
 
 def _verify_run_report(obj: dict) -> tuple[bool, str]:
-    """Every embedded artifact verifies, and the verdicts say what they prove."""
+    """Every embedded artifact verifies, and the verdicts are exactly those
+    that `run_verdicts` derives from them, besides the UNBOUND_VERDICT."""
     command, verdicts, result = obj.get("command"), obj.get("verdicts"), obj.get("result")
     if not (isinstance(command, list) and command and all(isinstance(a, str) for a in command)
-            and isinstance(verdicts, dict)):
-        raise ValueError("a run report needs a command list of strings and a verdicts object")
-    checked = False
+            and isinstance(verdicts, dict) and isinstance(result, dict)):
+        raise ValueError("a run report needs a command list of strings, a verdicts object "
+                         "and a result object")
     for item in embedded_artifacts(result):
         ok, reason = verify_obj(item)
         if not ok:
             return False, reason
-        checked = True
-    if not checked:
-        return False, "report embeds no certificates"
-    proven = _proven_verdicts(command[0], verdicts, result)
-    if any(verdicts.get(key) != value for key, value in proven.items()):
+    claimed = {k: v for k, v in verdicts.items() if (command[0], k) != UNBOUND_VERDICT}
+    if claimed != run_verdicts(command, result):
         return False, "verdicts do not match the embedded artifacts"
     return True, "ok"
 

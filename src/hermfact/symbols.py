@@ -233,11 +233,6 @@ class EllipticityReport:
     sign_pair: tuple | None
     sign_flipped: bool
     stabilization: StabilizationReport | None
-    variety_condition: str = "not checked"
-
-    @property
-    def order(self) -> int:
-        return 2 * (bidegree(self.form) or 0)
 
     @property
     def factor(self) -> WeightedGramFactor | None:

@@ -1,4 +1,6 @@
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
 
@@ -79,6 +81,7 @@ def test_factor_command(capsys):
     assert code == 0
     report = json.loads(out)
     assert report["verdicts"]["rows"] == 2
+    assert "certificate" not in report["result"]
     ok, reason = serialize.verify_obj(report["result"]["factor"])
     assert ok, reason
 
@@ -86,6 +89,7 @@ def test_factor_command(capsys):
     assert code == 1
     report = json.loads(out)
     assert report["result"]["certificate"]["witness"] is not None
+    assert "factor" not in report["result"]
 
     code, out, _ = run(capsys, ["factor", "-e", INDEFINITE_QUARTIC, "--d", "1", "--numeric"])
     assert code == 0
@@ -137,9 +141,22 @@ def test_sweep_command(capsys, tmp_path):
 def test_sweep_empty_family(capsys, tmp_path):
     family_file = tmp_path / "empty.json"
     family_file.write_text("[]")
-    code, out, _ = run(capsys, ["sweep", str(family_file), "--mode", "strict"])
+    out_file = tmp_path / "report.json"
+    code, out, _ = run(
+        capsys, ["sweep", str(family_file), "--mode", "strict", "--out", str(out_file)]
+    )
     assert code == 0
     assert out.strip() == "label,d_min,matrix_size_at_d_min,elapsed_seconds"
+    assert run(capsys, ["verify", str(out_file)])[:2] == (0, '{"valid": true, "reason": "ok"}\n')
+
+
+def test_sweep_all_error_family_verifies(capsys, tmp_path):
+    family = json.dumps([{"label": "b", "expr": "1 + z1*zb1"}])
+    out_file = tmp_path / "report.json"
+    code, out, _ = run(capsys, ["sweep", "-e", family, "--out", str(out_file)])
+    assert code == 0 and out.splitlines()[1].startswith("b,error,")
+    assert json.loads(out_file.read_text())["verdicts"]["rows"][0]["error"]
+    assert run(capsys, ["verify", str(out_file)])[:2] == (0, '{"valid": true, "reason": "ok"}\n')
 
 
 def test_symbol_command(capsys):
@@ -401,6 +418,9 @@ def test_verify_binds_run_report_verdicts(capsys, tmp_path):
     assert json.loads(out) == {"valid": False, "reason": "verdicts do not match the embedded artifacts"}
 
 
+SWEEP_ONE = ["sweep", "-e", json.dumps([{"label": "q", "expr": INDEFINITE_QUARTIC}]), "--dmax", "5"]
+
+
 @pytest.mark.parametrize(
     "argv, field, value",
     [
@@ -416,15 +436,29 @@ def test_verify_binds_run_report_verdicts(capsys, tmp_path):
         (["stabilize", "-e", INDEFINITE_QUARTIC, "--dmax", "5"], "d_max", 6),
         (["symbol", "-e", "x1^2+x2^2"], "order", 4),
         (["symbol", "-e", "x1^2+x2^2"], "complex_dim", 2),
-        (["symbol", "-e", "x1^2+x2^2"], "variety_condition", "holds"),
+        (SWEEP_ONE, "rows", [{"label": "q", "d_min": 2, "error": None}]),
+        (["decompose", "-e", SQUARE_DIFFERENCE], "sum_of_squares", True),
+        (["symbol", "-e", "x1^2+x2^2"], "summary", "elliptic"),
+        (["factor", "-e", DIAGONAL_QUARTIC], "d", 1),
     ],
 )
 def test_verify_rejects_each_rewritten_verdict(capsys, tmp_path, argv, field, value):
-    _, out, _ = run(capsys, argv)
-    report = json.loads(out)
+    path = tmp_path / "report.json"
+    run(capsys, argv + ["--out", str(path)])
+    report = json.loads(path.read_text())
     assert report["verdicts"][field] != value
     report["verdicts"][field] = value
+    path.write_text(json.dumps(report))
+    code, out, _ = run(capsys, ["verify", str(path)])
+    assert code == 1 and json.loads(out)["reason"] == "verdicts do not match the embedded artifacts"
+
+
+def test_verify_rejects_an_extra_verdict(capsys, tmp_path):
     path = tmp_path / "report.json"
+    run(capsys, ["check", "-e", DIAGONAL_QUARTIC, "--mode", "strict", "--out", str(path)])
+    report = json.loads(path.read_text())
+    assert "note" not in report["verdicts"]
+    report["verdicts"]["note"] = "definite"
     path.write_text(json.dumps(report))
     code, out, _ = run(capsys, ["verify", str(path)])
     assert code == 1 and json.loads(out)["reason"] == "verdicts do not match the embedded artifacts"
@@ -456,6 +490,68 @@ def _factor_shape_of_one(capsys):
     return report
 
 
+def _verdicts_from_unverified_object(capsys):
+    # The certificate without its kind escapes the artifact walk; a valid
+    # spare certificate stands in for it.
+    report = json.loads(run(capsys, ["check", "-e", "z1*zb1 - z2*zb2", "--mode", "semi"])[1])
+    spare = json.loads(run(capsys, ["check", "-e", "z1*zb1 + z2*zb2", "--mode", "semi"])[1])
+    cert = report["result"]["certificate"]
+    del cert["kind"]
+    cert["diag"], cert["witness"] = ["1", "1"], None
+    report["result"]["spare"] = spare["result"]["certificate"]
+    report["verdicts"]["passes"] = True
+    report["verdicts"]["inertia"] = {"pos": 2, "neg": 0, "zero": 0}
+    return report
+
+
+def _result_is_a_factor_with_forged_certificate(capsys):
+    # The walk stops at the factor that `result` has become, so the forged
+    # certificate inside it is never verified.
+    report = json.loads(run(capsys, ["check", "-e", "z1*zb1 - z2*zb2", "--mode", "semi"])[1])
+    factor = json.loads(run(capsys, ["factor", "-e", DIAGONAL_QUARTIC])[1])["result"]["factor"]
+    cert = report["result"]["certificate"]
+    cert["diag"], cert["witness"] = ["1", "1"], None
+    report["result"] = {**factor, "certificate": cert}
+    report["verdicts"]["passes"] = True
+    report["verdicts"]["inertia"] = {"pos": 2, "neg": 0, "zero": 0}
+    return report
+
+
+def _sweep_row_is_a_factor(capsys):
+    # The walk stops at the row, which carries a factor's kind, so its
+    # rewritten stabilization is never verified.
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "sweep.json"
+        run(capsys, SWEEP_ONE + ["--out", str(path)])
+        report = json.loads(path.read_text())
+    factor = json.loads(run(capsys, ["factor", "-e", DIAGONAL_QUARTIC])[1])["result"]["factor"]
+    row = report["result"]["rows"][0]
+    row["stabilization"]["d_min"] = 0
+    report["result"]["rows"][0] = {**factor, **row}
+    report["verdicts"]["rows"][0]["d_min"] = 0
+    return report
+
+
+def _factor_report_with_certificate_too(capsys):
+    report = json.loads(run(capsys, ["factor", "-e", DIAGONAL_QUARTIC])[1])
+    check = json.loads(run(capsys, ["check", "-e", DIAGONAL_QUARTIC, "--mode", "semi"])[1])
+    report["result"]["certificate"] = check["result"]["certificate"]
+    return report
+
+
+def _factor_report_with_neither(capsys):
+    report = json.loads(run(capsys, ["factor", "-e", DIAGONAL_QUARTIC])[1])
+    del report["result"]["factor"]
+    return report
+
+
+def _factor_report_with_psd_certificate_only(capsys):
+    report = _factor_report_with_certificate_too(capsys)
+    del report["result"]["factor"]
+    report["verdicts"].update(factorable=False, rows=0)
+    return report
+
+
 def _witness_pair_of_one(capsys):
     report = json.loads(run(capsys, ["check", "-e", SQUARE_DIFFERENCE, "--mode", "semi"])[1])
     report["result"]["certificate"]["witness"][0] = ["1"]
@@ -474,9 +570,17 @@ def _witness_pair_of_one(capsys):
         _command_string,
         _witness_pair_of_one,
         _factor_shape_of_one,
+        _verdicts_from_unverified_object,
+        _result_is_a_factor_with_forged_certificate,
+        _sweep_row_is_a_factor,
+        _factor_report_with_certificate_too,
+        _factor_report_with_neither,
+        _factor_report_with_psd_certificate_only,
     ],
     ids=["list", "string", "number", "null", "form_list", "verdicts_list", "command_string",
-         "witness_pair_of_one", "factor_shape_of_one"],
+         "witness_pair_of_one", "factor_shape_of_one", "verdicts_from_unverified_object",
+         "result_is_a_factor", "sweep_row_is_a_factor",
+         "factor_with_certificate_too", "factor_with_neither", "factor_psd_certificate_only"],
 )
 def test_verify_malformed_shapes_are_input_errors(capsys, tmp_path, make):
     path = tmp_path / "malformed.json"
@@ -484,3 +588,20 @@ def test_verify_malformed_shapes_are_input_errors(capsys, tmp_path, make):
     code, out, err = run(capsys, ["verify", str(path)])
     assert code == 2 and out == "" and err.startswith("error: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [SWEEP_ONE, ["stabilize", "-e", INDEFINITE_QUARTIC, "--dmax", "5"],
+     ["symbol", "-e", "x1^2+x2^2", "--dmax", "16"]],
+    ids=["sweep", "stabilize", "symbol"],
+)
+def test_verify_refuses_a_search_other_than_the_command(capsys, tmp_path, argv):
+    path = tmp_path / "report.json"
+    run(capsys, argv + ["--out", str(path)])
+    report = json.loads(path.read_text())
+    assert report["command"][-2] == "--dmax"
+    report["command"][-1] = str(int(report["command"][-1]) + 1)
+    path.write_text(json.dumps(report))
+    code, out, err = run(capsys, ["verify", str(path)])
+    assert code == 2 and out == "" and "--mode and --dmax" in err

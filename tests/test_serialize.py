@@ -191,7 +191,6 @@ def test_ellipticity_report_serialization():
     ok, reason = serialize.verify_obj(json.loads(json.dumps(obj)))
     assert ok, reason
     assert obj["verdict"] == "certified"
-    assert obj["variety_condition"] == "not checked"
 
 
 def test_artifact_key_sets():
@@ -202,7 +201,7 @@ def test_artifact_key_sets():
     report = serialize.ellipticity_to_obj(certify_elliptic_form(diagonal_quartic(), 4))
     assert set(report) == {
         "kind", "form", "verdict", "d", "witness_point", "sign_change", "sign_flipped",
-        "variety_condition", "stabilization",
+        "stabilization",
     }
     assert report["form"] == report["stabilization"]["form"]
 
