@@ -23,11 +23,11 @@ from pathlib import Path
 
 from . import serialize
 from .certify import ldl_signature
-from .factor import _positive_factor, difference_of_squares, numeric_factor
+from .factor import _positive_factor, difference_of_squares
 from .hermform import coefficient_matrix
 from .parsing import ParseError, parse_expression, parse_real_symbol, uses_real_variables
 from .stabilize import find_minimal_d, multiplier_power, stabilization_sweep
-from .symbols import certify_elliptic, certify_elliptic_form, format_diff_operator_row
+from .symbols import certify_elliptic, certify_elliptic_form
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -143,25 +143,12 @@ def cmd_factor(args) -> int:
         # Only a failing certificate is kept: a factor proves PSD by itself.
         _finish(args, command, text, {"certificate": serialize.certificate_to_obj(cert)}, started)
         return EXIT_FAIL
-    factor = _positive_factor(shifted, cert, basis)
-    result = {"factor": serialize.factor_to_obj(factor)}
-    if args.numeric:
-        numeric = numeric_factor(factor, args.float_digits)
-        result["numeric_factor"] = {
-            "kind": "numeric_factor",
-            "float_digits": args.float_digits,
-            "rows": [
-                [
-                    {
-                        "alpha": list(alpha),
-                        "value": [coeff.real, coeff.imag],
-                    }
-                    for poly in row
-                    for alpha, coeff in sorted(poly.items())
-                ]
-                for row in numeric.rows
-            ],
-        }
+    result = {"factor": serialize.factor_to_obj(_positive_factor(shifted, cert, basis))}
+    try:
+        result.update(serialize.run_renderings(
+            command, result, args.float_digits if args.numeric else None))
+    except ValueError as exc:
+        raise InputProblem(str(exc)) from exc
     _finish(args, command, text, result, started)
     return EXIT_PASS
 
@@ -236,12 +223,10 @@ def cmd_symbol(args) -> int:
             report = certify_elliptic_form(form, args.dmax)
     except (ParseError, ValueError, KeyError, json.JSONDecodeError) as exc:
         raise InputProblem(str(exc)) from exc
+    command = ["symbol", "--dmax", str(args.dmax)]
     result = {"ellipticity": serialize.ellipticity_to_obj(report)}
-    if report.factor is not None:
-        result["operator_rows"] = [
-            format_diff_operator_row(row, weight) for weight, row in report.factor.rows
-        ]
-    _finish(args, ["symbol", "--dmax", str(args.dmax)], text, result, started)
+    result.update(serialize.run_renderings(command, result))
+    _finish(args, command, text, result, started)
     if report.verdict == "certified":
         return EXIT_PASS
     if report.verdict == "not_elliptic":

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .multiindex import (
     MultiIndex,
@@ -300,19 +301,53 @@ def gram(a: HoloPolyMatrix) -> BihermitianForm:
 
     Row weights w_k default to 1.  The result is always Hermitian-symmetric,
     and its coefficient matrix is positive semidefinite by construction.
+
+    Each (column i, monomial alpha) of the factor gets one index, each row k
+    becomes one GaussianRow c_k over those indices, and sum_k w_k c_k c_k* is
+    summed in ints over one common denominator, its upper triangle only.
     """
     s, r = a.shape
-    weights = a.weights if a.weights is not None else tuple(Fraction(1) for _ in range(s))
-    acc: dict[TermKey, GaussianRational] = {}
-    for k in range(s):
-        w = as_gaussian(weights[k])
-        for i in range(r):
-            for j in range(r):
-                for alpha, ca in a.rows[k][i].items():
-                    for beta, cb in a.rows[k][j].items():
-                        key = (i, j, alpha, beta)
-                        acc[key] = acc.get(key, ZERO) + w * ca * cb.conjugate()
-    return BihermitianForm.from_terms(a.n, r, acc)
+    index: dict[tuple[int, MultiIndex], int] = {}
+    for row in a.rows:
+        for i, poly in enumerate(row):
+            for alpha in poly:
+                index.setdefault((i, alpha), len(index))
+    size = len(index)
+    weights = a.weights if a.weights is not None else (Fraction(1),) * s
+    # (numerator of w_k, denominator of w_k c_k c_k*, nonzero (p, re, im) of c_k)
+    scaled = []
+    common = 1
+    for w, row in zip(weights, a.rows):
+        c = GaussianRow.from_entries(size, ((index[(i, alpha)], coeff)
+                                            for i, poly in enumerate(row)
+                                            for alpha, coeff in poly.items()))
+        nz = [(p, c.re[p], c.im[p]) for p in c.nonzero()]
+        if nz:
+            den = w.denominator * c.den * c.den
+            common = lcm(common, den)
+            scaled.append((w.numerator, den, nz))
+    re = [[0] * size for _ in range(size)]
+    im = [[0] * size for _ in range(size)]
+    for num, den, nz in scaled:
+        num *= common // den
+        for t, (p, x, y) in enumerate(nz):
+            nx, ny, re_p, im_p = num * x, num * y, re[p], im[p]
+            for q, u, v in nz[t:]:
+                re_p[q] += nx * u + ny * v
+                im_p[q] += ny * u - nx * v
+    pairs = list(index)
+    support: dict[TermKey, GaussianRational] = {}
+    for p, (i, alpha) in enumerate(pairs):
+        re_p, im_p = re[p], im[p]
+        for q in range(p, size):
+            x, y = re_p[q], im_p[q]
+            if x or y:
+                j, beta = pairs[q]
+                coeff = GaussianRational(Fraction(x, common), Fraction(y, common))
+                support[(i, j, alpha, beta)] = coeff
+                if q != p:
+                    support[(j, i, beta, alpha)] = coeff.conjugate()
+    return BihermitianForm(a.n, r, support)
 
 
 def euclidean_pairing(n: int) -> BihermitianForm:

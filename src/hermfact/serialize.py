@@ -14,7 +14,7 @@ import json
 from fractions import Fraction
 
 from .certify import SignatureCertificate, inertia_of_d
-from .factor import WeightedGramFactor
+from .factor import WeightedGramFactor, numeric_factor
 from .hermform import (
     BihermitianForm,
     HermitianMatrix,
@@ -22,12 +22,11 @@ from .hermform import (
     bidegree,
     coefficient_matrix,
     evaluate_exact,
-    gram,
     scale,
 )
 from .scalars import ZERO, GaussianRational
 from .stabilize import MODES, StabilizationReport, multiplier_shift
-from .symbols import EllipticityReport
+from .symbols import EllipticityReport, format_diff_operator_row
 
 
 def fraction_to_str(x: Fraction) -> str:
@@ -502,9 +501,42 @@ def run_verdicts(command: list[str], result: dict) -> dict:
     raise ValueError(f"unknown run report command {name!r}")
 
 
+# The result keys that render an artifact beside it, and the most digits a
+# numeric rendering is asked for.
+RENDERING_KEYS = ("operator_rows", "numeric_factor")
+MAX_FLOAT_DIGITS = 1000
+
+
+def run_renderings(command: list[str], result: dict, float_digits: int | None = None) -> dict:
+    """The renderings beside the artifacts in `result`, derived from them: a
+    certified symbol's differential operator rows, and, when `float_digits`
+    is given, a factor's floating rendering with weights folded in as square
+    roots good to that many digits."""
+    name = command[0]
+    if name == "symbol":
+        stabilization = _artifact(result, "ellipticity", "ellipticity_report")["stabilization"]
+        if stabilization is not None and stabilization["factor"] is not None:
+            rows = obj_to_factor(stabilization["factor"]).rows
+            return {"operator_rows": [format_diff_operator_row(row, w) for w, row in rows]}
+    if name == "factor" and float_digits is not None and "factor" in result:
+        if type(float_digits) is not int or not 0 <= float_digits <= MAX_FLOAT_DIGITS:
+            raise ValueError(f"float digits must be an integer from 0 to {MAX_FLOAT_DIGITS}")
+        factor = obj_to_factor(_artifact(result, "factor", "weighted_gram_factor"))
+        rows = numeric_factor(factor, float_digits).rows
+        return {"numeric_factor": {
+            "kind": "numeric_factor",
+            "float_digits": float_digits,
+            "rows": [[{"alpha": list(alpha), "value": [coeff.real, coeff.imag]}
+                      for poly in row for alpha, coeff in sorted(poly.items())]
+                     for row in rows],
+        }}
+    return {}
+
+
 def _verify_run_report(obj: dict) -> tuple[bool, str]:
-    """Every embedded artifact verifies, and the verdicts are exactly those
-    that `run_verdicts` derives from them, besides the UNBOUND_VERDICT."""
+    """Every embedded artifact verifies, the verdicts are exactly those that
+    `run_verdicts` derives from them, besides the UNBOUND_VERDICT, and the
+    renderings exactly those that `run_renderings` derives."""
     command, verdicts, result = obj.get("command"), obj.get("verdicts"), obj.get("result")
     if not (isinstance(command, list) and command and all(isinstance(a, str) for a in command)
             and isinstance(verdicts, dict) and isinstance(result, dict)):
@@ -517,6 +549,11 @@ def _verify_run_report(obj: dict) -> tuple[bool, str]:
     claimed = {k: v for k, v in verdicts.items() if (command[0], k) != UNBOUND_VERDICT}
     if claimed != run_verdicts(command, result):
         return False, "verdicts do not match the embedded artifacts"
+    numeric = result.get("numeric_factor")
+    digits = numeric.get("float_digits") if isinstance(numeric, dict) else None
+    rendered = {key: result[key] for key in RENDERING_KEYS if key in result}
+    if rendered != run_renderings(command, result, digits):
+        return False, "renderings do not match the embedded artifacts"
     return True, "ok"
 
 
@@ -529,8 +566,8 @@ def verify_obj(obj: dict) -> tuple[bool, str]:
     from the embedded form, the minimality claims and the factor's target),
     ellipticity reports (the sphere points or the stabilization of the
     embedded form) and run reports (every embedded artifact, and the verdicts
-    they decide).  An artifact not in the current format, or not of an
-    artifact's shape, raises ValueError.
+    and renderings derived from them).  An artifact not in the current
+    format, or not of an artifact's shape, raises ValueError.
     """
     if not isinstance(obj, dict):
         raise ValueError("an artifact must be a JSON object")
@@ -541,12 +578,8 @@ def verify_obj(obj: dict) -> tuple[bool, str]:
             return False, "component sizes disagree"
         return cert.verify()
     if kind == "weighted_gram_factor":
-        factor = obj_to_factor(obj)
-        if factor.matrix.weights is not None and any(
-            w <= 0 for w in factor.matrix.weights
-        ):
-            return False, "nonpositive weight"
-        if gram(factor.matrix) != factor.target:
+        # Decoding has checked that every weight is positive.
+        if not obj_to_factor(obj).reconstructs_target():
             return False, "factor does not reconstruct its target"
         return True, "ok"
     if kind == "stabilization_report":

@@ -16,7 +16,8 @@ from hermfact import (
     SignatureCertificate,
     enumerate_degree,
 )
-from hermfact.hermform import coefficient_basis
+from hermfact.hermform import TermKey, coefficient_basis
+from hermfact.scalars import as_gaussian
 
 # ---------------------------------------------------------------------------
 # canonical instances
@@ -108,6 +109,28 @@ def reference_coefficient_matrix(form: BihermitianForm, mode: str = "auto") -> H
     for (i, j, alpha, beta), coeff in form.support.items():
         rows[basis.index(i, alpha)][basis.index(j, beta)] = coeff
     return HermitianMatrix.from_rows(rows)
+
+
+# The per-term dict arithmetic that the integer kernel of hermform.gram
+# replaced; the property tests hold gram to it.
+def reference_gram(a: HoloPolyMatrix) -> BihermitianForm:
+    """The r-by-r kernel F_ij(z, wbar) = sum_k w_k * A_ki(z) * conj(A_kj(w)).
+
+    Row weights w_k default to 1.  The result is always Hermitian-symmetric,
+    and its coefficient matrix is positive semidefinite by construction.
+    """
+    s, r = a.shape
+    weights = a.weights if a.weights is not None else tuple(Fraction(1) for _ in range(s))
+    acc: dict[TermKey, GaussianRational] = {}
+    for k in range(s):
+        w = as_gaussian(weights[k])
+        for i in range(r):
+            for j in range(r):
+                for alpha, ca in a.rows[k][i].items():
+                    for beta, cb in a.rows[k][j].items():
+                        key = (i, j, alpha, beta)
+                        acc[key] = acc.get(key, ZERO) + w * ca * cb.conjugate()
+    return BihermitianForm.from_terms(a.n, r, acc)
 
 
 # ---------------------------------------------------------------------------

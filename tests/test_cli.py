@@ -552,6 +552,27 @@ def _factor_report_with_psd_certificate_only(capsys):
     return report
 
 
+def _factor_weight(capsys, weight):
+    report = json.loads(run(capsys, ["factor", "-e", DIAGONAL_QUARTIC])[1])
+    report["result"]["factor"]["rows"][0]["weight"] = weight
+    return report
+
+
+def _factor_weight_zero(capsys):
+    return _factor_weight(capsys, "0")
+
+
+def _factor_weight_negative(capsys):
+    return _factor_weight(capsys, "-1")
+
+
+def _numeric_float_digits(capsys, digits):
+    argv = ["factor", "-e", DIAGONAL_QUARTIC, "--numeric"]
+    report = json.loads(run(capsys, argv)[1])
+    report["result"]["numeric_factor"]["float_digits"] = digits
+    return report
+
+
 def _witness_pair_of_one(capsys):
     report = json.loads(run(capsys, ["check", "-e", SQUARE_DIFFERENCE, "--mode", "semi"])[1])
     report["result"]["certificate"]["witness"][0] = ["1"]
@@ -576,11 +597,17 @@ def _witness_pair_of_one(capsys):
         _factor_report_with_certificate_too,
         _factor_report_with_neither,
         _factor_report_with_psd_certificate_only,
+        _factor_weight_zero,
+        _factor_weight_negative,
+        lambda capsys: _numeric_float_digits(capsys, "12"),
+        lambda capsys: _numeric_float_digits(capsys, 10**9),
     ],
     ids=["list", "string", "number", "null", "form_list", "verdicts_list", "command_string",
          "witness_pair_of_one", "factor_shape_of_one", "verdicts_from_unverified_object",
          "result_is_a_factor", "sweep_row_is_a_factor",
-         "factor_with_certificate_too", "factor_with_neither", "factor_psd_certificate_only"],
+         "factor_with_certificate_too", "factor_with_neither", "factor_psd_certificate_only",
+         "factor_weight_zero", "factor_weight_negative", "float_digits_string",
+         "float_digits_huge"],
 )
 def test_verify_malformed_shapes_are_input_errors(capsys, tmp_path, make):
     path = tmp_path / "malformed.json"
@@ -588,6 +615,43 @@ def test_verify_malformed_shapes_are_input_errors(capsys, tmp_path, make):
     code, out, err = run(capsys, ["verify", str(path)])
     assert code == 2 and out == "" and err.startswith("error: ")
     assert "Traceback" not in err
+    if make in (_factor_weight_zero, _factor_weight_negative):
+        assert err == "error: row weights must be positive\n"
+
+
+def _first_numeric_value(result):
+    result["numeric_factor"]["rows"][0][0]["value"][0] = 99.0
+
+
+@pytest.mark.parametrize(
+    "argv, rewrite",
+    [
+        (["symbol", "-e", "x1^2 + x2^2"], lambda result: result.update(operator_rows=["(7)*Dz2"])),
+        (["symbol", "-e", "x1^2 + x2^2"], lambda result: result.pop("operator_rows")),
+        (["factor", "-e", INDEFINITE_QUARTIC, "--d", "1", "--numeric"], _first_numeric_value),
+        (["factor", "-e", INDEFINITE_QUARTIC, "--d", "1"],
+         lambda result: result.update(operator_rows=["(1)*Dz1"])),
+    ],
+    ids=["operator_rows", "operator_rows_dropped", "numeric_value", "foreign_rendering"],
+)
+def test_verify_rejects_a_rewritten_rendering(capsys, tmp_path, argv, rewrite):
+    path = tmp_path / "report.json"
+    run(capsys, argv + ["--out", str(path)])
+    assert run(capsys, ["verify", str(path)])[0] == 0
+    report = json.loads(path.read_text())
+    rewrite(report["result"])
+    path.write_text(json.dumps(report))
+    code, out, _ = run(capsys, ["verify", str(path)])
+    assert code == 1
+    assert json.loads(out)["reason"] == "renderings do not match the embedded artifacts"
+
+
+@pytest.mark.parametrize("digits", ["-1", "1001"])
+def test_factor_float_digits_out_of_range_is_an_input_error(capsys, digits):
+    argv = ["factor", "-e", DIAGONAL_QUARTIC, "--numeric", "--float-digits", digits]
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err == "error: float digits must be an integer from 0 to 1000\n"
 
 
 @pytest.mark.parametrize(

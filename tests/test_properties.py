@@ -10,21 +10,24 @@ from hypothesis import strategies as st
 from hermfact import (
     BihermitianForm,
     GaussianRational,
+    HoloPolyMatrix,
     bidegree,
     coefficient_matrix,
     enumerate_degree,
     format_form,
     from_coefficient_matrix,
+    gram,
     ldl_signature,
     parse_expression,
 )
 
-from helpers import reference_coefficient_matrix
+from helpers import reference_coefficient_matrix, reference_gram
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None)
 
 fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
 gaussians = st.builds(GaussianRational, fractions, fractions)
+weights = st.builds(Fraction, st.integers(1, 6), st.integers(1, 6))
 
 
 @st.composite
@@ -64,3 +67,30 @@ def test_coefficient_matrix_round_trips_and_certifies(form):
 @given(form=forms(hermitian=False))
 def test_format_parse_round_trip(form):
     assert parse_expression(format_form(form), n=form.n) == form
+
+
+@st.composite
+def holo_matrices(draw):
+    """A factor with n <= 3 variables, r <= 2 columns and at most three rows,
+    each entry a polynomial of up to three terms of mixed degree <= 2 (zero
+    coefficients, entries and rows included), weighted or not."""
+    n, r = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    monomials = st.sampled_from([a for d in range(3) for a in enumerate_degree(n, d)])
+    polys = st.dictionaries(monomials, gaussians, max_size=3)
+    rows = draw(st.lists(st.lists(polys, min_size=r, max_size=r), max_size=3))
+    row_weights = draw(st.none() | st.lists(weights, min_size=len(rows), max_size=len(rows)))
+    return HoloPolyMatrix.from_rows(n, rows, row_weights, ncols=r)
+
+
+@SETTINGS
+@given(a=holo_matrices())
+def test_gram_equals_reference(a):
+    assert gram(a) == reference_gram(a)
+
+
+def test_gram_drops_cancelled_terms():
+    # |z1 + z2|^2 + |z1 - z2|^2 = 2|z1|^2 + 2|z2|^2: the cross terms cancel.
+    one = GaussianRational(Fraction(1))
+    a = HoloPolyMatrix.from_rows(2, [[{(1, 0): one, (0, 1): one}], [{(1, 0): one, (0, 1): -one}]])
+    two = GaussianRational(Fraction(2))
+    assert gram(a).support == {(0, 0, (1, 0), (1, 0)): two, (0, 0, (0, 1), (0, 1)): two}

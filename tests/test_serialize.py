@@ -102,6 +102,36 @@ def test_verify_rejects_tampered_factor():
     assert not ok and "reconstruct" in reason
 
 
+def _gain_monomial_of_another_degree(obj):
+    obj["rows"][0]["entries"][0].append({"alpha": [2, 0], "re": "1", "im": "0"})
+
+
+def _rewrite_row_coefficient(obj):
+    item = obj["rows"][0]["entries"][0][0]
+    item["re"] = serialize.fraction_to_str(Fraction(item["re"]) + 1)
+
+
+def _drop_target_term(obj):
+    obj["target"]["terms"].pop()
+
+
+def _widen_target(obj):
+    obj["target"]["r"] = obj["shape"][1] + 1
+
+
+@pytest.mark.parametrize(
+    "forge",
+    [_gain_monomial_of_another_degree, _rewrite_row_coefficient, _drop_target_term,
+     _widen_target],
+)
+def test_verify_rejects_forged_factor(forge):
+    # A factor of a bidegree-1 form: its rows are linear.
+    obj = serialize.factor_to_obj(holomorphic_factor(rand_psd_form(random.Random(9), 2, 1, 1)))
+    assert serialize.verify_obj(obj) == (True, "ok")
+    forge(obj)
+    assert serialize.verify_obj(obj) == (False, "factor does not reconstruct its target")
+
+
 def test_stabilization_report_round_trip_verify():
     report = find_minimal_d(quartic_family(-1), "strict", 5)
     obj = serialize.stabilization_to_obj(report)
