@@ -25,9 +25,9 @@ from . import serialize
 from .certify import ldl_signature
 from .factor import _positive_factor, difference_of_squares
 from .hermform import coefficient_matrix
-from .parsing import ParseError, parse_expression, parse_real_symbol, uses_real_variables
+from .parsing import ParseError, parse_expression, parse_symbol
 from .stabilize import find_minimal_d, multiplier_power, stabilization_sweep
-from .symbols import certify_elliptic, certify_elliptic_form
+from .symbols import RealSymbol, certify_elliptic, certify_elliptic_form
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -213,14 +213,13 @@ def cmd_symbol(args) -> int:
     stripped = text.lstrip()
     try:
         if stripped.startswith("{"):
-            form = serialize.obj_to_form(json.loads(text))
-            report = certify_elliptic_form(form, args.dmax)
-        elif uses_real_variables(text):
-            symbol = parse_real_symbol(text, nvars=args.n)
+            symbol = serialize.obj_to_form(json.loads(text))
+        else:
+            symbol = parse_symbol(text, n=args.n)
+        if isinstance(symbol, RealSymbol):
             report = certify_elliptic(symbol, args.dmax)
         else:
-            form = parse_expression(text, n=args.n)
-            report = certify_elliptic_form(form, args.dmax)
+            report = certify_elliptic_form(symbol, args.dmax)
     except (ParseError, ValueError, KeyError, json.JSONDecodeError) as exc:
         raise InputProblem(str(exc)) from exc
     command = ["symbol", "--dmax", str(args.dmax)]

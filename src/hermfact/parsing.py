@@ -14,17 +14,20 @@ Grammar (all whitespace-insensitive):
 Variables are z1..zn, their conjugates zb1..zbn, or real variables x1..xm.
 Rational literals are written p or p/q with no internal spaces; decimal
 literals are rejected.  '/' occurs only inside literals and '^' takes a
-nonnegative integer exponent.
+nonnegative integer exponent.  A number, or a numerator or denominator of a
+coefficient computed on the way, longer than Python's int-to-string limit
+(`sys.get_int_max_str_digits()`) is a ParseError at its literal or operator.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+import sys
 from fractions import Fraction
+from math import gcd
 
 from .hermform import BihermitianForm, HoloPolyMatrix
-from .scalars import ONE, GaussianRational, as_gaussian
+from .scalars import GaussianRational, as_gaussian
 from .symbols import RealSymbol
 
 
@@ -37,270 +40,312 @@ class ParseError(ValueError):
 
 
 _TOKEN_RE = re.compile(
-    r"\s*(?:"
     r"(?P<number>[0-9]+(?:/[0-9]+)?)"
     r"|(?P<var>(?:zb|z|x)[0-9]+)"
     r"|(?P<imag>i\b)"
     r"|(?P<op>[-+*^(),\[\]])"
-    r")"
+    r"|(?P<bad>\S)"
 )
 
 
-@dataclass
-class _Token:
-    kind: str
-    value: str
-    position: int
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None or match.end() == pos:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            at = len(text) - len(stripped)
-            if stripped[0] == ".":
-                raise ParseError("non-rational literal", at)
-            raise ParseError(f"unexpected character {stripped[0]!r}", at)
-        pos = match.end()
-        for kind in ("number", "var", "imag", "op"):
-            value = match.group(kind)
-            if value is not None:
-                tokens.append(_Token(kind, value, match.start(kind)))
-                break
-    tokens.append(_Token("end", "", len(text)))
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """(kind, value, position) tuples, ending with ("end", "", len(text))."""
+    tokens = [(m.lastgroup, m.group(), m.start()) for m in _TOKEN_RE.finditer(text)]
+    for kind, value, position in tokens:
+        if kind == "bad":
+            message = "non-rational literal" if value == "." else f"unexpected character {value!r}"
+            raise ParseError(message, position)
+    tokens.append(("end", "", len(text)))
     return tokens
 
 
-# A parsed polynomial maps a sorted tuple of ((kind, index), exponent) pairs to
-# a Gaussian-rational coefficient; kind is "z", "zb", or "x" and index is >= 1.
-_MonoKey = tuple[tuple[tuple[str, int], int], ...]
-_ExprPoly = dict[_MonoKey, GaussianRational]
+# A coefficient (re, im, den) is the Gaussian rational (re + im*i) / den with
+# den > 0 and gcd(re, im, den) == 1, the lowest terms of scalars.GaussianRow.
+# A polynomial maps monomials to nonzero coefficients; a monomial is a sorted
+# tuple of (variable, exponent) pairs, variable 3*index + (0 z, 1 zb, 2 x).
+_Coeff = tuple[int, int, int]
+_MonoKey = tuple[tuple[int, int], ...]
+_ExprPoly = dict[_MonoKey, _Coeff]
+_ONE: _Coeff = (1, 0, 1)
+_KINDS = ("z", "zb", "x")
 
 
-def _poly_const(c: GaussianRational) -> _ExprPoly:
-    return {(): c} if c else {}
+def _lowest(re: int, im: int, den: int) -> _Coeff:
+    g = 1 if den == 1 else gcd(re, im, den)
+    return (re, im, den) if g == 1 else (re // g, im // g, den // g)
 
-def _poly_add_into(out: _ExprPoly, q: _ExprPoly) -> None:
-    for key, c in q.items():
-        acc = out.get(key)
-        acc = c if acc is None else acc + c
-        if acc.is_zero():
-            out.pop(key, None)
-        else:
-            out[key] = acc
 
-def _poly_scale(p: _ExprPoly, c: GaussianRational) -> _ExprPoly:
-    if c.is_zero():
-        return {}
-    return {key: v * c for key, v in p.items()}
+def _coeff_mul(a: _Coeff, b: _Coeff) -> _Coeff:
+    (ar, ai, ad), (br, bi, bd) = a, b
+    return _lowest(ar * br - ai * bi, ar * bi + ai * br, ad * bd)
+
+
+def _coeff_add(a: _Coeff, b: _Coeff) -> _Coeff:
+    (ar, ai, ad), (br, bi, bd) = a, b
+    return _lowest(ar * bd + br * ad, ai * bd + bi * ad, ad * bd)
+
+
+def _power(x, e: int, mul):
+    """x**e for e >= 1 by repeated squaring under mul."""
+    out = None
+    while True:
+        if e & 1:
+            out = x if out is None else mul(out, x)
+        e >>= 1
+        if not e:
+            return out
+        x = mul(x, x)
+
 
 def _mono_mul(a: _MonoKey, b: _MonoKey) -> _MonoKey:
+    if not a or not b:
+        return a or b
     exps = dict(a)
     for var, e in b:
         exps[var] = exps.get(var, 0) + e
     return tuple(sorted(exps.items()))
 
-def _coeff_mul(a: GaussianRational, b: GaussianRational) -> GaussianRational:
-    # Most factors of a typed term are bare variables with coefficient 1.
-    if a == ONE:
-        return b
-    return a if b == ONE else a * b
 
 def _poly_mul(p: _ExprPoly, q: _ExprPoly) -> _ExprPoly:
     out: _ExprPoly = {}
     for ka, ca in p.items():
         for kb, cb in q.items():
             key = _mono_mul(ka, kb)
+            c = _coeff_mul(ca, cb)
             acc = out.get(key)
-            prod = _coeff_mul(ca, cb)
-            acc = prod if acc is None else acc + prod
-            if acc.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = acc
+            if acc is not None:
+                c = _coeff_add(acc, c)
+                if not (c[0] or c[1]):
+                    del out[key]
+                    continue
+            out[key] = c
     return out
+
 
 def _poly_pow(p: _ExprPoly, e: int) -> _ExprPoly:
     if e == 0:
-        return _poly_const(ONE)
+        return {(): _ONE}
     if len(p) == 1:
         # A single term: scale its exponents and power its coefficient once.
         ((key, c),) = p.items()
-        return {tuple((var, k * e) for var, k in key): c if c == ONE else c**e}
-    out = None
-    while True:
-        if e & 1:
-            out = p if out is None else _poly_mul(out, p)
-        e >>= 1
-        if not e:
-            return out
-        p = _poly_mul(p, p)
+        c = c if c == _ONE else _power(c, e, _coeff_mul)
+        return {tuple((var, k * e) for var, k in key): c}
+    return _power(p, e, _poly_mul)
 
 
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
         self.tokens = _tokenize(text)
         self.cursor = 0
+        # 0 is no limit, as on Pythons before 3.10.7; 8**limit < 10**limit < 2**bits.
+        self.limit = getattr(sys, "get_int_max_str_digits", int)()
+        self.small, self.bits = 1 << 3 * self.limit, int(self.limit * 3.3219280948873626) + 1
 
-    def peek(self) -> _Token:
-        return self.tokens[self.cursor]
+    def number(self, digits: str, position: int) -> int:
+        if self.limit and len(digits) > self.limit:
+            raise ParseError(f"number has more than {self.limit} digits", position)
+        return int(digits)
 
-    def advance(self) -> _Token:
-        token = self.tokens[self.cursor]
+    def check(self, coeffs, position: int) -> None:
+        """Raise unless the Fractions of each coefficient fit the digit limit."""
+        small = self.small
+        for re, im, den in coeffs if self.limit else ():
+            if not (-small < re < small and -small < im < small and den < small):
+                bound = 10**self.limit
+                if any(max(abs(x), den) // gcd(x, den) >= bound for x in (re, im)):
+                    raise ParseError(f"coefficient has more than {self.limit} digits", position)
+
+    def check_power(self, c: _Coeff, e: int, position: int) -> None:
+        """Raise before computing c**e if it surely breaks the digit limit."""
+        if self.limit and c != _ONE:
+            # (re + im*i)**e / den**e cancels at most 2**(e // 2), for an even
+            # den; its larger numerator is at least |re + im*i|**e / sqrt(2).
+            # Either part past 2**(3 * bits) leaves a Fraction part past 10**limit.
+            re, im, den = c
+            low = max((e * ((re * re + im * im).bit_length() - 1) - 1) // 2,
+                      e * (den.bit_length() - 1)) - (e // 2 if den % 2 == 0 else 0)
+            if low >= 3 * self.bits:
+                raise ParseError(f"coefficient has more than {self.limit} digits", position)
+
+    def expect(self, value: str) -> None:
+        _, actual, position = self.tokens[self.cursor]
+        if actual != value:
+            raise ParseError(f"expected {value!r}", position)
         self.cursor += 1
-        return token
-
-    def expect(self, value: str) -> _Token:
-        token = self.peek()
-        if token.kind != "op" or token.value != value:
-            raise ParseError(f"expected {value!r}", token.position)
-        return self.advance()
 
     def parse_input(self):
-        token = self.peek()
-        if token.kind == "op" and token.value == "[":
-            rows = self.parse_matrix()
-            self.expect_end()
-            return rows
-        poly = self.parse_expr()
-        self.expect_end()
-        return poly
+        """One polynomial, or a matrix as a list of rows of polynomials."""
+        if self.tokens[0][1] == "[":
+            parsed = self.parse_list(lambda: self.parse_list(self.parse_expr))
+        else:
+            parsed = self.parse_expr()
+        kind, value, position = self.tokens[self.cursor]
+        if kind != "end":
+            raise ParseError(f"unexpected trailing input {value!r}", position)
+        return parsed
 
-    def expect_end(self) -> None:
-        token = self.peek()
-        if token.kind != "end":
-            raise ParseError(f"unexpected trailing input {token.value!r}", token.position)
-
-    def parse_matrix(self) -> list[list[_ExprPoly]]:
+    def parse_list(self, item) -> list:
         self.expect("[")
-        rows = [self.parse_row()]
-        while self.peek().value == "," and self.peek().kind == "op":
-            self.advance()
-            rows.append(self.parse_row())
+        items = [item()]
+        while self.tokens[self.cursor][1] == ",":
+            self.cursor += 1
+            items.append(item())
         self.expect("]")
-        return rows
-
-    def parse_row(self) -> list[_ExprPoly]:
-        self.expect("[")
-        entries = [self.parse_expr()]
-        while self.peek().kind == "op" and self.peek().value == ",":
-            self.advance()
-            entries.append(self.parse_expr())
-        self.expect("]")
-        return entries
+        return items
 
     def parse_expr(self) -> _ExprPoly:
-        poly: _ExprPoly = {}
-        _poly_add_into(poly, self.parse_term())
+        tokens = self.tokens
+        poly = self.parse_term()
         while True:
-            token = self.peek()
-            if token.kind == "op" and token.value in "+-":
-                self.advance()
-                rhs = self.parse_term()
-                if token.value == "-":
-                    rhs = _poly_scale(rhs, as_gaussian(-1))
-                _poly_add_into(poly, rhs)
-            else:
+            _, op, position = tokens[self.cursor]
+            if op != "+" and op != "-":
                 return poly
+            self.cursor += 1
+            for key, c in self.parse_term().items():
+                if op == "-":
+                    c = (-c[0], -c[1], c[2])
+                acc = poly.get(key)
+                if acc is not None:
+                    c = _coeff_add(acc, c)
+                    if not (c[0] or c[1]):
+                        del poly[key]
+                        continue
+                    self.check((c,), position)
+                poly[key] = c
 
     def parse_term(self) -> _ExprPoly:
-        poly = self.parse_signed()
+        """Fold the single-term factors into one coefficient and exponent map;
+        only the other factors, of two or more terms or of none, go through
+        _poly_mul."""
+        tokens = self.tokens
+        coeff, exps, polys, star = _ONE, {}, [], 0
         while True:
-            token = self.peek()
-            if token.kind == "op" and token.value == "*":
-                self.advance()
-                poly = _poly_mul(poly, self.parse_signed())
+            factor = self.parse_factor()
+            if len(factor) != 1:
+                polys.append(factor)
             else:
-                return poly
-
-    def parse_signed(self) -> _ExprPoly:
-        sign = 1
-        while True:
-            token = self.peek()
-            if token.kind == "op" and token.value in "+-":
-                self.advance()
-                if token.value == "-":
-                    sign = -sign
-            else:
+                ((key, c),) = factor.items()
+                if c != _ONE:
+                    coeff = c if coeff == _ONE else _coeff_mul(coeff, c)
+                    self.check((coeff,), star)
+                for var, e in key:
+                    exps[var] = exps.get(var, 0) + e
+            _, op, position = tokens[self.cursor]
+            if op != "*":
                 break
-        poly = self.parse_power()
-        if sign < 0:
-            poly = _poly_scale(poly, as_gaussian(-1))
+            star = position
+            self.cursor += 1
+        poly = {tuple(sorted(exps.items())): coeff}
+        for factor in polys:
+            poly = _poly_mul(poly, factor)
+            self.check(poly.values(), star)
         return poly
 
-    def parse_power(self) -> _ExprPoly:
-        poly = self.parse_atom()
-        token = self.peek()
-        if token.kind == "op" and token.value == "^":
-            self.advance()
-            exponent = self.peek()
-            if exponent.kind != "number" or "/" in exponent.value:
-                raise ParseError("exponent must be a nonnegative integer", exponent.position)
-            self.advance()
-            poly = _poly_pow(poly, int(exponent.value))
-        return poly
-
-    def parse_atom(self) -> _ExprPoly:
-        token = self.peek()
-        if token.kind == "number":
-            self.advance()
-            if "/" in token.value:
-                num, den = token.value.split("/")
-                if int(den) == 0:
-                    raise ParseError("zero denominator", token.position)
-                value = Fraction(int(num), int(den))
-            else:
-                value = Fraction(int(token.value))
-            return _poly_const(as_gaussian(value))
-        if token.kind == "imag":
-            self.advance()
-            return _poly_const(GaussianRational(Fraction(0), Fraction(1)))
-        if token.kind == "var":
-            self.advance()
-            kind = "zb" if token.value.startswith("zb") else token.value[0]
-            index = int(token.value[len(kind) :])
+    def parse_factor(self) -> _ExprPoly:
+        """signed := ('+' | '-')* power, power := atom ('^' integer)?"""
+        tokens = self.tokens
+        negative = False
+        kind, value, position = tokens[self.cursor]
+        while value == "-" or value == "+":
+            negative ^= value == "-"
+            self.cursor += 1
+            kind, value, position = tokens[self.cursor]
+        self.cursor += 1
+        if kind == "var":
+            kind_index = 1 if value[1] == "b" else _KINDS.index(value[0])
+            index = self.number(value[len(_KINDS[kind_index]):], position)
             if index < 1:
-                raise ParseError(f"unknown variable {token.value!r}", token.position)
-            return {(((kind, index), 1),): as_gaussian(1)}
-        if token.kind == "op" and token.value == "(":
-            self.advance()
+                raise ParseError(f"unknown variable {value!r}", position)
+            poly = {((3 * index + kind_index, 1),): _ONE}
+        elif kind == "number":
+            num, _, den = value.partition("/")
+            d = self.number(den, position) if den else 1
+            if d == 0:
+                raise ParseError("zero denominator", position)
+            n = self.number(num, position)
+            poly = {(): _lowest(n, 0, d)} if n else {}
+        elif kind == "imag":
+            poly = {(): (0, 1, 1)}
+        elif value == "(":
             poly = self.parse_expr()
             self.expect(")")
-            return poly
-        raise ParseError(f"unexpected token {token.value!r}", token.position)
+        else:
+            raise ParseError(f"unexpected token {value!r}", position)
+        _, op, position = tokens[self.cursor]
+        if op == "^":
+            kind, value, at = tokens[self.cursor + 1]
+            if kind != "number" or "/" in value:
+                raise ParseError("exponent must be a nonnegative integer", at)
+            self.cursor += 2
+            e = self.number(value, at)
+            if len(poly) == 1:
+                self.check_power(next(iter(poly.values())), e, position)
+            poly = _poly_pow(poly, e)
+            self.check(poly.values(), position)
+        if negative:
+            return {key: (-re, -im, den) for key, (re, im, den) in poly.items()}
+        return poly
 
 
-def _classify(polys: list[_ExprPoly]) -> tuple[set[str], int, int]:
-    kinds = set()
-    zmax = 0
-    xmax = 0
-    for poly in polys:
-        for key in poly:
-            for (kind, index), _ in key:
-                kinds.add(kind)
-                if kind == "x":
-                    xmax = max(xmax, index)
-                else:
-                    zmax = max(zmax, index)
-    return kinds, zmax, xmax
+def _parse(text: str) -> tuple:
+    """Rows of polynomials (a scalar is one row of one entry), whether the text
+    was a matrix, the variable kinds used, and the largest z/zb and x index."""
+    parsed = _Parser(text).parse_input()
+    matrix = isinstance(parsed, list)
+    rows = parsed if matrix else [[parsed]]
+    used = {var for row in rows for poly in row for key in poly for var, _ in key}
+    zmax = max((var // 3 for var in used if var % 3 < 2), default=0)
+    xmax = max((var // 3 for var in used if var % 3 == 2), default=0)
+    return rows, matrix, {_KINDS[var % 3] for var in used}, zmax, xmax
 
 
-def _poly_to_form_terms(poly: _ExprPoly, i: int, j: int, n: int):
-    for key, coeff in poly.items():
-        alpha = [0] * n
-        beta = [0] * n
-        for (kind, index), e in key:
-            if kind == "z":
-                alpha[index - 1] += e
-            else:
-                beta[index - 1] += e
-        yield (i, j, tuple(alpha), tuple(beta)), coeff
+def _exponents(key: _MonoKey, dim: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The z (or x) exponents and the zb exponents of a monomial."""
+    alpha, beta = [0] * dim, [0] * dim
+    for var, e in key:
+        (beta if var % 3 == 1 else alpha)[var // 3 - 1] = e
+    return tuple(alpha), tuple(beta)
+
+
+def _kernel(parsed: tuple, n: int | None, want: str):
+    rows, _, kinds, zmax, _ = parsed
+    if "x" in kinds:
+        raise ParseError("x variables belong to real symbols, not kernels", 0)
+    dim = max(zmax, n or 1)
+    distinct = {c for row in rows for poly in row for c in poly.values()}
+    gaussian = {c: GaussianRational(Fraction(c[0], c[2]), Fraction(c[1], c[2])) for c in distinct}
+    if want == "holo":
+        if "zb" in kinds:
+            raise ParseError("holomorphic matrices cannot contain zb variables", 0)
+        polys = [
+            [{_exponents(key, dim)[0]: gaussian[c] for key, c in poly.items()} for poly in row]
+            for row in rows
+        ]
+        return HoloPolyMatrix.from_rows(dim, polys)
+    if want != "form":
+        raise ValueError(f"unknown parse target {want!r}")
+    r = len(rows)
+    if any(len(row) != r for row in rows):
+        raise ParseError("kernel matrices must be square", 0)
+    support = {(i, j, *_exponents(key, dim)): gaussian[c] for i, row in enumerate(rows)
+               for j, poly in enumerate(row) for key, c in poly.items()}
+    # Keys are distinct and coefficients nonzero, as from_terms would leave them.
+    return BihermitianForm(dim, r, support)
+
+
+def _symbol(parsed: tuple, nvars: int | None) -> RealSymbol:
+    rows, matrix, kinds, _, xmax = parsed
+    if matrix:
+        raise ParseError("real symbols are scalar, not matrices", 0)
+    if kinds - {"x"}:
+        raise ParseError("real symbols use only x variables", 0)
+    dim = max(xmax, nvars or 1)
+    terms = {}
+    for key, (re, im, den) in rows[0][0].items():
+        if im:
+            raise ParseError("real symbols need real coefficients", 0)
+        terms[_exponents(key, dim)[0]] = Fraction(re, den)
+    return RealSymbol.from_terms(dim, terms)
 
 
 def parse_expression(text: str, n: int | None = None, want: str = "form"):
@@ -310,67 +355,19 @@ def parse_expression(text: str, n: int | None = None, want: str = "form"):
     yields a HoloPolyMatrix and rejects conjugated variables.  The ambient
     dimension is the largest variable index seen, or `n` if larger.
     """
-    parsed = _Parser(text).parse_input()
-    rows = parsed if isinstance(parsed, list) else [[parsed]]
-    flat = [p for row in rows for p in row]
-    kinds, zmax, _ = _classify(flat)
-    if "x" in kinds:
-        raise ParseError("x variables belong to real symbols, not kernels", 0)
-    dim = max(zmax, n or 1)
-    if want == "holo":
-        if "zb" in kinds:
-            raise ParseError("holomorphic matrices cannot contain zb variables", 0)
-        polys = [
-            [dict(_mono_to_alpha(poly, dim)) for poly in row] for row in rows
-        ]
-        return HoloPolyMatrix.from_rows(dim, polys)
-    if want != "form":
-        raise ValueError(f"unknown parse target {want!r}")
-    r = len(rows)
-    for row in rows:
-        if len(row) != r:
-            raise ParseError("kernel matrices must be square", 0)
-    terms = []
-    for i in range(r):
-        for j in range(r):
-            terms.extend(_poly_to_form_terms(rows[i][j], i, j, dim))
-    return BihermitianForm.from_terms(dim, r, terms)
-
-
-def _mono_to_alpha(poly: _ExprPoly, n: int):
-    for key, coeff in poly.items():
-        alpha = [0] * n
-        for (kind, index), e in key:
-            alpha[index - 1] += e
-        yield tuple(alpha), coeff
+    return _kernel(_parse(text), n, want)
 
 
 def parse_real_symbol(text: str, nvars: int | None = None) -> RealSymbol:
     """Parse an expression in x1..xm into a RealSymbol with rational coefficients."""
-    parsed = _Parser(text).parse_input()
-    if isinstance(parsed, list):
-        raise ParseError("real symbols are scalar, not matrices", 0)
-    kinds, _, xmax = _classify([parsed])
-    if kinds - {"x"}:
-        raise ParseError("real symbols use only x variables", 0)
-    dim = max(xmax, nvars or 1)
-    terms = {}
-    for key, coeff in parsed.items():
-        if coeff.im != 0:
-            raise ParseError("real symbols need real coefficients", 0)
-        alpha = [0] * dim
-        for (kind, index), e in key:
-            alpha[index - 1] += e
-        terms[tuple(alpha)] = coeff.re
-    return RealSymbol.from_terms(dim, terms)
+    return _symbol(_parse(text), nvars)
 
 
-def uses_real_variables(text: str) -> bool:
-    """Cheap dispatch helper: does the expression mention any x variable?"""
-    parsed = _Parser(text).parse_input()
-    rows = parsed if isinstance(parsed, list) else [[parsed]]
-    kinds, _, _ = _classify([p for row in rows for p in row])
-    return kinds == {"x"} or (kinds and kinds <= {"x"})
+def parse_symbol(text: str, n: int | None = None) -> RealSymbol | BihermitianForm:
+    """Parse once what parse_real_symbol takes when the text uses only x
+    variables, else what parse_expression takes."""
+    parsed = _parse(text)
+    return _symbol(parsed, n) if parsed[2] == {"x"} else _kernel(parsed, n, "form")
 
 
 def _format_coefficient(c: GaussianRational, lead: bool) -> str:

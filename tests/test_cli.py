@@ -1,4 +1,5 @@
 import json
+import sys
 import tempfile
 from pathlib import Path
 
@@ -669,3 +670,19 @@ def test_verify_refuses_a_search_other_than_the_command(capsys, tmp_path, argv):
     path.write_text(json.dumps(report))
     code, out, err = run(capsys, ["verify", str(path)])
     assert code == 2 and out == "" and "--mode and --dmax" in err
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"),
+    reason="Python before 3.10.7 has no int-to-string digit limit",
+)
+@pytest.mark.parametrize(
+    "expr, position",
+    [("2^9999999*z1*zb1", 1), ("(1+i)^3000000*z1*zb1", 5), ("7" * 5000 + "*z1*zb1", 0)],
+    ids=["power", "gaussian-power", "literal"],
+)
+def test_oversized_coefficients_are_input_errors_with_a_position(capsys, expr, position):
+    code, out, err = run(capsys, ["check", "-e", expr])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.endswith(f"(at position {position})\n")
+    assert "Traceback" not in err

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -11,9 +12,9 @@ from hermfact import (
     parse_expression,
     parse_real_symbol,
 )
-from hermfact.parsing import ParseError, _Parser, _poly_const, _poly_mul, _poly_pow
+from hermfact.parsing import _ONE, ParseError, _Parser, _poly_mul, _poly_pow, parse_symbol
 
-from helpers import diagonal_quartic, quartic_family, rand_hermsym_form
+from helpers import diagonal_quartic, parse_outcome, quartic_family, rand_hermsym_form
 
 
 def test_parse_diagonal_quartic():
@@ -134,10 +135,73 @@ def test_parse_euclidean_pairing():
 )
 def test_power_equals_repeated_multiplication(base):
     poly = _Parser(base).parse_expr()
-    product = _poly_const(GaussianRational(1))
+    product = {(): _ONE}
     for e in range(9):
         assert _poly_pow(poly, e) == product
         product = _poly_mul(product, poly)
     assert parse_expression(f"({base})^7 + z1*zb1") == parse_expression(
         "*".join([f"({base})"] * 7) + " + z1*zb1"
     )
+
+
+@pytest.mark.parametrize(
+    "text, parse",
+    [("x1^2 + x2^2", parse_real_symbol), ("[[x1^2]]", parse_real_symbol),
+     ("i*x1^2", parse_real_symbol), ("z1*zb1", parse_expression), ("1", parse_expression),
+     ("x1*z1", parse_expression), ("x1 - x1 + z1*zb1", parse_expression)],
+)
+def test_parse_symbol_parses_as_the_parser_for_its_variables(text, parse):
+    assert parse_outcome(parse_symbol, text) == parse_outcome(parse, text)
+
+
+@pytest.fixture
+def digit_limit_640():
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("Python before 3.10.7 has no int-to-string digit limit")
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    yield
+    sys.set_int_max_str_digits(before)
+
+
+@pytest.mark.parametrize(
+    "text, position",
+    [
+        ("10^640*z1*zb1", 2),  # 641 digits
+        ("(1/10)^640*z1*zb1", 6),
+        ("(2+i)^1832*z1*zb1", 5),  # |2+i|^1832 / sqrt(2) > 10^640
+        ("(2+i)^99999999*z1*zb1", 5),  # refused before powering
+        ("(10^320*z1 + 1)*(10^320*zb1 + 1)", 15),
+        ("10^320*z1*10^320*zb1", 9),
+        ("10^639*z1*zb1 + 9*10^639*z1*zb1", 14),
+        ("1" * 641 + "*z1*zb1", 0),
+        ("z1^" + "1" * 641, 3),
+        ("z" + "1" * 641, 0),
+    ],
+)
+def test_digit_limit_is_a_parse_error_at_its_operator(digit_limit_640, text, position):
+    with pytest.raises(ParseError) as info:
+        parse_expression(text)
+    assert info.value.position == position
+    assert "more than 640 digits" in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "text, value",
+    [
+        ("10^639*z1*zb1 + 8*10^639*z1*zb1", GaussianRational(9 * 10**639)),
+        ("((1+i)*1/2)^4252*z1*zb1", GaussianRational(Fraction(-1, 2**2126))),  # (i/2)^2126
+        ("(2+i)^1830*z1*zb1", GaussianRational(2, 1) ** 1830),
+        # the common denominator 3^670 * 7^380 has 641 digits, each part fewer
+        (f"(1/{3**670} + 1/{7**380}*i)*z1*zb1",
+         GaussianRational(Fraction(1, 3**670), Fraction(1, 7**380))),
+    ],
+)
+def test_digit_limit_allows_what_fits(digit_limit_640, text, value):
+    assert parse_expression(text).coefficient(0, 0, (1,), (1,)) == value
+
+
+def test_digit_limit_is_off_without_the_interpreter_limit(monkeypatch):
+    monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)
+    form = parse_expression("2^20000*z1*zb1")
+    assert form.coefficient(0, 0, (1,), (1,)) == GaussianRational(2**20000)

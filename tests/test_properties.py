@@ -19,9 +19,16 @@ from hermfact import (
     gram,
     ldl_signature,
     parse_expression,
+    parse_real_symbol,
 )
 
-from helpers import reference_coefficient_matrix, reference_gram
+from helpers import (
+    parse_outcome,
+    reference_coefficient_matrix,
+    reference_gram,
+    reference_parse_expression,
+    reference_parse_real_symbol,
+)
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None)
 
@@ -94,3 +101,89 @@ def test_gram_drops_cancelled_terms():
     a = HoloPolyMatrix.from_rows(2, [[{(1, 0): one, (0, 1): one}], [{(1, 0): one, (0, 1): -one}]])
     two = GaussianRational(Fraction(2))
     assert gram(a).support == {(0, 0, (1, 0), (1, 0)): two, (0, 0, (0, 1), (0, 1)): two}
+
+
+# Variables of a kernel, a holomorphic matrix and a real symbol; a text draws
+# from one family and now and then from all of them, z0 included.
+FAMILIES = (("z1", "z2", "zb1", "zb2"), ("z1", "z2", "z3"), ("x1", "x2", "x3"))
+STRAYS = ("z1", "zb3", "x1", "z0", "zb10")
+
+
+@st.composite
+def expression_tokens(draw, variables, depth: int):
+    """expr := term (('+'|'-') term)*, each term signed factors joined by '*',
+    a factor an atom with an optional integer power."""
+    tokens = []
+    for t in range(draw(st.integers(1, 3))):
+        if t:
+            tokens.append(draw(st.sampled_from("+-")))
+        for f in range(draw(st.integers(1, 3))):
+            if f:
+                tokens.append("*")
+            tokens.extend(draw(st.lists(st.sampled_from("+-"), max_size=2)))
+            atom = draw(st.integers(0, 6 if depth else 4))
+            if atom == 0:
+                q = draw(st.sampled_from((1, 1, 1, 1, 1, 2, 3, 4, 6, 0)))
+                tokens.append(str(draw(st.integers(0, 12))) + (f"/{q}" if q != 1 else ""))
+            elif atom == 1:
+                tokens.append("i")
+            elif atom < 5:
+                tokens.append(draw(st.sampled_from(variables)))
+            else:
+                tokens += ["(", *draw(expression_tokens(variables, depth - 1)), ")"]
+            if draw(st.integers(0, 3)) == 0:
+                tokens += ["^", str(draw(st.integers(0, 3)))]
+    return tokens
+
+
+@st.composite
+def expression_texts(draw, variables):
+    """An expression or a matrix of them (square or ragged), tokens spaced by
+    drawn whitespace; then perhaps truncated, given an inserted character, or
+    given a fractional exponent."""
+    if draw(st.integers(0, 3)):
+        tokens = draw(expression_tokens(variables, 2))
+    else:
+        r = draw(st.integers(1, 2))
+        rows = []
+        for _ in range(r):
+            width = r if draw(st.integers(0, 5)) else 3 - r
+            entries = [draw(expression_tokens(variables, 1)) for _ in range(width)]
+            rows.append(["[", *(tok for k, e in enumerate(entries) for tok in [","][:k] + e), "]"])
+        tokens = ["[", *(tok for k, row in enumerate(rows) for tok in [","][:k] + row), "]"]
+    spaces = st.sampled_from(["", "", "", " ", "  ", "\t", "\n"])
+    text = "".join(draw(spaces) + tok for tok in tokens) + draw(spaces)
+    mutation = draw(st.integers(0, 7))
+    if mutation == 5:
+        text = text[: draw(st.integers(0, len(text)))]
+    elif mutation == 6:
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from("()[],+-*^/.i z1x0a")) + text[at:]
+    elif mutation == 7:
+        text = text.replace("^", f"^{draw(st.integers(0, 3))}/{draw(st.integers(1, 3))}+", 1)
+    return text
+
+
+@st.composite
+def expression_pairs(draw):
+    """Two expression texts in one family of variables."""
+    variables = draw(st.sampled_from(FAMILIES))
+    if draw(st.integers(0, 7)) == 7:
+        variables += STRAYS
+    return draw(expression_texts(variables)), draw(expression_texts(variables))
+
+
+@SETTINGS
+@given(pair=expression_pairs())
+def test_parser_equals_reference(pair):
+    e, f = pair
+    # E - (E) + F cancels every term of E; (E)*(F) multiplies polynomials.
+    for text in [e, f"{e} - ({e}) + {f}", f"({e})*({f})"]:
+        for parse, reference in [
+            (parse_expression, reference_parse_expression),
+            (lambda t: parse_expression(t, n=3), lambda t: reference_parse_expression(t, n=3)),
+            (lambda t: parse_expression(t, want="holo"),
+             lambda t: reference_parse_expression(t, want="holo")),
+            (parse_real_symbol, reference_parse_real_symbol),
+        ]:
+            assert parse_outcome(parse, text) == parse_outcome(reference, text)
