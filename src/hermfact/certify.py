@@ -7,16 +7,15 @@ indefinite; its first nonzero off-diagonal entry a becomes the "hollow" 2x2
 pivot [[0, a], [conj(a), 0]] (Bunch & Kaufman, Math. Comp. 31, 1977), which
 has one positive and one negative eigenvalue.
 
-The certificate records W with W * M * W^adj = D, where W is unit lower
-triangular once its columns are put in pivot order and D is diagonal apart
-from the hollow blocks; the inertia of M is that of D.  W is invertible by its
-structure alone, so no inverse is stored: `inverse_columns` derives it for
-factor extraction.
+The certificate is the factorization P M P^T = L D L^adj itself: L unit lower
+triangular, D diagonal apart from the hollow blocks; the inertia of M is that
+of D.  Equivalently M = sum_k w_k v_k v_k^adj over the weighted vectors that
+`SignatureCertificate.weighted_vectors` reads off L and D, which is how the
+certificate is checked and how factors are extracted.
 
-Both the elimination and the re-check run on the `GaussianRow`s that a
-HermitianMatrix stores: Gaussian-integer numerators over one positive
-denominator, in lowest terms.  GaussianRational appears only where a
-certificate is built or read.
+The elimination runs on the `GaussianRow`s that a HermitianMatrix stores:
+Gaussian-integer numerators over one positive denominator, in lowest terms.
+GaussianRational appears only where a certificate is built or read.
 """
 
 from __future__ import annotations
@@ -26,32 +25,12 @@ from fractions import Fraction
 from math import gcd
 
 from .hermform import HermitianMatrix, hermitian_defect
-from .scalars import ONE, ZERO, GaussianRational, GaussianRow
+from .scalars import ONE, ZERO, GaussianRational, GaussianRow, outer_product_sum
 
 Vector = tuple[GaussianRational, ...]
-# (index, value) pairs: the strictly-lower entries of a row of W in pivot
-# coordinates, or the hollow blocks (k, a) of D.
+# (index, value) pairs: the entries of a column of L below its diagonal in
+# pivot coordinates, or the hollow blocks (k, a) of D.
 Entries = tuple[tuple[int, GaussianRational], ...]
-
-
-def _combine(coeffs: GaussianRow, rows: list[GaussianRow], rows_nz: list[list[int]]) -> GaussianRow:
-    """The row vector coeffs * rows, where rows[a] is row a of a matrix."""
-    out = GaussianRow([0] * len(coeffs.re), [0] * len(coeffs.re))
-    for a in coeffs.nonzero():
-        out.add_scaled(coeffs.re[a], coeffs.im[a], coeffs.den, rows[a], rows_nz[a])
-    return out
-
-
-def _dot(a: GaussianRow, b: GaussianRow, nz: list[int]) -> tuple[int, int]:
-    """Numerators (re, im) of sum_j a[j] * conj(b[j]) over a.den * b.den; nz
-    covers the nonzero indices of a or of b."""
-    are, aim, bre, bim = a.re, a.im, b.re, b.im
-    re = im = 0
-    for j in nz:
-        x, y, u, v = are[j], aim[j], bre[j], bim[j]
-        re += x * u + y * v
-        im += y * u - x * v
-    return re, im
 
 
 def inertia_of_d(diag, blocks) -> tuple[int, int]:
@@ -65,18 +44,18 @@ def inertia_of_d(diag, blocks) -> tuple[int, int]:
 
 @dataclass(eq=True)
 class SignatureCertificate:
-    """Checkable congruence record: W * matrix * W^adj = D.
+    """Checkable pivoted LDL*: P * matrix * P^T = L D L^adj.
 
-    `transform` holds W by its strictly-lower entries in pivot coordinates:
-    row i lists (j, c) with 0 <= j < i ascending and means
-    W[i][permutation[j]] = c; W[i][permutation[i]] = 1, every other entry is
-    0.  D has `diag` on its diagonal (0 at block slots) and, for each (k, a)
-    in `blocks`, the hollow block [[0, a], [conj(a), 0]] at slots k, k + 1.
+    Pivot slot j holds matrix index `permutation[j]`.  `lower[k]` holds column
+    k of L below its unit diagonal: (j, c) with k < j < n ascending means
+    L[j][k] = c; every other entry below the diagonal is 0.  D has `diag` on
+    its diagonal (0 at block slots) and, for each (k, a) in `blocks`, the
+    hollow block [[0, a], [conj(a), 0]] at slots k, k + 1.
     """
 
     matrix: HermitianMatrix
     permutation: tuple[int, ...]
-    transform: tuple[Entries, ...]
+    lower: tuple[Entries, ...]
     diag: tuple[Fraction, ...]
     blocks: Entries
     witness: Vector | None
@@ -104,79 +83,87 @@ class SignatureCertificate:
     def is_positive_semidefinite(self) -> bool:
         return self.n_neg == 0
 
+    def weighted_vectors(self) -> list[tuple[Fraction, Vector]]:
+        """(w, v) pairs, w != 0, with matrix = sum w v v^adj exactly.
+
+        v_k is column k of P^T L: v_k[permutation[k]] = 1 and
+        v_k[permutation[j]] = L[j][k].  Each nonzero d_k gives (d_k, v_k) in
+        slot order; then each hollow block a at slots k, k + 1, with
+        x = v_k and y = conj(a) v_{k+1}, gives (1/2, x + y) and (-1/2, x - y),
+        since a v_k v_{k+1}^adj + conj(a) v_{k+1} v_k^adj is their sum.
+        """
+        n, perm = self.size, self.permutation
+
+        def column(k: int) -> list[GaussianRational]:
+            v = [ZERO] * n
+            v[perm[k]] = ONE
+            for j, c in self.lower[k]:
+                v[perm[j]] = c
+            return v
+
+        out = [(d, tuple(column(k))) for k, d in enumerate(self.diag) if d]
+        half = Fraction(1, 2)
+        for k, a in self.blocks:
+            ca = a.conjugate()
+            x, y = column(k), [ca * c if c else c for c in column(k + 1)]
+            out.append((half, tuple(p + q for p, q in zip(x, y))))
+            out.append((-half, tuple(p - q for p, q in zip(x, y))))
+        return out
+
     def verify(self) -> tuple[bool, str]:
         """Re-check every claim by exact arithmetic; returns (ok, reason)."""
         n = self.size
-        perm = self.permutation
-        if sorted(perm) != list(range(n)):
+        if sorted(self.permutation) != list(range(n)):
             return False, "permutation is not a permutation"
         if (
             len(self.diag) != n
-            or len(self.transform) != n
+            or len(self.lower) != n
             or (self.witness is not None and len(self.witness) != n)
         ):
             return False, "component sizes disagree"
-        for i, entries in enumerate(self.transform):
-            cols = [-1] + [j for j, _ in entries] + [i]
-            if any(a >= b for a, b in zip(cols, cols[1:])):
-                return False, "transform is not unit lower triangular in pivot order"
+        for k, entries in enumerate(self.lower):
+            rows = [k] + [j for j, _ in entries] + [n]
+            if any(a >= b for a, b in zip(rows, rows[1:])):
+                return False, "lower is not strictly lower triangular in pivot order"
         end = -1
         for k, a in self.blocks:
             if not end < k < n - 1 or a.is_zero() or self.diag[k] or self.diag[k + 1]:
                 return False, "blocks are not disjoint hollow 2x2 pivots"
             end = k + 1
-        if hermitian_defect(self.matrix.rows) is not None:
+        m = self.matrix.rows
+        if hermitian_defect(m) is not None:
             return False, "matrix is not Hermitian"
-        # The rest runs in pivot coordinates: W becomes L, M becomes P M P^T
-        # and the witness v becomes P v, which keeps v* M v.
-        m = [self.matrix.rows[r].permuted(perm) for r in perm]
-        # So L M L^adj is Hermitian too, and its lower triangle decides.
-        m_nz = [row.nonzero() for row in m]
-        lower = self._lower_rows()
-        lower_nz = [row.nonzero() for row in lower]
-        below = {(k + 1, k): a.conjugate() for k, a in self.blocks}
-        for i, row in enumerate(lower):
-            lm = _combine(row, m, m_nz)
-            for j in range(i + 1):
-                re, im = _dot(lm, lower[j], lower_nz[j])
-                want = GaussianRational(self.diag[i]) if i == j else below.get((i, j), ZERO)
-                den = lm.den * lower[j].den
-                if (
-                    re * want.re.denominator != want.re.numerator * den
-                    or im * want.im.denominator != want.im.numerator * den
-                ):
-                    return False, f"congruence identity fails at ({i},{j})"
+        # Both sides are Hermitian, so the upper triangle decides.
+        re, im, common = outer_product_sum(n, [(w, GaussianRow.from_entries(n, enumerate(v)))
+                                               for w, v in self.weighted_vectors()])
+        for p, row in enumerate(m):
+            for q in range(p, n):
+                if (re[p][q] * row.den != row.re[q] * common
+                        or im[p][q] * row.den != row.im[q] * common):
+                    return False, f"congruence identity fails at ({p},{q})"
         if self.n_neg > 0 and self.witness is None:
             return False, "negative inertia without witness"
         if self.witness is not None:
             # with c = conj(v), v* M v = sum_l (c M)_l conj(c_l)
-            c = GaussianRow.from_entries(n, enumerate(self.witness[r].conjugate() for r in perm))
-            row = _combine(c, m, m_nz)
-            re, im = _dot(row, c, row.nonzero())
+            c = GaussianRow.from_entries(n, enumerate(x.conjugate() for x in self.witness))
+            cm = GaussianRow([0] * n, [0] * n)
+            for a in c.nonzero():
+                cm.add_scaled(c.re[a], c.im[a], c.den, m[a])
+            re = sum(x * u + y * v for x, y, u, v in zip(cm.re, cm.im, c.re, c.im))
+            im = sum(y * u - x * v for x, y, u, v in zip(cm.re, cm.im, c.re, c.im))
             if not (im == 0 and re < 0):
                 return False, "witness value is not negative"
         return True, "ok"
 
-    def _lower_rows(self) -> list[GaussianRow]:
-        """The rows of L: W in pivot coordinates, unit lower triangular."""
-        n = self.size
-        return [GaussianRow.from_entries(n, entries + ((i, ONE),))
-                for i, entries in enumerate(self.transform)]
-
 
 def _primitive_witness(row: GaussianRow) -> Vector:
-    # conj(row) scaled by a positive rational to Gaussian integers with content
-    # 1, then the overall real sign fixed; keeps witnesses small and deterministic.
+    # row scaled by a positive rational to Gaussian integers with content 1,
+    # then the overall real sign fixed; keeps witnesses small and deterministic.
     g = gcd(*row.re, *row.im)
-    re = [x // g for x in row.re]
-    im = [-y // g for y in row.im]
-    for x, y in zip(re, im):
-        if x or y:
-            if x < 0 or (x == 0 and y < 0):
-                re = [-x for x in re]
-                im = [-y for y in im]
-            break
-    return GaussianRow(re, im).to_gaussians()
+    x, y = next((x, y) for x, y in zip(row.re, row.im) if x or y)
+    if x < 0 or (x == 0 and y < 0):
+        g = -g
+    return GaussianRow([x // g for x in row.re], [y // g for y in row.im]).to_gaussians()
 
 
 def ldl_signature(matrix: HermitianMatrix) -> SignatureCertificate:
@@ -194,15 +181,15 @@ def ldl_signature(matrix: HermitianMatrix) -> SignatureCertificate:
     # s holds the rows of the working matrix.  Rows before the current step
     # are finished pivots and are never read again, so an elimination step
     # only applies row operations: by Hermitian symmetry the matching column
-    # operations change nothing but the finished pivot rows.
+    # operations change nothing but the finished pivot rows.  Later swaps
+    # still reach a finished row, so at the end row k, right of its diagonal,
+    # is conj(column k of L D) in the final pivot coordinates.
     s = [row.copy() for row in matrix.rows]
-    w = [GaussianRow.from_entries(n, [(j, ONE)]) for j in range(n)]
     perm = list(range(n))
     diag: list[Fraction] = []
     blocks: list[tuple[int, GaussianRational]] = []
-    # W^adj x is a witness when x^adj D x < 0: x = e_k at the first negative
-    # pivot, or x = e_k - conj(a) e_{k+1} (value -2|a|^2) at the first block.
-    negative: GaussianRow | None = None
+    # The slot of the first negative pivot or of the first block.
+    negative: int | None = None
 
     def swap(k: int, t: int) -> None:
         if k == t:
@@ -210,17 +197,7 @@ def ldl_signature(matrix: HermitianMatrix) -> SignatureCertificate:
         s[k], s[t] = s[t], s[k]
         for row in s:  # all rows: a 2x2 step's second swap must reach row k too
             row.swap(k, t)
-        w[k], w[t] = w[t], w[k]
         perm[k], perm[t] = perm[t], perm[k]
-
-    pivot_nz: dict[int, tuple[list[int], list[int]]] = {}
-
-    def eliminate(r: int, k: int, cr: int, ci: int, q: int) -> None:
-        # row r += ((cr + i*ci) / q) * row k in s and in W; row k is a pivot
-        if k not in pivot_nz:
-            pivot_nz[k] = (s[k].nonzero(), w[k].nonzero())
-        s[r].add_scaled(cr, ci, q, s[k], pivot_nz[k][0])
-        w[r].add_scaled(cr, ci, q, w[k], pivot_nz[k][1])
 
     k = 0
     while k < n:
@@ -239,12 +216,13 @@ def ldl_signature(matrix: HermitianMatrix) -> SignatureCertificate:
             diag.append(Fraction(p, dk))
             sign = 1 if p > 0 else -1
             if sign < 0 and negative is None:
-                negative = w[k]
+                negative = k
+            nz = pivot.nonzero()
             for i in range(k + 1, n):
                 x, y = s[i].re[k], s[i].im[k]
                 if x or y:
-                    # c = -(s[i][k] / d) with d = p / dk
-                    eliminate(i, k, -sign * x * dk, -sign * y * dk, s[i].den * abs(p))
+                    # row i -= (s[i][k] / d) * row k, d = p / dk
+                    s[i].add_scaled(-sign * x * dk, -sign * y * dk, s[i].den * abs(p), pivot, nz)
             k += 1
             continue
         hollow = next(
@@ -264,54 +242,70 @@ def ldl_signature(matrix: HermitianMatrix) -> SignatureCertificate:
         blocks.append((k, GaussianRational(Fraction(ar, dk), Fraction(ai, dk))))
         diag.extend([Fraction(0), Fraction(0)])
         if negative is None:
-            negative = w[k].copy()
-            negative.add_scaled(-ar, -ai, dk, w[k + 1])
+            negative = k
+        first, second = (s[k], s[k].nonzero()), (s[k + 1], s[k + 1].nonzero())
         for i in range(k + 2, n):
             xr, xi, yr, yi = s[i].re[k], s[i].im[k], s[i].re[k + 1], s[i].im[k + 1]
             q = s[i].den * norm
             # row i -= (y / a) * row k + (x / conj(a)) * row k+1, (x, y) = s[i][k:k+2]
             if yr or yi:
-                eliminate(i, k, -dk * (yr * ar + yi * ai), -dk * (yi * ar - yr * ai), q)
+                s[i].add_scaled(-dk * (yr * ar + yi * ai), -dk * (yi * ar - yr * ai), q, *first)
             if xr or xi:
-                eliminate(i, k + 1, -dk * (xr * ar - xi * ai), -dk * (xr * ai + xi * ar), q)
+                s[i].add_scaled(-dk * (xr * ar - xi * ai), -dk * (xr * ai + xi * ar), q, *second)
         k += 2
 
-    transform = [tuple((j, row.at(c)) for j, c in enumerate(perm[:i]) if row.re[c] or row.im[c])
-                 for i, row in enumerate(w)]
+    def column(row: GaussianRow, start: int, cr: int, ci: int, q: int) -> Entries:
+        # (j, conj(row[j]) * (cr + i*ci) / q) for the nonzero row[j], j >= start;
+        # the row's own denominator is left to the caller
+        return tuple(
+            (j, GaussianRational(Fraction(x * cr + y * ci, q), Fraction(x * ci - y * cr, q)))
+            for j, x, y in zip(range(start, n), row.re[start:], row.im[start:]) if x or y)
+
+    # The finished pivot rows give L: L[j][k] = conj(s[k][j]) / d_k, and for
+    # a block a at k, k+1, whose inverse is [[0, 1/conj(a)], [1/a, 0]],
+    # L[j][k] = conj(s[k+1][j]) / a and L[j][k+1] = conj(s[k][j]) / conj(a).
+    lower: list[Entries] = [()] * n
+    for k, d in enumerate(diag):
+        if d:
+            lower[k] = column(s[k], k + 1, 1, 0, s[k].re[k])
+    for k, _ in blocks:
+        ar, ai, dk = s[k].re[k + 1], s[k].im[k + 1], s[k].den
+        norm = ar * ar + ai * ai
+        lower[k] = column(s[k + 1], k + 2, ar * dk, -ai * dk, s[k + 1].den * norm)
+        lower[k + 1] = column(s[k], k + 2, ar, ai, norm)
+
+    witness = None
+    if negative is not None:
+        # x^adj D x < 0 for x = e_k at the first negative pivot k, or
+        # x = e_k - conj(a) e_{k+1} (value -2|a|^2) at a first block a; the
+        # witness is P^T y with L^adj y = x, whose value is x^adj D x.  Every
+        # pivot before slot k is positive, so back substitution runs on the
+        # integer pivot rows: conj(L[j][i]) = s[i][j] / d_i, and y is kept as
+        # Gaussian integers up to a positive scale.
+        k = negative
+        yr, yi = [0] * n, [0] * n
+        if diag[k]:
+            yr[k], top = 1, k + 1
+        else:
+            yr[k], yr[k + 1], yi[k + 1], top = s[k].den, -s[k].re[k + 1], s[k].im[k + 1], k + 2
+        for i in range(k - 1, -1, -1):
+            re, im, p, span = s[i].re, s[i].im, s[i].re[i], range(i + 1, top)
+            yr[i], yi[i] = (-sum(re[j] * yr[j] - im[j] * yi[j] for j in span),
+                            -sum(re[j] * yi[j] + im[j] * yr[j] for j in span))
+            yr[i + 1:top] = [p * x for x in yr[i + 1:top]]
+            yi[i + 1:top] = [p * y for y in yi[i + 1:top]]
+        # y is in pivot coordinates: entry r of the witness is y[slot of r].
+        slots = sorted(range(n), key=perm.__getitem__)
+        witness = _primitive_witness(GaussianRow(yr, yi).permuted(slots))
 
     return SignatureCertificate(
         matrix=matrix,
         permutation=tuple(perm),
-        transform=tuple(transform),
+        lower=tuple(lower),
         diag=tuple(diag),
         blocks=tuple(blocks),
-        witness=None if negative is None else _primitive_witness(negative),
+        witness=witness,
     )
-
-
-def inverse_columns(cert: SignatureCertificate) -> list[Vector]:
-    """The columns of W^-1, so that M = W^-1 D W^-adj: column k is the vector
-    that slot k of D weighs.
-
-    W = L P with L unit lower triangular, so W^-1 = P^T L^-1, and the rows of
-    L^-1 come by forward substitution.
-    """
-    n, perm = cert.size, cert.permutation
-    inv: list[GaussianRow] = []
-    for i, row in enumerate(cert._lower_rows()):
-        out = GaussianRow.from_entries(n, [(i, ONE)])
-        for j in range(i):
-            if row.re[j] or row.im[j]:
-                out.add_scaled(-row.re[j], -row.im[j], row.den, inv[j])
-        inv.append(out)
-    rows = [row.to_gaussians() for row in inv]
-    columns = []
-    for k in range(n):
-        column = [ZERO] * n
-        for j in range(k, n):
-            column[perm[j]] = rows[j][k]
-        columns.append(tuple(column))
-    return columns
 
 
 def is_positive_definite(matrix: HermitianMatrix) -> tuple[bool, SignatureCertificate]:
@@ -329,25 +323,8 @@ def is_positive_semidefinite(
 def gram_decomposition(
     matrix: HermitianMatrix,
 ) -> tuple[list[tuple[Fraction, Vector]], list[tuple[Fraction, Vector]]]:
-    """Write M = sum a_k u_k u_k^adj - sum b_l v_l v_l^adj exactly, a_k, b_l > 0.
-
-    The vectors come from the columns of W^-1 in pivot order: column k for a
-    1x1 pivot, and for a hollow block a with columns x, y the split
-    a x y^adj + conj(a) y x^adj = 1/2 (x + conj(a) y)(..)^adj - 1/2 (x - conj(a) y)(..)^adj.
-    The positive part has exactly n_pos terms and the negative part n_neg.
-    """
-    cert = ldl_signature(matrix)
-    columns = inverse_columns(cert)
-    positives: list[tuple[Fraction, Vector]] = []
-    negatives: list[tuple[Fraction, Vector]] = []
-    for k, d in enumerate(cert.diag):
-        if d > 0:
-            positives.append((d, columns[k]))
-        elif d < 0:
-            negatives.append((-d, columns[k]))
-    half = Fraction(1, 2)
-    for k, a in cert.blocks:
-        x, y = columns[k], [a.conjugate() * c for c in columns[k + 1]]
-        positives.append((half, tuple(p + q for p, q in zip(x, y))))
-        negatives.append((half, tuple(p - q for p, q in zip(x, y))))
-    return positives, negatives
+    """Write M = sum a_k u_k u_k^adj - sum b_l v_l v_l^adj exactly, a_k, b_l > 0,
+    from the certificate's weighted vectors.  The positive part has exactly
+    n_pos terms and the negative part n_neg."""
+    pairs = ldl_signature(matrix).weighted_vectors()
+    return [(w, v) for w, v in pairs if w > 0], [(-w, v) for w, v in pairs if w < 0]

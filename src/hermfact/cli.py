@@ -329,7 +329,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputProblem as exc:
+    except (InputProblem, serialize.DigitLimitError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
 

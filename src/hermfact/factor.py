@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-from .certify import SignatureCertificate, gram_decomposition, inverse_columns, ldl_signature
+from .certify import SignatureCertificate, gram_decomposition, ldl_signature
 from .hermform import (
     BihermitianForm,
     CoefficientBasis,
@@ -84,9 +84,8 @@ def difference_of_squares(
 def _positive_factor(
     form: BihermitianForm, cert: SignatureCertificate, basis: CoefficientBasis
 ) -> WeightedGramFactor:
-    columns = inverse_columns(cert)
-    parts = [(d, columns[k]) for k, d in enumerate(cert.diag) if d != 0]
-    return WeightedGramFactor(_factor_from_parts(parts, basis, form.n), form)
+    # A PSD certificate has no blocks, so every weight is a positive pivot.
+    return WeightedGramFactor(_factor_from_parts(cert.weighted_vectors(), basis, form.n), form)
 
 
 def _holomorphic_factor(form: BihermitianForm, strict: bool) -> WeightedGramFactor | None:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .multiindex import (
     MultiIndex,
@@ -22,7 +21,7 @@ from .multiindex import (
     dim_homogeneous,
     enumerate_degree,
 )
-from .scalars import ZERO, GaussianRational, GaussianRow, as_gaussian
+from .scalars import ZERO, GaussianRational, GaussianRow, as_gaussian, outer_product_sum
 
 TermKey = tuple[int, int, MultiIndex, MultiIndex]
 Poly = dict[MultiIndex, GaussianRational]
@@ -304,7 +303,7 @@ def gram(a: HoloPolyMatrix) -> BihermitianForm:
 
     Each (column i, monomial alpha) of the factor gets one index, each row k
     becomes one GaussianRow c_k over those indices, and sum_k w_k c_k c_k* is
-    summed in ints over one common denominator, its upper triangle only.
+    summed in ints by `outer_product_sum`, its upper triangle only.
     """
     s, r = a.shape
     index: dict[tuple[int, MultiIndex], int] = {}
@@ -314,27 +313,11 @@ def gram(a: HoloPolyMatrix) -> BihermitianForm:
                 index.setdefault((i, alpha), len(index))
     size = len(index)
     weights = a.weights if a.weights is not None else (Fraction(1),) * s
-    # (numerator of w_k, denominator of w_k c_k c_k*, nonzero (p, re, im) of c_k)
-    scaled = []
-    common = 1
-    for w, row in zip(weights, a.rows):
-        c = GaussianRow.from_entries(size, ((index[(i, alpha)], coeff)
+    rows = (GaussianRow.from_entries(size, ((index[(i, alpha)], coeff)
                                             for i, poly in enumerate(row)
                                             for alpha, coeff in poly.items()))
-        nz = [(p, c.re[p], c.im[p]) for p in c.nonzero()]
-        if nz:
-            den = w.denominator * c.den * c.den
-            common = lcm(common, den)
-            scaled.append((w.numerator, den, nz))
-    re = [[0] * size for _ in range(size)]
-    im = [[0] * size for _ in range(size)]
-    for num, den, nz in scaled:
-        num *= common // den
-        for t, (p, x, y) in enumerate(nz):
-            nx, ny, re_p, im_p = num * x, num * y, re[p], im[p]
-            for q, u, v in nz[t:]:
-                re_p[q] += nx * u + ny * v
-                im_p[q] += ny * u - nx * v
+            for row in a.rows)
+    re, im, common = outer_product_sum(size, zip(weights, rows))
     pairs = list(index)
     support: dict[TermKey, GaussianRational] = {}
     for p, (i, alpha) in enumerate(pairs):

@@ -224,3 +224,29 @@ class GaussianRow:
             im = [y // g for y in im]
             den //= g
         self.re, self.im, self.den = re, im, den
+
+
+def outer_product_sum(size: int, terms) -> tuple[list[list[int]], list[list[int]], int]:
+    """sum_k w_k c_k c_k^adj over (w_k, c_k) in `terms`, a rational weight and
+    a length-`size` GaussianRow each, summed in ints: (re, im, common) with
+    entry (p, q) = (re[p][q] + i*im[p][q]) / common for q >= p.  The sum is
+    Hermitian, so the lower triangle is left 0."""
+    scaled = []
+    common = 1
+    for w, c in terms:
+        nz = [(p, c.re[p], c.im[p]) for p in c.nonzero()]
+        if nz and w:
+            # w_k c_k c_k^adj = (w_k / den^2) times the integer outer product
+            scale = Fraction(w) / (c.den * c.den)
+            common = lcm(common, scale.denominator)
+            scaled.append((scale.numerator, scale.denominator, nz))
+    re = [[0] * size for _ in range(size)]
+    im = [[0] * size for _ in range(size)]
+    for num, den, nz in scaled:
+        num *= common // den
+        for t, (p, x, y) in enumerate(nz):
+            nx, ny, re_p, im_p = num * x, num * y, re[p], im[p]
+            for q, u, v in nz[t:]:
+                re_p[q] += nx * u + ny * v
+                im_p[q] += ny * u - nx * v
+    return re, im, common

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from fractions import Fraction
 
 from .certify import SignatureCertificate, inertia_of_d
@@ -22,16 +23,24 @@ from .hermform import (
     bidegree,
     coefficient_matrix,
     evaluate_exact,
-    scale,
 )
 from .scalars import ZERO, GaussianRational
 from .stabilize import MODES, StabilizationReport, multiplier_shift
 from .symbols import EllipticityReport, format_diff_operator_row
 
 
+class DigitLimitError(ValueError):
+    """A number too long for Python's int-to-string conversion."""
+
+
 def fraction_to_str(x: Fraction) -> str:
     x = Fraction(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    try:
+        return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    except ValueError:
+        raise DigitLimitError(
+            "a number in the report has more digits than the int-to-string limit "
+            f"(sys.get_int_max_str_digits() = {sys.get_int_max_str_digits()})") from None
 
 
 def str_to_fraction(text: str) -> Fraction:
@@ -101,48 +110,28 @@ def _obj_to_poly(items) -> dict:
     }
 
 
-def holo_to_obj(matrix: HoloPolyMatrix) -> dict:
-    weights = matrix.weights
-    rows = []
-    for k, row in enumerate(matrix.rows):
-        rows.append(
-            {
-                "weight": fraction_to_str(weights[k]) if weights is not None else "1",
-                "entries": [_poly_to_obj(poly) for poly in row],
-            }
-        )
+def factor_to_obj(factor: WeightedGramFactor) -> dict:
+    matrix = factor.matrix
+    weights = matrix.weights or (Fraction(1),) * len(matrix.rows)
     return {
-        "kind": "holo_poly_matrix",
+        "kind": "weighted_gram_factor",
         "n": matrix.n,
         "shape": [len(matrix.rows), matrix.ncols],
-        "rows": rows,
+        "rows": [{"weight": fraction_to_str(w), "entries": [_poly_to_obj(poly) for poly in row]}
+                 for w, row in zip(weights, matrix.rows)],
+        "target": form_to_obj(factor.target),
     }
-
-
-def obj_to_holo(obj: dict) -> HoloPolyMatrix:
-    if obj.get("kind") != "holo_poly_matrix":
-        raise ValueError("not a serialized holomorphic matrix")
-    shape = obj["shape"]
-    if not (isinstance(shape, list) and len(shape) == 2):
-        raise ValueError("a holomorphic matrix shape must be [rows, columns]")
-    rows = [[_obj_to_poly(entry) for entry in row["entries"]] for row in obj["rows"]]
-    weights = [Fraction(row["weight"]) for row in obj["rows"]]
-    return HoloPolyMatrix.from_rows(obj["n"], rows, weights if rows else None, ncols=shape[1])
-
-
-def factor_to_obj(factor: WeightedGramFactor) -> dict:
-    obj = holo_to_obj(factor.matrix)
-    obj["kind"] = "weighted_gram_factor"
-    obj["target"] = form_to_obj(factor.target)
-    return obj
 
 
 def obj_to_factor(obj: dict) -> WeightedGramFactor:
     if obj.get("kind") != "weighted_gram_factor":
         raise ValueError("not a serialized weighted factor")
-    inner = dict(obj)
-    inner["kind"] = "holo_poly_matrix"
-    matrix = obj_to_holo({k: v for k, v in inner.items() if k != "target"})
+    shape = obj["shape"]
+    if not (isinstance(shape, list) and len(shape) == 2):
+        raise ValueError("a holomorphic matrix shape must be [rows, columns]")
+    rows = [[_obj_to_poly(entry) for entry in row["entries"]] for row in obj["rows"]]
+    weights = [Fraction(row["weight"]) for row in obj["rows"]]
+    matrix = HoloPolyMatrix.from_rows(obj["n"], rows, weights if rows else None, ncols=shape[1])
     return WeightedGramFactor(matrix, obj_to_form(obj["target"]))
 
 
@@ -151,7 +140,7 @@ def _entries_to_obj(entries) -> list[list]:
 
 
 FORMAT_ERROR = "artifact is not in the current certificate format"
-CONGRUENCE_KEYS = frozenset({"permutation", "transform", "diag", "blocks", "witness"})
+CONGRUENCE_KEYS = frozenset({"permutation", "lower", "diag", "blocks", "witness"})
 CERTIFICATE_KEYS = CONGRUENCE_KEYS | {"kind", "size", "matrix"}
 STABILIZATION_KEYS = frozenset({"kind", "mode", "d_max", "d_min", "form", "trail", "factor"})
 ELLIPTICITY_KEYS = frozenset({
@@ -178,31 +167,44 @@ def _obj_to_entries(items) -> tuple:
         and isinstance(item[1], str) and isinstance(item[2], str)
         for item in items
     ):
-        raise ValueError(f"{FORMAT_ERROR}: transform and blocks entries must be [int, str, str]")
+        raise ValueError(f"{FORMAT_ERROR}: lower, blocks and witness entries must be "
+                         "[int, str, str]")
     return tuple((j, GaussianRational(Fraction(re), Fraction(im))) for j, re, im in items)
 
 
+def _obj_to_witness(items, n: int):
+    """The dense witness of its nonzero entries [j, re, im], j ascending in 0..n-1."""
+    if items is None:
+        return None
+    entries = _obj_to_entries(items)
+    indices = [j for j, _ in entries]
+    if indices != sorted(set(indices) & set(range(n))):
+        raise ValueError(f"{FORMAT_ERROR}: witness indices must ascend within 0..{n - 1}")
+    return tuple(dict(entries).get(j, ZERO) for j in range(n))
+
+
 def _congruence_to_obj(cert: SignatureCertificate) -> dict:
-    """W as its strictly-lower nonzeros in pivot coordinates, one list of
-    [j, re, im] per row; D as `diag` plus hollow `blocks` [k, re, im]."""
+    """L as its nonzeros below the diagonal in pivot coordinates, one list of
+    [j, re, im] per column; D as `diag` plus hollow `blocks` [k, re, im]; the
+    witness as its nonzero entries [j, re, im]."""
+    witness = None if cert.witness is None else [(j, c) for j, c in enumerate(cert.witness) if c]
     return {
         "permutation": list(cert.permutation),
-        "transform": [_entries_to_obj(row) for row in cert.transform],
+        "lower": [_entries_to_obj(column) for column in cert.lower],
         "diag": [fraction_to_str(d) for d in cert.diag],
         "blocks": _entries_to_obj(cert.blocks),
-        "witness": [gaussian_to_pair(c) for c in cert.witness] if cert.witness else None,
+        "witness": None if witness is None else _entries_to_obj(witness),
     }
 
 
 def _obj_to_congruence(obj: dict, matrix: HermitianMatrix) -> SignatureCertificate:
-    witness = obj["witness"]
     return SignatureCertificate(
         matrix=matrix,
         permutation=tuple(obj["permutation"]),
-        transform=tuple(_obj_to_entries(row) for row in obj["transform"]),
+        lower=tuple(_obj_to_entries(column) for column in obj["lower"]),
         diag=tuple(Fraction(d) for d in obj["diag"]),
         blocks=_obj_to_entries(obj["blocks"]),
-        witness=tuple(pair_to_gaussian(pair) for pair in witness) if witness else None,
+        witness=_obj_to_witness(obj["witness"], matrix.size),
     )
 
 
@@ -239,9 +241,11 @@ def stabilization_to_obj(report: StabilizationReport) -> dict:
 
 
 def ellipticity_to_obj(report: EllipticityReport) -> dict:
+    """The form is stored once: as `form` when there is no stabilization, and
+    otherwise as the stabilization's (negated when `sign_flipped`)."""
     return {
         "kind": "ellipticity_report",
-        "form": form_to_obj(report.form),
+        "form": form_to_obj(report.form) if report.stabilization is None else None,
         "verdict": report.verdict,
         "d": report.d,
         "witness_point": [gaussian_to_pair(c) for c in report.witness_point]
@@ -359,13 +363,17 @@ def _verify_ellipticity(obj: dict) -> tuple[bool, str]:
     """An ellipticity report proves its verdict about its embedded form:
     "not_elliptic" by an exact zero, or exact values of opposite sign, on the
     unit sphere; "certified" and "not_certified" by a strict stabilization
-    report of the form (of -form when sign_flipped) whose d_min is d."""
+    report, whose form is the symbol's (negated when sign_flipped), with d_min
+    d."""
     _require_keys(obj, ELLIPTICITY_KEYS, "an ellipticity report")
-    form = obj_to_form(obj["form"])
     verdict, stabilization = obj["verdict"], obj["stabilization"]
+    if (obj["form"] is None) == (stabilization is None):
+        raise ValueError(f"{FORMAT_ERROR}: an ellipticity report holds exactly one of "
+                         "form and stabilization")
     if verdict == "not_elliptic":
         if stabilization is not None or obj["d"] is not None:
             return False, "verdict does not match the stabilization"
+        form = obj_to_form(obj["form"])
         if form.r != 1:
             return False, "the form is not a scalar symbol"
         point, change = obj["witness_point"], obj["sign_change"]
@@ -386,9 +394,8 @@ def _verify_ellipticity(obj: dict) -> tuple[bool, str]:
     ok, reason = verify_obj(stabilization)
     if not ok:
         return False, f"stabilization: {reason}"
-    searched = scale(form, -1) if obj["sign_flipped"] else form
-    if stabilization["mode"] != "strict" or obj_to_form(stabilization["form"]) != searched:
-        return False, "stabilization is not a strict search on the report's form"
+    if stabilization["mode"] != "strict":
+        return False, "stabilization is not a strict search"
     d_min = stabilization["d_min"]
     if obj["d"] != d_min or (verdict == "certified") != (d_min is not None):
         return False, "verdict does not match the stabilization"
@@ -489,7 +496,9 @@ def run_verdicts(command: list[str], result: dict) -> dict:
             # The ellipticity check has made this a strict search.
             _require_searched(ellipticity["stabilization"], "strict",
                               int(_option(command, "--dmax")), "the symbol's stabilization")
-        form = obj_to_form(ellipticity["form"])
+        # The order and dimension do not depend on the sign of the form.
+        form = obj_to_form(ellipticity["form"] if ellipticity["stabilization"] is None
+                           else ellipticity["stabilization"]["form"])
         return {"verdict": ellipticity["verdict"], "d": ellipticity["d"],
                 "order": 2 * (bidegree(form) or 0), "complex_dim": form.n,
                 "summary": _symbol_summary(ellipticity)}
@@ -560,14 +569,15 @@ def _verify_run_report(obj: dict) -> tuple[bool, str]:
 def verify_obj(obj: dict) -> tuple[bool, str]:
     """Re-check a serialized artifact by exact arithmetic.
 
-    Supports signature certificates (structure of W and D, congruence
-    identity, witness), weighted factors (exact gram reconstruction),
-    stabilization reports (each trail congruence against the matrix rebuilt
-    from the embedded form, the minimality claims and the factor's target),
-    ellipticity reports (the sphere points or the stabilization of the
-    embedded form) and run reports (every embedded artifact, and the verdicts
-    and renderings derived from them).  An artifact not in the current
-    format, or not of an artifact's shape, raises ValueError.
+    Supports signature certificates (structure of L and D, the identity
+    M = sum w_k v_k v_k^adj over their weighted vectors, witness), weighted
+    factors (exact gram reconstruction), stabilization reports (each trail
+    certificate against the matrix rebuilt from the embedded form, the
+    minimality claims and the factor's target), ellipticity reports (the
+    sphere points or the stabilization of the embedded form) and run reports
+    (every embedded artifact, and the verdicts and renderings derived from
+    them).  An artifact not in the current format, or not of an artifact's
+    shape, raises ValueError.
     """
     if not isinstance(obj, dict):
         raise ValueError("an artifact must be a JSON object")

@@ -143,9 +143,10 @@ def reference_gram(a: HoloPolyMatrix) -> BihermitianForm:
 # GaussianRational entries that the integer-row kernel in hermfact.certify
 # replaced.  It keeps the older hollow step (a unit row combination instead
 # of a 2x2 pivot) and tracks W^-1 beside W, so on inputs without a hollow step
-# the package must emit the same permutation, W, diagonal and witness, and
-# derive the same W^-1.  reference_verify re-checks the package's certificate
-# format by dense products and must give the same verdicts as verify.
+# the package must emit the same permutation, diagonal and witness, and its L
+# must be that W^-1 in pivot coordinates.  reference_verify re-checks the
+# package's certificate format by dense products and must give the same
+# verdicts as verify.
 
 
 ZERO = GaussianRational()
@@ -310,17 +311,16 @@ def reference_ldl_signature(matrix: HermitianMatrix) -> ReferenceCertificate:
     )
 
 
-def dense_transform(cert: SignatureCertificate):
-    """W as dense rows in the matrix's own coordinates."""
+def dense_lower(cert: SignatureCertificate):
+    """V = P^T L as dense rows in the matrix's own coordinates: its column k is
+    1 at permutation[k] and L[j][k] at permutation[j]."""
     n, perm = cert.size, cert.permutation
-    rows = []
-    for i, entries in enumerate(cert.transform):
-        row = [ZERO] * n
-        row[perm[i]] = ONE
+    rows = [[ZERO] * n for _ in range(n)]
+    for k, entries in enumerate(cert.lower):
+        rows[perm[k]][k] = ONE
         for j, c in entries:
-            row[perm[j]] = c
-        rows.append(tuple(row))
-    return tuple(rows)
+            rows[perm[j]][k] = c
+    return tuple(tuple(row) for row in rows)
 
 
 def dense_d(cert: SignatureCertificate):
@@ -334,20 +334,20 @@ def dense_d(cert: SignatureCertificate):
 
 
 def reference_verify(cert: SignatureCertificate) -> tuple[bool, str]:
-    """SignatureCertificate.verify by dense GaussianRational products."""
+    """SignatureCertificate.verify by dense GaussianRational products: M = V D V*."""
     n = cert.size
     if sorted(cert.permutation) != list(range(n)):
         return False, "permutation is not a permutation"
     if (
         len(cert.diag) != n
-        or len(cert.transform) != n
+        or len(cert.lower) != n
         or (cert.witness is not None and len(cert.witness) != n)
     ):
         return False, "component sizes disagree"
-    for i, entries in enumerate(cert.transform):
-        cols = [j for j, _ in entries]
-        if cols != sorted(set(cols)) or any(not 0 <= j < i for j in cols):
-            return False, "transform is not unit lower triangular in pivot order"
+    for k, entries in enumerate(cert.lower):
+        rows = [j for j, _ in entries]
+        if rows != sorted(set(rows)) or any(not k < j < n for j in rows):
+            return False, "lower is not strictly lower triangular in pivot order"
     starts = [k for k, _ in cert.blocks]
     if (
         any(not 0 <= k < n - 1 for k in starts)
@@ -358,12 +358,11 @@ def reference_verify(cert: SignatureCertificate) -> tuple[bool, str]:
     entries = cert.matrix.entries
     if any(entries[i][j] != entries[j][i].conjugate() for i in range(n) for j in range(n)):
         return False, "matrix is not Hermitian"
-    w = dense_transform(cert)
-    product = mat_mul(mat_mul(w, entries), mat_adjoint(w))
-    want = dense_d(cert)
+    v = dense_lower(cert)
+    product = mat_mul(mat_mul(v, dense_d(cert)), mat_adjoint(v))
     for i in range(n):
-        for j in range(i + 1):
-            if product[i][j] != want[i][j]:
+        for j in range(i, n):
+            if product[i][j] != entries[i][j]:
                 return False, f"congruence identity fails at ({i},{j})"
     if cert.n_neg > 0 and cert.witness is None:
         return False, "negative inertia without witness"

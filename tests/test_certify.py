@@ -15,11 +15,9 @@ from hermfact import (
     is_positive_semidefinite,
     ldl_signature,
 )
-from hermfact.certify import inverse_columns
-
 from helpers import (
     dense_d,
-    dense_transform,
+    dense_lower,
     mat_adjoint,
     mat_mul,
     quadratic_value,
@@ -36,17 +34,10 @@ def inertia(cert):
     return (cert.n_pos, cert.n_neg, cert.n_zero)
 
 
-def dense_inverse(cert):
-    """W^-1 as dense rows, from the columns the package derives."""
-    columns = inverse_columns(cert)
-    return tuple(tuple(column[r] for column in columns) for r in range(cert.size))
-
-
 def reconstruct(cert):
-    """Independent reconstruction: M must equal Winv * D * Winv^adj, with Winv
-    derived from W."""
-    winv = dense_inverse(cert)
-    return mat_mul(mat_mul(winv, dense_d(cert)), mat_adjoint(winv))
+    """Independent reconstruction: M must equal V * D * V^adj, V = P^T L."""
+    v = dense_lower(cert)
+    return mat_mul(mat_mul(v, dense_d(cert)), mat_adjoint(v))
 
 
 def test_identity_inertia():
@@ -61,7 +52,7 @@ def test_hollow_two_by_two():
     assert inertia(cert) == (1, 1, 0)
     assert cert.blocks == ((0, GaussianRational(1)),)
     assert cert.diag == (0, 0)
-    assert cert.transform == ((), ())
+    assert cert.lower == ((), ())
     assert cert.witness == (GaussianRational(1), GaussianRational(-1))
     assert quadratic_value(cert.matrix, cert.witness) == GaussianRational(-2)
     assert cert.verify() == (True, "ok")
@@ -215,23 +206,23 @@ def test_pd_gram_built_matrices():
 
 
 def test_transform_is_permuted_unit_triangular_without_hollow_fix():
-    # W is unit lower triangular after undoing the pivot permutation, i.e.
+    # L is unit lower triangular after undoing the pivot permutation, i.e.
     # classical pivoted LDL*; hollow steps are 2x2 blocks of D, not row
-    # combinations in W, so this holds on zero-diagonal matrices too.
+    # combinations, so this holds on zero-diagonal matrices too.
     rng = random.Random(3)
     for matrix in (rand_hermitian_matrix(rng, 6, 4), _hollow_matrix(rng, 6)):
         cert = ldl_signature(matrix)
         perm = cert.permutation
         n = cert.size
-        w = dense_transform(cert)
-        for i in range(n):
-            # W row i, in pivot coordinates, must be unit on the diagonal and
-            # vanish on later pivots
-            row = [w[i][perm[j]] for j in range(n)]
-            assert row[i] == GaussianRational(1)
-            for j in range(i + 1, n):
-                assert row[j].is_zero()
-        assert mat_mul(mat_mul(w, matrix.entries), mat_adjoint(w)) == dense_d(cert)
+        v = dense_lower(cert)
+        for k in range(n):
+            # column k of L, in pivot coordinates, must be unit on the
+            # diagonal and vanish on earlier pivots
+            column = [v[perm[j]][k] for j in range(n)]
+            assert column[k] == GaussianRational(1)
+            for j in range(k):
+                assert column[j].is_zero()
+        assert mat_mul(mat_mul(v, dense_d(cert)), mat_adjoint(v)) == matrix.entries
     assert cert.blocks  # the zero-diagonal matrix took a 2x2 step
 
 
@@ -284,20 +275,22 @@ def _tamperings(cert):
     one = GaussianRational(1)
     last = n - 1
 
-    def w_rows(row):
-        return cert.transform[:last] + (row,)
+    def l_columns(column):
+        return (column,) + cert.lower[1:]
 
     yield {"diag": (cert.diag[0] + 1,) + cert.diag[1:]}
     if n > 1:
-        # a value of W changed, or an entry put where W must be 0 or 1, at a
-        # negative index, or out of order
-        entries = dict(cert.transform[last])
-        entries[0] = entries.get(0, GaussianRational()) + one
-        yield {"transform": w_rows(tuple(sorted(entries.items())))}
-        yield {"transform": w_rows(cert.transform[last] + ((last, one),))}
-        yield {"transform": w_rows(((-1, one),))}
-        yield {"transform": w_rows(tuple(reversed(tuple(sorted(entries.items())))))}
-    yield {"transform": cert.transform[:last]}
+        # a value of L changed, or an entry put on or above the diagonal, at
+        # a negative index, past the size, or out of order
+        entries = dict(cert.lower[0])
+        entries[last] = entries.get(last, GaussianRational()) + one
+        yield {"lower": l_columns(tuple(sorted(entries.items())))}
+        yield {"lower": l_columns(((0, one),) + cert.lower[0])}
+        yield {"lower": cert.lower[:last] + (((0, one),),)}
+        yield {"lower": l_columns(((-1, one),))}
+        yield {"lower": l_columns(cert.lower[0] + ((n, one),))}
+        yield {"lower": l_columns(tuple(reversed(tuple(sorted(entries.items())))))}
+    yield {"lower": cert.lower[:last]}
     bumped = _bump_entry(cert.matrix.entries, n // 2, last, one)
     yield {"matrix": HermitianMatrix(tuple(GaussianRow.from_entries(n, enumerate(row)) for row in bumped))}
     yield {"diag": cert.diag[:last] + (-cert.diag[last],)}
@@ -327,9 +320,10 @@ def _bump_entry(rows, i, j, delta):
 
 
 def test_integer_row_kernel_matches_reference_kernel():
-    # Without a hollow step: the same permutation, W, diag, witness and W^-1 as
-    # the GaussianRational reference.  With one (zero-diagonal matrices): the
-    # same inertia.  verify and reference_verify agree on every tampering.
+    # Without a hollow step: the same permutation, diag and witness as the
+    # GaussianRational reference, and L is its W^-1 in pivot coordinates.
+    # With one (zero-diagonal matrices): the same inertia.  verify and
+    # reference_verify agree on every tampering.
     rng = random.Random(2024)
     hollow_steps = singular = tampered = 0
     for trial in range(200):
@@ -351,8 +345,10 @@ def test_integer_row_kernel_matches_reference_kernel():
             hollow_steps += 1
         else:
             assert cert.permutation == want.permutation
-            assert dense_transform(cert) == want.transform
-            assert dense_inverse(cert) == want.transform_inv
+            perm = cert.permutation
+            for k, entries in enumerate(cert.lower):
+                assert entries == tuple((j, want.transform_inv[perm[j]][k])
+                                        for j in range(k + 1, size) if want.transform_inv[perm[j]][k])
             assert cert.diag == want.diag
             assert cert.witness == want.witness
         singular += kind == 3 and cert.n_zero > 0

@@ -231,26 +231,45 @@ def test_verify_command_paths(capsys, tmp_path):
 
 
 HOLLOW = "z1*zb2 + z2*zb1"
+# Its matrix [[1, 1, 0], [1, -1, 0], [0, 0, 1]] has L[1][0] = 1.
+COUPLED = "z1*zb1 + z1*zb2 + z2*zb1 - z2*zb2 + z3*zb3"
 
 
-def _drop_transform_row(cert):
-    cert["transform"].pop()
+def _drop_lower_column(cert):
+    cert["lower"].pop()
 
 
-def _lengthen_witness(cert):
-    cert["witness"].append(["1", "0"])
+def _witness_index_past_size(cert):
+    cert["witness"].append([3, "1", "0"])
 
 
-def _transform_index_on_diagonal(cert):
-    cert["transform"][1] = [[1, "1", "0"]]
+def _witness_indices_out_of_order(cert):
+    cert["witness"].append([0, "1", "0"])
 
 
-def _transform_index_negative(cert):
-    cert["transform"][2] = [[-1, "1", "0"]]
+def _lower_index_on_diagonal(cert):
+    cert["lower"][1] = [[1, "1", "0"]]
 
 
-def _transform_index_past_size(cert):
-    cert["transform"][2] = [[3, "1", "0"]]
+def _lower_index_above_diagonal(cert):
+    cert["lower"][2] = [[1, "1", "0"]]
+
+
+def _lower_index_negative(cert):
+    cert["lower"][0] = [[-1, "1", "0"]]
+
+
+def _lower_index_past_size(cert):
+    cert["lower"][0] = [[3, "1", "0"]]
+
+
+def _lower_entries_out_of_order(cert):
+    cert["lower"][0] = [[2, "1", "0"], [1, "1", "0"]]
+
+
+def _lower_value_bumped(cert):
+    assert cert["lower"][0] == [[1, "1", "0"]]
+    cert["lower"][0][0][1] = "2"
 
 
 def _overlapping_block(cert):
@@ -262,27 +281,39 @@ def _block_out_of_range(cert):
 
 
 SIZES = "component sizes disagree"
-LOWER = "transform is not unit lower triangular in pivot order"
+LOWER = "lower is not strictly lower triangular in pivot order"
 BLOCKS = "blocks are not disjoint hollow 2x2 pivots"
+# A witness index out of range or out of order is a format error (exit 2).
+FORMAT = None
 
 
+# An id that names `transform` tests the same malformation of `lower`, the
+# field that replaced it, and keeps its name.
 @pytest.mark.parametrize(
     "expr, malform, reason",
     [
-        (SQUARE_DIFFERENCE, _drop_transform_row, SIZES),
-        (SQUARE_DIFFERENCE, _lengthen_witness, SIZES),
-        (SQUARE_DIFFERENCE, _transform_index_on_diagonal, LOWER),
-        (SQUARE_DIFFERENCE, _transform_index_negative, LOWER),
-        (SQUARE_DIFFERENCE, _transform_index_past_size, LOWER),
+        (SQUARE_DIFFERENCE, _drop_lower_column, SIZES),
+        (SQUARE_DIFFERENCE, _witness_index_past_size, FORMAT),
+        (SQUARE_DIFFERENCE, _witness_indices_out_of_order, FORMAT),
+        (SQUARE_DIFFERENCE, _lower_index_on_diagonal, LOWER),
+        (SQUARE_DIFFERENCE, _lower_index_above_diagonal, LOWER),
+        (SQUARE_DIFFERENCE, _lower_index_negative, LOWER),
+        (SQUARE_DIFFERENCE, _lower_index_past_size, LOWER),
+        (SQUARE_DIFFERENCE, _lower_entries_out_of_order, LOWER),
+        (COUPLED, _lower_value_bumped, "congruence identity fails at (0,1)"),
         (HOLLOW, _overlapping_block, BLOCKS),
         (HOLLOW, _block_out_of_range, BLOCKS),
     ],
     ids=[
         "short_transform_row",
         "long_witness",
+        "witness_indices_out_of_order",
         "transform_index_on_diagonal",
+        "lower_index_above_diagonal",
         "transform_index_negative",
         "transform_index_past_size",
+        "lower_entries_out_of_order",
+        "lower_value_bumped",
         "overlapping_block",
         "block_out_of_range",
     ],
@@ -296,8 +327,12 @@ def test_verify_rejects_malformed_certificate_shapes(capsys, tmp_path, expr, mal
     path = tmp_path / "malformed.json"
     path.write_text(json.dumps(cert))
     code, out, err = run(capsys, ["verify", str(path)])
-    assert code == 1
-    assert json.loads(out) == {"valid": False, "reason": reason}
+    if reason is FORMAT:
+        assert code == 2 and out == ""
+        assert err.startswith("error: artifact is not in the current certificate format")
+    else:
+        assert code == 1
+        assert json.loads(out) == {"valid": False, "reason": reason}
     assert "Traceback" not in err
 
 
@@ -371,6 +406,24 @@ def _trail_step_with_certificate(report):
     return stabilization
 
 
+# The check report of COUPLED's first two variables as the format before L
+# was stored wrote it: W by its strictly-lower rows (`transform`) and the
+# witness as dense pairs.
+PARENT_FORMAT_CHECK = {
+    "command": ["check", "--mode", "semi"],
+    "digest": "sha256:4974beb7a57e476948e01d04a086606af31afbb1a845fbe7e13a1997ce356075",
+    "input_digest": "sha256:da3380a7ba4790887938adff7f9d561229102863bd5fe034b642b7726fa857fe",
+    "kind": "run_report",
+    "result": {"certificate": {
+        "blocks": [], "diag": ["1", "-2"], "kind": "signature_certificate",
+        "matrix": [[["1", "0"], ["1", "0"]], [["1", "0"], ["-1", "0"]]],
+        "permutation": [0, 1], "size": 2, "transform": [[], [[0, "-1", "0"]]],
+        "witness": [["1", "0"], ["-1", "0"]]}},
+    "verdicts": {"bidegree": 1, "inertia": {"neg": 1, "pos": 1, "zero": 0}, "matrix_size": 2,
+                 "mode": "semi", "passes": False},
+}
+
+
 def _unknown_mode(report):
     stabilization = report["result"]["stabilization"]
     stabilization["mode"] = "foo"
@@ -385,6 +438,7 @@ def _unknown_mode(report):
         (["check", "-e", SQUARE_DIFFERENCE], _stored_inertia),
         (["stabilize", "-e", INDEFINITE_QUARTIC, "--dmax", "5"], _trail_step_with_certificate),
         (["stabilize", "-e", INDEFINITE_QUARTIC, "--dmax", "5"], _unknown_mode),
+        (["check", "-e", SQUARE_DIFFERENCE], lambda report: PARENT_FORMAT_CHECK),
     ],
     ids=[
         "dense_transform_with_inverse",
@@ -392,6 +446,7 @@ def _unknown_mode(report):
         "stored_inertia",
         "trail_step_with_certificate",
         "unknown_mode",
+        "dense_witness_and_transform",
     ],
 )
 def test_verify_refuses_other_formats(capsys, tmp_path, argv, outdate):
@@ -686,3 +741,18 @@ def test_oversized_coefficients_are_input_errors_with_a_position(capsys, expr, p
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.endswith(f"(at position {position})\n")
     assert "Traceback" not in err
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"),
+    reason="Python before 3.10.7 has no int-to-string digit limit",
+)
+def test_report_numbers_past_the_digit_limit_are_input_errors(capsys, tmp_path):
+    # Every coefficient has 2409 digits, so the parser accepts them, but d_1
+    # of the LDL has 4817.
+    path = tmp_path / "report.json"
+    expr = "2^8000*z1*zb1 + z1*zb2 + z2*zb1 + 2^8000*z2*zb2"
+    code, out, err = run(capsys, ["check", "--mode", "strict", "-e", expr, "--out", str(path)])
+    assert code == 2 and out == "" and not path.exists()
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "int-to-string limit" in err and "Traceback" not in err

@@ -75,20 +75,20 @@ def test_verify_rejects_tampered_certificate():
     ok, reason = serialize.verify_obj(tampered)
     assert not ok and "congruence" in reason
 
-    # W is stored as its strictly-lower entries: change the first entry of
-    # the last row (or create one) so the congruence no longer holds.
+    # L is stored as its entries below the diagonal: change the last entry of
+    # the first column (or create one) so the identity no longer holds.
     tampered = json.loads(json.dumps(obj))
-    row = tampered["transform"][-1]
-    if row and row[0][0] == 0:
-        row[0][1] = serialize.fraction_to_str(Fraction(row[0][1]) + 1)
+    column = tampered["lower"][0]
+    if column and column[-1][0] == 3:
+        column[-1][1] = serialize.fraction_to_str(Fraction(column[-1][1]) + 1)
     else:
-        row.insert(0, [0, "1", "0"])
+        column.append([3, "1", "0"])
     ok, reason = serialize.verify_obj(tampered)
     assert not ok and "congruence" in reason
 
     if obj["witness"]:
         tampered = json.loads(json.dumps(obj))
-        tampered["witness"] = [["0", "0"] for _ in tampered["witness"]]
+        tampered["witness"] = [[j, "0", "0"] for j, _, _ in tampered["witness"]]
         ok, _ = serialize.verify_obj(tampered)
         assert not ok
 
@@ -191,7 +191,7 @@ def test_stabilization_step_carries_no_inertia_copy(forgery_report):
         "kind", "mode", "d_max", "d_min", "form", "trail", "factor",
     }
     for step in forgery_report["trail"]:
-        assert set(step) == {"permutation", "transform", "diag", "blocks", "witness"}
+        assert set(step) == {"permutation", "lower", "diag", "blocks", "witness"}
 
 
 def test_stabilization_trail_certificate_of_another_matrix_is_rejected(forgery_report):
@@ -226,14 +226,15 @@ def test_ellipticity_report_serialization():
 def test_artifact_key_sets():
     cert = serialize.certificate_to_obj(ldl_signature(HermitianMatrix.diagonal([1, -1])))
     assert set(cert) == {
-        "kind", "size", "matrix", "permutation", "transform", "diag", "blocks", "witness",
+        "kind", "size", "matrix", "permutation", "lower", "diag", "blocks", "witness",
     }
     report = serialize.ellipticity_to_obj(certify_elliptic_form(diagonal_quartic(), 4))
     assert set(report) == {
         "kind", "form", "verdict", "d", "witness_point", "sign_change", "sign_flipped",
         "stabilization",
     }
-    assert report["form"] == report["stabilization"]["form"]
+    # The form is the stabilization's, so it is not stored a second time.
+    assert report["form"] is None and report["stabilization"]["form"]
 
 
 def _ellipticity_obj(expr, n=None, d_max=4):
@@ -271,16 +272,25 @@ def test_not_elliptic_sign_change_is_evaluated():
 
 
 def test_certified_ellipticity_is_bound_to_its_form():
+    # The report's form is its stabilization's (negated when sign_flipped),
+    # so it holds the form exactly once: as `form` or inside the stabilization.
     obj = _ellipticity_obj("-z1^2*zb1^2 - z2^2*zb2^2")
     assert obj["verdict"] == "certified" and obj["sign_flipped"] and obj["d"] == 1
-    reason = "stabilization is not a strict search on the report's form"
+    assert obj["form"] is None
+    both = json.loads(json.dumps(obj))
+    both["form"] = obj["stabilization"]["form"]
+    neither = json.loads(json.dumps(obj))
+    neither["stabilization"] = None
+    for forged in (both, neither):
+        with pytest.raises(ValueError, match="exactly one of form and stabilization"):
+            serialize.verify_obj(forged)
+    # A semi search certifies -z1*zb1 - z2*zb2 (flipped) at d = 0 as well.
+    obj = _ellipticity_obj("-z1*zb1 - z2*zb2")
+    assert obj["verdict"] == "certified" and obj["d"] == 0
     forged = json.loads(json.dumps(obj))
-    forged["sign_flipped"] = False
-    assert serialize.verify_obj(forged) == (False, reason)
-    other = _ellipticity_obj("z1^2*zb1^2 - z1*z2*zb1*zb2 + z2^2*zb2^2")
-    forged = json.loads(json.dumps(obj))
-    forged["stabilization"] = other["stabilization"]
-    assert serialize.verify_obj(forged) == (False, reason)
+    forged["stabilization"]["mode"] = "semi"
+    assert serialize.verify_obj(forged) == (False, "stabilization is not a strict search")
+    obj = _ellipticity_obj("-z1^2*zb1^2 - z2^2*zb2^2")
     for key, value in (("d", 0), ("verdict", "not_certified"), ("verdict", "not_elliptic")):
         forged = json.loads(json.dumps(obj))
         forged[key] = value
