@@ -23,6 +23,7 @@ from .hermform import (
     bidegree,
     coefficient_matrix,
     evaluate_exact,
+    scale,
 )
 from .scalars import ZERO, GaussianRational
 from .stabilize import MODES, StabilizationReport, multiplier_shift
@@ -144,8 +145,7 @@ CONGRUENCE_KEYS = frozenset({"permutation", "lower", "diag", "blocks", "witness"
 CERTIFICATE_KEYS = CONGRUENCE_KEYS | {"kind", "size", "matrix"}
 STABILIZATION_KEYS = frozenset({"kind", "mode", "d_max", "d_min", "form", "trail", "factor"})
 ELLIPTICITY_KEYS = frozenset({
-    "kind", "form", "verdict", "d", "witness_point", "sign_change", "sign_flipped",
-    "stabilization",
+    "kind", "form", "verdict", "d", "witness_point", "sign_change", "stabilization",
 })
 
 
@@ -241,11 +241,11 @@ def stabilization_to_obj(report: StabilizationReport) -> dict:
 
 
 def ellipticity_to_obj(report: EllipticityReport) -> dict:
-    """The form is stored once: as `form` when there is no stabilization, and
-    otherwise as the stabilization's (negated when `sign_flipped`)."""
+    """The sign flip is not stored: the stabilization's form is the symbol's
+    or its negation."""
     return {
         "kind": "ellipticity_report",
-        "form": form_to_obj(report.form) if report.stabilization is None else None,
+        "form": form_to_obj(report.form),
         "verdict": report.verdict,
         "d": report.d,
         "witness_point": [gaussian_to_pair(c) for c in report.witness_point]
@@ -257,7 +257,6 @@ def ellipticity_to_obj(report: EllipticityReport) -> dict:
         }
         if report.sign_pair
         else None,
-        "sign_flipped": report.sign_flipped,
         "stabilization": stabilization_to_obj(report.stabilization)
         if report.stabilization
         else None,
@@ -363,17 +362,13 @@ def _verify_ellipticity(obj: dict) -> tuple[bool, str]:
     """An ellipticity report proves its verdict about its embedded form:
     "not_elliptic" by an exact zero, or exact values of opposite sign, on the
     unit sphere; "certified" and "not_certified" by a strict stabilization
-    report, whose form is the symbol's (negated when sign_flipped), with d_min
-    d."""
+    report of the form or of its negation, whose d_min is d."""
     _require_keys(obj, ELLIPTICITY_KEYS, "an ellipticity report")
+    form = obj_to_form(obj["form"])
     verdict, stabilization = obj["verdict"], obj["stabilization"]
-    if (obj["form"] is None) == (stabilization is None):
-        raise ValueError(f"{FORMAT_ERROR}: an ellipticity report holds exactly one of "
-                         "form and stabilization")
     if verdict == "not_elliptic":
         if stabilization is not None or obj["d"] is not None:
             return False, "verdict does not match the stabilization"
-        form = obj_to_form(obj["form"])
         if form.r != 1:
             return False, "the form is not a scalar symbol"
         point, change = obj["witness_point"], obj["sign_change"]
@@ -394,8 +389,9 @@ def _verify_ellipticity(obj: dict) -> tuple[bool, str]:
     ok, reason = verify_obj(stabilization)
     if not ok:
         return False, f"stabilization: {reason}"
-    if stabilization["mode"] != "strict":
-        return False, "stabilization is not a strict search"
+    if (stabilization["mode"] != "strict"
+            or obj_to_form(stabilization["form"]) not in (form, scale(form, -1))):
+        return False, "stabilization is not a strict search on the report's form"
     d_min = stabilization["d_min"]
     if obj["d"] != d_min or (verdict == "certified") != (d_min is not None):
         return False, "verdict does not match the stabilization"
@@ -496,9 +492,7 @@ def run_verdicts(command: list[str], result: dict) -> dict:
             # The ellipticity check has made this a strict search.
             _require_searched(ellipticity["stabilization"], "strict",
                               int(_option(command, "--dmax")), "the symbol's stabilization")
-        # The order and dimension do not depend on the sign of the form.
-        form = obj_to_form(ellipticity["form"] if ellipticity["stabilization"] is None
-                           else ellipticity["stabilization"]["form"])
+        form = obj_to_form(ellipticity["form"])
         return {"verdict": ellipticity["verdict"], "d": ellipticity["d"],
                 "order": 2 * (bidegree(form) or 0), "complex_dim": form.n,
                 "summary": _symbol_summary(ellipticity)}

@@ -381,9 +381,19 @@ def _dense_transform_with_inverse(report):
     return cert
 
 
-def _transform_rows_of_pairs(report):
+def _lower_columns_of_pairs(report):
     cert = report["result"]["certificate"]
-    cert["transform"] = [[["0", "0"]] * i for i in range(cert["size"])]
+    cert["lower"] = [[["0", "0"]] * i for i in range(cert["size"])]
+    return cert
+
+
+def _dense_witness(report):
+    # The witness as the format before L was stored wrote it: n [re, im] pairs.
+    cert = report["result"]["certificate"]
+    dense = [["0", "0"] for _ in range(cert["size"])]
+    for j, re, im in cert["witness"]:
+        dense[j] = [re, im]
+    cert["witness"] = dense
     return cert
 
 
@@ -430,32 +440,38 @@ def _unknown_mode(report):
     return stabilization
 
 
+ENTRY_SHAPE = "lower, blocks and witness entries must be [int, str, str]"
+
+
 @pytest.mark.parametrize(
-    "argv, outdate",
+    "argv, outdate, message",
     [
-        (["check", "-e", SQUARE_DIFFERENCE], _dense_transform_with_inverse),
-        (["check", "-e", SQUARE_DIFFERENCE], _transform_rows_of_pairs),
-        (["check", "-e", SQUARE_DIFFERENCE], _stored_inertia),
-        (["stabilize", "-e", INDEFINITE_QUARTIC, "--dmax", "5"], _trail_step_with_certificate),
-        (["stabilize", "-e", INDEFINITE_QUARTIC, "--dmax", "5"], _unknown_mode),
-        (["check", "-e", SQUARE_DIFFERENCE], lambda report: PARENT_FORMAT_CHECK),
+        (["check", "-e", SQUARE_DIFFERENCE], _dense_transform_with_inverse, ""),
+        # The id names the field's old name; the entries are now L's columns.
+        (["check", "-e", SQUARE_DIFFERENCE], _lower_columns_of_pairs, ENTRY_SHAPE),
+        (["check", "-e", SQUARE_DIFFERENCE], _dense_witness, ENTRY_SHAPE),
+        (["check", "-e", SQUARE_DIFFERENCE], _stored_inertia, ""),
+        (["stabilize", "-e", INDEFINITE_QUARTIC, "--dmax", "5"], _trail_step_with_certificate, ""),
+        (["stabilize", "-e", INDEFINITE_QUARTIC, "--dmax", "5"], _unknown_mode, ""),
+        (["check", "-e", SQUARE_DIFFERENCE], lambda report: PARENT_FORMAT_CHECK, ""),
     ],
     ids=[
         "dense_transform_with_inverse",
         "transform_rows_of_pairs",
+        "dense_witness",
         "stored_inertia",
         "trail_step_with_certificate",
         "unknown_mode",
         "dense_witness_and_transform",
     ],
 )
-def test_verify_refuses_other_formats(capsys, tmp_path, argv, outdate):
+def test_verify_refuses_other_formats(capsys, tmp_path, argv, outdate, message):
     _, out, _ = run(capsys, argv)
     path = tmp_path / "outdated.json"
     path.write_text(json.dumps(outdate(json.loads(out))))
     code, out, err = run(capsys, ["verify", str(path)])
     assert code == 2 and out == ""
-    assert "not in the current certificate format" in err
+    assert "not in the current certificate format" in err and message in err
     assert "Traceback" not in err
 
 

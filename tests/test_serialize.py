@@ -12,6 +12,7 @@ from hermfact import (
     holomorphic_factor,
     ldl_signature,
     parse_expression,
+    scale,
 )
 from hermfact import serialize
 
@@ -230,11 +231,9 @@ def test_artifact_key_sets():
     }
     report = serialize.ellipticity_to_obj(certify_elliptic_form(diagonal_quartic(), 4))
     assert set(report) == {
-        "kind", "form", "verdict", "d", "witness_point", "sign_change", "sign_flipped",
-        "stabilization",
+        "kind", "form", "verdict", "d", "witness_point", "sign_change", "stabilization",
     }
-    # The form is the stabilization's, so it is not stored a second time.
-    assert report["form"] is None and report["stabilization"]["form"]
+    assert report["form"] == report["stabilization"]["form"]
 
 
 def _ellipticity_obj(expr, n=None, d_max=4):
@@ -272,25 +271,36 @@ def test_not_elliptic_sign_change_is_evaluated():
 
 
 def test_certified_ellipticity_is_bound_to_its_form():
-    # The report's form is its stabilization's (negated when sign_flipped),
-    # so it holds the form exactly once: as `form` or inside the stabilization.
+    # The search ran on -form, and the report stores no flag for that: the
+    # flip is read off the two forms, so it cannot be rewritten on its own.
     obj = _ellipticity_obj("-z1^2*zb1^2 - z2^2*zb2^2")
-    assert obj["verdict"] == "certified" and obj["sign_flipped"] and obj["d"] == 1
-    assert obj["form"] is None
-    both = json.loads(json.dumps(obj))
-    both["form"] = obj["stabilization"]["form"]
-    neither = json.loads(json.dumps(obj))
-    neither["stabilization"] = None
-    for forged in (both, neither):
-        with pytest.raises(ValueError, match="exactly one of form and stabilization"):
-            serialize.verify_obj(forged)
-    # A semi search certifies -z1*zb1 - z2*zb2 (flipped) at d = 0 as well.
-    obj = _ellipticity_obj("-z1*zb1 - z2*zb2")
-    assert obj["verdict"] == "certified" and obj["d"] == 0
+    assert obj["verdict"] == "certified" and obj["d"] == 1
+    assert obj["stabilization"]["form"] != obj["form"]
+    reason = "stabilization is not a strict search on the report's form"
     forged = json.loads(json.dumps(obj))
-    forged["stabilization"]["mode"] = "semi"
-    assert serialize.verify_obj(forged) == (False, "stabilization is not a strict search")
-    obj = _ellipticity_obj("-z1^2*zb1^2 - z2^2*zb2^2")
+    forged["sign_flipped"] = False
+    with pytest.raises(ValueError, match="not in the current certificate format"):
+        serialize.verify_obj(forged)
+    # Twice the form is elliptic as well, but the stabilization is of neither
+    # it nor its negation.
+    forged = json.loads(json.dumps(obj))
+    forged["form"] = serialize.form_to_obj(scale(serialize.obj_to_form(obj["form"]), 2))
+    assert serialize.verify_obj(forged) == (False, reason)
+    other = _ellipticity_obj("z1^2*zb1^2 - z1*z2*zb1*zb2 + z2^2*zb2^2")
+    forged = json.loads(json.dumps(obj))
+    forged["stabilization"] = other["stabilization"]
+    assert serialize.verify_obj(forged) == (False, reason)
+    # A symbol certified at the same d does not lend its stabilization either.
+    other = _ellipticity_obj("z1^2*zb1^2 + 3*z2^2*zb2^2")
+    assert other["d"] == obj["d"]
+    forged = json.loads(json.dumps(obj))
+    forged["stabilization"] = other["stabilization"]
+    assert serialize.verify_obj(forged) == (False, reason)
+    # A semi search certifies -z1*zb1 - z2*zb2 (flipped) at d = 0 as well.
+    semi = _ellipticity_obj("-z1*zb1 - z2*zb2")
+    assert semi["verdict"] == "certified" and semi["d"] == 0
+    semi["stabilization"]["mode"] = "semi"
+    assert serialize.verify_obj(semi) == (False, reason)
     for key, value in (("d", 0), ("verdict", "not_certified"), ("verdict", "not_elliptic")):
         forged = json.loads(json.dumps(obj))
         forged[key] = value
