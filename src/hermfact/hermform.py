@@ -411,33 +411,98 @@ def from_coefficient_matrix(
     return BihermitianForm.from_terms(n, r, terms)
 
 
-def _monomial_value(point, alpha: MultiIndex):
-    value = None
-    for z, a in zip(point, alpha):
-        if a == 0:
-            continue
-        p = z**a
-        value = p if value is None else value * p
-    return value
+def _monomial_values(point: GaussianRow, exponents) -> dict[MultiIndex, tuple[int, int]]:
+    """q^alpha as a Gaussian-integer pair (re, im) for each alpha in `exponents`,
+    q the point's numerators; the powers of each coordinate are built once."""
+    powers = [[(1, 0)] for _ in point.re]
+    out = {}
+    for alpha in exponents:
+        re, im = 1, 0
+        for k, a in enumerate(alpha):
+            if a:
+                table = powers[k]
+                if len(table) <= a:
+                    x, y = point.re[k], point.im[k]
+                    while len(table) <= a:
+                        u, v = table[-1]
+                        table.append((u * x - v * y, u * y + v * x))
+                u, v = table[a]
+                re, im = re * u - im * v, re * v + im * u
+        out[alpha] = (re, im)
+    return out
+
+
+@dataclass(frozen=True)
+class ClearedForm:
+    """A form over one coefficient denominator, evaluated exactly in ints.
+
+    Each term is (i, j, alpha, beta, re, im, pad_z, pad_w): the coefficient is
+    (re + i*im) / den, and pad_z = deg_z - |alpha|, pad_w = deg_w - |beta|
+    lift the term to the form's largest degrees, so that every term of a
+    value shares the denominator den * z.den^deg_z * w.den^deg_w.  A
+    bihomogeneous form has no pads.
+    """
+
+    r: int
+    den: int
+    deg_z: int
+    deg_w: int
+    terms: tuple[tuple[int, int, MultiIndex, MultiIndex, int, int, int, int], ...]
+    alphas: tuple[MultiIndex, ...]
+    betas: tuple[MultiIndex, ...]
+
+    @classmethod
+    def of(cls, form: BihermitianForm) -> "ClearedForm":
+        keys = list(form.support)
+        coeffs = GaussianRow.from_entries(len(keys), enumerate(form.support.values()))
+        deg_z = max((degree(alpha) for _, _, alpha, _ in keys), default=0)
+        deg_w = max((degree(beta) for _, _, _, beta in keys), default=0)
+        terms = tuple((i, j, alpha, beta, x, y, deg_z - degree(alpha), deg_w - degree(beta))
+                      for (i, j, alpha, beta), x, y in zip(keys, coeffs.re, coeffs.im))
+        alphas = tuple(dict.fromkeys(alpha for _, _, alpha, _ in keys))
+        betas = tuple(dict.fromkeys(beta for _, _, _, beta in keys))
+        return cls(form.r, coeffs.den, deg_z, deg_w, terms, alphas, betas)
+
+    def numerators(self, z: GaussianRow, w: GaussianRow) -> tuple[list[int], list[int], int]:
+        """F(z, wbar) as (re, im, den): entry (i, j) has real part re[k] / den
+        and imaginary part im[k] / den, k = i*r + j, where
+        den = self.den * z.den^deg_z * w.den^deg_w > 0."""
+        if z == w:
+            zm = wm = _monomial_values(z, dict.fromkeys(self.alphas + self.betas))
+        else:
+            zm, wm = _monomial_values(z, self.alphas), _monomial_values(w, self.betas)
+        re, im = [0] * (self.r * self.r), [0] * (self.r * self.r)
+        for i, j, alpha, beta, cr, ci, pad_z, pad_w in self.terms:
+            ar, ai = zm[alpha]
+            br, bi = wm[beta]
+            # c * z^alpha * conj(w^beta)
+            xr, xi = ar * br + ai * bi, ai * br - ar * bi
+            tr, ti = cr * xr - ci * xi, cr * xi + ci * xr
+            if pad_z or pad_w:
+                pad = z.den ** pad_z * w.den ** pad_w
+                tr, ti = tr * pad, ti * pad
+            k = i * self.r + j
+            re[k] += tr
+            im[k] += ti
+        return re, im, self.den * z.den ** self.deg_z * w.den ** self.deg_w
 
 
 def evaluate_exact(form: BihermitianForm, z, w) -> list[list[GaussianRational]]:
-    """Exact value of F(z, wbar) at Gaussian-rational points z, w."""
+    """Exact value of F(z, wbar) at Gaussian-rational points z, w.
+
+    z and w are cleared to Gaussian-integer numerators over one denominator
+    each, the value is summed in ints (`ClearedForm`), and each entry is
+    divided once at the end.
+    """
     z = tuple(as_gaussian(c) for c in z)
     w = tuple(as_gaussian(c) for c in w)
     if len(z) != form.n or len(w) != form.n:
         raise ValueError("point length differs from ambient dimension")
-    out = [[ZERO] * form.r for _ in range(form.r)]
-    for (i, j, alpha, beta), coeff in form.support.items():
-        term = coeff
-        za = _monomial_value(z, alpha)
-        if za is not None:
-            term = term * za
-        wb = _monomial_value(w, beta)
-        if wb is not None:
-            term = term * wb.conjugate()
-        out[i][j] = out[i][j] + term
-    return out
+    re, im, den = ClearedForm.of(form).numerators(GaussianRow.from_entries(form.n, enumerate(z)),
+                                                  GaussianRow.from_entries(form.n, enumerate(w)))
+    r = form.r
+    return [[GaussianRational(Fraction(re[k], den), Fraction(im[k], den))
+             for k in range(i * r, i * r + r)] for i in range(r)]
 
 
 def evaluate(form: BihermitianForm, z, w) -> list[list[complex]]:

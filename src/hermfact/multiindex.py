@@ -41,12 +41,20 @@ def enumerate_degree(n: int, m: int) -> tuple[MultiIndex, ...]:
         raise ValueError("dimension must be >= 1")
     if m < 0:
         raise ValueError("degree must be >= 0")
-    if n == 1:
-        return ((m,),)
-    out = []
-    for first in range(m, -1, -1):
-        for rest in enumerate_degree(n - 1, m - first):
-            out.append((first,) + rest)
+    # Step from (m, 0, ..., 0) down to (0, ..., 0, m): the successor moves one
+    # unit out of the last nonzero entry k before the end, and the tail
+    # (all in the last entry, the rest being 0) gathers at k + 1.
+    alpha = [m] + [0] * (n - 1)
+    out = [tuple(alpha)]
+    while alpha[-1] != m:
+        k = n - 2
+        while alpha[k] == 0:
+            k -= 1
+        tail = alpha[-1]
+        alpha[k] -= 1
+        alpha[-1] = 0
+        alpha[k + 1] = tail + 1
+        out.append(tuple(alpha))
     return tuple(out)
 
 

@@ -252,8 +252,8 @@ def ellipticity_to_obj(report: EllipticityReport) -> dict:
         if report.witness_point
         else None,
         "sign_change": {
-            "positive_at": [gaussian_to_pair(c) for c in report.sign_pair[0][0]],
-            "negative_at": [gaussian_to_pair(c) for c in report.sign_pair[1][0]],
+            "positive_at": [gaussian_to_pair(c) for c in report.sign_pair[0]],
+            "negative_at": [gaussian_to_pair(c) for c in report.sign_pair[1]],
         }
         if report.sign_pair
         else None,

@@ -15,18 +15,18 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, gcd, lcm
 
 from .factor import WeightedGramFactor
 from .hermform import (
     BihermitianForm,
+    ClearedForm,
     bidegree,
-    evaluate_exact,
     is_hermitian_symmetric,
     scale,
 )
 from .multiindex import MultiIndex, check_multiindex, degree
-from .scalars import ZERO, GaussianRational, as_gaussian
+from .scalars import ZERO, GaussianRational, GaussianRow, as_gaussian
 from .stabilize import StabilizationReport, find_minimal_d
 
 
@@ -181,47 +181,73 @@ def is_complex_bihomogeneous(form: BihermitianForm) -> bool:
     return bidegree(form) is not None
 
 
+def _stereographic(params) -> tuple[tuple[int, ...], int]:
+    """The unit-sphere point of 2n-1 stereographic parameters (num, den), as
+    2n integer numerators over one positive denominator, in lowest terms.
+
+    With the parameters P / L over one denominator L, the point is
+    (2*P_1*L, ..., 2*P_(2n-1)*L, |P|^2 - L^2) / (L^2 + |P|^2).
+    """
+    common = lcm(*(den for _, den in params))
+    scaled = [num * (common // den) for num, den in params]
+    norm2, common2 = sum(p * p for p in scaled), common * common
+    nums = [2 * common * p for p in scaled]
+    nums.append(norm2 - common2)
+    den = common2 + norm2
+    g = gcd(den, *nums)
+    return tuple(x // g for x in nums), den // g
+
+
+def _sphere_point(nums: tuple[int, ...], den: int) -> tuple[GaussianRational, ...]:
+    """The point of C^n whose real coordinates are nums / den."""
+    return tuple(
+        GaussianRational(Fraction(nums[2 * k], den), Fraction(nums[2 * k + 1], den))
+        for k in range(len(nums) // 2)
+    )
+
+
 def rational_sphere_point(params) -> tuple[GaussianRational, ...]:
     """Exact unit-sphere point in C^n from 2n-1 rational stereographic parameters."""
     params = [Fraction(p) for p in params]
     if len(params) % 2 != 1:
         raise ValueError("need an odd number of parameters (2n - 1)")
-    norm2 = sum(p * p for p in params)
-    denom = 1 + norm2
-    coords = [2 * p / denom for p in params] + [(norm2 - 1) / denom]
-    return tuple(
-        GaussianRational(coords[2 * k], coords[2 * k + 1])
-        for k in range(len(coords) // 2)
-    )
+    return _sphere_point(*_stereographic([(p.numerator, p.denominator) for p in params]))
+
+
+_GRID = ((0, 1), (1, 1), (-1, 1), (1, 2), (-1, 2))
+
+
+def _sphere_numerators(n: int, extra: int = 60, seed: int = 7):
+    """The points of `sphere_sample_points` as reduced (numerators, den),
+    generated lazily, in the same order and without repeats."""
+    seen = set()
+
+    def candidates():
+        for k in range(n):
+            nums = [0] * (2 * n)
+            nums[2 * k] = 1
+            yield tuple(nums), 1
+        m = 2 * n - 1
+        for i in range(m):
+            for j in range(i, m):
+                for vi in _GRID:
+                    for vj in _GRID:
+                        w = [(0, 1)] * m
+                        w[i], w[j] = vi, vj
+                        yield _stereographic(w)
+        rng = random.Random(seed)
+        for _ in range(extra):
+            yield _stereographic([(rng.randint(-6, 6), rng.randint(1, 6)) for _ in range(m)])
+
+    for point in candidates():
+        if point not in seen:
+            seen.add(point)
+            yield point
 
 
 def sphere_sample_points(n: int, extra: int = 60, seed: int = 7) -> list[tuple[GaussianRational, ...]]:
     """Deterministic exact sphere points: axes, a small grid, and seeded samples."""
-    points = []
-    for k in range(n):
-        point = [ZERO] * n
-        point[k] = GaussianRational(Fraction(1))
-        points.append(tuple(point))
-    m = 2 * n - 1
-    values = [Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-1, 2)]
-    for i in range(m):
-        for j in range(i, m):
-            for vi in values:
-                for vj in values:
-                    w = [Fraction(0)] * m
-                    w[i], w[j] = vi, vj
-                    points.append(rational_sphere_point(w))
-    rng = random.Random(seed)
-    for _ in range(extra):
-        w = [Fraction(rng.randint(-6, 6), rng.randint(1, 6)) for _ in range(m)]
-        points.append(rational_sphere_point(w))
-    seen = set()
-    unique = []
-    for p in points:
-        if p not in seen:
-            seen.add(p)
-            unique.append(p)
-    return unique
+    return [_sphere_point(nums, den) for nums, den in _sphere_numerators(n, extra, seed)]
 
 
 @dataclass(eq=True)
@@ -230,9 +256,13 @@ class EllipticityReport:
     verdict: str  # "certified", "not_certified", or "not_elliptic"
     d: int | None
     witness_point: tuple[GaussianRational, ...] | None
-    sign_pair: tuple | None
-    sign_flipped: bool
+    sign_pair: tuple[tuple[GaussianRational, ...], tuple[GaussianRational, ...]] | None
     stabilization: StabilizationReport | None
+
+    @property
+    def sign_flipped(self) -> bool:
+        """True when the search ran on the negated symbol."""
+        return self.stabilization is not None and self.stabilization.form != self.form
 
     @property
     def factor(self) -> WeightedGramFactor | None:
@@ -240,21 +270,30 @@ class EllipticityReport:
 
 
 def _sample_symbol(form: BihermitianForm):
-    """Exact sphere sampling: returns (zero_point, pos_point, neg_point)."""
-    zero_point = pos_point = neg_point = None
-    for point in sphere_sample_points(form.n):
-        value = evaluate_exact(form, point, point)[0][0]
-        if value.im != 0:
+    """Exact sphere sampling: the first sample point where the symbol is zero,
+    positive and negative, in that order; None for a sign never seen.
+
+    Points are evaluated at their Gaussian-integer numerators q over their
+    denominator D, with the form's coefficients cleared once; only the
+    returned points become GaussianRationals.
+    """
+    cleared = ClearedForm.of(form)
+    first = [None, None, None]  # indexed by the sign: 0, +1, -1
+    for nums, den in _sphere_numerators(form.n):
+        q = GaussianRow(list(nums[0::2]), list(nums[1::2]), den)
+        re, im, _ = cleared.numerators(q, q)
+        if im[0] != 0:
             raise ValueError("kernel is not real-valued on the diagonal")
-        if value.re == 0 and zero_point is None:
-            zero_point = point
-        elif value.re > 0 and pos_point is None:
-            pos_point = (point, value.re)
-        elif value.re < 0 and neg_point is None:
-            neg_point = (point, value.re)
-        if zero_point and pos_point and neg_point:
-            break
-    return zero_point, pos_point, neg_point
+        # certify_elliptic_form has checked that the form is bihomogeneous of
+        # some bidegree m, so re[0] is cleared.den * F(q), and the value at
+        # the sphere point is F(q / den) = F(q) / den^(2m): with both
+        # denominators positive, it has the sign of re[0].
+        sign = (re[0] > 0) - (re[0] < 0)
+        if first[sign] is None:
+            first[sign] = (nums, den)
+            if None not in first:
+                break
+    return tuple(None if point is None else _sphere_point(*point) for point in first)
 
 
 def certify_elliptic_form(form: BihermitianForm, d_max: int) -> EllipticityReport:
@@ -271,7 +310,6 @@ def certify_elliptic_form(form: BihermitianForm, d_max: int) -> EllipticityRepor
         d=None,
         witness_point=None,
         sign_pair=None,
-        sign_flipped=False,
         stabilization=None,
     )
     zero_point, pos_point, neg_point = _sample_symbol(form)
@@ -287,7 +325,6 @@ def certify_elliptic_form(form: BihermitianForm, d_max: int) -> EllipticityRepor
     work = form
     if neg_point is not None and pos_point is None:
         work = scale(form, -1)
-        base.sign_flipped = True
     report = find_minimal_d(work, "strict", d_max)
     base.stabilization = report
     if report.found():

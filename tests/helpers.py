@@ -19,7 +19,7 @@ from hermfact import (
 )
 from hermfact.hermform import TermKey, coefficient_basis
 from hermfact.parsing import ParseError
-from hermfact.scalars import as_gaussian
+from hermfact.scalars import ZERO, as_gaussian
 from hermfact.symbols import RealSymbol
 
 # ---------------------------------------------------------------------------
@@ -112,6 +112,100 @@ def reference_coefficient_matrix(form: BihermitianForm, mode: str = "auto") -> H
     for (i, j, alpha, beta), coeff in form.support.items():
         rows[basis.index(i, alpha)][basis.index(j, beta)] = coeff
     return HermitianMatrix.from_rows(rows)
+
+
+# Exact evaluation and sphere sampling in GaussianRational and Fraction
+# arithmetic, as they were before hermform.evaluate_exact and
+# symbols._sample_symbol moved to integer numerators; the property tests hold
+# the integer versions to these.
+def _reference_monomial_value(point, alpha):
+    value = None
+    for z, a in zip(point, alpha):
+        if a == 0:
+            continue
+        p = z**a
+        value = p if value is None else value * p
+    return value
+
+
+def reference_evaluate_exact(form: BihermitianForm, z, w) -> list[list[GaussianRational]]:
+    """Exact value of F(z, wbar) at Gaussian-rational points z, w."""
+    z = tuple(as_gaussian(c) for c in z)
+    w = tuple(as_gaussian(c) for c in w)
+    if len(z) != form.n or len(w) != form.n:
+        raise ValueError("point length differs from ambient dimension")
+    out = [[ZERO] * form.r for _ in range(form.r)]
+    for (i, j, alpha, beta), coeff in form.support.items():
+        term = coeff
+        za = _reference_monomial_value(z, alpha)
+        if za is not None:
+            term = term * za
+        wb = _reference_monomial_value(w, beta)
+        if wb is not None:
+            term = term * wb.conjugate()
+        out[i][j] = out[i][j] + term
+    return out
+
+
+def reference_rational_sphere_point(params) -> tuple[GaussianRational, ...]:
+    """Exact unit-sphere point in C^n from 2n-1 rational stereographic parameters."""
+    params = [Fraction(p) for p in params]
+    if len(params) % 2 != 1:
+        raise ValueError("need an odd number of parameters (2n - 1)")
+    norm2 = sum(p * p for p in params)
+    denom = 1 + norm2
+    coords = [2 * p / denom for p in params] + [(norm2 - 1) / denom]
+    return tuple(
+        GaussianRational(coords[2 * k], coords[2 * k + 1])
+        for k in range(len(coords) // 2)
+    )
+
+
+def reference_sphere_sample_points(n: int, extra: int = 60, seed: int = 7):
+    """Deterministic exact sphere points: axes, a small grid, and seeded samples."""
+    points = []
+    for k in range(n):
+        point = [ZERO] * n
+        point[k] = GaussianRational(Fraction(1))
+        points.append(tuple(point))
+    m = 2 * n - 1
+    values = [Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-1, 2)]
+    for i in range(m):
+        for j in range(i, m):
+            for vi in values:
+                for vj in values:
+                    w = [Fraction(0)] * m
+                    w[i], w[j] = vi, vj
+                    points.append(reference_rational_sphere_point(w))
+    rng = random.Random(seed)
+    for _ in range(extra):
+        w = [Fraction(rng.randint(-6, 6), rng.randint(1, 6)) for _ in range(m)]
+        points.append(reference_rational_sphere_point(w))
+    seen = set()
+    unique = []
+    for p in points:
+        if p not in seen:
+            seen.add(p)
+            unique.append(p)
+    return unique
+
+
+def reference_sample_symbol(form: BihermitianForm):
+    """Exact sphere sampling: returns (zero_point, pos_point, neg_point)."""
+    zero_point = pos_point = neg_point = None
+    for point in reference_sphere_sample_points(form.n):
+        value = reference_evaluate_exact(form, point, point)[0][0]
+        if value.im != 0:
+            raise ValueError("kernel is not real-valued on the diagonal")
+        if value.re == 0 and zero_point is None:
+            zero_point = point
+        elif value.re > 0 and pos_point is None:
+            pos_point = (point, value.re)
+        elif value.re < 0 and neg_point is None:
+            neg_point = (point, value.re)
+        if zero_point and pos_point and neg_point:
+            break
+    return zero_point, pos_point, neg_point
 
 
 # The per-term dict arithmetic that the integer kernel of hermform.gram

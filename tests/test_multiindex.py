@@ -96,3 +96,22 @@ def test_reproducing_identity_small_degrees():
             c = bergman_coefficient_reduced(n, d)
             for alpha in enumerate_degree(n, d):
                 assert c * multinomial(d, alpha) * monomial_norm_reduced(alpha) == 1
+
+
+def _recursive_enumerate_degree(n, m):
+    if n == 1:
+        return ((m,),)
+    return tuple((first,) + rest for first in range(m, -1, -1)
+                 for rest in _recursive_enumerate_degree(n - 1, m - first))
+
+
+def test_enumerate_degree_equals_recursive_order():
+    for n in range(1, 6):
+        for m in range(0, 7):
+            assert enumerate_degree(n, m) == _recursive_enumerate_degree(n, m)
+
+
+def test_enumerate_degree_many_variables():
+    # one call per variable used to recurse past Python's recursion limit
+    basis = enumerate_degree(1500, 1)
+    assert basis == tuple(tuple(int(k == j) for k in range(1500)) for j in range(1500))

@@ -14,6 +14,7 @@ from hermfact import (
     bidegree,
     coefficient_matrix,
     enumerate_degree,
+    evaluate_exact,
     format_form,
     from_coefficient_matrix,
     gram,
@@ -21,13 +22,19 @@ from hermfact import (
     parse_expression,
     parse_real_symbol,
 )
+from hermfact.scalars import ZERO
+from hermfact.symbols import _sample_symbol
 
 from helpers import (
     parse_outcome,
+    quartic_family,
     reference_coefficient_matrix,
+    reference_evaluate_exact,
     reference_gram,
     reference_parse_expression,
     reference_parse_real_symbol,
+    reference_sample_symbol,
+    square_difference,
 )
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None)
@@ -74,6 +81,64 @@ def test_coefficient_matrix_round_trips_and_certifies(form):
 @given(form=forms(hermitian=False))
 def test_format_parse_round_trip(form):
     assert parse_expression(format_form(form), n=form.n) == form
+
+
+@st.composite
+def evaluations(draw):
+    """A form (Hermitian or of mixed degrees, the zero form included) and
+    points z, w with coordinates of denominators up to 6, often 0; w is z
+    half the time."""
+    form = draw(forms(hermitian=draw(st.booleans())))
+    coords = st.lists(st.just(ZERO) | gaussians, min_size=form.n, max_size=form.n)
+    z = draw(coords)
+    return form, z, z if draw(st.booleans()) else draw(coords)
+
+
+@SETTINGS
+@given(case=evaluations())
+def test_evaluate_exact_equals_reference(case):
+    form, z, w = case
+    assert evaluate_exact(form, z, w) == reference_evaluate_exact(form, z, w)
+
+
+@st.composite
+def symbol_forms(draw):
+    """A scalar bihomogeneous Hermitian form in n <= 3 variables of bidegree
+    m <= 2: a weight in {-1, 0, 1, 2} on each |z^alpha|^2, which leaves exact
+    zeros on the axes or changes sign, plus up to two drawn cross terms with
+    their conjugate partners."""
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    monomials = enumerate_degree(n, m)
+    terms = [((0, 0, alpha, alpha), draw(st.sampled_from((-1, 0, 1, 1, 2)))) for alpha in monomials]
+    for _ in range(draw(st.integers(0, 2))):
+        alpha, beta = draw(st.sampled_from(monomials)), draw(st.sampled_from(monomials))
+        c = draw(gaussians)
+        terms += [((0, 0, alpha, beta), c), ((0, 0, beta, alpha), c.conjugate())]
+    return BihermitianForm.from_terms(n, 1, terms)
+
+
+def _reference_points(form):
+    zero, pos, neg = reference_sample_symbol(form)
+    return zero, pos and pos[0], neg and neg[0]
+
+
+@SETTINGS
+@given(form=symbol_forms())
+def test_sample_symbol_picks_the_reference_points(form):
+    assert _sample_symbol(form) == _reference_points(form)
+
+
+def test_sample_symbol_finds_zeros_and_sign_changes():
+    # An exact zero on an axis; a semidefinite form whose zeros, on
+    # |z1| = |z2|, no sample point meets; a sign change; and a definite form.
+    cases = [(parse_expression("z1*zb1", n=2), (True, True, False)),
+             (square_difference(), (False, True, False)),
+             (quartic_family(-3), (False, True, True)),
+             (quartic_family(1), (False, True, False))]
+    for form, found in cases:
+        points = _sample_symbol(form)
+        assert points == _reference_points(form)
+        assert tuple(p is not None for p in points) == found
 
 
 @st.composite

@@ -19,11 +19,17 @@ from hermfact import (
     parse_real_symbol,
     rational_sphere_point,
     real_to_complex,
+    scale,
     sphere_sample_points,
 )
 from hermfact.symbols import RealSymbol, symbol_multiply
 
-from helpers import diagonal_quartic, quartic_family
+from helpers import (
+    diagonal_quartic,
+    quartic_family,
+    reference_rational_sphere_point,
+    reference_sphere_sample_points,
+)
 
 
 def rand_symbol(rng, nvars, max_degree=3, terms=4):
@@ -129,6 +135,17 @@ def test_rational_sphere_points_are_exactly_unit():
         assert sum(c.abs2() for c in point) == 1
 
 
+def test_sphere_points_equal_reference():
+    rng = random.Random(421)
+    for _ in range(30):
+        n = rng.randint(1, 3)
+        params = [Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(2 * n - 1)]
+        assert rational_sphere_point(params) == reference_rational_sphere_point(params)
+    for n in range(1, 4):
+        assert sphere_sample_points(n) == reference_sphere_sample_points(n)
+    assert sphere_sample_points(2, extra=10, seed=3) == reference_sphere_sample_points(2, 10, 3)
+
+
 def test_certify_elliptic_laplacian():
     report = certify_elliptic(parse_real_symbol("x1^2 + x2^2"), 16)
     assert report.verdict == "certified" and report.d == 0
@@ -186,6 +203,20 @@ def test_certify_elliptic_sign_change():
     report = certify_elliptic_form(form, 8)
     assert report.verdict == "not_elliptic"
     assert report.witness_point is not None or report.sign_pair is not None
+    # the ladder below c = -2 changes sign: the pair holds the two points only
+    report = certify_elliptic_form(quartic_family(-3), 8)
+    assert report.witness_point is None and not report.sign_flipped
+    pos, neg = report.sign_pair
+    assert evaluate_exact(report.form, pos, pos)[0][0].re > 0
+    assert evaluate_exact(report.form, neg, neg)[0][0].re < 0
+    assert sum(c.abs2() for c in pos) == sum(c.abs2() for c in neg) == 1
+
+
+def test_sign_flipped_follows_the_stabilization_form():
+    report = certify_elliptic_form(diagonal_quartic(), 8)
+    assert report.stabilization.form == report.form and not report.sign_flipped
+    report = certify_elliptic(parse_real_symbol("-x1^2 - x2^2"), 16)
+    assert report.stabilization.form == scale(report.form, -1) and report.sign_flipped
 
 
 def test_certify_elliptic_rejects_bad_symbols():
