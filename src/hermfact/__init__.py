@@ -54,7 +54,7 @@ from .operator_link import (
     reproducing_check,
 )
 from .parsing import ParseError, format_form, parse_expression, parse_real_symbol
-from .scalars import GaussianRational, GaussianRow, as_gaussian
+from .scalars import GaussianRational, GaussianRow, SparseRow, as_gaussian
 from .stabilize import (
     StabilizationReport,
     StabilizationStep,

@@ -11,7 +11,10 @@ The certificate is the factorization P M P^T = L D L^adj itself: L unit lower
 triangular, D diagonal apart from the hollow blocks; the inertia of M is that
 of D.  Equivalently M = sum_k w_k v_k v_k^adj over the weighted vectors that
 `SignatureCertificate.weighted_vectors` reads off L and D, which is how the
-certificate is checked and how factors are extracted.
+certificate is checked and how factors are extracted.  Each v_k is a sparse
+row (`scalars.SparseRow`): its nonzero entries, indices ascending, as
+Gaussian-integer numerators over one denominator, so checking and extraction
+cost the nonzeros of L, not n per vector.
 
 The elimination runs on the `GaussianRow`s that a HermitianMatrix stores:
 Gaussian-integer numerators over one positive denominator, in lowest terms.
@@ -22,10 +25,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 
 from .hermform import HermitianMatrix, hermitian_defect
-from .scalars import ONE, ZERO, GaussianRational, GaussianRow, outer_product_sum
+from .scalars import (
+    ONE,
+    ZERO,
+    GaussianRational,
+    GaussianRow,
+    SparseRow,
+    nonzero_indices,
+    outer_product_sum,
+)
 
 Vector = tuple[GaussianRational, ...]
 # (index, value) pairs: the entries of a column of L below its diagonal in
@@ -37,8 +49,8 @@ def inertia_of_d(diag, blocks) -> tuple[int, int]:
     """(positive, negative) eigenvalue counts of D: the signs of `diag`, plus
     one of each for every hollow block."""
     return (
-        len(blocks) + sum(1 for d in diag if d > 0),
-        len(blocks) + sum(1 for d in diag if d < 0),
+        len(blocks) + sum(1 for d in diag if d.numerator > 0),
+        len(blocks) + sum(1 for d in diag if d.numerator < 0),
     )
 
 
@@ -64,14 +76,18 @@ class SignatureCertificate:
     def size(self) -> int:
         return self.matrix.size
 
-    # The inertia of M is that of D.
+    @cached_property
+    def inertia(self) -> tuple[int, int]:
+        """(n_pos, n_neg): the inertia of M is that of D, counted once."""
+        return inertia_of_d(self.diag, self.blocks)
+
     @property
     def n_pos(self) -> int:
-        return inertia_of_d(self.diag, self.blocks)[0]
+        return self.inertia[0]
 
     @property
     def n_neg(self) -> int:
-        return inertia_of_d(self.diag, self.blocks)[1]
+        return self.inertia[1]
 
     @property
     def n_zero(self) -> int:
@@ -83,31 +99,29 @@ class SignatureCertificate:
     def is_positive_semidefinite(self) -> bool:
         return self.n_neg == 0
 
-    def weighted_vectors(self) -> list[tuple[Fraction, Vector]]:
+    def weighted_vectors(self) -> list[tuple[Fraction, SparseRow]]:
         """(w, v) pairs, w != 0, with matrix = sum w v v^adj exactly.
 
         v_k is column k of P^T L: v_k[permutation[k]] = 1 and
-        v_k[permutation[j]] = L[j][k].  Each nonzero d_k gives (d_k, v_k) in
-        slot order; then each hollow block a at slots k, k + 1, with
-        x = v_k and y = conj(a) v_{k+1}, gives (1/2, x + y) and (-1/2, x - y),
-        since a v_k v_{k+1}^adj + conj(a) v_{k+1} v_k^adj is their sum.
+        v_k[permutation[j]] = L[j][k], read straight off `lower` as a sparse
+        row.  Each nonzero d_k gives (d_k, v_k) in slot order; then each
+        hollow block a at slots k, k + 1, with x = v_k and
+        y = conj(a) v_{k+1}, gives (1/2, x + y) and (-1/2, x - y), since
+        a v_k v_{k+1}^adj + conj(a) v_{k+1} v_k^adj is their sum.
         """
-        n, perm = self.size, self.permutation
+        perm = self.permutation
 
-        def column(k: int) -> list[GaussianRational]:
-            v = [ZERO] * n
-            v[perm[k]] = ONE
-            for j, c in self.lower[k]:
-                v[perm[j]] = c
-            return v
+        def column(k: int) -> list[tuple[int, GaussianRational]]:
+            return [(perm[k], ONE)] + [(perm[j], c) for j, c in self.lower[k]]
 
-        out = [(d, tuple(column(k))) for k, d in enumerate(self.diag) if d]
+        out = [(d, SparseRow.from_entries(column(k))) for k, d in enumerate(self.diag) if d]
         half = Fraction(1, 2)
         for k, a in self.blocks:
             ca = a.conjugate()
-            x, y = column(k), [ca * c if c else c for c in column(k + 1)]
-            out.append((half, tuple(p + q for p, q in zip(x, y))))
-            out.append((-half, tuple(p - q for p, q in zip(x, y))))
+            x, y = dict(column(k)), {j: ca * c for j, c in column(k + 1)}
+            for w, sign in ((half, 1), (-half, -1)):
+                out.append((w, SparseRow.from_entries(
+                    (j, x.get(j, ZERO) + sign * y.get(j, ZERO)) for j in x.keys() | y.keys())))
         return out
 
     def verify(self) -> tuple[bool, str]:
@@ -133,19 +147,20 @@ class SignatureCertificate:
         m = self.matrix.rows
         if hermitian_defect(m) is not None:
             return False, "matrix is not Hermitian"
-        # Both sides are Hermitian, so the upper triangle decides.
-        re, im, common = outer_product_sum(n, [(w, GaussianRow.from_entries(n, enumerate(v)))
-                                               for w, v in self.weighted_vectors()])
+        # Both sides are Hermitian, so the upper triangle decides; only the
+        # columns where one side or the other is nonzero are compared.
+        re, im, common = outer_product_sum(n, self.weighted_vectors())
         for p, row in enumerate(m):
-            for q in range(p, n):
-                if (re[p][q] * row.den != row.re[q] * common
-                        or im[p][q] * row.den != row.im[q] * common):
+            re_p, im_p, den = re[p], im[p], row.den
+            for q in sorted({*nonzero_indices(re_p, im_p, p), *nonzero_indices(row.re, row.im, p)}):
+                if re_p[q] * den != row.re[q] * common or im_p[q] * den != row.im[q] * common:
                     return False, f"congruence identity fails at ({p},{q})"
         if self.n_neg > 0 and self.witness is None:
             return False, "negative inertia without witness"
         if self.witness is not None:
             # with c = conj(v), v* M v = sum_l (c M)_l conj(c_l)
-            c = GaussianRow.from_entries(n, enumerate(x.conjugate() for x in self.witness))
+            c = GaussianRow.from_entries(n, ((j, x.conjugate()) for j, x in enumerate(self.witness)
+                                             if x))
             cm = GaussianRow([0] * n, [0] * n)
             for a in c.nonzero():
                 cm.add_scaled(c.re[a], c.im[a], c.den, m[a])
@@ -324,7 +339,9 @@ def gram_decomposition(
     matrix: HermitianMatrix,
 ) -> tuple[list[tuple[Fraction, Vector]], list[tuple[Fraction, Vector]]]:
     """Write M = sum a_k u_k u_k^adj - sum b_l v_l v_l^adj exactly, a_k, b_l > 0,
-    from the certificate's weighted vectors.  The positive part has exactly
-    n_pos terms and the negative part n_neg."""
-    pairs = ldl_signature(matrix).weighted_vectors()
-    return [(w, v) for w, v in pairs if w > 0], [(-w, v) for w, v in pairs if w < 0]
+    from the certificate's weighted vectors, each as a dense tuple.  The
+    positive part has exactly n_pos terms and the negative part n_neg."""
+    cert = ldl_signature(matrix)
+    pairs, n = cert.weighted_vectors(), cert.size
+    return ([(w, v.dense(n)) for w, v in pairs if w > 0],
+            [(-w, v.dense(n)) for w, v in pairs if w < 0])

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -267,7 +268,10 @@ def cmd_verify(args) -> int:
     return EXIT_PASS if ok else EXIT_FAIL
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it as
+    it is.  Subcommand `x` runs `cmd_x`."""
     parser = argparse.ArgumentParser(
         prog="hermfact",
         description="Exact positivity certificates and holomorphic factorizations "
@@ -286,49 +290,42 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="certify positive (semi)definiteness of a kernel")
     common(p)
     p.add_argument("--mode", choices=["strict", "semi"], default="semi")
-    p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("stabilize", help="search the minimal norm-power exponent")
     common(p)
     p.add_argument("--mode", choices=["strict", "semi"], default="strict")
     p.add_argument("--dmax", type=int, default=16)
-    p.set_defaults(func=cmd_stabilize)
 
     p = sub.add_parser("factor", help="extract an exact weighted holomorphic factor")
     common(p)
     p.add_argument("--d", type=int, default=0, help="norm-power exponent applied first")
     p.add_argument("--numeric", action="store_true", help="also emit a floating factor")
     p.add_argument("--float-digits", type=int, default=12)
-    p.set_defaults(func=cmd_factor)
 
     p = sub.add_parser("sweep", help="run the exponent search over a family file")
     common(p)
     p.add_argument("--mode", choices=["strict", "semi"], default="strict")
     p.add_argument("--dmax", type=int, default=16)
     p.add_argument("--csv", help="also write the CSV table to this file")
-    p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("symbol", help="certify ellipticity of a constant-coefficient symbol")
     common(p)
     p.add_argument("--dmax", type=int, default=16)
-    p.set_defaults(func=cmd_symbol)
 
     p = sub.add_parser("decompose", help="difference-of-squares decomposition")
     common(p)
-    p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("verify", help="re-check a serialized certificate or report")
     p.add_argument("certificate", help="artifact JSON file")
-    p.set_defaults(func=cmd_verify)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # Looked up at call time, so that a rebound `cmd_x` is the one that runs.
+        return globals()[f"cmd_{args.subcommand}"](args)
     except (InputProblem, serialize.DigitLimitError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-from .certify import SignatureCertificate, gram_decomposition, ldl_signature
+from .certify import SignatureCertificate, ldl_signature
 from .hermform import (
     BihermitianForm,
     CoefficientBasis,
@@ -23,7 +23,7 @@ from .hermform import (
     is_hermitian_symmetric,
 )
 from .multiindex import MultiIndex
-from .scalars import GaussianRational
+from .scalars import GaussianRational, SparseRow
 
 
 @dataclass(eq=True)
@@ -44,16 +44,17 @@ class WeightedGramFactor:
         return gram(self.matrix) == self.target
 
 
-def _vector_to_row(vector, basis: CoefficientBasis) -> tuple[Poly, ...]:
+def _vector_to_row(vector: SparseRow, basis: CoefficientBasis) -> tuple[Poly, ...]:
     polys: list[Poly] = [dict() for _ in range(basis.r)]
-    for coeff, (i, alpha) in zip(vector, basis.pairs):
-        if not coeff.is_zero():
-            polys[i][alpha] = coeff
+    den = vector.den
+    for j, x, y in vector.entries:
+        i, alpha = basis.pairs[j]
+        polys[i][alpha] = GaussianRational(Fraction(x, den), Fraction(y, den))
     return tuple(polys)
 
 
 def _factor_from_parts(
-    parts: list[tuple[Fraction, tuple]], basis: CoefficientBasis, n: int
+    parts: list[tuple[Fraction, SparseRow]], basis: CoefficientBasis, n: int
 ) -> HoloPolyMatrix:
     rows = [_vector_to_row(vec, basis) for _, vec in parts]
     weights = [wt for wt, _ in parts]
@@ -72,9 +73,9 @@ def difference_of_squares(
     if not is_hermitian_symmetric(form):
         raise ValueError("difference of squares requires a Hermitian-symmetric form")
     matrix, basis = coefficient_matrix(form)
-    positives, negatives = gram_decomposition(matrix)
-    pos_matrix = _factor_from_parts(positives, basis, form.n)
-    neg_matrix = _factor_from_parts(negatives, basis, form.n)
+    pairs = ldl_signature(matrix).weighted_vectors()
+    pos_matrix = _factor_from_parts([(w, v) for w, v in pairs if w > 0], basis, form.n)
+    neg_matrix = _factor_from_parts([(-w, v) for w, v in pairs if w < 0], basis, form.n)
     return (
         WeightedGramFactor(pos_matrix, gram(pos_matrix)),
         WeightedGramFactor(neg_matrix, gram(neg_matrix)),

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .multiindex import (
     MultiIndex,
@@ -21,7 +22,15 @@ from .multiindex import (
     dim_homogeneous,
     enumerate_degree,
 )
-from .scalars import ZERO, GaussianRational, GaussianRow, as_gaussian, outer_product_sum
+from .scalars import (
+    ZERO,
+    GaussianRational,
+    GaussianRow,
+    SparseRow,
+    as_gaussian,
+    nonzero_indices,
+    outer_product_sum,
+)
 
 TermKey = tuple[int, int, MultiIndex, MultiIndex]
 Poly = dict[MultiIndex, GaussianRational]
@@ -180,15 +189,34 @@ class HermitianMatrix:
 
 
 def hermitian_defect(rows) -> str | None:
-    """Why the rows do not form a square Hermitian matrix, or None when they do."""
+    """Why the rows do not form a square Hermitian matrix, or None when they do.
+
+    Only the nonzeros are visited.  The defect named is the first (k, l),
+    l <= k, in row-major order: a nonzero (k, l) is compared with its partner
+    in row k, and a nonzero (l, k) above the diagonal whose partner is 0 is
+    found in row l < k.  Once row k is done, no later row can name a defect
+    in a row up to k.
+    """
     if any(len(row.re) != len(rows) for row in rows):
         return "matrix must be square"
+    first = None
     for k, row in enumerate(rows):
-        for l, other in enumerate(rows[: k + 1]):
-            if (row.re[l] * other.den != other.re[k] * row.den
-                    or row.im[l] * other.den != -other.im[k] * row.den):
-                return (f"diagonal entry {k} is not real" if k == l
-                        else f"entries ({k},{l}) and ({l},{k}) are not conjugate")
+        re, im, den = row.re, row.im, row.den
+        for l in row.nonzero():
+            other = rows[l]
+            if l > k:
+                # a nonzero partner is compared in row l
+                defect = None if other.re[k] or other.im[k] else (l, k)
+            elif re[l] * other.den != other.re[k] * den or im[l] * other.den != -other.im[k] * den:
+                defect = (k, l)
+            else:
+                continue
+            if defect is not None and (first is None or defect < first):
+                first = defect
+        if first is not None and first[0] <= k:
+            k, l = first
+            return (f"diagonal entry {k} is not real" if k == l
+                    else f"entries ({k},{l}) and ({l},{k}) are not conjugate")
     return None
 
 
@@ -302,7 +330,7 @@ def gram(a: HoloPolyMatrix) -> BihermitianForm:
     and its coefficient matrix is positive semidefinite by construction.
 
     Each (column i, monomial alpha) of the factor gets one index, each row k
-    becomes one GaussianRow c_k over those indices, and sum_k w_k c_k c_k* is
+    becomes one SparseRow c_k over those indices, and sum_k w_k c_k c_k* is
     summed in ints by `outer_product_sum`, its upper triangle only.
     """
     s, r = a.shape
@@ -313,23 +341,20 @@ def gram(a: HoloPolyMatrix) -> BihermitianForm:
                 index.setdefault((i, alpha), len(index))
     size = len(index)
     weights = a.weights if a.weights is not None else (Fraction(1),) * s
-    rows = (GaussianRow.from_entries(size, ((index[(i, alpha)], coeff)
-                                            for i, poly in enumerate(row)
-                                            for alpha, coeff in poly.items()))
+    rows = (SparseRow.from_entries((index[(i, alpha)], coeff)
+                                   for i, poly in enumerate(row) for alpha, coeff in poly.items())
             for row in a.rows)
     re, im, common = outer_product_sum(size, zip(weights, rows))
     pairs = list(index)
     support: dict[TermKey, GaussianRational] = {}
     for p, (i, alpha) in enumerate(pairs):
         re_p, im_p = re[p], im[p]
-        for q in range(p, size):
-            x, y = re_p[q], im_p[q]
-            if x or y:
-                j, beta = pairs[q]
-                coeff = GaussianRational(Fraction(x, common), Fraction(y, common))
-                support[(i, j, alpha, beta)] = coeff
-                if q != p:
-                    support[(j, i, beta, alpha)] = coeff.conjugate()
+        for q in nonzero_indices(re_p, im_p, p):
+            j, beta = pairs[q]
+            coeff = GaussianRational(Fraction(re_p[q], common), Fraction(im_p[q], common))
+            support[(i, j, alpha, beta)] = coeff
+            if q != p:
+                support[(j, i, beta, alpha)] = coeff.conjugate()
     return BihermitianForm(a.n, r, support)
 
 
@@ -350,6 +375,11 @@ def _basis_pairs(n: int, r: int, degrees) -> tuple[tuple[int, MultiIndex], ...]:
     return tuple((i, alpha) for i in range(r) for alpha in monomials)
 
 
+def homogeneous_basis(n: int, r: int, m: int) -> CoefficientBasis:
+    """The bidegree-m basis: (i, alpha) for each row index i and each |alpha| = m."""
+    return CoefficientBasis(n, r, m, _basis_pairs(n, r, [m]))
+
+
 def coefficient_basis(form: BihermitianForm, mode: str = "auto") -> CoefficientBasis:
     """Combined (i, alpha) basis for the form's coefficient matrix.
 
@@ -363,13 +393,90 @@ def coefficient_basis(form: BihermitianForm, mode: str = "auto") -> CoefficientB
     if mode == "bidegree":
         if m is None:
             raise ValueError("form has mixed bidegrees; use generalized mode")
-        return CoefficientBasis(form.n, form.r, m, _basis_pairs(form.n, form.r, [m]))
+        return homogeneous_basis(form.n, form.r, m)
     if mode == "generalized":
         cap = max_degree(form)
         return CoefficientBasis(
             form.n, form.r, None, _basis_pairs(form.n, form.r, range(cap + 1))
         )
     raise ValueError(f"unknown coefficient basis mode: {mode}")
+
+
+def _cleared_support(form: BihermitianForm) -> tuple[list[TermKey], list[int], list[int], int]:
+    """The form's term keys and their coefficients as Gaussian-integer
+    numerators (re, im) over one denominator den > 0: (keys, re, im, den)."""
+    keys = list(form.support)
+    coeffs = GaussianRow.from_entries(len(keys), enumerate(form.support.values()))
+    return keys, coeffs.re, coeffs.im, coeffs.den
+
+
+@dataclass(frozen=True)
+class CoefficientRows:
+    """A coefficient matrix in Gaussian-integer numerators over one denominator.
+
+    Entry (p, q) on `basis` is (re[p][q] + i*im[p][q]) / den, den > 0; each
+    row is a dict over its columns, and an absent column is 0.  A stored 0
+    (a term that cancelled) is allowed.  The exponent loop of `stabilize`
+    shifts these rows in ints; only `matrix` and `form` leave them.
+    """
+
+    basis: CoefficientBasis
+    den: int
+    re: list[dict[int, int]]
+    im: list[dict[int, int]]
+
+    @classmethod
+    def of(cls, form: BihermitianForm, basis: CoefficientBasis) -> "CoefficientRows":
+        """The form's coefficients on `basis`, which must hold every (i, alpha)
+        and (j, beta) of the support."""
+        keys, re, im, den = _cleared_support(form)
+        lookup = basis._lookup
+        rows_re = [{} for _ in basis.pairs]
+        rows_im = [{} for _ in basis.pairs]
+        for (i, j, alpha, beta), x, y in zip(keys, re, im):
+            p, q = lookup[(i, alpha)], lookup[(j, beta)]
+            if x:
+                rows_re[p][q] = x
+            if y:
+                rows_im[p][q] = y
+        return cls(basis, den, rows_re, rows_im)
+
+    def matrix(self) -> HermitianMatrix:
+        """Each row scattered into a GaussianRow and brought to lowest terms
+        by one gcd.  Symmetry of the form is symmetry of the rows, so the
+        caller vouches for it."""
+        size, den = len(self.basis.pairs), self.den
+        rows = []
+        for row_re, row_im in zip(self.re, self.im):
+            g = gcd(den, *row_re.values(), *row_im.values())
+            re, im = [0] * size, [0] * size
+            for q, x in row_re.items():
+                re[q] = x // g
+            for q, y in row_im.items():
+                im[q] = y // g
+            rows.append(GaussianRow(re, im, den // g))
+        return HermitianMatrix(tuple(rows))
+
+    def form(self) -> BihermitianForm:
+        """The form with these coefficients, cancelled terms dropped."""
+        pairs, den = self.basis.pairs, self.den
+        support: dict[TermKey, GaussianRational] = {}
+        for (i, alpha), row_re, row_im in zip(pairs, self.re, self.im):
+            for q in sorted(row_re.keys() | row_im.keys()):
+                x, y = row_re.get(q, 0), row_im.get(q, 0)
+                if x or y:
+                    j, beta = pairs[q]
+                    support[(i, j, alpha, beta)] = GaussianRational(Fraction(x, den),
+                                                                    Fraction(y, den))
+        return BihermitianForm(self.basis.n, self.basis.r, support)
+
+
+def coefficient_rows(form: BihermitianForm, mode: str = "auto") -> CoefficientRows:
+    """The form's coefficient matrix as CoefficientRows on
+    `coefficient_basis(form, mode)`.  Requires a Hermitian-symmetric input."""
+    if not is_hermitian_symmetric(form):
+        raise ValueError("coefficient matrix requires a Hermitian-symmetric form")
+    return CoefficientRows.of(form, coefficient_basis(form, mode))
 
 
 def coefficient_matrix(
@@ -381,16 +488,8 @@ def coefficient_matrix(
     positivity of M is exactly expressibility of the kernel as a weighted sum
     of rank-one holomorphic squares.  Requires a Hermitian-symmetric input.
     """
-    if not is_hermitian_symmetric(form):
-        raise ValueError("coefficient matrix requires a Hermitian-symmetric form")
-    basis = coefficient_basis(form, mode)
-    size = len(basis.pairs)
-    lookup = basis._lookup
-    # Symmetry of the form is symmetry of the rows, so they need no re-check.
-    by_row: list[list] = [[] for _ in range(size)]
-    for (i, j, alpha, beta), coeff in form.support.items():
-        by_row[lookup[(i, alpha)]].append((lookup[(j, beta)], coeff))
-    return HermitianMatrix(tuple(GaussianRow.from_entries(size, row) for row in by_row)), basis
+    rows = coefficient_rows(form, mode)
+    return rows.matrix(), rows.basis
 
 
 def from_coefficient_matrix(
@@ -453,15 +552,14 @@ class ClearedForm:
 
     @classmethod
     def of(cls, form: BihermitianForm) -> "ClearedForm":
-        keys = list(form.support)
-        coeffs = GaussianRow.from_entries(len(keys), enumerate(form.support.values()))
+        keys, re, im, den = _cleared_support(form)
         deg_z = max((degree(alpha) for _, _, alpha, _ in keys), default=0)
         deg_w = max((degree(beta) for _, _, _, beta in keys), default=0)
         terms = tuple((i, j, alpha, beta, x, y, deg_z - degree(alpha), deg_w - degree(beta))
-                      for (i, j, alpha, beta), x, y in zip(keys, coeffs.re, coeffs.im))
+                      for (i, j, alpha, beta), x, y in zip(keys, re, im))
         alphas = tuple(dict.fromkeys(alpha for _, _, alpha, _ in keys))
         betas = tuple(dict.fromkeys(beta for _, _, _, beta in keys))
-        return cls(form.r, coeffs.den, deg_z, deg_w, terms, alphas, betas)
+        return cls(form.r, den, deg_z, deg_w, terms, alphas, betas)
 
     def numerators(self, z: GaussianRow, w: GaussianRow) -> tuple[list[int], list[int], int]:
         """F(z, wbar) as (re, im, den): entry (i, j) has real part re[k] / den

@@ -8,7 +8,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from math import gcd, lcm
+from operator import itemgetter, or_
 
 
 def _frac(x) -> Fraction:
@@ -188,7 +190,7 @@ class GaussianRow:
         return GaussianRow([re[c] for c in perm], [im[c] for c in perm], self.den)
 
     def nonzero(self) -> list[int]:
-        return [j for j, (x, y) in enumerate(zip(self.re, self.im)) if x or y]
+        return nonzero_indices(self.re, self.im)
 
     def swap(self, k: int, t: int) -> None:
         re, im = self.re, self.im
@@ -226,24 +228,59 @@ class GaussianRow:
         self.re, self.im, self.den = re, im, den
 
 
+def nonzero_indices(re: list[int], im: list[int], start: int = 0) -> list[int]:
+    """The j >= start with re[j] or im[j] nonzero, ascending; for ints,
+    x | y is 0 exactly when both are."""
+    if start:
+        re, im = re[start:], im[start:]
+    return list(compress(range(start, start + len(re)), map(or_, re, im)))
+
+
+@dataclass(frozen=True, slots=True)
+class SparseRow:
+    """The vector with entry (re + i*im) / den at j for each (j, re, im) in
+    `entries`, and 0 elsewhere: Gaussian-integer numerators over one
+    denominator den > 0, nonzero entries only, j ascending."""
+
+    entries: tuple[tuple[int, int, int], ...]
+    den: int = 1
+
+    @classmethod
+    def from_entries(cls, entries) -> "SparseRow":
+        """The row with GaussianRational c at j for each (j, c), j distinct;
+        zeros are dropped and the rest cleared over the lcm of their
+        denominators, which leaves the row in lowest terms."""
+        entries = sorted(((j, c) for j, c in entries if c), key=itemgetter(0))
+        den = lcm(*(d for _, c in entries for d in (c.re.denominator, c.im.denominator)))
+        return cls(tuple((j, c.re.numerator * (den // c.re.denominator),
+                          c.im.numerator * (den // c.im.denominator)) for j, c in entries), den)
+
+    def dense(self, size: int) -> tuple[GaussianRational, ...]:
+        """The length-`size` vector of GaussianRationals."""
+        out = [ZERO] * size
+        for j, x, y in self.entries:
+            out[j] = GaussianRational(Fraction(x, self.den), Fraction(y, self.den))
+        return tuple(out)
+
+
 def outer_product_sum(size: int, terms) -> tuple[list[list[int]], list[list[int]], int]:
     """sum_k w_k c_k c_k^adj over (w_k, c_k) in `terms`, a rational weight and
-    a length-`size` GaussianRow each, summed in ints: (re, im, common) with
-    entry (p, q) = (re[p][q] + i*im[p][q]) / common for q >= p.  The sum is
-    Hermitian, so the lower triangle is left 0."""
+    a SparseRow with indices below `size` each, summed in ints: (re, im,
+    common) with entry (p, q) = (re[p][q] + i*im[p][q]) / common for q >= p.
+    The sum is Hermitian, so the lower triangle is left 0."""
     scaled = []
     common = 1
     for w, c in terms:
-        nz = [(p, c.re[p], c.im[p]) for p in c.nonzero()]
-        if nz and w:
+        if c.entries and w:
             # w_k c_k c_k^adj = (w_k / den^2) times the integer outer product
             scale = Fraction(w) / (c.den * c.den)
             common = lcm(common, scale.denominator)
-            scaled.append((scale.numerator, scale.denominator, nz))
+            scaled.append((scale.numerator, scale.denominator, c.entries))
     re = [[0] * size for _ in range(size)]
     im = [[0] * size for _ in range(size)]
     for num, den, nz in scaled:
         num *= common // den
+        # the entries ascend, so (p, q) with q from nz[t:] lies on or above the diagonal
         for t, (p, x, y) in enumerate(nz):
             nx, ny, re_p, im_p = num * x, num * y, re[p], im[p]
             for q, u, v in nz[t:]:

@@ -21,12 +21,11 @@ from .hermform import (
     HermitianMatrix,
     HoloPolyMatrix,
     bidegree,
-    coefficient_matrix,
     evaluate_exact,
     scale,
 )
 from .scalars import ZERO, GaussianRational
-from .stabilize import MODES, StabilizationReport, multiplier_shift
+from .stabilize import MODES, StabilizationReport, exponent_steps
 from .symbols import EllipticityReport, format_diff_operator_row
 
 
@@ -322,14 +321,12 @@ def _verify_stabilization(obj: dict) -> tuple[bool, str]:
     _require_keys(obj, STABILIZATION_KEYS, "a stabilization report")
     _require_mode(obj["mode"])
     strict = obj["mode"] == "strict"
-    form = obj_to_form(obj["form"])
     trail = obj["trail"]
+    steps = exponent_steps(obj_to_form(obj["form"]))
     passes = False
     for d, record in enumerate(trail):
         _require_keys(record, CONGRUENCE_KEYS, "a trail step")
-        if d:
-            form = multiplier_shift(form)
-        matrix, _ = coefficient_matrix(form, mode="bidegree")
+        matrix, rows = next(steps)
         cert = _obj_to_congruence(record, matrix)
         ok, reason = cert.verify()
         if not ok:
@@ -345,7 +342,7 @@ def _verify_stabilization(obj: dict) -> tuple[bool, str]:
     if not passes and last != obj["d_max"]:
         return False, "trail stops before d_max"
     factor = obj["factor"]
-    if (factor is not None) != passes or (passes and obj_to_form(factor["target"]) != form):
+    if (factor is not None) != passes or (passes and obj_to_form(factor["target"]) != rows.form()):
         return False, "factor is not one of the form shifted d_min times"
     return verify_obj(factor) if passes else (True, "ok")
 

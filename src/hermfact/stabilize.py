@@ -4,24 +4,61 @@ Multiplying a bihomogeneous kernel by <z, w> shifts its coefficient tensor
 along the diagonal; the minimal d for which the d-fold shift has a positive
 (semi)definite coefficient matrix is found by a linear upward search, keeping
 the full per-exponent certificate trail for audit.
+
+The search and its re-check in `verify` run one exponent loop,
+`exponent_steps`: the form is cleared once to Gaussian-integer numerators over
+one denominator (`hermform.CoefficientRows`), <z, w> acts on those by integer
+adds, and each step's matrix is scattered straight from them.
 """
 
 from __future__ import annotations
 
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from .certify import SignatureCertificate, ldl_signature
 from .factor import WeightedGramFactor, _positive_factor
 from .hermform import (
     BihermitianForm,
+    CoefficientRows,
+    HermitianMatrix,
     bidegree,
-    coefficient_matrix,
+    coefficient_rows,
+    homogeneous_basis,
     is_hermitian_symmetric,
 )
-from .scalars import ZERO
 
 MODES = ("strict", "semi")
+
+
+def _pairing_shift(rows: CoefficientRows) -> CoefficientRows:
+    """<z, w> times the bidegree-m form of `rows`, in ints: the term
+    z^alpha wbar^beta of row i, column j adds its coefficient to
+    z^(alpha+e_k) wbar^(beta+e_k) for each k, so entry (p, q) of the
+    degree-m matrix adds to (up[p][k], up[q][k]) of the degree-(m+1) one.
+
+    <z, w> * 0 is the zero form, whose bidegree is 0, so zero rows stay as
+    they are; any other form keeps a nonzero term.
+    """
+    if not any(any(row.values()) for row in rows.re + rows.im):
+        return rows
+    basis = rows.basis
+    n = basis.n
+    shifted = homogeneous_basis(n, basis.r, basis.bidegree + 1)
+    up = [[shifted.index(i, alpha[:k] + (alpha[k] + 1,) + alpha[k + 1:]) for k in range(n)]
+          for i, alpha in basis.pairs]
+    out_re = [{} for _ in shifted.pairs]
+    out_im = [{} for _ in shifted.pairs]
+    for source, out in ((rows.re, out_re), (rows.im, out_im)):
+        for p, row in enumerate(source):
+            up_p = up[p]
+            for q, x in row.items():
+                if x:
+                    for a, b in zip(up_p, up[q]):
+                        target = out[a]
+                        target[b] = target.get(b, 0) + x
+    return CoefficientRows(shifted, rows.den, out_re, out_im)
 
 
 def multiplier_shift(form: BihermitianForm) -> BihermitianForm:
@@ -30,30 +67,39 @@ def multiplier_shift(form: BihermitianForm) -> BihermitianForm:
     Requires a single bidegree m; the result has bidegree m + 1 and keeps
     Hermitian symmetry.
     """
-    if bidegree(form) is None:
+    m = bidegree(form)
+    if m is None:
         raise ValueError("multiplier shift requires a single bidegree")
-    acc = {}
-    for (i, j, alpha, beta), coeff in form.support.items():
-        for k in range(form.n):
-            key = (
-                i,
-                j,
-                alpha[:k] + (alpha[k] + 1,) + alpha[k + 1 :],
-                beta[:k] + (beta[k] + 1,) + beta[k + 1 :],
-            )
-            acc[key] = acc.get(key, ZERO) + coeff
-    return BihermitianForm.from_terms(form.n, form.r, acc)
+    return _pairing_shift(CoefficientRows.of(form, homogeneous_basis(form.n, form.r, m))).form()
 
 
 def multiplier_power(form: BihermitianForm, d: int) -> BihermitianForm:
-    """The kernel <z, w>^d * F: d applications of multiplier_shift."""
+    """The kernel <z, w>^d * F: d integer shifts of the form, cleared once."""
     if d < 0:
         raise ValueError("multiplier exponent must be nonnegative")
-    if bidegree(form) is None:
+    m = bidegree(form)
+    if m is None:
         raise ValueError("multiplier power requires a single bidegree")
+    if d == 0:
+        return form
+    rows = CoefficientRows.of(form, homogeneous_basis(form.n, form.r, m))
     for _ in range(d):
-        form = multiplier_shift(form)
-    return form
+        rows = _pairing_shift(rows)
+    return rows.form()
+
+
+def exponent_steps(form: BihermitianForm) -> Iterator[tuple[HermitianMatrix, CoefficientRows]]:
+    """(coefficient matrix, CoefficientRows) of <z, w>^d F for d = 0, 1, 2, ...
+
+    Symmetry and the single bidegree are checked once, at d = 0, with the
+    errors of `coefficient_matrix`; the shift keeps both.  A step is shifted
+    only when the next one is asked for, and its form is rebuilt only by
+    whoever calls `form()`.
+    """
+    rows = coefficient_rows(form, mode="bidegree")
+    while True:
+        yield rows.matrix(), rows
+        rows = _pairing_shift(rows)
 
 
 @dataclass(eq=True)
@@ -100,9 +146,7 @@ def find_minimal_d(
     if bidegree(form) is None:
         raise ValueError("stabilization search requires a single bidegree")
     report = StabilizationReport(form=form, mode=mode, d_max=d_max, d_min=None)
-    shifted = form
-    for d in range(d_max + 1):
-        matrix, basis = coefficient_matrix(shifted, mode="bidegree")
+    for d, (matrix, rows) in zip(range(d_max + 1), exponent_steps(form)):
         cert = ldl_signature(matrix)
         passes = (
             cert.is_positive_definite()
@@ -112,10 +156,8 @@ def find_minimal_d(
         report.steps.append(StabilizationStep(d=d, passes=passes, certificate=cert))
         if passes:
             report.d_min = d
-            report.factor = _positive_factor(shifted, cert, basis)
+            report.factor = _positive_factor(rows.form(), cert, rows.basis)
             return report
-        if d < d_max:
-            shifted = multiplier_shift(shifted)
     return report
 
 

@@ -15,6 +15,7 @@ from hermfact import (
     HermitianMatrix,
     HoloPolyMatrix,
     SignatureCertificate,
+    bidegree,
     enumerate_degree,
 )
 from hermfact.hermform import TermKey, coefficient_basis
@@ -230,6 +231,36 @@ def reference_gram(a: HoloPolyMatrix) -> BihermitianForm:
     return BihermitianForm.from_terms(a.n, r, acc)
 
 
+# The dict arithmetic over GaussianRational that the integer exponent loop of
+# hermfact.stabilize replaced; the property tests hold the loop to it.
+def reference_multiplier_shift(form: BihermitianForm) -> BihermitianForm:
+    """The kernel <z, w> * F, one diagonal-translate convolution step.
+
+    Requires a single bidegree m; the result has bidegree m + 1 and keeps
+    Hermitian symmetry.
+    """
+    if bidegree(form) is None:
+        raise ValueError("multiplier shift requires a single bidegree")
+    acc = {}
+    for (i, j, alpha, beta), coeff in form.support.items():
+        for k in range(form.n):
+            key = (
+                i,
+                j,
+                alpha[:k] + (alpha[k] + 1,) + alpha[k + 1 :],
+                beta[:k] + (beta[k] + 1,) + beta[k + 1 :],
+            )
+            acc[key] = acc.get(key, ZERO) + coeff
+    return BihermitianForm.from_terms(form.n, form.r, acc)
+
+
+def reference_multiplier_power(form: BihermitianForm, d: int) -> BihermitianForm:
+    """The kernel <z, w>^d * F: d applications of reference_multiplier_shift."""
+    for _ in range(d):
+        form = reference_multiplier_shift(form)
+    return form
+
+
 # ---------------------------------------------------------------------------
 # dense matrix products and the reference certification kernel
 #
@@ -425,6 +456,35 @@ def dense_d(cert: SignatureCertificate):
         rows[k][k + 1] = a
         rows[k + 1][k] = a.conjugate()
     return tuple(tuple(row) for row in rows)
+
+
+def reference_weighted_vectors(cert: SignatureCertificate):
+    """SignatureCertificate.weighted_vectors as dense length-n GaussianRational
+    tuples, the form the sparse rows replaced.
+
+    v_k is column k of P^T L: v_k[permutation[k]] = 1 and
+    v_k[permutation[j]] = L[j][k].  Each nonzero d_k gives (d_k, v_k) in
+    slot order; then each hollow block a at slots k, k + 1, with
+    x = v_k and y = conj(a) v_{k+1}, gives (1/2, x + y) and (-1/2, x - y),
+    since a v_k v_{k+1}^adj + conj(a) v_{k+1} v_k^adj is their sum.
+    """
+    n, perm = cert.size, cert.permutation
+
+    def column(k: int) -> list[GaussianRational]:
+        v = [ZERO] * n
+        v[perm[k]] = ONE
+        for j, c in cert.lower[k]:
+            v[perm[j]] = c
+        return v
+
+    out = [(d, tuple(column(k))) for k, d in enumerate(cert.diag) if d]
+    half = Fraction(1, 2)
+    for k, a in cert.blocks:
+        ca = a.conjugate()
+        x, y = column(k), [ca * c if c else c for c in column(k + 1)]
+        out.append((half, tuple(p + q for p, q in zip(x, y))))
+        out.append((-half, tuple(p - q for p, q in zip(x, y))))
+    return out
 
 
 def reference_verify(cert: SignatureCertificate) -> tuple[bool, str]:

@@ -772,3 +772,41 @@ def test_report_numbers_past_the_digit_limit_are_input_errors(capsys, tmp_path):
     assert code == 2 and out == "" and not path.exists()
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "int-to-string limit" in err and "Traceback" not in err
+
+
+def _stabilization_form_not_hermitian(stabilization):
+    # |z2|^4 gets coefficient 1 + i: a diagonal term that is not real.
+    stabilization["form"]["terms"][0]["im"] = "1"
+
+
+def _stabilization_form_of_mixed_bidegree(stabilization):
+    stabilization["form"]["terms"].append(
+        {"i": 1, "j": 1, "alpha": [1, 0], "beta": [1, 0], "re": "1", "im": "0"})
+
+
+def _stabilization_trail_emptied(stabilization):
+    stabilization.update(trail=[], d_min=None, factor=None)
+
+
+@pytest.mark.parametrize(
+    "rewrite, code, stdout, stderr",
+    [
+        (_stabilization_form_not_hermitian, 2, "",
+         "error: coefficient matrix requires a Hermitian-symmetric form\n"),
+        (_stabilization_form_of_mixed_bidegree, 2, "",
+         "error: form has mixed bidegrees; use generalized mode\n"),
+        (_stabilization_trail_emptied, 1,
+         '{"valid": false, "reason": "trail stops before d_max"}\n', ""),
+    ],
+    ids=["form_not_hermitian", "form_of_mixed_bidegree", "trail_emptied"],
+)
+def test_verify_of_a_rewritten_stabilization_form_or_trail(capsys, tmp_path, rewrite, code,
+                                                            stdout, stderr):
+    # The exponent loop re-derives every step's matrix from the embedded
+    # form; these exits and messages are those of the search's first version.
+    path = tmp_path / "report.json"
+    run(capsys, ["stabilize", "-e", INDEFINITE_QUARTIC, "--dmax", "5", "--out", str(path)])
+    report = json.loads(path.read_text())
+    rewrite(report["result"]["stabilization"])
+    path.write_text(json.dumps(report))
+    assert run(capsys, ["verify", str(path)]) == (code, stdout, stderr)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from hermfact import (
     BihermitianForm,
     GaussianRational,
+    HermitianMatrix,
     HoloPolyMatrix,
     bidegree,
     coefficient_matrix,
@@ -19,10 +20,13 @@ from hermfact import (
     from_coefficient_matrix,
     gram,
     ldl_signature,
+    multiplier_power,
+    multiplier_shift,
     parse_expression,
     parse_real_symbol,
 )
 from hermfact.scalars import ZERO
+from hermfact.stabilize import exponent_steps
 from hermfact.symbols import _sample_symbol
 
 from helpers import (
@@ -31,9 +35,11 @@ from helpers import (
     reference_coefficient_matrix,
     reference_evaluate_exact,
     reference_gram,
+    reference_multiplier_power,
     reference_parse_expression,
     reference_parse_real_symbol,
     reference_sample_symbol,
+    reference_weighted_vectors,
     square_difference,
 )
 
@@ -166,6 +172,91 @@ def test_gram_drops_cancelled_terms():
     a = HoloPolyMatrix.from_rows(2, [[{(1, 0): one, (0, 1): one}], [{(1, 0): one, (0, 1): -one}]])
     two = GaussianRational(Fraction(2))
     assert gram(a).support == {(0, 0, (1, 0), (1, 0)): two, (0, 0, (0, 1), (0, 1)): two}
+
+
+@st.composite
+def stabilization_forms(draw):
+    """A Hermitian-symmetric form with n <= 3 variables, r <= 2 rows and one
+    bidegree m <= 2: up to three drawn terms with their conjugate partners
+    (complex coefficients of denominators up to 6, the zero form included),
+    and, for n >= 2 and m >= 1, now and then c z^alpha wbar^beta beside
+    -c z^alpha' wbar^beta' with alpha' = alpha + e_a - e_b and
+    beta' = beta + e_a - e_b, whose shifts by z_a wbar_a and z_b wbar_b
+    cancel."""
+    n, r, m = draw(st.integers(1, 3)), draw(st.integers(1, 2)), draw(st.integers(0, 2))
+    monomials = enumerate_degree(n, m)
+    rows = st.integers(0, r - 1)
+    terms = []
+    for _ in range(draw(st.integers(0, 3))):
+        i, j = draw(rows), draw(rows)
+        alpha, beta = draw(st.sampled_from(monomials)), draw(st.sampled_from(monomials))
+        c = draw(gaussians)
+        terms += [((i, j, alpha, beta), c), ((j, i, beta, alpha), c.conjugate())]
+    if n > 1 and m > 0 and draw(st.booleans()):
+        a, b = draw(st.permutations(range(n)))[:2]
+        movable = st.sampled_from([mono for mono in monomials if mono[b]])
+        alpha, beta = draw(movable), draw(movable)
+        moved = [tuple(x + (k == a) - (k == b) for k, x in enumerate(mono))
+                 for mono in (alpha, beta)]
+        i, j, c = draw(rows), draw(rows), draw(gaussians)
+        for key, coeff in (((i, j, alpha, beta), c), ((i, j, *moved), -c)):
+            terms += [(key, coeff), ((key[1], key[0], key[3], key[2]), coeff.conjugate())]
+    return BihermitianForm.from_terms(n, r, terms)
+
+
+@SETTINGS
+@given(form=stabilization_forms())
+def test_exponent_loop_equals_reference_shifts(form):
+    for d, (matrix, rows) in zip(range(5), exponent_steps(form)):
+        shifted = reference_multiplier_power(form, d)
+        assert (matrix, rows.basis) == coefficient_matrix(shifted, mode="bidegree")
+        assert rows.form() == shifted
+        assert multiplier_power(form, d) == shifted
+
+
+def test_exponent_loop_keeps_a_cancelled_term_out_of_the_form():
+    # <z,w> (|z1|^2 - |z2|^2) = |z1|^4 - |z2|^4: the z1 z2 wbar1 wbar2 terms cancel.
+    form = parse_expression("z1*zb1 - z2*zb2")
+    steps = exponent_steps(form)
+    next(steps)
+    matrix, rows = next(steps)
+    assert rows.form() == parse_expression("z1^2*zb1^2 - z2^2*zb2^2") == multiplier_shift(form)
+    assert matrix == coefficient_matrix(rows.form(), mode="bidegree")[0]
+
+
+@st.composite
+def hermitian_matrices(draw):
+    """A Hermitian matrix of size 1 to 6 with entries of denominators up to
+    6, often 0; half the time its diagonal is 0, so that the elimination
+    takes hollow 2x2 pivots."""
+    size = draw(st.integers(1, 6))
+    entry = st.just(ZERO) | gaussians
+    hollow = draw(st.booleans())
+    rows = [[ZERO] * size for _ in range(size)]
+    for k in range(size):
+        rows[k][k] = ZERO if hollow else GaussianRational(draw(fractions))
+        for l in range(k + 1, size):
+            rows[k][l] = draw(entry)
+            rows[l][k] = rows[k][l].conjugate()
+    return HermitianMatrix.from_rows(rows)
+
+
+@SETTINGS
+@given(matrix=hermitian_matrices())
+def test_weighted_vectors_densify_to_the_reference(matrix):
+    cert = ldl_signature(matrix)
+    pairs = cert.weighted_vectors()
+    assert [(w, v.dense(matrix.size)) for w, v in pairs] == reference_weighted_vectors(cert)
+    for _, v in pairs:
+        indices = [j for j, _, _ in v.entries]
+        assert indices == sorted(set(indices)) and v.den > 0
+        assert all(x or y for _, x, y in v.entries)
+
+
+def test_weighted_vectors_of_a_hollow_block():
+    cert = ldl_signature(HermitianMatrix.from_rows([[0, 1, 2], [1, 0, 1], [2, 1, 0]]))
+    assert cert.blocks
+    assert [(w, v.dense(3)) for w, v in cert.weighted_vectors()] == reference_weighted_vectors(cert)
 
 
 # Variables of a kernel, a holomorphic matrix and a real symbol; a text draws
