@@ -6,9 +6,10 @@ Exit codes are uniform across subcommands:
     2  input or usage error
     3  inconclusive up to the requested search bound
 
-Reports are JSON on stdout, deterministic up to the "timings" field; sweep
-additionally emits CSV.  Certificates can be mirrored to separate files with
---cert-dir, and `verify` re-checks any emitted artifact from its file alone.
+Reports are canonical one-line JSON on stdout, deterministic up to the
+"timings" field; sweep emits CSV there instead.  Certificates can be mirrored
+to separate files with --cert-dir, and `verify` re-checks any emitted
+artifact from its file alone.
 """
 
 from __future__ import annotations

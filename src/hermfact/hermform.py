@@ -156,8 +156,14 @@ class HermitianMatrix:
     @classmethod
     def from_rows(cls, rows) -> "HermitianMatrix":
         """The checked constructor: a square Hermitian array of scalars, else ValueError."""
-        matrix = cls(tuple(GaussianRow.from_entries(len(row), enumerate(map(as_gaussian, row)))
-                           for row in rows))
+        return cls.from_gaussian_rows(
+            GaussianRow.from_entries(len(row), enumerate(map(as_gaussian, row))) for row in rows)
+
+    @classmethod
+    def from_gaussian_rows(cls, rows) -> "HermitianMatrix":
+        """The checked constructor over GaussianRows in lowest terms: ValueError
+        unless they form a square Hermitian matrix."""
+        matrix = cls(tuple(rows))
         defect = hermitian_defect(matrix.rows)
         if defect is not None:
             raise ValueError(defect)

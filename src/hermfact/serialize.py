@@ -1,18 +1,26 @@
 """JSON (de)serialization for every artifact, with all rationals as strings.
 
-Coefficients are serialized as exact "p/q" strings (or "p" when integral) so
-that certificates survive the round trip bit-for-bit.  Matrix indices i, j of
-kernel terms are 1-based on the wire, 0-based in memory.  `canonical_json`
-fixes key order and separators, making reports byte-reproducible; volatile
-fields (timings) are stripped before digesting.
+Coefficients are written as exact "p/q" strings in lowest terms (or "p" when
+integral) so that certificates survive the round trip bit-for-bit, and read
+back by one reader, `read_ratio`: the written spelling goes straight to ints,
+any other spelling that `Fraction` accepts is still accepted, and a zero
+denominator is a ValueError.  Matrix indices i, j of kernel terms are 1-based
+on the wire, 0-based in memory.
+
+Every report and artifact file is `canonical_json` (sorted keys, no
+whitespace, CPython's C encoder) on one line; `python -m json.tool` indents
+it.  The digest of a report hashes that encoding without its `digest` and
+volatile `timings` keys, so it does not depend on the layout of the file.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import re
 import sys
 from fractions import Fraction
+from math import gcd, lcm
 
 from .certify import SignatureCertificate, inertia_of_d
 from .factor import WeightedGramFactor, numeric_factor
@@ -24,7 +32,7 @@ from .hermform import (
     evaluate_exact,
     scale,
 )
-from .scalars import ZERO, GaussianRational
+from .scalars import ZERO, GaussianRational, GaussianRow
 from .stabilize import MODES, StabilizationReport, exponent_steps
 from .symbols import EllipticityReport, format_diff_operator_row
 
@@ -33,28 +41,64 @@ class DigitLimitError(ValueError):
     """A number too long for Python's int-to-string conversion."""
 
 
-def fraction_to_str(x: Fraction) -> str:
-    x = Fraction(x)
+def _ratio_to_str(p: int, q: int) -> str:
+    """p/q as written, for q > 0 and p/q in lowest terms."""
     try:
-        return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+        return str(p) if q == 1 else f"{p}/{q}"
     except ValueError:
         raise DigitLimitError(
             "a number in the report has more digits than the int-to-string limit "
             f"(sys.get_int_max_str_digits() = {sys.get_int_max_str_digits()})") from None
 
 
-def str_to_fraction(text: str) -> Fraction:
-    return Fraction(text)
+def fraction_to_str(x: Fraction) -> str:
+    return _ratio_to_str(x.numerator, x.denominator)
+
+
+_WRITTEN_RATIO = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
+def read_ratio(value) -> tuple[int, int]:
+    """The rational `value` as (p, q), q > 0, not always in lowest terms.
+
+    A string "p" or "p/q" of ASCII digits, as `fraction_to_str` writes it,
+    goes straight to ints; any other value goes through `Fraction(value)`,
+    so every spelling it accepts is accepted.  A zero denominator, or a
+    value that is not a rational, raises ValueError.
+    """
+    match = _WRITTEN_RATIO.fullmatch(value) if type(value) is str else None
+    if match is not None:
+        p, q = match.groups()
+        q = 1 if q is None else int(q)
+        if q == 0:
+            raise ValueError("a rational has a zero denominator")
+        return int(p), q
+    try:
+        x = Fraction(value)
+    except ZeroDivisionError:
+        raise ValueError("a rational has a zero denominator") from None
+    except (OverflowError, TypeError):
+        raise ValueError(f"not a rational: {value!r}") from None
+    return x.numerator, x.denominator
+
+
+def str_to_fraction(value) -> Fraction:
+    p, q = read_ratio(value)
+    return Fraction(p) if q == 1 else Fraction(p, q)
 
 
 def gaussian_to_pair(c: GaussianRational) -> list[str]:
     return [fraction_to_str(c.re), fraction_to_str(c.im)]
 
 
-def pair_to_gaussian(pair) -> GaussianRational:
+def _require_pair(pair) -> None:
     if not (isinstance(pair, list) and len(pair) == 2 and all(isinstance(x, str) for x in pair)):
         raise ValueError("a Gaussian rational must be a pair [re, im] of strings")
-    return GaussianRational(Fraction(pair[0]), Fraction(pair[1]))
+
+
+def pair_to_gaussian(pair) -> GaussianRational:
+    _require_pair(pair)
+    return GaussianRational(str_to_fraction(pair[0]), str_to_fraction(pair[1]))
 
 
 def form_to_obj(form: BihermitianForm) -> dict:
@@ -79,7 +123,7 @@ def obj_to_form(obj: dict) -> BihermitianForm:
         raise ValueError("not a serialized kernel")
     terms = []
     for term in obj["terms"]:
-        coeff = GaussianRational(Fraction(term["re"]), Fraction(term["im"]))
+        coeff = GaussianRational(str_to_fraction(term["re"]), str_to_fraction(term["im"]))
         terms.append(
             (
                 (term["i"] - 1, term["j"] - 1, tuple(term["alpha"]), tuple(term["beta"])),
@@ -105,7 +149,8 @@ def _poly_to_obj(poly) -> list[dict]:
 
 def _obj_to_poly(items) -> dict:
     return {
-        tuple(item["alpha"]): GaussianRational(Fraction(item["re"]), Fraction(item["im"]))
+        tuple(item["alpha"]): GaussianRational(str_to_fraction(item["re"]),
+                                               str_to_fraction(item["im"]))
         for item in items
     }
 
@@ -130,7 +175,7 @@ def obj_to_factor(obj: dict) -> WeightedGramFactor:
     if not (isinstance(shape, list) and len(shape) == 2):
         raise ValueError("a holomorphic matrix shape must be [rows, columns]")
     rows = [[_obj_to_poly(entry) for entry in row["entries"]] for row in obj["rows"]]
-    weights = [Fraction(row["weight"]) for row in obj["rows"]]
+    weights = [str_to_fraction(row["weight"]) for row in obj["rows"]]
     matrix = HoloPolyMatrix.from_rows(obj["n"], rows, weights if rows else None, ncols=shape[1])
     return WeightedGramFactor(matrix, obj_to_form(obj["target"]))
 
@@ -168,7 +213,8 @@ def _obj_to_entries(items) -> tuple:
     ):
         raise ValueError(f"{FORMAT_ERROR}: lower, blocks and witness entries must be "
                          "[int, str, str]")
-    return tuple((j, GaussianRational(Fraction(re), Fraction(im))) for j, re, im in items)
+    return tuple((j, GaussianRational(str_to_fraction(re), str_to_fraction(im)))
+                 for j, re, im in items)
 
 
 def _obj_to_witness(items, n: int):
@@ -201,10 +247,39 @@ def _obj_to_congruence(obj: dict, matrix: HermitianMatrix) -> SignatureCertifica
         matrix=matrix,
         permutation=tuple(obj["permutation"]),
         lower=tuple(_obj_to_entries(column) for column in obj["lower"]),
-        diag=tuple(Fraction(d) for d in obj["diag"]),
+        diag=tuple(map(str_to_fraction, obj["diag"])),
         blocks=_obj_to_entries(obj["blocks"]),
         witness=_obj_to_witness(obj["witness"], matrix.size),
     )
+
+
+def _row_to_obj(row: GaussianRow) -> list[list[str]]:
+    """The dense [re, im] pairs of a row, each part reduced by one gcd."""
+    den = row.den
+
+    def part(x: int) -> str:
+        g = gcd(x, den)
+        return _ratio_to_str(x // g, den // g)
+
+    return [[part(x), part(y)] if x or y else ["0", "0"] for x, y in zip(row.re, row.im)]
+
+
+def _obj_to_row(pairs) -> GaussianRow:
+    """The GaussianRow of a list of [re, im] pairs: numerators over the lcm
+    of their denominators, in lowest terms."""
+    parts = {}
+    for j, pair in enumerate(pairs):
+        if pair != ["0", "0"]:
+            _require_pair(pair)
+            parts[j] = read_ratio(pair[0]) + read_ratio(pair[1])
+    den = lcm(*(q for _, qr, _, qi in parts.values() for q in (qr, qi)))
+    re, im = [0] * len(pairs), [0] * len(pairs)
+    for j, (x, qr, y, qi) in parts.items():
+        re[j], im[j] = x * (den // qr), y * (den // qi)
+    g = gcd(den, *re, *im)
+    if g != 1:
+        re, im, den = [x // g for x in re], [y // g for y in im], den // g
+    return GaussianRow(re, im, den)
 
 
 def certificate_to_obj(cert: SignatureCertificate) -> dict:
@@ -212,7 +287,7 @@ def certificate_to_obj(cert: SignatureCertificate) -> dict:
     return {
         "kind": "signature_certificate",
         "size": cert.size,
-        "matrix": [[gaussian_to_pair(c) for c in row.to_gaussians()] for row in cert.matrix.rows],
+        "matrix": [_row_to_obj(row) for row in cert.matrix.rows],
         **_congruence_to_obj(cert),
     }
 
@@ -221,8 +296,8 @@ def obj_to_certificate(obj: dict) -> SignatureCertificate:
     if obj.get("kind") != "signature_certificate":
         raise ValueError("not a serialized signature certificate")
     _require_keys(obj, CERTIFICATE_KEYS, "a signature certificate")
-    rows = [[pair_to_gaussian(pair) for pair in row] for row in obj["matrix"]]
-    return _obj_to_congruence(obj, HermitianMatrix.from_rows(rows))
+    matrix = HermitianMatrix.from_gaussian_rows([_obj_to_row(row) for row in obj["matrix"]])
+    return _obj_to_congruence(obj, matrix)
 
 
 def stabilization_to_obj(report: StabilizationReport) -> dict:
@@ -267,24 +342,25 @@ def canonical_json(obj) -> str:
 
 
 def pretty_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """The file and stdout form of a report or artifact: its canonical JSON
+    on one line."""
+    return canonical_json(obj) + "\n"
 
 
-_VOLATILE_KEYS = {"timings", "elapsed", "elapsed_seconds"}
+# The keys whose values change from run to run; only a run report has one,
+# at its top level.
+_VOLATILE_KEYS = frozenset({"timings"})
 
 
 def strip_volatile(obj):
+    """obj without its top-level volatile keys."""
     if isinstance(obj, dict):
-        return {k: strip_volatile(v) for k, v in obj.items() if k not in _VOLATILE_KEYS}
-    if isinstance(obj, list):
-        return [strip_volatile(v) for v in obj]
+        return {k: v for k, v in obj.items() if k not in _VOLATILE_KEYS}
     return obj
 
 
 def digest_of_obj(obj) -> str:
-    return "sha256:" + hashlib.sha256(
-        canonical_json(strip_volatile(obj)).encode("utf-8")
-    ).hexdigest()
+    return digest_of_text(canonical_json(strip_volatile(obj)))
 
 
 def digest_of_text(text: str) -> str:
@@ -428,7 +504,7 @@ def _require_searched(stabilization: dict, mode: str, d_max: int, what: str) -> 
 
 
 def _inertia(cert: dict) -> tuple[int, int]:
-    return inertia_of_d([Fraction(d) for d in cert["diag"]], cert["blocks"])
+    return inertia_of_d([str_to_fraction(d) for d in cert["diag"]], cert["blocks"])
 
 
 def _symbol_summary(ellipticity: dict) -> str:

@@ -262,6 +262,23 @@ def reference_multiplier_power(form: BihermitianForm, d: int) -> BihermitianForm
 
 
 # ---------------------------------------------------------------------------
+# the reference report writers
+#
+# fraction_to_str, and the certificate matrix written entry by entry from the
+# dense GaussianRational grid, as they were before hermfact.serialize wrote
+# the matrix from the integer rows; the property tests hold the writers to
+# them.
+def reference_fraction_to_str(x) -> str:
+    x = Fraction(x)
+    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+
+
+def reference_matrix_obj(matrix: HermitianMatrix) -> list:
+    return [[[reference_fraction_to_str(c.re), reference_fraction_to_str(c.im)]
+             for c in row.to_gaussians()] for row in matrix.rows]
+
+
+# ---------------------------------------------------------------------------
 # dense matrix products and the reference certification kernel
 #
 # The reference kernel is the straightforward elimination over

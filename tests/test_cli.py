@@ -1,3 +1,4 @@
+import hashlib
 import json
 import sys
 import tempfile
@@ -810,3 +811,60 @@ def test_verify_of_a_rewritten_stabilization_form_or_trail(capsys, tmp_path, rew
     rewrite(report["result"]["stabilization"])
     path.write_text(json.dumps(report))
     assert run(capsys, ["verify", str(path)]) == (code, stdout, stderr)
+
+
+def _one_term_form(re) -> dict:
+    return {"kind": "bihermitian_form", "n": 1, "r": 1,
+            "terms": [{"i": 1, "j": 1, "alpha": [1], "beta": [1], "re": re, "im": "0"}]}
+
+
+def _no_rational_argv(site, spelling, tmp_path, capsys) -> list[str]:
+    path = tmp_path / "input.json"
+    if site == "check_form":
+        path.write_text(json.dumps(_one_term_form(spelling)))
+        return ["check", str(path)]
+    if site == "sweep_member_form":
+        return ["sweep", "-e", json.dumps([{"label": "a", "form": _one_term_form(spelling)}])]
+    run(capsys, ["check", "-e", "z1*zb1 + z2*zb2", "--out", str(path)])
+    report = json.loads(path.read_text())
+    cert = report["result"]["certificate"]
+    if site == "verify_diag":
+        cert["diag"][0] = spelling
+    else:
+        cert["matrix"][0][0] = [spelling, "0"]
+    path.write_text(json.dumps(report))
+    return ["verify", str(path)]
+
+
+@pytest.mark.parametrize("spelling", ["1/0", "+1/0", None, float("inf")])
+@pytest.mark.parametrize("site", ["check_form", "sweep_member_form", "verify_diag",
+                                  "verify_matrix"])
+def test_a_value_that_is_not_a_rational_is_an_input_error(capsys, tmp_path, site, spelling):
+    # A zero denominator, JSON null or Infinity; "+1/0" is not in the
+    # written spelling, so it takes the Fraction path.
+    argv = _no_rational_argv(site, spelling, tmp_path, capsys)
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "-e", INDEFINITE_QUARTIC, "--mode", "strict"],
+    ["stabilize", "-e", INDEFINITE_QUARTIC, "--mode", "strict", "--dmax", "4"],
+    ["factor", "-e", INDEFINITE_QUARTIC, "--d", "1", "--numeric"],
+    ["symbol", "-e", "x1^2 + x2^2 + x3^2 + x4^2"],
+    ["decompose", "-e", SQUARE_DIFFERENCE],
+], ids=lambda argv: argv[0])
+def test_reports_do_not_depend_on_their_layout(capsys, tmp_path, argv):
+    # The digest hashes the canonical encoding of the report without its
+    # digest and timings, and verify reads any layout of the same object.
+    path = tmp_path / "report.json"
+    _, out, _ = run(capsys, argv + ["--out", str(path)])
+    report = json.loads(out)
+    unstamped = {k: v for k, v in report.items() if k not in ("digest", "timings")}
+    canonical = serialize.canonical_json(unstamped).encode()
+    assert report["digest"] == "sha256:" + hashlib.sha256(canonical).hexdigest()
+    assert out == path.read_text() == serialize.canonical_json(report) + "\n"
+    indented = tmp_path / "indented.json"
+    indented.write_text(json.dumps(report, sort_keys=True, indent=2))
+    assert run(capsys, ["verify", str(indented)]) == (0, '{"valid": true, "reason": "ok"}\n', "")

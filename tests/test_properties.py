@@ -25,6 +25,7 @@ from hermfact import (
     parse_expression,
     parse_real_symbol,
 )
+from hermfact import serialize
 from hermfact.scalars import ZERO
 from hermfact.stabilize import exponent_steps
 from hermfact.symbols import _sample_symbol
@@ -34,7 +35,9 @@ from helpers import (
     quartic_family,
     reference_coefficient_matrix,
     reference_evaluate_exact,
+    reference_fraction_to_str,
     reference_gram,
+    reference_matrix_obj,
     reference_multiplier_power,
     reference_parse_expression,
     reference_parse_real_symbol,
@@ -343,3 +346,49 @@ def test_parser_equals_reference(pair):
             (parse_real_symbol, reference_parse_real_symbol),
         ]:
             assert parse_outcome(parse, text) == parse_outcome(reference, text)
+
+
+# The spellings of a rational that fraction_to_str never writes but that
+# Fraction, and so the reader, accepts.
+NON_CANONICAL = ["2/4", "-0", "007", " 3 ", "+3", "0.5", "-6/9", "1e3", "0/7"]
+
+
+@SETTINGS
+@given(text=st.builds(str, st.integers(-10**30, 10**30))
+       | st.builds("{}/{}".format, st.integers(-10**30, 10**30), st.integers(1, 10**30))
+       | st.sampled_from(NON_CANONICAL))
+def test_rational_reader_equals_fraction(text):
+    p, q = serialize.read_ratio(text)
+    assert q > 0 and Fraction(p, q) == Fraction(text)
+    assert serialize.str_to_fraction(text) == Fraction(text)
+
+
+@pytest.mark.parametrize("value", ["1/0", "+1/0", "0/0", "-5/000", "1/", "", "a", None,
+                                   float("inf")])
+def test_rational_reader_rejects_zero_denominators_and_non_rationals(value):
+    with pytest.raises(ValueError):
+        serialize.read_ratio(value)
+
+
+@SETTINGS
+@given(x=st.builds(Fraction, st.integers(-10**30, 10**30), st.integers(1, 10**30)))
+def test_fraction_writer_equals_reference(x):
+    assert serialize.fraction_to_str(x) == reference_fraction_to_str(x)
+
+
+def _spelled_over_double(text: str) -> str:
+    p, q = serialize.read_ratio(text)
+    return f"{2 * p}/{2 * q}"
+
+
+@SETTINGS
+@given(matrix=hermitian_matrices())
+def test_certificate_matrix_writer_equals_reference_and_reads_back(matrix):
+    cert = ldl_signature(matrix)
+    obj = serialize.certificate_to_obj(cert)
+    assert obj["matrix"] == reference_matrix_obj(matrix)
+    assert serialize.obj_to_certificate(obj) == cert
+    # The reader brings a row of non-canonical spellings back to lowest terms.
+    obj["matrix"] = [[[_spelled_over_double(x) for x in pair] for pair in row]
+                     for row in obj["matrix"]]
+    assert serialize.obj_to_certificate(obj) == cert
