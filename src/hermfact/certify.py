@@ -63,6 +63,11 @@ class SignatureCertificate:
     L[j][k] = c; every other entry below the diagonal is 0.  D has `diag` on
     its diagonal (0 at block slots) and, for each (k, a) in `blocks`, the
     hollow block [[0, a], [conj(a), 0]] at slots k, k + 1.
+
+    `witness` is v with v^adj M v < 0, present exactly when M is not PSD.  A
+    `strict` certificate, which decides positive definiteness, also has one
+    when M is PSD but singular: a null vector v != 0, so v^adj M v <= 0 in
+    either case.
     """
 
     matrix: HermitianMatrix
@@ -71,6 +76,7 @@ class SignatureCertificate:
     diag: tuple[Fraction, ...]
     blocks: Entries
     witness: Vector | None
+    strict: bool = False
 
     @property
     def size(self) -> int:
@@ -155,9 +161,12 @@ class SignatureCertificate:
             for q in sorted({*nonzero_indices(re_p, im_p, p), *nonzero_indices(row.re, row.im, p)}):
                 if re_p[q] * den != row.re[q] * common or im_p[q] * den != row.im[q] * common:
                     return False, f"congruence identity fails at ({p},{q})"
-        if self.n_neg > 0 and self.witness is None:
-            return False, "negative inertia without witness"
-        if self.witness is not None:
+        if self.witness is None:
+            if self.n_neg > 0:
+                return False, "negative inertia without witness"
+            if self.strict and self.n_zero > 0:
+                return False, "zero inertia without witness"
+        else:
             # with c = conj(v), v* M v = sum_l (c M)_l conj(c_l)
             c = GaussianRow.from_entries(n, ((j, x.conjugate()) for j, x in enumerate(self.witness)
                                              if x))
@@ -166,8 +175,9 @@ class SignatureCertificate:
                 cm.add_scaled(c.re[a], c.im[a], c.den, m[a])
             re = sum(x * u + y * v for x, y, u, v in zip(cm.re, cm.im, c.re, c.im))
             im = sum(y * u - x * v for x, y, u, v in zip(cm.re, cm.im, c.re, c.im))
-            if not (im == 0 and re < 0):
-                return False, "witness value is not negative"
+            if not (im == 0 and (re < 0 or self.strict and re == 0 and c.nonzero())):
+                return False, ("witness is zero or of positive value" if self.strict
+                               else "witness value is not negative")
         return True, "ok"
 
 
@@ -181,14 +191,16 @@ def _primitive_witness(row: GaussianRow) -> Vector:
     return GaussianRow([x // g for x in row.re], [y // g for y in row.im]).to_gaussians()
 
 
-def ldl_signature(matrix: HermitianMatrix) -> SignatureCertificate:
-    """Exact pivoted LDL* with inertia and an indefiniteness witness.
+def ldl_signature(matrix: HermitianMatrix, strict: bool = False) -> SignatureCertificate:
+    """Exact pivoted LDL* with inertia and an indefiniteness witness; with
+    `strict`, the witness of a singular PSD matrix is a null vector.
 
     Pivot rule: largest-magnitude real diagonal entry of the trailing block,
     lowest index on ties.  An all-zero trailing diagonal with a nonzero
     off-diagonal entry proves indefiniteness: the first such entry a, at
     (t, u) with t < u in row-major order, moves t and u to the next two slots
-    and eliminates with the 2x2 pivot [[0, a], [conj(a), 0]].
+    and eliminates with the 2x2 pivot [[0, a], [conj(a), 0]].  A zero
+    trailing block ends the elimination with zero pivots.
     """
     if not isinstance(matrix, HermitianMatrix):
         matrix = HermitianMatrix.from_rows(matrix)
@@ -203,8 +215,10 @@ def ldl_signature(matrix: HermitianMatrix) -> SignatureCertificate:
     perm = list(range(n))
     diag: list[Fraction] = []
     blocks: list[tuple[int, GaussianRational]] = []
-    # The slot of the first negative pivot or of the first block.
+    # The slot of the first negative pivot or of the first block, and of the
+    # first zero pivot.
     negative: int | None = None
+    zero: int | None = None
 
     def swap(k: int, t: int) -> None:
         if k == t:
@@ -247,6 +261,7 @@ def ldl_signature(matrix: HermitianMatrix) -> SignatureCertificate:
         )
         if hollow is None:
             diag.extend([Fraction(0)] * (n - k))
+            zero = k
             break
         t, u = hollow
         swap(k, t)
@@ -290,16 +305,20 @@ def ldl_signature(matrix: HermitianMatrix) -> SignatureCertificate:
         lower[k + 1] = column(s[k], k + 2, ar, ai, norm)
 
     witness = None
-    if negative is not None:
+    k = negative
+    if k is None and strict:
+        k = zero
+    if k is not None:
         # x^adj D x < 0 for x = e_k at the first negative pivot k, or
-        # x = e_k - conj(a) e_{k+1} (value -2|a|^2) at a first block a; the
-        # witness is P^T y with L^adj y = x, whose value is x^adj D x.  Every
-        # pivot before slot k is positive, so back substitution runs on the
-        # integer pivot rows: conj(L[j][i]) = s[i][j] / d_i, and y is kept as
-        # Gaussian integers up to a positive scale.
-        k = negative
+        # x = e_k - conj(a) e_{k+1} (value -2|a|^2) at a first block a; when
+        # there is neither, D x = 0 for x = e_k at the first zero pivot k.  The
+        # witness is P^T y with L^adj y = x, so y_k = 1, and its value is
+        # x^adj D x; in the last case M P^T y = P^T L D x = 0.  Every pivot
+        # before slot k is positive, so back substitution runs on the integer
+        # pivot rows: conj(L[j][i]) = s[i][j] / d_i, and y is kept as Gaussian
+        # integers up to a positive scale.
         yr, yi = [0] * n, [0] * n
-        if diag[k]:
+        if diag[k] or k == zero:
             yr[k], top = 1, k + 1
         else:
             yr[k], yr[k + 1], yi[k + 1], top = s[k].den, -s[k].re[k + 1], s[k].im[k + 1], k + 2
@@ -320,6 +339,7 @@ def ldl_signature(matrix: HermitianMatrix) -> SignatureCertificate:
         diag=tuple(diag),
         blocks=tuple(blocks),
         witness=witness,
+        strict=strict,
     )
 
 

@@ -73,9 +73,9 @@ def _mirror_certificates(args, report: dict) -> None:
     # their embedded ones mirrored apart.
     enter = serialize.ARTIFACT_KINDS - {"stabilization_report"}
     for count, item in enumerate(serialize.embedded_artifacts(report.get("result"), enter)):
-        digest = serialize.digest_of_obj(item)[7:19]
-        name = f"{report['command'][0]}-{count:03d}-{digest}.json"
-        (directory / name).write_text(serialize.pretty_json(item))
+        text = serialize.canonical_json(item)
+        name = f"{report['command'][0]}-{count:03d}-{serialize.digest_of_text(text)[7:19]}.json"
+        (directory / name).write_text(text + "\n")
 
 
 def _finish(args, command: list[str], input_text: str, result: dict, started: float,
@@ -96,10 +96,15 @@ def _finish(args, command: list[str], input_text: str, result: dict, started: fl
         "verdicts": verdicts,
         "result": result,
     }
-    report["digest"] = serialize.digest_of_obj(report)
+    # Each value is encoded once: the digest hashes the report before it has
+    # `digest` and `timings`, and the body joins their encodings to the rest.
+    pieces = {key: serialize.canonical_json(value) for key, value in report.items()}
+    report["digest"] = serialize.digest_of_text(serialize.canonical_object(pieces))
     report["timings"] = {"total_seconds": time.perf_counter() - started}
+    for key in ("digest", "timings"):
+        pieces[key] = serialize.canonical_json(report[key])
     _mirror_certificates(args, report)
-    body = serialize.pretty_json(report)
+    body = serialize.canonical_object(pieces) + "\n"
     sys.stdout.write(body if stdout is None else stdout)
     if getattr(args, "out", None):
         Path(args.out).write_text(body)
@@ -161,12 +166,12 @@ def _load_family(args) -> tuple[list[tuple[str, object]], str]:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputProblem(f"family file is not valid JSON: {exc}") from exc
-    members = data["members"] if isinstance(data, dict) else data
+    members = data.get("members") if isinstance(data, dict) else data
     if not isinstance(members, list):
         raise InputProblem("family file must be a list or a {'members': [...]} object")
     family = []
     for entry in members:
-        label = entry.get("label")
+        label = entry.get("label") if isinstance(entry, dict) else None
         if label is None:
             raise InputProblem("each family member needs a label")
         try:
@@ -176,7 +181,7 @@ def _load_family(args) -> tuple[list[tuple[str, object]], str]:
                 form = serialize.obj_to_form(entry["form"])
             else:
                 raise InputProblem(f"member {label!r} has neither 'expr' nor 'form'")
-        except (ParseError, ValueError) as exc:
+        except (ParseError, ValueError, KeyError) as exc:
             raise InputProblem(f"member {label!r}: {exc}") from exc
         family.append((str(label), form))
     return family, text

@@ -463,6 +463,21 @@ class CoefficientRows:
             rows.append(GaussianRow(re, im, den // g))
         return HermitianMatrix(tuple(rows))
 
+    def quadratic_value(self, v: SparseRow) -> int:
+        """v^adj M v times the positive den * v.den^2, read off the rows and
+        columns of v's nonzeros alone; M is Hermitian, so the value is real."""
+        value = 0
+        for p, a, b in v.entries:
+            row_re, row_im = self.re[p], self.im[p]
+            # (M v)_p = wr + i*wi, and conj(a + i*b) (wr + i*wi) has real part a*wr + b*wi
+            wr = wi = 0
+            for q, x, y in v.entries:
+                r, i = row_re.get(q, 0), row_im.get(q, 0)
+                wr += r * x - i * y
+                wi += r * y + i * x
+            value += a * wr + b * wi
+        return value
+
     def form(self) -> BihermitianForm:
         """The form with these coefficients, cancelled terms dropped."""
         pairs, den = self.basis.pairs, self.den

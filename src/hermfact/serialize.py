@@ -32,7 +32,7 @@ from .hermform import (
     evaluate_exact,
     scale,
 )
-from .scalars import ZERO, GaussianRational, GaussianRow
+from .scalars import ZERO, GaussianRational, GaussianRow, SparseRow
 from .stabilize import MODES, StabilizationReport, exponent_steps
 from .symbols import EllipticityReport, format_diff_operator_row
 
@@ -121,8 +121,13 @@ def form_to_obj(form: BihermitianForm) -> dict:
 def obj_to_form(obj: dict) -> BihermitianForm:
     if not isinstance(obj, dict) or obj.get("kind") != "bihermitian_form":
         raise ValueError("not a serialized kernel")
+    if not (type(obj["n"]) is int and type(obj["r"]) is int and isinstance(obj["terms"], list)):
+        raise ValueError("a serialized kernel needs integers n and r and a list of terms")
     terms = []
     for term in obj["terms"]:
+        if not (isinstance(term, dict) and type(term["i"]) is int and type(term["j"]) is int
+                and isinstance(term["alpha"], list) and isinstance(term["beta"], list)):
+            raise ValueError("a kernel term needs integers i and j and lists alpha and beta")
         coeff = GaussianRational(str_to_fraction(term["re"]), str_to_fraction(term["im"]))
         terms.append(
             (
@@ -169,7 +174,7 @@ def factor_to_obj(factor: WeightedGramFactor) -> dict:
 
 
 def obj_to_factor(obj: dict) -> WeightedGramFactor:
-    if obj.get("kind") != "weighted_gram_factor":
+    if not isinstance(obj, dict) or obj.get("kind") != "weighted_gram_factor":
         raise ValueError("not a serialized weighted factor")
     shape = obj["shape"]
     if not (isinstance(shape, list) and len(shape) == 2):
@@ -185,8 +190,9 @@ def _entries_to_obj(entries) -> list[list]:
 
 
 FORMAT_ERROR = "artifact is not in the current certificate format"
-CONGRUENCE_KEYS = frozenset({"permutation", "lower", "diag", "blocks", "witness"})
-CERTIFICATE_KEYS = CONGRUENCE_KEYS | {"kind", "size", "matrix"}
+CERTIFICATE_KEYS = frozenset({
+    "kind", "size", "matrix", "permutation", "lower", "diag", "blocks", "witness",
+})
 STABILIZATION_KEYS = frozenset({"kind", "mode", "d_max", "d_min", "form", "trail", "factor"})
 ELLIPTICITY_KEYS = frozenset({
     "kind", "form", "verdict", "d", "witness_point", "sign_change", "stabilization",
@@ -228,29 +234,22 @@ def _obj_to_witness(items, n: int):
     return tuple(dict(entries).get(j, ZERO) for j in range(n))
 
 
-def _congruence_to_obj(cert: SignatureCertificate) -> dict:
-    """L as its nonzeros below the diagonal in pivot coordinates, one list of
-    [j, re, im] per column; D as `diag` plus hollow `blocks` [k, re, im]; the
-    witness as its nonzero entries [j, re, im]."""
-    witness = None if cert.witness is None else [(j, c) for j, c in enumerate(cert.witness) if c]
-    return {
-        "permutation": list(cert.permutation),
-        "lower": [_entries_to_obj(column) for column in cert.lower],
-        "diag": [fraction_to_str(d) for d in cert.diag],
-        "blocks": _entries_to_obj(cert.blocks),
-        "witness": None if witness is None else _entries_to_obj(witness),
-    }
+def _witness_to_obj(witness) -> list[list]:
+    """A witness as its nonzero entries [j, re, im], j ascending."""
+    return _entries_to_obj((j, c) for j, c in enumerate(witness) if c)
 
 
-def _obj_to_congruence(obj: dict, matrix: HermitianMatrix) -> SignatureCertificate:
-    return SignatureCertificate(
-        matrix=matrix,
-        permutation=tuple(obj["permutation"]),
-        lower=tuple(_obj_to_entries(column) for column in obj["lower"]),
-        diag=tuple(map(str_to_fraction, obj["diag"])),
-        blocks=_obj_to_entries(obj["blocks"]),
-        witness=_obj_to_witness(obj["witness"], matrix.size),
-    )
+def _obj_to_trail_witness(items) -> SparseRow:
+    """A trail step: the nonzero entries [j, re, im] of its witness, j
+    ascending; entries that are 0 are dropped."""
+    if not isinstance(items, list):
+        raise ValueError(f"{FORMAT_ERROR}: a trail step must be a witness, a list of "
+                         "[j, re, im] entries")
+    entries = _obj_to_entries(items)
+    indices = [j for j, _ in entries]
+    if indices != sorted(set(indices)):
+        raise ValueError(f"{FORMAT_ERROR}: witness indices must ascend")
+    return SparseRow.from_entries(entries)
 
 
 def _row_to_obj(row: GaussianRow) -> list[list[str]]:
@@ -283,12 +282,19 @@ def _obj_to_row(pairs) -> GaussianRow:
 
 
 def certificate_to_obj(cert: SignatureCertificate) -> dict:
-    """A standalone certificate carries its dense matrix; its inertia is read off D."""
+    """A standalone certificate carries its dense matrix; L as its nonzeros
+    below the diagonal in pivot coordinates, one list of [j, re, im] per
+    column; D as `diag` plus hollow `blocks` [k, re, im]; the witness as its
+    nonzero entries.  The inertia is read off D."""
     return {
         "kind": "signature_certificate",
         "size": cert.size,
         "matrix": [_row_to_obj(row) for row in cert.matrix.rows],
-        **_congruence_to_obj(cert),
+        "permutation": list(cert.permutation),
+        "lower": [_entries_to_obj(column) for column in cert.lower],
+        "diag": [fraction_to_str(d) for d in cert.diag],
+        "blocks": _entries_to_obj(cert.blocks),
+        "witness": None if cert.witness is None else _witness_to_obj(cert.witness),
     }
 
 
@@ -297,19 +303,27 @@ def obj_to_certificate(obj: dict) -> SignatureCertificate:
         raise ValueError("not a serialized signature certificate")
     _require_keys(obj, CERTIFICATE_KEYS, "a signature certificate")
     matrix = HermitianMatrix.from_gaussian_rows([_obj_to_row(row) for row in obj["matrix"]])
-    return _obj_to_congruence(obj, matrix)
+    return SignatureCertificate(
+        matrix=matrix,
+        permutation=tuple(obj["permutation"]),
+        lower=tuple(_obj_to_entries(column) for column in obj["lower"]),
+        diag=tuple(map(str_to_fraction, obj["diag"])),
+        blocks=_obj_to_entries(obj["blocks"]),
+        witness=_obj_to_witness(obj["witness"], matrix.size),
+    )
 
 
 def stabilization_to_obj(report: StabilizationReport) -> dict:
-    """The trail holds one congruence per d = 0, 1, ...; each step's matrix,
-    d and pass flag follow from the form, so they are not stored."""
+    """The trail holds the witness of each failing d = 0, 1, ..., in order;
+    each step's matrix and d follow from the form and the position, and the
+    passing d, if any, is proved by the factor."""
     return {
         "kind": "stabilization_report",
         "mode": report.mode,
         "d_max": report.d_max,
         "d_min": report.d_min,
         "form": form_to_obj(report.form),
-        "trail": [_congruence_to_obj(step.certificate) for step in report.steps],
+        "trail": [_witness_to_obj(step.witness) for step in report.steps if not step.passes],
         "factor": factor_to_obj(report.factor) if report.factor is not None else None,
     }
 
@@ -339,6 +353,14 @@ def ellipticity_to_obj(report: EllipticityReport) -> dict:
 
 def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def canonical_object(pieces: dict[str, str]) -> str:
+    """The canonical JSON of an object, joined from the canonical JSON of each
+    of its values: canonical_object({k: canonical_json(v) for k, v in
+    obj.items()}) == canonical_json(obj).  A value is encoded once however
+    many objects it is joined into."""
+    return "{" + ",".join(f"{json.dumps(key)}:{text}" for key, text in sorted(pieces.items())) + "}"
 
 
 def pretty_json(obj) -> str:
@@ -388,39 +410,58 @@ def embedded_artifacts(obj, enter=frozenset()):
             stack.extend(item)
 
 
+def _trail_step_failure(rows, record, v: SparseRow, strict: bool) -> str | None:
+    """Why the witness v, read from trail step `record`, does not prove that
+    the matrix of `rows` fails the mode's test, or None when it does:
+    v^adj M v < 0 (semi), or v != 0 and v^adj M v <= 0 (strict)."""
+    if record and not 0 <= record[0][0] <= record[-1][0] < len(rows.basis.pairs):
+        return "witness index out of range"
+    if strict and not v.entries:
+        return "witness is zero"
+    value = rows.quadratic_value(v)
+    if value > 0 or (value == 0 and not strict):
+        return "witness value is positive" if strict else "witness value is not negative"
+    return None
+
+
 def _verify_stabilization(obj: dict) -> tuple[bool, str]:
-    """A stabilization report proves its d_min claim when its trail certifies
-    the coefficient matrix of <z,w>^d F for d = 0, 1, ..., last, every step
-    before the last fails, the last passes exactly when d_min is its d (at
-    most d_max) and fails at d_max otherwise, and the factor is one of
-    <z,w>^d_min F."""
+    """A stabilization report proves its d_min claim when its trail holds a
+    witness that the coefficient matrix of <z,w>^d F fails the mode's test
+    for each d = 0, 1, ..., up to d_min - 1 when d_min is set (at most d_max)
+    and up to d_max when not, and the factor, present exactly when d_min is
+    set, is one of <z,w>^d_min F; in strict mode its rows must also span."""
     _require_keys(obj, STABILIZATION_KEYS, "a stabilization report")
-    _require_mode(obj["mode"])
-    strict = obj["mode"] == "strict"
-    trail = obj["trail"]
-    steps = exponent_steps(obj_to_form(obj["form"]))
-    passes = False
-    for d, record in enumerate(trail):
-        _require_keys(record, CONGRUENCE_KEYS, "a trail step")
-        matrix, rows = next(steps)
-        cert = _obj_to_congruence(record, matrix)
-        ok, reason = cert.verify()
-        if not ok:
-            return False, f"trail d={d}: {reason}"
-        passes = cert.is_positive_definite() if strict else cert.is_positive_semidefinite()
-        if passes and d < len(trail) - 1:
-            return False, "d_min is not minimal"
-    last = len(trail) - 1
-    if obj["d_min"] != (last if passes else None):
-        return False, "d_min does not match the trail"
-    if passes and last > obj["d_max"]:
-        return False, "trail runs past d_max"
-    if not passes and last != obj["d_max"]:
+    strict = _require_mode(obj["mode"]) == "strict"
+    trail, d_min, d_max, factor = obj["trail"], obj["d_min"], obj["d_max"], obj["factor"]
+    if not (isinstance(trail, list) and type(d_max) is int and d_max >= 0
+            and (d_min is None or type(d_min) is int)):
+        raise ValueError(f"{FORMAT_ERROR}: a stabilization report needs a trail list, "
+                         "a nonnegative integer d_max and an integer or null d_min")
+    witnesses = [_obj_to_trail_witness(record) for record in trail]
+    if d_min is None and len(trail) < d_max + 1:
         return False, "trail stops before d_max"
-    factor = obj["factor"]
-    if (factor is not None) != passes or (passes and obj_to_form(factor["target"]) != rows.form()):
+    if d_min is not None and d_min != len(trail):
+        return False, "d_min does not match the trail"
+    if len(trail) > d_max + (d_min is None):
+        return False, "trail runs past d_max"
+    if (factor is not None) != (d_min is not None):
         return False, "factor is not one of the form shifted d_min times"
-    return verify_obj(factor) if passes else (True, "ok")
+    steps = exponent_steps(obj_to_form(obj["form"]))
+    for d, (record, v, rows) in enumerate(zip(trail, witnesses, steps)):
+        reason = _trail_step_failure(rows, record, v, strict)
+        if reason is not None:
+            return False, f"trail d={d}: {reason}"
+    if d_min is None:
+        return True, "ok"
+    rows = next(steps)
+    found = obj_to_factor(factor)
+    if found.target != rows.form():
+        return False, "factor is not one of the form shifted d_min times"
+    if strict and not found.spans(len(rows.basis.pairs)):
+        return False, "factor rows do not span the coefficient space"
+    if not found.reconstructs_target():
+        return False, "factor does not reconstruct its target"
+    return True, "ok"
 
 
 def _sphere_value(form: BihermitianForm, pairs) -> GaussianRational | None:
@@ -639,8 +680,9 @@ def verify_obj(obj: dict) -> tuple[bool, str]:
     Supports signature certificates (structure of L and D, the identity
     M = sum w_k v_k v_k^adj over their weighted vectors, witness), weighted
     factors (exact gram reconstruction), stabilization reports (each trail
-    certificate against the matrix rebuilt from the embedded form, the
-    minimality claims and the factor's target), ellipticity reports (the
+    witness against the coefficient rows rebuilt from the embedded form, the
+    trail's length against d_min and d_max, and the factor's target, gram
+    and, in strict mode, span), ellipticity reports (the
     sphere points or the stabilization of the embedded form) and run reports
     (every embedded artifact, and the verdicts and renderings derived from
     them).  An artifact not in the current format, or not of an artifact's

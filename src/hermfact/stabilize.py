@@ -2,13 +2,16 @@
 
 Multiplying a bihomogeneous kernel by <z, w> shifts its coefficient tensor
 along the diagonal; the minimal d for which the d-fold shift has a positive
-(semi)definite coefficient matrix is found by a linear upward search, keeping
-the full per-exponent certificate trail for audit.
+(semi)definite coefficient matrix is found by a linear upward search.  Each
+failing exponent keeps only its evidence, one witness vector v with
+v* M_d v < 0 (semi) or v != 0 and v* M_d v <= 0 (strict); the passing one
+keeps no congruence, since its weighted factor proves it.
 
 The search and its re-check in `verify` run one exponent loop,
 `exponent_steps`: the form is cleared once to Gaussian-integer numerators over
 one denominator (`hermform.CoefficientRows`), <z, w> acts on those by integer
-adds, and each step's matrix is scattered straight from them.
+adds, and a step's matrix is scattered from them only by whoever calls
+`matrix()`.
 """
 
 from __future__ import annotations
@@ -17,12 +20,11 @@ import time
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
-from .certify import SignatureCertificate, ldl_signature
+from .certify import Vector, ldl_signature
 from .factor import WeightedGramFactor, _positive_factor
 from .hermform import (
     BihermitianForm,
     CoefficientRows,
-    HermitianMatrix,
     bidegree,
     coefficient_rows,
     homogeneous_basis,
@@ -88,31 +90,33 @@ def multiplier_power(form: BihermitianForm, d: int) -> BihermitianForm:
     return rows.form()
 
 
-def exponent_steps(form: BihermitianForm) -> Iterator[tuple[HermitianMatrix, CoefficientRows]]:
-    """(coefficient matrix, CoefficientRows) of <z, w>^d F for d = 0, 1, 2, ...
+def exponent_steps(form: BihermitianForm) -> Iterator[CoefficientRows]:
+    """The coefficient rows of <z, w>^d F for d = 0, 1, 2, ...
 
     Symmetry and the single bidegree are checked once, at d = 0, with the
     errors of `coefficient_matrix`; the shift keeps both.  A step is shifted
-    only when the next one is asked for, and its form is rebuilt only by
-    whoever calls `form()`.
+    only when the next one is asked for, and its matrix and form are built
+    only by whoever calls `matrix()` and `form()`.
     """
     rows = coefficient_rows(form, mode="bidegree")
     while True:
-        yield rows.matrix(), rows
+        yield rows
         rows = _pairing_shift(rows)
 
 
 @dataclass(eq=True)
 class StabilizationStep:
-    """One exponent of the search; its size and inertia are the certificate's."""
+    """One exponent of the search: its matrix size and, when it fails, the
+    witness of its certificate (`SignatureCertificate.witness`), which is
+    there exactly when the matrix fails the mode's test."""
 
     d: int
-    passes: bool
-    certificate: SignatureCertificate
+    size: int
+    witness: Vector | None
 
     @property
-    def size(self) -> int:
-        return self.certificate.size
+    def passes(self) -> bool:
+        return self.witness is None
 
 
 @dataclass(eq=True)
@@ -136,6 +140,8 @@ def find_minimal_d(
     mode "strict" demands positive definiteness (spanning factorization);
     mode "semi" demands positive semidefiniteness.  Once the test passes at
     some d it passes at every larger one, so the linear search is complete.
+    Each failing step keeps its certificate's witness, and the passing one
+    the factor read off its certificate.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
@@ -146,15 +152,12 @@ def find_minimal_d(
     if bidegree(form) is None:
         raise ValueError("stabilization search requires a single bidegree")
     report = StabilizationReport(form=form, mode=mode, d_max=d_max, d_min=None)
-    for d, (matrix, rows) in zip(range(d_max + 1), exponent_steps(form)):
-        cert = ldl_signature(matrix)
-        passes = (
-            cert.is_positive_definite()
-            if mode == "strict"
-            else cert.is_positive_semidefinite()
-        )
-        report.steps.append(StabilizationStep(d=d, passes=passes, certificate=cert))
-        if passes:
+    strict = mode == "strict"
+    for d, rows in zip(range(d_max + 1), exponent_steps(form)):
+        cert = ldl_signature(rows.matrix(), strict=strict)
+        step = StabilizationStep(d, cert.size, cert.witness)
+        report.steps.append(step)
+        if step.passes:
             report.d_min = d
             report.factor = _positive_factor(rows.form(), cert, rows.basis)
             return report

@@ -20,7 +20,8 @@ from hermfact import (
 )
 from hermfact.hermform import TermKey, coefficient_basis
 from hermfact.parsing import ParseError
-from hermfact.scalars import ZERO, as_gaussian
+from hermfact.certify import Entries, _primitive_witness
+from hermfact.scalars import ZERO, GaussianRow, as_gaussian
 from hermfact.symbols import RealSymbol
 
 # ---------------------------------------------------------------------------
@@ -449,6 +450,157 @@ def reference_ldl_signature(matrix: HermitianMatrix) -> ReferenceCertificate:
         transform=tuple(tuple(row) for row in w),
         transform_inv=tuple(tuple(row) for row in winv),
         diag=tuple(diag),
+        witness=witness,
+    )
+
+
+# ---------------------------------------------------------------------------
+# the integer-row certification kernel as it was before strict certificates
+#
+# Without `strict`, `ldl_signature` must emit the same permutation, lower,
+# diag, blocks and witness; with it, only the witness may differ, by a null
+# vector where a singular PSD matrix had none.
+
+
+def reference_integer_ldl_signature(matrix: HermitianMatrix) -> SignatureCertificate:
+    """`ldl_signature` before strict certificates: exact pivoted LDL* with
+    inertia and an indefiniteness witness.
+
+    Pivot rule: largest-magnitude real diagonal entry of the trailing block,
+    lowest index on ties.  An all-zero trailing diagonal with a nonzero
+    off-diagonal entry proves indefiniteness: the first such entry a, at
+    (t, u) with t < u in row-major order, moves t and u to the next two slots
+    and eliminates with the 2x2 pivot [[0, a], [conj(a), 0]].
+    """
+    if not isinstance(matrix, HermitianMatrix):
+        matrix = HermitianMatrix.from_rows(matrix)
+    n = matrix.size
+    # s holds the rows of the working matrix.  Rows before the current step
+    # are finished pivots and are never read again, so an elimination step
+    # only applies row operations: by Hermitian symmetry the matching column
+    # operations change nothing but the finished pivot rows.  Later swaps
+    # still reach a finished row, so at the end row k, right of its diagonal,
+    # is conj(column k of L D) in the final pivot coordinates.
+    s = [row.copy() for row in matrix.rows]
+    perm = list(range(n))
+    diag: list[Fraction] = []
+    blocks: list[tuple[int, GaussianRational]] = []
+    # The slot of the first negative pivot or of the first block.
+    negative: int | None = None
+
+    def swap(k: int, t: int) -> None:
+        if k == t:
+            return
+        s[k], s[t] = s[t], s[k]
+        for row in s:  # all rows: a 2x2 step's second swap must reach row k too
+            row.swap(k, t)
+        perm[k], perm[t] = perm[t], perm[k]
+
+    k = 0
+    while k < n:
+        best, best_num, best_den = None, 0, 1
+        for t in range(k, n):
+            row = s[t]
+            if row.im[t]:
+                raise ValueError("matrix is not Hermitian: complex diagonal entry")
+            mag = abs(row.re[t])
+            if mag * best_den > best_num * row.den:
+                best, best_num, best_den = t, mag, row.den
+        if best is not None:
+            swap(k, best)
+            pivot = s[k]
+            p, dk = pivot.re[k], pivot.den
+            diag.append(Fraction(p, dk))
+            sign = 1 if p > 0 else -1
+            if sign < 0 and negative is None:
+                negative = k
+            nz = pivot.nonzero()
+            for i in range(k + 1, n):
+                x, y = s[i].re[k], s[i].im[k]
+                if x or y:
+                    # row i -= (s[i][k] / d) * row k, d = p / dk
+                    s[i].add_scaled(-sign * x * dk, -sign * y * dk, s[i].den * abs(p), pivot, nz)
+            k += 1
+            continue
+        hollow = next(
+            ((t, u) for t in range(k, n) for u in range(t + 1, n)
+             if s[t].re[u] or s[t].im[u]),
+            None,
+        )
+        if hollow is None:
+            diag.extend([Fraction(0)] * (n - k))
+            break
+        t, u = hollow
+        swap(k, t)
+        swap(k + 1, u)
+        # a = s[k][k+1] = (ar + i*ai) / dk; s[k+1][k] = conj(a)
+        ar, ai, dk = s[k].re[k + 1], s[k].im[k + 1], s[k].den
+        norm = ar * ar + ai * ai
+        blocks.append((k, GaussianRational(Fraction(ar, dk), Fraction(ai, dk))))
+        diag.extend([Fraction(0), Fraction(0)])
+        if negative is None:
+            negative = k
+        first, second = (s[k], s[k].nonzero()), (s[k + 1], s[k + 1].nonzero())
+        for i in range(k + 2, n):
+            xr, xi, yr, yi = s[i].re[k], s[i].im[k], s[i].re[k + 1], s[i].im[k + 1]
+            q = s[i].den * norm
+            # row i -= (y / a) * row k + (x / conj(a)) * row k+1, (x, y) = s[i][k:k+2]
+            if yr or yi:
+                s[i].add_scaled(-dk * (yr * ar + yi * ai), -dk * (yi * ar - yr * ai), q, *first)
+            if xr or xi:
+                s[i].add_scaled(-dk * (xr * ar - xi * ai), -dk * (xr * ai + xi * ar), q, *second)
+        k += 2
+
+    def column(row: GaussianRow, start: int, cr: int, ci: int, q: int) -> Entries:
+        # (j, conj(row[j]) * (cr + i*ci) / q) for the nonzero row[j], j >= start;
+        # the row's own denominator is left to the caller
+        return tuple(
+            (j, GaussianRational(Fraction(x * cr + y * ci, q), Fraction(x * ci - y * cr, q)))
+            for j, x, y in zip(range(start, n), row.re[start:], row.im[start:]) if x or y)
+
+    # The finished pivot rows give L: L[j][k] = conj(s[k][j]) / d_k, and for
+    # a block a at k, k+1, whose inverse is [[0, 1/conj(a)], [1/a, 0]],
+    # L[j][k] = conj(s[k+1][j]) / a and L[j][k+1] = conj(s[k][j]) / conj(a).
+    lower: list[Entries] = [()] * n
+    for k, d in enumerate(diag):
+        if d:
+            lower[k] = column(s[k], k + 1, 1, 0, s[k].re[k])
+    for k, _ in blocks:
+        ar, ai, dk = s[k].re[k + 1], s[k].im[k + 1], s[k].den
+        norm = ar * ar + ai * ai
+        lower[k] = column(s[k + 1], k + 2, ar * dk, -ai * dk, s[k + 1].den * norm)
+        lower[k + 1] = column(s[k], k + 2, ar, ai, norm)
+
+    witness = None
+    if negative is not None:
+        # x^adj D x < 0 for x = e_k at the first negative pivot k, or
+        # x = e_k - conj(a) e_{k+1} (value -2|a|^2) at a first block a; the
+        # witness is P^T y with L^adj y = x, whose value is x^adj D x.  Every
+        # pivot before slot k is positive, so back substitution runs on the
+        # integer pivot rows: conj(L[j][i]) = s[i][j] / d_i, and y is kept as
+        # Gaussian integers up to a positive scale.
+        k = negative
+        yr, yi = [0] * n, [0] * n
+        if diag[k]:
+            yr[k], top = 1, k + 1
+        else:
+            yr[k], yr[k + 1], yi[k + 1], top = s[k].den, -s[k].re[k + 1], s[k].im[k + 1], k + 2
+        for i in range(k - 1, -1, -1):
+            re, im, p, span = s[i].re, s[i].im, s[i].re[i], range(i + 1, top)
+            yr[i], yi[i] = (-sum(re[j] * yr[j] - im[j] * yi[j] for j in span),
+                            -sum(re[j] * yi[j] + im[j] * yr[j] for j in span))
+            yr[i + 1:top] = [p * x for x in yr[i + 1:top]]
+            yi[i + 1:top] = [p * y for y in yi[i + 1:top]]
+        # y is in pivot coordinates: entry r of the witness is y[slot of r].
+        slots = sorted(range(n), key=perm.__getitem__)
+        witness = _primitive_witness(GaussianRow(yr, yi).permuted(slots))
+
+    return SignatureCertificate(
+        matrix=matrix,
+        permutation=tuple(perm),
+        lower=tuple(lower),
+        diag=tuple(diag),
+        blocks=tuple(blocks),
         witness=witness,
     )
 

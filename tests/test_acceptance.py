@@ -36,7 +36,9 @@ from hermfact import (
     strict_holomorphic_factor,
     subtract,
 )
+from hermfact import serialize
 from hermfact.cli import main as cli_main
+from hermfact.stabilize import exponent_steps
 from hermfact.symbols import sphere_sample_points
 
 from helpers import (
@@ -84,7 +86,7 @@ def test_criterion_1_diagonal_quartic_corpus():
     ok = ok and strict_holomorphic_factor(form) is None
     report = find_minimal_d(form, "strict", 4)
     ok = ok and report.d_min == 1
-    shifted_matrix = report.steps[1].certificate.matrix
+    shifted_matrix = coefficient_matrix(report.factor.target, mode="bidegree")[0]
     ok = ok and shifted_matrix == HermitianMatrix.diagonal([1, 1, 1, 1])
     ok = ok and report.factor is not None and len(report.factor.matrix.rows) == 4
 
@@ -124,13 +126,11 @@ def test_criterion_3_square_difference_never_semidefinite():
     form = square_difference()
     report = find_minimal_d(form, "semi", 12)
     ok = report.d_min is None and len(report.steps) == 13
-    for step in report.steps:
-        cert = step.certificate
-        ok = ok and not step.passes and cert.n_neg > 0 and cert.witness is not None
-        value = quadratic_value(cert.matrix, cert.witness)
+    for step, rows in zip(report.steps, exponent_steps(form)):
+        ok = ok and not step.passes and step.witness is not None
+        value = quadratic_value(rows.matrix(), step.witness)
         ok = ok and value.im == 0 and value.re < 0
-        good, _ = cert.verify()
-        ok = ok and good
+    ok = ok and serialize.verify_obj(serialize.stabilization_to_obj(report)) == (True, "ok")
     _report(
         3,
         ok,
@@ -296,10 +296,13 @@ def test_criterion_8_symbol_instances():
     degenerate_form = parse_expression("z1*zb1", n=2)
     degenerate = certify_elliptic_form(degenerate_form, 16)
     ok = ok and degenerate.verdict != "certified" and degenerate.d is None
-    # the direct search also never passes: every shifted matrix keeps a zero diagonal entry
+    # the direct search also never passes: every shifted matrix is singular,
+    # and each step's witness is a null vector of it
     direct = find_minimal_d(degenerate_form, "strict", 16)
     ok = ok and direct.d_min is None
-    ok = ok and all(step.certificate.n_zero > 0 for step in direct.steps)
+    ok = ok and all(
+        step.witness is not None and quadratic_value(rows.matrix(), step.witness).is_zero()
+        for step, rows in zip(direct.steps, exponent_steps(degenerate_form)))
 
     _report(
         8,
@@ -382,13 +385,13 @@ def test_criterion_9_verifier_accepts_corpus_and_rejects_tampering(cli_corpus):
             if not obj["rows"]:
                 continue
             obj["rows"][0]["weight"] = "355/113"
-        elif kind == "stabilization_report":
-            obj["trail"][0]["diag"][0] = "355/113"
-        elif kind == "ellipticity_report":
-            if obj.get("stabilization"):
-                obj["stabilization"]["trail"][0]["diag"][0] = "355/113"
-            else:
+        elif kind in ("stabilization_report", "ellipticity_report"):
+            # a failing step's witness, zeroed, proves nothing
+            stabilization = obj if kind == "stabilization_report" else obj.get("stabilization")
+            if not (stabilization and stabilization["trail"]):
                 continue
+            trail = stabilization["trail"]
+            trail[0] = [[j, "0", "0"] for j, _, _ in trail[0]]
         else:
             continue
         bad = tamper_dir / f"bad-{path.name}"

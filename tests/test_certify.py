@@ -74,6 +74,26 @@ def test_is_positive_definite_family_matrices():
     assert cert.witness == (GaussianRational(0), GaussianRational(1), GaussianRational(0))
 
 
+def test_strict_certificate_of_a_singular_psd_matrix():
+    # [[1, 1], [1, 1]] is PSD with null vector (1, -1), at its zero pivot.
+    matrix = HermitianMatrix.from_rows([[1, 1], [1, 1]])
+    assert ldl_signature(matrix).witness is None
+    cert = ldl_signature(matrix, strict=True)
+    assert cert.witness == (GaussianRational(1), GaussianRational(-1))
+    assert cert.verify() == (True, "ok")
+    # A strict certificate needs the null vector, nonzero; without `strict`
+    # a witness must have a negative value.
+    assert dataclasses.replace(cert, witness=None).verify() == (
+        False, "zero inertia without witness")
+    zero = (GaussianRational(0), GaussianRational(0))
+    assert dataclasses.replace(cert, witness=zero).verify() == (
+        False, "witness is zero or of positive value")
+    assert dataclasses.replace(cert, strict=False).verify() == (
+        False, "witness value is not negative")
+    # Without negative pivots or zero pivots there is nothing to witness.
+    assert ldl_signature(HermitianMatrix.identity(2), strict=True).witness is None
+
+
 def test_is_positive_semidefinite_examples():
     ok, _ = is_positive_semidefinite(HermitianMatrix.diagonal([1, 0, 1]))
     assert ok

@@ -412,9 +412,54 @@ def _trail_step_with_certificate(report):
     stabilization["trail"][0] = {
         "d": 0,
         "passes": False,
-        "certificate": {"kind": "signature_certificate", "size": 3, "matrix": [], **step},
+        "certificate": {"kind": "signature_certificate", "size": 3, "matrix": [], "witness": step},
     }
     return stabilization
+
+
+# `stabilize -e "z1*zb1" --n 2 --mode strict --dmax 0` and `symbol -e "x1^2 +
+# x2^2"` as the format before evidence-only trails wrote them: one congruence
+# per exponent, the passing one included, and a strict step on a singular
+# PSD matrix without a witness.
+PARENT_FORMAT_STABILIZE = {
+    "command": ["stabilize", "--mode", "strict", "--dmax", "0"],
+    "digest": "sha256:596ab0d160ea88fec79c923831a87690448050b461155861cef0c0ed90841783",
+    "input_digest": "sha256:c9e993fdd162276e85caffbfa30accd57d421d953c662550f63263d7a5da690e",
+    "kind": "run_report",
+    "result": {"stabilization": {
+        "d_max": 0, "d_min": None, "factor": None,
+        "form": {"kind": "bihermitian_form", "n": 2, "r": 1, "terms": [
+            {"alpha": [1, 0], "beta": [1, 0], "i": 1, "im": "0", "j": 1, "re": "1"}]},
+        "kind": "stabilization_report", "mode": "strict",
+        "trail": [{"blocks": [], "diag": ["1", "0"], "lower": [[], []], "permutation": [0, 1],
+                   "witness": None}]}},
+    "verdicts": {"d_max": 0, "d_min": None, "found": False, "mode": "strict"},
+}
+_ONE_VARIABLE_SQUARE = {"kind": "bihermitian_form", "n": 1, "r": 1, "terms": [
+    {"alpha": [1], "beta": [1], "i": 1, "im": "0", "j": 1, "re": "1"}]}
+PARENT_FORMAT_SYMBOL = {
+    "command": ["symbol", "--dmax", "16"],
+    "digest": "sha256:23b32caa27cd1028a9fb26fb35278ceabb7970243c7e1fa4e40f54f3c38cfffd",
+    "input_digest": "sha256:e296d5eb837516dc33c96e558a8bd802d56339698e4767614c67d7f8c66bd659",
+    "kind": "run_report",
+    "result": {"ellipticity": {
+        "d": 0, "form": _ONE_VARIABLE_SQUARE, "kind": "ellipticity_report", "sign_change": None,
+        "stabilization": {
+            "d_max": 16, "d_min": 0,
+            "factor": {"kind": "weighted_gram_factor", "n": 1, "rows": [
+                {"entries": [[{"alpha": [1], "im": "0", "re": "1"}]], "weight": "1"}],
+                "shape": [1, 1], "target": _ONE_VARIABLE_SQUARE},
+            "form": _ONE_VARIABLE_SQUARE, "kind": "stabilization_report", "mode": "strict",
+            "trail": [{"blocks": [], "diag": ["1"], "lower": [[]], "permutation": [0],
+                       "witness": None}]},
+        "verdict": "certified", "witness_point": None},
+        "operator_rows": ["(1)*Dz1"]},
+    "verdicts": {"complex_dim": 1, "d": 0, "order": 2,
+                 "summary": "elliptic: certified at exponent d=0; the lifted symbol is a squared "
+                            "norm of 1 holomorphic differential operator rows",
+                 "verdict": "certified"},
+}
+TRAIL_STEP_SHAPE = "a trail step must be a witness, a list of [j, re, im] entries"
 
 
 # The check report of COUPLED's first two variables as the format before L
@@ -455,6 +500,9 @@ ENTRY_SHAPE = "lower, blocks and witness entries must be [int, str, str]"
         (["stabilize", "-e", INDEFINITE_QUARTIC, "--dmax", "5"], _trail_step_with_certificate, ""),
         (["stabilize", "-e", INDEFINITE_QUARTIC, "--dmax", "5"], _unknown_mode, ""),
         (["check", "-e", SQUARE_DIFFERENCE], lambda report: PARENT_FORMAT_CHECK, ""),
+        (["stabilize", "-e", "z1*zb1", "--n", "2", "--dmax", "0"],
+         lambda report: PARENT_FORMAT_STABILIZE, TRAIL_STEP_SHAPE),
+        (["symbol", "-e", "x1^2 + x2^2"], lambda report: PARENT_FORMAT_SYMBOL, TRAIL_STEP_SHAPE),
     ],
     ids=[
         "dense_transform_with_inverse",
@@ -464,6 +512,8 @@ ENTRY_SHAPE = "lower, blocks and witness entries must be [int, str, str]"
         "trail_step_with_certificate",
         "unknown_mode",
         "dense_witness_and_transform",
+        "trail_of_congruences",
+        "ellipticity_with_trail_of_congruences",
     ],
 )
 def test_verify_refuses_other_formats(capsys, tmp_path, argv, outdate, message):
@@ -844,6 +894,27 @@ def test_a_value_that_is_not_a_rational_is_an_input_error(capsys, tmp_path, site
     # written spelling, so it takes the Fraction path.
     argv = _no_rational_argv(site, spelling, tmp_path, capsys)
     code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+def _retyped_form(key, value) -> dict:
+    form = _one_term_form("1")
+    (form if key in ("n", "r", "terms") else form["terms"][0])[key] = value
+    return form
+
+
+@pytest.mark.parametrize("key, value", [("i", "1"), ("j", 1.5), ("alpha", 1), ("beta", None),
+                                        ("n", "1"), ("terms", {})])
+@pytest.mark.parametrize("command", ["check", "stabilize", "symbol", "sweep"])
+def test_a_form_field_of_the_wrong_type_is_an_input_error(capsys, tmp_path, command, key, value):
+    form = _retyped_form(key, value)
+    path = tmp_path / "input.json"
+    if command == "sweep":
+        path.write_text(json.dumps([{"label": "a", "form": form}]))
+    else:
+        path.write_text(json.dumps(form))
+    code, out, err = run(capsys, [command, str(path)])
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
 

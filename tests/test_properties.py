@@ -32,11 +32,13 @@ from hermfact.symbols import _sample_symbol
 
 from helpers import (
     parse_outcome,
+    quadratic_value,
     quartic_family,
     reference_coefficient_matrix,
     reference_evaluate_exact,
     reference_fraction_to_str,
     reference_gram,
+    reference_integer_ldl_signature,
     reference_matrix_obj,
     reference_multiplier_power,
     reference_parse_expression,
@@ -210,9 +212,9 @@ def stabilization_forms(draw):
 @SETTINGS
 @given(form=stabilization_forms())
 def test_exponent_loop_equals_reference_shifts(form):
-    for d, (matrix, rows) in zip(range(5), exponent_steps(form)):
+    for d, rows in zip(range(5), exponent_steps(form)):
         shifted = reference_multiplier_power(form, d)
-        assert (matrix, rows.basis) == coefficient_matrix(shifted, mode="bidegree")
+        assert (rows.matrix(), rows.basis) == coefficient_matrix(shifted, mode="bidegree")
         assert rows.form() == shifted
         assert multiplier_power(form, d) == shifted
 
@@ -222,9 +224,9 @@ def test_exponent_loop_keeps_a_cancelled_term_out_of_the_form():
     form = parse_expression("z1*zb1 - z2*zb2")
     steps = exponent_steps(form)
     next(steps)
-    matrix, rows = next(steps)
+    rows = next(steps)
     assert rows.form() == parse_expression("z1^2*zb1^2 - z2^2*zb2^2") == multiplier_shift(form)
-    assert matrix == coefficient_matrix(rows.form(), mode="bidegree")[0]
+    assert rows.matrix() == coefficient_matrix(rows.form(), mode="bidegree")[0]
 
 
 @st.composite
@@ -392,3 +394,35 @@ def test_certificate_matrix_writer_equals_reference_and_reads_back(matrix):
     obj["matrix"] = [[[_spelled_over_double(x) for x in pair] for pair in row]
                      for row in obj["matrix"]]
     assert serialize.obj_to_certificate(obj) == cert
+
+
+@st.composite
+def gram_matrices(draw):
+    """sum_k v_k v_k^adj over up to `size` vectors with entries often 0: PSD,
+    and singular whenever the vectors do not span."""
+    size = draw(st.integers(1, 6))
+    vectors = draw(st.lists(st.lists(st.just(ZERO) | gaussians, min_size=size, max_size=size),
+                            max_size=size))
+    return HermitianMatrix.from_rows(
+        [[sum((v[p] * v[q].conjugate() for v in vectors), ZERO) for q in range(size)]
+         for p in range(size)])
+
+
+@SETTINGS
+@given(matrix=hermitian_matrices() | gram_matrices())
+def test_strict_witness_exactly_when_not_positive_definite(matrix):
+    want = reference_integer_ldl_signature(matrix)
+    cert = ldl_signature(matrix)
+    strict = ldl_signature(matrix, strict=True)
+    for ours in (cert, strict):
+        assert (ours.permutation, ours.lower, ours.diag, ours.blocks) == (
+            want.permutation, want.lower, want.diag, want.blocks)
+    assert cert.witness == want.witness
+    assert cert.verify() == strict.verify() == (True, "ok")
+    if want.n_neg:
+        assert strict.witness == want.witness
+    if want.is_positive_definite():
+        assert strict.witness is None
+    else:
+        value = quadratic_value(matrix, strict.witness)
+        assert any(strict.witness) and value.im == 0 and value.re <= 0

@@ -15,9 +15,11 @@ from hermfact import (
     scale,
 )
 from hermfact import serialize
+from hermfact.stabilize import exponent_steps
 
 from helpers import (
     diagonal_quartic,
+    quadratic_value,
     quartic_family,
     rand_hermitian_matrix,
     rand_hermsym_form,
@@ -139,12 +141,12 @@ def test_stabilization_report_round_trip_verify():
     ok, reason = serialize.verify_obj(json.loads(json.dumps(obj)))
     assert ok, reason
 
-    # A step's pass flag is derived from its D: claiming a pass means
-    # rewriting D, which the rebuilt matrix no longer matches.
+    # A failing step is its witness alone: one that the rebuilt matrix does
+    # not fail proves nothing.  Entry (0, 0) of <z,w> F is 1 > 0.
     tampered = json.loads(json.dumps(obj))
-    tampered["trail"][1]["diag"] = ["1"] * len(tampered["trail"][1]["diag"])
+    tampered["trail"][1] = [[0, "1", "0"]]
     ok, reason = serialize.verify_obj(tampered)
-    assert not ok and reason.startswith("trail d=1:")
+    assert (ok, reason) == (False, "trail d=1: witness value is positive")
 
     tampered = json.loads(json.dumps(obj))
     tampered["d_min"] = 4
@@ -167,8 +169,12 @@ def forgery_report():
 def test_stabilization_trail_cut_to_d_min_is_rejected(forgery_report):
     forged = json.loads(json.dumps(forgery_report))
     forged["trail"] = forged["trail"][-1:]
-    # The trail's first step is checked against the matrix of F itself.
-    assert serialize.verify_obj(forged) == (False, "trail d=0: permutation is not a permutation")
+    # One witness per failing exponent, so d_min is the trail's length.
+    assert serialize.verify_obj(forged) == (False, "d_min does not match the trail")
+    # Kept to one step with d_min moved along, the last witness is checked
+    # against the matrix of F itself, which has no index 4.
+    forged["d_min"] = 1
+    assert serialize.verify_obj(forged) == (False, "trail d=0: witness index out of range")
 
 
 def test_stabilization_trail_stopping_short_of_d_max_is_rejected(forgery_report):
@@ -186,23 +192,102 @@ def test_stabilization_d_max_below_d_min_is_rejected(forgery_report):
 
 
 def test_stabilization_step_carries_no_inertia_copy(forgery_report):
-    # A step stores only its congruence; its matrix, d, size, inertia and
-    # pass flag follow from the embedded form and the step's position.
+    # A step stores only its witness, as nonzero entries [j, re, im]; its
+    # matrix, d, size and inertia follow from the embedded form and the
+    # step's position, and the passing d has no step: the factor proves it.
     assert set(forgery_report) == {
         "kind", "mode", "d_max", "d_min", "form", "trail", "factor",
     }
+    assert len(forgery_report["trail"]) == forgery_report["d_min"] == 7
     for step in forgery_report["trail"]:
-        assert set(step) == {"permutation", "lower", "diag", "blocks", "witness"}
+        assert step and all(type(j) is int and re != "0" for j, re, im in step)
 
 
 def test_stabilization_trail_certificate_of_another_matrix_is_rejected(forgery_report):
-    # A valid certificate of diag(1, -1, 1) in place of the d = 0 step, whose
-    # matrix is diag(1, -3/2, 1).
-    other = serialize.certificate_to_obj(ldl_signature(HermitianMatrix.diagonal([1, -1, 1])))
+    # The witness of diag(-1, 1, 1) in place of the d = 0 step, whose matrix
+    # is diag(1, -3/2, 1).  (The witness of diag(1, -1, 1), e_1, is the d = 0
+    # step's own.)
+    other = serialize.certificate_to_obj(ldl_signature(HermitianMatrix.diagonal([-1, 1, 1])))
     assert serialize.verify_obj(other) == (True, "ok")
+    assert forgery_report["trail"][0] == [[1, "1", "0"]] != other["witness"]
     forged = json.loads(json.dumps(forgery_report))
-    forged["trail"][0] = {key: other[key] for key in forged["trail"][0]}
-    assert serialize.verify_obj(forged) == (False, "trail d=0: congruence identity fails at (1,1)")
+    forged["trail"][0] = other["witness"]
+    assert serialize.verify_obj(forged) == (False, "trail d=0: witness value is positive")
+
+
+def test_strict_steps_on_singular_matrices_carry_null_vectors():
+    # <z,w>^d F is PSD but singular at d = 5 and 6: each step's witness is a
+    # nonzero null vector, and the report verifies.
+    form = parse_expression(FORGERY_FORM)
+    report = find_minimal_d(form, "strict", 12)
+    for d, (step, rows) in enumerate(zip(report.steps, exponent_steps(form))):
+        if d in (5, 6):
+            matrix = rows.matrix()
+            # on a PSD matrix, v^adj M v = 0 exactly when M v = 0
+            assert ldl_signature(matrix).is_positive_semidefinite()
+            assert any(step.witness)
+            assert quadratic_value(matrix, step.witness).is_zero()
+    assert all(step.witness is not None for step in report.steps[:-1])
+    obj = serialize.stabilization_to_obj(report)
+    assert obj["trail"][5:] == [[[3, "1", "0"]], [[4, "1", "0"]]]
+    assert serialize.verify_obj(obj) == (True, "ok")
+
+
+VALUE_ZERO = [[0, "1", "0"], [1, "1", "0"], [2, "1/2", "1/2"]]
+
+
+def _set_step(step):
+    def forge(obj):
+        obj["trail"][0] = step
+    return forge
+
+
+@pytest.mark.parametrize(
+    "mode, forge, reason",
+    [
+        ("strict", _set_step([]), "trail d=0: witness is zero"),
+        ("strict", _set_step([[1, "0", "0"]]), "trail d=0: witness is zero"),
+        ("semi", _set_step([]), "trail d=0: witness value is not negative"),
+        # 1 - 3/2 + 1/2 = 0 at d = 0: a witness of value 0 proves only that F
+        # is not PD.
+        ("semi", _set_step(VALUE_ZERO), "trail d=0: witness value is not negative"),
+        ("strict", _set_step(VALUE_ZERO), None),
+        ("semi", _set_step([[0, "1", "0"]]), "trail d=0: witness value is not negative"),
+        ("strict", _set_step([[0, "1", "0"]]), "trail d=0: witness value is positive"),
+        ("strict", _set_step([[3, "1", "0"]]), "trail d=0: witness index out of range"),
+        ("semi", _set_step([[-1, "1", "0"]]), "trail d=0: witness index out of range"),
+    ],
+    ids=["strict_empty", "strict_zero", "semi_empty", "semi_value_zero", "strict_value_zero",
+         "semi_positive",
+         "strict_positive", "index_past_size", "negative_index"],
+)
+def test_trail_witness_that_proves_nothing_is_rejected(mode, forge, reason):
+    obj = serialize.stabilization_to_obj(find_minimal_d(parse_expression(FORGERY_FORM), mode, 12))
+    assert serialize.verify_obj(obj) == (True, "ok")
+    forge(obj)
+    assert serialize.verify_obj(obj) == ((True, "ok") if reason is None else (False, reason))
+
+
+def test_strict_factor_must_span(forgery_report):
+    reason = "factor rows do not span the coefficient space"
+    rows = forgery_report["factor"]["rows"]
+    forged = json.loads(json.dumps(forgery_report))
+    del forged["factor"]["rows"][3]
+    forged["factor"]["shape"][0] -= 1
+    assert serialize.verify_obj(forged) == (False, reason)
+    forged = json.loads(json.dumps(forgery_report))
+    forged["factor"]["rows"][3] = rows[4]
+    assert serialize.verify_obj(forged) == (False, reason)
+    # The semi factor at d = 5 reconstructs <z,w>^5 F, but M_5 is singular,
+    # so its rows do not span: a strict trail cannot stop there.
+    semi = serialize.stabilization_to_obj(
+        find_minimal_d(parse_expression(FORGERY_FORM), "semi", 12))
+    assert semi["d_min"] == 5
+    forged = json.loads(json.dumps(forgery_report))
+    forged.update(d_min=5, trail=forged["trail"][:5], factor=semi["factor"])
+    assert serialize.verify_obj(forged) == (False, reason)
+    forged["mode"] = "semi"
+    assert serialize.verify_obj(forged) == (True, "ok")
 
 
 def test_stabilization_factor_of_another_form_is_rejected(forgery_report):
@@ -234,6 +319,9 @@ def test_artifact_key_sets():
         "kind", "form", "verdict", "d", "witness_point", "sign_change", "stabilization",
     }
     assert report["form"] == report["stabilization"]["form"]
+    # The diagonal quartic is PSD but singular at d = 0 and PD at d = 1: the
+    # trail is the d = 0 null vector alone.
+    assert report["stabilization"]["trail"] == [[[1, "1", "0"]]]
 
 
 def _ellipticity_obj(expr, n=None, d_max=4):
@@ -341,3 +429,11 @@ def test_canonical_json_and_digests():
     payload["a"] = [2, 1]
     assert serialize.digest_of_obj(payload) != digest_a
     assert serialize.canonical_json({"y": 1, "x": 2}) == '{"x":2,"y":1}'
+
+
+def test_canonical_object_joins_encoded_values():
+    # Keys are encoded and sorted as the encoder does, escapes included.
+    obj = {"zeta": [1, {"b": "é", "a": None}], "Alpha": 1.5, "é": "x", 'a"b': True}
+    pieces = {key: serialize.canonical_json(value) for key, value in obj.items()}
+    assert serialize.canonical_object(pieces) == serialize.canonical_json(obj)
+    assert serialize.canonical_object({}) == serialize.canonical_json({})

@@ -17,11 +17,13 @@ from hermfact import (
     parse_expression,
     stabilization_sweep,
 )
+from hermfact.stabilize import exponent_steps
 
 from helpers import (
     oracle_diagonal_shift_entries,
     oracle_quartic_dmin,
     oracle_quartic_entries,
+    quadratic_value,
     quartic_family,
     rand_hermsym_form,
     rand_pd_form,
@@ -119,7 +121,8 @@ def test_find_minimal_d_examples():
     assert report.d_min is None
     assert len(report.steps) == 13
     assert all(not step.passes for step in report.steps)
-    assert all(step.certificate.n_neg > 0 for step in report.steps)
+    assert all(quadratic_value(rows.matrix(), step.witness).re < 0
+               for step, rows in zip(report.steps, exponent_steps(square_difference())))
 
 
 def test_find_minimal_d_matches_oracle_for_family():
