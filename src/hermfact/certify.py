@@ -11,14 +11,13 @@ The certificate is the factorization P M P^T = L D L^adj itself: L unit lower
 triangular, D diagonal apart from the hollow blocks; the inertia of M is that
 of D.  Equivalently M = sum_k w_k v_k v_k^adj over the weighted vectors that
 `SignatureCertificate.weighted_vectors` reads off L and D, which is how the
-certificate is checked and how factors are extracted.  Each v_k is a sparse
-row (`scalars.SparseRow`): its nonzero entries, indices ascending, as
-Gaussian-integer numerators over one denominator, so checking and extraction
-cost the nonzeros of L, not n per vector.
+certificate is checked and how factors are extracted.
 
-The elimination runs on the `GaussianRow`s that a HermitianMatrix stores:
-Gaussian-integer numerators over one positive denominator, in lowest terms.
-GaussianRational appears only where a certificate is built or read.
+Every vector of a certificate (the columns of L, the witness, each v_k) is a
+sparse row (`scalars.SparseRow`) read straight off the integer pivot rows of
+the elimination, so building, checking and extracting cost the nonzeros of L.
+GaussianRational appears only in the hollow blocks of D and in
+`gram_decomposition`'s dense output.
 """
 
 from __future__ import annotations
@@ -26,12 +25,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
+from math import gcd, lcm
 
 from .hermform import HermitianMatrix, hermitian_defect
 from .scalars import (
-    ONE,
-    ZERO,
     GaussianRational,
     GaussianRow,
     SparseRow,
@@ -40,9 +37,6 @@ from .scalars import (
 )
 
 Vector = tuple[GaussianRational, ...]
-# (index, value) pairs: the entries of a column of L below its diagonal in
-# pivot coordinates, or the hollow blocks (k, a) of D.
-Entries = tuple[tuple[int, GaussianRational], ...]
 
 
 def inertia_of_d(diag, blocks) -> tuple[int, int]:
@@ -58,11 +52,11 @@ def inertia_of_d(diag, blocks) -> tuple[int, int]:
 class SignatureCertificate:
     """Checkable pivoted LDL*: P * matrix * P^T = L D L^adj.
 
-    Pivot slot j holds matrix index `permutation[j]`.  `lower[k]` holds column
-    k of L below its unit diagonal: (j, c) with k < j < n ascending means
-    L[j][k] = c; every other entry below the diagonal is 0.  D has `diag` on
-    its diagonal (0 at block slots) and, for each (k, a) in `blocks`, the
-    hollow block [[0, a], [conj(a), 0]] at slots k, k + 1.
+    Pivot slot j holds matrix index `permutation[j]`.  `lower[k]` is column
+    k of L below its unit diagonal, in pivot coordinates: its entry at j,
+    k < j < n ascending, is L[j][k]; every other entry below the diagonal is
+    0.  D has `diag` on its diagonal (0 at block slots) and, for each (k, a)
+    in `blocks`, the hollow block [[0, a], [conj(a), 0]] at slots k, k + 1.
 
     `witness` is v with v^adj M v < 0, present exactly when M is not PSD.  A
     `strict` certificate, which decides positive definiteness, also has one
@@ -72,10 +66,10 @@ class SignatureCertificate:
 
     matrix: HermitianMatrix
     permutation: tuple[int, ...]
-    lower: tuple[Entries, ...]
+    lower: tuple[SparseRow, ...]
     diag: tuple[Fraction, ...]
-    blocks: Entries
-    witness: Vector | None
+    blocks: tuple[tuple[int, GaussianRational], ...]
+    witness: SparseRow | None
     strict: bool = False
 
     @property
@@ -108,26 +102,33 @@ class SignatureCertificate:
     def weighted_vectors(self) -> list[tuple[Fraction, SparseRow]]:
         """(w, v) pairs, w != 0, with matrix = sum w v v^adj exactly.
 
-        v_k is column k of P^T L: v_k[permutation[k]] = 1 and
-        v_k[permutation[j]] = L[j][k], read straight off `lower` as a sparse
-        row.  Each nonzero d_k gives (d_k, v_k) in slot order; then each
-        hollow block a at slots k, k + 1, with x = v_k and
-        y = conj(a) v_{k+1}, gives (1/2, x + y) and (-1/2, x - y), since
-        a v_k v_{k+1}^adj + conj(a) v_{k+1} v_k^adj is their sum.
+        v_k is column k of P^T L: `lower[k]` with its indices mapped through
+        `permutation`, and 1 at permutation[k].  Each nonzero d_k gives
+        (d_k, v_k) in slot order; then each hollow block a at slots k, k + 1,
+        with x = v_k and y = conj(a) v_{k+1}, gives (1/2, x + y) and
+        (-1/2, x - y), since a v_k v_{k+1}^adj + conj(a) v_{k+1} v_k^adj is
+        their sum.
         """
         perm = self.permutation
 
-        def column(k: int) -> list[tuple[int, GaussianRational]]:
-            return [(perm[k], ONE)] + [(perm[j], c) for j, c in self.lower[k]]
+        def column(k: int) -> SparseRow:
+            den = self.lower[k].den
+            return SparseRow(tuple(sorted([(perm[k], den, 0)] + [
+                (perm[j], x, y) for j, x, y in self.lower[k].entries])), den)
 
-        out = [(d, SparseRow.from_entries(column(k))) for k, d in enumerate(self.diag) if d]
-        half = Fraction(1, 2)
+        out = [(d, column(k)) for k, d in enumerate(self.diag) if d]
         for k, a in self.blocks:
-            ca = a.conjugate()
-            x, y = dict(column(k)), {j: ca * c for j, c in column(k + 1)}
-            for w, sign in ((half, 1), (-half, -1)):
-                out.append((w, SparseRow.from_entries(
-                    (j, x.get(j, ZERO) + sign * y.get(j, ZERO)) for j in x.keys() | y.keys())))
+            x, y = column(k), column(k + 1)
+            # x + sign * conj(a) y over x.den * y.den * da, with a = (ar + i*ai) / da
+            da = lcm(a.re.denominator, a.im.denominator)
+            ar, ai, sx, sy = int(a.re * da), int(a.im * da), y.den * da, x.den
+            for w, sign in ((Fraction(1, 2), 1), (Fraction(-1, 2), -1)):
+                acc = {j: (u * sx, v * sx) for j, u, v in x.entries}
+                for j, u, v in y.entries:
+                    p, q = acc.get(j, (0, 0))
+                    acc[j] = p + sign * sy * (ar * u + ai * v), q + sign * sy * (ar * v - ai * u)
+                out.append((w, SparseRow.lowest(
+                    ((j, p, q) for j, (p, q) in sorted(acc.items()) if p or q), x.den * sx)))
         return out
 
     def verify(self) -> tuple[bool, str]:
@@ -135,15 +136,11 @@ class SignatureCertificate:
         n = self.size
         if sorted(self.permutation) != list(range(n)):
             return False, "permutation is not a permutation"
-        if (
-            len(self.diag) != n
-            or len(self.lower) != n
-            or (self.witness is not None and len(self.witness) != n)
-        ):
+        if len(self.diag) != n or len(self.lower) != n or (
+                self.witness is not None and not _ascends_between(-1, self.witness, n)):
             return False, "component sizes disagree"
-        for k, entries in enumerate(self.lower):
-            rows = [k] + [j for j, _ in entries] + [n]
-            if any(a >= b for a, b in zip(rows, rows[1:])):
+        for k, column in enumerate(self.lower):
+            if not _ascends_between(k, column, n):
                 return False, "lower is not strictly lower triangular in pivot order"
         end = -1
         for k, a in self.blocks:
@@ -166,29 +163,35 @@ class SignatureCertificate:
                 return False, "negative inertia without witness"
             if self.strict and self.n_zero > 0:
                 return False, "zero inertia without witness"
-        else:
-            # with c = conj(v), v* M v = sum_l (c M)_l conj(c_l)
-            c = GaussianRow.from_entries(n, ((j, x.conjugate()) for j, x in enumerate(self.witness)
-                                             if x))
-            cm = GaussianRow([0] * n, [0] * n)
-            for a in c.nonzero():
-                cm.add_scaled(c.re[a], c.im[a], c.den, m[a])
-            re = sum(x * u + y * v for x, y, u, v in zip(cm.re, cm.im, c.re, c.im))
-            im = sum(y * u - x * v for x, y, u, v in zip(cm.re, cm.im, c.re, c.im))
-            if not (im == 0 and (re < 0 or self.strict and re == 0 and c.nonzero())):
-                return False, ("witness is zero or of positive value" if self.strict
-                               else "witness value is not negative")
-        return True, "ok"
+            return True, "ok"
+        reason = witness_failure(self.matrix, self.witness, self.strict)
+        return (True, "ok") if reason is None else (False, reason)
 
 
-def _primitive_witness(row: GaussianRow) -> Vector:
-    # row scaled by a positive rational to Gaussian integers with content 1,
-    # then the overall real sign fixed; keeps witnesses small and deterministic.
-    g = gcd(*row.re, *row.im)
-    x, y = next((x, y) for x, y in zip(row.re, row.im) if x or y)
-    if x < 0 or (x == 0 and y < 0):
-        g = -g
-    return GaussianRow([x // g for x in row.re], [y // g for y in row.im]).to_gaussians()
+def _ascends_between(low: int, row: SparseRow, high: int) -> bool:
+    """True when the indices of row ascend strictly from above low to below high."""
+    indices = [low, *(j for j, _, _ in row.entries), high]
+    return all(a < b for a, b in zip(indices, indices[1:]))
+
+
+def witness_failure(matrix, v: SparseRow, strict: bool) -> str | None:
+    """Why v does not prove that `matrix` (a HermitianMatrix or CoefficientRows)
+    fails the mode's test: v^adj M v < 0, or v != 0 and <= 0 if strict."""
+    if strict and not any(x or y for _, x, y in v.entries):
+        return "witness is zero"
+    value = matrix.quadratic_value(v)
+    if value > 0 or (value == 0 and not strict):
+        return "witness value is positive" if strict else "witness value is not negative"
+    return None
+
+
+def _primitive_witness(entries: list[tuple[int, int, int]]) -> SparseRow:
+    # nonzero entries (j, re, im), j ascending, over plus or minus their content:
+    # Gaussian integers with content 1, the first one's real sign fixed, which
+    # keeps witnesses small and deterministic
+    _, x, y = entries[0]
+    content = gcd(*(c for _, re, im in entries for c in (re, im)))
+    return SparseRow.lowest(entries, -content if x < 0 or (x == 0 and y < 0) else content)
 
 
 def ldl_signature(matrix: HermitianMatrix, strict: bool = False) -> SignatureCertificate:
@@ -284,17 +287,17 @@ def ldl_signature(matrix: HermitianMatrix, strict: bool = False) -> SignatureCer
                 s[i].add_scaled(-dk * (xr * ar - xi * ai), -dk * (xr * ai + xi * ar), q, *second)
         k += 2
 
-    def column(row: GaussianRow, start: int, cr: int, ci: int, q: int) -> Entries:
-        # (j, conj(row[j]) * (cr + i*ci) / q) for the nonzero row[j], j >= start;
-        # the row's own denominator is left to the caller
-        return tuple(
-            (j, GaussianRational(Fraction(x * cr + y * ci, q), Fraction(x * ci - y * cr, q)))
-            for j, x, y in zip(range(start, n), row.re[start:], row.im[start:]) if x or y)
+    def column(row: GaussianRow, start: int, cr: int, ci: int, q: int) -> SparseRow:
+        # conj(row[j]) * (cr + i*ci) / q at the nonzero row[j], j >= start, for
+        # cr + i*ci and q nonzero; the row's own denominator is left to the caller
+        re, im = row.re, row.im
+        return SparseRow.lowest(((j, re[j] * cr + im[j] * ci, re[j] * ci - im[j] * cr)
+                                 for j in nonzero_indices(re, im, start)), q)
 
     # The finished pivot rows give L: L[j][k] = conj(s[k][j]) / d_k, and for
     # a block a at k, k+1, whose inverse is [[0, 1/conj(a)], [1/a, 0]],
     # L[j][k] = conj(s[k+1][j]) / a and L[j][k+1] = conj(s[k][j]) / conj(a).
-    lower: list[Entries] = [()] * n
+    lower = [SparseRow(())] * n
     for k, d in enumerate(diag):
         if d:
             lower[k] = column(s[k], k + 1, 1, 0, s[k].re[k])
@@ -328,9 +331,9 @@ def ldl_signature(matrix: HermitianMatrix, strict: bool = False) -> SignatureCer
                             -sum(re[j] * yi[j] + im[j] * yr[j] for j in span))
             yr[i + 1:top] = [p * x for x in yr[i + 1:top]]
             yi[i + 1:top] = [p * y for y in yi[i + 1:top]]
-        # y is in pivot coordinates: entry r of the witness is y[slot of r].
-        slots = sorted(range(n), key=perm.__getitem__)
-        witness = _primitive_witness(GaussianRow(yr, yi).permuted(slots))
+        # y is in pivot coordinates: entry perm[k] of the witness is y[k].
+        witness = _primitive_witness(sorted((perm[k], x, y) for k, x, y in zip(range(n), yr, yi)
+                                            if x or y))
 
     return SignatureCertificate(
         matrix=matrix,

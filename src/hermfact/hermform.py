@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .multiindex import (
     MultiIndex,
@@ -46,21 +46,21 @@ class BihermitianForm:
 
     @classmethod
     def from_terms(cls, n: int, r: int, terms) -> "BihermitianForm":
-        """Build a form from (i, j, alpha, beta) -> coefficient items, dropping zeros."""
+        """Build a form from (i, j, alpha, beta) -> coefficient items; zeros drop once checked."""
         if n < 1 or r < 1:
             raise ValueError("dimension and matrix size must be >= 1")
         items = terms.items() if hasattr(terms, "items") else terms
         support: dict[TermKey, GaussianRational] = {}
         for (i, j, alpha, beta), coeff in items:
             coeff = as_gaussian(coeff)
-            if coeff.is_zero():
-                continue
             if not (0 <= i < r and 0 <= j < r):
                 raise ValueError(f"matrix index out of range: ({i}, {j})")
             alpha = check_multiindex(alpha)
             beta = check_multiindex(beta)
             if len(alpha) != n or len(beta) != n:
                 raise ValueError("multi-index length differs from ambient dimension")
+            if coeff.is_zero():
+                continue
             key = (i, j, alpha, beta)
             prev = support.get(key)
             coeff = coeff if prev is None else prev + coeff
@@ -104,11 +104,11 @@ class HoloPolyMatrix:
                 entry: Poly = {}
                 for alpha, coeff in items:
                     coeff = as_gaussian(coeff)
-                    if coeff.is_zero():
-                        continue
                     alpha = check_multiindex(alpha)
                     if len(alpha) != n:
                         raise ValueError("multi-index length differs from ambient dimension")
+                    if coeff.is_zero():
+                        continue
                     entry[alpha] = entry.get(alpha, ZERO) + coeff
                 norm_row.append({a: c for a, c in entry.items() if not c.is_zero()})
             if width is None:
@@ -192,6 +192,16 @@ class HermitianMatrix:
 
     def at(self, k: int, l: int) -> GaussianRational:
         return self.rows[k].at(l)
+
+    def quadratic_value(self, v: SparseRow) -> int:
+        """v^adj M v times a positive integer, read off the rows and columns of
+        v's nonzeros alone; M is Hermitian, so the value is real."""
+        rows = [self.rows[p] for p, _, _ in v.entries]
+        common = lcm(*(row.den for row in rows))
+        # (M v)_p = (wr + i*wi) / den; conj(a + i*b) (wr + i*wi) has real part a*wr + b*wi
+        return sum((a * sum(row.re[q] * x - row.im[q] * y for q, x, y in v.entries)
+                    + b * sum(row.re[q] * y + row.im[q] * x for q, x, y in v.entries))
+                   * (common // row.den) for (_, a, b), row in zip(v.entries, rows))
 
 
 def hermitian_defect(rows) -> str | None:

@@ -184,11 +184,6 @@ class GaussianRow:
     def copy(self) -> "GaussianRow":
         return GaussianRow(list(self.re), list(self.im), self.den)
 
-    def permuted(self, perm) -> "GaussianRow":
-        """The row whose entry j is this row's entry perm[j]."""
-        re, im = self.re, self.im
-        return GaussianRow([re[c] for c in perm], [im[c] for c in perm], self.den)
-
     def nonzero(self) -> list[int]:
         return nonzero_indices(self.re, self.im)
 
@@ -254,6 +249,14 @@ class SparseRow:
         den = lcm(*(d for _, c in entries for d in (c.re.denominator, c.im.denominator)))
         return cls(tuple((j, c.re.numerator * (den // c.re.denominator),
                           c.im.numerator * (den // c.im.denominator)) for j, c in entries), den)
+
+    @classmethod
+    def lowest(cls, entries, den: int) -> "SparseRow":
+        """The row of (j, re, im) numerators over den != 0, kept in their
+        order, brought to lowest terms, den > 0, by one gcd."""
+        entries = tuple(entries)
+        g = gcd(den, *(x for _, re, im in entries for x in (re, im))) * (-1 if den < 0 else 1)
+        return cls(tuple((j, x // g, y // g) for j, x, y in entries), den // g)
 
     def dense(self, size: int) -> tuple[GaussianRational, ...]:
         """The length-`size` vector of GaussianRationals."""

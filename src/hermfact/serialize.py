@@ -22,7 +22,7 @@ import sys
 from fractions import Fraction
 from math import gcd, lcm
 
-from .certify import SignatureCertificate, inertia_of_d
+from .certify import SignatureCertificate, inertia_of_d, witness_failure
 from .factor import WeightedGramFactor, numeric_factor
 from .hermform import (
     BihermitianForm,
@@ -91,9 +91,10 @@ def gaussian_to_pair(c: GaussianRational) -> list[str]:
     return [fraction_to_str(c.re), fraction_to_str(c.im)]
 
 
-def _require_pair(pair) -> None:
+def _require_pair(pair) -> list:
     if not (isinstance(pair, list) and len(pair) == 2 and all(isinstance(x, str) for x in pair)):
         raise ValueError("a Gaussian rational must be a pair [re, im] of strings")
+    return pair
 
 
 def pair_to_gaussian(pair) -> GaussianRational:
@@ -185,10 +186,6 @@ def obj_to_factor(obj: dict) -> WeightedGramFactor:
     return WeightedGramFactor(matrix, obj_to_form(obj["target"]))
 
 
-def _entries_to_obj(entries) -> list[list]:
-    return [[j, fraction_to_str(c.re), fraction_to_str(c.im)] for j, c in entries]
-
-
 FORMAT_ERROR = "artifact is not in the current certificate format"
 CERTIFICATE_KEYS = frozenset({
     "kind", "size", "matrix", "permutation", "lower", "diag", "blocks", "witness",
@@ -211,74 +208,61 @@ def _require_mode(mode) -> str:
     return mode
 
 
-def _obj_to_entries(items) -> tuple:
-    if not isinstance(items, list) or not all(
-        isinstance(item, list) and len(item) == 3 and type(item[0]) is int
-        and isinstance(item[1], str) and isinstance(item[2], str)
-        for item in items
-    ):
+def _require_entries(items) -> list:
+    if not (isinstance(items, list) and all(
+            isinstance(item, list) and len(item) == 3 and type(item[0]) is int
+            and isinstance(item[1], str) and isinstance(item[2], str) for item in items)):
         raise ValueError(f"{FORMAT_ERROR}: lower, blocks and witness entries must be "
                          "[int, str, str]")
-    return tuple((j, GaussianRational(str_to_fraction(re), str_to_fraction(im)))
-                 for j, re, im in items)
+    return items
 
 
-def _obj_to_witness(items, n: int):
-    """The dense witness of its nonzero entries [j, re, im], j ascending in 0..n-1."""
-    if items is None:
-        return None
-    entries = _obj_to_entries(items)
-    indices = [j for j, _ in entries]
-    if indices != sorted(set(indices) & set(range(n))):
-        raise ValueError(f"{FORMAT_ERROR}: witness indices must ascend within 0..{n - 1}")
-    return tuple(dict(entries).get(j, ZERO) for j in range(n))
+def _part(x: int, den: int) -> str:
+    """x / den in lowest terms, by one gcd."""
+    g = gcd(x, den)
+    return _ratio_to_str(x // g, den // g)
 
 
-def _witness_to_obj(witness) -> list[list]:
-    """A witness as its nonzero entries [j, re, im], j ascending."""
-    return _entries_to_obj((j, c) for j, c in enumerate(witness) if c)
+def _sparse_to_obj(row: SparseRow) -> list[list]:
+    """A sparse row (a column of L or a witness) as its entries [j, re, im]."""
+    return [[j, _part(x, row.den), _part(y, row.den)] for j, x, y in row.entries]
 
 
-def _obj_to_trail_witness(items) -> SparseRow:
-    """A trail step: the nonzero entries [j, re, im] of its witness, j
-    ascending; entries that are 0 are dropped."""
-    if not isinstance(items, list):
-        raise ValueError(f"{FORMAT_ERROR}: a trail step must be a witness, a list of "
-                         "[j, re, im] entries")
-    entries = _obj_to_entries(items)
-    indices = [j for j, _ in entries]
-    if indices != sorted(set(indices)):
-        raise ValueError(f"{FORMAT_ERROR}: witness indices must ascend")
-    return SparseRow.from_entries(entries)
+def _obj_to_sparse(items, witness: bool = False, size: int | None = None) -> SparseRow:
+    """The sparse row of entries [j, re, im], in their order, zero entries dropped; the
+    indices of a witness must ascend, within 0..size-1 when the size is given."""
+    _require_entries(items)
+    indices = [item[0] for item in items] if witness else []
+    if indices != sorted(set(indices) if size is None else set(indices) & set(range(size))):
+        within = "" if size is None else f" within 0..{size - 1}"
+        raise ValueError(f"{FORMAT_ERROR}: witness indices must ascend{within}")
+    return _cleared_row((j, *read_ratio(re), *read_ratio(im)) for j, re, im in items)
+
+
+def _cleared_row(parts) -> SparseRow:
+    """The sparse row with x/qx + i*y/qy at j for each (j, x, qx, y, qy), zero
+    entries dropped: numerators over the lcm of the denominators, in lowest terms."""
+    parts = [part for part in parts if part[1] or part[3]]
+    den = lcm(*(q for _, _, qx, _, qy in parts for q in (qx, qy)))
+    return SparseRow.lowest(((j, x * (den // qx), y * (den // qy)) for j, x, qx, y, qy in parts),
+                            den)
 
 
 def _row_to_obj(row: GaussianRow) -> list[list[str]]:
     """The dense [re, im] pairs of a row, each part reduced by one gcd."""
     den = row.den
-
-    def part(x: int) -> str:
-        g = gcd(x, den)
-        return _ratio_to_str(x // g, den // g)
-
-    return [[part(x), part(y)] if x or y else ["0", "0"] for x, y in zip(row.re, row.im)]
+    return [[_part(x, den), _part(y, den)] if x or y else ["0", "0"]
+            for x, y in zip(row.re, row.im)]
 
 
 def _obj_to_row(pairs) -> GaussianRow:
-    """The GaussianRow of a list of [re, im] pairs: numerators over the lcm
-    of their denominators, in lowest terms."""
-    parts = {}
-    for j, pair in enumerate(pairs):
-        if pair != ["0", "0"]:
-            _require_pair(pair)
-            parts[j] = read_ratio(pair[0]) + read_ratio(pair[1])
-    den = lcm(*(q for _, qr, _, qi in parts.values() for q in (qr, qi)))
+    """The GaussianRow of a list of [re, im] pairs, read as a sparse row."""
+    row = _cleared_row((j, *read_ratio(x), *read_ratio(y)) for j, (x, y) in (
+        (j, _require_pair(pair)) for j, pair in enumerate(pairs) if pair != ["0", "0"]))
     re, im = [0] * len(pairs), [0] * len(pairs)
-    for j, (x, qr, y, qi) in parts.items():
-        re[j], im[j] = x * (den // qr), y * (den // qi)
-    g = gcd(den, *re, *im)
-    if g != 1:
-        re, im, den = [x // g for x in re], [y // g for y in im], den // g
-    return GaussianRow(re, im, den)
+    for j, x, y in row.entries:
+        re[j], im[j] = x, y
+    return GaussianRow(re, im, row.den)
 
 
 def certificate_to_obj(cert: SignatureCertificate) -> dict:
@@ -291,10 +275,10 @@ def certificate_to_obj(cert: SignatureCertificate) -> dict:
         "size": cert.size,
         "matrix": [_row_to_obj(row) for row in cert.matrix.rows],
         "permutation": list(cert.permutation),
-        "lower": [_entries_to_obj(column) for column in cert.lower],
+        "lower": [_sparse_to_obj(column) for column in cert.lower],
         "diag": [fraction_to_str(d) for d in cert.diag],
-        "blocks": _entries_to_obj(cert.blocks),
-        "witness": None if cert.witness is None else _witness_to_obj(cert.witness),
+        "blocks": [[k, *gaussian_to_pair(a)] for k, a in cert.blocks],
+        "witness": None if cert.witness is None else _sparse_to_obj(cert.witness),
     }
 
 
@@ -303,13 +287,14 @@ def obj_to_certificate(obj: dict) -> SignatureCertificate:
         raise ValueError("not a serialized signature certificate")
     _require_keys(obj, CERTIFICATE_KEYS, "a signature certificate")
     matrix = HermitianMatrix.from_gaussian_rows([_obj_to_row(row) for row in obj["matrix"]])
+    items = obj["witness"]
     return SignatureCertificate(
         matrix=matrix,
         permutation=tuple(obj["permutation"]),
-        lower=tuple(_obj_to_entries(column) for column in obj["lower"]),
+        lower=tuple(_obj_to_sparse(column) for column in obj["lower"]),
         diag=tuple(map(str_to_fraction, obj["diag"])),
-        blocks=_obj_to_entries(obj["blocks"]),
-        witness=_obj_to_witness(obj["witness"], matrix.size),
+        blocks=tuple((k, pair_to_gaussian([x, y])) for k, x, y in _require_entries(obj["blocks"])),
+        witness=None if items is None else _obj_to_sparse(items, witness=True, size=matrix.size),
     )
 
 
@@ -323,7 +308,7 @@ def stabilization_to_obj(report: StabilizationReport) -> dict:
         "d_max": report.d_max,
         "d_min": report.d_min,
         "form": form_to_obj(report.form),
-        "trail": [_witness_to_obj(step.witness) for step in report.steps if not step.passes],
+        "trail": [_sparse_to_obj(step.witness) for step in report.steps if not step.passes],
         "factor": factor_to_obj(report.factor) if report.factor is not None else None,
     }
 
@@ -411,17 +396,10 @@ def embedded_artifacts(obj, enter=frozenset()):
 
 
 def _trail_step_failure(rows, record, v: SparseRow, strict: bool) -> str | None:
-    """Why the witness v, read from trail step `record`, does not prove that
-    the matrix of `rows` fails the mode's test, or None when it does:
-    v^adj M v < 0 (semi), or v != 0 and v^adj M v <= 0 (strict)."""
+    """Why the witness v, read from trail step `record`, does not prove its step fails."""
     if record and not 0 <= record[0][0] <= record[-1][0] < len(rows.basis.pairs):
         return "witness index out of range"
-    if strict and not v.entries:
-        return "witness is zero"
-    value = rows.quadratic_value(v)
-    if value > 0 or (value == 0 and not strict):
-        return "witness value is positive" if strict else "witness value is not negative"
-    return None
+    return witness_failure(rows, v, strict)
 
 
 def _verify_stabilization(obj: dict) -> tuple[bool, str]:
@@ -437,7 +415,10 @@ def _verify_stabilization(obj: dict) -> tuple[bool, str]:
             and (d_min is None or type(d_min) is int)):
         raise ValueError(f"{FORMAT_ERROR}: a stabilization report needs a trail list, "
                          "a nonnegative integer d_max and an integer or null d_min")
-    witnesses = [_obj_to_trail_witness(record) for record in trail]
+    if not all(isinstance(record, list) for record in trail):
+        raise ValueError(f"{FORMAT_ERROR}: a trail step must be a witness, a list of "
+                         "[j, re, im] entries")
+    witnesses = [_obj_to_sparse(record, witness=True) for record in trail]
     if d_min is None and len(trail) < d_max + 1:
         return False, "trail stops before d_max"
     if d_min is not None and d_min != len(trail):

@@ -20,7 +20,7 @@ import time
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
-from .certify import Vector, ldl_signature
+from .certify import ldl_signature
 from .factor import WeightedGramFactor, _positive_factor
 from .hermform import (
     BihermitianForm,
@@ -30,6 +30,7 @@ from .hermform import (
     homogeneous_basis,
     is_hermitian_symmetric,
 )
+from .scalars import SparseRow
 
 MODES = ("strict", "semi")
 
@@ -112,7 +113,7 @@ class StabilizationStep:
 
     d: int
     size: int
-    witness: Vector | None
+    witness: SparseRow | None
 
     @property
     def passes(self) -> bool:

@@ -3,6 +3,7 @@ independent brute-force oracles the tests freeze expected values from."""
 
 from __future__ import annotations
 
+import dataclasses
 import random
 import re
 from dataclasses import dataclass
@@ -20,8 +21,7 @@ from hermfact import (
 )
 from hermfact.hermform import TermKey, coefficient_basis
 from hermfact.parsing import ParseError
-from hermfact.certify import Entries, _primitive_witness
-from hermfact.scalars import ZERO, GaussianRow, as_gaussian
+from hermfact.scalars import ZERO, GaussianRow, SparseRow, as_gaussian
 from hermfact.symbols import RealSymbol
 
 # ---------------------------------------------------------------------------
@@ -97,7 +97,9 @@ def oracle_diagonal_shift_entries(coeffs: dict[tuple[int, int], Fraction], d: in
 
 
 def quadratic_value(matrix: HermitianMatrix, vec) -> GaussianRational:
-    """Independent v* M v, written out longhand."""
+    """Independent v* M v, written out longhand; a SparseRow v is read densely."""
+    if isinstance(vec, SparseRow):
+        vec = vec.dense(matrix.size)
     acc = GaussianRational()
     for i, vi in enumerate(vec):
         for j, vj in enumerate(vec):
@@ -455,6 +457,65 @@ def reference_ldl_signature(matrix: HermitianMatrix) -> ReferenceCertificate:
 
 
 # ---------------------------------------------------------------------------
+# the certificate layout before its vectors were SparseRows
+#
+# The reference kernels below emit, and reference_verify, dense_lower and
+# reference_weighted_vectors read, each column of L as (j, GaussianRational)
+# pairs and the witness as a dense GaussianRational tuple.
+# `reference_layout` is the one converter from the package's certificates.
+
+# (index, value) pairs: the entries of a column of L below its diagonal in
+# pivot coordinates, or the hollow blocks (k, a) of D.
+Entries = tuple[tuple[int, GaussianRational], ...]
+
+
+def reference_layout(cert: SignatureCertificate) -> SignatureCertificate:
+    """cert with each `lower` column as Entries and its witness dense."""
+    def entries(row: SparseRow) -> Entries:
+        return tuple((j, GaussianRational(Fraction(x, row.den), Fraction(y, row.den)))
+                     for j, x, y in row.entries)
+
+    return dataclasses.replace(
+        cert, lower=tuple(entries(column) for column in cert.lower),
+        witness=None if cert.witness is None else cert.witness.dense(cert.size))
+
+
+def _primitive_witness(row: GaussianRow):
+    # row scaled by a positive rational to Gaussian integers with content 1,
+    # then the overall real sign fixed; keeps witnesses small and deterministic.
+    g = gcd(*row.re, *row.im)
+    x, y = next((x, y) for x, y in zip(row.re, row.im) if x or y)
+    if x < 0 or (x == 0 and y < 0):
+        g = -g
+    return GaussianRow([x // g for x in row.re], [y // g for y in row.im]).to_gaussians()
+
+
+def reference_entries_to_obj(entries) -> list[list]:
+    return [[j, reference_fraction_to_str(c.re), reference_fraction_to_str(c.im)]
+            for j, c in entries]
+
+
+def reference_obj_to_entries(items) -> Entries:
+    return tuple((j, GaussianRational(Fraction(re), Fraction(im))) for j, re, im in items)
+
+
+def reference_certificate_obj(cert: SignatureCertificate) -> dict:
+    """The certificate writer over the reference layout: L's columns, the
+    blocks and the witness's nonzero entries as [j, re, im]."""
+    return {
+        "kind": "signature_certificate",
+        "size": cert.size,
+        "matrix": reference_matrix_obj(cert.matrix),
+        "permutation": list(cert.permutation),
+        "lower": [reference_entries_to_obj(column) for column in cert.lower],
+        "diag": [reference_fraction_to_str(d) for d in cert.diag],
+        "blocks": reference_entries_to_obj(cert.blocks),
+        "witness": None if cert.witness is None
+        else reference_entries_to_obj((j, c) for j, c in enumerate(cert.witness) if c),
+    }
+
+
+# ---------------------------------------------------------------------------
 # the integer-row certification kernel as it was before strict certificates
 #
 # Without `strict`, `ldl_signature` must emit the same permutation, lower,
@@ -593,7 +654,7 @@ def reference_integer_ldl_signature(matrix: HermitianMatrix) -> SignatureCertifi
             yi[i + 1:top] = [p * y for y in yi[i + 1:top]]
         # y is in pivot coordinates: entry r of the witness is y[slot of r].
         slots = sorted(range(n), key=perm.__getitem__)
-        witness = _primitive_witness(GaussianRow(yr, yi).permuted(slots))
+        witness = _primitive_witness(GaussianRow([yr[c] for c in slots], [yi[c] for c in slots]))
 
     return SignatureCertificate(
         matrix=matrix,

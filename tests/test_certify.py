@@ -7,6 +7,7 @@ import pytest
 from hermfact import (
     GaussianRational,
     GaussianRow,
+    SparseRow,
     HermitianMatrix,
     coefficient_matrix,
     gram,
@@ -25,6 +26,7 @@ from helpers import (
     rand_hermitian_matrix,
     rand_holo_matrix,
     rand_pd_matrix,
+    reference_layout,
     reference_ldl_signature,
     reference_verify,
 )
@@ -36,7 +38,7 @@ def inertia(cert):
 
 def reconstruct(cert):
     """Independent reconstruction: M must equal V * D * V^adj, V = P^T L."""
-    v = dense_lower(cert)
+    v = dense_lower(reference_layout(cert))
     return mat_mul(mat_mul(v, dense_d(cert)), mat_adjoint(v))
 
 
@@ -52,8 +54,8 @@ def test_hollow_two_by_two():
     assert inertia(cert) == (1, 1, 0)
     assert cert.blocks == ((0, GaussianRational(1)),)
     assert cert.diag == (0, 0)
-    assert cert.lower == ((), ())
-    assert cert.witness == (GaussianRational(1), GaussianRational(-1))
+    assert cert.lower == (SparseRow(()), SparseRow(()))
+    assert cert.witness == SparseRow(((0, 1, 0), (1, -1, 0)))
     assert quadratic_value(cert.matrix, cert.witness) == GaussianRational(-2)
     assert cert.verify() == (True, "ok")
 
@@ -71,7 +73,7 @@ def test_is_positive_definite_family_matrices():
     assert not ok and cert.n_zero == 1
     ok, cert = is_positive_definite(HermitianMatrix.diagonal([1, -1, 1]))
     assert not ok
-    assert cert.witness == (GaussianRational(0), GaussianRational(1), GaussianRational(0))
+    assert cert.witness == SparseRow(((1, 1, 0),))
 
 
 def test_strict_certificate_of_a_singular_psd_matrix():
@@ -79,15 +81,14 @@ def test_strict_certificate_of_a_singular_psd_matrix():
     matrix = HermitianMatrix.from_rows([[1, 1], [1, 1]])
     assert ldl_signature(matrix).witness is None
     cert = ldl_signature(matrix, strict=True)
-    assert cert.witness == (GaussianRational(1), GaussianRational(-1))
+    assert cert.witness == SparseRow(((0, 1, 0), (1, -1, 0)))
     assert cert.verify() == (True, "ok")
     # A strict certificate needs the null vector, nonzero; without `strict`
     # a witness must have a negative value.
     assert dataclasses.replace(cert, witness=None).verify() == (
         False, "zero inertia without witness")
-    zero = (GaussianRational(0), GaussianRational(0))
-    assert dataclasses.replace(cert, witness=zero).verify() == (
-        False, "witness is zero or of positive value")
+    zero = SparseRow(((0, 0, 0), (1, 0, 0)))
+    assert dataclasses.replace(cert, witness=zero).verify() == (False, "witness is zero")
     assert dataclasses.replace(cert, strict=False).verify() == (
         False, "witness value is not negative")
     # Without negative pivots or zero pivots there is nothing to witness.
@@ -99,7 +100,7 @@ def test_is_positive_semidefinite_examples():
     assert ok
     ok, cert = is_positive_semidefinite(HermitianMatrix.diagonal([1, -2, 1]))
     assert not ok
-    assert cert.witness == (GaussianRational(0), GaussianRational(1), GaussianRational(0))
+    assert cert.witness == SparseRow(((1, 1, 0),))
     ok, cert = is_positive_semidefinite(HermitianMatrix.diagonal([0, 0]))
     assert ok and cert.n_zero == 2
 
@@ -234,7 +235,7 @@ def test_transform_is_permuted_unit_triangular_without_hollow_fix():
         cert = ldl_signature(matrix)
         perm = cert.permutation
         n = cert.size
-        v = dense_lower(cert)
+        v = dense_lower(reference_layout(cert))
         for k in range(n):
             # column k of L, in pivot coordinates, must be unit on the
             # diagonal and vanish on earlier pivots
@@ -294,22 +295,26 @@ def _tamperings(cert):
     n = cert.size
     one = GaussianRational(1)
     last = n - 1
+    # column 0 of L, and 1 over its denominator
+    first, den = cert.lower[0].entries, cert.lower[0].den
 
-    def l_columns(column):
-        return (column,) + cert.lower[1:]
+    def l_columns(entries):
+        return (SparseRow(tuple(entries), den),) + cert.lower[1:]
 
     yield {"diag": (cert.diag[0] + 1,) + cert.diag[1:]}
     if n > 1:
         # a value of L changed, or an entry put on or above the diagonal, at
         # a negative index, past the size, or out of order
-        entries = dict(cert.lower[0])
-        entries[last] = entries.get(last, GaussianRational()) + one
-        yield {"lower": l_columns(tuple(sorted(entries.items())))}
-        yield {"lower": l_columns(((0, one),) + cert.lower[0])}
-        yield {"lower": cert.lower[:last] + (((0, one),),)}
-        yield {"lower": l_columns(((-1, one),))}
-        yield {"lower": l_columns(cert.lower[0] + ((n, one),))}
-        yield {"lower": l_columns(tuple(reversed(tuple(sorted(entries.items())))))}
+        entries = {j: (x, y) for j, x, y in first}
+        x, y = entries.get(last, (0, 0))
+        entries[last] = (x + den, y)
+        bumped = tuple((j, x, y) for j, (x, y) in sorted(entries.items()))
+        yield {"lower": l_columns(bumped)}
+        yield {"lower": l_columns(((0, den, 0),) + first)}
+        yield {"lower": cert.lower[:last] + (SparseRow(((0, 1, 0),)),)}
+        yield {"lower": l_columns(((-1, den, 0),))}
+        yield {"lower": l_columns(first + ((n, den, 0),))}
+        yield {"lower": l_columns(reversed(bumped))}
     yield {"lower": cert.lower[:last]}
     bumped = _bump_entry(cert.matrix.entries, n // 2, last, one)
     yield {"matrix": HermitianMatrix(tuple(GaussianRow.from_entries(n, enumerate(row)) for row in bumped))}
@@ -327,10 +332,16 @@ def _tamperings(cert):
     elif n > 1:
         yield {"blocks": ((0, one),)}
     if cert.witness is not None:
-        yield {"witness": (cert.witness[0] + one,) + cert.witness[1:]}
+        # entry 0 of the witness plus one
+        entries, wden = cert.witness.entries, cert.witness.den
+        if entries[0][0] == 0:
+            entries = ((0, entries[0][1] + wden, entries[0][2]),) + entries[1:]
+        else:
+            entries = ((0, wden, 0),) + entries
+        yield {"witness": SparseRow(entries, wden)}
         yield {"witness": None}
     elif n > 0:
-        yield {"witness": (one,) + (GaussianRational(),) * (n - 1)}
+        yield {"witness": SparseRow(((0, 1, 0),))}
 
 
 def _bump_entry(rows, i, j, delta):
@@ -365,17 +376,17 @@ def test_integer_row_kernel_matches_reference_kernel():
             hollow_steps += 1
         else:
             assert cert.permutation == want.permutation
-            perm = cert.permutation
-            for k, entries in enumerate(cert.lower):
+            perm, layout = cert.permutation, reference_layout(cert)
+            for k, entries in enumerate(layout.lower):
                 assert entries == tuple((j, want.transform_inv[perm[j]][k])
                                         for j in range(k + 1, size) if want.transform_inv[perm[j]][k])
             assert cert.diag == want.diag
-            assert cert.witness == want.witness
+            assert layout.witness == want.witness
         singular += kind == 3 and cert.n_zero > 0
         if trial % 5 == 0:
             for change in _tamperings(cert):
                 bad = dataclasses.replace(cert, **change)
-                assert bad.verify() == reference_verify(bad), change
+                assert bad.verify() == reference_verify(reference_layout(bad)), change
                 tampered += 1
     assert hollow_steps > 40 and singular > 40 and tampered > 300
 

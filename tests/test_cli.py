@@ -696,6 +696,22 @@ def _numeric_float_digits(capsys, digits):
     return report
 
 
+def _factor_zero_entry_of_wrong_length(capsys):
+    # A zero coefficient is checked before it is dropped: alpha has 3 entries at n = 2.
+    report = json.loads(run(capsys, ["factor", "-e", DIAGONAL_QUARTIC])[1])
+    report["result"]["factor"]["rows"][0]["entries"][0].append(
+        {"alpha": [1, 2, 3], "re": "0", "im": "0"})
+    return report
+
+
+def _factor_target_zero_term_out_of_range(capsys):
+    # A zero term of the target is checked before it is dropped: i = 9 at r = 1.
+    report = json.loads(run(capsys, ["factor", "-e", DIAGONAL_QUARTIC])[1])
+    report["result"]["factor"]["target"]["terms"].append(
+        {"i": 9, "j": 1, "alpha": [2, 0], "beta": [2, 0], "re": "0", "im": "0"})
+    return report
+
+
 def _witness_pair_of_one(capsys):
     report = json.loads(run(capsys, ["check", "-e", SQUARE_DIFFERENCE, "--mode", "semi"])[1])
     report["result"]["certificate"]["witness"][0] = ["1"]
@@ -724,13 +740,16 @@ def _witness_pair_of_one(capsys):
         _factor_weight_negative,
         lambda capsys: _numeric_float_digits(capsys, "12"),
         lambda capsys: _numeric_float_digits(capsys, 10**9),
+        _factor_zero_entry_of_wrong_length,
+        _factor_target_zero_term_out_of_range,
     ],
     ids=["list", "string", "number", "null", "form_list", "verdicts_list", "command_string",
          "witness_pair_of_one", "factor_shape_of_one", "verdicts_from_unverified_object",
          "result_is_a_factor", "sweep_row_is_a_factor",
          "factor_with_certificate_too", "factor_with_neither", "factor_psd_certificate_only",
          "factor_weight_zero", "factor_weight_negative", "float_digits_string",
-         "float_digits_huge"],
+         "float_digits_huge", "factor_zero_entry_of_wrong_length",
+         "factor_target_zero_term_out_of_range"],
 )
 def test_verify_malformed_shapes_are_input_errors(capsys, tmp_path, make):
     path = tmp_path / "malformed.json"
@@ -915,6 +934,16 @@ def test_a_form_field_of_the_wrong_type_is_an_input_error(capsys, tmp_path, comm
     else:
         path.write_text(json.dumps(form))
     code, out, err = run(capsys, [command, str(path)])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_a_zero_term_with_bad_indices_is_an_input_error(capsys, tmp_path):
+    # The term is 0, but its i is past r = 1 and its alpha is longer than n = 1.
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"kind": "bihermitian_form", "n": 1, "r": 1, "terms": [
+        {"i": 7, "j": 1, "alpha": [1, 5], "beta": [1], "re": "0", "im": "0"}]}))
+    code, out, err = run(capsys, ["check", str(path)])
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
 

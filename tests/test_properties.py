@@ -1,6 +1,7 @@
 """Property tests over small random kernels (Hypothesis, derandomized so every
 run draws the same examples)."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -34,13 +35,16 @@ from helpers import (
     parse_outcome,
     quadratic_value,
     quartic_family,
+    reference_certificate_obj,
     reference_coefficient_matrix,
     reference_evaluate_exact,
     reference_fraction_to_str,
     reference_gram,
     reference_integer_ldl_signature,
+    reference_layout,
     reference_matrix_obj,
     reference_multiplier_power,
+    reference_obj_to_entries,
     reference_parse_expression,
     reference_parse_real_symbol,
     reference_sample_symbol,
@@ -251,7 +255,8 @@ def hermitian_matrices(draw):
 def test_weighted_vectors_densify_to_the_reference(matrix):
     cert = ldl_signature(matrix)
     pairs = cert.weighted_vectors()
-    assert [(w, v.dense(matrix.size)) for w, v in pairs] == reference_weighted_vectors(cert)
+    assert ([(w, v.dense(matrix.size)) for w, v in pairs]
+            == reference_weighted_vectors(reference_layout(cert)))
     for _, v in pairs:
         indices = [j for j, _, _ in v.entries]
         assert indices == sorted(set(indices)) and v.den > 0
@@ -261,7 +266,8 @@ def test_weighted_vectors_densify_to_the_reference(matrix):
 def test_weighted_vectors_of_a_hollow_block():
     cert = ldl_signature(HermitianMatrix.from_rows([[0, 1, 2], [1, 0, 1], [2, 1, 0]]))
     assert cert.blocks
-    assert [(w, v.dense(3)) for w, v in cert.weighted_vectors()] == reference_weighted_vectors(cert)
+    assert ([(w, v.dense(3)) for w, v in cert.weighted_vectors()]
+            == reference_weighted_vectors(reference_layout(cert)))
 
 
 # Variables of a kernel, a holomorphic matrix and a real symbol; a text draws
@@ -414,11 +420,12 @@ def test_strict_witness_exactly_when_not_positive_definite(matrix):
     want = reference_integer_ldl_signature(matrix)
     cert = ldl_signature(matrix)
     strict = ldl_signature(matrix, strict=True)
+    assert cert.verify() == strict.verify() == (True, "ok")
+    cert, strict = reference_layout(cert), reference_layout(strict)
     for ours in (cert, strict):
         assert (ours.permutation, ours.lower, ours.diag, ours.blocks) == (
             want.permutation, want.lower, want.diag, want.blocks)
     assert cert.witness == want.witness
-    assert cert.verify() == strict.verify() == (True, "ok")
     if want.n_neg:
         assert strict.witness == want.witness
     if want.is_positive_definite():
@@ -426,3 +433,44 @@ def test_strict_witness_exactly_when_not_positive_definite(matrix):
     else:
         value = quadratic_value(matrix, strict.witness)
         assert any(strict.witness) and value.im == 0 and value.re <= 0
+
+
+def _respelled(obj: dict) -> dict:
+    """A certificate object with every part of its diag, lower, blocks and
+    witness written over a doubled denominator, or as "-0" when it is 0, and
+    a ["0", "0"] entry inserted in each column of L that has a free index."""
+    def respell(text: str) -> str:
+        p, q = serialize.read_ratio(text)
+        return f"{2 * p}/{2 * q}" if p else "-0"
+
+    def entries(items):
+        return [[j, respell(re), respell(im)] for j, re, im in items]
+
+    lower = []
+    for k, column in enumerate(obj["lower"]):
+        taken = {j for j, _, _ in column}
+        free = [j for j in range(k + 1, obj["size"]) if j not in taken]
+        lower.append(sorted(entries(column) + [[j, "0", "0"] for j in free[:1]]))
+    return {**obj, "lower": lower, "diag": [respell(d) for d in obj["diag"]],
+            "blocks": entries(obj["blocks"]),
+            "witness": None if obj["witness"] is None else entries(obj["witness"])}
+
+
+@SETTINGS
+@given(matrix=hermitian_matrices() | gram_matrices(), strict=st.booleans())
+def test_certificate_codec_equals_reference_and_reads_respellings(matrix, strict):
+    cert = ldl_signature(matrix, strict=strict)
+    obj = serialize.certificate_to_obj(cert)
+    assert obj == reference_certificate_obj(reference_layout(cert))
+    read = serialize.obj_to_certificate(obj)
+    assert reference_layout(read).lower == tuple(map(reference_obj_to_entries, obj["lower"]))
+    assert read.blocks == reference_obj_to_entries(obj["blocks"])
+    # The wire does not carry `strict`; the rest reads back exactly, and a
+    # re-spelled copy reads back to the same certificate.
+    assert dataclasses.replace(read, strict=strict) == cert
+    respelled = _respelled(obj)
+    assert respelled != obj
+    assert serialize.obj_to_certificate(respelled) == read
+    assert dataclasses.replace(read, strict=strict).verify() == (True, "ok")
+    if not strict:
+        assert serialize.verify_obj(obj) == serialize.verify_obj(respelled) == (True, "ok")

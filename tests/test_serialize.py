@@ -225,7 +225,7 @@ def test_strict_steps_on_singular_matrices_carry_null_vectors():
             matrix = rows.matrix()
             # on a PSD matrix, v^adj M v = 0 exactly when M v = 0
             assert ldl_signature(matrix).is_positive_semidefinite()
-            assert any(step.witness)
+            assert step.witness.entries
             assert quadratic_value(matrix, step.witness).is_zero()
     assert all(step.witness is not None for step in report.steps[:-1])
     obj = serialize.stabilization_to_obj(report)
