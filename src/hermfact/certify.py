@@ -147,17 +147,11 @@ class SignatureCertificate:
             if not end < k < n - 1 or a.is_zero() or self.diag[k] or self.diag[k + 1]:
                 return False, "blocks are not disjoint hollow 2x2 pivots"
             end = k + 1
-        m = self.matrix.rows
-        if hermitian_defect(m) is not None:
+        if hermitian_defect(self.matrix.rows) is not None:
             return False, "matrix is not Hermitian"
-        # Both sides are Hermitian, so the upper triangle decides; only the
-        # columns where one side or the other is nonzero are compared.
-        re, im, common = outer_product_sum(n, self.weighted_vectors())
-        for p, row in enumerate(m):
-            re_p, im_p, den = re[p], im[p], row.den
-            for q in sorted({*nonzero_indices(re_p, im_p, p), *nonzero_indices(row.re, row.im, p)}):
-                if re_p[q] * den != row.re[q] * common or im_p[q] * den != row.im[q] * common:
-                    return False, f"congruence identity fails at ({p},{q})"
+        reason = congruence_failure(self.matrix, self.weighted_vectors())
+        if reason is not None:
+            return False, reason
         if self.witness is None:
             if self.n_neg > 0:
                 return False, "negative inertia without witness"
@@ -166,6 +160,19 @@ class SignatureCertificate:
             return True, "ok"
         reason = witness_failure(self.matrix, self.witness, self.strict)
         return (True, "ok") if reason is None else (False, reason)
+
+
+def congruence_failure(matrix: HermitianMatrix, vectors) -> str | None:
+    """Why M = sum w v v^adj fails over the weighted vectors (w, v), indices
+    inside M, or None when it holds exactly: both sides are Hermitian, so the
+    upper triangle decides, at the columns where either side is nonzero."""
+    re, im, common = outer_product_sum(matrix.size, vectors)
+    for p, row in enumerate(matrix.rows):
+        re_p, im_p, den = re[p], im[p], row.den
+        for q in sorted({*nonzero_indices(re_p, im_p, p), *nonzero_indices(row.re, row.im, p)}):
+            if re_p[q] * den != row.re[q] * common or im_p[q] * den != row.im[q] * common:
+                return f"congruence identity fails at ({p},{q})"
+    return None
 
 
 def _ascends_between(low: int, row: SparseRow, high: int) -> bool:
@@ -183,6 +190,30 @@ def witness_failure(matrix, v: SparseRow, strict: bool) -> str | None:
     if value > 0 or (value == 0 and not strict):
         return "witness value is positive" if strict else "witness value is not negative"
     return None
+
+
+def factor_failure(matrix: HermitianMatrix, vectors, strict: bool) -> str | None:
+    """Why the weighted vectors (w, v) of a factor do not prove that `matrix`
+    passes the mode's test: M = sum w v v^adj with every w > 0, so M is PSD,
+    and, if strict, one v per index, each adding exactly one index to the
+    supports of those after it, so they are independent and M is PD; the
+    weighted vectors of a PD certificate, the columns of P^T L, are."""
+    if any(w <= 0 for w, _ in vectors):
+        return "factor weight is not positive"
+    if not all(_ascends_between(-1, v, matrix.size) for _, v in vectors):
+        return "factor index out of range"
+    if strict:
+        seen: set[int] = set()
+        for _, v in reversed(vectors):
+            support = {j for j, _, _ in v.entries}
+            if len(support - seen) != 1:
+                break
+            seen |= support
+        # each vector read before a break added one index
+        if not len(seen) == len(vectors) == matrix.size:
+            return "factor rows do not span the coefficient space"
+    reason = congruence_failure(matrix, vectors)
+    return None if reason is None else f"factor: {reason}"
 
 
 def _primitive_witness(entries: list[tuple[int, int, int]]) -> SparseRow:

@@ -43,22 +43,6 @@ class WeightedGramFactor:
     def reconstructs_target(self) -> bool:
         return gram(self.matrix) == self.target
 
-    def spans(self, dimension: int) -> bool:
-        """True when there are `dimension` rows and, read from the last to the
-        first, each row's support adds exactly one (i, alpha) to those of the
-        rows after it.  The rows are then triangular in some order, so they
-        are independent and span a space of that dimension.  The rows of a
-        positive definite certificate's factor, the columns of P^T L, are."""
-        if len(self.matrix.rows) != dimension:
-            return False
-        seen = set()
-        for row in reversed(self.matrix.rows):
-            support = {(i, alpha) for i, poly in enumerate(row) for alpha in poly}
-            if len(support - seen) != 1:
-                return False
-            seen |= support
-        return True
-
 
 def _vector_to_row(vector: SparseRow, basis: CoefficientBasis) -> tuple[Poly, ...]:
     polys: list[Poly] = [dict() for _ in range(basis.r)]

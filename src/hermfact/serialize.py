@@ -22,7 +22,7 @@ import sys
 from fractions import Fraction
 from math import gcd, lcm
 
-from .certify import SignatureCertificate, inertia_of_d, witness_failure
+from .certify import SignatureCertificate, factor_failure, inertia_of_d, witness_failure
 from .factor import WeightedGramFactor, numeric_factor
 from .hermform import (
     BihermitianForm,
@@ -103,20 +103,14 @@ def pair_to_gaussian(pair) -> GaussianRational:
 
 
 def form_to_obj(form: BihermitianForm) -> dict:
-    terms = []
-    for (i, j, alpha, beta) in sorted(form.support):
-        coeff = form.support[(i, j, alpha, beta)]
-        terms.append(
-            {
-                "i": i + 1,
-                "j": j + 1,
-                "alpha": list(alpha),
-                "beta": list(beta),
-                "re": fraction_to_str(coeff.re),
-                "im": fraction_to_str(coeff.im),
-            }
-        )
+    terms = [{"i": i + 1, "j": j + 1, "alpha": list(alpha), "beta": list(beta),
+              "re": fraction_to_str(c.re), "im": fraction_to_str(c.im)}
+             for (i, j, alpha, beta), c in sorted(form.support.items())]
     return {"kind": "bihermitian_form", "n": form.n, "r": form.r, "terms": terms}
+
+
+def _obj_to_coefficient(item: dict) -> GaussianRational:
+    return GaussianRational(str_to_fraction(item["re"]), str_to_fraction(item["im"]))
 
 
 def obj_to_form(obj: dict) -> BihermitianForm:
@@ -129,36 +123,9 @@ def obj_to_form(obj: dict) -> BihermitianForm:
         if not (isinstance(term, dict) and type(term["i"]) is int and type(term["j"]) is int
                 and isinstance(term["alpha"], list) and isinstance(term["beta"], list)):
             raise ValueError("a kernel term needs integers i and j and lists alpha and beta")
-        coeff = GaussianRational(str_to_fraction(term["re"]), str_to_fraction(term["im"]))
-        terms.append(
-            (
-                (term["i"] - 1, term["j"] - 1, tuple(term["alpha"]), tuple(term["beta"])),
-                coeff,
-            )
-        )
+        terms.append(((term["i"] - 1, term["j"] - 1, tuple(term["alpha"]), tuple(term["beta"])),
+                      _obj_to_coefficient(term)))
     return BihermitianForm.from_terms(obj["n"], obj["r"], terms)
-
-
-def _poly_to_obj(poly) -> list[dict]:
-    out = []
-    for alpha in sorted(poly):
-        coeff = poly[alpha]
-        out.append(
-            {
-                "alpha": list(alpha),
-                "re": fraction_to_str(coeff.re),
-                "im": fraction_to_str(coeff.im),
-            }
-        )
-    return out
-
-
-def _obj_to_poly(items) -> dict:
-    return {
-        tuple(item["alpha"]): GaussianRational(str_to_fraction(item["re"]),
-                                               str_to_fraction(item["im"]))
-        for item in items
-    }
 
 
 def factor_to_obj(factor: WeightedGramFactor) -> dict:
@@ -168,7 +135,9 @@ def factor_to_obj(factor: WeightedGramFactor) -> dict:
         "kind": "weighted_gram_factor",
         "n": matrix.n,
         "shape": [len(matrix.rows), matrix.ncols],
-        "rows": [{"weight": fraction_to_str(w), "entries": [_poly_to_obj(poly) for poly in row]}
+        "rows": [{"weight": fraction_to_str(w), "entries": [
+            [{"alpha": list(alpha), "re": fraction_to_str(c.re), "im": fraction_to_str(c.im)}
+             for alpha, c in sorted(poly.items())] for poly in row]}
                  for w, row in zip(weights, matrix.rows)],
         "target": form_to_obj(factor.target),
     }
@@ -180,20 +149,19 @@ def obj_to_factor(obj: dict) -> WeightedGramFactor:
     shape = obj["shape"]
     if not (isinstance(shape, list) and len(shape) == 2):
         raise ValueError("a holomorphic matrix shape must be [rows, columns]")
-    rows = [[_obj_to_poly(entry) for entry in row["entries"]] for row in obj["rows"]]
+    rows = [[{tuple(item["alpha"]): _obj_to_coefficient(item) for item in entry}
+             for entry in row["entries"]] for row in obj["rows"]]
     weights = [str_to_fraction(row["weight"]) for row in obj["rows"]]
     matrix = HoloPolyMatrix.from_rows(obj["n"], rows, weights if rows else None, ncols=shape[1])
     return WeightedGramFactor(matrix, obj_to_form(obj["target"]))
 
 
 FORMAT_ERROR = "artifact is not in the current certificate format"
-CERTIFICATE_KEYS = frozenset({
-    "kind", "size", "matrix", "permutation", "lower", "diag", "blocks", "witness",
-})
+CERTIFICATE_KEYS = frozenset(
+    {"kind", "size", "matrix", "permutation", "lower", "diag", "blocks", "witness"})
 STABILIZATION_KEYS = frozenset({"kind", "mode", "d_max", "d_min", "form", "trail", "factor"})
-ELLIPTICITY_KEYS = frozenset({
-    "kind", "form", "verdict", "d", "witness_point", "sign_change", "stabilization",
-})
+ELLIPTICITY_KEYS = frozenset(
+    {"kind", "form", "verdict", "d", "witness_point", "sign_change", "stabilization"})
 
 
 def _require_keys(obj, keys: frozenset, what: str) -> None:
@@ -228,14 +196,15 @@ def _sparse_to_obj(row: SparseRow) -> list[list]:
     return [[j, _part(x, row.den), _part(y, row.den)] for j, x, y in row.entries]
 
 
-def _obj_to_sparse(items, witness: bool = False, size: int | None = None) -> SparseRow:
+def _obj_to_sparse(items, ascending: bool = False, size: int | None = None) -> SparseRow:
     """The sparse row of entries [j, re, im], in their order, zero entries dropped; the
-    indices of a witness must ascend, within 0..size-1 when the size is given."""
+    indices of a witness or a factor vector (`ascending`) must ascend, within
+    0..size-1 when the size is given."""
     _require_entries(items)
-    indices = [item[0] for item in items] if witness else []
+    indices = [item[0] for item in items] if ascending else []
     if indices != sorted(set(indices) if size is None else set(indices) & set(range(size))):
         within = "" if size is None else f" within 0..{size - 1}"
-        raise ValueError(f"{FORMAT_ERROR}: witness indices must ascend{within}")
+        raise ValueError(f"{FORMAT_ERROR}: witness and factor indices must ascend{within}")
     return _cleared_row((j, *read_ratio(re), *read_ratio(im)) for j, re, im in items)
 
 
@@ -294,14 +263,15 @@ def obj_to_certificate(obj: dict) -> SignatureCertificate:
         lower=tuple(_obj_to_sparse(column) for column in obj["lower"]),
         diag=tuple(map(str_to_fraction, obj["diag"])),
         blocks=tuple((k, pair_to_gaussian([x, y])) for k, x, y in _require_entries(obj["blocks"])),
-        witness=None if items is None else _obj_to_sparse(items, witness=True, size=matrix.size),
+        witness=None if items is None else _obj_to_sparse(items, ascending=True, size=matrix.size),
     )
 
 
 def stabilization_to_obj(report: StabilizationReport) -> dict:
     """The trail holds the witness of each failing d = 0, 1, ..., in order;
-    each step's matrix and d follow from the form and the position, and the
-    passing d, if any, is proved by the factor."""
+    each step's matrix and d follow from the form and the position.  The
+    passing d, if any, is proved by the factor: its certificate's weighted
+    vectors [weight, [[j, re, im], ...]] on the basis of that matrix."""
     return {
         "kind": "stabilization_report",
         "mode": report.mode,
@@ -309,30 +279,27 @@ def stabilization_to_obj(report: StabilizationReport) -> dict:
         "d_min": report.d_min,
         "form": form_to_obj(report.form),
         "trail": [_sparse_to_obj(step.witness) for step in report.steps if not step.passes],
-        "factor": factor_to_obj(report.factor) if report.factor is not None else None,
+        "factor": None if report.vectors is None else [
+            [fraction_to_str(w), _sparse_to_obj(v)] for w, v in report.vectors],
     }
 
 
 def ellipticity_to_obj(report: EllipticityReport) -> dict:
     """The sign flip is not stored: the stabilization's form is the symbol's
     or its negation."""
+    point = report.witness_point
+    positive, negative = report.sign_pair or (None, None)
     return {
         "kind": "ellipticity_report",
         "form": form_to_obj(report.form),
         "verdict": report.verdict,
         "d": report.d,
-        "witness_point": [gaussian_to_pair(c) for c in report.witness_point]
-        if report.witness_point
-        else None,
-        "sign_change": {
-            "positive_at": [gaussian_to_pair(c) for c in report.sign_pair[0]],
-            "negative_at": [gaussian_to_pair(c) for c in report.sign_pair[1]],
-        }
-        if report.sign_pair
-        else None,
+        "witness_point": [gaussian_to_pair(c) for c in point] if point else None,
+        "sign_change": {"positive_at": [gaussian_to_pair(c) for c in positive],
+                        "negative_at": [gaussian_to_pair(c) for c in negative]}
+        if report.sign_pair else None,
         "stabilization": stabilization_to_obj(report.stabilization)
-        if report.stabilization
-        else None,
+        if report.stabilization else None,
     }
 
 
@@ -402,12 +369,21 @@ def _trail_step_failure(rows, record, v: SparseRow, strict: bool) -> str | None:
     return witness_failure(rows, v, strict)
 
 
+def _obj_to_vectors(items) -> list[tuple[Fraction, SparseRow]]:
+    """The weighted vectors of a stabilization factor, each [weight, entries]."""
+    if not (isinstance(items, list) and all(isinstance(item, list) and len(item) == 2
+                                            and isinstance(item[0], str) for item in items)):
+        raise ValueError(f"{FORMAT_ERROR}: a stabilization factor must be null or a list of "
+                         "weighted vectors [weight, [[j, re, im], ...]]")
+    return [(str_to_fraction(w), _obj_to_sparse(entries, ascending=True)) for w, entries in items]
+
+
 def _verify_stabilization(obj: dict) -> tuple[bool, str]:
     """A stabilization report proves its d_min claim when its trail holds a
     witness that the coefficient matrix of <z,w>^d F fails the mode's test
     for each d = 0, 1, ..., up to d_min - 1 when d_min is set (at most d_max)
     and up to d_max when not, and the factor, present exactly when d_min is
-    set, is one of <z,w>^d_min F; in strict mode its rows must also span."""
+    set, holds weighted vectors that prove the matrix at d_min passes it."""
     _require_keys(obj, STABILIZATION_KEYS, "a stabilization report")
     strict = _require_mode(obj["mode"]) == "strict"
     trail, d_min, d_max, factor = obj["trail"], obj["d_min"], obj["d_max"], obj["factor"]
@@ -418,7 +394,8 @@ def _verify_stabilization(obj: dict) -> tuple[bool, str]:
     if not all(isinstance(record, list) for record in trail):
         raise ValueError(f"{FORMAT_ERROR}: a trail step must be a witness, a list of "
                          "[j, re, im] entries")
-    witnesses = [_obj_to_sparse(record, witness=True) for record in trail]
+    witnesses = [_obj_to_sparse(record, ascending=True) for record in trail]
+    vectors = None if factor is None else _obj_to_vectors(factor)
     if d_min is None and len(trail) < d_max + 1:
         return False, "trail stops before d_max"
     if d_min is not None and d_min != len(trail):
@@ -432,17 +409,8 @@ def _verify_stabilization(obj: dict) -> tuple[bool, str]:
         reason = _trail_step_failure(rows, record, v, strict)
         if reason is not None:
             return False, f"trail d={d}: {reason}"
-    if d_min is None:
-        return True, "ok"
-    rows = next(steps)
-    found = obj_to_factor(factor)
-    if found.target != rows.form():
-        return False, "factor is not one of the form shifted d_min times"
-    if strict and not found.spans(len(rows.basis.pairs)):
-        return False, "factor rows do not span the coefficient space"
-    if not found.reconstructs_target():
-        return False, "factor does not reconstruct its target"
-    return True, "ok"
+    reason = None if d_min is None else factor_failure(next(steps).matrix(), vectors, strict)
+    return (True, "ok") if reason is None else (False, reason)
 
 
 def _sphere_value(form: BihermitianForm, pairs) -> GaussianRational | None:
@@ -498,12 +466,12 @@ def _verify_ellipticity(obj: dict) -> tuple[bool, str]:
 UNBOUND_VERDICT = ("check", "bidegree")
 
 
-def _artifact(container, key: str, kind: str) -> dict:
-    """container[key], which must be an artifact of `kind` in a container that
-    is not itself an artifact: the walk over a run report's embedded
-    artifacts, which stops at an artifact, has then verified it."""
-    if not isinstance(container, dict) or container.get("kind") in ARTIFACT_KINDS:
-        raise ValueError(f"a run report's {key} must sit in an object that is not an artifact")
+def _artifact(container: dict, key: str, kind: str) -> dict:
+    """container[key], which must be an artifact of `kind`.  The container, a
+    run report's result or a sweep row, has exactly its keys, and `kind` is
+    not one of them, so it is no artifact itself: the walk over a run
+    report's embedded artifacts, which stops at an artifact, has verified
+    container[key]."""
     item = container.get(key)
     if not isinstance(item, dict) or item.get("kind") != kind:
         raise ValueError(f"a run report's {key} must be a {kind}")
@@ -533,7 +501,7 @@ def _symbol_summary(ellipticity: dict) -> str:
     verdict, stabilization = ellipticity["verdict"], ellipticity["stabilization"]
     if verdict == "certified":
         return (f"elliptic: certified at exponent d={ellipticity['d']}; the lifted symbol is a "
-                f"squared norm of {len(stabilization['factor']['rows'])} holomorphic "
+                f"squared norm of {len(stabilization['factor'])} holomorphic "
                 "differential operator rows")
     if verdict == "not_elliptic":
         reason = "exact zero" if ellipticity["witness_point"] is not None else "sign change"
@@ -566,8 +534,6 @@ def run_verdicts(command: list[str], result: dict) -> dict:
             if _inertia(_artifact(result, "certificate", "signature_certificate"))[1] == 0:
                 raise ValueError("a factor report with a PSD certificate must carry its factor")
             return {"d": d, "factorable": False, "rows": 0}
-        if "certificate" in result:
-            raise ValueError("a factor report carries its factor or its certificate, not both")
         rows = len(_artifact(result, "factor", "weighted_gram_factor")["rows"])
         return {"d": d, "factorable": True, "rows": rows}
     if name == "sweep":
@@ -604,6 +570,15 @@ def run_verdicts(command: list[str], result: dict) -> dict:
 RENDERING_KEYS = ("operator_rows", "numeric_factor")
 MAX_FLOAT_DIGITS = 1000
 
+# The keys of a run report, which may also have `timings`; of each command's
+# result besides its renderings (a factor report carries its factor or its
+# certificate, never both); and of a sweep row.
+RUN_REPORT_KEYS = frozenset({"kind", "command", "input_digest", "verdicts", "result", "digest"})
+RESULT_KEYS = {"check": [{"certificate"}], "stabilize": [{"stabilization"}], "sweep": [{"rows"}],
+               "factor": [{"factor"}, {"certificate"}], "symbol": [{"ellipticity"}],
+               "decompose": [{"positive", "negative"}]}
+SWEEP_ROW_KEYS = [{"label", "stabilization"}, {"label", "error"}]
+
 
 def run_renderings(command: list[str], result: dict, float_digits: int | None = None) -> dict:
     """The renderings beside the artifacts in `result`, derived from them: a
@@ -614,8 +589,11 @@ def run_renderings(command: list[str], result: dict, float_digits: int | None = 
     if name == "symbol":
         stabilization = _artifact(result, "ellipticity", "ellipticity_report")["stabilization"]
         if stabilization is not None and stabilization["factor"] is not None:
-            rows = obj_to_factor(stabilization["factor"]).rows
-            return {"operator_rows": [format_diff_operator_row(row, w) for w, row in rows]}
+            report = StabilizationReport(
+                obj_to_form(stabilization["form"]), stabilization["mode"], stabilization["d_max"],
+                stabilization["d_min"], vectors=_obj_to_vectors(stabilization["factor"]))
+            return {"operator_rows": [format_diff_operator_row(row, w)
+                                      for w, row in report.factor.rows]}
     if name == "factor" and float_digits is not None and "factor" in result:
         if type(float_digits) is not int or not 0 <= float_digits <= MAX_FLOAT_DIGITS:
             raise ValueError(f"float digits must be an integer from 0 to {MAX_FLOAT_DIGITS}")
@@ -640,6 +618,14 @@ def _verify_run_report(obj: dict) -> tuple[bool, str]:
             and isinstance(verdicts, dict) and isinstance(result, dict)):
         raise ValueError("a run report needs a command list of strings, a verdicts object "
                          "and a result object")
+    _require_keys(strip_volatile(obj), RUN_REPORT_KEYS, "a run report, besides timings,")
+    name = command[0]
+    rows = result.get("rows") if name == "sweep" else []
+    if name in RESULT_KEYS and (
+            result.keys() - set(RENDERING_KEYS) not in RESULT_KEYS[name] or not isinstance(rows, list)
+            or any(not isinstance(row, dict) or row.keys() not in SWEEP_ROW_KEYS for row in rows)):
+        raise ValueError(f"{FORMAT_ERROR}: the result of a {name} run report, or a row of it, "
+                         f"does not have exactly the keys that {name} writes")
     for item in embedded_artifacts(result):
         ok, reason = verify_obj(item)
         if not ok:
@@ -662,12 +648,13 @@ def verify_obj(obj: dict) -> tuple[bool, str]:
     M = sum w_k v_k v_k^adj over their weighted vectors, witness), weighted
     factors (exact gram reconstruction), stabilization reports (each trail
     witness against the coefficient rows rebuilt from the embedded form, the
-    trail's length against d_min and d_max, and the factor's target, gram
-    and, in strict mode, span), ellipticity reports (the
-    sphere points or the stabilization of the embedded form) and run reports
-    (every embedded artifact, and the verdicts and renderings derived from
-    them).  An artifact not in the current format, or not of an artifact's
-    shape, raises ValueError.
+    trail's length against d_min and d_max, and the factor's weighted vectors
+    against the rows at d_min by the certificate's congruence check, with
+    their span in strict mode), ellipticity reports (the sphere points or the
+    stabilization of the embedded form) and run reports (exactly the keys
+    the CLI writes, every embedded artifact, and the verdicts and renderings
+    derived from them).  An artifact not in the current format, or not of an
+    artifact's shape, raises ValueError.
     """
     if not isinstance(obj, dict):
         raise ValueError("an artifact must be a JSON object")

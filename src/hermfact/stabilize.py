@@ -5,7 +5,8 @@ along the diagonal; the minimal d for which the d-fold shift has a positive
 (semi)definite coefficient matrix is found by a linear upward search.  Each
 failing exponent keeps only its evidence, one witness vector v with
 v* M_d v < 0 (semi) or v != 0 and v* M_d v <= 0 (strict); the passing one
-keeps no congruence, since its weighted factor proves it.
+keeps only the weighted vectors of its certificate, M_d = sum w v v* with
+every w > 0, which are the coefficient vectors of a factor of <z, w>^d F.
 
 The search and its re-check in `verify` run one exponent loop,
 `exponent_steps`: the form is cleared once to Gaussian-integer numerators over
@@ -19,9 +20,10 @@ from __future__ import annotations
 import time
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from .certify import ldl_signature
-from .factor import WeightedGramFactor, _positive_factor
+from .factor import WeightedGramFactor, _factor_from_parts
 from .hermform import (
     BihermitianForm,
     CoefficientRows,
@@ -127,10 +129,21 @@ class StabilizationReport:
     d_max: int
     d_min: int | None
     steps: list[StabilizationStep] = field(default_factory=list)
-    factor: WeightedGramFactor | None = None
+    vectors: list[tuple[Fraction, SparseRow]] | None = None
 
     def found(self) -> bool:
         return self.d_min is not None
+
+    @property
+    def factor(self) -> WeightedGramFactor | None:
+        """The weighted factor of <z, w>^d_min F whose rows are `vectors` on
+        the bidegree basis, built on demand; None when no d passed."""
+        if self.vectors is None:
+            return None
+        form, d = self.form, self.d_min
+        basis = homogeneous_basis(form.n, form.r, bidegree(form) + d)
+        return WeightedGramFactor(_factor_from_parts(self.vectors, basis, form.n),
+                                  multiplier_power(form, d))
 
 
 def find_minimal_d(
@@ -142,7 +155,7 @@ def find_minimal_d(
     mode "semi" demands positive semidefiniteness.  Once the test passes at
     some d it passes at every larger one, so the linear search is complete.
     Each failing step keeps its certificate's witness, and the passing one
-    the factor read off its certificate.
+    its certificate's weighted vectors.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
@@ -160,7 +173,8 @@ def find_minimal_d(
         report.steps.append(step)
         if step.passes:
             report.d_min = d
-            report.factor = _positive_factor(rows.form(), cert, rows.basis)
+            # A PSD certificate has no blocks, so every weight is a positive pivot.
+            report.vectors = cert.weighted_vectors()
             return report
     return report
 

@@ -26,7 +26,7 @@ from .hermform import (
     scale,
 )
 from .multiindex import MultiIndex, check_multiindex, degree
-from .scalars import ZERO, GaussianRational, GaussianRow, as_gaussian
+from .scalars import ZERO, GaussianRational, GaussianRow
 from .stabilize import StabilizationReport, find_minimal_d
 
 
@@ -76,31 +76,13 @@ def symbol_multiply(p: RealSymbol, q: RealSymbol) -> RealSymbol:
     return RealSymbol.from_terms(p.nvars, acc)
 
 
-_I_POWERS = (
-    GaussianRational(Fraction(1)),
-    GaussianRational(Fraction(0), Fraction(1)),
-    GaussianRational(Fraction(-1)),
-    GaussianRational(Fraction(0), Fraction(-1)),
-)
-
-
-def _pair_expansion(a: int, b: int) -> dict[tuple[int, int], GaussianRational]:
-    """Coefficients of z^u zbar^v in x^a * y^b for one conjugate pair (x, y)."""
-    x_part: dict[tuple[int, int], GaussianRational] = {}
-    half = GaussianRational(Fraction(1, 2)) ** a
+def _pair_coefficients(a: int, b: int) -> tuple[int, ...]:
+    """c[u], the integer coefficient of z^u zbar^(a+b-u) in (z + zbar)^a (z - zbar)^b."""
+    out = [0] * (a + b + 1)
     for s in range(a + 1):
-        x_part[(s, a - s)] = half * comb(a, s)
-    y_part: dict[tuple[int, int], GaussianRational] = {}
-    scale = GaussianRational(Fraction(1, 2)) ** b * _I_POWERS[(-b) % 4]
-    for t in range(b + 1):
-        sign = 1 if (b - t) % 2 == 0 else -1
-        y_part[(t, b - t)] = scale * (comb(b, t) * sign)
-    out: dict[tuple[int, int], GaussianRational] = {}
-    for (u1, v1), c1 in x_part.items():
-        for (u2, v2), c2 in y_part.items():
-            key = (u1 + u2, v1 + v2)
-            out[key] = out.get(key, ZERO) + c1 * c2
-    return out
+        for t in range(b + 1):
+            out[s + t] += comb(a, s) * comb(b, t) * (-1) ** (b - t)
+    return tuple(out)
 
 
 def real_to_complex(symbol: RealSymbol) -> BihermitianForm:
@@ -109,39 +91,42 @@ def real_to_complex(symbol: RealSymbol) -> BihermitianForm:
     Variables x_(2j-1), x_(2j) become the real and imaginary parts of z_j; the
     output is a scalar kernel, Hermitian-symmetric because the input has real
     coefficients.  Requires an even variable count.
+
+    For each pair, x^a y^b = (-i)^b 2^-(a+b) (z + zbar)^a (z - zbar)^b, so a
+    term is its coefficient times 2^-degree, cleared over one denominator for
+    the whole symbol, times (-i)^(sum of the b), times one product of integer
+    pair coefficients per monomial.
     """
     if symbol.nvars % 2 != 0:
         raise ValueError("real-to-complex conversion needs an even variable count")
-    n = symbol.nvars // 2
-    acc: dict = {}
-    for exponents, coeff in symbol.terms.items():
-        partial: dict[tuple[MultiIndex, MultiIndex], GaussianRational] = {
-            ((), ()): as_gaussian(coeff)
-        }
-        for j in range(n):
-            pair = _pair_expansion(exponents[2 * j], exponents[2 * j + 1])
-            nxt: dict[tuple[MultiIndex, MultiIndex], GaussianRational] = {}
-            for (alpha, beta), c in partial.items():
-                for (u, v), cp in pair.items():
-                    key = (alpha + (u,), beta + (v,))
-                    nxt[key] = nxt.get(key, ZERO) + c * cp
-            partial = nxt
-        for (alpha, beta), c in partial.items():
-            key = (0, 0, alpha, beta)
-            acc[key] = acc.get(key, ZERO) + c
-    return BihermitianForm.from_terms(n, 1, acc)
+    scales = {e: c / 2 ** degree(e) for e, c in symbol.terms.items()}
+    den = lcm(*(c.denominator for c in scales.values()))
+    acc: dict[tuple[MultiIndex, MultiIndex], list[int]] = {}
+    for exponents, c in scales.items():
+        partial = {((), ()): c.numerator * (den // c.denominator)}
+        for a, b in zip(exponents[0::2], exponents[1::2]):
+            partial = {(alpha + (u,), beta + (a + b - u,)): x * cu for (alpha, beta), x in
+                       partial.items() for u, cu in enumerate(_pair_coefficients(a, b)) if cu}
+        # (-i)^k is 1, -i, -1, i: the part and sign it sends a real x to
+        k = sum(exponents[1::2]) % 4
+        for key, x in partial.items():
+            parts = acc.setdefault(key, [0, 0])
+            parts[k % 2] += -x if k in (1, 2) else x
+    return BihermitianForm.from_terms(symbol.nvars // 2, 1, {
+        (0, 0, alpha, beta): GaussianRational(Fraction(re, den), Fraction(im, den))
+        for (alpha, beta), (re, im) in acc.items()})
 
 
-def _complex_pair_expansion(u: int, v: int) -> dict[tuple[int, int], GaussianRational]:
-    """Coefficients of x^a y^b in z^u zbar^v for one conjugate pair."""
-    out: dict[tuple[int, int], GaussianRational] = {}
+def _complex_pair_coefficients(u: int, v: int) -> tuple[tuple[int, int], ...]:
+    """(re, im) of the Gaussian-integer coefficient of x^a y^(u+v-a) in
+    z^u zbar^v = (x + iy)^u (x - iy)^v, for a = 0, ..., u + v."""
+    out = [[0, 0] for _ in range(u + v + 1)]
     for s in range(u + 1):
-        cu = _I_POWERS[(u - s) % 4] * comb(u, s)
         for t in range(v + 1):
-            cv = _I_POWERS[(-(v - t)) % 4] * comb(v, t)
-            key = (s + t, (u - s) + (v - t))
-            out[key] = out.get(key, ZERO) + cu * cv
-    return out
+            # i^(u-s) (-i)^(v-t) = i^k is 1, i, -1, -i
+            k, c = (u - s - v + t) % 4, comb(u, s) * comb(v, t)
+            out[s + t][k % 2] += -c if k > 1 else c
+    return tuple(map(tuple, out))
 
 
 def complex_to_real(form: BihermitianForm) -> RealSymbol:
@@ -150,28 +135,18 @@ def complex_to_real(form: BihermitianForm) -> RealSymbol:
         raise ValueError("real-form conversion handles scalar kernels only")
     if not is_hermitian_symmetric(form):
         raise ValueError("real-form conversion requires a Hermitian-symmetric kernel")
-    nvars = 2 * form.n
     acc: dict[MultiIndex, GaussianRational] = {}
     for (_, _, alpha, beta), coeff in form.support.items():
-        partial: dict[MultiIndex, GaussianRational] = {(): coeff}
-        for j in range(form.n):
-            pair = _complex_pair_expansion(alpha[j], beta[j])
-            nxt: dict[MultiIndex, GaussianRational] = {}
-            for exps, c in partial.items():
-                for (a, b), cp in pair.items():
-                    key = exps + (a, b)
-                    nxt[key] = nxt.get(key, ZERO) + c * cp
-            partial = nxt
-        for exps, c in partial.items():
-            acc[exps] = acc.get(exps, ZERO) + c
-    terms = {}
-    for exps, c in acc.items():
-        if c.is_zero():
-            continue
-        if c.im != 0:
-            raise ValueError("conversion produced a non-real coefficient")
-        terms[exps] = c.re
-    return RealSymbol.from_terms(nvars, terms)
+        partial = {(): (1, 0)}
+        for u, v in zip(alpha, beta):
+            partial = {exps + (a, u + v - a): (x * cr - y * ci, x * ci + y * cr)
+                       for exps, (x, y) in partial.items()
+                       for a, (cr, ci) in enumerate(_complex_pair_coefficients(u, v)) if cr or ci}
+        for exps, (x, y) in partial.items():
+            acc[exps] = acc.get(exps, ZERO) + coeff * GaussianRational(x, y)
+    if any(c.im for c in acc.values()):
+        raise ValueError("conversion produced a non-real coefficient")
+    return RealSymbol.from_terms(2 * form.n, {exps: c.re for exps, c in acc.items()})
 
 
 def is_complex_bihomogeneous(form: BihermitianForm) -> bool:

@@ -1210,3 +1210,51 @@ def reference_parse_real_symbol(text: str, nvars: int | None = None) -> RealSymb
             alpha[index - 1] += e
         terms[tuple(alpha)] = coeff.re
     return RealSymbol.from_terms(dim, terms)
+
+
+# ---------------------------------------------------------------------------
+# real_to_complex as it was before the pair expansion ran in ints: each real
+# monomial expanded pair by pair in GaussianRational dict arithmetic.
+
+_I_POWERS = (ONE, GaussianRational(Fraction(0), Fraction(1)), GaussianRational(Fraction(-1)),
+             GaussianRational(Fraction(0), Fraction(-1)))
+
+
+def _reference_pair_expansion(a: int, b: int) -> dict[tuple[int, int], GaussianRational]:
+    """Coefficients of z^u zbar^v in x^a * y^b for one conjugate pair (x, y)."""
+    x_part: dict[tuple[int, int], GaussianRational] = {}
+    half = GaussianRational(Fraction(1, 2)) ** a
+    for s in range(a + 1):
+        x_part[(s, a - s)] = half * comb(a, s)
+    y_part: dict[tuple[int, int], GaussianRational] = {}
+    scale = GaussianRational(Fraction(1, 2)) ** b * _I_POWERS[(-b) % 4]
+    for t in range(b + 1):
+        sign = 1 if (b - t) % 2 == 0 else -1
+        y_part[(t, b - t)] = scale * (comb(b, t) * sign)
+    out: dict[tuple[int, int], GaussianRational] = {}
+    for (u1, v1), c1 in x_part.items():
+        for (u2, v2), c2 in y_part.items():
+            key = (u1 + u2, v1 + v2)
+            out[key] = out.get(key, ZERO) + c1 * c2
+    return out
+
+
+def reference_real_to_complex(symbol: RealSymbol) -> BihermitianForm:
+    if symbol.nvars % 2 != 0:
+        raise ValueError("real-to-complex conversion needs an even variable count")
+    n = symbol.nvars // 2
+    acc: dict = {}
+    for exponents, coeff in symbol.terms.items():
+        partial = {((), ()): as_gaussian(coeff)}
+        for j in range(n):
+            pair = _reference_pair_expansion(exponents[2 * j], exponents[2 * j + 1])
+            nxt: dict = {}
+            for (alpha, beta), c in partial.items():
+                for (u, v), cp in pair.items():
+                    key = (alpha + (u,), beta + (v,))
+                    nxt[key] = nxt.get(key, ZERO) + c * cp
+            partial = nxt
+        for (alpha, beta), c in partial.items():
+            key = (0, 0, alpha, beta)
+            acc[key] = acc.get(key, ZERO) + c
+    return BihermitianForm.from_terms(n, 1, acc)

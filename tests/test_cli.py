@@ -461,6 +461,31 @@ PARENT_FORMAT_SYMBOL = {
 }
 TRAIL_STEP_SHAPE = "a trail step must be a witness, a list of [j, re, im] entries"
 
+# `stabilize -e "z1*zb1" --n 2 --mode semi --dmax 0` and `symbol -e "x1^2 +
+# x2^2"` as the format before the factor was its weighted vectors wrote them:
+# a weighted_gram_factor with its rows and a `target` copy of the shifted form.
+_FIRST_OF_TWO_SQUARE = {"kind": "bihermitian_form", "n": 2, "r": 1, "terms": [
+    {"alpha": [1, 0], "beta": [1, 0], "i": 1, "im": "0", "j": 1, "re": "1"}]}
+PARENT_FORMAT_FACTOR_STABILIZE = {
+    "command": ["stabilize", "--mode", "semi", "--dmax", "0"],
+    "digest": "sha256:da1c9b6697fd4351b4ffbb740eeb18c44c18e54c96f32fed414172e7fcd23ec9",
+    "input_digest": "sha256:c9e993fdd162276e85caffbfa30accd57d421d953c662550f63263d7a5da690e",
+    "kind": "run_report",
+    "result": {"stabilization": {
+        "d_max": 0, "d_min": 0,
+        "factor": {"kind": "weighted_gram_factor", "n": 2, "rows": [
+            {"entries": [[{"alpha": [1, 0], "im": "0", "re": "1"}]], "weight": "1"}],
+            "shape": [1, 1], "target": _FIRST_OF_TWO_SQUARE},
+        "form": _FIRST_OF_TWO_SQUARE, "kind": "stabilization_report", "mode": "semi",
+        "trail": []}},
+    "verdicts": {"d_max": 0, "d_min": 0, "found": True, "mode": "semi"},
+}
+PARENT_FORMAT_FACTOR_SYMBOL = json.loads(json.dumps(PARENT_FORMAT_SYMBOL))
+PARENT_FORMAT_FACTOR_SYMBOL["digest"] = (
+    "sha256:28080b5d8e6778e335cd0e143b90b0ed2f52b713cc4606be9ecb002406807312")
+PARENT_FORMAT_FACTOR_SYMBOL["result"]["ellipticity"]["stabilization"]["trail"] = []
+FACTOR_SHAPE = "a stabilization factor must be null or a list of weighted vectors"
+
 
 # The check report of COUPLED's first two variables as the format before L
 # was stored wrote it: W by its strictly-lower rows (`transform`) and the
@@ -503,6 +528,9 @@ ENTRY_SHAPE = "lower, blocks and witness entries must be [int, str, str]"
         (["stabilize", "-e", "z1*zb1", "--n", "2", "--dmax", "0"],
          lambda report: PARENT_FORMAT_STABILIZE, TRAIL_STEP_SHAPE),
         (["symbol", "-e", "x1^2 + x2^2"], lambda report: PARENT_FORMAT_SYMBOL, TRAIL_STEP_SHAPE),
+        (["stabilize", "-e", "z1*zb1", "--n", "2", "--mode", "semi", "--dmax", "0"],
+         lambda report: PARENT_FORMAT_FACTOR_STABILIZE, FACTOR_SHAPE),
+        (["symbol", "-e", "x1^2 + x2^2"], lambda report: PARENT_FORMAT_FACTOR_SYMBOL, FACTOR_SHAPE),
     ],
     ids=[
         "dense_transform_with_inverse",
@@ -514,6 +542,8 @@ ENTRY_SHAPE = "lower, blocks and witness entries must be [int, str, str]"
         "dense_witness_and_transform",
         "trail_of_congruences",
         "ellipticity_with_trail_of_congruences",
+        "factor_with_rows_and_target",
+        "ellipticity_with_factor_with_rows_and_target",
     ],
 )
 def test_verify_refuses_other_formats(capsys, tmp_path, argv, outdate, message):
@@ -712,6 +742,12 @@ def _factor_target_zero_term_out_of_range(capsys):
     return report
 
 
+def _certificate_without_kind(capsys):
+    report = json.loads(run(capsys, ["check", "-e", "z1*zb1 - z2*zb2", "--mode", "semi"])[1])
+    del report["result"]["certificate"]["kind"]
+    return report
+
+
 def _witness_pair_of_one(capsys):
     report = json.loads(run(capsys, ["check", "-e", SQUARE_DIFFERENCE, "--mode", "semi"])[1])
     report["result"]["certificate"]["witness"][0] = ["1"]
@@ -742,6 +778,7 @@ def _witness_pair_of_one(capsys):
         lambda capsys: _numeric_float_digits(capsys, 10**9),
         _factor_zero_entry_of_wrong_length,
         _factor_target_zero_term_out_of_range,
+        _certificate_without_kind,
     ],
     ids=["list", "string", "number", "null", "form_list", "verdicts_list", "command_string",
          "witness_pair_of_one", "factor_shape_of_one", "verdicts_from_unverified_object",
@@ -749,7 +786,7 @@ def _witness_pair_of_one(capsys):
          "factor_with_certificate_too", "factor_with_neither", "factor_psd_certificate_only",
          "factor_weight_zero", "factor_weight_negative", "float_digits_string",
          "float_digits_huge", "factor_zero_entry_of_wrong_length",
-         "factor_target_zero_term_out_of_range"],
+         "factor_target_zero_term_out_of_range", "certificate_without_kind"],
 )
 def test_verify_malformed_shapes_are_input_errors(capsys, tmp_path, make):
     path = tmp_path / "malformed.json"
@@ -759,6 +796,8 @@ def test_verify_malformed_shapes_are_input_errors(capsys, tmp_path, make):
     assert "Traceback" not in err
     if make in (_factor_weight_zero, _factor_weight_negative):
         assert err == "error: row weights must be positive\n"
+    if make is _certificate_without_kind:
+        assert err == "error: a run report's certificate must be a signature_certificate\n"
 
 
 def _first_numeric_value(result):
@@ -968,3 +1007,80 @@ def test_reports_do_not_depend_on_their_layout(capsys, tmp_path, argv):
     indented = tmp_path / "indented.json"
     indented.write_text(json.dumps(report, sort_keys=True, indent=2))
     assert run(capsys, ["verify", str(indented)]) == (0, '{"valid": true, "reason": "ok"}\n', "")
+
+
+RUN_REPORT_ARGV = [
+    ["check", "-e", DIAGONAL_QUARTIC, "--mode", "semi"],
+    ["stabilize", "-e", INDEFINITE_QUARTIC, "--dmax", "5"],
+    ["factor", "-e", INDEFINITE_QUARTIC, "--d", "1", "--numeric"],
+    SWEEP_ONE,
+    ["symbol", "-e", "x1^2 + x2^2"],
+    ["decompose", "-e", SQUARE_DIFFERENCE],
+]
+
+
+def _extra_top_level_key(report):
+    report["claim"] = "anything"
+
+
+def _extra_result_key(report):
+    report["result"]["note"] = "F is PD at d=0"
+
+
+@pytest.mark.parametrize("argv", RUN_REPORT_ARGV, ids=lambda argv: argv[0])
+@pytest.mark.parametrize("rewrite", [_extra_top_level_key, _extra_result_key],
+                         ids=["top_level", "result"])
+def test_verify_refuses_content_that_no_check_covers(capsys, tmp_path, argv, rewrite):
+    # Every key of a run report and of its result is either checked or
+    # derived; an extra one claims what nothing verifies.
+    path = tmp_path / "report.json"
+    run(capsys, argv + ["--out", str(path)])
+    assert run(capsys, ["verify", str(path)])[0] == 0
+    report = json.loads(path.read_text())
+    rewrite(report)
+    path.write_text(json.dumps(report))
+    code, out, err = run(capsys, ["verify", str(path)])
+    assert code == 2 and out == ""
+    assert err.startswith("error: artifact is not in the current certificate format")
+
+
+def test_verify_refuses_an_extra_sweep_row_key(capsys, tmp_path):
+    path = tmp_path / "report.json"
+    run(capsys, SWEEP_ONE + ["--out", str(path)])
+    report = json.loads(path.read_text())
+    report["result"]["rows"][0]["note"] = "d_min is 2"
+    path.write_text(json.dumps(report))
+    code, out, err = run(capsys, ["verify", str(path)])
+    assert code == 2 and out == "" and "does not have exactly the keys that sweep writes" in err
+
+
+@pytest.mark.parametrize("argv", RUN_REPORT_ARGV, ids=lambda argv: argv[0])
+def test_a_run_report_without_timings_verifies(capsys, tmp_path, argv):
+    path = tmp_path / "report.json"
+    run(capsys, argv + ["--out", str(path)])
+    report = json.loads(path.read_text())
+    del report["timings"]
+    path.write_text(json.dumps(report))
+    assert run(capsys, ["verify", str(path)]) == (0, '{"valid": true, "reason": "ok"}\n', "")
+
+
+@pytest.mark.parametrize("argv", [
+    ["stabilize", "-e", INDEFINITE_QUARTIC, "--mode", "strict", "--dmax", "5"],
+    ["stabilize", "-e", "z1^2*zb1^2 - 3/2*z1*z2*zb1*zb2 + z2^2*zb2^2", "--mode", "semi"],
+    ["stabilize", "-e", SQUARE_DIFFERENCE, "--mode", "semi", "--dmax", "4"],
+], ids=["strict", "semi", "inconclusive"])
+def test_stabilize_and_its_verify_build_no_form_and_no_factor(capsys, tmp_path, monkeypatch, argv):
+    # The passing exponent is proved by its certificate's weighted vectors,
+    # checked against the rows of the exponent loop: neither the search nor
+    # verify rebuilds the shifted form or a polynomial factor.
+    from hermfact import factor, hermform
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a stabilization built a form or a factor")
+
+    for owner, name in ((hermform, "gram"), (factor, "gram"), (serialize, "obj_to_factor"),
+                        (hermform.CoefficientRows, "form"), (hermform.HoloPolyMatrix, "from_rows")):
+        monkeypatch.setattr(owner, name, refuse)
+    path = tmp_path / "report.json"
+    assert run(capsys, argv + ["--out", str(path)])[0] in (0, 3)
+    assert run(capsys, ["verify", str(path)]) == (0, '{"valid": true, "reason": "ok"}\n', "")

@@ -1,11 +1,14 @@
 """Property tests over small random kernels (Hypothesis, derandomized so every
 run draws the same examples)."""
 
+import copy
 import dataclasses
+import functools
+import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hermfact import (
@@ -17,6 +20,7 @@ from hermfact import (
     coefficient_matrix,
     enumerate_degree,
     evaluate_exact,
+    find_minimal_d,
     format_form,
     from_coefficient_matrix,
     gram,
@@ -29,7 +33,7 @@ from hermfact import (
 from hermfact import serialize
 from hermfact.scalars import ZERO
 from hermfact.stabilize import exponent_steps
-from hermfact.symbols import _sample_symbol
+from hermfact.symbols import RealSymbol, _sample_symbol, complex_to_real, real_to_complex
 
 from helpers import (
     parse_outcome,
@@ -47,6 +51,7 @@ from helpers import (
     reference_obj_to_entries,
     reference_parse_expression,
     reference_parse_real_symbol,
+    reference_real_to_complex,
     reference_sample_symbol,
     reference_weighted_vectors,
     square_difference,
@@ -474,3 +479,88 @@ def test_certificate_codec_equals_reference_and_reads_respellings(matrix, strict
     assert dataclasses.replace(read, strict=strict).verify() == (True, "ok")
     if not strict:
         assert serialize.verify_obj(obj) == serialize.verify_obj(respelled) == (True, "ok")
+
+
+@st.composite
+def real_symbols(draw):
+    """A real symbol in 2, 4 or 6 variables with at most four terms, each
+    exponent at most 3 (so mixed degrees and odd orders occur too)."""
+    nvars = 2 * draw(st.integers(1, 3))
+    exponents = st.tuples(*[st.integers(0, 3)] * nvars)
+    return RealSymbol.from_terms(nvars, draw(st.lists(st.tuples(exponents, fractions), max_size=4)))
+
+
+@SETTINGS
+@given(symbol=real_symbols())
+def test_real_to_complex_equals_reference_and_inverts(symbol):
+    form = real_to_complex(symbol)
+    assert form == reference_real_to_complex(symbol)
+    assert complex_to_real(form) == symbol
+
+
+# Emitted stabilization reports, passing and inconclusive, in both modes: an
+# off-diagonal quartic with complex coefficients (d_min 6 in both modes), and
+# the ladder member c = -3/2, whose strict trail has null vectors at d = 5, 6.
+OFF_DIAGONAL = ("z1^2*zb1^2 + z2^2*zb2^2 - z1*z2*zb1*zb2 + (1/4+1/4*i)*z1*z2*zb2^2"
+                " + (1/4-1/4*i)*z2^2*zb1*zb2")
+LADDER = "z1^2*zb1^2 - 3/2*z1*z2*zb1*zb2 + z2^2*zb2^2"
+SEARCHES = [(OFF_DIAGONAL, "strict", 8), (OFF_DIAGONAL, "semi", 8), (OFF_DIAGONAL, "strict", 3),
+            (LADDER, "strict", 8), (LADDER, "semi", 8), (LADDER, "strict", 6), (LADDER, "semi", 3)]
+MUTATIONS = ("witness", "weight", "vector", "drop", "duplicate", "d_min", "d_max", "mode")
+ratio_strings = st.builds(lambda p, q: serialize.fraction_to_str(Fraction(p, q)),
+                          st.integers(-3, 3), st.integers(1, 3))
+
+
+@functools.cache
+def _emitted_stabilization(text: str, mode: str, d_max: int) -> str:
+    return serialize.canonical_json(
+        serialize.stabilization_to_obj(find_minimal_d(parse_expression(text), mode, d_max)))
+
+
+def _mutate(data, obj: dict, kind: str) -> None:
+    """Change one part of `obj`: a trail witness entry, a factor weight or
+    vector entry, one trail step or factor vector dropped or duplicated (in
+    place of another or beside it), or d_min, d_max or mode."""
+    vectors = obj["factor"] or []
+    if kind in ("witness", "vector"):
+        entries = [entry for v in (obj["trail"] if kind == "witness" else
+                                   [v for _, v in vectors]) for entry in v]
+        assume(entries)
+        entry = entries[data.draw(st.integers(0, len(entries) - 1))]
+        part = data.draw(st.integers(0, 2))
+        entry[part] = data.draw(st.integers(-1, 11) if part == 0 else ratio_strings)
+    elif kind == "weight":
+        assume(vectors)
+        vectors[data.draw(st.integers(0, len(vectors) - 1))][0] = data.draw(ratio_strings)
+    elif kind in ("drop", "duplicate"):
+        items = obj[data.draw(st.sampled_from(["trail", "factor"]))] or []
+        assume(items)
+        item = items[data.draw(st.integers(0, len(items) - 1))]
+        if kind == "drop":
+            items.remove(item)
+        elif data.draw(st.booleans()):
+            items.insert(data.draw(st.integers(0, len(items))), copy.deepcopy(item))
+        else:
+            items[data.draw(st.integers(0, len(items) - 1))] = copy.deepcopy(item)
+    elif kind == "mode":
+        obj["mode"] = "semi" if obj["mode"] == "strict" else "strict"
+    else:
+        obj[kind] = data.draw(st.integers(0, 10) if kind == "d_max" else
+                              st.none() | st.integers(0, 10))
+
+
+@settings(SETTINGS, max_examples=300)
+@given(search=st.sampled_from(SEARCHES), kind=st.sampled_from(MUTATIONS), data=st.data())
+def test_a_mutated_stabilization_is_rejected_or_still_proves_its_claim(search, kind, data):
+    # The claim is d_min: the least d <= d_max at which the mode's test
+    # passes, or none.  A mutation either fails verify (exit 1 or 2) or
+    # leaves a report whose claim a fresh search confirms.
+    obj = json.loads(_emitted_stabilization(*search))
+    _mutate(data, obj, kind)
+    try:
+        ok, _ = serialize.verify_obj(obj)
+    except (ValueError, KeyError, TypeError):
+        ok = False
+    if ok:
+        form = serialize.obj_to_form(obj["form"])
+        assert find_minimal_d(form, obj["mode"], obj["d_max"]).d_min == obj["d_min"]

@@ -11,6 +11,7 @@ from hermfact import (
     find_minimal_d,
     holomorphic_factor,
     ldl_signature,
+    multiplier_power,
     parse_expression,
     scale,
 )
@@ -269,17 +270,18 @@ def test_trail_witness_that_proves_nothing_is_rejected(mode, forge, reason):
 
 
 def test_strict_factor_must_span(forgery_report):
+    # The factor is the weighted vectors of the PD certificate at d_min, the
+    # columns of P^T L: one per basis index, triangular in their order.
     reason = "factor rows do not span the coefficient space"
-    rows = forgery_report["factor"]["rows"]
+    vectors = forgery_report["factor"]
     forged = json.loads(json.dumps(forgery_report))
-    del forged["factor"]["rows"][3]
-    forged["factor"]["shape"][0] -= 1
+    del forged["factor"][3]
     assert serialize.verify_obj(forged) == (False, reason)
     forged = json.loads(json.dumps(forgery_report))
-    forged["factor"]["rows"][3] = rows[4]
+    forged["factor"][3] = vectors[4]
     assert serialize.verify_obj(forged) == (False, reason)
-    # The semi factor at d = 5 reconstructs <z,w>^5 F, but M_5 is singular,
-    # so its rows do not span: a strict trail cannot stop there.
+    # The semi factor at d = 5 gives <z,w>^5 F, but M_5 is singular, so its
+    # vectors do not span: a strict trail cannot stop there.
     semi = serialize.stabilization_to_obj(
         find_minimal_d(parse_expression(FORGERY_FORM), "semi", 12))
     assert semi["d_min"] == 5
@@ -290,15 +292,83 @@ def test_strict_factor_must_span(forgery_report):
     assert serialize.verify_obj(forged) == (True, "ok")
 
 
-def test_stabilization_factor_of_another_form_is_rejected(forgery_report):
-    other = serialize.factor_to_obj(holomorphic_factor(parse_expression("z1*zb1 + z2*zb2")))
-    assert serialize.verify_obj(other) == (True, "ok")
-    reason = "factor is not one of the form shifted d_min times"
+def _factor_at(d: int, mode: str) -> list:
+    """The factor of <z,w>^d F for FORGERY_FORM, from a search on that shift
+    that passes at once: the vectors on the basis of M_d."""
+    report = find_minimal_d(multiplier_power(parse_expression(FORGERY_FORM), d), mode, 0)
+    assert report.d_min == 0
+    return serialize.stabilization_to_obj(report)["factor"]
+
+
+def _set_weight(weight):
+    def forge(obj):
+        obj["factor"][0][0] = weight
+    return forge
+
+
+def _index_past_size(obj):
+    # M_7 is 10x10: index 10 is one past its last
+    obj["factor"][-1][1].append([10, "1", "0"])
+
+
+def _entry_changed(obj):
+    entry = obj["factor"][2][1][0]
+    entry[1] = serialize.fraction_to_str(Fraction(entry[1]) + 1)
+
+
+def _vectors_of_d_min_below(obj):
+    # M_6 is PSD but singular: its semi vectors are one short of spanning
+    obj.update(d_min=6, trail=obj["trail"][:6], factor=_factor_at(6, "semi"))
+
+
+def _vectors_of_d_min_above(obj):
+    # M_7 passes, so no witness proves it fails; this one is e_0, of value 1
+    obj.update(d_min=8, trail=obj["trail"] + [[[0, "1", "0"]]], factor=_factor_at(8, "strict"))
+
+
+def _vectors_of_d_min_above_with_the_trail_as_it_is(obj):
+    obj.update(d_min=8, factor=_factor_at(8, "strict"))
+
+
+@pytest.mark.parametrize(
+    "forge, reason",
+    [
+        (_set_weight("0"), "factor weight is not positive"),
+        (_set_weight("-1"), "factor weight is not positive"),
+        (_index_past_size, "factor index out of range"),
+        (_entry_changed, "factor: congruence identity fails at (3,3)"),
+        (_vectors_of_d_min_below, "factor rows do not span the coefficient space"),
+        (_vectors_of_d_min_above, "trail d=7: witness value is positive"),
+        (_vectors_of_d_min_above_with_the_trail_as_it_is, "d_min does not match the trail"),
+    ],
+    ids=["weight_zero", "weight_negative", "index_past_size", "entry_changed",
+         "vectors_of_d_min_below", "vectors_of_d_min_above",
+         "vectors_of_d_min_above_short_trail"],
+)
+def test_forged_stabilization_factor_is_rejected(forgery_report, forge, reason):
     forged = json.loads(json.dumps(forgery_report))
-    forged["factor"] = other
+    forge(forged)
     assert serialize.verify_obj(forged) == (False, reason)
+
+
+def test_stabilization_factor_of_another_form_is_rejected(forgery_report):
+    # 2F has the same d_min and the same basis, and its factor verifies in its
+    # own report, but its vectors do not give <z,w>^7 F.
+    twice = serialize.stabilization_to_obj(
+        find_minimal_d(scale(parse_expression(FORGERY_FORM), 2), "strict", 12))
+    assert twice["d_min"] == 7 and serialize.verify_obj(twice) == (True, "ok")
+    forged = json.loads(json.dumps(forgery_report))
+    forged["factor"] = twice["factor"]
+    ok, reason = serialize.verify_obj(forged)
+    assert not ok and reason.startswith("factor: congruence identity fails at")
     forged["factor"] = None
+    reason = "factor is not one of the form shifted d_min times"
     assert serialize.verify_obj(forged) == (False, reason)
+    # A weighted_gram_factor, the format before the factor was its vectors.
+    other = holomorphic_factor(parse_expression("z1*zb1 + z2*zb2"))
+    forged["factor"] = serialize.factor_to_obj(other)
+    with pytest.raises(ValueError, match="not in the current certificate format"):
+        serialize.verify_obj(forged)
 
 
 def test_ellipticity_report_serialization():
