@@ -18,6 +18,12 @@ sparse row (`scalars.SparseRow`) read straight off the integer pivot rows of
 the elimination, so building, checking and extracting cost the nonzeros of L.
 GaussianRational appears only in the hollow blocks of D and in
 `gram_decomposition`'s dense output.
+
+A caller that needs only the evidence of one test, PSD or PD, calls
+`mode_evidence`, which runs the same elimination: a failing matrix stops at its
+first negative pivot or hollow block and gives the witness `ldl_signature`
+would, without building L; a passing one gives its certificate's weighted
+vectors.
 """
 
 from __future__ import annotations
@@ -238,6 +244,46 @@ def ldl_signature(matrix: HermitianMatrix, strict: bool = False) -> SignatureCer
     """
     if not isinstance(matrix, HermitianMatrix):
         matrix = HermitianMatrix.from_rows(matrix)
+    s, perm, diag, blocks, k = _eliminate(matrix, strict, stop=False)
+    return SignatureCertificate(
+        matrix=matrix,
+        permutation=tuple(perm),
+        lower=_lower(s, diag, blocks),
+        diag=tuple(diag),
+        blocks=tuple(blocks),
+        witness=None if k is None else _witness(s, perm, blocks, k),
+        strict=strict,
+    )
+
+
+def mode_evidence(
+    matrix: HermitianMatrix, strict: bool
+) -> SparseRow | list[tuple[Fraction, SparseRow]]:
+    """The evidence of the mode's test on M, PD if `strict` and PSD if not:
+    `ldl_signature(M, strict).witness` when M fails it, and otherwise that
+    certificate's weighted vectors, every weight positive.
+
+    The elimination stops at the first negative pivot or hollow block.  The
+    witness there reads only the pivot rows before its slot, at columns up to
+    its slot, and `perm` up to its slot; later steps swap and change only
+    later slots, so the witness is the one the full elimination gives.  Only
+    a passing matrix is eliminated to the end, and only its certificate is
+    built.
+    """
+    s, perm, diag, blocks, k = _eliminate(matrix, strict, stop=True)
+    if k is not None:
+        return _witness(s, perm, blocks, k)
+    # A PSD certificate has no blocks, so every weight is a positive pivot.
+    return SignatureCertificate(matrix, tuple(perm), _lower(s, diag, blocks), tuple(diag),
+                                (), None, strict).weighted_vectors()
+
+
+def _eliminate(matrix: HermitianMatrix, strict: bool, stop: bool):
+    """The pivoted elimination of `ldl_signature`: (s, perm, diag, blocks, k)
+    with s the working rows, perm the pivot order and k the witness slot, or
+    None when M passes the mode's test.  With `stop` it returns at the first
+    negative pivot or hollow block, swapped into place but not eliminated
+    with; diag and blocks then end at that slot."""
     n = matrix.size
     # s holds the rows of the working matrix.  Rows before the current step
     # are finished pivots and are never read again, so an elimination step
@@ -280,6 +326,8 @@ def ldl_signature(matrix: HermitianMatrix, strict: bool = False) -> SignatureCer
             sign = 1 if p > 0 else -1
             if sign < 0 and negative is None:
                 negative = k
+                if stop:
+                    return s, perm, diag, blocks, k
             nz = pivot.nonzero()
             for i in range(k + 1, n):
                 x, y = s[i].re[k], s[i].im[k]
@@ -307,6 +355,8 @@ def ldl_signature(matrix: HermitianMatrix, strict: bool = False) -> SignatureCer
         diag.extend([Fraction(0), Fraction(0)])
         if negative is None:
             negative = k
+            if stop:
+                return s, perm, diag, blocks, k
         first, second = (s[k], s[k].nonzero()), (s[k + 1], s[k + 1].nonzero())
         for i in range(k + 2, n):
             xr, xi, yr, yi = s[i].re[k], s[i].im[k], s[i].re[k + 1], s[i].im[k + 1]
@@ -317,6 +367,14 @@ def ldl_signature(matrix: HermitianMatrix, strict: bool = False) -> SignatureCer
             if xr or xi:
                 s[i].add_scaled(-dk * (xr * ar - xi * ai), -dk * (xr * ai + xi * ar), q, *second)
         k += 2
+    return s, perm, diag, blocks, zero if negative is None and strict else negative
+
+
+def _lower(s: list[GaussianRow], diag, blocks) -> tuple[SparseRow, ...]:
+    """The columns of L read off the finished pivot rows of a full elimination:
+    L[j][k] = conj(s[k][j]) / d_k, and for a block a at k, k+1, whose inverse
+    is [[0, 1/conj(a)], [1/a, 0]], L[j][k] = conj(s[k+1][j]) / a and
+    L[j][k+1] = conj(s[k][j]) / conj(a)."""
 
     def column(row: GaussianRow, start: int, cr: int, ci: int, q: int) -> SparseRow:
         # conj(row[j]) * (cr + i*ci) / q at the nonzero row[j], j >= start, for
@@ -325,10 +383,7 @@ def ldl_signature(matrix: HermitianMatrix, strict: bool = False) -> SignatureCer
         return SparseRow.lowest(((j, re[j] * cr + im[j] * ci, re[j] * ci - im[j] * cr)
                                  for j in nonzero_indices(re, im, start)), q)
 
-    # The finished pivot rows give L: L[j][k] = conj(s[k][j]) / d_k, and for
-    # a block a at k, k+1, whose inverse is [[0, 1/conj(a)], [1/a, 0]],
-    # L[j][k] = conj(s[k+1][j]) / a and L[j][k+1] = conj(s[k][j]) / conj(a).
-    lower = [SparseRow(())] * n
+    lower = [SparseRow(())] * len(diag)
     for k, d in enumerate(diag):
         if d:
             lower[k] = column(s[k], k + 1, 1, 0, s[k].re[k])
@@ -337,44 +392,36 @@ def ldl_signature(matrix: HermitianMatrix, strict: bool = False) -> SignatureCer
         norm = ar * ar + ai * ai
         lower[k] = column(s[k + 1], k + 2, ar * dk, -ai * dk, s[k + 1].den * norm)
         lower[k + 1] = column(s[k], k + 2, ar, ai, norm)
+    return tuple(lower)
 
-    witness = None
-    k = negative
-    if k is None and strict:
-        k = zero
-    if k is not None:
-        # x^adj D x < 0 for x = e_k at the first negative pivot k, or
-        # x = e_k - conj(a) e_{k+1} (value -2|a|^2) at a first block a; when
-        # there is neither, D x = 0 for x = e_k at the first zero pivot k.  The
-        # witness is P^T y with L^adj y = x, so y_k = 1, and its value is
-        # x^adj D x; in the last case M P^T y = P^T L D x = 0.  Every pivot
-        # before slot k is positive, so back substitution runs on the integer
-        # pivot rows: conj(L[j][i]) = s[i][j] / d_i, and y is kept as Gaussian
-        # integers up to a positive scale.
-        yr, yi = [0] * n, [0] * n
-        if diag[k] or k == zero:
-            yr[k], top = 1, k + 1
-        else:
-            yr[k], yr[k + 1], yi[k + 1], top = s[k].den, -s[k].re[k + 1], s[k].im[k + 1], k + 2
-        for i in range(k - 1, -1, -1):
-            re, im, p, span = s[i].re, s[i].im, s[i].re[i], range(i + 1, top)
-            yr[i], yi[i] = (-sum(re[j] * yr[j] - im[j] * yi[j] for j in span),
-                            -sum(re[j] * yi[j] + im[j] * yr[j] for j in span))
-            yr[i + 1:top] = [p * x for x in yr[i + 1:top]]
-            yi[i + 1:top] = [p * y for y in yi[i + 1:top]]
-        # y is in pivot coordinates: entry perm[k] of the witness is y[k].
-        witness = _primitive_witness(sorted((perm[k], x, y) for k, x, y in zip(range(n), yr, yi)
-                                            if x or y))
 
-    return SignatureCertificate(
-        matrix=matrix,
-        permutation=tuple(perm),
-        lower=tuple(lower),
-        diag=tuple(diag),
-        blocks=tuple(blocks),
-        witness=witness,
-        strict=strict,
-    )
+def _witness(s: list[GaussianRow], perm: list[int], blocks, k: int) -> SparseRow:
+    """The witness at slot k of an elimination whose pivots before k are all
+    positive; a block there is the first one.
+
+    x^adj D x < 0 for x = e_k at a negative pivot k, or x = e_k - conj(a)
+    e_{k+1} (value -2|a|^2) at a block a; at a zero pivot k, which starts the
+    zero trailing block, D x = 0 for x = e_k.  The witness is P^T y with
+    L^adj y = x, so y_k = 1, and its value is x^adj D x; in the last case
+    M P^T y = P^T L D x = 0.  Back substitution runs on the integer pivot
+    rows, conj(L[j][i]) = s[i][j] / d_i, and keeps y as Gaussian integers up
+    to a positive scale.
+    """
+    n = len(s)
+    yr, yi = [0] * n, [0] * n
+    if blocks and blocks[0][0] == k:
+        yr[k], yr[k + 1], yi[k + 1], top = s[k].den, -s[k].re[k + 1], s[k].im[k + 1], k + 2
+    else:
+        yr[k], top = 1, k + 1
+    for i in range(k - 1, -1, -1):
+        re, im, p, span = s[i].re, s[i].im, s[i].re[i], range(i + 1, top)
+        yr[i], yi[i] = (-sum(re[j] * yr[j] - im[j] * yi[j] for j in span),
+                        -sum(re[j] * yi[j] + im[j] * yr[j] for j in span))
+        yr[i + 1:top] = [p * x for x in yr[i + 1:top]]
+        yi[i + 1:top] = [p * y for y in yi[i + 1:top]]
+    # y is in pivot coordinates: entry perm[k] of the witness is y[k].
+    return _primitive_witness(sorted((perm[k], x, y) for k, x, y in zip(range(n), yr, yi)
+                                     if x or y))
 
 
 def is_positive_definite(matrix: HermitianMatrix) -> tuple[bool, SignatureCertificate]:

@@ -150,7 +150,8 @@ def cmd_factor(args) -> int:
         # Only a failing certificate is kept: a factor proves PSD by itself.
         _finish(args, command, text, {"certificate": serialize.certificate_to_obj(cert)}, started)
         return EXIT_FAIL
-    result = {"factor": serialize.factor_to_obj(_positive_factor(shifted, cert, basis))}
+    factor = _positive_factor(shifted, cert.weighted_vectors(), basis)
+    result = {"factor": serialize.factor_to_obj(factor)}
     try:
         result.update(serialize.run_renderings(
             command, result, args.float_digits if args.numeric else None))

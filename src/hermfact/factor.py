@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-from .certify import SignatureCertificate, ldl_signature
+from .certify import ldl_signature, mode_evidence
 from .hermform import (
     BihermitianForm,
     CoefficientBasis,
@@ -83,10 +83,12 @@ def difference_of_squares(
 
 
 def _positive_factor(
-    form: BihermitianForm, cert: SignatureCertificate, basis: CoefficientBasis
+    form: BihermitianForm, vectors: list[tuple[Fraction, SparseRow]], basis: CoefficientBasis
 ) -> WeightedGramFactor:
-    # A PSD certificate has no blocks, so every weight is a positive pivot.
-    return WeightedGramFactor(_factor_from_parts(cert.weighted_vectors(), basis, form.n), form)
+    """The factor of `form` whose rows are the weighted vectors of a PSD
+    certificate of its coefficient matrix on `basis`; with no blocks, every
+    weight is a positive pivot."""
+    return WeightedGramFactor(_factor_from_parts(vectors, basis, form.n), form)
 
 
 def _holomorphic_factor(form: BihermitianForm, strict: bool) -> WeightedGramFactor | None:
@@ -95,10 +97,10 @@ def _holomorphic_factor(form: BihermitianForm, strict: bool) -> WeightedGramFact
     if bidegree(form) is None:
         raise ValueError("holomorphic factorization requires a single bidegree")
     matrix, basis = coefficient_matrix(form, mode="bidegree")
-    cert = ldl_signature(matrix)
-    if not (cert.is_positive_definite() if strict else cert.is_positive_semidefinite()):
+    evidence = mode_evidence(matrix, strict)
+    if isinstance(evidence, SparseRow):
         return None
-    return _positive_factor(form, cert, basis)
+    return _positive_factor(form, evidence, basis)
 
 
 def holomorphic_factor(form: BihermitianForm) -> WeightedGramFactor | None:

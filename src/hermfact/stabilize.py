@@ -7,6 +7,8 @@ failing exponent keeps only its evidence, one witness vector v with
 v* M_d v < 0 (semi) or v != 0 and v* M_d v <= 0 (strict); the passing one
 keeps only the weighted vectors of its certificate, M_d = sum w v v* with
 every w > 0, which are the coefficient vectors of a factor of <z, w>^d F.
+A failing step stops its elimination at its witness and builds no L
+(`certify.mode_evidence`); only the passing step is eliminated to the end.
 
 The search and its re-check in `verify` run one exponent loop,
 `exponent_steps`: the form is cleared once to Gaussian-integer numerators over
@@ -22,7 +24,9 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .certify import ldl_signature
+# The search calls mode_evidence; ldl_signature stays bound here because
+# perfbench's tracer, and its test, rebind the kernel under this name too.
+from .certify import ldl_signature, mode_evidence  # noqa: F401
 from .factor import WeightedGramFactor, _factor_from_parts
 from .hermform import (
     BihermitianForm,
@@ -154,8 +158,9 @@ def find_minimal_d(
     mode "strict" demands positive definiteness (spanning factorization);
     mode "semi" demands positive semidefiniteness.  Once the test passes at
     some d it passes at every larger one, so the linear search is complete.
-    Each failing step keeps its certificate's witness, and the passing one
-    its certificate's weighted vectors.
+    Each failing step keeps the witness of `ldl_signature(M_d, strict)`,
+    found without finishing the elimination, and the passing one its
+    certificate's weighted vectors (`certify.mode_evidence`).
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
@@ -168,13 +173,12 @@ def find_minimal_d(
     report = StabilizationReport(form=form, mode=mode, d_max=d_max, d_min=None)
     strict = mode == "strict"
     for d, rows in zip(range(d_max + 1), exponent_steps(form)):
-        cert = ldl_signature(rows.matrix(), strict=strict)
-        step = StabilizationStep(d, cert.size, cert.witness)
-        report.steps.append(step)
-        if step.passes:
-            report.d_min = d
-            # A PSD certificate has no blocks, so every weight is a positive pivot.
-            report.vectors = cert.weighted_vectors()
+        matrix = rows.matrix()
+        evidence = mode_evidence(matrix, strict)
+        witness = evidence if isinstance(evidence, SparseRow) else None
+        report.steps.append(StabilizationStep(d, matrix.size, witness))
+        if witness is None:
+            report.d_min, report.vectors = d, evidence
             return report
     return report
 

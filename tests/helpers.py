@@ -18,10 +18,13 @@ from hermfact import (
     SignatureCertificate,
     bidegree,
     enumerate_degree,
+    is_hermitian_symmetric,
+    ldl_signature,
 )
 from hermfact.hermform import TermKey, coefficient_basis
 from hermfact.parsing import ParseError
 from hermfact.scalars import ZERO, GaussianRow, SparseRow, as_gaussian
+from hermfact.stabilize import MODES, StabilizationReport, StabilizationStep, exponent_steps
 from hermfact.symbols import RealSymbol
 
 # ---------------------------------------------------------------------------
@@ -262,6 +265,34 @@ def reference_multiplier_power(form: BihermitianForm, d: int) -> BihermitianForm
     for _ in range(d):
         form = reference_multiplier_shift(form)
     return form
+
+
+# The search as it was before failing steps stopped at their witness: every
+# step runs the whole pivoted LDL* and builds L; find_minimal_d must give the
+# same report.
+def reference_find_minimal_d(form: BihermitianForm, mode: str, d_max: int):
+    """Smallest d <= d_max whose shifted coefficient matrix passes the mode's
+    test, each failing step keeping its certificate's witness and the passing
+    one its certificate's weighted vectors."""
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}")
+    if d_max < 0:
+        raise ValueError("d_max must be nonnegative")
+    if not is_hermitian_symmetric(form):
+        raise ValueError("stabilization search requires a Hermitian-symmetric form")
+    if bidegree(form) is None:
+        raise ValueError("stabilization search requires a single bidegree")
+    report = StabilizationReport(form=form, mode=mode, d_max=d_max, d_min=None)
+    strict = mode == "strict"
+    for d, rows in zip(range(d_max + 1), exponent_steps(form)):
+        cert = ldl_signature(rows.matrix(), strict=strict)
+        step = StabilizationStep(d, cert.size, cert.witness)
+        report.steps.append(step)
+        if step.passes:
+            report.d_min = d
+            report.vectors = cert.weighted_vectors()
+            return report
+    return report
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@ from hermfact import (
     parse_real_symbol,
 )
 from hermfact import serialize
+from hermfact.certify import mode_evidence
 from hermfact.scalars import ZERO
 from hermfact.stabilize import exponent_steps
 from hermfact.symbols import RealSymbol, _sample_symbol, complex_to_real, real_to_complex
@@ -42,6 +43,7 @@ from helpers import (
     reference_certificate_obj,
     reference_coefficient_matrix,
     reference_evaluate_exact,
+    reference_find_minimal_d,
     reference_fraction_to_str,
     reference_gram,
     reference_integer_ldl_signature,
@@ -438,6 +440,85 @@ def test_strict_witness_exactly_when_not_positive_definite(matrix):
     else:
         value = quadratic_value(matrix, strict.witness)
         assert any(strict.witness) and value.im == 0 and value.re <= 0
+
+
+@st.composite
+def evidence_matrices(draw):
+    """A Hermitian matrix of size 1 to 12, one of four kinds: entries of
+    denominators up to 6 with a drawn diagonal; the same with a zero diagonal,
+    so that the elimination takes hollow blocks; a sum of up to size
+    vectors v v^adj, PSD and singular when they do not span, plus now and
+    then a positive multiple of the identity, which makes it PD; or such a
+    sum beside a hollow block, so that positive pivots come before the block
+    or the zero pivots."""
+    size = draw(st.integers(1, 12))
+    kind = draw(st.sampled_from(["rational", "hollow", "gram", "gram_and_hollow"]))
+    entry = st.just(ZERO) | gaussians
+    if kind in ("rational", "hollow"):
+        rows = [[ZERO] * size for _ in range(size)]
+        for k in range(size):
+            rows[k][k] = ZERO if kind == "hollow" else GaussianRational(draw(fractions))
+            for l in range(k + 1, size):
+                rows[k][l] = draw(entry)
+                rows[l][k] = rows[k][l].conjugate()
+        return HermitianMatrix.from_rows(rows)
+    split = size if kind == "gram" else draw(st.integers(0, max(size - 2, 0)))
+    vectors = draw(st.lists(st.lists(entry, min_size=split, max_size=split), max_size=split))
+    shift = GaussianRational(draw(st.just(Fraction(0)) | weights))
+    rows = [[ZERO] * size for _ in range(size)]
+    for p in range(split):
+        for q in range(split):
+            rows[p][q] = sum((v[p] * v[q].conjugate() for v in vectors), shift if p == q else ZERO)
+    for p in range(split, size):
+        for q in range(p + 1, size):
+            rows[p][q] = draw(entry)
+            rows[q][p] = rows[p][q].conjugate()
+    order = draw(st.permutations(range(size)))
+    return HermitianMatrix.from_rows([[rows[p][q] for q in order] for p in order])
+
+
+@settings(SETTINGS, max_examples=200)
+@given(matrix=evidence_matrices())
+def test_mode_evidence_is_the_certificates_witness_or_weighted_vectors(matrix):
+    for strict in (False, True):
+        cert = ldl_signature(matrix, strict=strict)
+        evidence = mode_evidence(matrix, strict)
+        if cert.witness is None:
+            assert evidence == cert.weighted_vectors()
+        else:
+            assert evidence == cert.witness
+
+
+# Forms whose searches stop at witnesses of every kind: ladder members (null
+# vectors in strict mode at c = -3/2), block-sparse 3-variable quartics, the
+# Q3 quartic, and hollow forms whose zero diagonals take 2x2 blocks.
+BLOCK3 = ("z1^2*zb1^2 + z2^2*zb2^2 + z3^2*zb3^2 - ({c})*(z1*z2*zb1*zb2 + z2*z3*zb2*zb3"
+          " + z1*z3*zb1*zb3) + 1/4*(z1^2*zb2^2 + z2^2*zb1^2)")
+Q3 = ("z1^2*zb1^2 + z2^2*zb2^2 + z3^2*zb3^2 - z1*z2*zb1*zb2 - z2*z3*zb2*zb3 - z1*z3*zb1*zb3"
+      " + 1/2*z1^2*zb2^2 + 1/2*z2^2*zb1^2")
+SEARCH_FORMS = [
+    *(f"z1^2*zb1^2 + ({c})*z1*z2*zb1*zb2 + z2^2*zb2^2"
+      for c in ("1/2", "-1", "-3/2", "-17/10", "-2")),
+    *(BLOCK3.format(c=c) for c in ("1/2", "23/40", "61/100")),
+    Q3,
+    "z1*zb2 + z2*zb1",
+    "z1*zb2 + z2*zb1 + z2*zb3 + z3*zb2",
+    "z1^2*zb2^2 + z2^2*zb1^2 + z1*z2*zb1*zb2",
+]
+
+
+@pytest.mark.parametrize("mode", ["strict", "semi"])
+@pytest.mark.parametrize("text", SEARCH_FORMS)
+def test_find_minimal_d_equals_the_full_elimination_search(text, mode):
+    form = parse_expression(text)
+    assert find_minimal_d(form, mode, 9) == reference_find_minimal_d(form, mode, 9)
+
+
+@SETTINGS
+@given(form=stabilization_forms(), strict=st.booleans())
+def test_find_minimal_d_equals_the_full_elimination_search_on_drawn_forms(form, strict):
+    mode = "strict" if strict else "semi"
+    assert find_minimal_d(form, mode, 4) == reference_find_minimal_d(form, mode, 4)
 
 
 def _respelled(obj: dict) -> dict:

@@ -17,6 +17,8 @@ from hermfact import (
     parse_expression,
     stabilization_sweep,
 )
+from hermfact import stabilize
+from hermfact.scalars import GaussianRow
 from hermfact.stabilize import exponent_steps
 
 from helpers import (
@@ -28,6 +30,7 @@ from helpers import (
     rand_hermsym_form,
     rand_pd_form,
     rand_psd_form,
+    reference_find_minimal_d,
     square_difference,
 )
 
@@ -177,6 +180,41 @@ def test_monotonicity_strict_and_semi():
         shifted2 = multiplier_shift(shifted)
         ok2, _ = is_positive_semidefinite(diag_of(shifted2))
         assert ok1 and ok2
+
+
+def test_failing_q3_steps_stop_at_their_first_pivot(monkeypatch):
+    # Q3 fails the strict test at every d; from d = 1 on, the first pivot of
+    # M_d is already negative, so its witness is a unit vector and the
+    # elimination stops before any row operation.
+    form = parse_expression(
+        "z1^2*zb1^2 + z2^2*zb2^2 + z3^2*zb3^2 - z1*z2*zb1*zb2 - z2*z3*zb2*zb3"
+        " - z1*z3*zb1*zb3 + 1/2*z1^2*zb2^2 + 1/2*z2^2*zb1^2")
+    calls = [0]
+    add_scaled = GaussianRow.add_scaled
+
+    def counted(self, *args):
+        calls[0] += 1
+        add_scaled(self, *args)
+
+    per_step = []
+    mode_evidence = stabilize.mode_evidence
+
+    def evidence(matrix, strict):
+        before = calls[0]
+        out = mode_evidence(matrix, strict)
+        per_step.append(calls[0] - before)
+        return out
+
+    monkeypatch.setattr(GaussianRow, "add_scaled", counted)
+    monkeypatch.setattr(stabilize, "mode_evidence", evidence)
+    report = find_minimal_d(form, "strict", 12)
+    monkeypatch.undo()
+    assert report == reference_find_minimal_d(form, "strict", 12)
+    assert report.d_min is None and len(per_step) == 13
+    assert per_step[1:] == [0] * 12
+    for step in report.steps[1:]:
+        assert len(step.witness.entries) == 1 and step.witness.entries[0][1:] == (1, 0)
+        assert step.witness.den == 1
 
 
 def test_sweep_family_ladder():
