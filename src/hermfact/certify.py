@@ -198,14 +198,16 @@ def witness_failure(matrix, v: SparseRow, strict: bool) -> str | None:
     return None
 
 
-def factor_failure(matrix: HermitianMatrix, vectors, strict: bool) -> str | None:
+def factor_failure(matrix: HermitianMatrix, vectors, strict: bool, signed: bool = False
+                   ) -> str | None:
     """Why the weighted vectors (w, v) of a factor do not prove that `matrix`
     passes the mode's test: M = sum w v v^adj with every w > 0, so M is PSD,
     and, if strict, one v per index, each adding exactly one index to the
     supports of those after it, so they are independent and M is PD; the
-    weighted vectors of a PD certificate, the columns of P^T L, are."""
-    if any(w <= 0 for w, _ in vectors):
-        return "factor weight is not positive"
+    weighted vectors of a PD certificate, the columns of P^T L, are.  A
+    `signed` factor needs only nonzero weights, and proves no mode."""
+    if any(not w if signed else w <= 0 for w, _ in vectors):
+        return "factor weight is zero" if signed else "factor weight is not positive"
     if not all(_ascends_between(-1, v, matrix.size) for _, v in vectors):
         return "factor index out of range"
     if strict:

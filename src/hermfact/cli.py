@@ -21,14 +21,14 @@ import io
 import json
 import sys
 import time
+from itertools import islice
 from pathlib import Path
 
 from . import serialize
 from .certify import ldl_signature
-from .factor import _positive_factor, difference_of_squares
 from .hermform import coefficient_matrix
 from .parsing import ParseError, parse_expression, parse_symbol
-from .stabilize import find_minimal_d, multiplier_power, stabilization_sweep
+from .stabilize import exponent_steps, find_minimal_d, stabilization_sweep
 from .symbols import RealSymbol, certify_elliptic, certify_elliptic_form
 
 EXIT_PASS = 0
@@ -139,9 +139,11 @@ def cmd_stabilize(args) -> int:
 def cmd_factor(args) -> int:
     started = time.perf_counter()
     form, text = _load_form(args)
+    if args.d < 0:
+        raise InputProblem("multiplier exponent must be nonnegative")
     try:
-        shifted = multiplier_power(form, args.d)
-        matrix, basis = coefficient_matrix(shifted, mode="bidegree")
+        # M_d is step d of the exponent loop that `stabilize` and `verify` run.
+        matrix = next(islice(exponent_steps(form), args.d, None)).matrix()
     except ValueError as exc:
         raise InputProblem(str(exc)) from exc
     command = ["factor", "--d", str(args.d)]
@@ -150,8 +152,7 @@ def cmd_factor(args) -> int:
         # Only a failing certificate is kept: a factor proves PSD by itself.
         _finish(args, command, text, {"certificate": serialize.certificate_to_obj(cert)}, started)
         return EXIT_FAIL
-    factor = _positive_factor(shifted, cert.weighted_vectors(), basis)
-    result = {"factor": serialize.factor_to_obj(factor)}
+    result = {"factor": serialize.factor_to_obj(form, args.d, cert.weighted_vectors())}
     try:
         result.update(serialize.run_renderings(
             command, result, args.float_digits if args.numeric else None))
@@ -245,13 +246,12 @@ def cmd_decompose(args) -> int:
     started = time.perf_counter()
     form, text = _load_form(args)
     try:
-        positive, negative = difference_of_squares(form)
+        matrix, _ = coefficient_matrix(form)
     except ValueError as exc:
         raise InputProblem(str(exc)) from exc
-    result = {
-        "positive": serialize.factor_to_obj(positive),
-        "negative": serialize.factor_to_obj(negative),
-    }
+    # F = (sum of squares over the positive weights) - (over the negative ones)
+    vectors = ldl_signature(matrix).weighted_vectors()
+    result = {"decomposition": serialize.factor_to_obj(form, 0, vectors)}
     _finish(args, ["decompose"], text, result, started)
     return EXIT_PASS
 

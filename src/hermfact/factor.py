@@ -2,7 +2,8 @@
 
 All exact outputs are *weighted* factors: a list of holomorphic polynomial
 rows with positive rational weights, reconstructing the target kernel through
-`gram`.  Square roots of the weights appear only in the numeric rendering.
+`gram`; they are a certificate's weighted vectors read on the basis of its
+matrix.  Square roots of the weights appear only in the numeric rendering.
 """
 
 from __future__ import annotations
@@ -35,13 +36,8 @@ class WeightedGramFactor:
 
     @property
     def rows(self) -> list[tuple[Fraction, tuple[Poly, ...]]]:
-        weights = self.matrix.weights
-        if weights is None:
-            weights = tuple(Fraction(1) for _ in self.matrix.rows)
-        return list(zip(weights, self.matrix.rows))
-
-    def reconstructs_target(self) -> bool:
-        return gram(self.matrix) == self.target
+        matrix = self.matrix
+        return list(zip(matrix.weights or (Fraction(1),) * len(matrix.rows), matrix.rows))
 
 
 def _vector_to_row(vector: SparseRow, basis: CoefficientBasis) -> tuple[Poly, ...]:
@@ -56,9 +52,10 @@ def _vector_to_row(vector: SparseRow, basis: CoefficientBasis) -> tuple[Poly, ..
 def _factor_from_parts(
     parts: list[tuple[Fraction, SparseRow]], basis: CoefficientBasis, n: int
 ) -> HoloPolyMatrix:
-    rows = [_vector_to_row(vec, basis) for _, vec in parts]
-    weights = [wt for wt, _ in parts]
-    return HoloPolyMatrix.from_rows(n, rows, weights, ncols=basis.r)
+    """The rows of the weighted vectors (w, v) on `basis`, v at (i, alpha) the
+    coefficient of z^alpha in column i; vectors need no `from_rows` checks."""
+    rows = tuple(_vector_to_row(vec, basis) for _, vec in parts)
+    return HoloPolyMatrix(n, basis.r, rows, tuple(wt for wt, _ in parts) or None)
 
 
 def difference_of_squares(
@@ -82,15 +79,6 @@ def difference_of_squares(
     )
 
 
-def _positive_factor(
-    form: BihermitianForm, vectors: list[tuple[Fraction, SparseRow]], basis: CoefficientBasis
-) -> WeightedGramFactor:
-    """The factor of `form` whose rows are the weighted vectors of a PSD
-    certificate of its coefficient matrix on `basis`; with no blocks, every
-    weight is a positive pivot."""
-    return WeightedGramFactor(_factor_from_parts(vectors, basis, form.n), form)
-
-
 def _holomorphic_factor(form: BihermitianForm, strict: bool) -> WeightedGramFactor | None:
     if not is_hermitian_symmetric(form):
         raise ValueError("holomorphic factorization requires a Hermitian-symmetric form")
@@ -100,7 +88,8 @@ def _holomorphic_factor(form: BihermitianForm, strict: bool) -> WeightedGramFact
     evidence = mode_evidence(matrix, strict)
     if isinstance(evidence, SparseRow):
         return None
-    return _positive_factor(form, evidence, basis)
+    # A PSD certificate has no blocks, so every weight is a positive pivot.
+    return WeightedGramFactor(_factor_from_parts(evidence, basis, form.n), form)
 
 
 def holomorphic_factor(form: BihermitianForm) -> WeightedGramFactor | None:
@@ -167,16 +156,12 @@ class NumericFactor:
         return out
 
 
-def numeric_factor(factor: WeightedGramFactor, precision: int = 12) -> NumericFactor:
-    """Scale each row by sqrt(weight) and emit complex-float coefficients."""
-    s, r = factor.matrix.shape
+def numeric_factor(factor, precision: int = 12) -> NumericFactor:
+    """Scale each row of a WeightedGramFactor, or of a HoloPolyMatrix of
+    weighted rows, by sqrt(weight) and emit complex-float coefficients."""
+    matrix = factor if isinstance(factor, HoloPolyMatrix) else factor.matrix
     rows = []
-    for weight, polys in factor.rows:
-        root = sqrt_fraction(weight, precision)
-        scaled = []
-        for poly in polys:
-            scaled.append(
-                {alpha: complex(coeff * GaussianRational(root)) for alpha, coeff in poly.items()}
-            )
-        rows.append(tuple(scaled))
-    return NumericFactor(factor.matrix.n, r, tuple(rows))
+    for weight, polys in zip(matrix.weights or (Fraction(1),) * len(matrix.rows), matrix.rows):
+        root = GaussianRational(sqrt_fraction(weight, precision))
+        rows.append(tuple({a: complex(c * root) for a, c in poly.items()} for poly in polys))
+    return NumericFactor(matrix.n, matrix.ncols, tuple(rows))

@@ -20,20 +20,23 @@ import json
 import re
 import sys
 from fractions import Fraction
+from itertools import islice
 from math import gcd, lcm
 
 from .certify import SignatureCertificate, factor_failure, inertia_of_d, witness_failure
-from .factor import WeightedGramFactor, numeric_factor
+from .factor import _factor_from_parts, numeric_factor
 from .hermform import (
     BihermitianForm,
     HermitianMatrix,
-    HoloPolyMatrix,
     bidegree,
+    coefficient_basis,
+    coefficient_rows,
     evaluate_exact,
+    homogeneous_basis,
     scale,
 )
 from .scalars import ZERO, GaussianRational, GaussianRow, SparseRow
-from .stabilize import MODES, StabilizationReport, exponent_steps
+from .stabilize import MODES, exponent_steps
 from .symbols import EllipticityReport, format_diff_operator_row
 
 
@@ -128,37 +131,10 @@ def obj_to_form(obj: dict) -> BihermitianForm:
     return BihermitianForm.from_terms(obj["n"], obj["r"], terms)
 
 
-def factor_to_obj(factor: WeightedGramFactor) -> dict:
-    matrix = factor.matrix
-    weights = matrix.weights or (Fraction(1),) * len(matrix.rows)
-    return {
-        "kind": "weighted_gram_factor",
-        "n": matrix.n,
-        "shape": [len(matrix.rows), matrix.ncols],
-        "rows": [{"weight": fraction_to_str(w), "entries": [
-            [{"alpha": list(alpha), "re": fraction_to_str(c.re), "im": fraction_to_str(c.im)}
-             for alpha, c in sorted(poly.items())] for poly in row]}
-                 for w, row in zip(weights, matrix.rows)],
-        "target": form_to_obj(factor.target),
-    }
-
-
-def obj_to_factor(obj: dict) -> WeightedGramFactor:
-    if not isinstance(obj, dict) or obj.get("kind") != "weighted_gram_factor":
-        raise ValueError("not a serialized weighted factor")
-    shape = obj["shape"]
-    if not (isinstance(shape, list) and len(shape) == 2):
-        raise ValueError("a holomorphic matrix shape must be [rows, columns]")
-    rows = [[{tuple(item["alpha"]): _obj_to_coefficient(item) for item in entry}
-             for entry in row["entries"]] for row in obj["rows"]]
-    weights = [str_to_fraction(row["weight"]) for row in obj["rows"]]
-    matrix = HoloPolyMatrix.from_rows(obj["n"], rows, weights if rows else None, ncols=shape[1])
-    return WeightedGramFactor(matrix, obj_to_form(obj["target"]))
-
-
 FORMAT_ERROR = "artifact is not in the current certificate format"
 CERTIFICATE_KEYS = frozenset(
     {"kind", "size", "matrix", "permutation", "lower", "diag", "blocks", "witness"})
+FACTOR_KEYS = frozenset({"kind", "form", "d", "vectors"})
 STABILIZATION_KEYS = frozenset({"kind", "mode", "d_max", "d_min", "form", "trail", "factor"})
 ELLIPTICITY_KEYS = frozenset(
     {"kind", "form", "verdict", "d", "witness_point", "sign_change", "stabilization"})
@@ -234,6 +210,45 @@ def _obj_to_row(pairs) -> GaussianRow:
     return GaussianRow(re, im, row.den)
 
 
+def _vectors_to_obj(vectors: list[tuple[Fraction, SparseRow]]) -> list[list]:
+    """Weighted vectors as [weight, [[j, re, im], ...]], in their order."""
+    return [[fraction_to_str(w), _sparse_to_obj(v)] for w, v in vectors]
+
+
+def _obj_to_vectors(items, what="a stabilization factor must be null or a list of") -> list:
+    """The weighted vectors (w, v) of a factor, each [weight, entries], indices ascending."""
+    if not (isinstance(items, list) and all(isinstance(item, list) and len(item) == 2
+                                            and isinstance(item[0], str) for item in items)):
+        raise ValueError(f"{FORMAT_ERROR}: {what} weighted vectors "
+                         "[weight, [[j, re, im], ...]]")
+    return [(str_to_fraction(w), _obj_to_sparse(entries, ascending=True)) for w, entries in items]
+
+
+def _factor_basis(form: BihermitianForm, d: int):
+    """The basis of M_d, the coefficient matrix of <z, w>^d F; at d = 0, F's own."""
+    basis = coefficient_basis(form)
+    return basis if d == 0 else homogeneous_basis(form.n, form.r, basis.bidegree + d)
+
+
+def factor_to_obj(form: BihermitianForm, d: int, vectors: list) -> dict:
+    """The factor of <z, w>^d F whose rows are the weighted vectors (w, v) of
+    a certificate of M_d, M_d = sum w v v^adj, on the basis of M_d."""
+    return {"kind": "weighted_gram_factor", "form": form_to_obj(form), "d": d,
+            "vectors": _vectors_to_obj(vectors)}
+
+
+def obj_to_factor(obj: dict) -> tuple[BihermitianForm, int, list[tuple[Fraction, SparseRow]]]:
+    """(F, d, weighted vectors) of a serialized factor."""
+    if not isinstance(obj, dict) or obj.get("kind") != "weighted_gram_factor":
+        raise ValueError("not a serialized weighted factor")
+    _require_keys(obj, FACTOR_KEYS, "a weighted factor")
+    d = obj["d"]
+    if not (type(d) is int and d >= 0):
+        raise ValueError(f"{FORMAT_ERROR}: a factor's d must be a nonnegative integer")
+    vectors = _obj_to_vectors(obj["vectors"], "a factor's vectors must be a list of")
+    return obj_to_form(obj["form"]), d, vectors
+
+
 def certificate_to_obj(cert: SignatureCertificate) -> dict:
     """A standalone certificate carries its dense matrix; L as its nonzeros
     below the diagonal in pivot coordinates, one list of [j, re, im] per
@@ -279,8 +294,7 @@ def stabilization_to_obj(report: StabilizationReport) -> dict:
         "d_min": report.d_min,
         "form": form_to_obj(report.form),
         "trail": [_sparse_to_obj(step.witness) for step in report.steps if not step.passes],
-        "factor": None if report.vectors is None else [
-            [fraction_to_str(w), _sparse_to_obj(v)] for w, v in report.vectors],
+        "factor": None if report.vectors is None else _vectors_to_obj(report.vectors),
     }
 
 
@@ -367,15 +381,6 @@ def _trail_step_failure(rows, record, v: SparseRow, strict: bool) -> str | None:
     if record and not 0 <= record[0][0] <= record[-1][0] < len(rows.basis.pairs):
         return "witness index out of range"
     return witness_failure(rows, v, strict)
-
-
-def _obj_to_vectors(items) -> list[tuple[Fraction, SparseRow]]:
-    """The weighted vectors of a stabilization factor, each [weight, entries]."""
-    if not (isinstance(items, list) and all(isinstance(item, list) and len(item) == 2
-                                            and isinstance(item[0], str) for item in items)):
-        raise ValueError(f"{FORMAT_ERROR}: a stabilization factor must be null or a list of "
-                         "weighted vectors [weight, [[j, re, im], ...]]")
-    return [(str_to_fraction(w), _obj_to_sparse(entries, ascending=True)) for w, entries in items]
 
 
 def _verify_stabilization(obj: dict) -> tuple[bool, str]:
@@ -509,10 +514,11 @@ def _symbol_summary(ellipticity: dict) -> str:
     return f"not certified up to d={stabilization['d_max']}"
 
 
-def run_verdicts(command: list[str], result: dict) -> dict:
+def run_verdicts(command: list[str], result: dict) -> dict | None:
     """The verdict block of a run report: what the artifacts in `result`
     prove, with the options of `command` that no artifact records.  The CLI
-    adds the UNBOUND_VERDICT to a `check` block."""
+    adds the UNBOUND_VERDICT to a `check` block.  None when they prove none:
+    a factor not of `--d` or with a weight <= 0, a decomposition at d > 0."""
     name = command[0]
     if name == "check":
         mode = _require_mode(_option(command, "--mode"))
@@ -534,8 +540,10 @@ def run_verdicts(command: list[str], result: dict) -> dict:
             if _inertia(_artifact(result, "certificate", "signature_certificate"))[1] == 0:
                 raise ValueError("a factor report with a PSD certificate must carry its factor")
             return {"d": d, "factorable": False, "rows": 0}
-        rows = len(_artifact(result, "factor", "weighted_gram_factor")["rows"])
-        return {"d": d, "factorable": True, "rows": rows}
+        factor = _artifact(result, "factor", "weighted_gram_factor")
+        if factor["d"] != d or any(str_to_fraction(w) <= 0 for w, _ in factor["vectors"]):
+            return None
+        return {"d": d, "factorable": True, "rows": len(factor["vectors"])}
     if name == "sweep":
         mode, d_max = _search_bounds(command)
         rows = []
@@ -558,10 +566,12 @@ def run_verdicts(command: list[str], result: dict) -> dict:
                 "order": 2 * (bidegree(form) or 0), "complex_dim": form.n,
                 "summary": _symbol_summary(ellipticity)}
     if name == "decompose":
-        positive = len(_artifact(result, "positive", "weighted_gram_factor")["rows"])
-        negative = len(_artifact(result, "negative", "weighted_gram_factor")["rows"])
-        return {"positive_rank": positive, "negative_rank": negative,
-                "sum_of_squares": negative == 0}
+        factor = _artifact(result, "decomposition", "weighted_gram_factor")
+        # A verified factor has no weight 0.
+        positive = sum(str_to_fraction(w) > 0 for w, _ in factor["vectors"])
+        negative = len(factor["vectors"]) - positive
+        return None if factor["d"] else {"positive_rank": positive, "negative_rank": negative,
+                                         "sum_of_squares": negative == 0}
     raise ValueError(f"unknown run report command {name!r}")
 
 
@@ -576,7 +586,7 @@ MAX_FLOAT_DIGITS = 1000
 RUN_REPORT_KEYS = frozenset({"kind", "command", "input_digest", "verdicts", "result", "digest"})
 RESULT_KEYS = {"check": [{"certificate"}], "stabilize": [{"stabilization"}], "sweep": [{"rows"}],
                "factor": [{"factor"}, {"certificate"}], "symbol": [{"ellipticity"}],
-               "decompose": [{"positive", "negative"}]}
+               "decompose": [{"decomposition"}]}
 SWEEP_ROW_KEYS = [{"label", "stabilization"}, {"label", "error"}]
 
 
@@ -589,16 +599,18 @@ def run_renderings(command: list[str], result: dict, float_digits: int | None = 
     if name == "symbol":
         stabilization = _artifact(result, "ellipticity", "ellipticity_report")["stabilization"]
         if stabilization is not None and stabilization["factor"] is not None:
-            report = StabilizationReport(
-                obj_to_form(stabilization["form"]), stabilization["mode"], stabilization["d_max"],
-                stabilization["d_min"], vectors=_obj_to_vectors(stabilization["factor"]))
+            form, vectors = obj_to_form(stabilization["form"]), _obj_to_vectors(
+                stabilization["factor"])
+            rows = _factor_from_parts(vectors, _factor_basis(form, stabilization["d_min"]),
+                                      form.n).rows
             return {"operator_rows": [format_diff_operator_row(row, w)
-                                      for w, row in report.factor.rows]}
+                                      for (w, _), row in zip(vectors, rows)]}
     if name == "factor" and float_digits is not None and "factor" in result:
         if type(float_digits) is not int or not 0 <= float_digits <= MAX_FLOAT_DIGITS:
             raise ValueError(f"float digits must be an integer from 0 to {MAX_FLOAT_DIGITS}")
-        factor = obj_to_factor(_artifact(result, "factor", "weighted_gram_factor"))
-        rows = numeric_factor(factor, float_digits).rows
+        form, d, vectors = obj_to_factor(_artifact(result, "factor", "weighted_gram_factor"))
+        matrix = _factor_from_parts(vectors, _factor_basis(form, d), form.n)
+        rows = numeric_factor(matrix, float_digits).rows
         return {"numeric_factor": {
             "kind": "numeric_factor",
             "float_digits": float_digits,
@@ -646,15 +658,16 @@ def verify_obj(obj: dict) -> tuple[bool, str]:
 
     Supports signature certificates (structure of L and D, the identity
     M = sum w_k v_k v_k^adj over their weighted vectors, witness), weighted
-    factors (exact gram reconstruction), stabilization reports (each trail
-    witness against the coefficient rows rebuilt from the embedded form, the
-    trail's length against d_min and d_max, and the factor's weighted vectors
-    against the rows at d_min by the certificate's congruence check, with
-    their span in strict mode), ellipticity reports (the sphere points or the
-    stabilization of the embedded form) and run reports (exactly the keys
-    the CLI writes, every embedded artifact, and the verdicts and renderings
-    derived from them).  An artifact not in the current format, or not of an
-    artifact's shape, raises ValueError.
+    factors (the same identity for M_d of the embedded form, every weight
+    nonzero), stabilization reports (each trail witness against the
+    coefficient rows rebuilt from the embedded form, the trail's length
+    against d_min and d_max, and the factor's weighted vectors against the
+    rows at d_min by the certificate's congruence check, with their span in
+    strict mode), ellipticity reports (the sphere points or the stabilization
+    of the embedded form) and run reports (exactly the keys the CLI writes,
+    every embedded artifact, and the verdicts and renderings derived from
+    them).  An artifact not in the current format, or not of an artifact's
+    shape, raises ValueError.
     """
     if not isinstance(obj, dict):
         raise ValueError("an artifact must be a JSON object")
@@ -665,10 +678,10 @@ def verify_obj(obj: dict) -> tuple[bool, str]:
             return False, "component sizes disagree"
         return cert.verify()
     if kind == "weighted_gram_factor":
-        # Decoding has checked that every weight is positive.
-        if not obj_to_factor(obj).reconstructs_target():
-            return False, "factor does not reconstruct its target"
-        return True, "ok"
+        form, d, vectors = obj_to_factor(obj)
+        rows = coefficient_rows(form) if d == 0 else next(islice(exponent_steps(form), d, None))
+        reason = factor_failure(rows.matrix(), vectors, strict=False, signed=True)
+        return (True, "ok") if reason is None else (False, reason)
     if kind == "stabilization_report":
         return _verify_stabilization(obj)
     if kind == "ellipticity_report":

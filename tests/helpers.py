@@ -18,8 +18,11 @@ from hermfact import (
     SignatureCertificate,
     bidegree,
     enumerate_degree,
+    WeightedGramFactor,
+    gram,
     is_hermitian_symmetric,
     ldl_signature,
+    serialize,
 )
 from hermfact.hermform import TermKey, coefficient_basis
 from hermfact.parsing import ParseError
@@ -235,6 +238,38 @@ def reference_gram(a: HoloPolyMatrix) -> BihermitianForm:
                         key = (i, j, alpha, beta)
                         acc[key] = acc.get(key, ZERO) + w * ca * cb.conjugate()
     return BihermitianForm.from_terms(a.n, r, acc)
+
+
+# The weighted_gram_factor format and its check before a factor was its
+# weighted vectors on its form: polynomial rows with their weights, the shape
+# and a `target` copy of the shifted form, valid when gram(rows) == target.
+# The property tests hold the rows built from an emitted factor to it.
+def reference_factor_to_obj(factor: WeightedGramFactor) -> dict:
+    matrix = factor.matrix
+    weights = matrix.weights or (Fraction(1),) * len(matrix.rows)
+    return {
+        "kind": "weighted_gram_factor",
+        "n": matrix.n,
+        "shape": [len(matrix.rows), matrix.ncols],
+        "rows": [{"weight": serialize.fraction_to_str(w), "entries": [
+            [{"alpha": list(alpha), "re": serialize.fraction_to_str(c.re),
+              "im": serialize.fraction_to_str(c.im)} for alpha, c in sorted(poly.items())]
+            for poly in row]} for w, row in zip(weights, matrix.rows)],
+        "target": serialize.form_to_obj(factor.target),
+    }
+
+
+def reference_obj_to_factor(obj: dict) -> WeightedGramFactor:
+    rows = [[{tuple(item["alpha"]): serialize.pair_to_gaussian([item["re"], item["im"]])
+              for item in entry} for entry in row["entries"]] for row in obj["rows"]]
+    weights = [serialize.str_to_fraction(row["weight"]) for row in obj["rows"]]
+    matrix = HoloPolyMatrix.from_rows(obj["n"], rows, weights if rows else None,
+                                      ncols=obj["shape"][1])
+    return WeightedGramFactor(matrix, serialize.obj_to_form(obj["target"]))
+
+
+def reconstructs_target(factor: WeightedGramFactor) -> bool:
+    return gram(factor.matrix) == factor.target
 
 
 # The dict arithmetic over GaussianRational that the integer exponent loop of

@@ -382,9 +382,9 @@ def test_criterion_9_verifier_accepts_corpus_and_rejects_tampering(cli_corpus):
         if kind == "signature_certificate":
             obj["diag"][0] = "355/113"
         elif kind == "weighted_gram_factor":
-            if not obj["rows"]:
+            if not obj["vectors"]:
                 continue
-            obj["rows"][0]["weight"] = "355/113"
+            obj["vectors"][0][0] = "355/113"
         elif kind in ("stabilization_report", "ellipticity_report"):
             # a failing step's witness, zeroed, proves nothing
             stabilization = obj if kind == "stabilization_report" else obj.get("stabilization")

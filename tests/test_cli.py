@@ -84,6 +84,8 @@ def test_factor_command(capsys):
     report = json.loads(out)
     assert report["verdicts"]["rows"] == 2
     assert "certificate" not in report["result"]
+    # Evidence on the embedded form: no polynomial rows, shape or target.
+    assert report["result"]["factor"].keys() == {"kind", "form", "d", "vectors"}
     ok, reason = serialize.verify_obj(report["result"]["factor"])
     assert ok, reason
 
@@ -193,9 +195,12 @@ def test_decompose_command(capsys):
         "negative_rank": 1,
         "sum_of_squares": False,
     }
-    for key in ("positive", "negative"):
-        ok, reason = serialize.verify_obj(report["result"][key])
-        assert ok, reason
+    # One artifact of F at d = 0: two positive weights and one negative.
+    decomposition = report["result"]["decomposition"]
+    assert decomposition["d"] == 0
+    assert sorted(w.startswith("-") for w, _ in decomposition["vectors"]) == [False, False, True]
+    ok, reason = serialize.verify_obj(decomposition)
+    assert ok, reason
 
     code, _, err = run(capsys, ["decompose", "-e", "z1*zb2", "--n", "2"])
     assert code == 2
@@ -486,6 +491,38 @@ PARENT_FORMAT_FACTOR_SYMBOL["digest"] = (
 PARENT_FORMAT_FACTOR_SYMBOL["result"]["ellipticity"]["stabilization"]["trail"] = []
 FACTOR_SHAPE = "a stabilization factor must be null or a list of weighted vectors"
 
+# `factor -e "z1*zb1"` and `decompose -e "z1*zb1 - z2*zb2"` as the format
+# before a factor was its weighted vectors on its form wrote them.
+_PARENT_FORMAT_FACTOR = {
+    "kind": "weighted_gram_factor", "n": 1, "shape": [1, 1], "target": _ONE_VARIABLE_SQUARE,
+    "rows": [{"entries": [[{"alpha": [1], "im": "0", "re": "1"}]], "weight": "1"}]}
+PARENT_FORMAT_FACTOR = {
+    "command": ["factor", "--d", "0"],
+    "digest": "sha256:557940f33ca44912b1ea4ad7f2f1e71b3ec8481f063e6a0062cfb01faed57151",
+    "input_digest": "sha256:c9e993fdd162276e85caffbfa30accd57d421d953c662550f63263d7a5da690e",
+    "kind": "run_report",
+    "result": {"factor": _PARENT_FORMAT_FACTOR},
+    "verdicts": {"d": 0, "factorable": True, "rows": 1},
+}
+
+
+def _parent_format_part(alpha) -> dict:
+    square = {"kind": "bihermitian_form", "n": 2, "r": 1, "terms": [
+        {"alpha": alpha, "beta": alpha, "i": 1, "im": "0", "j": 1, "re": "1"}]}
+    return {"kind": "weighted_gram_factor", "n": 2, "shape": [1, 1], "target": square,
+            "rows": [{"entries": [[{"alpha": alpha, "im": "0", "re": "1"}]], "weight": "1"}]}
+
+
+PARENT_FORMAT_DECOMPOSE = {
+    "command": ["decompose"],
+    "digest": "sha256:7daeeb0ead9c049497186bc39ccfba6b62b7b6e0d7fda41b9a0b72056b3d2c78",
+    "input_digest": "sha256:254c71ad9ba1bba6aacfec9b7cf50c0c396cb481be0d20681e2fc1f6c651afff",
+    "kind": "run_report",
+    "result": {"negative": _parent_format_part([0, 1]), "positive": _parent_format_part([1, 0])},
+    "verdicts": {"negative_rank": 1, "positive_rank": 1, "sum_of_squares": False},
+}
+WEIGHTED_FACTOR_KEYS = "a weighted factor must have exactly the keys d, form, kind, vectors"
+
 
 # The check report of COUPLED's first two variables as the format before L
 # was stored wrote it: W by its strictly-lower rows (`transform`) and the
@@ -531,6 +568,10 @@ ENTRY_SHAPE = "lower, blocks and witness entries must be [int, str, str]"
         (["stabilize", "-e", "z1*zb1", "--n", "2", "--mode", "semi", "--dmax", "0"],
          lambda report: PARENT_FORMAT_FACTOR_STABILIZE, FACTOR_SHAPE),
         (["symbol", "-e", "x1^2 + x2^2"], lambda report: PARENT_FORMAT_FACTOR_SYMBOL, FACTOR_SHAPE),
+        (["factor", "-e", "z1*zb1"], lambda report: PARENT_FORMAT_FACTOR, WEIGHTED_FACTOR_KEYS),
+        (["factor", "-e", "z1*zb1"], lambda report: _PARENT_FORMAT_FACTOR, WEIGHTED_FACTOR_KEYS),
+        (["decompose", "-e", "z1*zb1 - z2*zb2"], lambda report: PARENT_FORMAT_DECOMPOSE,
+         "does not have exactly the keys that decompose writes"),
     ],
     ids=[
         "dense_transform_with_inverse",
@@ -544,6 +585,9 @@ ENTRY_SHAPE = "lower, blocks and witness entries must be [int, str, str]"
         "ellipticity_with_trail_of_congruences",
         "factor_with_rows_and_target",
         "ellipticity_with_factor_with_rows_and_target",
+        "factor_report_with_rows_and_target",
+        "weighted_factor_with_rows_and_target",
+        "decompose_report_with_rows_and_target",
     ],
 )
 def test_verify_refuses_other_formats(capsys, tmp_path, argv, outdate, message):
@@ -638,6 +682,7 @@ def _command_string(capsys):
 
 
 def _factor_shape_of_one(capsys):
+    # `shape` left the factor with its polynomial rows.
     report = json.loads(run(capsys, ["factor", "-e", DIAGONAL_QUARTIC])[1])
     report["result"]["factor"]["shape"] = [4]
     return report
@@ -705,20 +750,6 @@ def _factor_report_with_psd_certificate_only(capsys):
     return report
 
 
-def _factor_weight(capsys, weight):
-    report = json.loads(run(capsys, ["factor", "-e", DIAGONAL_QUARTIC])[1])
-    report["result"]["factor"]["rows"][0]["weight"] = weight
-    return report
-
-
-def _factor_weight_zero(capsys):
-    return _factor_weight(capsys, "0")
-
-
-def _factor_weight_negative(capsys):
-    return _factor_weight(capsys, "-1")
-
-
 def _numeric_float_digits(capsys, digits):
     argv = ["factor", "-e", DIAGONAL_QUARTIC, "--numeric"]
     report = json.loads(run(capsys, argv)[1])
@@ -727,17 +758,17 @@ def _numeric_float_digits(capsys, digits):
 
 
 def _factor_zero_entry_of_wrong_length(capsys):
-    # A zero coefficient is checked before it is dropped: alpha has 3 entries at n = 2.
+    # A zero entry is checked before it is dropped: its index repeats the last one.
     report = json.loads(run(capsys, ["factor", "-e", DIAGONAL_QUARTIC])[1])
-    report["result"]["factor"]["rows"][0]["entries"][0].append(
-        {"alpha": [1, 2, 3], "re": "0", "im": "0"})
+    entries = report["result"]["factor"]["vectors"][0][1]
+    entries.append([entries[-1][0], "0", "0"])
     return report
 
 
-def _factor_target_zero_term_out_of_range(capsys):
-    # A zero term of the target is checked before it is dropped: i = 9 at r = 1.
+def _factor_form_zero_term_out_of_range(capsys):
+    # A zero term of the form is checked before it is dropped: i = 9 at r = 1.
     report = json.loads(run(capsys, ["factor", "-e", DIAGONAL_QUARTIC])[1])
-    report["result"]["factor"]["target"]["terms"].append(
+    report["result"]["factor"]["form"]["terms"].append(
         {"i": 9, "j": 1, "alpha": [2, 0], "beta": [2, 0], "re": "0", "im": "0"})
     return report
 
@@ -772,21 +803,18 @@ def _witness_pair_of_one(capsys):
         _factor_report_with_certificate_too,
         _factor_report_with_neither,
         _factor_report_with_psd_certificate_only,
-        _factor_weight_zero,
-        _factor_weight_negative,
         lambda capsys: _numeric_float_digits(capsys, "12"),
         lambda capsys: _numeric_float_digits(capsys, 10**9),
         _factor_zero_entry_of_wrong_length,
-        _factor_target_zero_term_out_of_range,
+        _factor_form_zero_term_out_of_range,
         _certificate_without_kind,
     ],
     ids=["list", "string", "number", "null", "form_list", "verdicts_list", "command_string",
          "witness_pair_of_one", "factor_shape_of_one", "verdicts_from_unverified_object",
          "result_is_a_factor", "sweep_row_is_a_factor",
          "factor_with_certificate_too", "factor_with_neither", "factor_psd_certificate_only",
-         "factor_weight_zero", "factor_weight_negative", "float_digits_string",
-         "float_digits_huge", "factor_zero_entry_of_wrong_length",
-         "factor_target_zero_term_out_of_range", "certificate_without_kind"],
+         "float_digits_string", "float_digits_huge", "factor_zero_entry_of_wrong_length",
+         "factor_form_zero_term_out_of_range", "certificate_without_kind"],
 )
 def test_verify_malformed_shapes_are_input_errors(capsys, tmp_path, make):
     path = tmp_path / "malformed.json"
@@ -794,8 +822,6 @@ def test_verify_malformed_shapes_are_input_errors(capsys, tmp_path, make):
     code, out, err = run(capsys, ["verify", str(path)])
     assert code == 2 and out == "" and err.startswith("error: ")
     assert "Traceback" not in err
-    if make in (_factor_weight_zero, _factor_weight_negative):
-        assert err == "error: row weights must be positive\n"
     if make is _certificate_without_kind:
         assert err == "error: a run report's certificate must be a signature_certificate\n"
 
@@ -1084,3 +1110,135 @@ def test_stabilize_and_its_verify_build_no_form_and_no_factor(capsys, tmp_path, 
     path = tmp_path / "report.json"
     assert run(capsys, argv + ["--out", str(path)])[0] in (0, 3)
     assert run(capsys, ["verify", str(path)]) == (0, '{"valid": true, "reason": "ok"}\n', "")
+
+
+# A factor or decomposition proves its claim about the form it embeds: its
+# weighted vectors give M_d of that form, at the command's d.  Each forgery
+# below is a well-formed report whose factor does not prove its verdicts.
+FACTOR_D1_FORM = "z1^2*zb1^2 + z2^2*zb2^2 - z1*z2*zb1*zb2"
+UNMATCHED_VERDICTS = "verdicts do not match the embedded artifacts"
+
+
+def _decompose_negative_part_emptied(capsys):
+    # Rewritten to a sum of squares: no negative vector, no negative rank.
+    report = json.loads(run(capsys, ["decompose", "-e", "z1*zb1 - z2*zb2"])[1])
+    vectors = report["result"]["decomposition"]["vectors"]
+    vectors[:] = [item for item in vectors if not item[0].startswith("-")]
+    report["verdicts"].update(negative_rank=0, sum_of_squares=True)
+    return report
+
+
+def _decompose_vector_deleted(capsys):
+    report = json.loads(run(capsys, ["decompose", "-e", SQUARE_DIFFERENCE])[1])
+    del report["result"]["decomposition"]["vectors"][0]
+    report["verdicts"]["positive_rank"] -= 1
+    return report
+
+
+def _factor_relabelled_to_d0(capsys):
+    # `factor --d 0` exits 1 on this form: M_0 is not PSD.
+    report = json.loads(run(capsys, ["factor", "-e", FACTOR_D1_FORM, "--d", "1"])[1])
+    report["command"][-1] = "0"
+    report["verdicts"]["d"] = 0
+    return report
+
+
+def _factor_command_relabelled(capsys):
+    report = json.loads(run(capsys, ["factor", "-e", FACTOR_D1_FORM, "--d", "1"])[1])
+    report["command"][-1] = "0"
+    return report
+
+
+def _factor_artifact_d_lowered(capsys):
+    report = json.loads(run(capsys, ["factor", "-e", FACTOR_D1_FORM, "--d", "1"])[1])
+    report["result"]["factor"]["d"] = 0
+    return report
+
+
+def _factor_weight_zero(capsys):
+    report = json.loads(run(capsys, ["factor", "-e", DIAGONAL_QUARTIC])[1])
+    report["result"]["factor"]["vectors"][0][0] = "0"
+    return report
+
+
+def _decomposition_as_a_factor(capsys):
+    # Signed weights give F, but only positive ones prove it PSD.
+    report = json.loads(run(capsys, ["factor", "-e", DIAGONAL_QUARTIC])[1])
+    decomposition = json.loads(run(capsys, ["decompose", "-e", SQUARE_DIFFERENCE])[1])
+    report["result"]["factor"] = decomposition["result"]["decomposition"]
+    return report
+
+
+def _decomposition_of_the_shifted_form(capsys):
+    # <z,w> F is a sum of squares, F is not.
+    report = json.loads(run(capsys, ["decompose", "-e", FACTOR_D1_FORM])[1])
+    factor = json.loads(run(capsys, ["factor", "-e", FACTOR_D1_FORM, "--d", "1"])[1])
+    report["result"]["decomposition"] = factor["result"]["factor"]
+    report["verdicts"].update(positive_rank=2, negative_rank=0, sum_of_squares=True)
+    return report
+
+
+@pytest.mark.parametrize(
+    "forge, reason",
+    [
+        (_decompose_negative_part_emptied, "factor: congruence identity fails at (1,1)"),
+        (_decompose_vector_deleted, "factor: congruence identity fails at"),
+        (_factor_relabelled_to_d0, UNMATCHED_VERDICTS),
+        (_factor_command_relabelled, UNMATCHED_VERDICTS),
+        (_factor_artifact_d_lowered, "factor index out of range"),
+        (_factor_weight_zero, "factor weight is zero"),
+        (_decomposition_as_a_factor, UNMATCHED_VERDICTS),
+        (_decomposition_of_the_shifted_form, UNMATCHED_VERDICTS),
+    ],
+    ids=["decompose_negative_part_emptied", "decompose_vector_deleted", "factor_relabelled_to_d0",
+         "factor_command_relabelled", "factor_artifact_d_lowered", "factor_weight_zero",
+         "decomposition_as_a_factor", "decomposition_of_the_shifted_form"],
+)
+def test_verify_rejects_a_factor_that_does_not_prove_its_report(capsys, tmp_path, forge, reason):
+    path = tmp_path / "forged.json"
+    path.write_text(json.dumps(forge(capsys)))
+    code, out, err = run(capsys, ["verify", str(path)])
+    assert code == 1 and err == ""
+    assert json.loads(out)["reason"].startswith(reason)
+
+
+def test_factor_d0_of_the_relabelled_form_fails(capsys):
+    code, out, _ = run(capsys, ["factor", "-e", FACTOR_D1_FORM, "--d", "0"])
+    assert code == 1 and json.loads(out)["verdicts"]["factorable"] is False
+
+
+@pytest.mark.parametrize("argv", [
+    ["factor", "-e", INDEFINITE_QUARTIC, "--d", "1", "--numeric"],
+    ["factor", "-e", "z1*zb1 + 1/2*z1*zb2 + 1/2*z2*zb1 + z2*zb2"],
+    ["decompose", "-e", SQUARE_DIFFERENCE],
+    ["decompose", "-e", "1 + z1*zb2 + z2*zb1"],
+], ids=["factor_numeric", "factor", "decompose", "decompose_mixed_bidegree"])
+def test_factor_and_decompose_verify_build_no_gram_and_no_rows(capsys, tmp_path, monkeypatch,
+                                                               argv):
+    # verify rebuilds M_d from the embedded form and checks the weighted
+    # vectors against it; no polynomial row is read and no gram is summed.
+    from hermfact import factor, hermform
+
+    path = tmp_path / "report.json"
+    assert run(capsys, argv + ["--out", str(path)])[0] == 0
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify built polynomial rows or a gram")
+
+    for owner, name in ((hermform, "gram"), (factor, "gram"),
+                        (hermform.HoloPolyMatrix, "from_rows")):
+        monkeypatch.setattr(owner, name, refuse)
+    assert run(capsys, ["verify", str(path)]) == (0, '{"valid": true, "reason": "ok"}\n', "")
+
+
+# The numeric rendering of the README's `factor` example, as the format
+# before a factor was its weighted vectors wrote it.
+README_NUMERIC_FACTOR = ('{"float_digits":12,"kind":"numeric_factor","rows":'
+                         '[[{"alpha":[3,0],"value":[1.0,0.0]}],[{"alpha":[0,3],"value":[1.0,0.0]}]]}')
+
+
+def test_numeric_rendering_of_the_readme_factor_is_unchanged(capsys):
+    code, out, _ = run(capsys, ["factor", "-e", INDEFINITE_QUARTIC, "--d", "1", "--numeric"])
+    assert code == 0
+    numeric = json.loads(out)["result"]["numeric_factor"]
+    assert serialize.canonical_json(numeric) == README_NUMERIC_FACTOR

@@ -27,6 +27,7 @@ from helpers import (
     rand_hermsym_form,
     rand_pd_form,
     rand_psd_form,
+    reconstructs_target,
     square_difference,
 )
 
@@ -49,7 +50,7 @@ def test_difference_of_squares_square_difference():
         assert support <= {(2, 0), (0, 2)}
     assert row_supports(negative) == [{(1, 1)}]
     assert subtract(positive.target, negative.target) == square_difference()
-    assert positive.reconstructs_target() and negative.reconstructs_target()
+    assert reconstructs_target(positive) and reconstructs_target(negative)
 
 
 def test_difference_of_squares_squared_pairing():

@@ -1,9 +1,11 @@
 """Property tests over small random kernels (Hypothesis, derandomized so every
 run draws the same examples)."""
 
+import contextlib
 import copy
 import dataclasses
 import functools
+import io
 import json
 from fractions import Fraction
 
@@ -24,6 +26,7 @@ from hermfact import (
     format_form,
     from_coefficient_matrix,
     gram,
+    WeightedGramFactor,
     ldl_signature,
     multiplier_power,
     multiplier_shift,
@@ -32,6 +35,8 @@ from hermfact import (
 )
 from hermfact import serialize
 from hermfact.certify import mode_evidence
+from hermfact.cli import main as cli_main
+from hermfact.factor import _factor_from_parts
 from hermfact.scalars import ZERO
 from hermfact.stabilize import exponent_steps
 from hermfact.symbols import RealSymbol, _sample_symbol, complex_to_real, real_to_complex
@@ -40,9 +45,11 @@ from helpers import (
     parse_outcome,
     quadratic_value,
     quartic_family,
+    reconstructs_target,
     reference_certificate_obj,
     reference_coefficient_matrix,
     reference_evaluate_exact,
+    reference_factor_to_obj,
     reference_find_minimal_d,
     reference_fraction_to_str,
     reference_gram,
@@ -51,6 +58,7 @@ from helpers import (
     reference_matrix_obj,
     reference_multiplier_power,
     reference_obj_to_entries,
+    reference_obj_to_factor,
     reference_parse_expression,
     reference_parse_real_symbol,
     reference_real_to_complex,
@@ -599,10 +607,12 @@ def _emitted_stabilization(text: str, mode: str, d_max: int) -> str:
 
 
 def _mutate(data, obj: dict, kind: str) -> None:
-    """Change one part of `obj`: a trail witness entry, a factor weight or
-    vector entry, one trail step or factor vector dropped or duplicated (in
-    place of another or beside it), or d_min, d_max or mode."""
-    vectors = obj["factor"] or []
+    """Change one part of `obj`, a stabilization report or a weighted factor:
+    a trail witness entry, a factor weight or vector entry, one trail step or
+    factor vector dropped or duplicated (in place of another or beside it),
+    one coefficient of the embedded form, or d_min, d_max, mode or d."""
+    key = "factor" if "trail" in obj else "vectors"
+    vectors = obj[key] or []
     if kind in ("witness", "vector"):
         entries = [entry for v in (obj["trail"] if kind == "witness" else
                                    [v for _, v in vectors]) for entry in v]
@@ -614,7 +624,7 @@ def _mutate(data, obj: dict, kind: str) -> None:
         assume(vectors)
         vectors[data.draw(st.integers(0, len(vectors) - 1))][0] = data.draw(ratio_strings)
     elif kind in ("drop", "duplicate"):
-        items = obj[data.draw(st.sampled_from(["trail", "factor"]))] or []
+        items = obj[data.draw(st.sampled_from(["trail", key] if key == "factor" else [key]))] or []
         assume(items)
         item = items[data.draw(st.integers(0, len(items) - 1))]
         if kind == "drop":
@@ -623,10 +633,15 @@ def _mutate(data, obj: dict, kind: str) -> None:
             items.insert(data.draw(st.integers(0, len(items))), copy.deepcopy(item))
         else:
             items[data.draw(st.integers(0, len(items) - 1))] = copy.deepcopy(item)
+    elif kind == "form":
+        terms = obj["form"]["terms"]
+        assume(terms)
+        term = terms[data.draw(st.integers(0, len(terms) - 1))]
+        term[data.draw(st.sampled_from(["re", "im"]))] = data.draw(ratio_strings)
     elif kind == "mode":
         obj["mode"] = "semi" if obj["mode"] == "strict" else "strict"
     else:
-        obj[kind] = data.draw(st.integers(0, 10) if kind == "d_max" else
+        obj[kind] = data.draw(st.integers(0, 10) if kind in ("d_max", "d") else
                               st.none() | st.integers(0, 10))
 
 
@@ -645,3 +660,81 @@ def test_a_mutated_stabilization_is_rejected_or_still_proves_its_claim(search, k
     if ok:
         form = serialize.obj_to_form(obj["form"])
         assert find_minimal_d(form, obj["mode"], obj["d_max"]).d_min == obj["d_min"]
+
+
+# Emitted factor and decompose reports: factors at d = 0 (with its numeric
+# rendering) and at the off-diagonal quartic's d_min 6, and decompositions
+# with complex coefficients and with a hollow 2x2 pivot.
+FACTOR_RUNS = [("factor", "-e", "z1*zb1 + 1/2*z1*zb2 + 1/2*z2*zb1 + 2*z2*zb2", "--numeric"),
+               ("factor", "-e", OFF_DIAGONAL, "--d", "6"), ("decompose", "-e", OFF_DIAGONAL),
+               ("decompose", "-e", "z1*zb2 + z2*zb1 + z3*zb3")]
+FACTOR_MUTATIONS = ("weight", "vector", "drop", "duplicate", "d", "form", "command")
+
+
+@functools.cache
+def _emitted_report(argv: tuple[str, ...]) -> str:
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert cli_main(list(argv)) == 0
+    return out.getvalue()
+
+
+@settings(SETTINGS, max_examples=300)
+@given(argv=st.sampled_from(FACTOR_RUNS), kind=st.sampled_from(FACTOR_MUTATIONS), data=st.data())
+def test_a_mutated_factor_report_is_rejected_or_still_proves_its_claim(argv, kind, data):
+    # The claim of `factor --d d` is that M_d, the coefficient matrix of
+    # <z,w>^d F, is PSD of rank `rows`; that of `decompose` is the inertia of
+    # M_0.  A mutation of the factor, or of `--d` and its verdict, either
+    # fails verify or leaves a report whose claim a fresh elimination confirms.
+    report = json.loads(_emitted_report(argv))
+    name = report["command"][0]
+    factor = report["result"]["factor" if name == "factor" else "decomposition"]
+    if kind == "command":
+        # `--d` relabelled, together with its verdict
+        assume(name == "factor")
+        report["verdicts"]["d"] = data.draw(st.integers(0, 7))
+        report["command"][-1] = str(report["verdicts"]["d"])
+    else:
+        _mutate(data, factor, kind)
+    try:
+        ok, _ = serialize.verify_obj(report)
+    except (ValueError, KeyError, TypeError):
+        ok = False
+    if ok:
+        form = serialize.obj_to_form(factor["form"])
+        if name == "factor":
+            d = int(report["command"][-1])
+            cert = ldl_signature(coefficient_matrix(reference_multiplier_power(form, d))[0])
+            claim = {"d": d, "factorable": cert.n_neg == 0, "rows": cert.n_pos}
+        else:
+            cert = ldl_signature(coefficient_matrix(form)[0])
+            claim = {"positive_rank": cert.n_pos, "negative_rank": cert.n_neg,
+                     "sum_of_squares": cert.n_neg == 0}
+        assert report["verdicts"] == claim
+
+
+@st.composite
+def psd_forms(draw):
+    """A PSD form of one bidegree m <= 2: the gram of up to three rows with
+    weights, n <= 2 variables and r <= 2 columns, each entry a polynomial of
+    up to three terms of degree m (the zero form included)."""
+    n, r, m = draw(st.integers(1, 2)), draw(st.integers(1, 2)), draw(st.integers(0, 2))
+    polys = st.dictionaries(st.sampled_from(enumerate_degree(n, m)), gaussians, max_size=3)
+    rows = draw(st.lists(st.lists(polys, min_size=r, max_size=r), max_size=3))
+    row_weights = draw(st.lists(weights, min_size=len(rows), max_size=len(rows)))
+    return gram(HoloPolyMatrix.from_rows(n, rows, row_weights or None, ncols=r))
+
+
+@SETTINGS
+@given(form=psd_forms(), d=st.integers(0, 2))
+def test_emitted_factor_rows_pass_the_polynomial_row_check(form, d):
+    # The rows that a factor artifact's vectors give on the basis of M_d,
+    # written in the polynomial-row format that they replaced, with <z,w>^d F
+    # as the target, pass that format's check: their gram is the target.
+    text = serialize.canonical_json(serialize.form_to_obj(form))
+    factor = json.loads(_emitted_report(("factor", "-e", text, "--d", str(d))))["result"]["factor"]
+    read, d_read, vectors = serialize.obj_to_factor(factor)
+    rows = _factor_from_parts(vectors, serialize._factor_basis(read, d_read), read.n)
+    target = reference_multiplier_power(form, d)
+    written = reference_factor_to_obj(WeightedGramFactor(rows, target))
+    assert reconstructs_target(reference_obj_to_factor(json.loads(json.dumps(written))))
+    assert reference_gram(rows) == target

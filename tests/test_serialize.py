@@ -7,6 +7,7 @@ import pytest
 from hermfact import (
     HermitianMatrix,
     certify_elliptic_form,
+    coefficient_matrix,
     difference_of_squares,
     find_minimal_d,
     holomorphic_factor,
@@ -16,6 +17,7 @@ from hermfact import (
     scale,
 )
 from hermfact import serialize
+from hermfact.factor import _factor_from_parts
 from hermfact.stabilize import exponent_steps
 
 from helpers import (
@@ -25,6 +27,7 @@ from helpers import (
     rand_hermitian_matrix,
     rand_hermsym_form,
     rand_psd_form,
+    reference_factor_to_obj,
 )
 
 
@@ -50,11 +53,20 @@ def test_form_json_uses_one_based_indices():
     assert obj["terms"][0]["re"] == "1"
 
 
+def _psd_vectors(form):
+    """The weighted vectors of the certificate of M_0, as `factor` emits them."""
+    return ldl_signature(coefficient_matrix(form)[0]).weighted_vectors()
+
+
 def test_factor_round_trip():
-    factor = holomorphic_factor(diagonal_quartic())
-    obj = serialize.factor_to_obj(factor)
-    restored = serialize.obj_to_factor(json.loads(json.dumps(obj)))
-    assert restored == factor
+    form = diagonal_quartic()
+    obj = serialize.factor_to_obj(form, 0, _psd_vectors(form))
+    assert obj.keys() == {"kind", "form", "d", "vectors"}
+    form_read, d, vectors = serialize.obj_to_factor(json.loads(json.dumps(obj)))
+    assert (form_read, d, vectors) == (form, 0, _psd_vectors(form))
+    # The rows on the basis of M_0 are those of holomorphic_factor.
+    basis = serialize._factor_basis(form, 0)
+    assert _factor_from_parts(vectors, basis, form.n) == holomorphic_factor(form).matrix
     ok, reason = serialize.verify_obj(obj)
     assert ok, reason
 
@@ -98,42 +110,50 @@ def test_verify_rejects_tampered_certificate():
 
 
 def test_verify_rejects_tampered_factor():
-    factor = holomorphic_factor(rand_psd_form(random.Random(9), 2, 1, 1))
-    obj = serialize.factor_to_obj(factor)
+    form = rand_psd_form(random.Random(9), 2, 1, 1)
+    obj = serialize.factor_to_obj(form, 0, _psd_vectors(form))
     tampered = json.loads(json.dumps(obj))
-    tampered["rows"][0]["weight"] = "17/5"
+    tampered["vectors"][0][0] = "17/5"
     ok, reason = serialize.verify_obj(tampered)
-    assert not ok and "reconstruct" in reason
+    assert not ok and reason.startswith("factor: congruence identity fails at")
 
 
 def _gain_monomial_of_another_degree(obj):
-    obj["rows"][0]["entries"][0].append({"alpha": [2, 0], "re": "1", "im": "0"})
+    # Index 2 is past the 2 linear monomials of M_0.
+    obj["vectors"][0][1].append([2, "1", "0"])
 
 
 def _rewrite_row_coefficient(obj):
-    item = obj["rows"][0]["entries"][0][0]
-    item["re"] = serialize.fraction_to_str(Fraction(item["re"]) + 1)
+    item = obj["vectors"][0][1][0]
+    item[1] = serialize.fraction_to_str(Fraction(item[1]) + 1)
 
 
 def _drop_target_term(obj):
-    obj["target"]["terms"].pop()
+    # The embedded form is the claim a factor proves, as the target was.
+    obj["form"]["terms"].pop()
 
 
-def _widen_target(obj):
-    obj["target"]["r"] = obj["shape"][1] + 1
+def _raise_d(obj):
+    obj["d"] += 1
 
 
 @pytest.mark.parametrize(
-    "forge",
-    [_gain_monomial_of_another_degree, _rewrite_row_coefficient, _drop_target_term,
-     _widen_target],
+    "forge, reason",
+    [(_gain_monomial_of_another_degree, "factor index out of range"),
+     (_rewrite_row_coefficient, "factor: congruence identity fails at"),
+     (_drop_target_term, "factor: congruence identity fails at"),
+     (_raise_d, "factor: congruence identity fails at")],
+    ids=["_gain_monomial_of_another_degree", "_rewrite_row_coefficient", "_drop_target_term",
+         "_raise_d"],
 )
-def test_verify_rejects_forged_factor(forge):
+def test_verify_rejects_forged_factor(forge, reason):
     # A factor of a bidegree-1 form: its rows are linear.
-    obj = serialize.factor_to_obj(holomorphic_factor(rand_psd_form(random.Random(9), 2, 1, 1)))
+    form = rand_psd_form(random.Random(9), 2, 1, 1)
+    obj = serialize.factor_to_obj(form, 0, _psd_vectors(form))
     assert serialize.verify_obj(obj) == (True, "ok")
     forge(obj)
-    assert serialize.verify_obj(obj) == (False, "factor does not reconstruct its target")
+    ok, why = serialize.verify_obj(obj)
+    assert not ok and why.startswith(reason)
 
 
 def test_stabilization_report_round_trip_verify():
@@ -366,7 +386,7 @@ def test_stabilization_factor_of_another_form_is_rejected(forgery_report):
     assert serialize.verify_obj(forged) == (False, reason)
     # A weighted_gram_factor, the format before the factor was its vectors.
     other = holomorphic_factor(parse_expression("z1*zb1 + z2*zb2"))
-    forged["factor"] = serialize.factor_to_obj(other)
+    forged["factor"] = reference_factor_to_obj(other)
     with pytest.raises(ValueError, match="not in the current certificate format"):
         serialize.verify_obj(forged)
 
@@ -466,22 +486,29 @@ def test_certified_ellipticity_is_bound_to_its_form():
 
 
 def test_decomposition_factors_serialize_and_verify():
-    positive, negative = difference_of_squares(quartic_family(-1))
-    for factor in (positive, negative):
-        ok, reason = serialize.verify_obj(serialize.factor_to_obj(factor))
-        assert ok, reason
+    # One artifact with signed weights: its positive and negated negative
+    # vectors are the rows of difference_of_squares' two parts.
+    form = quartic_family(-1)
+    vectors = _psd_vectors(form)
+    obj = serialize.factor_to_obj(form, 0, vectors)
+    ok, reason = serialize.verify_obj(obj)
+    assert ok, reason
+    basis = serialize._factor_basis(form, 0)
+    positive, negative = difference_of_squares(form)
+    assert _factor_from_parts([(w, v) for w, v in vectors if w > 0], basis, 2) == positive.matrix
+    assert _factor_from_parts([(-w, v) for w, v in vectors if w < 0], basis, 2) == negative.matrix
 
 
 def test_empty_factor_round_trip():
     from hermfact import BihermitianForm
 
     positive, negative = difference_of_squares(BihermitianForm.zero(2))
-    for factor in (positive, negative):
-        assert factor.matrix.rows == ()
-        obj = serialize.factor_to_obj(factor)
-        assert serialize.obj_to_factor(json.loads(json.dumps(obj))) == factor
-        ok, reason = serialize.verify_obj(obj)
-        assert ok, reason
+    assert positive.matrix.rows == negative.matrix.rows == ()
+    form = BihermitianForm.zero(2)
+    obj = serialize.factor_to_obj(form, 0, [])
+    assert serialize.obj_to_factor(json.loads(json.dumps(obj))) == (form, 0, [])
+    ok, reason = serialize.verify_obj(obj)
+    assert ok, reason
 
 
 def test_unsupported_kind_raises():
