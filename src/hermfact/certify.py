@@ -31,7 +31,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import combinations
 from math import gcd, lcm
+from operator import itemgetter
 
 from .hermform import HermitianMatrix, hermitian_defect
 from .scalars import (
@@ -43,15 +45,6 @@ from .scalars import (
 )
 
 Vector = tuple[GaussianRational, ...]
-
-
-def inertia_of_d(diag, blocks) -> tuple[int, int]:
-    """(positive, negative) eigenvalue counts of D: the signs of `diag`, plus
-    one of each for every hollow block."""
-    return (
-        len(blocks) + sum(1 for d in diag if d.numerator > 0),
-        len(blocks) + sum(1 for d in diag if d.numerator < 0),
-    )
 
 
 @dataclass(eq=True)
@@ -84,8 +77,10 @@ class SignatureCertificate:
 
     @cached_property
     def inertia(self) -> tuple[int, int]:
-        """(n_pos, n_neg): the inertia of M is that of D, counted once."""
-        return inertia_of_d(self.diag, self.blocks)
+        """(n_pos, n_neg): the inertia of M is that of D, counted once: the
+        signs of `diag`, plus one of each for every hollow block."""
+        blocks = len(self.blocks)
+        return blocks + sum(d > 0 for d in self.diag), blocks + sum(d < 0 for d in self.diag)
 
     @property
     def n_pos(self) -> int:
@@ -109,11 +104,12 @@ class SignatureCertificate:
         """(w, v) pairs, w != 0, with matrix = sum w v v^adj exactly.
 
         v_k is column k of P^T L: `lower[k]` with its indices mapped through
-        `permutation`, and 1 at permutation[k].  Each nonzero d_k gives
-        (d_k, v_k) in slot order; then each hollow block a at slots k, k + 1,
-        with x = v_k and y = conj(a) v_{k+1}, gives (1/2, x + y) and
-        (-1/2, x - y), since a v_k v_{k+1}^adj + conj(a) v_{k+1} v_k^adj is
-        their sum.
+        `permutation`, and 1 at permutation[k].  In slot order, each nonzero
+        d_k gives (d_k, v_k), and each hollow block a at slots k, k + 1, with
+        x = v_k and y = conj(a) v_{k+1}, gives (1/2, x + y) and (-1/2, x - y),
+        since a v_k v_{k+1}^adj + conj(a) v_{k+1} v_k^adj is their sum.  So
+        they pass `independence_failure`: read in reverse, v_k adds
+        permutation[k], and x + y pairs with x - y.
         """
         perm = self.permutation
 
@@ -122,7 +118,7 @@ class SignatureCertificate:
             return SparseRow(tuple(sorted([(perm[k], den, 0)] + [
                 (perm[j], x, y) for j, x, y in self.lower[k].entries])), den)
 
-        out = [(d, column(k)) for k, d in enumerate(self.diag) if d]
+        out = [(k, d, column(k)) for k, d in enumerate(self.diag) if d]
         for k, a in self.blocks:
             x, y = column(k), column(k + 1)
             # x + sign * conj(a) y over x.den * y.den * da, with a = (ar + i*ai) / da
@@ -133,9 +129,9 @@ class SignatureCertificate:
                 for j, u, v in y.entries:
                     p, q = acc.get(j, (0, 0))
                     acc[j] = p + sign * sy * (ar * u + ai * v), q + sign * sy * (ar * v - ai * u)
-                out.append((w, SparseRow.lowest(
+                out.append((k, w, SparseRow.lowest(
                     ((j, p, q) for j, (p, q) in sorted(acc.items()) if p or q), x.den * sx)))
-        return out
+        return [(w, v) for _, w, v in sorted(out, key=itemgetter(0))]
 
     def verify(self) -> tuple[bool, str]:
         """Re-check every claim by exact arithmetic; returns (ok, reason)."""
@@ -198,28 +194,49 @@ def witness_failure(matrix, v: SparseRow, strict: bool) -> str | None:
     return None
 
 
+def independence_failure(vectors) -> str | None:
+    """Why the vectors v of weighted vectors (w, v) are not shown independent,
+    or None.  Read in reverse, each v must add an index outside the supports
+    of those read before it, or add none and pair with the one read just
+    before it, u, which added some: v and u restricted to u's new indices
+    have rank 2.  The earlier vectors are 0 at those indices, so no
+    combination of them all vanishes."""
+    seen: set[int] = set()
+    u: dict[int, tuple[int, int]] = {}
+    for _, v in reversed(vectors):
+        entries = {j: (x, y) for j, x, y in v.entries}
+        new = entries.keys() - seen
+        seen |= new
+        # the minor u_i v_j - u_j v_i at i < j, in Gaussian-integer numerators
+        if not new and not any(
+                _times(u[i], entries.get(j, (0, 0))) != _times(u[j], entries.get(i, (0, 0)))
+                for i, j in combinations(sorted(u), 2)):
+            return "factor vectors are not independent"
+        u = {j: entries[j] for j in new}
+    return None
+
+
+def _times(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+
 def factor_failure(matrix: HermitianMatrix, vectors, strict: bool, signed: bool = False
                    ) -> str | None:
     """Why the weighted vectors (w, v) of a factor do not prove that `matrix`
-    passes the mode's test: M = sum w v v^adj with every w > 0, so M is PSD,
-    and, if strict, one v per index, each adding exactly one index to the
-    supports of those after it, so they are independent and M is PD; the
-    weighted vectors of a PD certificate, the columns of P^T L, are.  A
-    `signed` factor needs only nonzero weights, and proves no mode."""
+    passes the mode's test: M = sum w v v^adj with every w > 0 and the v
+    independent, so M is PSD of rank len(vectors), and, if strict, one v per
+    index, so M is PD.  A `signed` factor needs only nonzero weights, and
+    proves no mode: by Sylvester's law of inertia its weights' signs are the
+    inertia of M."""
     if any(not w if signed else w <= 0 for w, _ in vectors):
         return "factor weight is zero" if signed else "factor weight is not positive"
     if not all(_ascends_between(-1, v, matrix.size) for _, v in vectors):
         return "factor index out of range"
-    if strict:
-        seen: set[int] = set()
-        for _, v in reversed(vectors):
-            support = {j for j, _, _ in v.entries}
-            if len(support - seen) != 1:
-                break
-            seen |= support
-        # each vector read before a break added one index
-        if not len(seen) == len(vectors) == matrix.size:
-            return "factor rows do not span the coefficient space"
+    reason = independence_failure(vectors)
+    if reason is not None:
+        return reason
+    if strict and len(vectors) != matrix.size:
+        return "factor rows do not span the coefficient space"
     reason = congruence_failure(matrix, vectors)
     return None if reason is None else f"factor: {reason}"
 

@@ -79,21 +79,15 @@ def _mirror_certificates(args, report: dict) -> None:
 
 
 def _finish(args, command: list[str], input_text: str, result: dict, started: float,
-            stdout: str | None = None, unbound=None) -> dict:
+            stdout: str | None = None, basis=None) -> dict:
     """Assemble the run report, with the verdicts `serialize.run_verdicts`
-    derives from `result` (and, for the command of `serialize.UNBOUND_VERDICT`,
-    that verdict, valued `unbound`, which no artifact decides), mirror its
-    artifacts, and write it to --out and to stdout (or `stdout` instead, when
-    given)."""
-    verdicts = serialize.run_verdicts(command, result)
-    unbound_command, unbound_key = serialize.UNBOUND_VERDICT
-    if command[0] == unbound_command:
-        verdicts[unbound_key] = unbound
+    derives from `result` (and a check's `basis`), mirror its artifacts, and
+    write it to --out and to stdout (or `stdout` instead, when given)."""
     report = {
         "kind": "run_report",
         "command": command,
         "input_digest": serialize.digest_of_text(input_text),
-        "verdicts": verdicts,
+        "verdicts": serialize.run_verdicts(command, result, basis),
         "result": result,
     }
     # Each value is encoded once: the digest hashes the report before it has
@@ -118,9 +112,8 @@ def cmd_check(args) -> int:
         matrix, basis = coefficient_matrix(form)
     except ValueError as exc:
         raise InputProblem(str(exc)) from exc
-    result = {"certificate": serialize.certificate_to_obj(ldl_signature(matrix))}
-    report = _finish(args, ["check", "--mode", args.mode], text, result, started,
-                     unbound=basis.bidegree)
+    result = {"certificate": serialize.factor_to_obj(form, 0, ldl_signature(matrix))}
+    report = _finish(args, ["check", "--mode", args.mode], text, result, started, basis=basis)
     return EXIT_PASS if report["verdicts"]["passes"] else EXIT_FAIL
 
 
@@ -147,19 +140,14 @@ def cmd_factor(args) -> int:
     except ValueError as exc:
         raise InputProblem(str(exc)) from exc
     command = ["factor", "--d", str(args.d)]
-    cert = ldl_signature(matrix)
-    if not cert.is_positive_semidefinite():
-        # Only a failing certificate is kept: a factor proves PSD by itself.
-        _finish(args, command, text, {"certificate": serialize.certificate_to_obj(cert)}, started)
-        return EXIT_FAIL
-    result = {"factor": serialize.factor_to_obj(form, args.d, cert.weighted_vectors())}
+    result = {"factor": serialize.factor_to_obj(form, args.d, ldl_signature(matrix))}
     try:
         result.update(serialize.run_renderings(
             command, result, args.float_digits if args.numeric else None))
     except ValueError as exc:
         raise InputProblem(str(exc)) from exc
-    _finish(args, command, text, result, started)
-    return EXIT_PASS
+    report = _finish(args, command, text, result, started)
+    return EXIT_PASS if report["verdicts"]["factorable"] else EXIT_FAIL
 
 
 def _load_family(args) -> tuple[list[tuple[str, object]], str]:
@@ -250,8 +238,7 @@ def cmd_decompose(args) -> int:
     except ValueError as exc:
         raise InputProblem(str(exc)) from exc
     # F = (sum of squares over the positive weights) - (over the negative ones)
-    vectors = ldl_signature(matrix).weighted_vectors()
-    result = {"decomposition": serialize.factor_to_obj(form, 0, vectors)}
+    result = {"decomposition": serialize.factor_to_obj(form, 0, ldl_signature(matrix))}
     _finish(args, ["decompose"], text, result, started)
     return EXIT_PASS
 

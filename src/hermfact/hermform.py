@@ -46,29 +46,10 @@ class BihermitianForm:
 
     @classmethod
     def from_terms(cls, n: int, r: int, terms) -> "BihermitianForm":
-        """Build a form from (i, j, alpha, beta) -> coefficient items; zeros drop once checked."""
-        if n < 1 or r < 1:
-            raise ValueError("dimension and matrix size must be >= 1")
+        """Build a form from (i, j, alpha, beta) -> coefficient items, read as
+        `ClearedTerms.read` reads them: terms of one key add up, zeros drop."""
         items = terms.items() if hasattr(terms, "items") else terms
-        support: dict[TermKey, GaussianRational] = {}
-        for (i, j, alpha, beta), coeff in items:
-            coeff = as_gaussian(coeff)
-            if not (0 <= i < r and 0 <= j < r):
-                raise ValueError(f"matrix index out of range: ({i}, {j})")
-            alpha = check_multiindex(alpha)
-            beta = check_multiindex(beta)
-            if len(alpha) != n or len(beta) != n:
-                raise ValueError("multi-index length differs from ambient dimension")
-            if coeff.is_zero():
-                continue
-            key = (i, j, alpha, beta)
-            prev = support.get(key)
-            coeff = coeff if prev is None else prev + coeff
-            if coeff.is_zero():
-                support.pop(key, None)
-            else:
-                support[key] = coeff
-        return cls(n, r, support)
+        return ClearedTerms.read(n, r, ((*key, *_ratios(as_gaussian(c))) for key, c in items)).form()
 
     @classmethod
     def zero(cls, n: int, r: int = 1) -> "BihermitianForm":
@@ -76,6 +57,66 @@ class BihermitianForm:
 
     def coefficient(self, i: int, j: int, alpha, beta) -> GaussianRational:
         return self.support.get((i, j, tuple(alpha), tuple(beta)), ZERO)
+
+
+def _ratios(c: GaussianRational) -> tuple[int, int, int, int]:
+    """(x, qx, y, qy) with c = x/qx + i*y/qy."""
+    return c.re.numerator, c.re.denominator, c.im.numerator, c.im.denominator
+
+
+@dataclass(frozen=True)
+class ClearedTerms:
+    """A form in ints: the coefficient of each term key in `support` is
+    (re + i*im) / den for its nonzero pair (re, im), den > 0.  It has the n, r
+    and support keys of a BihermitianForm, which is all that `bidegree`,
+    `coefficient_basis` and `evaluate_exact` read, so they take either."""
+
+    n: int
+    r: int
+    support: dict[TermKey, tuple[int, int]]
+    den: int
+
+    @classmethod
+    def of(cls, form: BihermitianForm | ClearedTerms) -> "ClearedTerms":
+        """The form's coefficients over the lcm of their denominators."""
+        if isinstance(form, ClearedTerms):
+            return form
+        return cls._clear(form.n, form.r, [(key, *_ratios(c)) for key, c in form.support.items()])
+
+    @classmethod
+    def read(cls, n: int, r: int, terms) -> "ClearedTerms":
+        """The form of the terms (i, j, alpha, beta, x, qx, y, qy), each with
+        coefficient x/qx + i*y/qy, qx, qy > 0: every key is checked, terms of
+        one key add up, and zeros drop."""
+        if n < 1 or r < 1:
+            raise ValueError("dimension and matrix size must be >= 1")
+        checked = []
+        for i, j, alpha, beta, x, qx, y, qy in terms:
+            if not (0 <= i < r and 0 <= j < r):
+                raise ValueError(f"matrix index out of range: ({i}, {j})")
+            alpha, beta = check_multiindex(alpha), check_multiindex(beta)
+            if len(alpha) != n or len(beta) != n:
+                raise ValueError("multi-index length differs from ambient dimension")
+            checked.append(((i, j, alpha, beta), x, qx, y, qy))
+        return cls._clear(n, r, checked)
+
+    @classmethod
+    def _clear(cls, n: int, r: int, terms: list) -> "ClearedTerms":
+        """The one clearing routine: the terms (key, x, qx, y, qy) over the lcm
+        of their denominators, terms of one key added up and zeros dropped."""
+        den = lcm(*(q for *_, qx, _, qy in terms for q in (qx, qy)))
+        support: dict[TermKey, tuple[int, int]] = {}
+        for key, x, qx, y, qy in terms:
+            if x or y:
+                re, im = support.get(key, (0, 0))
+                support[key] = re + x * (den // qx), im + y * (den // qy)
+        return cls(n, r, {key: pair for key, pair in support.items() if pair != (0, 0)}, den)
+
+    def form(self) -> BihermitianForm:
+        den = self.den
+        return BihermitianForm(self.n, self.r, {
+            key: GaussianRational(Fraction(x, den), Fraction(y, den))
+            for key, (x, y) in self.support.items()})
 
 
 @dataclass(eq=True)
@@ -156,14 +197,8 @@ class HermitianMatrix:
     @classmethod
     def from_rows(cls, rows) -> "HermitianMatrix":
         """The checked constructor: a square Hermitian array of scalars, else ValueError."""
-        return cls.from_gaussian_rows(
-            GaussianRow.from_entries(len(row), enumerate(map(as_gaussian, row))) for row in rows)
-
-    @classmethod
-    def from_gaussian_rows(cls, rows) -> "HermitianMatrix":
-        """The checked constructor over GaussianRows in lowest terms: ValueError
-        unless they form a square Hermitian matrix."""
-        matrix = cls(tuple(rows))
+        matrix = cls(tuple(GaussianRow.from_entries(len(row), enumerate(map(as_gaussian, row)))
+                           for row in rows))
         defect = hermitian_defect(matrix.rows)
         if defect is not None:
             raise ValueError(defect)
@@ -261,17 +296,16 @@ class CoefficientBasis:
         return cache
 
 
-def is_hermitian_symmetric(form: BihermitianForm) -> bool:
-    """True iff coefficient(i, j, a, b) == conj(coefficient(j, i, b, a)) throughout.
+def is_hermitian_symmetric(form: BihermitianForm | ClearedTerms) -> bool:
+    """True iff coefficient(i, j, a, b) == conj(coefficient(j, i, b, a))
+    throughout, compared in the cleared ints.
 
     Equivalent to F(z, zbar) taking Hermitian matrix values (real values for
     r = 1) at every point.
     """
-    for (i, j, alpha, beta), coeff in form.support.items():
-        partner = form.support.get((j, i, beta, alpha))
-        if partner is None or partner.conjugate() != coeff:
-            return False
-    return True
+    support = ClearedTerms.of(form).support
+    return all(support.get((j, i, beta, alpha)) == (x, -y)
+               for (i, j, alpha, beta), (x, y) in support.items())
 
 
 def bidegree(form: BihermitianForm) -> int | None:
@@ -279,16 +313,8 @@ def bidegree(form: BihermitianForm) -> int | None:
 
     The zero form is reported as bidegree 0.
     """
-    m = None
-    for (_, _, alpha, beta) in form.support:
-        da, db = degree(alpha), degree(beta)
-        if da != db:
-            return None
-        if m is None:
-            m = da
-        elif m != da:
-            return None
-    return 0 if m is None else m
+    degrees = {sum(index) for _, _, alpha, beta in form.support for index in (alpha, beta)}
+    return None if len(degrees) > 1 else max(degrees, default=0)
 
 
 def max_degree(form: BihermitianForm) -> int:
@@ -308,10 +334,10 @@ def add(f: BihermitianForm, g: BihermitianForm) -> BihermitianForm:
 
 
 def scale(f: BihermitianForm, c) -> BihermitianForm:
+    """c * f: a nonzero c keeps every term, and the keys of f are checked already."""
     c = as_gaussian(c)
-    return BihermitianForm.from_terms(
-        f.n, f.r, [(key, coeff * c) for key, coeff in f.support.items()]
-    )
+    return BihermitianForm(f.n, f.r, {} if c.is_zero() else {
+        key: coeff * c for key, coeff in f.support.items()})
 
 
 def subtract(f: BihermitianForm, g: BihermitianForm) -> BihermitianForm:
@@ -418,14 +444,6 @@ def coefficient_basis(form: BihermitianForm, mode: str = "auto") -> CoefficientB
     raise ValueError(f"unknown coefficient basis mode: {mode}")
 
 
-def _cleared_support(form: BihermitianForm) -> tuple[list[TermKey], list[int], list[int], int]:
-    """The form's term keys and their coefficients as Gaussian-integer
-    numerators (re, im) over one denominator den > 0: (keys, re, im, den)."""
-    keys = list(form.support)
-    coeffs = GaussianRow.from_entries(len(keys), enumerate(form.support.values()))
-    return keys, coeffs.re, coeffs.im, coeffs.den
-
-
 @dataclass(frozen=True)
 class CoefficientRows:
     """A coefficient matrix in Gaussian-integer numerators over one denominator.
@@ -442,20 +460,20 @@ class CoefficientRows:
     im: list[dict[int, int]]
 
     @classmethod
-    def of(cls, form: BihermitianForm, basis: CoefficientBasis) -> "CoefficientRows":
+    def of(cls, form: BihermitianForm | ClearedTerms, basis: CoefficientBasis) -> "CoefficientRows":
         """The form's coefficients on `basis`, which must hold every (i, alpha)
         and (j, beta) of the support."""
-        keys, re, im, den = _cleared_support(form)
+        terms = ClearedTerms.of(form)
         lookup = basis._lookup
         rows_re = [{} for _ in basis.pairs]
         rows_im = [{} for _ in basis.pairs]
-        for (i, j, alpha, beta), x, y in zip(keys, re, im):
+        for (i, j, alpha, beta), (x, y) in terms.support.items():
             p, q = lookup[(i, alpha)], lookup[(j, beta)]
             if x:
                 rows_re[p][q] = x
             if y:
                 rows_im[p][q] = y
-        return cls(basis, den, rows_re, rows_im)
+        return cls(basis, terms.den, rows_re, rows_im)
 
     def matrix(self) -> HermitianMatrix:
         """Each row scattered into a GaussianRow and brought to lowest terms
@@ -502,12 +520,14 @@ class CoefficientRows:
         return BihermitianForm(self.basis.n, self.basis.r, support)
 
 
-def coefficient_rows(form: BihermitianForm, mode: str = "auto") -> CoefficientRows:
+def coefficient_rows(form: BihermitianForm | ClearedTerms, mode: str = "auto") -> CoefficientRows:
     """The form's coefficient matrix as CoefficientRows on
-    `coefficient_basis(form, mode)`.  Requires a Hermitian-symmetric input."""
-    if not is_hermitian_symmetric(form):
+    `coefficient_basis(form, mode)`.  Requires a Hermitian-symmetric input,
+    which is checked on the cleared ints."""
+    terms = ClearedTerms.of(form)
+    if not is_hermitian_symmetric(terms):
         raise ValueError("coefficient matrix requires a Hermitian-symmetric form")
-    return CoefficientRows.of(form, coefficient_basis(form, mode))
+    return CoefficientRows.of(terms, coefficient_basis(terms, mode))
 
 
 def coefficient_matrix(
@@ -583,14 +603,15 @@ class ClearedForm:
 
     @classmethod
     def of(cls, form: BihermitianForm) -> "ClearedForm":
-        keys, re, im, den = _cleared_support(form)
-        deg_z = max((degree(alpha) for _, _, alpha, _ in keys), default=0)
-        deg_w = max((degree(beta) for _, _, _, beta in keys), default=0)
+        cleared = ClearedTerms.of(form)
+        support = cleared.support
+        deg_z = max((degree(alpha) for _, _, alpha, _ in support), default=0)
+        deg_w = max((degree(beta) for _, _, _, beta in support), default=0)
         terms = tuple((i, j, alpha, beta, x, y, deg_z - degree(alpha), deg_w - degree(beta))
-                      for (i, j, alpha, beta), x, y in zip(keys, re, im))
-        alphas = tuple(dict.fromkeys(alpha for _, _, alpha, _ in keys))
-        betas = tuple(dict.fromkeys(beta for _, _, _, beta in keys))
-        return cls(form.r, den, deg_z, deg_w, terms, alphas, betas)
+                      for (i, j, alpha, beta), (x, y) in support.items())
+        alphas = tuple(dict.fromkeys(alpha for _, _, alpha, _ in support))
+        betas = tuple(dict.fromkeys(beta for _, _, _, beta in support))
+        return cls(form.r, cleared.den, deg_z, deg_w, terms, alphas, betas)
 
     def numerators(self, z: GaussianRow, w: GaussianRow) -> tuple[list[int], list[int], int]:
         """F(z, wbar) as (re, im, den): entry (i, j) has real part re[k] / den

@@ -43,9 +43,6 @@ class GaussianRational:
         """Squared modulus |z|^2, an exact nonnegative rational."""
         return self.re * self.re + self.im * self.im
 
-    def is_real(self) -> bool:
-        return self.im == 0
-
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
 

@@ -4,8 +4,9 @@ Coefficients are written as exact "p/q" strings in lowest terms (or "p" when
 integral) so that certificates survive the round trip bit-for-bit, and read
 back by one reader, `read_ratio`: the written spelling goes straight to ints,
 any other spelling that `Fraction` accepts is still accepted, and a zero
-denominator is a ValueError.  Matrix indices i, j of kernel terms are 1-based
-on the wire, 0-based in memory.
+denominator is a ValueError.  A kernel term is written as the row
+[i, j, alpha, beta, re, im], with matrix indices i, j 1-based on the wire and
+0-based in memory, and read by one reader, `obj_to_terms`, into ints.
 
 Every report and artifact file is `canonical_json` (sorted keys, no
 whitespace, CPython's C encoder) on one line; `python -m json.tool` indents
@@ -23,11 +24,12 @@ from fractions import Fraction
 from itertools import islice
 from math import gcd, lcm
 
-from .certify import SignatureCertificate, factor_failure, inertia_of_d, witness_failure
+from .certify import SignatureCertificate, factor_failure, witness_failure
 from .factor import _factor_from_parts, numeric_factor
 from .hermform import (
     BihermitianForm,
-    HermitianMatrix,
+    ClearedTerms,
+    CoefficientBasis,
     bidegree,
     coefficient_basis,
     coefficient_rows,
@@ -35,7 +37,7 @@ from .hermform import (
     homogeneous_basis,
     scale,
 )
-from .scalars import ZERO, GaussianRational, GaussianRow, SparseRow
+from .scalars import ZERO, GaussianRational, SparseRow
 from .stabilize import MODES, exponent_steps
 from .symbols import EllipticityReport, format_diff_operator_row
 
@@ -61,21 +63,34 @@ def fraction_to_str(x: Fraction) -> str:
 _WRITTEN_RATIO = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
-def read_ratio(value) -> tuple[int, int]:
+def _written_ratio(text: str) -> tuple[int, int] | None:
+    """(p, q) of the spelling "p" or "p/q" of ASCII digits, else None."""
+    match = _WRITTEN_RATIO.fullmatch(text)
+    if match is None:
+        return None
+    p, q = match.groups()
+    q = 1 if q is None else int(q)
+    if q == 0:
+        raise ValueError("a rational has a zero denominator")
+    return int(p), q
+
+
+def read_ratio(value, seen: dict | None = None) -> tuple[int, int]:
     """The rational `value` as (p, q), q > 0, not always in lowest terms.
 
     A string "p" or "p/q" of ASCII digits, as `fraction_to_str` writes it,
-    goes straight to ints; any other value goes through `Fraction(value)`,
-    so every spelling it accepts is accepted.  A zero denominator, or a
-    value that is not a rational, raises ValueError.
+    goes straight to ints; any other value goes through `Fraction(value)`, so
+    every spelling it accepts is accepted.  A zero denominator, or a value
+    that is not a rational, raises ValueError.  A reader that passes its own
+    dict `seen` reads each string once: a form repeats few values.
     """
-    match = _WRITTEN_RATIO.fullmatch(value) if type(value) is str else None
-    if match is not None:
-        p, q = match.groups()
-        q = 1 if q is None else int(q)
-        if q == 0:
-            raise ValueError("a rational has a zero denominator")
-        return int(p), q
+    if seen is not None and type(value) is str:
+        if value not in seen:
+            seen[value] = read_ratio(value)
+        return seen[value]
+    ratio = _written_ratio(value) if type(value) is str else None
+    if ratio is not None:
+        return ratio
     try:
         x = Fraction(value)
     except ZeroDivisionError:
@@ -94,47 +109,53 @@ def gaussian_to_pair(c: GaussianRational) -> list[str]:
     return [fraction_to_str(c.re), fraction_to_str(c.im)]
 
 
-def _require_pair(pair) -> list:
+def pair_to_gaussian(pair) -> GaussianRational:
     if not (isinstance(pair, list) and len(pair) == 2 and all(isinstance(x, str) for x in pair)):
         raise ValueError("a Gaussian rational must be a pair [re, im] of strings")
-    return pair
-
-
-def pair_to_gaussian(pair) -> GaussianRational:
-    _require_pair(pair)
     return GaussianRational(str_to_fraction(pair[0]), str_to_fraction(pair[1]))
 
 
+FORMAT_ERROR = "artifact is not in the current certificate format"
+# The fields of a kernel term, in the order of its row.
+TERM_FIELDS = ("i", "j", "alpha", "beta", "re", "im")
+
+
 def form_to_obj(form: BihermitianForm) -> dict:
-    terms = [{"i": i + 1, "j": j + 1, "alpha": list(alpha), "beta": list(beta),
-              "re": fraction_to_str(c.re), "im": fraction_to_str(c.im)}
+    """Each term as the row [i, j, alpha, beta, re, im], both triangles, in key order."""
+    terms = [[i + 1, j + 1, list(alpha), list(beta), fraction_to_str(c.re), fraction_to_str(c.im)]
              for (i, j, alpha, beta), c in sorted(form.support.items())]
     return {"kind": "bihermitian_form", "n": form.n, "r": form.r, "terms": terms}
 
 
-def _obj_to_coefficient(item: dict) -> GaussianRational:
-    return GaussianRational(str_to_fraction(item["re"]), str_to_fraction(item["im"]))
-
-
-def obj_to_form(obj: dict) -> BihermitianForm:
+def obj_to_terms(obj: dict, written: bool = False) -> ClearedTerms:
+    """The one kernel reader, into ints: each term is the row that
+    `form_to_obj` writes or, unless the kernel is part of an artifact
+    (`written`), an object with the keys of TERM_FIELDS, as input files spell
+    it; rationals go through `read_ratio`."""
     if not isinstance(obj, dict) or obj.get("kind") != "bihermitian_form":
         raise ValueError("not a serialized kernel")
     if not (type(obj["n"]) is int and type(obj["r"]) is int and isinstance(obj["terms"], list)):
         raise ValueError("a serialized kernel needs integers n and r and a list of terms")
-    terms = []
+    terms, seen = [], {}
     for term in obj["terms"]:
-        if not (isinstance(term, dict) and type(term["i"]) is int and type(term["j"]) is int
-                and isinstance(term["alpha"], list) and isinstance(term["beta"], list)):
+        if isinstance(term, dict) and not written:
+            term = [term[field] for field in TERM_FIELDS]
+        if not (isinstance(term, list) and len(term) == len(TERM_FIELDS)):
+            prefix = f"{FORMAT_ERROR}: " if written else ""
+            raise ValueError(f"{prefix}a kernel term must be a row [i, j, alpha, beta, re, im]")
+        i, j, alpha, beta, re, im = term
+        if not (type(i) is int and type(j) is int
+                and isinstance(alpha, list) and isinstance(beta, list)):
             raise ValueError("a kernel term needs integers i and j and lists alpha and beta")
-        terms.append(((term["i"] - 1, term["j"] - 1, tuple(term["alpha"]), tuple(term["beta"])),
-                      _obj_to_coefficient(term)))
-    return BihermitianForm.from_terms(obj["n"], obj["r"], terms)
+        terms.append((i - 1, j - 1, alpha, beta, *read_ratio(re, seen), *read_ratio(im, seen)))
+    return ClearedTerms.read(obj["n"], obj["r"], terms)
 
 
-FORMAT_ERROR = "artifact is not in the current certificate format"
-CERTIFICATE_KEYS = frozenset(
-    {"kind", "size", "matrix", "permutation", "lower", "diag", "blocks", "witness"})
-FACTOR_KEYS = frozenset({"kind", "form", "d", "vectors"})
+def obj_to_form(obj: dict, written: bool = False) -> BihermitianForm:
+    return obj_to_terms(obj, written).form()
+
+
+FACTOR_KEYS = frozenset({"kind", "form", "d", "vectors", "witness"})
 STABILIZATION_KEYS = frozenset({"kind", "mode", "d_max", "d_min", "form", "trail", "factor"})
 ELLIPTICITY_KEYS = frozenset(
     {"kind", "form", "verdict", "d", "witness_point", "sign_change", "stabilization"})
@@ -152,15 +173,6 @@ def _require_mode(mode) -> str:
     return mode
 
 
-def _require_entries(items) -> list:
-    if not (isinstance(items, list) and all(
-            isinstance(item, list) and len(item) == 3 and type(item[0]) is int
-            and isinstance(item[1], str) and isinstance(item[2], str) for item in items)):
-        raise ValueError(f"{FORMAT_ERROR}: lower, blocks and witness entries must be "
-                         "[int, str, str]")
-    return items
-
-
 def _part(x: int, den: int) -> str:
     """x / den in lowest terms, by one gcd."""
     g = gcd(x, den)
@@ -168,46 +180,26 @@ def _part(x: int, den: int) -> str:
 
 
 def _sparse_to_obj(row: SparseRow) -> list[list]:
-    """A sparse row (a column of L or a witness) as its entries [j, re, im]."""
+    """A sparse row (a factor vector or a witness) as its entries [j, re, im]."""
     return [[j, _part(x, row.den), _part(y, row.den)] for j, x, y in row.entries]
 
 
-def _obj_to_sparse(items, ascending: bool = False, size: int | None = None) -> SparseRow:
-    """The sparse row of entries [j, re, im], in their order, zero entries dropped; the
-    indices of a witness or a factor vector (`ascending`) must ascend, within
-    0..size-1 when the size is given."""
-    _require_entries(items)
-    indices = [item[0] for item in items] if ascending else []
-    if indices != sorted(set(indices) if size is None else set(indices) & set(range(size))):
-        within = "" if size is None else f" within 0..{size - 1}"
-        raise ValueError(f"{FORMAT_ERROR}: witness and factor indices must ascend{within}")
-    return _cleared_row((j, *read_ratio(re), *read_ratio(im)) for j, re, im in items)
-
-
-def _cleared_row(parts) -> SparseRow:
-    """The sparse row with x/qx + i*y/qy at j for each (j, x, qx, y, qy), zero
-    entries dropped: numerators over the lcm of the denominators, in lowest terms."""
+def _obj_to_sparse(items) -> SparseRow:
+    """The sparse row of entries [j, re, im], whose indices must ascend, zero
+    entries dropped: numerators over the lcm of the denominators, in lowest
+    terms."""
+    if not (isinstance(items, list) and all(
+            isinstance(item, list) and len(item) == 3 and type(item[0]) is int
+            and isinstance(item[1], str) and isinstance(item[2], str) for item in items)):
+        raise ValueError(f"{FORMAT_ERROR}: vector and witness entries must be [int, str, str]")
+    indices = [item[0] for item in items]
+    if indices != sorted(set(indices)):
+        raise ValueError(f"{FORMAT_ERROR}: witness and factor indices must ascend")
+    parts = [(j, *read_ratio(re), *read_ratio(im)) for j, re, im in items]
     parts = [part for part in parts if part[1] or part[3]]
     den = lcm(*(q for _, _, qx, _, qy in parts for q in (qx, qy)))
     return SparseRow.lowest(((j, x * (den // qx), y * (den // qy)) for j, x, qx, y, qy in parts),
                             den)
-
-
-def _row_to_obj(row: GaussianRow) -> list[list[str]]:
-    """The dense [re, im] pairs of a row, each part reduced by one gcd."""
-    den = row.den
-    return [[_part(x, den), _part(y, den)] if x or y else ["0", "0"]
-            for x, y in zip(row.re, row.im)]
-
-
-def _obj_to_row(pairs) -> GaussianRow:
-    """The GaussianRow of a list of [re, im] pairs, read as a sparse row."""
-    row = _cleared_row((j, *read_ratio(x), *read_ratio(y)) for j, (x, y) in (
-        (j, _require_pair(pair)) for j, pair in enumerate(pairs) if pair != ["0", "0"]))
-    re, im = [0] * len(pairs), [0] * len(pairs)
-    for j, x, y in row.entries:
-        re[j], im[j] = x, y
-    return GaussianRow(re, im, row.den)
 
 
 def _vectors_to_obj(vectors: list[tuple[Fraction, SparseRow]]) -> list[list]:
@@ -221,65 +213,48 @@ def _obj_to_vectors(items, what="a stabilization factor must be null or a list o
                                             and isinstance(item[0], str) for item in items)):
         raise ValueError(f"{FORMAT_ERROR}: {what} weighted vectors "
                          "[weight, [[j, re, im], ...]]")
-    return [(str_to_fraction(w), _obj_to_sparse(entries, ascending=True)) for w, entries in items]
+    return [(str_to_fraction(w), _obj_to_sparse(entries)) for w, entries in items]
 
 
-def _factor_basis(form: BihermitianForm, d: int):
+def _factor_basis(form: BihermitianForm | ClearedTerms, d: int):
     """The basis of M_d, the coefficient matrix of <z, w>^d F; at d = 0, F's own."""
     basis = coefficient_basis(form)
     return basis if d == 0 else homogeneous_basis(form.n, form.r, basis.bidegree + d)
 
 
-def factor_to_obj(form: BihermitianForm, d: int, vectors: list) -> dict:
-    """The factor of <z, w>^d F whose rows are the weighted vectors (w, v) of
-    a certificate of M_d, M_d = sum w v v^adj, on the basis of M_d."""
+def certificate_to_obj(cert: SignatureCertificate) -> dict:
+    """The evidence of a certificate of M: its weighted vectors, M = sum w v
+    v^adj, as [weight, [[j, re, im], ...]] in slot order, and its witness's
+    nonzero entries [j, re, im], or null."""
+    return {"vectors": _vectors_to_obj(cert.weighted_vectors()),
+            "witness": None if cert.witness is None else _sparse_to_obj(cert.witness)}
+
+
+def obj_to_certificate(obj: dict) -> tuple[list[tuple[Fraction, SparseRow]], SparseRow | None]:
+    """(weighted vectors, witness) of the keys that `certificate_to_obj` writes."""
+    items = obj["witness"]
+    return (_obj_to_vectors(obj["vectors"], "a factor's vectors must be a list of"),
+            None if items is None else _obj_to_sparse(items))
+
+
+def factor_to_obj(form: BihermitianForm, d: int, cert: SignatureCertificate) -> dict:
+    """The one artifact of `check`, `factor` and `decompose`: the certificate
+    `cert` of M_d, the coefficient matrix of <z, w>^d F, as its evidence on
+    the basis of M_d, beside F and d."""
     return {"kind": "weighted_gram_factor", "form": form_to_obj(form), "d": d,
-            "vectors": _vectors_to_obj(vectors)}
+            **certificate_to_obj(cert)}
 
 
-def obj_to_factor(obj: dict) -> tuple[BihermitianForm, int, list[tuple[Fraction, SparseRow]]]:
-    """(F, d, weighted vectors) of a serialized factor."""
+def obj_to_factor(obj: dict) -> tuple[ClearedTerms, int, list[tuple[Fraction, SparseRow]],
+                                      SparseRow | None]:
+    """(F, d, weighted vectors, witness) of a serialized factor, F in ints."""
     if not isinstance(obj, dict) or obj.get("kind") != "weighted_gram_factor":
         raise ValueError("not a serialized weighted factor")
     _require_keys(obj, FACTOR_KEYS, "a weighted factor")
     d = obj["d"]
     if not (type(d) is int and d >= 0):
         raise ValueError(f"{FORMAT_ERROR}: a factor's d must be a nonnegative integer")
-    vectors = _obj_to_vectors(obj["vectors"], "a factor's vectors must be a list of")
-    return obj_to_form(obj["form"]), d, vectors
-
-
-def certificate_to_obj(cert: SignatureCertificate) -> dict:
-    """A standalone certificate carries its dense matrix; L as its nonzeros
-    below the diagonal in pivot coordinates, one list of [j, re, im] per
-    column; D as `diag` plus hollow `blocks` [k, re, im]; the witness as its
-    nonzero entries.  The inertia is read off D."""
-    return {
-        "kind": "signature_certificate",
-        "size": cert.size,
-        "matrix": [_row_to_obj(row) for row in cert.matrix.rows],
-        "permutation": list(cert.permutation),
-        "lower": [_sparse_to_obj(column) for column in cert.lower],
-        "diag": [fraction_to_str(d) for d in cert.diag],
-        "blocks": [[k, *gaussian_to_pair(a)] for k, a in cert.blocks],
-        "witness": None if cert.witness is None else _sparse_to_obj(cert.witness),
-    }
-
-
-def obj_to_certificate(obj: dict) -> SignatureCertificate:
-    if obj.get("kind") != "signature_certificate":
-        raise ValueError("not a serialized signature certificate")
-    _require_keys(obj, CERTIFICATE_KEYS, "a signature certificate")
-    matrix = HermitianMatrix.from_gaussian_rows([_obj_to_row(row) for row in obj["matrix"]])
-    items = obj["witness"]
-    return SignatureCertificate(
-        matrix=matrix,
-        permutation=tuple(obj["permutation"]),
-        lower=tuple(_obj_to_sparse(column) for column in obj["lower"]),
-        diag=tuple(map(str_to_fraction, obj["diag"])),
-        blocks=tuple((k, pair_to_gaussian([x, y])) for k, x, y in _require_entries(obj["blocks"])),
-        witness=None if items is None else _obj_to_sparse(items, ascending=True, size=matrix.size),
-    )
+    return obj_to_terms(obj["form"], written=True), d, *obj_to_certificate(obj)
 
 
 def stabilization_to_obj(report: StabilizationReport) -> dict:
@@ -355,9 +330,7 @@ def digest_of_text(text: str) -> str:
     return "sha256:" + hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-ARTIFACT_KINDS = frozenset(
-    {"signature_certificate", "weighted_gram_factor", "stabilization_report", "ellipticity_report"}
-)
+ARTIFACT_KINDS = frozenset({"weighted_gram_factor", "stabilization_report", "ellipticity_report"})
 
 
 def embedded_artifacts(obj, enter=frozenset()):
@@ -376,8 +349,9 @@ def embedded_artifacts(obj, enter=frozenset()):
             stack.extend(item)
 
 
-def _trail_step_failure(rows, record, v: SparseRow, strict: bool) -> str | None:
-    """Why the witness v, read from trail step `record`, does not prove its step fails."""
+def _witness_failure(rows, record, v: SparseRow, strict: bool) -> str | None:
+    """Why the witness v, read from its entries `record`, does not prove that
+    the matrix of `rows` fails the mode's test."""
     if record and not 0 <= record[0][0] <= record[-1][0] < len(rows.basis.pairs):
         return "witness index out of range"
     return witness_failure(rows, v, strict)
@@ -399,7 +373,7 @@ def _verify_stabilization(obj: dict) -> tuple[bool, str]:
     if not all(isinstance(record, list) for record in trail):
         raise ValueError(f"{FORMAT_ERROR}: a trail step must be a witness, a list of "
                          "[j, re, im] entries")
-    witnesses = [_obj_to_sparse(record, ascending=True) for record in trail]
+    witnesses = [_obj_to_sparse(record) for record in trail]
     vectors = None if factor is None else _obj_to_vectors(factor)
     if d_min is None and len(trail) < d_max + 1:
         return False, "trail stops before d_max"
@@ -409,16 +383,16 @@ def _verify_stabilization(obj: dict) -> tuple[bool, str]:
         return False, "trail runs past d_max"
     if (factor is not None) != (d_min is not None):
         return False, "factor is not one of the form shifted d_min times"
-    steps = exponent_steps(obj_to_form(obj["form"]))
+    steps = exponent_steps(obj_to_terms(obj["form"], written=True))
     for d, (record, v, rows) in enumerate(zip(trail, witnesses, steps)):
-        reason = _trail_step_failure(rows, record, v, strict)
+        reason = _witness_failure(rows, record, v, strict)
         if reason is not None:
             return False, f"trail d={d}: {reason}"
     reason = None if d_min is None else factor_failure(next(steps).matrix(), vectors, strict)
     return (True, "ok") if reason is None else (False, reason)
 
 
-def _sphere_value(form: BihermitianForm, pairs) -> GaussianRational | None:
+def _sphere_value(form: ClearedTerms, pairs) -> GaussianRational | None:
     """The symbol's exact value at a point, or None off the unit sphere."""
     point = tuple(pair_to_gaussian(pair) for pair in pairs)
     if sum(c.abs2() for c in point) != 1:
@@ -432,21 +406,21 @@ def _verify_ellipticity(obj: dict) -> tuple[bool, str]:
     unit sphere; "certified" and "not_certified" by a strict stabilization
     report of the form or of its negation, whose d_min is d."""
     _require_keys(obj, ELLIPTICITY_KEYS, "an ellipticity report")
-    form = obj_to_form(obj["form"])
+    terms = obj_to_terms(obj["form"], written=True)
     verdict, stabilization = obj["verdict"], obj["stabilization"]
     if verdict == "not_elliptic":
         if stabilization is not None or obj["d"] is not None:
             return False, "verdict does not match the stabilization"
-        if form.r != 1:
+        if terms.r != 1:
             return False, "the form is not a scalar symbol"
         point, change = obj["witness_point"], obj["sign_change"]
         if point is None and change is None:
             return False, "not_elliptic report names no point"
-        if point is not None and _sphere_value(form, point) != ZERO:
+        if point is not None and _sphere_value(terms, point) != ZERO:
             return False, "witness point is not a zero of the symbol on the unit sphere"
         if change is not None:
-            pos = _sphere_value(form, change["positive_at"])
-            neg = _sphere_value(form, change["negative_at"])
+            pos = _sphere_value(terms, change["positive_at"])
+            neg = _sphere_value(terms, change["negative_at"])
             if pos is None or neg is None or not (pos.im == neg.im == 0 and pos.re > 0 > neg.re):
                 return False, "sign-change points do not have opposite signs on the unit sphere"
         return True, "ok"
@@ -457,18 +431,14 @@ def _verify_ellipticity(obj: dict) -> tuple[bool, str]:
     ok, reason = verify_obj(stabilization)
     if not ok:
         return False, f"stabilization: {reason}"
+    form = terms.form()
     if (stabilization["mode"] != "strict"
-            or obj_to_form(stabilization["form"]) not in (form, scale(form, -1))):
+            or obj_to_form(stabilization["form"], written=True) not in (form, scale(form, -1))):
         return False, "stabilization is not a strict search on the report's form"
     d_min = stabilization["d_min"]
     if obj["d"] != d_min or (verdict == "certified") != (d_min is not None):
         return False, "verdict does not match the stabilization"
     return True, "ok"
-
-
-# The one verdict that no artifact decides: a certificate holds a matrix, not
-# the form it came from.
-UNBOUND_VERDICT = ("check", "bidegree")
 
 
 def _artifact(container: dict, key: str, kind: str) -> dict:
@@ -479,7 +449,7 @@ def _artifact(container: dict, key: str, kind: str) -> dict:
     container[key]."""
     item = container.get(key)
     if not isinstance(item, dict) or item.get("kind") != kind:
-        raise ValueError(f"a run report's {key} must be a {kind}")
+        raise ValueError(f"{FORMAT_ERROR}: a run report's {key} must be a {kind}")
     return item
 
 
@@ -498,8 +468,10 @@ def _require_searched(stabilization: dict, mode: str, d_max: int, what: str) -> 
         raise ValueError(f"{what} was not searched with the command's --mode and --dmax")
 
 
-def _inertia(cert: dict) -> tuple[int, int]:
-    return inertia_of_d([str_to_fraction(d) for d in cert["diag"]], cert["blocks"])
+def _weight_signs(factor: dict) -> tuple[int, int]:
+    """(positive, negative) weight counts of a verified factor: M_d's inertia, less its zeros."""
+    positive = sum(read_ratio(w)[0] > 0 for w, _ in factor["vectors"])
+    return positive, len(factor["vectors"]) - positive
 
 
 def _symbol_summary(ellipticity: dict) -> str:
@@ -514,18 +486,23 @@ def _symbol_summary(ellipticity: dict) -> str:
     return f"not certified up to d={stabilization['d_max']}"
 
 
-def run_verdicts(command: list[str], result: dict) -> dict | None:
+def run_verdicts(command: list[str], result: dict,
+                 basis: CoefficientBasis | None) -> dict | None:
     """The verdict block of a run report: what the artifacts in `result`
-    prove, with the options of `command` that no artifact records.  The CLI
-    adds the UNBOUND_VERDICT to a `check` block.  None when they prove none:
-    a factor not of `--d` or with a weight <= 0, a decomposition at d > 0."""
+    prove, with the options of `command` that no artifact records.  None when
+    they prove none: a factor not of `--d`, a check or decomposition at d > 0.
+    A check's verdicts read `basis`, the basis of its M_0, which the caller
+    has built with the certificate."""
     name = command[0]
     if name == "check":
         mode = _require_mode(_option(command, "--mode"))
-        cert = _artifact(result, "certificate", "signature_certificate")
-        (pos, neg), size = _inertia(cert), cert["size"]
+        factor = _artifact(result, "certificate", "weighted_gram_factor")
+        if factor["d"]:
+            return None
+        (pos, neg), size = _weight_signs(factor), len(basis.pairs)
         return {"mode": mode, "passes": pos == size if mode == "strict" else neg == 0,
-                "inertia": {"pos": pos, "neg": neg, "zero": size - pos - neg}, "matrix_size": size}
+                "inertia": {"pos": pos, "neg": neg, "zero": size - pos - neg},
+                "matrix_size": size, "bidegree": basis.bidegree}
     if name == "stabilize":
         mode, d_max = _search_bounds(command)
         stabilization = _artifact(result, "stabilization", "stabilization_report")
@@ -533,17 +510,12 @@ def run_verdicts(command: list[str], result: dict) -> dict | None:
         return {"mode": mode, "d_max": d_max,
                 "d_min": stabilization["d_min"], "found": stabilization["d_min"] is not None}
     if name == "factor":
-        # A factor proves PSD, so the certificate is there only to prove that
-        # no factor exists.
         d = int(_option(command, "--d"))
-        if "factor" not in result:
-            if _inertia(_artifact(result, "certificate", "signature_certificate"))[1] == 0:
-                raise ValueError("a factor report with a PSD certificate must carry its factor")
-            return {"d": d, "factorable": False, "rows": 0}
         factor = _artifact(result, "factor", "weighted_gram_factor")
-        if factor["d"] != d or any(str_to_fraction(w) <= 0 for w, _ in factor["vectors"]):
+        if factor["d"] != d:
             return None
-        return {"d": d, "factorable": True, "rows": len(factor["vectors"])}
+        pos, neg = _weight_signs(factor)
+        return {"d": d, "factorable": not neg, "rows": 0 if neg else pos}
     if name == "sweep":
         mode, d_max = _search_bounds(command)
         rows = []
@@ -561,15 +533,13 @@ def run_verdicts(command: list[str], result: dict) -> dict | None:
             # The ellipticity check has made this a strict search.
             _require_searched(ellipticity["stabilization"], "strict",
                               int(_option(command, "--dmax")), "the symbol's stabilization")
-        form = obj_to_form(ellipticity["form"])
+        form = obj_to_terms(ellipticity["form"], written=True)
         return {"verdict": ellipticity["verdict"], "d": ellipticity["d"],
                 "order": 2 * (bidegree(form) or 0), "complex_dim": form.n,
                 "summary": _symbol_summary(ellipticity)}
     if name == "decompose":
         factor = _artifact(result, "decomposition", "weighted_gram_factor")
-        # A verified factor has no weight 0.
-        positive = sum(str_to_fraction(w) > 0 for w, _ in factor["vectors"])
-        negative = len(factor["vectors"]) - positive
+        positive, negative = _weight_signs(factor)
         return None if factor["d"] else {"positive_rank": positive, "negative_rank": negative,
                                          "sum_of_squares": negative == 0}
     raise ValueError(f"unknown run report command {name!r}")
@@ -581,11 +551,10 @@ RENDERING_KEYS = ("operator_rows", "numeric_factor")
 MAX_FLOAT_DIGITS = 1000
 
 # The keys of a run report, which may also have `timings`; of each command's
-# result besides its renderings (a factor report carries its factor or its
-# certificate, never both); and of a sweep row.
+# result besides its renderings; and of a sweep row.
 RUN_REPORT_KEYS = frozenset({"kind", "command", "input_digest", "verdicts", "result", "digest"})
 RESULT_KEYS = {"check": [{"certificate"}], "stabilize": [{"stabilization"}], "sweep": [{"rows"}],
-               "factor": [{"factor"}, {"certificate"}], "symbol": [{"ellipticity"}],
+               "factor": [{"factor"}], "symbol": [{"ellipticity"}],
                "decompose": [{"decomposition"}]}
 SWEEP_ROW_KEYS = [{"label", "stabilization"}, {"label", "error"}]
 
@@ -593,22 +562,24 @@ SWEEP_ROW_KEYS = [{"label", "stabilization"}, {"label", "error"}]
 def run_renderings(command: list[str], result: dict, float_digits: int | None = None) -> dict:
     """The renderings beside the artifacts in `result`, derived from them: a
     certified symbol's differential operator rows, and, when `float_digits`
-    is given, a factor's floating rendering with weights folded in as square
-    roots good to that many digits."""
+    is given, a PSD factor's floating rendering with weights folded in as
+    square roots good to that many digits."""
     name = command[0]
     if name == "symbol":
         stabilization = _artifact(result, "ellipticity", "ellipticity_report")["stabilization"]
         if stabilization is not None and stabilization["factor"] is not None:
-            form, vectors = obj_to_form(stabilization["form"]), _obj_to_vectors(
+            form, vectors = obj_to_terms(stabilization["form"], written=True), _obj_to_vectors(
                 stabilization["factor"])
             rows = _factor_from_parts(vectors, _factor_basis(form, stabilization["d_min"]),
                                       form.n).rows
             return {"operator_rows": [format_diff_operator_row(row, w)
                                       for (w, _), row in zip(vectors, rows)]}
-    if name == "factor" and float_digits is not None and "factor" in result:
+    if name == "factor" and float_digits is not None:
+        form, d, vectors, _ = obj_to_factor(_artifact(result, "factor", "weighted_gram_factor"))
+        if any(w < 0 for w, _ in vectors):
+            return {}
         if type(float_digits) is not int or not 0 <= float_digits <= MAX_FLOAT_DIGITS:
             raise ValueError(f"float digits must be an integer from 0 to {MAX_FLOAT_DIGITS}")
-        form, d, vectors = obj_to_factor(_artifact(result, "factor", "weighted_gram_factor"))
         matrix = _factor_from_parts(vectors, _factor_basis(form, d), form.n)
         rows = numeric_factor(matrix, float_digits).rows
         return {"numeric_factor": {
@@ -623,8 +594,9 @@ def run_renderings(command: list[str], result: dict, float_digits: int | None = 
 
 def _verify_run_report(obj: dict) -> tuple[bool, str]:
     """Every embedded artifact verifies, the verdicts are exactly those that
-    `run_verdicts` derives from them, besides the UNBOUND_VERDICT, and the
-    renderings exactly those that `run_renderings` derives."""
+    `run_verdicts` derives from them, the renderings exactly those that
+    `run_renderings` derives, and the digest is that of the report without
+    its digest and timings."""
     command, verdicts, result = obj.get("command"), obj.get("verdicts"), obj.get("result")
     if not (isinstance(command, list) and command and all(isinstance(a, str) for a in command)
             and isinstance(verdicts, dict) and isinstance(result, dict)):
@@ -638,54 +610,57 @@ def _verify_run_report(obj: dict) -> tuple[bool, str]:
             or any(not isinstance(row, dict) or row.keys() not in SWEEP_ROW_KEYS for row in rows)):
         raise ValueError(f"{FORMAT_ERROR}: the result of a {name} run report, or a row of it, "
                          f"does not have exactly the keys that {name} writes")
+    basis = None
     for item in embedded_artifacts(result):
-        ok, reason = verify_obj(item)
+        # A check's one artifact is its certificate, whose basis its verdicts read.
+        if item["kind"] == "weighted_gram_factor":
+            (ok, reason), basis = _verify_factor(item)
+        else:
+            ok, reason = verify_obj(item)
         if not ok:
             return False, reason
-    claimed = {k: v for k, v in verdicts.items() if (command[0], k) != UNBOUND_VERDICT}
-    if claimed != run_verdicts(command, result):
+    if verdicts != run_verdicts(command, result, basis):
         return False, "verdicts do not match the embedded artifacts"
     numeric = result.get("numeric_factor")
     digits = numeric.get("float_digits") if isinstance(numeric, dict) else None
     rendered = {key: result[key] for key in RENDERING_KEYS if key in result}
     if rendered != run_renderings(command, result, digits):
         return False, "renderings do not match the embedded artifacts"
+    if obj["digest"] != digest_of_obj({k: v for k, v in obj.items() if k != "digest"}):
+        return False, "digest does not match the report"
     return True, "ok"
+
+
+def _verify_factor(obj: dict) -> tuple[tuple[bool, str], CoefficientBasis]:
+    """verify_obj of a weighted factor, and the basis of its M_d."""
+    terms, d, vectors, witness = obj_to_factor(obj)
+    rows = coefficient_rows(terms) if d == 0 else next(islice(exponent_steps(terms), d, None))
+    reason = factor_failure(rows.matrix(), vectors, strict=False, signed=True)
+    if reason is None and (witness is not None) != any(w < 0 for w, _ in vectors):
+        reason = "witness is not present exactly when a weight is negative"
+    if reason is None and witness is not None:
+        reason = _witness_failure(rows, obj["witness"], witness, strict=False)
+    return ((True, "ok") if reason is None else (False, reason)), rows.basis
 
 
 def verify_obj(obj: dict) -> tuple[bool, str]:
     """Re-check a serialized artifact by exact arithmetic.
 
-    Supports signature certificates (structure of L and D, the identity
-    M = sum w_k v_k v_k^adj over their weighted vectors, witness), weighted
-    factors (the same identity for M_d of the embedded form, every weight
-    nonzero), stabilization reports (each trail witness against the
-    coefficient rows rebuilt from the embedded form, the trail's length
-    against d_min and d_max, and the factor's weighted vectors against the
-    rows at d_min by the certificate's congruence check, with their span in
-    strict mode), ellipticity reports (the sphere points or the stabilization
-    of the embedded form) and run reports (exactly the keys the CLI writes,
-    every embedded artifact, and the verdicts and renderings derived from
-    them).  An artifact not in the current format, or not of an artifact's
-    shape, raises ValueError.
+    Supports weighted factors (M_d of the embedded form = sum w v v^adj, a
+    witness exactly when a weight is negative), stabilization, ellipticity
+    and run reports (every embedded artifact, and the verdicts, renderings
+    and digest derived from them); README "Certificates" lists each check.
+    An artifact not in the current format raises ValueError.
     """
     if not isinstance(obj, dict):
         raise ValueError("an artifact must be a JSON object")
     kind = obj.get("kind")
-    if kind == "signature_certificate":
-        cert = obj_to_certificate(obj)
-        if obj["size"] != cert.size:
-            return False, "component sizes disagree"
-        return cert.verify()
     if kind == "weighted_gram_factor":
-        form, d, vectors = obj_to_factor(obj)
-        rows = coefficient_rows(form) if d == 0 else next(islice(exponent_steps(form), d, None))
-        reason = factor_failure(rows.matrix(), vectors, strict=False, signed=True)
-        return (True, "ok") if reason is None else (False, reason)
+        return _verify_factor(obj)[0]
     if kind == "stabilization_report":
         return _verify_stabilization(obj)
     if kind == "ellipticity_report":
         return _verify_ellipticity(obj)
     if kind == "run_report":
         return _verify_run_report(obj)
-    raise ValueError(f"unsupported artifact kind: {kind!r}")
+    raise ValueError(f"{FORMAT_ERROR}: unsupported artifact kind {kind!r}")

@@ -240,6 +240,15 @@ def reference_gram(a: HoloPolyMatrix) -> BihermitianForm:
     return BihermitianForm.from_terms(a.n, r, acc)
 
 
+def reference_form_obj(form: BihermitianForm) -> dict:
+    """The kernel writer before terms were rows: one object per term, keyed
+    i, j, alpha, beta, re, im, as input files still spell it."""
+    terms = [{"i": i + 1, "j": j + 1, "alpha": list(alpha), "beta": list(beta),
+              "re": reference_fraction_to_str(c.re), "im": reference_fraction_to_str(c.im)}
+             for (i, j, alpha, beta), c in sorted(form.support.items())]
+    return {"kind": "bihermitian_form", "n": form.n, "r": form.r, "terms": terms}
+
+
 # The weighted_gram_factor format and its check before a factor was its
 # weighted vectors on its form: polynomial rows with their weights, the shape
 # and a `target` copy of the shifted form, valid when gram(rows) == target.
@@ -255,7 +264,7 @@ def reference_factor_to_obj(factor: WeightedGramFactor) -> dict:
             [{"alpha": list(alpha), "re": serialize.fraction_to_str(c.re),
               "im": serialize.fraction_to_str(c.im)} for alpha, c in sorted(poly.items())]
             for poly in row]} for w, row in zip(weights, matrix.rows)],
-        "target": serialize.form_to_obj(factor.target),
+        "target": reference_form_obj(factor.target),
     }
 
 
@@ -561,13 +570,11 @@ def reference_entries_to_obj(entries) -> list[list]:
             for j, c in entries]
 
 
-def reference_obj_to_entries(items) -> Entries:
-    return tuple((j, GaussianRational(Fraction(re), Fraction(im))) for j, re, im in items)
-
-
 def reference_certificate_obj(cert: SignatureCertificate) -> dict:
-    """The certificate writer over the reference layout: L's columns, the
-    blocks and the witness's nonzero entries as [j, re, im]."""
+    """The standalone `signature_certificate` writer of the format before
+    `check` wrote weighted vectors on its form, over the reference layout: the
+    dense matrix, L's columns, the blocks and the witness's nonzero entries as
+    [j, re, im]."""
     return {
         "kind": "signature_certificate",
         "size": cert.size,
@@ -759,10 +766,10 @@ def reference_weighted_vectors(cert: SignatureCertificate):
     tuples, the form the sparse rows replaced.
 
     v_k is column k of P^T L: v_k[permutation[k]] = 1 and
-    v_k[permutation[j]] = L[j][k].  Each nonzero d_k gives (d_k, v_k) in
-    slot order; then each hollow block a at slots k, k + 1, with
-    x = v_k and y = conj(a) v_{k+1}, gives (1/2, x + y) and (-1/2, x - y),
-    since a v_k v_{k+1}^adj + conj(a) v_{k+1} v_k^adj is their sum.
+    v_k[permutation[j]] = L[j][k].  In slot order, each nonzero d_k gives
+    (d_k, v_k), and each hollow block a at slots k, k + 1, with x = v_k and
+    y = conj(a) v_{k+1}, gives (1/2, x + y) and (-1/2, x - y), since
+    a v_k v_{k+1}^adj + conj(a) v_{k+1} v_k^adj is their sum.
     """
     n, perm = cert.size, cert.permutation
 
@@ -773,14 +780,30 @@ def reference_weighted_vectors(cert: SignatureCertificate):
             v[perm[j]] = c
         return v
 
-    out = [(d, tuple(column(k))) for k, d in enumerate(cert.diag) if d]
+    out = []
     half = Fraction(1, 2)
-    for k, a in cert.blocks:
-        ca = a.conjugate()
-        x, y = column(k), [ca * c if c else c for c in column(k + 1)]
-        out.append((half, tuple(p + q for p, q in zip(x, y))))
-        out.append((-half, tuple(p - q for p, q in zip(x, y))))
+    blocks = dict(cert.blocks)
+    for k, d in enumerate(cert.diag):
+        if d:
+            out.append((d, tuple(column(k))))
+        elif k in blocks:
+            ca = blocks[k].conjugate()
+            x, y = column(k), [ca * c if c else c for c in column(k + 1)]
+            out.append((half, tuple(p + q for p, q in zip(x, y))))
+            out.append((-half, tuple(p - q for p, q in zip(x, y))))
     return out
+
+
+def reference_evidence_obj(cert: SignatureCertificate) -> dict:
+    """`serialize.certificate_to_obj` over the reference layout: the weighted
+    vectors and the witness by their nonzero entries [j, re, im]."""
+    def entries(vector) -> list[list]:
+        return reference_entries_to_obj((j, c) for j, c in enumerate(vector) if c)
+
+    witness = reference_layout(cert).witness
+    return {"vectors": [[reference_fraction_to_str(w), entries(v)]
+                        for w, v in reference_weighted_vectors(reference_layout(cert))],
+            "witness": None if witness is None else entries(witness)}
 
 
 def reference_verify(cert: SignatureCertificate) -> tuple[bool, str]:

@@ -6,10 +6,10 @@ from pathlib import Path
 
 import pytest
 
-from hermfact import serialize
+from hermfact import coefficient_matrix, ldl_signature, serialize
 from hermfact.cli import main
 
-from helpers import quartic_family
+from helpers import quartic_family, reference_certificate_obj, reference_form_obj, reference_layout
 
 DIAGONAL_QUARTIC = "z1^2*zb1^2 + z2^2*zb2^2"
 SQUARE_DIFFERENCE = "z1^2*zb1^2 - 2*z1*z2*zb1*zb2 + z2^2*zb2^2"
@@ -83,17 +83,21 @@ def test_factor_command(capsys):
     assert code == 0
     report = json.loads(out)
     assert report["verdicts"]["rows"] == 2
-    assert "certificate" not in report["result"]
     # Evidence on the embedded form: no polynomial rows, shape or target.
-    assert report["result"]["factor"].keys() == {"kind", "form", "d", "vectors"}
+    assert report["result"].keys() == {"factor"}
+    assert report["result"]["factor"].keys() == {"kind", "form", "d", "vectors", "witness"}
+    assert report["result"]["factor"]["witness"] is None
     ok, reason = serialize.verify_obj(report["result"]["factor"])
     assert ok, reason
 
-    code, out, _ = run(capsys, ["factor", "-e", SQUARE_DIFFERENCE, "--d", "7"])
+    # A failing factor is the same artifact, with a negative weight and a witness.
+    code, out, _ = run(capsys, ["factor", "-e", SQUARE_DIFFERENCE, "--d", "7", "--numeric"])
     assert code == 1
     report = json.loads(out)
-    assert report["result"]["certificate"]["witness"] is not None
-    assert "factor" not in report["result"]
+    assert report["result"].keys() == {"factor"}
+    assert report["verdicts"] == {"d": 7, "factorable": False, "rows": 0}
+    assert report["result"]["factor"]["witness"] is not None
+    assert any(w.startswith("-") for w, _ in report["result"]["factor"]["vectors"])
 
     code, out, _ = run(capsys, ["factor", "-e", INDEFINITE_QUARTIC, "--d", "1", "--numeric"])
     assert code == 0
@@ -216,7 +220,7 @@ def test_verify_command_paths(capsys, tmp_path):
     assert code == 0 and json.loads(out)["valid"] is True
 
     tampered = json.loads(cert_file.read_text())
-    tampered["diag"][0] = "123/7"
+    tampered["vectors"][0][0] = "123/7"
     bad_file = tmp_path / "tampered.json"
     bad_file.write_text(json.dumps(tampered))
     code, out, _ = run(capsys, ["verify", str(bad_file)])
@@ -241,8 +245,8 @@ HOLLOW = "z1*zb2 + z2*zb1"
 COUPLED = "z1*zb1 + z1*zb2 + z2*zb1 - z2*zb2 + z3*zb3"
 
 
-def _drop_lower_column(cert):
-    cert["lower"].pop()
+def _drop_vector(cert):
+    cert["vectors"].pop()
 
 
 def _witness_index_past_size(cert):
@@ -253,82 +257,82 @@ def _witness_indices_out_of_order(cert):
     cert["witness"].append([0, "1", "0"])
 
 
-def _lower_index_on_diagonal(cert):
-    cert["lower"][1] = [[1, "1", "0"]]
+def _witness_dropped(cert):
+    cert["witness"] = None
 
 
-def _lower_index_above_diagonal(cert):
-    cert["lower"][2] = [[1, "1", "0"]]
+def _vector_index_negative(cert):
+    cert["vectors"][0][1].insert(0, [-1, "1", "0"])
 
 
-def _lower_index_negative(cert):
-    cert["lower"][0] = [[-1, "1", "0"]]
+def _vector_index_past_size(cert):
+    cert["vectors"][0][1].append([3, "1", "0"])
 
 
-def _lower_index_past_size(cert):
-    cert["lower"][0] = [[3, "1", "0"]]
+def _vector_entries_out_of_order(cert):
+    cert["vectors"][0][1].append([0, "1", "0"])
 
 
-def _lower_entries_out_of_order(cert):
-    cert["lower"][0] = [[2, "1", "0"], [1, "1", "0"]]
+def _vector_value_bumped(cert):
+    assert cert["vectors"][0] == ["1", [[0, "1", "0"], [1, "1", "0"]]]
+    cert["vectors"][0][1][1][1] = "2"
 
 
-def _lower_value_bumped(cert):
-    assert cert["lower"][0] == [[1, "1", "0"]]
-    cert["lower"][0][0][1] = "2"
+def _vector_duplicated(cert):
+    cert["vectors"].insert(1, cert["vectors"][0])
 
 
-def _overlapping_block(cert):
-    cert["blocks"].append([1, "1", "0"])
+def _hollow_pair_split(cert):
+    # the vector of z3 between the pair x + y, x - y of the block
+    cert["vectors"].insert(1, cert["vectors"].pop(0))
 
 
-def _block_out_of_range(cert):
-    cert["blocks"] = [[1, "1", "0"]]
+def _weight_zero(cert):
+    cert["vectors"][0][0] = "0"
 
 
-SIZES = "component sizes disagree"
-LOWER = "lower is not strictly lower triangular in pivot order"
-BLOCKS = "blocks are not disjoint hollow 2x2 pivots"
-# A witness index out of range or out of order is a format error (exit 2).
+# Each has a third variable, so that its matrix is 3x3.
+INDEFINITE_SUM = "z1*zb1 - z2*zb2 + z3*zb3"
+OUT_OF_RANGE = "factor index out of range"
+INDEPENDENT = "factor vectors are not independent"
+# A witness or vector whose indices do not ascend is a format error (exit 2).
 FORMAT = None
 
 
-# An id that names `transform` tests the same malformation of `lower`, the
-# field that replaced it, and keeps its name.
 @pytest.mark.parametrize(
     "expr, malform, reason",
     [
-        (SQUARE_DIFFERENCE, _drop_lower_column, SIZES),
-        (SQUARE_DIFFERENCE, _witness_index_past_size, FORMAT),
-        (SQUARE_DIFFERENCE, _witness_indices_out_of_order, FORMAT),
-        (SQUARE_DIFFERENCE, _lower_index_on_diagonal, LOWER),
-        (SQUARE_DIFFERENCE, _lower_index_above_diagonal, LOWER),
-        (SQUARE_DIFFERENCE, _lower_index_negative, LOWER),
-        (SQUARE_DIFFERENCE, _lower_index_past_size, LOWER),
-        (SQUARE_DIFFERENCE, _lower_entries_out_of_order, LOWER),
-        (COUPLED, _lower_value_bumped, "congruence identity fails at (0,1)"),
-        (HOLLOW, _overlapping_block, BLOCKS),
-        (HOLLOW, _block_out_of_range, BLOCKS),
+        (INDEFINITE_SUM, _drop_vector, "factor: congruence identity fails at (2,2)"),
+        (INDEFINITE_SUM, _witness_index_past_size, "witness index out of range"),
+        (INDEFINITE_SUM, _witness_indices_out_of_order, FORMAT),
+        (INDEFINITE_SUM, _witness_dropped,
+         "witness is not present exactly when a weight is negative"),
+        (INDEFINITE_SUM, _vector_index_negative, OUT_OF_RANGE),
+        (INDEFINITE_SUM, _vector_index_past_size, OUT_OF_RANGE),
+        (INDEFINITE_SUM, _vector_entries_out_of_order, FORMAT),
+        (COUPLED, _vector_value_bumped, "factor: congruence identity fails at (0,1)"),
+        (INDEFINITE_SUM, _vector_duplicated, INDEPENDENT),
+        (HOLLOW + " + z3*zb3", _hollow_pair_split, INDEPENDENT),
+        (HOLLOW + " + z3*zb3", _weight_zero, "factor weight is zero"),
     ],
     ids=[
-        "short_transform_row",
+        "vector_dropped",
         "long_witness",
         "witness_indices_out_of_order",
-        "transform_index_on_diagonal",
-        "lower_index_above_diagonal",
-        "transform_index_negative",
-        "transform_index_past_size",
-        "lower_entries_out_of_order",
-        "lower_value_bumped",
-        "overlapping_block",
-        "block_out_of_range",
+        "witness_dropped",
+        "vector_index_negative",
+        "vector_index_past_size",
+        "vector_entries_out_of_order",
+        "vector_value_bumped",
+        "vector_duplicated",
+        "hollow_pair_split",
+        "weight_zero",
     ],
 )
 def test_verify_rejects_malformed_certificate_shapes(capsys, tmp_path, expr, malform, reason):
-    code, out, _ = run(capsys, ["check", "-e", expr, "--n", "2", "--mode", "semi"])
+    code, out, _ = run(capsys, ["check", "-e", expr, "--mode", "semi"])
     cert = json.loads(out)["result"]["certificate"]
-    assert cert["witness"] is not None
-    assert cert["blocks"] if expr == HOLLOW else cert["size"] == 3
+    assert cert["witness"] is not None and len(cert["vectors"]) == 3
     malform(cert)
     path = tmp_path / "malformed.json"
     path.write_text(json.dumps(cert))
@@ -375,10 +379,29 @@ def test_missing_input_is_usage_error(capsys):
     assert code == 2 and "input" in err
 
 
+def _parent_certificate(report):
+    # The standalone certificate that `check --cert-dir` mirrored before check
+    # wrote weighted vectors on its form, by the old writer in helpers.py.
+    form = serialize.obj_to_form(report["result"]["certificate"]["form"], written=True)
+    return reference_certificate_obj(reference_layout(ldl_signature(coefficient_matrix(form)[0])))
+
+
+def _check_report_with_parent_certificate(report):
+    report["result"]["certificate"] = _parent_certificate(report)
+    return report
+
+
+def _form_terms_as_objects(report):
+    # Each term as an object, as forms were written before terms were rows.
+    form = report["result"]["stabilization"]["form"]
+    form["terms"] = reference_form_obj(serialize.obj_to_form(form))["terms"]
+    return report
+
+
 def _dense_transform_with_inverse(report):
     # The certificate format before W was stored sparse: dense W and W^-1
     # rows of [re, im] pairs, a stored inertia, no blocks.
-    cert = report["result"]["certificate"]
+    cert = _parent_certificate(report)
     n = cert["size"]
     identity = [[["1" if i == j else "0", "0"] for j in range(n)] for i in range(n)]
     cert["transform"], cert["transform_inv"] = identity, identity
@@ -388,14 +411,14 @@ def _dense_transform_with_inverse(report):
 
 
 def _lower_columns_of_pairs(report):
-    cert = report["result"]["certificate"]
+    cert = _parent_certificate(report)
     cert["lower"] = [[["0", "0"]] * i for i in range(cert["size"])]
     return cert
 
 
 def _dense_witness(report):
     # The witness as the format before L was stored wrote it: n [re, im] pairs.
-    cert = report["result"]["certificate"]
+    cert = _parent_certificate(report)
     dense = [["0", "0"] for _ in range(cert["size"])]
     for j, re, im in cert["witness"]:
         dense[j] = [re, im]
@@ -404,7 +427,7 @@ def _dense_witness(report):
 
 
 def _stored_inertia(report):
-    cert = report["result"]["certificate"]
+    cert = _parent_certificate(report)
     cert["inertia"] = report["verdicts"]["inertia"]
     return cert
 
@@ -548,26 +571,33 @@ def _unknown_mode(report):
     return stabilization
 
 
-ENTRY_SHAPE = "lower, blocks and witness entries must be [int, str, str]"
+# A certificate of any spelling before this one is no artifact kind any more.
+PARENT_CERTIFICATE = "unsupported artifact kind 'signature_certificate'"
+KERNEL_TERM = "a kernel term must be a row [i, j, alpha, beta, re, im]"
 
 
 @pytest.mark.parametrize(
     "argv, outdate, message",
     [
-        (["check", "-e", SQUARE_DIFFERENCE], _dense_transform_with_inverse, ""),
-        # The id names the field's old name; the entries are now L's columns.
-        (["check", "-e", SQUARE_DIFFERENCE], _lower_columns_of_pairs, ENTRY_SHAPE),
-        (["check", "-e", SQUARE_DIFFERENCE], _dense_witness, ENTRY_SHAPE),
-        (["check", "-e", SQUARE_DIFFERENCE], _stored_inertia, ""),
+        (["check", "-e", SQUARE_DIFFERENCE], _dense_transform_with_inverse, PARENT_CERTIFICATE),
+        # The id names the field's old name; the entries are L's columns.
+        (["check", "-e", SQUARE_DIFFERENCE], _lower_columns_of_pairs, PARENT_CERTIFICATE),
+        (["check", "-e", SQUARE_DIFFERENCE], _dense_witness, PARENT_CERTIFICATE),
+        (["check", "-e", SQUARE_DIFFERENCE], _stored_inertia, PARENT_CERTIFICATE),
+        (["check", "-e", SQUARE_DIFFERENCE], _parent_certificate, PARENT_CERTIFICATE),
+        (["check", "-e", SQUARE_DIFFERENCE], _check_report_with_parent_certificate,
+         "a run report's certificate must be a weighted_gram_factor"),
+        (["stabilize", "-e", INDEFINITE_QUARTIC, "--dmax", "5"], _form_terms_as_objects,
+         KERNEL_TERM),
         (["stabilize", "-e", INDEFINITE_QUARTIC, "--dmax", "5"], _trail_step_with_certificate, ""),
         (["stabilize", "-e", INDEFINITE_QUARTIC, "--dmax", "5"], _unknown_mode, ""),
         (["check", "-e", SQUARE_DIFFERENCE], lambda report: PARENT_FORMAT_CHECK, ""),
         (["stabilize", "-e", "z1*zb1", "--n", "2", "--dmax", "0"],
          lambda report: PARENT_FORMAT_STABILIZE, TRAIL_STEP_SHAPE),
-        (["symbol", "-e", "x1^2 + x2^2"], lambda report: PARENT_FORMAT_SYMBOL, TRAIL_STEP_SHAPE),
+        (["symbol", "-e", "x1^2 + x2^2"], lambda report: PARENT_FORMAT_SYMBOL, KERNEL_TERM),
         (["stabilize", "-e", "z1*zb1", "--n", "2", "--mode", "semi", "--dmax", "0"],
          lambda report: PARENT_FORMAT_FACTOR_STABILIZE, FACTOR_SHAPE),
-        (["symbol", "-e", "x1^2 + x2^2"], lambda report: PARENT_FORMAT_FACTOR_SYMBOL, FACTOR_SHAPE),
+        (["symbol", "-e", "x1^2 + x2^2"], lambda report: PARENT_FORMAT_FACTOR_SYMBOL, KERNEL_TERM),
         (["factor", "-e", "z1*zb1"], lambda report: PARENT_FORMAT_FACTOR, WEIGHTED_FACTOR_KEYS),
         (["factor", "-e", "z1*zb1"], lambda report: _PARENT_FORMAT_FACTOR, WEIGHTED_FACTOR_KEYS),
         (["decompose", "-e", "z1*zb1 - z2*zb2"], lambda report: PARENT_FORMAT_DECOMPOSE,
@@ -578,6 +608,9 @@ ENTRY_SHAPE = "lower, blocks and witness entries must be [int, str, str]"
         "transform_rows_of_pairs",
         "dense_witness",
         "stored_inertia",
+        "parent_certificate",
+        "check_report_with_parent_certificate",
+        "form_terms_as_objects",
         "trail_step_with_certificate",
         "unknown_mode",
         "dense_witness_and_transform",
@@ -768,8 +801,7 @@ def _factor_zero_entry_of_wrong_length(capsys):
 def _factor_form_zero_term_out_of_range(capsys):
     # A zero term of the form is checked before it is dropped: i = 9 at r = 1.
     report = json.loads(run(capsys, ["factor", "-e", DIAGONAL_QUARTIC])[1])
-    report["result"]["factor"]["form"]["terms"].append(
-        {"i": 9, "j": 1, "alpha": [2, 0], "beta": [2, 0], "re": "0", "im": "0"})
+    report["result"]["factor"]["form"]["terms"].append([9, 1, [2, 0], [2, 0], "0", "0"])
     return report
 
 
@@ -823,7 +855,8 @@ def test_verify_malformed_shapes_are_input_errors(capsys, tmp_path, make):
     assert code == 2 and out == "" and err.startswith("error: ")
     assert "Traceback" not in err
     if make is _certificate_without_kind:
-        assert err == "error: a run report's certificate must be a signature_certificate\n"
+        assert err == ("error: artifact is not in the current certificate format: a run "
+                       "report's certificate must be a weighted_gram_factor\n")
 
 
 def _first_numeric_value(result):
@@ -911,12 +944,11 @@ def test_report_numbers_past_the_digit_limit_are_input_errors(capsys, tmp_path):
 
 def _stabilization_form_not_hermitian(stabilization):
     # |z2|^4 gets coefficient 1 + i: a diagonal term that is not real.
-    stabilization["form"]["terms"][0]["im"] = "1"
+    stabilization["form"]["terms"][0][5] = "1"
 
 
 def _stabilization_form_of_mixed_bidegree(stabilization):
-    stabilization["form"]["terms"].append(
-        {"i": 1, "j": 1, "alpha": [1, 0], "beta": [1, 0], "re": "1", "im": "0"})
+    stabilization["form"]["terms"].append([1, 1, [1, 0], [1, 0], "1", "0"])
 
 
 def _stabilization_trail_emptied(stabilization):
@@ -962,17 +994,17 @@ def _no_rational_argv(site, spelling, tmp_path, capsys) -> list[str]:
     run(capsys, ["check", "-e", "z1*zb1 + z2*zb2", "--out", str(path)])
     report = json.loads(path.read_text())
     cert = report["result"]["certificate"]
-    if site == "verify_diag":
-        cert["diag"][0] = spelling
+    if site == "verify_weight":
+        cert["vectors"][0][0] = spelling
     else:
-        cert["matrix"][0][0] = [spelling, "0"]
+        cert["form"]["terms"][0][4] = spelling
     path.write_text(json.dumps(report))
     return ["verify", str(path)]
 
 
 @pytest.mark.parametrize("spelling", ["1/0", "+1/0", None, float("inf")])
-@pytest.mark.parametrize("site", ["check_form", "sweep_member_form", "verify_diag",
-                                  "verify_matrix"])
+@pytest.mark.parametrize("site", ["check_form", "sweep_member_form", "verify_weight",
+                                  "verify_form"])
 def test_a_value_that_is_not_a_rational_is_an_input_error(capsys, tmp_path, site, spelling):
     # A zero denominator, JSON null or Infinity; "+1/0" is not in the
     # written spelling, so it takes the Fraction path.
@@ -1242,3 +1274,94 @@ def test_numeric_rendering_of_the_readme_factor_is_unchanged(capsys):
     assert code == 0
     numeric = json.loads(out)["result"]["numeric_factor"]
     assert serialize.canonical_json(numeric) == README_NUMERIC_FACTOR
+
+
+# The cancelling pair ["1", v], ["-1", v] adds nothing to the sum of a
+# factor, but raises both weight counts; two equal vectors are not independent.
+CANCELLING_PAIR = [["1", [[0, "1", "0"], [1, "1", "0"]]], ["-1", [[0, "1", "0"], [1, "1", "0"]]]]
+
+
+def _decompose_with_cancelling_pair(capsys):
+    report = json.loads(run(capsys, ["decompose", "-e", "z1*zb1 - z2*zb2"])[1])
+    report["result"]["decomposition"]["vectors"] += CANCELLING_PAIR
+    report["verdicts"].update(positive_rank=2, negative_rank=2)
+    return report
+
+
+def _check_with_cancelling_pair(capsys):
+    report = json.loads(run(capsys, ["check", "-e", "z1*zb1 - z2*zb2 + z3*zb3"])[1])
+    report["result"]["certificate"]["vectors"] += CANCELLING_PAIR
+    report["verdicts"]["inertia"] = {"pos": 3, "neg": 2, "zero": -2}
+    return report
+
+
+def _check_with_vectors_of_another_form(capsys):
+    # The vectors and witness of z1*zb1 - 2*z2*zb2 on the form z1*zb1 - z2*zb2:
+    # same size, same inertia, another matrix.
+    report = json.loads(run(capsys, ["check", "-e", "z1*zb1 - z2*zb2"])[1])
+    other = json.loads(run(capsys, ["check", "-e", "z1*zb1 - 2*z2*zb2"])[1])
+    assert report["verdicts"] == other["verdicts"]
+    for key in ("vectors", "witness"):
+        report["result"]["certificate"][key] = other["result"]["certificate"][key]
+    return report
+
+
+@pytest.mark.parametrize(
+    "forge, reason",
+    [(_decompose_with_cancelling_pair, "factor vectors are not independent"),
+     (_check_with_cancelling_pair, "factor vectors are not independent"),
+     (_check_with_vectors_of_another_form, "factor: congruence identity fails at (1,1)")],
+    ids=["decompose_cancelling_pair", "check_cancelling_pair", "check_vectors_of_another_form"],
+)
+def test_verify_rejects_evidence_that_does_not_prove_the_inertia(capsys, tmp_path, forge, reason):
+    path = tmp_path / "forged.json"
+    path.write_text(json.dumps(forge(capsys)))
+    assert run(capsys, ["verify", str(path)]) == (
+        1, json.dumps({"valid": False, "reason": reason}) + "\n", "")
+
+
+def test_strict_check_of_a_singular_psd_form_verifies(capsys, tmp_path):
+    # M = [[1, 1], [1, 1]] is PSD of rank 1: one positive weight, no witness,
+    # and the zero count is the size less the one independent vector.
+    path = tmp_path / "report.json"
+    expr = "z1*zb1 + z1*zb2 + z2*zb1 + z2*zb2"
+    code, out, _ = run(capsys, ["check", "--mode", "strict", "-e", expr, "--out", str(path)])
+    report = json.loads(out)
+    assert code == 1 and report["verdicts"]["passes"] is False
+    assert report["verdicts"]["inertia"] == {"pos": 1, "neg": 0, "zero": 1}
+    assert report["result"]["certificate"]["witness"] is None
+    assert run(capsys, ["verify", str(path)]) == (0, '{"valid": true, "reason": "ok"}\n', "")
+
+
+def test_check_of_one_large_index_writes_a_small_report(capsys, tmp_path):
+    # The 1000x1000 coefficient matrix has one nonzero entry: the report holds
+    # the one-term form, one weighted vector and no matrix.
+    path = tmp_path / "report.json"
+    code, _, _ = run(capsys, ["check", "-e", "z1000*zb1000", "--out", str(path)])
+    assert code == 0 and len(path.read_bytes()) < 10_000
+    report = json.loads(path.read_text())
+    assert report["verdicts"]["matrix_size"] == 1000
+    assert report["verdicts"]["inertia"] == {"pos": 1, "neg": 0, "zero": 999}
+    assert run(capsys, ["verify", str(path)]) == (0, '{"valid": true, "reason": "ok"}\n', "")
+
+
+@pytest.mark.parametrize("argv", RUN_REPORT_ARGV, ids=lambda argv: argv[0])
+def test_verify_recomputes_the_digest(capsys, tmp_path, argv):
+    path = tmp_path / "report.json"
+    run(capsys, argv + ["--out", str(path)])
+    report = json.loads(path.read_text())
+    # input_digest is bound by nothing but the digest
+    digest = report["input_digest"]
+    report["input_digest"] = digest[:-1] + ("0" if digest[-1] != "0" else "1")
+    path.write_text(json.dumps(report))
+    assert run(capsys, ["verify", str(path)]) == (
+        1, '{"valid": false, "reason": "digest does not match the report"}\n', "")
+
+
+def test_verify_rejects_a_rewritten_verdict_byte(capsys, tmp_path):
+    path = tmp_path / "report.json"
+    run(capsys, ["check", "-e", "z1*zb1 - z2*zb2", "--out", str(path)])
+    text = path.read_text()
+    assert text.count('"zero":0') == 1
+    path.write_text(text.replace('"zero":0', '"zero":1'))
+    assert run(capsys, ["verify", str(path)])[0] == 1

@@ -3,7 +3,6 @@ run draws the same examples)."""
 
 import contextlib
 import copy
-import dataclasses
 import functools
 import io
 import json
@@ -34,9 +33,10 @@ from hermfact import (
     parse_real_symbol,
 )
 from hermfact import serialize
-from hermfact.certify import mode_evidence
+from hermfact.certify import independence_failure, mode_evidence
 from hermfact.cli import main as cli_main
 from hermfact.factor import _factor_from_parts
+from hermfact.hermform import coefficient_basis
 from hermfact.scalars import ZERO
 from hermfact.stabilize import exponent_steps
 from hermfact.symbols import RealSymbol, _sample_symbol, complex_to_real, real_to_complex
@@ -46,18 +46,17 @@ from helpers import (
     quadratic_value,
     quartic_family,
     reconstructs_target,
-    reference_certificate_obj,
     reference_coefficient_matrix,
     reference_evaluate_exact,
+    reference_evidence_obj,
     reference_factor_to_obj,
     reference_find_minimal_d,
+    reference_form_obj,
     reference_fraction_to_str,
     reference_gram,
     reference_integer_ldl_signature,
     reference_layout,
-    reference_matrix_obj,
     reference_multiplier_power,
-    reference_obj_to_entries,
     reference_obj_to_factor,
     reference_parse_expression,
     reference_parse_real_symbol,
@@ -405,16 +404,23 @@ def _spelled_over_double(text: str) -> str:
 
 
 @SETTINGS
-@given(matrix=hermitian_matrices())
-def test_certificate_matrix_writer_equals_reference_and_reads_back(matrix):
-    cert = ldl_signature(matrix)
-    obj = serialize.certificate_to_obj(cert)
-    assert obj["matrix"] == reference_matrix_obj(matrix)
-    assert serialize.obj_to_certificate(obj) == cert
-    # The reader brings a row of non-canonical spellings back to lowest terms.
-    obj["matrix"] = [[[_spelled_over_double(x) for x in pair] for pair in row]
-                     for row in obj["matrix"]]
-    assert serialize.obj_to_certificate(obj) == cert
+@given(form=forms(hermitian=False))
+def test_form_writer_equals_reference_and_reads_back(form):
+    # A term is the row of the fields that the object spelling names.
+    obj = serialize.form_to_obj(form)
+    objects = reference_form_obj(form)
+    assert obj["terms"] == [[term[f] for f in serialize.TERM_FIELDS] for term in objects["terms"]]
+    assert serialize.obj_to_form(obj, written=True) == serialize.obj_to_form(objects) == form
+    # The integer reader brings non-canonical spellings back to the same form,
+    # and adds up terms written twice.
+    for term in obj["terms"]:
+        term[4:] = map(_spelled_over_double, term[4:])
+    assert serialize.obj_to_form(obj, written=True) == form
+    obj["terms"] += [term[:4] + ["0", "0"] for term in obj["terms"]]
+    assert serialize.obj_to_form(obj, written=True) == form
+    if obj["terms"]:
+        with pytest.raises(ValueError, match="not in the current certificate format"):
+            serialize.obj_to_form(objects, written=True)
 
 
 @st.composite
@@ -529,24 +535,21 @@ def test_find_minimal_d_equals_the_full_elimination_search_on_drawn_forms(form, 
     assert find_minimal_d(form, mode, 4) == reference_find_minimal_d(form, mode, 4)
 
 
-def _respelled(obj: dict) -> dict:
-    """A certificate object with every part of its diag, lower, blocks and
-    witness written over a doubled denominator, or as "-0" when it is 0, and
-    a ["0", "0"] entry inserted in each column of L that has a free index."""
+def _respelled(obj: dict, size: int) -> dict:
+    """A certificate's evidence with every weight and entry part written over
+    a doubled denominator, or as "-0" when it is 0, and a ["0", "0"] entry
+    appended to each vector and the witness at the index past their last,
+    when that is below `size`."""
     def respell(text: str) -> str:
         p, q = serialize.read_ratio(text)
         return f"{2 * p}/{2 * q}" if p else "-0"
 
     def entries(items):
-        return [[j, respell(re), respell(im)] for j, re, im in items]
+        last = items[-1][0] + 1
+        return ([[j, respell(re), respell(im)] for j, re, im in items]
+                + [[last, "0", "0"]] * (last < size))
 
-    lower = []
-    for k, column in enumerate(obj["lower"]):
-        taken = {j for j, _, _ in column}
-        free = [j for j in range(k + 1, obj["size"]) if j not in taken]
-        lower.append(sorted(entries(column) + [[j, "0", "0"] for j in free[:1]]))
-    return {**obj, "lower": lower, "diag": [respell(d) for d in obj["diag"]],
-            "blocks": entries(obj["blocks"]),
+    return {"vectors": [[respell(w), entries(v)] for w, v in obj["vectors"]],
             "witness": None if obj["witness"] is None else entries(obj["witness"])}
 
 
@@ -555,19 +558,33 @@ def _respelled(obj: dict) -> dict:
 def test_certificate_codec_equals_reference_and_reads_respellings(matrix, strict):
     cert = ldl_signature(matrix, strict=strict)
     obj = serialize.certificate_to_obj(cert)
-    assert obj == reference_certificate_obj(reference_layout(cert))
-    read = serialize.obj_to_certificate(obj)
-    assert reference_layout(read).lower == tuple(map(reference_obj_to_entries, obj["lower"]))
-    assert read.blocks == reference_obj_to_entries(obj["blocks"])
-    # The wire does not carry `strict`; the rest reads back exactly, and a
-    # re-spelled copy reads back to the same certificate.
-    assert dataclasses.replace(read, strict=strict) == cert
-    respelled = _respelled(obj)
-    assert respelled != obj
+    assert obj == reference_evidence_obj(cert)
+    read = (cert.weighted_vectors(), cert.witness)
+    assert serialize.obj_to_certificate(obj) == read
+    respelled = _respelled(obj, matrix.size)
     assert serialize.obj_to_certificate(respelled) == read
-    assert dataclasses.replace(read, strict=strict).verify() == (True, "ok")
-    if not strict:
-        assert serialize.verify_obj(obj) == serialize.verify_obj(respelled) == (True, "ok")
+    # On the constant form whose matrix is M the evidence verifies, unless a
+    # strict certificate of a singular PSD M has a witness and no negative weight.
+    factor = serialize.factor_to_obj(from_coefficient_matrix(matrix, 1, 0, matrix.size), 0, cert)
+    if (cert.witness is None) == (cert.n_neg == 0):
+        assert serialize.verify_obj(factor) == serialize.verify_obj({**factor, **respelled}) == (
+            True, "ok")
+    else:
+        assert serialize.verify_obj(factor) == (
+            False, "witness is not present exactly when a weight is negative")
+
+
+@settings(SETTINGS, max_examples=200)
+@given(matrix=hermitian_matrices() | gram_matrices(), data=st.data())
+def test_independence_accepts_certificates_and_rejects_a_duplicate(matrix, data):
+    # Drawn matrices are singular, hollow (blocks) or neither; their
+    # weighted vectors in slot order pass, and a copy of one never does.
+    vectors = ldl_signature(matrix).weighted_vectors()
+    assert independence_failure(vectors) is None
+    assume(vectors)
+    copied = vectors[data.draw(st.integers(0, len(vectors) - 1))]
+    vectors.insert(data.draw(st.integers(0, len(vectors))), copied)
+    assert independence_failure(vectors) == "factor vectors are not independent"
 
 
 @st.composite
@@ -608,13 +625,18 @@ def _emitted_stabilization(text: str, mode: str, d_max: int) -> str:
 
 def _mutate(data, obj: dict, kind: str) -> None:
     """Change one part of `obj`, a stabilization report or a weighted factor:
-    a trail witness entry, a factor weight or vector entry, one trail step or
-    factor vector dropped or duplicated (in place of another or beside it),
-    one coefficient of the embedded form, or d_min, d_max, mode or d."""
+    a trail or factor witness entry (or a witness given to a factor without
+    one), a factor weight or vector entry, one trail step or factor vector
+    dropped or duplicated (in place of another or beside it), a cancelling
+    pair [w, v], [-w, v] of a factor's vectors put beside them, one
+    coefficient of the embedded form, or d_min, d_max, mode or d."""
     key = "factor" if "trail" in obj else "vectors"
     vectors = obj[key] or []
-    if kind in ("witness", "vector"):
-        entries = [entry for v in (obj["trail"] if kind == "witness" else
+    if kind == "witness" and key == "vectors" and obj["witness"] is None:
+        obj["witness"] = [[data.draw(st.integers(0, 9)), data.draw(ratio_strings), "0"]]
+    elif kind in ("witness", "vector"):
+        witnesses = obj["trail"] if key == "factor" else [obj["witness"]]
+        entries = [entry for v in (witnesses if kind == "witness" else
                                    [v for _, v in vectors]) for entry in v]
         assume(entries)
         entry = entries[data.draw(st.integers(0, len(entries) - 1))]
@@ -633,11 +655,17 @@ def _mutate(data, obj: dict, kind: str) -> None:
             items.insert(data.draw(st.integers(0, len(items))), copy.deepcopy(item))
         else:
             items[data.draw(st.integers(0, len(items) - 1))] = copy.deepcopy(item)
+    elif kind == "cancel":
+        assume(vectors)
+        _, v = vectors[data.draw(st.integers(0, len(vectors) - 1))]
+        w = data.draw(ratio_strings.filter(lambda x: x != "0" and not x.startswith("-")))
+        at = data.draw(st.integers(0, len(vectors)))
+        vectors[at:at] = [[w, copy.deepcopy(v)], ["-" + w, copy.deepcopy(v)]]
     elif kind == "form":
         terms = obj["form"]["terms"]
         assume(terms)
         term = terms[data.draw(st.integers(0, len(terms) - 1))]
-        term[data.draw(st.sampled_from(["re", "im"]))] = data.draw(ratio_strings)
+        term[data.draw(st.sampled_from([4, 5]))] = data.draw(ratio_strings)
     elif kind == "mode":
         obj["mode"] = "semi" if obj["mode"] == "strict" else "strict"
     else:
@@ -662,54 +690,90 @@ def test_a_mutated_stabilization_is_rejected_or_still_proves_its_claim(search, k
         assert find_minimal_d(form, obj["mode"], obj["d_max"]).d_min == obj["d_min"]
 
 
-# Emitted factor and decompose reports: factors at d = 0 (with its numeric
-# rendering) and at the off-diagonal quartic's d_min 6, and decompositions
-# with complex coefficients and with a hollow 2x2 pivot.
+# Emitted factor, decompose and check reports: factors at d = 0 (with its
+# numeric rendering) and at the off-diagonal quartic's d_min 6, a failing one
+# at d = 2, decompositions with complex coefficients and with a hollow 2x2
+# pivot, and checks that fail: indefinite, hollow, and PSD but singular.
 FACTOR_RUNS = [("factor", "-e", "z1*zb1 + 1/2*z1*zb2 + 1/2*z2*zb1 + 2*z2*zb2", "--numeric"),
-               ("factor", "-e", OFF_DIAGONAL, "--d", "6"), ("decompose", "-e", OFF_DIAGONAL),
-               ("decompose", "-e", "z1*zb2 + z2*zb1 + z3*zb3")]
-FACTOR_MUTATIONS = ("weight", "vector", "drop", "duplicate", "d", "form", "command")
+               ("factor", "-e", OFF_DIAGONAL, "--d", "6"), ("factor", "-e", OFF_DIAGONAL, "--d", "2"),
+               ("decompose", "-e", OFF_DIAGONAL), ("decompose", "-e", "z1*zb2 + z2*zb1 + z3*zb3"),
+               ("check", "--mode", "semi", "-e", OFF_DIAGONAL),
+               ("check", "--mode", "semi", "-e", "z1*zb2 + z2*zb1 + z3*zb3"),
+               ("check", "--mode", "strict", "-e", "z1*zb1 + z1*zb2 + z2*zb1 + z2*zb2")]
+FACTOR_MUTATIONS = ("witness", "weight", "vector", "drop", "duplicate", "cancel", "d", "form",
+                    "command")
+ARTIFACT_KEY = {"factor": "factor", "decompose": "decomposition", "check": "certificate"}
 
 
 @functools.cache
 def _emitted_report(argv: tuple[str, ...]) -> str:
     with contextlib.redirect_stdout(io.StringIO()) as out:
-        assert cli_main(list(argv)) == 0
+        assert cli_main(list(argv)) in (0, 1)
     return out.getvalue()
 
 
-@settings(SETTINGS, max_examples=300)
+def _proven_verdicts(command: list[str], form) -> dict:
+    """The verdicts of `factor --d d`, `decompose` or `check --mode` on the
+    form, from a fresh elimination."""
+    if command[0] == "factor":
+        d = int(command[-1])
+        cert = ldl_signature(coefficient_matrix(reference_multiplier_power(form, d))[0])
+        return {"d": d, "factorable": cert.n_neg == 0, "rows": cert.n_pos * (cert.n_neg == 0)}
+    matrix, basis = coefficient_matrix(form)
+    cert = ldl_signature(matrix)
+    if command[0] == "decompose":
+        return {"positive_rank": cert.n_pos, "negative_rank": cert.n_neg,
+                "sum_of_squares": cert.n_neg == 0}
+    mode = command[command.index("--mode") + 1]
+    return {"mode": mode, "passes": cert.n_pos == matrix.size if mode == "strict" else
+            cert.n_neg == 0, "inertia": {"pos": cert.n_pos, "neg": cert.n_neg, "zero": cert.n_zero},
+            "matrix_size": matrix.size, "bidegree": basis.bidegree}
+
+
+def _finish_forgery(report: dict) -> None:
+    """Finish an edit of a report's artifact as a forger would: verdicts and
+    renderings derived from the edited artifact where they can be, and the
+    digest stamped again, so that only the evidence decides.  A stale digest
+    or verdict is refused as well (test_verify_recomputes_the_digest)."""
+    command, result = report["command"], report["result"]
+    try:
+        numeric = result.pop("numeric_factor", None)
+        result.update(serialize.run_renderings(command, result, numeric and numeric["float_digits"]))
+        form = result[ARTIFACT_KEY[command[0]]]["form"]
+        basis = coefficient_basis(serialize.obj_to_terms(form, written=True))
+        report["verdicts"] = serialize.run_verdicts(command, result, basis)
+    except (ValueError, KeyError, TypeError):
+        pass
+    report["digest"] = serialize.digest_of_obj({k: v for k, v in report.items() if k != "digest"})
+
+
+@settings(SETTINGS, max_examples=400)
 @given(argv=st.sampled_from(FACTOR_RUNS), kind=st.sampled_from(FACTOR_MUTATIONS), data=st.data())
 def test_a_mutated_factor_report_is_rejected_or_still_proves_its_claim(argv, kind, data):
     # The claim of `factor --d d` is that M_d, the coefficient matrix of
-    # <z,w>^d F, is PSD of rank `rows`; that of `decompose` is the inertia of
-    # M_0.  A mutation of the factor, or of `--d` and its verdict, either
-    # fails verify or leaves a report whose claim a fresh elimination confirms.
+    # <z,w>^d F, is PSD of rank `rows`, or not PSD; that of `decompose` and
+    # `check` is the inertia of M_0.  A mutation of the artifact, or of `--d`
+    # or `--mode`, with the verdicts derived from it, either fails verify or
+    # leaves a report whose claim a fresh elimination confirms.
     report = json.loads(_emitted_report(argv))
     name = report["command"][0]
-    factor = report["result"]["factor" if name == "factor" else "decomposition"]
+    factor = report["result"][ARTIFACT_KEY[name]]
     if kind == "command":
-        # `--d` relabelled, together with its verdict
-        assume(name == "factor")
-        report["verdicts"]["d"] = data.draw(st.integers(0, 7))
-        report["command"][-1] = str(report["verdicts"]["d"])
+        assume(name != "decompose")
+        at = report["command"].index("--d" if name == "factor" else "--mode") + 1
+        report["command"][at] = (str(data.draw(st.integers(0, 7))) if name == "factor" else
+                                 data.draw(st.sampled_from(["semi", "strict"])))
     else:
         _mutate(data, factor, kind)
+    _finish_forgery(report)
     try:
-        ok, _ = serialize.verify_obj(report)
+        ok, reason = serialize.verify_obj(report)
     except (ValueError, KeyError, TypeError):
-        ok = False
+        ok, reason = False, None
+    assert reason != "digest does not match the report"
     if ok:
-        form = serialize.obj_to_form(factor["form"])
-        if name == "factor":
-            d = int(report["command"][-1])
-            cert = ldl_signature(coefficient_matrix(reference_multiplier_power(form, d))[0])
-            claim = {"d": d, "factorable": cert.n_neg == 0, "rows": cert.n_pos}
-        else:
-            cert = ldl_signature(coefficient_matrix(form)[0])
-            claim = {"positive_rank": cert.n_pos, "negative_rank": cert.n_neg,
-                     "sum_of_squares": cert.n_neg == 0}
-        assert report["verdicts"] == claim
+        form = serialize.obj_to_form(factor["form"], written=True)
+        assert report["verdicts"] == _proven_verdicts(report["command"], form)
 
 
 @st.composite
@@ -732,7 +796,7 @@ def test_emitted_factor_rows_pass_the_polynomial_row_check(form, d):
     # as the target, pass that format's check: their gram is the target.
     text = serialize.canonical_json(serialize.form_to_obj(form))
     factor = json.loads(_emitted_report(("factor", "-e", text, "--d", str(d))))["result"]["factor"]
-    read, d_read, vectors = serialize.obj_to_factor(factor)
+    read, d_read, vectors, _ = serialize.obj_to_factor(factor)
     rows = _factor_from_parts(vectors, serialize._factor_basis(read, d_read), read.n)
     target = reference_multiplier_power(form, d)
     written = reference_factor_to_obj(WeightedGramFactor(rows, target))

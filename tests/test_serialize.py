@@ -10,6 +10,7 @@ from hermfact import (
     coefficient_matrix,
     difference_of_squares,
     find_minimal_d,
+    from_coefficient_matrix,
     holomorphic_factor,
     ldl_signature,
     multiplier_power,
@@ -17,6 +18,7 @@ from hermfact import (
     scale,
 )
 from hermfact import serialize
+from hermfact.certify import independence_failure
 from hermfact.factor import _factor_from_parts
 from hermfact.stabilize import exponent_steps
 
@@ -28,6 +30,7 @@ from helpers import (
     rand_hermsym_form,
     rand_psd_form,
     reference_factor_to_obj,
+    reference_form_obj,
 )
 
 
@@ -49,21 +52,34 @@ def test_form_round_trip():
 
 def test_form_json_uses_one_based_indices():
     obj = serialize.form_to_obj(diagonal_quartic())
-    assert {term["i"] for term in obj["terms"]} == {1}
-    assert obj["terms"][0]["re"] == "1"
+    assert {term[0] for term in obj["terms"]} == {1}
+    assert obj["terms"][0][4] == "1"
 
 
-def _psd_vectors(form):
-    """The weighted vectors of the certificate of M_0, as `factor` emits them."""
-    return ldl_signature(coefficient_matrix(form)[0]).weighted_vectors()
+def test_form_reader_takes_rows_and_input_objects():
+    # A term is the row [i, j, alpha, beta, re, im]; input files spell it as
+    # an object with those keys, which an artifact's form may not.
+    form = quartic_family(Fraction(-3, 2))
+    rows, objects = serialize.form_to_obj(form), reference_form_obj(form)
+    assert rows["terms"] == [[term[f] for f in serialize.TERM_FIELDS] for term in objects["terms"]]
+    assert serialize.obj_to_form(rows) == serialize.obj_to_form(objects) == form
+    assert serialize.obj_to_form(rows, written=True) == form
+    with pytest.raises(ValueError, match="not in the current certificate format: a kernel term"):
+        serialize.obj_to_form(objects, written=True)
+
+
+def _certificate(form):
+    """The certificate of M_0, which `check`, `factor` and `decompose` write."""
+    return ldl_signature(coefficient_matrix(form)[0])
 
 
 def test_factor_round_trip():
     form = diagonal_quartic()
-    obj = serialize.factor_to_obj(form, 0, _psd_vectors(form))
-    assert obj.keys() == {"kind", "form", "d", "vectors"}
-    form_read, d, vectors = serialize.obj_to_factor(json.loads(json.dumps(obj)))
-    assert (form_read, d, vectors) == (form, 0, _psd_vectors(form))
+    obj = serialize.factor_to_obj(form, 0, _certificate(form))
+    assert obj.keys() == {"kind", "form", "d", "vectors", "witness"}
+    terms, d, vectors, witness = serialize.obj_to_factor(json.loads(json.dumps(obj)))
+    assert (terms.form(), d, vectors, witness) == (form, 0, _certificate(form).weighted_vectors(),
+                                                   None)
     # The rows on the basis of M_0 are those of holomorphic_factor.
     basis = serialize._factor_basis(form, 0)
     assert _factor_from_parts(vectors, basis, form.n) == holomorphic_factor(form).matrix
@@ -71,47 +87,51 @@ def test_factor_round_trip():
     assert ok, reason
 
 
+def _matrix_form(matrix: HermitianMatrix):
+    """The constant r-by-r form, r = size, whose coefficient matrix is `matrix`."""
+    return from_coefficient_matrix(matrix, 1, 0, matrix.size)
+
+
 def test_certificate_round_trip_and_verify():
     rng = random.Random(503)
     for _ in range(10):
-        cert = ldl_signature(rand_hermitian_matrix(rng, rng.randint(1, 6), 9))
-        obj = serialize.certificate_to_obj(cert)
+        matrix = rand_hermitian_matrix(rng, rng.randint(1, 6), 9)
+        cert = ldl_signature(matrix)
+        obj = serialize.factor_to_obj(_matrix_form(matrix), 0, cert)
         restored = serialize.obj_to_certificate(json.loads(json.dumps(obj)))
-        assert restored == cert
+        assert restored == (cert.weighted_vectors(), cert.witness)
         ok, reason = serialize.verify_obj(obj)
         assert ok, reason
 
 
 def test_verify_rejects_tampered_certificate():
-    cert = ldl_signature(rand_hermitian_matrix(random.Random(5), 4, 7))
-    obj = serialize.certificate_to_obj(cert)
+    matrix = rand_hermitian_matrix(random.Random(5), 4, 7)
+    obj = serialize.factor_to_obj(_matrix_form(matrix), 0, ldl_signature(matrix))
 
     tampered = json.loads(json.dumps(obj))
-    tampered["diag"][0] = "999"
+    tampered["vectors"][0][0] = "999"
     ok, reason = serialize.verify_obj(tampered)
     assert not ok and "congruence" in reason
 
-    # L is stored as its entries below the diagonal: change the last entry of
-    # the first column (or create one) so the identity no longer holds.
+    # Change the last entry of the first vector so the identity no longer holds.
     tampered = json.loads(json.dumps(obj))
-    column = tampered["lower"][0]
-    if column and column[-1][0] == 3:
-        column[-1][1] = serialize.fraction_to_str(Fraction(column[-1][1]) + 1)
-    else:
-        column.append([3, "1", "0"])
+    entry = tampered["vectors"][0][1][-1]
+    entry[1] = serialize.fraction_to_str(Fraction(entry[1]) + 1)
     ok, reason = serialize.verify_obj(tampered)
     assert not ok and "congruence" in reason
 
-    if obj["witness"]:
-        tampered = json.loads(json.dumps(obj))
-        tampered["witness"] = [[j, "0", "0"] for j, _, _ in tampered["witness"]]
-        ok, _ = serialize.verify_obj(tampered)
-        assert not ok
+    assert obj["witness"]
+    tampered = json.loads(json.dumps(obj))
+    tampered["witness"] = [[j, "0", "0"] for j, _, _ in tampered["witness"]]
+    assert serialize.verify_obj(tampered) == (False, "witness value is not negative")
+    tampered["witness"] = None
+    reason = "witness is not present exactly when a weight is negative"
+    assert serialize.verify_obj(tampered) == (False, reason)
 
 
 def test_verify_rejects_tampered_factor():
     form = rand_psd_form(random.Random(9), 2, 1, 1)
-    obj = serialize.factor_to_obj(form, 0, _psd_vectors(form))
+    obj = serialize.factor_to_obj(form, 0, _certificate(form))
     tampered = json.loads(json.dumps(obj))
     tampered["vectors"][0][0] = "17/5"
     ok, reason = serialize.verify_obj(tampered)
@@ -149,7 +169,7 @@ def _raise_d(obj):
 def test_verify_rejects_forged_factor(forge, reason):
     # A factor of a bidegree-1 form: its rows are linear.
     form = rand_psd_form(random.Random(9), 2, 1, 1)
-    obj = serialize.factor_to_obj(form, 0, _psd_vectors(form))
+    obj = serialize.factor_to_obj(form, 0, _certificate(form))
     assert serialize.verify_obj(obj) == (True, "ok")
     forge(obj)
     ok, why = serialize.verify_obj(obj)
@@ -228,8 +248,9 @@ def test_stabilization_trail_certificate_of_another_matrix_is_rejected(forgery_r
     # The witness of diag(-1, 1, 1) in place of the d = 0 step, whose matrix
     # is diag(1, -3/2, 1).  (The witness of diag(1, -1, 1), e_1, is the d = 0
     # step's own.)
-    other = serialize.certificate_to_obj(ldl_signature(HermitianMatrix.diagonal([-1, 1, 1])))
-    assert serialize.verify_obj(other) == (True, "ok")
+    cert = ldl_signature(HermitianMatrix.diagonal([-1, 1, 1]))
+    assert cert.verify() == (True, "ok")
+    other = serialize.certificate_to_obj(cert)
     assert forgery_report["trail"][0] == [[1, "1", "0"]] != other["witness"]
     forged = json.loads(json.dumps(forgery_report))
     forged["trail"][0] = other["witness"]
@@ -299,7 +320,7 @@ def test_strict_factor_must_span(forgery_report):
     assert serialize.verify_obj(forged) == (False, reason)
     forged = json.loads(json.dumps(forgery_report))
     forged["factor"][3] = vectors[4]
-    assert serialize.verify_obj(forged) == (False, reason)
+    assert serialize.verify_obj(forged) == (False, "factor vectors are not independent")
     # The semi factor at d = 5 gives <z,w>^5 F, but M_5 is singular, so its
     # vectors do not span: a strict trail cannot stop there.
     semi = serialize.stabilization_to_obj(
@@ -400,10 +421,9 @@ def test_ellipticity_report_serialization():
 
 
 def test_artifact_key_sets():
-    cert = serialize.certificate_to_obj(ldl_signature(HermitianMatrix.diagonal([1, -1])))
-    assert set(cert) == {
-        "kind", "size", "matrix", "permutation", "lower", "diag", "blocks", "witness",
-    }
+    form = parse_expression("z1*zb1 - z2*zb2")
+    factor = serialize.factor_to_obj(form, 0, _certificate(form))
+    assert set(factor) == {"kind", "form", "d", "vectors", "witness"}
     report = serialize.ellipticity_to_obj(certify_elliptic_form(diagonal_quartic(), 4))
     assert set(report) == {
         "kind", "form", "verdict", "d", "witness_point", "sign_change", "stabilization",
@@ -489,8 +509,8 @@ def test_decomposition_factors_serialize_and_verify():
     # One artifact with signed weights: its positive and negated negative
     # vectors are the rows of difference_of_squares' two parts.
     form = quartic_family(-1)
-    vectors = _psd_vectors(form)
-    obj = serialize.factor_to_obj(form, 0, vectors)
+    vectors = _certificate(form).weighted_vectors()
+    obj = serialize.factor_to_obj(form, 0, _certificate(form))
     ok, reason = serialize.verify_obj(obj)
     assert ok, reason
     basis = serialize._factor_basis(form, 0)
@@ -505,8 +525,9 @@ def test_empty_factor_round_trip():
     positive, negative = difference_of_squares(BihermitianForm.zero(2))
     assert positive.matrix.rows == negative.matrix.rows == ()
     form = BihermitianForm.zero(2)
-    obj = serialize.factor_to_obj(form, 0, [])
-    assert serialize.obj_to_factor(json.loads(json.dumps(obj))) == (form, 0, [])
+    obj = serialize.factor_to_obj(form, 0, _certificate(form))
+    terms, d, vectors, witness = serialize.obj_to_factor(json.loads(json.dumps(obj)))
+    assert (terms.form(), d, vectors, witness) == (form, 0, [], None)
     ok, reason = serialize.verify_obj(obj)
     assert ok, reason
 
@@ -534,3 +555,59 @@ def test_canonical_object_joins_encoded_values():
     pieces = {key: serialize.canonical_json(value) for key, value in obj.items()}
     assert serialize.canonical_object(pieces) == serialize.canonical_json(obj)
     assert serialize.canonical_object({}) == serialize.canonical_json({})
+
+
+def _with_cancelling_pair(obj):
+    # The FOUND forgery: ["1", v] and ["-1", v] add nothing to the sum, but
+    # raise both weight counts; two equal vectors are not independent.
+    v = [[0, "1", "0"], [1, "1", "0"]]
+    obj["vectors"] += [["1", v], ["-1", v]]
+
+
+def test_a_cancelling_pair_is_not_independent():
+    form = parse_expression("z1*zb1 - z2*zb2")
+    obj = serialize.factor_to_obj(form, 0, _certificate(form))
+    assert serialize.verify_obj(obj) == (True, "ok")
+    _with_cancelling_pair(obj)
+    assert serialize.verify_obj(obj) == (False, "factor vectors are not independent")
+
+
+# All of its diagonal is 0, so the first pivot is a hollow block at slots 0
+# and 1; the trailing entry it leaves is -2, a nonzero 1x1 pivot at slot 2.
+HOLLOW_THEN_PIVOT = "z1*zb2 + z2*zb1 + z1*zb3 + z3*zb1 + z2*zb3 + z3*zb2"
+
+
+def test_weighted_vectors_are_in_slot_order():
+    form = parse_expression(HOLLOW_THEN_PIVOT)
+    cert = _certificate(form)
+    assert cert.blocks == ((0, cert.blocks[0][1]),) and cert.diag[2] == -2
+    obj = serialize.factor_to_obj(form, 0, cert)
+    assert [w for w, _ in obj["vectors"]] == ["1/2", "-1/2", "-2"]
+    assert serialize.verify_obj(obj) == (True, "ok")
+    # The block's pair appended after the pivot, as the order before slot
+    # order was: read in reverse, the pair takes every index, and the pivot's
+    # vector adds none and has no vector left to pair with.
+    obj["vectors"] = obj["vectors"][2:] + obj["vectors"][:2]
+    assert serialize.verify_obj(obj) == (False, "factor vectors are not independent")
+
+
+def test_independence_pairs_a_vector_only_with_the_one_before_it():
+    def vectors(*rows):
+        return [(Fraction(1), serialize._obj_to_sparse(row)) for row in rows]
+
+    x_plus_y, x_minus_y = [[0, "1", "0"], [1, "1", "0"]], [[0, "1", "0"], [1, "-1", "0"]]
+    e2 = [[2, "1", "0"]]
+    assert independence_failure(vectors(x_plus_y, x_minus_y, e2)) is None
+    assert independence_failure(vectors(x_plus_y, [[1, "1", "0"]])) is None
+    not_independent = "factor vectors are not independent"
+    # Independent, but x + y adds no index and pairs with e2 alone, not with
+    # x - y: the test is sound, not complete, and slot order keeps pairs adjacent.
+    assert independence_failure(vectors(x_plus_y, e2, x_minus_y)) == not_independent
+    # a third vector on a pair's indices has no vector left to pair with
+    assert independence_failure(vectors([[0, "1", "0"]], x_plus_y, x_minus_y)) == not_independent
+    # an empty vector is 0
+    assert independence_failure(vectors([])) == not_independent
+    # complex entries: (1, i) and (i, -1) = i (1, i) have rank 1, (1, i) and (1, -i) rank 2
+    one_i = [[0, "1", "0"], [1, "0", "1"]]
+    assert independence_failure(vectors(one_i, [[0, "0", "1"], [1, "-1", "0"]])) == not_independent
+    assert independence_failure(vectors(one_i, [[0, "1", "0"], [1, "0", "-1"]])) is None
