@@ -79,15 +79,15 @@ def _mirror_certificates(args, report: dict) -> None:
 
 
 def _finish(args, command: list[str], input_text: str, result: dict, started: float,
-            stdout: str | None = None, basis=None) -> dict:
+            stdout: str | None = None, read=None) -> dict:
     """Assemble the run report, with the verdicts `serialize.run_verdicts`
-    derives from `result` (and a check's `basis`), mirror its artifacts, and
+    derives from `result` (and what was `read` with it), mirror its artifacts, and
     write it to --out and to stdout (or `stdout` instead, when given)."""
     report = {
         "kind": "run_report",
         "command": command,
         "input_digest": serialize.digest_of_text(input_text),
-        "verdicts": serialize.run_verdicts(command, result, basis),
+        "verdicts": serialize.run_verdicts(command, result, read),
         "result": result,
     }
     # Each value is encoded once: the digest hashes the report before it has
@@ -113,7 +113,7 @@ def cmd_check(args) -> int:
     except ValueError as exc:
         raise InputProblem(str(exc)) from exc
     result = {"certificate": serialize.factor_to_obj(form, 0, ldl_signature(matrix))}
-    report = _finish(args, ["check", "--mode", args.mode], text, result, started, basis=basis)
+    report = _finish(args, ["check", "--mode", args.mode], text, result, started, read=basis)
     return EXIT_PASS if report["verdicts"]["passes"] else EXIT_FAIL
 
 
@@ -124,9 +124,9 @@ def cmd_stabilize(args) -> int:
         report = find_minimal_d(form, args.mode, args.dmax)
     except ValueError as exc:
         raise InputProblem(str(exc)) from exc
-    _finish(args, ["stabilize", "--mode", args.mode, "--dmax", str(args.dmax)], text,
-            {"stabilization": serialize.stabilization_to_obj(report)}, started)
-    return EXIT_PASS if report.found() else EXIT_INCONCLUSIVE
+    report = _finish(args, ["stabilize", "--mode", args.mode, "--dmax", str(args.dmax)], text,
+                     {"stabilization": serialize.stabilization_to_obj(report)}, started)
+    return EXIT_PASS if report["verdicts"]["found"] else EXIT_INCONCLUSIVE
 
 
 def cmd_factor(args) -> int:
@@ -221,13 +221,10 @@ def cmd_symbol(args) -> int:
         raise InputProblem(str(exc)) from exc
     command = ["symbol", "--dmax", str(args.dmax)]
     result = {"ellipticity": serialize.ellipticity_to_obj(report)}
-    result.update(serialize.run_renderings(command, result))
-    _finish(args, command, text, result, started)
-    if report.verdict == "certified":
-        return EXIT_PASS
-    if report.verdict == "not_elliptic":
-        return EXIT_FAIL
-    return EXIT_INCONCLUSIVE
+    read = (report.form, report.stabilization and report.stabilization.vectors)
+    result.update(serialize.run_renderings(command, result, read=read))
+    verdict = _finish(args, command, text, result, started, read=read)["verdicts"]["verdict"]
+    return {"certified": EXIT_PASS, "not_elliptic": EXIT_FAIL}.get(verdict, EXIT_INCONCLUSIVE)
 
 
 def cmd_decompose(args) -> int:

@@ -35,11 +35,10 @@ from .hermform import (
     coefficient_rows,
     evaluate_exact,
     homogeneous_basis,
-    scale,
 )
 from .scalars import ZERO, GaussianRational, SparseRow
 from .stabilize import MODES, exponent_steps
-from .symbols import EllipticityReport, format_diff_operator_row
+from .symbols import EllipticityReport, format_diff_operator_row, require_symbol
 
 
 class DigitLimitError(ValueError):
@@ -156,9 +155,8 @@ def obj_to_form(obj: dict, written: bool = False) -> BihermitianForm:
 
 
 FACTOR_KEYS = frozenset({"kind", "form", "d", "vectors", "witness"})
-STABILIZATION_KEYS = frozenset({"kind", "mode", "d_max", "d_min", "form", "trail", "factor"})
-ELLIPTICITY_KEYS = frozenset(
-    {"kind", "form", "verdict", "d", "witness_point", "sign_change", "stabilization"})
+STABILIZATION_KEYS = frozenset({"kind", "mode", "d_max", "form", "trail", "factor"})
+ELLIPTICITY_KEYS = frozenset({"kind", "form", "witness_point", "sign_change", "stabilization"})
 
 
 def _require_keys(obj, keys: frozenset, what: str) -> None:
@@ -260,13 +258,13 @@ def obj_to_factor(obj: dict) -> tuple[ClearedTerms, int, list[tuple[Fraction, Sp
 def stabilization_to_obj(report: StabilizationReport) -> dict:
     """The trail holds the witness of each failing d = 0, 1, ..., in order;
     each step's matrix and d follow from the form and the position.  The
-    passing d, if any, is proved by the factor: its certificate's weighted
-    vectors [weight, [[j, re, im], ...]] on the basis of that matrix."""
+    passing d, if any, is the trail's length, proved by the factor: its
+    certificate's weighted vectors [weight, [[j, re, im], ...]] on the basis
+    of that matrix."""
     return {
         "kind": "stabilization_report",
         "mode": report.mode,
         "d_max": report.d_max,
-        "d_min": report.d_min,
         "form": form_to_obj(report.form),
         "trail": [_sparse_to_obj(step.witness) for step in report.steps if not step.passes],
         "factor": None if report.vectors is None else _vectors_to_obj(report.vectors),
@@ -274,15 +272,13 @@ def stabilization_to_obj(report: StabilizationReport) -> dict:
 
 
 def ellipticity_to_obj(report: EllipticityReport) -> dict:
-    """The sign flip is not stored: the stabilization's form is the symbol's
-    or its negation."""
+    """The evidence alone: points, or the stabilization, whose form is the
+    symbol's or its negation; the verdict, d and sign flip follow from it."""
     point = report.witness_point
     positive, negative = report.sign_pair or (None, None)
     return {
         "kind": "ellipticity_report",
         "form": form_to_obj(report.form),
-        "verdict": report.verdict,
-        "d": report.d,
         "witness_point": [gaussian_to_pair(c) for c in point] if point else None,
         "sign_change": {"positive_at": [gaussian_to_pair(c) for c in positive],
                         "negative_at": [gaussian_to_pair(c) for c in negative]}
@@ -357,39 +353,39 @@ def _witness_failure(rows, record, v: SparseRow, strict: bool) -> str | None:
     return witness_failure(rows, v, strict)
 
 
-def _verify_stabilization(obj: dict) -> tuple[bool, str]:
-    """A stabilization report proves its d_min claim when its trail holds a
-    witness that the coefficient matrix of <z,w>^d F fails the mode's test
-    for each d = 0, 1, ..., up to d_min - 1 when d_min is set (at most d_max)
-    and up to d_max when not, and the factor, present exactly when d_min is
-    set, holds weighted vectors that prove the matrix at d_min passes it."""
+def _d_min(stabilization: dict) -> int | None:
+    """The d_min that a stabilization report proves: one witness per failing
+    d, so the trail's length when a factor proves the next d, else None."""
+    return None if stabilization["factor"] is None else len(stabilization["trail"])
+
+
+def _verify_stabilization(obj: dict) -> tuple[tuple[bool, str], tuple | None]:
+    """verify_obj of a stabilization report, and the form and factor vectors
+    it read.  The report proves that the coefficient matrix of <z,w>^d F
+    fails the mode's test for each d below the trail's length, by a witness
+    each, and, with a factor, that its weighted vectors prove the matrix at
+    that length, d_min <= d_max, passes it; without one the trail runs to
+    d_max."""
     _require_keys(obj, STABILIZATION_KEYS, "a stabilization report")
     strict = _require_mode(obj["mode"]) == "strict"
-    trail, d_min, d_max, factor = obj["trail"], obj["d_min"], obj["d_max"], obj["factor"]
-    if not (isinstance(trail, list) and type(d_max) is int and d_max >= 0
-            and (d_min is None or type(d_min) is int)):
-        raise ValueError(f"{FORMAT_ERROR}: a stabilization report needs a trail list, "
-                         "a nonnegative integer d_max and an integer or null d_min")
-    if not all(isinstance(record, list) for record in trail):
-        raise ValueError(f"{FORMAT_ERROR}: a trail step must be a witness, a list of "
-                         "[j, re, im] entries")
+    trail, d_max, factor = obj["trail"], obj["d_max"], obj["factor"]
+    if not (isinstance(trail, list) and type(d_max) is int and d_max >= 0):
+        raise ValueError(f"{FORMAT_ERROR}: a stabilization report needs a trail list "
+                         "and a nonnegative integer d_max")
     witnesses = [_obj_to_sparse(record) for record in trail]
     vectors = None if factor is None else _obj_to_vectors(factor)
-    if d_min is None and len(trail) < d_max + 1:
-        return False, "trail stops before d_max"
-    if d_min is not None and d_min != len(trail):
-        return False, "d_min does not match the trail"
-    if len(trail) > d_max + (d_min is None):
-        return False, "trail runs past d_max"
-    if (factor is not None) != (d_min is not None):
-        return False, "factor is not one of the form shifted d_min times"
-    steps = exponent_steps(obj_to_terms(obj["form"], written=True))
+    if factor is None and len(trail) < d_max + 1:
+        return (False, "trail stops before d_max"), None
+    if len(trail) > d_max + (factor is None):
+        return (False, "trail runs past d_max"), None
+    terms = obj_to_terms(obj["form"], written=True)
+    steps = exponent_steps(terms)
     for d, (record, v, rows) in enumerate(zip(trail, witnesses, steps)):
         reason = _witness_failure(rows, record, v, strict)
         if reason is not None:
-            return False, f"trail d={d}: {reason}"
-    reason = None if d_min is None else factor_failure(next(steps).matrix(), vectors, strict)
-    return (True, "ok") if reason is None else (False, reason)
+            return (False, f"trail d={d}: {reason}"), None
+    reason = None if factor is None else factor_failure(next(steps).matrix(), vectors, strict)
+    return ((True, "ok") if reason is None else (False, reason)), (terms, vectors)
 
 
 def _sphere_value(form: ClearedTerms, pairs) -> GaussianRational | None:
@@ -400,45 +396,42 @@ def _sphere_value(form: ClearedTerms, pairs) -> GaussianRational | None:
     return evaluate_exact(form, point, point)[0][0]
 
 
-def _verify_ellipticity(obj: dict) -> tuple[bool, str]:
-    """An ellipticity report proves its verdict about its embedded form:
-    "not_elliptic" by an exact zero, or exact values of opposite sign, on the
-    unit sphere; "certified" and "not_certified" by a strict stabilization
-    report of the form or of its negation, whose d_min is d."""
+def _equal_up_to_sign(f: ClearedTerms, g: ClearedTerms) -> bool:
+    """f == g or f == -g, compared in the cleared ints."""
+    return (f.n, f.r, f.support.keys()) == (g.n, g.r, g.support.keys()) and any(
+        all(sign * x * g.den == y * f.den for key, pair in f.support.items()
+            for x, y in zip(pair, g.support[key])) for sign in (1, -1))
+
+
+def _verify_ellipticity(obj: dict) -> tuple[tuple[bool, str], tuple | None]:
+    """verify_obj of an ellipticity report, and the symbol and factor vectors
+    it read.  The symbol must meet the preconditions of the certification
+    (`symbols.require_symbol`), and the report holds one kind of evidence:
+    an exact zero, or exact values of opposite sign, on the unit sphere, or a
+    strict stabilization report of the symbol or of its negation."""
     _require_keys(obj, ELLIPTICITY_KEYS, "an ellipticity report")
     terms = obj_to_terms(obj["form"], written=True)
-    verdict, stabilization = obj["verdict"], obj["stabilization"]
-    if verdict == "not_elliptic":
-        if stabilization is not None or obj["d"] is not None:
-            return False, "verdict does not match the stabilization"
-        if terms.r != 1:
-            return False, "the form is not a scalar symbol"
-        point, change = obj["witness_point"], obj["sign_change"]
-        if point is None and change is None:
-            return False, "not_elliptic report names no point"
-        if point is not None and _sphere_value(terms, point) != ZERO:
-            return False, "witness point is not a zero of the symbol on the unit sphere"
-        if change is not None:
-            pos = _sphere_value(terms, change["positive_at"])
-            neg = _sphere_value(terms, change["negative_at"])
-            if pos is None or neg is None or not (pos.im == neg.im == 0 and pos.re > 0 > neg.re):
-                return False, "sign-change points do not have opposite signs on the unit sphere"
-        return True, "ok"
-    if verdict not in ("certified", "not_certified"):
-        raise ValueError(f"{FORMAT_ERROR}: unknown ellipticity verdict {verdict!r}")
-    if stabilization is None:
-        return False, "verdict does not match the stabilization"
-    ok, reason = verify_obj(stabilization)
-    if not ok:
-        return False, f"stabilization: {reason}"
-    form = terms.form()
-    if (stabilization["mode"] != "strict"
-            or obj_to_form(stabilization["form"], written=True) not in (form, scale(form, -1))):
-        return False, "stabilization is not a strict search on the report's form"
-    d_min = stabilization["d_min"]
-    if obj["d"] != d_min or (verdict == "certified") != (d_min is not None):
-        return False, "verdict does not match the stabilization"
-    return True, "ok"
+    require_symbol(terms)
+    point, change, stabilization = obj["witness_point"], obj["sign_change"], obj["stabilization"]
+    if stabilization is not None:
+        if point is not None or change is not None:
+            return (False, "report holds both points and a stabilization"), None
+        (ok, reason), read = _verify_stabilization(stabilization)
+        if not ok:
+            return (False, f"stabilization: {reason}"), None
+        if stabilization["mode"] != "strict" or not _equal_up_to_sign(read[0], terms):
+            return (False, "stabilization is not a strict search on the report's form"), None
+        return (True, "ok"), (terms, read[1])
+    if point is None and change is None:
+        return (False, "not_elliptic report names no point"), None
+    if point is not None and _sphere_value(terms, point) != ZERO:
+        return (False, "witness point is not a zero of the symbol on the unit sphere"), None
+    if change is not None:
+        pos = _sphere_value(terms, change["positive_at"])
+        neg = _sphere_value(terms, change["negative_at"])
+        if pos is None or neg is None or not (pos.im == neg.im == 0 and pos.re > 0 > neg.re):
+            return (False, "sign-change points do not have opposite signs on the unit sphere"), None
+    return (True, "ok"), (terms, None)
 
 
 def _artifact(container: dict, key: str, kind: str) -> dict:
@@ -474,41 +467,44 @@ def _weight_signs(factor: dict) -> tuple[int, int]:
     return positive, len(factor["vectors"]) - positive
 
 
-def _symbol_summary(ellipticity: dict) -> str:
-    verdict, stabilization = ellipticity["verdict"], ellipticity["stabilization"]
-    if verdict == "certified":
-        return (f"elliptic: certified at exponent d={ellipticity['d']}; the lifted symbol is a "
-                f"squared norm of {len(stabilization['factor'])} holomorphic "
-                "differential operator rows")
-    if verdict == "not_elliptic":
+def _symbol_verdict(ellipticity: dict) -> tuple[str, int | None, str]:
+    """The verdict, d and summary that an ellipticity report's evidence
+    proves: points prove "not_elliptic"; a stabilization, "certified" at its
+    d_min, or "not_certified" when it found none."""
+    stabilization = ellipticity["stabilization"]
+    if stabilization is None:
         reason = "exact zero" if ellipticity["witness_point"] is not None else "sign change"
-        return f"not elliptic: {reason} of the symbol on the unit sphere"
-    return f"not certified up to d={stabilization['d_max']}"
+        return "not_elliptic", None, f"not elliptic: {reason} of the symbol on the unit sphere"
+    d = _d_min(stabilization)
+    if d is None:
+        return "not_certified", None, f"not certified up to d={stabilization['d_max']}"
+    return "certified", d, (f"elliptic: certified at exponent d={d}; the lifted symbol is a "
+                            f"squared norm of {len(stabilization['factor'])} holomorphic "
+                            "differential operator rows")
 
 
-def run_verdicts(command: list[str], result: dict,
-                 basis: CoefficientBasis | None) -> dict | None:
+def run_verdicts(command: list[str], result: dict, read=None) -> dict | None:
     """The verdict block of a run report: what the artifacts in `result`
     prove, with the options of `command` that no artifact records.  None when
     they prove none: a factor not of `--d`, a check or decomposition at d > 0.
-    A check's verdicts read `basis`, the basis of its M_0, which the caller
-    has built with the certificate."""
+    `read` is what the caller read or built with the artifact: a check's
+    basis of M_0, or a symbol's form and factor vectors (None without one)."""
     name = command[0]
     if name == "check":
         mode = _require_mode(_option(command, "--mode"))
         factor = _artifact(result, "certificate", "weighted_gram_factor")
         if factor["d"]:
             return None
-        (pos, neg), size = _weight_signs(factor), len(basis.pairs)
+        (pos, neg), size = _weight_signs(factor), len(read.pairs)
         return {"mode": mode, "passes": pos == size if mode == "strict" else neg == 0,
                 "inertia": {"pos": pos, "neg": neg, "zero": size - pos - neg},
-                "matrix_size": size, "bidegree": basis.bidegree}
+                "matrix_size": size, "bidegree": read.bidegree}
     if name == "stabilize":
         mode, d_max = _search_bounds(command)
         stabilization = _artifact(result, "stabilization", "stabilization_report")
         _require_searched(stabilization, mode, d_max, "the stabilization")
-        return {"mode": mode, "d_max": d_max,
-                "d_min": stabilization["d_min"], "found": stabilization["d_min"] is not None}
+        d_min = _d_min(stabilization)
+        return {"mode": mode, "d_max": d_max, "d_min": d_min, "found": d_min is not None}
     if name == "factor":
         d = int(_option(command, "--d"))
         factor = _artifact(result, "factor", "weighted_gram_factor")
@@ -524,7 +520,7 @@ def run_verdicts(command: list[str], result: dict,
             if verdict["error"] is None:
                 stabilization = _artifact(row, "stabilization", "stabilization_report")
                 _require_searched(stabilization, mode, d_max, f"sweep row {row['label']!r}")
-                verdict["d_min"] = stabilization["d_min"]
+                verdict["d_min"] = _d_min(stabilization)
             rows.append(verdict)
         return {"mode": mode, "d_max": d_max, "rows": rows}
     if name == "symbol":
@@ -533,10 +529,9 @@ def run_verdicts(command: list[str], result: dict,
             # The ellipticity check has made this a strict search.
             _require_searched(ellipticity["stabilization"], "strict",
                               int(_option(command, "--dmax")), "the symbol's stabilization")
-        form = obj_to_terms(ellipticity["form"], written=True)
-        return {"verdict": ellipticity["verdict"], "d": ellipticity["d"],
-                "order": 2 * (bidegree(form) or 0), "complex_dim": form.n,
-                "summary": _symbol_summary(ellipticity)}
+        verdict, d, summary = _symbol_verdict(ellipticity)
+        return {"verdict": verdict, "d": d, "order": 2 * bidegree(read[0]),
+                "complex_dim": read[0].n, "summary": summary}
     if name == "decompose":
         factor = _artifact(result, "decomposition", "weighted_gram_factor")
         positive, negative = _weight_signs(factor)
@@ -559,21 +554,19 @@ RESULT_KEYS = {"check": [{"certificate"}], "stabilize": [{"stabilization"}], "sw
 SWEEP_ROW_KEYS = [{"label", "stabilization"}, {"label", "error"}]
 
 
-def run_renderings(command: list[str], result: dict, float_digits: int | None = None) -> dict:
+def run_renderings(command: list[str], result: dict, float_digits: int | None = None,
+                   read=None) -> dict:
     """The renderings beside the artifacts in `result`, derived from them: a
-    certified symbol's differential operator rows, and, when `float_digits`
-    is given, a PSD factor's floating rendering with weights folded in as
+    certified symbol's differential operator rows, from the form and factor
+    vectors `read` (as for `run_verdicts`), and, when `float_digits` is
+    given, a PSD factor's floating rendering with weights folded in as
     square roots good to that many digits."""
     name = command[0]
-    if name == "symbol":
-        stabilization = _artifact(result, "ellipticity", "ellipticity_report")["stabilization"]
-        if stabilization is not None and stabilization["factor"] is not None:
-            form, vectors = obj_to_terms(stabilization["form"], written=True), _obj_to_vectors(
-                stabilization["factor"])
-            rows = _factor_from_parts(vectors, _factor_basis(form, stabilization["d_min"]),
-                                      form.n).rows
-            return {"operator_rows": [format_diff_operator_row(row, w)
-                                      for (w, _), row in zip(vectors, rows)]}
+    if name == "symbol" and read[1] is not None:
+        (form, vectors), d = read, _d_min(result["ellipticity"]["stabilization"])
+        rows = _factor_from_parts(vectors, _factor_basis(form, d), form.n).rows
+        return {"operator_rows": [format_diff_operator_row(row, w)
+                                  for (w, _), row in zip(vectors, rows)]}
     if name == "factor" and float_digits is not None:
         form, d, vectors, _ = obj_to_factor(_artifact(result, "factor", "weighted_gram_factor"))
         if any(w < 0 for w, _ in vectors):
@@ -610,21 +603,19 @@ def _verify_run_report(obj: dict) -> tuple[bool, str]:
             or any(not isinstance(row, dict) or row.keys() not in SWEEP_ROW_KEYS for row in rows)):
         raise ValueError(f"{FORMAT_ERROR}: the result of a {name} run report, or a row of it, "
                          f"does not have exactly the keys that {name} writes")
-    basis = None
+    # A check's or symbol's verdicts and renderings take what was read with its artifact.
+    artifact, read = result.get({"check": "certificate", "symbol": "ellipticity"}.get(name)), None
     for item in embedded_artifacts(result):
-        # A check's one artifact is its certificate, whose basis its verdicts read.
-        if item["kind"] == "weighted_gram_factor":
-            (ok, reason), basis = _verify_factor(item)
-        else:
-            ok, reason = verify_obj(item)
+        (ok, reason), found = _VERIFIERS[item["kind"]](item)
         if not ok:
             return False, reason
-    if verdicts != run_verdicts(command, result, basis):
+        read = found if item is artifact else read
+    if verdicts != run_verdicts(command, result, read):
         return False, "verdicts do not match the embedded artifacts"
     numeric = result.get("numeric_factor")
     digits = numeric.get("float_digits") if isinstance(numeric, dict) else None
     rendered = {key: result[key] for key in RENDERING_KEYS if key in result}
-    if rendered != run_renderings(command, result, digits):
+    if rendered != run_renderings(command, result, digits, read):
         return False, "renderings do not match the embedded artifacts"
     if obj["digest"] != digest_of_obj({k: v for k, v in obj.items() if k != "digest"}):
         return False, "digest does not match the report"
@@ -643,6 +634,12 @@ def _verify_factor(obj: dict) -> tuple[tuple[bool, str], CoefficientBasis]:
     return ((True, "ok") if reason is None else (False, reason)), rows.basis
 
 
+# The check of each artifact kind: its (ok, reason) and what it read.
+_VERIFIERS = {"weighted_gram_factor": _verify_factor,
+              "stabilization_report": _verify_stabilization,
+              "ellipticity_report": _verify_ellipticity}
+
+
 def verify_obj(obj: dict) -> tuple[bool, str]:
     """Re-check a serialized artifact by exact arithmetic.
 
@@ -655,12 +652,8 @@ def verify_obj(obj: dict) -> tuple[bool, str]:
     if not isinstance(obj, dict):
         raise ValueError("an artifact must be a JSON object")
     kind = obj.get("kind")
-    if kind == "weighted_gram_factor":
-        return _verify_factor(obj)[0]
-    if kind == "stabilization_report":
-        return _verify_stabilization(obj)
-    if kind == "ellipticity_report":
-        return _verify_ellipticity(obj)
     if kind == "run_report":
         return _verify_run_report(obj)
-    raise ValueError(f"{FORMAT_ERROR}: unsupported artifact kind {kind!r}")
+    if kind not in _VERIFIERS:
+        raise ValueError(f"{FORMAT_ERROR}: unsupported artifact kind {kind!r}")
+    return _VERIFIERS[kind](obj)[0]

@@ -21,6 +21,7 @@ from .factor import WeightedGramFactor
 from .hermform import (
     BihermitianForm,
     ClearedForm,
+    ClearedTerms,
     bidegree,
     is_hermitian_symmetric,
     scale,
@@ -271,14 +272,20 @@ def _sample_symbol(form: BihermitianForm):
     return tuple(None if point is None else _sphere_point(*point) for point in first)
 
 
-def certify_elliptic_form(form: BihermitianForm, d_max: int) -> EllipticityReport:
-    """Core ellipticity certification for a scalar complex-bihomogeneous kernel."""
+def require_symbol(form: BihermitianForm | ClearedTerms) -> None:
+    """The preconditions of ellipticity certification, which `verify` checks
+    too: a scalar, Hermitian-symmetric kernel of one bidegree."""
     if form.r != 1:
         raise ValueError("ellipticity certification handles scalar symbols only")
     if not is_hermitian_symmetric(form):
         raise ValueError("symbol kernel must be Hermitian-symmetric (real-valued)")
-    if not is_complex_bihomogeneous(form):
+    if bidegree(form) is None:
         raise ValueError("symbol is not complex-bihomogeneous; certification does not apply")
+
+
+def certify_elliptic_form(form: BihermitianForm, d_max: int) -> EllipticityReport:
+    """Core ellipticity certification for a scalar complex-bihomogeneous kernel."""
+    require_symbol(form)
     base = EllipticityReport(
         form=form,
         verdict="not_certified",

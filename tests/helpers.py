@@ -28,7 +28,7 @@ from hermfact.hermform import TermKey, coefficient_basis
 from hermfact.parsing import ParseError
 from hermfact.scalars import ZERO, GaussianRow, SparseRow, as_gaussian
 from hermfact.stabilize import MODES, StabilizationReport, StabilizationStep, exponent_steps
-from hermfact.symbols import RealSymbol
+from hermfact.symbols import EllipticityReport, RealSymbol
 
 # ---------------------------------------------------------------------------
 # canonical instances
@@ -265,6 +265,40 @@ def reference_factor_to_obj(factor: WeightedGramFactor) -> dict:
               "im": serialize.fraction_to_str(c.im)} for alpha, c in sorted(poly.items())]
             for poly in row]} for w, row in zip(weights, matrix.rows)],
         "target": reference_form_obj(factor.target),
+    }
+
+
+# The stabilization and ellipticity writers before search reports held
+# evidence alone: a stabilization also stored its d_min, and an ellipticity
+# report its verdict and d, all of which follow from the evidence.  Reports
+# they write are in no current format.
+def reference_stabilization_to_obj(report: StabilizationReport) -> dict:
+    return {
+        "kind": "stabilization_report",
+        "mode": report.mode,
+        "d_max": report.d_max,
+        "d_min": report.d_min,
+        "form": serialize.form_to_obj(report.form),
+        "trail": [serialize._sparse_to_obj(step.witness)
+                  for step in report.steps if not step.passes],
+        "factor": None if report.vectors is None else serialize._vectors_to_obj(report.vectors),
+    }
+
+
+def reference_ellipticity_to_obj(report: EllipticityReport) -> dict:
+    point = report.witness_point
+    positive, negative = report.sign_pair or (None, None)
+    return {
+        "kind": "ellipticity_report",
+        "form": serialize.form_to_obj(report.form),
+        "verdict": report.verdict,
+        "d": report.d,
+        "witness_point": [serialize.gaussian_to_pair(c) for c in point] if point else None,
+        "sign_change": {"positive_at": [serialize.gaussian_to_pair(c) for c in positive],
+                        "negative_at": [serialize.gaussian_to_pair(c) for c in negative]}
+        if report.sign_pair else None,
+        "stabilization": reference_stabilization_to_obj(report.stabilization)
+        if report.stabilization else None,
     }
 
 

@@ -6,14 +6,29 @@ from pathlib import Path
 
 import pytest
 
-from hermfact import coefficient_matrix, ldl_signature, serialize
+from hermfact import (
+    certify_elliptic_form,
+    coefficient_matrix,
+    find_minimal_d,
+    ldl_signature,
+    parse_expression,
+    serialize,
+)
 from hermfact.cli import main
 
-from helpers import quartic_family, reference_certificate_obj, reference_form_obj, reference_layout
+from helpers import (
+    quartic_family,
+    reference_certificate_obj,
+    reference_ellipticity_to_obj,
+    reference_form_obj,
+    reference_layout,
+    reference_stabilization_to_obj,
+)
 
 DIAGONAL_QUARTIC = "z1^2*zb1^2 + z2^2*zb2^2"
 SQUARE_DIFFERENCE = "z1^2*zb1^2 - 2*z1*z2*zb1*zb2 + z2^2*zb2^2"
 INDEFINITE_QUARTIC = "z1^2*zb1^2 - z1*z2*zb1*zb2 + z2^2*zb2^2"
+SWEEP_ONE = ["sweep", "-e", json.dumps([{"label": "q", "expr": INDEFINITE_QUARTIC}]), "--dmax", "5"]
 
 
 def run(capsys, argv):
@@ -487,7 +502,11 @@ PARENT_FORMAT_SYMBOL = {
                             "norm of 1 holomorphic differential operator rows",
                  "verdict": "certified"},
 }
-TRAIL_STEP_SHAPE = "a trail step must be a witness, a list of [j, re, im] entries"
+# The key sets of the current format, which stores no d_min, verdict or d.
+STABILIZATION_KEYS = ("a stabilization report must have exactly the keys "
+                      "d_max, factor, form, kind, mode, trail")
+ELLIPTICITY_KEYS = ("an ellipticity report must have exactly the keys "
+                    "form, kind, sign_change, stabilization, witness_point")
 
 # `stabilize -e "z1*zb1" --n 2 --mode semi --dmax 0` and `symbol -e "x1^2 +
 # x2^2"` as the format before the factor was its weighted vectors wrote them:
@@ -512,7 +531,6 @@ PARENT_FORMAT_FACTOR_SYMBOL = json.loads(json.dumps(PARENT_FORMAT_SYMBOL))
 PARENT_FORMAT_FACTOR_SYMBOL["digest"] = (
     "sha256:28080b5d8e6778e335cd0e143b90b0ed2f52b713cc4606be9ecb002406807312")
 PARENT_FORMAT_FACTOR_SYMBOL["result"]["ellipticity"]["stabilization"]["trail"] = []
-FACTOR_SHAPE = "a stabilization factor must be null or a list of weighted vectors"
 
 # `factor -e "z1*zb1"` and `decompose -e "z1*zb1 - z2*zb2"` as the format
 # before a factor was its weighted vectors on its form wrote them.
@@ -565,6 +583,41 @@ PARENT_FORMAT_CHECK = {
 }
 
 
+def _stabilization_with_d_min(report):
+    # The stabilization as the writer before search reports held evidence
+    # alone wrote it, in a run report or mirrored alone.
+    stabilization = report["result"]["stabilization"]
+    form = serialize.obj_to_form(stabilization["form"], written=True)
+    search = find_minimal_d(form, stabilization["mode"], stabilization["d_max"])
+    report["result"]["stabilization"] = reference_stabilization_to_obj(search)
+    return report
+
+
+def _sweep_row_with_d_min(report):
+    row = report["result"]["rows"][0]
+    row["stabilization"] = _stabilization_with_d_min(
+        {"result": {"stabilization": row["stabilization"]}})["result"]["stabilization"]
+    return report
+
+
+def _ellipticity_with_verdict_and_d(report):
+    ellipticity = report["result"]["ellipticity"]
+    form = serialize.obj_to_form(ellipticity["form"], written=True)
+    old = certify_elliptic_form(form, int(report["command"][-1]))
+    report["result"]["ellipticity"] = reference_ellipticity_to_obj(old)
+    return report
+
+
+def _ellipticity_with_d(report):
+    report["result"]["ellipticity"]["d"] = 0
+    return report
+
+
+def _symbol_stabilization_with_d_min(report):
+    report["result"]["ellipticity"]["stabilization"]["d_min"] = 0
+    return report
+
+
 def _unknown_mode(report):
     stabilization = report["result"]["stabilization"]
     stabilization["mode"] = "foo"
@@ -593,15 +646,35 @@ KERNEL_TERM = "a kernel term must be a row [i, j, alpha, beta, re, im]"
         (["stabilize", "-e", INDEFINITE_QUARTIC, "--dmax", "5"], _unknown_mode, ""),
         (["check", "-e", SQUARE_DIFFERENCE], lambda report: PARENT_FORMAT_CHECK, ""),
         (["stabilize", "-e", "z1*zb1", "--n", "2", "--dmax", "0"],
-         lambda report: PARENT_FORMAT_STABILIZE, TRAIL_STEP_SHAPE),
-        (["symbol", "-e", "x1^2 + x2^2"], lambda report: PARENT_FORMAT_SYMBOL, KERNEL_TERM),
+         lambda report: PARENT_FORMAT_STABILIZE, STABILIZATION_KEYS),
+        (["symbol", "-e", "x1^2 + x2^2"], lambda report: PARENT_FORMAT_SYMBOL, ELLIPTICITY_KEYS),
         (["stabilize", "-e", "z1*zb1", "--n", "2", "--mode", "semi", "--dmax", "0"],
-         lambda report: PARENT_FORMAT_FACTOR_STABILIZE, FACTOR_SHAPE),
-        (["symbol", "-e", "x1^2 + x2^2"], lambda report: PARENT_FORMAT_FACTOR_SYMBOL, KERNEL_TERM),
+         lambda report: PARENT_FORMAT_FACTOR_STABILIZE, STABILIZATION_KEYS),
+        (["symbol", "-e", "x1^2 + x2^2"], lambda report: PARENT_FORMAT_FACTOR_SYMBOL,
+         ELLIPTICITY_KEYS),
         (["factor", "-e", "z1*zb1"], lambda report: PARENT_FORMAT_FACTOR, WEIGHTED_FACTOR_KEYS),
         (["factor", "-e", "z1*zb1"], lambda report: _PARENT_FORMAT_FACTOR, WEIGHTED_FACTOR_KEYS),
         (["decompose", "-e", "z1*zb1 - z2*zb2"], lambda report: PARENT_FORMAT_DECOMPOSE,
          "does not have exactly the keys that decompose writes"),
+        (["stabilize", "-e", INDEFINITE_QUARTIC, "--dmax", "5"], _stabilization_with_d_min,
+         STABILIZATION_KEYS),
+        (["stabilize", "-e", INDEFINITE_QUARTIC, "--dmax", "1"], _stabilization_with_d_min,
+         STABILIZATION_KEYS),
+        (["stabilize", "-e", INDEFINITE_QUARTIC, "--dmax", "5"],
+         lambda report: _stabilization_with_d_min(report)["result"]["stabilization"],
+         STABILIZATION_KEYS),
+        (SWEEP_ONE, _sweep_row_with_d_min, STABILIZATION_KEYS),
+        (["symbol", "-e", DIAGONAL_QUARTIC], _ellipticity_with_verdict_and_d, ELLIPTICITY_KEYS),
+        (["symbol", "-e", DIAGONAL_QUARTIC, "--dmax", "0"], _ellipticity_with_verdict_and_d,
+         ELLIPTICITY_KEYS),
+        (["symbol", "-e", "z1*zb1", "--n", "2"], _ellipticity_with_verdict_and_d,
+         ELLIPTICITY_KEYS),
+        (["symbol", "-e", DIAGONAL_QUARTIC],
+         lambda report: _ellipticity_with_verdict_and_d(report)["result"]["ellipticity"],
+         ELLIPTICITY_KEYS),
+        (["symbol", "-e", DIAGONAL_QUARTIC], _ellipticity_with_d, ELLIPTICITY_KEYS),
+        (["symbol", "-e", DIAGONAL_QUARTIC], _symbol_stabilization_with_d_min,
+         STABILIZATION_KEYS),
     ],
     ids=[
         "dense_transform_with_inverse",
@@ -621,12 +694,23 @@ KERNEL_TERM = "a kernel term must be a row [i, j, alpha, beta, re, im]"
         "factor_report_with_rows_and_target",
         "weighted_factor_with_rows_and_target",
         "decompose_report_with_rows_and_target",
+        "stabilization_with_d_min",
+        "inconclusive_stabilization_with_d_min",
+        "stabilization_mirror_with_d_min",
+        "sweep_row_with_d_min",
+        "ellipticity_with_verdict_and_d",
+        "not_certified_ellipticity_with_verdict_and_d",
+        "not_elliptic_ellipticity_with_verdict_and_d",
+        "ellipticity_mirror_with_verdict_and_d",
+        "ellipticity_with_d",
+        "symbol_stabilization_with_d_min",
     ],
 )
 def test_verify_refuses_other_formats(capsys, tmp_path, argv, outdate, message):
-    _, out, _ = run(capsys, argv)
+    # The report from --out, as a sweep writes CSV to stdout.
     path = tmp_path / "outdated.json"
-    path.write_text(json.dumps(outdate(json.loads(out))))
+    run(capsys, argv + ["--out", str(path)])
+    path.write_text(json.dumps(outdate(json.loads(path.read_text()))))
     code, out, err = run(capsys, ["verify", str(path)])
     assert code == 2 and out == ""
     assert "not in the current certificate format" in err and message in err
@@ -646,9 +730,6 @@ def test_verify_binds_run_report_verdicts(capsys, tmp_path):
     code, out, _ = run(capsys, ["verify", str(path)])
     assert code == 1
     assert json.loads(out) == {"valid": False, "reason": "verdicts do not match the embedded artifacts"}
-
-
-SWEEP_ONE = ["sweep", "-e", json.dumps([{"label": "q", "expr": INDEFINITE_QUARTIC}]), "--dmax", "5"]
 
 
 @pytest.mark.parametrize(
@@ -863,6 +944,14 @@ def _first_numeric_value(result):
     result["numeric_factor"]["rows"][0][0]["value"][0] = 99.0
 
 
+def _ellipticity_rendered_before_the_certificate(result):
+    # A verified artifact at a rendering key, walked after the certificate:
+    # the verdicts still take the certificate's basis.
+    certificate = result.pop("certificate")
+    ellipticity = certify_elliptic_form(parse_expression("z1*zb1 + z2*zb2"), 4)
+    result.update(operator_rows=serialize.ellipticity_to_obj(ellipticity), certificate=certificate)
+
+
 @pytest.mark.parametrize(
     "argv, rewrite",
     [
@@ -871,8 +960,10 @@ def _first_numeric_value(result):
         (["factor", "-e", INDEFINITE_QUARTIC, "--d", "1", "--numeric"], _first_numeric_value),
         (["factor", "-e", INDEFINITE_QUARTIC, "--d", "1"],
          lambda result: result.update(operator_rows=["(1)*Dz1"])),
+        (["check", "-e", DIAGONAL_QUARTIC], _ellipticity_rendered_before_the_certificate),
     ],
-    ids=["operator_rows", "operator_rows_dropped", "numeric_value", "foreign_rendering"],
+    ids=["operator_rows", "operator_rows_dropped", "numeric_value", "foreign_rendering",
+         "artifact_at_a_rendering_key"],
 )
 def test_verify_rejects_a_rewritten_rendering(capsys, tmp_path, argv, rewrite):
     path = tmp_path / "report.json"
@@ -952,7 +1043,7 @@ def _stabilization_form_of_mixed_bidegree(stabilization):
 
 
 def _stabilization_trail_emptied(stabilization):
-    stabilization.update(trail=[], d_min=None, factor=None)
+    stabilization.update(trail=[], factor=None)
 
 
 @pytest.mark.parametrize(
@@ -1365,3 +1456,86 @@ def test_verify_rejects_a_rewritten_verdict_byte(capsys, tmp_path):
     assert text.count('"zero":0') == 1
     path.write_text(text.replace('"zero":0', '"zero":1'))
     assert run(capsys, ["verify", str(path)])[0] == 1
+
+
+def _restamp(report):
+    """The report with a digest stamped again, as a forger would."""
+    report["digest"] = serialize.digest_of_obj({k: v for k, v in report.items() if k != "digest"})
+    return report
+
+
+@pytest.mark.parametrize("points", [
+    {"witness_point": [["7", "0"], ["0", "0"]]},
+    {"sign_change": {"positive_at": [["1", "0"], ["0", "0"]], "negative_at": [["0", "0"], ["1", "0"]]}},
+    {"witness_point": [["7", "0"], ["0", "0"]],
+     "sign_change": {"positive_at": [["3", "0"], ["0", "0"]], "negative_at": [["5", "0"], ["1", "0"]]}},
+], ids=["witness_point", "sign_change", "both"])
+def test_a_stabilized_ellipticity_report_with_points_is_refused(capsys, tmp_path, points):
+    # Points prove not_elliptic and a stabilization proves certified or
+    # not_certified: a report holds one kind of evidence.  These points are
+    # off the sphere and no zero, and nothing checked them before.
+    path = tmp_path / "report.json"
+    run(capsys, ["symbol", "-e", "x1^2 + x2^2 + x3^2 + x4^2", "--out", str(path)])
+    report = json.loads(path.read_text())
+    report["result"]["ellipticity"].update(points)
+    mirror = tmp_path / "mirror.json"
+    path.write_text(json.dumps(_restamp(report)))
+    mirror.write_text(json.dumps(report["result"]["ellipticity"]))
+    refused = (1, '{"valid": false, "reason": "report holds both points and a stabilization"}\n', "")
+    assert run(capsys, ["verify", str(path)]) == refused
+    assert run(capsys, ["verify", str(mirror)]) == refused
+
+
+@pytest.mark.parametrize("expr, terms, order, message", [
+    ("z1*zb2", [[1, 1, [1, 0], [0, 1], "1", "0"]], 2,
+     "symbol kernel must be Hermitian-symmetric (real-valued)"),
+    ("z1*zb1 - 1", [[1, 1, [0, 0], [0, 0], "-1", "0"], [1, 1, [1, 0], [1, 0], "1", "0"]], 0,
+     "symbol is not complex-bihomogeneous; certification does not apply"),
+], ids=["not_hermitian", "mixed_bidegree"])
+def test_a_not_elliptic_report_on_a_form_that_symbol_refuses_is_an_input_error(
+        capsys, tmp_path, expr, terms, order, message):
+    # Both forms vanish at (1, 0), but `symbol` refuses them: the zero proves
+    # nothing about an ellipticity that is not defined, and verify refuses
+    # the report with symbol's own error.
+    assert run(capsys, ["symbol", "-e", expr, "--n", "2"]) == (2, "", f"error: {message}\n")
+    path = tmp_path / "report.json"
+    assert run(capsys, ["symbol", "-e", "z1*zb1 - z2*zb2", "--out", str(path)])[0] == 1
+    report = json.loads(path.read_text())
+    ellipticity = report["result"]["ellipticity"]
+    ellipticity["form"]["terms"] = terms
+    ellipticity.update(witness_point=[["1", "0"], ["0", "0"]], sign_change=None)
+    report["verdicts"].update(order=order, summary="not elliptic: exact zero of the symbol on "
+                                                    "the unit sphere")
+    mirror = tmp_path / "mirror.json"
+    path.write_text(json.dumps(_restamp(report)))
+    mirror.write_text(json.dumps(ellipticity))
+    for artifact in (path, mirror):
+        assert run(capsys, ["verify", str(artifact)]) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv, forms, vectors", [
+    (["symbol", "-e", "x1^2 + x2^2 + x3^2 + x4^2"], 2, 1),
+    (["symbol", "-e", "-z1^2*zb1^2 - z2^2*zb2^2"], 2, 1),
+    (["symbol", "-e", DIAGONAL_QUARTIC, "--dmax", "0"], 2, 0),
+    (["symbol", "-e", "z1*zb1", "--n", "2"], 1, 0),
+], ids=["certified", "negated", "not_certified", "not_elliptic"])
+def test_verify_reads_each_form_of_a_symbol_report_once(capsys, tmp_path, monkeypatch, argv,
+                                                        forms, vectors):
+    # The ellipticity check reads the symbol, the stabilization check its
+    # form and factor, and the verdicts and renderings take what they read.
+    path = tmp_path / "report.json"
+    run(capsys, argv + ["--out", str(path)])
+    calls = {"obj_to_terms": 0, "_obj_to_vectors": 0}
+
+    def counted(name):
+        original = getattr(serialize, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(serialize, name, counted(name))
+    assert run(capsys, ["verify", str(path)]) == (0, '{"valid": true, "reason": "ok"}\n', "")
+    assert calls == {"obj_to_terms": forms, "_obj_to_vectors": vectors}

@@ -25,12 +25,14 @@ from hermfact import (
     format_form,
     from_coefficient_matrix,
     gram,
+    is_hermitian_symmetric,
     WeightedGramFactor,
     ldl_signature,
     multiplier_power,
     multiplier_shift,
     parse_expression,
     parse_real_symbol,
+    scale,
 )
 from hermfact import serialize
 from hermfact.certify import independence_failure, mode_evidence
@@ -629,9 +631,9 @@ def _mutate(data, obj: dict, kind: str) -> None:
     one), a factor weight or vector entry, one trail step or factor vector
     dropped or duplicated (in place of another or beside it), a cancelling
     pair [w, v], [-w, v] of a factor's vectors put beside them, one
-    coefficient of the embedded form, or d_min, d_max, mode or d."""
+    coefficient of the embedded form, d_max, mode or d, or a stray d_min."""
     key = "factor" if "trail" in obj else "vectors"
-    vectors = obj[key] or []
+    vectors = obj.get(key) or []
     if kind == "witness" and key == "vectors" and obj["witness"] is None:
         obj["witness"] = [[data.draw(st.integers(0, 9)), data.draw(ratio_strings), "0"]]
     elif kind in ("witness", "vector"):
@@ -676,9 +678,10 @@ def _mutate(data, obj: dict, kind: str) -> None:
 @settings(SETTINGS, max_examples=300)
 @given(search=st.sampled_from(SEARCHES), kind=st.sampled_from(MUTATIONS), data=st.data())
 def test_a_mutated_stabilization_is_rejected_or_still_proves_its_claim(search, kind, data):
-    # The claim is d_min: the least d <= d_max at which the mode's test
-    # passes, or none.  A mutation either fails verify (exit 1 or 2) or
-    # leaves a report whose claim a fresh search confirms.
+    # The claim is d_min, the trail's length when there is a factor: the
+    # least d <= d_max at which the mode's test passes, or none.  A mutation
+    # either fails verify (exit 1 or 2) or leaves a report whose claim a
+    # fresh search confirms; a stray d_min key is no part of the format.
     obj = json.loads(_emitted_stabilization(*search))
     _mutate(data, obj, kind)
     try:
@@ -686,8 +689,9 @@ def test_a_mutated_stabilization_is_rejected_or_still_proves_its_claim(search, k
     except (ValueError, KeyError, TypeError):
         ok = False
     if ok:
+        assert kind != "d_min"
         form = serialize.obj_to_form(obj["form"])
-        assert find_minimal_d(form, obj["mode"], obj["d_max"]).d_min == obj["d_min"]
+        assert find_minimal_d(form, obj["mode"], obj["d_max"]).d_min == serialize._d_min(obj)
 
 
 # Emitted factor, decompose and check reports: factors at d = 0 (with its
@@ -702,13 +706,14 @@ FACTOR_RUNS = [("factor", "-e", "z1*zb1 + 1/2*z1*zb2 + 1/2*z2*zb1 + 2*z2*zb2", "
                ("check", "--mode", "strict", "-e", "z1*zb1 + z1*zb2 + z2*zb1 + z2*zb2")]
 FACTOR_MUTATIONS = ("witness", "weight", "vector", "drop", "duplicate", "cancel", "d", "form",
                     "command")
-ARTIFACT_KEY = {"factor": "factor", "decompose": "decomposition", "check": "certificate"}
+ARTIFACT_KEY = {"factor": "factor", "decompose": "decomposition", "check": "certificate",
+                "symbol": "ellipticity"}
 
 
 @functools.cache
 def _emitted_report(argv: tuple[str, ...]) -> str:
     with contextlib.redirect_stdout(io.StringIO()) as out:
-        assert cli_main(list(argv)) in (0, 1)
+        assert cli_main(list(argv)) in (0, 1, 3)
     return out.getvalue()
 
 
@@ -730,6 +735,17 @@ def _proven_verdicts(command: list[str], form) -> dict:
             "matrix_size": matrix.size, "bidegree": basis.bidegree}
 
 
+def _read(command: list[str], result: dict):
+    """What `verify` reads with a report's artifact for its verdicts and
+    renderings: a check's basis of M_0, or a symbol's form and factor vectors."""
+    artifact = result[ARTIFACT_KEY[command[0]]]
+    terms = serialize.obj_to_terms(artifact["form"], written=True)
+    if command[0] != "symbol":
+        return coefficient_basis(terms)
+    factor = (artifact["stabilization"] or {}).get("factor")
+    return terms, None if factor is None else serialize._obj_to_vectors(factor)
+
+
 def _finish_forgery(report: dict) -> None:
     """Finish an edit of a report's artifact as a forger would: verdicts and
     renderings derived from the edited artifact where they can be, and the
@@ -738,11 +754,12 @@ def _finish_forgery(report: dict) -> None:
     command, result = report["command"], report["result"]
     try:
         numeric = result.pop("numeric_factor", None)
-        result.update(serialize.run_renderings(command, result, numeric and numeric["float_digits"]))
-        form = result[ARTIFACT_KEY[command[0]]]["form"]
-        basis = coefficient_basis(serialize.obj_to_terms(form, written=True))
-        report["verdicts"] = serialize.run_verdicts(command, result, basis)
-    except (ValueError, KeyError, TypeError):
+        result.pop("operator_rows", None)
+        read = _read(command, result)
+        result.update(serialize.run_renderings(
+            command, result, numeric and numeric["float_digits"], read))
+        report["verdicts"] = serialize.run_verdicts(command, result, read)
+    except (ValueError, KeyError, TypeError, IndexError):
         pass
     report["digest"] = serialize.digest_of_obj({k: v for k, v in report.items() if k != "digest"})
 
@@ -802,3 +819,94 @@ def test_emitted_factor_rows_pass_the_polynomial_row_check(form, d):
     written = reference_factor_to_obj(WeightedGramFactor(rows, target))
     assert reconstructs_target(reference_obj_to_factor(json.loads(json.dumps(written))))
     assert reference_gram(rows) == target
+
+
+# Emitted symbol reports: certified in real variables, and in complex ones
+# with complex coefficients (the off-diagonal quartic, at d = 6); certified
+# on the negation of a negative symbol; not certified up to --dmax 0; and
+# not elliptic by an exact zero and by a sign change.
+SYMBOL_RUNS = [("symbol", "-e", "x1^2 + x2^2 + x3^2 + x4^2"), ("symbol", "-e", OFF_DIAGONAL),
+               ("symbol", "-e", "-z1^2*zb1^2 - z2^2*zb2^2"),
+               ("symbol", "-e", "z1^2*zb1^2 + z2^2*zb2^2", "--dmax", "0"),
+               ("symbol", "-e", "z1*zb1", "--n", "2", "--dmax", "16"),
+               ("symbol", "-e", "z1^2*zb1^2 - 3*z1*z2*zb1*zb2 + z2^2*zb2^2")]
+SYMBOL_MUTATIONS = ("form", "witness", "weight", "vector", "drop", "duplicate", "mode", "point",
+                    "add_point", "null")
+
+
+def _mutate_symbol(data, ellipticity: dict, kind: str) -> None:
+    """Change one part of an ellipticity report: a coefficient of its form,
+    one part of its stabilization as `_mutate` changes a stabilization
+    report, an entry of a named point, a point put beside a stabilization, or
+    the stabilization set to null."""
+    stabilization = ellipticity["stabilization"]
+    if kind == "point":
+        change = ellipticity["sign_change"] or {}
+        pairs = [pair for point in [ellipticity["witness_point"] or [], *change.values()]
+                 for pair in point]
+        assume(pairs)
+        pairs[data.draw(st.integers(0, len(pairs) - 1))][data.draw(st.integers(0, 1))] = (
+            data.draw(ratio_strings))
+    elif kind == "null":
+        assume(stabilization is not None)
+        ellipticity["stabilization"] = None
+    elif kind == "add_point":
+        assume(stabilization is not None)
+        point = [[data.draw(ratio_strings), data.draw(ratio_strings)]
+                 for _ in range(ellipticity["form"]["n"])]
+        if data.draw(st.booleans()):
+            ellipticity["witness_point"] = point
+        else:
+            ellipticity["sign_change"] = {"positive_at": point, "negative_at": point[::-1]}
+    elif kind == "form" and (stabilization is None or data.draw(st.booleans())):
+        _mutate(data, ellipticity, kind)
+    else:
+        assume(stabilization is not None)
+        _mutate(data, stabilization, kind)
+
+
+def _sphere_value(form, pairs) -> GaussianRational:
+    point = tuple(serialize.pair_to_gaussian(pair) for pair in pairs)
+    assert sum(c.abs2() for c in point) == 1
+    return evaluate_exact(form, point, point)[0][0]
+
+
+@settings(SETTINGS, max_examples=400)
+@given(argv=st.sampled_from(SYMBOL_RUNS), kind=st.sampled_from(SYMBOL_MUTATIONS), data=st.data())
+def test_a_mutated_symbol_report_is_rejected_or_still_proves_its_claim(argv, kind, data):
+    # The claim of `symbol` is about a scalar Hermitian symbol of one
+    # bidegree: not elliptic by the exact values at the points it names, or
+    # certified at d (not certified) by a strict search on the symbol or its
+    # negation that a fresh search confirms.  A mutation, with the verdicts
+    # and renderings derived from it, either fails verify or leaves such a
+    # report.
+    report = json.loads(_emitted_report(argv))
+    ellipticity = report["result"]["ellipticity"]
+    _mutate_symbol(data, ellipticity, kind)
+    _finish_forgery(report)
+    try:
+        ok, reason = serialize.verify_obj(report)
+    except (ValueError, KeyError, TypeError):
+        ok, reason = False, None
+    assert reason != "digest does not match the report"
+    if not ok:
+        return
+    verdicts, stabilization = report["verdicts"], ellipticity["stabilization"]
+    form = serialize.obj_to_form(ellipticity["form"], written=True)
+    assert form.r == 1 and is_hermitian_symmetric(form) and bidegree(form) is not None
+    assert (verdicts["order"], verdicts["complex_dim"]) == (2 * bidegree(form), form.n)
+    if stabilization is None:
+        point, change = ellipticity["witness_point"], ellipticity["sign_change"]
+        assert verdicts["verdict"] == "not_elliptic" and (point or change)
+        assert point is None or _sphere_value(form, point) == ZERO
+        if change is not None:
+            positive = _sphere_value(form, change["positive_at"])
+            negative = _sphere_value(form, change["negative_at"])
+            assert positive.im == negative.im == 0 and positive.re > 0 > negative.re
+        return
+    assert ellipticity["witness_point"] is None and ellipticity["sign_change"] is None
+    searched = serialize.obj_to_form(stabilization["form"], written=True)
+    assert stabilization["mode"] == "strict" and searched in (form, scale(form, -1))
+    d_min = find_minimal_d(searched, "strict", int(report["command"][-1])).d_min
+    assert (verdicts["verdict"], verdicts["d"]) == (
+        ("not_certified", None) if d_min is None else ("certified", d_min))

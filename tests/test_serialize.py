@@ -29,8 +29,10 @@ from helpers import (
     rand_hermitian_matrix,
     rand_hermsym_form,
     rand_psd_form,
+    reference_ellipticity_to_obj,
     reference_factor_to_obj,
     reference_form_obj,
+    reference_stabilization_to_obj,
 )
 
 
@@ -189,10 +191,12 @@ def test_stabilization_report_round_trip_verify():
     ok, reason = serialize.verify_obj(tampered)
     assert (ok, reason) == (False, "trail d=1: witness value is positive")
 
+    # d_min is the trail's length, and the report stores no copy of it.
+    assert serialize._d_min(obj) == report.d_min == 3
     tampered = json.loads(json.dumps(obj))
-    tampered["d_min"] = 4
-    ok, reason = serialize.verify_obj(tampered)
-    assert not ok and "d_min" in reason
+    tampered["d_min"] = 3
+    with pytest.raises(ValueError, match="not in the current certificate format"):
+        serialize.verify_obj(tampered)
 
 
 FORGERY_FORM = "z1^2*zb1^2 - 3/2*z1*z2*zb1*zb2 + z2^2*zb2^2"
@@ -210,17 +214,14 @@ def forgery_report():
 def test_stabilization_trail_cut_to_d_min_is_rejected(forgery_report):
     forged = json.loads(json.dumps(forgery_report))
     forged["trail"] = forged["trail"][-1:]
-    # One witness per failing exponent, so d_min is the trail's length.
-    assert serialize.verify_obj(forged) == (False, "d_min does not match the trail")
-    # Kept to one step with d_min moved along, the last witness is checked
-    # against the matrix of F itself, which has no index 4.
-    forged["d_min"] = 1
+    # One witness per failing exponent, so d_min is the trail's length: kept
+    # to one step, the last witness is checked against the matrix of F
+    # itself, which has no index 4.
     assert serialize.verify_obj(forged) == (False, "trail d=0: witness index out of range")
 
 
 def test_stabilization_trail_stopping_short_of_d_max_is_rejected(forgery_report):
     forged = json.loads(json.dumps(forgery_report))
-    forged["d_min"] = None
     forged["trail"] = forged["trail"][:1]
     forged["factor"] = None
     assert serialize.verify_obj(forged) == (False, "trail stops before d_max")
@@ -236,10 +237,8 @@ def test_stabilization_step_carries_no_inertia_copy(forgery_report):
     # A step stores only its witness, as nonzero entries [j, re, im]; its
     # matrix, d, size and inertia follow from the embedded form and the
     # step's position, and the passing d has no step: the factor proves it.
-    assert set(forgery_report) == {
-        "kind", "mode", "d_max", "d_min", "form", "trail", "factor",
-    }
-    assert len(forgery_report["trail"]) == forgery_report["d_min"] == 7
+    assert set(forgery_report) == {"kind", "mode", "d_max", "form", "trail", "factor"}
+    assert len(forgery_report["trail"]) == serialize._d_min(forgery_report) == 7
     for step in forgery_report["trail"]:
         assert step and all(type(j) is int and re != "0" for j, re, im in step)
 
@@ -325,9 +324,9 @@ def test_strict_factor_must_span(forgery_report):
     # vectors do not span: a strict trail cannot stop there.
     semi = serialize.stabilization_to_obj(
         find_minimal_d(parse_expression(FORGERY_FORM), "semi", 12))
-    assert semi["d_min"] == 5
+    assert len(semi["trail"]) == 5
     forged = json.loads(json.dumps(forgery_report))
-    forged.update(d_min=5, trail=forged["trail"][:5], factor=semi["factor"])
+    forged.update(trail=forged["trail"][:5], factor=semi["factor"])
     assert serialize.verify_obj(forged) == (False, reason)
     forged["mode"] = "semi"
     assert serialize.verify_obj(forged) == (True, "ok")
@@ -359,16 +358,17 @@ def _entry_changed(obj):
 
 def _vectors_of_d_min_below(obj):
     # M_6 is PSD but singular: its semi vectors are one short of spanning
-    obj.update(d_min=6, trail=obj["trail"][:6], factor=_factor_at(6, "semi"))
+    obj.update(trail=obj["trail"][:6], factor=_factor_at(6, "semi"))
 
 
 def _vectors_of_d_min_above(obj):
     # M_7 passes, so no witness proves it fails; this one is e_0, of value 1
-    obj.update(d_min=8, trail=obj["trail"] + [[[0, "1", "0"]]], factor=_factor_at(8, "strict"))
+    obj.update(trail=obj["trail"] + [[[0, "1", "0"]]], factor=_factor_at(8, "strict"))
 
 
 def _vectors_of_d_min_above_with_the_trail_as_it_is(obj):
-    obj.update(d_min=8, factor=_factor_at(8, "strict"))
+    # The trail's length makes the factor one of M_7, which is 10x10.
+    obj["factor"] = _factor_at(8, "strict")
 
 
 @pytest.mark.parametrize(
@@ -380,7 +380,7 @@ def _vectors_of_d_min_above_with_the_trail_as_it_is(obj):
         (_entry_changed, "factor: congruence identity fails at (3,3)"),
         (_vectors_of_d_min_below, "factor rows do not span the coefficient space"),
         (_vectors_of_d_min_above, "trail d=7: witness value is positive"),
-        (_vectors_of_d_min_above_with_the_trail_as_it_is, "d_min does not match the trail"),
+        (_vectors_of_d_min_above_with_the_trail_as_it_is, "factor index out of range"),
     ],
     ids=["weight_zero", "weight_negative", "index_past_size", "entry_changed",
          "vectors_of_d_min_below", "vectors_of_d_min_above",
@@ -397,14 +397,14 @@ def test_stabilization_factor_of_another_form_is_rejected(forgery_report):
     # own report, but its vectors do not give <z,w>^7 F.
     twice = serialize.stabilization_to_obj(
         find_minimal_d(scale(parse_expression(FORGERY_FORM), 2), "strict", 12))
-    assert twice["d_min"] == 7 and serialize.verify_obj(twice) == (True, "ok")
+    assert len(twice["trail"]) == 7 and serialize.verify_obj(twice) == (True, "ok")
     forged = json.loads(json.dumps(forgery_report))
     forged["factor"] = twice["factor"]
     ok, reason = serialize.verify_obj(forged)
     assert not ok and reason.startswith("factor: congruence identity fails at")
+    # Without a factor, the trail claims that no d up to d_max passes.
     forged["factor"] = None
-    reason = "factor is not one of the form shifted d_min times"
-    assert serialize.verify_obj(forged) == (False, reason)
+    assert serialize.verify_obj(forged) == (False, "trail stops before d_max")
     # A weighted_gram_factor, the format before the factor was its vectors.
     other = holomorphic_factor(parse_expression("z1*zb1 + z2*zb2"))
     forged["factor"] = reference_factor_to_obj(other)
@@ -417,7 +417,7 @@ def test_ellipticity_report_serialization():
     obj = serialize.ellipticity_to_obj(report)
     ok, reason = serialize.verify_obj(json.loads(json.dumps(obj)))
     assert ok, reason
-    assert obj["verdict"] == "certified"
+    assert serialize._symbol_verdict(obj)[:2] == (report.verdict, report.d) == ("certified", 1)
 
 
 def test_artifact_key_sets():
@@ -425,9 +425,7 @@ def test_artifact_key_sets():
     factor = serialize.factor_to_obj(form, 0, _certificate(form))
     assert set(factor) == {"kind", "form", "d", "vectors", "witness"}
     report = serialize.ellipticity_to_obj(certify_elliptic_form(diagonal_quartic(), 4))
-    assert set(report) == {
-        "kind", "form", "verdict", "d", "witness_point", "sign_change", "stabilization",
-    }
+    assert set(report) == {"kind", "form", "witness_point", "sign_change", "stabilization"}
     assert report["form"] == report["stabilization"]["form"]
     # The diagonal quartic is PSD but singular at d = 0 and PD at d = 1: the
     # trail is the d = 0 null vector alone.
@@ -445,7 +443,7 @@ def test_not_elliptic_witness_point_is_evaluated():
     # z1*zb1 on C^2 vanishes at (0, 1); the point (3, 5) is off the sphere and
     # (1, 0) is on it where the symbol is 1.
     obj = _ellipticity_obj("z1*zb1", n=2)
-    assert obj["verdict"] == "not_elliptic" and obj["witness_point"] == [["0", "0"], ["1", "0"]]
+    assert obj["stabilization"] is None and obj["witness_point"] == [["0", "0"], ["1", "0"]]
     reason = "witness point is not a zero of the symbol on the unit sphere"
     for point in ([["3", "0"], ["5", "0"]], [["1", "0"], ["0", "0"]]):
         forged = json.loads(json.dumps(obj))
@@ -459,7 +457,7 @@ def test_not_elliptic_witness_point_is_evaluated():
 def test_not_elliptic_sign_change_is_evaluated():
     obj = _ellipticity_obj("z1^2*zb1^2 - 3*z1*z2*zb1*zb2 + z2^2*zb2^2")
     change = obj["sign_change"]
-    assert obj["verdict"] == "not_elliptic" and change
+    assert obj["stabilization"] is None and change
     reason = "sign-change points do not have opposite signs on the unit sphere"
     forged = json.loads(json.dumps(obj))
     forged["sign_change"] = {"positive_at": change["negative_at"], "negative_at": change["positive_at"]}
@@ -472,7 +470,7 @@ def test_certified_ellipticity_is_bound_to_its_form():
     # The search ran on -form, and the report stores no flag for that: the
     # flip is read off the two forms, so it cannot be rewritten on its own.
     obj = _ellipticity_obj("-z1^2*zb1^2 - z2^2*zb2^2")
-    assert obj["verdict"] == "certified" and obj["d"] == 1
+    assert serialize._symbol_verdict(obj)[:2] == ("certified", 1)
     assert obj["stabilization"]["form"] != obj["form"]
     reason = "stabilization is not a strict search on the report's form"
     forged = json.loads(json.dumps(obj))
@@ -490,19 +488,52 @@ def test_certified_ellipticity_is_bound_to_its_form():
     assert serialize.verify_obj(forged) == (False, reason)
     # A symbol certified at the same d does not lend its stabilization either.
     other = _ellipticity_obj("z1^2*zb1^2 + 3*z2^2*zb2^2")
-    assert other["d"] == obj["d"]
+    assert serialize._symbol_verdict(other)[:2] == ("certified", 1)
     forged = json.loads(json.dumps(obj))
     forged["stabilization"] = other["stabilization"]
     assert serialize.verify_obj(forged) == (False, reason)
     # A semi search certifies -z1*zb1 - z2*zb2 (flipped) at d = 0 as well.
     semi = _ellipticity_obj("-z1*zb1 - z2*zb2")
-    assert semi["verdict"] == "certified" and semi["d"] == 0
+    assert serialize._symbol_verdict(semi)[:2] == ("certified", 0)
     semi["stabilization"]["mode"] = "semi"
     assert serialize.verify_obj(semi) == (False, reason)
+    # The verdict and d follow from the stabilization; a stored copy is no
+    # part of the format, and points beside a stabilization prove nothing.
     for key, value in (("d", 0), ("verdict", "not_certified"), ("verdict", "not_elliptic")):
         forged = json.loads(json.dumps(obj))
         forged[key] = value
-        assert serialize.verify_obj(forged) == (False, "verdict does not match the stabilization")
+        with pytest.raises(ValueError, match="not in the current certificate format"):
+            serialize.verify_obj(forged)
+    forged = json.loads(json.dumps(obj))
+    forged["witness_point"] = [["0", "0"], ["1", "0"]]
+    assert serialize.verify_obj(forged) == (False, "report holds both points and a stabilization")
+
+
+SEARCHES = [(FORGERY_FORM, "strict", 12), (FORGERY_FORM, "semi", 12), (FORGERY_FORM, "strict", 4),
+            ("z1*zb2 + z2*zb1", "semi", 2)]
+SYMBOLS = [("z1^2*zb1^2 + z2^2*zb2^2", None, 4), ("-z1^2*zb1^2 - z2^2*zb2^2", None, 4),
+           ("z1^2*zb1^2 + z2^2*zb2^2", None, 0), ("z1*zb1", 2, 4),
+           ("z1^2*zb1^2 - 3*z1*z2*zb1*zb2 + z2^2*zb2^2", None, 4)]
+
+
+@pytest.mark.parametrize("text, mode, d_max", SEARCHES)
+def test_stabilization_writer_drops_only_d_min(text, mode, d_max):
+    report = find_minimal_d(parse_expression(text), mode, d_max)
+    old, new = reference_stabilization_to_obj(report), serialize.stabilization_to_obj(report)
+    assert new == {key: value for key, value in old.items() if key != "d_min"}
+    assert serialize._d_min(new) == old["d_min"] == report.d_min
+    assert serialize.verify_obj(new) == (True, "ok")
+
+
+@pytest.mark.parametrize("text, n, d_max", SYMBOLS)
+def test_ellipticity_writer_drops_only_what_its_evidence_proves(text, n, d_max):
+    report = certify_elliptic_form(parse_expression(text, n=n), d_max)
+    old, new = reference_ellipticity_to_obj(report), serialize.ellipticity_to_obj(report)
+    if old["stabilization"] is not None:
+        del old["stabilization"]["d_min"]
+    assert new == {key: value for key, value in old.items() if key not in ("verdict", "d")}
+    assert serialize._symbol_verdict(new)[:2] == (old["verdict"], old["d"])
+    assert serialize.verify_obj(new) == (True, "ok")
 
 
 def test_decomposition_factors_serialize_and_verify():
