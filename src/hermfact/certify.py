@@ -1,8 +1,15 @@
 """Exact inertia certificates for Hermitian matrices over the Gaussian rationals.
 
-The decision procedure is a pivoted LDL*: each step eliminates with the
-largest-magnitude real diagonal entry of the trailing block (rational
-comparison).  A nonzero trailing block with an all-zero diagonal is
+M is block diagonal up to a permutation over the connected components of its
+nonzero pattern; for a coefficient matrix these are the torus cosets of
+Gatermann & Parrilo (JPAA 192, 2004).  Each block is eliminated on its own,
+in the order of its largest-magnitude diagonal entry (lowest index on ties),
+and the blocks' pieces are joined in that order.  A 1x1 block is its own
+pivot; a matrix of one block is eliminated as it stands.
+
+The decision procedure within a block is a pivoted LDL*: each step eliminates
+with the largest-magnitude real diagonal entry of the trailing block
+(rational comparison).  A nonzero trailing block with an all-zero diagonal is
 indefinite; its first nonzero off-diagonal entry a becomes the "hollow" 2x2
 pivot [[0, a], [conj(a), 0]] (Bunch & Kaufman, Math. Comp. 31, 1977), which
 has one positive and one negative eigenvalue.
@@ -11,7 +18,9 @@ The certificate is the factorization P M P^T = L D L^adj itself: L unit lower
 triangular, D diagonal apart from the hollow blocks; the inertia of M is that
 of D.  Equivalently M = sum_k w_k v_k v_k^adj over the weighted vectors that
 `SignatureCertificate.weighted_vectors` reads off L and D, which is how the
-certificate is checked and how factors are extracted.
+certificate is checked and how factors are extracted.  Joined from blocks, P
+keeps each block's indices together and L is block diagonal, so each v_k
+lives on its block's indices and nothing about the blocks needs storing.
 
 Every vector of a certificate (the columns of L, the witness, each v_k) is a
 sparse row (`scalars.SparseRow`) read straight off the integer pivot rows of
@@ -20,10 +29,11 @@ GaussianRational appears only in the hollow blocks of D and in
 `gram_decomposition`'s dense output.
 
 A caller that needs only the evidence of one test, PSD or PD, calls
-`mode_evidence`, which runs the same elimination: a failing matrix stops at its
-first negative pivot or hollow block and gives the witness `ldl_signature`
-would, without building L; a passing one gives its certificate's weighted
-vectors.
+`mode_evidence`, which runs the same elimination: it stops at the first
+failing block, at its first negative pivot or hollow block, and gives the
+witness `ldl_signature` would, without building L; a passing matrix gives its
+certificate's weighted vectors.  It also takes a matrix as its
+`hermform.CoefficientRows`, whose blocks it reads from the rows in place.
 """
 
 from __future__ import annotations
@@ -35,7 +45,7 @@ from itertools import combinations
 from math import gcd, lcm
 from operator import itemgetter
 
-from .hermform import HermitianMatrix, hermitian_defect
+from .hermform import CoefficientRows, HermitianMatrix, hermitian_defect
 from .scalars import (
     GaussianRational,
     GaussianRow,
@@ -111,27 +121,7 @@ class SignatureCertificate:
         they pass `independence_failure`: read in reverse, v_k adds
         permutation[k], and x + y pairs with x - y.
         """
-        perm = self.permutation
-
-        def column(k: int) -> SparseRow:
-            den = self.lower[k].den
-            return SparseRow(tuple(sorted([(perm[k], den, 0)] + [
-                (perm[j], x, y) for j, x, y in self.lower[k].entries])), den)
-
-        out = [(k, d, column(k)) for k, d in enumerate(self.diag) if d]
-        for k, a in self.blocks:
-            x, y = column(k), column(k + 1)
-            # x + sign * conj(a) y over x.den * y.den * da, with a = (ar + i*ai) / da
-            da = lcm(a.re.denominator, a.im.denominator)
-            ar, ai, sx, sy = int(a.re * da), int(a.im * da), y.den * da, x.den
-            for w, sign in ((Fraction(1, 2), 1), (Fraction(-1, 2), -1)):
-                acc = {j: (u * sx, v * sx) for j, u, v in x.entries}
-                for j, u, v in y.entries:
-                    p, q = acc.get(j, (0, 0))
-                    acc[j] = p + sign * sy * (ar * u + ai * v), q + sign * sy * (ar * v - ai * u)
-                out.append((k, w, SparseRow.lowest(
-                    ((j, p, q) for j, (p, q) in sorted(acc.items()) if p or q), x.den * sx)))
-        return [(w, v) for _, w, v in sorted(out, key=itemgetter(0))]
+        return _weighted_vectors(self.permutation, self.lower, self.diag, self.blocks)
 
     def verify(self) -> tuple[bool, str]:
         """Re-check every claim by exact arithmetic; returns (ok, reason)."""
@@ -162,6 +152,30 @@ class SignatureCertificate:
             return True, "ok"
         reason = witness_failure(self.matrix, self.witness, self.strict)
         return (True, "ok") if reason is None else (False, reason)
+
+
+def _weighted_vectors(perm, lower, diag, blocks) -> list[tuple[Fraction, SparseRow]]:
+    """`SignatureCertificate.weighted_vectors` of the pieces of a certificate."""
+
+    def column(k: int) -> SparseRow:
+        den = lower[k].den
+        return SparseRow(tuple(sorted([(perm[k], den, 0)] + [
+            (perm[j], x, y) for j, x, y in lower[k].entries])), den)
+
+    out = [(k, d, column(k)) for k, d in enumerate(diag) if d]
+    for k, a in blocks:
+        x, y = column(k), column(k + 1)
+        # x + sign * conj(a) y over x.den * y.den * da, with a = (ar + i*ai) / da
+        da = lcm(a.re.denominator, a.im.denominator)
+        ar, ai, sx, sy = int(a.re * da), int(a.im * da), y.den * da, x.den
+        for w, sign in ((Fraction(1, 2), 1), (Fraction(-1, 2), -1)):
+            acc = {j: (u * sx, v * sx) for j, u, v in x.entries}
+            for j, u, v in y.entries:
+                p, q = acc.get(j, (0, 0))
+                acc[j] = p + sign * sy * (ar * u + ai * v), q + sign * sy * (ar * v - ai * u)
+            out.append((k, w, SparseRow.lowest(
+                ((j, p, q) for j, (p, q) in sorted(acc.items()) if p or q), x.den * sx)))
+    return [(w, v) for _, w, v in sorted(out, key=itemgetter(0))]
 
 
 def congruence_failure(matrix: HermitianMatrix, vectors) -> str | None:
@@ -254,47 +268,171 @@ def ldl_signature(matrix: HermitianMatrix, strict: bool = False) -> SignatureCer
     """Exact pivoted LDL* with inertia and an indefiniteness witness; with
     `strict`, the witness of a singular PSD matrix is a null vector.
 
-    Pivot rule: largest-magnitude real diagonal entry of the trailing block,
-    lowest index on ties.  An all-zero trailing diagonal with a nonzero
-    off-diagonal entry proves indefiniteness: the first such entry a, at
-    (t, u) with t < u in row-major order, moves t and u to the next two slots
-    and eliminates with the 2x2 pivot [[0, a], [conj(a), 0]].  A zero
-    trailing block ends the elimination with zero pivots.
+    M is eliminated block by block (`_blocks`), and the blocks' pieces are
+    joined in block order: P M P^T is then block diagonal, and so is L.
+    Within a block the pivot rule is the largest-magnitude real diagonal
+    entry of the trailing block, lowest index on ties.  An all-zero trailing
+    diagonal with a nonzero off-diagonal entry proves indefiniteness: the
+    first such entry a, at (t, u) with t < u in row-major order, moves t and
+    u to the next two slots and eliminates with the 2x2 pivot
+    [[0, a], [conj(a), 0]].  A zero trailing block ends the block's
+    elimination with zero pivots.  The witness is the first failing block's.
     """
     if not isinstance(matrix, HermitianMatrix):
         matrix = HermitianMatrix.from_rows(matrix)
-    s, perm, diag, blocks, k = _eliminate(matrix, strict, stop=False)
+    parts, witness = _eliminate_blocks(matrix, strict, stop=False)
+    perm, lower, diag, blocks = _joined(parts)
     return SignatureCertificate(
         matrix=matrix,
-        permutation=tuple(perm),
-        lower=_lower(s, diag, blocks),
-        diag=tuple(diag),
-        blocks=tuple(blocks),
-        witness=None if k is None else _witness(s, perm, blocks, k),
+        permutation=perm,
+        lower=lower,
+        diag=diag,
+        blocks=blocks,
+        witness=witness,
         strict=strict,
     )
 
 
 def mode_evidence(
-    matrix: HermitianMatrix, strict: bool
+    matrix: HermitianMatrix | CoefficientRows, strict: bool
 ) -> SparseRow | list[tuple[Fraction, SparseRow]]:
     """The evidence of the mode's test on M, PD if `strict` and PSD if not:
     `ldl_signature(M, strict).witness` when M fails it, and otherwise that
-    certificate's weighted vectors, every weight positive.
+    certificate's weighted vectors, every weight positive.  M may be given
+    as its CoefficientRows, whose blocks are read from the rows in place.
 
-    The elimination stops at the first negative pivot or hollow block.  The
-    witness there reads only the pivot rows before its slot, at columns up to
-    its slot, and `perm` up to its slot; later steps swap and change only
-    later slots, so the witness is the one the full elimination gives.  Only
-    a passing matrix is eliminated to the end, and only its certificate is
-    built.
+    The blocks are eliminated in order, and the first failing block stops
+    at its first negative pivot or hollow block (or, if strict, its first
+    zero pivot).  The witness there reads only the pivot rows before its
+    slot, at columns up to its slot, and `perm` up to its slot; later steps
+    swap and change only later slots, so the witness is the one the full
+    elimination gives.  Only the blocks before it are eliminated to the end,
+    and L is built only for a passing matrix.
     """
-    s, perm, diag, blocks, k = _eliminate(matrix, strict, stop=True)
-    if k is not None:
-        return _witness(s, perm, blocks, k)
-    # A PSD certificate has no blocks, so every weight is a positive pivot.
-    return SignatureCertificate(matrix, tuple(perm), _lower(s, diag, blocks), tuple(diag),
-                                (), None, strict).weighted_vectors()
+    parts, witness = _eliminate_blocks(matrix, strict, stop=True)
+    if witness is not None:
+        return witness
+    # A PSD certificate has no hollow blocks, so every weight is a positive pivot.
+    return _weighted_vectors(*_joined(parts))
+
+
+def _component(start: int, neighbours, seen: list[bool]) -> list[int]:
+    """The indices joined to `start` through `neighbours` (p to each q in
+    neighbours(p)) that `seen` does not mark yet, ascending; it marks them."""
+    seen[start] = True
+    block, stack = [start], [start]
+    while stack:
+        for q in neighbours(stack.pop()):
+            if not seen[q]:
+                seen[q] = True
+                block.append(q)
+                stack.append(q)
+    block.sort()
+    return block
+
+
+def _blocks(matrix: HermitianMatrix | CoefficientRows):
+    """The blocks of M, built one at a time: the connected components of its
+    nonzero pattern, each its matrix indices, ascending, with its submatrix,
+    or, when it is 1x1, its entry x / den as the ints (x, den).  M is block
+    diagonal up to a permutation over them.
+
+    They come in the order of their largest-magnitude diagonal entry,
+    descending, lowest index of that entry on ties, so the first block holds
+    the pivot that the whole-matrix rule takes first, if the diagonal is not
+    all zero.  That is the order in which a stable sort of the indices by
+    magnitude, compared as integers over one denominator, first reaches each
+    block.  CoefficientRows share one denominator and know their nonzeros; a
+    HermitianMatrix is brought to that form unless it is one block, which is
+    its own submatrix, with no copy.
+    """
+    if isinstance(matrix, HermitianMatrix):
+        rows = matrix.rows
+        n = len(rows)
+        if n and len(_component(0, lambda p: rows[p].nonzero(), [False] * n)) == n:
+            yield list(range(n)), matrix
+            return
+        den, re, im = lcm(*(row.den for row in rows)), [], []
+        for row in rows:
+            scale, nz = den // row.den, row.nonzero()
+            re.append({q: row.re[q] * scale for q in nz if row.re[q]})
+            im.append({q: row.im[q] * scale for q in nz if row.im[q]})
+    else:
+        re, im, den = matrix.re, matrix.im, matrix.den
+
+    def neighbours(p: int) -> list[int]:
+        return [q for q, x in re[p].items() if x] + [q for q, y in im[p].items() if y]
+
+    seen = [False] * len(re)
+    for start in sorted(range(len(re)),
+                        key=[-abs(row.get(p, 0)) for p, row in enumerate(re)].__getitem__):
+        if seen[start]:
+            continue
+        block = _component(start, neighbours, seen)
+        if len(block) == 1:
+            if im[start].get(start):
+                raise ValueError("matrix is not Hermitian: complex diagonal entry")
+            yield block, (re[start].get(start, 0), den)
+            continue
+        local = {p: i for i, p in enumerate(block)}
+        sub = []
+        for p in block:
+            row_re, row_im = [0] * len(block), [0] * len(block)
+            for q, x in re[p].items():
+                if x:
+                    row_re[local[q]] = x
+            for q, y in im[p].items():
+                if y:
+                    row_im[local[q]] = y
+            g = gcd(den, *row_re, *row_im)
+            sub.append(GaussianRow([x // g for x in row_re], [y // g for y in row_im], den // g))
+        yield block, HermitianMatrix(tuple(sub))
+
+
+def _eliminate_blocks(matrix, strict: bool, stop: bool):
+    """`_eliminate` on each block of M (`_blocks`) in order: (parts, witness),
+    parts the (indices, s, perm, diag, blocks) of the blocks, in block
+    coordinates, and witness the first failing block's on M's indices, or
+    None.  A 1x1 block costs O(1): its entry is its pivot, and its unit
+    vector is its vector or its witness; its part has s None and the ints
+    (x, den) of its entry for diag.  With `stop`, the blocks end at the
+    first failing one, which parts leave out."""
+    parts, witness = [], None
+    for indices, sub in _blocks(matrix):
+        if isinstance(sub, tuple):
+            k = 0 if sub[0] < 0 or (strict and not sub[0]) else None
+            part = indices, None, None, sub, None
+        else:
+            s, perm, diag, blocks, k = _eliminate(sub, strict, stop)
+            part = indices, s, perm, diag, blocks
+        if k is not None and witness is None:
+            found = SparseRow(((0, 1, 0),)) if part[1] is None else _witness(s, perm, blocks, k)
+            witness = SparseRow(tuple((indices[j], x, y) for j, x, y in found.entries), found.den)
+            if stop:
+                break
+        parts.append(part)
+    return parts, witness
+
+
+def _joined(parts):
+    """(permutation, lower, diag, blocks) of the certificate of M from the
+    parts of its blocks (`_eliminate_blocks`), joined in block order: a
+    block's slots follow the slots of the blocks before it."""
+    perm, lower, diag, blocks = [], [], [], []
+    for indices, s, block_perm, block_diag, block_blocks in parts:
+        if s is None:
+            perm.append(indices[0])
+            lower.append(SparseRow(()))
+            diag.append(Fraction(*block_diag))
+            continue
+        offset = len(diag)
+        perm += [indices[p] for p in block_perm]
+        lower += [column if not offset else SparseRow(
+            tuple((j + offset, x, y) for j, x, y in column.entries), column.den)
+            for column in _lower(s, block_diag, block_blocks)]
+        diag += block_diag
+        blocks += [(k + offset, a) for k, a in block_blocks]
+    return tuple(perm), tuple(lower), tuple(diag), tuple(blocks)
 
 
 def _eliminate(matrix: HermitianMatrix, strict: bool, stop: bool):

@@ -113,7 +113,9 @@ def cmd_check(args) -> int:
     except ValueError as exc:
         raise InputProblem(str(exc)) from exc
     result = {"certificate": serialize.factor_to_obj(form, 0, ldl_signature(matrix))}
-    report = _finish(args, ["check", "--mode", args.mode], text, result, started, read=basis)
+    # The verdicts take the basis alone.
+    report = _finish(args, ["check", "--mode", args.mode], text, result, started,
+                     read=(form, 0, None, basis))
     return EXIT_PASS if report["verdicts"]["passes"] else EXIT_FAIL
 
 
@@ -136,14 +138,17 @@ def cmd_factor(args) -> int:
         raise InputProblem("multiplier exponent must be nonnegative")
     try:
         # M_d is step d of the exponent loop that `stabilize` and `verify` run.
-        matrix = next(islice(exponent_steps(form), args.d, None)).matrix()
+        rows = next(islice(exponent_steps(form), args.d, None))
     except ValueError as exc:
         raise InputProblem(str(exc)) from exc
     command = ["factor", "--d", str(args.d)]
-    result = {"factor": serialize.factor_to_obj(form, args.d, ldl_signature(matrix))}
+    cert = ldl_signature(rows.matrix())
+    result = {"factor": serialize.factor_to_obj(form, args.d, cert)}
     try:
-        result.update(serialize.run_renderings(
-            command, result, args.float_digits if args.numeric else None))
+        if args.numeric:
+            # the rendering takes the factor as built, not read back from result
+            read = (form, args.d, cert.weighted_vectors(), rows.basis)
+            result.update(serialize.run_renderings(command, result, args.float_digits, read))
     except ValueError as exc:
         raise InputProblem(str(exc)) from exc
     report = _finish(args, command, text, result, started)

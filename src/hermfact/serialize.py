@@ -29,7 +29,6 @@ from .factor import _factor_from_parts, numeric_factor
 from .hermform import (
     BihermitianForm,
     ClearedTerms,
-    CoefficientBasis,
     bidegree,
     coefficient_basis,
     coefficient_rows,
@@ -488,17 +487,20 @@ def run_verdicts(command: list[str], result: dict, read=None) -> dict | None:
     prove, with the options of `command` that no artifact records.  None when
     they prove none: a factor not of `--d`, a check or decomposition at d > 0.
     `read` is what the caller read or built with the artifact: a check's
-    basis of M_0, or a symbol's form and factor vectors (None without one)."""
+    form, d, weighted vectors and basis of M_d (`_verify_factor`; the
+    verdicts take the basis), or a symbol's form and factor vectors (None
+    without one)."""
     name = command[0]
     if name == "check":
         mode = _require_mode(_option(command, "--mode"))
         factor = _artifact(result, "certificate", "weighted_gram_factor")
         if factor["d"]:
             return None
-        (pos, neg), size = _weight_signs(factor), len(read.pairs)
+        (pos, neg), basis = _weight_signs(factor), read[3]
+        size = len(basis.pairs)
         return {"mode": mode, "passes": pos == size if mode == "strict" else neg == 0,
                 "inertia": {"pos": pos, "neg": neg, "zero": size - pos - neg},
-                "matrix_size": size, "bidegree": read.bidegree}
+                "matrix_size": size, "bidegree": basis.bidegree}
     if name == "stabilize":
         mode, d_max = _search_bounds(command)
         stabilization = _artifact(result, "stabilization", "stabilization_report")
@@ -556,11 +558,12 @@ SWEEP_ROW_KEYS = [{"label", "stabilization"}, {"label", "error"}]
 
 def run_renderings(command: list[str], result: dict, float_digits: int | None = None,
                    read=None) -> dict:
-    """The renderings beside the artifacts in `result`, derived from them: a
-    certified symbol's differential operator rows, from the form and factor
-    vectors `read` (as for `run_verdicts`), and, when `float_digits` is
-    given, a PSD factor's floating rendering with weights folded in as
-    square roots good to that many digits."""
+    """The renderings beside the artifacts in `result`, derived from what was
+    `read` with them (as for `run_verdicts`): a certified symbol's
+    differential operator rows, from its form and factor vectors, and, when
+    `float_digits` is given, a PSD factor's floating rendering, from its
+    form, d, vectors and basis, with weights folded in as square roots good
+    to that many digits."""
     name = command[0]
     if name == "symbol" and read[1] is not None:
         (form, vectors), d = read, _d_min(result["ellipticity"]["stabilization"])
@@ -568,13 +571,12 @@ def run_renderings(command: list[str], result: dict, float_digits: int | None = 
         return {"operator_rows": [format_diff_operator_row(row, w)
                                   for (w, _), row in zip(vectors, rows)]}
     if name == "factor" and float_digits is not None:
-        form, d, vectors, _ = obj_to_factor(_artifact(result, "factor", "weighted_gram_factor"))
+        form, _, vectors, basis = read
         if any(w < 0 for w, _ in vectors):
             return {}
         if type(float_digits) is not int or not 0 <= float_digits <= MAX_FLOAT_DIGITS:
             raise ValueError(f"float digits must be an integer from 0 to {MAX_FLOAT_DIGITS}")
-        matrix = _factor_from_parts(vectors, _factor_basis(form, d), form.n)
-        rows = numeric_factor(matrix, float_digits).rows
+        rows = numeric_factor(_factor_from_parts(vectors, basis, form.n), float_digits).rows
         return {"numeric_factor": {
             "kind": "numeric_factor",
             "float_digits": float_digits,
@@ -603,8 +605,11 @@ def _verify_run_report(obj: dict) -> tuple[bool, str]:
             or any(not isinstance(row, dict) or row.keys() not in SWEEP_ROW_KEYS for row in rows)):
         raise ValueError(f"{FORMAT_ERROR}: the result of a {name} run report, or a row of it, "
                          f"does not have exactly the keys that {name} writes")
-    # A check's or symbol's verdicts and renderings take what was read with its artifact.
-    artifact, read = result.get({"check": "certificate", "symbol": "ellipticity"}.get(name)), None
+    # A check's, factor's or symbol's verdicts and renderings take what was
+    # read with its artifact.
+    artifact = result.get({"check": "certificate", "factor": "factor",
+                           "symbol": "ellipticity"}.get(name))
+    read = None
     for item in embedded_artifacts(result):
         (ok, reason), found = _VERIFIERS[item["kind"]](item)
         if not ok:
@@ -622,8 +627,9 @@ def _verify_run_report(obj: dict) -> tuple[bool, str]:
     return True, "ok"
 
 
-def _verify_factor(obj: dict) -> tuple[tuple[bool, str], CoefficientBasis]:
-    """verify_obj of a weighted factor, and the basis of its M_d."""
+def _verify_factor(obj: dict) -> tuple[tuple[bool, str], tuple]:
+    """verify_obj of a weighted factor, and what it read: (F, d, weighted
+    vectors, basis of M_d)."""
     terms, d, vectors, witness = obj_to_factor(obj)
     rows = coefficient_rows(terms) if d == 0 else next(islice(exponent_steps(terms), d, None))
     reason = factor_failure(rows.matrix(), vectors, strict=False, signed=True)
@@ -631,7 +637,7 @@ def _verify_factor(obj: dict) -> tuple[tuple[bool, str], CoefficientBasis]:
         reason = "witness is not present exactly when a weight is negative"
     if reason is None and witness is not None:
         reason = _witness_failure(rows, obj["witness"], witness, strict=False)
-    return ((True, "ok") if reason is None else (False, reason)), rows.basis
+    return ((True, "ok") if reason is None else (False, reason)), (terms, d, vectors, rows.basis)
 
 
 # The check of each artifact kind: its (ok, reason) and what it read.

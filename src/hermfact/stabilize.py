@@ -14,7 +14,9 @@ The search and its re-check in `verify` run one exponent loop,
 `exponent_steps`: the form is cleared once to Gaussian-integer numerators over
 one denominator (`hermform.CoefficientRows`), <z, w> acts on those by integer
 adds, and a step's matrix is scattered from them only by whoever calls
-`matrix()`.
+`matrix()`.  The search does not: `mode_evidence` reads the blocks of M_d
+straight from the rows and eliminates them one at a time, so no step builds
+an n x n matrix, and a failing step stops at its first failing block.
 """
 
 from __future__ import annotations
@@ -160,7 +162,8 @@ def find_minimal_d(
     some d it passes at every larger one, so the linear search is complete.
     Each failing step keeps the witness of `ldl_signature(M_d, strict)`,
     found without finishing the elimination, and the passing one its
-    certificate's weighted vectors (`certify.mode_evidence`).
+    certificate's weighted vectors (`certify.mode_evidence`, on the rows of
+    M_d).
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
@@ -173,10 +176,9 @@ def find_minimal_d(
     report = StabilizationReport(form=form, mode=mode, d_max=d_max, d_min=None)
     strict = mode == "strict"
     for d, rows in zip(range(d_max + 1), exponent_steps(form)):
-        matrix = rows.matrix()
-        evidence = mode_evidence(matrix, strict)
+        evidence = mode_evidence(rows, strict)
         witness = evidence if isinstance(evidence, SparseRow) else None
-        report.steps.append(StabilizationStep(d, matrix.size, witness))
+        report.steps.append(StabilizationStep(d, len(rows.basis.pairs), witness))
         if witness is None:
             report.d_min, report.vectors = d, evidence
             return report

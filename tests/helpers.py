@@ -589,6 +589,62 @@ def reference_layout(cert: SignatureCertificate) -> SignatureCertificate:
         witness=None if cert.witness is None else cert.witness.dense(cert.size))
 
 
+def reference_blocks(matrix: HermitianMatrix) -> list[tuple[int, ...]]:
+    """The blocks that `ldl_signature` eliminates apart, found from the dense
+    entries: the classes of indices joined by nonzero entries, each
+    ascending, by their largest |diagonal entry|, descending, then by the
+    lowest index holding it."""
+    entries = matrix.entries
+    n = len(entries)
+    parent = list(range(n))
+
+    def root(p: int) -> int:
+        while parent[p] != p:
+            p = parent[p]
+        return p
+
+    for p in range(n):
+        for q in range(p + 1, n):
+            if entries[p][q]:
+                parent[root(q)] = root(p)
+    classes: dict[int, list[int]] = {}
+    for p in range(n):
+        classes.setdefault(root(p), []).append(p)
+    return sorted((tuple(c) for c in classes.values()),
+                  key=lambda c: min((-abs(entries[p][p].re), p) for p in c))
+
+
+def block_layouts(cert: SignatureCertificate) -> list:
+    """(block, submatrix, pieces) for each of `reference_blocks(cert.matrix)`,
+    in order, where pieces are the permutation, `lower`, `diag` and hollow
+    `blocks` of the certificate (in `reference_layout`) at the next
+    len(block) slots, read in the block's own indices and slots: the
+    certificate of the submatrix, if the blocks were eliminated apart and
+    their slots joined in that order.  Any other index in the permutation
+    reads as None."""
+    entries, out, offset = cert.matrix.entries, [], 0
+    for block in reference_blocks(cert.matrix):
+        local = {p: i for i, p in enumerate(block)}
+        end = offset + len(block)
+        pieces = (tuple(local.get(p) for p in cert.permutation[offset:end]),
+                  tuple(tuple((j - offset, c) for j, c in column)
+                        for column in cert.lower[offset:end]),
+                  cert.diag[offset:end],
+                  tuple((k - offset, a) for k, a in cert.blocks if offset <= k < end))
+        sub = HermitianMatrix.from_rows([[entries[p][q] for q in block] for p in block])
+        out.append((block, sub, pieces))
+        offset = end
+    return out
+
+
+def embedded(vector, block, size: int) -> tuple[GaussianRational, ...]:
+    """The dense vector of length `size` with vector[i] at block[i], else 0."""
+    out = [ZERO] * size
+    for p, c in zip(block, vector):
+        out[p] = c
+    return tuple(out)
+
+
 def _primitive_witness(row: GaussianRow):
     # row scaled by a positive rational to Gaussian integers with content 1,
     # then the overall real sign fixed; keeps witnesses small and deterministic.

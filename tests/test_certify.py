@@ -16,8 +16,12 @@ from hermfact import (
     is_positive_semidefinite,
     ldl_signature,
 )
+from hermfact.certify import mode_evidence
+from hermfact.hermform import CoefficientRows, homogeneous_basis
 from helpers import (
+    block_layouts,
     dense_d,
+    embedded,
     dense_lower,
     mat_adjoint,
     mat_mul,
@@ -351,12 +355,15 @@ def _bump_entry(rows, i, j, delta):
 
 
 def test_integer_row_kernel_matches_reference_kernel():
-    # Without a hollow step: the same permutation, diag and witness as the
-    # GaussianRational reference, and L is its W^-1 in pivot coordinates.
-    # With one (zero-diagonal matrices): the same inertia.  verify and
-    # reference_verify agree on every tampering.
+    # Block by block (`reference_blocks`; a one-block matrix is its own
+    # block), each at its own slots in block order: without a hollow step, the
+    # same permutation, diag and witness as the GaussianRational reference
+    # run on the block's submatrix, and L is its W^-1 in pivot coordinates.
+    # The witness is the first failing block's.  With a hollow step
+    # (zero-diagonal matrices): the same inertia.  verify and reference_verify
+    # agree on every tampering.
     rng = random.Random(2024)
-    hollow_steps = singular = tampered = 0
+    hollow_steps = singular = tampered = split = 0
     for trial in range(200):
         size = rng.randint(1, 12)
         kind = trial % 4
@@ -374,19 +381,43 @@ def test_integer_row_kernel_matches_reference_kernel():
         assert cert.verify() == (True, "ok")
         if cert.blocks:
             hollow_steps += 1
-        else:
-            assert cert.permutation == want.permutation
-            perm, layout = cert.permutation, reference_layout(cert)
-            for k, entries in enumerate(layout.lower):
+        layout, witness = reference_layout(cert), None
+        layouts = block_layouts(layout)
+        split += len(layouts) > 1
+        for block, sub, (perm, lower, diag, hollow) in layouts:
+            want = reference_ldl_signature(sub)
+            fails_first = witness is None and want.witness is not None
+            if fails_first:
+                witness = embedded(want.witness, block, size)
+            if hollow:
+                continue
+            assert perm == want.permutation
+            for k, entries in enumerate(lower):
                 assert entries == tuple((j, want.transform_inv[perm[j]][k])
-                                        for j in range(k + 1, size) if want.transform_inv[perm[j]][k])
-            assert cert.diag == want.diag
-            assert layout.witness == want.witness
+                                        for j in range(k + 1, len(block))
+                                        if want.transform_inv[perm[j]][k])
+            assert diag == want.diag
+            if fails_first:
+                assert layout.witness == witness
+        if witness is None:
+            assert layout.witness is None
         singular += kind == 3 and cert.n_zero > 0
         if trial % 5 == 0:
             for change in _tamperings(cert):
                 bad = dataclasses.replace(cert, **change)
                 assert bad.verify() == reference_verify(reference_layout(bad)), change
                 tampered += 1
-    assert hollow_steps > 40 and singular > 40 and tampered > 300
+    assert hollow_steps > 40 and singular > 40 and tampered > 300 and split > 10
 
+
+
+def test_blocks_of_coefficient_rows_skip_stored_zeros():
+    # A cancelled term stays in the rows as a stored 0; it joins no blocks.
+    # Entries 3, 5, 1 at indices 0, 1, 2, with 0 stored at (1, 2) and (2, 1):
+    # three 1x1 blocks in magnitude order, not the block {1, 2} before {0}.
+    rows = CoefficientRows(homogeneous_basis(3, 1, 1), 2,
+                           [{0: 3}, {1: 5, 2: 0}, {2: 1, 1: 0}], [{}, {}, {}])
+    unit = [SparseRow(((j, 1, 0),)) for j in range(3)]
+    for strict in (False, True):
+        assert mode_evidence(rows, strict) == mode_evidence(rows.matrix(), strict) == [
+            (Fraction(5, 2), unit[1]), (Fraction(3, 2), unit[0]), (Fraction(1, 2), unit[2])]

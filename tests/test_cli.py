@@ -1539,3 +1539,26 @@ def test_verify_reads_each_form_of_a_symbol_report_once(capsys, tmp_path, monkey
         monkeypatch.setattr(serialize, name, counted(name))
     assert run(capsys, ["verify", str(path)]) == (0, '{"valid": true, "reason": "ok"}\n', "")
     assert calls == {"obj_to_terms": forms, "_obj_to_vectors": vectors}
+
+
+def test_verify_reads_the_form_and_vectors_of_a_numeric_factor_report_once(capsys, tmp_path,
+                                                                          monkeypatch):
+    # The README's `factor --d 1 --numeric`: the factor check reads the form
+    # and vectors, and the numeric rendering takes what it read.
+    path = tmp_path / "report.json"
+    argv = ["factor", "-e", INDEFINITE_QUARTIC, "--d", "1", "--numeric"]
+    assert run(capsys, argv + ["--out", str(path)])[0] == 0
+    calls = {"obj_to_terms": 0, "_obj_to_vectors": 0}
+
+    def counted(name):
+        original = getattr(serialize, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(serialize, name, counted(name))
+    assert run(capsys, ["verify", str(path)]) == (0, '{"valid": true, "reason": "ok"}\n', "")
+    assert calls == {"obj_to_terms": 1, "_obj_to_vectors": 1}

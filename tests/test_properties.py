@@ -7,6 +7,7 @@ import functools
 import io
 import json
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import assume, given, settings
@@ -35,7 +36,12 @@ from hermfact import (
     scale,
 )
 from hermfact import serialize
-from hermfact.certify import independence_failure, mode_evidence
+from hermfact.certify import (
+    factor_failure,
+    independence_failure,
+    mode_evidence,
+    witness_failure,
+)
 from hermfact.cli import main as cli_main
 from hermfact.factor import _factor_from_parts
 from hermfact.hermform import coefficient_basis
@@ -44,6 +50,8 @@ from hermfact.stabilize import exponent_steps
 from hermfact.symbols import RealSymbol, _sample_symbol, complex_to_real, real_to_complex
 
 from helpers import (
+    block_layouts,
+    embedded,
     parse_outcome,
     quadratic_value,
     quartic_family,
@@ -440,22 +448,35 @@ def gram_matrices(draw):
 @SETTINGS
 @given(matrix=hermitian_matrices() | gram_matrices())
 def test_strict_witness_exactly_when_not_positive_definite(matrix):
-    want = reference_integer_ldl_signature(matrix)
+    # Block by block (`reference_blocks`; a one-block matrix is its own
+    # block): each block's pieces are the reference's on its submatrix, and
+    # the witness is the first failing block's.
     cert = ldl_signature(matrix)
     strict = ldl_signature(matrix, strict=True)
     assert cert.verify() == strict.verify() == (True, "ok")
     cert, strict = reference_layout(cert), reference_layout(strict)
-    for ours in (cert, strict):
-        assert (ours.permutation, ours.lower, ours.diag, ours.blocks) == (
-            want.permutation, want.lower, want.diag, want.blocks)
-    assert cert.witness == want.witness
-    if want.n_neg:
-        assert strict.witness == want.witness
-    if want.is_positive_definite():
+    failing = strict_failing = None
+    for (block, sub, ours), (_, _, strict_ours) in zip(block_layouts(cert),
+                                                       block_layouts(strict)):
+        want = reference_integer_ldl_signature(sub)
+        assert ours == strict_ours == (want.permutation, want.lower, want.diag, want.blocks)
+        if failing is None and want.n_neg:
+            failing = block, want
+        if strict_failing is None and not want.is_positive_definite():
+            strict_failing = block, want
+    size = matrix.size
+    assert cert.witness == (None if failing is None else embedded(failing[1].witness,
+                                                                  failing[0], size))
+    if strict_failing is None:
         assert strict.witness is None
+        return
+    block, want = strict_failing
+    if want.n_neg:
+        assert strict.witness == embedded(want.witness, block, size)
     else:
         value = quadratic_value(matrix, strict.witness)
         assert any(strict.witness) and value.im == 0 and value.re <= 0
+        assert not any(c for p, c in enumerate(strict.witness) if p not in block)
 
 
 @st.composite
@@ -505,6 +526,44 @@ def test_mode_evidence_is_the_certificates_witness_or_weighted_vectors(matrix):
             assert evidence == cert.witness
 
 
+@st.composite
+def block_sums(draw):
+    """(M, parts): the direct sum of 1 to 4 `evidence_matrices`, its indices
+    permuted, so that its blocks include hollow and singular ones."""
+    parts = draw(st.lists(evidence_matrices(), min_size=1, max_size=4))
+    size = sum(part.size for part in parts)
+    rows = [[ZERO] * size for _ in range(size)]
+    offset = 0
+    for part in parts:
+        for p, row in enumerate(part.entries):
+            rows[offset + p][offset:offset + part.size] = row
+        offset += part.size
+    order = draw(st.permutations(range(size)))
+    return HermitianMatrix.from_rows([[rows[p][q] for q in order] for p in order]), parts
+
+
+@settings(SETTINGS, max_examples=100)
+@given(drawn=block_sums())
+def test_block_kernel_certifies_direct_sums(drawn):
+    # The certificate verifies, its inertia is the sum of the summands', its
+    # vectors are a signed factor of M, and mode_evidence agrees with it.
+    matrix, parts = drawn
+    inertias = [reference_integer_ldl_signature(part).inertia for part in parts]
+    for strict in (False, True):
+        cert = ldl_signature(matrix, strict=strict)
+        assert cert.verify() == (True, "ok")
+        assert cert.inertia == tuple(map(sum, zip(*inertias)))
+        vectors = cert.weighted_vectors()
+        assert factor_failure(matrix, vectors, strict=False, signed=True) is None
+        evidence = mode_evidence(matrix, strict)
+        if cert.witness is None:
+            assert evidence == vectors
+            assert factor_failure(matrix, evidence, strict) is None
+        else:
+            assert evidence == cert.witness
+            assert witness_failure(matrix, evidence, strict) is None
+
+
 # Forms whose searches stop at witnesses of every kind: ladder members (null
 # vectors in strict mode at c = -3/2), block-sparse 3-variable quartics, the
 # Q3 quartic, and hollow forms whose zero diagonals take 2x2 blocks.
@@ -528,6 +587,15 @@ SEARCH_FORMS = [
 def test_find_minimal_d_equals_the_full_elimination_search(text, mode):
     form = parse_expression(text)
     assert find_minimal_d(form, mode, 9) == reference_find_minimal_d(form, mode, 9)
+
+
+@pytest.mark.parametrize("text", SEARCH_FORMS)
+def test_search_blocks_from_coefficient_rows_equal_the_matrix_blocks(text):
+    # The two block producers agree: the rows' blocks, read in place, and
+    # the blocks of the matrix scattered from them.
+    for rows in islice(exponent_steps(parse_expression(text)), 10):
+        for strict in (False, True):
+            assert mode_evidence(rows, strict) == mode_evidence(rows.matrix(), strict)
 
 
 @SETTINGS
