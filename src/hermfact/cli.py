@@ -21,14 +21,13 @@ import io
 import json
 import sys
 import time
-from itertools import islice
 from pathlib import Path
 
 from . import serialize
 from .certify import ldl_signature
 from .hermform import coefficient_matrix
 from .parsing import ParseError, parse_expression, parse_symbol
-from .stabilize import exponent_steps, find_minimal_d, stabilization_sweep
+from .stabilize import find_minimal_d, power_rows, stabilization_sweep
 from .symbols import RealSymbol, certify_elliptic, certify_elliptic_form
 
 EXIT_PASS = 0
@@ -137,8 +136,8 @@ def cmd_factor(args) -> int:
     if args.d < 0:
         raise InputProblem("multiplier exponent must be nonnegative")
     try:
-        # M_d is step d of the exponent loop that `stabilize` and `verify` run.
-        rows = next(islice(exponent_steps(form), args.d, None))
+        # M_d in closed form, as `verify` builds it; d past the size bound is refused.
+        rows = power_rows(form, args.d)
     except ValueError as exc:
         raise InputProblem(str(exc)) from exc
     command = ["factor", "--d", str(args.d)]

@@ -451,7 +451,8 @@ class CoefficientRows:
     Entry (p, q) on `basis` is (re[p][q] + i*im[p][q]) / den, den > 0; each
     row is a dict over its columns, and an absent column is 0.  A stored 0
     (a term that cancelled) is allowed.  The exponent loop of `stabilize`
-    shifts these rows in ints, and `certify.mode_evidence` reads the blocks
+    shifts these rows in ints, `stabilize.power_rows` builds them for one
+    exponent in closed form, and `certify.mode_evidence` reads the blocks
     of the matrix from them; only `matrix` and `form` leave them.
     """
 

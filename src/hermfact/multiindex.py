@@ -75,9 +75,11 @@ def multinomial(d: int, gamma: MultiIndex) -> int:
     gamma = check_multiindex(gamma)
     if degree(gamma) != d:
         raise ValueError(f"multinomial degree mismatch: |{gamma}| != {d}")
-    out = factorial(d)
+    # a product of binomials, which never forms d! itself: gamma = (d,) costs nothing
+    out, total = 1, 0
     for g in gamma:
-        out //= factorial(g)
+        total += g
+        out *= comb(total, g)
     return out
 
 

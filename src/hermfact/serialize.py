@@ -21,7 +21,6 @@ import json
 import re
 import sys
 from fractions import Fraction
-from itertools import islice
 from math import gcd, lcm
 
 from .certify import SignatureCertificate, factor_failure, witness_failure
@@ -36,7 +35,7 @@ from .hermform import (
     homogeneous_basis,
 )
 from .scalars import ZERO, GaussianRational, SparseRow
-from .stabilize import MODES, exponent_steps
+from .stabilize import MODES, checked_bidegree, last_exponent, matrix_size, power_rows
 from .symbols import EllipticityReport, format_diff_operator_row, require_symbol
 
 
@@ -255,17 +254,21 @@ def obj_to_factor(obj: dict) -> tuple[ClearedTerms, int, list[tuple[Fraction, Sp
 
 
 def stabilization_to_obj(report: StabilizationReport) -> dict:
-    """The trail holds the witness of each failing d = 0, 1, ..., in order;
-    each step's matrix and d follow from the form and the position.  The
-    passing d, if any, is the trail's length, proved by the factor: its
-    certificate's weighted vectors [weight, [[j, re, im], ...]] on the basis
-    of that matrix."""
+    """The search's evidence: one witness and the factor.  Passing is
+    monotone in d: if <z,w>^d F = sum_j |h_j|^2, then <z,w>^(d+1) F =
+    sum_k sum_j |z_k h_j|^2, and the z_k h_j span when the h_j do.  So the
+    witness of the last failing d proves that every smaller d fails too.
+    The trail is that witness as [[d, [[j, re, im], ...]]], or [] when d = 0
+    passes; the factor, its certificate's weighted vectors [weight, [[j,
+    re, im], ...]] on the basis of M_d at the next d, or null when the
+    search found none, whose witness is then at the last d it searched."""
+    failing = [step for step in report.steps if not step.passes]
     return {
         "kind": "stabilization_report",
         "mode": report.mode,
         "d_max": report.d_max,
         "form": form_to_obj(report.form),
-        "trail": [_sparse_to_obj(step.witness) for step in report.steps if not step.passes],
+        "trail": [[step.d, _sparse_to_obj(step.witness)] for step in failing[-1:]],
         "factor": None if report.vectors is None else _vectors_to_obj(report.vectors),
     }
 
@@ -353,37 +356,53 @@ def _witness_failure(rows, record, v: SparseRow, strict: bool) -> str | None:
 
 
 def _d_min(stabilization: dict) -> int | None:
-    """The d_min that a stabilization report proves: one witness per failing
-    d, so the trail's length when a factor proves the next d, else None."""
-    return None if stabilization["factor"] is None else len(stabilization["trail"])
+    """The d_min that a stabilization report proves: with a factor, the d
+    after the trail's witness, or 0 with no witness; else None."""
+    if stabilization["factor"] is None:
+        return None
+    trail = stabilization["trail"]
+    return trail[0][0] + 1 if trail else 0
 
 
 def _verify_stabilization(obj: dict) -> tuple[tuple[bool, str], tuple | None]:
     """verify_obj of a stabilization report, and the form and factor vectors
-    it read.  The report proves that the coefficient matrix of <z,w>^d F
-    fails the mode's test for each d below the trail's length, by a witness
-    each, and, with a factor, that its weighted vectors prove the matrix at
-    that length, d_min <= d_max, passes it; without one the trail runs to
-    d_max."""
+    it read.  The witness proves that M_d, the coefficient matrix of
+    <z,w>^d F, fails the mode's test at its d, and so at every smaller d
+    (passing is monotone in d); with a factor, its weighted vectors prove
+    that M_d passes at the next d, d_min <= d_max; without one, the witness
+    is at the last d that the search builds up to d_max (`last_exponent`).
+    Each M_d is built once, in closed form (`stabilize.power_rows`), after
+    its size is checked."""
     _require_keys(obj, STABILIZATION_KEYS, "a stabilization report")
     strict = _require_mode(obj["mode"]) == "strict"
     trail, d_max, factor = obj["trail"], obj["d_max"], obj["factor"]
-    if not (isinstance(trail, list) and type(d_max) is int and d_max >= 0):
-        raise ValueError(f"{FORMAT_ERROR}: a stabilization report needs a trail list "
-                         "and a nonnegative integer d_max")
-    witnesses = [_obj_to_sparse(record) for record in trail]
+    if not (isinstance(trail, list) and len(trail) <= 1
+            and all(isinstance(record, list) and len(record) == 2 and type(record[0]) is int
+                    and record[0] >= 0 for record in trail)
+            and type(d_max) is int and d_max >= 0):
+        raise ValueError(f"{FORMAT_ERROR}: a stabilization report needs a trail of at most one "
+                         "witness [d, [[j, re, im], ...]] and a nonnegative integer d_max")
+    witnesses = [(d, entries, _obj_to_sparse(entries)) for d, entries in trail]
     vectors = None if factor is None else _obj_to_vectors(factor)
-    if factor is None and len(trail) < d_max + 1:
-        return (False, "trail stops before d_max"), None
-    if len(trail) > d_max + (factor is None):
-        return (False, "trail runs past d_max"), None
     terms = obj_to_terms(obj["form"], written=True)
-    steps = exponent_steps(terms)
-    for d, (record, v, rows) in enumerate(zip(trail, witnesses, steps)):
-        reason = _witness_failure(rows, record, v, strict)
+    n, r, m = terms.n, terms.r, checked_bidegree(terms)
+    witness_ds, d_min = [d for d, _ in trail], _d_min(obj)
+    # Every d named is checked against the size bound before any matrix is built.
+    for d in witness_ds + ([] if d_min is None else [d_min]):
+        matrix_size(n, r, m, d)
+    if d_min is None:
+        last = last_exponent(n, r, m, d_max)
+        if witness_ds != [last]:
+            return (False, f"without a factor the witness must be at the last searched d={last}"
+                    ), None
+    elif d_min > d_max:
+        return (False, "factor runs past d_max"), None
+    for d, entries, v in witnesses:
+        reason = _witness_failure(power_rows(terms, d), entries, v, strict)
         if reason is not None:
             return (False, f"trail d={d}: {reason}"), None
-    reason = None if factor is None else factor_failure(next(steps).matrix(), vectors, strict)
+    reason = None if d_min is None else factor_failure(
+        power_rows(terms, d_min).matrix(), vectors, strict)
     return ((True, "ok") if reason is None else (False, reason)), (terms, vectors)
 
 
@@ -631,7 +650,7 @@ def _verify_factor(obj: dict) -> tuple[tuple[bool, str], tuple]:
     """verify_obj of a weighted factor, and what it read: (F, d, weighted
     vectors, basis of M_d)."""
     terms, d, vectors, witness = obj_to_factor(obj)
-    rows = coefficient_rows(terms) if d == 0 else next(islice(exponent_steps(terms), d, None))
+    rows = coefficient_rows(terms) if d == 0 else power_rows(terms, d)
     reason = factor_failure(rows.matrix(), vectors, strict=False, signed=True)
     if reason is None and (witness is not None) != any(w < 0 for w, _ in vectors):
         reason = "witness is not present exactly when a weight is negative"

@@ -3,20 +3,25 @@
 Multiplying a bihomogeneous kernel by <z, w> shifts its coefficient tensor
 along the diagonal; the minimal d for which the d-fold shift has a positive
 (semi)definite coefficient matrix is found by a linear upward search.  Each
-failing exponent keeps only its evidence, one witness vector v with
-v* M_d v < 0 (semi) or v != 0 and v* M_d v <= 0 (strict); the passing one
-keeps only the weighted vectors of its certificate, M_d = sum w v v* with
-every w > 0, which are the coefficient vectors of a factor of <z, w>^d F.
-A failing step stops its elimination at its witness and builds no L
-(`certify.mode_evidence`); only the passing step is eliminated to the end.
+failing exponent has one witness vector v with v* M_d v < 0 (semi) or v != 0
+and v* M_d v <= 0 (strict); the passing one keeps only the weighted vectors
+of its certificate, M_d = sum w v v* with every w > 0, which are the
+coefficient vectors of a factor of <z, w>^d F.  A failing step stops its
+elimination at its witness and builds no L (`certify.mode_evidence`); only
+the passing step is eliminated to the end.  Passing is monotone in d (if
+<z, w>^d F = sum |h_j|^2, then <z, w>^(d+1) F = sum_k sum_j |z_k h_j|^2), so
+a report keeps the witness of the last failing d alone: it proves every
+smaller d fails too.
 
-The search and its re-check in `verify` run one exponent loop,
-`exponent_steps`: the form is cleared once to Gaussian-integer numerators over
-one denominator (`hermform.CoefficientRows`), <z, w> acts on those by integer
-adds, and a step's matrix is scattered from them only by whoever calls
-`matrix()`.  The search does not: `mode_evidence` reads the blocks of M_d
-straight from the rows and eliminates them one at a time, so no step builds
-an n x n matrix, and a failing step stops at its first failing block.
+The search walks one exponent loop, `exponent_steps`: the form is cleared
+once to Gaussian-integer numerators over one denominator
+(`hermform.CoefficientRows`), <z, w> acts on those by integer adds, and
+`mode_evidence` reads the blocks of M_d straight from the rows, so no step
+builds an n x n matrix, and a failing step stops at its first failing block.
+`verify`, `factor --d` and the multipliers build one M_d outright instead,
+from the multinomial theorem (`power_rows`).  Every M_d past d = 0 that is
+built is at most MAX_MATRIX_SIZE rows; the search stops at the last d within
+it (`last_exponent`).
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ import time
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import add
 
 # The search calls mode_evidence; ldl_signature stays bound here because
 # perfbench's tracer, and its test, rebind the kernel under this name too.
@@ -32,15 +38,22 @@ from .certify import ldl_signature, mode_evidence  # noqa: F401
 from .factor import WeightedGramFactor, _factor_from_parts
 from .hermform import (
     BihermitianForm,
+    ClearedTerms,
     CoefficientRows,
     bidegree,
     coefficient_rows,
     homogeneous_basis,
     is_hermitian_symmetric,
 )
+from .multiindex import dim_homogeneous, enumerate_degree, multinomial
 from .scalars import SparseRow
 
 MODES = ("strict", "semi")
+# The largest coefficient matrix M_d, d > 0, that the search, `factor --d`
+# and `verify` build: a report names d in a few bytes, and M_d, its dense
+# rows and its outer-product sum grow with it.  Apart from the tests of the
+# bound, tests, CI and the benchmark build none past Q3's M_32, 630 rows.
+MAX_MATRIX_SIZE = 1024
 
 
 def _pairing_shift(rows: CoefficientRows) -> CoefficientRows:
@@ -48,6 +61,7 @@ def _pairing_shift(rows: CoefficientRows) -> CoefficientRows:
     z^alpha wbar^beta of row i, column j adds its coefficient to
     z^(alpha+e_k) wbar^(beta+e_k) for each k, so entry (p, q) of the
     degree-m matrix adds to (up[p][k], up[q][k]) of the degree-(m+1) one.
+    The search's incremental step; `power_rows` builds one M_d outright.
 
     <z, w> * 0 is the zero form, whose bidegree is 0, so zero rows stay as
     they are; any other form keeps a nonzero term.
@@ -72,35 +86,102 @@ def _pairing_shift(rows: CoefficientRows) -> CoefficientRows:
     return CoefficientRows(shifted, rows.den, out_re, out_im)
 
 
+def matrix_size(n: int, r: int, m: int, d: int) -> int:
+    """The size of M_d for a form of bidegree m: r * dim_homogeneous(n, m + d).
+    ValueError when d > 0 and it is over MAX_MATRIX_SIZE; M_0 is the form's
+    own matrix, which `check` builds too."""
+    size = r * dim_homogeneous(n, m + d)
+    if d and size > MAX_MATRIX_SIZE:
+        raise ValueError(f"the coefficient matrix at d={d} has {size} rows, "
+                         f"more than the {MAX_MATRIX_SIZE} allowed")
+    return size
+
+
+def last_exponent(n: int, r: int, m: int, d_max: int) -> int:
+    """The last d that a search up to d_max builds: the largest d <= d_max
+    whose M_d is within MAX_MATRIX_SIZE, and at least 0.  The size does not
+    fall as d grows, so a bisection finds it."""
+    low, high = 0, d_max
+    while low < high:
+        mid = (low + high + 1) // 2
+        if r * dim_homogeneous(n, m + mid) <= MAX_MATRIX_SIZE:
+            low = mid
+        else:
+            high = mid - 1
+    return low
+
+
+def checked_bidegree(terms: ClearedTerms) -> int:
+    """The single bidegree of a Hermitian-symmetric form, checked with the
+    errors of `coefficient_matrix`, as `exponent_steps` checks it."""
+    if not is_hermitian_symmetric(terms):
+        raise ValueError("coefficient matrix requires a Hermitian-symmetric form")
+    m = bidegree(terms)
+    if m is None:
+        raise ValueError("form has mixed bidegrees; use generalized mode")
+    return m
+
+
+def power_rows(form: BihermitianForm | ClearedTerms, d: int) -> CoefficientRows:
+    """The coefficient rows of <z, w>^d F in closed form, with no shift walked.
+
+    By the multinomial theorem <z, w>^d = sum over |mu| = d of
+    (d!/mu!) z^mu wbar^mu, so the term c z^alpha wbar^beta of entry (i, j)
+    adds (d!/mu!) c to entry ((i, alpha + mu), (j, beta + mu)) of M_d, for
+    each mu.  The index of alpha + mu is looked up once per monomial alpha
+    of the form and mu, not once per term.  Symmetry, the single bidegree
+    and the size of M_d (`matrix_size`) are checked before anything is
+    built.  The zero form is its own product with <z, w>^d, of bidegree 0,
+    as in `exponent_steps`.
+    """
+    if d < 0:
+        raise ValueError("multiplier exponent must be nonnegative")
+    terms = ClearedTerms.of(form)
+    m = checked_bidegree(terms)
+    matrix_size(terms.n, terms.r, m, d)
+    if not terms.support:
+        d = 0
+    basis = homogeneous_basis(terms.n, terms.r, m + d)
+    # Index k of the bidegree-(m+d) basis is (k // dim, monomial k % dim).
+    lookup, dim = basis._lookup, dim_homogeneous(terms.n, m + d)
+    mus = enumerate_degree(terms.n, d)
+    weights = [multinomial(d, mu) for mu in mus]
+    shifted: dict = {}  # alpha -> the index of alpha + mu for each mu, at i = 0
+    rows_re = [{} for _ in basis.pairs]
+    rows_im = [{} for _ in basis.pairs]
+    for (i, j, alpha, beta), (x, y) in terms.support.items():
+        for mono in (alpha, beta):
+            if mono not in shifted:
+                shifted[mono] = [lookup[(0, tuple(map(add, mono, mu)))] for mu in mus]
+        row_offset, column_offset = i * dim, j * dim
+        for p, q, w in zip(shifted[alpha], shifted[beta], weights):
+            p, q = p + row_offset, q + column_offset
+            if x:
+                row = rows_re[p]
+                row[q] = row.get(q, 0) + w * x
+            if y:
+                row = rows_im[p]
+                row[q] = row.get(q, 0) + w * y
+    return CoefficientRows(basis, terms.den, rows_re, rows_im)
+
+
 def multiplier_shift(form: BihermitianForm) -> BihermitianForm:
     """The kernel <z, w> * F, one diagonal-translate convolution step.
 
-    Requires a single bidegree m; the result has bidegree m + 1 and keeps
-    Hermitian symmetry.
+    Requires a Hermitian-symmetric form of a single bidegree m; the result
+    has bidegree m + 1 and keeps Hermitian symmetry.
     """
-    m = bidegree(form)
-    if m is None:
-        raise ValueError("multiplier shift requires a single bidegree")
-    return _pairing_shift(CoefficientRows.of(form, homogeneous_basis(form.n, form.r, m))).form()
+    return multiplier_power(form, 1)
 
 
 def multiplier_power(form: BihermitianForm, d: int) -> BihermitianForm:
-    """The kernel <z, w>^d * F: d integer shifts of the form, cleared once."""
-    if d < 0:
-        raise ValueError("multiplier exponent must be nonnegative")
-    m = bidegree(form)
-    if m is None:
-        raise ValueError("multiplier power requires a single bidegree")
-    if d == 0:
-        return form
-    rows = CoefficientRows.of(form, homogeneous_basis(form.n, form.r, m))
-    for _ in range(d):
-        rows = _pairing_shift(rows)
-    return rows.form()
+    """The kernel <z, w>^d * F, from the closed form of its rows (`power_rows`)."""
+    return power_rows(form, d).form()
 
 
 def exponent_steps(form: BihermitianForm) -> Iterator[CoefficientRows]:
-    """The coefficient rows of <z, w>^d F for d = 0, 1, 2, ...
+    """The coefficient rows of <z, w>^d F for d = 0, 1, 2, ..., the search's
+    incremental walk: each step is one `_pairing_shift` of the one before.
 
     Symmetry and the single bidegree are checked once, at d = 0, with the
     errors of `coefficient_matrix`; the shift keeps both.  A step is shifted
@@ -160,10 +241,11 @@ def find_minimal_d(
     mode "strict" demands positive definiteness (spanning factorization);
     mode "semi" demands positive semidefiniteness.  Once the test passes at
     some d it passes at every larger one, so the linear search is complete.
-    Each failing step keeps the witness of `ldl_signature(M_d, strict)`,
-    found without finishing the elimination, and the passing one its
-    certificate's weighted vectors (`certify.mode_evidence`, on the rows of
-    M_d).
+    It stops early at the last d whose M_d is within MAX_MATRIX_SIZE
+    (`last_exponent`), and then finds no d.  Each failing step keeps the
+    witness of `ldl_signature(M_d, strict)`, found without finishing the
+    elimination, and the passing one its certificate's weighted vectors
+    (`certify.mode_evidence`, on the rows of M_d).
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
@@ -175,7 +257,8 @@ def find_minimal_d(
         raise ValueError("stabilization search requires a single bidegree")
     report = StabilizationReport(form=form, mode=mode, d_max=d_max, d_min=None)
     strict = mode == "strict"
-    for d, rows in zip(range(d_max + 1), exponent_steps(form)):
+    last = last_exponent(form.n, form.r, bidegree(form), d_max)
+    for d, rows in zip(range(last + 1), exponent_steps(form)):
         evidence = mode_evidence(rows, strict)
         witness = evidence if isinstance(evidence, SparseRow) else None
         report.steps.append(StabilizationStep(d, len(rows.basis.pairs), witness))

@@ -383,12 +383,12 @@ def test_criterion_9_verifier_accepts_corpus_and_rejects_tampering(cli_corpus):
                 continue
             obj["vectors"][0][0] = "355/113"
         elif kind in ("stabilization_report", "ellipticity_report"):
-            # a failing step's witness, zeroed, proves nothing
+            # the witness of the last failing d, zeroed, proves nothing
             stabilization = obj if kind == "stabilization_report" else obj.get("stabilization")
             if not (stabilization and stabilization["trail"]):
                 continue
-            trail = stabilization["trail"]
-            trail[0] = [[j, "0", "0"] for j, _, _ in trail[0]]
+            [[_, entries]] = stabilization["trail"]
+            entries[:] = [[j, "0", "0"] for j, _, _ in entries]
         else:
             continue
         bad = tamper_dir / f"bad-{path.name}"

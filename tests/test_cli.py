@@ -451,7 +451,7 @@ def _trail_step_with_certificate(report):
     # A trail step as it was before the trail was bound to the form: d, a
     # pass flag and a whole certificate.
     stabilization = report["result"]["stabilization"]
-    step = stabilization["trail"][0]
+    _, step = stabilization["trail"][0]
     stabilization["trail"][0] = {
         "d": 0,
         "passes": False,
@@ -593,6 +593,17 @@ def _stabilization_with_d_min(report):
     return report
 
 
+def _trail_of_a_witness_per_step(report):
+    # The stabilization as the writer before the trail held one witness
+    # wrote it: a bare witness per failing d = 0, 1, ..., and no d_min.
+    report = _stabilization_with_d_min(report)
+    del report["result"]["stabilization"]["d_min"]
+    return report
+
+
+TRAIL_FORMAT = "a stabilization report needs a trail of at most one witness"
+
+
 def _sweep_row_with_d_min(report):
     row = report["result"]["rows"][0]
     row["stabilization"] = _stabilization_with_d_min(
@@ -664,6 +675,11 @@ KERNEL_TERM = "a kernel term must be a row [i, j, alpha, beta, re, im]"
          lambda report: _stabilization_with_d_min(report)["result"]["stabilization"],
          STABILIZATION_KEYS),
         (SWEEP_ONE, _sweep_row_with_d_min, STABILIZATION_KEYS),
+        (["stabilize", "-e", INDEFINITE_QUARTIC, "--dmax", "5"], _trail_of_a_witness_per_step,
+         TRAIL_FORMAT),
+        (["stabilize", "-e", INDEFINITE_QUARTIC, "--dmax", "1"], _trail_of_a_witness_per_step,
+         TRAIL_FORMAT),
+        (["stabilize", "-e", DIAGONAL_QUARTIC], _trail_of_a_witness_per_step, TRAIL_FORMAT),
         (["symbol", "-e", DIAGONAL_QUARTIC], _ellipticity_with_verdict_and_d, ELLIPTICITY_KEYS),
         (["symbol", "-e", DIAGONAL_QUARTIC, "--dmax", "0"], _ellipticity_with_verdict_and_d,
          ELLIPTICITY_KEYS),
@@ -698,6 +714,9 @@ KERNEL_TERM = "a kernel term must be a row [i, j, alpha, beta, re, im]"
         "inconclusive_stabilization_with_d_min",
         "stabilization_mirror_with_d_min",
         "sweep_row_with_d_min",
+        "trail_of_a_witness_per_step",
+        "inconclusive_trail_of_a_witness_per_step",
+        "trail_of_one_bare_witness",
         "ellipticity_with_verdict_and_d",
         "not_certified_ellipticity_with_verdict_and_d",
         "not_elliptic_ellipticity_with_verdict_and_d",
@@ -1053,8 +1072,8 @@ def _stabilization_trail_emptied(stabilization):
          "error: coefficient matrix requires a Hermitian-symmetric form\n"),
         (_stabilization_form_of_mixed_bidegree, 2, "",
          "error: form has mixed bidegrees; use generalized mode\n"),
-        (_stabilization_trail_emptied, 1,
-         '{"valid": false, "reason": "trail stops before d_max"}\n', ""),
+        (_stabilization_trail_emptied, 1, '{"valid": false, "reason": "without a factor the '
+         'witness must be at the last searched d=5"}\n', ""),
     ],
     ids=["form_not_hermitian", "form_of_mixed_bidegree", "trail_emptied"],
 )
@@ -1562,3 +1581,19 @@ def test_verify_reads_the_form_and_vectors_of_a_numeric_factor_report_once(capsy
         monkeypatch.setattr(serialize, name, counted(name))
     assert run(capsys, ["verify", str(path)]) == (0, '{"valid": true, "reason": "ok"}\n', "")
     assert calls == {"obj_to_terms": 1, "_obj_to_vectors": 1}
+
+
+def test_factor_and_search_stop_at_the_size_bound(capsys, tmp_path):
+    # M_200 of |z|^2 in three variables would have 20503 rows.
+    code, out, err = run(capsys, ["factor", "-e", "z1*zb1 + z2*zb2 + z3*zb3", "--d", "200"])
+    assert (code, out) == (2, "")
+    assert err == ("error: the coefficient matrix at d=200 has 20503 rows, "
+                   "more than the 1024 allowed\n")
+    # |z1|^2 in four variables: M_15, 969 rows, is the last within the bound.
+    path = tmp_path / "s.json"
+    argv = ["stabilize", "-e", "z1*zb1", "--n", "4", "--dmax", "100", "--out", str(path)]
+    assert run(capsys, argv)[0] == 3
+    report = json.loads(path.read_text())
+    assert report["verdicts"] == {"mode": "strict", "d_max": 100, "d_min": None, "found": False}
+    assert [d for d, _ in report["result"]["stabilization"]["trail"]] == [15]
+    assert run(capsys, ["verify", str(path)])[0] == 0

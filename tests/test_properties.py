@@ -46,7 +46,7 @@ from hermfact.cli import main as cli_main
 from hermfact.factor import _factor_from_parts
 from hermfact.hermform import coefficient_basis
 from hermfact.scalars import ZERO
-from hermfact.stabilize import exponent_steps
+from hermfact.stabilize import exponent_steps, power_rows
 from hermfact.symbols import RealSymbol, _sample_symbol, complex_to_real, real_to_complex
 
 from helpers import (
@@ -245,6 +245,29 @@ def test_exponent_loop_equals_reference_shifts(form):
         assert (rows.matrix(), rows.basis) == coefficient_matrix(shifted, mode="bidegree")
         assert rows.form() == shifted
         assert multiplier_power(form, d) == shifted
+
+
+@st.composite
+def closed_form_forms(draw):
+    """A form of `stabilization_forms`, or that form with its diagonal
+    terms, (i, alpha) = (j, beta), taken out: a hollow M_0, still Hermitian."""
+    form = draw(stabilization_forms())
+    if draw(st.booleans()):
+        form = BihermitianForm(form.n, form.r, {
+            (i, j, alpha, beta): c for (i, j, alpha, beta), c in form.support.items()
+            if (i, alpha) != (j, beta)})
+    return form
+
+
+@SETTINGS
+@given(form=closed_form_forms())
+def test_closed_form_rows_equal_the_exponent_loop(form):
+    # The multinomial closed form builds each M_d, d <= 6, with no shift
+    # walked; compared as matrices, in lowest terms, since either may hold a
+    # cancelled 0.
+    for d, rows in zip(range(7), exponent_steps(form)):
+        closed = power_rows(form, d)
+        assert (closed.matrix(), closed.basis) == (rows.matrix(), rows.basis)
 
 
 def test_exponent_loop_keeps_a_cancelled_term_out_of_the_form():
@@ -682,7 +705,8 @@ OFF_DIAGONAL = ("z1^2*zb1^2 + z2^2*zb2^2 - z1*z2*zb1*zb2 + (1/4+1/4*i)*z1*z2*zb2
 LADDER = "z1^2*zb1^2 - 3/2*z1*z2*zb1*zb2 + z2^2*zb2^2"
 SEARCHES = [(OFF_DIAGONAL, "strict", 8), (OFF_DIAGONAL, "semi", 8), (OFF_DIAGONAL, "strict", 3),
             (LADDER, "strict", 8), (LADDER, "semi", 8), (LADDER, "strict", 6), (LADDER, "semi", 3)]
-MUTATIONS = ("witness", "weight", "vector", "drop", "duplicate", "d_min", "d_max", "mode")
+MUTATIONS = ("witness", "witness_d", "weight", "vector", "drop", "duplicate", "d_min", "d_max",
+             "mode")
 ratio_strings = st.builds(lambda p, q: serialize.fraction_to_str(Fraction(p, q)),
                           st.integers(-3, 3), st.integers(1, 3))
 
@@ -696,7 +720,8 @@ def _emitted_stabilization(text: str, mode: str, d_max: int) -> str:
 def _mutate(data, obj: dict, kind: str) -> None:
     """Change one part of `obj`, a stabilization report or a weighted factor:
     a trail or factor witness entry (or a witness given to a factor without
-    one), a factor weight or vector entry, one trail step or factor vector
+    one), the d of a trail's witness, a factor weight or vector entry, the
+    trail's witness or one factor vector
     dropped or duplicated (in place of another or beside it), a cancelling
     pair [w, v], [-w, v] of a factor's vectors put beside them, one
     coefficient of the embedded form, d_max, mode or d, or a stray d_min."""
@@ -704,8 +729,11 @@ def _mutate(data, obj: dict, kind: str) -> None:
     vectors = obj.get(key) or []
     if kind == "witness" and key == "vectors" and obj["witness"] is None:
         obj["witness"] = [[data.draw(st.integers(0, 9)), data.draw(ratio_strings), "0"]]
+    elif kind == "witness_d":
+        assume(obj["trail"])
+        obj["trail"][0][0] = data.draw(st.integers(-1, 12))
     elif kind in ("witness", "vector"):
-        witnesses = obj["trail"] if key == "factor" else [obj["witness"]]
+        witnesses = [v for _, v in obj["trail"]] if key == "factor" else [obj["witness"]]
         entries = [entry for v in (witnesses if kind == "witness" else
                                    [v for _, v in vectors]) for entry in v]
         assume(entries)
@@ -746,8 +774,8 @@ def _mutate(data, obj: dict, kind: str) -> None:
 @settings(SETTINGS, max_examples=300)
 @given(search=st.sampled_from(SEARCHES), kind=st.sampled_from(MUTATIONS), data=st.data())
 def test_a_mutated_stabilization_is_rejected_or_still_proves_its_claim(search, kind, data):
-    # The claim is d_min, the trail's length when there is a factor: the
-    # least d <= d_max at which the mode's test passes, or none.  A mutation
+    # The claim is d_min, the d after the trail's witness when there is a
+    # factor: the least d <= d_max at which the mode's test passes, or none.  A mutation
     # either fails verify (exit 1 or 2) or leaves a report whose claim a
     # fresh search confirms; a stray d_min key is no part of the format.
     obj = json.loads(_emitted_stabilization(*search))
@@ -898,8 +926,8 @@ SYMBOL_RUNS = [("symbol", "-e", "x1^2 + x2^2 + x3^2 + x4^2"), ("symbol", "-e", O
                ("symbol", "-e", "z1^2*zb1^2 + z2^2*zb2^2", "--dmax", "0"),
                ("symbol", "-e", "z1*zb1", "--n", "2", "--dmax", "16"),
                ("symbol", "-e", "z1^2*zb1^2 - 3*z1*z2*zb1*zb2 + z2^2*zb2^2")]
-SYMBOL_MUTATIONS = ("form", "witness", "weight", "vector", "drop", "duplicate", "mode", "point",
-                    "add_point", "null")
+SYMBOL_MUTATIONS = ("form", "witness", "witness_d", "weight", "vector", "drop", "duplicate", "mode",
+                    "point", "add_point", "null")
 
 
 def _mutate_symbol(data, ellipticity: dict, kind: str) -> None:

@@ -20,6 +20,7 @@ from hermfact import (
 from hermfact import serialize
 from hermfact.certify import independence_failure
 from hermfact.factor import _factor_from_parts
+from hermfact.scalars import SparseRow
 from hermfact.stabilize import exponent_steps
 
 from helpers import (
@@ -184,14 +185,15 @@ def test_stabilization_report_round_trip_verify():
     ok, reason = serialize.verify_obj(json.loads(json.dumps(obj)))
     assert ok, reason
 
-    # A failing step is its witness alone: one that the rebuilt matrix does
-    # not fail proves nothing.  Entry (0, 0) of <z,w> F is 1 > 0.
+    # The trail is the witness of d_min - 1 alone: one that the rebuilt
+    # matrix does not fail proves nothing.  Entry (0, 0) of <z,w>^2 F is 1 > 0.
+    assert [d for d, _ in obj["trail"]] == [2]
     tampered = json.loads(json.dumps(obj))
-    tampered["trail"][1] = [[0, "1", "0"]]
+    tampered["trail"][0][1] = [[0, "1", "0"]]
     ok, reason = serialize.verify_obj(tampered)
-    assert (ok, reason) == (False, "trail d=1: witness value is positive")
+    assert (ok, reason) == (False, "trail d=2: witness value is positive")
 
-    # d_min is the trail's length, and the report stores no copy of it.
+    # d_min is the d after the witness's, and the report stores no copy of it.
     assert serialize._d_min(obj) == report.d_min == 3
     tampered = json.loads(json.dumps(obj))
     tampered["d_min"] = 3
@@ -211,49 +213,84 @@ def forgery_report():
     return obj
 
 
-def test_stabilization_trail_cut_to_d_min_is_rejected(forgery_report):
+def test_stabilization_witness_moved_to_d_zero_is_rejected(forgery_report):
     forged = json.loads(json.dumps(forgery_report))
-    forged["trail"] = forged["trail"][-1:]
-    # One witness per failing exponent, so d_min is the trail's length: kept
-    # to one step, the last witness is checked against the matrix of F
-    # itself, which has no index 4.
+    forged["trail"][0][0] = 0
+    # The witness of M_6 is checked against the matrix of F itself, which
+    # has no index 4.
     assert serialize.verify_obj(forged) == (False, "trail d=0: witness index out of range")
 
 
-def test_stabilization_trail_stopping_short_of_d_max_is_rejected(forgery_report):
+@pytest.mark.parametrize("d, reason", [
+    # M_5 = diag(1, 7/2, 7/2, 0, 0, 7/2, 7/2, 1) has e_4 as a null vector
+    # too, so the witness holds at d = 5; but the factor, whose d is now 6,
+    # holds the vectors of the 10x10 M_7, which do not fit the 9x9 M_6.
+    (5, "factor index out of range"),
+    # M_7 is PD: no witness exists there; entry (4, 4) is 7/2.
+    (7, "trail d=7: witness value is positive")])
+def test_stabilization_witness_moved_by_one_is_rejected(forgery_report, d, reason):
     forged = json.loads(json.dumps(forgery_report))
-    forged["trail"] = forged["trail"][:1]
+    forged["trail"][0][0] = d
+    assert serialize.verify_obj(forged) == (False, reason)
+
+
+def test_stabilization_factor_left_at_its_d_is_rejected(forgery_report):
+    # A true witness of M_5 in place of the d = 6 one moves the factor's d to
+    # 6; the vectors, of the 10x10 M_7, do not fit the 9x9 M_6.
+    forged = json.loads(json.dumps(forgery_report))
+    forged["trail"] = [_witness_at(5, "strict")]
+    assert forged["trail"][0][0] == 5
+    assert serialize.verify_obj(forged) == (False, "factor index out of range")
+
+
+def test_inconclusive_witness_not_at_the_last_d_is_rejected(forgery_report):
+    # Without a factor, the witness claims that no d up to d_max passes: it
+    # must be at d_max, the last d that the search built.
+    forged = json.loads(json.dumps(forgery_report))
     forged["factor"] = None
-    assert serialize.verify_obj(forged) == (False, "trail stops before d_max")
+    reason = "without a factor the witness must be at the last searched d=12"
+    assert serialize.verify_obj(forged) == (False, reason)
+    forged["trail"] = []
+    assert serialize.verify_obj(forged) == (False, reason)
+
+
+def test_stabilization_trail_of_one_witness_per_step_is_a_format_error(forgery_report):
+    # The trail before it held one witness: a bare witness per failing d.
+    forged = json.loads(json.dumps(forgery_report))
+    forged["trail"] = [[[1, "1", "0"]], [[2, "1", "0"]]]
+    with pytest.raises(ValueError, match="not in the current certificate format"):
+        serialize.verify_obj(forged)
+    forged["trail"] = [[[1, "1", "0"]]]
+    with pytest.raises(ValueError, match="not in the current certificate format"):
+        serialize.verify_obj(forged)
 
 
 def test_stabilization_d_max_below_d_min_is_rejected(forgery_report):
     forged = json.loads(json.dumps(forgery_report))
     forged["d_max"] = 0
-    assert serialize.verify_obj(forged) == (False, "trail runs past d_max")
+    assert serialize.verify_obj(forged) == (False, "factor runs past d_max")
 
 
 def test_stabilization_step_carries_no_inertia_copy(forgery_report):
-    # A step stores only its witness, as nonzero entries [j, re, im]; its
-    # matrix, d, size and inertia follow from the embedded form and the
-    # step's position, and the passing d has no step: the factor proves it.
+    # The trail stores one witness, as [d, nonzero entries [j, re, im]]; its
+    # matrix, size and inertia follow from the embedded form and d, and the
+    # passing d has no witness: the factor proves it.
     assert set(forgery_report) == {"kind", "mode", "d_max", "form", "trail", "factor"}
-    assert len(forgery_report["trail"]) == serialize._d_min(forgery_report) == 7
-    for step in forgery_report["trail"]:
-        assert step and all(type(j) is int and re != "0" for j, re, im in step)
+    [[d, entries]] = forgery_report["trail"]
+    assert d + 1 == serialize._d_min(forgery_report) == 7
+    assert entries and all(type(j) is int and re != "0" for j, re, im in entries)
 
 
 def test_stabilization_trail_certificate_of_another_matrix_is_rejected(forgery_report):
-    # The witness of diag(-1, 1, 1) in place of the d = 0 step, whose matrix
-    # is diag(1, -3/2, 1).  (The witness of diag(1, -1, 1), e_1, is the d = 0
-    # step's own.)
+    # The witness of diag(-1, 1, 1), e_0, in place of the d = 6 witness e_4:
+    # entry (0, 0) of M_6 is 1.
     cert = ldl_signature(HermitianMatrix.diagonal([-1, 1, 1]))
     assert cert.verify() == (True, "ok")
     other = serialize.certificate_to_obj(cert)
-    assert forgery_report["trail"][0] == [[1, "1", "0"]] != other["witness"]
+    assert forgery_report["trail"][0] == [6, [[4, "1", "0"]]]
     forged = json.loads(json.dumps(forgery_report))
-    forged["trail"][0] = other["witness"]
-    assert serialize.verify_obj(forged) == (False, "trail d=0: witness value is positive")
+    forged["trail"][0][1] = other["witness"]
+    assert serialize.verify_obj(forged) == (False, "trail d=6: witness value is positive")
 
 
 def test_strict_steps_on_singular_matrices_carry_null_vectors():
@@ -270,7 +307,10 @@ def test_strict_steps_on_singular_matrices_carry_null_vectors():
             assert quadratic_value(matrix, step.witness).is_zero()
     assert all(step.witness is not None for step in report.steps[:-1])
     obj = serialize.stabilization_to_obj(report)
-    assert obj["trail"][5:] == [[[3, "1", "0"]], [[4, "1", "0"]]]
+    assert [step.witness for step in report.steps[5:7]] == [
+        SparseRow(((3, 1, 0),)), SparseRow(((4, 1, 0),))]
+    # the report keeps the last one alone
+    assert obj["trail"] == [[6, [[4, "1", "0"]]]]
     assert serialize.verify_obj(obj) == (True, "ok")
 
 
@@ -279,7 +319,7 @@ VALUE_ZERO = [[0, "1", "0"], [1, "1", "0"], [2, "1/2", "1/2"]]
 
 def _set_step(step):
     def forge(obj):
-        obj["trail"][0] = step
+        obj["trail"][0][1] = step
     return forge
 
 
@@ -303,7 +343,8 @@ def _set_step(step):
          "strict_positive", "index_past_size", "negative_index"],
 )
 def test_trail_witness_that_proves_nothing_is_rejected(mode, forge, reason):
-    obj = serialize.stabilization_to_obj(find_minimal_d(parse_expression(FORGERY_FORM), mode, 12))
+    # A search up to d = 0: its witness is at d = 0.
+    obj = serialize.stabilization_to_obj(find_minimal_d(parse_expression(FORGERY_FORM), mode, 0))
     assert serialize.verify_obj(obj) == (True, "ok")
     forge(obj)
     assert serialize.verify_obj(obj) == ((True, "ok") if reason is None else (False, reason))
@@ -321,12 +362,13 @@ def test_strict_factor_must_span(forgery_report):
     forged["factor"][3] = vectors[4]
     assert serialize.verify_obj(forged) == (False, "factor vectors are not independent")
     # The semi factor at d = 5 gives <z,w>^5 F, but M_5 is singular, so its
-    # vectors do not span: a strict trail cannot stop there.
+    # vectors do not span: a strict search cannot stop there.  The semi
+    # witness at d = 4, of negative value, proves the strict test fails too.
     semi = serialize.stabilization_to_obj(
         find_minimal_d(parse_expression(FORGERY_FORM), "semi", 12))
-    assert len(semi["trail"]) == 5
+    assert semi["trail"][0][0] == 4
     forged = json.loads(json.dumps(forgery_report))
-    forged.update(trail=forged["trail"][:5], factor=semi["factor"])
+    forged.update(trail=semi["trail"], factor=semi["factor"])
     assert serialize.verify_obj(forged) == (False, reason)
     forged["mode"] = "semi"
     assert serialize.verify_obj(forged) == (True, "ok")
@@ -338,6 +380,15 @@ def _factor_at(d: int, mode: str) -> list:
     report = find_minimal_d(multiplier_power(parse_expression(FORGERY_FORM), d), mode, 0)
     assert report.d_min == 0
     return serialize.stabilization_to_obj(report)["factor"]
+
+
+def _witness_at(d: int, mode: str) -> list:
+    """The trail record [d, entries] of FORGERY_FORM at a failing d, from a
+    search that stops there."""
+    [record] = serialize.stabilization_to_obj(
+        find_minimal_d(parse_expression(FORGERY_FORM), mode, d))["trail"]
+    assert record[0] == d
+    return record
 
 
 def _set_weight(weight):
@@ -358,16 +409,16 @@ def _entry_changed(obj):
 
 def _vectors_of_d_min_below(obj):
     # M_6 is PSD but singular: its semi vectors are one short of spanning
-    obj.update(trail=obj["trail"][:6], factor=_factor_at(6, "semi"))
+    obj.update(trail=[_witness_at(5, "strict")], factor=_factor_at(6, "semi"))
 
 
 def _vectors_of_d_min_above(obj):
     # M_7 passes, so no witness proves it fails; this one is e_0, of value 1
-    obj.update(trail=obj["trail"] + [[[0, "1", "0"]]], factor=_factor_at(8, "strict"))
+    obj.update(trail=[[7, [[0, "1", "0"]]]], factor=_factor_at(8, "strict"))
 
 
 def _vectors_of_d_min_above_with_the_trail_as_it_is(obj):
-    # The trail's length makes the factor one of M_7, which is 10x10.
+    # The witness's d makes the factor one of M_7, which is 10x10.
     obj["factor"] = _factor_at(8, "strict")
 
 
@@ -397,14 +448,15 @@ def test_stabilization_factor_of_another_form_is_rejected(forgery_report):
     # own report, but its vectors do not give <z,w>^7 F.
     twice = serialize.stabilization_to_obj(
         find_minimal_d(scale(parse_expression(FORGERY_FORM), 2), "strict", 12))
-    assert len(twice["trail"]) == 7 and serialize.verify_obj(twice) == (True, "ok")
+    assert serialize._d_min(twice) == 7 and serialize.verify_obj(twice) == (True, "ok")
     forged = json.loads(json.dumps(forgery_report))
     forged["factor"] = twice["factor"]
     ok, reason = serialize.verify_obj(forged)
     assert not ok and reason.startswith("factor: congruence identity fails at")
-    # Without a factor, the trail claims that no d up to d_max passes.
+    # Without a factor, the witness claims that no d up to d_max passes.
     forged["factor"] = None
-    assert serialize.verify_obj(forged) == (False, "trail stops before d_max")
+    assert serialize.verify_obj(forged) == (
+        False, "without a factor the witness must be at the last searched d=12")
     # A weighted_gram_factor, the format before the factor was its vectors.
     other = holomorphic_factor(parse_expression("z1*zb1 + z2*zb2"))
     forged["factor"] = reference_factor_to_obj(other)
@@ -428,8 +480,8 @@ def test_artifact_key_sets():
     assert set(report) == {"kind", "form", "witness_point", "sign_change", "stabilization"}
     assert report["form"] == report["stabilization"]["form"]
     # The diagonal quartic is PSD but singular at d = 0 and PD at d = 1: the
-    # trail is the d = 0 null vector alone.
-    assert report["stabilization"]["trail"] == [[[1, "1", "0"]]]
+    # trail is the d = 0 null vector.
+    assert report["stabilization"]["trail"] == [[0, [[1, "1", "0"]]]]
 
 
 def _ellipticity_obj(expr, n=None, d_max=4):
@@ -516,11 +568,20 @@ SYMBOLS = [("z1^2*zb1^2 + z2^2*zb2^2", None, 4), ("-z1^2*zb1^2 - z2^2*zb2^2", No
            ("z1^2*zb1^2 - 3*z1*z2*zb1*zb2 + z2^2*zb2^2", None, 4)]
 
 
+def _one_witness(old: dict) -> dict:
+    """The stabilization `old`, written with d_min and a witness per failing
+    d, as the writer writes it now: no d_min, and the last witness alone,
+    with its d, its position in the old trail."""
+    trail = old["trail"]
+    return {**{key: value for key, value in old.items() if key != "d_min"},
+            "trail": [[len(trail) - 1, trail[-1]]] if trail else []}
+
+
 @pytest.mark.parametrize("text, mode, d_max", SEARCHES)
 def test_stabilization_writer_drops_only_d_min(text, mode, d_max):
     report = find_minimal_d(parse_expression(text), mode, d_max)
     old, new = reference_stabilization_to_obj(report), serialize.stabilization_to_obj(report)
-    assert new == {key: value for key, value in old.items() if key != "d_min"}
+    assert new == _one_witness(old)
     assert serialize._d_min(new) == old["d_min"] == report.d_min
     assert serialize.verify_obj(new) == (True, "ok")
 
@@ -530,7 +591,7 @@ def test_ellipticity_writer_drops_only_what_its_evidence_proves(text, n, d_max):
     report = certify_elliptic_form(parse_expression(text, n=n), d_max)
     old, new = reference_ellipticity_to_obj(report), serialize.ellipticity_to_obj(report)
     if old["stabilization"] is not None:
-        del old["stabilization"]["d_min"]
+        old["stabilization"] = _one_witness(old["stabilization"])
     assert new == {key: value for key, value in old.items() if key not in ("verdict", "d")}
     assert serialize._symbol_verdict(new)[:2] == (old["verdict"], old["d"])
     assert serialize.verify_obj(new) == (True, "ok")
@@ -642,3 +703,30 @@ def test_independence_pairs_a_vector_only_with_the_one_before_it():
     one_i = [[0, "1", "0"], [1, "0", "1"]]
     assert independence_failure(vectors(one_i, [[0, "0", "1"], [1, "-1", "0"]])) == not_independent
     assert independence_failure(vectors(one_i, [[0, "1", "0"], [1, "0", "-1"]])) is None
+
+
+def test_verify_refuses_a_d_past_the_size_bound(forgery_report):
+    # A report names d in a few bytes; verify checks the size of M_d
+    # before it builds anything, and exits 2 past the bound.
+    forged = json.loads(json.dumps(forgery_report))
+    forged["trail"][0][0] = 10**6
+    with pytest.raises(ValueError, match="at d=1000000 has 1000003 rows"):
+        serialize.verify_obj(forged)
+    # |z1|^2 in four variables: the search ends at d = 15, the last d within
+    # the bound, and a factor after its witness would be at d = 16.
+    inconclusive = serialize.stabilization_to_obj(
+        find_minimal_d(parse_expression("z1*zb1", n=4), "strict", 100))
+    assert inconclusive["trail"][0][0] == 15
+    assert serialize.verify_obj(inconclusive) == (True, "ok")
+    inconclusive["trail"][0][0] = 14
+    assert serialize.verify_obj(inconclusive) == (
+        False, "without a factor the witness must be at the last searched d=15")
+    inconclusive["trail"][0][0], inconclusive["factor"] = 15, []
+    with pytest.raises(ValueError, match="at d=16 has 1140 rows"):
+        serialize.verify_obj(inconclusive)
+    # A weighted factor of |z|^2 in three variables at d = 200, with no vectors.
+    form = parse_expression("z1*zb1 + z2*zb2 + z3*zb3")
+    factor = serialize.factor_to_obj(form, 0, _certificate(form))
+    factor.update(d=200, vectors=[])
+    with pytest.raises(ValueError, match="at d=200 has 20503 rows"):
+        serialize.verify_obj(factor)

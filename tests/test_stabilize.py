@@ -246,3 +246,34 @@ def test_shifted_diag_matches_binomial_oracle():
             assert [matrix.at(k, k) for k in range(matrix.size)] == [
                 GaussianRational(e) for e in expected
             ]
+
+
+# |z1|^2 in four variables: every M_d is singular, and M_d has
+# C(d + 4, 3) rows, so M_15 (969 rows) is the last within the size bound.
+FOUR_VARIABLE_SQUARE = "z1*zb1"
+
+
+def test_the_search_stops_at_the_last_d_within_the_size_bound():
+    form = parse_expression(FOUR_VARIABLE_SQUARE, n=4)
+    assert stabilize.last_exponent(4, 1, 1, 100) == 15
+    assert stabilize.last_exponent(4, 1, 1, 7) == 7
+    report = find_minimal_d(form, "strict", 100)
+    assert report.d_min is None and report.d_max == 100
+    assert [step.d for step in report.steps] == list(range(16))
+    assert report.steps[-1].size == 969 <= stabilize.MAX_MATRIX_SIZE
+    assert stabilize.matrix_size(4, 1, 1, 15) == 969
+    with pytest.raises(ValueError, match="more than the 1024 allowed"):
+        stabilize.matrix_size(4, 1, 1, 16)
+
+
+def test_power_rows_refuses_a_matrix_past_the_size_bound():
+    form = parse_expression(FOUR_VARIABLE_SQUARE, n=4)
+    assert len(stabilize.power_rows(form, 15).basis.pairs) == 969
+    with pytest.raises(ValueError, match="at d=16 has 1140 rows"):
+        stabilize.power_rows(form, 16)
+    with pytest.raises(ValueError, match="allowed"):
+        multiplier_power(form, 10**6)
+    # M_0 is the form's own matrix, which check builds too: never refused.
+    assert stabilize.matrix_size(4000, 1, 1, 0) == 4000
+    # In one variable M_d does not grow: d has no bound, and d!/mu! is 1.
+    assert stabilize.power_rows(parse_expression("2*z1*zb1"), 10**6).re == [{0: 2}]
