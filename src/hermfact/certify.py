@@ -5,7 +5,7 @@ nonzero pattern; for a coefficient matrix these are the torus cosets of
 Gatermann & Parrilo (JPAA 192, 2004).  Each block is eliminated on its own,
 in the order of its largest-magnitude diagonal entry (lowest index on ties),
 and the blocks' pieces are joined in that order.  A 1x1 block is its own
-pivot; a matrix of one block is eliminated as it stands.
+pivot.
 
 The decision procedure within a block is a pivoted LDL*: each step eliminates
 with the largest-magnitude real diagonal entry of the trailing block
@@ -32,8 +32,12 @@ A caller that needs only the evidence of one test, PSD or PD, calls
 `mode_evidence`, which runs the same elimination: it stops at the first
 failing block, at its first negative pivot or hollow block, and gives the
 witness `ldl_signature` would, without building L; a passing matrix gives its
-certificate's weighted vectors.  It also takes a matrix as its
-`hermform.CoefficientRows`, whose blocks it reads from the rows in place.
+certificate's weighted vectors.
+
+M is a `hermform.HermitianMatrix`, integer dict rows over one denominator.
+The blocks are read from those rows in place, and each block's own working
+rows are the only dense rows built; the congruence check of a certificate
+sums its weighted vectors over their supports alone.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ from itertools import combinations
 from math import gcd, lcm
 from operator import itemgetter
 
-from .hermform import CoefficientRows, HermitianMatrix, hermitian_defect
+from .hermform import HermitianMatrix, hermitian_defect
 from .scalars import (
     GaussianRational,
     GaussianRow,
@@ -139,7 +143,7 @@ class SignatureCertificate:
             if not end < k < n - 1 or a.is_zero() or self.diag[k] or self.diag[k + 1]:
                 return False, "blocks are not disjoint hollow 2x2 pivots"
             end = k + 1
-        if hermitian_defect(self.matrix.rows) is not None:
+        if hermitian_defect(self.matrix) is not None:
             return False, "matrix is not Hermitian"
         reason = congruence_failure(self.matrix, self.weighted_vectors())
         if reason is not None:
@@ -181,13 +185,16 @@ def _weighted_vectors(perm, lower, diag, blocks) -> list[tuple[Fraction, SparseR
 def congruence_failure(matrix: HermitianMatrix, vectors) -> str | None:
     """Why M = sum w v v^adj fails over the weighted vectors (w, v), indices
     inside M, or None when it holds exactly: both sides are Hermitian, so the
-    upper triangle decides, at the columns where either side is nonzero."""
+    upper triangle decides, at the columns where either side is nonzero.  The
+    failure named is the first (p, q) in row-major order."""
     re, im, common = outer_product_sum(matrix.size, vectors)
-    for p, row in enumerate(matrix.rows):
-        re_p, im_p, den = re[p], im[p], row.den
-        for q in sorted({*nonzero_indices(re_p, im_p, p), *nonzero_indices(row.re, row.im, p)}):
-            if re_p[q] * den != row.re[q] * common or im_p[q] * den != row.im[q] * common:
-                return f"congruence identity fails at ({p},{q})"
+    den = matrix.den
+    for p, (re_p, im_p, row_re, row_im) in enumerate(zip(re, im, matrix.re, matrix.im)):
+        failing = [q for q in re_p.keys() | row_re.keys() | row_im.keys() if q >= p and (
+            re_p.get(q, 0) * den != row_re.get(q, 0) * common
+            or im_p.get(q, 0) * den != row_im.get(q, 0) * common)]
+        if failing:
+            return f"congruence identity fails at ({p},{min(failing)})"
     return None
 
 
@@ -197,9 +204,9 @@ def _ascends_between(low: int, row: SparseRow, high: int) -> bool:
     return all(a < b for a, b in zip(indices, indices[1:]))
 
 
-def witness_failure(matrix, v: SparseRow, strict: bool) -> str | None:
-    """Why v does not prove that `matrix` (a HermitianMatrix or CoefficientRows)
-    fails the mode's test: v^adj M v < 0, or v != 0 and <= 0 if strict."""
+def witness_failure(matrix: HermitianMatrix, v: SparseRow, strict: bool) -> str | None:
+    """Why v does not prove that `matrix` fails the mode's test: v^adj M v < 0,
+    or v != 0 and <= 0 if strict."""
     if strict and not any(x or y for _, x, y in v.entries):
         return "witness is zero"
     value = matrix.quadratic_value(v)
@@ -294,12 +301,11 @@ def ldl_signature(matrix: HermitianMatrix, strict: bool = False) -> SignatureCer
 
 
 def mode_evidence(
-    matrix: HermitianMatrix | CoefficientRows, strict: bool
+    matrix: HermitianMatrix, strict: bool
 ) -> SparseRow | list[tuple[Fraction, SparseRow]]:
     """The evidence of the mode's test on M, PD if `strict` and PSD if not:
     `ldl_signature(M, strict).witness` when M fails it, and otherwise that
-    certificate's weighted vectors, every weight positive.  M may be given
-    as its CoefficientRows, whose blocks are read from the rows in place.
+    certificate's weighted vectors, every weight positive.
 
     The blocks are eliminated in order, and the first failing block stops
     at its first negative pivot or hollow block (or, if strict, its first
@@ -331,37 +337,23 @@ def _component(start: int, neighbours, seen: list[bool]) -> list[int]:
     return block
 
 
-def _blocks(matrix: HermitianMatrix | CoefficientRows):
+def _blocks(matrix: HermitianMatrix):
     """The blocks of M, built one at a time: the connected components of its
-    nonzero pattern, each its matrix indices, ascending, with its submatrix,
-    or, when it is 1x1, its entry x / den as the ints (x, den).  M is block
-    diagonal up to a permutation over them.
+    nonzero pattern, each its matrix indices, ascending, with its dense
+    working rows, or, when it is 1x1, its entry x / den as the ints (x, den).
+    M is block diagonal up to a permutation over them.
 
     They come in the order of their largest-magnitude diagonal entry,
     descending, lowest index of that entry on ties, so the first block holds
     the pivot that the whole-matrix rule takes first, if the diagonal is not
     all zero.  That is the order in which a stable sort of the indices by
-    magnitude, compared as integers over one denominator, first reaches each
-    block.  CoefficientRows share one denominator and know their nonzeros; a
-    HermitianMatrix is brought to that form unless it is one block, which is
-    its own submatrix, with no copy.
+    magnitude, compared as integers over the rows' one denominator, first
+    reaches each block.
     """
-    if isinstance(matrix, HermitianMatrix):
-        rows = matrix.rows
-        n = len(rows)
-        if n and len(_component(0, lambda p: rows[p].nonzero(), [False] * n)) == n:
-            yield list(range(n)), matrix
-            return
-        den, re, im = lcm(*(row.den for row in rows)), [], []
-        for row in rows:
-            scale, nz = den // row.den, row.nonzero()
-            re.append({q: row.re[q] * scale for q in nz if row.re[q]})
-            im.append({q: row.im[q] * scale for q in nz if row.im[q]})
-    else:
-        re, im, den = matrix.re, matrix.im, matrix.den
+    re, im, den = matrix.re, matrix.im, matrix.den
 
     def neighbours(p: int) -> list[int]:
-        return [q for q, x in re[p].items() if x] + [q for q, y in im[p].items() if y]
+        return [*re[p], *im[p]]
 
     seen = [False] * len(re)
     for start in sorted(range(len(re)),
@@ -374,19 +366,14 @@ def _blocks(matrix: HermitianMatrix | CoefficientRows):
                 raise ValueError("matrix is not Hermitian: complex diagonal entry")
             yield block, (re[start].get(start, 0), den)
             continue
-        local = {p: i for i, p in enumerate(block)}
-        sub = []
+        zeros, rows = [0] * len(block), []
         for p in block:
-            row_re, row_im = [0] * len(block), [0] * len(block)
-            for q, x in re[p].items():
-                if x:
-                    row_re[local[q]] = x
-            for q, y in im[p].items():
-                if y:
-                    row_im[local[q]] = y
+            row_re, row_im = list(map(re[p].get, block, zeros)), list(map(im[p].get, block, zeros))
             g = gcd(den, *row_re, *row_im)
-            sub.append(GaussianRow([x // g for x in row_re], [y // g for y in row_im], den // g))
-        yield block, HermitianMatrix(tuple(sub))
+            if g != 1:
+                row_re, row_im = [x // g for x in row_re], [y // g for y in row_im]
+            rows.append(GaussianRow(row_re, row_im, den // g))
+        yield block, rows
 
 
 def _eliminate_blocks(matrix, strict: bool, stop: bool):
@@ -435,20 +422,20 @@ def _joined(parts):
     return tuple(perm), tuple(lower), tuple(diag), tuple(blocks)
 
 
-def _eliminate(matrix: HermitianMatrix, strict: bool, stop: bool):
-    """The pivoted elimination of `ldl_signature`: (s, perm, diag, blocks, k)
-    with s the working rows, perm the pivot order and k the witness slot, or
-    None when M passes the mode's test.  With `stop` it returns at the first
-    negative pivot or hollow block, swapped into place but not eliminated
-    with; diag and blocks then end at that slot."""
-    n = matrix.size
+def _eliminate(s: list[GaussianRow], strict: bool, stop: bool):
+    """The pivoted elimination of `ldl_signature` on the working rows s of
+    M, which it changes in place: (s, perm, diag, blocks, k) with perm the
+    pivot order and k the witness slot, or None when M passes the mode's
+    test.  With `stop` it returns at the first negative pivot or hollow
+    block, swapped into place but not eliminated with; diag and blocks then
+    end at that slot."""
+    n = len(s)
     # s holds the rows of the working matrix.  Rows before the current step
     # are finished pivots and are never read again, so an elimination step
     # only applies row operations: by Hermitian symmetry the matching column
     # operations change nothing but the finished pivot rows.  Later swaps
     # still reach a finished row, so at the end row k, right of its diagonal,
     # is conj(column k of L D) in the final pivot coordinates.
-    s = [row.copy() for row in matrix.rows]
     perm = list(range(n))
     diag: list[Fraction] = []
     blocks: list[tuple[int, GaussianRational]] = []

@@ -137,16 +137,16 @@ def cmd_factor(args) -> int:
         raise InputProblem("multiplier exponent must be nonnegative")
     try:
         # M_d in closed form, as `verify` builds it; d past the size bound is refused.
-        rows = power_rows(form, args.d)
+        matrix, basis = power_rows(form, args.d)
     except ValueError as exc:
         raise InputProblem(str(exc)) from exc
     command = ["factor", "--d", str(args.d)]
-    cert = ldl_signature(rows.matrix())
+    cert = ldl_signature(matrix)
     result = {"factor": serialize.factor_to_obj(form, args.d, cert)}
     try:
         if args.numeric:
             # the rendering takes the factor as built, not read back from result
-            read = (form, args.d, cert.weighted_vectors(), rows.basis)
+            read = (form, args.d, cert.weighted_vectors(), basis)
             result.update(serialize.run_renderings(command, result, args.float_digits, read))
     except ValueError as exc:
         raise InputProblem(str(exc)) from exc

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 
 from .multiindex import (
@@ -28,7 +29,6 @@ from .scalars import (
     GaussianRow,
     SparseRow,
     as_gaussian,
-    nonzero_indices,
     outer_product_sum,
 )
 
@@ -189,17 +189,43 @@ class HoloPolyMatrix:
 
 @dataclass(eq=True)
 class HermitianMatrix:
-    """Hermitian matrix over the Gaussian rationals, held as one GaussianRow per
-    row; the constructor trusts its rows, `from_rows` is the checked entry point."""
+    """Hermitian matrix over the Gaussian rationals: entry (p, q) is
+    (re[p][q] + i*im[p][q]) / den, den > 0, each row a dict over its columns,
+    an absent column 0.  The rows are kept in lowest terms (`lowest`): no
+    stored 0, and no factor common to den and every numerator, so matrices
+    compare by their fields.  The constructor trusts its rows; `from_rows` is
+    the checked entry point."""
 
-    rows: tuple[GaussianRow, ...]
+    re: list[dict[int, int]]
+    im: list[dict[int, int]]
+    den: int
+
+    @classmethod
+    def lowest(cls, re: list[dict[int, int]], im: list[dict[int, int]], den: int
+               ) -> "HermitianMatrix":
+        """The matrix of the rows re, im over den > 0, a cancelled 0 dropped
+        and brought to lowest terms by one gcd; rows already so are kept."""
+        values = [*chain.from_iterable(map(dict.values, re)),
+                  *chain.from_iterable(map(dict.values, im))]
+        g = gcd(den, *values)
+        if g == 1 and 0 not in values:
+            return cls(re, im, den)
+        return cls([{q: x // g for q, x in row.items() if x} for row in re],
+                   [{q: y // g for q, y in row.items() if y} for row in im], den // g)
 
     @classmethod
     def from_rows(cls, rows) -> "HermitianMatrix":
         """The checked constructor: a square Hermitian array of scalars, else ValueError."""
-        matrix = cls(tuple(GaussianRow.from_entries(len(row), enumerate(map(as_gaussian, row)))
-                           for row in rows))
-        defect = hermitian_defect(matrix.rows)
+        rows = [[as_gaussian(c) for c in row] for row in rows]
+        if any(len(row) != len(rows) for row in rows):
+            raise ValueError("matrix must be square")
+        den = lcm(*(q for row in rows for c in row for q in (c.re.denominator, c.im.denominator)))
+        matrix = cls.lowest(
+            [{q: c.re.numerator * (den // c.re.denominator) for q, c in enumerate(row)}
+             for row in rows],
+            [{q: c.im.numerator * (den // c.im.denominator) for q, c in enumerate(row)}
+             for row in rows], den)
+        defect = hermitian_defect(matrix)
         if defect is not None:
             raise ValueError(defect)
         return matrix
@@ -218,57 +244,55 @@ class HermitianMatrix:
 
     @property
     def size(self) -> int:
-        return len(self.rows)
+        return len(self.re)
 
     @property
     def entries(self) -> tuple[tuple[GaussianRational, ...], ...]:
         """The dense entries, derived from the rows."""
-        return tuple(row.to_gaussians() for row in self.rows)
+        out = []
+        for p in range(self.size):
+            row = [ZERO] * self.size
+            for q in self.re[p].keys() | self.im[p].keys():
+                row[q] = self.at(p, q)
+            out.append(tuple(row))
+        return tuple(out)
 
-    def at(self, k: int, l: int) -> GaussianRational:
-        return self.rows[k].at(l)
+    def at(self, p: int, q: int) -> GaussianRational:
+        x, y = self.re[p].get(q, 0), self.im[p].get(q, 0)
+        return GaussianRational(Fraction(x, self.den), Fraction(y, self.den)) if x or y else ZERO
 
     def quadratic_value(self, v: SparseRow) -> int:
-        """v^adj M v times a positive integer, read off the rows and columns of
-        v's nonzeros alone; M is Hermitian, so the value is real."""
-        rows = [self.rows[p] for p, _, _ in v.entries]
-        common = lcm(*(row.den for row in rows))
-        # (M v)_p = (wr + i*wi) / den; conj(a + i*b) (wr + i*wi) has real part a*wr + b*wi
-        return sum((a * sum(row.re[q] * x - row.im[q] * y for q, x, y in v.entries)
-                    + b * sum(row.re[q] * y + row.im[q] * x for q, x, y in v.entries))
-                   * (common // row.den) for (_, a, b), row in zip(v.entries, rows))
+        """v^adj M v times the positive den * v.den^2, read off the rows and
+        columns of v's nonzeros alone; M is Hermitian, so the value is real."""
+        value = 0
+        for p, a, b in v.entries:
+            row_re, row_im = self.re[p], self.im[p]
+            # (M v)_p = wr + i*wi, and conj(a + i*b) (wr + i*wi) has real part a*wr + b*wi
+            wr = wi = 0
+            for q, x, y in v.entries:
+                r, i = row_re.get(q, 0), row_im.get(q, 0)
+                wr += r * x - i * y
+                wi += r * y + i * x
+            value += a * wr + b * wi
+        return value
 
 
-def hermitian_defect(rows) -> str | None:
-    """Why the rows do not form a square Hermitian matrix, or None when they do.
+def hermitian_defect(matrix: HermitianMatrix) -> str | None:
+    """Why the matrix is not Hermitian, or None when it is.
 
-    Only the nonzeros are visited.  The defect named is the first (k, l),
-    l <= k, in row-major order: a nonzero (k, l) is compared with its partner
-    in row k, and a nonzero (l, k) above the diagonal whose partner is 0 is
-    found in row l < k.  Once row k is done, no later row can name a defect
-    in a row up to k.
+    Only the nonzeros are visited; the rows share one denominator, so an
+    entry is compared with its partner in ints.  The defect named is the
+    first (k, l), l <= k, in row-major order whose entry is not the
+    conjugate of the entry at (l, k).
     """
-    if any(len(row.re) != len(rows) for row in rows):
-        return "matrix must be square"
-    first = None
-    for k, row in enumerate(rows):
-        re, im, den = row.re, row.im, row.den
-        for l in row.nonzero():
-            other = rows[l]
-            if l > k:
-                # a nonzero partner is compared in row l
-                defect = None if other.re[k] or other.im[k] else (l, k)
-            elif re[l] * other.den != other.re[k] * den or im[l] * other.den != -other.im[k] * den:
-                defect = (k, l)
-            else:
-                continue
-            if defect is not None and (first is None or defect < first):
-                first = defect
-        if first is not None and first[0] <= k:
-            k, l = first
-            return (f"diagonal entry {k} is not real" if k == l
-                    else f"entries ({k},{l}) and ({l},{k}) are not conjugate")
-    return None
+    re, im = matrix.re, matrix.im
+    defects = [(max(k, l), min(k, l)) for k in range(len(re)) for l in re[k].keys() | im[k].keys()
+               if re[k].get(l, 0) != re[l].get(k, 0) or im[k].get(l, 0) != -im[l].get(k, 0)]
+    if not defects:
+        return None
+    k, l = min(defects)
+    return (f"diagonal entry {k} is not real" if k == l
+            else f"entries ({k},{l}) and ({l},{k}) are not conjugate")
 
 
 @dataclass(eq=True, frozen=True)
@@ -391,12 +415,14 @@ def gram(a: HoloPolyMatrix) -> BihermitianForm:
     support: dict[TermKey, GaussianRational] = {}
     for p, (i, alpha) in enumerate(pairs):
         re_p, im_p = re[p], im[p]
-        for q in nonzero_indices(re_p, im_p, p):
-            j, beta = pairs[q]
-            coeff = GaussianRational(Fraction(re_p[q], common), Fraction(im_p[q], common))
-            support[(i, j, alpha, beta)] = coeff
-            if q != p:
-                support[(j, i, beta, alpha)] = coeff.conjugate()
+        for q in sorted(re_p):
+            x, y = re_p[q], im_p[q]
+            if x or y:
+                j, beta = pairs[q]
+                coeff = GaussianRational(Fraction(x, common), Fraction(y, common))
+                support[(i, j, alpha, beta)] = coeff
+                if q != p:
+                    support[(j, i, beta, alpha)] = coeff.conjugate()
     return BihermitianForm(a.n, r, support)
 
 
@@ -444,105 +470,31 @@ def coefficient_basis(form: BihermitianForm, mode: str = "auto") -> CoefficientB
     raise ValueError(f"unknown coefficient basis mode: {mode}")
 
 
-@dataclass(frozen=True)
-class CoefficientRows:
-    """A coefficient matrix in Gaussian-integer numerators over one denominator.
-
-    Entry (p, q) on `basis` is (re[p][q] + i*im[p][q]) / den, den > 0; each
-    row is a dict over its columns, and an absent column is 0.  A stored 0
-    (a term that cancelled) is allowed.  The exponent loop of `stabilize`
-    shifts these rows in ints, `stabilize.power_rows` builds them for one
-    exponent in closed form, and `certify.mode_evidence` reads the blocks
-    of the matrix from them; only `matrix` and `form` leave them.
-    """
-
-    basis: CoefficientBasis
-    den: int
-    re: list[dict[int, int]]
-    im: list[dict[int, int]]
-
-    @classmethod
-    def of(cls, form: BihermitianForm | ClearedTerms, basis: CoefficientBasis) -> "CoefficientRows":
-        """The form's coefficients on `basis`, which must hold every (i, alpha)
-        and (j, beta) of the support."""
-        terms = ClearedTerms.of(form)
-        lookup = basis._lookup
-        rows_re = [{} for _ in basis.pairs]
-        rows_im = [{} for _ in basis.pairs]
-        for (i, j, alpha, beta), (x, y) in terms.support.items():
-            p, q = lookup[(i, alpha)], lookup[(j, beta)]
-            if x:
-                rows_re[p][q] = x
-            if y:
-                rows_im[p][q] = y
-        return cls(basis, terms.den, rows_re, rows_im)
-
-    def matrix(self) -> HermitianMatrix:
-        """Each row scattered into a GaussianRow and brought to lowest terms
-        by one gcd.  Symmetry of the form is symmetry of the rows, so the
-        caller vouches for it."""
-        size, den = len(self.basis.pairs), self.den
-        rows = []
-        for row_re, row_im in zip(self.re, self.im):
-            g = gcd(den, *row_re.values(), *row_im.values())
-            re, im = [0] * size, [0] * size
-            for q, x in row_re.items():
-                re[q] = x // g
-            for q, y in row_im.items():
-                im[q] = y // g
-            rows.append(GaussianRow(re, im, den // g))
-        return HermitianMatrix(tuple(rows))
-
-    def quadratic_value(self, v: SparseRow) -> int:
-        """v^adj M v times the positive den * v.den^2, read off the rows and
-        columns of v's nonzeros alone; M is Hermitian, so the value is real."""
-        value = 0
-        for p, a, b in v.entries:
-            row_re, row_im = self.re[p], self.im[p]
-            # (M v)_p = wr + i*wi, and conj(a + i*b) (wr + i*wi) has real part a*wr + b*wi
-            wr = wi = 0
-            for q, x, y in v.entries:
-                r, i = row_re.get(q, 0), row_im.get(q, 0)
-                wr += r * x - i * y
-                wi += r * y + i * x
-            value += a * wr + b * wi
-        return value
-
-    def form(self) -> BihermitianForm:
-        """The form with these coefficients, cancelled terms dropped."""
-        pairs, den = self.basis.pairs, self.den
-        support: dict[TermKey, GaussianRational] = {}
-        for (i, alpha), row_re, row_im in zip(pairs, self.re, self.im):
-            for q in sorted(row_re.keys() | row_im.keys()):
-                x, y = row_re.get(q, 0), row_im.get(q, 0)
-                if x or y:
-                    j, beta = pairs[q]
-                    support[(i, j, alpha, beta)] = GaussianRational(Fraction(x, den),
-                                                                    Fraction(y, den))
-        return BihermitianForm(self.basis.n, self.basis.r, support)
-
-
-def coefficient_rows(form: BihermitianForm | ClearedTerms, mode: str = "auto") -> CoefficientRows:
-    """The form's coefficient matrix as CoefficientRows on
-    `coefficient_basis(form, mode)`.  Requires a Hermitian-symmetric input,
-    which is checked on the cleared ints."""
-    terms = ClearedTerms.of(form)
-    if not is_hermitian_symmetric(terms):
-        raise ValueError("coefficient matrix requires a Hermitian-symmetric form")
-    return CoefficientRows.of(terms, coefficient_basis(terms, mode))
-
-
 def coefficient_matrix(
-    form: BihermitianForm, mode: str = "auto"
+    form: BihermitianForm | ClearedTerms, mode: str = "auto"
 ) -> tuple[HermitianMatrix, CoefficientBasis]:
-    """Hermitian matrix M with M[(i,alpha)][(j,beta)] = coefficient(i, j, alpha, beta).
+    """Hermitian matrix M with M[(i,alpha)][(j,beta)] = coefficient(i, j, alpha, beta),
+    on `coefficient_basis(form, mode)`, its rows read from the cleared ints.
 
     The quadratic form H* M H evaluates the kernel's coefficient pairing:
     positivity of M is exactly expressibility of the kernel as a weighted sum
-    of rank-one holomorphic squares.  Requires a Hermitian-symmetric input.
+    of rank-one holomorphic squares.  Requires a Hermitian-symmetric input,
+    which is checked on the cleared ints.
     """
-    rows = coefficient_rows(form, mode)
-    return rows.matrix(), rows.basis
+    terms = ClearedTerms.of(form)
+    if not is_hermitian_symmetric(terms):
+        raise ValueError("coefficient matrix requires a Hermitian-symmetric form")
+    basis = coefficient_basis(terms, mode)
+    lookup = basis._lookup
+    re = [{} for _ in basis.pairs]
+    im = [{} for _ in basis.pairs]
+    for (i, j, alpha, beta), (x, y) in terms.support.items():
+        p, q = lookup[(i, alpha)], lookup[(j, beta)]
+        if x:
+            re[p][q] = x
+        if y:
+            im[p][q] = y
+    return HermitianMatrix.lowest(re, im, terms.den), basis
 
 
 def from_coefficient_matrix(
@@ -554,13 +506,14 @@ def from_coefficient_matrix(
         raise ValueError(
             f"matrix size {matrix.size} does not match r*dim = {expected}"
         )
-    pairs = _basis_pairs(n, r, [m])
-    terms = {}
-    for (i, alpha), row in zip(pairs, matrix.rows):
-        for l in row.nonzero():
-            j, beta = pairs[l]
-            terms[(i, j, alpha, beta)] = row.at(l)
-    return BihermitianForm.from_terms(n, r, terms)
+    pairs, den = _basis_pairs(n, r, [m]), matrix.den
+    support: dict[TermKey, GaussianRational] = {}
+    for (i, alpha), row_re, row_im in zip(pairs, matrix.re, matrix.im):
+        for q in sorted(row_re.keys() | row_im.keys()):
+            j, beta = pairs[q]
+            support[(i, j, alpha, beta)] = GaussianRational(Fraction(row_re.get(q, 0), den),
+                                                            Fraction(row_im.get(q, 0), den))
+    return BihermitianForm(n, r, support)
 
 
 def _monomial_values(point: GaussianRow, exponents) -> dict[MultiIndex, tuple[int, int]]:

@@ -30,7 +30,13 @@ def degree(alpha: MultiIndex) -> int:
     return sum(alpha)
 
 
-@lru_cache(maxsize=None)
+# The most (n, m) whose enumerations are kept: a search, `verify` and the
+# multipliers ask for few again and again, but a long search asks for one
+# new degree at each step, and each enumeration is one tuple per monomial.
+ENUMERATION_CACHE_SIZE = 128
+
+
+@lru_cache(maxsize=ENUMERATION_CACHE_SIZE)
 def enumerate_degree(n: int, m: int) -> tuple[MultiIndex, ...]:
     """All multi-indices of length n with total degree m, lexicographically descending.
 

@@ -153,7 +153,7 @@ IMAG_UNIT = GaussianRational(Fraction(0), Fraction(1))
 class GaussianRow:
     """The vector (re[j] + i*im[j]) / den over int lists, den > 0, in lowest
     terms, which makes it unique: rows compare by their fields.  `swap` and
-    `add_scaled` change a row in place; `copy` one that others hold."""
+    `add_scaled` change a row in place."""
 
     re: list[int]
     im: list[int]
@@ -170,16 +170,6 @@ class GaussianRow:
             re[j] = c.re.numerator * (den // c.re.denominator)
             im[j] = c.im.numerator * (den // c.im.denominator)
         return cls(re, im, den)
-
-    def at(self, j: int) -> GaussianRational:
-        x, y = self.re[j], self.im[j]
-        return GaussianRational(Fraction(x, self.den), Fraction(y, self.den)) if x or y else ZERO
-
-    def to_gaussians(self) -> tuple[GaussianRational, ...]:
-        return tuple(self.at(j) for j in range(len(self.re)))
-
-    def copy(self) -> "GaussianRow":
-        return GaussianRow(list(self.re), list(self.im), self.den)
 
     def nonzero(self) -> list[int]:
         return nonzero_indices(self.re, self.im)
@@ -263,11 +253,13 @@ class SparseRow:
         return tuple(out)
 
 
-def outer_product_sum(size: int, terms) -> tuple[list[list[int]], list[list[int]], int]:
+def outer_product_sum(size: int, terms) -> tuple[list[dict[int, int]], list[dict[int, int]], int]:
     """sum_k w_k c_k c_k^adj over (w_k, c_k) in `terms`, a rational weight and
-    a SparseRow with indices below `size` each, summed in ints: (re, im,
-    common) with entry (p, q) = (re[p][q] + i*im[p][q]) / common for q >= p.
-    The sum is Hermitian, so the lower triangle is left 0."""
+    a SparseRow with indices below `size` each, summed in ints over each
+    c_k's support: (re, im, common) with entry (p, q) = (re[p][q] +
+    i*im[p][q]) / common for q >= p, each row a dict over its columns, an
+    absent column 0.  A sum that cancels leaves a stored 0.  The sum is
+    Hermitian, so the lower triangle is left out."""
     scaled = []
     common = 1
     for w, c in terms:
@@ -276,14 +268,14 @@ def outer_product_sum(size: int, terms) -> tuple[list[list[int]], list[list[int]
             scale = Fraction(w) / (c.den * c.den)
             common = lcm(common, scale.denominator)
             scaled.append((scale.numerator, scale.denominator, c.entries))
-    re = [[0] * size for _ in range(size)]
-    im = [[0] * size for _ in range(size)]
+    re = [{} for _ in range(size)]
+    im = [{} for _ in range(size)]
     for num, den, nz in scaled:
         num *= common // den
         # the entries ascend, so (p, q) with q from nz[t:] lies on or above the diagonal
         for t, (p, x, y) in enumerate(nz):
             nx, ny, re_p, im_p = num * x, num * y, re[p], im[p]
             for q, u, v in nz[t:]:
-                re_p[q] += nx * u + ny * v
-                im_p[q] += ny * u - nx * v
+                re_p[q] = re_p.get(q, 0) + nx * u + ny * v
+                im_p[q] = im_p.get(q, 0) + ny * u - nx * v
     return re, im, common

@@ -28,9 +28,10 @@ from .factor import _factor_from_parts, numeric_factor
 from .hermform import (
     BihermitianForm,
     ClearedTerms,
+    HermitianMatrix,
     bidegree,
     coefficient_basis,
-    coefficient_rows,
+    coefficient_matrix,
     evaluate_exact,
     homogeneous_basis,
 )
@@ -347,12 +348,12 @@ def embedded_artifacts(obj, enter=frozenset()):
             stack.extend(item)
 
 
-def _witness_failure(rows, record, v: SparseRow, strict: bool) -> str | None:
+def _witness_failure(matrix: HermitianMatrix, record, v: SparseRow, strict: bool) -> str | None:
     """Why the witness v, read from its entries `record`, does not prove that
-    the matrix of `rows` fails the mode's test."""
-    if record and not 0 <= record[0][0] <= record[-1][0] < len(rows.basis.pairs):
+    `matrix` fails the mode's test."""
+    if record and not 0 <= record[0][0] <= record[-1][0] < matrix.size:
         return "witness index out of range"
-    return witness_failure(rows, v, strict)
+    return witness_failure(matrix, v, strict)
 
 
 def _d_min(stabilization: dict) -> int | None:
@@ -398,11 +399,10 @@ def _verify_stabilization(obj: dict) -> tuple[tuple[bool, str], tuple | None]:
     elif d_min > d_max:
         return (False, "factor runs past d_max"), None
     for d, entries, v in witnesses:
-        reason = _witness_failure(power_rows(terms, d), entries, v, strict)
+        reason = _witness_failure(power_rows(terms, d)[0], entries, v, strict)
         if reason is not None:
             return (False, f"trail d={d}: {reason}"), None
-    reason = None if d_min is None else factor_failure(
-        power_rows(terms, d_min).matrix(), vectors, strict)
+    reason = None if d_min is None else factor_failure(power_rows(terms, d_min)[0], vectors, strict)
     return ((True, "ok") if reason is None else (False, reason)), (terms, vectors)
 
 
@@ -650,13 +650,13 @@ def _verify_factor(obj: dict) -> tuple[tuple[bool, str], tuple]:
     """verify_obj of a weighted factor, and what it read: (F, d, weighted
     vectors, basis of M_d)."""
     terms, d, vectors, witness = obj_to_factor(obj)
-    rows = coefficient_rows(terms) if d == 0 else power_rows(terms, d)
-    reason = factor_failure(rows.matrix(), vectors, strict=False, signed=True)
+    matrix, basis = coefficient_matrix(terms) if d == 0 else power_rows(terms, d)
+    reason = factor_failure(matrix, vectors, strict=False, signed=True)
     if reason is None and (witness is not None) != any(w < 0 for w, _ in vectors):
         reason = "witness is not present exactly when a weight is negative"
     if reason is None and witness is not None:
-        reason = _witness_failure(rows, obj["witness"], witness, strict=False)
-    return ((True, "ok") if reason is None else (False, reason)), (terms, d, vectors, rows.basis)
+        reason = _witness_failure(matrix, obj["witness"], witness, strict=False)
+    return ((True, "ok") if reason is None else (False, reason)), (terms, d, vectors, basis)
 
 
 # The check of each artifact kind: its (ok, reason) and what it read.

@@ -13,15 +13,15 @@ the passing step is eliminated to the end.  Passing is monotone in d (if
 a report keeps the witness of the last failing d alone: it proves every
 smaller d fails too.
 
-The search walks one exponent loop, `exponent_steps`: the form is cleared
-once to Gaussian-integer numerators over one denominator
-(`hermform.CoefficientRows`), <z, w> acts on those by integer adds, and
+The search walks one exponent loop, `exponent_steps`: M_0 holds the form's
+coefficients as Gaussian-integer dict rows over one denominator
+(`hermform.HermitianMatrix`), <z, w> acts on those by integer adds, and
 `mode_evidence` reads the blocks of M_d straight from the rows, so no step
 builds an n x n matrix, and a failing step stops at its first failing block.
 `verify`, `factor --d` and the multipliers build one M_d outright instead,
 from the multinomial theorem (`power_rows`).  Every M_d past d = 0 that is
 built is at most MAX_MATRIX_SIZE rows; the search stops at the last d within
-it (`last_exponent`).
+it (`last_exponent`), and at d = 0 in one variable, where every M_d is M_0.
 """
 
 from __future__ import annotations
@@ -39,9 +39,11 @@ from .factor import WeightedGramFactor, _factor_from_parts
 from .hermform import (
     BihermitianForm,
     ClearedTerms,
-    CoefficientRows,
+    CoefficientBasis,
+    HermitianMatrix,
     bidegree,
-    coefficient_rows,
+    coefficient_matrix,
+    from_coefficient_matrix,
     homogeneous_basis,
     is_hermitian_symmetric,
 )
@@ -50,40 +52,40 @@ from .scalars import SparseRow
 
 MODES = ("strict", "semi")
 # The largest coefficient matrix M_d, d > 0, that the search, `factor --d`
-# and `verify` build: a report names d in a few bytes, and M_d, its dense
-# rows and its outer-product sum grow with it.  Apart from the tests of the
-# bound, tests, CI and the benchmark build none past Q3's M_32, 630 rows.
+# and `verify` build: a report names d in a few bytes, and M_d, its blocks'
+# working rows and its outer-product sum grow with it.  Apart from the tests
+# of the bound, tests, CI and the benchmark build none past Q3's M_41, 990
+# rows, the largest of Q3's within it.
 MAX_MATRIX_SIZE = 1024
 
 
-def _pairing_shift(rows: CoefficientRows) -> CoefficientRows:
-    """<z, w> times the bidegree-m form of `rows`, in ints: the term
-    z^alpha wbar^beta of row i, column j adds its coefficient to
+def _pairing_shift(matrix: HermitianMatrix, basis: CoefficientBasis
+                   ) -> tuple[HermitianMatrix, CoefficientBasis]:
+    """<z, w> times the bidegree-m form of `matrix` on `basis`, in ints: the
+    term z^alpha wbar^beta of row i, column j adds its coefficient to
     z^(alpha+e_k) wbar^(beta+e_k) for each k, so entry (p, q) of the
     degree-m matrix adds to (up[p][k], up[q][k]) of the degree-(m+1) one.
     The search's incremental step; `power_rows` builds one M_d outright.
 
-    <z, w> * 0 is the zero form, whose bidegree is 0, so zero rows stay as
-    they are; any other form keeps a nonzero term.
+    <z, w> * 0 is the zero form, whose bidegree is 0, so the zero matrix
+    stays as it is; any other form keeps a nonzero term.
     """
-    if not any(any(row.values()) for row in rows.re + rows.im):
-        return rows
-    basis = rows.basis
+    if not any(matrix.re) and not any(matrix.im):
+        return matrix, basis
     n = basis.n
     shifted = homogeneous_basis(n, basis.r, basis.bidegree + 1)
     up = [[shifted.index(i, alpha[:k] + (alpha[k] + 1,) + alpha[k + 1:]) for k in range(n)]
           for i, alpha in basis.pairs]
     out_re = [{} for _ in shifted.pairs]
     out_im = [{} for _ in shifted.pairs]
-    for source, out in ((rows.re, out_re), (rows.im, out_im)):
+    for source, out in ((matrix.re, out_re), (matrix.im, out_im)):
         for p, row in enumerate(source):
             up_p = up[p]
             for q, x in row.items():
-                if x:
-                    for a, b in zip(up_p, up[q]):
-                        target = out[a]
-                        target[b] = target.get(b, 0) + x
-    return CoefficientRows(shifted, rows.den, out_re, out_im)
+                for a, b in zip(up_p, up[q]):
+                    target = out[a]
+                    target[b] = target.get(b, 0) + x
+    return HermitianMatrix.lowest(out_re, out_im, matrix.den), shifted
 
 
 def matrix_size(n: int, r: int, m: int, d: int) -> int:
@@ -100,7 +102,10 @@ def matrix_size(n: int, r: int, m: int, d: int) -> int:
 def last_exponent(n: int, r: int, m: int, d_max: int) -> int:
     """The last d that a search up to d_max builds: the largest d <= d_max
     whose M_d is within MAX_MATRIX_SIZE, and at least 0.  The size does not
-    fall as d grows, so a bisection finds it."""
+    fall as d grows, so a bisection finds it.  In one variable it is 0:
+    <z, w>^d = |z_1|^(2d) has multinomial weight 1, so every M_d is M_0."""
+    if n == 1:
+        return 0
     low, high = 0, d_max
     while low < high:
         mid = (low + high + 1) // 2
@@ -122,8 +127,10 @@ def checked_bidegree(terms: ClearedTerms) -> int:
     return m
 
 
-def power_rows(form: BihermitianForm | ClearedTerms, d: int) -> CoefficientRows:
-    """The coefficient rows of <z, w>^d F in closed form, with no shift walked.
+def power_rows(form: BihermitianForm | ClearedTerms, d: int
+               ) -> tuple[HermitianMatrix, CoefficientBasis]:
+    """M_d, the coefficient matrix of <z, w>^d F, and its basis, in closed
+    form, with no shift walked.
 
     By the multinomial theorem <z, w>^d = sum over |mu| = d of
     (d!/mu!) z^mu wbar^mu, so the term c z^alpha wbar^beta of entry (i, j)
@@ -162,7 +169,7 @@ def power_rows(form: BihermitianForm | ClearedTerms, d: int) -> CoefficientRows:
             if y:
                 row = rows_im[p]
                 row[q] = row.get(q, 0) + w * y
-    return CoefficientRows(basis, terms.den, rows_re, rows_im)
+    return HermitianMatrix.lowest(rows_re, rows_im, terms.den), basis
 
 
 def multiplier_shift(form: BihermitianForm) -> BihermitianForm:
@@ -175,23 +182,24 @@ def multiplier_shift(form: BihermitianForm) -> BihermitianForm:
 
 
 def multiplier_power(form: BihermitianForm, d: int) -> BihermitianForm:
-    """The kernel <z, w>^d * F, from the closed form of its rows (`power_rows`)."""
-    return power_rows(form, d).form()
+    """The kernel <z, w>^d * F, read off its coefficient matrix (`power_rows`)."""
+    matrix, basis = power_rows(form, d)
+    return from_coefficient_matrix(matrix, basis.n, basis.bidegree, basis.r)
 
 
-def exponent_steps(form: BihermitianForm) -> Iterator[CoefficientRows]:
-    """The coefficient rows of <z, w>^d F for d = 0, 1, 2, ..., the search's
-    incremental walk: each step is one `_pairing_shift` of the one before.
+def exponent_steps(form: BihermitianForm) -> Iterator[tuple[HermitianMatrix, CoefficientBasis]]:
+    """M_d, the coefficient matrix of <z, w>^d F, and its basis for d = 0, 1,
+    2, ..., the search's incremental walk: each step is one `_pairing_shift`
+    of the one before.
 
-    Symmetry and the single bidegree are checked once, at d = 0, with the
-    errors of `coefficient_matrix`; the shift keeps both.  A step is shifted
-    only when the next one is asked for, and its matrix and form are built
-    only by whoever calls `matrix()` and `form()`.
+    Symmetry and the single bidegree are checked once, at d = 0, by
+    `coefficient_matrix`; the shift keeps both.  A step is shifted only when
+    the next one is asked for.
     """
-    rows = coefficient_rows(form, mode="bidegree")
+    step = coefficient_matrix(form, mode="bidegree")
     while True:
-        yield rows
-        rows = _pairing_shift(rows)
+        yield step
+        step = _pairing_shift(*step)
 
 
 @dataclass(eq=True)
@@ -241,11 +249,11 @@ def find_minimal_d(
     mode "strict" demands positive definiteness (spanning factorization);
     mode "semi" demands positive semidefiniteness.  Once the test passes at
     some d it passes at every larger one, so the linear search is complete.
-    It stops early at the last d whose M_d is within MAX_MATRIX_SIZE
-    (`last_exponent`), and then finds no d.  Each failing step keeps the
-    witness of `ldl_signature(M_d, strict)`, found without finishing the
-    elimination, and the passing one its certificate's weighted vectors
-    (`certify.mode_evidence`, on the rows of M_d).
+    It stops early at the last d whose M_d is within MAX_MATRIX_SIZE, or at
+    d = 0 in one variable (`last_exponent`), and then finds no d.  Each
+    failing step keeps the witness of `ldl_signature(M_d, strict)`, found
+    without finishing the elimination, and the passing one its certificate's
+    weighted vectors (`certify.mode_evidence`, on the rows of M_d).
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
@@ -258,10 +266,10 @@ def find_minimal_d(
     report = StabilizationReport(form=form, mode=mode, d_max=d_max, d_min=None)
     strict = mode == "strict"
     last = last_exponent(form.n, form.r, bidegree(form), d_max)
-    for d, rows in zip(range(last + 1), exponent_steps(form)):
-        evidence = mode_evidence(rows, strict)
+    for d, (matrix, _) in zip(range(last + 1), exponent_steps(form)):
+        evidence = mode_evidence(matrix, strict)
         witness = evidence if isinstance(evidence, SparseRow) else None
-        report.steps.append(StabilizationStep(d, len(rows.basis.pairs), witness))
+        report.steps.append(StabilizationStep(d, matrix.size, witness))
         if witness is None:
             report.d_min, report.vectors = d, evidence
             return report

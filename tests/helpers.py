@@ -8,7 +8,7 @@ import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, gcd, lcm
 
 from hermfact import (
     BihermitianForm,
@@ -362,8 +362,10 @@ def reference_find_minimal_d(form: BihermitianForm, mode: str, d_max: int):
         raise ValueError("stabilization search requires a single bidegree")
     report = StabilizationReport(form=form, mode=mode, d_max=d_max, d_min=None)
     strict = mode == "strict"
-    for d, rows in zip(range(d_max + 1), exponent_steps(form)):
-        cert = ldl_signature(rows.matrix(), strict=strict)
+    # In one variable every M_d is M_0, and the search stops at d = 0.
+    last = d_max if form.n > 1 else 0
+    for d, (matrix, _) in zip(range(last + 1), exponent_steps(form)):
+        cert = ldl_signature(matrix, strict=strict)
         step = StabilizationStep(d, cert.size, cert.witness)
         report.steps.append(step)
         if step.passes:
@@ -387,7 +389,7 @@ def reference_fraction_to_str(x) -> str:
 
 def reference_matrix_obj(matrix: HermitianMatrix) -> list:
     return [[[reference_fraction_to_str(c.re), reference_fraction_to_str(c.im)]
-             for c in row.to_gaussians()] for row in matrix.rows]
+             for c in row] for row in matrix.entries]
 
 
 # ---------------------------------------------------------------------------
@@ -652,7 +654,7 @@ def _primitive_witness(row: GaussianRow):
     x, y = next((x, y) for x, y in zip(row.re, row.im) if x or y)
     if x < 0 or (x == 0 and y < 0):
         g = -g
-    return GaussianRow([x // g for x in row.re], [y // g for y in row.im]).to_gaussians()
+    return tuple(GaussianRational(x // g, y // g) for x, y in zip(row.re, row.im))
 
 
 def reference_entries_to_obj(entries) -> list[list]:
@@ -705,7 +707,7 @@ def reference_integer_ldl_signature(matrix: HermitianMatrix) -> SignatureCertifi
     # operations change nothing but the finished pivot rows.  Later swaps
     # still reach a finished row, so at the end row k, right of its diagonal,
     # is conj(column k of L D) in the final pivot coordinates.
-    s = [row.copy() for row in matrix.rows]
+    s = [GaussianRow.from_entries(n, enumerate(row)) for row in matrix.entries]
     perm = list(range(n))
     diag: list[Fraction] = []
     blocks: list[tuple[int, GaussianRational]] = []
@@ -938,6 +940,63 @@ def reference_verify(cert: SignatureCertificate) -> tuple[bool, str]:
 
 # ---------------------------------------------------------------------------
 # random instance builders (all deterministic through a caller-provided rng)
+
+
+# ---------------------------------------------------------------------------
+# the dense congruence check
+#
+# M = sum w v v^adj checked as it was before the outer-product sum ran over
+# each vector's support in dict rows: the sum is a dense size x size integer
+# grid, and each row of M, a dense GaussianRow over its own denominator, is
+# compared with it at the nonzeros of either.  certify.congruence_failure
+# must give the same reason, down to the first failing (p, q).
+
+
+def reference_outer_product_sum(size: int, terms):
+    scaled = []
+    common = 1
+    for w, c in terms:
+        if c.entries and w:
+            scale = Fraction(w) / (c.den * c.den)
+            common = lcm(common, scale.denominator)
+            scaled.append((scale.numerator, scale.denominator, c.entries))
+    re = [[0] * size for _ in range(size)]
+    im = [[0] * size for _ in range(size)]
+    for num, den, nz in scaled:
+        num *= common // den
+        for t, (p, x, y) in enumerate(nz):
+            nx, ny, re_p, im_p = num * x, num * y, re[p], im[p]
+            for q, u, v in nz[t:]:
+                re_p[q] += nx * u + ny * v
+                im_p[q] += ny * u - nx * v
+    return re, im, common
+
+
+def _nonzero_from(re: list[int], im: list[int], start: int) -> list[int]:
+    return [j for j in range(start, len(re)) if re[j] or im[j]]
+
+
+def reference_congruence_failure(matrix: HermitianMatrix, vectors) -> str | None:
+    size = matrix.size
+    re, im, common = reference_outer_product_sum(size, vectors)
+    rows = [GaussianRow.from_entries(size, enumerate(row)) for row in matrix.entries]
+    for p, row in enumerate(rows):
+        re_p, im_p, den = re[p], im[p], row.den
+        for q in sorted({*_nonzero_from(re_p, im_p, p), *_nonzero_from(row.re, row.im, p)}):
+            if re_p[q] * den != row.re[q] * common or im_p[q] * den != row.im[q] * common:
+                return f"congruence identity fails at ({p},{q})"
+    return None
+
+
+def unchecked_matrix(entries) -> HermitianMatrix:
+    """The HermitianMatrix of a square grid of scalars, its rows cleared over
+    one denominator but not checked to be Hermitian, as `from_rows` checks
+    them: a tampered matrix that only `verify` may refuse."""
+    rows = [[as_gaussian(c) for c in row] for row in entries]
+    den = lcm(*(q for row in rows for c in row for q in (c.re.denominator, c.im.denominator)))
+    return HermitianMatrix.lowest(
+        [{q: int(c.re * den) for q, c in enumerate(row)} for row in rows],
+        [{q: int(c.im * den) for q, c in enumerate(row)} for row in rows], den)
 
 
 def rand_fraction(rng: random.Random, height: int = 6) -> Fraction:

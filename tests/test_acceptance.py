@@ -126,9 +126,9 @@ def test_criterion_3_square_difference_never_semidefinite():
     form = square_difference()
     report = find_minimal_d(form, "semi", 12)
     ok = report.d_min is None and len(report.steps) == 13
-    for step, rows in zip(report.steps, exponent_steps(form)):
+    for step, (matrix, _) in zip(report.steps, exponent_steps(form)):
         ok = ok and not step.passes and step.witness is not None
-        value = quadratic_value(rows.matrix(), step.witness)
+        value = quadratic_value(matrix, step.witness)
         ok = ok and value.im == 0 and value.re < 0
     ok = ok and serialize.verify_obj(serialize.stabilization_to_obj(report)) == (True, "ok")
     _report(
@@ -301,8 +301,8 @@ def test_criterion_8_symbol_instances():
     direct = find_minimal_d(degenerate_form, "strict", 16)
     ok = ok and direct.d_min is None
     ok = ok and all(
-        step.witness is not None and quadratic_value(rows.matrix(), step.witness).is_zero()
-        for step, rows in zip(direct.steps, exponent_steps(degenerate_form)))
+        step.witness is not None and quadratic_value(matrix, step.witness).is_zero()
+        for step, (matrix, _) in zip(direct.steps, exponent_steps(degenerate_form)))
 
     _report(
         8,

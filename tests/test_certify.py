@@ -6,7 +6,6 @@ import pytest
 
 from hermfact import (
     GaussianRational,
-    GaussianRow,
     SparseRow,
     HermitianMatrix,
     coefficient_matrix,
@@ -17,7 +16,8 @@ from hermfact import (
     ldl_signature,
 )
 from hermfact.certify import mode_evidence
-from hermfact.hermform import CoefficientRows, homogeneous_basis
+from hermfact.parsing import parse_expression
+from hermfact.stabilize import exponent_steps, power_rows
 from helpers import (
     block_layouts,
     dense_d,
@@ -33,6 +33,7 @@ from helpers import (
     reference_layout,
     reference_ldl_signature,
     reference_verify,
+    unchecked_matrix,
 )
 
 
@@ -321,7 +322,7 @@ def _tamperings(cert):
         yield {"lower": l_columns(reversed(bumped))}
     yield {"lower": cert.lower[:last]}
     bumped = _bump_entry(cert.matrix.entries, n // 2, last, one)
-    yield {"matrix": HermitianMatrix(tuple(GaussianRow.from_entries(n, enumerate(row)) for row in bumped))}
+    yield {"matrix": unchecked_matrix(bumped)}
     yield {"diag": cert.diag[:last] + (-cert.diag[last],)}
     yield {"permutation": (0,) * n}
     if cert.blocks:
@@ -411,13 +412,21 @@ def test_integer_row_kernel_matches_reference_kernel():
 
 
 
-def test_blocks_of_coefficient_rows_skip_stored_zeros():
-    # A cancelled term stays in the rows as a stored 0; it joins no blocks.
-    # Entries 3, 5, 1 at indices 0, 1, 2, with 0 stored at (1, 2) and (2, 1):
-    # three 1x1 blocks in magnitude order, not the block {1, 2} before {0}.
-    rows = CoefficientRows(homogeneous_basis(3, 1, 1), 2,
-                           [{0: 3}, {1: 5, 2: 0}, {2: 1, 1: 0}], [{}, {}, {}])
-    unit = [SparseRow(((j, 1, 0),)) for j in range(3)]
-    for strict in (False, True):
-        assert mode_evidence(rows, strict) == mode_evidence(rows.matrix(), strict) == [
-            (Fraction(5, 2), unit[1]), (Fraction(3, 2), unit[0]), (Fraction(1, 2), unit[2])]
+def test_a_cancelled_term_leaves_no_stored_zero_and_joins_no_blocks():
+    # <z,w> F cancels the z1^2 z2 wbar1 wbar2^2 terms that F's two cross
+    # terms give, at (1, 2) of M_1, and their conjugates at (2, 1).  Both the
+    # closed form and the exponent loop keep no stored 0 there, so M_1 equals
+    # the checked matrix of its dense entries, and the cancelled entry joins
+    # no blocks: {0, 1} and {2, 3} are eliminated apart.
+    form = parse_expression("z1^2*zb1^2 + z2^2*zb2^2 + z1*z2*zb2^2 + z2^2*zb1*zb2"
+                            " - z1^2*zb1*zb2 - z1*z2*zb1^2")
+    closed = power_rows(form, 1)
+    steps = exponent_steps(form)
+    next(steps)
+    assert next(steps) == closed
+    matrix = closed[0]
+    assert matrix == HermitianMatrix.from_rows(matrix.entries)
+    assert 2 not in matrix.re[1] and 1 not in matrix.re[2]
+    assert mode_evidence(matrix, False) == [(Fraction(1), SparseRow(((0, 1, 0), (1, -1, 0)))),
+                                            (Fraction(1), SparseRow(((2, 1, 0), (3, 1, 0))))]
+    assert mode_evidence(matrix, True) == SparseRow(((0, 1, 0), (1, 1, 0)))

@@ -2,6 +2,7 @@ import hashlib
 import json
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -1241,13 +1242,14 @@ def test_stabilize_and_its_verify_build_no_form_and_no_factor(capsys, tmp_path, 
     # The passing exponent is proved by its certificate's weighted vectors,
     # checked against the rows of the exponent loop: neither the search nor
     # verify rebuilds the shifted form or a polynomial factor.
-    from hermfact import factor, hermform
+    from hermfact import factor, hermform, stabilize
 
     def refuse(*args, **kwargs):
         raise AssertionError("a stabilization built a form or a factor")
 
     for owner, name in ((hermform, "gram"), (factor, "gram"), (serialize, "obj_to_factor"),
-                        (hermform.CoefficientRows, "form"), (hermform.HoloPolyMatrix, "from_rows")):
+                        (hermform, "from_coefficient_matrix"),
+                        (stabilize, "from_coefficient_matrix"), (hermform.HoloPolyMatrix, "from_rows")):
         monkeypatch.setattr(owner, name, refuse)
     path = tmp_path / "report.json"
     assert run(capsys, argv + ["--out", str(path)])[0] in (0, 3)
@@ -1481,6 +1483,24 @@ def _restamp(report):
     """The report with a digest stamped again, as a forger would."""
     report["digest"] = serialize.digest_of_obj({k: v for k, v in report.items() if k != "digest"})
     return report
+
+
+def test_a_one_variable_search_stops_at_d_0(capsys, tmp_path):
+    # In one variable <z,w>^d = |z1|^(2d) has multinomial weight 1, so every
+    # M_d is M_0: the search stops at d = 0 whatever --dmax is, and verify
+    # wants the witness there; one moved to --dmax and restamped is refused.
+    path = tmp_path / "report.json"
+    started = time.perf_counter()
+    code = run(capsys, ["stabilize", "-e=-z1*zb1", "--dmax", "1000000", "--out", str(path)])[0]
+    assert code == 3 and time.perf_counter() - started < 1
+    report = json.loads(path.read_text())
+    assert report["result"]["stabilization"]["trail"] == [[0, [[0, "1", "0"]]]]
+    assert run(capsys, ["verify", str(path)]) == (0, '{"valid": true, "reason": "ok"}\n', "")
+    report["result"]["stabilization"]["trail"][0][0] = 1000000
+    path.write_text(json.dumps(_restamp(report)))
+    assert run(capsys, ["verify", str(path)]) == (
+        1, '{"valid": false, "reason": "without a factor the witness must be at the last '
+        'searched d=0"}\n', "")
 
 
 @pytest.mark.parametrize("points", [

@@ -240,3 +240,20 @@ def test_hermitian_symmetric_forms_evaluate_hermitian():
                 assert value[i][j] == value[j][i].conjugate()
         if r == 1:
             assert value[0][0].im == 0
+
+
+@pytest.mark.parametrize("rows, defect", [
+    ([[1, 2], [1]], "matrix must be square"),
+    # (1, 0) and (2, 1) differ from their partners and (2, 2) is not real:
+    # the first in row-major order is named
+    ([[1, 2, 0], [3, 1, 5], [0, 0, GaussianRational(1, 1)]],
+     "entries (1,0) and (0,1) are not conjugate"),
+    # a nonzero above the diagonal whose partner is 0, beside a later defect
+    ([[1, 0, 7], [0, 1, 0], [0, 0, GaussianRational(0, 1)]],
+     "entries (2,0) and (0,2) are not conjugate"),
+    ([[1, 0], [0, GaussianRational(2, -1)]], "diagonal entry 1 is not real"),
+])
+def test_from_rows_names_the_first_defect(rows, defect):
+    with pytest.raises(ValueError) as info:
+        HermitianMatrix.from_rows(rows)
+    assert str(info.value) == defect

@@ -115,3 +115,14 @@ def test_enumerate_degree_many_variables():
     # one call per variable used to recurse past Python's recursion limit
     basis = enumerate_degree(1500, 1)
     assert basis == tuple(tuple(int(k == j) for k in range(1500)) for j in range(1500))
+
+
+def test_enumerate_degree_keeps_a_bounded_cache():
+    # A long search asks for one new degree at each step; the cache keeps
+    # the last ENUMERATION_CACHE_SIZE of them, not every one.
+    from hermfact.multiindex import ENUMERATION_CACHE_SIZE
+
+    for m in range(2 * ENUMERATION_CACHE_SIZE):
+        enumerate_degree(2, m)
+    assert 0 < enumerate_degree.cache_info().currsize <= ENUMERATION_CACHE_SIZE
+    assert enumerate_degree(2, 3) == ((3, 0), (2, 1), (1, 2), (0, 3))

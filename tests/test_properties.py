@@ -37,6 +37,7 @@ from hermfact import (
 )
 from hermfact import serialize
 from hermfact.certify import (
+    congruence_failure,
     factor_failure,
     independence_failure,
     mode_evidence,
@@ -45,7 +46,7 @@ from hermfact.certify import (
 from hermfact.cli import main as cli_main
 from hermfact.factor import _factor_from_parts
 from hermfact.hermform import coefficient_basis
-from hermfact.scalars import ZERO
+from hermfact.scalars import ZERO, SparseRow
 from hermfact.stabilize import exponent_steps, power_rows
 from hermfact.symbols import RealSymbol, _sample_symbol, complex_to_real, real_to_complex
 
@@ -57,6 +58,7 @@ from helpers import (
     quartic_family,
     reconstructs_target,
     reference_coefficient_matrix,
+    reference_congruence_failure,
     reference_evaluate_exact,
     reference_evidence_obj,
     reference_factor_to_obj,
@@ -240,10 +242,10 @@ def stabilization_forms(draw):
 @SETTINGS
 @given(form=stabilization_forms())
 def test_exponent_loop_equals_reference_shifts(form):
-    for d, rows in zip(range(5), exponent_steps(form)):
+    for d, step in zip(range(5), exponent_steps(form)):
         shifted = reference_multiplier_power(form, d)
-        assert (rows.matrix(), rows.basis) == coefficient_matrix(shifted, mode="bidegree")
-        assert rows.form() == shifted
+        assert step == coefficient_matrix(shifted, mode="bidegree")
+        assert from_coefficient_matrix(step[0], form.n, step[1].bidegree, form.r) == shifted
         assert multiplier_power(form, d) == shifted
 
 
@@ -263,11 +265,9 @@ def closed_form_forms(draw):
 @given(form=closed_form_forms())
 def test_closed_form_rows_equal_the_exponent_loop(form):
     # The multinomial closed form builds each M_d, d <= 6, with no shift
-    # walked; compared as matrices, in lowest terms, since either may hold a
-    # cancelled 0.
-    for d, rows in zip(range(7), exponent_steps(form)):
-        closed = power_rows(form, d)
-        assert (closed.matrix(), closed.basis) == (rows.matrix(), rows.basis)
+    # walked; both keep their matrices in lowest terms, with no cancelled 0.
+    for d, step in zip(range(7), exponent_steps(form)):
+        assert power_rows(form, d) == step
 
 
 def test_exponent_loop_keeps_a_cancelled_term_out_of_the_form():
@@ -275,9 +275,10 @@ def test_exponent_loop_keeps_a_cancelled_term_out_of_the_form():
     form = parse_expression("z1*zb1 - z2*zb2")
     steps = exponent_steps(form)
     next(steps)
-    rows = next(steps)
-    assert rows.form() == parse_expression("z1^2*zb1^2 - z2^2*zb2^2") == multiplier_shift(form)
-    assert rows.matrix() == coefficient_matrix(rows.form(), mode="bidegree")[0]
+    matrix, _ = next(steps)
+    shifted = from_coefficient_matrix(matrix, 2, 2, 1)
+    assert shifted == parse_expression("z1^2*zb1^2 - z2^2*zb2^2") == multiplier_shift(form)
+    assert matrix == coefficient_matrix(shifted, mode="bidegree")[0]
 
 
 @st.composite
@@ -321,6 +322,31 @@ def test_weighted_vectors_of_a_hollow_block():
 # from one family and now and then from all of them, z0 included.
 FAMILIES = (("z1", "z2", "zb1", "zb2"), ("z1", "z2", "z3"), ("x1", "x2", "x3"))
 STRAYS = ("z1", "zb3", "x1", "z0", "zb10")
+
+
+@SETTINGS
+@given(matrix=hermitian_matrices(), data=st.data())
+def test_congruence_check_equals_the_dense_reference(matrix, data):
+    # The sparse check of M = sum w v v^adj names the same first failing
+    # (p, q) as the dense grid: on a certificate's weighted vectors, which
+    # pass, and on mutants of them, with one numerator changed, one weight
+    # changed, or one vector dropped.
+    vectors = ldl_signature(matrix).weighted_vectors()
+    assert congruence_failure(matrix, vectors) is None
+    mutants = []
+    if vectors:
+        k = data.draw(st.integers(0, len(vectors) - 1))
+        w, v = vectors[k]
+        t = data.draw(st.integers(0, len(v.entries) - 1))
+        j, x, y = v.entries[t]
+        delta = data.draw(st.integers(-3, 3).filter(bool))
+        changed = (j, x + delta, y) if data.draw(st.booleans()) else (j, x, y + delta)
+        bumped = SparseRow(v.entries[:t] + (changed,) + v.entries[t + 1:], v.den)
+        mutants = [vectors[:k] + [(w, bumped)] + vectors[k + 1:],
+                   vectors[:k] + [(w + data.draw(fractions.filter(bool)), v)] + vectors[k + 1:],
+                   vectors[:k] + vectors[k + 1:]]
+    for case in [vectors] + mutants:
+        assert congruence_failure(matrix, case) == reference_congruence_failure(matrix, case)
 
 
 @st.composite
@@ -613,12 +639,17 @@ def test_find_minimal_d_equals_the_full_elimination_search(text, mode):
 
 
 @pytest.mark.parametrize("text", SEARCH_FORMS)
-def test_search_blocks_from_coefficient_rows_equal_the_matrix_blocks(text):
-    # The two block producers agree: the rows' blocks, read in place, and
-    # the blocks of the matrix scattered from them.
-    for rows in islice(exponent_steps(parse_expression(text)), 10):
+def test_search_blocks_read_in_place_equal_the_full_elimination(text):
+    # Each matrix of the exponent loop equals the checked matrix of its dense
+    # entries, and its blocks, read from its rows in place and stopped at the
+    # first failing one, give the evidence of the full elimination.
+    for matrix, _ in islice(exponent_steps(parse_expression(text)), 10):
+        dense = HermitianMatrix.from_rows(matrix.entries)
+        assert dense == matrix
         for strict in (False, True):
-            assert mode_evidence(rows, strict) == mode_evidence(rows.matrix(), strict)
+            cert = ldl_signature(dense, strict)
+            assert mode_evidence(matrix, strict) == (
+                cert.weighted_vectors() if cert.witness is None else cert.witness)
 
 
 @SETTINGS

@@ -298,9 +298,8 @@ def test_strict_steps_on_singular_matrices_carry_null_vectors():
     # nonzero null vector, and the report verifies.
     form = parse_expression(FORGERY_FORM)
     report = find_minimal_d(form, "strict", 12)
-    for d, (step, rows) in enumerate(zip(report.steps, exponent_steps(form))):
+    for d, (step, (matrix, _)) in enumerate(zip(report.steps, exponent_steps(form))):
         if d in (5, 6):
-            matrix = rows.matrix()
             # on a PSD matrix, v^adj M v = 0 exactly when M v = 0
             assert ldl_signature(matrix).is_positive_semidefinite()
             assert step.witness.entries
