@@ -1,20 +1,23 @@
 """Hermitian polynomial kernels F(z, wbar), holomorphic polynomial matrices, and
 their exact coefficient matrices.
 
-A kernel is stored sparsely as a map (i, j, alpha, beta) -> coefficient for the
-term F_ij contributing coefficient * z^alpha * wbar^beta.  Row/column indices
-i, j are 0-based internally.  A kernel is *bihomogeneous of bidegree m* when
-every stored term has |alpha| = |beta| = m; otherwise it can still be handled
-in "generalized" mode, where the coefficient matrix runs over all monomials up
-to the maximum degree present.
+A kernel is stored sparsely as a map (i, j, alpha, beta) -> (re, im) for the
+term F_ij contributing ((re + i*im) / den) * z^alpha * wbar^beta, with one
+denominator den for the whole kernel.  Row/column indices i, j are 0-based
+internally.  A kernel is *bihomogeneous of bidegree m* when every stored term
+has |alpha| = |beta| = m; otherwise it can still be handled in "generalized"
+mode, where the coefficient matrix runs over all monomials up to the maximum
+degree present.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain
 from math import gcd, lcm
+from operator import add as _add
 
 from .multiindex import (
     MultiIndex,
@@ -38,38 +41,13 @@ Poly = dict[MultiIndex, GaussianRational]
 
 @dataclass(eq=True)
 class BihermitianForm:
-    """Sparse r-by-r matrix of polynomials in (z, wbar); treated as immutable."""
-
-    n: int
-    r: int
-    support: dict[TermKey, GaussianRational]
-
-    @classmethod
-    def from_terms(cls, n: int, r: int, terms) -> "BihermitianForm":
-        """Build a form from (i, j, alpha, beta) -> coefficient items, read as
-        `ClearedTerms.read` reads them: terms of one key add up, zeros drop."""
-        items = terms.items() if hasattr(terms, "items") else terms
-        return ClearedTerms.read(n, r, ((*key, *_ratios(as_gaussian(c))) for key, c in items)).form()
-
-    @classmethod
-    def zero(cls, n: int, r: int = 1) -> "BihermitianForm":
-        return cls(n, r, {})
-
-    def coefficient(self, i: int, j: int, alpha, beta) -> GaussianRational:
-        return self.support.get((i, j, tuple(alpha), tuple(beta)), ZERO)
-
-
-def _ratios(c: GaussianRational) -> tuple[int, int, int, int]:
-    """(x, qx, y, qy) with c = x/qx + i*y/qy."""
-    return c.re.numerator, c.re.denominator, c.im.numerator, c.im.denominator
-
-
-@dataclass(frozen=True)
-class ClearedTerms:
-    """A form in ints: the coefficient of each term key in `support` is
-    (re + i*im) / den for its nonzero pair (re, im), den > 0.  It has the n, r
-    and support keys of a BihermitianForm, which is all that `bidegree`,
-    `coefficient_basis` and `evaluate_exact` read, so they take either."""
+    """Sparse r-by-r matrix of polynomials in (z, wbar): the coefficient of
+    the term key (i, j, alpha, beta) in `support` is (re + i*im) / den for
+    its numerator pair (re, im), den > 0.  The form is kept in lowest terms
+    (`lowest`): no (0, 0) pair, and no factor common to den and every
+    numerator, so forms compare by their fields.  The constructor trusts its
+    terms; `read` and `from_terms` are the checked entry points.  Treated as
+    immutable: what evaluation reads is built once, on first use."""
 
     n: int
     r: int
@@ -77,17 +55,11 @@ class ClearedTerms:
     den: int
 
     @classmethod
-    def of(cls, form: BihermitianForm | ClearedTerms) -> "ClearedTerms":
-        """The form's coefficients over the lcm of their denominators."""
-        if isinstance(form, ClearedTerms):
-            return form
-        return cls._clear(form.n, form.r, [(key, *_ratios(c)) for key, c in form.support.items()])
-
-    @classmethod
-    def read(cls, n: int, r: int, terms) -> "ClearedTerms":
-        """The form of the terms (i, j, alpha, beta, x, qx, y, qy), each with
-        coefficient x/qx + i*y/qy, qx, qy > 0: every key is checked, terms of
-        one key add up, and zeros drop."""
+    def read(cls, n: int, r: int, terms) -> "BihermitianForm":
+        """The one checked reader: the form of the terms (i, j, alpha, beta,
+        x, qx, y, qy), each with coefficient x/qx + i*y/qy, qx, qy > 0.  Every
+        key is checked, and the terms are cleared over the lcm of their
+        denominators, terms of one key added up and zeros dropped."""
         if n < 1 or r < 1:
             raise ValueError("dimension and matrix size must be >= 1")
         checked = []
@@ -98,25 +70,84 @@ class ClearedTerms:
             if len(alpha) != n or len(beta) != n:
                 raise ValueError("multi-index length differs from ambient dimension")
             checked.append(((i, j, alpha, beta), x, qx, y, qy))
-        return cls._clear(n, r, checked)
-
-    @classmethod
-    def _clear(cls, n: int, r: int, terms: list) -> "ClearedTerms":
-        """The one clearing routine: the terms (key, x, qx, y, qy) over the lcm
-        of their denominators, terms of one key added up and zeros dropped."""
-        den = lcm(*(q for *_, qx, _, qy in terms for q in (qx, qy)))
+        den = lcm(*(q for *_, qx, _, qy in checked for q in (qx, qy)))
         support: dict[TermKey, tuple[int, int]] = {}
-        for key, x, qx, y, qy in terms:
+        for key, x, qx, y, qy in checked:
             if x or y:
                 re, im = support.get(key, (0, 0))
                 support[key] = re + x * (den // qx), im + y * (den // qy)
-        return cls(n, r, {key: pair for key, pair in support.items() if pair != (0, 0)}, den)
+        return cls.lowest(n, r, support, den)
 
-    def form(self) -> BihermitianForm:
-        den = self.den
-        return BihermitianForm(self.n, self.r, {
-            key: GaussianRational(Fraction(x, den), Fraction(y, den))
-            for key, (x, y) in self.support.items()})
+    @classmethod
+    def from_terms(cls, n: int, r: int, terms) -> "BihermitianForm":
+        """Build a form from (i, j, alpha, beta) -> coefficient items, read as
+        `read` reads them: terms of one key add up, zeros drop."""
+        items = terms.items() if hasattr(terms, "items") else terms
+        return cls.read(n, r, ((*key, *_ratios(as_gaussian(c))) for key, c in items))
+
+    @classmethod
+    def lowest(cls, n: int, r: int, support: dict[TermKey, tuple[int, int]], den: int
+               ) -> "BihermitianForm":
+        """The form of the numerator pairs `support` over den > 0, a (0, 0)
+        pair dropped and brought to lowest terms by one gcd."""
+        g = gcd(den, *chain.from_iterable(support.values()))
+        return cls(n, r, {key: (x // g, y // g) for key, (x, y) in support.items() if x or y},
+                   den // g)
+
+    @classmethod
+    def zero(cls, n: int, r: int = 1) -> "BihermitianForm":
+        return cls(n, r, {}, 1)
+
+    def coefficient(self, i: int, j: int, alpha, beta) -> GaussianRational:
+        x, y = self.support.get((i, j, tuple(alpha), tuple(beta)), (0, 0))
+        return GaussianRational(Fraction(x, self.den), Fraction(y, self.den))
+
+    @cached_property
+    def _evaluation(self) -> tuple:
+        """What evaluation reads, built once per form: the largest degrees
+        deg_z and deg_w of the alphas and betas; each term as (i, j, alpha,
+        beta, re, im, pad_z, pad_w), where pad_z = deg_z - |alpha| and
+        pad_w = deg_w - |beta| lift it to those degrees, so that every term of
+        a value shares one denominator (a bihomogeneous form has no pads);
+        and the distinct alphas and betas."""
+        support = self.support
+        deg_z = max((degree(alpha) for _, _, alpha, _ in support), default=0)
+        deg_w = max((degree(beta) for _, _, _, beta in support), default=0)
+        terms = tuple((i, j, alpha, beta, x, y, deg_z - degree(alpha), deg_w - degree(beta))
+                      for (i, j, alpha, beta), (x, y) in support.items())
+        alphas = tuple(dict.fromkeys(alpha for _, _, alpha, _ in support))
+        betas = tuple(dict.fromkeys(beta for _, _, _, beta in support))
+        return deg_z, deg_w, terms, alphas, betas
+
+    def numerators(self, z: GaussianRow, w: GaussianRow) -> tuple[list[int], list[int], int]:
+        """F(z, wbar) in ints, as (re, im, den): entry (i, j) has real part
+        re[k] / den and imaginary part im[k] / den, k = i*r + j, where
+        den = self.den * z.den^deg_z * w.den^deg_w > 0."""
+        deg_z, deg_w, terms, alphas, betas = self._evaluation
+        if z == w:
+            zm = wm = _monomial_values(z, dict.fromkeys(alphas + betas))
+        else:
+            zm, wm = _monomial_values(z, alphas), _monomial_values(w, betas)
+        r = self.r
+        re, im = [0] * (r * r), [0] * (r * r)
+        for i, j, alpha, beta, cr, ci, pad_z, pad_w in terms:
+            ar, ai = zm[alpha]
+            br, bi = wm[beta]
+            # c * z^alpha * conj(w^beta)
+            xr, xi = ar * br + ai * bi, ai * br - ar * bi
+            tr, ti = cr * xr - ci * xi, cr * xi + ci * xr
+            if pad_z or pad_w:
+                pad = z.den ** pad_z * w.den ** pad_w
+                tr, ti = tr * pad, ti * pad
+            k = i * r + j
+            re[k] += tr
+            im[k] += ti
+        return re, im, self.den * z.den ** deg_z * w.den ** deg_w
+
+
+def _ratios(c: GaussianRational) -> tuple[int, int, int, int]:
+    """(x, qx, y, qy) with c = x/qx + i*y/qy."""
+    return c.re.numerator, c.re.denominator, c.im.numerator, c.im.denominator
 
 
 @dataclass(eq=True)
@@ -320,14 +351,14 @@ class CoefficientBasis:
         return cache
 
 
-def is_hermitian_symmetric(form: BihermitianForm | ClearedTerms) -> bool:
+def is_hermitian_symmetric(form: BihermitianForm) -> bool:
     """True iff coefficient(i, j, a, b) == conj(coefficient(j, i, b, a))
-    throughout, compared in the cleared ints.
+    throughout, compared in the numerators over the form's one denominator.
 
     Equivalent to F(z, zbar) taking Hermitian matrix values (real values for
     r = 1) at every point.
     """
-    support = ClearedTerms.of(form).support
+    support = form.support
     return all(support.get((j, i, beta, alpha)) == (x, -y)
                for (i, j, alpha, beta), (x, y) in support.items())
 
@@ -350,18 +381,27 @@ def max_degree(form: BihermitianForm) -> int:
 
 
 def add(f: BihermitianForm, g: BihermitianForm) -> BihermitianForm:
+    """f + g, summed in numerators over the lcm of the two denominators."""
     if f.n != g.n or f.r != g.r:
         raise ValueError("shape mismatch in kernel addition")
-    terms = dict(f.support)
-    acc: list = list(terms.items()) + list(g.support.items())
-    return BihermitianForm.from_terms(f.n, f.r, acc)
+    den = lcm(f.den, g.den)
+    support: dict[TermKey, tuple[int, int]] = {}
+    for form in (f, g):
+        k = den // form.den
+        for key, (x, y) in form.support.items():
+            re, im = support.get(key, (0, 0))
+            support[key] = re + x * k, im + y * k
+    return BihermitianForm.lowest(f.n, f.r, support, den)
 
 
 def scale(f: BihermitianForm, c) -> BihermitianForm:
-    """c * f: a nonzero c keeps every term, and the keys of f are checked already."""
+    """c * f, with c = (cr + i*ci) / q over one denominator; the keys of f
+    are checked already."""
     c = as_gaussian(c)
-    return BihermitianForm(f.n, f.r, {} if c.is_zero() else {
-        key: coeff * c for key, coeff in f.support.items()})
+    q = lcm(c.re.denominator, c.im.denominator)
+    cr, ci = c.re.numerator * (q // c.re.denominator), c.im.numerator * (q // c.im.denominator)
+    return BihermitianForm.lowest(f.n, f.r, {
+        key: (x * cr - y * ci, x * ci + y * cr) for key, (x, y) in f.support.items()}, f.den * q)
 
 
 def subtract(f: BihermitianForm, g: BihermitianForm) -> BihermitianForm:
@@ -379,14 +419,13 @@ def kernel_multiply(f: BihermitianForm, g: BihermitianForm) -> BihermitianForm:
     if f.r != 1 and g.r != 1:
         raise ValueError("kernel product needs a scalar factor")
     scalar, matrix = (f, g) if f.r == 1 else (g, f)
-    acc: dict[TermKey, GaussianRational] = {}
-    for (_, _, a1, b1), c1 in scalar.support.items():
-        for (i, j, a2, b2), c2 in matrix.support.items():
-            alpha = tuple(x + y for x, y in zip(a1, a2))
-            beta = tuple(x + y for x, y in zip(b1, b2))
-            key = (i, j, alpha, beta)
-            acc[key] = acc.get(key, ZERO) + c1 * c2
-    return BihermitianForm.from_terms(f.n, matrix.r, acc)
+    acc: dict[TermKey, tuple[int, int]] = {}
+    for (_, _, a1, b1), (x1, y1) in scalar.support.items():
+        for (i, j, a2, b2), (x2, y2) in matrix.support.items():
+            key = (i, j, tuple(map(_add, a1, a2)), tuple(map(_add, b1, b2)))
+            re, im = acc.get(key, (0, 0))
+            acc[key] = re + x1 * x2 - y1 * y2, im + x1 * y2 + y1 * x2
+    return BihermitianForm.lowest(f.n, matrix.r, acc, f.den * g.den)
 
 
 def gram(a: HoloPolyMatrix) -> BihermitianForm:
@@ -412,18 +451,15 @@ def gram(a: HoloPolyMatrix) -> BihermitianForm:
             for row in a.rows)
     re, im, common = outer_product_sum(size, zip(weights, rows))
     pairs = list(index)
-    support: dict[TermKey, GaussianRational] = {}
+    support: dict[TermKey, tuple[int, int]] = {}
     for p, (i, alpha) in enumerate(pairs):
         re_p, im_p = re[p], im[p]
-        for q in sorted(re_p):
-            x, y = re_p[q], im_p[q]
-            if x or y:
-                j, beta = pairs[q]
-                coeff = GaussianRational(Fraction(x, common), Fraction(y, common))
-                support[(i, j, alpha, beta)] = coeff
-                if q != p:
-                    support[(j, i, beta, alpha)] = coeff.conjugate()
-    return BihermitianForm(a.n, r, support)
+        for q, x in re_p.items():
+            j, beta = pairs[q]
+            y = im_p[q]
+            support[(i, j, alpha, beta)] = x, y
+            support[(j, i, beta, alpha)] = x, -y
+    return BihermitianForm.lowest(a.n, r, support, common)
 
 
 def euclidean_pairing(n: int) -> BihermitianForm:
@@ -432,8 +468,8 @@ def euclidean_pairing(n: int) -> BihermitianForm:
     terms = {}
     for k in range(n):
         e = tuple(unit[:k] + [1] + unit[k + 1 :])
-        terms[(0, 0, e, e)] = 1
-    return BihermitianForm.from_terms(n, 1, terms)
+        terms[(0, 0, e, e)] = 1, 0
+    return BihermitianForm(n, 1, terms, 1)
 
 
 def _basis_pairs(n: int, r: int, degrees) -> tuple[tuple[int, MultiIndex], ...]:
@@ -448,12 +484,32 @@ def homogeneous_basis(n: int, r: int, m: int) -> CoefficientBasis:
     return CoefficientBasis(n, r, m, _basis_pairs(n, r, [m]))
 
 
+# The largest coefficient matrix M_d that is built, M_0 included: a form names
+# n, r and its degrees, and a report d, in a few bytes, while the basis, M_d,
+# its blocks' working rows and its outer-product sum grow with them.  Apart
+# from the tests of the bound, tests, CI and the benchmark build none past
+# Q3's M_41, 990 rows, the largest of Q3's within it.
+MAX_MATRIX_SIZE = 1024
+
+
+def matrix_size(n: int, r: int, m: int, d: int = 0) -> int:
+    """The size of M_d, the coefficient matrix of <z, w>^d F for a form F of
+    bidegree m, r * dim_homogeneous(n, m + d), counted in closed form before
+    any basis is enumerated; ValueError when it is over MAX_MATRIX_SIZE."""
+    size = r * dim_homogeneous(n, m + d)
+    if size > MAX_MATRIX_SIZE:
+        raise ValueError(f"the coefficient matrix at d={d} has {size} rows, "
+                         f"more than the {MAX_MATRIX_SIZE} allowed")
+    return size
+
+
 def coefficient_basis(form: BihermitianForm, mode: str = "auto") -> CoefficientBasis:
     """Combined (i, alpha) basis for the form's coefficient matrix.
 
     mode: "bidegree" demands a single bidegree m and uses the degree-m basis;
     "generalized" uses all monomials up to the maximum degree in the support;
     "auto" picks "bidegree" when it applies and "generalized" otherwise.
+    The size is checked (`matrix_size`) before the basis is enumerated.
     """
     m = bidegree(form)
     if mode == "auto":
@@ -461,9 +517,13 @@ def coefficient_basis(form: BihermitianForm, mode: str = "auto") -> CoefficientB
     if mode == "bidegree":
         if m is None:
             raise ValueError("form has mixed bidegrees; use generalized mode")
+        matrix_size(form.n, form.r, m)
         return homogeneous_basis(form.n, form.r, m)
     if mode == "generalized":
         cap = max_degree(form)
+        # The monomials of degree <= cap in n variables are as many as those
+        # of degree cap in n + 1: C(n + cap, cap).
+        matrix_size(form.n + 1, form.r, cap)
         return CoefficientBasis(
             form.n, form.r, None, _basis_pairs(form.n, form.r, range(cap + 1))
         )
@@ -471,30 +531,29 @@ def coefficient_basis(form: BihermitianForm, mode: str = "auto") -> CoefficientB
 
 
 def coefficient_matrix(
-    form: BihermitianForm | ClearedTerms, mode: str = "auto"
+    form: BihermitianForm, mode: str = "auto"
 ) -> tuple[HermitianMatrix, CoefficientBasis]:
     """Hermitian matrix M with M[(i,alpha)][(j,beta)] = coefficient(i, j, alpha, beta),
-    on `coefficient_basis(form, mode)`, its rows read from the cleared ints.
+    on `coefficient_basis(form, mode)`, its rows the form's numerators over its
+    denominator: a form in lowest terms gives a matrix in lowest terms.
 
     The quadratic form H* M H evaluates the kernel's coefficient pairing:
     positivity of M is exactly expressibility of the kernel as a weighted sum
-    of rank-one holomorphic squares.  Requires a Hermitian-symmetric input,
-    which is checked on the cleared ints.
+    of rank-one holomorphic squares.  Requires a Hermitian-symmetric input.
     """
-    terms = ClearedTerms.of(form)
-    if not is_hermitian_symmetric(terms):
+    if not is_hermitian_symmetric(form):
         raise ValueError("coefficient matrix requires a Hermitian-symmetric form")
-    basis = coefficient_basis(terms, mode)
+    basis = coefficient_basis(form, mode)
     lookup = basis._lookup
     re = [{} for _ in basis.pairs]
     im = [{} for _ in basis.pairs]
-    for (i, j, alpha, beta), (x, y) in terms.support.items():
+    for (i, j, alpha, beta), (x, y) in form.support.items():
         p, q = lookup[(i, alpha)], lookup[(j, beta)]
         if x:
             re[p][q] = x
         if y:
             im[p][q] = y
-    return HermitianMatrix.lowest(re, im, terms.den), basis
+    return HermitianMatrix(re, im, form.den), basis
 
 
 def from_coefficient_matrix(
@@ -506,14 +565,14 @@ def from_coefficient_matrix(
         raise ValueError(
             f"matrix size {matrix.size} does not match r*dim = {expected}"
         )
-    pairs, den = _basis_pairs(n, r, [m]), matrix.den
-    support: dict[TermKey, GaussianRational] = {}
+    pairs = _basis_pairs(n, r, [m])
+    support: dict[TermKey, tuple[int, int]] = {}
     for (i, alpha), row_re, row_im in zip(pairs, matrix.re, matrix.im):
-        for q in sorted(row_re.keys() | row_im.keys()):
+        for q in row_re.keys() | row_im.keys():
             j, beta = pairs[q]
-            support[(i, j, alpha, beta)] = GaussianRational(Fraction(row_re.get(q, 0), den),
-                                                            Fraction(row_im.get(q, 0), den))
-    return BihermitianForm(n, r, support)
+            support[(i, j, alpha, beta)] = row_re.get(q, 0), row_im.get(q, 0)
+    # The matrix is in lowest terms, so the form of its entries is too.
+    return BihermitianForm(n, r, support, matrix.den)
 
 
 def _monomial_values(point: GaussianRow, exponents) -> dict[MultiIndex, tuple[int, int]]:
@@ -537,88 +596,35 @@ def _monomial_values(point: GaussianRow, exponents) -> dict[MultiIndex, tuple[in
     return out
 
 
-@dataclass(frozen=True)
-class ClearedForm:
-    """A form over one coefficient denominator, evaluated exactly in ints.
-
-    Each term is (i, j, alpha, beta, re, im, pad_z, pad_w): the coefficient is
-    (re + i*im) / den, and pad_z = deg_z - |alpha|, pad_w = deg_w - |beta|
-    lift the term to the form's largest degrees, so that every term of a
-    value shares the denominator den * z.den^deg_z * w.den^deg_w.  A
-    bihomogeneous form has no pads.
-    """
-
-    r: int
-    den: int
-    deg_z: int
-    deg_w: int
-    terms: tuple[tuple[int, int, MultiIndex, MultiIndex, int, int, int, int], ...]
-    alphas: tuple[MultiIndex, ...]
-    betas: tuple[MultiIndex, ...]
-
-    @classmethod
-    def of(cls, form: BihermitianForm) -> "ClearedForm":
-        cleared = ClearedTerms.of(form)
-        support = cleared.support
-        deg_z = max((degree(alpha) for _, _, alpha, _ in support), default=0)
-        deg_w = max((degree(beta) for _, _, _, beta in support), default=0)
-        terms = tuple((i, j, alpha, beta, x, y, deg_z - degree(alpha), deg_w - degree(beta))
-                      for (i, j, alpha, beta), (x, y) in support.items())
-        alphas = tuple(dict.fromkeys(alpha for _, _, alpha, _ in support))
-        betas = tuple(dict.fromkeys(beta for _, _, _, beta in support))
-        return cls(form.r, cleared.den, deg_z, deg_w, terms, alphas, betas)
-
-    def numerators(self, z: GaussianRow, w: GaussianRow) -> tuple[list[int], list[int], int]:
-        """F(z, wbar) as (re, im, den): entry (i, j) has real part re[k] / den
-        and imaginary part im[k] / den, k = i*r + j, where
-        den = self.den * z.den^deg_z * w.den^deg_w > 0."""
-        if z == w:
-            zm = wm = _monomial_values(z, dict.fromkeys(self.alphas + self.betas))
-        else:
-            zm, wm = _monomial_values(z, self.alphas), _monomial_values(w, self.betas)
-        re, im = [0] * (self.r * self.r), [0] * (self.r * self.r)
-        for i, j, alpha, beta, cr, ci, pad_z, pad_w in self.terms:
-            ar, ai = zm[alpha]
-            br, bi = wm[beta]
-            # c * z^alpha * conj(w^beta)
-            xr, xi = ar * br + ai * bi, ai * br - ar * bi
-            tr, ti = cr * xr - ci * xi, cr * xi + ci * xr
-            if pad_z or pad_w:
-                pad = z.den ** pad_z * w.den ** pad_w
-                tr, ti = tr * pad, ti * pad
-            k = i * self.r + j
-            re[k] += tr
-            im[k] += ti
-        return re, im, self.den * z.den ** self.deg_z * w.den ** self.deg_w
-
-
 def evaluate_exact(form: BihermitianForm, z, w) -> list[list[GaussianRational]]:
     """Exact value of F(z, wbar) at Gaussian-rational points z, w.
 
     z and w are cleared to Gaussian-integer numerators over one denominator
-    each, the value is summed in ints (`ClearedForm`), and each entry is
-    divided once at the end.
+    each, the value is summed in ints (`BihermitianForm.numerators`), and
+    each entry is divided once at the end.
     """
     z = tuple(as_gaussian(c) for c in z)
     w = tuple(as_gaussian(c) for c in w)
     if len(z) != form.n or len(w) != form.n:
         raise ValueError("point length differs from ambient dimension")
-    re, im, den = ClearedForm.of(form).numerators(GaussianRow.from_entries(form.n, enumerate(z)),
-                                                  GaussianRow.from_entries(form.n, enumerate(w)))
+    re, im, den = form.numerators(GaussianRow.from_entries(form.n, enumerate(z)),
+                                  GaussianRow.from_entries(form.n, enumerate(w)))
     r = form.r
     return [[GaussianRational(Fraction(re[k], den), Fraction(im[k], den))
              for k in range(i * r, i * r + r)] for i in range(r)]
 
 
 def evaluate(form: BihermitianForm, z, w) -> list[list[complex]]:
-    """Floating-point value of F(z, wbar); z and w are complex n-vectors."""
+    """Floating-point value of F(z, wbar); z and w are complex n-vectors.
+    Each coefficient is x / den on ints, correctly rounded."""
     z = tuple(complex(c) for c in z)
     w = tuple(complex(c) for c in w)
     if len(z) != form.n or len(w) != form.n:
         raise ValueError("point length differs from ambient dimension")
     out = [[0j] * form.r for _ in range(form.r)]
-    for (i, j, alpha, beta), coeff in form.support.items():
-        term = complex(coeff)
+    den = form.den
+    for (i, j, alpha, beta), (x, y) in form.support.items():
+        term = complex(x / den, y / den)
         for zk, a in zip(z, alpha):
             if a:
                 term *= zk**a

@@ -24,7 +24,7 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .hermform import BihermitianForm, HoloPolyMatrix
 from .scalars import GaussianRational, as_gaussian
@@ -312,11 +312,12 @@ def _kernel(parsed: tuple, n: int | None, want: str):
     if "x" in kinds:
         raise ParseError("x variables belong to real symbols, not kernels", 0)
     dim = max(zmax, n or 1)
-    distinct = {c for row in rows for poly in row for c in poly.values()}
-    gaussian = {c: GaussianRational(Fraction(c[0], c[2]), Fraction(c[1], c[2])) for c in distinct}
     if want == "holo":
         if "zb" in kinds:
             raise ParseError("holomorphic matrices cannot contain zb variables", 0)
+        distinct = {c for row in rows for poly in row for c in poly.values()}
+        gaussian = {c: GaussianRational(Fraction(c[0], c[2]), Fraction(c[1], c[2]))
+                    for c in distinct}
         polys = [
             [{_exponents(key, dim)[0]: gaussian[c] for key, c in poly.items()} for poly in row]
             for row in rows
@@ -327,10 +328,13 @@ def _kernel(parsed: tuple, n: int | None, want: str):
     r = len(rows)
     if any(len(row) != r for row in rows):
         raise ParseError("kernel matrices must be square", 0)
-    support = {(i, j, *_exponents(key, dim)): gaussian[c] for i, row in enumerate(rows)
-               for j, poly in enumerate(row) for key, c in poly.items()}
-    # Keys are distinct and coefficients nonzero, as from_terms would leave them.
-    return BihermitianForm(dim, r, support)
+    den = lcm(*(c[2] for row in rows for poly in row for c in poly.values()))
+    support = {(i, j, *_exponents(key, dim)): (re * (den // q), im * (den // q))
+               for i, row in enumerate(rows) for j, poly in enumerate(row)
+               for key, (re, im, q) in poly.items()}
+    # Keys are distinct and coefficients nonzero, each in lowest terms, so
+    # over the lcm of their denominators the form is in lowest terms too.
+    return BihermitianForm(dim, r, support, den)
 
 
 def _symbol(parsed: tuple, nvars: int | None) -> RealSymbol:
@@ -409,7 +413,7 @@ def format_scalar_entry(form: BihermitianForm, i: int, j: int) -> str:
         return "0"
     chunks = []
     for pos, key in enumerate(keys):
-        coeff = form.support[key]
+        coeff = form.coefficient(*key)
         mono = _format_monomial(key[2], key[3])
         text = _format_coefficient(coeff, lead=(pos == 0))
         if mono:

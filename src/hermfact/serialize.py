@@ -6,7 +6,8 @@ back by one reader, `read_ratio`: the written spelling goes straight to ints,
 any other spelling that `Fraction` accepts is still accepted, and a zero
 denominator is a ValueError.  A kernel term is written as the row
 [i, j, alpha, beta, re, im], with matrix indices i, j 1-based on the wire and
-0-based in memory, and read by one reader, `obj_to_terms`, into ints.
+0-based in memory, and read by one reader, `obj_to_form`, into the form's
+Gaussian-integer numerators over one denominator.
 
 Every report and artifact file is `canonical_json` (sorted keys, no
 whitespace, CPython's C encoder) on one line; `python -m json.tool` indents
@@ -27,16 +28,17 @@ from .certify import SignatureCertificate, factor_failure, witness_failure
 from .factor import _factor_from_parts, numeric_factor
 from .hermform import (
     BihermitianForm,
-    ClearedTerms,
     HermitianMatrix,
     bidegree,
     coefficient_basis,
     coefficient_matrix,
     evaluate_exact,
     homogeneous_basis,
+    matrix_size,
+    scale,
 )
 from .scalars import ZERO, GaussianRational, SparseRow
-from .stabilize import MODES, checked_bidegree, last_exponent, matrix_size, power_rows
+from .stabilize import MODES, checked_bidegree, last_exponent, power_rows
 from .symbols import EllipticityReport, format_diff_operator_row, require_symbol
 
 
@@ -120,12 +122,13 @@ TERM_FIELDS = ("i", "j", "alpha", "beta", "re", "im")
 
 def form_to_obj(form: BihermitianForm) -> dict:
     """Each term as the row [i, j, alpha, beta, re, im], both triangles, in key order."""
-    terms = [[i + 1, j + 1, list(alpha), list(beta), fraction_to_str(c.re), fraction_to_str(c.im)]
-             for (i, j, alpha, beta), c in sorted(form.support.items())]
+    den = form.den
+    terms = [[i + 1, j + 1, list(alpha), list(beta), _part(x, den), _part(y, den)]
+             for (i, j, alpha, beta), (x, y) in sorted(form.support.items())]
     return {"kind": "bihermitian_form", "n": form.n, "r": form.r, "terms": terms}
 
 
-def obj_to_terms(obj: dict, written: bool = False) -> ClearedTerms:
+def obj_to_form(obj: dict, written: bool = False) -> BihermitianForm:
     """The one kernel reader, into ints: each term is the row that
     `form_to_obj` writes or, unless the kernel is part of an artifact
     (`written`), an object with the keys of TERM_FIELDS, as input files spell
@@ -146,11 +149,7 @@ def obj_to_terms(obj: dict, written: bool = False) -> ClearedTerms:
                 and isinstance(alpha, list) and isinstance(beta, list)):
             raise ValueError("a kernel term needs integers i and j and lists alpha and beta")
         terms.append((i - 1, j - 1, alpha, beta, *read_ratio(re, seen), *read_ratio(im, seen)))
-    return ClearedTerms.read(obj["n"], obj["r"], terms)
-
-
-def obj_to_form(obj: dict, written: bool = False) -> BihermitianForm:
-    return obj_to_terms(obj, written).form()
+    return BihermitianForm.read(obj["n"], obj["r"], terms)
 
 
 FACTOR_KEYS = frozenset({"kind", "form", "d", "vectors", "witness"})
@@ -213,7 +212,7 @@ def _obj_to_vectors(items, what="a stabilization factor must be null or a list o
     return [(str_to_fraction(w), _obj_to_sparse(entries)) for w, entries in items]
 
 
-def _factor_basis(form: BihermitianForm | ClearedTerms, d: int):
+def _factor_basis(form: BihermitianForm, d: int):
     """The basis of M_d, the coefficient matrix of <z, w>^d F; at d = 0, F's own."""
     basis = coefficient_basis(form)
     return basis if d == 0 else homogeneous_basis(form.n, form.r, basis.bidegree + d)
@@ -242,16 +241,16 @@ def factor_to_obj(form: BihermitianForm, d: int, cert: SignatureCertificate) -> 
             **certificate_to_obj(cert)}
 
 
-def obj_to_factor(obj: dict) -> tuple[ClearedTerms, int, list[tuple[Fraction, SparseRow]],
+def obj_to_factor(obj: dict) -> tuple[BihermitianForm, int, list[tuple[Fraction, SparseRow]],
                                       SparseRow | None]:
-    """(F, d, weighted vectors, witness) of a serialized factor, F in ints."""
+    """(F, d, weighted vectors, witness) of a serialized factor."""
     if not isinstance(obj, dict) or obj.get("kind") != "weighted_gram_factor":
         raise ValueError("not a serialized weighted factor")
     _require_keys(obj, FACTOR_KEYS, "a weighted factor")
     d = obj["d"]
     if not (type(d) is int and d >= 0):
         raise ValueError(f"{FORMAT_ERROR}: a factor's d must be a nonnegative integer")
-    return obj_to_terms(obj["form"], written=True), d, *obj_to_certificate(obj)
+    return obj_to_form(obj["form"], written=True), d, *obj_to_certificate(obj)
 
 
 def stabilization_to_obj(report: StabilizationReport) -> dict:
@@ -373,7 +372,7 @@ def _verify_stabilization(obj: dict) -> tuple[tuple[bool, str], tuple | None]:
     that M_d passes at the next d, d_min <= d_max; without one, the witness
     is at the last d that the search builds up to d_max (`last_exponent`).
     Each M_d is built once, in closed form (`stabilize.power_rows`), after
-    its size is checked."""
+    its size, and that of M_0, is checked."""
     _require_keys(obj, STABILIZATION_KEYS, "a stabilization report")
     strict = _require_mode(obj["mode"]) == "strict"
     trail, d_max, factor = obj["trail"], obj["d_max"], obj["factor"]
@@ -385,11 +384,11 @@ def _verify_stabilization(obj: dict) -> tuple[tuple[bool, str], tuple | None]:
                          "witness [d, [[j, re, im], ...]] and a nonnegative integer d_max")
     witnesses = [(d, entries, _obj_to_sparse(entries)) for d, entries in trail]
     vectors = None if factor is None else _obj_to_vectors(factor)
-    terms = obj_to_terms(obj["form"], written=True)
-    n, r, m = terms.n, terms.r, checked_bidegree(terms)
+    form = obj_to_form(obj["form"], written=True)
+    n, r, m = form.n, form.r, checked_bidegree(form)
     witness_ds, d_min = [d for d, _ in trail], _d_min(obj)
-    # Every d named is checked against the size bound before any matrix is built.
-    for d in witness_ds + ([] if d_min is None else [d_min]):
+    # 0 and every d named are checked against the size bound before any matrix is built.
+    for d in [0, *witness_ds, *([] if d_min is None else [d_min])]:
         matrix_size(n, r, m, d)
     if d_min is None:
         last = last_exponent(n, r, m, d_max)
@@ -399,26 +398,19 @@ def _verify_stabilization(obj: dict) -> tuple[tuple[bool, str], tuple | None]:
     elif d_min > d_max:
         return (False, "factor runs past d_max"), None
     for d, entries, v in witnesses:
-        reason = _witness_failure(power_rows(terms, d)[0], entries, v, strict)
+        reason = _witness_failure(power_rows(form, d)[0], entries, v, strict)
         if reason is not None:
             return (False, f"trail d={d}: {reason}"), None
-    reason = None if d_min is None else factor_failure(power_rows(terms, d_min)[0], vectors, strict)
-    return ((True, "ok") if reason is None else (False, reason)), (terms, vectors)
+    reason = None if d_min is None else factor_failure(power_rows(form, d_min)[0], vectors, strict)
+    return ((True, "ok") if reason is None else (False, reason)), (form, vectors)
 
 
-def _sphere_value(form: ClearedTerms, pairs) -> GaussianRational | None:
+def _sphere_value(form: BihermitianForm, pairs) -> GaussianRational | None:
     """The symbol's exact value at a point, or None off the unit sphere."""
     point = tuple(pair_to_gaussian(pair) for pair in pairs)
     if sum(c.abs2() for c in point) != 1:
         return None
     return evaluate_exact(form, point, point)[0][0]
-
-
-def _equal_up_to_sign(f: ClearedTerms, g: ClearedTerms) -> bool:
-    """f == g or f == -g, compared in the cleared ints."""
-    return (f.n, f.r, f.support.keys()) == (g.n, g.r, g.support.keys()) and any(
-        all(sign * x * g.den == y * f.den for key, pair in f.support.items()
-            for x, y in zip(pair, g.support[key])) for sign in (1, -1))
 
 
 def _verify_ellipticity(obj: dict) -> tuple[tuple[bool, str], tuple | None]:
@@ -428,8 +420,8 @@ def _verify_ellipticity(obj: dict) -> tuple[tuple[bool, str], tuple | None]:
     an exact zero, or exact values of opposite sign, on the unit sphere, or a
     strict stabilization report of the symbol or of its negation."""
     _require_keys(obj, ELLIPTICITY_KEYS, "an ellipticity report")
-    terms = obj_to_terms(obj["form"], written=True)
-    require_symbol(terms)
+    form = obj_to_form(obj["form"], written=True)
+    require_symbol(form)
     point, change, stabilization = obj["witness_point"], obj["sign_change"], obj["stabilization"]
     if stabilization is not None:
         if point is not None or change is not None:
@@ -437,19 +429,20 @@ def _verify_ellipticity(obj: dict) -> tuple[tuple[bool, str], tuple | None]:
         (ok, reason), read = _verify_stabilization(stabilization)
         if not ok:
             return (False, f"stabilization: {reason}"), None
-        if stabilization["mode"] != "strict" or not _equal_up_to_sign(read[0], terms):
+        # Forms in lowest terms are equal exactly when their fields are.
+        if stabilization["mode"] != "strict" or read[0] not in (form, scale(form, -1)):
             return (False, "stabilization is not a strict search on the report's form"), None
-        return (True, "ok"), (terms, read[1])
+        return (True, "ok"), (form, read[1])
     if point is None and change is None:
         return (False, "not_elliptic report names no point"), None
-    if point is not None and _sphere_value(terms, point) != ZERO:
+    if point is not None and _sphere_value(form, point) != ZERO:
         return (False, "witness point is not a zero of the symbol on the unit sphere"), None
     if change is not None:
-        pos = _sphere_value(terms, change["positive_at"])
-        neg = _sphere_value(terms, change["negative_at"])
+        pos = _sphere_value(form, change["positive_at"])
+        neg = _sphere_value(form, change["negative_at"])
         if pos is None or neg is None or not (pos.im == neg.im == 0 and pos.re > 0 > neg.re):
             return (False, "sign-change points do not have opposite signs on the unit sphere"), None
-    return (True, "ok"), (terms, None)
+    return (True, "ok"), (form, None)
 
 
 def _artifact(container: dict, key: str, kind: str) -> dict:
@@ -649,14 +642,14 @@ def _verify_run_report(obj: dict) -> tuple[bool, str]:
 def _verify_factor(obj: dict) -> tuple[tuple[bool, str], tuple]:
     """verify_obj of a weighted factor, and what it read: (F, d, weighted
     vectors, basis of M_d)."""
-    terms, d, vectors, witness = obj_to_factor(obj)
-    matrix, basis = coefficient_matrix(terms) if d == 0 else power_rows(terms, d)
+    form, d, vectors, witness = obj_to_factor(obj)
+    matrix, basis = coefficient_matrix(form) if d == 0 else power_rows(form, d)
     reason = factor_failure(matrix, vectors, strict=False, signed=True)
     if reason is None and (witness is not None) != any(w < 0 for w, _ in vectors):
         reason = "witness is not present exactly when a weight is negative"
     if reason is None and witness is not None:
         reason = _witness_failure(matrix, obj["witness"], witness, strict=False)
-    return ((True, "ok") if reason is None else (False, reason)), (terms, d, vectors, basis)
+    return ((True, "ok") if reason is None else (False, reason)), (form, d, vectors, basis)
 
 
 # The check of each artifact kind: its (ok, reason) and what it read.

@@ -19,9 +19,10 @@ coefficients as Gaussian-integer dict rows over one denominator
 `mode_evidence` reads the blocks of M_d straight from the rows, so no step
 builds an n x n matrix, and a failing step stops at its first failing block.
 `verify`, `factor --d` and the multipliers build one M_d outright instead,
-from the multinomial theorem (`power_rows`).  Every M_d past d = 0 that is
-built is at most MAX_MATRIX_SIZE rows; the search stops at the last d within
-it (`last_exponent`), and at d = 0 in one variable, where every M_d is M_0.
+from the multinomial theorem (`power_rows`).  Every M_d that is built, M_0
+included, is at most MAX_MATRIX_SIZE rows (`hermform.matrix_size`); the
+search stops at the last d within it (`last_exponent`), and at d = 0 in one
+variable, where every M_d is M_0.
 """
 
 from __future__ import annotations
@@ -37,8 +38,8 @@ from operator import add
 from .certify import ldl_signature, mode_evidence  # noqa: F401
 from .factor import WeightedGramFactor, _factor_from_parts
 from .hermform import (
+    MAX_MATRIX_SIZE,
     BihermitianForm,
-    ClearedTerms,
     CoefficientBasis,
     HermitianMatrix,
     bidegree,
@@ -46,17 +47,12 @@ from .hermform import (
     from_coefficient_matrix,
     homogeneous_basis,
     is_hermitian_symmetric,
+    matrix_size,
 )
 from .multiindex import dim_homogeneous, enumerate_degree, multinomial
 from .scalars import SparseRow
 
 MODES = ("strict", "semi")
-# The largest coefficient matrix M_d, d > 0, that the search, `factor --d`
-# and `verify` build: a report names d in a few bytes, and M_d, its blocks'
-# working rows and its outer-product sum grow with it.  Apart from the tests
-# of the bound, tests, CI and the benchmark build none past Q3's M_41, 990
-# rows, the largest of Q3's within it.
-MAX_MATRIX_SIZE = 1024
 
 
 def _pairing_shift(matrix: HermitianMatrix, basis: CoefficientBasis
@@ -88,17 +84,6 @@ def _pairing_shift(matrix: HermitianMatrix, basis: CoefficientBasis
     return HermitianMatrix.lowest(out_re, out_im, matrix.den), shifted
 
 
-def matrix_size(n: int, r: int, m: int, d: int) -> int:
-    """The size of M_d for a form of bidegree m: r * dim_homogeneous(n, m + d).
-    ValueError when d > 0 and it is over MAX_MATRIX_SIZE; M_0 is the form's
-    own matrix, which `check` builds too."""
-    size = r * dim_homogeneous(n, m + d)
-    if d and size > MAX_MATRIX_SIZE:
-        raise ValueError(f"the coefficient matrix at d={d} has {size} rows, "
-                         f"more than the {MAX_MATRIX_SIZE} allowed")
-    return size
-
-
 def last_exponent(n: int, r: int, m: int, d_max: int) -> int:
     """The last d that a search up to d_max builds: the largest d <= d_max
     whose M_d is within MAX_MATRIX_SIZE, and at least 0.  The size does not
@@ -116,19 +101,18 @@ def last_exponent(n: int, r: int, m: int, d_max: int) -> int:
     return low
 
 
-def checked_bidegree(terms: ClearedTerms) -> int:
+def checked_bidegree(form: BihermitianForm) -> int:
     """The single bidegree of a Hermitian-symmetric form, checked with the
     errors of `coefficient_matrix`, as `exponent_steps` checks it."""
-    if not is_hermitian_symmetric(terms):
+    if not is_hermitian_symmetric(form):
         raise ValueError("coefficient matrix requires a Hermitian-symmetric form")
-    m = bidegree(terms)
+    m = bidegree(form)
     if m is None:
         raise ValueError("form has mixed bidegrees; use generalized mode")
     return m
 
 
-def power_rows(form: BihermitianForm | ClearedTerms, d: int
-               ) -> tuple[HermitianMatrix, CoefficientBasis]:
+def power_rows(form: BihermitianForm, d: int) -> tuple[HermitianMatrix, CoefficientBasis]:
     """M_d, the coefficient matrix of <z, w>^d F, and its basis, in closed
     form, with no shift walked.
 
@@ -143,20 +127,19 @@ def power_rows(form: BihermitianForm | ClearedTerms, d: int
     """
     if d < 0:
         raise ValueError("multiplier exponent must be nonnegative")
-    terms = ClearedTerms.of(form)
-    m = checked_bidegree(terms)
-    matrix_size(terms.n, terms.r, m, d)
-    if not terms.support:
+    m = checked_bidegree(form)
+    matrix_size(form.n, form.r, m, d)
+    if not form.support:
         d = 0
-    basis = homogeneous_basis(terms.n, terms.r, m + d)
+    basis = homogeneous_basis(form.n, form.r, m + d)
     # Index k of the bidegree-(m+d) basis is (k // dim, monomial k % dim).
-    lookup, dim = basis._lookup, dim_homogeneous(terms.n, m + d)
-    mus = enumerate_degree(terms.n, d)
+    lookup, dim = basis._lookup, dim_homogeneous(form.n, m + d)
+    mus = enumerate_degree(form.n, d)
     weights = [multinomial(d, mu) for mu in mus]
     shifted: dict = {}  # alpha -> the index of alpha + mu for each mu, at i = 0
     rows_re = [{} for _ in basis.pairs]
     rows_im = [{} for _ in basis.pairs]
-    for (i, j, alpha, beta), (x, y) in terms.support.items():
+    for (i, j, alpha, beta), (x, y) in form.support.items():
         for mono in (alpha, beta):
             if mono not in shifted:
                 shifted[mono] = [lookup[(0, tuple(map(add, mono, mu)))] for mu in mus]
@@ -169,7 +152,7 @@ def power_rows(form: BihermitianForm | ClearedTerms, d: int
             if y:
                 row = rows_im[p]
                 row[q] = row.get(q, 0) + w * y
-    return HermitianMatrix.lowest(rows_re, rows_im, terms.den), basis
+    return HermitianMatrix.lowest(rows_re, rows_im, form.den), basis
 
 
 def multiplier_shift(form: BihermitianForm) -> BihermitianForm:

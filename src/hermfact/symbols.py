@@ -20,14 +20,13 @@ from math import comb, gcd, lcm
 from .factor import WeightedGramFactor
 from .hermform import (
     BihermitianForm,
-    ClearedForm,
-    ClearedTerms,
     bidegree,
     is_hermitian_symmetric,
+    matrix_size,
     scale,
 )
 from .multiindex import MultiIndex, check_multiindex, degree
-from .scalars import ZERO, GaussianRational, GaussianRow
+from .scalars import GaussianRational, GaussianRow
 from .stabilize import StabilizationReport, find_minimal_d
 
 
@@ -113,9 +112,8 @@ def real_to_complex(symbol: RealSymbol) -> BihermitianForm:
         for key, x in partial.items():
             parts = acc.setdefault(key, [0, 0])
             parts[k % 2] += -x if k in (1, 2) else x
-    return BihermitianForm.from_terms(symbol.nvars // 2, 1, {
-        (0, 0, alpha, beta): GaussianRational(Fraction(re, den), Fraction(im, den))
-        for (alpha, beta), (re, im) in acc.items()})
+    return BihermitianForm.lowest(symbol.nvars // 2, 1, {
+        (0, 0, alpha, beta): tuple(parts) for (alpha, beta), parts in acc.items()}, den)
 
 
 def _complex_pair_coefficients(u: int, v: int) -> tuple[tuple[int, int], ...]:
@@ -136,18 +134,21 @@ def complex_to_real(form: BihermitianForm) -> RealSymbol:
         raise ValueError("real-form conversion handles scalar kernels only")
     if not is_hermitian_symmetric(form):
         raise ValueError("real-form conversion requires a Hermitian-symmetric kernel")
-    acc: dict[MultiIndex, GaussianRational] = {}
+    # The numerators over form.den of each real coefficient, in Gaussian integers.
+    acc: dict[MultiIndex, tuple[int, int]] = {}
     for (_, _, alpha, beta), coeff in form.support.items():
-        partial = {(): (1, 0)}
+        partial = {(): coeff}
         for u, v in zip(alpha, beta):
             partial = {exps + (a, u + v - a): (x * cr - y * ci, x * ci + y * cr)
                        for exps, (x, y) in partial.items()
                        for a, (cr, ci) in enumerate(_complex_pair_coefficients(u, v)) if cr or ci}
         for exps, (x, y) in partial.items():
-            acc[exps] = acc.get(exps, ZERO) + coeff * GaussianRational(x, y)
-    if any(c.im for c in acc.values()):
+            re, im = acc.get(exps, (0, 0))
+            acc[exps] = re + x, im + y
+    if any(im for _, im in acc.values()):
         raise ValueError("conversion produced a non-real coefficient")
-    return RealSymbol.from_terms(2 * form.n, {exps: c.re for exps, c in acc.items()})
+    return RealSymbol.from_terms(2 * form.n, {exps: Fraction(re, form.den)
+                                              for exps, (re, _) in acc.items()})
 
 
 def is_complex_bihomogeneous(form: BihermitianForm) -> bool:
@@ -250,18 +251,17 @@ def _sample_symbol(form: BihermitianForm):
     positive and negative, in that order; None for a sign never seen.
 
     Points are evaluated at their Gaussian-integer numerators q over their
-    denominator D, with the form's coefficients cleared once; only the
-    returned points become GaussianRationals.
+    denominator D, in the form's numerators (`BihermitianForm.numerators`);
+    only the returned points become GaussianRationals.
     """
-    cleared = ClearedForm.of(form)
     first = [None, None, None]  # indexed by the sign: 0, +1, -1
     for nums, den in _sphere_numerators(form.n):
         q = GaussianRow(list(nums[0::2]), list(nums[1::2]), den)
-        re, im, _ = cleared.numerators(q, q)
+        re, im, _ = form.numerators(q, q)
         if im[0] != 0:
             raise ValueError("kernel is not real-valued on the diagonal")
         # certify_elliptic_form has checked that the form is bihomogeneous of
-        # some bidegree m, so re[0] is cleared.den * F(q), and the value at
+        # some bidegree m, so re[0] is form.den * F(q), and the value at
         # the sphere point is F(q / den) = F(q) / den^(2m): with both
         # denominators positive, it has the sign of re[0].
         sign = (re[0] > 0) - (re[0] < 0)
@@ -272,15 +272,18 @@ def _sample_symbol(form: BihermitianForm):
     return tuple(None if point is None else _sphere_point(*point) for point in first)
 
 
-def require_symbol(form: BihermitianForm | ClearedTerms) -> None:
+def require_symbol(form: BihermitianForm) -> None:
     """The preconditions of ellipticity certification, which `verify` checks
-    too: a scalar, Hermitian-symmetric kernel of one bidegree."""
+    too: a scalar, Hermitian-symmetric kernel of one bidegree whose M_0 is
+    within the size bound, checked before the sphere is sampled."""
     if form.r != 1:
         raise ValueError("ellipticity certification handles scalar symbols only")
     if not is_hermitian_symmetric(form):
         raise ValueError("symbol kernel must be Hermitian-symmetric (real-valued)")
-    if bidegree(form) is None:
+    m = bidegree(form)
+    if m is None:
         raise ValueError("symbol is not complex-bihomogeneous; certification does not apply")
+    matrix_size(form.n, 1, m)
 
 
 def certify_elliptic_form(form: BihermitianForm, d_max: int) -> EllipticityReport:
@@ -319,12 +322,16 @@ def certify_elliptic(symbol: RealSymbol, d_max: int) -> EllipticityReport:
     """Certify ellipticity of an even-order homogeneous real symbol.
 
     Raises ValueError when the symbol is inhomogeneous, of odd order or odd
-    variable count, or when its complex form is not bihomogeneous.
+    variable count, when its complex form is not bihomogeneous, or when that
+    form's M_0 (nvars / 2 variables, bidegree order / 2) is past the size
+    bound, which is checked before the conversion, whose work grows with the
+    square of nvars.
     """
     if not symbol.is_homogeneous():
         raise ValueError("principal symbol must be homogeneous")
     if symbol.order() % 2 != 0:
         raise ValueError("principal symbol must have even order")
+    matrix_size(symbol.nvars // 2, 1, symbol.order() // 2)
     form = real_to_complex(symbol)
     return certify_elliptic_form(form, d_max)
 

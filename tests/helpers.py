@@ -119,9 +119,20 @@ def reference_coefficient_matrix(form: BihermitianForm, mode: str = "auto") -> H
     basis = coefficient_basis(form, mode)
     size = len(basis.pairs)
     rows = [[GaussianRational()] * size for _ in range(size)]
-    for (i, j, alpha, beta), coeff in form.support.items():
-        rows[basis.index(i, alpha)][basis.index(j, beta)] = coeff
+    for i, j, alpha, beta in form.support:
+        rows[basis.index(i, alpha)][basis.index(j, beta)] = form.coefficient(i, j, alpha, beta)
     return HermitianMatrix.from_rows(rows)
+
+
+def reference_term_sums(items) -> dict:
+    """The coefficient of each key of the (key, c) items, summed in Fraction
+    arithmetic, zero sums dropped: what BihermitianForm.from_terms reads."""
+    sums = {}
+    for key, c in items:
+        c = as_gaussian(c)
+        re, im = sums.get(key, (Fraction(0), Fraction(0)))
+        sums[key] = re + c.re, im + c.im
+    return {key: GaussianRational(re, im) for key, (re, im) in sums.items() if re or im}
 
 
 # Exact evaluation and sphere sampling in GaussianRational and Fraction
@@ -145,8 +156,8 @@ def reference_evaluate_exact(form: BihermitianForm, z, w) -> list[list[GaussianR
     if len(z) != form.n or len(w) != form.n:
         raise ValueError("point length differs from ambient dimension")
     out = [[ZERO] * form.r for _ in range(form.r)]
-    for (i, j, alpha, beta), coeff in form.support.items():
-        term = coeff
+    for i, j, alpha, beta in form.support:
+        term = form.coefficient(i, j, alpha, beta)
         za = _reference_monomial_value(z, alpha)
         if za is not None:
             term = term * za
@@ -245,7 +256,8 @@ def reference_form_obj(form: BihermitianForm) -> dict:
     i, j, alpha, beta, re, im, as input files still spell it."""
     terms = [{"i": i + 1, "j": j + 1, "alpha": list(alpha), "beta": list(beta),
               "re": reference_fraction_to_str(c.re), "im": reference_fraction_to_str(c.im)}
-             for (i, j, alpha, beta), c in sorted(form.support.items())]
+             for (i, j, alpha, beta), c in ((key, form.coefficient(*key))
+                                            for key in sorted(form.support))]
     return {"kind": "bihermitian_form", "n": form.n, "r": form.r, "terms": terms}
 
 
@@ -326,7 +338,8 @@ def reference_multiplier_shift(form: BihermitianForm) -> BihermitianForm:
     if bidegree(form) is None:
         raise ValueError("multiplier shift requires a single bidegree")
     acc = {}
-    for (i, j, alpha, beta), coeff in form.support.items():
+    for i, j, alpha, beta in form.support:
+        coeff = form.coefficient(i, j, alpha, beta)
         for k in range(form.n):
             key = (
                 i,

@@ -1564,7 +1564,7 @@ def test_verify_reads_each_form_of_a_symbol_report_once(capsys, tmp_path, monkey
     # form and factor, and the verdicts and renderings take what they read.
     path = tmp_path / "report.json"
     run(capsys, argv + ["--out", str(path)])
-    calls = {"obj_to_terms": 0, "_obj_to_vectors": 0}
+    calls = {"obj_to_form": 0, "_obj_to_vectors": 0}
 
     def counted(name):
         original = getattr(serialize, name)
@@ -1577,7 +1577,7 @@ def test_verify_reads_each_form_of_a_symbol_report_once(capsys, tmp_path, monkey
     for name in calls:
         monkeypatch.setattr(serialize, name, counted(name))
     assert run(capsys, ["verify", str(path)]) == (0, '{"valid": true, "reason": "ok"}\n', "")
-    assert calls == {"obj_to_terms": forms, "_obj_to_vectors": vectors}
+    assert calls == {"obj_to_form": forms, "_obj_to_vectors": vectors}
 
 
 def test_verify_reads_the_form_and_vectors_of_a_numeric_factor_report_once(capsys, tmp_path,
@@ -1587,7 +1587,7 @@ def test_verify_reads_the_form_and_vectors_of_a_numeric_factor_report_once(capsy
     path = tmp_path / "report.json"
     argv = ["factor", "-e", INDEFINITE_QUARTIC, "--d", "1", "--numeric"]
     assert run(capsys, argv + ["--out", str(path)])[0] == 0
-    calls = {"obj_to_terms": 0, "_obj_to_vectors": 0}
+    calls = {"obj_to_form": 0, "_obj_to_vectors": 0}
 
     def counted(name):
         original = getattr(serialize, name)
@@ -1600,7 +1600,7 @@ def test_verify_reads_the_form_and_vectors_of_a_numeric_factor_report_once(capsy
     for name in calls:
         monkeypatch.setattr(serialize, name, counted(name))
     assert run(capsys, ["verify", str(path)]) == (0, '{"valid": true, "reason": "ok"}\n', "")
-    assert calls == {"obj_to_terms": 1, "_obj_to_vectors": 1}
+    assert calls == {"obj_to_form": 1, "_obj_to_vectors": 1}
 
 
 def test_factor_and_search_stop_at_the_size_bound(capsys, tmp_path):
@@ -1617,3 +1617,66 @@ def test_factor_and_search_stop_at_the_size_bound(capsys, tmp_path):
     assert report["verdicts"] == {"mode": "strict", "d_max": 100, "d_min": None, "found": False}
     assert [d for d, _ in report["result"]["stabilization"]["trail"]] == [15]
     assert run(capsys, ["verify", str(path)])[0] == 0
+
+
+WIDE_FORM = "z100000*zb100000"
+WIDE_REFUSAL = ("error: the coefficient matrix at d=0 has 100000 rows, "
+                "more than the 1024 allowed\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "-e", WIDE_FORM],
+    ["check", "--n", "100000", "-e", "z1*zb1"],
+    ["decompose", "-e", WIDE_FORM],
+    ["factor", "-e", WIDE_FORM],
+    ["stabilize", "-e", WIDE_FORM],
+    ["symbol", "-e", WIDE_FORM],
+    ["symbol", "-e", "x199999^2 + x200000^2"],
+], ids=["check", "check-n", "decompose", "factor", "stabilize", "symbol", "real-symbol"])
+def test_commands_refuse_an_m0_past_the_size_bound(capsys, argv):
+    # The size of M_0 is counted in closed form before its basis is
+    # enumerated, and before a real symbol is converted, so the refusal is
+    # at once.
+    started = time.perf_counter()
+    assert run(capsys, argv) == (2, "", WIDE_REFUSAL)
+    assert time.perf_counter() - started < 1
+
+
+@pytest.mark.parametrize("command", ["check", "decompose", "factor", "stabilize"])
+def test_commands_refuse_a_form_file_of_many_rows(capsys, tmp_path, command):
+    # 67 bytes name r = 3000000.
+    path = tmp_path / "wide.json"
+    path.write_text('{"kind": "bihermitian_form", "n": 1, "r": 3000000, "terms": []}\n')
+    assert run(capsys, [command, str(path)]) == (
+        2, "", WIDE_REFUSAL.replace("100000 rows", "3000000 rows"))
+
+
+def test_sweep_records_an_m0_past_the_size_bound_as_its_row_error(capsys, tmp_path):
+    # A sweep row's error does not stop the sweep, and the size refusal is one.
+    path = tmp_path / "report.json"
+    family = json.dumps([{"label": "wide", "expr": WIDE_FORM},
+                         {"label": "q", "expr": INDEFINITE_QUARTIC}])
+    code, out, _ = run(capsys, ["sweep", "-e", family, "--dmax", "5", "--out", str(path)])
+    assert (code, out.splitlines()[1].split(",")[:3]) == (0, ["wide", "error", ""])
+    rows = json.loads(path.read_text())["verdicts"]["rows"]
+    assert rows[0] == {"label": "wide", "d_min": None, "error": WIDE_REFUSAL[7:-1]}
+    assert rows[1]["d_min"] == 3
+    assert run(capsys, ["verify", str(path)])[0] == 0
+
+
+def test_verify_refuses_artifacts_whose_m0_is_past_the_size_bound(capsys, tmp_path):
+    # A factor at d = 0, a search whose factor is at d = 0, and a not_elliptic
+    # report, each on a form that the commands refuse.
+    wide = serialize.form_to_obj(parse_expression(WIDE_FORM))
+    point = [["1", "0"]] + [["0", "0"]] * 99999
+    artifacts = [
+        {"kind": "weighted_gram_factor", "form": wide, "d": 0, "vectors": [], "witness": None},
+        {"kind": "stabilization_report", "mode": "strict", "d_max": 0, "form": wide,
+         "trail": [], "factor": []},
+        {"kind": "ellipticity_report", "form": wide, "witness_point": point,
+         "sign_change": None, "stabilization": None},
+    ]
+    path = tmp_path / "artifact.json"
+    for artifact in artifacts:
+        path.write_text(json.dumps(artifact))
+        assert run(capsys, ["verify", str(path)]) == (2, "", WIDE_REFUSAL)

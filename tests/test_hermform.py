@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -21,8 +22,11 @@ from hermfact import (
     kernel_multiply,
     parse_expression,
     scale,
+    serialize,
     subtract,
 )
+from hermfact.hermform import coefficient_basis
+from hermfact.stabilize import power_rows
 
 from helpers import (
     combined_pairs,
@@ -114,6 +118,43 @@ def test_coefficient_matrix_generalized_mode():
     assert matrix.at(1, 1) == GaussianRational(1)
     assert matrix.at(2, 2) == GaussianRational(1)
     assert matrix.at(0, 0) == GaussianRational(0)
+
+
+def test_coefficient_basis_refuses_past_the_size_bound():
+    # The size is counted in closed form before the basis is enumerated: r *
+    # C(n+m-1, m) for one bidegree, r * C(n+cap, cap) in generalized mode.
+    assert len(coefficient_basis(parse_expression("z1*zb1", n=1024)).pairs) == 1024
+    with pytest.raises(ValueError, match="at d=0 has 1025 rows, more than the 1024 allowed"):
+        coefficient_basis(parse_expression("z1*zb1", n=1025))
+    with pytest.raises(ValueError, match="at d=0 has 100000 rows"):
+        coefficient_matrix(parse_expression("z100000*zb100000"))
+    assert len(coefficient_basis(parse_expression("z1*zb1 + 1", n=1023)).pairs) == 1024
+    with pytest.raises(ValueError, match="at d=0 has 1025 rows"):
+        coefficient_basis(parse_expression("z1*zb1 + 1", n=1024))
+    with pytest.raises(ValueError, match="at d=0 has 3000000 rows"):
+        coefficient_matrix(BihermitianForm.zero(1, 3000000))
+
+
+def test_no_fraction_is_built_from_reading_a_form_to_its_matrix(monkeypatch):
+    # A form is read, as text or as JSON, into Gaussian-integer numerators
+    # over one denominator, and M_0 and M_d are built from those: no Fraction,
+    # and so no GaussianRational, is built for its coefficients on the way.
+    text = ("z1^2*zb1^2 - 1/2*z1*z2*zb1*zb2 + (1/3+1/4*i)*z1^2*zb2^2"
+            " + (1/3-1/4*i)*z2^2*zb1^2 + z2^2*zb2^2")
+    obj = json.loads(json.dumps(serialize.form_to_obj(parse_expression(text))))
+    built = []
+    original = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    for form in (parse_expression(text), serialize.obj_to_form(obj, written=True)):
+        coefficient_matrix(form)
+        power_rows(form, 2)
+    monkeypatch.undo()
+    assert built == []
 
 
 def test_from_coefficient_matrix_examples():

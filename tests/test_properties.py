@@ -8,6 +8,7 @@ import io
 import json
 from fractions import Fraction
 from itertools import islice
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 from hermfact import (
     BihermitianForm,
+    add,
     GaussianRational,
     HermitianMatrix,
     HoloPolyMatrix,
@@ -27,6 +29,7 @@ from hermfact import (
     from_coefficient_matrix,
     gram,
     is_hermitian_symmetric,
+    kernel_multiply,
     WeightedGramFactor,
     ldl_signature,
     multiplier_power,
@@ -74,6 +77,7 @@ from helpers import (
     reference_parse_real_symbol,
     reference_real_to_complex,
     reference_sample_symbol,
+    reference_term_sums,
     reference_weighted_vectors,
     square_difference,
 )
@@ -205,8 +209,8 @@ def test_gram_drops_cancelled_terms():
     # |z1 + z2|^2 + |z1 - z2|^2 = 2|z1|^2 + 2|z2|^2: the cross terms cancel.
     one = GaussianRational(Fraction(1))
     a = HoloPolyMatrix.from_rows(2, [[{(1, 0): one, (0, 1): one}], [{(1, 0): one, (0, 1): -one}]])
-    two = GaussianRational(Fraction(2))
-    assert gram(a).support == {(0, 0, (1, 0), (1, 0)): two, (0, 0, (0, 1), (0, 1)): two}
+    assert gram(a) == BihermitianForm.from_terms(2, 1, {(0, 0, (1, 0), (1, 0)): 2,
+                                                        (0, 0, (0, 1), (0, 1)): 2})
 
 
 @st.composite
@@ -255,9 +259,9 @@ def closed_form_forms(draw):
     terms, (i, alpha) = (j, beta), taken out: a hollow M_0, still Hermitian."""
     form = draw(stabilization_forms())
     if draw(st.booleans()):
-        form = BihermitianForm(form.n, form.r, {
-            (i, j, alpha, beta): c for (i, j, alpha, beta), c in form.support.items()
-            if (i, alpha) != (j, beta)})
+        form = BihermitianForm.from_terms(form.n, form.r, {
+            (i, j, alpha, beta): form.coefficient(i, j, alpha, beta)
+            for i, j, alpha, beta in form.support if (i, alpha) != (j, beta)})
     return form
 
 
@@ -720,6 +724,53 @@ def real_symbols(draw):
     return RealSymbol.from_terms(nvars, draw(st.lists(st.tuples(exponents, fractions), max_size=4)))
 
 
+@st.composite
+def term_items(draw, n: int, r: int):
+    """(key, c) items on at most three keys, so that keys repeat, each item
+    followed by its negation half the time, so that sums cancel."""
+    monomials = st.sampled_from([a for d in range(3) for a in enumerate_degree(n, d)])
+    index = st.integers(0, r - 1)
+    keys = draw(st.lists(st.tuples(index, index, monomials, monomials), min_size=1, max_size=3))
+    items = []
+    for _ in range(draw(st.integers(0, 6))):
+        key, c = draw(st.sampled_from(keys)), draw(gaussians)
+        items += [(key, c), (key, -c)] if draw(st.booleans()) else [(key, c)]
+    return items
+
+
+def _in_lowest_terms(form: BihermitianForm) -> bool:
+    """No (0, 0) pair, den > 0, and no factor common to den and every numerator."""
+    pairs = form.support.values()
+    common = gcd(form.den, *(x for pair in pairs for x in pair))
+    return form.den > 0 and (0, 0) not in pairs and common == 1
+
+
+@SETTINGS
+@given(data=st.data())
+def test_every_form_constructor_gives_lowest_terms(data):
+    # from_terms sums repeated keys as the Fraction reference does, and every
+    # constructor leaves its form in lowest terms, so forms compare by fields.
+    n, r = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 2))
+    items = data.draw(term_items(n, r))
+    f = BihermitianForm.from_terms(n, r, items)
+    expected = reference_term_sums(items)
+    assert f.support.keys() == expected.keys()
+    assert all(f.coefficient(*key) == c for key, c in expected.items())
+    g = BihermitianForm.from_terms(n, r, data.draw(term_items(n, r)))
+    s = BihermitianForm.from_terms(n, 1, data.draw(term_items(n, 1)))
+    c, h = data.draw(gaussians), data.draw(forms(hermitian=True))
+    built = [f, g, s, parse_expression(format_form(f), n=n),
+             serialize.obj_to_form(serialize.form_to_obj(f), written=True),
+             serialize.obj_to_form(reference_form_obj(f)),
+             gram(data.draw(holo_matrices())),
+             from_coefficient_matrix(coefficient_matrix(h)[0], h.n, bidegree(h), h.r),
+             real_to_complex(data.draw(real_symbols())),
+             scale(f, c), scale(f, 0), add(f, g), add(f, scale(f, -1)),
+             kernel_multiply(s, g), multiplier_power(h, data.draw(st.integers(0, 2)))]
+    assert all(map(_in_lowest_terms, built))
+    assert built[3:5] == [f, f] and add(f, scale(f, -1)) == BihermitianForm.zero(n, r)
+
+
 @SETTINGS
 @given(symbol=real_symbols())
 def test_real_to_complex_equals_reference_and_inverts(symbol):
@@ -866,11 +917,11 @@ def _read(command: list[str], result: dict):
     """What `verify` reads with a report's artifact for its verdicts and
     renderings: a check's basis of M_0, or a symbol's form and factor vectors."""
     artifact = result[ARTIFACT_KEY[command[0]]]
-    terms = serialize.obj_to_terms(artifact["form"], written=True)
+    form = serialize.obj_to_form(artifact["form"], written=True)
     if command[0] != "symbol":
-        return coefficient_basis(terms)
+        return coefficient_basis(form)
     factor = (artifact["stabilization"] or {}).get("factor")
-    return terms, None if factor is None else serialize._obj_to_vectors(factor)
+    return form, None if factor is None else serialize._obj_to_vectors(factor)
 
 
 def _finish_forgery(report: dict) -> None:

@@ -80,9 +80,8 @@ def test_factor_round_trip():
     form = diagonal_quartic()
     obj = serialize.factor_to_obj(form, 0, _certificate(form))
     assert obj.keys() == {"kind", "form", "d", "vectors", "witness"}
-    terms, d, vectors, witness = serialize.obj_to_factor(json.loads(json.dumps(obj)))
-    assert (terms.form(), d, vectors, witness) == (form, 0, _certificate(form).weighted_vectors(),
-                                                   None)
+    read, d, vectors, witness = serialize.obj_to_factor(json.loads(json.dumps(obj)))
+    assert (read, d, vectors, witness) == (form, 0, _certificate(form).weighted_vectors(), None)
     # The rows on the basis of M_0 are those of holomorphic_factor.
     basis = serialize._factor_basis(form, 0)
     assert _factor_from_parts(vectors, basis, form.n) == holomorphic_factor(form).matrix
@@ -617,8 +616,8 @@ def test_empty_factor_round_trip():
     assert positive.matrix.rows == negative.matrix.rows == ()
     form = BihermitianForm.zero(2)
     obj = serialize.factor_to_obj(form, 0, _certificate(form))
-    terms, d, vectors, witness = serialize.obj_to_factor(json.loads(json.dumps(obj)))
-    assert (terms.form(), d, vectors, witness) == (form, 0, [], None)
+    read, d, vectors, witness = serialize.obj_to_factor(json.loads(json.dumps(obj)))
+    assert (read, d, vectors, witness) == (form, 0, [], None)
     ok, reason = serialize.verify_obj(obj)
     assert ok, reason
 

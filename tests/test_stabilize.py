@@ -273,7 +273,8 @@ def test_power_rows_refuses_a_matrix_past_the_size_bound():
         stabilize.power_rows(form, 16)
     with pytest.raises(ValueError, match="allowed"):
         multiplier_power(form, 10**6)
-    # M_0 is the form's own matrix, which check builds too: never refused.
-    assert stabilize.matrix_size(4000, 1, 1, 0) == 4000
+    # M_0, the form's own matrix, is refused past the bound too.
+    with pytest.raises(ValueError, match="at d=0 has 4000 rows, more than the 1024 allowed"):
+        stabilize.matrix_size(4000, 1, 1, 0)
     # In one variable M_d does not grow: d has no bound, and d!/mu! is 1.
     assert stabilize.power_rows(parse_expression("2*z1*zb1"), 10**6)[0].re == [{0: 2}]
