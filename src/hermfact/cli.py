@@ -25,7 +25,7 @@ from pathlib import Path
 
 from . import serialize
 from .certify import ldl_signature
-from .hermform import coefficient_matrix
+from .hermform import bidegree, coefficient_matrix, homogeneous_basis
 from .parsing import ParseError, parse_expression, parse_symbol
 from .stabilize import find_minimal_d, power_rows, stabilization_sweep
 from .symbols import RealSymbol, certify_elliptic, certify_elliptic_form
@@ -137,7 +137,7 @@ def cmd_factor(args) -> int:
         raise InputProblem("multiplier exponent must be nonnegative")
     try:
         # M_d in closed form, as `verify` builds it; d past the size bound is refused.
-        matrix, basis = power_rows(form, args.d)
+        matrix = power_rows(form, args.d)
     except ValueError as exc:
         raise InputProblem(str(exc)) from exc
     command = ["factor", "--d", str(args.d)]
@@ -146,6 +146,7 @@ def cmd_factor(args) -> int:
     try:
         if args.numeric:
             # the rendering takes the factor as built, not read back from result
+            basis = homogeneous_basis(form.n, form.r, bidegree(form) + args.d)
             read = (form, args.d, cert.weighted_vectors(), basis)
             result.update(serialize.run_renderings(command, result, args.float_digits, read))
     except ValueError as exc:

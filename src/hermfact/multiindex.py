@@ -89,6 +89,25 @@ def multinomial(d: int, gamma: MultiIndex) -> int:
     return out
 
 
+def multinomial_weights(n: int, d: int) -> list[int]:
+    """multinomial(d, mu) for each mu of enumerate_degree(n, d), in its order.
+
+    The successor of mu takes one unit from its last nonzero entry k before
+    the end and gathers it with the tail, mu_last + 1, in entry k + 1
+    (`enumerate_degree`), so the weight of the successor is
+    w(mu) * mu_k / (mu_last + 1), an exact integer: one product and one
+    division per monomial, and no binomial.
+    """
+    mus = enumerate_degree(n, d)
+    out = [1]  # d!/d! for (d, 0, ..., 0)
+    for mu in mus[:-1]:
+        k = n - 2
+        while mu[k] == 0:
+            k -= 1
+        out.append(out[-1] * mu[k] // (mu[-1] + 1))
+    return out
+
+
 def monomial_norm_reduced(alpha: MultiIndex) -> Fraction:
     """Reduced squared L2 norm of z^alpha on the unit ball: alpha! * n! / (n+|alpha|)!.
 

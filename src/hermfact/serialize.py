@@ -214,8 +214,9 @@ def _obj_to_vectors(items, what="a stabilization factor must be null or a list o
 
 def _factor_basis(form: BihermitianForm, d: int):
     """The basis of M_d, the coefficient matrix of <z, w>^d F; at d = 0, F's own."""
-    basis = coefficient_basis(form)
-    return basis if d == 0 else homogeneous_basis(form.n, form.r, basis.bidegree + d)
+    if d == 0:
+        return coefficient_basis(form)
+    return homogeneous_basis(form.n, form.r, bidegree(form) + d)
 
 
 def certificate_to_obj(cert: SignatureCertificate) -> dict:
@@ -398,10 +399,10 @@ def _verify_stabilization(obj: dict) -> tuple[tuple[bool, str], tuple | None]:
     elif d_min > d_max:
         return (False, "factor runs past d_max"), None
     for d, entries, v in witnesses:
-        reason = _witness_failure(power_rows(form, d)[0], entries, v, strict)
+        reason = _witness_failure(power_rows(form, d), entries, v, strict)
         if reason is not None:
             return (False, f"trail d={d}: {reason}"), None
-    reason = None if d_min is None else factor_failure(power_rows(form, d_min)[0], vectors, strict)
+    reason = None if d_min is None else factor_failure(power_rows(form, d_min), vectors, strict)
     return ((True, "ok") if reason is None else (False, reason)), (form, vectors)
 
 
@@ -643,7 +644,8 @@ def _verify_factor(obj: dict) -> tuple[tuple[bool, str], tuple]:
     """verify_obj of a weighted factor, and what it read: (F, d, weighted
     vectors, basis of M_d)."""
     form, d, vectors, witness = obj_to_factor(obj)
-    matrix, basis = coefficient_matrix(form) if d == 0 else power_rows(form, d)
+    matrix, basis = (coefficient_matrix(form) if d == 0
+                     else (power_rows(form, d), _factor_basis(form, d)))
     reason = factor_failure(matrix, vectors, strict=False, signed=True)
     if reason is None and (witness is not None) != any(w < 0 for w, _ in vectors):
         reason = "witness is not present exactly when a weight is negative"

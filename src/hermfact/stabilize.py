@@ -13,22 +13,21 @@ the passing step is eliminated to the end.  Passing is monotone in d (if
 a report keeps the witness of the last failing d alone: it proves every
 smaller d fails too.
 
-The search walks one exponent loop, `exponent_steps`: M_0 holds the form's
-coefficients as Gaussian-integer dict rows over one denominator
-(`hermform.HermitianMatrix`), <z, w> acts on those by integer adds, and
-`mode_evidence` reads the blocks of M_d straight from the rows, so no step
-builds an n x n matrix, and a failing step stops at its first failing block.
-`verify`, `factor --d` and the multipliers build one M_d outright instead,
-from the multinomial theorem (`power_rows`).  Every M_d that is built, M_0
-included, is at most MAX_MATRIX_SIZE rows (`hermform.matrix_size`); the
-search stops at the last d within it (`last_exponent`), and at d = 0 in one
-variable, where every M_d is M_0.
+One function builds every M_d, from the multinomial theorem
+(`shifted_rows`): each step of the search, which checks the form once, and,
+behind the checks of `power_rows`, the two that `verify` checks,
+`factor --d`'s and the multipliers'.  M_d holds Gaussian-integer dict rows
+over one denominator (`hermform.HermitianMatrix`), and `mode_evidence`
+reads its blocks straight from the rows, so no step builds an n x n matrix,
+and a failing step stops at its first failing block.  Every M_d that is
+built, M_0 included, is at most MAX_MATRIX_SIZE rows
+(`hermform.matrix_size`); the search stops at the last d within it
+(`last_exponent`), and at d = 0 in one variable, where every M_d is M_0.
 """
 
 from __future__ import annotations
 
 import time
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add
@@ -40,48 +39,17 @@ from .factor import WeightedGramFactor, _factor_from_parts
 from .hermform import (
     MAX_MATRIX_SIZE,
     BihermitianForm,
-    CoefficientBasis,
     HermitianMatrix,
     bidegree,
-    coefficient_matrix,
     from_coefficient_matrix,
     homogeneous_basis,
     is_hermitian_symmetric,
     matrix_size,
 )
-from .multiindex import dim_homogeneous, enumerate_degree, multinomial
+from .multiindex import dim_homogeneous, enumerate_degree, multinomial_weights
 from .scalars import SparseRow
 
 MODES = ("strict", "semi")
-
-
-def _pairing_shift(matrix: HermitianMatrix, basis: CoefficientBasis
-                   ) -> tuple[HermitianMatrix, CoefficientBasis]:
-    """<z, w> times the bidegree-m form of `matrix` on `basis`, in ints: the
-    term z^alpha wbar^beta of row i, column j adds its coefficient to
-    z^(alpha+e_k) wbar^(beta+e_k) for each k, so entry (p, q) of the
-    degree-m matrix adds to (up[p][k], up[q][k]) of the degree-(m+1) one.
-    The search's incremental step; `power_rows` builds one M_d outright.
-
-    <z, w> * 0 is the zero form, whose bidegree is 0, so the zero matrix
-    stays as it is; any other form keeps a nonzero term.
-    """
-    if not any(matrix.re) and not any(matrix.im):
-        return matrix, basis
-    n = basis.n
-    shifted = homogeneous_basis(n, basis.r, basis.bidegree + 1)
-    up = [[shifted.index(i, alpha[:k] + (alpha[k] + 1,) + alpha[k + 1:]) for k in range(n)]
-          for i, alpha in basis.pairs]
-    out_re = [{} for _ in shifted.pairs]
-    out_im = [{} for _ in shifted.pairs]
-    for source, out in ((matrix.re, out_re), (matrix.im, out_im)):
-        for p, row in enumerate(source):
-            up_p = up[p]
-            for q, x in row.items():
-                for a, b in zip(up_p, up[q]):
-                    target = out[a]
-                    target[b] = target.get(b, 0) + x
-    return HermitianMatrix.lowest(out_re, out_im, matrix.den), shifted
 
 
 def last_exponent(n: int, r: int, m: int, d_max: int) -> int:
@@ -103,7 +71,7 @@ def last_exponent(n: int, r: int, m: int, d_max: int) -> int:
 
 def checked_bidegree(form: BihermitianForm) -> int:
     """The single bidegree of a Hermitian-symmetric form, checked with the
-    errors of `coefficient_matrix`, as `exponent_steps` checks it."""
+    errors of `coefficient_matrix`."""
     if not is_hermitian_symmetric(form):
         raise ValueError("coefficient matrix requires a Hermitian-symmetric form")
     m = bidegree(form)
@@ -112,47 +80,51 @@ def checked_bidegree(form: BihermitianForm) -> int:
     return m
 
 
-def power_rows(form: BihermitianForm, d: int) -> tuple[HermitianMatrix, CoefficientBasis]:
-    """M_d, the coefficient matrix of <z, w>^d F, and its basis, in closed
-    form, with no shift walked.
+def power_rows(form: BihermitianForm, d: int) -> HermitianMatrix:
+    """M_d, the coefficient matrix of <z, w>^d F, in closed form, after the
+    form's symmetry and single bidegree m are checked (`shifted_rows`)."""
+    if d < 0:
+        raise ValueError("multiplier exponent must be nonnegative")
+    return shifted_rows(form, checked_bidegree(form), d)
+
+
+def shifted_rows(form: BihermitianForm, m: int, d: int) -> HermitianMatrix:
+    """M_d of a Hermitian-symmetric form of bidegree m, the one builder of
+    every M_d; the search checks the form once and calls it at each d.
 
     By the multinomial theorem <z, w>^d = sum over |mu| = d of
     (d!/mu!) z^mu wbar^mu, so the term c z^alpha wbar^beta of entry (i, j)
     adds (d!/mu!) c to entry ((i, alpha + mu), (j, beta + mu)) of M_d, for
-    each mu.  The index of alpha + mu is looked up once per monomial alpha
-    of the form and mu, not once per term.  Symmetry, the single bidegree
-    and the size of M_d (`matrix_size`) are checked before anything is
-    built.  The zero form is its own product with <z, w>^d, of bidegree 0,
-    as in `exponent_steps`.
+    each mu.  Index (i, gamma) of M_d is i * dim + the rank of gamma among
+    the degree-(m + d) monomials, looked up once per monomial alpha of the
+    form and mu, not once per term; the weights come one ratio apart
+    (`multinomial_weights`).  No basis is built: a caller that reads one
+    takes `homogeneous_basis(n, r, m + d)`.  The size of M_d is checked
+    (`matrix_size`) before anything is built.  The zero form is its own
+    product with <z, w>^d, of bidegree 0, so its M_d is M_0.
     """
-    if d < 0:
-        raise ValueError("multiplier exponent must be nonnegative")
-    m = checked_bidegree(form)
-    matrix_size(form.n, form.r, m, d)
+    n = form.n
+    matrix_size(n, form.r, m, d)
     if not form.support:
         d = 0
-    basis = homogeneous_basis(form.n, form.r, m + d)
-    # Index k of the bidegree-(m+d) basis is (k // dim, monomial k % dim).
-    lookup, dim = basis._lookup, dim_homogeneous(form.n, m + d)
-    mus = enumerate_degree(form.n, d)
-    weights = [multinomial(d, mu) for mu in mus]
-    shifted: dict = {}  # alpha -> the index of alpha + mu for each mu, at i = 0
-    rows_re = [{} for _ in basis.pairs]
-    rows_im = [{} for _ in basis.pairs]
+    monomials = enumerate_degree(n, m + d)
+    rank, dim = {gamma: k for k, gamma in enumerate(monomials)}, len(monomials)
+    mus = enumerate_degree(n, d)
+    weights = multinomial_weights(n, d)
+    shifted: dict = {}  # alpha -> the rank of alpha + mu for each mu
+    rows_re = [{} for _ in range(form.r * dim)]
+    rows_im = [{} for _ in range(form.r * dim)]
     for (i, j, alpha, beta), (x, y) in form.support.items():
         for mono in (alpha, beta):
             if mono not in shifted:
-                shifted[mono] = [lookup[(0, tuple(map(add, mono, mu)))] for mu in mus]
+                shifted[mono] = [rank[tuple(map(add, mono, mu))] for mu in mus]
         row_offset, column_offset = i * dim, j * dim
-        for p, q, w in zip(shifted[alpha], shifted[beta], weights):
-            p, q = p + row_offset, q + column_offset
-            if x:
-                row = rows_re[p]
-                row[q] = row.get(q, 0) + w * x
-            if y:
-                row = rows_im[p]
-                row[q] = row.get(q, 0) + w * y
-    return HermitianMatrix.lowest(rows_re, rows_im, form.den), basis
+        for rows, c in ((rows_re, x), (rows_im, y)):
+            if c:
+                for p, q, w in zip(shifted[alpha], shifted[beta], weights):
+                    row, q = rows[p + row_offset], q + column_offset
+                    row[q] = row.get(q, 0) + w * c
+    return HermitianMatrix.lowest(rows_re, rows_im, form.den)
 
 
 def multiplier_shift(form: BihermitianForm) -> BihermitianForm:
@@ -165,24 +137,11 @@ def multiplier_shift(form: BihermitianForm) -> BihermitianForm:
 
 
 def multiplier_power(form: BihermitianForm, d: int) -> BihermitianForm:
-    """The kernel <z, w>^d * F, read off its coefficient matrix (`power_rows`)."""
-    matrix, basis = power_rows(form, d)
-    return from_coefficient_matrix(matrix, basis.n, basis.bidegree, basis.r)
-
-
-def exponent_steps(form: BihermitianForm) -> Iterator[tuple[HermitianMatrix, CoefficientBasis]]:
-    """M_d, the coefficient matrix of <z, w>^d F, and its basis for d = 0, 1,
-    2, ..., the search's incremental walk: each step is one `_pairing_shift`
-    of the one before.
-
-    Symmetry and the single bidegree are checked once, at d = 0, by
-    `coefficient_matrix`; the shift keeps both.  A step is shifted only when
-    the next one is asked for.
-    """
-    step = coefficient_matrix(form, mode="bidegree")
-    while True:
-        yield step
-        step = _pairing_shift(*step)
+    """The kernel <z, w>^d * F, read off its coefficient matrix (`power_rows`),
+    of bidegree m + d, or 0 for the zero form."""
+    matrix = power_rows(form, d)
+    return from_coefficient_matrix(matrix, form.n, bidegree(form) + d if form.support else 0,
+                                   form.r)
 
 
 @dataclass(eq=True)
@@ -227,7 +186,8 @@ class StabilizationReport:
 def find_minimal_d(
     form: BihermitianForm, mode: str, d_max: int
 ) -> StabilizationReport:
-    """Smallest d <= d_max whose shifted coefficient matrix passes the mode's test.
+    """Smallest d <= d_max whose M_d, built in closed form at each step
+    (`shifted_rows`), passes the mode's test.
 
     mode "strict" demands positive definiteness (spanning factorization);
     mode "semi" demands positive semidefiniteness.  Once the test passes at
@@ -244,12 +204,13 @@ def find_minimal_d(
         raise ValueError("d_max must be nonnegative")
     if not is_hermitian_symmetric(form):
         raise ValueError("stabilization search requires a Hermitian-symmetric form")
-    if bidegree(form) is None:
+    m = bidegree(form)
+    if m is None:
         raise ValueError("stabilization search requires a single bidegree")
     report = StabilizationReport(form=form, mode=mode, d_max=d_max, d_min=None)
     strict = mode == "strict"
-    last = last_exponent(form.n, form.r, bidegree(form), d_max)
-    for d, (matrix, _) in zip(range(last + 1), exponent_steps(form)):
+    for d in range(last_exponent(form.n, form.r, m, d_max) + 1):
+        matrix = shifted_rows(form, m, d)
         evidence = mode_evidence(matrix, strict)
         witness = evidence if isinstance(evidence, SparseRow) else None
         report.steps.append(StabilizationStep(d, matrix.size, witness))

@@ -252,9 +252,12 @@ def _sample_symbol(form: BihermitianForm):
 
     Points are evaluated at their Gaussian-integer numerators q over their
     denominator D, in the form's numerators (`BihermitianForm.numerators`);
-    only the returned points become GaussianRationals.
+    only the returned points become GaussianRationals.  A symbol of bidegree
+    0 is a constant, of one sign everywhere, so its first point is its only
+    one.
     """
     first = [None, None, None]  # indexed by the sign: 0, +1, -1
+    constant = bidegree(form) == 0
     for nums, den in _sphere_numerators(form.n):
         q = GaussianRow(list(nums[0::2]), list(nums[1::2]), den)
         re, im, _ = form.numerators(q, q)
@@ -267,7 +270,7 @@ def _sample_symbol(form: BihermitianForm):
         sign = (re[0] > 0) - (re[0] < 0)
         if first[sign] is None:
             first[sign] = (nums, den)
-            if None not in first:
+            if constant or None not in first:
                 break
     return tuple(None if point is None else _sphere_point(*point) for point in first)
 

@@ -6,6 +6,7 @@ from __future__ import annotations
 import dataclasses
 import random
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, lcm
@@ -24,10 +25,16 @@ from hermfact import (
     ldl_signature,
     serialize,
 )
-from hermfact.hermform import TermKey, coefficient_basis
+from hermfact.hermform import (
+    CoefficientBasis,
+    TermKey,
+    coefficient_basis,
+    coefficient_matrix,
+    homogeneous_basis,
+)
 from hermfact.parsing import ParseError
 from hermfact.scalars import ZERO, GaussianRow, SparseRow, as_gaussian
-from hermfact.stabilize import MODES, StabilizationReport, StabilizationStep, exponent_steps
+from hermfact.stabilize import MODES, StabilizationReport, StabilizationStep
 from hermfact.symbols import EllipticityReport, RealSymbol
 
 # ---------------------------------------------------------------------------
@@ -358,9 +365,42 @@ def reference_multiplier_power(form: BihermitianForm, d: int) -> BihermitianForm
     return form
 
 
-# The search as it was before failing steps stopped at their witness: every
-# step runs the whole pivoted LDL* and builds L; find_minimal_d must give the
-# same report.
+# The search's exponent loop as it was before every step was built in closed
+# form (`stabilize.shifted_rows`): each step is one shift of the one before.
+def reference_exponent_steps(form: BihermitianForm
+                             ) -> Iterator[tuple[HermitianMatrix, CoefficientBasis]]:
+    """M_d, the coefficient matrix of <z, w>^d F, and its basis for d = 0, 1,
+    2, ..., each step <z, w> times the one before, in ints: the term
+    z^alpha wbar^beta of row i, column j adds its coefficient to
+    z^(alpha+e_k) wbar^(beta+e_k) for each k, so entry (p, q) of the
+    degree-m matrix adds to (up[p][k], up[q][k]) of the degree-(m+1) one.
+
+    Symmetry and the single bidegree are checked once, at d = 0, by
+    `coefficient_matrix`; the shift keeps both.  <z, w> * 0 is the zero
+    form, whose bidegree is 0, so the zero matrix stays as it is.
+    """
+    matrix, basis = coefficient_matrix(form, mode="bidegree")
+    while True:
+        yield matrix, basis
+        if not any(matrix.re) and not any(matrix.im):
+            continue
+        shifted = homogeneous_basis(basis.n, basis.r, basis.bidegree + 1)
+        up = [[shifted.index(i, alpha[:k] + (alpha[k] + 1,) + alpha[k + 1:])
+               for k in range(basis.n)] for i, alpha in basis.pairs]
+        out_re = [{} for _ in shifted.pairs]
+        out_im = [{} for _ in shifted.pairs]
+        for source, out in ((matrix.re, out_re), (matrix.im, out_im)):
+            for p, row in enumerate(source):
+                for q, x in row.items():
+                    for a, b in zip(up[p], up[q]):
+                        out[a][b] = out[a].get(b, 0) + x
+        matrix, basis = HermitianMatrix.lowest(out_re, out_im, matrix.den), shifted
+
+
+# The search as it was before failing steps stopped at their witness and
+# before each step was built in closed form: every step is a shift of the one
+# before and runs the whole pivoted LDL* and builds L; find_minimal_d must
+# give the same report.
 def reference_find_minimal_d(form: BihermitianForm, mode: str, d_max: int):
     """Smallest d <= d_max whose shifted coefficient matrix passes the mode's
     test, each failing step keeping its certificate's witness and the passing
@@ -377,7 +417,7 @@ def reference_find_minimal_d(form: BihermitianForm, mode: str, d_max: int):
     strict = mode == "strict"
     # In one variable every M_d is M_0, and the search stops at d = 0.
     last = d_max if form.n > 1 else 0
-    for d, (matrix, _) in zip(range(last + 1), exponent_steps(form)):
+    for d, (matrix, _) in zip(range(last + 1), reference_exponent_steps(form)):
         cert = ldl_signature(matrix, strict=strict)
         step = StabilizationStep(d, cert.size, cert.witness)
         report.steps.append(step)

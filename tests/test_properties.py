@@ -38,7 +38,7 @@ from hermfact import (
     parse_real_symbol,
     scale,
 )
-from hermfact import serialize
+from hermfact import serialize, symbols
 from hermfact.certify import (
     congruence_failure,
     factor_failure,
@@ -48,9 +48,10 @@ from hermfact.certify import (
 )
 from hermfact.cli import main as cli_main
 from hermfact.factor import _factor_from_parts
-from hermfact.hermform import coefficient_basis
+from hermfact.hermform import coefficient_basis, homogeneous_basis
 from hermfact.scalars import ZERO, SparseRow
-from hermfact.stabilize import exponent_steps, power_rows
+from hermfact.multiindex import multinomial, multinomial_weights
+from hermfact.stabilize import power_rows
 from hermfact.symbols import RealSymbol, _sample_symbol, complex_to_real, real_to_complex
 
 from helpers import (
@@ -64,6 +65,7 @@ from helpers import (
     reference_congruence_failure,
     reference_evaluate_exact,
     reference_evidence_obj,
+    reference_exponent_steps,
     reference_factor_to_obj,
     reference_find_minimal_d,
     reference_form_obj,
@@ -186,6 +188,36 @@ def test_sample_symbol_finds_zeros_and_sign_changes():
         assert tuple(p is not None for p in points) == found
 
 
+def test_a_constant_symbol_samples_its_first_point_alone(monkeypatch):
+    # A bidegree-0 symbol is a constant of one sign, so the sampling stops at
+    # its first sphere point, in 40 variables as in 3, and returns the points
+    # that a walk of the whole grid returns; the verdicts stand.
+    sampled = []
+    grid = symbols._sphere_numerators
+
+    def counted(n):
+        for point in grid(n):
+            sampled.append(point)
+            yield point
+
+    monkeypatch.setattr(symbols, "_sphere_numerators", counted)
+    cases = [("1", (False, True, False), "certified"),
+             ("-2", (False, False, True), "certified"),
+             ("0", (True, False, False), "not_elliptic")]
+    for text, found, verdict in cases:
+        for n in (3, 40):
+            form = parse_expression(text, n=n)
+            sampled.clear()
+            points = _sample_symbol(form)
+            assert len(sampled) == 1
+            assert tuple(p is not None for p in points) == found
+            sampled.clear()
+            assert symbols.certify_elliptic_form(form, 4).verdict == verdict
+            assert len(sampled) == 1
+        form = parse_expression(text, n=3)
+        assert _sample_symbol(form) == _reference_points(form)
+
+
 @st.composite
 def holo_matrices(draw):
     """A factor with n <= 3 variables, r <= 2 columns and at most three rows,
@@ -246,7 +278,7 @@ def stabilization_forms(draw):
 @SETTINGS
 @given(form=stabilization_forms())
 def test_exponent_loop_equals_reference_shifts(form):
-    for d, step in zip(range(5), exponent_steps(form)):
+    for d, step in zip(range(5), reference_exponent_steps(form)):
         shifted = reference_multiplier_power(form, d)
         assert step == coefficient_matrix(shifted, mode="bidegree")
         assert from_coefficient_matrix(step[0], form.n, step[1].bidegree, form.r) == shifted
@@ -270,16 +302,40 @@ def closed_form_forms(draw):
 def test_closed_form_rows_equal_the_exponent_loop(form):
     # The multinomial closed form builds each M_d, d <= 6, with no shift
     # walked; both keep their matrices in lowest terms, with no cancelled 0.
-    for d, step in zip(range(7), exponent_steps(form)):
-        assert power_rows(form, d) == step
+    # Callers read M_d on the bidegree-(m + d) basis, which the shifts reach
+    # too; the zero form stays at M_0.
+    for d, (matrix, basis) in zip(range(7), reference_exponent_steps(form)):
+        assert power_rows(form, d) == matrix
+        assert basis == homogeneous_basis(form.n, form.r, bidegree(form) + d if form.support else 0)
+
+
+def test_multinomial_weights_are_one_ratio_apart():
+    # Each weight of multinomial_weights is its predecessor's times mu_k over
+    # mu_last + 1; every one is d!/mu! in the order of enumerate_degree.
+    for n in range(1, 6):
+        for d in range(13):
+            assert multinomial_weights(n, d) == [multinomial(d, mu)
+                                                 for mu in enumerate_degree(n, d)]
+
+
+@pytest.mark.parametrize("mode", ["strict", "semi"])
+def test_find_minimal_d_equals_the_shift_search_on_the_zero_and_one_variable_forms(mode):
+    # The zero form stays at M_0 at every d, and in one variable the search
+    # stops at d = 0: the closed form and the reference's shifts agree.
+    for form in (BihermitianForm.zero(2), BihermitianForm.zero(3, 2),
+                 parse_expression("-2*z1*zb1"), parse_expression("3*z1^2*zb1^2"),
+                 BihermitianForm.from_terms(1, 2, {(i, j, (1,), (1,)): 1 + (i != j)
+                                                   for i in range(2) for j in range(2)})):
+        assert find_minimal_d(form, mode, 6) == reference_find_minimal_d(form, mode, 6)
 
 
 def test_exponent_loop_keeps_a_cancelled_term_out_of_the_form():
     # <z,w> (|z1|^2 - |z2|^2) = |z1|^4 - |z2|^4: the z1 z2 wbar1 wbar2 terms cancel.
     form = parse_expression("z1*zb1 - z2*zb2")
-    steps = exponent_steps(form)
+    steps = reference_exponent_steps(form)
     next(steps)
     matrix, _ = next(steps)
+    assert matrix == power_rows(form, 1)
     shifted = from_coefficient_matrix(matrix, 2, 2, 1)
     assert shifted == parse_expression("z1^2*zb1^2 - z2^2*zb2^2") == multiplier_shift(form)
     assert matrix == coefficient_matrix(shifted, mode="bidegree")[0]
@@ -647,7 +703,7 @@ def test_search_blocks_read_in_place_equal_the_full_elimination(text):
     # Each matrix of the exponent loop equals the checked matrix of its dense
     # entries, and its blocks, read from its rows in place and stopped at the
     # first failing one, give the evidence of the full elimination.
-    for matrix, _ in islice(exponent_steps(parse_expression(text)), 10):
+    for matrix, _ in islice(reference_exponent_steps(parse_expression(text)), 10):
         dense = HermitianMatrix.from_rows(matrix.entries)
         assert dense == matrix
         for strict in (False, True):
