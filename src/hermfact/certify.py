@@ -56,6 +56,7 @@ from .scalars import (
     SparseRow,
     nonzero_indices,
     outer_product_sum,
+    outer_product_terms,
 )
 
 Vector = tuple[GaussianRational, ...]
@@ -185,16 +186,17 @@ def _weighted_vectors(perm, lower, diag, blocks) -> list[tuple[Fraction, SparseR
 def congruence_failure(matrix: HermitianMatrix, vectors) -> str | None:
     """Why M = sum w v v^adj fails over the weighted vectors (w, v), indices
     inside M, or None when it holds exactly: both sides are Hermitian, so the
-    upper triangle decides, at the columns where either side is nonzero.  The
-    failure named is the first (p, q) in row-major order."""
-    re, im, common = outer_product_sum(matrix.size, vectors)
-    den = matrix.den
-    for p, (re_p, im_p, row_re, row_im) in enumerate(zip(re, im, matrix.re, matrix.im)):
-        failing = [q for q in re_p.keys() | row_re.keys() | row_im.keys() if q >= p and (
-            re_p.get(q, 0) * den != row_re.get(q, 0) * common
-            or im_p.get(q, 0) * den != row_im.get(q, 0) * common)]
-        if failing:
-            return f"congruence identity fails at ({p},{min(failing)})"
+    upper triangle decides.  Over the sum's denominator `common`, M * common -
+    sum * den is summed into copies of M's rows and must be 0; the failure
+    named is the first (p, q) in row-major order."""
+    terms, common = outer_product_terms(vectors)
+    re = [{q: x * common for q, x in row.items() if q >= p} for p, row in enumerate(matrix.re)]
+    im = [{q: y * common for q, y in row.items() if q >= p} for p, row in enumerate(matrix.im)]
+    outer_product_sum(re, im, terms, -matrix.den)
+    for p, (re_p, im_p) in enumerate(zip(re, im)):
+        if any(re_p.values()) or any(im_p.values()):
+            q = min(q for q in re_p.keys() | im_p.keys() if re_p.get(q) or im_p.get(q))
+            return f"congruence identity fails at ({p},{q})"
     return None
 
 

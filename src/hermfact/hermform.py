@@ -33,6 +33,7 @@ from .scalars import (
     SparseRow,
     as_gaussian,
     outer_product_sum,
+    outer_product_terms,
 )
 
 TermKey = tuple[int, int, MultiIndex, MultiIndex]
@@ -436,7 +437,8 @@ def gram(a: HoloPolyMatrix) -> BihermitianForm:
 
     Each (column i, monomial alpha) of the factor gets one index, each row k
     becomes one SparseRow c_k over those indices, and sum_k w_k c_k c_k* is
-    summed in ints by `outer_product_sum`, its upper triangle only.
+    summed in ints by `outer_product_sum` over `outer_product_terms`, its
+    upper triangle only.
     """
     s, r = a.shape
     index: dict[tuple[int, MultiIndex], int] = {}
@@ -449,7 +451,9 @@ def gram(a: HoloPolyMatrix) -> BihermitianForm:
     rows = (SparseRow.from_entries((index[(i, alpha)], coeff)
                                    for i, poly in enumerate(row) for alpha, coeff in poly.items())
             for row in a.rows)
-    re, im, common = outer_product_sum(size, zip(weights, rows))
+    terms, common = outer_product_terms(zip(weights, rows))
+    re, im = [{} for _ in range(size)], [{} for _ in range(size)]
+    outer_product_sum(re, im, terms, 1)
     pairs = list(index)
     support: dict[TermKey, tuple[int, int]] = {}
     for p, (i, alpha) in enumerate(pairs):

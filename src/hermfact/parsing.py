@@ -17,6 +17,11 @@ literals are rejected.  '/' occurs only inside literals and '^' takes a
 nonnegative integer exponent.  A number, or a numerator or denominator of a
 coefficient computed on the way, longer than Python's int-to-string limit
 (`sys.get_int_max_str_digits()`) is a ParseError at its literal or operator.
+
+The tokens are the strings of one regex findall, each one's kind told from its
+text, read by index.  A ParseError's position is looked up only when a parse
+fails, by scanning the text again; the first character that starts no token
+is then the error, whatever else failed.
 """
 
 from __future__ import annotations
@@ -39,24 +44,12 @@ class ParseError(ValueError):
         self.position = position
 
 
-_TOKEN_RE = re.compile(
-    r"(?P<number>[0-9]+(?:/[0-9]+)?)"
-    r"|(?P<var>(?:zb|z|x)[0-9]+)"
-    r"|(?P<imag>i\b)"
-    r"|(?P<op>[-+*^(),\[\]])"
-    r"|(?P<bad>\S)"
-)
-
-
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    """(kind, value, position) tuples, ending with ("end", "", len(text))."""
-    tokens = [(m.lastgroup, m.group(), m.start()) for m in _TOKEN_RE.finditer(text)]
-    for kind, value, position in tokens:
-        if kind == "bad":
-            message = "non-rational literal" if value == "." else f"unexpected character {value!r}"
-            raise ParseError(message, position)
-    tokens.append(("end", "", len(text)))
-    return tokens
+# No group, so findall returns token strings: a number starts with a digit, a
+# variable with z or x and is longer, an operator or 'i' is one character; any
+# other token is bad, a lone character or an 'i' run into a letter or digit.
+_TOKEN_RE = re.compile(r"[0-9]+(?:/[0-9]+)?|(?:zb|z|x)[0-9]+|i\w?|[-+*^(),\[\]]|\S")
+_DIGITS = frozenset("0123456789")
+_SINGLES = frozenset("-+*^(),[]i")
 
 
 # A coefficient (re, im, den) is the Gaussian rational (re + im*i) / den with
@@ -123,39 +116,55 @@ def _poly_mul(p: _ExprPoly, q: _ExprPoly) -> _ExprPoly:
 
 
 def _poly_pow(p: _ExprPoly, e: int) -> _ExprPoly:
-    if e == 0:
-        return {(): _ONE}
-    if len(p) == 1:
-        # A single term: scale its exponents and power its coefficient once.
-        ((key, c),) = p.items()
-        c = c if c == _ONE else _power(c, e, _coeff_mul)
-        return {tuple((var, k * e) for var, k in key): c}
-    return _power(p, e, _poly_mul)
+    return _power(p, e, _poly_mul) if e else {(): _ONE}
 
 
 class _Parser:
     def __init__(self, text: str):
-        self.tokens = _tokenize(text)
+        self.text = text
+        self.tokens = _TOKEN_RE.findall(text) + [""]  # "" is the end of the text
         self.cursor = 0
+        self.variables: dict[str, _MonoKey] = {}  # each variable token read so far
         # 0 is no limit, as on Pythons before 3.10.7; 8**limit < 10**limit < 2**bits.
         self.limit = getattr(sys, "get_int_max_str_digits", int)()
         self.small, self.bits = 1 << 3 * self.limit, int(self.limit * 3.3219280948873626) + 1
 
-    def number(self, digits: str, position: int) -> int:
+    def error(self, message: str, k: int) -> ParseError:
+        """The error of a parse that fails at token k: at the first bad
+        character of the text if it has one, else message at token k."""
+        position = len(self.text)
+        for j, m in enumerate(_TOKEN_RE.finditer(self.text)):
+            token = m.group()
+            if not (token in _SINGLES or token[0] in _DIGITS or token[0] in "zx" and len(token) > 1):
+                bad = "non-rational literal" if token == "." else f"unexpected character {token[0]!r}"
+                return ParseError(bad, m.start())
+            if j == k:
+                position = m.start()
+        return ParseError(message, position)
+
+    def number(self, digits: str, k: int) -> int:
         if self.limit and len(digits) > self.limit:
-            raise ParseError(f"number has more than {self.limit} digits", position)
+            raise self.error(f"number has more than {self.limit} digits", k)
         return int(digits)
 
-    def check(self, coeffs, position: int) -> None:
+    def variable(self, token: str, k: int) -> _MonoKey:
+        kind = 1 if token[1] == "b" else _KINDS.index(token[0])
+        index = self.number(token[len(_KINDS[kind]):], k)
+        if index < 1:
+            raise self.error(f"unknown variable {token!r}", k)
+        self.variables[token] = mono = ((3 * index + kind, 1),)
+        return mono
+
+    def check(self, coeffs, k: int) -> None:
         """Raise unless the Fractions of each coefficient fit the digit limit."""
         small = self.small
         for re, im, den in coeffs if self.limit else ():
             if not (-small < re < small and -small < im < small and den < small):
                 bound = 10**self.limit
                 if any(max(abs(x), den) // gcd(x, den) >= bound for x in (re, im)):
-                    raise ParseError(f"coefficient has more than {self.limit} digits", position)
+                    raise self.error(f"coefficient has more than {self.limit} digits", k)
 
-    def check_power(self, c: _Coeff, e: int, position: int) -> None:
+    def check_power(self, c: _Coeff, e: int, k: int) -> None:
         """Raise before computing c**e if it surely breaks the digit limit."""
         if self.limit and c != _ONE:
             # (re + im*i)**e / den**e cancels at most 2**(e // 2), for an even
@@ -165,29 +174,27 @@ class _Parser:
             low = max((e * ((re * re + im * im).bit_length() - 1) - 1) // 2,
                       e * (den.bit_length() - 1)) - (e // 2 if den % 2 == 0 else 0)
             if low >= 3 * self.bits:
-                raise ParseError(f"coefficient has more than {self.limit} digits", position)
+                raise self.error(f"coefficient has more than {self.limit} digits", k)
 
     def expect(self, value: str) -> None:
-        _, actual, position = self.tokens[self.cursor]
-        if actual != value:
-            raise ParseError(f"expected {value!r}", position)
+        if self.tokens[self.cursor] != value:
+            raise self.error(f"expected {value!r}", self.cursor)
         self.cursor += 1
 
     def parse_input(self):
         """One polynomial, or a matrix as a list of rows of polynomials."""
-        if self.tokens[0][1] == "[":
+        if self.tokens[0] == "[":
             parsed = self.parse_list(lambda: self.parse_list(self.parse_expr))
         else:
             parsed = self.parse_expr()
-        kind, value, position = self.tokens[self.cursor]
-        if kind != "end":
-            raise ParseError(f"unexpected trailing input {value!r}", position)
+        if self.tokens[self.cursor]:
+            raise self.error(f"unexpected trailing input {self.tokens[self.cursor]!r}", self.cursor)
         return parsed
 
     def parse_list(self, item) -> list:
         self.expect("[")
         items = [item()]
-        while self.tokens[self.cursor][1] == ",":
+        while self.tokens[self.cursor] == ",":
             self.cursor += 1
             items.append(item())
         self.expect("]")
@@ -197,10 +204,11 @@ class _Parser:
         tokens = self.tokens
         poly = self.parse_term()
         while True:
-            _, op, position = tokens[self.cursor]
+            k = self.cursor
+            op = tokens[k]
             if op != "+" and op != "-":
                 return poly
-            self.cursor += 1
+            self.cursor = k + 1
             for key, c in self.parse_term().items():
                 if op == "-":
                     c = (-c[0], -c[1], c[2])
@@ -210,80 +218,86 @@ class _Parser:
                     if not (c[0] or c[1]):
                         del poly[key]
                         continue
-                    self.check((c,), position)
+                    self.check((c,), k)
                 poly[key] = c
 
     def parse_term(self) -> _ExprPoly:
-        """Fold the single-term factors into one coefficient and exponent map;
-        only the other factors, of two or more terms or of none, go through
-        _poly_mul."""
-        tokens = self.tokens
-        coeff, exps, polys, star = _ONE, {}, [], 0
+        """term := signed ('*' signed)*, signed := ('+' | '-')* atom ('^' integer)?
+
+        Numbers, 'i', variables and parenthesised factors of one term, with
+        their powers and signs, fold into one coefficient and one exponent
+        map; only a factor of two or more terms, or of none, is a polynomial,
+        multiplied in by _poly_mul at the end."""
+        tokens, variables = self.tokens, self.variables
+        k = self.cursor
+        coeff, exps, polys, star = _ONE, {}, [], k
         while True:
-            factor = self.parse_factor()
-            if len(factor) != 1:
-                polys.append(factor)
+            t = tokens[k]
+            negative = False
+            while t == "-" or t == "+":
+                negative ^= t == "-"
+                k += 1
+                t = tokens[k]
+            at, k = k, k + 1
+            c, poly, mono = _ONE, None, variables.get(t)
+            if mono is None:
+                mono = ()
+                if t == "(":
+                    self.cursor = k
+                    poly = self.parse_expr()
+                    self.expect(")")
+                    k = self.cursor
+                    if len(poly) == 1:
+                        ((mono, c),) = poly.items()
+                        poly = None
+                elif t[:1] in _DIGITS:
+                    num, _, den = t.partition("/")
+                    d = self.number(den, at) if den else 1
+                    if d == 0:
+                        raise self.error("zero denominator", at)
+                    n = self.number(num, at)
+                    c, poly = (_lowest(n, 0, d), None) if n else (_ONE, {})
+                elif t == "i":
+                    c = (0, 1, 1)
+                elif len(t) > 1 and t[0] in "zx":
+                    mono = self.variable(t, at)
+                else:
+                    raise self.error(f"unexpected token {t!r}", at)
+            e = 1
+            if tokens[k] == "^":
+                caret, t = k, tokens[k + 1]
+                if t[:1] not in _DIGITS or "/" in t:
+                    raise self.error("exponent must be a nonnegative integer", k + 1)
+                k += 2
+                e = self.number(t, k - 1)
+                if poly is not None:
+                    poly = _poly_pow(poly, e)
+                    self.check(poly.values(), caret)
+                elif c != _ONE:
+                    self.check_power(c, e, caret)
+                    c = _power(c, e, _coeff_mul) if e else _ONE
+                    self.check((c,), caret)
+            if poly is not None:
+                polys.append({key: (-re, -im, den) for key, (re, im, den) in poly.items()}
+                             if negative else poly)
             else:
-                ((key, c),) = factor.items()
-                if c != _ONE:
-                    coeff = c if coeff == _ONE else _coeff_mul(coeff, c)
+                for var, x in mono if e else ():
+                    exps[var] = exps.get(var, 0) + x * e
+                if negative:
+                    c = (-c[0], -c[1], c[2])
+                if coeff == _ONE:
+                    coeff = c  # checked where it was read
+                elif c != _ONE:
+                    coeff = _coeff_mul(coeff, c)
                     self.check((coeff,), star)
-                for var, e in key:
-                    exps[var] = exps.get(var, 0) + e
-            _, op, position = tokens[self.cursor]
-            if op != "*":
+            if tokens[k] != "*":
                 break
-            star = position
-            self.cursor += 1
+            star, k = k, k + 1
+        self.cursor = k
         poly = {tuple(sorted(exps.items())): coeff}
         for factor in polys:
             poly = _poly_mul(poly, factor)
             self.check(poly.values(), star)
-        return poly
-
-    def parse_factor(self) -> _ExprPoly:
-        """signed := ('+' | '-')* power, power := atom ('^' integer)?"""
-        tokens = self.tokens
-        negative = False
-        kind, value, position = tokens[self.cursor]
-        while value == "-" or value == "+":
-            negative ^= value == "-"
-            self.cursor += 1
-            kind, value, position = tokens[self.cursor]
-        self.cursor += 1
-        if kind == "var":
-            kind_index = 1 if value[1] == "b" else _KINDS.index(value[0])
-            index = self.number(value[len(_KINDS[kind_index]):], position)
-            if index < 1:
-                raise ParseError(f"unknown variable {value!r}", position)
-            poly = {((3 * index + kind_index, 1),): _ONE}
-        elif kind == "number":
-            num, _, den = value.partition("/")
-            d = self.number(den, position) if den else 1
-            if d == 0:
-                raise ParseError("zero denominator", position)
-            n = self.number(num, position)
-            poly = {(): _lowest(n, 0, d)} if n else {}
-        elif kind == "imag":
-            poly = {(): (0, 1, 1)}
-        elif value == "(":
-            poly = self.parse_expr()
-            self.expect(")")
-        else:
-            raise ParseError(f"unexpected token {value!r}", position)
-        _, op, position = tokens[self.cursor]
-        if op == "^":
-            kind, value, at = tokens[self.cursor + 1]
-            if kind != "number" or "/" in value:
-                raise ParseError("exponent must be a nonnegative integer", at)
-            self.cursor += 2
-            e = self.number(value, at)
-            if len(poly) == 1:
-                self.check_power(next(iter(poly.values())), e, position)
-            poly = _poly_pow(poly, e)
-            self.check(poly.values(), position)
-        if negative:
-            return {key: (-re, -im, den) for key, (re, im, den) in poly.items()}
         return poly
 
 
@@ -386,29 +400,14 @@ def _format_coefficient(c: GaussianRational, lead: bool) -> str:
 
 
 def _format_monomial(alpha, beta) -> str:
-    parts = []
-    for k, a in enumerate(alpha):
-        if a:
-            parts.append(f"z{k + 1}" + (f"^{a}" if a > 1 else ""))
-    for k, b in enumerate(beta):
-        if b:
-            parts.append(f"zb{k + 1}" + (f"^{b}" if b > 1 else ""))
-    return "*".join(parts)
-
-
-def _mono_sort_key(alpha, beta):
-    return (
-        sum(alpha) + sum(beta),
-        tuple(-a for a in alpha),
-        tuple(-b for b in beta),
-    )
+    return "*".join(f"{name}{k + 1}" + (f"^{e}" if e > 1 else "")
+                    for name, exps in (("z", alpha), ("zb", beta)) for k, e in enumerate(exps) if e)
 
 
 def format_scalar_entry(form: BihermitianForm, i: int, j: int) -> str:
-    keys = sorted(
-        (key for key in form.support if key[0] == i and key[1] == j),
-        key=lambda key: _mono_sort_key(key[2], key[3]),
-    )
+    # By total degree, then by exponents descending, z before zb.
+    keys = sorted((key for key in form.support if key[0] == i and key[1] == j),
+                  key=lambda key: (sum(key[2]) + sum(key[3]), tuple(-e for e in key[2] + key[3])))
     if not keys:
         return "0"
     chunks = []
@@ -431,8 +430,6 @@ def format_form(form: BihermitianForm) -> str:
     """Deterministic text rendering; parsing it back reproduces the form."""
     if form.r == 1:
         return format_scalar_entry(form, 0, 0)
-    rows = []
-    for i in range(form.r):
-        entries = [format_scalar_entry(form, i, j) for j in range(form.r)]
-        rows.append("[" + ", ".join(entries) + "]")
+    rows = ("[" + ", ".join(format_scalar_entry(form, i, j) for j in range(form.r)) + "]"
+            for i in range(form.r))
     return "[" + ", ".join(rows) + "]"

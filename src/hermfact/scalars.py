@@ -253,13 +253,11 @@ class SparseRow:
         return tuple(out)
 
 
-def outer_product_sum(size: int, terms) -> tuple[list[dict[int, int]], list[dict[int, int]], int]:
-    """sum_k w_k c_k c_k^adj over (w_k, c_k) in `terms`, a rational weight and
-    a SparseRow with indices below `size` each, summed in ints over each
-    c_k's support: (re, im, common) with entry (p, q) = (re[p][q] +
-    i*im[p][q]) / common for q >= p, each row a dict over its columns, an
-    absent column 0.  A sum that cancels leaves a stored 0.  The sum is
-    Hermitian, so the lower triangle is left out."""
+def outer_product_terms(terms) -> tuple[list[tuple[int, tuple]], int]:
+    """The terms w_k c_k c_k^adj of (w_k, c_k) in `terms`, a rational weight
+    and a SparseRow each, over one integer denominator: ([(num_k, entries of
+    c_k), ...], common) with w_k c_k c_k^adj = num_k / common times the outer
+    product of c_k's integer numerators.  Zero terms are left out."""
     scaled = []
     common = 1
     for w, c in terms:
@@ -268,14 +266,21 @@ def outer_product_sum(size: int, terms) -> tuple[list[dict[int, int]], list[dict
             scale = Fraction(w) / (c.den * c.den)
             common = lcm(common, scale.denominator)
             scaled.append((scale.numerator, scale.denominator, c.entries))
-    re = [{} for _ in range(size)]
-    im = [{} for _ in range(size)]
-    for num, den, nz in scaled:
-        num *= common // den
+    return [(num * (common // den), nz) for num, den, nz in scaled], common
+
+
+def outer_product_sum(re: list[dict[int, int]], im: list[dict[int, int]], terms,
+                      factor: int) -> None:
+    """Add factor * num_k * n_k n_k^adj, for each (num_k, n_k) of
+    `outer_product_terms`, into the dict rows re, im over each n_k's support,
+    entry (p, q) at re[p][q] + i*im[p][q], an absent column 0.  The sum is
+    Hermitian, so only the upper triangle, q >= p, is added to; a sum that
+    cancels leaves a stored 0."""
+    for num, nz in terms:
+        num *= factor
         # the entries ascend, so (p, q) with q from nz[t:] lies on or above the diagonal
         for t, (p, x, y) in enumerate(nz):
             nx, ny, re_p, im_p = num * x, num * y, re[p], im[p]
             for q, u, v in nz[t:]:
                 re_p[q] = re_p.get(q, 0) + nx * u + ny * v
                 im_p[q] = im_p.get(q, 0) + ny * u - nx * v
-    return re, im, common

@@ -187,6 +187,37 @@ def test_digit_limit_is_a_parse_error_at_its_operator(digit_limit_640, text, pos
 
 
 @pytest.mark.parametrize(
+    "text, message, position",
+    [
+        ("z1 ** zb1 $", "unexpected character '$'", 10),  # after an unexpected '*'
+        ("z1 + + .5", "non-rational literal", 7),  # after a sign, where an atom goes
+        ("(z1 + zb1 y", "unexpected character 'y'", 10),  # before the missing ')'
+        ("z1*zb1 +", "unexpected token ''", 8),  # no bad character: the error stands
+    ],
+)
+def test_first_bad_character_wins(text, message, position):
+    with pytest.raises(ParseError) as info:
+        parse_expression(text)
+    assert str(info.value) == f"{message} (at position {position})"
+    assert info.value.position == position
+
+
+@pytest.mark.parametrize(
+    "text, message, position",
+    [
+        ("10^640*z1*zb1 $", "unexpected character '$'", 14),
+        ("1" * 641 + "*z1*zb1 + z1.", "non-rational literal", 653),
+        ("z1^" + "1" * 641 + " iz1", "unexpected character 'i'", 645),
+        ("(2+i)^99999999*z1*zb1 zb", "unexpected character 'z'", 22),
+    ],
+)
+def test_first_bad_character_wins_over_the_digit_limit(digit_limit_640, text, message, position):
+    with pytest.raises(ParseError) as info:
+        parse_expression(text)
+    assert str(info.value) == f"{message} (at position {position})"
+
+
+@pytest.mark.parametrize(
     "text, value",
     [
         ("10^639*z1*zb1 + 8*10^639*z1*zb1", GaussianRational(9 * 10**639)),

@@ -489,6 +489,27 @@ def test_parser_equals_reference(pair):
             assert parse_outcome(parse, text) == parse_outcome(reference, text)
 
 
+# Characters that start no token, and spellings next to a token that make it
+# one: a lone z, x or zb, and an 'i' run into a letter.
+CORRUPTIONS = ("$", ".", "y", "z", "x", "zb", "ia", "iy", "iz", "ix", "izb")
+
+
+@SETTINGS
+@given(data=st.data())
+def test_parse_errors_equal_the_reference(data):
+    # One corruption at any position of a spaced expression: the parser and
+    # the reference give the same result, or the same error at the same
+    # position, the first bad character winning over any other error.
+    variables = data.draw(st.sampled_from(FAMILIES))
+    spaces = st.sampled_from(["", "", " ", "  ", "\t", "\n"])
+    text = "".join(data.draw(spaces) + tok for tok in data.draw(expression_tokens(variables, 2)))
+    at = data.draw(st.integers(0, len(text)))
+    text = text[:at] + data.draw(st.sampled_from(CORRUPTIONS)) + text[at:] + data.draw(spaces)
+    for parse, reference in [(parse_expression, reference_parse_expression),
+                             (parse_real_symbol, reference_parse_real_symbol)]:
+        assert parse_outcome(parse, text) == parse_outcome(reference, text)
+
+
 # The spellings of a rational that fraction_to_str never writes but that
 # Fraction, and so the reader, accepts.
 NON_CANONICAL = ["2/4", "-0", "007", " 3 ", "+3", "0.5", "-6/9", "1e3", "0/7"]
