@@ -47,7 +47,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from math import gcd, lcm
-from operator import itemgetter
+from operator import itemgetter, lt
 
 from .hermform import HermitianMatrix, hermitian_defect
 from .scalars import (
@@ -118,13 +118,16 @@ class SignatureCertificate:
     def weighted_vectors(self) -> list[tuple[Fraction, SparseRow]]:
         """(w, v) pairs, w != 0, with matrix = sum w v v^adj exactly.
 
-        v_k is column k of P^T L: `lower[k]` with its indices mapped through
+        c_k is column k of P^T L: `lower[k]` with its indices mapped through
         `permutation`, and 1 at permutation[k].  In slot order, each nonzero
-        d_k gives (d_k, v_k), and each hollow block a at slots k, k + 1, with
-        x = v_k and y = conj(a) v_{k+1}, gives (1/2, x + y) and (-1/2, x - y),
-        since a v_k v_{k+1}^adj + conj(a) v_{k+1} v_k^adj is their sum.  So
-        they pass `independence_failure`: read in reverse, v_k adds
-        permutation[k], and x + y pairs with x - y.
+        d_k gives (d_k, c_k), and each hollow block a at slots k, k + 1, with
+        x = c_k and y = conj(a) c_{k+1}, gives (1/2, x + y) and (-1/2, x - y),
+        since a c_k c_{k+1}^adj + conj(a) c_{k+1} c_k^adj is their sum.  So
+        they pass `independence_failure`: read in reverse, c_k adds
+        permutation[k], and x + y pairs with x - y.  Each pair (w, c) is then
+        given as (w * g^2 / den^2, v): c = (g / den) v, where v is a
+        Gaussian-integer vector of content 1, over den = 1, and g the content
+        of c's numerators.  So the vectors are written as they are held.
         """
         return _weighted_vectors(self.permutation, self.lower, self.diag, self.blocks)
 
@@ -180,7 +183,19 @@ def _weighted_vectors(perm, lower, diag, blocks) -> list[tuple[Fraction, SparseR
                 acc[j] = p + sign * sy * (ar * u + ai * v), q + sign * sy * (ar * v - ai * u)
             out.append((k, w, SparseRow.lowest(
                 ((j, p, q) for j, (p, q) in sorted(acc.items()) if p or q), x.den * sx)))
-    return [(w, v) for _, w, v in sorted(out, key=itemgetter(0))]
+    return [_primitive(w, v) for _, w, v in sorted(out, key=itemgetter(0))]
+
+
+def _primitive(w: Fraction, c: SparseRow) -> tuple[Fraction, SparseRow]:
+    """(w g^2 / den^2, v) for w c c^adj, with c = (g / den) v and v the
+    Gaussian integers of content 1 over den = 1."""
+    entries, den = c.entries, c.den
+    g = gcd(*map(itemgetter(1), entries), *map(itemgetter(2), entries))
+    if g == den == 1:
+        return w, c
+    if g != 1:
+        entries = tuple((j, x // g, y // g) for j, x, y in entries)
+    return Fraction(w.numerator * g * g, w.denominator * den * den), SparseRow(entries)
 
 
 def congruence_failure(matrix: HermitianMatrix, vectors) -> str | None:
@@ -202,8 +217,8 @@ def congruence_failure(matrix: HermitianMatrix, vectors) -> str | None:
 
 def _ascends_between(low: int, row: SparseRow, high: int) -> bool:
     """True when the indices of row ascend strictly from above low to below high."""
-    indices = [low, *(j for j, _, _ in row.entries), high]
-    return all(a < b for a, b in zip(indices, indices[1:]))
+    indices = [low, *map(itemgetter(0), row.entries), high]
+    return all(map(lt, indices, indices[1:]))
 
 
 def witness_failure(matrix: HermitianMatrix, v: SparseRow, strict: bool) -> str | None:

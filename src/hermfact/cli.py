@@ -251,7 +251,7 @@ def cmd_verify(args) -> int:
         sys.stderr.write(f"error: no such file: {path}\n")
         return EXIT_INPUT
     try:
-        obj = json.loads(path.read_text())
+        obj = serialize.read_json(path.read_text())
     except json.JSONDecodeError:
         sys.stderr.write("error: not a JSON artifact\n")
         return EXIT_INPUT

@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain
 from math import gcd, lcm
-from operator import add as _add
+from operator import add as _add, itemgetter
 
 from .multiindex import (
     MultiIndex,
@@ -47,8 +47,10 @@ class BihermitianForm:
     its numerator pair (re, im), den > 0.  The form is kept in lowest terms
     (`lowest`): no (0, 0) pair, and no factor common to den and every
     numerator, so forms compare by their fields.  The constructor trusts its
-    terms; `read` and `from_terms` are the checked entry points.  Treated as
-    immutable: what evaluation reads is built once, on first use."""
+    terms; `read` and `from_terms` are the checked entry points, and
+    `mirrored` takes terms its caller has checked.  Treated as immutable:
+    what evaluation reads, and whether the form is Hermitian, is worked out
+    once, on first use."""
 
     n: int
     r: int
@@ -57,7 +59,7 @@ class BihermitianForm:
 
     @classmethod
     def read(cls, n: int, r: int, terms) -> "BihermitianForm":
-        """The one checked reader: the form of the terms (i, j, alpha, beta,
+        """The checked reader of outside terms: the form of (i, j, alpha, beta,
         x, qx, y, qy), each with coefficient x/qx + i*y/qy, qx, qy > 0.  Every
         key is checked, and the terms are cleared over the lcm of their
         denominators, terms of one key added up and zeros dropped."""
@@ -96,8 +98,33 @@ class BihermitianForm:
                    den // g)
 
     @classmethod
+    def mirrored(cls, n: int, r: int, keys, values, den: int) -> "BihermitianForm":
+        """The form with coefficient (x + i*y) / den at each key (i, j,
+        alpha, beta) of `keys` and its conjugate at the twin key (j, i, beta,
+        alpha), for (x, y) in `values`: Hermitian-symmetric by construction,
+        so `hermitian` is not computed.  The caller has checked the keys, one
+        per conjugate pair, y = 0 where a key is its own twin, and lowest
+        terms."""
+        keys = list(keys)
+        support = dict(zip([(j, i, beta, alpha) for i, j, alpha, beta in keys],
+                           [(x, -y) for x, y in values]))
+        support.update(zip(keys, values))
+        form = cls(n, r, support, den)
+        form.__dict__["hermitian"] = True
+        return form
+
+    @classmethod
     def zero(cls, n: int, r: int = 1) -> "BihermitianForm":
         return cls(n, r, {}, 1)
+
+    @cached_property
+    def hermitian(self) -> bool:
+        """True iff coefficient(i, j, a, b) == conj(coefficient(j, i, b, a))
+        throughout, compared in the numerators over the form's one
+        denominator; computed once per form."""
+        support = self.support
+        return all(support.get((j, i, beta, alpha)) == (x, -y)
+                   for (i, j, alpha, beta), (x, y) in support.items())
 
     def coefficient(self, i: int, j: int, alpha, beta) -> GaussianRational:
         x, y = self.support.get((i, j, tuple(alpha), tuple(beta)), (0, 0))
@@ -354,14 +381,12 @@ class CoefficientBasis:
 
 def is_hermitian_symmetric(form: BihermitianForm) -> bool:
     """True iff coefficient(i, j, a, b) == conj(coefficient(j, i, b, a))
-    throughout, compared in the numerators over the form's one denominator.
+    throughout (`BihermitianForm.hermitian`, computed once per form).
 
     Equivalent to F(z, zbar) taking Hermitian matrix values (real values for
     r = 1) at every point.
     """
-    support = form.support
-    return all(support.get((j, i, beta, alpha)) == (x, -y)
-               for (i, j, alpha, beta), (x, y) in support.items())
+    return form.hermitian
 
 
 def bidegree(form: BihermitianForm) -> int | None:
@@ -369,7 +394,8 @@ def bidegree(form: BihermitianForm) -> int | None:
 
     The zero form is reported as bidegree 0.
     """
-    degrees = {sum(index) for _, _, alpha, beta in form.support for index in (alpha, beta)}
+    keys = form.support.keys()
+    degrees = set(map(sum, map(itemgetter(2), keys))) | set(map(sum, map(itemgetter(3), keys)))
     return None if len(degrees) > 1 else max(degrees, default=0)
 
 

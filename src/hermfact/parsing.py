@@ -16,7 +16,10 @@ Rational literals are written p or p/q with no internal spaces; decimal
 literals are rejected.  '/' occurs only inside literals and '^' takes a
 nonnegative integer exponent.  A number, or a numerator or denominator of a
 coefficient computed on the way, longer than Python's int-to-string limit
-(`sys.get_int_max_str_digits()`) is a ParseError at its literal or operator.
+(`sys.get_int_max_str_digits()`) is a ParseError at its literal or operator,
+and so is a product or power of polynomials whose expansion, bounded in
+closed form before it is expanded, would take more than MAX_EXPANSION
+coefficient products.
 
 The tokens are the strings of one regex findall, each one's kind told from its
 text, read by index.  A ParseError's position is looked up only when a parse
@@ -117,6 +120,45 @@ def _poly_mul(p: _ExprPoly, q: _ExprPoly) -> _ExprPoly:
 
 def _poly_pow(p: _ExprPoly, e: int) -> _ExprPoly:
     return _power(p, e, _poly_mul) if e else {(): _ONE}
+
+
+# The most coefficient products that expanding one product or power of
+# polynomials may take, bounded in closed form before it is expanded: a
+# product p * q takes len(p) * len(q) and has at most that many terms; a
+# power of a k-term base takes those of each product of its squaring chain
+# (`_power`), where p^j has at most C(k - 1 + j, j) terms, the monomials of
+# degree j in k unknowns.
+MAX_EXPANSION = 1 << 18
+
+
+def _power_terms(k: int, j: int, cap: int) -> int:
+    """min(C(k - 1 + j, j), cap), by the partial products C(high + t, t),
+    t = 1, 2, ..., which rise, so it stops once one reaches the cap."""
+    low, high = sorted((k - 1, j))
+    count = 1
+    for t in range(1, low + 1):
+        count = count * (high + t) // t
+        if count >= cap:
+            return cap
+    return count
+
+
+def _power_over_budget(k: int, e: int) -> bool:
+    """True when the squaring chain of `_power` for a k-term base to the
+    power e may take more than MAX_EXPANSION coefficient products."""
+    cap = MAX_EXPANSION + 1
+    work, out, x = 0, 0, 1  # the exponents of out (0: not yet set) and x
+    while work <= MAX_EXPANSION:
+        if e & 1:
+            if out:
+                work += _power_terms(k, out, cap) * _power_terms(k, x, cap)
+            out += x
+        e >>= 1
+        if not e:
+            return work > MAX_EXPANSION
+        work += _power_terms(k, x, cap) ** 2
+        x *= 2
+    return True
 
 
 class _Parser:
@@ -271,6 +313,9 @@ class _Parser:
                 k += 2
                 e = self.number(t, k - 1)
                 if poly is not None:
+                    if _power_over_budget(len(poly), e):
+                        raise self.error(f"expanding the power takes more than {MAX_EXPANSION} "
+                                         "coefficient products", caret)
                     poly = _poly_pow(poly, e)
                     self.check(poly.values(), caret)
                 elif c != _ONE:
@@ -296,6 +341,9 @@ class _Parser:
         self.cursor = k
         poly = {tuple(sorted(exps.items())): coeff}
         for factor in polys:
+            if len(poly) * len(factor) > MAX_EXPANSION:
+                raise self.error(f"expanding the product takes more than {MAX_EXPANSION} "
+                                 "coefficient products", star)
             poly = _poly_mul(poly, factor)
             self.check(poly.values(), star)
         return poly

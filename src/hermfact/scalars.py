@@ -263,7 +263,7 @@ def outer_product_terms(terms) -> tuple[list[tuple[int, tuple]], int]:
     for w, c in terms:
         if c.entries and w:
             # w_k c_k c_k^adj = (w_k / den^2) times the integer outer product
-            scale = Fraction(w) / (c.den * c.den)
+            scale = Fraction(w) if c.den == 1 else Fraction(w) / (c.den * c.den)
             common = lcm(common, scale.denominator)
             scaled.append((scale.numerator, scale.denominator, c.entries))
     return [(num * (common // den), nz) for num, den, nz in scaled], common

@@ -1,13 +1,16 @@
-"""JSON (de)serialization for every artifact, with all rationals as strings.
+"""JSON (de)serialization for every artifact, its numbers held as they are in memory.
 
-Coefficients are written as exact "p/q" strings in lowest terms (or "p" when
-integral) so that certificates survive the round trip bit-for-bit, and read
-back by one reader, `read_ratio`: the written spelling goes straight to ints,
-any other spelling that `Fraction` accepts is still accepted, and a zero
-denominator is a ValueError.  A kernel term is written as the row
-[i, j, alpha, beta, re, im], with matrix indices i, j 1-based on the wire and
-0-based in memory, and read by one reader, `obj_to_form`, into the form's
-Gaussian-integer numerators over one denominator.
+An artifact holds integers: a kernel is its Gaussian-integer numerators over
+one denominator, `{kind, n, r, den, terms}`, each term the row [i, j, alpha,
+beta, re, im] with matrix indices i, j 1-based on the wire and 0-based in
+memory, written once per conjugate pair (the lesser key) and mirrored by the
+one reader, `obj_to_form`; a factor vector or a witness is Gaussian integers
+of content 1, its nonzero entries [j, re, im], and a weight the pair [p, q]
+of its ratio in lowest terms.  Exactly one spelling of each is read, so a
+digest names one artifact; any other is a ValueError naming FORMAT_ERROR.
+Input files keep their own spelling: rationals as strings (or numbers) read
+by `read_ratio`, both triangles written, terms as rows or objects.  Points of
+an ellipticity report are [re, im] pairs of such strings.
 
 Every report and artifact file is `canonical_json` (sorted keys, no
 whitespace, CPython's C encoder) on one line; `python -m json.tool` indents
@@ -22,7 +25,9 @@ import json
 import re
 import sys
 from fractions import Fraction
-from math import gcd, lcm
+from itertools import chain, compress
+from math import gcd
+from operator import eq, le, lt, or_
 
 from .certify import SignatureCertificate, factor_failure, witness_failure
 from .factor import _factor_from_parts, numeric_factor
@@ -45,15 +50,17 @@ from .symbols import EllipticityReport, format_diff_operator_row, require_symbol
 class DigitLimitError(ValueError):
     """A number too long for Python's int-to-string conversion."""
 
+    def __init__(self, where: str = "the report"):
+        super().__init__(f"a number in {where} has more digits than the int-to-string limit "
+                         f"(sys.get_int_max_str_digits() = {sys.get_int_max_str_digits()})")
+
 
 def _ratio_to_str(p: int, q: int) -> str:
     """p/q as written, for q > 0 and p/q in lowest terms."""
     try:
         return str(p) if q == 1 else f"{p}/{q}"
     except ValueError:
-        raise DigitLimitError(
-            "a number in the report has more digits than the int-to-string limit "
-            f"(sys.get_int_max_str_digits() = {sys.get_int_max_str_digits()})") from None
+        raise DigitLimitError() from None
 
 
 def fraction_to_str(x: Fraction) -> str:
@@ -116,34 +123,98 @@ def pair_to_gaussian(pair) -> GaussianRational:
 
 
 FORMAT_ERROR = "artifact is not in the current certificate format"
-# The fields of a kernel term, in the order of its row.
+# The fields of a kernel term, in the order of its row, and the keys of an
+# artifact's kernel.
 TERM_FIELDS = ("i", "j", "alpha", "beta", "re", "im")
+FORM_KEYS = frozenset({"kind", "n", "r", "den", "terms"})
+
+
+def _wire_error(message: str) -> ValueError:
+    return ValueError(f"{FORMAT_ERROR}: {message}")
+
+
+def _integers(*columns) -> bool:
+    """True when every item of every column is an int, not a bool."""
+    return set(map(type, chain(*columns))) <= {int}
+
+
+def _rows(items, length: int) -> bool:
+    """True when `items` is a list of lists of `length` items each."""
+    return type(items) is list and set(map(type, items)) <= {list} and set(map(len, items)) <= {
+        length}
 
 
 def form_to_obj(form: BihermitianForm) -> dict:
-    """Each term as the row [i, j, alpha, beta, re, im], both triangles, in key order."""
-    den = form.den
-    terms = [[i + 1, j + 1, list(alpha), list(beta), _part(x, den), _part(y, den)]
-             for (i, j, alpha, beta), (x, y) in sorted(form.support.items())]
-    return {"kind": "bihermitian_form", "n": form.n, "r": form.r, "terms": terms}
+    """The form as its numerators over `den`: each term the row [i, j, alpha,
+    beta, re, im], 1-based i and j, written once per conjugate pair, the
+    lesser of its key (i, j, alpha, beta) and its twin's (j, i, beta, alpha),
+    in key order.  Only a Hermitian-symmetric form has this spelling."""
+    support, terms = form.support, []
+    for (i, j, alpha, beta), (x, y) in sorted(support.items()):
+        twin = (j, i, beta, alpha)
+        if support.get(twin) != (x, -y):
+            raise ValueError("only a Hermitian-symmetric form is written")
+        if (i, j, alpha, beta) <= twin:
+            terms.append([i + 1, j + 1, list(alpha), list(beta), x, y])
+    return {"kind": "bihermitian_form", "n": form.n, "r": form.r, "den": form.den,
+            "terms": terms}
+
+
+def _read_form(obj: dict) -> BihermitianForm:
+    """The form that `form_to_obj` writes, mirrored back to both triangles.
+    Exactly that spelling is read: integers, not bools, each term nonzero
+    and the lesser key of its conjugate pair, keys ascending, a real
+    coefficient where a key is its own twin, and den > 0 in lowest terms."""
+    if obj.keys() != FORM_KEYS:
+        raise _wire_error("a kernel must have exactly the keys den, kind, n, r, terms")
+    n, r, den, terms = obj["n"], obj["r"], obj["den"], obj["terms"]
+    if not (_integers((n, r, den)) and _rows(terms, 6)):
+        raise _wire_error("a kernel needs integers n, r and den and terms "
+                          "[i, j, alpha, beta, re, im]")
+    ii, jj, alphas, betas, res, ims = zip(*terms) if terms else ((),) * 6
+    monomials = alphas + betas
+    if not (n >= 1 and r >= 1 and _rows(list(monomials), n)
+            and _integers(ii, jj, res, ims, *monomials)):
+        raise _wire_error("kernel terms need integers i, j, re and im and lists alpha and beta "
+                          "of n integers, n and r >= 1")
+    if not (min(ii + jj, default=1) >= 1 and max(ii + jj, default=r) <= r
+            and min(chain(*monomials), default=0) >= 0):
+        raise _wire_error("a kernel term's indices are out of range or an exponent is negative")
+    ii, jj = [i - 1 for i in ii], [j - 1 for j in jj]
+    alphas, betas = list(map(tuple, alphas)), list(map(tuple, betas))
+    keys = list(zip(ii, jj, alphas, betas))
+    twins = list(zip(jj, ii, betas, alphas))
+    if not all(map(le, keys, twins)):
+        raise _wire_error("a kernel term is written only as the lesser key of its conjugate pair")
+    if not all(map(lt, keys, keys[1:])):
+        raise _wire_error("kernel term keys must ascend")
+    if any(compress(ims, map(eq, keys, twins))):
+        raise _wire_error("a kernel term that is its own twin must be real")
+    if not all(map(or_, res, ims)):
+        raise _wire_error("a kernel term is zero")
+    if den < 1 or gcd(den, *res, *ims) != 1:
+        raise _wire_error("a kernel's den must be positive and in lowest terms")
+    return BihermitianForm.mirrored(n, r, keys, list(zip(res, ims)), den)
 
 
 def obj_to_form(obj: dict, written: bool = False) -> BihermitianForm:
-    """The one kernel reader, into ints: each term is the row that
-    `form_to_obj` writes or, unless the kernel is part of an artifact
-    (`written`), an object with the keys of TERM_FIELDS, as input files spell
-    it; rationals go through `read_ratio`."""
+    """The one kernel reader, into ints.  A kernel with a `den`, and every
+    kernel of an artifact (`written`), is read as `form_to_obj` writes it
+    (`_read_form`).  Otherwise it is an input file's kernel: each term the
+    row [i, j, alpha, beta, re, im] or an object with the keys of
+    TERM_FIELDS, both triangles written, rationals read by `read_ratio`."""
     if not isinstance(obj, dict) or obj.get("kind") != "bihermitian_form":
         raise ValueError("not a serialized kernel")
+    if written or "den" in obj:
+        return _read_form(obj)
     if not (type(obj["n"]) is int and type(obj["r"]) is int and isinstance(obj["terms"], list)):
         raise ValueError("a serialized kernel needs integers n and r and a list of terms")
     terms, seen = [], {}
     for term in obj["terms"]:
-        if isinstance(term, dict) and not written:
+        if isinstance(term, dict):
             term = [term[field] for field in TERM_FIELDS]
         if not (isinstance(term, list) and len(term) == len(TERM_FIELDS)):
-            prefix = f"{FORMAT_ERROR}: " if written else ""
-            raise ValueError(f"{prefix}a kernel term must be a row [i, j, alpha, beta, re, im]")
+            raise ValueError("a kernel term must be a row [i, j, alpha, beta, re, im]")
         i, j, alpha, beta, re, im = term
         if not (type(i) is int and type(j) is int
                 and isinstance(alpha, list) and isinstance(beta, list)):
@@ -169,47 +240,45 @@ def _require_mode(mode) -> str:
     return mode
 
 
-def _part(x: int, den: int) -> str:
-    """x / den in lowest terms, by one gcd."""
-    g = gcd(x, den)
-    return _ratio_to_str(x // g, den // g)
-
-
-def _sparse_to_obj(row: SparseRow) -> list[list]:
-    """A sparse row (a factor vector or a witness) as its entries [j, re, im]."""
-    return [[j, _part(x, row.den), _part(y, row.den)] for j, x, y in row.entries]
+def _sparse_to_obj(row: SparseRow) -> list[list[int]]:
+    """A factor vector or a witness, Gaussian integers of content 1, as its
+    nonzero entries [j, re, im]."""
+    if row.den != 1:
+        raise ValueError("only a vector of Gaussian integers is written")
+    return list(map(list, row.entries))
 
 
 def _obj_to_sparse(items) -> SparseRow:
-    """The sparse row of entries [j, re, im], whose indices must ascend, zero
-    entries dropped: numerators over the lcm of the denominators, in lowest
-    terms."""
-    if not (isinstance(items, list) and all(
-            isinstance(item, list) and len(item) == 3 and type(item[0]) is int
-            and isinstance(item[1], str) and isinstance(item[2], str) for item in items)):
-        raise ValueError(f"{FORMAT_ERROR}: vector and witness entries must be [int, str, str]")
-    indices = [item[0] for item in items]
-    if indices != sorted(set(indices)):
-        raise ValueError(f"{FORMAT_ERROR}: witness and factor indices must ascend")
-    parts = [(j, *read_ratio(re), *read_ratio(im)) for j, re, im in items]
-    parts = [part for part in parts if part[1] or part[3]]
-    den = lcm(*(q for _, _, qx, _, qy in parts for q in (qx, qy)))
-    return SparseRow.lowest(((j, x * (den // qx), y * (den // qy)) for j, x, qx, y, qy in parts),
-                            den)
+    """The vector that `_sparse_to_obj` writes: entries [j, re, im] of ints,
+    indices ascending, none zero, of content 1, or [] for the zero vector."""
+    if not _rows(items, 3):
+        raise _wire_error("vector and witness entries must be [j, re, im]")
+    js, xs, ys = zip(*items) if items else ((),) * 3
+    if not _integers(js, xs, ys):
+        raise _wire_error("vector and witness entries must be integers")
+    if not all(map(lt, js, js[1:])):
+        raise _wire_error("witness and factor indices must ascend")
+    if not all(map(or_, xs, ys)):
+        raise _wire_error("a vector or witness entry is zero")
+    if gcd(*xs, *ys) > 1:
+        raise _wire_error("a vector or witness must have content 1")
+    return SparseRow(tuple(zip(js, xs, ys)))
 
 
 def _vectors_to_obj(vectors: list[tuple[Fraction, SparseRow]]) -> list[list]:
-    """Weighted vectors as [weight, [[j, re, im], ...]], in their order."""
-    return [[fraction_to_str(w), _sparse_to_obj(v)] for w, v in vectors]
+    """Weighted vectors as [[p, q], [[j, re, im], ...]], weight p/q, in their order."""
+    return [[[w.numerator, w.denominator], _sparse_to_obj(v)] for w, v in vectors]
 
 
 def _obj_to_vectors(items, what="a stabilization factor must be null or a list of") -> list:
-    """The weighted vectors (w, v) of a factor, each [weight, entries], indices ascending."""
-    if not (isinstance(items, list) and all(isinstance(item, list) and len(item) == 2
-                                            and isinstance(item[0], str) for item in items)):
-        raise ValueError(f"{FORMAT_ERROR}: {what} weighted vectors "
-                         "[weight, [[j, re, im], ...]]")
-    return [(str_to_fraction(w), _obj_to_sparse(entries)) for w, entries in items]
+    """The weighted vectors (w, v) of a factor, each [[p, q], entries], the
+    weight p/q in lowest terms, q > 0."""
+    if not (_rows(items, 2) and _rows([w for w, _ in items], 2)):
+        raise _wire_error(f"{what} weighted vectors [[p, q], [[j, re, im], ...]]")
+    ps, qs = zip(*(w for w, _ in items)) if items else ((), ())
+    if not (_integers(ps, qs) and min(qs, default=1) >= 1 and set(map(gcd, ps, qs)) <= {1}):
+        raise _wire_error("a weight [p, q] must be integers in lowest terms, q > 0")
+    return [(Fraction(p, q), _obj_to_sparse(entries)) for (p, q), entries in items]
 
 
 def _factor_basis(form: BihermitianForm, d: int):
@@ -221,7 +290,7 @@ def _factor_basis(form: BihermitianForm, d: int):
 
 def certificate_to_obj(cert: SignatureCertificate) -> dict:
     """The evidence of a certificate of M: its weighted vectors, M = sum w v
-    v^adj, as [weight, [[j, re, im], ...]] in slot order, and its witness's
+    v^adj, as [[p, q], [[j, re, im], ...]] in slot order, and its witness's
     nonzero entries [j, re, im], or null."""
     return {"vectors": _vectors_to_obj(cert.weighted_vectors()),
             "witness": None if cert.witness is None else _sparse_to_obj(cert.witness)}
@@ -260,7 +329,7 @@ def stabilization_to_obj(report: StabilizationReport) -> dict:
     sum_k sum_j |z_k h_j|^2, and the z_k h_j span when the h_j do.  So the
     witness of the last failing d proves that every smaller d fails too.
     The trail is that witness as [[d, [[j, re, im], ...]]], or [] when d = 0
-    passes; the factor, its certificate's weighted vectors [weight, [[j,
+    passes; the factor, its certificate's weighted vectors [[p, q], [[j,
     re, im], ...]] on the basis of M_d at the next d, or null when the
     search found none, whose witness is then at the last d it searched."""
     failing = [step for step in report.steps if not step.passes]
@@ -292,7 +361,23 @@ def ellipticity_to_obj(report: EllipticityReport) -> dict:
 
 
 def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    """Sorted keys, no whitespace; an integer past the int-to-string limit
+    is a DigitLimitError."""
+    try:
+        return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    except ValueError:
+        raise DigitLimitError() from None
+
+
+def read_json(text: str):
+    """The JSON value of `text`: malformed text is a json.JSONDecodeError,
+    and an integer past the int-to-string limit a DigitLimitError."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        raise
+    except ValueError:
+        raise DigitLimitError("the artifact") from None
 
 
 def canonical_object(pieces: dict[str, str]) -> str:
@@ -475,7 +560,7 @@ def _require_searched(stabilization: dict, mode: str, d_max: int, what: str) -> 
 
 def _weight_signs(factor: dict) -> tuple[int, int]:
     """(positive, negative) weight counts of a verified factor: M_d's inertia, less its zeros."""
-    positive = sum(read_ratio(w)[0] > 0 for w, _ in factor["vectors"])
+    positive = sum(w[0] > 0 for w, _ in factor["vectors"])
     return positive, len(factor["vectors"]) - positive
 
 

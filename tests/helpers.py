@@ -939,16 +939,53 @@ def reference_weighted_vectors(cert: SignatureCertificate):
     return out
 
 
-def reference_evidence_obj(cert: SignatureCertificate) -> dict:
-    """`serialize.certificate_to_obj` over the reference layout: the weighted
-    vectors and the witness by their nonzero entries [j, re, im]."""
-    def entries(vector) -> list[list]:
-        return reference_entries_to_obj((j, c) for j, c in enumerate(vector) if c)
+def reference_primitive(pairs):
+    """Weighted vectors (w, v), v a dense tuple of GaussianRationals, as
+    SignatureCertificate.weighted_vectors gives them: v = (g / den) u, with
+    den the lcm of v's denominators and g the content of v * den, gives
+    (w g^2 / den^2, u), u Gaussian integers of content 1."""
+    out = []
+    for w, v in pairs:
+        den = lcm(*(x.denominator for c in v for x in (c.re, c.im)))
+        g = gcd(*(int(x * den) for c in v for x in (c.re, c.im)))
+        out.append((w * Fraction(g, den) ** 2, tuple(c * Fraction(den, g) for c in v)))
+    return out
 
+
+def _integer_entries(vector) -> list[list[int]]:
+    """The nonzero entries [j, re, im] of a dense vector of Gaussian integers."""
+    assert all(x.denominator == 1 for c in vector for x in (c.re, c.im))
+    return [[j, int(c.re), int(c.im)] for j, c in enumerate(vector) if c]
+
+
+def reference_evidence_obj(cert: SignatureCertificate) -> dict:
+    """`serialize.certificate_to_obj` over the reference layout: each weighted
+    vector, folded to content 1 (`reference_primitive`), as [[p, q], its
+    nonzero entries [j, re, im]], and the witness by its nonzero entries."""
     witness = reference_layout(cert).witness
-    return {"vectors": [[reference_fraction_to_str(w), entries(v)]
-                        for w, v in reference_weighted_vectors(reference_layout(cert))],
-            "witness": None if witness is None else entries(witness)}
+    vectors = reference_primitive(reference_weighted_vectors(reference_layout(cert)))
+    return {"vectors": [[[w.numerator, w.denominator], _integer_entries(v)] for w, v in vectors],
+            "witness": None if witness is None else _integer_entries(witness)}
+
+
+# The artifact codec before the wire held integers: every rational a "p/q"
+# string, a kernel's terms in both triangles as rows [i, j, alpha, beta, re,
+# im], and a vector's weight a string beside its entries [j, re, im] over the
+# vector's own denominators.  Artifacts so written are in no current format.
+def reference_string_form_obj(form: BihermitianForm) -> dict:
+    return {"kind": "bihermitian_form", "n": form.n, "r": form.r, "terms": [
+        [term[field] for field in serialize.TERM_FIELDS]
+        for term in reference_form_obj(form)["terms"]]}
+
+
+def reference_string_entries_obj(v: SparseRow) -> list[list]:
+    return [[j, reference_fraction_to_str(Fraction(x, v.den)),
+             reference_fraction_to_str(Fraction(y, v.den))] for j, x, y in v.entries]
+
+
+def reference_string_vectors_obj(vectors) -> list:
+    """Weighted vectors (w, v) of SparseRows as [w, [[j, re, im], ...]]."""
+    return [[reference_fraction_to_str(w), reference_string_entries_obj(v)] for w, v in vectors]
 
 
 def reference_verify(cert: SignatureCertificate) -> tuple[bool, str]:

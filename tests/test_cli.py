@@ -113,7 +113,7 @@ def test_factor_command(capsys):
     assert report["result"].keys() == {"factor"}
     assert report["verdicts"] == {"d": 7, "factorable": False, "rows": 0}
     assert report["result"]["factor"]["witness"] is not None
-    assert any(w.startswith("-") for w, _ in report["result"]["factor"]["vectors"])
+    assert any(p < 0 for (p, _), _ in report["result"]["factor"]["vectors"])
 
     code, out, _ = run(capsys, ["factor", "-e", INDEFINITE_QUARTIC, "--d", "1", "--numeric"])
     assert code == 0
@@ -218,7 +218,7 @@ def test_decompose_command(capsys):
     # One artifact of F at d = 0: two positive weights and one negative.
     decomposition = report["result"]["decomposition"]
     assert decomposition["d"] == 0
-    assert sorted(w.startswith("-") for w, _ in decomposition["vectors"]) == [False, False, True]
+    assert sorted(p < 0 for (p, _), _ in decomposition["vectors"]) == [False, False, True]
     ok, reason = serialize.verify_obj(decomposition)
     assert ok, reason
 
@@ -236,7 +236,7 @@ def test_verify_command_paths(capsys, tmp_path):
     assert code == 0 and json.loads(out)["valid"] is True
 
     tampered = json.loads(cert_file.read_text())
-    tampered["vectors"][0][0] = "123/7"
+    tampered["vectors"][0][0] = [123, 7]
     bad_file = tmp_path / "tampered.json"
     bad_file.write_text(json.dumps(tampered))
     code, out, _ = run(capsys, ["verify", str(bad_file)])
@@ -266,11 +266,11 @@ def _drop_vector(cert):
 
 
 def _witness_index_past_size(cert):
-    cert["witness"].append([3, "1", "0"])
+    cert["witness"].append([3, 1, 0])
 
 
 def _witness_indices_out_of_order(cert):
-    cert["witness"].append([0, "1", "0"])
+    cert["witness"].append([0, 1, 0])
 
 
 def _witness_dropped(cert):
@@ -278,20 +278,20 @@ def _witness_dropped(cert):
 
 
 def _vector_index_negative(cert):
-    cert["vectors"][0][1].insert(0, [-1, "1", "0"])
+    cert["vectors"][0][1].insert(0, [-1, 1, 0])
 
 
 def _vector_index_past_size(cert):
-    cert["vectors"][0][1].append([3, "1", "0"])
+    cert["vectors"][0][1].append([3, 1, 0])
 
 
 def _vector_entries_out_of_order(cert):
-    cert["vectors"][0][1].append([0, "1", "0"])
+    cert["vectors"][0][1].append([0, 1, 0])
 
 
 def _vector_value_bumped(cert):
-    assert cert["vectors"][0] == ["1", [[0, "1", "0"], [1, "1", "0"]]]
-    cert["vectors"][0][1][1][1] = "2"
+    assert cert["vectors"][0] == [[1, 1], [[0, 1, 0], [1, 1, 0]]]
+    cert["vectors"][0][1][1][1] = 2
 
 
 def _vector_duplicated(cert):
@@ -304,7 +304,7 @@ def _hollow_pair_split(cert):
 
 
 def _weight_zero(cert):
-    cert["vectors"][0][0] = "0"
+    cert["vectors"][0][0] = [0, 1]
 
 
 # Each has a third variable, so that its matrix is 3x3.
@@ -638,7 +638,7 @@ def _unknown_mode(report):
 
 # A certificate of any spelling before this one is no artifact kind any more.
 PARENT_CERTIFICATE = "unsupported artifact kind 'signature_certificate'"
-KERNEL_TERM = "a kernel term must be a row [i, j, alpha, beta, re, im]"
+KERNEL_TERM = "a kernel needs integers n, r and den and terms [i, j, alpha, beta, re, im]"
 
 
 @pytest.mark.parametrize(
@@ -892,17 +892,17 @@ def _numeric_float_digits(capsys, digits):
 
 
 def _factor_zero_entry_of_wrong_length(capsys):
-    # A zero entry is checked before it is dropped: its index repeats the last one.
+    # A zero entry is no spelling of a vector, and its index repeats the last one.
     report = json.loads(run(capsys, ["factor", "-e", DIAGONAL_QUARTIC])[1])
     entries = report["result"]["factor"]["vectors"][0][1]
-    entries.append([entries[-1][0], "0", "0"])
+    entries.append([entries[-1][0], 0, 0])
     return report
 
 
 def _factor_form_zero_term_out_of_range(capsys):
-    # A zero term of the form is checked before it is dropped: i = 9 at r = 1.
+    # A zero term is no spelling of a form, and i = 9 is past r = 1.
     report = json.loads(run(capsys, ["factor", "-e", DIAGONAL_QUARTIC])[1])
-    report["result"]["factor"]["form"]["terms"].append([9, 1, [2, 0], [2, 0], "0", "0"])
+    report["result"]["factor"]["form"]["terms"].append([9, 1, [2, 0], [2, 0], 0, 0])
     return report
 
 
@@ -1055,11 +1055,12 @@ def test_report_numbers_past_the_digit_limit_are_input_errors(capsys, tmp_path):
 
 def _stabilization_form_not_hermitian(stabilization):
     # |z2|^4 gets coefficient 1 + i: a diagonal term that is not real.
-    stabilization["form"]["terms"][0][5] = "1"
+    stabilization["form"]["terms"][0][5] = 1
 
 
 def _stabilization_form_of_mixed_bidegree(stabilization):
-    stabilization["form"]["terms"].append([1, 1, [1, 0], [1, 0], "1", "0"])
+    # |z1|^2, in key order
+    stabilization["form"]["terms"].insert(1, [1, 1, [1, 0], [1, 0], 1, 0])
 
 
 def _stabilization_trail_emptied(stabilization):
@@ -1069,8 +1070,10 @@ def _stabilization_trail_emptied(stabilization):
 @pytest.mark.parametrize(
     "rewrite, code, stdout, stderr",
     [
+        # the wire has no spelling of a form that is not Hermitian-symmetric
         (_stabilization_form_not_hermitian, 2, "",
-         "error: coefficient matrix requires a Hermitian-symmetric form\n"),
+         "error: artifact is not in the current certificate format: a kernel term that is its "
+         "own twin must be real\n"),
         (_stabilization_form_of_mixed_bidegree, 2, "",
          "error: form has mixed bidegrees; use generalized mode\n"),
         (_stabilization_trail_emptied, 1, '{"valid": false, "reason": "without a factor the '
@@ -1267,7 +1270,7 @@ def _decompose_negative_part_emptied(capsys):
     # Rewritten to a sum of squares: no negative vector, no negative rank.
     report = json.loads(run(capsys, ["decompose", "-e", "z1*zb1 - z2*zb2"])[1])
     vectors = report["result"]["decomposition"]["vectors"]
-    vectors[:] = [item for item in vectors if not item[0].startswith("-")]
+    vectors[:] = [item for item in vectors if item[0][0] > 0]
     report["verdicts"].update(negative_rank=0, sum_of_squares=True)
     return report
 
@@ -1301,7 +1304,7 @@ def _factor_artifact_d_lowered(capsys):
 
 def _factor_weight_zero(capsys):
     report = json.loads(run(capsys, ["factor", "-e", DIAGONAL_QUARTIC])[1])
-    report["result"]["factor"]["vectors"][0][0] = "0"
+    report["result"]["factor"]["vectors"][0][0] = [0, 1]
     return report
 
 
@@ -1388,9 +1391,9 @@ def test_numeric_rendering_of_the_readme_factor_is_unchanged(capsys):
     assert serialize.canonical_json(numeric) == README_NUMERIC_FACTOR
 
 
-# The cancelling pair ["1", v], ["-1", v] adds nothing to the sum of a
+# The cancelling pair [[1, 1], v], [[-1, 1], v] adds nothing to the sum of a
 # factor, but raises both weight counts; two equal vectors are not independent.
-CANCELLING_PAIR = [["1", [[0, "1", "0"], [1, "1", "0"]]], ["-1", [[0, "1", "0"], [1, "1", "0"]]]]
+CANCELLING_PAIR = [[[1, 1], [[0, 1, 0], [1, 1, 0]]], [[-1, 1], [[0, 1, 0], [1, 1, 0]]]]
 
 
 def _decompose_with_cancelling_pair(capsys):
@@ -1494,7 +1497,7 @@ def test_a_one_variable_search_stops_at_d_0(capsys, tmp_path):
     code = run(capsys, ["stabilize", "-e=-z1*zb1", "--dmax", "1000000", "--out", str(path)])[0]
     assert code == 3 and time.perf_counter() - started < 1
     report = json.loads(path.read_text())
-    assert report["result"]["stabilization"]["trail"] == [[0, [[0, "1", "0"]]]]
+    assert report["result"]["stabilization"]["trail"] == [[0, [[0, 1, 0]]]]
     assert run(capsys, ["verify", str(path)]) == (0, '{"valid": true, "reason": "ok"}\n', "")
     report["result"]["stabilization"]["trail"][0][0] = 1000000
     path.write_text(json.dumps(_restamp(report)))
@@ -1525,18 +1528,23 @@ def test_a_stabilized_ellipticity_report_with_points_is_refused(capsys, tmp_path
     assert run(capsys, ["verify", str(mirror)]) == refused
 
 
-@pytest.mark.parametrize("expr, terms, order, message", [
-    ("z1*zb2", [[1, 1, [1, 0], [0, 1], "1", "0"]], 2,
-     "symbol kernel must be Hermitian-symmetric (real-valued)"),
-    ("z1*zb1 - 1", [[1, 1, [0, 0], [0, 0], "-1", "0"], [1, 1, [1, 0], [1, 0], "1", "0"]], 0,
-     "symbol is not complex-bihomogeneous; certification does not apply"),
+@pytest.mark.parametrize("expr, terms, order, message, refused", [
+    # The wire spells a form by one term per conjugate pair, so a form that
+    # is not Hermitian-symmetric has no spelling: z1*zb2 is the greater key.
+    ("z1*zb2", [[1, 1, [1, 0], [0, 1], 1, 0]], 2,
+     "symbol kernel must be Hermitian-symmetric (real-valued)",
+     "artifact is not in the current certificate format: a kernel term is written only as the "
+     "lesser key of its conjugate pair"),
+    ("z1*zb1 - 1", [[1, 1, [0, 0], [0, 0], -1, 0], [1, 1, [1, 0], [1, 0], 1, 0]], 0,
+     "symbol is not complex-bihomogeneous; certification does not apply", None),
 ], ids=["not_hermitian", "mixed_bidegree"])
 def test_a_not_elliptic_report_on_a_form_that_symbol_refuses_is_an_input_error(
-        capsys, tmp_path, expr, terms, order, message):
+        capsys, tmp_path, expr, terms, order, message, refused):
     # Both forms vanish at (1, 0), but `symbol` refuses them: the zero proves
     # nothing about an ellipticity that is not defined, and verify refuses
-    # the report with symbol's own error.
+    # the report, with symbol's own error where the wire spells the form.
     assert run(capsys, ["symbol", "-e", expr, "--n", "2"]) == (2, "", f"error: {message}\n")
+    message = refused or message
     path = tmp_path / "report.json"
     assert run(capsys, ["symbol", "-e", "z1*zb1 - z2*zb2", "--out", str(path)])[0] == 1
     report = json.loads(path.read_text())
@@ -1680,3 +1688,104 @@ def test_verify_refuses_artifacts_whose_m0_is_past_the_size_bound(capsys, tmp_pa
     for artifact in artifacts:
         path.write_text(json.dumps(artifact))
         assert run(capsys, ["verify", str(path)]) == (2, "", WIDE_REFUSAL)
+
+
+# One term per conjugate pair, a real diagonal, and a complex off-diagonal
+# entry: its factor is [[1, 3], [[0, 1, 1], [1, 3, 0]]], [[1, 3], [[0, 1, 0]]].
+COMPLEX_PD = "z1*zb1 + (1+i)*z1*zb2 + (1-i)*z2*zb1 + 3*z2*zb2"
+
+
+def _terms(report):
+    return report["result"]["factor"]["form"]["terms"]
+
+
+def _vectors(report):
+    return report["result"]["factor"]["vectors"]
+
+
+def _den_not_lowest(report):
+    form = report["result"]["factor"]["form"]
+    form["den"] *= 2
+    for term in form["terms"]:
+        term[4:] = [2 * term[4], 2 * term[5]]
+
+
+# Every spelling of the factor but the one the writer writes, each in a
+# report stamped with its digest again: exactly one spelling is accepted.
+RESPELLINGS = {
+    "twin_term": lambda r: _terms(r).insert(2, [1, 1, [1, 0], [0, 1], 1, 1]),
+    "diagonal_not_real": lambda r: _terms(r)[0].__setitem__(5, 1),
+    "den_zero": lambda r: r["result"]["factor"]["form"].update(den=0),
+    "den_negative": lambda r: r["result"]["factor"]["form"].update(den=-1),
+    "den_not_lowest": _den_not_lowest,
+    "zero_term": lambda r: _terms(r).insert(2, [1, 1, [0, 2], [0, 2], 0, 0]),
+    "term_keys_out_of_order": lambda r: _terms(r).insert(0, _terms(r).pop(1)),
+    "float_numerator": lambda r: _terms(r)[0].__setitem__(4, 3.0),
+    "bool_numerator": lambda r: _terms(r)[2].__setitem__(4, True),
+    "string_numerator": lambda r: _terms(r)[0].__setitem__(4, "3"),
+    "zero_vector_entry": lambda r: _vectors(r)[1][1].append([1, 0, 0]),
+    "vector_indices_out_of_order": lambda r: _vectors(r)[0][1].reverse(),
+    "vector_content_two": lambda r: _vectors(r)[1].__setitem__(1, [[0, 2, 0]]),
+    "weight_not_lowest": lambda r: _vectors(r)[0].__setitem__(0, [2, 6]),
+    "weight_zero_denominator": lambda r: _vectors(r)[0].__setitem__(0, [1, 0]),
+    "weight_string": lambda r: _vectors(r)[0].__setitem__(0, "1/3"),
+}
+
+
+@pytest.mark.parametrize("respell", RESPELLINGS.values(), ids=RESPELLINGS.keys())
+def test_each_other_spelling_of_an_artifact_is_a_format_error(capsys, tmp_path, respell):
+    path = tmp_path / "report.json"
+    assert run(capsys, ["factor", "-e", COMPLEX_PD, "--out", str(path)])[0] == 0
+    report = json.loads(path.read_text())
+    assert _vectors(report) == [[[1, 3], [[0, 1, 1], [1, 3, 0]]], [[1, 3], [[0, 1, 0]]]]
+    assert run(capsys, ["verify", str(path)])[0] == 0
+    respell(report)
+    path.write_text(json.dumps(_restamp(report)))
+    code, out, err = run(capsys, ["verify", str(path)])
+    assert code == 2 and out == ""
+    assert err.startswith("error: artifact is not in the current certificate format: ")
+    assert "Traceback" not in err
+
+
+def test_a_report_in_the_string_codec_is_a_format_error(capsys, tmp_path):
+    # A check report written before the wire held integers: its form a row
+    # per term of both triangles, every number a "p/q" string.  The report
+    # and its certificate alone are refused with the format error.
+    path = Path(__file__).parent / "fixtures" / "string_codec_check_report.json"
+    report = json.loads(path.read_text())
+    assert report["result"]["certificate"]["form"]["terms"][0] == [1, 1, [0, 1], [0, 1], "-1/3",
+                                                                  "0"]
+    certificate = tmp_path / "certificate.json"
+    certificate.write_text(json.dumps(report["result"]["certificate"]))
+    for artifact in (path, certificate):
+        code, out, err = run(capsys, ["verify", str(artifact)])
+        assert (code, out) == (2, "")
+        assert err == ("error: artifact is not in the current certificate format: a kernel must "
+                       "have exactly the keys den, kind, n, r, terms\n")
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"),
+    reason="Python before 3.10.7 has no int-to-string digit limit",
+)
+def test_report_integers_past_the_digit_limit_are_input_errors_when_read(capsys, tmp_path):
+    # JSON reads an integer of more digits than the limit as a ValueError:
+    # verify exits 2 with the digit-limit error, as the writer does.
+    path = tmp_path / "report.json"
+    assert run(capsys, ["factor", "-e", COMPLEX_PD, "--out", str(path)])[0] == 0
+    text = path.read_text()
+    assert text.count('"den":1,') == 1
+    path.write_text(text.replace('"den":1,', f'"den":{"7" * 5000},'))
+    code, out, err = run(capsys, ["verify", str(path)])
+    assert code == 2 and out == ""
+    assert err == ("error: a number in the artifact has more digits than the int-to-string "
+                   f"limit (sys.get_int_max_str_digits() = {sys.get_int_max_str_digits()})\n")
+
+
+def test_a_power_past_the_expansion_budget_is_an_input_error(capsys):
+    started = time.perf_counter()
+    code, out, err = run(capsys, ["check", "-e", "(z1+1)^20000"])
+    assert time.perf_counter() - started < 1
+    assert (code, out) == (2, "")
+    assert err == ("error: expanding the power takes more than 262144 coefficient products "
+                   "(at position 6)\n")

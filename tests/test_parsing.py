@@ -1,5 +1,7 @@
 import sys
+import time
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -12,6 +14,7 @@ from hermfact import (
     parse_expression,
     parse_real_symbol,
 )
+from hermfact import parsing
 from hermfact.parsing import _ONE, ParseError, _Parser, _poly_mul, _poly_pow, parse_symbol
 
 from helpers import diagonal_quartic, parse_outcome, quartic_family, rand_hermsym_form
@@ -236,3 +239,53 @@ def test_digit_limit_is_off_without_the_interpreter_limit(monkeypatch):
     monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)
     form = parse_expression("2^20000*z1*zb1")
     assert form.coefficient(0, 0, (1,), (1,)) == GaussianRational(2**20000)
+
+
+def test_power_term_count_is_bounded_in_closed_form():
+    # A k-term base to the power e has at most C(k - 1 + e, e) terms, and
+    # exactly that many when its terms are distinct variables.
+    for k in (2, 3, 4):
+        base = _Parser(" + ".join(f"z{v}" for v in range(1, k + 1))).parse_expr()
+        for e in range(6):
+            count = comb(k - 1 + e, e)
+            assert len(_poly_pow(base, e)) == count
+            assert parsing._power_terms(k, e, count + 1) == count
+            assert parsing._power_terms(k, e, count) == count
+
+
+@pytest.mark.parametrize(
+    "text, position",
+    [("(z1+1)^20000", 6), ("(z1+z2+1)^89", 9), ("(z1+1)^" + "9" * 4000, 6)],
+)
+def test_a_power_past_the_expansion_budget_is_refused_before_it_expands(text, position):
+    started = time.perf_counter()
+    with pytest.raises(ParseError) as info:
+        parse_expression(text)
+    assert time.perf_counter() - started < 1
+    assert info.value.position == position
+    assert f"takes more than {parsing.MAX_EXPANSION} coefficient products" in str(info.value)
+
+
+def test_a_product_past_the_expansion_budget_is_refused_before_it_expands():
+    # 513 * 513 > 2^18 coefficient products, at the '*' between the factors
+    side = " + ".join(f"{k}*z1^{k}" for k in range(1, 514))
+    text = f"({side})*({side.replace('z1', 'zb1')})"
+    with pytest.raises(ParseError) as info:
+        parse_expression(text)
+    assert info.value.position == len(side) + 2
+    assert "expanding the product takes more than" in str(info.value)
+
+
+def test_below_the_expansion_budget_nothing_changes(monkeypatch):
+    # With a budget of 100 products: the squaring chain of a 3-term base
+    # takes 3 * 3 and 6 * 6 products for its squares and then 3 * 15 for
+    # p * p^4 at e = 5, 90 in all, but 6 * 15 for p^2 * p^4 at e = 6, 135 in
+    # all.  The largest power within the budget expands exactly as it does
+    # without one, and the next is refused at its caret.
+    text = "(z1 + zb1 + 1)^{}*z1^3*zb1^3"
+    expected = parse_expression(text.format(5))
+    monkeypatch.setattr(parsing, "MAX_EXPANSION", 100)
+    assert parse_expression(text.format(5)) == expected
+    with pytest.raises(ParseError) as info:
+        parse_expression(text.format(6))
+    assert info.value.position == 14

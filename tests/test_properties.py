@@ -80,6 +80,7 @@ from helpers import (
     reference_real_to_complex,
     reference_sample_symbol,
     reference_term_sums,
+    reference_primitive,
     reference_weighted_vectors,
     square_difference,
 )
@@ -364,18 +365,20 @@ def test_weighted_vectors_densify_to_the_reference(matrix):
     cert = ldl_signature(matrix)
     pairs = cert.weighted_vectors()
     assert ([(w, v.dense(matrix.size)) for w, v in pairs]
-            == reference_weighted_vectors(reference_layout(cert)))
+            == reference_primitive(reference_weighted_vectors(reference_layout(cert))))
     for _, v in pairs:
         indices = [j for j, _, _ in v.entries]
         assert indices == sorted(set(indices)) and v.den > 0
         assert all(x or y for _, x, y in v.entries)
+        # Gaussian integers of content 1, as they are written
+        assert v.den == 1 and gcd(*(x for _, re, im in v.entries for x in (re, im))) == 1
 
 
 def test_weighted_vectors_of_a_hollow_block():
     cert = ldl_signature(HermitianMatrix.from_rows([[0, 1, 2], [1, 0, 1], [2, 1, 0]]))
     assert cert.blocks
     assert ([(w, v.dense(3)) for w, v in cert.weighted_vectors()]
-            == reference_weighted_vectors(reference_layout(cert)))
+            == reference_primitive(reference_weighted_vectors(reference_layout(cert))))
 
 
 # Variables of a kernel, a holomorphic matrix and a real symbol; a text draws
@@ -538,26 +541,66 @@ def test_fraction_writer_equals_reference(x):
     assert serialize.fraction_to_str(x) == reference_fraction_to_str(x)
 
 
-def _spelled_over_double(text: str) -> str:
-    p, q = serialize.read_ratio(text)
-    return f"{2 * p}/{2 * q}"
+def _form_respellings(obj: dict) -> list[dict]:
+    """Spellings of the written form `obj` that the reader refuses: den 0 or
+    negated, den and every numerator doubled, and, for its first term, its
+    twin written too, a zero term beside it, a nonzero imaginary part where
+    it is its own twin, a numerator written as a float, a string or a bool,
+    and the first two terms swapped."""
+    out = []
+
+    def copied() -> dict:
+        out.append(copy.deepcopy(obj))
+        return out[-1]
+
+    copied()["den"] = 0
+    copied()["den"] = -obj["den"]
+    doubled = copied()
+    doubled["den"] *= 2
+    for term in doubled["terms"]:
+        term[4:] = [2 * term[4], 2 * term[5]]
+    if not obj["terms"]:
+        return out
+    i, j, alpha, beta, re, im = obj["terms"][0]
+    if (i, j, alpha, beta) != (j, i, beta, alpha):
+        copied()["terms"].insert(1, [j, i, beta, alpha, re, -im])
+    else:
+        copied()["terms"][0][5] = 1
+    copied()["terms"].insert(1, [i, j, alpha, beta, 0, 0])
+    copied()["terms"][0][4] = float(re)
+    copied()["terms"][0][4] = str(re)
+    if re in (0, 1):
+        copied()["terms"][0][4] = bool(re)
+    if len(obj["terms"]) > 1:
+        terms = copied()["terms"]
+        terms[0], terms[1] = terms[1], terms[0]
+    return out
 
 
 @SETTINGS
 @given(form=forms(hermitian=False))
 def test_form_writer_equals_reference_and_reads_back(form):
-    # A term is the row of the fields that the object spelling names.
+    # A term is the row of the fields that the object spelling names, its
+    # coefficient as numerators over the form's den, and only the lesser key
+    # of each conjugate pair is written: a form that is not Hermitian has no
+    # spelling.
+    if not is_hermitian_symmetric(form):
+        with pytest.raises(ValueError, match="only a Hermitian-symmetric form is written"):
+            serialize.form_to_obj(form)
+        return
     obj = serialize.form_to_obj(form)
     objects = reference_form_obj(form)
-    assert obj["terms"] == [[term[f] for f in serialize.TERM_FIELDS] for term in objects["terms"]]
+    lesser = [term for term in objects["terms"] if (term["i"], term["j"], term["alpha"],
+              term["beta"]) <= (term["j"], term["i"], term["beta"], term["alpha"])]
+    assert obj["den"] == form.den and obj["terms"] == [
+        [*(term[f] for f in serialize.TERM_FIELDS[:4]),
+         *(int(Fraction(term[f]) * form.den) for f in ("re", "im"))] for term in lesser]
     assert serialize.obj_to_form(obj, written=True) == serialize.obj_to_form(objects) == form
-    # The integer reader brings non-canonical spellings back to the same form,
-    # and adds up terms written twice.
-    for term in obj["terms"]:
-        term[4:] = map(_spelled_over_double, term[4:])
-    assert serialize.obj_to_form(obj, written=True) == form
-    obj["terms"] += [term[:4] + ["0", "0"] for term in obj["terms"]]
-    assert serialize.obj_to_form(obj, written=True) == form
+    assert serialize.obj_to_form(json.loads(serialize.canonical_json(obj))) == form
+    # Exactly that spelling is read: every other one is a format error.
+    for respelled in _form_respellings(obj):
+        with pytest.raises(ValueError, match="not in the current certificate format"):
+            serialize.obj_to_form(respelled, written=True)
     if obj["terms"]:
         with pytest.raises(ValueError, match="not in the current certificate format"):
             serialize.obj_to_form(objects, written=True)
@@ -740,43 +783,104 @@ def test_find_minimal_d_equals_the_full_elimination_search_on_drawn_forms(form, 
     assert find_minimal_d(form, mode, 4) == reference_find_minimal_d(form, mode, 4)
 
 
-def _respelled(obj: dict, size: int) -> dict:
-    """A certificate's evidence with every weight and entry part written over
-    a doubled denominator, or as "-0" when it is 0, and a ["0", "0"] entry
-    appended to each vector and the witness at the index past their last,
-    when that is below `size`."""
-    def respell(text: str) -> str:
-        p, q = serialize.read_ratio(text)
-        return f"{2 * p}/{2 * q}" if p else "-0"
+def _entry_respellings(entries: list) -> list[list]:
+    """Spellings of a vector's nonzero entries [j, re, im] that the reader
+    refuses: over a doubled content, with a zero entry after the last, with
+    the first two swapped, and with the first real part written as a float,
+    a string or, when it is 0 or 1, a bool."""
+    re = entries[0][1]
+    out = [[[j, 2 * x, 2 * y] for j, x, y in entries],
+           entries + [[entries[-1][0] + 1, 0, 0]],
+           [[entries[0][0], float(re), entries[0][2]]] + entries[1:],
+           [[entries[0][0], str(re), entries[0][2]]] + entries[1:]]
+    if re in (0, 1):
+        out.append([[entries[0][0], bool(re), entries[0][2]]] + entries[1:])
+    if len(entries) > 1:
+        out.append([entries[1], entries[0]] + entries[2:])
+    return out
 
-    def entries(items):
-        last = items[-1][0] + 1
-        return ([[j, respell(re), respell(im)] for j, re, im in items]
-                + [[last, "0", "0"]] * (last < size))
 
-    return {"vectors": [[respell(w), entries(v)] for w, v in obj["vectors"]],
-            "witness": None if obj["witness"] is None else entries(obj["witness"])}
+def _evidence_respellings(obj: dict) -> list[dict]:
+    """Spellings of a certificate's evidence that the reader refuses: its
+    first vector's weight over a doubled denominator, with a zero or
+    negative denominator, or as the string that the codec before wrote;
+    and each of `_entry_respellings` of its first vector and of its witness."""
+    out = []
+    if obj["vectors"]:
+        (p, q), entries = obj["vectors"][0]
+        rest = obj["vectors"][1:]
+        out += [{**obj, "vectors": [[weight, entries]] + rest}
+                for weight in ([2 * p, 2 * q], [p, 0], [-p, -q], reference_fraction_to_str(
+                    Fraction(p, q)))]
+        out += [{**obj, "vectors": [[[p, q], respelled]] + rest}
+                for respelled in _entry_respellings(entries)]
+    if obj["witness"]:
+        out += [{**obj, "witness": respelled} for respelled in _entry_respellings(obj["witness"])]
+    return out
 
 
 @SETTINGS
 @given(matrix=hermitian_matrices() | gram_matrices(), strict=st.booleans())
-def test_certificate_codec_equals_reference_and_reads_respellings(matrix, strict):
+def test_certificate_codec_equals_reference_and_refuses_respellings(matrix, strict):
     cert = ldl_signature(matrix, strict=strict)
     obj = serialize.certificate_to_obj(cert)
     assert obj == reference_evidence_obj(cert)
     read = (cert.weighted_vectors(), cert.witness)
     assert serialize.obj_to_certificate(obj) == read
-    respelled = _respelled(obj, matrix.size)
-    assert serialize.obj_to_certificate(respelled) == read
+    assert serialize.obj_to_certificate(json.loads(serialize.canonical_json(obj))) == read
     # On the constant form whose matrix is M the evidence verifies, unless a
-    # strict certificate of a singular PSD M has a witness and no negative weight.
+    # strict certificate of a singular PSD M has a witness and no negative
+    # weight; every other spelling of it is a format error.
     factor = serialize.factor_to_obj(from_coefficient_matrix(matrix, 1, 0, matrix.size), 0, cert)
+    for respelled in _evidence_respellings(obj):
+        with pytest.raises(ValueError, match="not in the current certificate format"):
+            serialize.obj_to_certificate(respelled)
+        with pytest.raises(ValueError, match="not in the current certificate format"):
+            serialize.verify_obj({**factor, **respelled})
     if (cert.witness is None) == (cert.n_neg == 0):
-        assert serialize.verify_obj(factor) == serialize.verify_obj({**factor, **respelled}) == (
-            True, "ok")
+        assert serialize.verify_obj(factor) == (True, "ok")
     else:
         assert serialize.verify_obj(factor) == (
             False, "witness is not present exactly when a weight is negative")
+
+
+@settings(SETTINGS, max_examples=300)
+@given(matrix=hermitian_matrices() | gram_matrices(), data=st.data())
+def test_evidence_with_one_integer_changed_fails_verify(matrix, data):
+    # Every integer of the evidence binds.  One weight part or vector entry
+    # part changed fails verify, save an entry negated on a vector of one
+    # entry, which gives the same w v v^adj; one witness integer changed
+    # fails unless the vector it leaves is still a witness of M.
+    cert = ldl_signature(matrix)
+    factor = serialize.factor_to_obj(from_coefficient_matrix(matrix, 1, 0, matrix.size), 0, cert)
+    assert serialize.verify_obj(factor) == (True, "ok")
+    items = [("vector", k, 0, part) for k in range(len(factor["vectors"])) for part in (0, 1)]
+    items += [("vector", k, 1 + t, part) for k, (_, v) in enumerate(factor["vectors"])
+              for t in range(len(v)) for part in (0, 1, 2)]
+    items += [("witness", 0, t, part) for t in range(len(factor["witness"] or []))
+              for part in (0, 1, 2)]
+    assume(items)
+    kind, k, t, part = data.draw(st.sampled_from(items))
+    delta = data.draw(st.integers(-3, 3).filter(bool))
+    forged = copy.deepcopy(factor)
+    if kind == "witness":
+        changed = forged["witness"][t]
+    else:
+        changed = forged["vectors"][k][0] if t == 0 else forged["vectors"][k][1][t - 1]
+    before = list(changed)
+    changed[part] += delta
+    try:
+        ok, _ = serialize.verify_obj(forged)
+    except ValueError:
+        return
+    if not ok:
+        return
+    if kind == "witness":
+        value = quadratic_value(matrix, serialize._obj_to_sparse(forged["witness"]))
+        assert value.im == 0 and value.re < 0
+    else:
+        assert t == 1 and part > 0 and len(forged["vectors"][k][1]) == 1
+        assert before[1] ** 2 + before[2] ** 2 == changed[1] ** 2 + changed[2] ** 2
 
 
 @settings(SETTINGS, max_examples=200)
@@ -837,7 +941,7 @@ def test_every_form_constructor_gives_lowest_terms(data):
     s = BihermitianForm.from_terms(n, 1, data.draw(term_items(n, 1)))
     c, h = data.draw(gaussians), data.draw(forms(hermitian=True))
     built = [f, g, s, parse_expression(format_form(f), n=n),
-             serialize.obj_to_form(serialize.form_to_obj(f), written=True),
+             serialize.obj_to_form(serialize.form_to_obj(h), written=True),
              serialize.obj_to_form(reference_form_obj(f)),
              gram(data.draw(holo_matrices())),
              from_coefficient_matrix(coefficient_matrix(h)[0], h.n, bidegree(h), h.r),
@@ -845,7 +949,7 @@ def test_every_form_constructor_gives_lowest_terms(data):
              scale(f, c), scale(f, 0), add(f, g), add(f, scale(f, -1)),
              kernel_multiply(s, g), multiplier_power(h, data.draw(st.integers(0, 2)))]
     assert all(map(_in_lowest_terms, built))
-    assert built[3:5] == [f, f] and add(f, scale(f, -1)) == BihermitianForm.zero(n, r)
+    assert built[3:5] == [f, h] and add(f, scale(f, -1)) == BihermitianForm.zero(n, r)
 
 
 @SETTINGS
@@ -868,6 +972,11 @@ MUTATIONS = ("witness", "witness_d", "weight", "vector", "drop", "duplicate", "d
              "mode")
 ratio_strings = st.builds(lambda p, q: serialize.fraction_to_str(Fraction(p, q)),
                           st.integers(-3, 3), st.integers(1, 3))
+# Numerators and weights [p, q] as the wire writes them, and some that it
+# never writes: [2, 2] is not in lowest terms, and 0 or an entry of content
+# 2 is not a nonzero entry of content 1.
+small_ints = st.integers(-3, 3)
+weight_pairs = st.builds(lambda p, q: [p, q], st.integers(-3, 3), st.integers(1, 3))
 
 
 @functools.cache
@@ -887,7 +996,7 @@ def _mutate(data, obj: dict, kind: str) -> None:
     key = "factor" if "trail" in obj else "vectors"
     vectors = obj.get(key) or []
     if kind == "witness" and key == "vectors" and obj["witness"] is None:
-        obj["witness"] = [[data.draw(st.integers(0, 9)), data.draw(ratio_strings), "0"]]
+        obj["witness"] = [[data.draw(st.integers(0, 9)), data.draw(small_ints), 0]]
     elif kind == "witness_d":
         assume(obj["trail"])
         obj["trail"][0][0] = data.draw(st.integers(-1, 12))
@@ -898,10 +1007,10 @@ def _mutate(data, obj: dict, kind: str) -> None:
         assume(entries)
         entry = entries[data.draw(st.integers(0, len(entries) - 1))]
         part = data.draw(st.integers(0, 2))
-        entry[part] = data.draw(st.integers(-1, 11) if part == 0 else ratio_strings)
+        entry[part] = data.draw(st.integers(-1, 11) if part == 0 else small_ints)
     elif kind == "weight":
         assume(vectors)
-        vectors[data.draw(st.integers(0, len(vectors) - 1))][0] = data.draw(ratio_strings)
+        vectors[data.draw(st.integers(0, len(vectors) - 1))][0] = data.draw(weight_pairs)
     elif kind in ("drop", "duplicate"):
         items = obj[data.draw(st.sampled_from(["trail", key] if key == "factor" else [key]))] or []
         assume(items)
@@ -915,14 +1024,14 @@ def _mutate(data, obj: dict, kind: str) -> None:
     elif kind == "cancel":
         assume(vectors)
         _, v = vectors[data.draw(st.integers(0, len(vectors) - 1))]
-        w = data.draw(ratio_strings.filter(lambda x: x != "0" and not x.startswith("-")))
+        p, q = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
         at = data.draw(st.integers(0, len(vectors)))
-        vectors[at:at] = [[w, copy.deepcopy(v)], ["-" + w, copy.deepcopy(v)]]
+        vectors[at:at] = [[[p, q], copy.deepcopy(v)], [[-p, q], copy.deepcopy(v)]]
     elif kind == "form":
         terms = obj["form"]["terms"]
         assume(terms)
         term = terms[data.draw(st.integers(0, len(terms) - 1))]
-        term[data.draw(st.sampled_from([4, 5]))] = data.draw(ratio_strings)
+        term[data.draw(st.sampled_from([4, 5]))] = data.draw(small_ints)
     elif kind == "mode":
         obj["mode"] = "semi" if obj["mode"] == "strict" else "strict"
     else:

@@ -34,6 +34,9 @@ from helpers import (
     reference_factor_to_obj,
     reference_form_obj,
     reference_stabilization_to_obj,
+    reference_string_entries_obj,
+    reference_string_form_obj,
+    reference_string_vectors_obj,
 )
 
 
@@ -56,19 +59,23 @@ def test_form_round_trip():
 def test_form_json_uses_one_based_indices():
     obj = serialize.form_to_obj(diagonal_quartic())
     assert {term[0] for term in obj["terms"]} == {1}
-    assert obj["terms"][0][4] == "1"
+    assert obj["terms"][0][4] == 1 and obj["den"] == 1
 
 
 def test_form_reader_takes_rows_and_input_objects():
     # A term is the row [i, j, alpha, beta, re, im]; input files spell it as
-    # an object with those keys, which an artifact's form may not.
+    # an object with those keys, or as a row of string rationals, in both
+    # triangles, which an artifact's form, integers over den, may not.
     form = quartic_family(Fraction(-3, 2))
-    rows, objects = serialize.form_to_obj(form), reference_form_obj(form)
+    rows, objects = reference_string_form_obj(form), reference_form_obj(form)
     assert rows["terms"] == [[term[f] for f in serialize.TERM_FIELDS] for term in objects["terms"]]
     assert serialize.obj_to_form(rows) == serialize.obj_to_form(objects) == form
-    assert serialize.obj_to_form(rows, written=True) == form
-    with pytest.raises(ValueError, match="not in the current certificate format: a kernel term"):
-        serialize.obj_to_form(objects, written=True)
+    written = serialize.form_to_obj(form)
+    assert serialize.obj_to_form(written, written=True) == serialize.obj_to_form(written) == form
+    for spelling in (rows, objects):
+        with pytest.raises(ValueError, match="not in the current certificate format: a kernel "
+                                             "must have exactly the keys"):
+            serialize.obj_to_form(spelling, written=True)
 
 
 def _certificate(form):
@@ -111,21 +118,25 @@ def test_verify_rejects_tampered_certificate():
     obj = serialize.factor_to_obj(_matrix_form(matrix), 0, ldl_signature(matrix))
 
     tampered = json.loads(json.dumps(obj))
-    tampered["vectors"][0][0] = "999"
+    tampered["vectors"][0][0] = [999, 1]
     ok, reason = serialize.verify_obj(tampered)
     assert not ok and "congruence" in reason
 
     # Change the last entry of the first vector so the identity no longer holds.
     tampered = json.loads(json.dumps(obj))
     entry = tampered["vectors"][0][1][-1]
-    entry[1] = serialize.fraction_to_str(Fraction(entry[1]) + 1)
+    entry[1] += 1
     ok, reason = serialize.verify_obj(tampered)
     assert not ok and "congruence" in reason
 
+    # The zero vector is written [], and a zero entry not at all.
     assert obj["witness"]
     tampered = json.loads(json.dumps(obj))
-    tampered["witness"] = [[j, "0", "0"] for j, _, _ in tampered["witness"]]
+    tampered["witness"] = []
     assert serialize.verify_obj(tampered) == (False, "witness value is not negative")
+    tampered["witness"] = [[j, 0, 0] for j, _, _ in obj["witness"]]
+    with pytest.raises(ValueError, match="a vector or witness entry is zero"):
+        serialize.verify_obj(tampered)
     tampered["witness"] = None
     reason = "witness is not present exactly when a weight is negative"
     assert serialize.verify_obj(tampered) == (False, reason)
@@ -135,19 +146,18 @@ def test_verify_rejects_tampered_factor():
     form = rand_psd_form(random.Random(9), 2, 1, 1)
     obj = serialize.factor_to_obj(form, 0, _certificate(form))
     tampered = json.loads(json.dumps(obj))
-    tampered["vectors"][0][0] = "17/5"
+    tampered["vectors"][0][0] = [17, 5]
     ok, reason = serialize.verify_obj(tampered)
     assert not ok and reason.startswith("factor: congruence identity fails at")
 
 
 def _gain_monomial_of_another_degree(obj):
     # Index 2 is past the 2 linear monomials of M_0.
-    obj["vectors"][0][1].append([2, "1", "0"])
+    obj["vectors"][0][1].append([2, 1, 0])
 
 
 def _rewrite_row_coefficient(obj):
-    item = obj["vectors"][0][1][0]
-    item[1] = serialize.fraction_to_str(Fraction(item[1]) + 1)
+    obj["vectors"][0][1][0][1] += 1
 
 
 def _drop_target_term(obj):
@@ -188,7 +198,7 @@ def test_stabilization_report_round_trip_verify():
     # matrix does not fail proves nothing.  Entry (0, 0) of <z,w>^2 F is 1 > 0.
     assert [d for d, _ in obj["trail"]] == [2]
     tampered = json.loads(json.dumps(obj))
-    tampered["trail"][0][1] = [[0, "1", "0"]]
+    tampered["trail"][0][1] = [[0, 1, 0]]
     ok, reason = serialize.verify_obj(tampered)
     assert (ok, reason) == (False, "trail d=2: witness value is positive")
 
@@ -286,7 +296,7 @@ def test_stabilization_trail_certificate_of_another_matrix_is_rejected(forgery_r
     cert = ldl_signature(HermitianMatrix.diagonal([-1, 1, 1]))
     assert cert.verify() == (True, "ok")
     other = serialize.certificate_to_obj(cert)
-    assert forgery_report["trail"][0] == [6, [[4, "1", "0"]]]
+    assert forgery_report["trail"][0] == [6, [[4, 1, 0]]]
     forged = json.loads(json.dumps(forgery_report))
     forged["trail"][0][1] = other["witness"]
     assert serialize.verify_obj(forged) == (False, "trail d=6: witness value is positive")
@@ -308,11 +318,11 @@ def test_strict_steps_on_singular_matrices_carry_null_vectors():
     assert [step.witness for step in report.steps[5:7]] == [
         SparseRow(((3, 1, 0),)), SparseRow(((4, 1, 0),))]
     # the report keeps the last one alone
-    assert obj["trail"] == [[6, [[4, "1", "0"]]]]
+    assert obj["trail"] == [[6, [[4, 1, 0]]]]
     assert serialize.verify_obj(obj) == (True, "ok")
 
 
-VALUE_ZERO = [[0, "1", "0"], [1, "1", "0"], [2, "1/2", "1/2"]]
+VALUE_ZERO = [[0, 2, 0], [1, 2, 0], [2, 1, 1]]
 
 
 def _set_step(step):
@@ -325,16 +335,17 @@ def _set_step(step):
     "mode, forge, reason",
     [
         ("strict", _set_step([]), "trail d=0: witness is zero"),
-        ("strict", _set_step([[1, "0", "0"]]), "trail d=0: witness is zero"),
+        # a zero entry is not written: the zero vector is []
+        ("strict", _set_step([[1, 0, 0]]), ValueError),
         ("semi", _set_step([]), "trail d=0: witness value is not negative"),
-        # 1 - 3/2 + 1/2 = 0 at d = 0: a witness of value 0 proves only that F
+        # 4 - 6 + 2 = 0 at d = 0: a witness of value 0 proves only that F
         # is not PD.
         ("semi", _set_step(VALUE_ZERO), "trail d=0: witness value is not negative"),
         ("strict", _set_step(VALUE_ZERO), None),
-        ("semi", _set_step([[0, "1", "0"]]), "trail d=0: witness value is not negative"),
-        ("strict", _set_step([[0, "1", "0"]]), "trail d=0: witness value is positive"),
-        ("strict", _set_step([[3, "1", "0"]]), "trail d=0: witness index out of range"),
-        ("semi", _set_step([[-1, "1", "0"]]), "trail d=0: witness index out of range"),
+        ("semi", _set_step([[0, 1, 0]]), "trail d=0: witness value is not negative"),
+        ("strict", _set_step([[0, 1, 0]]), "trail d=0: witness value is positive"),
+        ("strict", _set_step([[3, 1, 0]]), "trail d=0: witness index out of range"),
+        ("semi", _set_step([[-1, 1, 0]]), "trail d=0: witness index out of range"),
     ],
     ids=["strict_empty", "strict_zero", "semi_empty", "semi_value_zero", "strict_value_zero",
          "semi_positive",
@@ -345,6 +356,10 @@ def test_trail_witness_that_proves_nothing_is_rejected(mode, forge, reason):
     obj = serialize.stabilization_to_obj(find_minimal_d(parse_expression(FORGERY_FORM), mode, 0))
     assert serialize.verify_obj(obj) == (True, "ok")
     forge(obj)
+    if reason is ValueError:
+        with pytest.raises(ValueError, match="not in the current certificate format"):
+            serialize.verify_obj(obj)
+        return
     assert serialize.verify_obj(obj) == ((True, "ok") if reason is None else (False, reason))
 
 
@@ -397,12 +412,12 @@ def _set_weight(weight):
 
 def _index_past_size(obj):
     # M_7 is 10x10: index 10 is one past its last
-    obj["factor"][-1][1].append([10, "1", "0"])
+    obj["factor"][-1][1].append([10, 1, 0])
 
 
 def _entry_changed(obj):
-    entry = obj["factor"][2][1][0]
-    entry[1] = serialize.fraction_to_str(Fraction(entry[1]) + 1)
+    # its real part alone would leave content 1 only where it is not 1 or -1
+    obj["factor"][2][1][0][2] += 1
 
 
 def _vectors_of_d_min_below(obj):
@@ -412,7 +427,7 @@ def _vectors_of_d_min_below(obj):
 
 def _vectors_of_d_min_above(obj):
     # M_7 passes, so no witness proves it fails; this one is e_0, of value 1
-    obj.update(trail=[[7, [[0, "1", "0"]]]], factor=_factor_at(8, "strict"))
+    obj.update(trail=[[7, [[0, 1, 0]]]], factor=_factor_at(8, "strict"))
 
 
 def _vectors_of_d_min_above_with_the_trail_as_it_is(obj):
@@ -423,8 +438,8 @@ def _vectors_of_d_min_above_with_the_trail_as_it_is(obj):
 @pytest.mark.parametrize(
     "forge, reason",
     [
-        (_set_weight("0"), "factor weight is not positive"),
-        (_set_weight("-1"), "factor weight is not positive"),
+        (_set_weight([0, 1]), "factor weight is not positive"),
+        (_set_weight([-1, 1]), "factor weight is not positive"),
         (_index_past_size, "factor index out of range"),
         (_entry_changed, "factor: congruence identity fails at (3,3)"),
         (_vectors_of_d_min_below, "factor rows do not span the coefficient space"),
@@ -479,7 +494,7 @@ def test_artifact_key_sets():
     assert report["form"] == report["stabilization"]["form"]
     # The diagonal quartic is PSD but singular at d = 0 and PD at d = 1: the
     # trail is the d = 0 null vector.
-    assert report["stabilization"]["trail"] == [[0, [[1, "1", "0"]]]]
+    assert report["stabilization"]["trail"] == [[0, [[1, 1, 0]]]]
 
 
 def _ellipticity_obj(expr, n=None, d_max=4):
@@ -648,10 +663,10 @@ def test_canonical_object_joins_encoded_values():
 
 
 def _with_cancelling_pair(obj):
-    # The FOUND forgery: ["1", v] and ["-1", v] add nothing to the sum, but
-    # raise both weight counts; two equal vectors are not independent.
-    v = [[0, "1", "0"], [1, "1", "0"]]
-    obj["vectors"] += [["1", v], ["-1", v]]
+    # The FOUND forgery: [[1, 1], v] and [[-1, 1], v] add nothing to the sum,
+    # but raise both weight counts; two equal vectors are not independent.
+    v = [[0, 1, 0], [1, 1, 0]]
+    obj["vectors"] += [[[1, 1], v], [[-1, 1], v]]
 
 
 def test_a_cancelling_pair_is_not_independent():
@@ -672,7 +687,7 @@ def test_weighted_vectors_are_in_slot_order():
     cert = _certificate(form)
     assert cert.blocks == ((0, cert.blocks[0][1]),) and cert.diag[2] == -2
     obj = serialize.factor_to_obj(form, 0, cert)
-    assert [w for w, _ in obj["vectors"]] == ["1/2", "-1/2", "-2"]
+    assert [w for w, _ in obj["vectors"]] == [[1, 2], [-1, 2], [-2, 1]]
     assert serialize.verify_obj(obj) == (True, "ok")
     # The block's pair appended after the pivot, as the order before slot
     # order was: read in reverse, the pair takes every index, and the pivot's
@@ -685,22 +700,22 @@ def test_independence_pairs_a_vector_only_with_the_one_before_it():
     def vectors(*rows):
         return [(Fraction(1), serialize._obj_to_sparse(row)) for row in rows]
 
-    x_plus_y, x_minus_y = [[0, "1", "0"], [1, "1", "0"]], [[0, "1", "0"], [1, "-1", "0"]]
-    e2 = [[2, "1", "0"]]
+    x_plus_y, x_minus_y = [[0, 1, 0], [1, 1, 0]], [[0, 1, 0], [1, -1, 0]]
+    e2 = [[2, 1, 0]]
     assert independence_failure(vectors(x_plus_y, x_minus_y, e2)) is None
-    assert independence_failure(vectors(x_plus_y, [[1, "1", "0"]])) is None
+    assert independence_failure(vectors(x_plus_y, [[1, 1, 0]])) is None
     not_independent = "factor vectors are not independent"
     # Independent, but x + y adds no index and pairs with e2 alone, not with
     # x - y: the test is sound, not complete, and slot order keeps pairs adjacent.
     assert independence_failure(vectors(x_plus_y, e2, x_minus_y)) == not_independent
     # a third vector on a pair's indices has no vector left to pair with
-    assert independence_failure(vectors([[0, "1", "0"]], x_plus_y, x_minus_y)) == not_independent
+    assert independence_failure(vectors([[0, 1, 0]], x_plus_y, x_minus_y)) == not_independent
     # an empty vector is 0
     assert independence_failure(vectors([])) == not_independent
     # complex entries: (1, i) and (i, -1) = i (1, i) have rank 1, (1, i) and (1, -i) rank 2
-    one_i = [[0, "1", "0"], [1, "0", "1"]]
-    assert independence_failure(vectors(one_i, [[0, "0", "1"], [1, "-1", "0"]])) == not_independent
-    assert independence_failure(vectors(one_i, [[0, "1", "0"], [1, "0", "-1"]])) is None
+    one_i = [[0, 1, 0], [1, 0, 1]]
+    assert independence_failure(vectors(one_i, [[0, 0, 1], [1, -1, 0]])) == not_independent
+    assert independence_failure(vectors(one_i, [[0, 1, 0], [1, 0, -1]])) is None
 
 
 def test_verify_refuses_a_d_past_the_size_bound(forgery_report):
@@ -728,3 +743,42 @@ def test_verify_refuses_a_d_past_the_size_bound(forgery_report):
     factor.update(d=200, vectors=[])
     with pytest.raises(ValueError, match="at d=200 has 20503 rows"):
         serialize.verify_obj(factor)
+
+
+def _string_codec_stabilization(report) -> dict:
+    """A stabilization report as the codec before integers wrote it."""
+    failing = [step for step in report.steps if not step.passes]
+    return {"kind": "stabilization_report", "mode": report.mode, "d_max": report.d_max,
+            "form": reference_string_form_obj(report.form),
+            "trail": [[step.d, reference_string_entries_obj(step.witness)]
+                      for step in failing[-1:]],
+            "factor": None if report.vectors is None else reference_string_vectors_obj(
+                report.vectors)}
+
+
+def _string_codec_factor():
+    form = parse_expression("z1*zb1 + (1/2+i)*z1*zb2 + (1/2-i)*z2*zb1 - 1/3*z2*zb2")
+    cert = _certificate(form)
+    return {"kind": "weighted_gram_factor", "form": reference_string_form_obj(form), "d": 0,
+            "vectors": reference_string_vectors_obj(cert.weighted_vectors()),
+            "witness": reference_string_entries_obj(cert.witness)}
+
+
+def _string_codec_ellipticity():
+    report = certify_elliptic_form(diagonal_quartic(), 4)
+    return {**serialize.ellipticity_to_obj(report),
+            "form": reference_string_form_obj(report.form),
+            "stabilization": _string_codec_stabilization(report.stabilization)}
+
+
+@pytest.mark.parametrize("make", [
+    _string_codec_factor,
+    lambda: _string_codec_stabilization(find_minimal_d(parse_expression(FORGERY_FORM), "strict", 12)),
+    _string_codec_ellipticity,
+], ids=["weighted_gram_factor", "stabilization_report", "ellipticity_report"])
+def test_every_artifact_kind_in_the_string_codec_is_a_format_error(make):
+    # Each kind as it was written before the wire held integers: "p/q"
+    # strings, a kernel's terms in both triangles; read now, a format error.
+    obj = json.loads(json.dumps(make()))
+    with pytest.raises(ValueError, match="not in the current certificate format"):
+        serialize.verify_obj(obj)
