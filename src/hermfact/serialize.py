@@ -140,8 +140,8 @@ def _integers(*columns) -> bool:
 
 def _rows(items, length: int) -> bool:
     """True when `items` is a list of lists of `length` items each."""
-    return type(items) is list and set(map(type, items)) <= {list} and set(map(len, items)) <= {
-        length}
+    return (type(items) is list and set(map(type, items)) <= {list}
+            and set(map(len, items)) <= {length})
 
 
 def form_to_obj(form: BihermitianForm) -> dict:
@@ -165,8 +165,7 @@ def _read_form(obj: dict) -> BihermitianForm:
     Exactly that spelling is read: integers, not bools, each term nonzero
     and the lesser key of its conjugate pair, keys ascending, a real
     coefficient where a key is its own twin, and den > 0 in lowest terms."""
-    if obj.keys() != FORM_KEYS:
-        raise _wire_error("a kernel must have exactly the keys den, kind, n, r, terms")
+    _require_keys(obj, FORM_KEYS, "a kernel")
     n, r, den, terms = obj["n"], obj["r"], obj["den"], obj["terms"]
     if not (_integers((n, r, den)) and _rows(terms, 6)):
         raise _wire_error("a kernel needs integers n, r and den and terms "
