@@ -49,8 +49,7 @@ class BihermitianForm:
     numerator, so forms compare by their fields.  The constructor trusts its
     terms; `read` and `from_terms` are the checked entry points, and
     `mirrored` takes terms its caller has checked.  Treated as immutable:
-    what evaluation reads, and whether the form is Hermitian, is worked out
-    once, on first use."""
+    what evaluation reads is built once, on first use."""
 
     n: int
     r: int
@@ -101,30 +100,18 @@ class BihermitianForm:
     def mirrored(cls, n: int, r: int, keys, values, den: int) -> "BihermitianForm":
         """The form with coefficient (x + i*y) / den at each key (i, j,
         alpha, beta) of `keys` and its conjugate at the twin key (j, i, beta,
-        alpha), for (x, y) in `values`: Hermitian-symmetric by construction,
-        so `hermitian` is not computed.  The caller has checked the keys, one
-        per conjugate pair, y = 0 where a key is its own twin, and lowest
-        terms."""
+        alpha), for (x, y) in `values`: Hermitian-symmetric by construction.
+        The caller has checked the keys, one per conjugate pair, y = 0 where
+        a key is its own twin, and lowest terms."""
         keys = list(keys)
         support = dict(zip([(j, i, beta, alpha) for i, j, alpha, beta in keys],
                            [(x, -y) for x, y in values]))
         support.update(zip(keys, values))
-        form = cls(n, r, support, den)
-        form.__dict__["hermitian"] = True
-        return form
+        return cls(n, r, support, den)
 
     @classmethod
     def zero(cls, n: int, r: int = 1) -> "BihermitianForm":
         return cls(n, r, {}, 1)
-
-    @cached_property
-    def hermitian(self) -> bool:
-        """True iff coefficient(i, j, a, b) == conj(coefficient(j, i, b, a))
-        throughout, compared in the numerators over the form's one
-        denominator; computed once per form."""
-        support = self.support
-        return all(support.get((j, i, beta, alpha)) == (x, -y)
-                   for (i, j, alpha, beta), (x, y) in support.items())
 
     def coefficient(self, i: int, j: int, alpha, beta) -> GaussianRational:
         x, y = self.support.get((i, j, tuple(alpha), tuple(beta)), (0, 0))
@@ -381,12 +368,14 @@ class CoefficientBasis:
 
 def is_hermitian_symmetric(form: BihermitianForm) -> bool:
     """True iff coefficient(i, j, a, b) == conj(coefficient(j, i, b, a))
-    throughout (`BihermitianForm.hermitian`, computed once per form).
+    throughout, compared in the numerators over the form's one denominator.
 
     Equivalent to F(z, zbar) taking Hermitian matrix values (real values for
     r = 1) at every point.
     """
-    return form.hermitian
+    support = form.support
+    return all(support.get((j, i, beta, alpha)) == (x, -y)
+               for (i, j, alpha, beta), (x, y) in support.items())
 
 
 def bidegree(form: BihermitianForm) -> int | None:

@@ -17,9 +17,10 @@ literals are rejected.  '/' occurs only inside literals and '^' takes a
 nonnegative integer exponent.  A number, or a numerator or denominator of a
 coefficient computed on the way, longer than Python's int-to-string limit
 (`sys.get_int_max_str_digits()`) is a ParseError at its literal or operator,
-and so is a product or power of polynomials whose expansion, bounded in
-closed form before it is expanded, would take more than MAX_EXPANSION
-coefficient products.
+and so is the product of polynomials, in a term or in a power's squaring
+chain, that would take the parse past MAX_EXPANSION coefficient products in
+all, each product charged the product of its factors' term counts before it
+is expanded.
 
 The tokens are the strings of one regex findall, each one's kind told from its
 text, read by index.  A ParseError's position is looked up only when a parse
@@ -118,47 +119,14 @@ def _poly_mul(p: _ExprPoly, q: _ExprPoly) -> _ExprPoly:
     return out
 
 
-def _poly_pow(p: _ExprPoly, e: int) -> _ExprPoly:
-    return _power(p, e, _poly_mul) if e else {(): _ONE}
+def _poly_pow(p: _ExprPoly, e: int, mul=_poly_mul) -> _ExprPoly:
+    return _power(p, e, mul) if e else {(): _ONE}
 
 
-# The most coefficient products that expanding one product or power of
-# polynomials may take, bounded in closed form before it is expanded: a
-# product p * q takes len(p) * len(q) and has at most that many terms; a
-# power of a k-term base takes those of each product of its squaring chain
-# (`_power`), where p^j has at most C(k - 1 + j, j) terms, the monomials of
-# degree j in k unknowns.
+# The most coefficient products that one parse may take expanding products
+# and powers of polynomials: each product p * q of a term, or of a power's
+# squaring chain (`_power`), is charged len(p) * len(q) before it expands.
 MAX_EXPANSION = 1 << 18
-
-
-def _power_terms(k: int, j: int, cap: int) -> int:
-    """min(C(k - 1 + j, j), cap), by the partial products C(high + t, t),
-    t = 1, 2, ..., which rise, so it stops once one reaches the cap."""
-    low, high = sorted((k - 1, j))
-    count = 1
-    for t in range(1, low + 1):
-        count = count * (high + t) // t
-        if count >= cap:
-            return cap
-    return count
-
-
-def _power_over_budget(k: int, e: int) -> bool:
-    """True when the squaring chain of `_power` for a k-term base to the
-    power e may take more than MAX_EXPANSION coefficient products."""
-    cap = MAX_EXPANSION + 1
-    work, out, x = 0, 0, 1  # the exponents of out (0: not yet set) and x
-    while work <= MAX_EXPANSION:
-        if e & 1:
-            if out:
-                work += _power_terms(k, out, cap) * _power_terms(k, x, cap)
-            out += x
-        e >>= 1
-        if not e:
-            return work > MAX_EXPANSION
-        work += _power_terms(k, x, cap) ** 2
-        x *= 2
-    return True
 
 
 class _Parser:
@@ -167,6 +135,7 @@ class _Parser:
         self.tokens = _TOKEN_RE.findall(text) + [""]  # "" is the end of the text
         self.cursor = 0
         self.variables: dict[str, _MonoKey] = {}  # each variable token read so far
+        self.work = 0  # the coefficient products expanded so far
         # 0 is no limit, as on Pythons before 3.10.7; 8**limit < 10**limit < 2**bits.
         self.limit = getattr(sys, "get_int_max_str_digits", int)()
         self.small, self.bits = 1 << 3 * self.limit, int(self.limit * 3.3219280948873626) + 1
@@ -196,6 +165,15 @@ class _Parser:
             raise self.error(f"unknown variable {token!r}", k)
         self.variables[token] = mono = ((3 * index + kind, 1),)
         return mono
+
+    def product(self, p: _ExprPoly, q: _ExprPoly, k: int) -> _ExprPoly:
+        """p * q, refused at token k if it takes the parse past MAX_EXPANSION
+        coefficient products."""
+        self.work += len(p) * len(q)
+        if self.work > MAX_EXPANSION:
+            raise self.error(f"expanding products and powers takes more than {MAX_EXPANSION} "
+                             "coefficient products", k)
+        return _poly_mul(p, q)
 
     def check(self, coeffs, k: int) -> None:
         """Raise unless the Fractions of each coefficient fit the digit limit."""
@@ -313,10 +291,7 @@ class _Parser:
                 k += 2
                 e = self.number(t, k - 1)
                 if poly is not None:
-                    if _power_over_budget(len(poly), e):
-                        raise self.error(f"expanding the power takes more than {MAX_EXPANSION} "
-                                         "coefficient products", caret)
-                    poly = _poly_pow(poly, e)
+                    poly = _poly_pow(poly, e, lambda p, q: self.product(p, q, caret))
                     self.check(poly.values(), caret)
                 elif c != _ONE:
                     self.check_power(c, e, caret)
@@ -341,10 +316,7 @@ class _Parser:
         self.cursor = k
         poly = {tuple(sorted(exps.items())): coeff}
         for factor in polys:
-            if len(poly) * len(factor) > MAX_EXPANSION:
-                raise self.error(f"expanding the product takes more than {MAX_EXPANSION} "
-                                 "coefficient products", star)
-            poly = _poly_mul(poly, factor)
+            poly = self.product(poly, factor, star)
             self.check(poly.values(), star)
         return poly
 

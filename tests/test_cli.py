@@ -1787,5 +1787,5 @@ def test_a_power_past_the_expansion_budget_is_an_input_error(capsys):
     code, out, err = run(capsys, ["check", "-e", "(z1+1)^20000"])
     assert time.perf_counter() - started < 1
     assert (code, out) == (2, "")
-    assert err == ("error: expanding the power takes more than 262144 coefficient products "
-                   "(at position 6)\n")
+    assert err == ("error: expanding products and powers takes more than 262144 coefficient "
+                   "products (at position 6)\n")

@@ -1,7 +1,6 @@
 import sys
 import time
 from fractions import Fraction
-from math import comb
 
 import pytest
 
@@ -241,18 +240,6 @@ def test_digit_limit_is_off_without_the_interpreter_limit(monkeypatch):
     assert form.coefficient(0, 0, (1,), (1,)) == GaussianRational(2**20000)
 
 
-def test_power_term_count_is_bounded_in_closed_form():
-    # A k-term base to the power e has at most C(k - 1 + e, e) terms, and
-    # exactly that many when its terms are distinct variables.
-    for k in (2, 3, 4):
-        base = _Parser(" + ".join(f"z{v}" for v in range(1, k + 1))).parse_expr()
-        for e in range(6):
-            count = comb(k - 1 + e, e)
-            assert len(_poly_pow(base, e)) == count
-            assert parsing._power_terms(k, e, count + 1) == count
-            assert parsing._power_terms(k, e, count) == count
-
-
 @pytest.mark.parametrize(
     "text, position",
     [("(z1+1)^20000", 6), ("(z1+z2+1)^89", 9), ("(z1+1)^" + "9" * 4000, 6)],
@@ -273,18 +260,48 @@ def test_a_product_past_the_expansion_budget_is_refused_before_it_expands():
     with pytest.raises(ParseError) as info:
         parse_expression(text)
     assert info.value.position == len(side) + 2
-    assert "expanding the product takes more than" in str(info.value)
+    assert "expanding products and powers takes more than" in str(info.value)
 
 
-def test_below_the_expansion_budget_nothing_changes(monkeypatch):
-    # With a budget of 100 products: the squaring chain of a 3-term base
-    # takes 3 * 3 and 6 * 6 products for its squares and then 3 * 15 for
-    # p * p^4 at e = 5, 90 in all, but 6 * 15 for p^2 * p^4 at e = 6, 135 in
-    # all.  The largest power within the budget expands exactly as it does
-    # without one, and the next is refused at its caret.
+@pytest.mark.parametrize("entries", [
+    " + ".join(["(z1+1)^100"] * 100),
+    "[[" + ", ".join(["(z1+1)^100"] * 100) + "]]",
+], ids=["sum", "matrix_row"])
+def test_the_expansion_budget_is_one_for_the_whole_parse(entries):
+    # Each power takes about 4,000 products, far within the budget, but the
+    # parse is refused at the caret of the power that takes it past the budget.
+    started = time.perf_counter()
+    with pytest.raises(ParseError) as info:
+        parse_expression(entries)
+    assert time.perf_counter() - started < 1
+    assert f"takes more than {parsing.MAX_EXPANSION} coefficient products" in str(info.value)
+    assert entries[info.value.position - 6:info.value.position + 1] == "(z1+1)^"
+    assert 30 * 11 < info.value.position < len(entries) - 11
+
+
+@pytest.mark.parametrize("text", [
+    "((z1+z2)*(zb1+zb2))^32",  # p^16 has 289 terms, not C(19, 16) = 969
+    "(1+z1+z1^2)^100",  # p^64 has 129 terms, not C(66, 64) = 2145
+    "(z1+1)^512 + (zb1+1)^512",
+])
+def test_below_the_expansion_budget_nothing_changes(monkeypatch, text):
+    # A power is charged the products its squaring chain takes, so a base
+    # whose powers have few terms is not refused for the terms they might have.
+    expected = parse_expression(text)
+    monkeypatch.setattr(parsing, "MAX_EXPANSION", 1 << 62)
+    assert parse_expression(text) == expected
+
+
+def test_the_expansion_budget_boundary(monkeypatch):
+    # The squaring chain of a 3-term base to the power 5 takes 3 * 3 and
+    # 6 * 6 products for its squares and 3 * 15 for p * p^4, and the term's
+    # product with z1^3*zb1^3 takes 21: 111 in all.  To the power 6 it takes
+    # 9, 36 and then 6 * 15 for p^2 * p^4, 135 before the term's product.
+    # With a budget of 111 the first expands exactly as it does without one,
+    # and the second is refused at its caret.
     text = "(z1 + zb1 + 1)^{}*z1^3*zb1^3"
     expected = parse_expression(text.format(5))
-    monkeypatch.setattr(parsing, "MAX_EXPANSION", 100)
+    monkeypatch.setattr(parsing, "MAX_EXPANSION", 111)
     assert parse_expression(text.format(5)) == expected
     with pytest.raises(ParseError) as info:
         parse_expression(text.format(6))
