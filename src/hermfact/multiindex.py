@@ -89,8 +89,29 @@ def multinomial(d: int, gamma: MultiIndex) -> int:
     return out
 
 
+def monomial_code(alpha: MultiIndex, width: int) -> int:
+    """alpha as one integer, each entry in `width` bits, z1 first (a byte
+    each at width 8): while the entries stay below 2**width, the code of a
+    sum of monomials is the sum of their codes."""
+    if width == 8:
+        return int.from_bytes(bytes(alpha), "big")
+    code = 0
+    for a in alpha:
+        code = code << width | a
+    return code
+
+
+@lru_cache(maxsize=ENUMERATION_CACHE_SIZE)
+def monomial_ranks(n: int, m: int, width: int) -> dict[int, int]:
+    """The rank of each monomial of enumerate_degree(n, m), keyed by its code
+    at `width`, in that order; the dict is shared, so callers only read it."""
+    return {monomial_code(gamma, width): k for k, gamma in enumerate(enumerate_degree(n, m))}
+
+
+@lru_cache(maxsize=ENUMERATION_CACHE_SIZE)
 def multinomial_weights(n: int, d: int) -> list[int]:
-    """multinomial(d, mu) for each mu of enumerate_degree(n, d), in its order.
+    """multinomial(d, mu) for each mu of enumerate_degree(n, d), in its order,
+    cached with it; the list is shared, so callers only read it.
 
     The successor of mu takes one unit from its last nonzero entry k before
     the end and gathers it with the tail, mu_last + 1, in entry k + 1

@@ -4,25 +4,29 @@ Multiplying a bihomogeneous kernel by <z, w> shifts its coefficient tensor
 along the diagonal; the minimal d for which the d-fold shift has a positive
 (semi)definite coefficient matrix is found by a linear upward search.  Each
 failing exponent has one witness vector v with v* M_d v < 0 (semi) or v != 0
-and v* M_d v <= 0 (strict); the passing one keeps only the weighted vectors
+and v* M_d v <= 0 (strict): the unit vector e_p at the first index p whose
+diagonal entry M_pp is negative (or zero, if strict), as e_p* M_d e_p = M_pp,
+else the witness of the elimination.  Each step reads its diagonal first
+(`find_minimal_d`), and builds and eliminates M_d only when it passes
+there; a failing elimination stops at its witness and builds no L
+(`certify.mode_evidence`).  The passing step keeps only the weighted vectors
 of its certificate, M_d = sum w v v* with every w > 0, which are the
-coefficient vectors of a factor of <z, w>^d F.  A failing step stops its
-elimination at its witness and builds no L (`certify.mode_evidence`); only
-the passing step is eliminated to the end.  Passing is monotone in d (if
+coefficient vectors of a factor of <z, w>^d F.  Passing is monotone in d (if
 <z, w>^d F = sum |h_j|^2, then <z, w>^(d+1) F = sum_k sum_j |z_k h_j|^2), so
 a report keeps the witness of the last failing d alone: it proves every
 smaller d fails too.
 
 One function builds every M_d, from the multinomial theorem
-(`shifted_rows`): each step of the search, which checks the form once, and,
-behind the checks of `power_rows`, the two that `verify` checks,
-`factor --d`'s and the multipliers'.  M_d holds Gaussian-integer dict rows
-over one denominator (`hermform.HermitianMatrix`), and `mode_evidence`
-reads its blocks straight from the rows, so no step builds an n x n matrix,
-and a failing step stops at its first failing block.  Every M_d that is
-built, M_0 included, is at most MAX_MATRIX_SIZE rows
-(`hermform.matrix_size`); the search stops at the last d within it
-(`last_exponent`), and at d = 0 in one variable, where every M_d is M_0.
+(`shifted_rows`): each step of the search whose diagonal passes, which
+checks the form once, and, behind the checks of `power_rows`, the two that
+`verify` checks, `factor --d`'s and the multipliers'; the same scatter
+builds the diagonal.  M_d holds Gaussian-integer dict rows over one
+denominator (`hermform.HermitianMatrix`), and `mode_evidence` reads its
+blocks straight from the rows, so no step builds an n x n matrix, and a
+failing step stops at its first failing block.  Every M_d that is built,
+M_0 included, is at most MAX_MATRIX_SIZE rows (`hermform.matrix_size`); the
+search stops at the last d within it (`last_exponent`), and at d = 0 in one
+variable, where every M_d is M_0.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import add
+from itertools import repeat
 
 # The search calls mode_evidence; ldl_signature stays bound here because
 # perfbench's tracer, and its test, rebind the kernel under this name too.
@@ -46,7 +50,7 @@ from .hermform import (
     is_hermitian_symmetric,
     matrix_size,
 )
-from .multiindex import dim_homogeneous, enumerate_degree, multinomial_weights
+from .multiindex import dim_homogeneous, monomial_code, monomial_ranks, multinomial_weights
 from .scalars import SparseRow
 
 MODES = ("strict", "semi")
@@ -90,41 +94,49 @@ def power_rows(form: BihermitianForm, d: int) -> HermitianMatrix:
 
 def shifted_rows(form: BihermitianForm, m: int, d: int) -> HermitianMatrix:
     """M_d of a Hermitian-symmetric form of bidegree m, the one builder of
-    every M_d; the search checks the form once and calls it at each d.
+    every M_d (`_scattered`); the search calls it where the diagonal passes."""
+    return HermitianMatrix.lowest(*_scattered(form, form.support.items(), m, d), form.den)
+
+
+def _scattered(form: BihermitianForm, terms, m: int, d: int) -> tuple[list[dict], list[dict]]:
+    """The numerator rows re, im over form.den of the part of M_d that the
+    `terms` (key, (x, y)) of the form build.
 
     By the multinomial theorem <z, w>^d = sum over |mu| = d of
     (d!/mu!) z^mu wbar^mu, so the term c z^alpha wbar^beta of entry (i, j)
     adds (d!/mu!) c to entry ((i, alpha + mu), (j, beta + mu)) of M_d, for
     each mu.  Index (i, gamma) of M_d is i * dim + the rank of gamma among
     the degree-(m + d) monomials, looked up once per monomial alpha of the
-    form and mu, not once per term; the weights come one ratio apart
-    (`multinomial_weights`).  No basis is built: a caller that reads one
-    takes `homogeneous_basis(n, r, m + d)`.  The size of M_d is checked
-    (`matrix_size`) before anything is built.  The zero form is its own
-    product with <z, w>^d, of bidegree 0, so its M_d is M_0.
+    terms and mu, not once per term, at the code of alpha plus the code of mu;
+    the ranks, codes and weights (one ratio apart) are cached per (n, degree).
+    No basis is built: a caller that reads one takes `homogeneous_basis(n, r,
+    m + d)`.  The size of M_d is checked (`matrix_size`) before anything is
+    built.  The zero form is its own product with <z, w>^d, of bidegree 0,
+    so its M_d is M_0.
     """
     n = form.n
     matrix_size(n, form.r, m, d)
     if not form.support:
         d = 0
-    monomials = enumerate_degree(n, m + d)
-    rank, dim = {gamma: k for k, gamma in enumerate(monomials)}, len(monomials)
-    mus = enumerate_degree(n, d)
-    weights = multinomial_weights(n, d)
+    width = max(8, (m + d).bit_length())  # past every entry of M_d's monomials
+    # the codes of the mu are the keys of their ranks, in their order
+    rank, mu_codes = monomial_ranks(n, m + d, width), monomial_ranks(n, d, width)
+    weights, dim = multinomial_weights(n, d), len(rank)
     shifted: dict = {}  # alpha -> the rank of alpha + mu for each mu
     rows_re = [{} for _ in range(form.r * dim)]
     rows_im = [{} for _ in range(form.r * dim)]
-    for (i, j, alpha, beta), (x, y) in form.support.items():
+    for (i, j, alpha, beta), (x, y) in terms:
         for mono in (alpha, beta):
             if mono not in shifted:
-                shifted[mono] = [rank[tuple(map(add, mono, mu))] for mu in mus]
+                code = monomial_code(mono, width)
+                shifted[mono] = list(map(rank.__getitem__, map(code.__add__, mu_codes)))
         row_offset, column_offset = i * dim, j * dim
         for rows, c in ((rows_re, x), (rows_im, y)):
             if c:
                 for p, q, w in zip(shifted[alpha], shifted[beta], weights):
                     row, q = rows[p + row_offset], q + column_offset
                     row[q] = row.get(q, 0) + w * c
-    return HermitianMatrix.lowest(rows_re, rows_im, form.den)
+    return rows_re, rows_im
 
 
 def multiplier_shift(form: BihermitianForm) -> BihermitianForm:
@@ -193,10 +205,13 @@ def find_minimal_d(
     mode "semi" demands positive semidefiniteness.  Once the test passes at
     some d it passes at every larger one, so the linear search is complete.
     It stops early at the last d whose M_d is within MAX_MATRIX_SIZE, or at
-    d = 0 in one variable (`last_exponent`), and then finds no d.  Each
-    failing step keeps the witness of `ldl_signature(M_d, strict)`, found
-    without finishing the elimination, and the passing one its certificate's
-    weighted vectors (`certify.mode_evidence`, on the rows of M_d).
+    d = 0 in one variable (`last_exponent`), and then finds no d.  Each step
+    first scatters the terms (i, i, alpha, alpha) alone, which give the
+    diagonal of M_d, sum c_(i, alpha) d!/(gamma - alpha)! at (i, gamma).  A
+    failing step keeps the unit vector at its first failing diagonal entry,
+    else the witness of `ldl_signature(M_d, strict)`, found without finishing
+    the elimination; the passing one keeps its certificate's weighted vectors
+    (`certify.mode_evidence`, on the rows of M_d).
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
@@ -209,11 +224,17 @@ def find_minimal_d(
         raise ValueError("stabilization search requires a single bidegree")
     report = StabilizationReport(form=form, mode=mode, d_max=d_max, d_min=None)
     strict = mode == "strict"
+    diagonal = [(key, c) for key, c in form.support.items()
+                if key[0] == key[1] and key[2] == key[3]]
     for d in range(last_exponent(form.n, form.r, m, d_max) + 1):
-        matrix = shifted_rows(form, m, d)
-        evidence = mode_evidence(matrix, strict)
+        rows, _ = _scattered(form, diagonal, m, d)
+        # e_p* M_d e_p = M_pp, whose numerator over den > 0 has its sign
+        p = next((q for q, x in enumerate(map(dict.get, rows, range(len(rows)), repeat(0)))
+                  if x < 0 or (strict and not x)), None)
+        evidence = (SparseRow(((p, 1, 0),)) if p is not None
+                    else mode_evidence(shifted_rows(form, m, d), strict))
         witness = evidence if isinstance(evidence, SparseRow) else None
-        report.steps.append(StabilizationStep(d, matrix.size, witness))
+        report.steps.append(StabilizationStep(d, len(rows), witness))
         if witness is None:
             report.d_min, report.vectors = d, evidence
             return report

@@ -400,11 +400,13 @@ def reference_exponent_steps(form: BihermitianForm
 # The search as it was before failing steps stopped at their witness and
 # before each step was built in closed form: every step is a shift of the one
 # before and runs the whole pivoted LDL* and builds L; find_minimal_d must
-# give the same report.
+# give the same report.  Only the witness rule is the search's: the unit
+# vector at the first failing diagonal index, read off the dense M_d.
 def reference_find_minimal_d(form: BihermitianForm, mode: str, d_max: int):
     """Smallest d <= d_max whose shifted coefficient matrix passes the mode's
-    test, each failing step keeping its certificate's witness and the passing
-    one its certificate's weighted vectors."""
+    test, each failing step keeping e_p for the first index p whose diagonal
+    entry is negative (or zero, if strict), else its certificate's witness,
+    and the passing one its certificate's weighted vectors."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
     if d_max < 0:
@@ -419,7 +421,10 @@ def reference_find_minimal_d(form: BihermitianForm, mode: str, d_max: int):
     last = d_max if form.n > 1 else 0
     for d, (matrix, _) in zip(range(last + 1), reference_exponent_steps(form)):
         cert = ldl_signature(matrix, strict=strict)
-        step = StabilizationStep(d, cert.size, cert.witness)
+        failing = [p for p, row in enumerate(matrix.entries)
+                   if row[p].re < 0 or (strict and row[p].re == 0)]
+        witness = SparseRow(((failing[0], 1, 0),)) if failing else cert.witness
+        step = StabilizationStep(d, cert.size, witness)
         report.steps.append(step)
         if step.passes:
             report.d_min = d

@@ -1655,8 +1655,10 @@ def test_commands_refuse_a_form_file_of_many_rows(capsys, tmp_path, command):
     # 67 bytes name r = 3000000.
     path = tmp_path / "wide.json"
     path.write_text('{"kind": "bihermitian_form", "n": 1, "r": 3000000, "terms": []}\n')
+    started = time.perf_counter()
     assert run(capsys, [command, str(path)]) == (
         2, "", WIDE_REFUSAL.replace("100000 rows", "3000000 rows"))
+    assert time.perf_counter() - started < 1
 
 
 def test_sweep_records_an_m0_past_the_size_bound_as_its_row_error(capsys, tmp_path):

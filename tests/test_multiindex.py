@@ -126,3 +126,27 @@ def test_enumerate_degree_keeps_a_bounded_cache():
         enumerate_degree(2, m)
     assert 0 < enumerate_degree.cache_info().currsize <= ENUMERATION_CACHE_SIZE
     assert enumerate_degree(2, 3) == ((3, 0), (2, 1), (1, 2), (0, 3))
+
+
+@pytest.mark.parametrize("width", [8, 3, 11])
+def test_monomial_codes_add_and_key_the_ranks_in_enumeration_order(width):
+    # Codes are distinct and add as the monomials do while the entries stay
+    # below 2**width, in the byte branch (width 8) and past it, and
+    # monomial_ranks keys each monomial's rank by its code, in
+    # enumerate_degree's order.
+    from hermfact.multiindex import monomial_code, monomial_ranks
+
+    for n in range(1, 4):
+        for m in range(4):
+            monomials = enumerate_degree(n, m)
+            ranks = monomial_ranks(n, m, width)
+            assert list(ranks.items()) == [(monomial_code(g, width), k)
+                                           for k, g in enumerate(monomials)]
+            assert len(ranks) == len(monomials)
+            for alpha in enumerate_degree(n, 2):
+                for gamma in monomials:
+                    total = tuple(a + g for a, g in zip(alpha, gamma))
+                    assert monomial_code(total, width) == (monomial_code(alpha, width)
+                                                           + monomial_code(gamma, width))
+    assert monomial_code((3, 1), width) == (3 << width) + 1
+    assert monomial_code((255, 2), 8) == 255 * 256 + 2

@@ -783,6 +783,24 @@ def test_find_minimal_d_equals_the_full_elimination_search_on_drawn_forms(form, 
     assert find_minimal_d(form, mode, 4) == reference_find_minimal_d(form, mode, 4)
 
 
+@SETTINGS
+@given(form=stabilization_forms(), strict=st.booleans())
+def test_search_witnesses_prove_their_steps_fail_on_drawn_forms(form, strict):
+    # Every witness of a search passes the check that verify runs on M_d, and
+    # a step whose dense M_d has a negative diagonal entry (or, if strict, a
+    # zero one) keeps the unit vector at the first such index.
+    for step in find_minimal_d(form, "strict" if strict else "semi", 4).steps:
+        matrix = power_rows(form, step.d)
+        failing = [p for p, row in enumerate(matrix.entries)
+                   if row[p].re < 0 or (strict and row[p].re == 0)]
+        if step.passes:
+            assert not failing
+            continue
+        assert witness_failure(matrix, step.witness, strict) is None
+        if failing:
+            assert step.witness == SparseRow(((failing[0], 1, 0),))
+
+
 def _entry_respellings(entries: list) -> list[list]:
     """Spellings of a vector's nonzero entries [j, re, im] that the reader
     refuses: over a doubled content, with a zero entry after the last, with

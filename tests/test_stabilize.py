@@ -18,7 +18,7 @@ from hermfact import (
     stabilization_sweep,
 )
 from hermfact import stabilize
-from hermfact.scalars import GaussianRow
+from hermfact.scalars import GaussianRow, SparseRow
 
 from helpers import (
     oracle_diagonal_shift_entries,
@@ -183,13 +183,15 @@ def test_monotonicity_strict_and_semi():
         assert ok1 and ok2
 
 
+Q3 = ("z1^2*zb1^2 + z2^2*zb2^2 + z3^2*zb3^2 - z1*z2*zb1*zb2 - z2*z3*zb2*zb3"
+      " - z1*z3*zb1*zb3 + 1/2*z1^2*zb2^2 + 1/2*z2^2*zb1^2")
+
+
 def test_failing_q3_steps_stop_at_their_first_pivot(monkeypatch):
-    # Q3 fails the strict test at every d; from d = 1 on, the first pivot of
-    # M_d is already negative, so its witness is a unit vector and the
-    # elimination stops before any row operation.
-    form = parse_expression(
-        "z1^2*zb1^2 + z2^2*zb2^2 + z3^2*zb3^2 - z1*z2*zb1*zb2 - z2*z3*zb2*zb3"
-        " - z1*z3*zb1*zb3 + 1/2*z1^2*zb2^2 + 1/2*z2^2*zb1^2")
+    # Q3 fails the strict test at every d, and every M_d, M_0 included, has a
+    # negative diagonal entry: each witness is the unit vector at the first
+    # one, and no step runs an elimination or a single row operation.
+    form = parse_expression(Q3)
     calls = [0]
     add_scaled = GaussianRow.add_scaled
 
@@ -211,11 +213,50 @@ def test_failing_q3_steps_stop_at_their_first_pivot(monkeypatch):
     report = find_minimal_d(form, "strict", 12)
     monkeypatch.undo()
     assert report == reference_find_minimal_d(form, "strict", 12)
-    assert report.d_min is None and len(per_step) == 13
-    assert per_step[1:] == [0] * 12
-    for step in report.steps[1:]:
+    assert report.d_min is None and len(report.steps) == 13
+    assert per_step == [] and calls[0] == 0
+    for step in report.steps:
         assert len(step.witness.entries) == 1 and step.witness.entries[0][1:] == (1, 0)
         assert step.witness.den == 1
+
+
+@pytest.mark.parametrize(("text", "n", "mode", "d_max", "built"), [
+    (Q3, 3, "strict", 12, []),
+    # each M_d of |z1|^2 in two variables is diagonal, zero at z2^(d+1), its last index
+    ("z1*zb1", 2, "strict", 3000, []),
+    # M_5 and M_6 fail, but not on their diagonals
+    ("z1^2*zb1^2 + z2^2*zb2^2 + z3^2*zb3^2 - 61/100*(z1*z2*zb1*zb2 + z2*z3*zb2*zb3"
+     " + z1*z3*zb1*zb3) + 1/4*(z1^2*zb2^2 + z2^2*zb1^2)", 3, "strict", 9, [5, 6, 7]),
+    # a zero diagonal passes the semi screen at every d
+    ("z1*zb2 + z2*zb1", 2, "semi", 6, [0, 1, 2, 3, 4, 5, 6]),
+], ids=["q3", "z1-strict-3000", "block3", "hollow-semi"])
+def test_steps_decided_by_their_diagonal_build_no_matrix(monkeypatch, text, n, mode, d_max,
+                                                        built):
+    # shifted_rows builds M_d only at the steps whose diagonal passes the
+    # mode's test, as the reference's dense diagonals say; the other steps
+    # keep the unit vector at their first failing diagonal index.
+    form = parse_expression(text, n=n)
+    calls = []
+    shifted_rows = stabilize.shifted_rows
+
+    def counted(form, m, d):
+        calls.append(d)
+        return shifted_rows(form, m, d)
+
+    monkeypatch.setattr(stabilize, "shifted_rows", counted)
+    report = find_minimal_d(form, mode, d_max)
+    monkeypatch.undo()
+    assert calls == built
+    if d_max > 12:
+        assert report.d_min is None and len(report.steps) == 1023
+        assert all(step.witness == SparseRow(((step.size - 1, 1, 0),)) for step in report.steps)
+        return
+    assert report == reference_find_minimal_d(form, mode, d_max)
+    strict = mode == "strict"
+    assert built == [d for d, (matrix, _) in zip(range(len(report.steps)),
+                                                 reference_exponent_steps(form))
+                     if all(row[p].re > 0 or (not strict and row[p].re == 0)
+                            for p, row in enumerate(matrix.entries))]
 
 
 def test_sweep_family_ladder():
