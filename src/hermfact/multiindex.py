@@ -9,7 +9,7 @@ every matrix in the package.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 from math import comb, factorial
 
 MultiIndex = tuple[int, ...]
@@ -34,6 +34,27 @@ def degree(alpha: MultiIndex) -> int:
 # multipliers ask for few again and again, but a long search asks for one
 # new degree at each step, and each enumeration is one tuple per monomial.
 ENUMERATION_CACHE_SIZE = 128
+
+# The entries that the tables of a `cached_tables` function may hold before
+# it drops the oldest: a run of small searches keeps all of its tables, a
+# long search only its last few degrees.
+TABLE_CACHE_ENTRIES = 4096
+
+
+def cached_tables(func):
+    """func cached per arguments, like enumerate_degree, but bounded by the
+    entries its values hold, not by their number; callers only read them."""
+    cache: dict = {}
+
+    @wraps(func)
+    def cached(*key):
+        if key not in cache:
+            while sum(map(len, cache.values())) > TABLE_CACHE_ENTRIES:
+                del cache[next(iter(cache))]
+            cache[key] = func(*key)
+        return cache[key]
+
+    return cached
 
 
 @lru_cache(maxsize=ENUMERATION_CACHE_SIZE)
@@ -90,28 +111,25 @@ def multinomial(d: int, gamma: MultiIndex) -> int:
 
 
 def monomial_code(alpha: MultiIndex, width: int) -> int:
-    """alpha as one integer, each entry in `width` bits, z1 first (a byte
-    each at width 8): while the entries stay below 2**width, the code of a
-    sum of monomials is the sum of their codes."""
-    if width == 8:
-        return int.from_bytes(bytes(alpha), "big")
+    """alpha as one integer, each entry in `width` bits, z1 first: while the
+    entries stay below 2**width, the code of a sum of monomials is the sum of
+    their codes."""
     code = 0
     for a in alpha:
         code = code << width | a
     return code
 
 
-@lru_cache(maxsize=ENUMERATION_CACHE_SIZE)
+@cached_tables
 def monomial_ranks(n: int, m: int, width: int) -> dict[int, int]:
     """The rank of each monomial of enumerate_degree(n, m), keyed by its code
-    at `width`, in that order; the dict is shared, so callers only read it."""
+    at `width`, in that order."""
     return {monomial_code(gamma, width): k for k, gamma in enumerate(enumerate_degree(n, m))}
 
 
-@lru_cache(maxsize=ENUMERATION_CACHE_SIZE)
+@cached_tables
 def multinomial_weights(n: int, d: int) -> list[int]:
-    """multinomial(d, mu) for each mu of enumerate_degree(n, d), in its order,
-    cached with it; the list is shared, so callers only read it.
+    """multinomial(d, mu) for each mu of enumerate_degree(n, d), in its order.
 
     The successor of mu takes one unit from its last nonzero entry k before
     the end and gathers it with the tail, mu_last + 1, in entry k + 1

@@ -5,10 +5,8 @@ along the diagonal; the minimal d for which the d-fold shift has a positive
 (semi)definite coefficient matrix is found by a linear upward search.  Each
 failing exponent has one witness vector v with v* M_d v < 0 (semi) or v != 0
 and v* M_d v <= 0 (strict): the unit vector e_p at the first index p whose
-diagonal entry M_pp is negative (or zero, if strict), as e_p* M_d e_p = M_pp,
-else the witness of the elimination.  Each step reads its diagonal first
-(`find_minimal_d`), and builds and eliminates M_d only when it passes
-there; a failing elimination stops at its witness and builds no L
+diagonal entry M_pp = e_p* M_d e_p is negative (or zero, if strict), else
+the witness of the elimination, which stops there and builds no L
 (`certify.mode_evidence`).  The passing step keeps only the weighted vectors
 of its certificate, M_d = sum w v v* with every w > 0, which are the
 coefficient vectors of a factor of <z, w>^d F.  Passing is monotone in d (if
@@ -19,14 +17,12 @@ smaller d fails too.
 One function builds every M_d, from the multinomial theorem
 (`shifted_rows`): each step of the search whose diagonal passes, which
 checks the form once, and, behind the checks of `power_rows`, the two that
-`verify` checks, `factor --d`'s and the multipliers'; the same scatter
-builds the diagonal.  M_d holds Gaussian-integer dict rows over one
-denominator (`hermform.HermitianMatrix`), and `mode_evidence` reads its
-blocks straight from the rows, so no step builds an n x n matrix, and a
-failing step stops at its first failing block.  Every M_d that is built,
-M_0 included, is at most MAX_MATRIX_SIZE rows (`hermform.matrix_size`); the
-search stops at the last d within it (`last_exponent`), and at d = 0 in one
-variable, where every M_d is M_0.
+`verify` checks, `factor --d`'s and the multipliers'.  M_d holds
+Gaussian-integer dict rows over one denominator (`hermform.HermitianMatrix`),
+and `mode_evidence` reads its blocks straight from the rows, so no step
+builds an n x n matrix.  Every M_d, M_0 included, is at most MAX_MATRIX_SIZE
+rows (`hermform.matrix_size`); the search stops at the last d within it
+(`last_exponent`), and at d = 0 in one variable, where every M_d is M_0.
 """
 
 from __future__ import annotations
@@ -106,19 +102,17 @@ def _scattered(form: BihermitianForm, terms, m: int, d: int) -> tuple[list[dict]
     (d!/mu!) z^mu wbar^mu, so the term c z^alpha wbar^beta of entry (i, j)
     adds (d!/mu!) c to entry ((i, alpha + mu), (j, beta + mu)) of M_d, for
     each mu.  Index (i, gamma) of M_d is i * dim + the rank of gamma among
-    the degree-(m + d) monomials, looked up once per monomial alpha of the
-    terms and mu, not once per term, at the code of alpha plus the code of mu;
-    the ranks, codes and weights (one ratio apart) are cached per (n, degree).
-    No basis is built: a caller that reads one takes `homogeneous_basis(n, r,
-    m + d)`.  The size of M_d is checked (`matrix_size`) before anything is
-    built.  The zero form is its own product with <z, w>^d, of bidegree 0,
-    so its M_d is M_0.
+    the degree-(m + d) monomials, looked up at the code of alpha plus the
+    code of mu, once per monomial alpha of the terms, not once per term.  No
+    basis is built, and the size of M_d is checked (`matrix_size`) before
+    anything is.  The zero form is its own product with <z, w>^d, of
+    bidegree 0, so its M_d is M_0.
     """
     n = form.n
     matrix_size(n, form.r, m, d)
     if not form.support:
         d = 0
-    width = max(8, (m + d).bit_length())  # past every entry of M_d's monomials
+    width = (m + d).bit_length()  # past every entry of M_d's monomials
     # the codes of the mu are the keys of their ranks, in their order
     rank, mu_codes = monomial_ranks(n, m + d, width), monomial_ranks(n, d, width)
     weights, dim = multinomial_weights(n, d), len(rank)
@@ -206,12 +200,11 @@ def find_minimal_d(
     some d it passes at every larger one, so the linear search is complete.
     It stops early at the last d whose M_d is within MAX_MATRIX_SIZE, or at
     d = 0 in one variable (`last_exponent`), and then finds no d.  Each step
-    first scatters the terms (i, i, alpha, alpha) alone, which give the
-    diagonal of M_d, sum c_(i, alpha) d!/(gamma - alpha)! at (i, gamma).  A
-    failing step keeps the unit vector at its first failing diagonal entry,
-    else the witness of `ldl_signature(M_d, strict)`, found without finishing
-    the elimination; the passing one keeps its certificate's weighted vectors
-    (`certify.mode_evidence`, on the rows of M_d).
+    first scatters the terms (i, i, alpha, alpha) alone, the only ones on
+    the diagonal of M_d.  A failing step keeps the unit vector at its first
+    failing diagonal entry, else the witness of `ldl_signature(M_d, strict)`,
+    found without finishing the elimination; the passing one keeps its
+    certificate's weighted vectors (`certify.mode_evidence`).
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")

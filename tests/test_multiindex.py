@@ -128,12 +128,26 @@ def test_enumerate_degree_keeps_a_bounded_cache():
     assert enumerate_degree(2, 3) == ((3, 0), (2, 1), (1, 2), (0, 3))
 
 
-@pytest.mark.parametrize("width", [8, 3, 11])
+def test_cached_tables_are_bounded_by_the_entries_they_hold():
+    # A table is shared while the tables fit in TABLE_CACHE_ENTRIES entries;
+    # a long search's large tables push the oldest out, not the newest.
+    from hermfact.multiindex import TABLE_CACHE_ENTRIES, monomial_ranks
+
+    first = monomial_ranks(2, 5, 4)
+    assert monomial_ranks(2, 5, 4) is first
+    for m in range(1000, 1002 + TABLE_CACHE_ENTRIES // 1000):
+        last = monomial_ranks(2, m, 11)
+        assert monomial_ranks(2, m, 11) is last
+    again = monomial_ranks(2, 5, 4)
+    assert again is not first and again == first
+    assert monomial_ranks(2, m, 11) is last
+
+
+@pytest.mark.parametrize("width", [3, 8, 11])
 def test_monomial_codes_add_and_key_the_ranks_in_enumeration_order(width):
     # Codes are distinct and add as the monomials do while the entries stay
-    # below 2**width, in the byte branch (width 8) and past it, and
-    # monomial_ranks keys each monomial's rank by its code, in
-    # enumerate_degree's order.
+    # below 2**width, and monomial_ranks keys each monomial's rank by its
+    # code, in enumerate_degree's order.
     from hermfact.multiindex import monomial_code, monomial_ranks
 
     for n in range(1, 4):
