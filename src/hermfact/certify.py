@@ -25,8 +25,7 @@ lives on its block's indices and nothing about the blocks needs storing.
 Every vector of a certificate (the columns of L, the witness, each v_k) is a
 sparse row (`scalars.SparseRow`) read straight off the integer pivot rows of
 the elimination, so building, checking and extracting cost the nonzeros of L.
-GaussianRational appears only in the hollow blocks of D and in
-`gram_decomposition`'s dense output.
+GaussianRational appears only in the hollow blocks of D.
 
 A caller that needs only the evidence of one test, PSD or PD, calls
 `mode_evidence`, which runs the same elimination: it stops at the first
@@ -58,9 +57,6 @@ from .scalars import (
     outer_product_sum,
     outer_product_terms,
 )
-
-Vector = tuple[GaussianRational, ...]
-
 
 @dataclass(eq=True)
 class SignatureCertificate:
@@ -583,27 +579,3 @@ def _witness(s: list[GaussianRow], perm: list[int], blocks, k: int) -> SparseRow
     # y is in pivot coordinates: entry perm[k] of the witness is y[k].
     return _primitive_witness(sorted((perm[k], x, y) for k, x, y in zip(range(n), yr, yi)
                                      if x or y))
-
-
-def is_positive_definite(matrix: HermitianMatrix) -> tuple[bool, SignatureCertificate]:
-    cert = ldl_signature(matrix)
-    return cert.is_positive_definite(), cert
-
-
-def is_positive_semidefinite(
-    matrix: HermitianMatrix,
-) -> tuple[bool, SignatureCertificate]:
-    cert = ldl_signature(matrix)
-    return cert.is_positive_semidefinite(), cert
-
-
-def gram_decomposition(
-    matrix: HermitianMatrix,
-) -> tuple[list[tuple[Fraction, Vector]], list[tuple[Fraction, Vector]]]:
-    """Write M = sum a_k u_k u_k^adj - sum b_l v_l v_l^adj exactly, a_k, b_l > 0,
-    from the certificate's weighted vectors, each as a dense tuple.  The
-    positive part has exactly n_pos terms and the negative part n_neg."""
-    cert = ldl_signature(matrix)
-    pairs, n = cert.weighted_vectors(), cert.size
-    return ([(w, v.dense(n)) for w, v in pairs if w > 0],
-            [(-w, v.dense(n)) for w, v in pairs if w < 0])

@@ -53,7 +53,7 @@ def _factor_from_parts(
     parts: list[tuple[Fraction, SparseRow]], basis: CoefficientBasis, n: int
 ) -> HoloPolyMatrix:
     """The rows of the weighted vectors (w, v) on `basis`, v at (i, alpha) the
-    coefficient of z^alpha in column i; vectors need no `from_rows` checks."""
+    coefficient of z^alpha in column i."""
     rows = tuple(_vector_to_row(vec, basis) for _, vec in parts)
     return HoloPolyMatrix(n, basis.r, rows, tuple(wt for wt, _ in parts) or None)
 
@@ -127,33 +127,6 @@ class NumericFactor:
     n: int
     r: int
     rows: tuple[tuple[dict[MultiIndex, complex], ...], ...]
-
-    def evaluate_rows(self, z) -> list[list[complex]]:
-        z = tuple(complex(c) for c in z)
-        out = []
-        for row in self.rows:
-            values = []
-            for poly in row:
-                acc = 0j
-                for alpha, coeff in poly.items():
-                    term = coeff
-                    for zk, a in zip(z, alpha):
-                        if a:
-                            term *= zk**a
-                    acc += term
-                values.append(acc)
-            out.append(values)
-        return out
-
-    def reconstruction(self, z) -> list[list[complex]]:
-        """Approximate F(z, zbar) as sum_k B_ki(z) * conj(B_kj(z))."""
-        values = self.evaluate_rows(z)
-        out = [[0j] * self.r for _ in range(self.r)]
-        for row in values:
-            for i in range(self.r):
-                for j in range(self.r):
-                    out[i][j] += row[i] * row[j].conjugate()
-        return out
 
 
 def numeric_factor(factor, precision: int = 12) -> NumericFactor:

@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain
 from math import gcd, lcm
-from operator import add as _add, itemgetter
+from operator import itemgetter
 
 from .multiindex import (
     MultiIndex,
@@ -178,60 +178,9 @@ class HoloPolyMatrix:
     rows: tuple[tuple[Poly, ...], ...]
     weights: tuple[Fraction, ...] | None = None
 
-    @classmethod
-    def from_rows(cls, n: int, rows, weights=None, ncols=None) -> "HoloPolyMatrix":
-        if n < 1:
-            raise ValueError("dimension must be >= 1")
-        norm_rows = []
-        width = ncols
-        for row in rows:
-            norm_row = []
-            for poly in row:
-                items = poly.items() if hasattr(poly, "items") else poly
-                entry: Poly = {}
-                for alpha, coeff in items:
-                    coeff = as_gaussian(coeff)
-                    alpha = check_multiindex(alpha)
-                    if len(alpha) != n:
-                        raise ValueError("multi-index length differs from ambient dimension")
-                    if coeff.is_zero():
-                        continue
-                    entry[alpha] = entry.get(alpha, ZERO) + coeff
-                norm_row.append({a: c for a, c in entry.items() if not c.is_zero()})
-            if width is None:
-                width = len(norm_row)
-            elif len(norm_row) != width:
-                raise ValueError("ragged rows in holomorphic matrix")
-            norm_rows.append(tuple(norm_row))
-        if width is None or width == 0:
-            raise ValueError("holomorphic matrix needs at least one column")
-        if weights is not None:
-            weights = tuple(Fraction(w) for w in weights)
-            if len(weights) != len(norm_rows):
-                raise ValueError("one weight per row required")
-            if any(w <= 0 for w in weights):
-                raise ValueError("row weights must be positive")
-            if not weights:
-                weights = None
-        return cls(n, width, tuple(norm_rows), weights)
-
     @property
     def shape(self) -> tuple[int, int]:
         return (len(self.rows), self.ncols)
-
-    def homogeneous_degree(self) -> int | None:
-        """Common degree of every monomial in every entry, or None if mixed/empty."""
-        deg = None
-        for row in self.rows:
-            for poly in row:
-                for alpha in poly:
-                    d = degree(alpha)
-                    if deg is None:
-                        deg = d
-                    elif deg != d:
-                        return None
-        return deg
-
 
 @dataclass(eq=True)
 class HermitianMatrix:
@@ -275,18 +224,6 @@ class HermitianMatrix:
         if defect is not None:
             raise ValueError(defect)
         return matrix
-
-    @classmethod
-    def diagonal(cls, values) -> "HermitianMatrix":
-        vals = [as_gaussian(v) for v in values]
-        size = len(vals)
-        return cls.from_rows(
-            [[vals[k] if k == l else ZERO for l in range(size)] for k in range(size)]
-        )
-
-    @classmethod
-    def identity(cls, size: int) -> "HermitianMatrix":
-        return cls.diagonal([1] * size)
 
     @property
     def size(self) -> int:
@@ -396,20 +333,6 @@ def max_degree(form: BihermitianForm) -> int:
     return out
 
 
-def add(f: BihermitianForm, g: BihermitianForm) -> BihermitianForm:
-    """f + g, summed in numerators over the lcm of the two denominators."""
-    if f.n != g.n or f.r != g.r:
-        raise ValueError("shape mismatch in kernel addition")
-    den = lcm(f.den, g.den)
-    support: dict[TermKey, tuple[int, int]] = {}
-    for form in (f, g):
-        k = den // form.den
-        for key, (x, y) in form.support.items():
-            re, im = support.get(key, (0, 0))
-            support[key] = re + x * k, im + y * k
-    return BihermitianForm.lowest(f.n, f.r, support, den)
-
-
 def scale(f: BihermitianForm, c) -> BihermitianForm:
     """c * f, with c = (cr + i*ci) / q over one denominator; the keys of f
     are checked already."""
@@ -418,30 +341,6 @@ def scale(f: BihermitianForm, c) -> BihermitianForm:
     cr, ci = c.re.numerator * (q // c.re.denominator), c.im.numerator * (q // c.im.denominator)
     return BihermitianForm.lowest(f.n, f.r, {
         key: (x * cr - y * ci, x * ci + y * cr) for key, (x, y) in f.support.items()}, f.den * q)
-
-
-def subtract(f: BihermitianForm, g: BihermitianForm) -> BihermitianForm:
-    return add(f, scale(g, -1))
-
-
-def kernel_multiply(f: BihermitianForm, g: BihermitianForm) -> BihermitianForm:
-    """Kernel product: coefficient convolution in z and in wbar separately.
-
-    One factor must be scalar (r = 1); scalar*scalar and scalar*matrix are the
-    supported shapes.  Hermitian symmetry is preserved when both factors have it.
-    """
-    if f.n != g.n:
-        raise ValueError("dimension mismatch in kernel product")
-    if f.r != 1 and g.r != 1:
-        raise ValueError("kernel product needs a scalar factor")
-    scalar, matrix = (f, g) if f.r == 1 else (g, f)
-    acc: dict[TermKey, tuple[int, int]] = {}
-    for (_, _, a1, b1), (x1, y1) in scalar.support.items():
-        for (i, j, a2, b2), (x2, y2) in matrix.support.items():
-            key = (i, j, tuple(map(_add, a1, a2)), tuple(map(_add, b1, b2)))
-            re, im = acc.get(key, (0, 0))
-            acc[key] = re + x1 * x2 - y1 * y2, im + x1 * y2 + y1 * x2
-    return BihermitianForm.lowest(f.n, matrix.r, acc, f.den * g.den)
 
 
 def gram(a: HoloPolyMatrix) -> BihermitianForm:
@@ -479,16 +378,6 @@ def gram(a: HoloPolyMatrix) -> BihermitianForm:
             support[(i, j, alpha, beta)] = x, y
             support[(j, i, beta, alpha)] = x, -y
     return BihermitianForm.lowest(a.n, r, support, common)
-
-
-def euclidean_pairing(n: int) -> BihermitianForm:
-    """The kernel <z, w> = sum_k z_k * wbar_k."""
-    unit = [0] * n
-    terms = {}
-    for k in range(n):
-        e = tuple(unit[:k] + [1] + unit[k + 1 :])
-        terms[(0, 0, e, e)] = 1, 0
-    return BihermitianForm(n, 1, terms, 1)
 
 
 def _basis_pairs(n: int, r: int, degrees) -> tuple[tuple[int, MultiIndex], ...]:
@@ -631,24 +520,3 @@ def evaluate_exact(form: BihermitianForm, z, w) -> list[list[GaussianRational]]:
     r = form.r
     return [[GaussianRational(Fraction(re[k], den), Fraction(im[k], den))
              for k in range(i * r, i * r + r)] for i in range(r)]
-
-
-def evaluate(form: BihermitianForm, z, w) -> list[list[complex]]:
-    """Floating-point value of F(z, wbar); z and w are complex n-vectors.
-    Each coefficient is x / den on ints, correctly rounded."""
-    z = tuple(complex(c) for c in z)
-    w = tuple(complex(c) for c in w)
-    if len(z) != form.n or len(w) != form.n:
-        raise ValueError("point length differs from ambient dimension")
-    out = [[0j] * form.r for _ in range(form.r)]
-    den = form.den
-    for (i, j, alpha, beta), (x, y) in form.support.items():
-        term = complex(x / den, y / den)
-        for zk, a in zip(z, alpha):
-            if a:
-                term *= zk**a
-        for wk, b in zip(w, beta):
-            if b:
-                term *= (wk**b).conjugate()
-        out[i][j] += term
-    return out

@@ -8,9 +8,8 @@ every matrix in the package.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from functools import lru_cache, wraps
-from math import comb, factorial
+from functools import wraps
+from math import comb
 
 MultiIndex = tuple[int, ...]
 
@@ -30,11 +29,6 @@ def degree(alpha: MultiIndex) -> int:
     return sum(alpha)
 
 
-# The most (n, m) whose enumerations are kept: a search, `verify` and the
-# multipliers ask for few again and again, but a long search asks for one
-# new degree at each step, and each enumeration is one tuple per monomial.
-ENUMERATION_CACHE_SIZE = 128
-
 # The entries that the tables of a `cached_tables` function may hold before
 # it drops the oldest: a run of small searches keeps all of its tables, a
 # long search only its last few degrees.
@@ -42,8 +36,8 @@ TABLE_CACHE_ENTRIES = 4096
 
 
 def cached_tables(func):
-    """func cached per arguments, like enumerate_degree, but bounded by the
-    entries its values hold, not by their number; callers only read them."""
+    """func cached per arguments, bounded by the entries its values hold, not
+    by their number; callers only read them."""
     cache: dict = {}
 
     @wraps(func)
@@ -57,7 +51,7 @@ def cached_tables(func):
     return cached
 
 
-@lru_cache(maxsize=ENUMERATION_CACHE_SIZE)
+@cached_tables
 def enumerate_degree(n: int, m: int) -> tuple[MultiIndex, ...]:
     """All multi-indices of length n with total degree m, lexicographically descending.
 
@@ -94,22 +88,6 @@ def dim_homogeneous(n: int, m: int) -> int:
     return comb(n + m - 1, m)
 
 
-def multinomial(d: int, gamma: MultiIndex) -> int:
-    """d! / gamma!, the expansion weight of the monomial z^gamma in a d-th power.
-
-    Exact integer; requires |gamma| = d.
-    """
-    gamma = check_multiindex(gamma)
-    if degree(gamma) != d:
-        raise ValueError(f"multinomial degree mismatch: |{gamma}| != {d}")
-    # a product of binomials, which never forms d! itself: gamma = (d,) costs nothing
-    out, total = 1, 0
-    for g in gamma:
-        total += g
-        out *= comb(total, g)
-    return out
-
-
 def monomial_code(alpha: MultiIndex, width: int) -> int:
     """alpha as one integer, each entry in `width` bits, z1 first: while the
     entries stay below 2**width, the code of a sum of monomials is the sum of
@@ -129,7 +107,8 @@ def monomial_ranks(n: int, m: int, width: int) -> dict[int, int]:
 
 @cached_tables
 def multinomial_weights(n: int, d: int) -> list[int]:
-    """multinomial(d, mu) for each mu of enumerate_degree(n, d), in its order.
+    """d!/mu!, the weight of z^mu wbar^mu in <z, w>^d, for each mu of
+    enumerate_degree(n, d), in its order.
 
     The successor of mu takes one unit from its last nonzero entry k before
     the end and gathers it with the tail, mu_last + 1, in entry k + 1
@@ -145,29 +124,3 @@ def multinomial_weights(n: int, d: int) -> list[int]:
             k -= 1
         out.append(out[-1] * mu[k] // (mu[-1] + 1))
     return out
-
-
-def monomial_norm_reduced(alpha: MultiIndex) -> Fraction:
-    """Reduced squared L2 norm of z^alpha on the unit ball: alpha! * n! / (n+|alpha|)!.
-
-    The transcendental common factor pi^n/n! is dropped throughout the
-    package; positivity is invariant under that positive rescaling.
-    """
-    alpha = check_multiindex(alpha)
-    n = len(alpha)
-    num = factorial(n)
-    for a in alpha:
-        num *= factorial(a)
-    return Fraction(num, factorial(n + degree(alpha)))
-
-
-def bergman_coefficient_reduced(n: int, d: int) -> int:
-    """Reduced degree-d expansion coefficient of the ball kernel (1 - <z,w>)^-(n+1).
-
-    Equals binom(n+d, n); the full constant carries an extra n!/pi^n.
-    """
-    if n < 1:
-        raise ValueError("dimension must be >= 1")
-    if d < 0:
-        raise ValueError("degree must be >= 0")
-    return comb(n + d, n)

@@ -1,4 +1,4 @@
-"""Expression front-end for kernels, holomorphic matrices, and real symbols.
+"""Expression front-end for kernels and real symbols.
 
 Grammar (all whitespace-insensitive):
 
@@ -35,7 +35,7 @@ import sys
 from fractions import Fraction
 from math import gcd, lcm
 
-from .hermform import BihermitianForm, HoloPolyMatrix
+from .hermform import BihermitianForm
 from .scalars import GaussianRational, as_gaussian
 from .symbols import RealSymbol
 
@@ -341,24 +341,11 @@ def _exponents(key: _MonoKey, dim: int) -> tuple[tuple[int, ...], tuple[int, ...
     return tuple(alpha), tuple(beta)
 
 
-def _kernel(parsed: tuple, n: int | None, want: str):
+def _kernel(parsed: tuple, n: int | None) -> BihermitianForm:
     rows, _, kinds, zmax, _ = parsed
     if "x" in kinds:
         raise ParseError("x variables belong to real symbols, not kernels", 0)
     dim = max(zmax, n or 1)
-    if want == "holo":
-        if "zb" in kinds:
-            raise ParseError("holomorphic matrices cannot contain zb variables", 0)
-        distinct = {c for row in rows for poly in row for c in poly.values()}
-        gaussian = {c: GaussianRational(Fraction(c[0], c[2]), Fraction(c[1], c[2]))
-                    for c in distinct}
-        polys = [
-            [{_exponents(key, dim)[0]: gaussian[c] for key, c in poly.items()} for poly in row]
-            for row in rows
-        ]
-        return HoloPolyMatrix.from_rows(dim, polys)
-    if want != "form":
-        raise ValueError(f"unknown parse target {want!r}")
     r = len(rows)
     if any(len(row) != r for row in rows):
         raise ParseError("kernel matrices must be square", 0)
@@ -386,14 +373,12 @@ def _symbol(parsed: tuple, nvars: int | None) -> RealSymbol:
     return RealSymbol.from_terms(dim, terms)
 
 
-def parse_expression(text: str, n: int | None = None, want: str = "form"):
-    """Parse an expression (or bracketed matrix) into an exact object.
-
-    want = "form" yields a BihermitianForm in z/zb variables; want = "holo"
-    yields a HoloPolyMatrix and rejects conjugated variables.  The ambient
-    dimension is the largest variable index seen, or `n` if larger.
+def parse_expression(text: str, n: int | None = None) -> BihermitianForm:
+    """Parse an expression (or bracketed matrix) in z/zb variables into a
+    BihermitianForm.  The ambient dimension is the largest variable index
+    seen, or `n` if larger.
     """
-    return _kernel(_parse(text), n, want)
+    return _kernel(_parse(text), n)
 
 
 def parse_real_symbol(text: str, nvars: int | None = None) -> RealSymbol:
@@ -405,7 +390,7 @@ def parse_symbol(text: str, n: int | None = None) -> RealSymbol | BihermitianFor
     """Parse once what parse_real_symbol takes when the text uses only x
     variables, else what parse_expression takes."""
     parsed = _parse(text)
-    return _symbol(parsed, n) if parsed[2] == {"x"} else _kernel(parsed, n, "form")
+    return _symbol(parsed, n) if parsed[2] == {"x"} else _kernel(parsed, n)
 
 
 def _format_coefficient(c: GaussianRational, lead: bool) -> str:

@@ -146,7 +146,6 @@ def as_gaussian(x) -> GaussianRational:
 
 ZERO = GaussianRational()
 ONE = GaussianRational(Fraction(1))
-IMAG_UNIT = GaussianRational(Fraction(0), Fraction(1))
 
 
 @dataclass(eq=True, slots=True)

@@ -35,14 +35,12 @@ from itertools import repeat
 # The search calls mode_evidence; ldl_signature stays bound here because
 # perfbench's tracer, and its test, rebind the kernel under this name too.
 from .certify import ldl_signature, mode_evidence  # noqa: F401
-from .factor import WeightedGramFactor, _factor_from_parts
 from .hermform import (
     MAX_MATRIX_SIZE,
     BihermitianForm,
     HermitianMatrix,
     bidegree,
     from_coefficient_matrix,
-    homogeneous_basis,
     is_hermitian_symmetric,
     matrix_size,
 )
@@ -91,12 +89,14 @@ def power_rows(form: BihermitianForm, d: int) -> HermitianMatrix:
 def shifted_rows(form: BihermitianForm, m: int, d: int) -> HermitianMatrix:
     """M_d of a Hermitian-symmetric form of bidegree m, the one builder of
     every M_d (`_scattered`); the search calls it where the diagonal passes."""
-    return HermitianMatrix.lowest(*_scattered(form, form.support.items(), m, d), form.den)
+    rows_re, rows_im = _scattered(form, form.support.items(), m, d)
+    return HermitianMatrix.lowest(rows_re, rows_im or [{} for _ in rows_re], form.den)
 
 
 def _scattered(form: BihermitianForm, terms, m: int, d: int) -> tuple[list[dict], list[dict]]:
     """The numerator rows re, im over form.den of the part of M_d that the
-    `terms` (key, (x, y)) of the form build.
+    `terms` (key, (x, y)) of the form build; im is [] when every y is 0, as
+    on the diagonal, whose terms are real.
 
     By the multinomial theorem <z, w>^d = sum over |mu| = d of
     (d!/mu!) z^mu wbar^mu, so the term c z^alpha wbar^beta of entry (i, j)
@@ -118,7 +118,7 @@ def _scattered(form: BihermitianForm, terms, m: int, d: int) -> tuple[list[dict]
     weights, dim = multinomial_weights(n, d), len(rank)
     shifted: dict = {}  # alpha -> the rank of alpha + mu for each mu
     rows_re = [{} for _ in range(form.r * dim)]
-    rows_im = [{} for _ in range(form.r * dim)]
+    rows_im = [{} for _ in rows_re] if any(y for _, (_, y) in terms) else []
     for (i, j, alpha, beta), (x, y) in terms:
         for mono in (alpha, beta):
             if mono not in shifted:
@@ -176,17 +176,6 @@ class StabilizationReport:
 
     def found(self) -> bool:
         return self.d_min is not None
-
-    @property
-    def factor(self) -> WeightedGramFactor | None:
-        """The weighted factor of <z, w>^d_min F whose rows are `vectors` on
-        the bidegree basis, built on demand; None when no d passed."""
-        if self.vectors is None:
-            return None
-        form, d = self.form, self.d_min
-        basis = homogeneous_basis(form.n, form.r, bidegree(form) + d)
-        return WeightedGramFactor(_factor_from_parts(self.vectors, basis, form.n),
-                                  multiplier_power(form, d))
 
 
 def find_minimal_d(

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, lcm
 
-from .factor import WeightedGramFactor
 from .hermform import (
     BihermitianForm,
     bidegree,
@@ -65,17 +64,6 @@ class RealSymbol:
         return len(degrees) <= 1
 
 
-def symbol_multiply(p: RealSymbol, q: RealSymbol) -> RealSymbol:
-    if p.nvars != q.nvars:
-        raise ValueError("variable count mismatch")
-    acc: dict[MultiIndex, Fraction] = {}
-    for a, ca in p.terms.items():
-        for b, cb in q.terms.items():
-            key = tuple(x + y for x, y in zip(a, b))
-            acc[key] = acc.get(key, Fraction(0)) + ca * cb
-    return RealSymbol.from_terms(p.nvars, acc)
-
-
 def _pair_coefficients(a: int, b: int) -> tuple[int, ...]:
     """c[u], the integer coefficient of z^u zbar^(a+b-u) in (z + zbar)^a (z - zbar)^b."""
     out = [0] * (a + b + 1)
@@ -116,48 +104,6 @@ def real_to_complex(symbol: RealSymbol) -> BihermitianForm:
         (0, 0, alpha, beta): tuple(parts) for (alpha, beta), parts in acc.items()}, den)
 
 
-def _complex_pair_coefficients(u: int, v: int) -> tuple[tuple[int, int], ...]:
-    """(re, im) of the Gaussian-integer coefficient of x^a y^(u+v-a) in
-    z^u zbar^v = (x + iy)^u (x - iy)^v, for a = 0, ..., u + v."""
-    out = [[0, 0] for _ in range(u + v + 1)]
-    for s in range(u + 1):
-        for t in range(v + 1):
-            # i^(u-s) (-i)^(v-t) = i^k is 1, i, -1, -i
-            k, c = (u - s - v + t) % 4, comb(u, s) * comb(v, t)
-            out[s + t][k % 2] += -c if k > 1 else c
-    return tuple(map(tuple, out))
-
-
-def complex_to_real(form: BihermitianForm) -> RealSymbol:
-    """Exact inverse of real_to_complex for scalar Hermitian-symmetric kernels."""
-    if form.r != 1:
-        raise ValueError("real-form conversion handles scalar kernels only")
-    if not is_hermitian_symmetric(form):
-        raise ValueError("real-form conversion requires a Hermitian-symmetric kernel")
-    # The numerators over form.den of each real coefficient, in Gaussian integers.
-    acc: dict[MultiIndex, tuple[int, int]] = {}
-    for (_, _, alpha, beta), coeff in form.support.items():
-        partial = {(): coeff}
-        for u, v in zip(alpha, beta):
-            partial = {exps + (a, u + v - a): (x * cr - y * ci, x * ci + y * cr)
-                       for exps, (x, y) in partial.items()
-                       for a, (cr, ci) in enumerate(_complex_pair_coefficients(u, v)) if cr or ci}
-        for exps, (x, y) in partial.items():
-            re, im = acc.get(exps, (0, 0))
-            acc[exps] = re + x, im + y
-    if any(im for _, im in acc.values()):
-        raise ValueError("conversion produced a non-real coefficient")
-    return RealSymbol.from_terms(2 * form.n, {exps: Fraction(re, form.den)
-                                              for exps, (re, _) in acc.items()})
-
-
-def is_complex_bihomogeneous(form: BihermitianForm) -> bool:
-    """Circle invariance (|alpha| = |beta| per term) plus real homogeneity."""
-    if form.r != 1:
-        raise ValueError("bihomogeneity test handles scalar kernels only")
-    return bidegree(form) is not None
-
-
 def _stereographic(params) -> tuple[tuple[int, ...], int]:
     """The unit-sphere point of 2n-1 stereographic parameters (num, den), as
     2n integer numerators over one positive denominator, in lowest terms.
@@ -181,14 +127,6 @@ def _sphere_point(nums: tuple[int, ...], den: int) -> tuple[GaussianRational, ..
         GaussianRational(Fraction(nums[2 * k], den), Fraction(nums[2 * k + 1], den))
         for k in range(len(nums) // 2)
     )
-
-
-def rational_sphere_point(params) -> tuple[GaussianRational, ...]:
-    """Exact unit-sphere point in C^n from 2n-1 rational stereographic parameters."""
-    params = [Fraction(p) for p in params]
-    if len(params) % 2 != 1:
-        raise ValueError("need an odd number of parameters (2n - 1)")
-    return _sphere_point(*_stereographic([(p.numerator, p.denominator) for p in params]))
 
 
 _GRID = ((0, 1), (1, 1), (-1, 1), (1, 2), (-1, 2))
@@ -235,15 +173,6 @@ class EllipticityReport:
     witness_point: tuple[GaussianRational, ...] | None
     sign_pair: tuple[tuple[GaussianRational, ...], tuple[GaussianRational, ...]] | None
     stabilization: StabilizationReport | None
-
-    @property
-    def sign_flipped(self) -> bool:
-        """True when the search ran on the negated symbol."""
-        return self.stabilization is not None and self.stabilization.form != self.form
-
-    @property
-    def factor(self) -> WeightedGramFactor | None:
-        return self.stabilization.factor if self.stabilization is not None else None
 
 
 def _sample_symbol(form: BihermitianForm):

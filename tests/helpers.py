@@ -9,7 +9,8 @@ import re
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import comb, factorial, gcd, lcm, prod
+from operator import add as _add
 
 from hermfact import (
     BihermitianForm,
@@ -23,8 +24,11 @@ from hermfact import (
     gram,
     is_hermitian_symmetric,
     ldl_signature,
+    multiplier_power,
+    scale,
     serialize,
 )
+from hermfact.factor import NumericFactor, _factor_from_parts
 from hermfact.hermform import (
     CoefficientBasis,
     TermKey,
@@ -112,7 +116,7 @@ def oracle_diagonal_shift_entries(coeffs: dict[tuple[int, int], Fraction], d: in
 def quadratic_value(matrix: HermitianMatrix, vec) -> GaussianRational:
     """Independent v* M v, written out longhand; a SparseRow v is read densely."""
     if isinstance(vec, SparseRow):
-        vec = vec.dense(matrix.size)
+        vec = dense(vec, matrix.size)
     acc = GaussianRational()
     for i, vi in enumerate(vec):
         for j, vj in enumerate(vec):
@@ -325,8 +329,7 @@ def reference_obj_to_factor(obj: dict) -> WeightedGramFactor:
     rows = [[{tuple(item["alpha"]): serialize.pair_to_gaussian([item["re"], item["im"]])
               for item in entry} for entry in row["entries"]] for row in obj["rows"]]
     weights = [serialize.str_to_fraction(row["weight"]) for row in obj["rows"]]
-    matrix = HoloPolyMatrix.from_rows(obj["n"], rows, weights if rows else None,
-                                      ncols=obj["shape"][1])
+    matrix = holo_matrix(obj["n"], rows, weights if rows else None, ncols=obj["shape"][1])
     return WeightedGramFactor(matrix, serialize.obj_to_form(obj["target"]))
 
 
@@ -646,7 +649,7 @@ def reference_layout(cert: SignatureCertificate) -> SignatureCertificate:
 
     return dataclasses.replace(
         cert, lower=tuple(entries(column) for column in cert.lower),
-        witness=None if cert.witness is None else cert.witness.dense(cert.size))
+        witness=None if cert.witness is None else dense(cert.witness, cert.size))
 
 
 def reference_blocks(matrix: HermitianMatrix) -> list[tuple[int, ...]]:
@@ -1126,7 +1129,7 @@ def rows_from_vectors(vectors, n: int, r: int, m: int, weights=None) -> HoloPoly
             if not coeff.is_zero():
                 polys[i][alpha] = coeff
         rows.append(polys)
-    return HoloPolyMatrix.from_rows(n, rows, weights, ncols=r)
+    return holo_matrix(n, rows, weights, ncols=r)
 
 
 def rand_holo_matrix(
@@ -1483,12 +1486,10 @@ def _poly_to_form_terms(poly: _ExprPoly, i: int, j: int, n: int):
         yield (i, j, tuple(alpha), tuple(beta)), coeff
 
 
-def reference_parse_expression(text: str, n: int | None = None, want: str = "form"):
-    """Parse an expression (or bracketed matrix) into an exact object.
-
-    want = "form" yields a BihermitianForm in z/zb variables; want = "holo"
-    yields a HoloPolyMatrix and rejects conjugated variables.  The ambient
-    dimension is the largest variable index seen, or `n` if larger.
+def reference_parse_expression(text: str, n: int | None = None) -> BihermitianForm:
+    """Parse an expression (or bracketed matrix) in z/zb variables into a
+    BihermitianForm.  The ambient dimension is the largest variable index
+    seen, or `n` if larger.
     """
     parsed = _Parser(text).parse_input()
     rows = parsed if isinstance(parsed, list) else [[parsed]]
@@ -1497,15 +1498,6 @@ def reference_parse_expression(text: str, n: int | None = None, want: str = "for
     if "x" in kinds:
         raise ParseError("x variables belong to real symbols, not kernels", 0)
     dim = max(zmax, n or 1)
-    if want == "holo":
-        if "zb" in kinds:
-            raise ParseError("holomorphic matrices cannot contain zb variables", 0)
-        polys = [
-            [dict(_mono_to_alpha(poly, dim)) for poly in row] for row in rows
-        ]
-        return HoloPolyMatrix.from_rows(dim, polys)
-    if want != "form":
-        raise ValueError(f"unknown parse target {want!r}")
     r = len(rows)
     for row in rows:
         if len(row) != r:
@@ -1591,3 +1583,230 @@ def reference_real_to_complex(symbol: RealSymbol) -> BihermitianForm:
             key = (0, 0, alpha, beta)
             acc[key] = acc.get(key, ZERO) + c
     return BihermitianForm.from_terms(n, 1, acc)
+
+
+# ---------------------------------------------------------------------------
+# library-only constructors and the paper's operator-side identities, kept as
+# references: the package ships only what its commands run
+
+
+def dense(v: SparseRow, size: int) -> tuple[GaussianRational, ...]:
+    """The length-`size` vector of GaussianRationals of a sparse row."""
+    out = [ZERO] * size
+    for j, x, y in v.entries:
+        out[j] = GaussianRational(Fraction(x, v.den), Fraction(y, v.den))
+    return tuple(out)
+
+
+def diagonal_matrix(values) -> HermitianMatrix:
+    size = len(values)
+    return HermitianMatrix.from_rows(
+        [[values[k] if k == l else 0 for l in range(size)] for k in range(size)])
+
+
+def holo_matrix(n: int, rows, weights=None, ncols=None) -> HoloPolyMatrix:
+    """The HoloPolyMatrix of rows of {alpha: coefficient} entries, terms of
+    one alpha added up and zeros dropped; an empty list of weights is None."""
+    norm_rows = []
+    for row in rows:
+        norm_row = []
+        for poly in row:
+            entry: dict = {}
+            for alpha, coeff in (poly.items() if hasattr(poly, "items") else poly):
+                entry[tuple(alpha)] = entry.get(tuple(alpha), ZERO) + as_gaussian(coeff)
+            norm_row.append({a: c for a, c in entry.items() if not c.is_zero()})
+        norm_rows.append(tuple(norm_row))
+    width = ncols if ncols is not None else len(norm_rows[0])
+    if any(len(row) != width for row in norm_rows):
+        raise ValueError("ragged rows in holomorphic matrix")
+    weights = tuple(Fraction(w) for w in weights) if weights else None
+    return HoloPolyMatrix(n, width, tuple(norm_rows), weights)
+
+
+def euclidean_pairing(n: int) -> BihermitianForm:
+    """The kernel <z, w> = sum_k z_k * wbar_k."""
+    units = [tuple(int(k == l) for l in range(n)) for k in range(n)]
+    return BihermitianForm(n, 1, {(0, 0, e, e): (1, 0) for e in units}, 1)
+
+
+def add(f: BihermitianForm, g: BihermitianForm) -> BihermitianForm:
+    """f + g, summed in numerators over the lcm of the two denominators."""
+    assert (f.n, f.r) == (g.n, g.r)
+    den = lcm(f.den, g.den)
+    support: dict[TermKey, tuple[int, int]] = {}
+    for form in (f, g):
+        k = den // form.den
+        for key, (x, y) in form.support.items():
+            re_, im = support.get(key, (0, 0))
+            support[key] = re_ + x * k, im + y * k
+    return BihermitianForm.lowest(f.n, f.r, support, den)
+
+
+def subtract(f: BihermitianForm, g: BihermitianForm) -> BihermitianForm:
+    return add(f, scale(g, -1))
+
+
+def kernel_multiply(f: BihermitianForm, g: BihermitianForm) -> BihermitianForm:
+    """Kernel product: coefficient convolution in z and in wbar separately.
+
+    One factor must be scalar (r = 1); scalar*scalar and scalar*matrix are the
+    supported shapes.  Hermitian symmetry is preserved when both factors have it.
+    """
+    if f.n != g.n:
+        raise ValueError("dimension mismatch in kernel product")
+    if f.r != 1 and g.r != 1:
+        raise ValueError("kernel product needs a scalar factor")
+    scalar, matrix = (f, g) if f.r == 1 else (g, f)
+    acc: dict[TermKey, tuple[int, int]] = {}
+    for (_, _, a1, b1), (x1, y1) in scalar.support.items():
+        for (i, j, a2, b2), (x2, y2) in matrix.support.items():
+            key = (i, j, tuple(map(_add, a1, a2)), tuple(map(_add, b1, b2)))
+            re_, im = acc.get(key, (0, 0))
+            acc[key] = re_ + x1 * x2 - y1 * y2, im + x1 * y2 + y1 * x2
+    return BihermitianForm.lowest(f.n, matrix.r, acc, f.den * g.den)
+
+
+def symbol_multiply(p: RealSymbol, q: RealSymbol) -> RealSymbol:
+    acc: dict = {}
+    for a, ca in p.terms.items():
+        for b, cb in q.terms.items():
+            key = tuple(x + y for x, y in zip(a, b))
+            acc[key] = acc.get(key, Fraction(0)) + ca * cb
+    return RealSymbol.from_terms(p.nvars, acc)
+
+
+def _complex_pair_coefficients(u: int, v: int) -> tuple[tuple[int, int], ...]:
+    """(re, im) of the Gaussian-integer coefficient of x^a y^(u+v-a) in
+    z^u zbar^v = (x + iy)^u (x - iy)^v, for a = 0, ..., u + v."""
+    out = [[0, 0] for _ in range(u + v + 1)]
+    for s in range(u + 1):
+        for t in range(v + 1):
+            # i^(u-s) (-i)^(v-t) = i^k is 1, i, -1, -i
+            k, c = (u - s - v + t) % 4, comb(u, s) * comb(v, t)
+            out[s + t][k % 2] += -c if k > 1 else c
+    return tuple(map(tuple, out))
+
+
+def complex_to_real(form: BihermitianForm) -> RealSymbol:
+    """The inverse of real_to_complex on scalar Hermitian-symmetric kernels."""
+    assert form.r == 1 and is_hermitian_symmetric(form)
+    # The numerators over form.den of each real coefficient, in Gaussian integers.
+    acc: dict = {}
+    for (_, _, alpha, beta), coeff in form.support.items():
+        partial = {(): coeff}
+        for u, v in zip(alpha, beta):
+            partial = {exps + (a, u + v - a): (x * cr - y * ci, x * ci + y * cr)
+                       for exps, (x, y) in partial.items()
+                       for a, (cr, ci) in enumerate(_complex_pair_coefficients(u, v)) if cr or ci}
+        for exps, (x, y) in partial.items():
+            re_, im = acc.get(exps, (0, 0))
+            acc[exps] = re_ + x, im + y
+    assert not any(im for _, im in acc.values())
+    return RealSymbol.from_terms(2 * form.n, {exps: Fraction(re_, form.den)
+                                              for exps, (re_, _) in acc.items()})
+
+
+def stabilization_factor(report: StabilizationReport) -> WeightedGramFactor | None:
+    """The weighted factor of <z, w>^d_min F whose rows are the report's
+    vectors on the bidegree basis; None when no d passed."""
+    if report.vectors is None:
+        return None
+    form, d = report.form, report.d_min
+    basis = homogeneous_basis(form.n, form.r, bidegree(form) + d)
+    return WeightedGramFactor(_factor_from_parts(report.vectors, basis, form.n),
+                              multiplier_power(form, d))
+
+
+def numeric_reconstruction(numeric: NumericFactor, z) -> list[list[complex]]:
+    """Approximate F(z, zbar) as sum_k B_ki(z) * conj(B_kj(z)) from the rows B
+    of a numeric factor."""
+    values = []
+    for row in numeric.rows:
+        values.append([sum((coeff * prod(zk ** a for zk, a in zip(z, alpha))
+                            for alpha, coeff in poly.items()), 0j) for poly in row])
+    return [[sum((row[i] * row[j].conjugate() for row in values), 0j) for j in range(numeric.r)]
+            for i in range(numeric.r)]
+
+
+def multinomial(d: int, gamma) -> int:
+    """d! / gamma!, the expansion weight of z^gamma in <z, w>^d; |gamma| = d."""
+    assert sum(gamma) == d
+    out = factorial(d)
+    for g in gamma:
+        out //= factorial(g)
+    return out
+
+
+def monomial_norm_reduced(alpha) -> Fraction:
+    """Reduced squared L2 norm of z^alpha on the unit ball: alpha! * n! / (n+|alpha|)!,
+    the common factor pi^n/n! dropped, which no positivity depends on."""
+    num = factorial(len(alpha))
+    for a in alpha:
+        num *= factorial(a)
+    return Fraction(num, factorial(len(alpha) + sum(alpha)))
+
+
+def bergman_coefficient_reduced(n: int, d: int) -> int:
+    """Reduced degree-d expansion coefficient of the ball kernel
+    (1 - <z,w>)^-(n+1): binom(n+d, n), the full constant carrying n!/pi^n."""
+    return comb(n + d, n)
+
+
+@dataclass(eq=True)
+class OperatorMatrix:
+    """Operator matrix Q = Dp * M * Dp with the monomial-norm diagonal Dp."""
+
+    matrix: HermitianMatrix
+    weights: tuple[Fraction, ...]
+    basis: CoefficientBasis
+
+
+def operator_matrix(form: BihermitianForm, d: int) -> OperatorMatrix:
+    """The integral operator of a Hermitian-symmetric kernel of bidegree d on
+    r-tuples of degree-d polynomials: its coefficient matrix scaled on both
+    sides by the monomials' reduced L2 norms."""
+    if bidegree(form) != d:
+        raise ValueError(f"form does not have bidegree {d}")
+    matrix, basis = coefficient_matrix(form, mode="bidegree")
+    weights = tuple(monomial_norm_reduced(alpha) for _, alpha in basis.pairs)
+    size = matrix.size
+    rows = [[as_gaussian(weights[k]) * matrix.at(k, l) * as_gaussian(weights[l])
+             for l in range(size)] for k in range(size)]
+    return OperatorMatrix(HermitianMatrix.from_rows(rows), weights, basis)
+
+
+def operator_positive(form: BihermitianForm, d: int) -> tuple[bool, SignatureCertificate]:
+    """Positive definiteness of the operator matrix, with certificate."""
+    cert = ldl_signature(operator_matrix(form, d).matrix)
+    return cert.is_positive_definite(), cert
+
+
+def pairing_identity_check(factor: WeightedGramFactor, h) -> bool:
+    """Exact check that h* Q h equals the weighted sum of squared row pairings
+    <A_k, h>_w, h a coefficient vector over the combined (i, alpha) basis of
+    the factor's target; both sides are computed independently."""
+    target = factor.target
+    op = operator_matrix(target, bidegree(target))
+    h = tuple(as_gaussian(x) for x in h)
+    assert len(h) == len(op.basis.pairs)
+    lhs = ZERO
+    for k, hk in enumerate(h):
+        for l, hl in enumerate(h):
+            lhs = lhs + hk.conjugate() * op.matrix.at(k, l) * hl
+    rhs = ZERO
+    for weight, row in factor.rows:
+        pairing = ZERO
+        for k, (i, alpha) in enumerate(op.basis.pairs):
+            coeff = row[i].get(alpha)
+            if coeff is not None:
+                pairing = pairing + coeff * h[k].conjugate() * as_gaussian(op.weights[k])
+        rhs = rhs + as_gaussian(weight) * pairing * pairing.conjugate()
+    return lhs == rhs
+
+
+def reproducing_check(n: int, d: int) -> bool:
+    """The reproducing identity of the degree-d kernel component: for every
+    |alpha| = d, kernel coefficient x multinomial weight x monomial norm = 1."""
+    c = bergman_coefficient_reduced(n, d)
+    return all(c * multinomial(d, alpha) * monomial_norm_reduced(alpha) == 1
+               for alpha in enumerate_degree(n, d))

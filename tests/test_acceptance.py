@@ -13,8 +13,6 @@ from fractions import Fraction
 import pytest
 
 from hermfact import (
-    HermitianMatrix,
-    bergman_coefficient_reduced,
     certify_elliptic,
     certify_elliptic_form,
     coefficient_matrix,
@@ -24,25 +22,25 @@ from hermfact import (
     find_minimal_d,
     gram,
     holomorphic_factor,
-    is_positive_definite,
-    is_positive_semidefinite,
-    monomial_norm_reduced,
-    multinomial,
     multiplier_shift,
     numeric_factor,
-    operator_positive,
-    pairing_identity_check,
     parse_real_symbol,
     strict_holomorphic_factor,
-    subtract,
 )
-from hermfact import serialize
+from hermfact import ldl_signature, serialize
 from hermfact.cli import main as cli_main
 from hermfact.symbols import sphere_sample_points
 
 from helpers import (
+    bergman_coefficient_reduced,
+    diagonal_matrix,
     diagonal_quartic,
+    monomial_norm_reduced,
+    multinomial,
+    numeric_reconstruction,
+    operator_positive,
     oracle_quartic_dmin,
+    pairing_identity_check,
     quadratic_value,
     quartic_family,
     rand_gauss,
@@ -51,6 +49,8 @@ from helpers import (
     rand_psd_form,
     reference_exponent_steps,
     square_difference,
+    stabilization_factor,
+    subtract,
 )
 
 
@@ -86,9 +86,10 @@ def test_criterion_1_diagonal_quartic_corpus():
     ok = ok and strict_holomorphic_factor(form) is None
     report = find_minimal_d(form, "strict", 4)
     ok = ok and report.d_min == 1
-    shifted_matrix = coefficient_matrix(report.factor.target, mode="bidegree")[0]
-    ok = ok and shifted_matrix == HermitianMatrix.diagonal([1, 1, 1, 1])
-    ok = ok and report.factor is not None and len(report.factor.matrix.rows) == 4
+    factor = stabilization_factor(report)
+    shifted_matrix = coefficient_matrix(factor.target, mode="bidegree")[0]
+    ok = ok and shifted_matrix == diagonal_matrix([1, 1, 1, 1])
+    ok = ok and len(factor.matrix.rows) == 4
 
     _report(
         1,
@@ -159,7 +160,7 @@ def test_criterion_4_operator_equivalence_and_pairing():
             form = rand_hermsym_form(rng, n, r, m)
         d = m if form.support else 0
         matrix, basis = coefficient_matrix(form, mode="bidegree")
-        pd_matrix, _ = is_positive_definite(matrix)
+        pd_matrix = ldl_signature(matrix).is_positive_definite()
         pd_operator, _ = operator_positive(form, d)
         ok = ok and (pd_matrix == pd_operator)
         agree += pd_matrix == pd_operator
@@ -211,7 +212,7 @@ def test_criterion_6_monotonicity_under_shifts():
         twice = multiplier_shift(once)
         for shifted in (once, twice):
             matrix, _ = coefficient_matrix(shifted, mode="bidegree")
-            good, _ = is_positive_definite(matrix)
+            good = ldl_signature(matrix).is_positive_definite()
             ok = ok and good
     for _ in range(100):
         n = rng.randint(1, 2)
@@ -222,7 +223,7 @@ def test_criterion_6_monotonicity_under_shifts():
         twice = multiplier_shift(once)
         for shifted in (once, twice):
             matrix, _ = coefficient_matrix(shifted, mode="bidegree")
-            good, _ = is_positive_semidefinite(matrix)
+            good = ldl_signature(matrix).is_positive_semidefinite()
             ok = ok and good
     _report(
         6,
@@ -261,7 +262,7 @@ def test_criterion_7_factor_round_trips_and_numeric():
     ok = ok and len(points) == 20
     for point in points:
         exact = complex(evaluate_exact(form, point, point)[0][0])
-        approx = numeric.reconstruction([complex(c) for c in point])[0][0]
+        approx = numeric_reconstruction(numeric, [complex(c) for c in point])[0][0]
         ok = ok and abs(approx - exact) / max(abs(exact), 1e-30) < 1e-8
     _report(
         7,
@@ -285,10 +286,9 @@ def test_criterion_8_symbol_instances():
 
     quartic = certify_elliptic_form(diagonal_quartic(), 16)
     ok = ok and quartic.verdict == "certified" and quartic.d == 1
-    ok = ok and quartic.factor is not None and len(quartic.factor.matrix.rows) == 4
-    degrees = {
-        sum(alpha) for _, row in quartic.factor.rows for poly in row for alpha in poly
-    }
+    factor = stabilization_factor(quartic.stabilization)
+    ok = ok and factor is not None and len(factor.matrix.rows) == 4
+    degrees = {sum(alpha) for _, row in factor.rows for poly in row for alpha in poly}
     ok = ok and degrees == {3}
 
     from hermfact import parse_expression

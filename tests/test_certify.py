@@ -10,9 +10,6 @@ from hermfact import (
     HermitianMatrix,
     coefficient_matrix,
     gram,
-    gram_decomposition,
-    is_positive_definite,
-    is_positive_semidefinite,
     ldl_signature,
 )
 from hermfact.certify import mode_evidence
@@ -20,7 +17,9 @@ from hermfact.parsing import parse_expression
 from hermfact.stabilize import power_rows
 from helpers import (
     block_layouts,
+    dense,
     dense_d,
+    diagonal_matrix,
     embedded,
     dense_lower,
     mat_adjoint,
@@ -50,7 +49,7 @@ def reconstruct(cert):
 
 def test_identity_inertia():
     for n in (1, 2, 5):
-        cert = ldl_signature(HermitianMatrix.identity(n))
+        cert = ldl_signature(diagonal_matrix([1] * n))
         assert inertia(cert) == (n, 0, 0)
         assert cert.verify() == (True, "ok")
 
@@ -67,18 +66,18 @@ def test_hollow_two_by_two():
 
 
 def test_square_difference_matrix():
-    cert = ldl_signature(HermitianMatrix.diagonal([1, -2, 1]))
+    cert = ldl_signature(diagonal_matrix([1, -2, 1]))
     assert inertia(cert) == (2, 1, 0)
     assert cert.witness is not None
 
 
 def test_is_positive_definite_family_matrices():
-    ok, cert = is_positive_definite(HermitianMatrix.diagonal([1, 2, 1]))
-    assert ok and inertia(cert) == (3, 0, 0)
-    ok, cert = is_positive_definite(HermitianMatrix.diagonal([1, 0, 1]))
-    assert not ok and cert.n_zero == 1
-    ok, cert = is_positive_definite(HermitianMatrix.diagonal([1, -1, 1]))
-    assert not ok
+    cert = ldl_signature(diagonal_matrix([1, 2, 1]))
+    assert cert.is_positive_definite() and inertia(cert) == (3, 0, 0)
+    cert = ldl_signature(diagonal_matrix([1, 0, 1]))
+    assert not cert.is_positive_definite() and cert.n_zero == 1
+    cert = ldl_signature(diagonal_matrix([1, -1, 1]))
+    assert not cert.is_positive_definite()
     assert cert.witness == SparseRow(((1, 1, 0),))
 
 
@@ -98,21 +97,28 @@ def test_strict_certificate_of_a_singular_psd_matrix():
     assert dataclasses.replace(cert, strict=False).verify() == (
         False, "witness value is not negative")
     # Without negative pivots or zero pivots there is nothing to witness.
-    assert ldl_signature(HermitianMatrix.identity(2), strict=True).witness is None
+    assert ldl_signature(diagonal_matrix([1, 1]), strict=True).witness is None
 
 
 def test_is_positive_semidefinite_examples():
-    ok, _ = is_positive_semidefinite(HermitianMatrix.diagonal([1, 0, 1]))
-    assert ok
-    ok, cert = is_positive_semidefinite(HermitianMatrix.diagonal([1, -2, 1]))
-    assert not ok
+    assert ldl_signature(diagonal_matrix([1, 0, 1])).is_positive_semidefinite()
+    cert = ldl_signature(diagonal_matrix([1, -2, 1]))
+    assert not cert.is_positive_semidefinite()
     assert cert.witness == SparseRow(((1, 1, 0),))
-    ok, cert = is_positive_semidefinite(HermitianMatrix.diagonal([0, 0]))
-    assert ok and cert.n_zero == 2
+    cert = ldl_signature(diagonal_matrix([0, 0]))
+    assert cert.is_positive_semidefinite() and cert.n_zero == 2
+
+
+def gram_decomposition(matrix):
+    """M = sum a_k u_k u_k^adj - sum b_l v_l v_l^adj, a_k, b_l > 0, from the
+    certificate's weighted vectors, each vector dense."""
+    pairs = ldl_signature(matrix).weighted_vectors()
+    return ([(w, dense(v, matrix.size)) for w, v in pairs if w > 0],
+            [(-w, dense(v, matrix.size)) for w, v in pairs if w < 0])
 
 
 def test_gram_decomposition_examples():
-    positives, negatives = gram_decomposition(HermitianMatrix.diagonal([2, 3]))
+    positives, negatives = gram_decomposition(diagonal_matrix([2, 3]))
     assert negatives == []
     assert sorted(w for w, _ in positives) == [Fraction(2), Fraction(3)]
     vectors = sorted(tuple(str(c) for c in v) for _, v in positives)
@@ -132,7 +138,7 @@ def test_gram_decomposition_examples():
                 acc[i][j] = acc[i][j] - GaussianRational(weight) * vec[i] * vec[j].conjugate()
     assert [[str(c) for c in row] for row in acc] == [["0", "1"], ["1", "0"]]
 
-    positives, negatives = gram_decomposition(HermitianMatrix.diagonal([1, -2, 1]))
+    positives, negatives = gram_decomposition(diagonal_matrix([1, -2, 1]))
     assert len(positives) == 2 and len(negatives) == 1
 
 
@@ -228,8 +234,8 @@ def test_pd_gram_built_matrices():
         r = rng.randint(1, 2)
         m = rng.randint(0, 2)
         matrix, _ = coefficient_matrix(gram(rand_pd_matrix(rng, n, m, r)))
-        ok, cert = is_positive_definite(matrix)
-        assert ok and cert.n_pos == matrix.size
+        cert = ldl_signature(matrix)
+        assert cert.is_positive_definite() and cert.n_pos == matrix.size
 
 
 def test_transform_is_permuted_unit_triangular_without_hollow_fix():

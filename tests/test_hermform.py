@@ -8,35 +8,36 @@ from hermfact import (
     BihermitianForm,
     GaussianRational,
     HermitianMatrix,
-    add,
     bidegree,
     coefficient_matrix,
     enumerate_degree,
-    euclidean_pairing,
-    evaluate,
     evaluate_exact,
     from_coefficient_matrix,
     gram,
     is_hermitian_symmetric,
-    is_positive_semidefinite,
-    kernel_multiply,
+    ldl_signature,
     parse_expression,
     scale,
     serialize,
-    subtract,
 )
 from hermfact.hermform import coefficient_basis
 from hermfact.stabilize import power_rows
 
 from helpers import (
+    add,
     combined_pairs,
+    diagonal_matrix,
     diagonal_quartic,
+    euclidean_pairing,
+    holo_matrix,
+    kernel_multiply,
     quartic_family,
     rand_gauss,
     rand_hermsym_form,
     rand_holo_matrix,
     rand_rational_point,
     square_difference,
+    subtract,
 )
 
 
@@ -58,34 +59,19 @@ def test_bidegree_examples():
 
 def test_evaluate_examples():
     fc = quartic_family(3)
-    value = evaluate(fc, (1, 0), (1, 0))
-    assert abs(value[0][0] - 1) < 1e-12
+    assert evaluate_exact(fc, (1, 0), (1, 0))[0][0] == GaussianRational(1)
     eq5 = square_difference()
-    for t in (0.3, 1.0, -2.5):
-        value = evaluate(eq5, (t, t), (t, t))
-        assert abs(value[0][0]) < 1e-12
-    z = (0.7 + 0.1j, -0.2j)
-    assert evaluate(fc, (0, 0), (0, 0))[0][0] == 0
-
-
-def test_evaluate_exact_matches_float():
-    rng = random.Random(5)
-    form = rand_hermsym_form(rng, 2, 2, 2)
-    z = rand_rational_point(rng, 2)
-    w = rand_rational_point(rng, 2)
-    exact = evaluate_exact(form, z, w)
-    approx = evaluate(form, [complex(c) for c in z], [complex(c) for c in w])
-    for i in range(2):
-        for j in range(2):
-            assert abs(complex(exact[i][j]) - approx[i][j]) < 1e-9
+    for t in (Fraction(3, 10), Fraction(1), Fraction(-5, 2)):
+        assert evaluate_exact(eq5, (t, t), (t, t))[0][0].is_zero()
+    assert evaluate_exact(fc, (0, 0), (0, 0))[0][0].is_zero()
 
 
 def test_gram_examples():
-    column = parse_expression("[[z1^2],[z2^2]]", want="holo")
+    column = holo_matrix(2, [[{(2, 0): 1}], [{(0, 2): 1}]])
     assert gram(column) == diagonal_quartic()
-    unit_row = parse_expression("[[1]]", want="holo")
+    unit_row = holo_matrix(1, [[{(0,): 1}]])
     assert gram(unit_row) == parse_expression("1")
-    pairing_rows = parse_expression("[[z1],[z2]]", want="holo")
+    pairing_rows = holo_matrix(2, [[{(1, 0): 1}], [{(0, 1): 1}]])
     assert gram(pairing_rows) == euclidean_pairing(2)
 
 
@@ -93,13 +79,13 @@ def test_coefficient_matrix_examples():
     for c in (Fraction(2), Fraction(0), Fraction(-7, 3)):
         matrix, basis = coefficient_matrix(quartic_family(c))
         assert basis.pairs == tuple((0, a) for a in enumerate_degree(2, 2))
-        assert matrix == HermitianMatrix.diagonal([1, GaussianRational(c), 1])
+        assert matrix == diagonal_matrix([1, GaussianRational(c), 1])
     matrix, _ = coefficient_matrix(square_difference())
-    assert matrix == HermitianMatrix.diagonal([1, -2, 1])
+    assert matrix == diagonal_matrix([1, -2, 1])
     pairing = euclidean_pairing(2)
     squared = kernel_multiply(pairing, pairing)
     matrix, _ = coefficient_matrix(squared)
-    assert matrix == HermitianMatrix.diagonal([1, 2, 1])
+    assert matrix == diagonal_matrix([1, 2, 1])
 
 
 def test_coefficient_matrix_rejects_asymmetric():
@@ -158,12 +144,12 @@ def test_no_fraction_is_built_from_reading_a_form_to_its_matrix(monkeypatch):
 
 
 def test_from_coefficient_matrix_examples():
-    identity = HermitianMatrix.identity(2)
+    identity = diagonal_matrix([1, 1])
     assert from_coefficient_matrix(identity, 2, 1, 1) == euclidean_pairing(2)
     c = Fraction(5, 7)
-    diag = HermitianMatrix.diagonal([1, GaussianRational(c), 1])
+    diag = diagonal_matrix([1, GaussianRational(c), 1])
     assert from_coefficient_matrix(diag, 2, 2, 1) == quartic_family(c)
-    zero = HermitianMatrix.diagonal([0, 0, 0])
+    zero = diagonal_matrix([0, 0, 0])
     assert from_coefficient_matrix(zero, 2, 2, 1) == BihermitianForm.zero(2)
     with pytest.raises(ValueError):
         from_coefficient_matrix(identity, 2, 2, 1)
@@ -189,7 +175,7 @@ def test_kernel_multiply_examples():
     assert kernel_multiply(one, form) == form
     shifted = kernel_multiply(pairing, diagonal_quartic())
     matrix, _ = coefficient_matrix(shifted)
-    assert matrix == HermitianMatrix.diagonal([1, 1, 1, 1])
+    assert matrix == diagonal_matrix([1, 1, 1, 1])
 
 
 def test_kernel_multiply_shape_errors():
@@ -234,8 +220,7 @@ def test_gram_coefficient_duality_random():
                         continue
                     expected = expected + GaussianRational(weights[k]) * cu * cv.conjugate()
                 assert matrix.at(u, v) == expected
-        ok, _ = is_positive_semidefinite(matrix)
-        assert ok
+        assert ldl_signature(matrix).is_positive_semidefinite()
 
 
 def test_evaluate_consistency_with_quadratic_form():

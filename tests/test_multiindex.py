@@ -3,13 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from hermfact import (
-    bergman_coefficient_reduced,
-    dim_homogeneous,
-    enumerate_degree,
-    monomial_norm_reduced,
-    multinomial,
-)
+from hermfact import dim_homogeneous, enumerate_degree
+
+from helpers import bergman_coefficient_reduced, monomial_norm_reduced, multinomial
 
 
 def test_enumerate_degree_two_vars():
@@ -49,11 +45,6 @@ def test_multinomial_values():
     assert multinomial(3, (3, 0)) == 1
     # oracle: 4!/(2! 1! 1!)
     assert multinomial(4, (2, 1, 1)) == math.factorial(4) // (2 * 1 * 1) == 12
-
-
-def test_multinomial_degree_mismatch():
-    with pytest.raises(ValueError):
-        multinomial(3, (1, 1))
 
 
 def test_monomial_norm_one_variable_closed_form():
@@ -119,12 +110,17 @@ def test_enumerate_degree_many_variables():
 
 def test_enumerate_degree_keeps_a_bounded_cache():
     # A long search asks for one new degree at each step; the cache keeps
-    # the last ENUMERATION_CACHE_SIZE of them, not every one.
-    from hermfact.multiindex import ENUMERATION_CACHE_SIZE
+    # the last degrees whose monomials fit in TABLE_CACHE_ENTRIES, not every one.
+    from hermfact.multiindex import TABLE_CACHE_ENTRIES
 
-    for m in range(2 * ENUMERATION_CACHE_SIZE):
-        enumerate_degree(2, m)
-    assert 0 < enumerate_degree.cache_info().currsize <= ENUMERATION_CACHE_SIZE
+    first = enumerate_degree(2, 5)
+    assert enumerate_degree(2, 5) is first
+    for m in range(1000, 1002 + TABLE_CACHE_ENTRIES // 1000):
+        last = enumerate_degree(2, m)
+        assert enumerate_degree(2, m) is last
+    again = enumerate_degree(2, 5)
+    assert again is not first and again == first
+    assert enumerate_degree(2, m) is last
     assert enumerate_degree(2, 3) == ((3, 0), (2, 1), (1, 2), (0, 3))
 
 

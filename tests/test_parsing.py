@@ -7,7 +7,6 @@ import pytest
 from hermfact import (
     GaussianRational,
     bidegree,
-    euclidean_pairing,
     format_form,
     is_hermitian_symmetric,
     parse_expression,
@@ -16,7 +15,13 @@ from hermfact import (
 from hermfact import parsing
 from hermfact.parsing import _ONE, ParseError, _Parser, _poly_mul, _poly_pow, parse_symbol
 
-from helpers import diagonal_quartic, parse_outcome, quartic_family, rand_hermsym_form
+from helpers import (
+    diagonal_quartic,
+    euclidean_pairing,
+    parse_outcome,
+    quartic_family,
+    rand_hermsym_form,
+)
 
 
 def test_parse_diagonal_quartic():
@@ -43,13 +48,6 @@ def test_parse_matrix_form():
     assert is_hermitian_symmetric(form)
     with pytest.raises(ParseError):
         parse_expression("[[z1*zb1, z1*zb2]]")  # not square
-
-
-def test_parse_holomorphic_matrix():
-    matrix = parse_expression("[[z1^2],[z2^2]]", want="holo")
-    assert matrix.shape == (2, 1)
-    with pytest.raises(ParseError):
-        parse_expression("[[zb1]]", want="holo")
 
 
 def test_parse_real_symbol_and_separation():

@@ -16,10 +16,8 @@ from hypothesis import strategies as st
 
 from hermfact import (
     BihermitianForm,
-    add,
     GaussianRational,
     HermitianMatrix,
-    HoloPolyMatrix,
     bidegree,
     coefficient_matrix,
     enumerate_degree,
@@ -29,7 +27,6 @@ from hermfact import (
     from_coefficient_matrix,
     gram,
     is_hermitian_symmetric,
-    kernel_multiply,
     WeightedGramFactor,
     ldl_signature,
     multiplier_power,
@@ -50,13 +47,19 @@ from hermfact.cli import main as cli_main
 from hermfact.factor import _factor_from_parts
 from hermfact.hermform import coefficient_basis, homogeneous_basis
 from hermfact.scalars import ZERO, SparseRow
-from hermfact.multiindex import multinomial, multinomial_weights
+from hermfact.multiindex import multinomial_weights
 from hermfact.stabilize import power_rows
-from hermfact.symbols import RealSymbol, _sample_symbol, complex_to_real, real_to_complex
+from hermfact.symbols import RealSymbol, _sample_symbol, real_to_complex
 
 from helpers import (
+    add,
     block_layouts,
+    complex_to_real,
+    dense,
     embedded,
+    holo_matrix,
+    kernel_multiply,
+    multinomial,
     parse_outcome,
     quadratic_value,
     quartic_family,
@@ -229,7 +232,7 @@ def holo_matrices(draw):
     polys = st.dictionaries(monomials, gaussians, max_size=3)
     rows = draw(st.lists(st.lists(polys, min_size=r, max_size=r), max_size=3))
     row_weights = draw(st.none() | st.lists(weights, min_size=len(rows), max_size=len(rows)))
-    return HoloPolyMatrix.from_rows(n, rows, row_weights, ncols=r)
+    return holo_matrix(n, rows, row_weights, ncols=r)
 
 
 @SETTINGS
@@ -241,7 +244,7 @@ def test_gram_equals_reference(a):
 def test_gram_drops_cancelled_terms():
     # |z1 + z2|^2 + |z1 - z2|^2 = 2|z1|^2 + 2|z2|^2: the cross terms cancel.
     one = GaussianRational(Fraction(1))
-    a = HoloPolyMatrix.from_rows(2, [[{(1, 0): one, (0, 1): one}], [{(1, 0): one, (0, 1): -one}]])
+    a = holo_matrix(2, [[{(1, 0): one, (0, 1): one}], [{(1, 0): one, (0, 1): -one}]])
     assert gram(a) == BihermitianForm.from_terms(2, 1, {(0, 0, (1, 0), (1, 0)): 2,
                                                         (0, 0, (0, 1), (0, 1)): 2})
 
@@ -364,7 +367,7 @@ def hermitian_matrices(draw):
 def test_weighted_vectors_densify_to_the_reference(matrix):
     cert = ldl_signature(matrix)
     pairs = cert.weighted_vectors()
-    assert ([(w, v.dense(matrix.size)) for w, v in pairs]
+    assert ([(w, dense(v, matrix.size)) for w, v in pairs]
             == reference_primitive(reference_weighted_vectors(reference_layout(cert))))
     for _, v in pairs:
         indices = [j for j, _, _ in v.entries]
@@ -377,7 +380,7 @@ def test_weighted_vectors_densify_to_the_reference(matrix):
 def test_weighted_vectors_of_a_hollow_block():
     cert = ldl_signature(HermitianMatrix.from_rows([[0, 1, 2], [1, 0, 1], [2, 1, 0]]))
     assert cert.blocks
-    assert ([(w, v.dense(3)) for w, v in cert.weighted_vectors()]
+    assert ([(w, dense(v, 3)) for w, v in cert.weighted_vectors()]
             == reference_primitive(reference_weighted_vectors(reference_layout(cert))))
 
 
@@ -485,8 +488,6 @@ def test_parser_equals_reference(pair):
         for parse, reference in [
             (parse_expression, reference_parse_expression),
             (lambda t: parse_expression(t, n=3), lambda t: reference_parse_expression(t, n=3)),
-            (lambda t: parse_expression(t, want="holo"),
-             lambda t: reference_parse_expression(t, want="holo")),
             (parse_real_symbol, reference_parse_real_symbol),
         ]:
             assert parse_outcome(parse, text) == parse_outcome(reference, text)
@@ -1184,7 +1185,7 @@ def psd_forms(draw):
     polys = st.dictionaries(st.sampled_from(enumerate_degree(n, m)), gaussians, max_size=3)
     rows = draw(st.lists(st.lists(polys, min_size=r, max_size=r), max_size=3))
     row_weights = draw(st.lists(weights, min_size=len(rows), max_size=len(rows)))
-    return gram(HoloPolyMatrix.from_rows(n, rows, row_weights or None, ncols=r))
+    return gram(holo_matrix(n, rows, row_weights or None, ncols=r))
 
 
 @SETTINGS

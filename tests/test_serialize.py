@@ -23,6 +23,7 @@ from hermfact.factor import _factor_from_parts
 from hermfact.scalars import SparseRow
 
 from helpers import (
+    diagonal_matrix,
     diagonal_quartic,
     quadratic_value,
     quartic_family,
@@ -293,7 +294,7 @@ def test_stabilization_step_carries_no_inertia_copy(forgery_report):
 def test_stabilization_trail_certificate_of_another_matrix_is_rejected(forgery_report):
     # The witness of diag(-1, 1, 1), e_0, in place of the d = 6 witness e_4:
     # entry (0, 0) of M_6 is 1.
-    cert = ldl_signature(HermitianMatrix.diagonal([-1, 1, 1]))
+    cert = ldl_signature(diagonal_matrix([-1, 1, 1]))
     assert cert.verify() == (True, "ok")
     other = serialize.certificate_to_obj(cert)
     assert forgery_report["trail"][0] == [6, [[4, 1, 0]]]

@@ -1,5 +1,7 @@
 import random
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -8,10 +10,8 @@ from hermfact import (
     GaussianRational,
     HermitianMatrix,
     coefficient_matrix,
-    euclidean_pairing,
     find_minimal_d,
-    is_positive_definite,
-    is_positive_semidefinite,
+    ldl_signature,
     multiplier_power,
     multiplier_shift,
     parse_expression,
@@ -21,6 +21,8 @@ from hermfact import stabilize
 from hermfact.scalars import GaussianRow, SparseRow
 
 from helpers import (
+    diagonal_matrix,
+    euclidean_pairing,
     oracle_diagonal_shift_entries,
     oracle_quartic_dmin,
     oracle_quartic_entries,
@@ -42,13 +44,13 @@ def diag_of(form):
 
 def test_multiplier_shift_examples():
     shifted = multiplier_shift(quartic_family(-1))
-    assert diag_of(shifted) == HermitianMatrix.diagonal([1, 0, 0, 1])
+    assert diag_of(shifted) == diagonal_matrix([1, 0, 0, 1])
 
     one = parse_expression("1", n=2)
     assert multiplier_shift(one) == euclidean_pairing(2)
 
     shifted = multiplier_shift(quartic_family(0))
-    assert diag_of(shifted) == HermitianMatrix.diagonal([1, 1, 1, 1])
+    assert diag_of(shifted) == diagonal_matrix([1, 1, 1, 1])
 
 
 def test_multiplier_power_examples():
@@ -56,10 +58,10 @@ def test_multiplier_power_examples():
     assert multiplier_power(form, 0) == form
 
     one = parse_expression("1", n=2)
-    assert diag_of(multiplier_power(one, 2)) == HermitianMatrix.diagonal([1, 2, 1])
+    assert diag_of(multiplier_power(one, 2)) == diagonal_matrix([1, 2, 1])
 
     powered = multiplier_power(quartic_family(-1), 3)
-    assert diag_of(powered) == HermitianMatrix.diagonal([1, 2, 1, 1, 2, 1])
+    assert diag_of(powered) == diagonal_matrix([1, 2, 1, 1, 2, 1])
 
 
 def test_multiplier_requires_bidegree():
@@ -143,8 +145,8 @@ def test_find_minimal_d_report_invariants():
     report = find_minimal_d(quartic_family(-1), "strict", 5)
     assert report.steps[report.d_min].passes
     assert not report.steps[report.d_min - 1].passes
-    assert report.factor is not None
-    assert len(report.factor.matrix.rows) == report.steps[-1].size
+    assert report.vectors is not None
+    assert len(report.vectors) == report.steps[-1].size
 
 
 def test_find_minimal_d_validates_input():
@@ -165,9 +167,9 @@ def test_monotonicity_strict_and_semi():
         m = rng.randint(0, 2)
         form = rand_pd_form(rng, n, m, r)
         shifted = multiplier_shift(form)
-        ok1, _ = is_positive_definite(diag_of(shifted))
+        ok1 = ldl_signature(diag_of(shifted)).is_positive_definite()
         shifted2 = multiplier_shift(shifted)
-        ok2, _ = is_positive_definite(diag_of(shifted2))
+        ok2 = ldl_signature(diag_of(shifted2)).is_positive_definite()
         assert ok1 and ok2
         strict_checked += 1
     assert strict_checked == 100
@@ -177,9 +179,9 @@ def test_monotonicity_strict_and_semi():
         m = rng.randint(0, 2)
         form = rand_psd_form(rng, n, m, r)
         shifted = multiplier_shift(form)
-        ok1, _ = is_positive_semidefinite(diag_of(shifted))
+        ok1 = ldl_signature(diag_of(shifted)).is_positive_semidefinite()
         shifted2 = multiplier_shift(shifted)
-        ok2, _ = is_positive_semidefinite(diag_of(shifted2))
+        ok2 = ldl_signature(diag_of(shifted2)).is_positive_semidefinite()
         assert ok1 and ok2
 
 
@@ -257,6 +259,35 @@ def test_steps_decided_by_their_diagonal_build_no_matrix(monkeypatch, text, n, m
                                                  reference_exponent_steps(form))
                      if all(row[p].re > 0 or (not strict and row[p].re == 0)
                             for p, row in enumerate(matrix.entries))]
+
+
+def test_the_diagonal_screen_allocates_no_imaginary_rows():
+    # The screen scatters the form's diagonal terms alone, which are real, so
+    # it allocates the real rows of M_d alone; its diagonal is M_d's, and
+    # M_d built in full keeps its imaginary rows.
+    form = parse_expression("z1^2*zb1^2 + z2^2*zb2^2 + (1/4+1/4*i)*z1*z2*zb2^2"
+                            " + (1/4-1/4*i)*z2^2*zb1*zb2")
+    diagonal = [(key, c) for key, c in form.support.items()
+                if key[0] == key[1] and key[2] == key[3]]
+    rows_re, rows_im = stabilize._scattered(form, diagonal, 2, 3)
+    full_re, full_im = stabilize._scattered(form, form.support.items(), 2, 3)
+    assert rows_im == [] and len(full_im) == len(full_re) == len(rows_re) == 6
+    assert any(full_im)
+    assert [row.get(p, 0) for p, row in enumerate(rows_re)] == [
+        row.get(p, 0) for p, row in enumerate(full_re)]
+    assert stabilize.shifted_rows(form, 2, 3) == HermitianMatrix.lowest(full_re, full_im,
+                                                                        form.den)
+    # A real form's M_d has its imaginary rows too, all empty.
+    assert stabilize.power_rows(quartic_family(-1), 3).im == [{}] * 6
+
+
+def test_readme_library_example_runs():
+    # The README's "Library" section runs as written, on the names the
+    # package keeps.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"## Library\n.*?```python\n(.*?)```", readme, re.S).group(1)
+    assert "find_minimal_d" in block
+    exec(compile(block, "README.md", "exec"), {})
 
 
 def test_sweep_family_ladder():

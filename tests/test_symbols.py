@@ -5,31 +5,38 @@ import pytest
 
 from hermfact import (
     GaussianRational,
-    HermitianMatrix,
     bidegree,
     certify_elliptic,
     certify_elliptic_form,
     coefficient_matrix,
-    complex_to_real,
-    euclidean_pairing,
     evaluate_exact,
-    is_complex_bihomogeneous,
-    kernel_multiply,
+    ldl_signature,
     parse_expression,
     parse_real_symbol,
-    rational_sphere_point,
     real_to_complex,
     scale,
     sphere_sample_points,
 )
-from hermfact.symbols import RealSymbol, symbol_multiply
+from hermfact.symbols import RealSymbol, _sphere_point, _stereographic
 
 from helpers import (
+    complex_to_real,
+    diagonal_matrix,
     diagonal_quartic,
+    euclidean_pairing,
+    kernel_multiply,
     quartic_family,
     reference_rational_sphere_point,
     reference_sphere_sample_points,
+    stabilization_factor,
+    symbol_multiply,
 )
+
+
+def sphere_point(params):
+    """The unit-sphere point of rational stereographic parameters, as the
+    sphere sampling builds each of its points."""
+    return _sphere_point(*_stereographic([(p.numerator, p.denominator) for p in params]))
 
 
 def rand_symbol(rng, nvars, max_degree=3, terms=4):
@@ -57,7 +64,6 @@ def test_indefinite_symbol_not_bihomogeneous():
     symbol = parse_real_symbol("x1^2 - x2^2")
     form = real_to_complex(symbol)
     assert form == parse_expression("1/2*z1^2 + 1/2*zb1^2")
-    assert not is_complex_bihomogeneous(form)
     assert bidegree(form) is None
 
 
@@ -80,19 +86,6 @@ def test_complex_to_real_round_trips():
     assert real_to_complex(quartic) == diagonal_quartic()
     zero = RealSymbol.from_terms(2, {})
     assert complex_to_real(real_to_complex(zero)) == zero
-
-
-def test_complex_to_real_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        complex_to_real(parse_expression("[[z1*zb1, 0],[0, z1*zb1]]"))
-    with pytest.raises(ValueError):
-        complex_to_real(parse_expression("z1*zb2", n=2))
-
-
-def test_is_complex_bihomogeneous_examples():
-    assert is_complex_bihomogeneous(parse_expression("z1*zb1"))
-    assert not is_complex_bihomogeneous(parse_expression("1/2*z1^2 + 1/2*zb1^2"))
-    assert is_complex_bihomogeneous(quartic_family(Fraction(-19, 10)))
 
 
 def test_conversion_is_ring_homomorphism():
@@ -129,7 +122,7 @@ def test_rational_sphere_points_are_exactly_unit():
     for _ in range(30):
         n = rng.randint(1, 3)
         params = [Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(2 * n - 1)]
-        point = rational_sphere_point(params)
+        point = sphere_point(params)
         assert sum(c.abs2() for c in point) == 1
     for point in sphere_sample_points(2, extra=10)[:40]:
         assert sum(c.abs2() for c in point) == 1
@@ -140,7 +133,7 @@ def test_sphere_points_equal_reference():
     for _ in range(30):
         n = rng.randint(1, 3)
         params = [Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(2 * n - 1)]
-        assert rational_sphere_point(params) == reference_rational_sphere_point(params)
+        assert sphere_point(params) == reference_rational_sphere_point(params)
     for n in range(1, 4):
         assert sphere_sample_points(n) == reference_sphere_sample_points(n)
     assert sphere_sample_points(2, extra=10, seed=3) == reference_sphere_sample_points(2, 10, 3)
@@ -149,18 +142,18 @@ def test_sphere_points_equal_reference():
 def test_certify_elliptic_laplacian():
     report = certify_elliptic(parse_real_symbol("x1^2 + x2^2"), 16)
     assert report.verdict == "certified" and report.d == 0
-    assert coefficient_matrix(report.factor.target, mode="bidegree")[0] == HermitianMatrix.identity(1)
+    factor = stabilization_factor(report.stabilization)
+    assert coefficient_matrix(factor.target, mode="bidegree")[0] == diagonal_matrix([1])
     # factor rows are the first-order d/dz operators with unit weights
-    assert [w for w, _ in report.factor.rows] == [Fraction(1)]
+    assert [w for w, _ in factor.rows] == [Fraction(1)]
 
     report = certify_elliptic(parse_real_symbol("x1^2 + x2^2 + x3^2 + x4^2"), 16)
     assert report.verdict == "certified" and report.d == 0
-    assert coefficient_matrix(report.factor.target, mode="bidegree")[0] == HermitianMatrix.identity(2)
-    supports = [
-        {alpha for poly in row for alpha in poly} for _, row in report.factor.rows
-    ]
+    factor = stabilization_factor(report.stabilization)
+    assert coefficient_matrix(factor.target, mode="bidegree")[0] == diagonal_matrix([1, 1])
+    supports = [{alpha for poly in row for alpha in poly} for _, row in factor.rows]
     assert supports == [{(1, 0)}, {(0, 1)}]
-    assert all(w == 1 for w, _ in report.factor.rows)
+    assert all(w == 1 for w, _ in factor.rows)
 
 
 def test_certify_elliptic_biharmonic():
@@ -171,13 +164,9 @@ def test_certify_elliptic_biharmonic():
 def test_certify_elliptic_quartic_complex_form():
     report = certify_elliptic_form(diagonal_quartic(), 16)
     assert report.verdict == "certified" and report.d == 1
-    assert len(report.factor.matrix.rows) == 4
-    degrees = {
-        sum(alpha)
-        for _, row in report.factor.rows
-        for poly in row
-        for alpha in poly
-    }
+    factor = stabilization_factor(report.stabilization)
+    assert len(factor.matrix.rows) == 4
+    degrees = {sum(alpha) for _, row in factor.rows for poly in row for alpha in poly}
     assert degrees == {3}
 
 
@@ -193,7 +182,8 @@ def test_certify_elliptic_degenerate_symbol():
 
 def test_certify_elliptic_negative_definite_symbol():
     report = certify_elliptic(parse_real_symbol("-x1^2 - x2^2"), 16)
-    assert report.verdict == "certified" and report.sign_flipped
+    assert report.verdict == "certified"
+    assert report.stabilization.form == scale(report.form, -1)
 
 
 def test_certify_elliptic_sign_change():
@@ -205,18 +195,16 @@ def test_certify_elliptic_sign_change():
     assert report.witness_point is not None or report.sign_pair is not None
     # the ladder below c = -2 changes sign: the pair holds the two points only
     report = certify_elliptic_form(quartic_family(-3), 8)
-    assert report.witness_point is None and not report.sign_flipped
+    assert report.witness_point is None and report.stabilization is None
     pos, neg = report.sign_pair
     assert evaluate_exact(report.form, pos, pos)[0][0].re > 0
     assert evaluate_exact(report.form, neg, neg)[0][0].re < 0
     assert sum(c.abs2() for c in pos) == sum(c.abs2() for c in neg) == 1
 
 
-def test_sign_flipped_follows_the_stabilization_form():
+def test_a_positive_symbol_is_searched_as_it_is():
     report = certify_elliptic_form(diagonal_quartic(), 8)
-    assert report.stabilization.form == report.form and not report.sign_flipped
-    report = certify_elliptic(parse_real_symbol("-x1^2 - x2^2"), 16)
-    assert report.stabilization.form == scale(report.form, -1) and report.sign_flipped
+    assert report.stabilization.form == report.form
 
 
 def test_certify_elliptic_rejects_bad_symbols():
@@ -231,7 +219,7 @@ def test_certify_elliptic_rejects_bad_symbols():
 
 
 def test_certified_monotone_under_further_shifts():
-    from hermfact import is_positive_definite, multiplier_shift
+    from hermfact import multiplier_shift
 
     report = certify_elliptic_form(diagonal_quartic(), 8)
     assert report.verdict == "certified"
@@ -241,8 +229,7 @@ def test_certified_monotone_under_further_shifts():
     for _ in range(2):
         shifted = multiplier_shift(shifted)
         matrix, _ = coefficient_matrix(shifted, mode="bidegree")
-        ok, _ = is_positive_definite(matrix)
-        assert ok
+        assert ldl_signature(matrix).is_positive_definite()
 
 
 def test_certified_matrix_matches_strict_factor_existence():
@@ -253,9 +240,7 @@ def test_certified_matrix_matches_strict_factor_existence():
         assert report.verdict == "certified"
         shifted = multiplier_power(form, report.d)
         matrix, _ = coefficient_matrix(shifted, mode="bidegree")
-        from hermfact import is_positive_definite
-
-        pd, _ = is_positive_definite(matrix)
         factor = strict_holomorphic_factor(shifted)
-        assert pd and factor is not None
-        assert coefficient_matrix(report.factor.target, mode="bidegree")[0] == matrix
+        assert ldl_signature(matrix).is_positive_definite() and factor is not None
+        target = stabilization_factor(report.stabilization).target
+        assert coefficient_matrix(target, mode="bidegree")[0] == matrix
