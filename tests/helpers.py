@@ -1689,7 +1689,10 @@ def _complex_pair_coefficients(u: int, v: int) -> tuple[tuple[int, int], ...]:
 
 def complex_to_real(form: BihermitianForm) -> RealSymbol:
     """The inverse of real_to_complex on scalar Hermitian-symmetric kernels."""
-    assert form.r == 1 and is_hermitian_symmetric(form)
+    if form.r != 1:
+        raise ValueError("real-form conversion handles scalar kernels only")
+    if not is_hermitian_symmetric(form):
+        raise ValueError("real-form conversion requires a Hermitian-symmetric kernel")
     # The numerators over form.den of each real coefficient, in Gaussian integers.
     acc: dict = {}
     for (_, _, alpha, beta), coeff in form.support.items():
@@ -1730,7 +1733,8 @@ def numeric_reconstruction(numeric: NumericFactor, z) -> list[list[complex]]:
 
 def multinomial(d: int, gamma) -> int:
     """d! / gamma!, the expansion weight of z^gamma in <z, w>^d; |gamma| = d."""
-    assert sum(gamma) == d
+    if sum(gamma) != d:
+        raise ValueError(f"multinomial degree mismatch: |{gamma}| != {d}")
     out = factorial(d)
     for g in gamma:
         out //= factorial(g)

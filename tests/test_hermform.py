@@ -66,6 +66,31 @@ def test_evaluate_examples():
     assert evaluate_exact(fc, (0, 0), (0, 0))[0][0].is_zero()
 
 
+def float_evaluate(form, z, w):
+    """F(z, wbar) in complex floats, term by term from the form's support."""
+    out = [[0j] * form.r for _ in range(form.r)]
+    for (i, j, alpha, beta), (x, y) in form.support.items():
+        term = complex(x / form.den, y / form.den)
+        for zk, a in zip(z, alpha):
+            term *= zk**a
+        for wk, b in zip(w, beta):
+            term *= (wk**b).conjugate()
+        out[i][j] += term
+    return out
+
+
+def test_evaluate_exact_matches_float():
+    rng = random.Random(5)
+    form = rand_hermsym_form(rng, 2, 2, 2)
+    z = rand_rational_point(rng, 2)
+    w = rand_rational_point(rng, 2)
+    exact = evaluate_exact(form, z, w)
+    approx = float_evaluate(form, [complex(c) for c in z], [complex(c) for c in w])
+    for i in range(2):
+        for j in range(2):
+            assert abs(complex(exact[i][j]) - approx[i][j]) < 1e-9
+
+
 def test_gram_examples():
     column = holo_matrix(2, [[{(2, 0): 1}], [{(0, 2): 1}]])
     assert gram(column) == diagonal_quartic()

@@ -47,6 +47,11 @@ def test_multinomial_values():
     assert multinomial(4, (2, 1, 1)) == math.factorial(4) // (2 * 1 * 1) == 12
 
 
+def test_multinomial_degree_mismatch():
+    with pytest.raises(ValueError):
+        multinomial(3, (1, 1))
+
+
 def test_monomial_norm_one_variable_closed_form():
     # oracle: the polar integral of |z|^(2k) over the unit disc is pi/(k+1);
     # dividing out pi leaves 1/(k+1)

@@ -88,6 +88,20 @@ def test_complex_to_real_round_trips():
     assert complex_to_real(real_to_complex(zero)) == zero
 
 
+def test_complex_to_real_rejects_bad_inputs():
+    with pytest.raises(ValueError):
+        complex_to_real(parse_expression("[[z1*zb1, 0],[0, z1*zb1]]"))
+    with pytest.raises(ValueError):
+        complex_to_real(parse_expression("z1*zb2", n=2))
+
+
+def test_is_complex_bihomogeneous_examples():
+    # a scalar form is complex bihomogeneous exactly when it has a bidegree
+    assert bidegree(parse_expression("z1*zb1")) == 1
+    assert bidegree(parse_expression("1/2*z1^2 + 1/2*zb1^2")) is None
+    assert bidegree(quartic_family(Fraction(-19, 10))) == 2
+
+
 def test_conversion_is_ring_homomorphism():
     rng = random.Random(401)
     for _ in range(50):
@@ -202,9 +216,11 @@ def test_certify_elliptic_sign_change():
     assert sum(c.abs2() for c in pos) == sum(c.abs2() for c in neg) == 1
 
 
-def test_a_positive_symbol_is_searched_as_it_is():
+def test_sign_flipped_follows_the_stabilization_form():
     report = certify_elliptic_form(diagonal_quartic(), 8)
     assert report.stabilization.form == report.form
+    report = certify_elliptic(parse_real_symbol("-x1^2 - x2^2"), 16)
+    assert report.stabilization.form == scale(report.form, -1)
 
 
 def test_certify_elliptic_rejects_bad_symbols():
