@@ -28,7 +28,7 @@ from .hermform import (
     scale,
 )
 from .multiindex import MultiIndex, dim_homogeneous, enumerate_degree
-from .parsing import ParseError, format_form, parse_expression, parse_real_symbol
+from .parsing import ParseError, parse_expression, parse_real_symbol
 from .scalars import GaussianRational, GaussianRow, SparseRow, as_gaussian
 from .stabilize import (
     StabilizationReport,

@@ -68,10 +68,7 @@ def _mirror_certificates(args, report: dict) -> None:
         return
     directory = Path(cert_dir)
     directory.mkdir(parents=True, exist_ok=True)
-    # A stabilization report is mirrored whole; other artifacts also have
-    # their embedded ones mirrored apart.
-    enter = serialize.ARTIFACT_KINDS - {"stabilization_report"}
-    for count, item in enumerate(serialize.embedded_artifacts(report.get("result"), enter)):
+    for count, item in enumerate(serialize.embedded_artifacts(report.get("result"))):
         text = serialize.canonical_json(item)
         name = f"{report['command'][0]}-{count:03d}-{serialize.digest_of_text(text)[7:19]}.json"
         (directory / name).write_text(text + "\n")

@@ -36,7 +36,6 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .hermform import BihermitianForm
-from .scalars import GaussianRational, as_gaussian
 from .symbols import RealSymbol
 
 
@@ -391,50 +390,3 @@ def parse_symbol(text: str, n: int | None = None) -> RealSymbol | BihermitianFor
     variables, else what parse_expression takes."""
     parsed = _parse(text)
     return _symbol(parsed, n) if parsed[2] == {"x"} else _kernel(parsed, n)
-
-
-def _format_coefficient(c: GaussianRational, lead: bool) -> str:
-    if c.im == 0:
-        body = str(c.re)
-        if body.startswith("-"):
-            return body if lead else f"- {body[1:]}"
-        return body if lead else f"+ {body}"
-    sign = "+" if c.im > 0 else "-"
-    body = f"({c.re} {sign} {abs(c.im)}*i)"
-    return body if lead else f"+ {body}"
-
-
-def _format_monomial(alpha, beta) -> str:
-    return "*".join(f"{name}{k + 1}" + (f"^{e}" if e > 1 else "")
-                    for name, exps in (("z", alpha), ("zb", beta)) for k, e in enumerate(exps) if e)
-
-
-def format_scalar_entry(form: BihermitianForm, i: int, j: int) -> str:
-    # By total degree, then by exponents descending, z before zb.
-    keys = sorted((key for key in form.support if key[0] == i and key[1] == j),
-                  key=lambda key: (sum(key[2]) + sum(key[3]), tuple(-e for e in key[2] + key[3])))
-    if not keys:
-        return "0"
-    chunks = []
-    for pos, key in enumerate(keys):
-        coeff = form.coefficient(*key)
-        mono = _format_monomial(key[2], key[3])
-        text = _format_coefficient(coeff, lead=(pos == 0))
-        if mono:
-            if coeff == as_gaussian(1):
-                text = mono if pos == 0 else f"+ {mono}"
-            elif coeff == as_gaussian(-1):
-                text = f"-{mono}" if pos == 0 else f"- {mono}"
-            else:
-                text = f"{text}*{mono}"
-        chunks.append(text)
-    return " ".join(chunks)
-
-
-def format_form(form: BihermitianForm) -> str:
-    """Deterministic text rendering; parsing it back reproduces the form."""
-    if form.r == 1:
-        return format_scalar_entry(form, 0, 0)
-    rows = ("[" + ", ".join(format_scalar_entry(form, i, j) for j in range(form.r)) + "]"
-            for i in range(form.r))
-    return "[" + ", ".join(rows) + "]"

@@ -244,13 +244,6 @@ class SparseRow:
         g = gcd(den, *(x for _, re, im in entries for x in (re, im))) * (-1 if den < 0 else 1)
         return cls(tuple((j, x // g, y // g) for j, x, y in entries), den // g)
 
-    def dense(self, size: int) -> tuple[GaussianRational, ...]:
-        """The length-`size` vector of GaussianRationals."""
-        out = [ZERO] * size
-        for j, x, y in self.entries:
-            out[j] = GaussianRational(Fraction(x, self.den), Fraction(y, self.den))
-        return tuple(out)
-
 
 def outer_product_terms(terms) -> tuple[list[tuple[int, tuple]], int]:
     """The terms w_k c_k c_k^adj of (w_k, c_k) in `terms`, a rational weight

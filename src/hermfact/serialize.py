@@ -40,11 +40,10 @@ from .hermform import (
     evaluate_exact,
     homogeneous_basis,
     matrix_size,
-    scale,
 )
 from .scalars import ZERO, GaussianRational, SparseRow
 from .stabilize import MODES, checked_bidegree, last_exponent, power_rows
-from .symbols import EllipticityReport, format_diff_operator_row, require_symbol
+from .symbols import EllipticityReport, format_diff_operator_row, require_symbol, searched_form
 
 
 class DigitLimitError(ValueError):
@@ -223,7 +222,8 @@ def obj_to_form(obj: dict, written: bool = False) -> BihermitianForm:
 
 
 FACTOR_KEYS = frozenset({"kind", "form", "d", "vectors", "witness"})
-STABILIZATION_KEYS = frozenset({"kind", "mode", "d_max", "form", "trail", "factor"})
+SEARCH_KEYS = frozenset({"d_max", "trail", "factor"})
+STABILIZATION_KEYS = SEARCH_KEYS | {"kind", "mode", "form"}
 ELLIPTICITY_KEYS = frozenset({"kind", "form", "witness_point", "sign_change", "stabilization"})
 
 
@@ -322,29 +322,32 @@ def obj_to_factor(obj: dict) -> tuple[BihermitianForm, int, list[tuple[Fraction,
     return obj_to_form(obj["form"], written=True), d, *obj_to_certificate(obj)
 
 
-def stabilization_to_obj(report: StabilizationReport) -> dict:
-    """The search's evidence: one witness and the factor.  Passing is
-    monotone in d: if <z,w>^d F = sum_j |h_j|^2, then <z,w>^(d+1) F =
-    sum_k sum_j |z_k h_j|^2, and the z_k h_j span when the h_j do.  So the
-    witness of the last failing d proves that every smaller d fails too.
+def _search_to_obj(report: StabilizationReport) -> dict:
+    """The search's evidence, {d_max, trail, factor}: one witness and the
+    factor.  Passing is monotone in d: if <z,w>^d F = sum_j |h_j|^2, then
+    <z,w>^(d+1) F = sum_k sum_j |z_k h_j|^2, and the z_k h_j span when the
+    h_j do.  So the witness of the last failing d proves that every smaller
+    d fails too.
     The trail is that witness as [[d, [[j, re, im], ...]]], or [] when d = 0
     passes; the factor, its certificate's weighted vectors [[p, q], [[j,
     re, im], ...]] on the basis of M_d at the next d, or null when the
     search found none, whose witness is then at the last d it searched."""
     failing = [step for step in report.steps if not step.passes]
-    return {
-        "kind": "stabilization_report",
-        "mode": report.mode,
-        "d_max": report.d_max,
-        "form": form_to_obj(report.form),
-        "trail": [[step.d, _sparse_to_obj(step.witness)] for step in failing[-1:]],
-        "factor": None if report.vectors is None else _vectors_to_obj(report.vectors),
-    }
+    return {"d_max": report.d_max,
+            "trail": [[step.d, _sparse_to_obj(step.witness)] for step in failing[-1:]],
+            "factor": None if report.vectors is None else _vectors_to_obj(report.vectors)}
+
+
+def stabilization_to_obj(report: StabilizationReport) -> dict:
+    """A search report: the form searched and the mode beside the evidence."""
+    return {"kind": "stabilization_report", "mode": report.mode,
+            "form": form_to_obj(report.form), **_search_to_obj(report)}
 
 
 def ellipticity_to_obj(report: EllipticityReport) -> dict:
-    """The evidence alone: points, or the stabilization, whose form is the
-    symbol's or its negation; the verdict, d and sign flip follow from it."""
+    """The evidence alone: points, or the evidence of the strict search on
+    the form that `symbols.searched_form` picks, the symbol or its negation;
+    the verdict and d follow from it, and the sign from the symbol."""
     point = report.witness_point
     positive, negative = report.sign_pair or (None, None)
     return {
@@ -354,8 +357,7 @@ def ellipticity_to_obj(report: EllipticityReport) -> dict:
         "sign_change": {"positive_at": [gaussian_to_pair(c) for c in positive],
                         "negative_at": [gaussian_to_pair(c) for c in negative]}
         if report.sign_pair else None,
-        "stabilization": stabilization_to_obj(report.stabilization)
-        if report.stabilization else None,
+        "stabilization": _search_to_obj(report.stabilization) if report.stabilization else None,
     }
 
 
@@ -416,17 +418,16 @@ def digest_of_text(text: str) -> str:
 ARTIFACT_KINDS = frozenset({"weighted_gram_factor", "stabilization_report", "ellipticity_report"})
 
 
-def embedded_artifacts(obj, enter=frozenset()):
-    """The artifacts inside obj, in a fixed order; the walk goes on inside an
-    artifact only when its kind is in `enter`."""
+def embedded_artifacts(obj):
+    """The artifacts inside obj, in a fixed order; no artifact embeds another,
+    so the walk stops at each."""
     stack = [obj]
     while stack:
         item = stack.pop()
         if isinstance(item, dict):
-            kind = item.get("kind")
-            if kind in ARTIFACT_KINDS:
+            if item.get("kind") in ARTIFACT_KINDS:
                 yield item
-            if kind not in ARTIFACT_KINDS or kind in enter:
+            else:
                 stack.extend(item.values())
         elif isinstance(item, list):
             stack.extend(item)
@@ -440,27 +441,28 @@ def _witness_failure(matrix: HermitianMatrix, record, v: SparseRow, strict: bool
     return witness_failure(matrix, v, strict)
 
 
-def _d_min(stabilization: dict) -> int | None:
-    """The d_min that a stabilization report proves: with a factor, the d
-    after the trail's witness, or 0 with no witness; else None."""
-    if stabilization["factor"] is None:
+def _d_min(search: dict) -> int | None:
+    """The d_min that a search's evidence proves: with a factor, the d after
+    the trail's witness, or 0 with no witness; else None."""
+    if search["factor"] is None:
         return None
-    trail = stabilization["trail"]
+    trail = search["trail"]
     return trail[0][0] + 1 if trail else 0
 
 
-def _verify_stabilization(obj: dict) -> tuple[tuple[bool, str], tuple | None]:
-    """verify_obj of a stabilization report, and the form and factor vectors
-    it read.  The witness proves that M_d, the coefficient matrix of
-    <z,w>^d F, fails the mode's test at its d, and so at every smaller d
-    (passing is monotone in d); with a factor, its weighted vectors prove
-    that M_d passes at the next d, d_min <= d_max; without one, the witness
-    is at the last d that the search builds up to d_max (`last_exponent`).
-    Each M_d is built once, in closed form (`stabilize.power_rows`), after
-    its size, and that of M_0, is checked."""
-    _require_keys(obj, STABILIZATION_KEYS, "a stabilization report")
-    strict = _require_mode(obj["mode"]) == "strict"
-    trail, d_max, factor = obj["trail"], obj["d_max"], obj["factor"]
+def _verify_search(form: BihermitianForm, strict: bool, search: dict
+                   ) -> tuple[tuple[bool, str], list | None]:
+    """Whether the evidence `search` ({d_max, trail, factor}, as
+    `_search_to_obj` writes it) proves its claim about F = `form` in the
+    mode `strict` names, and the factor vectors it read.  The witness proves
+    that M_d, the coefficient matrix of <z,w>^d F, fails the mode's test at
+    its d, and so at every smaller d (passing is monotone in d); with a
+    factor, its weighted vectors prove that M_d passes at the next d, d_min
+    <= d_max; without one, the witness is at the last d that the search
+    builds up to d_max (`last_exponent`).  Each M_d is built once, in closed
+    form (`stabilize.power_rows`), after its size, and that of M_0, is
+    checked."""
+    trail, d_max, factor = search["trail"], search["d_max"], search["factor"]
     if not (isinstance(trail, list) and len(trail) <= 1
             and all(isinstance(record, list) and len(record) == 2 and type(record[0]) is int
                     and record[0] >= 0 for record in trail)
@@ -469,9 +471,8 @@ def _verify_stabilization(obj: dict) -> tuple[tuple[bool, str], tuple | None]:
                          "witness [d, [[j, re, im], ...]] and a nonnegative integer d_max")
     witnesses = [(d, entries, _obj_to_sparse(entries)) for d, entries in trail]
     vectors = None if factor is None else _obj_to_vectors(factor)
-    form = obj_to_form(obj["form"], written=True)
     n, r, m = form.n, form.r, checked_bidegree(form)
-    witness_ds, d_min = [d for d, _ in trail], _d_min(obj)
+    witness_ds, d_min = [d for d, _ in trail], _d_min(search)
     # 0 and every d named are checked against the size bound before any matrix is built.
     for d in [0, *witness_ds, *([] if d_min is None else [d_min])]:
         matrix_size(n, r, m, d)
@@ -487,7 +488,15 @@ def _verify_stabilization(obj: dict) -> tuple[tuple[bool, str], tuple | None]:
         if reason is not None:
             return (False, f"trail d={d}: {reason}"), None
     reason = None if d_min is None else factor_failure(power_rows(form, d_min), vectors, strict)
-    return ((True, "ok") if reason is None else (False, reason)), (form, vectors)
+    return ((True, "ok") if reason is None else (False, reason)), vectors
+
+
+def _verify_stabilization(obj: dict) -> tuple[tuple[bool, str], list | None]:
+    """verify_obj of a stabilization report, and the factor vectors it read:
+    its evidence checked on its form in its mode."""
+    _require_keys(obj, STABILIZATION_KEYS, "a stabilization report")
+    strict = _require_mode(obj["mode"]) == "strict"
+    return _verify_search(obj_to_form(obj["form"], written=True), strict, obj)
 
 
 def _sphere_value(form: BihermitianForm, pairs) -> GaussianRational | None:
@@ -502,22 +511,21 @@ def _verify_ellipticity(obj: dict) -> tuple[tuple[bool, str], tuple | None]:
     """verify_obj of an ellipticity report, and the symbol and factor vectors
     it read.  The symbol must meet the preconditions of the certification
     (`symbols.require_symbol`), and the report holds one kind of evidence:
-    an exact zero, or exact values of opposite sign, on the unit sphere, or a
-    strict stabilization report of the symbol or of its negation."""
+    an exact zero, or exact values of opposite sign, on the unit sphere, or
+    the evidence of a strict search on the symbol or its negation, whichever
+    `symbols.searched_form` picks."""
     _require_keys(obj, ELLIPTICITY_KEYS, "an ellipticity report")
     form = obj_to_form(obj["form"], written=True)
     require_symbol(form)
-    point, change, stabilization = obj["witness_point"], obj["sign_change"], obj["stabilization"]
-    if stabilization is not None:
+    point, change, search = obj["witness_point"], obj["sign_change"], obj["stabilization"]
+    if search is not None:
+        _require_keys(search, SEARCH_KEYS, "an ellipticity report's stabilization")
         if point is not None or change is not None:
             return (False, "report holds both points and a stabilization"), None
-        (ok, reason), read = _verify_stabilization(stabilization)
+        (ok, reason), vectors = _verify_search(searched_form(form), True, search)
         if not ok:
             return (False, f"stabilization: {reason}"), None
-        # Forms in lowest terms are equal exactly when their fields are.
-        if stabilization["mode"] != "strict" or read[0] not in (form, scale(form, -1)):
-            return (False, "stabilization is not a strict search on the report's form"), None
-        return (True, "ok"), (form, read[1])
+        return (True, "ok"), (form, vectors)
     if point is None and change is None:
         return (False, "not_elliptic report names no point"), None
     if point is not None and _sphere_value(form, point) != ZERO:
@@ -624,10 +632,10 @@ def run_verdicts(command: list[str], result: dict, read=None) -> dict | None:
         return {"mode": mode, "d_max": d_max, "rows": rows}
     if name == "symbol":
         ellipticity = _artifact(result, "ellipticity", "ellipticity_report")
-        if ellipticity["stabilization"] is not None:
-            # The ellipticity check has made this a strict search.
-            _require_searched(ellipticity["stabilization"], "strict",
-                              int(_option(command, "--dmax")), "the symbol's stabilization")
+        search = ellipticity["stabilization"]
+        if search is not None and search["d_max"] != int(_option(command, "--dmax")):
+            raise ValueError("the symbol's stabilization was not searched with the command's "
+                             "--dmax")
         verdict, d, summary = _symbol_verdict(ellipticity)
         return {"verdict": verdict, "d": d, "order": 2 * bidegree(read[0]),
                 "complex_dim": read[0].n, "summary": summary}

@@ -218,36 +218,27 @@ def require_symbol(form: BihermitianForm) -> None:
     matrix_size(form.n, 1, m)
 
 
+def searched_form(form: BihermitianForm) -> BihermitianForm:
+    """The symbol F, or -F when F's coefficient of z1^m zb1^m, its value at
+    e_1, is negative: of F and -F, the one that can be positive on the unit
+    sphere, and so the one certification searches and `verify` checks."""
+    m = bidegree(form)
+    e1 = (m,) + (0,) * (form.n - 1)
+    return scale(form, -1) if form.support.get((0, 0, e1, e1), (0, 0))[0] < 0 else form
+
+
 def certify_elliptic_form(form: BihermitianForm, d_max: int) -> EllipticityReport:
     """Core ellipticity certification for a scalar complex-bihomogeneous kernel."""
     require_symbol(form)
-    base = EllipticityReport(
-        form=form,
-        verdict="not_certified",
-        d=None,
-        witness_point=None,
-        sign_pair=None,
-        stabilization=None,
-    )
     zero_point, pos_point, neg_point = _sample_symbol(form)
     if zero_point is not None:
-        base.verdict = "not_elliptic"
-        base.witness_point = zero_point
-        return base
+        return EllipticityReport(form, "not_elliptic", None, zero_point, None, None)
     if pos_point is not None and neg_point is not None:
         # Exact values of opposite sign on the connected unit sphere force a zero.
-        base.verdict = "not_elliptic"
-        base.sign_pair = (pos_point, neg_point)
-        return base
-    work = form
-    if neg_point is not None and pos_point is None:
-        work = scale(form, -1)
-    report = find_minimal_d(work, "strict", d_max)
-    base.stabilization = report
-    if report.found():
-        base.verdict = "certified"
-        base.d = report.d_min
-    return base
+        return EllipticityReport(form, "not_elliptic", None, None, (pos_point, neg_point), None)
+    report = find_minimal_d(searched_form(form), "strict", d_max)
+    return EllipticityReport(form, "certified" if report.found() else "not_certified",
+                             report.d_min, None, None, report)
 
 
 def certify_elliptic(symbol: RealSymbol, d_max: int) -> EllipticityReport:

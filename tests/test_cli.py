@@ -508,6 +508,8 @@ STABILIZATION_KEYS = ("a stabilization report must have exactly the keys "
                       "d_max, factor, form, kind, mode, trail")
 ELLIPTICITY_KEYS = ("an ellipticity report must have exactly the keys "
                     "form, kind, sign_change, stabilization, witness_point")
+SEARCH_KEYS = ("an ellipticity report's stabilization must have exactly the keys "
+               "d_max, factor, trail")
 
 # `stabilize -e "z1*zb1" --n 2 --mode semi --dmax 0` and `symbol -e "x1^2 +
 # x2^2"` as the format before the factor was its weighted vectors wrote them:
@@ -630,6 +632,17 @@ def _symbol_stabilization_with_d_min(report):
     return report
 
 
+def _symbol_stabilization_report(report):
+    # The symbol's search as the writer before the evidence stood alone
+    # wrote it: a whole stabilization report, with its kind, strict mode
+    # and the form searched.
+    ellipticity = report["result"]["ellipticity"]
+    form = serialize.obj_to_form(ellipticity["form"], written=True)
+    search = certify_elliptic_form(form, int(report["command"][-1])).stabilization
+    ellipticity["stabilization"] = serialize.stabilization_to_obj(search)
+    return report
+
+
 def _unknown_mode(report):
     stabilization = report["result"]["stabilization"]
     stabilization["mode"] = "foo"
@@ -690,8 +703,13 @@ KERNEL_TERM = "a kernel needs integers n, r and den and terms [i, j, alpha, beta
          lambda report: _ellipticity_with_verdict_and_d(report)["result"]["ellipticity"],
          ELLIPTICITY_KEYS),
         (["symbol", "-e", DIAGONAL_QUARTIC], _ellipticity_with_d, ELLIPTICITY_KEYS),
-        (["symbol", "-e", DIAGONAL_QUARTIC], _symbol_stabilization_with_d_min,
-         STABILIZATION_KEYS),
+        (["symbol", "-e", DIAGONAL_QUARTIC], _symbol_stabilization_with_d_min, SEARCH_KEYS),
+        (["symbol", "-e", DIAGONAL_QUARTIC], _symbol_stabilization_report, SEARCH_KEYS),
+        (["symbol", "-e", "-z1^2*zb1^2 - z2^2*zb2^2", "--dmax", "0"],
+         _symbol_stabilization_report, SEARCH_KEYS),
+        (["symbol", "-e", DIAGONAL_QUARTIC],
+         lambda report: _symbol_stabilization_report(report)["result"]["ellipticity"],
+         SEARCH_KEYS),
     ],
     ids=[
         "dense_transform_with_inverse",
@@ -724,6 +742,9 @@ KERNEL_TERM = "a kernel needs integers n, r and den and terms [i, j, alpha, beta
         "ellipticity_mirror_with_verdict_and_d",
         "ellipticity_with_d",
         "symbol_stabilization_with_d_min",
+        "symbol_stabilization_report",
+        "not_certified_negated_symbol_stabilization_report",
+        "ellipticity_mirror_with_stabilization_report",
     ],
 )
 def test_verify_refuses_other_formats(capsys, tmp_path, argv, outdate, message):
@@ -1019,7 +1040,9 @@ def test_verify_refuses_a_search_other_than_the_command(capsys, tmp_path, argv):
     report["command"][-1] = str(int(report["command"][-1]) + 1)
     path.write_text(json.dumps(report))
     code, out, err = run(capsys, ["verify", str(path)])
-    assert code == 2 and out == "" and "--mode and --dmax" in err
+    # A symbol's search is strict, and its report records --dmax alone.
+    options = "--dmax" if argv[0] == "symbol" else "--mode and --dmax"
+    assert code == 2 and out == "" and f"was not searched with the command's {options}\n" in err
 
 
 @pytest.mark.skipif(
@@ -1527,6 +1550,47 @@ def test_a_stabilized_ellipticity_report_with_points_is_refused(capsys, tmp_path
     assert run(capsys, ["verify", str(mirror)]) == refused
 
 
+def test_a_search_of_the_other_sign_is_refused(capsys, tmp_path):
+    # |z|^2 is certified at d = 0.  The strict search on its negation finds
+    # no d up to 16; its evidence, put in the symbol's report with the
+    # verdict it would prove, "not_certified", and restamped, is checked on
+    # |z|^2 itself, the form that the sign of its |z1|^2 coefficient picks,
+    # and its witness fails there: as a run report and as a bare artifact.
+    path, search = tmp_path / "report.json", tmp_path / "search.json"
+    argv = ["symbol", "-e", "z1*zb1 + z2*zb2", "--dmax", "16"]
+    assert run(capsys, argv + ["--out", str(path)])[0] == 0
+    argv = ["stabilize", "-e", "-z1*zb1 - z2*zb2", "--mode", "strict", "--dmax", "16"]
+    assert run(capsys, argv + ["--out", str(search)])[0] == 3
+    report, written = json.loads(path.read_text()), json.loads(search.read_text())
+    ellipticity = report["result"]["ellipticity"]
+    ellipticity["stabilization"] = {key: written["result"]["stabilization"][key]
+                                    for key in ellipticity["stabilization"]}
+    del report["result"]["operator_rows"]
+    report["verdicts"].update(verdict="not_certified", d=None, summary="not certified up to d=16")
+    mirror = tmp_path / "mirror.json"
+    path.write_text(json.dumps(_restamp(report)))
+    mirror.write_text(json.dumps(ellipticity))
+    refused = (1, '{"valid": false, "reason": "stabilization: trail d=16: witness value is '
+                  'positive"}\n', "")
+    assert run(capsys, ["verify", str(path)]) == refused
+    assert run(capsys, ["verify", str(mirror)]) == refused
+
+
+def test_a_negated_symbol_mirrors_one_artifact(capsys, tmp_path):
+    # -|x|^2 is negative at e_1, so its negation is searched and certified at
+    # d = 0.  No artifact embeds another: --cert-dir mirrors the ellipticity
+    # report alone, and it and the run report verify.
+    path, certs = tmp_path / "report.json", tmp_path / "certs"
+    argv = ["symbol", "-e", "-x1^2 - x2^2 - x3^2 - x4^2", "--cert-dir", str(certs)]
+    assert run(capsys, argv + ["--out", str(path)])[0] == 0
+    report = json.loads(path.read_text())
+    assert (report["verdicts"]["verdict"], report["verdicts"]["d"]) == ("certified", 0)
+    [mirror] = certs.iterdir()
+    assert json.loads(mirror.read_text()) == report["result"]["ellipticity"]
+    valid = (0, '{"valid": true, "reason": "ok"}\n', "")
+    assert run(capsys, ["verify", str(path)]) == run(capsys, ["verify", str(mirror)]) == valid
+
+
 @pytest.mark.parametrize("expr, terms, order, message, refused", [
     # The wire spells a form by one term per conjugate pair, so a form that
     # is not Hermitian-symmetric has no spelling: z1*zb2 is the greater key.
@@ -1560,15 +1624,16 @@ def test_a_not_elliptic_report_on_a_form_that_symbol_refuses_is_an_input_error(
 
 
 @pytest.mark.parametrize("argv, forms, vectors", [
-    (["symbol", "-e", "x1^2 + x2^2 + x3^2 + x4^2"], 2, 1),
-    (["symbol", "-e", "-z1^2*zb1^2 - z2^2*zb2^2"], 2, 1),
-    (["symbol", "-e", DIAGONAL_QUARTIC, "--dmax", "0"], 2, 0),
+    (["symbol", "-e", "x1^2 + x2^2 + x3^2 + x4^2"], 1, 1),
+    (["symbol", "-e", "-z1^2*zb1^2 - z2^2*zb2^2"], 1, 1),
+    (["symbol", "-e", DIAGONAL_QUARTIC, "--dmax", "0"], 1, 0),
     (["symbol", "-e", "z1*zb1", "--n", "2"], 1, 0),
 ], ids=["certified", "negated", "not_certified", "not_elliptic"])
 def test_verify_reads_each_form_of_a_symbol_report_once(capsys, tmp_path, monkeypatch, argv,
                                                         forms, vectors):
-    # The ellipticity check reads the symbol, the stabilization check its
-    # form and factor, and the verdicts and renderings take what they read.
+    # The ellipticity check reads the symbol, the one form of the report,
+    # and the search check its factor, and the verdicts and renderings take
+    # what they read.
     path = tmp_path / "report.json"
     run(capsys, argv + ["--out", str(path)])
     calls = {"obj_to_form": 0, "_obj_to_vectors": 0}

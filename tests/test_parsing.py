@@ -7,7 +7,6 @@ import pytest
 from hermfact import (
     GaussianRational,
     bidegree,
-    format_form,
     is_hermitian_symmetric,
     parse_expression,
     parse_real_symbol,
@@ -18,6 +17,7 @@ from hermfact.parsing import _ONE, ParseError, _Parser, _poly_mul, _poly_pow, pa
 from helpers import (
     diagonal_quartic,
     euclidean_pairing,
+    format_form,
     parse_outcome,
     quartic_family,
     rand_hermsym_form,

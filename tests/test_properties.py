@@ -23,7 +23,6 @@ from hermfact import (
     enumerate_degree,
     evaluate_exact,
     find_minimal_d,
-    format_form,
     from_coefficient_matrix,
     gram,
     is_hermitian_symmetric,
@@ -48,7 +47,7 @@ from hermfact.factor import _factor_from_parts
 from hermfact.hermform import coefficient_basis, homogeneous_basis
 from hermfact.scalars import ZERO, SparseRow
 from hermfact.multiindex import multinomial_weights
-from hermfact.stabilize import power_rows
+from hermfact.stabilize import MODES, power_rows
 from hermfact.symbols import RealSymbol, _sample_symbol, real_to_complex
 
 from helpers import (
@@ -57,6 +56,7 @@ from helpers import (
     complex_to_real,
     dense,
     embedded,
+    format_form,
     holo_matrix,
     kernel_multiply,
     multinomial,
@@ -1214,14 +1214,15 @@ SYMBOL_RUNS = [("symbol", "-e", "x1^2 + x2^2 + x3^2 + x4^2"), ("symbol", "-e", O
                ("symbol", "-e", "z1*zb1", "--n", "2", "--dmax", "16"),
                ("symbol", "-e", "z1^2*zb1^2 - 3*z1*z2*zb1*zb2 + z2^2*zb2^2")]
 SYMBOL_MUTATIONS = ("form", "witness", "witness_d", "weight", "vector", "drop", "duplicate", "mode",
-                    "point", "add_point", "null")
+                    "d_max", "point", "add_point", "null")
 
 
 def _mutate_symbol(data, ellipticity: dict, kind: str) -> None:
     """Change one part of an ellipticity report: a coefficient of its form,
-    one part of its stabilization as `_mutate` changes a stabilization
-    report, an entry of a named point, a point put beside a stabilization, or
-    the stabilization set to null."""
+    one part of its stabilization's evidence as `_mutate` changes a
+    stabilization report, a form or mode put in that evidence, an entry of a
+    named point, a point put beside a stabilization, or the stabilization set
+    to null."""
     stabilization = ellipticity["stabilization"]
     if kind == "point":
         change = ellipticity["sign_change"] or {}
@@ -1243,6 +1244,14 @@ def _mutate_symbol(data, ellipticity: dict, kind: str) -> None:
             ellipticity["sign_change"] = {"positive_at": point, "negative_at": point[::-1]}
     elif kind == "form" and (stabilization is None or data.draw(st.booleans())):
         _mutate(data, ellipticity, kind)
+    elif kind in ("form", "mode"):
+        # A stabilization report's keys: the form searched and the mode,
+        # either sign and either mode.
+        assume(stabilization is not None)
+        form = serialize.obj_to_form(ellipticity["form"], written=True)
+        sign = data.draw(st.sampled_from([1, -1]))
+        stabilization[kind] = (data.draw(st.sampled_from(MODES)) if kind == "mode" else
+                               serialize.form_to_obj(scale(form, sign)))
     else:
         assume(stabilization is not None)
         _mutate(data, stabilization, kind)
@@ -1259,8 +1268,9 @@ def _sphere_value(form, pairs) -> GaussianRational:
 def test_a_mutated_symbol_report_is_rejected_or_still_proves_its_claim(argv, kind, data):
     # The claim of `symbol` is about a scalar Hermitian symbol of one
     # bidegree: not elliptic by the exact values at the points it names, or
-    # certified at d (not certified) by a strict search on the symbol or its
-    # negation that a fresh search confirms.  A mutation, with the verdicts
+    # certified at d (not certified) by a strict search that a fresh search
+    # confirms, on the symbol, or on its negation when the symbol is
+    # negative at e_1.  A mutation, with the verdicts
     # and renderings derived from it, either fails verify or leaves such a
     # report.
     report = json.loads(_emitted_report(argv))
@@ -1272,6 +1282,8 @@ def test_a_mutated_symbol_report_is_rejected_or_still_proves_its_claim(argv, kin
     except (ValueError, KeyError, TypeError):
         ok, reason = False, None
     assert reason != "digest does not match the report"
+    # A form or mode in the evidence is refused, whatever its value.
+    assert not ok or (ellipticity["stabilization"] or {}).keys() <= {"d_max", "trail", "factor"}
     if not ok:
         return
     verdicts, stabilization = report["verdicts"], ellipticity["stabilization"]
@@ -1288,8 +1300,8 @@ def test_a_mutated_symbol_report_is_rejected_or_still_proves_its_claim(argv, kin
             assert positive.im == negative.im == 0 and positive.re > 0 > negative.re
         return
     assert ellipticity["witness_point"] is None and ellipticity["sign_change"] is None
-    searched = serialize.obj_to_form(stabilization["form"], written=True)
-    assert stabilization["mode"] == "strict" and searched in (form, scale(form, -1))
+    e1 = (GaussianRational(Fraction(1)),) + (ZERO,) * (form.n - 1)
+    searched = scale(form, -1) if evaluate_exact(form, e1, e1)[0][0].re < 0 else form
     d_min = find_minimal_d(searched, "strict", int(report["command"][-1])).d_min
     assert (verdicts["verdict"], verdicts["d"]) == (
         ("not_certified", None) if d_min is None else ("certified", d_min))

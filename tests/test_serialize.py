@@ -21,6 +21,7 @@ from hermfact import serialize
 from hermfact.certify import independence_failure
 from hermfact.factor import _factor_from_parts
 from hermfact.scalars import SparseRow
+from hermfact.symbols import searched_form
 
 from helpers import (
     diagonal_matrix,
@@ -492,7 +493,9 @@ def test_artifact_key_sets():
     assert set(factor) == {"kind", "form", "d", "vectors", "witness"}
     report = serialize.ellipticity_to_obj(certify_elliptic_form(diagonal_quartic(), 4))
     assert set(report) == {"kind", "form", "witness_point", "sign_change", "stabilization"}
-    assert report["form"] == report["stabilization"]["form"]
+    # The search's evidence alone: its form, the symbol's, and mode, strict,
+    # are read off the report.
+    assert set(report["stabilization"]) == {"d_max", "trail", "factor"}
     # The diagonal quartic is PSD but singular at d = 0 and PD at d = 1: the
     # trail is the d = 0 null vector.
     assert report["stabilization"]["trail"] == [[0, [[1, 1, 0]]]]
@@ -533,36 +536,45 @@ def test_not_elliptic_sign_change_is_evaluated():
 
 
 def test_certified_ellipticity_is_bound_to_its_form():
-    # The search ran on -form, and the report stores no flag for that: the
-    # flip is read off the two forms, so it cannot be rewritten on its own.
+    # The search ran on -form, and the report stores neither that form nor a
+    # flag for it: the sign is read off the symbol's coefficient of
+    # |z1|^(2m), so a stabilization of the other sign, or of another form,
+    # proves nothing about this one.
     obj = _ellipticity_obj("-z1^2*zb1^2 - z2^2*zb2^2")
+    form = serialize.obj_to_form(obj["form"])
     assert serialize._symbol_verdict(obj)[:2] == ("certified", 1)
-    assert obj["stabilization"]["form"] != obj["form"]
-    reason = "stabilization is not a strict search on the report's form"
+    assert set(obj["stabilization"]) == {"d_max", "trail", "factor"}
+    assert searched_form(form) == scale(form, -1)
     forged = json.loads(json.dumps(obj))
     forged["sign_flipped"] = False
     with pytest.raises(ValueError, match="not in the current certificate format"):
         serialize.verify_obj(forged)
-    # Twice the form is elliptic as well, but the stabilization is of neither
-    # it nor its negation.
+    # A nested kind, mode or form, as a stabilization report has, is no part
+    # of the evidence, whatever its value.
+    for key, value in (("kind", "stabilization_report"), ("mode", "strict"), ("mode", "semi"),
+                       ("form", serialize.form_to_obj(scale(form, -1))), ("form", obj["form"])):
+        forged = json.loads(json.dumps(obj))
+        forged["stabilization"][key] = value
+        with pytest.raises(ValueError, match="not in the current certificate format"):
+            serialize.verify_obj(forged)
+    # Twice the form is elliptic as well, but the factor is of -form, not
+    # of -2 form.
     forged = json.loads(json.dumps(obj))
-    forged["form"] = serialize.form_to_obj(scale(serialize.obj_to_form(obj["form"]), 2))
-    assert serialize.verify_obj(forged) == (False, reason)
+    forged["form"] = serialize.form_to_obj(scale(form, 2))
+    assert serialize.verify_obj(forged) == (
+        False, "stabilization: factor: congruence identity fails at (0,0)")
     other = _ellipticity_obj("z1^2*zb1^2 - z1*z2*zb1*zb2 + z2^2*zb2^2")
     forged = json.loads(json.dumps(obj))
     forged["stabilization"] = other["stabilization"]
-    assert serialize.verify_obj(forged) == (False, reason)
+    assert serialize.verify_obj(forged) == (
+        False, "stabilization: trail d=2: witness value is positive")
     # A symbol certified at the same d does not lend its stabilization either.
     other = _ellipticity_obj("z1^2*zb1^2 + 3*z2^2*zb2^2")
     assert serialize._symbol_verdict(other)[:2] == ("certified", 1)
     forged = json.loads(json.dumps(obj))
     forged["stabilization"] = other["stabilization"]
-    assert serialize.verify_obj(forged) == (False, reason)
-    # A semi search certifies -z1*zb1 - z2*zb2 (flipped) at d = 0 as well.
-    semi = _ellipticity_obj("-z1*zb1 - z2*zb2")
-    assert serialize._symbol_verdict(semi)[:2] == ("certified", 0)
-    semi["stabilization"]["mode"] = "semi"
-    assert serialize.verify_obj(semi) == (False, reason)
+    assert serialize.verify_obj(forged) == (
+        False, "stabilization: factor: congruence identity fails at (2,2)")
     # The verdict and d follow from the stabilization; a stored copy is no
     # part of the format, and points beside a stabilization prove nothing.
     for key, value in (("d", 0), ("verdict", "not_certified"), ("verdict", "not_elliptic")):
@@ -605,7 +617,12 @@ def test_ellipticity_writer_drops_only_what_its_evidence_proves(text, n, d_max):
     report = certify_elliptic_form(parse_expression(text, n=n), d_max)
     old, new = reference_ellipticity_to_obj(report), serialize.ellipticity_to_obj(report)
     if old["stabilization"] is not None:
-        old["stabilization"] = _one_witness(old["stabilization"])
+        # The searched form and the mode follow from the symbol.
+        stabilization = _one_witness(old["stabilization"])
+        assert stabilization.pop("mode") == "strict"
+        assert stabilization.pop("form") == serialize.form_to_obj(searched_form(report.form))
+        del stabilization["kind"]
+        old["stabilization"] = stabilization
     assert new == {key: value for key, value in old.items() if key not in ("verdict", "d")}
     assert serialize._symbol_verdict(new)[:2] == (old["verdict"], old["d"])
     assert serialize.verify_obj(new) == (True, "ok")
