@@ -105,12 +105,6 @@ class SignatureCertificate:
     def n_zero(self) -> int:
         return self.size - self.n_pos - self.n_neg
 
-    def is_positive_definite(self) -> bool:
-        return self.n_pos == self.size
-
-    def is_positive_semidefinite(self) -> bool:
-        return self.n_neg == 0
-
     def weighted_vectors(self) -> list[tuple[Fraction, SparseRow]]:
         """(w, v) pairs, w != 0, with matrix = sum w v v^adj exactly.
 

@@ -2,7 +2,8 @@
 
 Multiplying a bihomogeneous kernel by <z, w> shifts its coefficient tensor
 along the diagonal; the minimal d for which the d-fold shift has a positive
-(semi)definite coefficient matrix is found by a linear upward search.  Each
+(semi)definite coefficient matrix is found by a linear upward search, run
+one step at a time (`search_steps`), so that `symbol` can stop it.  Each
 failing exponent has one witness vector v with v* M_d v < 0 (semi) or v != 0
 and v* M_d v <= 0 (strict): the unit vector e_p at the first index p whose
 diagonal entry M_pp = e_p* M_d e_p is negative (or zero, if strict), else
@@ -28,6 +29,7 @@ rows (`hermform.matrix_size`); the search stops at the last d within it
 from __future__ import annotations
 
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
@@ -182,18 +184,35 @@ def find_minimal_d(
     form: BihermitianForm, mode: str, d_max: int
 ) -> StabilizationReport:
     """Smallest d <= d_max whose M_d, built in closed form at each step
-    (`shifted_rows`), passes the mode's test.
+    (`shifted_rows`), passes the mode's test: the report of `search_steps`,
+    run to its end.
 
     mode "strict" demands positive definiteness (spanning factorization);
     mode "semi" demands positive semidefiniteness.  Once the test passes at
     some d it passes at every larger one, so the linear search is complete.
     It stops early at the last d whose M_d is within MAX_MATRIX_SIZE, or at
-    d = 0 in one variable (`last_exponent`), and then finds no d.  Each step
-    first scatters the terms (i, i, alpha, alpha) alone, the only ones on
-    the diagonal of M_d.  A failing step keeps the unit vector at its first
-    failing diagonal entry, else the witness of `ldl_signature(M_d, strict)`,
-    found without finishing the elimination; the passing one keeps its
-    certificate's weighted vectors (`certify.mode_evidence`).
+    d = 0 in one variable (`last_exponent`), and then finds no d.
+    """
+    for report in search_steps(form, mode, d_max):
+        pass
+    return report
+
+
+def search_steps(
+    form: BihermitianForm, mode: str, d_max: int
+) -> Iterator[StabilizationReport]:
+    """The search of `find_minimal_d`, one exponent at a time: its report,
+    yielded after each step d = 0, 1, ... is appended, and last after the
+    passing step, which sets d_min and vectors, or the last d it builds.
+    There is always a step d = 0; the form and arguments are checked before
+    it, when the first report is asked for.
+
+    Each step first scatters the terms (i, i, alpha, alpha) alone, the only
+    ones on the diagonal of M_d.  A failing step keeps the unit vector at
+    its first failing diagonal entry, else the witness of
+    `ldl_signature(M_d, strict)`, found without finishing the elimination;
+    the passing one keeps its certificate's weighted vectors
+    (`certify.mode_evidence`).
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
@@ -219,8 +238,9 @@ def find_minimal_d(
         report.steps.append(StabilizationStep(d, len(rows), witness))
         if witness is None:
             report.d_min, report.vectors = d, evidence
-            return report
-    return report
+        yield report
+        if report.found():
+            return
 
 
 @dataclass(eq=True)

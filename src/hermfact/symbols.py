@@ -7,7 +7,11 @@ Hermitian kernel.  When that kernel is circle-invariant and real-homogeneous
 a spanning holomorphic factorization of a norm-power multiple either succeeds
 at some exponent d, or exhausts the bound.  An exact zero (or a sign change)
 of the symbol on the unit sphere, found by exact rational sampling, upgrades
-the negative outcome to a definite "not elliptic".
+the negative outcome to a definite "not elliptic".  The two run interleaved
+and stop at the first that decides: a factor proves the symbol positive on
+the sphere, so sampling serves only a negative answer, and a search through
+steps that cannot pass, such as those of a sign-changing symbol whose M_d
+all have positive diagonals, is cut short by the first zero or sign pair.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import comb, gcd, lcm
 
 from .hermform import (
@@ -26,7 +31,7 @@ from .hermform import (
 )
 from .multiindex import MultiIndex, check_multiindex, degree
 from .scalars import GaussianRational, GaussianRow
-from .stabilize import StabilizationReport, find_minimal_d
+from .stabilize import StabilizationReport, search_steps
 
 
 @dataclass(eq=True)
@@ -176,17 +181,20 @@ class EllipticityReport:
 
 
 def _sample_symbol(form: BihermitianForm):
-    """Exact sphere sampling: the first sample point where the symbol is zero,
-    positive and negative, in that order; None for a sign never seen.
+    """Exact sphere sampling, one point at a time, up to the first decisive
+    point: yields None at each sample point that proves nothing and, at the
+    first that proves the symbol not elliptic, its evidence, then stops.
+    That point is an exact zero, evidence (point, None), or the first point
+    of the second sign seen, evidence (None, (pos_point, neg_point)) with the
+    first point of each sign: exact values of opposite sign on the connected
+    unit sphere force a zero.  A walk that meets neither yields None at
+    every point.
 
     Points are evaluated at their Gaussian-integer numerators q over their
     denominator D, in the form's numerators (`BihermitianForm.numerators`);
-    only the returned points become GaussianRationals.  A symbol of bidegree
-    0 is a constant, of one sign everywhere, so its first point is its only
-    one.
+    only the evidence points become GaussianRationals.
     """
-    first = [None, None, None]  # indexed by the sign: 0, +1, -1
-    constant = bidegree(form) == 0
+    first = {}  # sign, +1 or -1 -> the first point of that sign
     for nums, den in _sphere_numerators(form.n):
         q = GaussianRow(list(nums[0::2]), list(nums[1::2]), den)
         re, im, _ = form.numerators(q, q)
@@ -197,11 +205,14 @@ def _sample_symbol(form: BihermitianForm):
         # the sphere point is F(q / den) = F(q) / den^(2m): with both
         # denominators positive, it has the sign of re[0].
         sign = (re[0] > 0) - (re[0] < 0)
-        if first[sign] is None:
-            first[sign] = (nums, den)
-            if constant or None not in first:
-                break
-    return tuple(None if point is None else _sphere_point(*point) for point in first)
+        if not sign:
+            yield _sphere_point(nums, den), None
+            return
+        first.setdefault(sign, (nums, den))
+        if -sign in first:
+            yield None, (_sphere_point(*first[1]), _sphere_point(*first[-1]))
+            return
+        yield None
 
 
 def require_symbol(form: BihermitianForm) -> None:
@@ -228,17 +239,33 @@ def searched_form(form: BihermitianForm) -> BihermitianForm:
 
 
 def certify_elliptic_form(form: BihermitianForm, d_max: int) -> EllipticityReport:
-    """Core ellipticity certification for a scalar complex-bihomogeneous kernel."""
+    """Core ellipticity certification for a scalar complex-bihomogeneous kernel.
+
+    The strict search on `searched_form(form)` and the sphere walk
+    (`_sample_symbol`) run together, and the first to decide ends both:
+    after each failing step d the walk takes as many points as M_d has
+    rows, and once the search ends without a factor the walk runs to its
+    end.  Neither can decide against the other: a factor proves the symbol
+    positive on the sphere, where no point is a zero or of the wrong sign,
+    and such a point proves that no search passes.  So the verdict and its
+    evidence do not depend on the interleaving: only the work does.  A
+    symbol certified at d samples at most as many points as M_0, ..., M_(d-1)
+    have rows, and the search of one that is not elliptic stops at the step
+    whose points reach the walk's decisive point.
+    """
     require_symbol(form)
-    zero_point, pos_point, neg_point = _sample_symbol(form)
-    if zero_point is not None:
-        return EllipticityReport(form, "not_elliptic", None, zero_point, None, None)
-    if pos_point is not None and neg_point is not None:
-        # Exact values of opposite sign on the connected unit sphere force a zero.
-        return EllipticityReport(form, "not_elliptic", None, None, (pos_point, neg_point), None)
-    report = find_minimal_d(searched_form(form), "strict", d_max)
-    return EllipticityReport(form, "certified" if report.found() else "not_certified",
-                             report.d_min, None, None, report)
+    walk = _sample_symbol(form)
+    for report in search_steps(searched_form(form), "strict", d_max):
+        if report.found():
+            return EllipticityReport(form, "certified", report.d_min, None, None, report)
+        evidence = next(filter(None, islice(walk, report.steps[-1].size)), None)
+        if evidence is not None:
+            break
+    else:  # the search is over and found nothing: the walk runs to its end
+        evidence = next(filter(None, walk), None)
+        if evidence is None:
+            return EllipticityReport(form, "not_certified", None, None, None, report)
+    return EllipticityReport(form, "not_elliptic", None, *evidence, None)
 
 
 def certify_elliptic(symbol: RealSymbol, d_max: int) -> EllipticityReport:

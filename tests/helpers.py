@@ -274,22 +274,33 @@ def reference_sphere_sample_points(n: int, extra: int = 60, seed: int = 7):
     return unique
 
 
+# A symbol that changes sign on the sphere although every M_d past M_0 has a
+# positive diagonal, so no step d >= 1 fails at its diagonal: each one runs
+# the elimination, on an M_d that grows with d.  Only the sphere walk decides
+# it.
+POSITIVE_DIAGONAL_SIGN_CHANGE = "z1^2*zb1^2 + z2^2*zb2^2 + 3*z1^2*zb2^2 + 3*z2^2*zb1^2"
+
+
 def reference_sample_symbol(form: BihermitianForm):
-    """Exact sphere sampling: returns (zero_point, pos_point, neg_point)."""
-    zero_point = pos_point = neg_point = None
+    """Exact sphere sampling, stopped at the first decisive point: the
+    evidence (zero_point, None) at the first exact zero, or
+    (None, (pos_point, neg_point)), the first point of each sign, at the
+    first point of the second sign, whichever comes first; None when the
+    grid has neither."""
+    pos_point = neg_point = None
     for point in reference_sphere_sample_points(form.n):
         value = reference_evaluate_exact(form, point, point)[0][0]
         if value.im != 0:
             raise ValueError("kernel is not real-valued on the diagonal")
-        if value.re == 0 and zero_point is None:
-            zero_point = point
-        elif value.re > 0 and pos_point is None:
-            pos_point = (point, value.re)
+        if value.re == 0:
+            return point, None
+        if value.re > 0 and pos_point is None:
+            pos_point = point
         elif value.re < 0 and neg_point is None:
-            neg_point = (point, value.re)
-        if zero_point and pos_point and neg_point:
-            break
-    return zero_point, pos_point, neg_point
+            neg_point = point
+        if pos_point is not None and neg_point is not None:
+            return None, (pos_point, neg_point)
+    return None
 
 
 # The per-term dict arithmetic that the integer kernel of hermform.gram
@@ -1831,10 +1842,22 @@ def operator_matrix(form: BihermitianForm, d: int) -> OperatorMatrix:
     return OperatorMatrix(HermitianMatrix.from_rows(rows), weights, basis)
 
 
+def is_positive_definite(cert: SignatureCertificate) -> bool:
+    """Whether the certificate's matrix is positive definite: every slot of
+    its inertia positive."""
+    return cert.inertia[0] == cert.size
+
+
+def is_positive_semidefinite(cert: SignatureCertificate) -> bool:
+    """Whether the certificate's matrix is positive semidefinite: no negative
+    slot in its inertia."""
+    return cert.inertia[1] == 0
+
+
 def operator_positive(form: BihermitianForm, d: int) -> tuple[bool, SignatureCertificate]:
     """Positive definiteness of the operator matrix, with certificate."""
     cert = ldl_signature(operator_matrix(form, d).matrix)
-    return cert.is_positive_definite(), cert
+    return is_positive_definite(cert), cert
 
 
 def pairing_identity_check(factor: WeightedGramFactor, h) -> bool:

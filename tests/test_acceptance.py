@@ -35,6 +35,8 @@ from helpers import (
     bergman_coefficient_reduced,
     diagonal_matrix,
     diagonal_quartic,
+    is_positive_definite,
+    is_positive_semidefinite,
     monomial_norm_reduced,
     multinomial,
     numeric_reconstruction,
@@ -160,7 +162,7 @@ def test_criterion_4_operator_equivalence_and_pairing():
             form = rand_hermsym_form(rng, n, r, m)
         d = m if form.support else 0
         matrix, basis = coefficient_matrix(form, mode="bidegree")
-        pd_matrix = ldl_signature(matrix).is_positive_definite()
+        pd_matrix = is_positive_definite(ldl_signature(matrix))
         pd_operator, _ = operator_positive(form, d)
         ok = ok and (pd_matrix == pd_operator)
         agree += pd_matrix == pd_operator
@@ -212,7 +214,7 @@ def test_criterion_6_monotonicity_under_shifts():
         twice = multiplier_shift(once)
         for shifted in (once, twice):
             matrix, _ = coefficient_matrix(shifted, mode="bidegree")
-            good = ldl_signature(matrix).is_positive_definite()
+            good = is_positive_definite(ldl_signature(matrix))
             ok = ok and good
     for _ in range(100):
         n = rng.randint(1, 2)
@@ -223,7 +225,7 @@ def test_criterion_6_monotonicity_under_shifts():
         twice = multiplier_shift(once)
         for shifted in (once, twice):
             matrix, _ = coefficient_matrix(shifted, mode="bidegree")
-            good = ldl_signature(matrix).is_positive_semidefinite()
+            good = is_positive_semidefinite(ldl_signature(matrix))
             ok = ok and good
     _report(
         6,

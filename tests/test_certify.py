@@ -22,6 +22,8 @@ from helpers import (
     diagonal_matrix,
     embedded,
     dense_lower,
+    is_positive_definite,
+    is_positive_semidefinite,
     mat_adjoint,
     mat_mul,
     quadratic_value,
@@ -73,11 +75,11 @@ def test_square_difference_matrix():
 
 def test_is_positive_definite_family_matrices():
     cert = ldl_signature(diagonal_matrix([1, 2, 1]))
-    assert cert.is_positive_definite() and inertia(cert) == (3, 0, 0)
+    assert is_positive_definite(cert) and inertia(cert) == (3, 0, 0)
     cert = ldl_signature(diagonal_matrix([1, 0, 1]))
-    assert not cert.is_positive_definite() and cert.n_zero == 1
+    assert not is_positive_definite(cert) and cert.n_zero == 1
     cert = ldl_signature(diagonal_matrix([1, -1, 1]))
-    assert not cert.is_positive_definite()
+    assert not is_positive_definite(cert)
     assert cert.witness == SparseRow(((1, 1, 0),))
 
 
@@ -101,12 +103,12 @@ def test_strict_certificate_of_a_singular_psd_matrix():
 
 
 def test_is_positive_semidefinite_examples():
-    assert ldl_signature(diagonal_matrix([1, 0, 1])).is_positive_semidefinite()
+    assert is_positive_semidefinite(ldl_signature(diagonal_matrix([1, 0, 1])))
     cert = ldl_signature(diagonal_matrix([1, -2, 1]))
-    assert not cert.is_positive_semidefinite()
+    assert not is_positive_semidefinite(cert)
     assert cert.witness == SparseRow(((1, 1, 0),))
     cert = ldl_signature(diagonal_matrix([0, 0]))
-    assert cert.is_positive_semidefinite() and cert.n_zero == 2
+    assert is_positive_semidefinite(cert) and cert.n_zero == 2
 
 
 def gram_decomposition(matrix):
@@ -235,7 +237,7 @@ def test_pd_gram_built_matrices():
         m = rng.randint(0, 2)
         matrix, _ = coefficient_matrix(gram(rand_pd_matrix(rng, n, m, r)))
         cert = ldl_signature(matrix)
-        assert cert.is_positive_definite() and cert.n_pos == matrix.size
+        assert is_positive_definite(cert) and cert.n_pos == matrix.size
 
 
 def test_transform_is_permuted_unit_triangular_without_hollow_fix():

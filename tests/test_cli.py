@@ -18,6 +18,7 @@ from hermfact import (
 from hermfact.cli import main
 
 from helpers import (
+    POSITIVE_DIAGONAL_SIGN_CHANGE,
     quartic_family,
     reference_certificate_obj,
     reference_ellipticity_to_obj,
@@ -1589,6 +1590,23 @@ def test_a_negated_symbol_mirrors_one_artifact(capsys, tmp_path):
     assert json.loads(mirror.read_text()) == report["result"]["ellipticity"]
     valid = (0, '{"valid": true, "reason": "ok"}\n', "")
     assert run(capsys, ["verify", str(path)]) == run(capsys, ["verify", str(mirror)]) == valid
+
+
+def test_a_sign_change_with_positive_diagonals_is_decided_by_the_walk(capsys, tmp_path):
+    # Every M_d past M_0 of this symbol has a positive diagonal, so each
+    # exponent step runs the elimination, and a search run first would build
+    # them all up to the size bound.  The sphere walk, which takes as many
+    # points as each failing step's M_d has rows, finds a sign pair within
+    # the first steps, so --dmax 2000 ends as soon as --dmax 16 does.
+    path = tmp_path / "report.json"
+    started = time.perf_counter()
+    argv = ["symbol", "-e", POSITIVE_DIAGONAL_SIGN_CHANGE, "--dmax", "2000", "--out", str(path)]
+    assert run(capsys, argv)[0] == 1 and time.perf_counter() - started < 1
+    report = json.loads(path.read_text())
+    assert report["verdicts"]["verdict"] == "not_elliptic"
+    ellipticity = report["result"]["ellipticity"]
+    assert ellipticity["sign_change"] is not None and ellipticity["stabilization"] is None
+    assert run(capsys, ["verify", str(path)]) == (0, '{"valid": true, "reason": "ok"}\n', "")
 
 
 @pytest.mark.parametrize("expr, terms, order, message, refused", [

@@ -17,6 +17,7 @@ from helpers import (
     diagonal_matrix,
     diagonal_quartic,
     euclidean_pairing,
+    is_positive_definite,
     mat_adjoint,
     mat_mul,
     monomial_norm_reduced,
@@ -75,7 +76,7 @@ def test_proposition_equivalence_random():
         form = rand_hermsym_form(rng, n, r, m)
         d = m if form.support else 0
         matrix, _ = coefficient_matrix(form, mode="bidegree")
-        pd_matrix = ldl_signature(matrix).is_positive_definite()
+        pd_matrix = is_positive_definite(ldl_signature(matrix))
         pd_operator, _ = operator_positive(form, d)
         assert pd_matrix == pd_operator
 

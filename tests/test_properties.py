@@ -11,7 +11,7 @@ from itertools import islice
 from math import gcd
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hermfact import (
@@ -45,7 +45,7 @@ from hermfact.certify import (
 from hermfact.cli import main as cli_main
 from hermfact.factor import _factor_from_parts
 from hermfact.hermform import coefficient_basis, homogeneous_basis
-from hermfact.scalars import ZERO, SparseRow
+from hermfact.scalars import ONE, ZERO, SparseRow
 from hermfact.multiindex import multinomial_weights
 from hermfact.stabilize import MODES, power_rows
 from hermfact.symbols import RealSymbol, _sample_symbol, real_to_complex
@@ -58,9 +58,11 @@ from helpers import (
     embedded,
     format_form,
     holo_matrix,
+    is_positive_definite,
     kernel_multiply,
     multinomial,
     parse_outcome,
+    POSITIVE_DIAGONAL_SIGN_CHANGE,
     quadratic_value,
     quartic_family,
     reconstructs_target,
@@ -168,34 +170,60 @@ def symbol_forms(draw):
     return BihermitianForm.from_terms(n, 1, terms)
 
 
-def _reference_points(form):
-    zero, pos, neg = reference_sample_symbol(form)
-    return zero, pos and pos[0], neg and neg[0]
+@st.composite
+def sign_changing_forms(draw):
+    """A scalar bihomogeneous Hermitian form in 2 <= n <= 3 variables of
+    bidegree m <= 2 whose diagonal terms are all positive, a weight in
+    {1, 2} on each |z^alpha|^2, so that every M_d has a positive diagonal,
+    with one cross term c z^alpha zb^beta and its partner, |c| >= 7.  Where
+    the variables of alpha and beta have equal moduli, every |z^gamma|^2 is
+    the same t, and phases can turn c z^alpha zb^beta to -|c| t, so the value
+    falls to (sum of weights - 2|c|) t < 0: the form changes sign."""
+    n, m = draw(st.integers(2, 3)), draw(st.integers(1, 2))
+    monomials = enumerate_degree(n, m)
+    terms = [((0, 0, alpha, alpha), draw(st.sampled_from((1, 2)))) for alpha in monomials]
+    alpha, beta = draw(st.lists(st.sampled_from(monomials), min_size=2, max_size=2, unique=True))
+    c = draw(st.sampled_from((GaussianRational(7), GaussianRational(-8), GaussianRational(7, 7),
+                              GaussianRational(0, -9))))
+    terms += [((0, 0, alpha, beta), c), ((0, 0, beta, alpha), c.conjugate())]
+    return BihermitianForm.from_terms(n, 1, terms)
+
+
+def _walked(form):
+    """The sphere walk of `symbols._sample_symbol` to its end: its evidence,
+    yielded last, or None; it yields nothing after its decisive point."""
+    points = list(_sample_symbol(form))
+    assert all(p is None for p in points[:-1])
+    return points[-1]
 
 
 @SETTINGS
 @given(form=symbol_forms())
 def test_sample_symbol_picks_the_reference_points(form):
-    assert _sample_symbol(form) == _reference_points(form)
+    assert _walked(form) == reference_sample_symbol(form)
 
 
 def test_sample_symbol_finds_zeros_and_sign_changes():
     # An exact zero on an axis; a semidefinite form whose zeros, on
-    # |z1| = |z2|, no sample point meets; a sign change; and a definite form.
-    cases = [(parse_expression("z1*zb1", n=2), (True, True, False)),
-             (square_difference(), (False, True, False)),
-             (quartic_family(-3), (False, True, True)),
-             (quartic_family(1), (False, True, False))]
+    # |z1| = |z2|, no sample point meets; a sign change; a definite form;
+    # and a sign change whose M_d all have positive diagonals.  The walk
+    # stops at its first zero or at the first point of its second sign.
+    cases = [(parse_expression("z1*zb1", n=2), "zero"),
+             (square_difference(), None),
+             (quartic_family(-3), "pair"),
+             (quartic_family(1), None),
+             (parse_expression(POSITIVE_DIAGONAL_SIGN_CHANGE), "pair")]
     for form, found in cases:
-        points = _sample_symbol(form)
-        assert points == _reference_points(form)
-        assert tuple(p is not None for p in points) == found
+        evidence = _walked(form)
+        assert evidence == reference_sample_symbol(form)
+        assert found == (evidence and ("zero" if evidence[0] is not None else "pair"))
 
 
 def test_a_constant_symbol_samples_its_first_point_alone(monkeypatch):
-    # A bidegree-0 symbol is a constant of one sign, so the sampling stops at
-    # its first sphere point, in 40 variables as in 3, and returns the points
-    # that a walk of the whole grid returns; the verdicts stand.
+    # A bidegree-0 symbol is a constant.  A nonzero one is certified by its
+    # search at d = 0, before the walk takes a point; the zero symbol fails
+    # d = 0, whose M_0 has one row, so the walk takes one point, e_1, a zero;
+    # in 40 variables as in 3.
     sampled = []
     grid = symbols._sphere_numerators
 
@@ -205,21 +233,34 @@ def test_a_constant_symbol_samples_its_first_point_alone(monkeypatch):
             yield point
 
     monkeypatch.setattr(symbols, "_sphere_numerators", counted)
-    cases = [("1", (False, True, False), "certified"),
-             ("-2", (False, False, True), "certified"),
-             ("0", (True, False, False), "not_elliptic")]
-    for text, found, verdict in cases:
+    cases = [("1", 0, "certified"), ("-2", 0, "certified"), ("0", 1, "not_elliptic")]
+    for text, count, verdict in cases:
         for n in (3, 40):
             form = parse_expression(text, n=n)
             sampled.clear()
-            points = _sample_symbol(form)
-            assert len(sampled) == 1
-            assert tuple(p is not None for p in points) == found
-            sampled.clear()
             assert symbols.certify_elliptic_form(form, 4).verdict == verdict
-            assert len(sampled) == 1
-        form = parse_expression(text, n=3)
-        assert _sample_symbol(form) == _reference_points(form)
+            assert len(sampled) == count
+    form = parse_expression("0", n=3)
+    assert _walked(form) == reference_sample_symbol(form) == ((ONE, ZERO, ZERO), None)
+
+
+@SETTINGS
+@given(form=symbol_forms() | sign_changing_forms(), d_max=st.integers(0, 3))
+@example(form=square_difference(), d_max=3)  # no evidence, and no factor
+def test_interleaved_certification_equals_sampling_then_search(form, d_max):
+    # The verdict of the order the search and walk ran in before they were
+    # interleaved: the whole grid sampled, then, with no evidence, the search;
+    # the evidence is the walk's first decisive point.
+    report = symbols.certify_elliptic_form(form, d_max)
+    evidence = reference_sample_symbol(form)
+    if evidence is not None:
+        assert report.verdict == "not_elliptic" and report.stabilization is None
+        assert (report.witness_point, report.sign_pair) == evidence
+        return
+    search = find_minimal_d(symbols.searched_form(form), "strict", d_max)
+    assert report.verdict == ("certified" if search.found() else "not_certified")
+    assert (report.d, report.stabilization) == (search.d_min, search)
+    assert report.witness_point is None and report.sign_pair is None
 
 
 @st.composite
@@ -636,7 +677,7 @@ def test_strict_witness_exactly_when_not_positive_definite(matrix):
         assert ours == strict_ours == (want.permutation, want.lower, want.diag, want.blocks)
         if failing is None and want.n_neg:
             failing = block, want
-        if strict_failing is None and not want.is_positive_definite():
+        if strict_failing is None and not is_positive_definite(want):
             strict_failing = block, want
     size = matrix.size
     assert cert.witness == (None if failing is None else embedded(failing[1].witness,

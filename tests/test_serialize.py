@@ -26,6 +26,7 @@ from hermfact.symbols import searched_form
 from helpers import (
     diagonal_matrix,
     diagonal_quartic,
+    is_positive_semidefinite,
     quadratic_value,
     quartic_family,
     rand_hermitian_matrix,
@@ -312,7 +313,7 @@ def test_strict_steps_on_singular_matrices_carry_null_vectors():
     for d, (step, (matrix, _)) in enumerate(zip(report.steps, reference_exponent_steps(form))):
         if d in (5, 6):
             # on a PSD matrix, v^adj M v = 0 exactly when M v = 0
-            assert ldl_signature(matrix).is_positive_semidefinite()
+            assert is_positive_semidefinite(ldl_signature(matrix))
             assert step.witness.entries
             assert quadratic_value(matrix, step.witness).is_zero()
     assert all(step.witness is not None for step in report.steps[:-1])

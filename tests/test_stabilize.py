@@ -23,6 +23,8 @@ from hermfact.scalars import GaussianRow, SparseRow
 from helpers import (
     diagonal_matrix,
     euclidean_pairing,
+    is_positive_definite,
+    is_positive_semidefinite,
     oracle_diagonal_shift_entries,
     oracle_quartic_dmin,
     oracle_quartic_entries,
@@ -167,9 +169,9 @@ def test_monotonicity_strict_and_semi():
         m = rng.randint(0, 2)
         form = rand_pd_form(rng, n, m, r)
         shifted = multiplier_shift(form)
-        ok1 = ldl_signature(diag_of(shifted)).is_positive_definite()
+        ok1 = is_positive_definite(ldl_signature(diag_of(shifted)))
         shifted2 = multiplier_shift(shifted)
-        ok2 = ldl_signature(diag_of(shifted2)).is_positive_definite()
+        ok2 = is_positive_definite(ldl_signature(diag_of(shifted2)))
         assert ok1 and ok2
         strict_checked += 1
     assert strict_checked == 100
@@ -179,9 +181,9 @@ def test_monotonicity_strict_and_semi():
         m = rng.randint(0, 2)
         form = rand_psd_form(rng, n, m, r)
         shifted = multiplier_shift(form)
-        ok1 = ldl_signature(diag_of(shifted)).is_positive_semidefinite()
+        ok1 = is_positive_semidefinite(ldl_signature(diag_of(shifted)))
         shifted2 = multiplier_shift(shifted)
-        ok2 = ldl_signature(diag_of(shifted2)).is_positive_semidefinite()
+        ok2 = is_positive_semidefinite(ldl_signature(diag_of(shifted2)))
         assert ok1 and ok2
 
 

@@ -24,6 +24,7 @@ from helpers import (
     diagonal_matrix,
     diagonal_quartic,
     euclidean_pairing,
+    is_positive_definite,
     kernel_multiply,
     quartic_family,
     reference_rational_sphere_point,
@@ -245,7 +246,7 @@ def test_certified_monotone_under_further_shifts():
     for _ in range(2):
         shifted = multiplier_shift(shifted)
         matrix, _ = coefficient_matrix(shifted, mode="bidegree")
-        assert ldl_signature(matrix).is_positive_definite()
+        assert is_positive_definite(ldl_signature(matrix))
 
 
 def test_certified_matrix_matches_strict_factor_existence():
@@ -257,6 +258,6 @@ def test_certified_matrix_matches_strict_factor_existence():
         shifted = multiplier_power(form, report.d)
         matrix, _ = coefficient_matrix(shifted, mode="bidegree")
         factor = strict_holomorphic_factor(shifted)
-        assert ldl_signature(matrix).is_positive_definite() and factor is not None
+        assert is_positive_definite(ldl_signature(matrix)) and factor is not None
         target = stabilization_factor(report.stabilization).target
         assert coefficient_matrix(target, mode="bidegree")[0] == matrix
