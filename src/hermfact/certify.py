@@ -12,7 +12,9 @@ with the largest-magnitude real diagonal entry of the trailing block
 (rational comparison).  A nonzero trailing block with an all-zero diagonal is
 indefinite; its first nonzero off-diagonal entry a becomes the "hollow" 2x2
 pivot [[0, a], [conj(a), 0]] (Bunch & Kaufman, Math. Comp. 31, 1977), which
-has one positive and one negative eigenvalue.
+has one positive and one negative eigenvalue.  The elimination is
+fraction-free (Bareiss, Math. Comp. 22, 1968): each row update is one exact
+division, with no gcd.
 
 The certificate is the factorization P M P^T = L D L^adj itself: L unit lower
 triangular, D diagonal apart from the hollow blocks; the inertia of M is that
@@ -347,7 +349,8 @@ def _component(start: int, neighbours, seen: list[bool]) -> list[int]:
 def _blocks(matrix: HermitianMatrix):
     """The blocks of M, built one at a time: the connected components of its
     nonzero pattern, each its matrix indices, ascending, with its dense
-    working rows, or, when it is 1x1, its entry x / den as the ints (x, den).
+    working rows, M's own numerators over M's den, or, when it is 1x1, its
+    entry x / den as the ints (x, den).
     M is block diagonal up to a permutation over them.
 
     They come in the order of their largest-magnitude diagonal entry,
@@ -373,14 +376,9 @@ def _blocks(matrix: HermitianMatrix):
                 raise ValueError("matrix is not Hermitian: complex diagonal entry")
             yield block, (re[start].get(start, 0), den)
             continue
-        zeros, rows = [0] * len(block), []
-        for p in block:
-            row_re, row_im = list(map(re[p].get, block, zeros)), list(map(im[p].get, block, zeros))
-            g = gcd(den, *row_re, *row_im)
-            if g != 1:
-                row_re, row_im = [x // g for x in row_re], [y // g for y in row_im]
-            rows.append(GaussianRow(row_re, row_im, den // g))
-        yield block, rows
+        zeros = [0] * len(block)
+        yield block, [GaussianRow(list(map(re[p].get, block, zeros)),
+                                  list(map(im[p].get, block, zeros)), den) for p in block]
 
 
 def _eliminate_blocks(matrix, strict: bool, stop: bool):
@@ -431,11 +429,11 @@ def _joined(parts):
 
 def _eliminate(s: list[GaussianRow], strict: bool, stop: bool):
     """The pivoted elimination of `ldl_signature` on the working rows s of
-    M, which it changes in place: (s, perm, diag, blocks, k) with perm the
-    pivot order and k the witness slot, or None when M passes the mode's
-    test.  With `stop` it returns at the first negative pivot or hollow
-    block, swapped into place but not eliminated with; diag and blocks then
-    end at that slot."""
+    M, all over M's den, which it changes in place: (s, perm, diag, blocks,
+    k) with perm the pivot order and k the witness slot, or None when M
+    passes the mode's test.  With `stop` it returns at the first negative
+    pivot or hollow block, swapped into place but not eliminated with; diag
+    and blocks then end at that slot."""
     n = len(s)
     # s holds the rows of the working matrix.  Rows before the current step
     # are finished pivots and are never read again, so an elimination step
@@ -443,6 +441,14 @@ def _eliminate(s: list[GaussianRow], strict: bool, stop: bool):
     # operations change nothing but the finished pivot rows.  Later swaps
     # still reach a finished row, so at the end row k, right of its diagonal,
     # is conj(column k of L D) in the final pivot coordinates.
+    #
+    # Fraction-free rows: a row's numerators are over sigma * den0, den0 = M's
+    # den, at the scale sigma = |Delta| of the leading principal minor of
+    # den0 * M over the pivots eliminated when the row last changed.  By
+    # Sylvester's identity each update below then divides exactly.  A step
+    # leaves the rows it does not reach at their scale, brings its pivot rows
+    # to the current one, and writes rows only right of its pivot slots.
+    den0, scale = s[0].den, 1
     perm = list(range(n))
     diag: list[Fraction] = []
     blocks: list[tuple[int, GaussianRational]] = []
@@ -459,6 +465,16 @@ def _eliminate(s: list[GaussianRow], strict: bool, stop: bool):
             row.swap(k, t)
         perm[k], perm[t] = perm[t], perm[k]
 
+    def rescaled(k: int) -> tuple[list[int], list[int]]:
+        # row k from slot k on, at the current scale
+        row = s[k]
+        sigma = row.den // den0
+        if sigma != scale:
+            row.re[k:] = [x * scale // sigma for x in row.re[k:]]
+            row.im[k:] = [y * scale // sigma for y in row.im[k:]]
+            row.den = scale * den0
+        return row.re[k:], row.im[k:]
+
     k = 0
     while k < n:
         best, best_num, best_den = None, 0, 1
@@ -471,20 +487,23 @@ def _eliminate(s: list[GaussianRow], strict: bool, stop: bool):
                 best, best_num, best_den = t, mag, row.den
         if best is not None:
             swap(k, best)
-            pivot = s[k]
-            p, dk = pivot.re[k], pivot.den
-            diag.append(Fraction(p, dk))
-            sign = 1 if p > 0 else -1
-            if sign < 0 and negative is None:
+            (p, *ure), (_, *uim) = rescaled(k)
+            diag.append(Fraction(p, s[k].den))
+            if p < 0 and negative is None:
                 negative = k
                 if stop:
                     return s, perm, diag, blocks, k
-            nz = pivot.nonzero()
-            for i in range(k + 1, n):
-                x, y = s[i].re[k], s[i].im[k]
+            sign, scale = (1 if p > 0 else -1), abs(p)
+            for row in s[k + 1:]:
+                x, y = row.re[k], row.im[k]
                 if x or y:
-                    # row i -= (s[i][k] / d) * row k, d = p / dk
-                    s[i].add_scaled(-sign * x * dk, -sign * y * dk, s[i].den * abs(p), pivot, nz)
+                    # row = (p row - x row k) / (sign(p) sigma), x = row[k], at |p|
+                    q = row.den // den0 * sign
+                    row.re[k + 1:] = [(p * r - x * u + y * v) // q
+                                      for r, u, v in zip(row.re[k + 1:], ure, uim)]
+                    row.im[k + 1:] = [(p * r - x * v - y * u) // q
+                                      for r, u, v in zip(row.im[k + 1:], ure, uim)]
+                    row.den = scale * den0
             k += 1
             continue
         hollow = next(
@@ -499,24 +518,30 @@ def _eliminate(s: list[GaussianRow], strict: bool, stop: bool):
         t, u = hollow
         swap(k, t)
         swap(k + 1, u)
-        # a = s[k][k+1] = (ar + i*ai) / dk; s[k+1][k] = conj(a)
-        ar, ai, dk = s[k].re[k + 1], s[k].im[k + 1], s[k].den
-        norm = ar * ar + ai * ai
-        blocks.append((k, GaussianRational(Fraction(ar, dk), Fraction(ai, dk))))
+        (_, ar, *ure), (_, ai, *uim) = rescaled(k)
+        (_, *vre), (_, *vim) = rescaled(k + 1)
+        # a = s[k][k+1] = (ar + i*ai) / den; s[k+1][k] = conj(a)
+        blocks.append((k, GaussianRational(Fraction(ar, s[k].den), Fraction(ai, s[k].den))))
         diag.extend([Fraction(0), Fraction(0)])
         if negative is None:
             negative = k
             if stop:
                 return s, perm, diag, blocks, k
-        first, second = (s[k], s[k].nonzero()), (s[k + 1], s[k + 1].nonzero())
-        for i in range(k + 2, n):
-            xr, xi, yr, yi = s[i].re[k], s[i].im[k], s[i].re[k + 1], s[i].im[k + 1]
-            q = s[i].den * norm
-            # row i -= (y / a) * row k + (x / conj(a)) * row k+1, (x, y) = s[i][k:k+2]
-            if yr or yi:
-                s[i].add_scaled(-dk * (yr * ar + yi * ai), -dk * (yi * ar - yr * ai), q, *first)
-            if xr or xi:
-                s[i].add_scaled(-dk * (xr * ar - xi * ai), -dk * (xr * ai + xi * ar), q, *second)
+        norm = ar * ar + ai * ai
+        old, scale = scale, norm // scale
+        for row in s[k + 2:]:
+            xr, xi, yr, yi = row.re[k], row.im[k], row.re[k + 1], row.im[k + 1]
+            if xr or xi or yr or yi:
+                # row = (|A|^2 row - conj(A) y row k - A x row k+1) / (old sigma),
+                # (x, y) = row[k:k+2], A = ar + i*ai, at |A|^2 / old
+                br, bi = ar * yr + ai * yi, ar * yi - ai * yr
+                cr, ci = ar * xr - ai * xi, ar * xi + ai * xr
+                q = row.den // den0 * old
+                row.re[k + 2:] = [(norm * r - br * u + bi * v - cr * w + ci * z) // q
+                                  for r, u, v, w, z in zip(row.re[k + 2:], ure, uim, vre, vim)]
+                row.im[k + 2:] = [(norm * r - br * v - bi * u - cr * z - ci * w) // q
+                                  for r, u, v, w, z in zip(row.im[k + 2:], ure, uim, vre, vim)]
+                row.den = scale * den0
         k += 2
     return s, perm, diag, blocks, zero if negative is None and strict else negative
 

@@ -150,9 +150,11 @@ ONE = GaussianRational(Fraction(1))
 
 @dataclass(eq=True, slots=True)
 class GaussianRow:
-    """The vector (re[j] + i*im[j]) / den over int lists, den > 0, in lowest
-    terms, which makes it unique: rows compare by their fields.  `swap` and
-    `add_scaled` change a row in place."""
+    """The vector (re[j] + i*im[j]) / den over int lists, den > 0, a dense
+    exact row.  `from_entries` gives it in lowest terms; the elimination's
+    working rows (`certify._eliminate`) are not: their numerators are at the
+    scale of a leading principal minor, so rows compare by their fields, not
+    by the vectors they hold.  `swap` changes a row in place."""
 
     re: list[int]
     im: list[int]
@@ -170,43 +172,10 @@ class GaussianRow:
             im[j] = c.im.numerator * (den // c.im.denominator)
         return cls(re, im, den)
 
-    def nonzero(self) -> list[int]:
-        return nonzero_indices(self.re, self.im)
-
     def swap(self, k: int, t: int) -> None:
         re, im = self.re, self.im
         re[k], re[t] = re[t], re[k]
         im[k], im[t] = im[t], im[k]
-
-    def add_scaled(self, cr: int, ci: int, q: int, other: "GaussianRow", nz=None) -> None:
-        """self += ((cr + i*ci) / q) * other, exactly; q > 0.
-
-        `nz` lists the nonzero indices of `other` when the caller has them.
-        """
-        b = q * other.den
-        g = gcd(cr, ci, b)
-        if g != 1:
-            cr, ci, b = cr // g, ci // g, b // g
-        a = self.den
-        g = gcd(a, b)
-        mu, mt = b // g, a // g
-        re, im = self.re, self.im
-        if mu != 1:
-            re = [x * mu for x in re]
-            im = [y * mu for y in im]
-        ar, ai = cr * mt, ci * mt
-        ore, oim = other.re, other.im
-        for j in other.nonzero() if nz is None else nz:
-            x, y = ore[j], oim[j]
-            re[j] += ar * x - ai * y
-            im[j] += ar * y + ai * x
-        den = a * mu
-        g = gcd(den, *re, *im)
-        if g != 1:
-            re = [x // g for x in re]
-            im = [y // g for y in im]
-            den //= g
-        self.re, self.im, self.den = re, im, den
 
 
 def nonzero_indices(re: list[int], im: list[int], start: int = 0) -> list[int]:

@@ -12,6 +12,8 @@ from fractions import Fraction
 from math import comb, factorial, gcd, lcm, prod
 from operator import add as _add
 
+import pytest
+
 from hermfact import (
     BihermitianForm,
     GaussianRational,
@@ -28,6 +30,7 @@ from hermfact import (
     scale,
     serialize,
 )
+from hermfact import certify
 from hermfact.factor import NumericFactor, _factor_from_parts
 from hermfact.hermform import (
     CoefficientBasis,
@@ -37,7 +40,7 @@ from hermfact.hermform import (
     homogeneous_basis,
 )
 from hermfact.parsing import ParseError
-from hermfact.scalars import ZERO, GaussianRow, SparseRow, as_gaussian
+from hermfact.scalars import ZERO, GaussianRow, SparseRow, as_gaussian, nonzero_indices
 from hermfact.stabilize import MODES, StabilizationReport, StabilizationStep
 from hermfact.symbols import EllipticityReport, RealSymbol
 
@@ -805,6 +808,138 @@ def reference_certificate_obj(cert: SignatureCertificate) -> dict:
 
 
 # ---------------------------------------------------------------------------
+# the lowest-terms row update of the elimination before it was fraction-free
+
+
+def add_scaled(row: GaussianRow, cr: int, ci: int, q: int, other: GaussianRow, nz=None) -> None:
+    """row += ((cr + i*ci) / q) * other, exactly, q > 0, leaving row in lowest
+    terms.  `nz` lists the nonzero indices of `other` when the caller has them."""
+    b = q * other.den
+    g = gcd(cr, ci, b)
+    if g != 1:
+        cr, ci, b = cr // g, ci // g, b // g
+    a = row.den
+    g = gcd(a, b)
+    mu, mt = b // g, a // g
+    re, im = row.re, row.im
+    if mu != 1:
+        re = [x * mu for x in re]
+        im = [y * mu for y in im]
+    ar, ai = cr * mt, ci * mt
+    ore, oim = other.re, other.im
+    for j in nonzero_indices(ore, oim) if nz is None else nz:
+        x, y = ore[j], oim[j]
+        re[j] += ar * x - ai * y
+        im[j] += ar * y + ai * x
+    den = a * mu
+    g = gcd(den, *re, *im)
+    if g != 1:
+        re = [x // g for x in re]
+        im = [y // g for y in im]
+        den //= g
+    row.re, row.im, row.den = re, im, den
+
+
+def lowest_terms_eliminate(s: list[GaussianRow], strict: bool, stop: bool):
+    """`certify._eliminate` as it was before it was fraction-free: the same
+    pivots, each update one `add_scaled`, every row kept in lowest terms.
+    Put in its place, it gives the certificates and evidence of that kernel,
+    the reference the fraction-free one must equal field by field."""
+    n = len(s)
+    for row in s:
+        g = gcd(row.den, *row.re, *row.im)
+        row.re, row.im, row.den = [x // g for x in row.re], [y // g for y in row.im], row.den // g
+    perm = list(range(n))
+    diag: list[Fraction] = []
+    blocks: list[tuple[int, GaussianRational]] = []
+    negative: int | None = None
+    zero: int | None = None
+
+    def swap(k: int, t: int) -> None:
+        if k == t:
+            return
+        s[k], s[t] = s[t], s[k]
+        for row in s:
+            row.swap(k, t)
+        perm[k], perm[t] = perm[t], perm[k]
+
+    k = 0
+    while k < n:
+        best, best_num, best_den = None, 0, 1
+        for t in range(k, n):
+            row = s[t]
+            if row.im[t]:
+                raise ValueError("matrix is not Hermitian: complex diagonal entry")
+            mag = abs(row.re[t])
+            if mag * best_den > best_num * row.den:
+                best, best_num, best_den = t, mag, row.den
+        if best is not None:
+            swap(k, best)
+            pivot = s[k]
+            p, dk = pivot.re[k], pivot.den
+            diag.append(Fraction(p, dk))
+            sign = 1 if p > 0 else -1
+            if sign < 0 and negative is None:
+                negative = k
+                if stop:
+                    return s, perm, diag, blocks, k
+            nz = nonzero_indices(pivot.re, pivot.im)
+            for i in range(k + 1, n):
+                x, y = s[i].re[k], s[i].im[k]
+                if x or y:
+                    # row i -= (s[i][k] / d) * row k, d = p / dk
+                    add_scaled(s[i], -sign * x * dk, -sign * y * dk, s[i].den * abs(p), pivot, nz)
+            k += 1
+            continue
+        hollow = next(((t, u) for t in range(k, n) for u in range(t + 1, n)
+                       if s[t].re[u] or s[t].im[u]), None)
+        if hollow is None:
+            diag.extend([Fraction(0)] * (n - k))
+            zero = k
+            break
+        t, u = hollow
+        swap(k, t)
+        swap(k + 1, u)
+        # a = s[k][k+1] = (ar + i*ai) / dk; s[k+1][k] = conj(a)
+        ar, ai, dk = s[k].re[k + 1], s[k].im[k + 1], s[k].den
+        norm = ar * ar + ai * ai
+        blocks.append((k, GaussianRational(Fraction(ar, dk), Fraction(ai, dk))))
+        diag.extend([Fraction(0), Fraction(0)])
+        if negative is None:
+            negative = k
+            if stop:
+                return s, perm, diag, blocks, k
+        first = s[k], nonzero_indices(s[k].re, s[k].im)
+        second = s[k + 1], nonzero_indices(s[k + 1].re, s[k + 1].im)
+        for i in range(k + 2, n):
+            xr, xi, yr, yi = s[i].re[k], s[i].im[k], s[i].re[k + 1], s[i].im[k + 1]
+            q = s[i].den * norm
+            # row i -= (y / a) * row k + (x / conj(a)) * row k+1, (x, y) = s[i][k:k+2]
+            if yr or yi:
+                add_scaled(s[i], -dk * (yr * ar + yi * ai), -dk * (yi * ar - yr * ai), q, *first)
+            if xr or xi:
+                add_scaled(s[i], -dk * (xr * ar - xi * ai), -dk * (xr * ai + xi * ar), q, *second)
+        k += 2
+    return s, perm, diag, blocks, zero if negative is None and strict else negative
+
+
+def assert_equals_lowest_terms_kernel(matrix: HermitianMatrix) -> None:
+    """`ldl_signature`, strict and not, and `mode_evidence` on M give, field
+    by field, what they give with `lowest_terms_eliminate` as the kernel's
+    elimination."""
+    for strict in (False, True):
+        cert, evidence = ldl_signature(matrix, strict), certify.mode_evidence(matrix, strict)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(certify, "_eliminate", lowest_terms_eliminate)
+            want = ldl_signature(matrix, strict)
+            want_evidence = certify.mode_evidence(matrix, strict)
+        for field in dataclasses.fields(cert):
+            assert getattr(cert, field.name) == getattr(want, field.name), (strict, field.name)
+        assert cert.weighted_vectors() == want.weighted_vectors()
+        assert evidence == want_evidence, strict
+
+
+# ---------------------------------------------------------------------------
 # the integer-row certification kernel as it was before strict certificates
 #
 # Without `strict`, `ldl_signature` must emit the same permutation, lower,
@@ -832,74 +967,8 @@ def reference_integer_ldl_signature(matrix: HermitianMatrix) -> SignatureCertifi
     # still reach a finished row, so at the end row k, right of its diagonal,
     # is conj(column k of L D) in the final pivot coordinates.
     s = [GaussianRow.from_entries(n, enumerate(row)) for row in matrix.entries]
-    perm = list(range(n))
-    diag: list[Fraction] = []
-    blocks: list[tuple[int, GaussianRational]] = []
-    # The slot of the first negative pivot or of the first block.
-    negative: int | None = None
-
-    def swap(k: int, t: int) -> None:
-        if k == t:
-            return
-        s[k], s[t] = s[t], s[k]
-        for row in s:  # all rows: a 2x2 step's second swap must reach row k too
-            row.swap(k, t)
-        perm[k], perm[t] = perm[t], perm[k]
-
-    k = 0
-    while k < n:
-        best, best_num, best_den = None, 0, 1
-        for t in range(k, n):
-            row = s[t]
-            if row.im[t]:
-                raise ValueError("matrix is not Hermitian: complex diagonal entry")
-            mag = abs(row.re[t])
-            if mag * best_den > best_num * row.den:
-                best, best_num, best_den = t, mag, row.den
-        if best is not None:
-            swap(k, best)
-            pivot = s[k]
-            p, dk = pivot.re[k], pivot.den
-            diag.append(Fraction(p, dk))
-            sign = 1 if p > 0 else -1
-            if sign < 0 and negative is None:
-                negative = k
-            nz = pivot.nonzero()
-            for i in range(k + 1, n):
-                x, y = s[i].re[k], s[i].im[k]
-                if x or y:
-                    # row i -= (s[i][k] / d) * row k, d = p / dk
-                    s[i].add_scaled(-sign * x * dk, -sign * y * dk, s[i].den * abs(p), pivot, nz)
-            k += 1
-            continue
-        hollow = next(
-            ((t, u) for t in range(k, n) for u in range(t + 1, n)
-             if s[t].re[u] or s[t].im[u]),
-            None,
-        )
-        if hollow is None:
-            diag.extend([Fraction(0)] * (n - k))
-            break
-        t, u = hollow
-        swap(k, t)
-        swap(k + 1, u)
-        # a = s[k][k+1] = (ar + i*ai) / dk; s[k+1][k] = conj(a)
-        ar, ai, dk = s[k].re[k + 1], s[k].im[k + 1], s[k].den
-        norm = ar * ar + ai * ai
-        blocks.append((k, GaussianRational(Fraction(ar, dk), Fraction(ai, dk))))
-        diag.extend([Fraction(0), Fraction(0)])
-        if negative is None:
-            negative = k
-        first, second = (s[k], s[k].nonzero()), (s[k + 1], s[k + 1].nonzero())
-        for i in range(k + 2, n):
-            xr, xi, yr, yi = s[i].re[k], s[i].im[k], s[i].re[k + 1], s[i].im[k + 1]
-            q = s[i].den * norm
-            # row i -= (y / a) * row k + (x / conj(a)) * row k+1, (x, y) = s[i][k:k+2]
-            if yr or yi:
-                s[i].add_scaled(-dk * (yr * ar + yi * ai), -dk * (yi * ar - yr * ai), q, *first)
-            if xr or xi:
-                s[i].add_scaled(-dk * (xr * ar - xi * ai), -dk * (xr * ai + xi * ar), q, *second)
-        k += 2
+    # the slot of the first negative pivot or of the first block
+    s, perm, diag, blocks, negative = lowest_terms_eliminate(s, strict=False, stop=False)
 
     def column(row: GaussianRow, start: int, cr: int, ci: int, q: int) -> Entries:
         # (j, conj(row[j]) * (cr + i*ci) / q) for the nonzero row[j], j >= start;

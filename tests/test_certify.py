@@ -12,10 +12,12 @@ from hermfact import (
     gram,
     ldl_signature,
 )
+from hermfact import certify
 from hermfact.certify import mode_evidence
 from hermfact.parsing import parse_expression
 from hermfact.stabilize import power_rows
 from helpers import (
+    assert_equals_lowest_terms_kernel,
     block_layouts,
     dense,
     dense_d,
@@ -438,3 +440,106 @@ def test_a_cancelled_term_leaves_no_stored_zero_and_joins_no_blocks():
     assert mode_evidence(matrix, False) == [(Fraction(1), SparseRow(((0, 1, 0), (1, -1, 0)))),
                                             (Fraction(1), SparseRow(((2, 1, 0), (3, 1, 0))))]
     assert mode_evidence(matrix, True) == SparseRow(((0, 1, 0), (1, 1, 0)))
+
+
+def _hermitian(diag, off) -> HermitianMatrix:
+    """diag on the diagonal and, for each (i, j): c in off, c at (i, j) and
+    conj(c) at (j, i); c is a number or a pair (re, im)."""
+    n = len(diag)
+    rows = [[GaussianRational(d) if q == p else GaussianRational(0) for q in range(n)]
+            for p, d in enumerate(diag)]
+    for (i, j), c in off.items():
+        c = GaussianRational(*c) if isinstance(c, tuple) else GaussianRational(c)
+        rows[i][j], rows[j][i] = c, c.conjugate()
+    return HermitianMatrix.from_rows(rows)
+
+
+def _aa_star_plus_one(size: int, height: int, seed: int) -> HermitianMatrix:
+    """A A^adj + I, A of Gaussian integers with parts up to height."""
+    rng = random.Random(seed)
+    a = [[(rng.randint(-height, height), rng.randint(-height, height)) for _ in range(size)]
+         for _ in range(size)]
+
+    def entry(i: int, j: int) -> GaussianRational:
+        # sum over k of a[i][k] conj(a[j][k]), plus 1 on the diagonal
+        pairs = list(zip(a[i], a[j]))
+        return GaussianRational(sum(x * u + y * v for (x, y), (u, v) in pairs) + (i == j),
+                                sum(y * u - x * v for (x, y), (u, v) in pairs))
+
+    return HermitianMatrix.from_rows([[entry(i, j) for j in range(size)] for i in range(size)])
+
+
+F = Fraction
+# Each matrix is one block, and each pins one case of the fraction-free row
+# update: the check beside it asserts that the elimination takes that path.
+EXACT_DIVISION_CASES = {
+    # a negative pivot at slot 1, then three more pivots
+    "negative-pivot-then-steps": (
+        _hermitian([9, -7, 5, 3, 2], {(0, 1): (1, 1), (0, 2): 2, (1, 2): (0, -1), (1, 3): (2, 1),
+                                      (2, 3): 1, (3, 4): (1, -2), (2, 4): 1}),
+        lambda c: c.diag[1] < 0 and all(c.diag[2:]) and not c.blocks),
+    # two 1x1 pivots, a hollow block, then a 1x1 pivot after it
+    "hollow-after-pivots": (
+        _hermitian([4, 2, 1, 1, 0], {(0, 1): 2, (0, 2): 2, (0, 3): 2, (1, 2): 1, (1, 3): 1,
+                                     (2, 3): (3, 1), (3, 4): (1, 1), (2, 4): 2}),
+        lambda c: [k for k, _ in c.blocks] == [2] and all(c.diag[:2]) and c.diag[4]),
+    # a hollow block first, then 1x1 pivots, the first negative
+    "pivots-after-hollow": (
+        _hermitian([0] * 6, {(0, 1): (1, 2), (0, 2): 1, (1, 2): (0, 1), (1, 3): 2, (2, 3): (1, -1),
+                             (0, 3): 3, (3, 4): (2, 1), (4, 5): (1, 3), (2, 5): 1, (0, 5): (0, 1)}),
+        lambda c: [k for k, _ in c.blocks] == [0] and c.diag[2] < 0 and all(c.diag[2:])),
+    # zero diagonal, edges only between {0, 2, 4} and {1, 3, 5}: three hollow
+    # blocks, the later ones dividing by the scale the earlier ones left
+    "hollow-after-hollow": (
+        _hermitian([0] * 6, {(0, 1): (1, 2), (0, 3): 1, (2, 1): (0, 1), (2, 3): 2, (2, 5): (1, -1),
+                             (4, 3): 3, (4, 5): (2, 1), (0, 5): (1, 3), (4, 1): 1}),
+        lambda c: [k for k, _ in c.blocks] == [0, 2, 4]),
+    # the chain 0 - 6 - 5 - 4 - {1, 2, 3}: row 6 is updated by pivot 0, left
+    # alone by pivots 1, 2 and 3, and updated again by pivot 5, which is
+    # itself untouched until it is brought to the scale of the fifth pivot
+    "untouched-rows": (
+        _hermitian([50, 40, 30, 20, 3, 10, 1], {(0, 6): (2, 1), (6, 5): (1, -1), (5, 4): 2,
+                                                (4, 1): (1, 1), (4, 2): 1, (4, 3): (0, 2),
+                                                (1, 2): (1, -1), (1, 3): 2, (2, 3): (1, 1)}),
+        lambda c: c.permutation == (0, 1, 2, 3, 5, 4, 6) and not c.blocks),
+    # den = 60 > 1, with two negative pivots
+    "den-above-one": (
+        _hermitian([F(7, 2), F(1, 3), 0, F(-5, 6), 2],
+                   {(0, 1): (F(1, 2), F(1, 3)), (0, 2): F(2, 3),
+                    (1, 2): (0, F(-1, 6)), (1, 3): (F(3, 4), 1),
+                    (2, 3): 1, (3, 4): (F(1, 5), F(-2, 3)), (2, 4): F(5, 6)}),
+        lambda c: c.matrix.den > 1 and c.n_neg == 2 and not c.blocks),
+    # den = 84 > 1 with a hollow block
+    "den-above-one-hollow": (
+        _hermitian([0] * 4, {(0, 1): (F(1, 2), F(1, 3)), (0, 2): F(2, 3),
+                             (1, 2): (0, F(-1, 6)),
+                             (1, 3): (F(3, 4), 1), (2, 3): 1, (0, 3): F(5, 7)}),
+        lambda c: c.matrix.den > 1 and [k for k, _ in c.blocks] == [0]),
+    # a dense PD matrix whose entries reach 10^12
+    "aa-star-24-entries-1e12": (
+        _aa_star_plus_one(24, 2 * 10**5, 31),
+        lambda c: c.n_pos == 24 and max(map(abs, c.matrix.re[0].values())) > 10**11),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EXACT_DIVISION_CASES))
+def test_fraction_free_updates_equal_the_lowest_terms_kernel(case):
+    matrix, takes_the_path = EXACT_DIVISION_CASES[case]
+    cert = ldl_signature(matrix)
+    assert takes_the_path(cert)
+    assert_equals_lowest_terms_kernel(matrix)
+    # Each finished pivot row is at the scale |Delta_k| of the leading
+    # principal minor of den * M over the slots before it, read off D.
+    [(_, rows)] = certify._blocks(matrix)
+    s = certify._eliminate(rows, strict=False, stop=False)[0]
+    den, blocks, minor, k = matrix.den, dict(cert.blocks), Fraction(1), 0
+    while k < matrix.size:
+        if k in blocks:
+            assert s[k].den == s[k + 1].den == abs(minor) * den
+            minor *= -blocks[k].abs2() * den * den
+            k += 2
+            continue
+        if cert.diag[k]:
+            assert s[k].den == abs(minor) * den
+        minor *= cert.diag[k] * den
+        k += 1

@@ -51,6 +51,7 @@ from hermfact.stabilize import MODES, power_rows
 from hermfact.symbols import RealSymbol, _sample_symbol, real_to_complex
 
 from helpers import (
+    assert_equals_lowest_terms_kernel,
     add,
     block_layouts,
     complex_to_real,
@@ -727,6 +728,14 @@ def evidence_matrices(draw):
             rows[q][p] = rows[p][q].conjugate()
     order = draw(st.permutations(range(size)))
     return HermitianMatrix.from_rows([[rows[p][q] for q in order] for p in order])
+
+
+@settings(SETTINGS, max_examples=200)
+@given(matrix=hermitian_matrices() | evidence_matrices())
+def test_fraction_free_kernel_equals_the_lowest_terms_kernel(matrix):
+    # Numerators at the scale of a leading principal minor, divided exactly,
+    # give the certificates and evidence of rows kept in lowest terms.
+    assert_equals_lowest_terms_kernel(matrix)
 
 
 @settings(SETTINGS, max_examples=200)

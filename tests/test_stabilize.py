@@ -17,8 +17,8 @@ from hermfact import (
     parse_expression,
     stabilization_sweep,
 )
-from hermfact import stabilize
-from hermfact.scalars import GaussianRow, SparseRow
+from hermfact import certify, stabilize
+from hermfact.scalars import SparseRow
 
 from helpers import (
     diagonal_matrix,
@@ -194,14 +194,15 @@ Q3 = ("z1^2*zb1^2 + z2^2*zb2^2 + z3^2*zb3^2 - z1*z2*zb1*zb2 - z2*z3*zb2*zb3"
 def test_failing_q3_steps_stop_at_their_first_pivot(monkeypatch):
     # Q3 fails the strict test at every d, and every M_d, M_0 included, has a
     # negative diagonal entry: each witness is the unit vector at the first
-    # one, and no step runs an elimination or a single row operation.
+    # one, and no step runs an elimination: neither `mode_evidence` nor the
+    # kernel's elimination of a block is called.
     form = parse_expression(Q3)
     calls = [0]
-    add_scaled = GaussianRow.add_scaled
+    eliminate = certify._eliminate
 
-    def counted(self, *args):
+    def counted(*args):
         calls[0] += 1
-        add_scaled(self, *args)
+        return eliminate(*args)
 
     per_step = []
     mode_evidence = stabilize.mode_evidence
@@ -212,7 +213,11 @@ def test_failing_q3_steps_stop_at_their_first_pivot(monkeypatch):
         per_step.append(calls[0] - before)
         return out
 
-    monkeypatch.setattr(GaussianRow, "add_scaled", counted)
+    monkeypatch.setattr(certify, "_eliminate", counted)
+    # the count sees the kernel: a 2x2 block is one elimination
+    certify.mode_evidence(HermitianMatrix.from_rows([[2, 1], [1, 2]]), True)
+    assert calls == [1]
+    calls[0] = 0
     monkeypatch.setattr(stabilize, "mode_evidence", evidence)
     report = find_minimal_d(form, "strict", 12)
     monkeypatch.undo()
