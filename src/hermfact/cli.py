@@ -25,9 +25,8 @@ from pathlib import Path
 
 from . import serialize
 from .certify import ldl_signature
-from .hermform import bidegree, coefficient_matrix, homogeneous_basis
 from .parsing import ParseError, parse_expression, parse_symbol
-from .stabilize import find_minimal_d, power_rows, stabilization_sweep
+from .stabilize import find_minimal_d, power_matrix, stabilization_sweep
 from .symbols import RealSymbol, certify_elliptic, certify_elliptic_form
 
 EXIT_PASS = 0
@@ -41,9 +40,9 @@ class InputProblem(Exception):
 
 
 def _read_input(args) -> str:
-    if getattr(args, "expr", None):
+    if args.expr:
         return args.expr
-    if getattr(args, "input", None):
+    if args.input:
         path = Path(args.input)
         if not path.exists():
             raise InputProblem(f"input file not found: {path}")
@@ -51,15 +50,21 @@ def _read_input(args) -> str:
     raise InputProblem("provide an input file or --expr")
 
 
-def _load_form(args):
-    text = _read_input(args)
-    stripped = text.lstrip()
+def _read_form(source, n, parse):
+    """The one reader of a form: `source` is a kernel object, or text that is
+    a kernel's JSON when it starts with "{" and else an expression, which
+    `parse` reads.  What does not read is an InputProblem."""
     try:
-        if stripped.startswith("{"):
-            return serialize.obj_to_form(json.loads(text)), text
-        return parse_expression(text, n=getattr(args, "n", None)), text
+        if isinstance(source, str) and source.lstrip().startswith("{"):
+            source = json.loads(source)
+        return parse(source, n=n) if isinstance(source, str) else serialize.obj_to_form(source)
     except (ParseError, ValueError, KeyError, json.JSONDecodeError) as exc:
         raise InputProblem(str(exc)) from exc
+
+
+def _load_form(args, parse):
+    text = _read_input(args)
+    return _read_form(text, args.n, parse), text
 
 
 def _mirror_certificates(args, report: dict) -> None:
@@ -101,23 +106,30 @@ def _finish(args, command: list[str], input_text: str, result: dict, started: fl
     return report
 
 
-def cmd_check(args) -> int:
-    started = time.perf_counter()
-    form, text = _load_form(args)
+def _certified(form, d: int) -> tuple[dict, tuple]:
+    """The artifact of M_d's certificate (`stabilize.power_matrix`), and what
+    was read with it as `serialize._verify_factor` reads it."""
     try:
-        matrix, basis = coefficient_matrix(form)
+        matrix, basis = power_matrix(form, d)
     except ValueError as exc:
         raise InputProblem(str(exc)) from exc
-    result = {"certificate": serialize.factor_to_obj(form, 0, ldl_signature(matrix))}
-    # The verdicts take the basis alone.
-    report = _finish(args, ["check", "--mode", args.mode], text, result, started,
-                     read=(form, 0, None, basis))
+    cert = ldl_signature(matrix)
+    vectors = cert.weighted_vectors()
+    return serialize.factor_to_obj(form, d, vectors, cert.witness), (form, d, vectors, basis)
+
+
+def cmd_check(args) -> int:
+    started = time.perf_counter()
+    form, text = _load_form(args, parse_expression)
+    factor, read = _certified(form, 0)
+    report = _finish(args, ["check", "--mode", args.mode], text, {"certificate": factor}, started,
+                     read=read)
     return EXIT_PASS if report["verdicts"]["passes"] else EXIT_FAIL
 
 
 def cmd_stabilize(args) -> int:
     started = time.perf_counter()
-    form, text = _load_form(args)
+    form, text = _load_form(args, parse_expression)
     try:
         report = find_minimal_d(form, args.mode, args.dmax)
     except ValueError as exc:
@@ -129,22 +141,13 @@ def cmd_stabilize(args) -> int:
 
 def cmd_factor(args) -> int:
     started = time.perf_counter()
-    form, text = _load_form(args)
-    if args.d < 0:
-        raise InputProblem("multiplier exponent must be nonnegative")
-    try:
-        # M_d in closed form, as `verify` builds it; d past the size bound is refused.
-        matrix = power_rows(form, args.d)
-    except ValueError as exc:
-        raise InputProblem(str(exc)) from exc
+    form, text = _load_form(args, parse_expression)
     command = ["factor", "--d", str(args.d)]
-    cert = ldl_signature(matrix)
-    result = {"factor": serialize.factor_to_obj(form, args.d, cert)}
+    factor, read = _certified(form, args.d)
+    result = {"factor": factor}
     try:
         if args.numeric:
             # the rendering takes the factor as built, not read back from result
-            basis = homogeneous_basis(form.n, form.r, bidegree(form) + args.d)
-            read = (form, args.d, cert.weighted_vectors(), basis)
             result.update(serialize.run_renderings(command, result, args.float_digits, read))
     except ValueError as exc:
         raise InputProblem(str(exc)) from exc
@@ -166,14 +169,12 @@ def _load_family(args) -> tuple[list[tuple[str, object]], str]:
         label = entry.get("label") if isinstance(entry, dict) else None
         if label is None:
             raise InputProblem("each family member needs a label")
+        if "expr" not in entry and "form" not in entry:
+            raise InputProblem(f"member {label!r} has neither 'expr' nor 'form'")
         try:
-            if "expr" in entry:
-                form = parse_expression(entry["expr"], n=entry.get("n") or getattr(args, "n", None))
-            elif "form" in entry:
-                form = serialize.obj_to_form(entry["form"])
-            else:
-                raise InputProblem(f"member {label!r} has neither 'expr' nor 'form'")
-        except (ParseError, ValueError, KeyError) as exc:
+            form = _read_form(entry["expr"] if "expr" in entry else entry["form"],
+                              entry.get("n") or args.n, parse_expression)
+        except InputProblem as exc:
             raise InputProblem(f"member {label!r}: {exc}") from exc
         family.append((str(label), form))
     return family, text
@@ -208,18 +209,11 @@ def cmd_sweep(args) -> int:
 
 def cmd_symbol(args) -> int:
     started = time.perf_counter()
-    text = _read_input(args)
-    stripped = text.lstrip()
+    symbol, text = _load_form(args, parse_symbol)
     try:
-        if stripped.startswith("{"):
-            symbol = serialize.obj_to_form(json.loads(text))
-        else:
-            symbol = parse_symbol(text, n=args.n)
-        if isinstance(symbol, RealSymbol):
-            report = certify_elliptic(symbol, args.dmax)
-        else:
-            report = certify_elliptic_form(symbol, args.dmax)
-    except (ParseError, ValueError, KeyError, json.JSONDecodeError) as exc:
+        certify = certify_elliptic if isinstance(symbol, RealSymbol) else certify_elliptic_form
+        report = certify(symbol, args.dmax)
+    except ValueError as exc:
         raise InputProblem(str(exc)) from exc
     command = ["symbol", "--dmax", str(args.dmax)]
     result = {"ellipticity": serialize.ellipticity_to_obj(report)}
@@ -231,14 +225,10 @@ def cmd_symbol(args) -> int:
 
 def cmd_decompose(args) -> int:
     started = time.perf_counter()
-    form, text = _load_form(args)
-    try:
-        matrix, _ = coefficient_matrix(form)
-    except ValueError as exc:
-        raise InputProblem(str(exc)) from exc
+    form, text = _load_form(args, parse_expression)
     # F = (sum of squares over the positive weights) - (over the negative ones)
-    result = {"decomposition": serialize.factor_to_obj(form, 0, ldl_signature(matrix))}
-    _finish(args, ["decompose"], text, result, started)
+    factor, _ = _certified(form, 0)
+    _finish(args, ["decompose"], text, {"decomposition": factor}, started)
     return EXIT_PASS
 
 
@@ -272,11 +262,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, with_form=True):
-        if with_form:
-            p.add_argument("input", nargs="?", help="input file (expression text or JSON)")
-            p.add_argument("-e", "--expr", help="inline expression")
-            p.add_argument("--n", type=int, default=None, help="ambient dimension floor")
+    def common(p):
+        p.add_argument("input", nargs="?", help="input file (expression text or JSON)")
+        p.add_argument("-e", "--expr", help="inline expression")
+        p.add_argument("--n", type=int, default=None, help="ambient dimension floor")
         p.add_argument("--out", help="also write the JSON report to this file")
         p.add_argument("--cert-dir", help="mirror emitted certificates into this directory")
 

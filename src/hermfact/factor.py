@@ -18,10 +18,9 @@ from .hermform import (
     CoefficientBasis,
     HoloPolyMatrix,
     Poly,
-    bidegree,
+    checked_bidegree,
     coefficient_matrix,
     gram,
-    is_hermitian_symmetric,
 )
 from .multiindex import MultiIndex
 from .scalars import GaussianRational, SparseRow
@@ -64,11 +63,10 @@ def difference_of_squares(
     """Split a Hermitian-symmetric kernel as (sum of squares) - (sum of squares).
 
     Works for bihomogeneous kernels (rows come out homogeneous) and for
-    generalized ones.  Each returned factor reconstructs its own gram; the
-    input equals positive.target - negative.target exactly.
+    kernels of mixed degrees (`coefficient_basis`).  Each returned factor
+    reconstructs its own gram; the input equals positive.target -
+    negative.target exactly.
     """
-    if not is_hermitian_symmetric(form):
-        raise ValueError("difference of squares requires a Hermitian-symmetric form")
     matrix, basis = coefficient_matrix(form)
     pairs = ldl_signature(matrix).weighted_vectors()
     pos_matrix = _factor_from_parts([(w, v) for w, v in pairs if w > 0], basis, form.n)
@@ -80,11 +78,8 @@ def difference_of_squares(
 
 
 def _holomorphic_factor(form: BihermitianForm, strict: bool) -> WeightedGramFactor | None:
-    if not is_hermitian_symmetric(form):
-        raise ValueError("holomorphic factorization requires a Hermitian-symmetric form")
-    if bidegree(form) is None:
-        raise ValueError("holomorphic factorization requires a single bidegree")
-    matrix, basis = coefficient_matrix(form, mode="bidegree")
+    checked_bidegree(form)  # bihomogeneous kernels only
+    matrix, basis = coefficient_matrix(form)
     evidence = mode_evidence(matrix, strict)
     if isinstance(evidence, SparseRow):
         return None

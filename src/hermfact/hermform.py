@@ -5,9 +5,9 @@ A kernel is stored sparsely as a map (i, j, alpha, beta) -> (re, im) for the
 term F_ij contributing ((re + i*im) / den) * z^alpha * wbar^beta, with one
 denominator den for the whole kernel.  Row/column indices i, j are 0-based
 internally.  A kernel is *bihomogeneous of bidegree m* when every stored term
-has |alpha| = |beta| = m; otherwise it can still be handled in "generalized"
-mode, where the coefficient matrix runs over all monomials up to the maximum
-degree present.
+has |alpha| = |beta| = m; the coefficient matrix of a kernel of mixed degrees
+runs over all monomials up to the largest degree present
+(`coefficient_basis`).
 """
 
 from __future__ import annotations
@@ -325,6 +325,17 @@ def bidegree(form: BihermitianForm) -> int | None:
     return None if len(degrees) > 1 else max(degrees, default=0)
 
 
+def checked_bidegree(form: BihermitianForm) -> int:
+    """The single bidegree of a Hermitian-symmetric form, the one check of
+    both: a ValueError names the first condition that fails."""
+    if not is_hermitian_symmetric(form):
+        raise ValueError("form is not Hermitian-symmetric")
+    m = bidegree(form)
+    if m is None:
+        raise ValueError("form has mixed bidegrees")
+    return m
+
+
 def max_degree(form: BihermitianForm) -> int:
     """Largest |alpha| or |beta| appearing in the support (0 for the zero form)."""
     out = 0
@@ -411,47 +422,39 @@ def matrix_size(n: int, r: int, m: int, d: int = 0) -> int:
     return size
 
 
-def coefficient_basis(form: BihermitianForm, mode: str = "auto") -> CoefficientBasis:
-    """Combined (i, alpha) basis for the form's coefficient matrix.
-
-    mode: "bidegree" demands a single bidegree m and uses the degree-m basis;
-    "generalized" uses all monomials up to the maximum degree in the support;
-    "auto" picks "bidegree" when it applies and "generalized" otherwise.
-    The size is checked (`matrix_size`) before the basis is enumerated.
-    """
-    m = bidegree(form)
-    if mode == "auto":
-        mode = "bidegree" if m is not None else "generalized"
-    if mode == "bidegree":
-        if m is None:
-            raise ValueError("form has mixed bidegrees; use generalized mode")
-        matrix_size(form.n, form.r, m)
-        return homogeneous_basis(form.n, form.r, m)
-    if mode == "generalized":
+def coefficient_basis(form: BihermitianForm, d: int = 0) -> CoefficientBasis:
+    """The basis of M_d, the coefficient matrix of <z, w>^d F, the one rule
+    for every M_d: at d = 0 the form's own, of degree m, or of every degree
+    up to `max_degree` for a symmetric form of mixed degrees; above 0 of
+    degree m + d (`checked_bidegree`), and M_0's for the zero form.  The size
+    is checked (`matrix_size`) before the basis is enumerated."""
+    try:
+        m = checked_bidegree(form)
+    except ValueError:
+        # only a symmetric form of mixed degrees has a basis past the check, at d = 0
+        if d or not is_hermitian_symmetric(form):
+            raise
         cap = max_degree(form)
         # The monomials of degree <= cap in n variables are as many as those
         # of degree cap in n + 1: C(n + cap, cap).
         matrix_size(form.n + 1, form.r, cap)
-        return CoefficientBasis(
-            form.n, form.r, None, _basis_pairs(form.n, form.r, range(cap + 1))
-        )
-    raise ValueError(f"unknown coefficient basis mode: {mode}")
+        return CoefficientBasis(form.n, form.r, None, _basis_pairs(form.n, form.r, range(cap + 1)))
+    d = d if form.support else 0
+    matrix_size(form.n, form.r, m, d)
+    return homogeneous_basis(form.n, form.r, m + d)
 
 
-def coefficient_matrix(
-    form: BihermitianForm, mode: str = "auto"
-) -> tuple[HermitianMatrix, CoefficientBasis]:
-    """Hermitian matrix M with M[(i,alpha)][(j,beta)] = coefficient(i, j, alpha, beta),
-    on `coefficient_basis(form, mode)`, its rows the form's numerators over its
-    denominator: a form in lowest terms gives a matrix in lowest terms.
+def coefficient_matrix(form: BihermitianForm) -> tuple[HermitianMatrix, CoefficientBasis]:
+    """M_0, the Hermitian matrix with M[(i,alpha)][(j,beta)] = coefficient(i,
+    j, alpha, beta), on `coefficient_basis(form)`, which checks the form; its
+    rows are the form's numerators over its denominator: a form in lowest
+    terms gives a matrix in lowest terms.
 
     The quadratic form H* M H evaluates the kernel's coefficient pairing:
     positivity of M is exactly expressibility of the kernel as a weighted sum
-    of rank-one holomorphic squares.  Requires a Hermitian-symmetric input.
+    of rank-one holomorphic squares.
     """
-    if not is_hermitian_symmetric(form):
-        raise ValueError("coefficient matrix requires a Hermitian-symmetric form")
-    basis = coefficient_basis(form, mode)
+    basis = coefficient_basis(form)
     lookup = basis._lookup
     re = [{} for _ in basis.pairs]
     im = [{} for _ in basis.pairs]

@@ -208,9 +208,12 @@ class SparseRow:
     @classmethod
     def lowest(cls, entries, den: int) -> "SparseRow":
         """The row of (j, re, im) numerators over den != 0, kept in their
-        order, brought to lowest terms, den > 0, by one gcd."""
+        order, brought to lowest terms, den > 0, by one gcd; a row already so
+        is kept as given."""
         entries = tuple(entries)
         g = gcd(den, *(x for _, re, im in entries for x in (re, im))) * (-1 if den < 0 else 1)
+        if g == 1:
+            return cls(entries, den)
         return cls(tuple((j, x // g, y // g) for j, x, y in entries), den // g)
 
 

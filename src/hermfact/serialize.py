@@ -29,20 +29,19 @@ from itertools import chain, compress
 from math import gcd
 from operator import eq, le, lt, or_
 
-from .certify import SignatureCertificate, factor_failure, witness_failure
+from .certify import factor_failure, witness_failure
 from .factor import _factor_from_parts, numeric_factor
 from .hermform import (
     BihermitianForm,
     HermitianMatrix,
     bidegree,
+    checked_bidegree,
     coefficient_basis,
-    coefficient_matrix,
     evaluate_exact,
-    homogeneous_basis,
     matrix_size,
 )
 from .scalars import ZERO, GaussianRational, SparseRow
-from .stabilize import MODES, checked_bidegree, last_exponent, power_rows
+from .stabilize import MODES, last_exponent, power_matrix, power_rows
 from .symbols import EllipticityReport, format_diff_operator_row, require_symbol, searched_form
 
 
@@ -280,19 +279,13 @@ def _obj_to_vectors(items, what="a stabilization factor must be null or a list o
     return [(Fraction(p, q), _obj_to_sparse(entries)) for (p, q), entries in items]
 
 
-def _factor_basis(form: BihermitianForm, d: int):
-    """The basis of M_d, the coefficient matrix of <z, w>^d F; at d = 0, F's own."""
-    if d == 0:
-        return coefficient_basis(form)
-    return homogeneous_basis(form.n, form.r, bidegree(form) + d)
-
-
-def certificate_to_obj(cert: SignatureCertificate) -> dict:
-    """The evidence of a certificate of M: its weighted vectors, M = sum w v
-    v^adj, as [[p, q], [[j, re, im], ...]] in slot order, and its witness's
-    nonzero entries [j, re, im], or null."""
-    return {"vectors": _vectors_to_obj(cert.weighted_vectors()),
-            "witness": None if cert.witness is None else _sparse_to_obj(cert.witness)}
+def certificate_to_obj(vectors: list, witness: SparseRow | None) -> dict:
+    """The evidence of a certificate of M: its weighted vectors
+    (`SignatureCertificate.weighted_vectors`), M = sum w v v^adj, as [[p, q],
+    [[j, re, im], ...]] in slot order, and its witness's nonzero entries [j,
+    re, im], or null."""
+    return {"vectors": _vectors_to_obj(vectors),
+            "witness": None if witness is None else _sparse_to_obj(witness)}
 
 
 def obj_to_certificate(obj: dict) -> tuple[list[tuple[Fraction, SparseRow]], SparseRow | None]:
@@ -302,12 +295,12 @@ def obj_to_certificate(obj: dict) -> tuple[list[tuple[Fraction, SparseRow]], Spa
             None if items is None else _obj_to_sparse(items))
 
 
-def factor_to_obj(form: BihermitianForm, d: int, cert: SignatureCertificate) -> dict:
-    """The one artifact of `check`, `factor` and `decompose`: the certificate
-    `cert` of M_d, the coefficient matrix of <z, w>^d F, as its evidence on
-    the basis of M_d, beside F and d."""
+def factor_to_obj(form: BihermitianForm, d: int, vectors: list, witness: SparseRow | None) -> dict:
+    """The one artifact of `check`, `factor` and `decompose`: a certificate
+    of M_d, the coefficient matrix of <z, w>^d F, as its evidence on the
+    basis of M_d (`certificate_to_obj`), beside F and d."""
     return {"kind": "weighted_gram_factor", "form": form_to_obj(form), "d": d,
-            **certificate_to_obj(cert)}
+            **certificate_to_obj(vectors, witness)}
 
 
 def obj_to_factor(obj: dict) -> tuple[BihermitianForm, int, list[tuple[Fraction, SparseRow]],
@@ -672,7 +665,7 @@ def run_renderings(command: list[str], result: dict, float_digits: int | None = 
     name = command[0]
     if name == "symbol" and read[1] is not None:
         (form, vectors), d = read, _d_min(result["ellipticity"]["stabilization"])
-        rows = _factor_from_parts(vectors, _factor_basis(form, d), form.n).rows
+        rows = _factor_from_parts(vectors, coefficient_basis(form, d), form.n).rows
         return {"operator_rows": [format_diff_operator_row(row, w)
                                   for (w, _), row in zip(vectors, rows)]}
     if name == "factor" and float_digits is not None:
@@ -736,8 +729,7 @@ def _verify_factor(obj: dict) -> tuple[tuple[bool, str], tuple]:
     """verify_obj of a weighted factor, and what it read: (F, d, weighted
     vectors, basis of M_d)."""
     form, d, vectors, witness = obj_to_factor(obj)
-    matrix, basis = (coefficient_matrix(form) if d == 0
-                     else (power_rows(form, d), _factor_basis(form, d)))
+    matrix, basis = power_matrix(form, d)
     reason = factor_failure(matrix, vectors, strict=False, signed=True)
     if reason is None and (witness is not None) != any(w < 0 for w, _ in vectors):
         reason = "witness is not present exactly when a weight is negative"

@@ -15,10 +15,11 @@ coefficient vectors of a factor of <z, w>^d F.  Passing is monotone in d (if
 a report keeps the witness of the last failing d alone: it proves every
 smaller d fails too.
 
-One function builds every M_d, from the multinomial theorem
-(`shifted_rows`): each step of the search whose diagonal passes, which
-checks the form once, and, behind the checks of `power_rows`, the two that
-`verify` checks, `factor --d`'s and the multipliers'.  M_d holds
+One function builds each M_d in closed form, from the multinomial theorem
+(`shifted_rows`): each step of the search whose diagonal passes, and, behind
+the checks of `power_rows`, the multipliers'.  An artifact's M_d, with its
+basis, is `power_matrix`'s: the form's own coefficient matrix at d = 0,
+which a form of mixed degrees has too, and the closed form above.  M_d holds
 Gaussian-integer dict rows over one denominator (`hermform.HermitianMatrix`),
 and `mode_evidence` reads its blocks straight from the rows, so no step
 builds an n x n matrix.  Every M_d, M_0 included, is at most MAX_MATRIX_SIZE
@@ -40,10 +41,12 @@ from .certify import ldl_signature, mode_evidence  # noqa: F401
 from .hermform import (
     MAX_MATRIX_SIZE,
     BihermitianForm,
+    CoefficientBasis,
     HermitianMatrix,
-    bidegree,
+    checked_bidegree,
+    coefficient_basis,
+    coefficient_matrix,
     from_coefficient_matrix,
-    is_hermitian_symmetric,
     matrix_size,
 )
 from .multiindex import dim_homogeneous, monomial_code, monomial_ranks, multinomial_weights
@@ -69,28 +72,25 @@ def last_exponent(n: int, r: int, m: int, d_max: int) -> int:
     return low
 
 
-def checked_bidegree(form: BihermitianForm) -> int:
-    """The single bidegree of a Hermitian-symmetric form, checked with the
-    errors of `coefficient_matrix`."""
-    if not is_hermitian_symmetric(form):
-        raise ValueError("coefficient matrix requires a Hermitian-symmetric form")
-    m = bidegree(form)
-    if m is None:
-        raise ValueError("form has mixed bidegrees; use generalized mode")
-    return m
-
-
 def power_rows(form: BihermitianForm, d: int) -> HermitianMatrix:
-    """M_d, the coefficient matrix of <z, w>^d F, in closed form, after the
-    form's symmetry and single bidegree m are checked (`shifted_rows`)."""
+    """M_d, the coefficient matrix of <z, w>^d F, in closed form
+    (`shifted_rows`), after the form is checked (`checked_bidegree`)."""
     if d < 0:
         raise ValueError("multiplier exponent must be nonnegative")
     return shifted_rows(form, checked_bidegree(form), d)
 
 
+def power_matrix(form: BihermitianForm, d: int) -> tuple[HermitianMatrix, CoefficientBasis]:
+    """M_d and its basis (`coefficient_basis`), the one choice of builder of
+    an artifact's M_d: `coefficient_matrix` at d = 0, `power_rows` above."""
+    if d == 0:
+        return coefficient_matrix(form)
+    return power_rows(form, d), coefficient_basis(form, d)
+
+
 def shifted_rows(form: BihermitianForm, m: int, d: int) -> HermitianMatrix:
-    """M_d of a Hermitian-symmetric form of bidegree m, the one builder of
-    every M_d (`_scattered`); the search calls it where the diagonal passes."""
+    """M_d of a Hermitian-symmetric form of bidegree m in closed form
+    (`_scattered`); the search calls it where the diagonal passes."""
     rows_re, rows_im = _scattered(form, form.support.items(), m, d)
     return HermitianMatrix.lowest(rows_re, rows_im or [{} for _ in rows_re], form.den)
 
@@ -145,11 +145,10 @@ def multiplier_shift(form: BihermitianForm) -> BihermitianForm:
 
 
 def multiplier_power(form: BihermitianForm, d: int) -> BihermitianForm:
-    """The kernel <z, w>^d * F, read off its coefficient matrix (`power_rows`),
-    of bidegree m + d, or 0 for the zero form."""
+    """The kernel <z, w>^d * F, read off its coefficient matrix (`power_rows`)
+    on its basis (`coefficient_basis`)."""
     matrix = power_rows(form, d)
-    return from_coefficient_matrix(matrix, form.n, bidegree(form) + d if form.support else 0,
-                                   form.r)
+    return from_coefficient_matrix(matrix, form.n, coefficient_basis(form, d).bidegree, form.r)
 
 
 @dataclass(eq=True)
@@ -218,11 +217,7 @@ def search_steps(
         raise ValueError(f"mode must be one of {MODES}")
     if d_max < 0:
         raise ValueError("d_max must be nonnegative")
-    if not is_hermitian_symmetric(form):
-        raise ValueError("stabilization search requires a Hermitian-symmetric form")
-    m = bidegree(form)
-    if m is None:
-        raise ValueError("stabilization search requires a single bidegree")
+    m = checked_bidegree(form)
     report = StabilizationReport(form=form, mode=mode, d_max=d_max, d_min=None)
     strict = mode == "strict"
     diagonal = [(key, c) for key, c in form.support.items()

@@ -25,7 +25,7 @@ from math import comb, gcd, lcm
 from .hermform import (
     BihermitianForm,
     bidegree,
-    is_hermitian_symmetric,
+    checked_bidegree,
     matrix_size,
     scale,
 )
@@ -221,12 +221,7 @@ def require_symbol(form: BihermitianForm) -> None:
     within the size bound, checked before the sphere is sampled."""
     if form.r != 1:
         raise ValueError("ellipticity certification handles scalar symbols only")
-    if not is_hermitian_symmetric(form):
-        raise ValueError("symbol kernel must be Hermitian-symmetric (real-valued)")
-    m = bidegree(form)
-    if m is None:
-        raise ValueError("symbol is not complex-bihomogeneous; certification does not apply")
-    matrix_size(form.n, 1, m)
+    matrix_size(form.n, 1, checked_bidegree(form))
 
 
 def searched_form(form: BihermitianForm) -> BihermitianForm:

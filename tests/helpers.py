@@ -35,7 +35,7 @@ from hermfact.factor import NumericFactor, _factor_from_parts
 from hermfact.hermform import (
     CoefficientBasis,
     TermKey,
-    coefficient_basis,
+    checked_bidegree,
     coefficient_matrix,
     homogeneous_basis,
 )
@@ -179,14 +179,27 @@ def quadratic_value(matrix: HermitianMatrix, vec) -> GaussianRational:
     return acc
 
 
-def reference_coefficient_matrix(form: BihermitianForm, mode: str = "auto") -> HermitianMatrix:
+def evidence(cert: SignatureCertificate) -> tuple[list, SparseRow | None]:
+    """The weighted vectors and witness of a certificate, which
+    `serialize.factor_to_obj` and `certificate_to_obj` write."""
+    return cert.weighted_vectors(), cert.witness
+
+
+def reference_coefficient_matrix(form: BihermitianForm) -> HermitianMatrix:
     """The dense construction: a GaussianRational grid filled from the
-    support, then the checked HermitianMatrix.from_rows."""
-    basis = coefficient_basis(form, mode)
-    size = len(basis.pairs)
-    rows = [[GaussianRational()] * size for _ in range(size)]
+    support, then the checked HermitianMatrix.from_rows.  The grid is
+    indexed (i, alpha), i major, over the monomials of the one degree of
+    the alphas and betas, or of every degree up to the largest of them when
+    they have more than one."""
+    degrees = {sum(mono) for key in form.support for mono in key[2:]} or {0}
+    if len(degrees) > 1:
+        degrees = range(max(degrees) + 1)
+    pairs = [(i, alpha) for i in range(form.r)
+             for m in sorted(degrees) for alpha in enumerate_degree(form.n, m)]
+    index = {pair: k for k, pair in enumerate(pairs)}
+    rows = [[GaussianRational()] * len(pairs) for _ in pairs]
     for i, j, alpha, beta in form.support:
-        rows[basis.index(i, alpha)][basis.index(j, beta)] = form.coefficient(i, j, alpha, beta)
+        rows[index[(i, alpha)]][index[(j, beta)]] = form.coefficient(i, j, alpha, beta)
     return HermitianMatrix.from_rows(rows)
 
 
@@ -444,11 +457,12 @@ def reference_exponent_steps(form: BihermitianForm
     z^(alpha+e_k) wbar^(beta+e_k) for each k, so entry (p, q) of the
     degree-m matrix adds to (up[p][k], up[q][k]) of the degree-(m+1) one.
 
-    Symmetry and the single bidegree are checked once, at d = 0, by
-    `coefficient_matrix`; the shift keeps both.  <z, w> * 0 is the zero
+    Symmetry and the single bidegree are checked once, at d = 0
+    (`checked_bidegree`); the shift keeps both.  <z, w> * 0 is the zero
     form, whose bidegree is 0, so the zero matrix stays as it is.
     """
-    matrix, basis = coefficient_matrix(form, mode="bidegree")
+    checked_bidegree(form)
+    matrix, basis = coefficient_matrix(form)
     while True:
         yield matrix, basis
         if not any(matrix.re) and not any(matrix.im):
@@ -1903,7 +1917,7 @@ def operator_matrix(form: BihermitianForm, d: int) -> OperatorMatrix:
     sides by the monomials' reduced L2 norms."""
     if bidegree(form) != d:
         raise ValueError(f"form does not have bidegree {d}")
-    matrix, basis = coefficient_matrix(form, mode="bidegree")
+    matrix, basis = coefficient_matrix(form)
     weights = tuple(monomial_norm_reduced(alpha) for _, alpha in basis.pairs)
     size = matrix.size
     rows = [[as_gaussian(weights[k]) * matrix.at(k, l) * as_gaussian(weights[l])

@@ -89,7 +89,7 @@ def test_criterion_1_diagonal_quartic_corpus():
     report = find_minimal_d(form, "strict", 4)
     ok = ok and report.d_min == 1
     factor = stabilization_factor(report)
-    shifted_matrix = coefficient_matrix(factor.target, mode="bidegree")[0]
+    shifted_matrix = coefficient_matrix(factor.target)[0]
     ok = ok and shifted_matrix == diagonal_matrix([1, 1, 1, 1])
     ok = ok and len(factor.matrix.rows) == 4
 
@@ -161,7 +161,7 @@ def test_criterion_4_operator_equivalence_and_pairing():
         else:
             form = rand_hermsym_form(rng, n, r, m)
         d = m if form.support else 0
-        matrix, basis = coefficient_matrix(form, mode="bidegree")
+        matrix, basis = coefficient_matrix(form)
         pd_matrix = is_positive_definite(ldl_signature(matrix))
         pd_operator, _ = operator_positive(form, d)
         ok = ok and (pd_matrix == pd_operator)
@@ -213,7 +213,7 @@ def test_criterion_6_monotonicity_under_shifts():
         once = multiplier_shift(form)
         twice = multiplier_shift(once)
         for shifted in (once, twice):
-            matrix, _ = coefficient_matrix(shifted, mode="bidegree")
+            matrix, _ = coefficient_matrix(shifted)
             good = is_positive_definite(ldl_signature(matrix))
             ok = ok and good
     for _ in range(100):
@@ -224,7 +224,7 @@ def test_criterion_6_monotonicity_under_shifts():
         once = multiplier_shift(form)
         twice = multiplier_shift(once)
         for shifted in (once, twice):
-            matrix, _ = coefficient_matrix(shifted, mode="bidegree")
+            matrix, _ = coefficient_matrix(shifted)
             good = is_positive_semidefinite(ldl_signature(matrix))
             ok = ok and good
     _report(

@@ -163,6 +163,24 @@ def test_sweep_command(capsys, tmp_path):
     assert rows[4]["error"]
 
 
+def test_sweep_members_are_read_as_input_files_are(capsys, tmp_path):
+    # A member's kernel object, its JSON text and its expression read to one
+    # form; a member that does not read names itself.
+    obj = serialize.form_to_obj(parse_expression(INDEFINITE_QUARTIC))
+    family = [{"label": "expr", "expr": INDEFINITE_QUARTIC}, {"label": "form", "form": obj},
+              {"label": "json", "expr": json.dumps(obj)}]
+    path = tmp_path / "report.json"
+    code, _, _ = run(capsys, ["sweep", "-e", json.dumps(family), "--dmax", "5", "--out", str(path)])
+    assert code == 0
+    rows = json.loads(path.read_text())["verdicts"]["rows"]
+    assert [(row["label"], row["d_min"], row["error"]) for row in rows] == [
+        ("expr", 3, None), ("form", 3, None), ("json", 3, None)]
+    for member, error in (({"label": "b", "expr": "z1*zb1 +"},
+                           "member 'b': unexpected token '' (at position 8)"),
+                          ({"label": "n"}, "member 'n' has neither 'expr' nor 'form'")):
+        assert run(capsys, ["sweep", "-e", json.dumps([member])]) == (2, "", f"error: {error}\n")
+
+
 def test_sweep_empty_family(capsys, tmp_path):
     family_file = tmp_path / "empty.json"
     family_file.write_text("[]")
@@ -203,8 +221,9 @@ def test_symbol_command(capsys):
     report = json.loads(out)
     assert report["verdicts"]["verdict"] == "not_elliptic"
 
+    # Re(z1^2): terms of bidegrees (2, 0) and (0, 2)
     code, _, err = run(capsys, ["symbol", "-e", "x1^2 - x2^2"])
-    assert code == 2 and "bihomogeneous" in err
+    assert (code, err) == (2, "error: form has mixed bidegrees\n")
 
 
 def test_decompose_command(capsys):
@@ -1099,7 +1118,7 @@ def _stabilization_trail_emptied(stabilization):
          "error: artifact is not in the current certificate format: a kernel term that is its "
          "own twin must be real\n"),
         (_stabilization_form_of_mixed_bidegree, 2, "",
-         "error: form has mixed bidegrees; use generalized mode\n"),
+         "error: form has mixed bidegrees\n"),
         (_stabilization_trail_emptied, 1, '{"valid": false, "reason": "without a factor the '
          'witness must be at the last searched d=5"}\n', ""),
     ],
@@ -1378,6 +1397,25 @@ def test_factor_d0_of_the_relabelled_form_fails(capsys):
     assert code == 1 and json.loads(out)["verdicts"]["factorable"] is False
 
 
+def test_factor_at_d0_reads_a_form_of_mixed_degrees_on_its_own_basis(capsys, tmp_path):
+    # At d = 0, factor reads M_0 on the form's own basis, the monomials 1 and
+    # z1 here, as decompose and verify do: 1 + |z1|^2 = |1|^2 + |z1|^2, and
+    # 1 - |z1|^2 fails.  Past d = 0 the form has no M_d.
+    mixed, path = "1 + z1*zb1", tmp_path / "factor.json"
+    code, out, err = run(capsys, ["factor", "-e", mixed, "--numeric", "--out", str(path)])
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["verdicts"] == {"d": 0, "factorable": True, "rows": 2}
+    decomposition = json.loads(run(capsys, ["decompose", "-e", mixed])[1])["result"]
+    assert report["result"]["factor"] == decomposition["decomposition"]
+    assert [[term["alpha"] for term in row] for row in report["result"]["numeric_factor"]["rows"]
+            ] == [[[0]], [[1]]]
+    assert run(capsys, ["verify", str(path)]) == (0, '{"valid": true, "reason": "ok"}\n', "")
+    assert run(capsys, ["factor", "-e", "1 - z1*zb1", "--d", "0"])[0] == 1
+    assert run(capsys, ["factor", "-e", mixed, "--d", "1"]) == (
+        2, "", "error: form has mixed bidegrees\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["factor", "-e", INDEFINITE_QUARTIC, "--d", "1", "--numeric"],
     ["factor", "-e", "z1*zb1 + 1/2*z1*zb2 + 1/2*z2*zb1 + z2*zb2"],
@@ -1613,11 +1651,11 @@ def test_a_sign_change_with_positive_diagonals_is_decided_by_the_walk(capsys, tm
     # The wire spells a form by one term per conjugate pair, so a form that
     # is not Hermitian-symmetric has no spelling: z1*zb2 is the greater key.
     ("z1*zb2", [[1, 1, [1, 0], [0, 1], 1, 0]], 2,
-     "symbol kernel must be Hermitian-symmetric (real-valued)",
+     "form is not Hermitian-symmetric",
      "artifact is not in the current certificate format: a kernel term is written only as the "
      "lesser key of its conjugate pair"),
     ("z1*zb1 - 1", [[1, 1, [0, 0], [0, 0], -1, 0], [1, 1, [1, 0], [1, 0], 1, 0]], 0,
-     "symbol is not complex-bihomogeneous; certification does not apply", None),
+     "form has mixed bidegrees", None),
 ], ids=["not_hermitian", "mixed_bidegree"])
 def test_a_not_elliptic_report_on_a_form_that_symbol_refuses_is_an_input_error(
         capsys, tmp_path, expr, terms, order, message, refused):

@@ -167,7 +167,7 @@ def test_strict_factor_agrees_with_pd_test():
         else:
             form = rand_hermsym_form(rng, n, r, m)
         factor = strict_holomorphic_factor(form)
-        matrix, _ = coefficient_matrix(form, mode="bidegree")
+        matrix, _ = coefficient_matrix(form)
         assert (factor is not None) == is_positive_definite(ldl_signature(matrix))
         if factor is not None:
             assert len(factor.matrix.rows) == matrix.size

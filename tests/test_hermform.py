@@ -20,7 +20,7 @@ from hermfact import (
     scale,
     serialize,
 )
-from hermfact.hermform import coefficient_basis
+from hermfact.hermform import checked_bidegree, coefficient_basis
 from hermfact.stabilize import power_rows
 
 from helpers import (
@@ -115,15 +115,25 @@ def test_coefficient_matrix_examples():
 
 
 def test_coefficient_matrix_rejects_asymmetric():
-    with pytest.raises(ValueError):
-        coefficient_matrix(parse_expression("z1*zb2", n=2))
+    # One message per failed condition, naming the form: symmetry is checked
+    # first, of mixed degrees too, at every d.
+    for text in ("z1*zb2", "z1*zb2 + z1^2*zb1^2"):
+        form = parse_expression(text, n=2)
+        for check in (checked_bidegree, coefficient_matrix, lambda f: coefficient_basis(f, 1),
+                      lambda f: power_rows(f, 1)):
+            with pytest.raises(ValueError, match="^form is not Hermitian-symmetric$"):
+                check(form)
 
 
-def test_coefficient_matrix_generalized_mode():
+def test_coefficient_matrix_of_mixed_degrees():
+    # At d = 0 a form of mixed degrees has its own basis; past 0 it has none.
     mixed = parse_expression("z1*zb1 + z1^2*zb1^2")
-    with pytest.raises(ValueError):
-        coefficient_matrix(mixed, mode="bidegree")
-    matrix, basis = coefficient_matrix(mixed, mode="generalized")
+    for check in (checked_bidegree, lambda f: coefficient_basis(f, 1),
+                  lambda f: power_rows(f, 1)):
+        with pytest.raises(ValueError, match="^form has mixed bidegrees$"):
+            check(mixed)
+    matrix, basis = coefficient_matrix(mixed)
+    assert basis == coefficient_basis(mixed, 0)
     assert basis.bidegree is None
     # basis runs over all monomials of degree <= 2 in one variable
     assert [alpha for _, alpha in basis.pairs] == [(0,), (1,), (2,)]
@@ -134,7 +144,7 @@ def test_coefficient_matrix_generalized_mode():
 
 def test_coefficient_basis_refuses_past_the_size_bound():
     # The size is counted in closed form before the basis is enumerated: r *
-    # C(n+m-1, m) for one bidegree, r * C(n+cap, cap) in generalized mode.
+    # C(n+m-1, m) for one bidegree, r * C(n+cap, cap) for mixed degrees up to cap.
     assert len(coefficient_basis(parse_expression("z1*zb1", n=1024)).pairs) == 1024
     with pytest.raises(ValueError, match="at d=0 has 1025 rows, more than the 1024 allowed"):
         coefficient_basis(parse_expression("z1*zb1", n=1025))
@@ -188,7 +198,7 @@ def test_coefficient_round_trip_random():
         r = rng.randint(1, 2)
         m = rng.randint(0, 3)
         form = rand_hermsym_form(rng, n, r, m)
-        matrix, _ = coefficient_matrix(form, mode="bidegree")
+        matrix, _ = coefficient_matrix(form)
         assert from_coefficient_matrix(matrix, n, m, r) == form
 
 
@@ -232,7 +242,7 @@ def test_gram_coefficient_duality_random():
         s = rng.randint(1, 5)
         a = rand_holo_matrix(rng, n, m, s, r, weighted=bool(rng.getrandbits(1)))
         form = gram(a)
-        matrix, basis = coefficient_matrix(form, mode="bidegree")
+        matrix, basis = coefficient_matrix(form)
         pairs = combined_pairs(n, r, m)
         assert basis.pairs == tuple(pairs)
         weights = a.weights or tuple(Fraction(1) for _ in a.rows)
@@ -257,7 +267,7 @@ def test_evaluate_consistency_with_quadratic_form():
         r = rng.randint(1, 2)
         m = rng.randint(1, 2)
         form = rand_hermsym_form(rng, n, r, m)
-        matrix, basis = coefficient_matrix(form, mode="bidegree")
+        matrix, basis = coefficient_matrix(form)
         z = rand_rational_point(rng, n, height=3)
         t = [rand_gauss(rng, 3) for _ in range(r)]
         h = []

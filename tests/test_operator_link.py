@@ -75,7 +75,7 @@ def test_proposition_equivalence_random():
         m = rng.randint(0, 3)
         form = rand_hermsym_form(rng, n, r, m)
         d = m if form.support else 0
-        matrix, _ = coefficient_matrix(form, mode="bidegree")
+        matrix, _ = coefficient_matrix(form)
         pd_matrix = is_positive_definite(ldl_signature(matrix))
         pd_operator, _ = operator_positive(form, d)
         assert pd_matrix == pd_operator
@@ -91,7 +91,7 @@ def test_factored_forms_operator_positive_and_pairing():
         ok, _ = operator_positive(form, m)
         assert ok
         factor = holomorphic_factor(form)
-        size = len(coefficient_matrix(form, mode="bidegree")[1].pairs)
+        size = len(coefficient_matrix(form)[1].pairs)
         h = [rand_gauss(rng, 3) for _ in range(size)]
         assert pairing_identity_check(factor, h)
 
@@ -135,7 +135,7 @@ def test_weight_change_preserves_verdict():
         r = rng.randint(1, 2)
         m = rng.randint(0, 2)
         form = rand_hermsym_form(rng, n, r, m)
-        matrix, basis = coefficient_matrix(form, mode="bidegree")
+        matrix, basis = coefficient_matrix(form)
         size = matrix.size
         weights = [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(size)]
         rows = [
@@ -158,7 +158,7 @@ def test_weight_change_preserves_verdict():
 def test_operator_is_weighted_congruence_of_coefficient_matrix():
     rng = random.Random(317)
     form = rand_hermsym_form(rng, 2, 2, 2)
-    matrix, basis = coefficient_matrix(form, mode="bidegree")
+    matrix, basis = coefficient_matrix(form)
     op = operator_matrix(form, 2)
     size = matrix.size
     dp = tuple(

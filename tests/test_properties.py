@@ -44,10 +44,10 @@ from hermfact.certify import (
 )
 from hermfact.cli import main as cli_main
 from hermfact.factor import _factor_from_parts
-from hermfact.hermform import coefficient_basis, homogeneous_basis
+from hermfact.hermform import coefficient_basis
 from hermfact.scalars import ONE, ZERO, SparseRow
 from hermfact.multiindex import multinomial_weights
-from hermfact.stabilize import MODES, power_rows
+from hermfact.stabilize import MODES, power_matrix, power_rows
 from hermfact.symbols import RealSymbol, _sample_symbol, real_to_complex
 
 from helpers import (
@@ -57,6 +57,7 @@ from helpers import (
     complex_to_real,
     dense,
     embedded,
+    evidence,
     format_form,
     holo_matrix,
     is_positive_definite,
@@ -99,12 +100,12 @@ weights = st.builds(Fraction, st.integers(1, 6), st.integers(1, 6))
 
 
 @st.composite
-def forms(draw, hermitian: bool):
+def forms(draw, hermitian: bool, mixed: bool = False):
     """A kernel with n <= 3 variables and r <= 2 rows, and at most four terms
     of degree <= 2 in z and in wbar (added to their conjugate partners when
-    `hermitian`, all of one bidegree then)."""
+    `hermitian`, all of one bidegree then unless `mixed`)."""
     n, r = draw(st.integers(1, 3)), draw(st.integers(1, 2))
-    degrees = [draw(st.integers(0, 2))] if hermitian else [0, 1, 2]
+    degrees = [draw(st.integers(0, 2))] if hermitian and not mixed else [0, 1, 2]
     monomials = st.sampled_from([a for d in degrees for a in enumerate_degree(n, d)])
     terms = []
     for _ in range(draw(st.integers(0, 4))):
@@ -116,17 +117,20 @@ def forms(draw, hermitian: bool):
     return BihermitianForm.from_terms(n, r, terms)
 
 
-@pytest.mark.parametrize("mode", ["bidegree", "generalized"])
+@pytest.mark.parametrize("mixed", [False, True], ids=["bidegree", "mixed_degrees"])
 @SETTINGS
-@given(form=forms(hermitian=True))
-def test_coefficient_matrix_equals_dense_construction(mode, form):
-    assert coefficient_matrix(form, mode)[0] == reference_coefficient_matrix(form, mode)
+@given(data=st.data())
+def test_coefficient_matrix_equals_dense_construction(mixed, data):
+    # One bidegree m, on the degree-m basis, or, mostly, mixed degrees, on
+    # the basis of every degree up to the largest.
+    form = data.draw(forms(hermitian=True, mixed=mixed))
+    assert coefficient_matrix(form)[0] == reference_coefficient_matrix(form)
 
 
 @SETTINGS
 @given(form=forms(hermitian=True))
 def test_coefficient_matrix_round_trips_and_certifies(form):
-    matrix, _ = coefficient_matrix(form, mode="bidegree")
+    matrix, _ = coefficient_matrix(form)
     assert from_coefficient_matrix(matrix, form.n, bidegree(form), form.r) == form
     assert ldl_signature(matrix).verify() == (True, "ok")
 
@@ -326,7 +330,7 @@ def stabilization_forms(draw):
 def test_exponent_loop_equals_reference_shifts(form):
     for d, step in zip(range(5), reference_exponent_steps(form)):
         shifted = reference_multiplier_power(form, d)
-        assert step == coefficient_matrix(shifted, mode="bidegree")
+        assert step == coefficient_matrix(shifted)
         assert from_coefficient_matrix(step[0], form.n, step[1].bidegree, form.r) == shifted
         assert multiplier_power(form, d) == shifted
 
@@ -348,11 +352,35 @@ def closed_form_forms(draw):
 def test_closed_form_rows_equal_the_exponent_loop(form):
     # The multinomial closed form builds each M_d, d <= 6, with no shift
     # walked; both keep their matrices in lowest terms, with no cancelled 0.
-    # Callers read M_d on the bidegree-(m + d) basis, which the shifts reach
-    # too; the zero form stays at M_0.
+    # Callers read M_d on the basis of `coefficient_basis`, the
+    # bidegree-(m + d) basis, which the shifts reach too; the zero form stays
+    # at M_0.
     for d, (matrix, basis) in zip(range(7), reference_exponent_steps(form)):
         assert power_rows(form, d) == matrix
-        assert basis == homogeneous_basis(form.n, form.r, bidegree(form) + d if form.support else 0)
+        assert basis == coefficient_basis(form, d)
+        assert power_matrix(form, d) == (matrix, basis)
+
+
+@SETTINGS
+@given(form=stabilization_forms() | st.builds(BihermitianForm.zero, st.integers(2, 3),
+                                               st.integers(1, 2)),
+       d=st.integers(0, 4))
+def test_coefficient_basis_names_each_row_of_power_rows(form, d):
+    # The one basis rule of M_d: a pair for each of its rows, the zero form's
+    # M_0 past d = 0 too.
+    assert len(coefficient_basis(form, d).pairs) == power_rows(form, d).size
+
+
+def test_the_zero_form_keeps_the_basis_of_m0():
+    # <z, w>^d 0 = 0, whose M_d is M_0: one pair per matrix row index, where
+    # the degree-d monomials in 2 or 3 variables would be 2 to 15.
+    for n in (2, 3):
+        for r in (1, 2):
+            zero = BihermitianForm.zero(n, r)
+            for d in range(5):
+                basis = coefficient_basis(zero, d)
+                assert basis == coefficient_basis(zero) and len(basis.pairs) == r
+                assert power_rows(zero, d).size == r
 
 
 def test_multinomial_weights_are_one_ratio_apart():
@@ -384,7 +412,7 @@ def test_exponent_loop_keeps_a_cancelled_term_out_of_the_form():
     assert matrix == power_rows(form, 1)
     shifted = from_coefficient_matrix(matrix, 2, 2, 1)
     assert shifted == parse_expression("z1^2*zb1^2 - z2^2*zb2^2") == multiplier_shift(form)
-    assert matrix == coefficient_matrix(shifted, mode="bidegree")[0]
+    assert matrix == coefficient_matrix(shifted)[0]
 
 
 @st.composite
@@ -892,15 +920,16 @@ def _evidence_respellings(obj: dict) -> list[dict]:
 @given(matrix=hermitian_matrices() | gram_matrices(), strict=st.booleans())
 def test_certificate_codec_equals_reference_and_refuses_respellings(matrix, strict):
     cert = ldl_signature(matrix, strict=strict)
-    obj = serialize.certificate_to_obj(cert)
+    read = evidence(cert)
+    obj = serialize.certificate_to_obj(*read)
     assert obj == reference_evidence_obj(cert)
-    read = (cert.weighted_vectors(), cert.witness)
     assert serialize.obj_to_certificate(obj) == read
     assert serialize.obj_to_certificate(json.loads(serialize.canonical_json(obj))) == read
     # On the constant form whose matrix is M the evidence verifies, unless a
     # strict certificate of a singular PSD M has a witness and no negative
     # weight; every other spelling of it is a format error.
-    factor = serialize.factor_to_obj(from_coefficient_matrix(matrix, 1, 0, matrix.size), 0, cert)
+    factor = serialize.factor_to_obj(from_coefficient_matrix(matrix, 1, 0, matrix.size), 0,
+                                     *evidence(cert))
     for respelled in _evidence_respellings(obj):
         with pytest.raises(ValueError, match="not in the current certificate format"):
             serialize.obj_to_certificate(respelled)
@@ -921,7 +950,8 @@ def test_evidence_with_one_integer_changed_fails_verify(matrix, data):
     # entry, which gives the same w v v^adj; one witness integer changed
     # fails unless the vector it leaves is still a witness of M.
     cert = ldl_signature(matrix)
-    factor = serialize.factor_to_obj(from_coefficient_matrix(matrix, 1, 0, matrix.size), 0, cert)
+    factor = serialize.factor_to_obj(from_coefficient_matrix(matrix, 1, 0, matrix.size), 0,
+                                     *evidence(cert))
     assert serialize.verify_obj(factor) == (True, "ok")
     items = [("vector", k, 0, part) for k in range(len(factor["vectors"])) for part in (0, 1)]
     items += [("vector", k, 1 + t, part) for k, (_, v) in enumerate(factor["vectors"])
@@ -1247,7 +1277,7 @@ def test_emitted_factor_rows_pass_the_polynomial_row_check(form, d):
     text = serialize.canonical_json(serialize.form_to_obj(form))
     factor = json.loads(_emitted_report(("factor", "-e", text, "--d", str(d))))["result"]["factor"]
     read, d_read, vectors, _ = serialize.obj_to_factor(factor)
-    rows = _factor_from_parts(vectors, serialize._factor_basis(read, d_read), read.n)
+    rows = _factor_from_parts(vectors, coefficient_basis(read, d_read), read.n)
     target = reference_multiplier_power(form, d)
     written = reference_factor_to_obj(WeightedGramFactor(rows, target))
     assert reconstructs_target(reference_obj_to_factor(json.loads(json.dumps(written))))

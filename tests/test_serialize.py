@@ -20,12 +20,14 @@ from hermfact import (
 from hermfact import serialize
 from hermfact.certify import independence_failure
 from hermfact.factor import _factor_from_parts
+from hermfact.hermform import coefficient_basis
 from hermfact.scalars import SparseRow
 from hermfact.symbols import searched_form
 
 from helpers import (
     diagonal_matrix,
     diagonal_quartic,
+    evidence,
     is_positive_semidefinite,
     quadratic_value,
     quartic_family,
@@ -88,12 +90,12 @@ def _certificate(form):
 
 def test_factor_round_trip():
     form = diagonal_quartic()
-    obj = serialize.factor_to_obj(form, 0, _certificate(form))
+    obj = serialize.factor_to_obj(form, 0, *evidence(_certificate(form)))
     assert obj.keys() == {"kind", "form", "d", "vectors", "witness"}
     read, d, vectors, witness = serialize.obj_to_factor(json.loads(json.dumps(obj)))
     assert (read, d, vectors, witness) == (form, 0, _certificate(form).weighted_vectors(), None)
     # The rows on the basis of M_0 are those of holomorphic_factor.
-    basis = serialize._factor_basis(form, 0)
+    basis = coefficient_basis(form)
     assert _factor_from_parts(vectors, basis, form.n) == holomorphic_factor(form).matrix
     ok, reason = serialize.verify_obj(obj)
     assert ok, reason
@@ -109,7 +111,7 @@ def test_certificate_round_trip_and_verify():
     for _ in range(10):
         matrix = rand_hermitian_matrix(rng, rng.randint(1, 6), 9)
         cert = ldl_signature(matrix)
-        obj = serialize.factor_to_obj(_matrix_form(matrix), 0, cert)
+        obj = serialize.factor_to_obj(_matrix_form(matrix), 0, *evidence(cert))
         restored = serialize.obj_to_certificate(json.loads(json.dumps(obj)))
         assert restored == (cert.weighted_vectors(), cert.witness)
         ok, reason = serialize.verify_obj(obj)
@@ -118,7 +120,7 @@ def test_certificate_round_trip_and_verify():
 
 def test_verify_rejects_tampered_certificate():
     matrix = rand_hermitian_matrix(random.Random(5), 4, 7)
-    obj = serialize.factor_to_obj(_matrix_form(matrix), 0, ldl_signature(matrix))
+    obj = serialize.factor_to_obj(_matrix_form(matrix), 0, *evidence(ldl_signature(matrix)))
 
     tampered = json.loads(json.dumps(obj))
     tampered["vectors"][0][0] = [999, 1]
@@ -147,7 +149,7 @@ def test_verify_rejects_tampered_certificate():
 
 def test_verify_rejects_tampered_factor():
     form = rand_psd_form(random.Random(9), 2, 1, 1)
-    obj = serialize.factor_to_obj(form, 0, _certificate(form))
+    obj = serialize.factor_to_obj(form, 0, *evidence(_certificate(form)))
     tampered = json.loads(json.dumps(obj))
     tampered["vectors"][0][0] = [17, 5]
     ok, reason = serialize.verify_obj(tampered)
@@ -184,7 +186,7 @@ def _raise_d(obj):
 def test_verify_rejects_forged_factor(forge, reason):
     # A factor of a bidegree-1 form: its rows are linear.
     form = rand_psd_form(random.Random(9), 2, 1, 1)
-    obj = serialize.factor_to_obj(form, 0, _certificate(form))
+    obj = serialize.factor_to_obj(form, 0, *evidence(_certificate(form)))
     assert serialize.verify_obj(obj) == (True, "ok")
     forge(obj)
     ok, why = serialize.verify_obj(obj)
@@ -298,7 +300,7 @@ def test_stabilization_trail_certificate_of_another_matrix_is_rejected(forgery_r
     # entry (0, 0) of M_6 is 1.
     cert = ldl_signature(diagonal_matrix([-1, 1, 1]))
     assert cert.verify() == (True, "ok")
-    other = serialize.certificate_to_obj(cert)
+    other = serialize.certificate_to_obj(*evidence(cert))
     assert forgery_report["trail"][0] == [6, [[4, 1, 0]]]
     forged = json.loads(json.dumps(forgery_report))
     forged["trail"][0][1] = other["witness"]
@@ -490,7 +492,7 @@ def test_ellipticity_report_serialization():
 
 def test_artifact_key_sets():
     form = parse_expression("z1*zb1 - z2*zb2")
-    factor = serialize.factor_to_obj(form, 0, _certificate(form))
+    factor = serialize.factor_to_obj(form, 0, *evidence(_certificate(form)))
     assert set(factor) == {"kind", "form", "d", "vectors", "witness"}
     report = serialize.ellipticity_to_obj(certify_elliptic_form(diagonal_quartic(), 4))
     assert set(report) == {"kind", "form", "witness_point", "sign_change", "stabilization"}
@@ -634,10 +636,10 @@ def test_decomposition_factors_serialize_and_verify():
     # vectors are the rows of difference_of_squares' two parts.
     form = quartic_family(-1)
     vectors = _certificate(form).weighted_vectors()
-    obj = serialize.factor_to_obj(form, 0, _certificate(form))
+    obj = serialize.factor_to_obj(form, 0, *evidence(_certificate(form)))
     ok, reason = serialize.verify_obj(obj)
     assert ok, reason
-    basis = serialize._factor_basis(form, 0)
+    basis = coefficient_basis(form)
     positive, negative = difference_of_squares(form)
     assert _factor_from_parts([(w, v) for w, v in vectors if w > 0], basis, 2) == positive.matrix
     assert _factor_from_parts([(-w, v) for w, v in vectors if w < 0], basis, 2) == negative.matrix
@@ -649,7 +651,7 @@ def test_empty_factor_round_trip():
     positive, negative = difference_of_squares(BihermitianForm.zero(2))
     assert positive.matrix.rows == negative.matrix.rows == ()
     form = BihermitianForm.zero(2)
-    obj = serialize.factor_to_obj(form, 0, _certificate(form))
+    obj = serialize.factor_to_obj(form, 0, *evidence(_certificate(form)))
     read, d, vectors, witness = serialize.obj_to_factor(json.loads(json.dumps(obj)))
     assert (read, d, vectors, witness) == (form, 0, [], None)
     ok, reason = serialize.verify_obj(obj)
@@ -690,7 +692,7 @@ def _with_cancelling_pair(obj):
 
 def test_a_cancelling_pair_is_not_independent():
     form = parse_expression("z1*zb1 - z2*zb2")
-    obj = serialize.factor_to_obj(form, 0, _certificate(form))
+    obj = serialize.factor_to_obj(form, 0, *evidence(_certificate(form)))
     assert serialize.verify_obj(obj) == (True, "ok")
     _with_cancelling_pair(obj)
     assert serialize.verify_obj(obj) == (False, "factor vectors are not independent")
@@ -705,7 +707,7 @@ def test_weighted_vectors_are_in_slot_order():
     form = parse_expression(HOLLOW_THEN_PIVOT)
     cert = _certificate(form)
     assert cert.blocks == ((0, cert.blocks[0][1]),) and cert.diag[2] == -2
-    obj = serialize.factor_to_obj(form, 0, cert)
+    obj = serialize.factor_to_obj(form, 0, *evidence(cert))
     assert [w for w, _ in obj["vectors"]] == [[1, 2], [-1, 2], [-2, 1]]
     assert serialize.verify_obj(obj) == (True, "ok")
     # The block's pair appended after the pivot, as the order before slot
@@ -758,7 +760,7 @@ def test_verify_refuses_a_d_past_the_size_bound(forgery_report):
         serialize.verify_obj(inconclusive)
     # A weighted factor of |z|^2 in three variables at d = 200, with no vectors.
     form = parse_expression("z1*zb1 + z2*zb2 + z3*zb3")
-    factor = serialize.factor_to_obj(form, 0, _certificate(form))
+    factor = serialize.factor_to_obj(form, 0, *evidence(_certificate(form)))
     factor.update(d=200, vectors=[])
     with pytest.raises(ValueError, match="at d=200 has 20503 rows"):
         serialize.verify_obj(factor)

@@ -40,7 +40,7 @@ from helpers import (
 
 
 def diag_of(form):
-    matrix, _ = coefficient_matrix(form, mode="bidegree")
+    matrix, _ = coefficient_matrix(form)
     return matrix
 
 
@@ -110,7 +110,7 @@ def test_diagonal_scalar_shift_oracle():
         d = rng.randint(0, 5)
         shifted = multiplier_power(form, d)
         expected = oracle_diagonal_shift_entries(coeffs, d)
-        matrix, basis = coefficient_matrix(shifted, mode="bidegree")
+        matrix, basis = coefficient_matrix(shifted)
         # stays diagonal
         for u in range(matrix.size):
             for v in range(matrix.size):
@@ -321,7 +321,7 @@ def test_shifted_diag_matches_binomial_oracle():
     for c in (Fraction(2), Fraction(-1), Fraction(-19, 10)):
         for d in (0, 1, 4):
             shifted = multiplier_power(quartic_family(c), d)
-            matrix, _ = coefficient_matrix(shifted, mode="bidegree")
+            matrix, _ = coefficient_matrix(shifted)
             expected = oracle_quartic_entries(c, d)
             assert [matrix.at(k, k) for k in range(matrix.size)] == [
                 GaussianRational(e) for e in expected

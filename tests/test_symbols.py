@@ -158,14 +158,14 @@ def test_certify_elliptic_laplacian():
     report = certify_elliptic(parse_real_symbol("x1^2 + x2^2"), 16)
     assert report.verdict == "certified" and report.d == 0
     factor = stabilization_factor(report.stabilization)
-    assert coefficient_matrix(factor.target, mode="bidegree")[0] == diagonal_matrix([1])
+    assert coefficient_matrix(factor.target)[0] == diagonal_matrix([1])
     # factor rows are the first-order d/dz operators with unit weights
     assert [w for w, _ in factor.rows] == [Fraction(1)]
 
     report = certify_elliptic(parse_real_symbol("x1^2 + x2^2 + x3^2 + x4^2"), 16)
     assert report.verdict == "certified" and report.d == 0
     factor = stabilization_factor(report.stabilization)
-    assert coefficient_matrix(factor.target, mode="bidegree")[0] == diagonal_matrix([1, 1])
+    assert coefficient_matrix(factor.target)[0] == diagonal_matrix([1, 1])
     supports = [{alpha for poly in row for alpha in poly} for _, row in factor.rows]
     assert supports == [{(1, 0)}, {(0, 1)}]
     assert all(w == 1 for w, _ in factor.rows)
@@ -245,7 +245,7 @@ def test_certified_monotone_under_further_shifts():
         shifted = multiplier_shift(shifted)
     for _ in range(2):
         shifted = multiplier_shift(shifted)
-        matrix, _ = coefficient_matrix(shifted, mode="bidegree")
+        matrix, _ = coefficient_matrix(shifted)
         assert is_positive_definite(ldl_signature(matrix))
 
 
@@ -256,8 +256,8 @@ def test_certified_matrix_matches_strict_factor_existence():
         report = certify_elliptic_form(form, d_max)
         assert report.verdict == "certified"
         shifted = multiplier_power(form, report.d)
-        matrix, _ = coefficient_matrix(shifted, mode="bidegree")
+        matrix, _ = coefficient_matrix(shifted)
         factor = strict_holomorphic_factor(shifted)
         assert is_positive_definite(ldl_signature(matrix)) and factor is not None
         target = stabilization_factor(report.stabilization).target
-        assert coefficient_matrix(target, mode="bidegree")[0] == matrix
+        assert coefficient_matrix(target)[0] == matrix
