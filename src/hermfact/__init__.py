@@ -16,7 +16,6 @@ from .factor import (
 )
 from .hermform import (
     BihermitianForm,
-    CoefficientBasis,
     HermitianMatrix,
     HoloPolyMatrix,
     bidegree,

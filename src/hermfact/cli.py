@@ -110,12 +110,12 @@ def _certified(form, d: int) -> tuple[dict, tuple]:
     """The artifact of M_d's certificate (`stabilize.power_matrix`), and what
     was read with it as `serialize._verify_factor` reads it."""
     try:
-        matrix, basis = power_matrix(form, d)
+        matrix, monomials = power_matrix(form, d)
     except ValueError as exc:
         raise InputProblem(str(exc)) from exc
     cert = ldl_signature(matrix)
     vectors = cert.weighted_vectors()
-    return serialize.factor_to_obj(form, d, vectors, cert.witness), (form, d, vectors, basis)
+    return serialize.factor_to_obj(form, d, vectors, cert.witness), (form, d, vectors, monomials)
 
 
 def cmd_check(args) -> int:
@@ -171,9 +171,12 @@ def _load_family(args) -> tuple[list[tuple[str, object]], str]:
             raise InputProblem("each family member needs a label")
         if "expr" not in entry and "form" not in entry:
             raise InputProblem(f"member {label!r} has neither 'expr' nor 'form'")
+        n = entry.get("n")
+        if n is not None and type(n) is not int:
+            raise InputProblem(f"member {label!r}: n must be an integer")
         try:
             form = _read_form(entry["expr"] if "expr" in entry else entry["form"],
-                              entry.get("n") or args.n, parse_expression)
+                              n or args.n, parse_expression)
         except InputProblem as exc:
             raise InputProblem(f"member {label!r}: {exc}") from exc
         family.append((str(label), form))

@@ -15,7 +15,6 @@ from math import isqrt
 from .certify import ldl_signature, mode_evidence
 from .hermform import (
     BihermitianForm,
-    CoefficientBasis,
     HoloPolyMatrix,
     Poly,
     checked_bidegree,
@@ -39,22 +38,23 @@ class WeightedGramFactor:
         return list(zip(matrix.weights or (Fraction(1),) * len(matrix.rows), matrix.rows))
 
 
-def _vector_to_row(vector: SparseRow, basis: CoefficientBasis) -> tuple[Poly, ...]:
-    polys: list[Poly] = [dict() for _ in range(basis.r)]
-    den = vector.den
+def _vector_to_row(vector: SparseRow, monomials: tuple[MultiIndex, ...], r: int
+                   ) -> tuple[Poly, ...]:
+    polys: list[Poly] = [dict() for _ in range(r)]
+    den, dim = vector.den, len(monomials)
     for j, x, y in vector.entries:
-        i, alpha = basis.pairs[j]
-        polys[i][alpha] = GaussianRational(Fraction(x, den), Fraction(y, den))
+        polys[j // dim][monomials[j % dim]] = GaussianRational(Fraction(x, den), Fraction(y, den))
     return tuple(polys)
 
 
 def _factor_from_parts(
-    parts: list[tuple[Fraction, SparseRow]], basis: CoefficientBasis, n: int
+    parts: list[tuple[Fraction, SparseRow]], monomials: tuple[MultiIndex, ...], r: int
 ) -> HoloPolyMatrix:
-    """The rows of the weighted vectors (w, v) on `basis`, v at (i, alpha) the
-    coefficient of z^alpha in column i."""
-    rows = tuple(_vector_to_row(vec, basis) for _, vec in parts)
-    return HoloPolyMatrix(n, basis.r, rows, tuple(wt for wt, _ in parts) or None)
+    """The rows of the weighted vectors (w, v) of a matrix on `monomials`
+    (`hermform.coefficient_basis`) and r columns, v at index j the
+    coefficient of z^monomials[j % dim] in column j // dim."""
+    rows = tuple(_vector_to_row(vec, monomials, r) for _, vec in parts)
+    return HoloPolyMatrix(len(monomials[0]), r, rows, tuple(wt for wt, _ in parts) or None)
 
 
 def difference_of_squares(
@@ -67,10 +67,10 @@ def difference_of_squares(
     reconstructs its own gram; the input equals positive.target -
     negative.target exactly.
     """
-    matrix, basis = coefficient_matrix(form)
+    matrix, monomials = coefficient_matrix(form)
     pairs = ldl_signature(matrix).weighted_vectors()
-    pos_matrix = _factor_from_parts([(w, v) for w, v in pairs if w > 0], basis, form.n)
-    neg_matrix = _factor_from_parts([(-w, v) for w, v in pairs if w < 0], basis, form.n)
+    pos_matrix = _factor_from_parts([(w, v) for w, v in pairs if w > 0], monomials, form.r)
+    neg_matrix = _factor_from_parts([(-w, v) for w, v in pairs if w < 0], monomials, form.r)
     return (
         WeightedGramFactor(pos_matrix, gram(pos_matrix)),
         WeightedGramFactor(neg_matrix, gram(neg_matrix)),
@@ -79,12 +79,12 @@ def difference_of_squares(
 
 def _holomorphic_factor(form: BihermitianForm, strict: bool) -> WeightedGramFactor | None:
     checked_bidegree(form)  # bihomogeneous kernels only
-    matrix, basis = coefficient_matrix(form)
+    matrix, monomials = coefficient_matrix(form)
     evidence = mode_evidence(matrix, strict)
     if isinstance(evidence, SparseRow):
         return None
     # A PSD certificate has no blocks, so every weight is a positive pivot.
-    return WeightedGramFactor(_factor_from_parts(evidence, basis, form.n), form)
+    return WeightedGramFactor(_factor_from_parts(evidence, monomials, form.r), form)
 
 
 def holomorphic_factor(form: BihermitianForm) -> WeightedGramFactor | None:

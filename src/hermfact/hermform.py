@@ -5,9 +5,9 @@ A kernel is stored sparsely as a map (i, j, alpha, beta) -> (re, im) for the
 term F_ij contributing ((re + i*im) / den) * z^alpha * wbar^beta, with one
 denominator den for the whole kernel.  Row/column indices i, j are 0-based
 internally.  A kernel is *bihomogeneous of bidegree m* when every stored term
-has |alpha| = |beta| = m; the coefficient matrix of a kernel of mixed degrees
-runs over all monomials up to the largest degree present
-(`coefficient_basis`).
+has |alpha| = |beta| = m.  The basis of a coefficient matrix is the tuple of
+the monomials of one degree (`coefficient_basis`): for a kernel of mixed
+degrees, those of its homogenization, all up to the largest degree present.
 """
 
 from __future__ import annotations
@@ -278,31 +278,6 @@ def hermitian_defect(matrix: HermitianMatrix) -> str | None:
             else f"entries ({k},{l}) and ({l},{k}) are not conjugate")
 
 
-@dataclass(eq=True, frozen=True)
-class CoefficientBasis:
-    """Ordered combined index (i, alpha) for a coefficient matrix.
-
-    `pairs[k]` is the (matrix row index, monomial) labelling coordinate k; the
-    r-index is major, monomials follow the canonical graded order.
-    """
-
-    n: int
-    r: int
-    bidegree: int | None
-    pairs: tuple[tuple[int, MultiIndex], ...]
-
-    def index(self, i: int, alpha: MultiIndex) -> int:
-        return self._lookup[(i, alpha)]
-
-    @property
-    def _lookup(self):
-        cache = self.__dict__.get("_lookup_cache")
-        if cache is None:
-            cache = {pair: k for k, pair in enumerate(self.pairs)}
-            self.__dict__["_lookup_cache"] = cache
-        return cache
-
-
 def is_hermitian_symmetric(form: BihermitianForm) -> bool:
     """True iff coefficient(i, j, a, b) == conj(coefficient(j, i, b, a))
     throughout, compared in the numerators over the form's one denominator.
@@ -334,14 +309,6 @@ def checked_bidegree(form: BihermitianForm) -> int:
     if m is None:
         raise ValueError("form has mixed bidegrees")
     return m
-
-
-def max_degree(form: BihermitianForm) -> int:
-    """Largest |alpha| or |beta| appearing in the support (0 for the zero form)."""
-    out = 0
-    for (_, _, alpha, beta) in form.support:
-        out = max(out, degree(alpha), degree(beta))
-    return out
 
 
 def scale(f: BihermitianForm, c) -> BihermitianForm:
@@ -391,18 +358,6 @@ def gram(a: HoloPolyMatrix) -> BihermitianForm:
     return BihermitianForm.lowest(a.n, r, support, common)
 
 
-def _basis_pairs(n: int, r: int, degrees) -> tuple[tuple[int, MultiIndex], ...]:
-    monomials = []
-    for d in degrees:
-        monomials.extend(enumerate_degree(n, d))
-    return tuple((i, alpha) for i in range(r) for alpha in monomials)
-
-
-def homogeneous_basis(n: int, r: int, m: int) -> CoefficientBasis:
-    """The bidegree-m basis: (i, alpha) for each row index i and each |alpha| = m."""
-    return CoefficientBasis(n, r, m, _basis_pairs(n, r, [m]))
-
-
 # The largest coefficient matrix M_d that is built, M_0 included: a form names
 # n, r and its degrees, and a report d, in a few bytes, while the basis, M_d,
 # its blocks' working rows and its outer-product sum grow with them.  Apart
@@ -422,89 +377,108 @@ def matrix_size(n: int, r: int, m: int, d: int = 0) -> int:
     return size
 
 
-def coefficient_basis(form: BihermitianForm, d: int = 0) -> CoefficientBasis:
-    """The basis of M_d, the coefficient matrix of <z, w>^d F, the one rule
-    for every M_d: at d = 0 the form's own, of degree m, or of every degree
-    up to `max_degree` for a symmetric form of mixed degrees; above 0 of
-    degree m + d (`checked_bidegree`), and M_0's for the zero form.  The size
-    is checked (`matrix_size`) before the basis is enumerated."""
+def coefficient_basis(form: BihermitianForm, d: int = 0) -> tuple[MultiIndex, ...]:
+    """The monomials of M_d, the coefficient matrix of <z, w>^d F, in the
+    order of their degree table (`enumerate_degree`), the one rule for every
+    M_d: index j of M_d is (j // dim, monomials[j % dim]).  The form is
+    checked (`checked_bidegree`), and the size (`matrix_size`) before any
+    table is built.  The degree is m + d, or M_0's for the zero form; at
+    d = 0 only, a symmetric form of mixed degrees up to cap has the table of
+    its homogenization, degree cap in n + 1 variables, each monomial alpha
+    with its leading pad cap - |alpha|, dropped here."""
     try:
         m = checked_bidegree(form)
     except ValueError:
         # only a symmetric form of mixed degrees has a basis past the check, at d = 0
         if d or not is_hermitian_symmetric(form):
             raise
-        cap = max_degree(form)
-        # The monomials of degree <= cap in n variables are as many as those
-        # of degree cap in n + 1: C(n + cap, cap).
+        cap = max(sum(mono) for key in form.support for mono in key[2:])
         matrix_size(form.n + 1, form.r, cap)
-        return CoefficientBasis(form.n, form.r, None, _basis_pairs(form.n, form.r, range(cap + 1)))
+        return tuple(alpha[1:] for alpha in enumerate_degree(form.n + 1, cap))
     d = d if form.support else 0
     matrix_size(form.n, form.r, m, d)
-    return homogeneous_basis(form.n, form.r, m + d)
+    return enumerate_degree(form.n, m + d)
 
 
-def coefficient_matrix(form: BihermitianForm) -> tuple[HermitianMatrix, CoefficientBasis]:
+def coefficient_matrix(form: BihermitianForm) -> tuple[HermitianMatrix, tuple[MultiIndex, ...]]:
     """M_0, the Hermitian matrix with M[(i,alpha)][(j,beta)] = coefficient(i,
-    j, alpha, beta), on `coefficient_basis(form)`, which checks the form; its
-    rows are the form's numerators over its denominator: a form in lowest
-    terms gives a matrix in lowest terms.
+    j, alpha, beta), and its monomials (`coefficient_basis`, which checks the
+    form): row (i, alpha) sits at i * dim + the rank of alpha among them,
+    its rank in their degree table.  Its rows are the form's numerators over
+    its denominator: a form in lowest terms gives a matrix in lowest terms.
 
     The quadratic form H* M H evaluates the kernel's coefficient pairing:
     positivity of M is exactly expressibility of the kernel as a weighted sum
     of rank-one holomorphic squares.
     """
-    basis = coefficient_basis(form)
-    lookup = basis._lookup
-    re = [{} for _ in basis.pairs]
-    im = [{} for _ in basis.pairs]
+    monomials = coefficient_basis(form)
+    dim = len(monomials)
+    rank = dict(zip(monomials, range(dim)))
+    re = [{} for _ in range(form.r * dim)]
+    im = [{} for _ in re]
     for (i, j, alpha, beta), (x, y) in form.support.items():
-        p, q = lookup[(i, alpha)], lookup[(j, beta)]
+        p, q = i * dim + rank[alpha], j * dim + rank[beta]
         if x:
             re[p][q] = x
         if y:
             im[p][q] = y
-    return HermitianMatrix(re, im, form.den), basis
+    return HermitianMatrix(re, im, form.den), monomials
 
 
 def from_coefficient_matrix(
     matrix: HermitianMatrix, n: int, m: int, r: int
 ) -> BihermitianForm:
-    """Inverse of coefficient_matrix on the bidegree-m basis; exact round trip."""
-    expected = r * dim_homogeneous(n, m)
-    if matrix.size != expected:
+    """Inverse of coefficient_matrix on the monomials of degree m; exact round trip."""
+    monomials = enumerate_degree(n, m)
+    dim = len(monomials)
+    if matrix.size != r * dim:
         raise ValueError(
-            f"matrix size {matrix.size} does not match r*dim = {expected}"
+            f"matrix size {matrix.size} does not match r*dim = {r * dim}"
         )
-    pairs = _basis_pairs(n, r, [m])
     support: dict[TermKey, tuple[int, int]] = {}
-    for (i, alpha), row_re, row_im in zip(pairs, matrix.re, matrix.im):
+    for p, (row_re, row_im) in enumerate(zip(matrix.re, matrix.im)):
+        i, alpha = p // dim, monomials[p % dim]
         for q in row_re.keys() | row_im.keys():
-            j, beta = pairs[q]
-            support[(i, j, alpha, beta)] = row_re.get(q, 0), row_im.get(q, 0)
+            support[(i, q // dim, alpha, monomials[q % dim])] = row_re.get(q, 0), row_im.get(q, 0)
     # The matrix is in lowest terms, so the form of its entries is too.
     return BihermitianForm(n, r, support, matrix.den)
 
 
 def _monomial_values(point: GaussianRow, exponents) -> dict[MultiIndex, tuple[int, int]]:
-    """q^alpha as a Gaussian-integer pair (re, im) for each alpha in `exponents`,
-    q the point's numerators; the powers of each coordinate are built once."""
-    powers = [[(1, 0)] for _ in point.re]
+    """q^alpha as a Gaussian-integer pair (re, im) for each alpha in the
+    collection `exponents`, q the point's numerators.  Each power of a
+    coordinate asked for is built once, from the next lower one asked for,
+    by squaring across a gap."""
+    powers = []
+    for x, y, column in zip(point.re, point.im, zip(*exponents)):
+        table, e, re, im = {}, 0, 1, 0
+        for a in sorted(set(column)):
+            if a:
+                u, v = (x, y) if a - e == 1 else _gaussian_power(x, y, a - e)
+                re, im = re * u - im * v, re * v + im * u
+                table[a], e = (re, im), a
+        powers.append(table)
     out = {}
     for alpha in exponents:
         re, im = 1, 0
         for k, a in enumerate(alpha):
             if a:
-                table = powers[k]
-                if len(table) <= a:
-                    x, y = point.re[k], point.im[k]
-                    while len(table) <= a:
-                        u, v = table[-1]
-                        table.append((u * x - v * y, u * y + v * x))
-                u, v = table[a]
+                u, v = powers[k][a]
                 re, im = re * u - im * v, re * v + im * u
         out[alpha] = (re, im)
     return out
+
+
+def _gaussian_power(x: int, y: int, e: int) -> tuple[int, int]:
+    """(x + i*y)^e as an int pair, by squaring."""
+    re, im = 1, 0
+    while e:
+        if e & 1:
+            re, im = re * x - im * y, re * y + im * x
+        e >>= 1
+        if e:
+            x, y = x * x - y * y, 2 * x * y
+    return re, im
 
 
 def evaluate_exact(form: BihermitianForm, z, w) -> list[list[GaussianRational]]:

@@ -3,11 +3,14 @@
 A multi-index is a plain tuple of nonnegative ints, one entry per complex
 variable.  The enumeration order fixed here (lexicographically descending
 within a fixed total degree, z1-major) is the canonical basis order used by
-every matrix in the package.
+every matrix in the package: row (i, alpha) of every coefficient matrix
+M_d sits at i * dim + the rank of alpha in its degree's table
+(`degree_table`).
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import wraps
 from math import comb
 
@@ -51,32 +54,14 @@ def cached_tables(func):
     return cached
 
 
-@cached_tables
 def enumerate_degree(n: int, m: int) -> tuple[MultiIndex, ...]:
-    """All multi-indices of length n with total degree m, lexicographically descending.
+    """All multi-indices of length n with total degree m, lexicographically
+    descending: the monomials of their degree table (`degree_table`).
 
     >>> enumerate_degree(2, 2)
     ((2, 0), (1, 1), (0, 2))
     """
-    if n < 1:
-        raise ValueError("dimension must be >= 1")
-    if m < 0:
-        raise ValueError("degree must be >= 0")
-    # Step from (m, 0, ..., 0) down to (0, ..., 0, m): the successor moves one
-    # unit out of the last nonzero entry k before the end, and the tail
-    # (all in the last entry, the rest being 0) gathers at k + 1.
-    alpha = [m] + [0] * (n - 1)
-    out = [tuple(alpha)]
-    while alpha[-1] != m:
-        k = n - 2
-        while alpha[k] == 0:
-            k -= 1
-        tail = alpha[-1]
-        alpha[k] -= 1
-        alpha[-1] = 0
-        alpha[k + 1] = tail + 1
-        out.append(tuple(alpha))
-    return tuple(out)
+    return degree_table(n, m, m.bit_length()).monomials
 
 
 def dim_homogeneous(n: int, m: int) -> int:
@@ -98,29 +83,55 @@ def monomial_code(alpha: MultiIndex, width: int) -> int:
     return code
 
 
-@cached_tables
-def monomial_ranks(n: int, m: int, width: int) -> dict[int, int]:
-    """The rank of each monomial of enumerate_degree(n, m), keyed by its code
-    at `width`, in that order."""
-    return {monomial_code(gamma, width): k for k, gamma in enumerate(enumerate_degree(n, m))}
+@dataclass(frozen=True)
+class DegreeTable:
+    """The monomials of degree k in n variables, in the order of
+    `enumerate_degree`, with what indexes a matrix on them: the rank of each,
+    keyed by its code at `width` (`monomial_code`), and its weight k!/mu!, the
+    coefficient of z^mu wbar^mu in <z, w>^k.
 
-
-@cached_tables
-def multinomial_weights(n: int, d: int) -> list[int]:
-    """d!/mu!, the weight of z^mu wbar^mu in <z, w>^d, for each mu of
-    enumerate_degree(n, d), in its order.
-
-    The successor of mu takes one unit from its last nonzero entry k before
-    the end and gathers it with the tail, mu_last + 1, in entry k + 1
-    (`enumerate_degree`), so the weight of the successor is
-    w(mu) * mu_k / (mu_last + 1), an exact integer: one product and one
-    division per monomial, and no binomial.
+    >>> table = degree_table(2, 2, 2)
+    >>> table.monomials
+    ((2, 0), (1, 1), (0, 2))
+    >>> table.ranks, table.weights
+    ({8: 0, 5: 1, 2: 2}, (1, 2, 1))
     """
-    mus = enumerate_degree(n, d)
-    out = [1]  # d!/d! for (d, 0, ..., 0)
-    for mu in mus[:-1]:
-        k = n - 2
-        while mu[k] == 0:
-            k -= 1
-        out.append(out[-1] * mu[k] // (mu[-1] + 1))
-    return out
+
+    monomials: tuple[MultiIndex, ...]
+    ranks: dict[int, int]
+    weights: tuple[int, ...]
+
+    def __len__(self) -> int:
+        """The number of monomials, the entries that `cached_tables` counts."""
+        return len(self.monomials)
+
+
+@cached_tables
+def degree_table(n: int, k: int, width: int) -> DegreeTable:
+    """The table of the degree-k monomials in n variables at `width`, built
+    in one walk from (k, 0, ..., 0) down to (0, ..., 0, k).  The successor
+    of mu moves one unit out of its last nonzero entry j before the end, and
+    the tail t = mu_last gathers at j + 1, as t + 1: its weight is
+    w(mu) * mu_j / (t + 1), exactly, and its code mu's less 2**s_j and t,
+    plus (t + 1) * 2**s_(j+1), with s_i = (n - 1 - i) * width."""
+    if n < 1:
+        raise ValueError("dimension must be >= 1")
+    if k < 0:
+        raise ValueError("degree must be >= 0")
+    shift = [(n - 1 - i) * width for i in range(n)]
+    mu = [k] + [0] * (n - 1)
+    monomials, ranks, weights = [], {}, []
+    code, w = k << shift[0], 1  # (k, 0, ..., 0), whose weight is k!/k!
+    while True:
+        ranks[code] = len(monomials)
+        monomials.append(tuple(mu))
+        weights.append(w)
+        if mu[-1] == k:
+            return DegreeTable(tuple(monomials), ranks, tuple(weights))
+        j = n - 2
+        while mu[j] == 0:
+            j -= 1
+        t = mu[-1]
+        w = w * mu[j] // (t + 1)
+        code += ((t + 1) << shift[j + 1]) - (1 << shift[j]) - t
+        mu[j], mu[-1], mu[j + 1] = mu[j] - 1, 0, t + 1

@@ -37,11 +37,10 @@ from .hermform import (
     bidegree,
     checked_bidegree,
     coefficient_basis,
-    evaluate_exact,
     matrix_size,
 )
-from .scalars import ZERO, GaussianRational, SparseRow
-from .stabilize import MODES, last_exponent, power_matrix, power_rows
+from .scalars import GaussianRational, GaussianRow, SparseRow
+from .stabilize import MODES, StabilizationReport, last_exponent, power_matrix, shifted_rows
 from .symbols import EllipticityReport, format_diff_operator_row, require_symbol, searched_form
 
 
@@ -452,9 +451,9 @@ def _verify_search(form: BihermitianForm, strict: bool, search: dict
     its d, and so at every smaller d (passing is monotone in d); with a
     factor, its weighted vectors prove that M_d passes at the next d, d_min
     <= d_max; without one, the witness is at the last d that the search
-    builds up to d_max (`last_exponent`).  Each M_d is built once, in closed
-    form (`stabilize.power_rows`), after its size, and that of M_0, is
-    checked."""
+    builds up to d_max (`last_exponent`).  The form is checked once, and
+    each M_d is built once, in closed form (`stabilize.shifted_rows`), after
+    its size, and that of M_0, is checked."""
     trail, d_max, factor = search["trail"], search["d_max"], search["factor"]
     if not (isinstance(trail, list) and len(trail) <= 1
             and all(isinstance(record, list) and len(record) == 2 and type(record[0]) is int
@@ -477,10 +476,11 @@ def _verify_search(form: BihermitianForm, strict: bool, search: dict
     elif d_min > d_max:
         return (False, "factor runs past d_max"), None
     for d, entries, v in witnesses:
-        reason = _witness_failure(power_rows(form, d), entries, v, strict)
+        reason = _witness_failure(shifted_rows(form, m, d), entries, v, strict)
         if reason is not None:
             return (False, f"trail d={d}: {reason}"), None
-    reason = None if d_min is None else factor_failure(power_rows(form, d_min), vectors, strict)
+    reason = (None if d_min is None
+              else factor_failure(shifted_rows(form, m, d_min), vectors, strict))
     return ((True, "ok") if reason is None else (False, reason)), vectors
 
 
@@ -492,12 +492,17 @@ def _verify_stabilization(obj: dict) -> tuple[tuple[bool, str], list | None]:
     return _verify_search(obj_to_form(obj["form"], written=True), strict, obj)
 
 
-def _sphere_value(form: BihermitianForm, pairs) -> GaussianRational | None:
-    """The symbol's exact value at a point, or None off the unit sphere."""
+def _sphere_sign(form: BihermitianForm, pairs) -> int | None:
+    """The sign, 1, 0 or -1, of the symbol's value at a point, or None off
+    the unit sphere: its numerator's, as the sphere walk reads it."""
     point = tuple(pair_to_gaussian(pair) for pair in pairs)
     if sum(c.abs2() for c in point) != 1:
         return None
-    return evaluate_exact(form, point, point)[0][0]
+    if len(point) != form.n:
+        raise ValueError("point length differs from ambient dimension")
+    q = GaussianRow.from_entries(form.n, enumerate(point))
+    value = form.numerators(q, q)[0][0]
+    return (value > 0) - (value < 0)
 
 
 def _verify_ellipticity(obj: dict) -> tuple[tuple[bool, str], tuple | None]:
@@ -521,13 +526,11 @@ def _verify_ellipticity(obj: dict) -> tuple[tuple[bool, str], tuple | None]:
         return (True, "ok"), (form, vectors)
     if point is None and change is None:
         return (False, "not_elliptic report names no point"), None
-    if point is not None and _sphere_value(form, point) != ZERO:
+    if point is not None and _sphere_sign(form, point) != 0:
         return (False, "witness point is not a zero of the symbol on the unit sphere"), None
-    if change is not None:
-        pos = _sphere_value(form, change["positive_at"])
-        neg = _sphere_value(form, change["negative_at"])
-        if pos is None or neg is None or not (pos.im == neg.im == 0 and pos.re > 0 > neg.re):
-            return (False, "sign-change points do not have opposite signs on the unit sphere"), None
+    if change is not None and (_sphere_sign(form, change["positive_at"]),
+                               _sphere_sign(form, change["negative_at"])) != (1, -1):
+        return (False, "sign-change points do not have opposite signs on the unit sphere"), None
     return (True, "ok"), (form, None)
 
 
@@ -585,20 +588,20 @@ def run_verdicts(command: list[str], result: dict, read=None) -> dict | None:
     prove, with the options of `command` that no artifact records.  None when
     they prove none: a factor not of `--d`, a check or decomposition at d > 0.
     `read` is what the caller read or built with the artifact: a check's
-    form, d, weighted vectors and basis of M_d (`_verify_factor`; the
-    verdicts take the basis), or a symbol's form and factor vectors (None
-    without one)."""
+    form, d, weighted vectors and monomials of M_d (`_verify_factor`; the
+    verdicts take the form and monomials), or a symbol's form and factor
+    vectors (None without one)."""
     name = command[0]
     if name == "check":
         mode = _require_mode(_option(command, "--mode"))
         factor = _artifact(result, "certificate", "weighted_gram_factor")
         if factor["d"]:
             return None
-        (pos, neg), basis = _weight_signs(factor), read[3]
-        size = len(basis.pairs)
+        (pos, neg), (form, _, _, monomials) = _weight_signs(factor), read
+        size = form.r * len(monomials)
         return {"mode": mode, "passes": pos == size if mode == "strict" else neg == 0,
                 "inertia": {"pos": pos, "neg": neg, "zero": size - pos - neg},
-                "matrix_size": size, "bidegree": basis.bidegree}
+                "matrix_size": size, "bidegree": bidegree(form)}
     if name == "stabilize":
         mode, d_max = _search_bounds(command)
         stabilization = _artifact(result, "stabilization", "stabilization_report")
@@ -660,21 +663,21 @@ def run_renderings(command: list[str], result: dict, float_digits: int | None = 
     `read` with them (as for `run_verdicts`): a certified symbol's
     differential operator rows, from its form and factor vectors, and, when
     `float_digits` is given, a PSD factor's floating rendering, from its
-    form, d, vectors and basis, with weights folded in as square roots good
+    form, d, vectors and monomials, with weights folded in as square roots good
     to that many digits."""
     name = command[0]
     if name == "symbol" and read[1] is not None:
         (form, vectors), d = read, _d_min(result["ellipticity"]["stabilization"])
-        rows = _factor_from_parts(vectors, coefficient_basis(form, d), form.n).rows
+        rows = _factor_from_parts(vectors, coefficient_basis(form, d), form.r).rows
         return {"operator_rows": [format_diff_operator_row(row, w)
                                   for (w, _), row in zip(vectors, rows)]}
     if name == "factor" and float_digits is not None:
-        form, _, vectors, basis = read
+        form, _, vectors, monomials = read
         if any(w < 0 for w, _ in vectors):
             return {}
         if type(float_digits) is not int or not 0 <= float_digits <= MAX_FLOAT_DIGITS:
             raise ValueError(f"float digits must be an integer from 0 to {MAX_FLOAT_DIGITS}")
-        rows = numeric_factor(_factor_from_parts(vectors, basis, form.n), float_digits).rows
+        rows = numeric_factor(_factor_from_parts(vectors, monomials, form.r), float_digits).rows
         return {"numeric_factor": {
             "kind": "numeric_factor",
             "float_digits": float_digits,
@@ -727,15 +730,15 @@ def _verify_run_report(obj: dict) -> tuple[bool, str]:
 
 def _verify_factor(obj: dict) -> tuple[tuple[bool, str], tuple]:
     """verify_obj of a weighted factor, and what it read: (F, d, weighted
-    vectors, basis of M_d)."""
+    vectors, monomials of M_d)."""
     form, d, vectors, witness = obj_to_factor(obj)
-    matrix, basis = power_matrix(form, d)
+    matrix, monomials = power_matrix(form, d)
     reason = factor_failure(matrix, vectors, strict=False, signed=True)
     if reason is None and (witness is not None) != any(w < 0 for w, _ in vectors):
         reason = "witness is not present exactly when a weight is negative"
     if reason is None and witness is not None:
         reason = _witness_failure(matrix, obj["witness"], witness, strict=False)
-    return ((True, "ok") if reason is None else (False, reason)), (form, d, vectors, basis)
+    return ((True, "ok") if reason is None else (False, reason)), (form, d, vectors, monomials)
 
 
 # The check of each artifact kind: its (ok, reason) and what it read.

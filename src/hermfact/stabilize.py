@@ -16,10 +16,11 @@ a report keeps the witness of the last failing d alone: it proves every
 smaller d fails too.
 
 One function builds each M_d in closed form, from the multinomial theorem
-(`shifted_rows`): each step of the search whose diagonal passes, and, behind
-the checks of `power_rows`, the multipliers'.  An artifact's M_d, with its
-basis, is `power_matrix`'s: the form's own coefficient matrix at d = 0,
-which a form of mixed degrees has too, and the closed form above.  M_d holds
+and the degree tables of `multiindex` (`shifted_rows`): each step of the
+search whose diagonal passes, and above d = 0 every other.  An artifact's
+M_d, with its monomials, is `power_matrix`'s, after one check of the form:
+the form's own coefficient matrix at d = 0, which a form of mixed degrees
+has too, and the closed form above; the multipliers read it too.  M_d holds
 Gaussian-integer dict rows over one denominator (`hermform.HermitianMatrix`),
 and `mode_evidence` reads its blocks straight from the rows, so no step
 builds an n x n matrix.  Every M_d, M_0 included, is at most MAX_MATRIX_SIZE
@@ -41,15 +42,13 @@ from .certify import ldl_signature, mode_evidence  # noqa: F401
 from .hermform import (
     MAX_MATRIX_SIZE,
     BihermitianForm,
-    CoefficientBasis,
     HermitianMatrix,
     checked_bidegree,
-    coefficient_basis,
     coefficient_matrix,
     from_coefficient_matrix,
     matrix_size,
 )
-from .multiindex import dim_homogeneous, monomial_code, monomial_ranks, multinomial_weights
+from .multiindex import MultiIndex, degree_table, dim_homogeneous, enumerate_degree, monomial_code
 from .scalars import SparseRow
 
 MODES = ("strict", "semi")
@@ -72,20 +71,16 @@ def last_exponent(n: int, r: int, m: int, d_max: int) -> int:
     return low
 
 
-def power_rows(form: BihermitianForm, d: int) -> HermitianMatrix:
-    """M_d, the coefficient matrix of <z, w>^d F, in closed form
-    (`shifted_rows`), after the form is checked (`checked_bidegree`)."""
+def power_matrix(form: BihermitianForm, d: int) -> tuple[HermitianMatrix, tuple[MultiIndex, ...]]:
+    """M_d and its monomials, the one choice of builder of an artifact's M_d,
+    which checks the form once: `coefficient_matrix` at d = 0, which reads a
+    form of mixed degrees too, and `shifted_rows` above."""
     if d < 0:
         raise ValueError("multiplier exponent must be nonnegative")
-    return shifted_rows(form, checked_bidegree(form), d)
-
-
-def power_matrix(form: BihermitianForm, d: int) -> tuple[HermitianMatrix, CoefficientBasis]:
-    """M_d and its basis (`coefficient_basis`), the one choice of builder of
-    an artifact's M_d: `coefficient_matrix` at d = 0, `power_rows` above."""
     if d == 0:
         return coefficient_matrix(form)
-    return power_rows(form, d), coefficient_basis(form, d)
+    m = checked_bidegree(form)
+    return shifted_rows(form, m, d), enumerate_degree(form.n, m + d if form.support else m)
 
 
 def shifted_rows(form: BihermitianForm, m: int, d: int) -> HermitianMatrix:
@@ -103,21 +98,21 @@ def _scattered(form: BihermitianForm, terms, m: int, d: int) -> tuple[list[dict]
     By the multinomial theorem <z, w>^d = sum over |mu| = d of
     (d!/mu!) z^mu wbar^mu, so the term c z^alpha wbar^beta of entry (i, j)
     adds (d!/mu!) c to entry ((i, alpha + mu), (j, beta + mu)) of M_d, for
-    each mu.  Index (i, gamma) of M_d is i * dim + the rank of gamma among
-    the degree-(m + d) monomials, looked up at the code of alpha plus the
-    code of mu, once per monomial alpha of the terms, not once per term.  No
-    basis is built, and the size of M_d is checked (`matrix_size`) before
-    anything is.  The zero form is its own product with <z, w>^d, of
-    bidegree 0, so its M_d is M_0.
+    each mu.  Index (i, gamma) of M_d is i * dim + the rank of gamma in the
+    degree table of m + d (`multiindex.degree_table`), looked up at the code
+    of alpha plus the code of mu, whose table holds the weights too, once
+    per monomial alpha of the terms, not once per term.  The size of M_d is
+    checked (`matrix_size`) before any table is built.  The zero form is its
+    own product with <z, w>^d, of bidegree 0, so its M_d is M_0.
     """
     n = form.n
     matrix_size(n, form.r, m, d)
     if not form.support:
         d = 0
     width = (m + d).bit_length()  # past every entry of M_d's monomials
+    target, shifts = degree_table(n, m + d, width), degree_table(n, d, width)
     # the codes of the mu are the keys of their ranks, in their order
-    rank, mu_codes = monomial_ranks(n, m + d, width), monomial_ranks(n, d, width)
-    weights, dim = multinomial_weights(n, d), len(rank)
+    rank, mu_codes, weights, dim = target.ranks, shifts.ranks, shifts.weights, len(target)
     shifted: dict = {}  # alpha -> the rank of alpha + mu for each mu
     rows_re = [{} for _ in range(form.r * dim)]
     rows_im = [{} for _ in rows_re] if any(y for _, (_, y) in terms) else []
@@ -145,10 +140,10 @@ def multiplier_shift(form: BihermitianForm) -> BihermitianForm:
 
 
 def multiplier_power(form: BihermitianForm, d: int) -> BihermitianForm:
-    """The kernel <z, w>^d * F, read off its coefficient matrix (`power_rows`)
-    on its basis (`coefficient_basis`)."""
-    matrix = power_rows(form, d)
-    return from_coefficient_matrix(matrix, form.n, coefficient_basis(form, d).bidegree, form.r)
+    """The kernel <z, w>^d * F, read off its coefficient matrix on its
+    monomials (`power_matrix`)."""
+    matrix, monomials = power_matrix(form, d)
+    return from_coefficient_matrix(matrix, form.n, sum(monomials[0]), form.r)
 
 
 @dataclass(eq=True)

@@ -23,6 +23,7 @@ from itertools import islice
 from math import comb, gcd, lcm
 
 from .hermform import (
+    MAX_MATRIX_SIZE,
     BihermitianForm,
     bidegree,
     checked_bidegree,
@@ -215,13 +216,23 @@ def _sample_symbol(form: BihermitianForm):
         yield None
 
 
+def _require_size(n: int, m: int) -> None:
+    """M_0 of a symbol of bidegree m in n variables within the size bound
+    (`matrix_size`), and so m <= 1023 from two variables on; in one, where
+    M_0 has one row but a point's value takes m powers, m <= 1023 too."""
+    if n == 1 and m >= MAX_MATRIX_SIZE:
+        raise ValueError(f"a symbol in one variable has bidegree {m}, more than the "
+                         f"{MAX_MATRIX_SIZE - 1} allowed")
+    matrix_size(n, 1, m)
+
+
 def require_symbol(form: BihermitianForm) -> None:
     """The preconditions of ellipticity certification, which `verify` checks
-    too: a scalar, Hermitian-symmetric kernel of one bidegree whose M_0 is
-    within the size bound, checked before the sphere is sampled."""
+    too: a scalar, Hermitian-symmetric kernel of one bidegree within the
+    size bound (`_require_size`), checked before the sphere is sampled."""
     if form.r != 1:
         raise ValueError("ellipticity certification handles scalar symbols only")
-    matrix_size(form.n, 1, checked_bidegree(form))
+    _require_size(form.n, checked_bidegree(form))
 
 
 def searched_form(form: BihermitianForm) -> BihermitianForm:
@@ -268,15 +279,15 @@ def certify_elliptic(symbol: RealSymbol, d_max: int) -> EllipticityReport:
 
     Raises ValueError when the symbol is inhomogeneous, of odd order or odd
     variable count, when its complex form is not bihomogeneous, or when that
-    form's M_0 (nvars / 2 variables, bidegree order / 2) is past the size
-    bound, which is checked before the conversion, whose work grows with the
-    square of nvars.
+    form (nvars / 2 variables, bidegree order / 2) is past the size bound
+    (`_require_size`), which is checked before the conversion, whose work
+    grows with the square of nvars and with the order.
     """
     if not symbol.is_homogeneous():
         raise ValueError("principal symbol must be homogeneous")
     if symbol.order() % 2 != 0:
         raise ValueError("principal symbol must have even order")
-    matrix_size(symbol.nvars // 2, 1, symbol.order() // 2)
+    _require_size(symbol.nvars // 2, symbol.order() // 2)
     form = real_to_complex(symbol)
     return certify_elliptic_form(form, d_max)
 

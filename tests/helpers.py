@@ -9,6 +9,7 @@ import re
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import comb, factorial, gcd, lcm, prod
 from operator import add as _add
 
@@ -19,6 +20,7 @@ from hermfact import (
     GaussianRational,
     HermitianMatrix,
     HoloPolyMatrix,
+    MultiIndex,
     SignatureCertificate,
     bidegree,
     enumerate_degree,
@@ -32,13 +34,7 @@ from hermfact import (
 )
 from hermfact import certify
 from hermfact.factor import NumericFactor, _factor_from_parts
-from hermfact.hermform import (
-    CoefficientBasis,
-    TermKey,
-    checked_bidegree,
-    coefficient_matrix,
-    homogeneous_basis,
-)
+from hermfact.hermform import TermKey, checked_bidegree, coefficient_matrix
 from hermfact.parsing import ParseError
 from hermfact.scalars import ZERO, GaussianRow, SparseRow, as_gaussian, nonzero_indices
 from hermfact.stabilize import MODES, StabilizationReport, StabilizationStep
@@ -185,17 +181,23 @@ def evidence(cert: SignatureCertificate) -> tuple[list, SparseRow | None]:
     return cert.weighted_vectors(), cert.witness
 
 
+def reference_basis(form: BihermitianForm) -> tuple[MultiIndex, ...]:
+    """The monomials of M_0, longhand: those of the one degree of the alphas
+    and betas, or of every degree up to the largest of them when they have
+    more than one, degree ascending, then lexicographically descending."""
+    degrees = {sum(mono) for key in form.support for mono in key[2:]} or {0}
+    if len(degrees) > 1:
+        degrees = set(range(max(degrees) + 1))
+    monomials = [alpha for alpha in product(range(max(degrees) + 1), repeat=form.n)
+                 if sum(alpha) in degrees]
+    return tuple(sorted(monomials, key=lambda alpha: (sum(alpha), [-a for a in alpha])))
+
+
 def reference_coefficient_matrix(form: BihermitianForm) -> HermitianMatrix:
     """The dense construction: a GaussianRational grid filled from the
     support, then the checked HermitianMatrix.from_rows.  The grid is
-    indexed (i, alpha), i major, over the monomials of the one degree of
-    the alphas and betas, or of every degree up to the largest of them when
-    they have more than one."""
-    degrees = {sum(mono) for key in form.support for mono in key[2:]} or {0}
-    if len(degrees) > 1:
-        degrees = range(max(degrees) + 1)
-    pairs = [(i, alpha) for i in range(form.r)
-             for m in sorted(degrees) for alpha in enumerate_degree(form.n, m)]
+    indexed (i, alpha), i major, over the monomials of `reference_basis`."""
+    pairs = [(i, alpha) for i in range(form.r) for alpha in reference_basis(form)]
     index = {pair: k for k, pair in enumerate(pairs)}
     rows = [[GaussianRational()] * len(pairs) for _ in pairs]
     for i, j, alpha, beta in form.support:
@@ -450,9 +452,9 @@ def reference_multiplier_power(form: BihermitianForm, d: int) -> BihermitianForm
 # The search's exponent loop as it was before every step was built in closed
 # form (`stabilize.shifted_rows`): each step is one shift of the one before.
 def reference_exponent_steps(form: BihermitianForm
-                             ) -> Iterator[tuple[HermitianMatrix, CoefficientBasis]]:
-    """M_d, the coefficient matrix of <z, w>^d F, and its basis for d = 0, 1,
-    2, ..., each step <z, w> times the one before, in ints: the term
+                             ) -> Iterator[tuple[HermitianMatrix, tuple[MultiIndex, ...]]]:
+    """M_d, the coefficient matrix of <z, w>^d F, and its monomials for d =
+    0, 1, 2, ..., each step <z, w> times the one before, in ints: the term
     z^alpha wbar^beta of row i, column j adds its coefficient to
     z^(alpha+e_k) wbar^(beta+e_k) for each k, so entry (p, q) of the
     degree-m matrix adds to (up[p][k], up[q][k]) of the degree-(m+1) one.
@@ -462,22 +464,25 @@ def reference_exponent_steps(form: BihermitianForm
     form, whose bidegree is 0, so the zero matrix stays as it is.
     """
     checked_bidegree(form)
-    matrix, basis = coefficient_matrix(form)
+    matrix, monomials = coefficient_matrix(form)
+    n, r = form.n, form.r
     while True:
-        yield matrix, basis
+        yield matrix, monomials
         if not any(matrix.re) and not any(matrix.im):
             continue
-        shifted = homogeneous_basis(basis.n, basis.r, basis.bidegree + 1)
-        up = [[shifted.index(i, alpha[:k] + (alpha[k] + 1,) + alpha[k + 1:])
-               for k in range(basis.n)] for i, alpha in basis.pairs]
-        out_re = [{} for _ in shifted.pairs]
-        out_im = [{} for _ in shifted.pairs]
+        shifted = enumerate_degree(n, sum(monomials[0]) + 1)
+        index = {(i, gamma): i * len(shifted) + k
+                 for i in range(r) for k, gamma in enumerate(shifted)}
+        up = [[index[(i, alpha[:k] + (alpha[k] + 1,) + alpha[k + 1:])] for k in range(n)]
+              for i in range(r) for alpha in monomials]
+        out_re = [{} for _ in index]
+        out_im = [{} for _ in index]
         for source, out in ((matrix.re, out_re), (matrix.im, out_im)):
             for p, row in enumerate(source):
                 for q, x in row.items():
                     for a, b in zip(up[p], up[q]):
                         out[a][b] = out[a].get(b, 0) + x
-        matrix, basis = HermitianMatrix.lowest(out_re, out_im, matrix.den), shifted
+        matrix, monomials = HermitianMatrix.lowest(out_re, out_im, matrix.den), shifted
 
 
 # The search as it was before failing steps stopped at their witness and
@@ -1857,12 +1862,12 @@ def complex_to_real(form: BihermitianForm) -> RealSymbol:
 
 def stabilization_factor(report: StabilizationReport) -> WeightedGramFactor | None:
     """The weighted factor of <z, w>^d_min F whose rows are the report's
-    vectors on the bidegree basis; None when no d passed."""
+    vectors on the monomials of degree m + d_min; None when no d passed."""
     if report.vectors is None:
         return None
     form, d = report.form, report.d_min
-    basis = homogeneous_basis(form.n, form.r, bidegree(form) + d)
-    return WeightedGramFactor(_factor_from_parts(report.vectors, basis, form.n),
+    monomials = enumerate_degree(form.n, bidegree(form) + d)
+    return WeightedGramFactor(_factor_from_parts(report.vectors, monomials, form.r),
                               multiplier_power(form, d))
 
 
@@ -1908,7 +1913,7 @@ class OperatorMatrix:
 
     matrix: HermitianMatrix
     weights: tuple[Fraction, ...]
-    basis: CoefficientBasis
+    pairs: tuple[tuple[int, MultiIndex], ...]
 
 
 def operator_matrix(form: BihermitianForm, d: int) -> OperatorMatrix:
@@ -1917,12 +1922,13 @@ def operator_matrix(form: BihermitianForm, d: int) -> OperatorMatrix:
     sides by the monomials' reduced L2 norms."""
     if bidegree(form) != d:
         raise ValueError(f"form does not have bidegree {d}")
-    matrix, basis = coefficient_matrix(form)
-    weights = tuple(monomial_norm_reduced(alpha) for _, alpha in basis.pairs)
+    matrix, monomials = coefficient_matrix(form)
+    pairs = tuple((i, alpha) for i in range(form.r) for alpha in monomials)
+    weights = tuple(monomial_norm_reduced(alpha) for _, alpha in pairs)
     size = matrix.size
     rows = [[as_gaussian(weights[k]) * matrix.at(k, l) * as_gaussian(weights[l])
              for l in range(size)] for k in range(size)]
-    return OperatorMatrix(HermitianMatrix.from_rows(rows), weights, basis)
+    return OperatorMatrix(HermitianMatrix.from_rows(rows), weights, pairs)
 
 
 def is_positive_definite(cert: SignatureCertificate) -> bool:
@@ -1950,7 +1956,7 @@ def pairing_identity_check(factor: WeightedGramFactor, h) -> bool:
     target = factor.target
     op = operator_matrix(target, bidegree(target))
     h = tuple(as_gaussian(x) for x in h)
-    assert len(h) == len(op.basis.pairs)
+    assert len(h) == len(op.pairs)
     lhs = ZERO
     for k, hk in enumerate(h):
         for l, hl in enumerate(h):
@@ -1958,7 +1964,7 @@ def pairing_identity_check(factor: WeightedGramFactor, h) -> bool:
     rhs = ZERO
     for weight, row in factor.rows:
         pairing = ZERO
-        for k, (i, alpha) in enumerate(op.basis.pairs):
+        for k, (i, alpha) in enumerate(op.pairs):
             coeff = row[i].get(alpha)
             if coeff is not None:
                 pairing = pairing + coeff * h[k].conjugate() * as_gaussian(op.weights[k])

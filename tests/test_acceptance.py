@@ -168,7 +168,7 @@ def test_criterion_4_operator_equivalence_and_pairing():
         agree += pd_matrix == pd_operator
         if kind in (0, 1):
             factor = holomorphic_factor(form)
-            h = [rand_gauss(rng, 3) for _ in range(len(basis.pairs))]
+            h = [rand_gauss(rng, 3) for _ in range(matrix.size)]
             good = pairing_identity_check(factor, h)
             ok = ok and good
             pairing_checked += 1

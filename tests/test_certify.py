@@ -15,7 +15,7 @@ from hermfact import (
 from hermfact import certify
 from hermfact.certify import mode_evidence
 from hermfact.parsing import parse_expression
-from hermfact.stabilize import power_rows
+from hermfact.stabilize import power_matrix
 from helpers import (
     assert_equals_lowest_terms_kernel,
     block_layouts,
@@ -431,7 +431,7 @@ def test_a_cancelled_term_leaves_no_stored_zero_and_joins_no_blocks():
     # no blocks: {0, 1} and {2, 3} are eliminated apart.
     form = parse_expression("z1^2*zb1^2 + z2^2*zb2^2 + z1*z2*zb2^2 + z2^2*zb1*zb2"
                             " - z1^2*zb1*zb2 - z1*z2*zb1^2")
-    matrix = power_rows(form, 1)
+    matrix, _ = power_matrix(form, 1)
     steps = reference_exponent_steps(form)
     next(steps)
     assert next(steps)[0] == matrix

@@ -181,6 +181,18 @@ def test_sweep_members_are_read_as_input_files_are(capsys, tmp_path):
         assert run(capsys, ["sweep", "-e", json.dumps([member])]) == (2, "", f"error: {error}\n")
 
 
+@pytest.mark.parametrize("n", ["2", 2.0, True, [2]])
+def test_sweep_member_n_that_is_not_an_integer_is_an_input_error(capsys, n):
+    # A member's n is an integer or absent: else exit 2, naming the member,
+    # not a traceback, whose exit 1 would read as a certified negative.
+    family = json.dumps([{"label": "a", "expr": "z1*zb1", "n": n}])
+    assert run(capsys, ["sweep", "-e", family, "--mode", "strict", "--dmax", "3"]) == (
+        2, "", "error: member 'a': n must be an integer\n")
+    # an integer n, or none, is read as before
+    for member in ({"label": "a", "expr": "z1*zb1", "n": 2}, {"label": "a", "expr": "z1*zb1"}):
+        assert run(capsys, ["sweep", "-e", json.dumps([member]), "--dmax", "3"])[0] == 0
+
+
 def test_sweep_empty_family(capsys, tmp_path):
     family_file = tmp_path / "empty.json"
     family_file.write_text("[]")

@@ -21,7 +21,7 @@ from hermfact import (
     serialize,
 )
 from hermfact.hermform import checked_bidegree, coefficient_basis
-from hermfact.stabilize import power_rows
+from hermfact.stabilize import power_matrix
 
 from helpers import (
     add,
@@ -103,8 +103,8 @@ def test_gram_examples():
 
 def test_coefficient_matrix_examples():
     for c in (Fraction(2), Fraction(0), Fraction(-7, 3)):
-        matrix, basis = coefficient_matrix(quartic_family(c))
-        assert basis.pairs == tuple((0, a) for a in enumerate_degree(2, 2))
+        matrix, monomials = coefficient_matrix(quartic_family(c))
+        assert monomials == enumerate_degree(2, 2)
         assert matrix == diagonal_matrix([1, GaussianRational(c), 1])
     matrix, _ = coefficient_matrix(square_difference())
     assert matrix == diagonal_matrix([1, -2, 1])
@@ -120,7 +120,7 @@ def test_coefficient_matrix_rejects_asymmetric():
     for text in ("z1*zb2", "z1*zb2 + z1^2*zb1^2"):
         form = parse_expression(text, n=2)
         for check in (checked_bidegree, coefficient_matrix, lambda f: coefficient_basis(f, 1),
-                      lambda f: power_rows(f, 1)):
+                      lambda f: power_matrix(f, 1)):
             with pytest.raises(ValueError, match="^form is not Hermitian-symmetric$"):
                 check(form)
 
@@ -129,14 +129,14 @@ def test_coefficient_matrix_of_mixed_degrees():
     # At d = 0 a form of mixed degrees has its own basis; past 0 it has none.
     mixed = parse_expression("z1*zb1 + z1^2*zb1^2")
     for check in (checked_bidegree, lambda f: coefficient_basis(f, 1),
-                  lambda f: power_rows(f, 1)):
+                  lambda f: power_matrix(f, 1)):
         with pytest.raises(ValueError, match="^form has mixed bidegrees$"):
             check(mixed)
-    matrix, basis = coefficient_matrix(mixed)
-    assert basis == coefficient_basis(mixed, 0)
-    assert basis.bidegree is None
-    # basis runs over all monomials of degree <= 2 in one variable
-    assert [alpha for _, alpha in basis.pairs] == [(0,), (1,), (2,)]
+    matrix, monomials = coefficient_matrix(mixed)
+    assert monomials == coefficient_basis(mixed, 0) == power_matrix(mixed, 0)[1]
+    assert bidegree(mixed) is None
+    # the basis runs over all monomials of degree <= 2 in one variable
+    assert monomials == ((0,), (1,), (2,))
     assert matrix.at(1, 1) == GaussianRational(1)
     assert matrix.at(2, 2) == GaussianRational(1)
     assert matrix.at(0, 0) == GaussianRational(0)
@@ -145,12 +145,12 @@ def test_coefficient_matrix_of_mixed_degrees():
 def test_coefficient_basis_refuses_past_the_size_bound():
     # The size is counted in closed form before the basis is enumerated: r *
     # C(n+m-1, m) for one bidegree, r * C(n+cap, cap) for mixed degrees up to cap.
-    assert len(coefficient_basis(parse_expression("z1*zb1", n=1024)).pairs) == 1024
+    assert len(coefficient_basis(parse_expression("z1*zb1", n=1024))) == 1024
     with pytest.raises(ValueError, match="at d=0 has 1025 rows, more than the 1024 allowed"):
         coefficient_basis(parse_expression("z1*zb1", n=1025))
     with pytest.raises(ValueError, match="at d=0 has 100000 rows"):
         coefficient_matrix(parse_expression("z100000*zb100000"))
-    assert len(coefficient_basis(parse_expression("z1*zb1 + 1", n=1023)).pairs) == 1024
+    assert len(coefficient_basis(parse_expression("z1*zb1 + 1", n=1023))) == 1024
     with pytest.raises(ValueError, match="at d=0 has 1025 rows"):
         coefficient_basis(parse_expression("z1*zb1 + 1", n=1024))
     with pytest.raises(ValueError, match="at d=0 has 3000000 rows"):
@@ -174,7 +174,7 @@ def test_no_fraction_is_built_from_reading_a_form_to_its_matrix(monkeypatch):
     monkeypatch.setattr(Fraction, "__new__", counted)
     for form in (parse_expression(text), serialize.obj_to_form(obj, written=True)):
         coefficient_matrix(form)
-        power_rows(form, 2)
+        power_matrix(form, 2)
     monkeypatch.undo()
     assert built == []
 
@@ -242,9 +242,10 @@ def test_gram_coefficient_duality_random():
         s = rng.randint(1, 5)
         a = rand_holo_matrix(rng, n, m, s, r, weighted=bool(rng.getrandbits(1)))
         form = gram(a)
-        matrix, basis = coefficient_matrix(form)
+        matrix, monomials = coefficient_matrix(form)
         pairs = combined_pairs(n, r, m)
-        assert basis.pairs == tuple(pairs)
+        assert [(j // len(monomials), monomials[j % len(monomials)])
+                for j in range(matrix.size)] == pairs
         weights = a.weights or tuple(Fraction(1) for _ in a.rows)
         for u, (i, alpha) in enumerate(pairs):
             for v, (j, beta) in enumerate(pairs):
@@ -267,11 +268,12 @@ def test_evaluate_consistency_with_quadratic_form():
         r = rng.randint(1, 2)
         m = rng.randint(1, 2)
         form = rand_hermsym_form(rng, n, r, m)
-        matrix, basis = coefficient_matrix(form)
+        matrix, monomials = coefficient_matrix(form)
         z = rand_rational_point(rng, n, height=3)
         t = [rand_gauss(rng, 3) for _ in range(r)]
         h = []
-        for i, alpha in basis.pairs:
+        for j in range(matrix.size):
+            i, alpha = j // len(monomials), monomials[j % len(monomials)]
             mono = GaussianRational(Fraction(1))
             for zk, a in zip(z, alpha):
                 mono = mono * zk**a

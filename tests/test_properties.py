@@ -46,8 +46,8 @@ from hermfact.cli import main as cli_main
 from hermfact.factor import _factor_from_parts
 from hermfact.hermform import coefficient_basis
 from hermfact.scalars import ONE, ZERO, SparseRow
-from hermfact.multiindex import multinomial_weights
-from hermfact.stabilize import MODES, power_matrix, power_rows
+from hermfact.multiindex import degree_table
+from hermfact.stabilize import MODES, power_matrix, shifted_rows
 from hermfact.symbols import RealSymbol, _sample_symbol, real_to_complex
 
 from helpers import (
@@ -68,6 +68,7 @@ from helpers import (
     quadratic_value,
     quartic_family,
     reconstructs_target,
+    reference_basis,
     reference_coefficient_matrix,
     reference_congruence_failure,
     reference_evaluate_exact,
@@ -122,9 +123,12 @@ def forms(draw, hermitian: bool, mixed: bool = False):
 @given(data=st.data())
 def test_coefficient_matrix_equals_dense_construction(mixed, data):
     # One bidegree m, on the degree-m basis, or, mostly, mixed degrees, on
-    # the basis of every degree up to the largest.
+    # the basis of every degree up to the largest, degree ascending, then
+    # lexicographically descending.
     form = data.draw(forms(hermitian=True, mixed=mixed))
-    assert coefficient_matrix(form)[0] == reference_coefficient_matrix(form)
+    matrix, monomials = coefficient_matrix(form)
+    assert matrix == reference_coefficient_matrix(form)
+    assert monomials == reference_basis(form) == coefficient_basis(form)
 
 
 @SETTINGS
@@ -331,7 +335,7 @@ def test_exponent_loop_equals_reference_shifts(form):
     for d, step in zip(range(5), reference_exponent_steps(form)):
         shifted = reference_multiplier_power(form, d)
         assert step == coefficient_matrix(shifted)
-        assert from_coefficient_matrix(step[0], form.n, step[1].bidegree, form.r) == shifted
+        assert from_coefficient_matrix(step[0], form.n, sum(step[1][0]), form.r) == shifted
         assert multiplier_power(form, d) == shifted
 
 
@@ -356,7 +360,7 @@ def test_closed_form_rows_equal_the_exponent_loop(form):
     # bidegree-(m + d) basis, which the shifts reach too; the zero form stays
     # at M_0.
     for d, (matrix, basis) in zip(range(7), reference_exponent_steps(form)):
-        assert power_rows(form, d) == matrix
+        assert shifted_rows(form, bidegree(form), d) == matrix
         assert basis == coefficient_basis(form, d)
         assert power_matrix(form, d) == (matrix, basis)
 
@@ -365,10 +369,10 @@ def test_closed_form_rows_equal_the_exponent_loop(form):
 @given(form=stabilization_forms() | st.builds(BihermitianForm.zero, st.integers(2, 3),
                                                st.integers(1, 2)),
        d=st.integers(0, 4))
-def test_coefficient_basis_names_each_row_of_power_rows(form, d):
-    # The one basis rule of M_d: a pair for each of its rows, the zero form's
-    # M_0 past d = 0 too.
-    assert len(coefficient_basis(form, d).pairs) == power_rows(form, d).size
+def test_coefficient_basis_names_each_row_of_m_d(form, d):
+    # The one basis rule of M_d: r monomials for each of its rows, the zero
+    # form's M_0 past d = 0 too.
+    assert form.r * len(coefficient_basis(form, d)) == power_matrix(form, d)[0].size
 
 
 def test_the_zero_form_keeps_the_basis_of_m0():
@@ -379,17 +383,17 @@ def test_the_zero_form_keeps_the_basis_of_m0():
             zero = BihermitianForm.zero(n, r)
             for d in range(5):
                 basis = coefficient_basis(zero, d)
-                assert basis == coefficient_basis(zero) and len(basis.pairs) == r
-                assert power_rows(zero, d).size == r
+                assert basis == coefficient_basis(zero) == ((0,) * n,)
+                assert power_matrix(zero, d) == (HermitianMatrix([{}] * r, [{}] * r, 1), basis)
 
 
-def test_multinomial_weights_are_one_ratio_apart():
-    # Each weight of multinomial_weights is its predecessor's times mu_k over
+def test_degree_table_weights_are_one_ratio_apart():
+    # Each weight of a degree table is its predecessor's times mu_k over
     # mu_last + 1; every one is d!/mu! in the order of enumerate_degree.
     for n in range(1, 6):
         for d in range(13):
-            assert multinomial_weights(n, d) == [multinomial(d, mu)
-                                                 for mu in enumerate_degree(n, d)]
+            assert degree_table(n, d, d.bit_length()).weights == tuple(
+                multinomial(d, mu) for mu in enumerate_degree(n, d))
 
 
 @pytest.mark.parametrize("mode", ["strict", "semi"])
@@ -409,7 +413,7 @@ def test_exponent_loop_keeps_a_cancelled_term_out_of_the_form():
     steps = reference_exponent_steps(form)
     next(steps)
     matrix, _ = next(steps)
-    assert matrix == power_rows(form, 1)
+    assert matrix == power_matrix(form, 1)[0]
     shifted = from_coefficient_matrix(matrix, 2, 2, 1)
     assert shifted == parse_expression("z1^2*zb1^2 - z2^2*zb2^2") == multiplier_shift(form)
     assert matrix == coefficient_matrix(shifted)[0]
@@ -869,7 +873,7 @@ def test_search_witnesses_prove_their_steps_fail_on_drawn_forms(form, strict):
     # a step whose dense M_d has a negative diagonal entry (or, if strict, a
     # zero one) keeps the unit vector at the first such index.
     for step in find_minimal_d(form, "strict" if strict else "semi", 4).steps:
-        matrix = power_rows(form, step.d)
+        matrix, _ = power_matrix(form, step.d)
         failing = [p for p, row in enumerate(matrix.entries)
                    if row[p].re < 0 or (strict and row[p].re == 0)]
         if step.passes:
@@ -1187,7 +1191,7 @@ def _proven_verdicts(command: list[str], form) -> dict:
         d = int(command[-1])
         cert = ldl_signature(coefficient_matrix(reference_multiplier_power(form, d))[0])
         return {"d": d, "factorable": cert.n_neg == 0, "rows": cert.n_pos * (cert.n_neg == 0)}
-    matrix, basis = coefficient_matrix(form)
+    matrix, _ = coefficient_matrix(form)
     cert = ldl_signature(matrix)
     if command[0] == "decompose":
         return {"positive_rank": cert.n_pos, "negative_rank": cert.n_neg,
@@ -1195,16 +1199,18 @@ def _proven_verdicts(command: list[str], form) -> dict:
     mode = command[command.index("--mode") + 1]
     return {"mode": mode, "passes": cert.n_pos == matrix.size if mode == "strict" else
             cert.n_neg == 0, "inertia": {"pos": cert.n_pos, "neg": cert.n_neg, "zero": cert.n_zero},
-            "matrix_size": matrix.size, "bidegree": basis.bidegree}
+            "matrix_size": matrix.size, "bidegree": bidegree(form)}
 
 
 def _read(command: list[str], result: dict):
     """What `verify` reads with a report's artifact for its verdicts and
-    renderings: a check's basis of M_0, or a symbol's form and factor vectors."""
+    renderings: a factor's form, d, vectors and monomials of M_d, or a
+    symbol's form and factor vectors."""
     artifact = result[ARTIFACT_KEY[command[0]]]
-    form = serialize.obj_to_form(artifact["form"], written=True)
     if command[0] != "symbol":
-        return coefficient_basis(form)
+        form, d, vectors, _ = serialize.obj_to_factor(artifact)
+        return form, d, vectors, coefficient_basis(form, d)
+    form = serialize.obj_to_form(artifact["form"], written=True)
     factor = (artifact["stabilization"] or {}).get("factor")
     return form, None if factor is None else serialize._obj_to_vectors(factor)
 
@@ -1277,7 +1283,7 @@ def test_emitted_factor_rows_pass_the_polynomial_row_check(form, d):
     text = serialize.canonical_json(serialize.form_to_obj(form))
     factor = json.loads(_emitted_report(("factor", "-e", text, "--d", str(d))))["result"]["factor"]
     read, d_read, vectors, _ = serialize.obj_to_factor(factor)
-    rows = _factor_from_parts(vectors, coefficient_basis(read, d_read), read.n)
+    rows = _factor_from_parts(vectors, coefficient_basis(read, d_read), read.r)
     target = reference_multiplier_power(form, d)
     written = reference_factor_to_obj(WeightedGramFactor(rows, target))
     assert reconstructs_target(reference_obj_to_factor(json.loads(json.dumps(written))))

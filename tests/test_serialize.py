@@ -1,8 +1,14 @@
+import importlib
+import inspect
 import json
+import pkgutil
 import random
+import typing
 from fractions import Fraction
 
 import pytest
+
+import hermfact
 
 from hermfact import (
     HermitianMatrix,
@@ -96,7 +102,7 @@ def test_factor_round_trip():
     assert (read, d, vectors, witness) == (form, 0, _certificate(form).weighted_vectors(), None)
     # The rows on the basis of M_0 are those of holomorphic_factor.
     basis = coefficient_basis(form)
-    assert _factor_from_parts(vectors, basis, form.n) == holomorphic_factor(form).matrix
+    assert _factor_from_parts(vectors, basis, form.r) == holomorphic_factor(form).matrix
     ok, reason = serialize.verify_obj(obj)
     assert ok, reason
 
@@ -641,8 +647,8 @@ def test_decomposition_factors_serialize_and_verify():
     assert ok, reason
     basis = coefficient_basis(form)
     positive, negative = difference_of_squares(form)
-    assert _factor_from_parts([(w, v) for w, v in vectors if w > 0], basis, 2) == positive.matrix
-    assert _factor_from_parts([(-w, v) for w, v in vectors if w < 0], basis, 2) == negative.matrix
+    assert _factor_from_parts([(w, v) for w, v in vectors if w > 0], basis, 1) == positive.matrix
+    assert _factor_from_parts([(-w, v) for w, v in vectors if w < 0], basis, 1) == negative.matrix
 
 
 def test_empty_factor_round_trip():
@@ -803,3 +809,31 @@ def test_every_artifact_kind_in_the_string_codec_is_a_format_error(make):
     obj = json.loads(json.dumps(make()))
     with pytest.raises(ValueError, match="not in the current certificate format"):
         serialize.verify_obj(obj)
+
+
+def _annotated_functions():
+    """Every function and class the package defines, with the methods,
+    properties and cached properties of each class."""
+    for info in pkgutil.iter_modules(hermfact.__path__):
+        module = importlib.import_module(f"hermfact.{info.name}")
+        for obj in vars(module).values():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isfunction(obj):
+                yield obj
+            elif inspect.isclass(obj):
+                yield obj
+                for item in vars(obj).values():
+                    item = getattr(item, "__func__", getattr(item, "fget", getattr(item, "func",
+                                                                                   item)))
+                    if inspect.isfunction(item):
+                        yield item
+
+
+def test_every_annotation_in_the_package_resolves():
+    # Annotations are strings (`from __future__ import annotations`): each
+    # name in them must be bound in its module, which typing resolves.
+    functions = list(_annotated_functions())
+    assert serialize.stabilization_to_obj in functions and len(functions) > 100
+    for obj in functions:
+        typing.get_type_hints(obj)

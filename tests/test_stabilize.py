@@ -17,7 +17,7 @@ from hermfact import (
     parse_expression,
     stabilization_sweep,
 )
-from hermfact import certify, stabilize
+from hermfact import certify, hermform, stabilize
 from hermfact.scalars import SparseRow
 
 from helpers import (
@@ -285,7 +285,7 @@ def test_the_diagonal_screen_allocates_no_imaginary_rows():
     assert stabilize.shifted_rows(form, 2, 3) == HermitianMatrix.lowest(full_re, full_im,
                                                                         form.den)
     # A real form's M_d has its imaginary rows too, all empty.
-    assert stabilize.power_rows(quartic_family(-1), 3).im == [{}] * 6
+    assert stabilize.power_matrix(quartic_family(-1), 3)[0].im == [{}] * 6
 
 
 def test_readme_library_example_runs():
@@ -346,15 +346,38 @@ def test_the_search_stops_at_the_last_d_within_the_size_bound():
         stabilize.matrix_size(4, 1, 1, 16)
 
 
-def test_power_rows_refuses_a_matrix_past_the_size_bound():
+@pytest.mark.parametrize("text", ["z1^2*zb1^2 - z1*z2*zb1*zb2 + z2^2*zb2^2", "0"])
+def test_power_matrix_checks_the_form_once(monkeypatch, text):
+    # One symmetry scan and bidegree pass per M_d: `coefficient_matrix`'s at
+    # d = 0, power_matrix's own above it, also in `multiplier_power`.
+    form = parse_expression(text, n=2)
+    calls = []
+    checked = hermform.checked_bidegree
+
+    def counted(form):
+        calls.append(form)
+        return checked(form)
+
+    for module in (hermform, stabilize):
+        monkeypatch.setattr(module, "checked_bidegree", counted)
+    for d in range(4):
+        calls.clear()
+        stabilize.power_matrix(form, d)
+        assert calls == [form]
+        calls.clear()
+        multiplier_power(form, d)
+        assert calls == [form]
+
+
+def test_power_matrix_refuses_a_matrix_past_the_size_bound():
     form = parse_expression(FOUR_VARIABLE_SQUARE, n=4)
-    assert stabilize.power_rows(form, 15).size == 969
+    assert stabilize.power_matrix(form, 15)[0].size == 969
     with pytest.raises(ValueError, match="at d=16 has 1140 rows"):
-        stabilize.power_rows(form, 16)
+        stabilize.power_matrix(form, 16)
     with pytest.raises(ValueError, match="allowed"):
         multiplier_power(form, 10**6)
     # M_0, the form's own matrix, is refused past the bound too.
     with pytest.raises(ValueError, match="at d=0 has 4000 rows, more than the 1024 allowed"):
         stabilize.matrix_size(4000, 1, 1, 0)
     # In one variable M_d does not grow: d has no bound, and d!/mu! is 1.
-    assert stabilize.power_rows(parse_expression("2*z1*zb1"), 10**6).re == [{0: 2}]
+    assert stabilize.power_matrix(parse_expression("2*z1*zb1"), 10**6)[0].re == [{0: 2}]
