@@ -433,11 +433,13 @@ def _eliminate(s: list[GaussianRow], strict: bool, stop: bool):
     k) with perm the pivot order and k the witness slot, or None when M
     passes the mode's test.  With `stop` it returns at the first negative
     pivot or hollow block, swapped into place but not eliminated with; diag
-    and blocks then end at that slot."""
+    and blocks then end at that slot.  Only the upper triangle of s is read."""
     n = len(s)
-    # s holds the rows of the working matrix.  Rows before the current step
-    # are finished pivots and are never read again, so an elimination step
-    # only applies row operations: by Hermitian symmetry the matching column
+    # s holds the upper triangle of the working matrix, row t from slot t
+    # on; what lies left of a row's diagonal is never read.  Rows before the
+    # current step are finished pivots and are never read again, so an
+    # elimination step only applies row operations, each to a trailing row
+    # from its diagonal on: by Hermitian symmetry the matching column
     # operations change nothing but the finished pivot rows.  Later swaps
     # still reach a finished row, so at the end row k, right of its diagonal,
     # is conj(column k of L D) in the final pivot coordinates.
@@ -448,6 +450,8 @@ def _eliminate(s: list[GaussianRow], strict: bool, stop: bool):
     # Sylvester's identity each update below then divides exactly.  A step
     # leaves the rows it does not reach at their scale, brings its pivot rows
     # to the current one, and writes rows only right of its pivot slots.
+    # Entry (t, j), t > j, of the working matrix is conj(s[j][t]) read at
+    # row t's scale; that is an integer, the one a full row t would hold.
     den0, scale = s[0].den, 1
     perm = list(range(n))
     diag: list[Fraction] = []
@@ -457,11 +461,32 @@ def _eliminate(s: list[GaussianRow], strict: bool, stop: bool):
     negative: int | None = None
     zero: int | None = None
 
+    def mirrored(x: int, y: int, to: GaussianRow, source: GaussianRow) -> tuple[int, int]:
+        # conj(x + i*y), an entry of the row source, at the scale of the row to
+        if to.den == source.den:
+            return x, -y
+        return x * to.den // source.den, -y * to.den // source.den
+
     def swap(k: int, t: int) -> None:
+        # P M P^T for the transposition of slots k < t on the upper triangle,
+        # as in LAPACK's zhetrf: the diagonal entries trade places, row k
+        # right of slot t trades with row t, (k, t) is conjugated, and
+        # (k, j) trades with conj((j, t)) for k < j < t, each entry kept at
+        # the scale of the row that holds it.  A finished row (a 2x2 step's
+        # second swap reaches row k too) only trades columns k and t.
         if k == t:
             return
-        s[k], s[t] = s[t], s[k]
-        for row in s:  # all rows: a 2x2 step's second swap must reach row k too
+        a, b = s[k], s[t]
+        b.re[k], b.im[k] = b.re[t], b.im[t]
+        b.re[t], b.im[t] = mirrored(a.re[t], a.im[t], b, a)
+        a.re[t], a.im[t] = a.re[k], a.im[k]
+        for j in range(k + 1, t):
+            row = s[j]
+            x, y = row.re[t], row.im[t]
+            row.re[t], row.im[t] = mirrored(a.re[j], a.im[j], row, a)
+            b.re[j], b.im[j] = mirrored(x, y, b, row)
+        s[k], s[t] = b, a
+        for row in s[:k]:
             row.swap(k, t)
         perm[k], perm[t] = perm[t], perm[k]
 
@@ -488,21 +513,26 @@ def _eliminate(s: list[GaussianRow], strict: bool, stop: bool):
         if best is not None:
             swap(k, best)
             (p, *ure), (_, *uim) = rescaled(k)
-            diag.append(Fraction(p, s[k].den))
+            pivot = s[k]
+            diag.append(Fraction(p, pivot.den))
             if p < 0 and negative is None:
                 negative = k
                 if stop:
                     return s, perm, diag, blocks, k
             sign, scale = (1 if p > 0 else -1), abs(p)
-            for row in s[k + 1:]:
-                x, y = row.re[k], row.im[k]
-                if x or y:
-                    # row = (p row - x row k) / (sign(p) sigma), x = row[k], at |p|
+            for t in range(k + 1, n):
+                j = t - k - 1
+                if ure[j] or uim[j]:
+                    row = s[t]
+                    # row = (p row - x row k) / (sign(p) sigma), x = row[k] =
+                    # conj(s[k][t]) at row t's scale, from slot t on, at |p|
+                    x, y = mirrored(ure[j], uim[j], row, pivot)
                     q = row.den // den0 * sign
-                    row.re[k + 1:] = [(p * r - x * u + y * v) // q
-                                      for r, u, v in zip(row.re[k + 1:], ure, uim)]
-                    row.im[k + 1:] = [(p * r - x * v - y * u) // q
-                                      for r, u, v in zip(row.im[k + 1:], ure, uim)]
+                    us, vs = ure[j:], uim[j:]
+                    row.re[t:] = [(p * r - x * u + y * v) // q
+                                  for r, u, v in zip(row.re[t:], us, vs)]
+                    row.im[t:] = [(p * r - x * v - y * u) // q
+                                  for r, u, v in zip(row.im[t:], us, vs)]
                     row.den = scale * den0
             k += 1
             continue
@@ -520,8 +550,9 @@ def _eliminate(s: list[GaussianRow], strict: bool, stop: bool):
         swap(k + 1, u)
         (_, ar, *ure), (_, ai, *uim) = rescaled(k)
         (_, *vre), (_, *vim) = rescaled(k + 1)
+        first, second = s[k], s[k + 1]
         # a = s[k][k+1] = (ar + i*ai) / den; s[k+1][k] = conj(a)
-        blocks.append((k, GaussianRational(Fraction(ar, s[k].den), Fraction(ai, s[k].den))))
+        blocks.append((k, GaussianRational(Fraction(ar, first.den), Fraction(ai, first.den))))
         diag.extend([Fraction(0), Fraction(0)])
         if negative is None:
             negative = k
@@ -529,18 +560,24 @@ def _eliminate(s: list[GaussianRow], strict: bool, stop: bool):
                 return s, perm, diag, blocks, k
         norm = ar * ar + ai * ai
         old, scale = scale, norm // scale
-        for row in s[k + 2:]:
-            xr, xi, yr, yi = row.re[k], row.im[k], row.re[k + 1], row.im[k + 1]
-            if xr or xi or yr or yi:
+        for t in range(k + 2, n):
+            j = t - k - 2
+            if ure[j] or uim[j] or vre[j] or vim[j]:
+                row = s[t]
+                # (x, y) = row[k:k+2], the conjugates of s[k][t] and s[k+1][t]
+                # at row t's scale; both pivot rows are at the scale old
+                xr, xi = mirrored(ure[j], uim[j], row, first)
+                yr, yi = mirrored(vre[j], vim[j], row, second)
                 # row = (|A|^2 row - conj(A) y row k - A x row k+1) / (old sigma),
-                # (x, y) = row[k:k+2], A = ar + i*ai, at |A|^2 / old
+                # from slot t on, A = ar + i*ai, at |A|^2 / old
                 br, bi = ar * yr + ai * yi, ar * yi - ai * yr
                 cr, ci = ar * xr - ai * xi, ar * xi + ai * xr
                 q = row.den // den0 * old
-                row.re[k + 2:] = [(norm * r - br * u + bi * v - cr * w + ci * z) // q
-                                  for r, u, v, w, z in zip(row.re[k + 2:], ure, uim, vre, vim)]
-                row.im[k + 2:] = [(norm * r - br * v - bi * u - cr * z - ci * w) // q
-                                  for r, u, v, w, z in zip(row.im[k + 2:], ure, uim, vre, vim)]
+                tail = ure[j:], uim[j:], vre[j:], vim[j:]
+                row.re[t:] = [(norm * r - br * u + bi * v - cr * w + ci * z) // q
+                              for r, u, v, w, z in zip(row.re[t:], *tail)]
+                row.im[t:] = [(norm * r - br * v - bi * u - cr * z - ci * w) // q
+                              for r, u, v, w, z in zip(row.im[t:], *tail)]
                 row.den = scale * den0
         k += 2
     return s, perm, diag, blocks, zero if negative is None and strict else negative

@@ -21,8 +21,9 @@ from .hermform import (
     coefficient_matrix,
     gram,
 )
-from .multiindex import MultiIndex
+from .multiindex import MultiIndex, enumerate_degree
 from .scalars import GaussianRational, SparseRow
+from .stabilize import shifted_rows
 
 
 @dataclass(eq=True)
@@ -78,8 +79,9 @@ def difference_of_squares(
 
 
 def _holomorphic_factor(form: BihermitianForm, strict: bool) -> WeightedGramFactor | None:
-    checked_bidegree(form)  # bihomogeneous kernels only
-    matrix, monomials = coefficient_matrix(form)
+    # bihomogeneous kernels only, checked once: M_0 in closed form checks only its size
+    m = checked_bidegree(form)
+    matrix, monomials = shifted_rows(form, m, 0), enumerate_degree(form.n, m)
     evidence = mode_evidence(matrix, strict)
     if isinstance(evidence, SparseRow):
         return None

@@ -49,7 +49,8 @@ class BihermitianForm:
     numerator, so forms compare by their fields.  The constructor trusts its
     terms; `read` and `from_terms` are the checked entry points, and
     `mirrored` takes terms its caller has checked.  Treated as immutable:
-    what evaluation reads is built once, on first use."""
+    what evaluation reads, and whether the form is Hermitian-symmetric, is
+    found once, on first use."""
 
     n: int
     r: int
@@ -107,7 +108,9 @@ class BihermitianForm:
         support = dict(zip([(j, i, beta, alpha) for i, j, alpha, beta in keys],
                            [(x, -y) for x, y in values]))
         support.update(zip(keys, values))
-        return cls(n, r, support, den)
+        form = cls(n, r, support, den)
+        form.hermitian = True
+        return form
 
     @classmethod
     def zero(cls, n: int, r: int = 1) -> "BihermitianForm":
@@ -116,6 +119,15 @@ class BihermitianForm:
     def coefficient(self, i: int, j: int, alpha, beta) -> GaussianRational:
         x, y = self.support.get((i, j, tuple(alpha), tuple(beta)), (0, 0))
         return GaussianRational(Fraction(x, self.den), Fraction(y, self.den))
+
+    @cached_property
+    def hermitian(self) -> bool:
+        """True iff coefficient(i, j, a, b) == conj(coefficient(j, i, b, a))
+        throughout, compared in the numerators over the form's one
+        denominator; a `mirrored` form is so by construction, unscanned."""
+        support = self.support
+        return all(support.get((j, i, beta, alpha)) == (x, -y)
+                   for (i, j, alpha, beta), (x, y) in support.items())
 
     @cached_property
     def _evaluation(self) -> tuple:
@@ -280,14 +292,12 @@ def hermitian_defect(matrix: HermitianMatrix) -> str | None:
 
 def is_hermitian_symmetric(form: BihermitianForm) -> bool:
     """True iff coefficient(i, j, a, b) == conj(coefficient(j, i, b, a))
-    throughout, compared in the numerators over the form's one denominator.
+    throughout (`BihermitianForm.hermitian`).
 
     Equivalent to F(z, zbar) taking Hermitian matrix values (real values for
     r = 1) at every point.
     """
-    support = form.support
-    return all(support.get((j, i, beta, alpha)) == (x, -y)
-               for (i, j, alpha, beta), (x, y) in support.items())
+    return form.hermitian
 
 
 def bidegree(form: BihermitianForm) -> int | None:

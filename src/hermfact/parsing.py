@@ -23,9 +23,18 @@ all, each product charged the product of its factors' term counts before it
 is expanded.
 
 The tokens are the strings of one regex findall, each one's kind told from its
-text, read by index.  A ParseError's position is looked up only when a parse
-fails, by scanning the text again; the first character that starts no token
-is then the error, whatever else failed.
+text, read by index.  Two of them are lexemes of a whole factor: a
+parenthesised constant, whose text holds only digits, '/', '+', '-', '*', 'i'
+and spaces, such as (2-3*i), and a variable to an integer power, such as
+z1^4, with no '^' or '/' after it.  A constant's text is read by the grammar
+on its own tokens, once per distinct text in a parse; a power goes through
+the parse's cache of variables.  Any other token is one atom's or one
+operator's.
+
+A ParseError's position is looked up only when a parse fails, by scanning the
+text again: the first character that starts no atom's token is then the
+error, whatever else failed, and otherwise the error is at its token, or at
+its character inside a lexeme.
 """
 
 from __future__ import annotations
@@ -44,13 +53,20 @@ class ParseError(ValueError):
 
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
-        self.position = position
+        self.message, self.position = message, position
 
 
-# No group, so findall returns token strings: a number starts with a digit, a
-# variable with z or x and is longer, an operator or 'i' is one character; any
-# other token is bad, a lone character or an 'i' run into a letter or digit.
-_TOKEN_RE = re.compile(r"[0-9]+(?:/[0-9]+)?|(?:zb|z|x)[0-9]+|i\w?|[-+*^(),\[\]]|\S")
+# No group, so findall returns token strings.  The atoms' tokens: a number
+# starts with a digit, a variable with z or x and is longer, an operator or
+# 'i' is one character; any other token is bad, a lone character or an 'i'
+# run into a letter or digit.  _TOKEN_RE reads a constant or a power as one
+# lexeme first.  Both lexemes end where an atom's token ends, so the atoms'
+# tokens of the text are those around and inside them; a power's exponent is
+# the whole number after its caret, and one followed by '^' or '/' is left to
+# the atoms, whose grammar refuses it.
+_ATOM = r"[0-9]+(?:/[0-9]+)?|(?:zb|z|x)[0-9]+|i\w?|[-+*^(),\[\]]|\S"
+_ATOM_RE = re.compile(_ATOM)
+_TOKEN_RE = re.compile(r"\([-+*/ 0-9i]+\)|(?:zb|z|x)[0-9]+\^[0-9]+(?![/0-9]|\s*\^)|" + _ATOM)
 _DIGITS = frozenset("0123456789")
 _SINGLES = frozenset("-+*^(),[]i")
 
@@ -63,6 +79,7 @@ _Coeff = tuple[int, int, int]
 _MonoKey = tuple[tuple[int, int], ...]
 _ExprPoly = dict[_MonoKey, _Coeff]
 _ONE: _Coeff = (1, 0, 1)
+_ZERO: _Coeff = (0, 0, 1)
 _KINDS = ("z", "zb", "x")
 
 
@@ -129,41 +146,64 @@ MAX_EXPANSION = 1 << 18
 
 
 class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _TOKEN_RE.findall(text) + [""]  # "" is the end of the text
+    def __init__(self, text: str, lexer: re.Pattern = _TOKEN_RE):
+        self.text, self.lexer = text, lexer
+        self.tokens = lexer.findall(text) + [""]  # "" is the end of the text
         self.cursor = 0
-        self.variables: dict[str, _MonoKey] = {}  # each variable token read so far
+        self.variables: dict[str, _MonoKey] = {}  # each variable or power token read so far
+        self.constants: dict[str, _Coeff] = {}  # each constant lexeme read so far, 0 as _ZERO
         self.work = 0  # the coefficient products expanded so far
         # 0 is no limit, as on Pythons before 3.10.7; 8**limit < 10**limit < 2**bits.
         self.limit = getattr(sys, "get_int_max_str_digits", int)()
         self.small, self.bits = 1 << 3 * self.limit, int(self.limit * 3.3219280948873626) + 1
 
-    def error(self, message: str, k: int) -> ParseError:
-        """The error of a parse that fails at token k: at the first bad
-        character of the text if it has one, else message at token k."""
-        position = len(self.text)
-        for j, m in enumerate(_TOKEN_RE.finditer(self.text)):
+    def error(self, message: str, k: int, offset: int = 0) -> ParseError:
+        """The error of a parse that fails at token k, offset characters into
+        it: at the first bad character of the text if it has one, else
+        message there."""
+        text = self.text
+        for m in _ATOM_RE.finditer(text):
             token = m.group()
             if not (token in _SINGLES or token[0] in _DIGITS or token[0] in "zx" and len(token) > 1):
                 bad = "non-rational literal" if token == "." else f"unexpected character {token[0]!r}"
                 return ParseError(bad, m.start())
+        for j, m in enumerate(self.lexer.finditer(text)):
             if j == k:
-                position = m.start()
-        return ParseError(message, position)
+                return ParseError(message, m.start() + offset)
+        return ParseError(message, len(text))
 
-    def number(self, digits: str, k: int) -> int:
+    def number(self, digits: str, k: int, offset: int = 0) -> int:
         if self.limit and len(digits) > self.limit:
-            raise self.error(f"number has more than {self.limit} digits", k)
+            raise self.error(f"number has more than {self.limit} digits", k, offset)
         return int(digits)
 
     def variable(self, token: str, k: int) -> _MonoKey:
-        kind = 1 if token[1] == "b" else _KINDS.index(token[0])
-        index = self.number(token[len(_KINDS[kind]):], k)
+        """The monomial of a variable, or of a power lexeme such as z1^4,
+        at token k, kept for the rest of the parse."""
+        name, caret, digits = token.partition("^")
+        kind = 1 if name[1] == "b" else _KINDS.index(name[0])
+        index = self.number(name[len(_KINDS[kind]):], k)
         if index < 1:
-            raise self.error(f"unknown variable {token!r}", k)
-        self.variables[token] = mono = ((3 * index + kind, 1),)
+            raise self.error(f"unknown variable {name!r}", k)
+        e = self.number(digits, k, len(name) + 1) if caret else 1
+        self.variables[token] = mono = ((3 * index + kind, e),) if e else ()
         return mono
+
+    def constant(self, token: str, k: int) -> _Coeff:
+        """The value of the constant lexeme at token k, _ZERO for 0, kept for
+        the rest of the parse: the grammar's '(' expr ')' read on the atoms'
+        tokens of its text, which has no variable, so it charges nothing to
+        the expansion budget.  An error inside it is named at its character
+        in the whole text."""
+        inner = _Parser(token, _ATOM_RE)
+        inner.cursor = 1
+        try:
+            poly = inner.parse_expr()
+            inner.expect(")")
+        except ParseError as error:
+            raise self.error(error.message, k, error.position) from None
+        self.constants[token] = c = poly.get((), _ZERO)
+        return c
 
     def product(self, p: _ExprPoly, q: _ExprPoly, k: int) -> _ExprPoly:
         """p * q, refused at token k if it takes the parse past MAX_EXPANSION
@@ -206,8 +246,11 @@ class _Parser:
             parsed = self.parse_list(lambda: self.parse_list(self.parse_expr))
         else:
             parsed = self.parse_expr()
-        if self.tokens[self.cursor]:
-            raise self.error(f"unexpected trailing input {self.tokens[self.cursor]!r}", self.cursor)
+        token = self.tokens[self.cursor]
+        if token:
+            # named by its first atom's token: the '(' of a constant, the variable of a power
+            raise self.error(f"unexpected trailing input {_ATOM_RE.match(token).group()!r}",
+                             self.cursor)
         return parsed
 
     def parse_list(self, item) -> list:
@@ -247,7 +290,7 @@ class _Parser:
         their powers and signs, fold into one coefficient and one exponent
         map; only a factor of two or more terms, or of none, is a polynomial,
         multiplied in by _poly_mul at the end."""
-        tokens, variables = self.tokens, self.variables
+        tokens, variables, constants = self.tokens, self.variables, self.constants
         k = self.cursor
         coeff, exps, polys, star = _ONE, {}, [], k
         while True:
@@ -269,6 +312,10 @@ class _Parser:
                     if len(poly) == 1:
                         ((mono, c),) = poly.items()
                         poly = None
+                elif t[:1] == "(":  # a constant lexeme
+                    c = constants.get(t) or self.constant(t, at)
+                    if c == _ZERO:
+                        c, poly = _ONE, {}
                 elif t[:1] in _DIGITS:
                     num, _, den = t.partition("/")
                     d = self.number(den, at) if den else 1

@@ -6,6 +6,7 @@ import pytest
 
 from hermfact import (
     GaussianRational,
+    GaussianRow,
     SparseRow,
     HermitianMatrix,
     coefficient_matrix,
@@ -543,3 +544,83 @@ def test_fraction_free_updates_equal_the_lowest_terms_kernel(case):
             assert s[k].den == abs(minor) * den
         minor *= cert.diag[k] * den
         k += 1
+
+
+def _sparse_matrix(rng, size):
+    """A Hermitian matrix with about half its entries 0 and den 6, so rows
+    skipped by a step keep an older scale than the rows it updates."""
+    rows = [[GaussianRational(0)] * size for _ in range(size)]
+    for i in range(size):
+        if rng.random() < 0.6:
+            rows[i][i] = GaussianRational(Fraction(rng.randint(-5, 5), rng.choice((1, 2, 3))))
+        for j in range(i + 1, size):
+            if rng.random() < 0.4:
+                c = GaussianRational(Fraction(rng.randint(-4, 4), rng.choice((1, 2))),
+                                     Fraction(rng.randint(-4, 4), rng.choice((1, 3))))
+                rows[i][j], rows[j][i] = c, c.conjugate()
+    return HermitianMatrix.from_rows(rows)
+
+
+def test_elimination_reads_only_the_upper_triangle():
+    # Junk left of the diagonal of each block's working rows changes nothing:
+    # the same pivots, hollow blocks and witness slot, and every row the same
+    # right of its diagonal, at the same scale.
+    rng = random.Random(34)
+    matrices = [matrix for matrix, _ in EXACT_DIVISION_CASES.values()]
+    for trial in range(120):
+        size = rng.randint(2, 10)
+        matrices.append((rand_hermitian_matrix(rng, size, 9), _hollow_matrix(rng, size),
+                         _singular_matrix(rng, size), _sparse_matrix(rng, size))[trial % 4])
+    hollow = negative = 0
+    for matrix in matrices:
+        for indices, rows in certify._blocks(matrix):
+            if isinstance(rows, tuple):
+                continue
+            junk = [GaussianRow(row.re[:], row.im[:], row.den) for row in rows]
+            for t, row in enumerate(junk):
+                row.re[:t] = [rng.randint(-99, 99) for _ in range(t)]
+                row.im[:t] = [rng.randint(-99, 99) for _ in range(t)]
+            for strict, stop in ((False, False), (True, False), (False, True), (True, True)):
+                want = certify._eliminate([GaussianRow(row.re[:], row.im[:], row.den)
+                                           for row in rows], strict, stop)
+                got = certify._eliminate([GaussianRow(row.re[:], row.im[:], row.den)
+                                          for row in junk], strict, stop)
+                assert got[1:] == want[1:]
+                assert [(row.re[t:], row.im[t:], row.den) for t, row in enumerate(got[0])] == [
+                    (row.re[t:], row.im[t:], row.den) for t, row in enumerate(want[0])]
+            hollow += bool(want[3])
+            negative += any(d < 0 for d in want[2])
+    assert hollow > 30 and negative > 30
+
+
+def _dense_workload_matrix(rng, size, definite):
+    """A one-block matrix as the benchmark's dense forms have: Gaussian-integer
+    entries of height at most 5, indefinite with one negative and one positive
+    diagonal entry, or A A^adj + I."""
+    if definite:
+        return _aa_star_plus_one(size, 5, rng.randrange(10**6))
+    diag = {p: rng.randint(-5, 5) for p in range(size)}
+    negative, positive = rng.sample(range(size), 2)
+    diag[negative], diag[positive] = -rng.randint(1, 5), rng.randint(1, 5)
+    return _hermitian([diag[p] for p in range(size)],
+                      {(p, q): (rng.randint(-5, 5), rng.randint(-5, 5))
+                       for p in range(size) for q in range(p + 1, size)})
+
+
+@pytest.mark.parametrize("definite", [False, True], ids=["indefinite", "aa-star-plus-one"])
+def test_dense_matrices_match_the_reference_kernel(definite):
+    # Seed 11, sizes across the benchmark's 10 to 24: the permutation, D and L
+    # of the GaussianRational reference kernel, and a certificate that verifies.
+    rng = random.Random(11)
+    for size in (10, 14, 19, 24):
+        matrix = _dense_workload_matrix(rng, size, definite)
+        cert, want = ldl_signature(matrix), reference_ldl_signature(matrix)
+        [(block, _, (perm, lower, diag, hollow))] = block_layouts(reference_layout(cert))
+        assert list(block) == list(range(size)) and not hollow
+        assert (perm, diag) == (want.permutation, want.diag)
+        for k, entries in enumerate(lower):
+            assert entries == tuple((j, want.transform_inv[perm[j]][k])
+                                    for j in range(k + 1, size) if want.transform_inv[perm[j]][k])
+        assert inertia(cert) == inertia(want)
+        assert cert.n_pos == size if definite else cert.n_neg > 0
+        assert cert.verify() == (True, "ok")

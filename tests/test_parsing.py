@@ -304,3 +304,81 @@ def test_the_expansion_budget_boundary(monkeypatch):
     with pytest.raises(ParseError) as info:
         parse_expression(text.format(6))
     assert info.value.position == 14
+
+
+@pytest.mark.parametrize(
+    "text, message, position",
+    [
+        ("(1/0)*z1*zb1", "zero denominator", 1),
+        ("z1*zb1 + (1/0)*z2*zb2", "zero denominator", 10),  # inside a later constant
+        ("(2+)*z1*zb1", "unexpected token ')'", 3),
+        ("(2 3)*z1*zb1", "expected ')'", 3),
+        ("(2i)*z1*zb1", "expected ')'", 2),
+        ("(1//2)*z1*zb1", "unexpected character '/'", 2),
+        ("(i+ii)*z1", "unexpected character 'i'", 3),
+        ("()*z1", "unexpected token ')'", 1),
+        ("z1*zb1 (2+i)", "unexpected trailing input '('", 7),  # a constant, named by its '('
+        ("2 z1^2", "unexpected trailing input 'z1'", 2),  # a power, named by its variable
+        ("z0^2*zb1", "unknown variable 'z0'", 0),
+        ("z1^2^3", "unexpected trailing input '^'", 4),
+        ("z1^2 ^3", "unexpected trailing input '^'", 5),
+        ("z1^2/3*zb1", "exponent must be a nonnegative integer", 3),
+        ("(2+i)^z1^2", "exponent must be a nonnegative integer", 6),
+        ("(2*i^2)*z1^2^3", "unexpected trailing input '^'", 12),
+    ],
+)
+def test_an_error_in_a_lexeme_is_named_at_its_character(text, message, position):
+    # A constant or a power is one token, but its errors are those of the
+    # atoms it is made of, at their characters in the whole text.
+    with pytest.raises(ParseError) as info:
+        parse_expression(text)
+    assert str(info.value) == f"{message} (at position {position})"
+    assert (info.value.message, info.value.position) == (message, position)
+
+
+@pytest.mark.parametrize(
+    "text, position",
+    [
+        ("(2+i)^99999999*z1*zb1", 5),  # at the caret after a constant
+        ("(" + "1" * 641 + "+i)*z1*zb1", 1),  # a number inside a constant
+        ("z1*zb1 + (" + "9" * 400 + "*" + "9" * 400 + "*i)*z1*zb1", 410),  # its inner '*'
+        ("z1^" + "1" * 641 + "*zb1", 3),  # the exponent of a power
+        ("z" + "1" * 641 + "^2*zb1", 0),  # the index of a power's variable
+    ],
+)
+def test_the_digit_limit_inside_a_lexeme(digit_limit_640, text, position):
+    with pytest.raises(ParseError) as info:
+        parse_expression(text)
+    assert info.value.position == position
+    assert "more than 640 digits" in str(info.value)
+
+
+def test_constants_and_powers_are_one_lexeme_each():
+    assert parsing._TOKEN_RE.findall("(2-3*i)*z1^4*zb2 + ( 1/2 + i )*z1 ^ 2") == [
+        "(2-3*i)", "*", "z1^4", "*", "zb2", "+", "( 1/2 + i )", "*", "z1", "^", "2"]
+    # '^' is no constant's character, and a power followed by '^' or '/' is
+    # left to the atoms
+    assert parsing._TOKEN_RE.findall("(2*i^2)") == ["(", "2", "*", "i", "^", "2", ")"]
+    assert parsing._TOKEN_RE.findall("z1^2^3 z1^2 ^3 z1^2/3") == [
+        "z1", "^", "2", "^", "3", "z1", "^", "2", "^", "3", "z1", "^", "2/3"]
+
+
+def test_a_lexeme_parses_as_its_atoms():
+    assert parse_expression("z1*z2^2") == parse_expression("z1*z2*z2")
+    assert parse_expression("z1*z2^2").support == {(0, 0, (1, 2), (0, 0)): (1, 0)}
+    assert parse_expression("(2*i^2)*z1*zb1").coefficient(0, 0, (1,), (1,)) == GaussianRational(-2)
+    assert parse_expression("( 2 + i )*z1 ^ 2*zb1 ^ 0") == parse_expression("(2+i)*z1^2")
+    assert parse_expression("z1^0*zb1^0 + (0)*z1 + (1-1)^0") == parse_expression("2")
+    assert parse_expression("(0)^0*z1^2*zb1^2 - (0)^3") == parse_expression("z1^2*zb1^2")
+
+
+def test_a_repeated_constant_is_not_shared_between_terms():
+    # Each distinct constant text is read once a parse, yet every term gets
+    # its own polynomial: changing one parsed entry leaves the others as read.
+    for constant, value in (("(2+i)", {(): (2, 1, 1)}), ("(0)", {}), ("z1^2", {((3, 2),): _ONE})):
+        rows = _Parser(f"[[{constant}, {constant}], [{constant}, {constant}]]").parse_input()
+        rows[0][0][((6, 1),)] = (5, 0, 1)
+        assert rows[0][0] != value
+        assert rows[0][1] == rows[1][0] == rows[1][1] == value
+    form = parse_expression(" + ".join(f"(3-2*i)*z1^{k}*zb1^{k}" for k in range(6)))
+    assert set(form.support.values()) == {(3, -2)} and len(form.support) == 6
