@@ -21,9 +21,8 @@ from .hermform import (
     coefficient_matrix,
     gram,
 )
-from .multiindex import MultiIndex, enumerate_degree
+from .multiindex import MultiIndex
 from .scalars import GaussianRational, SparseRow
-from .stabilize import shifted_rows
 
 
 @dataclass(eq=True)
@@ -79,9 +78,8 @@ def difference_of_squares(
 
 
 def _holomorphic_factor(form: BihermitianForm, strict: bool) -> WeightedGramFactor | None:
-    # bihomogeneous kernels only, checked once: M_0 in closed form checks only its size
-    m = checked_bidegree(form)
-    matrix, monomials = shifted_rows(form, m, 0), enumerate_degree(form.n, m)
+    checked_bidegree(form)  # bihomogeneous kernels only
+    matrix, monomials = coefficient_matrix(form)
     evidence = mode_evidence(matrix, strict)
     if isinstance(evidence, SparseRow):
         return None

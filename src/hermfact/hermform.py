@@ -49,8 +49,8 @@ class BihermitianForm:
     numerator, so forms compare by their fields.  The constructor trusts its
     terms; `read` and `from_terms` are the checked entry points, and
     `mirrored` takes terms its caller has checked.  Treated as immutable:
-    what evaluation reads, and whether the form is Hermitian-symmetric, is
-    found once, on first use."""
+    what evaluation reads, whether the form is Hermitian-symmetric and its
+    bidegree are found once, on first use."""
 
     n: int
     r: int
@@ -128,6 +128,14 @@ class BihermitianForm:
         support = self.support
         return all(support.get((j, i, beta, alpha)) == (x, -y)
                    for (i, j, alpha, beta), (x, y) in support.items())
+
+    @cached_property
+    def bidegree(self) -> int | None:
+        """The common m with |alpha| = |beta| = m over all terms; None if
+        mixed.  The zero form is reported as bidegree 0."""
+        keys = self.support.keys()
+        degrees = set(map(sum, map(itemgetter(2), keys))) | set(map(sum, map(itemgetter(3), keys)))
+        return None if len(degrees) > 1 else max(degrees, default=0)
 
     @cached_property
     def _evaluation(self) -> tuple:
@@ -301,18 +309,18 @@ def is_hermitian_symmetric(form: BihermitianForm) -> bool:
 
 
 def bidegree(form: BihermitianForm) -> int | None:
-    """The common m with |alpha| = |beta| = m over all terms; None if mixed.
+    """The common m with |alpha| = |beta| = m over all terms; None if mixed
+    (`BihermitianForm.bidegree`).
 
     The zero form is reported as bidegree 0.
     """
-    keys = form.support.keys()
-    degrees = set(map(sum, map(itemgetter(2), keys))) | set(map(sum, map(itemgetter(3), keys)))
-    return None if len(degrees) > 1 else max(degrees, default=0)
+    return form.bidegree
 
 
 def checked_bidegree(form: BihermitianForm) -> int:
     """The single bidegree of a Hermitian-symmetric form, the one check of
-    both: a ValueError names the first condition that fails."""
+    both: a ValueError names the first condition that fails.  The form
+    keeps both facts, so checking it again scans nothing."""
     if not is_hermitian_symmetric(form):
         raise ValueError("form is not Hermitian-symmetric")
     m = bidegree(form)

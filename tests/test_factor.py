@@ -17,8 +17,7 @@ from hermfact import (
     scale,
     strict_holomorphic_factor,
 )
-from hermfact import factor as factor_module
-from hermfact import hermform, serialize, stabilize
+from hermfact import hermform, serialize
 from hermfact.stabilize import power_matrix
 from hermfact.symbols import sphere_sample_points
 
@@ -224,57 +223,41 @@ def test_numeric_factor_reconstruction_on_sphere():
 
 @pytest.fixture
 def scans(monkeypatch):
-    """The symmetry scans and bidegree passes that hermform makes, in order,
-    each with the form it reads; `checked_bidegree` is counted as one call
-    wherever it is bound."""
+    """The symmetry scans and bidegree passes made over forms, in order, each
+    with the form it reads."""
     calls = []
-    checked, degrees = hermform.checked_bidegree, hermform.bidegree
-    symmetric = hermform.BihermitianForm.hermitian.func
+    for name in ("hermitian", "bidegree"):
+        scan = getattr(hermform.BihermitianForm, name).func
 
-    def counted_checked(form):
-        calls.append(("checked_bidegree", form))
-        return checked(form)
+        def counted(form, name=name, scan=scan):
+            calls.append((name, form))
+            return scan(form)
 
-    def counted_bidegree(form):
-        calls.append(("bidegree", form))
-        return degrees(form)
-
-    def counted_symmetric(form):
-        calls.append(("hermitian", form))
-        return symmetric(form)
-
-    for module in (hermform, factor_module, stabilize):
-        if hasattr(module, "checked_bidegree"):
-            monkeypatch.setattr(module, "checked_bidegree", counted_checked)
-    monkeypatch.setattr(hermform, "bidegree", counted_bidegree)
-    prop = functools.cached_property(counted_symmetric)
-    prop.__set_name__(hermform.BihermitianForm, "hermitian")
-    monkeypatch.setattr(hermform.BihermitianForm, "hermitian", prop)
+        prop = functools.cached_property(counted)
+        prop.__set_name__(hermform.BihermitianForm, name)
+        monkeypatch.setattr(hermform.BihermitianForm, name, prop)
     return calls
 
 
 @pytest.mark.parametrize("factorize", [holomorphic_factor, strict_holomorphic_factor])
-def test_a_holomorphic_factor_checks_the_form_once(scans, factorize):
-    # One symmetry scan and one bidegree pass, and the same two refusals.
-    for text, expected in (("z1^2*zb1^2 + z2^2*zb2^2 + z1*z2*zb1*zb2", (1, 1)),
-                           ("z1*zb1 - z2*zb2", None)):
+def test_a_holomorphic_factor_scans_the_form_once(scans, factorize):
+    # Its own check refuses mixed degrees before M_0 is built, which checks
+    # the form again: one symmetry scan and one bidegree pass in all, and the
+    # same two refusals.
+    for text, rows in (("z1^2*zb1^2 + z2^2*zb2^2 + z1*z2*zb1*zb2", 3), ("z1*zb1 - z2*zb2", None)):
         form = parse_expression(text)
         scans.clear()
         factor = factorize(form)
-        assert scans == [("checked_bidegree", form), ("hermitian", form), ("bidegree", form)]
-        if expected is None:
-            assert factor is None
-        elif factorize is holomorphic_factor:
-            assert factor is not None and len(factor.rows) == 3
-    for text, message in (("1 + z1*zb1", "^form has mixed bidegrees$"),
-                          ("z1*zb2", "^form is not Hermitian-symmetric$")):
+        assert scans == [("hermitian", form), ("bidegree", form)]
+        assert (factor and len(factor.rows)) == rows
+    for text, message, scanned in (
+            ("1 + z1*zb1", "^form has mixed bidegrees$", ["hermitian", "bidegree"]),
+            ("z1*zb2", "^form is not Hermitian-symmetric$", ["hermitian"])):
         form = parse_expression(text, n=2)
         scans.clear()
         with pytest.raises(ValueError, match=message):
             factorize(form)
-        assert scans[0] == ("checked_bidegree", form)
-        assert [name for name, _ in scans].count("hermitian") == 1
-        assert [name for name, _ in scans].count("bidegree") <= 1
+        assert scans == [(name, form) for name in scanned]
 
 
 def test_a_mirrored_form_is_never_scanned_for_symmetry(scans):
@@ -287,5 +270,4 @@ def test_a_mirrored_form_is_never_scanned_for_symmetry(scans):
     assert read == form
     scans.clear()
     assert power_matrix(read, 0) == coefficient_matrix(form)
-    assert [call for call in scans if call[1] is read] == [
-        ("checked_bidegree", read), ("bidegree", read)]
+    assert [call for call in scans if call[1] is read] == [("bidegree", read)]
