@@ -16,23 +16,27 @@ has one positive and one negative eigenvalue.  The elimination is
 fraction-free (Bareiss, Math. Comp. 22, 1968): each row update is one exact
 division, with no gcd.
 
-The certificate is the factorization P M P^T = L D L^adj itself: L unit lower
-triangular, D diagonal apart from the hollow blocks; the inertia of M is that
-of D.  Equivalently M = sum_k w_k v_k v_k^adj over the weighted vectors that
-`SignatureCertificate.weighted_vectors` reads off L and D, which is how the
-certificate is checked and how factors are extracted.  Joined from blocks, P
-keeps each block's indices together and L is block diagonal, so each v_k
-lives on its block's indices and nothing about the blocks needs storing.
+The elimination is P M P^T = L D L^adj: L unit lower triangular, D diagonal
+apart from the hollow blocks.  The certificate holds what that proves, M =
+sum_k w_k v_k v_k^adj over the weighted vectors that `_vectors` reads once
+off the finished pivot rows, with no L built: by Sylvester's law of inertia
+the signs of the weights are the inertia of M.  It also holds a witness
+exactly when a weight is negative (or, strict, when M is singular).  One
+check, `certificate_failure`, proves both, for a certificate in memory and on
+the wire.  Joined from blocks, P keeps each block's indices together and L is
+block diagonal, so each v_k lives on its block's indices and nothing about
+the blocks needs storing.
 
-Every vector of a certificate (the columns of L, the witness, each v_k) is a
-sparse row (`scalars.SparseRow`) read straight off the integer pivot rows of
-the elimination, so building, checking and extracting cost the nonzeros of L.
-GaussianRational appears only in the hollow blocks of D.
+Every vector of a certificate (the witness and each v_k) is a sparse row
+(`scalars.SparseRow`) of Gaussian integers of content 1, read straight off
+the integer pivot rows of the elimination, so building, checking and
+extracting cost the nonzeros of those rows.  GaussianRational appears only in
+the hollow blocks of D.
 
 A caller that needs only the evidence of one test, PSD or PD, calls
 `mode_evidence`, which runs the same elimination: it stops at the first
 failing block, at its first negative pivot or hollow block, and gives the
-witness `ldl_signature` would, without building L; a passing matrix gives its
+witness `ldl_signature` would, reading no vectors; a passing matrix gives its
 certificate's weighted vectors.
 
 M is a `hermform.HermitianMatrix`, integer dict rows over one denominator.
@@ -47,7 +51,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from math import gcd, lcm
+from math import gcd
 from operator import itemgetter, lt
 
 from .hermform import HermitianMatrix, hermitian_defect
@@ -62,23 +66,25 @@ from .scalars import (
 
 @dataclass(eq=True)
 class SignatureCertificate:
-    """Checkable pivoted LDL*: P * matrix * P^T = L D L^adj.
+    """What a pivoted LDL*, P * matrix * P^T = L D L^adj, proves about M: its
+    weighted vectors, M = sum w v v^adj, and its witness.
 
-    Pivot slot j holds matrix index `permutation[j]`.  `lower[k]` is column
-    k of L below its unit diagonal, in pivot coordinates: its entry at j,
-    k < j < n ascending, is L[j][k]; every other entry below the diagonal is
-    0.  D has `diag` on its diagonal (0 at block slots) and, for each (k, a)
-    in `blocks`, the hollow block [[0, a], [conj(a), 0]] at slots k, k + 1.
+    `vectors` are the pairs (w, v), w != 0, in slot order, read off the
+    pivot rows (`_vectors`); by Sylvester's law of inertia the signs of the
+    weights are the inertia of M.  `witness` is v with v^adj M v < 0, present
+    exactly when M is not PSD.  A `strict` certificate, which decides
+    positive definiteness, also has one when M is PSD but singular: a null
+    vector v != 0, so v^adj M v <= 0 in either case.
 
-    `witness` is v with v^adj M v < 0, present exactly when M is not PSD.  A
-    `strict` certificate, which decides positive definiteness, also has one
-    when M is PSD but singular: a null vector v != 0, so v^adj M v <= 0 in
-    either case.
+    `permutation`, `diag` and `blocks` record the pivots: slot j holds matrix
+    index `permutation[j]`, and D has `diag` on its diagonal (0 at block
+    slots) and, for each (k, a) in `blocks`, the hollow block
+    [[0, a], [conj(a), 0]] at slots k, k + 1.
     """
 
     matrix: HermitianMatrix
     permutation: tuple[int, ...]
-    lower: tuple[SparseRow, ...]
+    vectors: list[tuple[Fraction, SparseRow]]
     diag: tuple[Fraction, ...]
     blocks: tuple[tuple[int, GaussianRational], ...]
     witness: SparseRow | None
@@ -90,92 +96,68 @@ class SignatureCertificate:
 
     @cached_property
     def inertia(self) -> tuple[int, int]:
-        """(n_pos, n_neg): the inertia of M is that of D, counted once: the
-        signs of `diag`, plus one of each for every hollow block."""
-        blocks = len(self.blocks)
-        return blocks + sum(d > 0 for d in self.diag), blocks + sum(d < 0 for d in self.diag)
-
-    @property
-    def n_pos(self) -> int:
-        return self.inertia[0]
-
-    @property
-    def n_neg(self) -> int:
-        return self.inertia[1]
-
-    @property
-    def n_zero(self) -> int:
-        return self.size - self.n_pos - self.n_neg
-
-    def weighted_vectors(self) -> list[tuple[Fraction, SparseRow]]:
-        """(w, v) pairs, w != 0, with matrix = sum w v v^adj exactly.
-
-        c_k is column k of P^T L: `lower[k]` with its indices mapped through
-        `permutation`, and 1 at permutation[k].  In slot order, each nonzero
-        d_k gives (d_k, c_k), and each hollow block a at slots k, k + 1, with
-        x = c_k and y = conj(a) c_{k+1}, gives (1/2, x + y) and (-1/2, x - y),
-        since a c_k c_{k+1}^adj + conj(a) c_{k+1} c_k^adj is their sum.  So
-        they pass `independence_failure`: read in reverse, c_k adds
-        permutation[k], and x + y pairs with x - y.  Each pair (w, c) is then
-        given as (w * g^2 / den^2, v): c = (g / den) v, where v is a
-        Gaussian-integer vector of content 1, over den = 1, and g the content
-        of c's numerators.  So the vectors are written as they are held.
-        """
-        return _weighted_vectors(self.permutation, self.lower, self.diag, self.blocks)
+        """(n_pos, n_neg): the signs of the weights; n_zero is the rest of size."""
+        return sum(w > 0 for w, _ in self.vectors), sum(w < 0 for w, _ in self.vectors)
 
     def verify(self) -> tuple[bool, str]:
-        """Re-check every claim by exact arithmetic; returns (ok, reason)."""
-        n = self.size
-        if sorted(self.permutation) != list(range(n)):
-            return False, "permutation is not a permutation"
-        if len(self.diag) != n or len(self.lower) != n or (
-                self.witness is not None and not _ascends_between(-1, self.witness, n)):
-            return False, "component sizes disagree"
-        for k, column in enumerate(self.lower):
-            if not _ascends_between(k, column, n):
-                return False, "lower is not strictly lower triangular in pivot order"
-        end = -1
-        for k, a in self.blocks:
-            if not end < k < n - 1 or a.is_zero() or self.diag[k] or self.diag[k + 1]:
-                return False, "blocks are not disjoint hollow 2x2 pivots"
-            end = k + 1
+        """Re-check every claim by exact arithmetic (`certificate_failure`)
+        on a Hermitian M; returns (ok, reason)."""
         if hermitian_defect(self.matrix) is not None:
             return False, "matrix is not Hermitian"
-        reason = congruence_failure(self.matrix, self.weighted_vectors())
-        if reason is not None:
-            return False, reason
-        if self.witness is None:
-            if self.n_neg > 0:
-                return False, "negative inertia without witness"
-            if self.strict and self.n_zero > 0:
-                return False, "zero inertia without witness"
-            return True, "ok"
-        reason = witness_failure(self.matrix, self.witness, self.strict)
+        reason = certificate_failure(self.matrix, self.vectors, self.witness, self.strict)
         return (True, "ok") if reason is None else (False, reason)
 
 
-def _weighted_vectors(perm, lower, diag, blocks) -> list[tuple[Fraction, SparseRow]]:
-    """`SignatureCertificate.weighted_vectors` of the pieces of a certificate."""
+def _vectors(s: list[GaussianRow], order: list[int], diag, blocks
+             ) -> list[tuple[Fraction, SparseRow]]:
+    """The weighted vectors of a block, in slot order, read off the finished
+    pivot rows s of its full elimination, slot k at M's index order[k].
 
-    def column(k: int) -> SparseRow:
-        den = lower[k].den
-        return SparseRow(tuple(sorted([(perm[k], den, 0)] + [
-            (perm[j], x, y) for j, x, y in lower[k].entries])), den)
+    Row k, right of its diagonal, is conj(column k of L D) in pivot
+    coordinates (`_eliminate`).  So at a pivot d_k = p / den, p = s[k][k],
+    column k of P^T L is c_k = u / p, u = p e_k + sum_j conj(s[k][j]) e_j,
+    and it gives (d_k, c_k).  At a hollow block a = A / den at slots k, k + 1,
+    whose inverse is [[0, 1/conj(a)], [1/a, 0]], with row k + 1 over den',
+    x = c_k and y = conj(a) c_{k+1} are, over |A|^2 den den',
+        x = |A|^2 den den' e_k + den^2 conj(A) sum_j conj(s[k+1][j]) e_j and
+        y = |A|^2 den' sum_j conj(s[k][j]) e_j,
+    and they give (1/2, x + y) and (-1/2, x - y), since a c_k c_{k+1}^adj +
+    conj(a) c_{k+1} c_k^adj is their sum.  So the vectors pass
+    `independence_failure`: read in reverse, c_k adds order[k], and x + y
+    pairs with x - y.  Each pair (w, c) is then given as (w * g^2 / den^2,
+    v) (`_primitive`), which signs v so that its entry at order[k] is
+    positive."""
 
-    out = [(k, d, column(k)) for k, d in enumerate(diag) if d]
-    for k, a in blocks:
-        x, y = column(k), column(k + 1)
-        # x + sign * conj(a) y over x.den * y.den * da, with a = (ar + i*ai) / da
-        da = lcm(a.re.denominator, a.im.denominator)
-        ar, ai, sx, sy = int(a.re * da), int(a.im * da), y.den * da, x.den
-        for w, sign in ((Fraction(1, 2), 1), (Fraction(-1, 2), -1)):
-            acc = {j: (u * sx, v * sx) for j, u, v in x.entries}
-            for j, u, v in y.entries:
-                p, q = acc.get(j, (0, 0))
-                acc[j] = p + sign * sy * (ar * u + ai * v), q + sign * sy * (ar * v - ai * u)
-            out.append((k, w, SparseRow.lowest(
-                ((j, p, q) for j, (p, q) in sorted(acc.items()) if p or q), x.den * sx)))
-    return [_primitive(w, v) for _, w, v in sorted(out, key=itemgetter(0))]
+    def conjugated(row: GaussianRow, start: int, cr: int, ci: int) -> list:
+        # (order[j], conj(row[j]) * (cr + i*ci)) at the nonzero row[j], j >= start
+        re, im = row.re, row.im
+        return [(order[j], re[j] * cr + im[j] * ci, re[j] * ci - im[j] * cr)
+                for j in nonzero_indices(re, im, start)]
+
+    hollow = dict(blocks)
+    out = []
+    for k, d in enumerate(diag):
+        if d:
+            p = s[k].re[k]
+            sign = 1 if p > 0 else -1
+            entries = sorted([(order[k], abs(p), 0), *conjugated(s[k], k + 1, sign, 0)])
+            out.append(_primitive(d, SparseRow(tuple(entries), abs(p))))
+        elif k in hollow:
+            ar, ai, den, den1 = s[k].re[k + 1], s[k].im[k + 1], s[k].den, s[k + 1].den
+            norm = ar * ar + ai * ai
+            x = {j: (re, im) for j, re, im in conjugated(s[k + 1], k + 2, den * den * ar,
+                                                         -den * den * ai)}
+            x[order[k]] = norm * den * den1, 0
+            y = conjugated(s[k], k + 1, norm * den1, 0)
+            for w, sign in ((Fraction(1, 2), 1), (Fraction(-1, 2), -1)):
+                acc = dict(x)
+                for j, u, v in y:
+                    p, q = acc.get(j, (0, 0))
+                    acc[j] = p + sign * u, q + sign * v
+                out.append(_primitive(w, SparseRow(
+                    tuple((j, p, q) for j, (p, q) in sorted(acc.items()) if p or q),
+                    norm * den * den1)))
+    return out
 
 
 def _primitive(w: Fraction, c: SparseRow) -> tuple[Fraction, SparseRow]:
@@ -214,8 +196,10 @@ def _ascends_between(low: int, row: SparseRow, high: int) -> bool:
 
 
 def witness_failure(matrix: HermitianMatrix, v: SparseRow, strict: bool) -> str | None:
-    """Why v does not prove that `matrix` fails the mode's test: v^adj M v < 0,
-    or v != 0 and <= 0 if strict."""
+    """Why v, indices inside M, does not prove that `matrix` fails the mode's
+    test: v^adj M v < 0, or v != 0 and <= 0 if strict."""
+    if not _ascends_between(-1, v, matrix.size):
+        return "witness index out of range"
     if strict and not any(x or y for _, x, y in v.entries):
         return "witness is zero"
     value = matrix.quadratic_value(v)
@@ -271,6 +255,23 @@ def factor_failure(matrix: HermitianMatrix, vectors, strict: bool, signed: bool 
     return None if reason is None else f"factor: {reason}"
 
 
+def certificate_failure(matrix: HermitianMatrix, vectors, witness: SparseRow | None,
+                        strict: bool) -> str | None:
+    """Why the weighted vectors (w, v) and witness of a certificate do not
+    prove what they claim about `matrix`, or None: the vectors are a signed
+    factor of M (`factor_failure`), so their weights' signs are its inertia,
+    and the witness (`witness_failure`) is present exactly when a weight is
+    negative, or, if strict, when there are fewer vectors than rows."""
+    reason = factor_failure(matrix, vectors, strict=False, signed=True)
+    if reason is not None:
+        return reason
+    if (witness is not None) != (any(w < 0 for w, _ in vectors)
+                                 or (strict and len(vectors) < matrix.size)):
+        return ("witness is not present exactly when a weight is negative"
+                + (" or the vectors are fewer than the rows" if strict else ""))
+    return None if witness is None else witness_failure(matrix, witness, strict)
+
+
 def _primitive_witness(entries: list[tuple[int, int, int]]) -> SparseRow:
     # nonzero entries (j, re, im), j ascending, over plus or minus their content:
     # Gaussian integers with content 1, the first one's real sign fixed, which
@@ -297,11 +298,11 @@ def ldl_signature(matrix: HermitianMatrix, strict: bool = False) -> SignatureCer
     if not isinstance(matrix, HermitianMatrix):
         matrix = HermitianMatrix.from_rows(matrix)
     parts, witness = _eliminate_blocks(matrix, strict, stop=False)
-    perm, lower, diag, blocks = _joined(parts)
+    perm, vectors, diag, blocks = _joined(parts)
     return SignatureCertificate(
         matrix=matrix,
         permutation=perm,
-        lower=lower,
+        vectors=vectors,
         diag=diag,
         blocks=blocks,
         witness=witness,
@@ -311,10 +312,11 @@ def ldl_signature(matrix: HermitianMatrix, strict: bool = False) -> SignatureCer
 
 def mode_evidence(
     matrix: HermitianMatrix, strict: bool
-) -> SparseRow | list[tuple[Fraction, SparseRow]]:
-    """The evidence of the mode's test on M, PD if `strict` and PSD if not:
-    `ldl_signature(M, strict).witness` when M fails it, and otherwise that
-    certificate's weighted vectors, every weight positive.
+) -> tuple[list[tuple[Fraction, SparseRow]] | None, SparseRow | None]:
+    """The evidence of the mode's test on M, PD if `strict` and PSD if not,
+    (vectors, None) or (None, witness): `ldl_signature(M, strict)`'s witness
+    when M fails it, and otherwise that certificate's weighted vectors, every
+    weight positive.
 
     The blocks are eliminated in order, and the first failing block stops
     at its first negative pivot or hollow block (or, if strict, its first
@@ -322,13 +324,11 @@ def mode_evidence(
     slot, at columns up to its slot, and `perm` up to its slot; later steps
     swap and change only later slots, so the witness is the one the full
     elimination gives.  Only the blocks before it are eliminated to the end,
-    and L is built only for a passing matrix.
+    and vectors are read only for a passing matrix.
     """
     parts, witness = _eliminate_blocks(matrix, strict, stop=True)
-    if witness is not None:
-        return witness
     # A PSD certificate has no hollow blocks, so every weight is a positive pivot.
-    return _weighted_vectors(*_joined(parts))
+    return (None, witness) if witness is not None else (_joined(parts)[1], None)
 
 
 def _component(start: int, neighbours, seen: list[bool]) -> list[int]:
@@ -407,24 +407,23 @@ def _eliminate_blocks(matrix, strict: bool, stop: bool):
 
 
 def _joined(parts):
-    """(permutation, lower, diag, blocks) of the certificate of M from the
+    """(permutation, vectors, diag, blocks) of the certificate of M from the
     parts of its blocks (`_eliminate_blocks`), joined in block order: a
     block's slots follow the slots of the blocks before it."""
-    perm, lower, diag, blocks = [], [], [], []
+    perm, vectors, diag, blocks = [], [], [], []
     for indices, s, block_perm, block_diag, block_blocks in parts:
         if s is None:
             perm.append(indices[0])
-            lower.append(SparseRow(()))
             diag.append(Fraction(*block_diag))
+            if diag[-1]:
+                vectors.append((diag[-1], SparseRow(((indices[0], 1, 0),))))
             continue
-        offset = len(diag)
-        perm += [indices[p] for p in block_perm]
-        lower += [column if not offset else SparseRow(
-            tuple((j + offset, x, y) for j, x, y in column.entries), column.den)
-            for column in _lower(s, block_diag, block_blocks)]
+        order = [indices[p] for p in block_perm]
+        blocks += [(k + len(diag), a) for k, a in block_blocks]
+        perm += order
         diag += block_diag
-        blocks += [(k + offset, a) for k, a in block_blocks]
-    return tuple(perm), tuple(lower), tuple(diag), tuple(blocks)
+        vectors += _vectors(s, order, block_diag, block_blocks)
+    return tuple(perm), vectors, tuple(diag), tuple(blocks)
 
 
 def _eliminate(s: list[GaussianRow], strict: bool, stop: bool):
@@ -581,31 +580,6 @@ def _eliminate(s: list[GaussianRow], strict: bool, stop: bool):
                 row.den = scale * den0
         k += 2
     return s, perm, diag, blocks, zero if negative is None and strict else negative
-
-
-def _lower(s: list[GaussianRow], diag, blocks) -> tuple[SparseRow, ...]:
-    """The columns of L read off the finished pivot rows of a full elimination:
-    L[j][k] = conj(s[k][j]) / d_k, and for a block a at k, k+1, whose inverse
-    is [[0, 1/conj(a)], [1/a, 0]], L[j][k] = conj(s[k+1][j]) / a and
-    L[j][k+1] = conj(s[k][j]) / conj(a)."""
-
-    def column(row: GaussianRow, start: int, cr: int, ci: int, q: int) -> SparseRow:
-        # conj(row[j]) * (cr + i*ci) / q at the nonzero row[j], j >= start, for
-        # cr + i*ci and q nonzero; the row's own denominator is left to the caller
-        re, im = row.re, row.im
-        return SparseRow.lowest(((j, re[j] * cr + im[j] * ci, re[j] * ci - im[j] * cr)
-                                 for j in nonzero_indices(re, im, start)), q)
-
-    lower = [SparseRow(())] * len(diag)
-    for k, d in enumerate(diag):
-        if d:
-            lower[k] = column(s[k], k + 1, 1, 0, s[k].re[k])
-    for k, _ in blocks:
-        ar, ai, dk = s[k].re[k + 1], s[k].im[k + 1], s[k].den
-        norm = ar * ar + ai * ai
-        lower[k] = column(s[k + 1], k + 2, ar * dk, -ai * dk, s[k + 1].den * norm)
-        lower[k + 1] = column(s[k], k + 2, ar, ai, norm)
-    return tuple(lower)
 
 
 def _witness(s: list[GaussianRow], perm: list[int], blocks, k: int) -> SparseRow:

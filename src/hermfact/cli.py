@@ -114,8 +114,8 @@ def _certified(form, d: int) -> tuple[dict, tuple]:
     except ValueError as exc:
         raise InputProblem(str(exc)) from exc
     cert = ldl_signature(matrix)
-    vectors = cert.weighted_vectors()
-    return serialize.factor_to_obj(form, d, vectors, cert.witness), (form, d, vectors, monomials)
+    return (serialize.factor_to_obj(form, d, cert.vectors, cert.witness),
+            (form, d, cert.vectors, monomials))
 
 
 def cmd_check(args) -> int:
@@ -141,16 +141,16 @@ def cmd_stabilize(args) -> int:
 
 def cmd_factor(args) -> int:
     started = time.perf_counter()
+    if args.numeric and not 0 <= args.float_digits <= serialize.MAX_FLOAT_DIGITS:
+        raise InputProblem(
+            f"float digits must be an integer from 0 to {serialize.MAX_FLOAT_DIGITS}")
     form, text = _load_form(args, parse_expression)
     command = ["factor", "--d", str(args.d)]
     factor, read = _certified(form, args.d)
     result = {"factor": factor}
-    try:
-        if args.numeric:
-            # the rendering takes the factor as built, not read back from result
-            result.update(serialize.run_renderings(command, result, args.float_digits, read))
-    except ValueError as exc:
-        raise InputProblem(str(exc)) from exc
+    if args.numeric:
+        # the rendering takes the factor as built, not read back from result
+        result.update(serialize.run_renderings(command, result, args.float_digits, read))
     report = _finish(args, command, text, result, started)
     return EXIT_PASS if report["verdicts"]["factorable"] else EXIT_FAIL
 

@@ -68,7 +68,7 @@ def difference_of_squares(
     negative.target exactly.
     """
     matrix, monomials = coefficient_matrix(form)
-    pairs = ldl_signature(matrix).weighted_vectors()
+    pairs = ldl_signature(matrix).vectors
     pos_matrix = _factor_from_parts([(w, v) for w, v in pairs if w > 0], monomials, form.r)
     neg_matrix = _factor_from_parts([(-w, v) for w, v in pairs if w < 0], monomials, form.r)
     return (
@@ -80,11 +80,11 @@ def difference_of_squares(
 def _holomorphic_factor(form: BihermitianForm, strict: bool) -> WeightedGramFactor | None:
     checked_bidegree(form)  # bihomogeneous kernels only
     matrix, monomials = coefficient_matrix(form)
-    evidence = mode_evidence(matrix, strict)
-    if isinstance(evidence, SparseRow):
+    vectors, _ = mode_evidence(matrix, strict)
+    if vectors is None:
         return None
     # A PSD certificate has no blocks, so every weight is a positive pivot.
-    return WeightedGramFactor(_factor_from_parts(evidence, monomials, form.r), form)
+    return WeightedGramFactor(_factor_from_parts(vectors, monomials, form.r), form)
 
 
 def holomorphic_factor(form: BihermitianForm) -> WeightedGramFactor | None:

@@ -29,11 +29,10 @@ from itertools import chain, compress
 from math import gcd
 from operator import eq, le, lt, or_
 
-from .certify import factor_failure, witness_failure
+from .certify import certificate_failure, factor_failure, witness_failure
 from .factor import _factor_from_parts, numeric_factor
 from .hermform import (
     BihermitianForm,
-    HermitianMatrix,
     bidegree,
     checked_bidegree,
     coefficient_basis,
@@ -280,7 +279,7 @@ def _obj_to_vectors(items, what="a stabilization factor must be null or a list o
 
 def certificate_to_obj(vectors: list, witness: SparseRow | None) -> dict:
     """The evidence of a certificate of M: its weighted vectors
-    (`SignatureCertificate.weighted_vectors`), M = sum w v v^adj, as [[p, q],
+    (`SignatureCertificate.vectors`), M = sum w v v^adj, as [[p, q],
     [[j, re, im], ...]] in slot order, and its witness's nonzero entries [j,
     re, im], or null."""
     return {"vectors": _vectors_to_obj(vectors),
@@ -425,14 +424,6 @@ def embedded_artifacts(obj):
             stack.extend(item)
 
 
-def _witness_failure(matrix: HermitianMatrix, record, v: SparseRow, strict: bool) -> str | None:
-    """Why the witness v, read from its entries `record`, does not prove that
-    `matrix` fails the mode's test."""
-    if record and not 0 <= record[0][0] <= record[-1][0] < matrix.size:
-        return "witness index out of range"
-    return witness_failure(matrix, v, strict)
-
-
 def _d_min(search: dict) -> int | None:
     """The d_min that a search's evidence proves: with a factor, the d after
     the trail's witness, or 0 with no witness; else None."""
@@ -461,7 +452,7 @@ def _verify_search(form: BihermitianForm, strict: bool, search: dict
             and type(d_max) is int and d_max >= 0):
         raise ValueError(f"{FORMAT_ERROR}: a stabilization report needs a trail of at most one "
                          "witness [d, [[j, re, im], ...]] and a nonnegative integer d_max")
-    witnesses = [(d, entries, _obj_to_sparse(entries)) for d, entries in trail]
+    witnesses = [(d, _obj_to_sparse(entries)) for d, entries in trail]
     vectors = None if factor is None else _obj_to_vectors(factor)
     n, r, m = form.n, form.r, checked_bidegree(form)
     witness_ds, d_min = [d for d, _ in trail], _d_min(search)
@@ -475,8 +466,8 @@ def _verify_search(form: BihermitianForm, strict: bool, search: dict
                     ), None
     elif d_min > d_max:
         return (False, "factor runs past d_max"), None
-    for d, entries, v in witnesses:
-        reason = _witness_failure(shifted_rows(form, m, d), entries, v, strict)
+    for d, v in witnesses:
+        reason = witness_failure(shifted_rows(form, m, d), v, strict)
         if reason is not None:
             return (False, f"trail d={d}: {reason}"), None
     reason = (None if d_min is None
@@ -681,8 +672,8 @@ def run_renderings(command: list[str], result: dict, float_digits: int | None = 
         return {"numeric_factor": {
             "kind": "numeric_factor",
             "float_digits": float_digits,
-            "rows": [[{"alpha": list(alpha), "value": [coeff.real, coeff.imag]}
-                      for poly in row for alpha, coeff in sorted(poly.items())]
+            "rows": [[{"i": i, "alpha": list(alpha), "value": [coeff.real, coeff.imag]}
+                      for i, poly in enumerate(row, 1) for alpha, coeff in sorted(poly.items())]
                      for row in rows],
         }}
     return {}
@@ -733,11 +724,7 @@ def _verify_factor(obj: dict) -> tuple[tuple[bool, str], tuple]:
     vectors, monomials of M_d)."""
     form, d, vectors, witness = obj_to_factor(obj)
     matrix, monomials = power_matrix(form, d)
-    reason = factor_failure(matrix, vectors, strict=False, signed=True)
-    if reason is None and (witness is not None) != any(w < 0 for w, _ in vectors):
-        reason = "witness is not present exactly when a weight is negative"
-    if reason is None and witness is not None:
-        reason = _witness_failure(matrix, obj["witness"], witness, strict=False)
+    reason = certificate_failure(matrix, vectors, witness, strict=False)
     return ((True, "ok") if reason is None else (False, reason)), (form, d, vectors, monomials)
 
 

@@ -7,7 +7,7 @@ one step at a time (`search_steps`), so that `symbol` can stop it.  Each
 failing exponent has one witness vector v with v* M_d v < 0 (semi) or v != 0
 and v* M_d v <= 0 (strict): the unit vector e_p at the first index p whose
 diagonal entry M_pp = e_p* M_d e_p is negative (or zero, if strict), else
-the witness of the elimination, which stops there and builds no L
+the witness of the elimination, which stops there and reads no vectors
 (`certify.mode_evidence`).  The passing step keeps only the weighted vectors
 of its certificate, M_d = sum w v v* with every w > 0, which are the
 coefficient vectors of a factor of <z, w>^d F.  Passing is monotone in d (if
@@ -222,12 +222,11 @@ def search_steps(
         # e_p* M_d e_p = M_pp, whose numerator over den > 0 has its sign
         p = next((q for q, x in enumerate(map(dict.get, rows, range(len(rows)), repeat(0)))
                   if x < 0 or (strict and not x)), None)
-        evidence = (SparseRow(((p, 1, 0),)) if p is not None
-                    else mode_evidence(shifted_rows(form, m, d), strict))
-        witness = evidence if isinstance(evidence, SparseRow) else None
+        vectors, witness = ((None, SparseRow(((p, 1, 0),))) if p is not None
+                            else mode_evidence(shifted_rows(form, m, d), strict))
         report.steps.append(StabilizationStep(d, len(rows), witness))
         if witness is None:
-            report.d_min, report.vectors = d, evidence
+            report.d_min, report.vectors = d, vectors
         yield report
         if report.found():
             return

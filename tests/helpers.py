@@ -178,7 +178,7 @@ def quadratic_value(matrix: HermitianMatrix, vec) -> GaussianRational:
 def evidence(cert: SignatureCertificate) -> tuple[list, SparseRow | None]:
     """The weighted vectors and witness of a certificate, which
     `serialize.factor_to_obj` and `certificate_to_obj` write."""
-    return cert.weighted_vectors(), cert.witness
+    return cert.vectors, cert.witness
 
 
 def reference_basis(form: BihermitianForm) -> tuple[MultiIndex, ...]:
@@ -516,7 +516,7 @@ def reference_find_minimal_d(form: BihermitianForm, mode: str, d_max: int):
         report.steps.append(step)
         if step.passes:
             report.d_min = d
-            report.vectors = cert.weighted_vectors()
+            report.vectors = cert.vectors
             return report
     return report
 
@@ -545,10 +545,10 @@ def reference_matrix_obj(matrix: HermitianMatrix) -> list:
 # GaussianRational entries that the integer-row kernel in hermfact.certify
 # replaced.  It keeps the older hollow step (a unit row combination instead
 # of a 2x2 pivot) and tracks W^-1 beside W, so on inputs without a hollow step
-# the package must emit the same permutation, diagonal and witness, and its L
-# must be that W^-1 in pivot coordinates.  reference_verify re-checks the
-# package's certificate format by dense products and must give the same
-# verdicts as verify.
+# the package must emit the same permutation, diagonal and witness, and the
+# weighted vectors of that W^-1, which is L in pivot coordinates.
+# reference_verify re-checks the package's certificate by dense products and
+# must give the same verdicts as verify.
 
 
 ZERO = GaussianRational()
@@ -714,27 +714,42 @@ def reference_ldl_signature(matrix: HermitianMatrix) -> ReferenceCertificate:
 
 
 # ---------------------------------------------------------------------------
-# the certificate layout before its vectors were SparseRows
+# the reference record of L
 #
-# The reference kernels below emit, and reference_verify, dense_lower and
-# reference_weighted_vectors read, each column of L as (j, GaussianRational)
-# pairs and the witness as a dense GaussianRational tuple.
-# `reference_layout` is the one converter from the package's certificates.
+# The package's certificate holds its weighted vectors and no L.  The
+# reference kernels below keep L, each column as (j, GaussianRational) pairs,
+# and the witness as a dense GaussianRational tuple, in a `ReferenceLDL`;
+# reference_weighted_vectors reads the vectors the package must give off it.
 
 # (index, value) pairs: the entries of a column of L below its diagonal in
 # pivot coordinates, or the hollow blocks (k, a) of D.
 Entries = tuple[tuple[int, GaussianRational], ...]
 
 
-def reference_layout(cert: SignatureCertificate) -> SignatureCertificate:
-    """cert with each `lower` column as Entries and its witness dense."""
-    def entries(row: SparseRow) -> Entries:
-        return tuple((j, GaussianRational(Fraction(x, row.den), Fraction(y, row.den)))
-                     for j, x, y in row.entries)
+@dataclass
+class ReferenceLDL:
+    """P * matrix * P^T = L D L^adj: pivot slot j holds matrix index
+    `permutation[j]`, `lower[k]` is column k of L below its unit diagonal in
+    pivot coordinates, D has `diag` on its diagonal and a hollow block
+    [[0, a], [conj(a), 0]] at slots k, k + 1 for each (k, a) in `blocks`;
+    `witness` is dense, or None."""
 
-    return dataclasses.replace(
-        cert, lower=tuple(entries(column) for column in cert.lower),
-        witness=None if cert.witness is None else dense(cert.witness, cert.size))
+    matrix: HermitianMatrix
+    permutation: tuple[int, ...]
+    lower: tuple[Entries, ...]
+    diag: tuple[Fraction, ...]
+    blocks: tuple[tuple[int, GaussianRational], ...]
+    witness: tuple | None
+
+    @property
+    def size(self) -> int:
+        return self.matrix.size
+
+    @property
+    def inertia(self) -> tuple[int, int]:
+        """(n_pos, n_neg) of D: the signs of `diag`, and one of each per block."""
+        blocks = len(self.blocks)
+        return blocks + sum(d > 0 for d in self.diag), blocks + sum(d < 0 for d in self.diag)
 
 
 def reference_blocks(matrix: HermitianMatrix) -> list[tuple[int, ...]]:
@@ -764,24 +779,26 @@ def reference_blocks(matrix: HermitianMatrix) -> list[tuple[int, ...]]:
 
 def block_layouts(cert: SignatureCertificate) -> list:
     """(block, submatrix, pieces) for each of `reference_blocks(cert.matrix)`,
-    in order, where pieces are the permutation, `lower`, `diag` and hollow
-    `blocks` of the certificate (in `reference_layout`) at the next
-    len(block) slots, read in the block's own indices and slots: the
+    in order, where pieces are the permutation, the weighted vectors (w, v),
+    v dense, the `diag` and the hollow `blocks` of the certificate at the
+    next len(block) slots (a slot gives one vector per nonzero d_k, and two
+    per hollow block), read in the block's own indices and slots: the
     certificate of the submatrix, if the blocks were eliminated apart and
     their slots joined in that order.  Any other index in the permutation
     reads as None."""
-    entries, out, offset = cert.matrix.entries, [], 0
+    entries, size, out, offset, first = cert.matrix.entries, cert.size, [], 0, 0
     for block in reference_blocks(cert.matrix):
         local = {p: i for i, p in enumerate(block)}
         end = offset + len(block)
-        pieces = (tuple(local.get(p) for p in cert.permutation[offset:end]),
-                  tuple(tuple((j - offset, c) for j, c in column)
-                        for column in cert.lower[offset:end]),
-                  cert.diag[offset:end],
-                  tuple((k - offset, a) for k, a in cert.blocks if offset <= k < end))
+        diag = cert.diag[offset:end]
+        hollow = tuple((k - offset, a) for k, a in cert.blocks if offset <= k < end)
+        last = first + sum(1 for d in diag if d) + 2 * len(hollow)
+        vectors = [(w, tuple(dense(v, size)[p] for p in block))
+                   for w, v in cert.vectors[first:last]]
+        pieces = (tuple(local.get(p) for p in cert.permutation[offset:end]), vectors, diag, hollow)
         sub = HermitianMatrix.from_rows([[entries[p][q] for q in block] for p in block])
         out.append((block, sub, pieces))
-        offset = end
+        offset, first = end, last
     return out
 
 
@@ -808,11 +825,10 @@ def reference_entries_to_obj(entries) -> list[list]:
             for j, c in entries]
 
 
-def reference_certificate_obj(cert: SignatureCertificate) -> dict:
+def reference_certificate_obj(cert: ReferenceLDL) -> dict:
     """The standalone `signature_certificate` writer of the format before
-    `check` wrote weighted vectors on its form, over the reference layout: the
-    dense matrix, L's columns, the blocks and the witness's nonzero entries as
-    [j, re, im]."""
+    `check` wrote weighted vectors on its form: the dense matrix, L's
+    columns, the blocks and the witness's nonzero entries as [j, re, im]."""
     return {
         "kind": "signature_certificate",
         "size": cert.size,
@@ -954,19 +970,18 @@ def assert_equals_lowest_terms_kernel(matrix: HermitianMatrix) -> None:
             want_evidence = certify.mode_evidence(matrix, strict)
         for field in dataclasses.fields(cert):
             assert getattr(cert, field.name) == getattr(want, field.name), (strict, field.name)
-        assert cert.weighted_vectors() == want.weighted_vectors()
         assert evidence == want_evidence, strict
 
 
 # ---------------------------------------------------------------------------
 # the integer-row certification kernel as it was before strict certificates
 #
-# Without `strict`, `ldl_signature` must emit the same permutation, lower,
-# diag, blocks and witness; with it, only the witness may differ, by a null
-# vector where a singular PSD matrix had none.
+# Without `strict`, `ldl_signature` must emit the same permutation, diag,
+# blocks, witness and the weighted vectors of its L; with it, only the
+# witness may differ, by a null vector where a singular PSD matrix had none.
 
 
-def reference_integer_ldl_signature(matrix: HermitianMatrix) -> SignatureCertificate:
+def reference_integer_ldl_signature(matrix: HermitianMatrix) -> ReferenceLDL:
     """`ldl_signature` before strict certificates: exact pivoted LDL* with
     inertia and an indefiniteness witness.
 
@@ -1033,7 +1048,7 @@ def reference_integer_ldl_signature(matrix: HermitianMatrix) -> SignatureCertifi
         slots = sorted(range(n), key=perm.__getitem__)
         witness = _primitive_witness(GaussianRow([yr[c] for c in slots], [yi[c] for c in slots]))
 
-    return SignatureCertificate(
+    return ReferenceLDL(
         matrix=matrix,
         permutation=tuple(perm),
         lower=tuple(lower),
@@ -1043,31 +1058,36 @@ def reference_integer_ldl_signature(matrix: HermitianMatrix) -> SignatureCertifi
     )
 
 
-def dense_lower(cert: SignatureCertificate):
-    """V = P^T L as dense rows in the matrix's own coordinates: its column k is
-    1 at permutation[k] and L[j][k] at permutation[j]."""
-    n, perm = cert.size, cert.permutation
-    rows = [[ZERO] * n for _ in range(n)]
-    for k, entries in enumerate(cert.lower):
-        rows[perm[k]][k] = ONE
-        for j, c in entries:
-            rows[perm[j]][k] = c
-    return tuple(tuple(row) for row in rows)
+def reference_block_ldl(matrix: HermitianMatrix) -> ReferenceLDL:
+    """`reference_integer_ldl_signature` on each of `reference_blocks`, its
+    pieces joined in block order, as `ldl_signature` joins its blocks: a
+    block's slots follow those of the blocks before it, and the witness is
+    the first failing block's."""
+    entries, size = matrix.entries, matrix.size
+    perm, lower, diag, blocks, witness = [], [], [], [], None
+    for block in reference_blocks(matrix):
+        part = reference_integer_ldl_signature(
+            HermitianMatrix.from_rows([[entries[p][q] for q in block] for p in block]))
+        offset = len(diag)
+        perm += [block[p] for p in part.permutation]
+        lower += [tuple((j + offset, c) for j, c in column) for column in part.lower]
+        diag += part.diag
+        blocks += [(k + offset, a) for k, a in part.blocks]
+        if witness is None and part.witness is not None:
+            witness = embedded(part.witness, block, size)
+    return ReferenceLDL(matrix, tuple(perm), tuple(lower), tuple(diag), tuple(blocks), witness)
 
 
-def dense_d(cert: SignatureCertificate):
-    """D as dense rows: the diagonal plus the hollow 2x2 blocks."""
-    n = cert.size
-    rows = [[GaussianRational(cert.diag[i]) if i == j else ZERO for j in range(n)] for i in range(n)]
-    for k, a in cert.blocks:
-        rows[k][k + 1] = a
-        rows[k + 1][k] = a.conjugate()
-    return tuple(tuple(row) for row in rows)
+def reference_vectors(matrix: HermitianMatrix) -> list:
+    """The weighted vectors that `ldl_signature(matrix).vectors` must hold,
+    each v dense: those of the L of `reference_block_ldl`, folded to content
+    1 (`reference_primitive`)."""
+    return reference_primitive(reference_weighted_vectors(reference_block_ldl(matrix)))
 
 
-def reference_weighted_vectors(cert: SignatureCertificate):
-    """SignatureCertificate.weighted_vectors as dense length-n GaussianRational
-    tuples, the form the sparse rows replaced.
+def reference_weighted_vectors(cert: ReferenceLDL):
+    """The weighted vectors of an LDL* as dense length-n GaussianRational
+    tuples.
 
     v_k is column k of P^T L: v_k[permutation[k]] = 1 and
     v_k[permutation[j]] = L[j][k].  In slot order, each nonzero d_k gives
@@ -1100,7 +1120,7 @@ def reference_weighted_vectors(cert: SignatureCertificate):
 
 def reference_primitive(pairs):
     """Weighted vectors (w, v), v a dense tuple of GaussianRationals, as
-    SignatureCertificate.weighted_vectors gives them: v = (g / den) u, with
+    SignatureCertificate.vectors holds them: v = (g / den) u, with
     den the lcm of v's denominators and g the content of v * den, gives
     (w g^2 / den^2, u), u Gaussian integers of content 1."""
     out = []
@@ -1118,11 +1138,11 @@ def _integer_entries(vector) -> list[list[int]]:
 
 
 def reference_evidence_obj(cert: SignatureCertificate) -> dict:
-    """`serialize.certificate_to_obj` over the reference layout: each weighted
-    vector, folded to content 1 (`reference_primitive`), as [[p, q], its
-    nonzero entries [j, re, im]], and the witness by its nonzero entries."""
-    witness = reference_layout(cert).witness
-    vectors = reference_primitive(reference_weighted_vectors(reference_layout(cert)))
+    """`serialize.certificate_to_obj` of the certificate's witness and of the
+    reference's weighted vectors of M (`reference_vectors`): each as [[p, q],
+    its nonzero entries [j, re, im]], and the witness by its nonzero entries."""
+    witness = None if cert.witness is None else dense(cert.witness, cert.size)
+    vectors = reference_vectors(cert.matrix)
     return {"vectors": [[[w.numerator, w.denominator], _integer_entries(v)] for w, v in vectors],
             "witness": None if witness is None else _integer_entries(witness)}
 
@@ -1147,43 +1167,62 @@ def reference_string_vectors_obj(vectors) -> list:
     return [[reference_fraction_to_str(w), reference_string_entries_obj(v)] for w, v in vectors]
 
 
+def reference_rank(vectors) -> int:
+    """The rank of dense GaussianRational vectors, by elimination."""
+    rows, rank = [list(v) for v in vectors], 0
+    for j in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in rows[rank:] if not r[j].is_zero()), None)
+        if pivot is None:
+            continue
+        rows.remove(pivot)
+        rows.insert(rank, pivot)
+        for r in rows[rank + 1:]:
+            if not r[j].is_zero():
+                c = r[j] / pivot[j]
+                r[:] = [x - c * y for x, y in zip(r, pivot)]
+        rank += 1
+    return rank
+
+
 def reference_verify(cert: SignatureCertificate) -> tuple[bool, str]:
-    """SignatureCertificate.verify by dense GaussianRational products: M = V D V*."""
-    n = cert.size
-    if sorted(cert.permutation) != list(range(n)):
-        return False, "permutation is not a permutation"
-    if (
-        len(cert.diag) != n
-        or len(cert.lower) != n
-        or (cert.witness is not None and len(cert.witness) != n)
-    ):
-        return False, "component sizes disagree"
-    for k, entries in enumerate(cert.lower):
-        rows = [j for j, _ in entries]
-        if rows != sorted(set(rows)) or any(not k < j < n for j in rows):
-            return False, "lower is not strictly lower triangular in pivot order"
-    starts = [k for k, _ in cert.blocks]
-    if (
-        any(not 0 <= k < n - 1 for k in starts)
-        or any(b < a + 2 for a, b in zip(starts, starts[1:]))
-        or any(a.is_zero() or cert.diag[k] != 0 or cert.diag[k + 1] != 0 for k, a in cert.blocks)
-    ):
-        return False, "blocks are not disjoint hollow 2x2 pivots"
+    """SignatureCertificate.verify by dense GaussianRational products: M =
+    sum w v v^adj over nonzero weights, the v independent by rank, and a
+    witness exactly when a weight is negative (or, strict, the vectors are
+    fewer than the rows), of value < 0 (or, strict, <= 0 and v != 0)."""
+    n, vectors, witness, strict = cert.size, cert.vectors, cert.witness, cert.strict
     entries = cert.matrix.entries
     if any(entries[i][j] != entries[j][i].conjugate() for i in range(n) for j in range(n)):
         return False, "matrix is not Hermitian"
-    v = dense_lower(cert)
-    product = mat_mul(mat_mul(v, dense_d(cert)), mat_adjoint(v))
+    if any(w == 0 for w, _ in vectors):
+        return False, "factor weight is zero"
+
+    def in_range(v: SparseRow) -> bool:
+        indices = [j for j, _, _ in v.entries]
+        return indices == sorted(set(indices)) and all(0 <= j < n for j in indices)
+
+    if not all(in_range(v) for _, v in vectors):
+        return False, "factor index out of range"
+    columns = [dense(v, n) for _, v in vectors]
+    if reference_rank(columns) < len(columns):
+        return False, "factor vectors are not independent"
     for i in range(n):
         for j in range(i, n):
-            if product[i][j] != entries[i][j]:
-                return False, f"congruence identity fails at ({i},{j})"
-    if cert.n_neg > 0 and cert.witness is None:
-        return False, "negative inertia without witness"
-    if cert.witness is not None:
-        value = quadratic_value(cert.matrix, cert.witness)
-        if not (value.im == 0 and value.re < 0):
-            return False, "witness value is not negative"
+            total = sum((GaussianRational(w) * v[i] * v[j].conjugate()
+                         for (w, _), v in zip(vectors, columns)), ZERO)
+            if total != entries[i][j]:
+                return False, f"factor: congruence identity fails at ({i},{j})"
+    if (witness is not None) != (any(w < 0 for w, _ in vectors) or (strict and len(vectors) < n)):
+        return False, ("witness is not present exactly when a weight is negative"
+                       + (" or the vectors are fewer than the rows" if strict else ""))
+    if witness is not None:
+        if not in_range(witness):
+            return False, "witness index out of range"
+        if strict and not any(x or y for _, x, y in witness.entries):
+            return False, "witness is zero"
+        value = quadratic_value(cert.matrix, witness)
+        if value.re > 0 or (value.re == 0 and not strict):
+            return False, ("witness value is positive" if strict
+                           else "witness value is not negative")
     return True, "ok"
 
 

@@ -21,35 +21,59 @@ from helpers import (
     assert_equals_lowest_terms_kernel,
     block_layouts,
     dense,
-    dense_d,
     diagonal_matrix,
     embedded,
-    dense_lower,
     is_positive_definite,
     is_positive_semidefinite,
     mat_adjoint,
     mat_mul,
+    reference_primitive,
     quadratic_value,
     rand_gauss,
     rand_hermitian_matrix,
     rand_holo_matrix,
     rand_pd_matrix,
+    reference_blocks,
     reference_exponent_steps,
-    reference_layout,
     reference_ldl_signature,
+    reference_vectors,
     reference_verify,
     unchecked_matrix,
 )
 
 
 def inertia(cert):
-    return (cert.n_pos, cert.n_neg, cert.n_zero)
+    """(n_pos, n_neg, n_zero) of a certificate."""
+    pos, neg = cert.inertia
+    return pos, neg, cert.size - pos - neg
+
+
+def reference_inertia(want):
+    return want.n_pos, want.n_neg, want.n_zero
 
 
 def reconstruct(cert):
-    """Independent reconstruction: M must equal V * D * V^adj, V = P^T L."""
-    v = dense_lower(reference_layout(cert))
-    return mat_mul(mat_mul(v, dense_d(cert)), mat_adjoint(v))
+    """Independent reconstruction: M must equal sum w v v^adj over the
+    certificate's weighted vectors, summed densely."""
+    n = cert.size
+    total = [[GaussianRational() for _ in range(n)] for _ in range(n)]
+    for w, v in cert.vectors:
+        v = dense(v, n)
+        for i in range(n):
+            for j in range(n):
+                total[i][j] = total[i][j] + GaussianRational(w) * v[i] * v[j].conjugate()
+    return tuple(map(tuple, total))
+
+
+def reference_kernel_vectors(want, block, size):
+    """The weighted vectors of the GaussianRational reference kernel, which
+    has no hollow step: (d_k, column k of its W^-1, which is P^T L), for each
+    nonzero d_k in slot order, folded to content 1 (`reference_primitive`)
+    and read on the indices `block` of a matrix of `size` rows."""
+    n = len(want.diag)
+    return [(w, embedded(v, block, size)) for w, v in reference_primitive(
+        [(d, tuple(want.transform_inv[i][k] for i in range(n)))
+         for k, d in enumerate(want.diag) if d])]
 
 
 def test_identity_inertia():
@@ -64,7 +88,8 @@ def test_hollow_two_by_two():
     assert inertia(cert) == (1, 1, 0)
     assert cert.blocks == ((0, GaussianRational(1)),)
     assert cert.diag == (0, 0)
-    assert cert.lower == (SparseRow(()), SparseRow(()))
+    assert cert.vectors == [(Fraction(1, 2), SparseRow(((0, 1, 0), (1, 1, 0)))),
+                            (Fraction(-1, 2), SparseRow(((0, 1, 0), (1, -1, 0))))]
     assert cert.witness == SparseRow(((0, 1, 0), (1, -1, 0)))
     assert quadratic_value(cert.matrix, cert.witness) == GaussianRational(-2)
     assert cert.verify() == (True, "ok")
@@ -80,7 +105,7 @@ def test_is_positive_definite_family_matrices():
     cert = ldl_signature(diagonal_matrix([1, 2, 1]))
     assert is_positive_definite(cert) and inertia(cert) == (3, 0, 0)
     cert = ldl_signature(diagonal_matrix([1, 0, 1]))
-    assert not is_positive_definite(cert) and cert.n_zero == 1
+    assert not is_positive_definite(cert) and inertia(cert)[2] == 1
     cert = ldl_signature(diagonal_matrix([1, -1, 1]))
     assert not is_positive_definite(cert)
     assert cert.witness == SparseRow(((1, 1, 0),))
@@ -96,11 +121,13 @@ def test_strict_certificate_of_a_singular_psd_matrix():
     # A strict certificate needs the null vector, nonzero; without `strict`
     # a witness must have a negative value.
     assert dataclasses.replace(cert, witness=None).verify() == (
-        False, "zero inertia without witness")
+        False, "witness is not present exactly when a weight is negative or the vectors are "
+        "fewer than the rows")
     zero = SparseRow(((0, 0, 0), (1, 0, 0)))
     assert dataclasses.replace(cert, witness=zero).verify() == (False, "witness is zero")
     assert dataclasses.replace(cert, strict=False).verify() == (
-        False, "witness value is not negative")
+        False, "witness is not present exactly when a weight is negative")
+    assert dataclasses.replace(cert, strict=False, witness=None).verify() == (True, "ok")
     # Without negative pivots or zero pivots there is nothing to witness.
     assert ldl_signature(diagonal_matrix([1, 1]), strict=True).witness is None
 
@@ -111,13 +138,13 @@ def test_is_positive_semidefinite_examples():
     assert not is_positive_semidefinite(cert)
     assert cert.witness == SparseRow(((1, 1, 0),))
     cert = ldl_signature(diagonal_matrix([0, 0]))
-    assert is_positive_semidefinite(cert) and cert.n_zero == 2
+    assert is_positive_semidefinite(cert) and inertia(cert)[2] == 2
 
 
 def gram_decomposition(matrix):
     """M = sum a_k u_k u_k^adj - sum b_l v_l v_l^adj, a_k, b_l > 0, from the
     certificate's weighted vectors, each vector dense."""
-    pairs = ldl_signature(matrix).weighted_vectors()
+    pairs = ldl_signature(matrix).vectors
     return ([(w, dense(v, matrix.size)) for w, v in pairs if w > 0],
             [(-w, dense(v, matrix.size)) for w, v in pairs if w < 0])
 
@@ -210,7 +237,7 @@ def test_witness_soundness_random():
             value = quadratic_value(matrix, cert.witness)
             assert value.im == 0 and value.re < 0
         else:
-            assert cert.n_neg == 0
+            assert cert.inertia[1] == 0
     assert found > 10
 
 
@@ -226,10 +253,10 @@ def test_psd_gram_built_matrices():
         a = rand_holo_matrix(rng, n, m, s, r)
         matrix, _ = coefficient_matrix(gram(a))
         cert = ldl_signature(matrix)
-        assert cert.n_neg == 0
+        assert cert.inertia[1] == 0
         assert cert.witness is None
         assert reconstruct(cert) == matrix.entries
-        assert cert.n_pos <= s
+        assert cert.inertia[0] <= s
 
 
 def test_pd_gram_built_matrices():
@@ -240,27 +267,28 @@ def test_pd_gram_built_matrices():
         m = rng.randint(0, 2)
         matrix, _ = coefficient_matrix(gram(rand_pd_matrix(rng, n, m, r)))
         cert = ldl_signature(matrix)
-        assert is_positive_definite(cert) and cert.n_pos == matrix.size
+        assert is_positive_definite(cert) and cert.inertia[0] == matrix.size
 
 
 def test_transform_is_permuted_unit_triangular_without_hollow_fix():
-    # L is unit lower triangular after undoing the pivot permutation, i.e.
-    # classical pivoted LDL*; hollow steps are 2x2 blocks of D, not row
-    # combinations, so this holds on zero-diagonal matrices too.
+    # Classical pivoted LDL*: in slot order, each vector is 0 at the indices
+    # of the slots before its own and positive at its own slot's index; a
+    # hollow block is a 2x2 block of D, not a row combination, so this holds
+    # on zero-diagonal matrices too, for both vectors of a block.  They are
+    # those of the reference's L, and they reconstruct M.
     rng = random.Random(3)
     for matrix in (rand_hermitian_matrix(rng, 6, 4), _hollow_matrix(rng, 6)):
         cert = ldl_signature(matrix)
-        perm = cert.permutation
-        n = cert.size
-        v = dense_lower(reference_layout(cert))
-        for k in range(n):
-            # column k of L, in pivot coordinates, must be unit on the
-            # diagonal and vanish on earlier pivots
-            column = [v[perm[j]][k] for j in range(n)]
-            assert column[k] == GaussianRational(1)
-            for j in range(k):
-                assert column[j].is_zero()
-        assert mat_mul(mat_mul(v, dense_d(cert)), mat_adjoint(v)) == matrix.entries
+        perm, blocks = cert.permutation, dict(cert.blocks)
+        slots = [k for k, d in enumerate(cert.diag) if d]
+        slots = sorted(slots + [k for k in blocks] * 2)
+        assert len(slots) == len(cert.vectors)
+        for k, (_, v) in zip(slots, cert.vectors):
+            v = dense(v, cert.size)
+            assert v[perm[k]].re > 0 and v[perm[k]].im == 0
+            assert all(v[perm[j]].is_zero() for j in range(k))
+        assert [(w, dense(v, cert.size)) for w, v in cert.vectors] == reference_vectors(matrix)
+        assert reconstruct(cert) == matrix.entries
     assert cert.blocks  # the zero-diagonal matrix took a 2x2 step
 
 
@@ -270,13 +298,13 @@ def test_certificate_verify_catches_tampering():
     cert = ldl_signature(matrix)
     good, _ = cert.verify()
     assert good
-    bad_diag = list(cert.diag)
-    bad_diag[0] += 1
-    tampered = dataclasses.replace(cert, diag=tuple(bad_diag))
+    (w, v), *rest = cert.vectors
+    tampered = dataclasses.replace(cert, vectors=[(w + 1, v), *rest])
     ok, reason = tampered.verify()
     assert not ok and "congruence" in reason
-    # The inertia is read off D, so claiming another one means changing D.
-    flipped = dataclasses.replace(cert, diag=(-cert.diag[0],) + cert.diag[1:])
+    # The inertia is read off the weights, so claiming another one means
+    # changing a weight.
+    flipped = dataclasses.replace(cert, vectors=[(-w, v), *rest])
     assert inertia(flipped) != inertia(cert)
     ok, reason = flipped.verify()
     assert not ok and "congruence" in reason
@@ -310,46 +338,37 @@ def _singular_matrix(rng, size):
 
 def _tamperings(cert):
     n = cert.size
-    one = GaussianRational(1)
     last = n - 1
-    # column 0 of L, and 1 over its denominator
-    first, den = cert.lower[0].entries, cert.lower[0].den
+    vectors = cert.vectors
 
-    def l_columns(entries):
-        return (SparseRow(tuple(entries), den),) + cert.lower[1:]
+    def changed(k, w=None, entries=None):
+        # vector k with its weight or its entries replaced
+        old_w, v = vectors[k]
+        v = v if entries is None else SparseRow(tuple(entries), v.den)
+        return {"vectors": vectors[:k] + [(old_w if w is None else w, v)] + vectors[k + 1:]}
 
-    yield {"diag": (cert.diag[0] + 1,) + cert.diag[1:]}
-    if n > 1:
-        # a value of L changed, or an entry put on or above the diagonal, at
-        # a negative index, past the size, or out of order
-        entries = {j: (x, y) for j, x, y in first}
-        x, y = entries.get(last, (0, 0))
-        entries[last] = (x + den, y)
-        bumped = tuple((j, x, y) for j, (x, y) in sorted(entries.items()))
-        yield {"lower": l_columns(bumped)}
-        yield {"lower": l_columns(((0, den, 0),) + first)}
-        yield {"lower": cert.lower[:last] + (SparseRow(((0, 1, 0),)),)}
-        yield {"lower": l_columns(((-1, den, 0),))}
-        yield {"lower": l_columns(first + ((n, den, 0),))}
-        yield {"lower": l_columns(reversed(bumped))}
-    yield {"lower": cert.lower[:last]}
-    bumped = _bump_entry(cert.matrix.entries, n // 2, last, one)
+    if vectors:
+        (w, v), end = vectors[0], len(vectors) - 1
+        # a weight changed, zero or negated; a vector doubled, or times i,
+        # which leaves w v v^adj as it was
+        yield changed(0, w=w + 1)
+        yield changed(0, w=0)
+        yield changed(0, w=-w)
+        yield changed(end, entries=[(j, 2 * x, 2 * y) for j, x, y in vectors[end][1].entries])
+        yield changed(end, entries=[(j, -y, x) for j, x, y in vectors[end][1].entries])
+        # an index at -1, past the size, or out of order
+        yield changed(0, entries=((-1, 1, 0),) + v.entries)
+        yield changed(end, entries=vectors[end][1].entries + ((n, 1, 0),))
+        if len(v.entries) > 1:
+            yield changed(0, entries=reversed(v.entries))
+        # a vector dropped, or one repeated
+        yield {"vectors": vectors[:end]}
+        yield {"vectors": vectors + [vectors[0]]}
+    bumped = _bump_entry(cert.matrix.entries, n // 2, last, GaussianRational(1))
     yield {"matrix": unchecked_matrix(bumped)}
-    yield {"diag": cert.diag[:last] + (-cert.diag[last],)}
-    yield {"permutation": (0,) * n}
-    if cert.blocks:
-        # a block's value changed or zero, a block dropped, overlapping or
-        # past the end
-        k, a = cert.blocks[0]
-        yield {"blocks": ((k, a + one),) + cert.blocks[1:]}
-        yield {"blocks": ((k, GaussianRational()),) + cert.blocks[1:]}
-        yield {"blocks": cert.blocks[1:]}
-        yield {"blocks": cert.blocks + ((cert.blocks[-1][0] + 1, one),)}
-        yield {"blocks": ((last, one),)}
-    elif n > 1:
-        yield {"blocks": ((0, one),)}
+    yield {"strict": not cert.strict}
     if cert.witness is not None:
-        # entry 0 of the witness plus one
+        # entry 0 of the witness plus one, the witness gone or past the size
         entries, wden = cert.witness.entries, cert.witness.den
         if entries[0][0] == 0:
             entries = ((0, entries[0][1] + wden, entries[0][2]),) + entries[1:]
@@ -357,6 +376,7 @@ def _tamperings(cert):
             entries = ((0, wden, 0),) + entries
         yield {"witness": SparseRow(entries, wden)}
         yield {"witness": None}
+        yield {"witness": SparseRow(cert.witness.entries + ((n, 1, 0),), wden)}
     elif n > 0:
         yield {"witness": SparseRow(((0, 1, 0),))}
 
@@ -371,10 +391,10 @@ def test_integer_row_kernel_matches_reference_kernel():
     # Block by block (`reference_blocks`; a one-block matrix is its own
     # block), each at its own slots in block order: without a hollow step, the
     # same permutation, diag and witness as the GaussianRational reference
-    # run on the block's submatrix, and L is its W^-1 in pivot coordinates.
-    # The witness is the first failing block's.  With a hollow step
-    # (zero-diagonal matrices): the same inertia.  verify and reference_verify
-    # agree on every tampering.
+    # run on the block's submatrix, and the weighted vectors of its W^-1,
+    # which is L in pivot coordinates.  The witness is the first failing
+    # block's.  With a hollow step (zero-diagonal matrices): the same
+    # inertia.  verify and reference_verify agree on every tampering.
     rng = random.Random(2024)
     hollow_steps = singular = tampered = split = 0
     for trial in range(200):
@@ -390,14 +410,14 @@ def test_integer_row_kernel_matches_reference_kernel():
             matrix = _singular_matrix(rng, size)
         cert = ldl_signature(matrix)
         want = reference_ldl_signature(matrix)
-        assert inertia(cert) == inertia(want)
+        assert inertia(cert) == reference_inertia(want)
         assert cert.verify() == (True, "ok")
         if cert.blocks:
             hollow_steps += 1
-        layout, witness = reference_layout(cert), None
-        layouts = block_layouts(layout)
+        witness = None
+        layouts = block_layouts(cert)
         split += len(layouts) > 1
-        for block, sub, (perm, lower, diag, hollow) in layouts:
+        for block, sub, (perm, vectors, diag, hollow) in layouts:
             want = reference_ldl_signature(sub)
             fails_first = witness is None and want.witness is not None
             if fails_first:
@@ -405,20 +425,17 @@ def test_integer_row_kernel_matches_reference_kernel():
             if hollow:
                 continue
             assert perm == want.permutation
-            for k, entries in enumerate(lower):
-                assert entries == tuple((j, want.transform_inv[perm[j]][k])
-                                        for j in range(k + 1, len(block))
-                                        if want.transform_inv[perm[j]][k])
+            assert vectors == reference_kernel_vectors(want, range(len(block)), len(block))
             assert diag == want.diag
             if fails_first:
-                assert layout.witness == witness
+                assert dense(cert.witness, size) == witness
         if witness is None:
-            assert layout.witness is None
-        singular += kind == 3 and cert.n_zero > 0
+            assert cert.witness is None
+        singular += kind == 3 and inertia(cert)[2] > 0
         if trial % 5 == 0:
             for change in _tamperings(cert):
                 bad = dataclasses.replace(cert, **change)
-                assert bad.verify() == reference_verify(reference_layout(bad)), change
+                assert bad.verify() == reference_verify(bad), change
                 tampered += 1
     assert hollow_steps > 40 and singular > 40 and tampered > 300 and split > 10
 
@@ -438,9 +455,10 @@ def test_a_cancelled_term_leaves_no_stored_zero_and_joins_no_blocks():
     assert next(steps)[0] == matrix
     assert matrix == HermitianMatrix.from_rows(matrix.entries)
     assert 2 not in matrix.re[1] and 1 not in matrix.re[2]
-    assert mode_evidence(matrix, False) == [(Fraction(1), SparseRow(((0, 1, 0), (1, -1, 0)))),
-                                            (Fraction(1), SparseRow(((2, 1, 0), (3, 1, 0))))]
-    assert mode_evidence(matrix, True) == SparseRow(((0, 1, 0), (1, 1, 0)))
+    assert mode_evidence(matrix, False) == ([(Fraction(1), SparseRow(((0, 1, 0), (1, -1, 0)))),
+                                             (Fraction(1), SparseRow(((2, 1, 0), (3, 1, 0))))],
+                                            None)
+    assert mode_evidence(matrix, True) == (None, SparseRow(((0, 1, 0), (1, 1, 0))))
 
 
 def _hermitian(diag, off) -> HermitianMatrix:
@@ -509,7 +527,7 @@ EXACT_DIVISION_CASES = {
                    {(0, 1): (F(1, 2), F(1, 3)), (0, 2): F(2, 3),
                     (1, 2): (0, F(-1, 6)), (1, 3): (F(3, 4), 1),
                     (2, 3): 1, (3, 4): (F(1, 5), F(-2, 3)), (2, 4): F(5, 6)}),
-        lambda c: c.matrix.den > 1 and c.n_neg == 2 and not c.blocks),
+        lambda c: c.matrix.den > 1 and c.inertia[1] == 2 and not c.blocks),
     # den = 84 > 1 with a hollow block
     "den-above-one-hollow": (
         _hermitian([0] * 4, {(0, 1): (F(1, 2), F(1, 3)), (0, 2): F(2, 3),
@@ -519,7 +537,7 @@ EXACT_DIVISION_CASES = {
     # a dense PD matrix whose entries reach 10^12
     "aa-star-24-entries-1e12": (
         _aa_star_plus_one(24, 2 * 10**5, 31),
-        lambda c: c.n_pos == 24 and max(map(abs, c.matrix.re[0].values())) > 10**11),
+        lambda c: c.inertia[0] == 24 and max(map(abs, c.matrix.re[0].values())) > 10**11),
 }
 
 
@@ -609,18 +627,71 @@ def _dense_workload_matrix(rng, size, definite):
 
 @pytest.mark.parametrize("definite", [False, True], ids=["indefinite", "aa-star-plus-one"])
 def test_dense_matrices_match_the_reference_kernel(definite):
-    # Seed 11, sizes across the benchmark's 10 to 24: the permutation, D and L
-    # of the GaussianRational reference kernel, and a certificate that verifies.
+    # Seed 11, sizes across the benchmark's 10 to 24: the permutation, D and
+    # the weighted vectors of L of the GaussianRational reference kernel, and
+    # a certificate that verifies.
     rng = random.Random(11)
     for size in (10, 14, 19, 24):
         matrix = _dense_workload_matrix(rng, size, definite)
         cert, want = ldl_signature(matrix), reference_ldl_signature(matrix)
-        [(block, _, (perm, lower, diag, hollow))] = block_layouts(reference_layout(cert))
+        [(block, _, (perm, vectors, diag, hollow))] = block_layouts(cert)
         assert list(block) == list(range(size)) and not hollow
         assert (perm, diag) == (want.permutation, want.diag)
-        for k, entries in enumerate(lower):
-            assert entries == tuple((j, want.transform_inv[perm[j]][k])
-                                    for j in range(k + 1, size) if want.transform_inv[perm[j]][k])
-        assert inertia(cert) == inertia(want)
-        assert cert.n_pos == size if definite else cert.n_neg > 0
+        assert vectors == reference_kernel_vectors(want, block, size)
+        assert inertia(cert) == reference_inertia(want)
+        assert cert.inertia[0] == size if definite else cert.inertia[1] > 0
         assert cert.verify() == (True, "ok")
+
+
+def _psd_matrix(rng, size):
+    """A sum of rank-one terms v v^adj, half the time size of them, so PD
+    but for chance, else fewer, so singular."""
+    rank = size if rng.random() < 0.5 else rng.randint(0, size - 1)
+    vectors = [[rand_gauss(rng, 3) for _ in range(size)] for _ in range(rank)]
+    return HermitianMatrix.from_rows(
+        [[sum((vec[i] * vec[j].conjugate() for vec in vectors), GaussianRational())
+          for j in range(size)] for i in range(size)])
+
+
+def _shuffled_direct_sum(rng, parts) -> HermitianMatrix:
+    """The direct sum of the matrices `parts`, its indices shuffled, so that
+    each part's blocks are blocks of the sum, interleaved."""
+    size = sum(part.size for part in parts)
+    rows = [[GaussianRational()] * size for _ in range(size)]
+    offset = 0
+    for part in parts:
+        for p, row in enumerate(part.entries):
+            rows[offset + p][offset:offset + part.size] = row
+        offset += part.size
+    order = list(range(size))
+    rng.shuffle(order)
+    return HermitianMatrix.from_rows([[rows[p][q] for q in order] for p in order])
+
+
+@pytest.mark.parametrize("strict", [False, True], ids=["semi", "strict"])
+def test_weights_carry_the_inertia_and_mode_evidence_is_the_certificates(strict):
+    # On dense, hollow, singular and sparse matrices and shuffled direct sums
+    # of them: the signs of the weights count what D does, each nonzero d_k
+    # by its sign and each hollow block one of each, and the evidence of the
+    # mode's test is the certificate's vectors or its witness.
+    rng = random.Random(35)
+    kinds = (lambda n: rand_hermitian_matrix(rng, n, 9), lambda n: _hollow_matrix(rng, n),
+             lambda n: _singular_matrix(rng, n), lambda n: _sparse_matrix(rng, n))
+    split = hollow = failing = passing = 0
+    for trial in range(160):
+        # every other sum is of PSD parts, PD or singular, so that some pass
+        parts = [_psd_matrix(rng, rng.randint(1, 6)) if trial % 2
+                 else kinds[(trial // 2 + t) % 4](rng.randint(1, 6)) for t in range(1 + trial % 3)]
+        matrix = _shuffled_direct_sum(rng, parts)
+        cert = ldl_signature(matrix, strict)
+        blocks = len(cert.blocks)
+        assert cert.inertia == (blocks + sum(d > 0 for d in cert.diag),
+                                blocks + sum(d < 0 for d in cert.diag))
+        assert cert.verify() == (True, "ok")
+        assert mode_evidence(matrix, strict) == (
+            (cert.vectors, None) if cert.witness is None else (None, cert.witness))
+        split += len(reference_blocks(matrix)) > 1
+        hollow += blocks > 0
+        failing += cert.witness is not None
+        passing += cert.witness is None
+    assert split > 80 and hollow > 30 and failing > 30 and passing > 10

@@ -11,7 +11,6 @@ from hermfact import (
     certify_elliptic_form,
     coefficient_matrix,
     find_minimal_d,
-    ldl_signature,
     parse_expression,
     serialize,
 )
@@ -20,10 +19,10 @@ from hermfact.cli import main
 from helpers import (
     POSITIVE_DIAGONAL_SIGN_CHANGE,
     quartic_family,
+    reference_block_ldl,
     reference_certificate_obj,
     reference_ellipticity_to_obj,
     reference_form_obj,
-    reference_layout,
     reference_stabilization_to_obj,
 )
 
@@ -431,7 +430,7 @@ def _parent_certificate(report):
     # The standalone certificate that `check --cert-dir` mirrored before check
     # wrote weighted vectors on its form, by the old writer in helpers.py.
     form = serialize.obj_to_form(report["result"]["certificate"]["form"], written=True)
-    return reference_certificate_obj(reference_layout(ldl_signature(coefficient_matrix(form)[0])))
+    return reference_certificate_obj(reference_block_ldl(coefficient_matrix(form)[0]))
 
 
 def _check_report_with_parent_certificate(report):
@@ -1058,6 +1057,41 @@ def test_factor_float_digits_out_of_range_is_an_input_error(capsys, digits):
     assert err == "error: float digits must be an integer from 0 to 1000\n"
 
 
+@pytest.mark.parametrize("expr", ["z1*zb1 - z2*zb2", "z1*zb1 + z2*zb2", "z1*zb1 +"],
+                         ids=["indefinite", "definite", "unreadable"])
+def test_factor_float_digits_are_refused_before_the_form_is_read(capsys, expr):
+    # An indefinite form has no numeric rendering, yet its bad digits are an
+    # input error too: they are refused before the form is read at all.
+    code, out, err = run(capsys, ["factor", "-e", expr, "--numeric", "--float-digits", "-5"])
+    assert code == 2 and out == ""
+    assert err == "error: float digits must be an integer from 0 to 1000\n"
+
+
+def test_numeric_factor_names_the_column_of_each_entry(capsys, tmp_path):
+    # A matrix kernel of r = 2 columns: each entry of a numeric row names its
+    # column i, so sum over rows of h_i conj(h_j) reassembles M within float
+    # error, and verify derives the same rendering.
+    path = tmp_path / "fn.json"
+    argv = ["factor", "-e", "[[z1*zb1, z1*zb1],[z1*zb1, 2*z1*zb1]]", "--numeric",
+            "--float-digits", "6", "--out", str(path)]
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    rows = json.loads(out)["result"]["numeric_factor"]["rows"]
+    assert {entry["i"] for row in rows for entry in row} == {1, 2}
+    total = {}
+    for row in rows:
+        for a in row:
+            for b in row:
+                key = (a["i"], b["i"], tuple(a["alpha"]), tuple(b["alpha"]))
+                product = complex(*a["value"]) * complex(*b["value"]).conjugate()
+                total[key] = total.get(key, 0) + product
+    want = {(1, 1): 1, (1, 2): 1, (2, 1): 1, (2, 2): 2}
+    assert total.keys() == {(i, j, (1,), (1,)) for i, j in want}
+    assert all(abs(total[(i, j, (1,), (1,))] - c) < 1e-5 for (i, j), c in want.items())
+    code, out, _ = run(capsys, ["verify", str(path)])
+    assert code == 0 and json.loads(out) == {"valid": True, "reason": "ok"}
+
+
 @pytest.mark.parametrize(
     "argv",
     [SWEEP_ONE, ["stabilize", "-e", INDEFINITE_QUARTIC, "--dmax", "5"],
@@ -1452,9 +1486,11 @@ def test_factor_and_decompose_verify_build_no_gram_and_no_rows(capsys, tmp_path,
 
 
 # The numeric rendering of the README's `factor` example, as the format
-# before a factor was its weighted vectors wrote it.
+# before a factor was its weighted vectors wrote it, with the column i of
+# each entry, which a kernel of more than one column needs.
 README_NUMERIC_FACTOR = ('{"float_digits":12,"kind":"numeric_factor","rows":'
-                         '[[{"alpha":[3,0],"value":[1.0,0.0]}],[{"alpha":[0,3],"value":[1.0,0.0]}]]}')
+                         '[[{"alpha":[3,0],"i":1,"value":[1.0,0.0]}],'
+                         '[{"alpha":[0,3],"i":1,"value":[1.0,0.0]}]]}')
 
 
 def test_numeric_rendering_of_the_readme_factor_is_unchanged(capsys):

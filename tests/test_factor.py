@@ -153,7 +153,7 @@ def test_factor_round_trip_random_psd():
         matrix, _ = coefficient_matrix(form)
         from hermfact import ldl_signature
 
-        assert len(factor.matrix.rows) == ldl_signature(matrix).n_pos
+        assert len(factor.matrix.rows) == ldl_signature(matrix).inertia[0]
 
 
 def test_strict_factor_agrees_with_pd_test():

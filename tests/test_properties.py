@@ -80,7 +80,6 @@ from helpers import (
     reference_fraction_to_str,
     reference_gram,
     reference_integer_ldl_signature,
-    reference_layout,
     reference_multiplier_power,
     reference_obj_to_factor,
     reference_parse_expression,
@@ -89,6 +88,7 @@ from helpers import (
     reference_sample_symbol,
     reference_term_sums,
     reference_primitive,
+    reference_vectors,
     reference_weighted_vectors,
     square_difference,
 )
@@ -440,9 +440,8 @@ def hermitian_matrices(draw):
 @given(matrix=hermitian_matrices())
 def test_weighted_vectors_densify_to_the_reference(matrix):
     cert = ldl_signature(matrix)
-    pairs = cert.weighted_vectors()
-    assert ([(w, dense(v, matrix.size)) for w, v in pairs]
-            == reference_primitive(reference_weighted_vectors(reference_layout(cert))))
+    pairs = cert.vectors
+    assert [(w, dense(v, matrix.size)) for w, v in pairs] == reference_vectors(matrix)
     for _, v in pairs:
         indices = [j for j, _, _ in v.entries]
         assert indices == sorted(set(indices)) and v.den > 0
@@ -454,8 +453,7 @@ def test_weighted_vectors_densify_to_the_reference(matrix):
 def test_weighted_vectors_of_a_hollow_block():
     cert = ldl_signature(HermitianMatrix.from_rows([[0, 1, 2], [1, 0, 1], [2, 1, 0]]))
     assert cert.blocks
-    assert ([(w, dense(v, 3)) for w, v in cert.weighted_vectors()]
-            == reference_primitive(reference_weighted_vectors(reference_layout(cert))))
+    assert [(w, dense(v, 3)) for w, v in cert.vectors] == reference_vectors(cert.matrix)
 
 
 # Variables of a kernel, a holomorphic matrix and a real symbol; a text draws
@@ -471,7 +469,7 @@ def test_congruence_check_equals_the_dense_reference(matrix, data):
     # (p, q) as the dense grid: on a certificate's weighted vectors, which
     # pass, and on mutants of them, with one numerator changed, one weight
     # changed, or one vector dropped.
-    vectors = ldl_signature(matrix).weighted_vectors()
+    vectors = ldl_signature(matrix).vectors
     assert congruence_failure(matrix, vectors) is None
     mutants = []
     if vectors:
@@ -702,29 +700,30 @@ def test_strict_witness_exactly_when_not_positive_definite(matrix):
     cert = ldl_signature(matrix)
     strict = ldl_signature(matrix, strict=True)
     assert cert.verify() == strict.verify() == (True, "ok")
-    cert, strict = reference_layout(cert), reference_layout(strict)
     failing = strict_failing = None
     for (block, sub, ours), (_, _, strict_ours) in zip(block_layouts(cert),
                                                        block_layouts(strict)):
         want = reference_integer_ldl_signature(sub)
-        assert ours == strict_ours == (want.permutation, want.lower, want.diag, want.blocks)
-        if failing is None and want.n_neg:
+        vectors = reference_primitive(reference_weighted_vectors(want))
+        assert ours == strict_ours == (want.permutation, vectors, want.diag, want.blocks)
+        if failing is None and want.inertia[1]:
             failing = block, want
         if strict_failing is None and not is_positive_definite(want):
             strict_failing = block, want
     size = matrix.size
-    assert cert.witness == (None if failing is None else embedded(failing[1].witness,
-                                                                  failing[0], size))
+    assert (None if cert.witness is None else dense(cert.witness, size)) == (
+        None if failing is None else embedded(failing[1].witness, failing[0], size))
     if strict_failing is None:
         assert strict.witness is None
         return
     block, want = strict_failing
-    if want.n_neg:
-        assert strict.witness == embedded(want.witness, block, size)
+    witness = dense(strict.witness, size)
+    if want.inertia[1]:
+        assert witness == embedded(want.witness, block, size)
     else:
-        value = quadratic_value(matrix, strict.witness)
-        assert any(strict.witness) and value.im == 0 and value.re <= 0
-        assert not any(c for p, c in enumerate(strict.witness) if p not in block)
+        value = quadratic_value(matrix, witness)
+        assert any(witness) and value.im == 0 and value.re <= 0
+        assert not any(c for p, c in enumerate(witness) if p not in block)
 
 
 @st.composite
@@ -777,9 +776,9 @@ def test_mode_evidence_is_the_certificates_witness_or_weighted_vectors(matrix):
         cert = ldl_signature(matrix, strict=strict)
         evidence = mode_evidence(matrix, strict)
         if cert.witness is None:
-            assert evidence == cert.weighted_vectors()
+            assert evidence == (cert.vectors, None)
         else:
-            assert evidence == cert.witness
+            assert evidence == (None, cert.witness)
 
 
 @st.composite
@@ -809,15 +808,15 @@ def test_block_kernel_certifies_direct_sums(drawn):
         cert = ldl_signature(matrix, strict=strict)
         assert cert.verify() == (True, "ok")
         assert cert.inertia == tuple(map(sum, zip(*inertias)))
-        vectors = cert.weighted_vectors()
+        vectors = cert.vectors
         assert factor_failure(matrix, vectors, strict=False, signed=True) is None
         evidence = mode_evidence(matrix, strict)
         if cert.witness is None:
-            assert evidence == vectors
-            assert factor_failure(matrix, evidence, strict) is None
+            assert evidence == (vectors, None)
+            assert factor_failure(matrix, vectors, strict) is None
         else:
-            assert evidence == cert.witness
-            assert witness_failure(matrix, evidence, strict) is None
+            assert evidence == (None, cert.witness)
+            assert witness_failure(matrix, cert.witness, strict) is None
 
 
 # Forms whose searches stop at witnesses of every kind: ladder members (null
@@ -856,7 +855,7 @@ def test_search_blocks_read_in_place_equal_the_full_elimination(text):
         for strict in (False, True):
             cert = ldl_signature(dense, strict)
             assert mode_evidence(matrix, strict) == (
-                cert.weighted_vectors() if cert.witness is None else cert.witness)
+                (cert.vectors, None) if cert.witness is None else (None, cert.witness))
 
 
 @SETTINGS
@@ -939,7 +938,7 @@ def test_certificate_codec_equals_reference_and_refuses_respellings(matrix, stri
             serialize.obj_to_certificate(respelled)
         with pytest.raises(ValueError, match="not in the current certificate format"):
             serialize.verify_obj({**factor, **respelled})
-    if (cert.witness is None) == (cert.n_neg == 0):
+    if (cert.witness is None) == (cert.inertia[1] == 0):
         assert serialize.verify_obj(factor) == (True, "ok")
     else:
         assert serialize.verify_obj(factor) == (
@@ -991,7 +990,7 @@ def test_evidence_with_one_integer_changed_fails_verify(matrix, data):
 def test_independence_accepts_certificates_and_rejects_a_duplicate(matrix, data):
     # Drawn matrices are singular, hollow (blocks) or neither; their
     # weighted vectors in slot order pass, and a copy of one never does.
-    vectors = ldl_signature(matrix).weighted_vectors()
+    vectors = ldl_signature(matrix).vectors
     assert independence_failure(vectors) is None
     assume(vectors)
     copied = vectors[data.draw(st.integers(0, len(vectors) - 1))]
@@ -1189,16 +1188,16 @@ def _proven_verdicts(command: list[str], form) -> dict:
     form, from a fresh elimination."""
     if command[0] == "factor":
         d = int(command[-1])
-        cert = ldl_signature(coefficient_matrix(reference_multiplier_power(form, d))[0])
-        return {"d": d, "factorable": cert.n_neg == 0, "rows": cert.n_pos * (cert.n_neg == 0)}
+        matrix, _ = coefficient_matrix(reference_multiplier_power(form, d))
+        pos, neg = ldl_signature(matrix).inertia
+        return {"d": d, "factorable": neg == 0, "rows": pos * (neg == 0)}
     matrix, _ = coefficient_matrix(form)
-    cert = ldl_signature(matrix)
+    pos, neg = ldl_signature(matrix).inertia
     if command[0] == "decompose":
-        return {"positive_rank": cert.n_pos, "negative_rank": cert.n_neg,
-                "sum_of_squares": cert.n_neg == 0}
+        return {"positive_rank": pos, "negative_rank": neg, "sum_of_squares": neg == 0}
     mode = command[command.index("--mode") + 1]
-    return {"mode": mode, "passes": cert.n_pos == matrix.size if mode == "strict" else
-            cert.n_neg == 0, "inertia": {"pos": cert.n_pos, "neg": cert.n_neg, "zero": cert.n_zero},
+    return {"mode": mode, "passes": pos == matrix.size if mode == "strict" else neg == 0,
+            "inertia": {"pos": pos, "neg": neg, "zero": matrix.size - pos - neg},
             "matrix_size": matrix.size, "bidegree": bidegree(form)}
 
 

@@ -99,7 +99,7 @@ def test_factor_round_trip():
     obj = serialize.factor_to_obj(form, 0, *evidence(_certificate(form)))
     assert obj.keys() == {"kind", "form", "d", "vectors", "witness"}
     read, d, vectors, witness = serialize.obj_to_factor(json.loads(json.dumps(obj)))
-    assert (read, d, vectors, witness) == (form, 0, _certificate(form).weighted_vectors(), None)
+    assert (read, d, vectors, witness) == (form, 0, _certificate(form).vectors, None)
     # The rows on the basis of M_0 are those of holomorphic_factor.
     basis = coefficient_basis(form)
     assert _factor_from_parts(vectors, basis, form.r) == holomorphic_factor(form).matrix
@@ -119,7 +119,7 @@ def test_certificate_round_trip_and_verify():
         cert = ldl_signature(matrix)
         obj = serialize.factor_to_obj(_matrix_form(matrix), 0, *evidence(cert))
         restored = serialize.obj_to_certificate(json.loads(json.dumps(obj)))
-        assert restored == (cert.weighted_vectors(), cert.witness)
+        assert restored == (cert.vectors, cert.witness)
         ok, reason = serialize.verify_obj(obj)
         assert ok, reason
 
@@ -641,7 +641,7 @@ def test_decomposition_factors_serialize_and_verify():
     # One artifact with signed weights: its positive and negated negative
     # vectors are the rows of difference_of_squares' two parts.
     form = quartic_family(-1)
-    vectors = _certificate(form).weighted_vectors()
+    vectors = _certificate(form).vectors
     obj = serialize.factor_to_obj(form, 0, *evidence(_certificate(form)))
     ok, reason = serialize.verify_obj(obj)
     assert ok, reason
@@ -787,7 +787,7 @@ def _string_codec_factor():
     form = parse_expression("z1*zb1 + (1/2+i)*z1*zb2 + (1/2-i)*z2*zb1 - 1/3*z2*zb2")
     cert = _certificate(form)
     return {"kind": "weighted_gram_factor", "form": reference_string_form_obj(form), "d": 0,
-            "vectors": reference_string_vectors_obj(cert.weighted_vectors()),
+            "vectors": reference_string_vectors_obj(cert.vectors),
             "witness": reference_string_entries_obj(cert.witness)}
 
 
