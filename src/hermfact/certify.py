@@ -21,11 +21,10 @@ apart from the hollow blocks.  The certificate holds what that proves, M =
 sum_k w_k v_k v_k^adj over the weighted vectors that `_vectors` reads once
 off the finished pivot rows, with no L built: by Sylvester's law of inertia
 the signs of the weights are the inertia of M.  It also holds a witness
-exactly when a weight is negative (or, strict, when M is singular).  One
-check, `certificate_failure`, proves both, for a certificate in memory and on
-the wire.  Joined from blocks, P keeps each block's indices together and L is
-block diagonal, so each v_k lives on its block's indices and nothing about
-the blocks needs storing.
+exactly when a weight is negative.  One check, `certificate_failure`, proves
+both, for a certificate in memory and on the wire.  Joined from blocks, P
+keeps each block's indices together and L is block diagonal, so each v_k
+lives on its block's indices and nothing about the blocks needs storing.
 
 Every vector of a certificate (the witness and each v_k) is a sparse row
 (`scalars.SparseRow`) of Gaussian integers of content 1, read straight off
@@ -33,10 +32,10 @@ the integer pivot rows of the elimination, so building, checking and
 extracting cost the nonzeros of those rows.  GaussianRational appears only in
 the hollow blocks of D.
 
-A caller that needs only the evidence of one test, PSD or PD, calls
-`mode_evidence`, which runs the same elimination: it stops at the first
-failing block, at its first negative pivot or hollow block, and gives the
-witness `ldl_signature` would, reading no vectors; a passing matrix gives its
+The evidence of one test, PSD or PD, is `mode_evidence`'s, checked by
+`witness_failure` and `factor_failure`: the same elimination stops at the
+first failing block, at its first negative pivot or hollow block (or, for
+PD, zero pivot), and gives its witness; a passing matrix gives its
 certificate's weighted vectors.
 
 M is a `hermform.HermitianMatrix`, integer dict rows over one denominator.
@@ -72,9 +71,7 @@ class SignatureCertificate:
     `vectors` are the pairs (w, v), w != 0, in slot order, read off the
     pivot rows (`_vectors`); by Sylvester's law of inertia the signs of the
     weights are the inertia of M.  `witness` is v with v^adj M v < 0, present
-    exactly when M is not PSD.  A `strict` certificate, which decides
-    positive definiteness, also has one when M is PSD but singular: a null
-    vector v != 0, so v^adj M v <= 0 in either case.
+    exactly when M is not PSD.
 
     `permutation`, `diag` and `blocks` record the pivots: slot j holds matrix
     index `permutation[j]`, and D has `diag` on its diagonal (0 at block
@@ -88,7 +85,6 @@ class SignatureCertificate:
     diag: tuple[Fraction, ...]
     blocks: tuple[tuple[int, GaussianRational], ...]
     witness: SparseRow | None
-    strict: bool = False
 
     @property
     def size(self) -> int:
@@ -104,7 +100,7 @@ class SignatureCertificate:
         on a Hermitian M; returns (ok, reason)."""
         if hermitian_defect(self.matrix) is not None:
             return False, "matrix is not Hermitian"
-        reason = certificate_failure(self.matrix, self.vectors, self.witness, self.strict)
+        reason = certificate_failure(self.matrix, self.vectors, self.witness)
         return (True, "ok") if reason is None else (False, reason)
 
 
@@ -255,21 +251,18 @@ def factor_failure(matrix: HermitianMatrix, vectors, strict: bool, signed: bool 
     return None if reason is None else f"factor: {reason}"
 
 
-def certificate_failure(matrix: HermitianMatrix, vectors, witness: SparseRow | None,
-                        strict: bool) -> str | None:
+def certificate_failure(matrix: HermitianMatrix, vectors, witness: SparseRow | None) -> str | None:
     """Why the weighted vectors (w, v) and witness of a certificate do not
     prove what they claim about `matrix`, or None: the vectors are a signed
     factor of M (`factor_failure`), so their weights' signs are its inertia,
     and the witness (`witness_failure`) is present exactly when a weight is
-    negative, or, if strict, when there are fewer vectors than rows."""
+    negative."""
     reason = factor_failure(matrix, vectors, strict=False, signed=True)
     if reason is not None:
         return reason
-    if (witness is not None) != (any(w < 0 for w, _ in vectors)
-                                 or (strict and len(vectors) < matrix.size)):
-        return ("witness is not present exactly when a weight is negative"
-                + (" or the vectors are fewer than the rows" if strict else ""))
-    return None if witness is None else witness_failure(matrix, witness, strict)
+    if (witness is not None) != any(w < 0 for w, _ in vectors):
+        return "witness is not present exactly when a weight is negative"
+    return None if witness is None else witness_failure(matrix, witness, strict=False)
 
 
 def _primitive_witness(entries: list[tuple[int, int, int]]) -> SparseRow:
@@ -281,9 +274,8 @@ def _primitive_witness(entries: list[tuple[int, int, int]]) -> SparseRow:
     return SparseRow.lowest(entries, -content if x < 0 or (x == 0 and y < 0) else content)
 
 
-def ldl_signature(matrix: HermitianMatrix, strict: bool = False) -> SignatureCertificate:
-    """Exact pivoted LDL* with inertia and an indefiniteness witness; with
-    `strict`, the witness of a singular PSD matrix is a null vector.
+def ldl_signature(matrix: HermitianMatrix) -> SignatureCertificate:
+    """Exact pivoted LDL* with inertia and an indefiniteness witness.
 
     M is eliminated block by block (`_blocks`), and the blocks' pieces are
     joined in block order: P M P^T is then block diagonal, and so is L.
@@ -295,28 +287,18 @@ def ldl_signature(matrix: HermitianMatrix, strict: bool = False) -> SignatureCer
     [[0, a], [conj(a), 0]].  A zero trailing block ends the block's
     elimination with zero pivots.  The witness is the first failing block's.
     """
-    if not isinstance(matrix, HermitianMatrix):
-        matrix = HermitianMatrix.from_rows(matrix)
-    parts, witness = _eliminate_blocks(matrix, strict, stop=False)
+    parts, witness = _eliminate_blocks(matrix, False, stop=False)
     perm, vectors, diag, blocks = _joined(parts)
-    return SignatureCertificate(
-        matrix=matrix,
-        permutation=perm,
-        vectors=vectors,
-        diag=diag,
-        blocks=blocks,
-        witness=witness,
-        strict=strict,
-    )
+    return SignatureCertificate(matrix, perm, vectors, diag, blocks, witness)
 
 
 def mode_evidence(
     matrix: HermitianMatrix, strict: bool
 ) -> tuple[list[tuple[Fraction, SparseRow]] | None, SparseRow | None]:
     """The evidence of the mode's test on M, PD if `strict` and PSD if not,
-    (vectors, None) or (None, witness): `ldl_signature(M, strict)`'s witness
-    when M fails it, and otherwise that certificate's weighted vectors, every
-    weight positive.
+    (vectors, None) or (None, witness): a witness v != 0, v^adj M v < 0 (or
+    <= 0 if strict: a singular PSD M has a null vector), when M fails it, and
+    otherwise its certificate's weighted vectors, every weight positive.
 
     The blocks are eliminated in order, and the first failing block stops
     at its first negative pivot or hollow block (or, if strict, its first

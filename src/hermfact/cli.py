@@ -26,13 +26,15 @@ from pathlib import Path
 from . import serialize
 from .certify import ldl_signature
 from .parsing import ParseError, parse_expression, parse_symbol
-from .stabilize import find_minimal_d, power_matrix, stabilization_sweep
+from .stabilize import MODES, find_minimal_d, power_matrix, stabilization_sweep
 from .symbols import RealSymbol, certify_elliptic, certify_elliptic_form
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_INPUT = 2
 EXIT_INCONCLUSIVE = 3
+
+NUMERIC_DIGITS = 12  # of a numeric factor when --float-digits is not given
 
 
 class InputProblem(Exception):
@@ -141,16 +143,22 @@ def cmd_stabilize(args) -> int:
 
 def cmd_factor(args) -> int:
     started = time.perf_counter()
-    if args.numeric and not 0 <= args.float_digits <= serialize.MAX_FLOAT_DIGITS:
-        raise InputProblem(
-            f"float digits must be an integer from 0 to {serialize.MAX_FLOAT_DIGITS}")
+    digits = args.float_digits
+    if digits is not None:
+        try:
+            serialize.require_float_digits(digits)
+        except ValueError as exc:
+            raise InputProblem(str(exc)) from exc
+        if not args.numeric:
+            raise InputProblem("--float-digits needs --numeric")
     form, text = _load_form(args, parse_expression)
     command = ["factor", "--d", str(args.d)]
     factor, read = _certified(form, args.d)
     result = {"factor": factor}
     if args.numeric:
         # the rendering takes the factor as built, not read back from result
-        result.update(serialize.run_renderings(command, result, args.float_digits, read))
+        digits = NUMERIC_DIGITS if digits is None else digits
+        result.update(serialize.run_renderings(command, result, digits, read))
     report = _finish(args, command, text, result, started)
     return EXIT_PASS if report["verdicts"]["factorable"] else EXIT_FAIL
 
@@ -274,22 +282,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="certify positive (semi)definiteness of a kernel")
     common(p)
-    p.add_argument("--mode", choices=["strict", "semi"], default="semi")
+    p.add_argument("--mode", choices=MODES, default="semi")
 
     p = sub.add_parser("stabilize", help="search the minimal norm-power exponent")
     common(p)
-    p.add_argument("--mode", choices=["strict", "semi"], default="strict")
+    p.add_argument("--mode", choices=MODES, default="strict")
     p.add_argument("--dmax", type=int, default=16)
 
     p = sub.add_parser("factor", help="extract an exact weighted holomorphic factor")
     common(p)
     p.add_argument("--d", type=int, default=0, help="norm-power exponent applied first")
     p.add_argument("--numeric", action="store_true", help="also emit a floating factor")
-    p.add_argument("--float-digits", type=int, default=12)
+    p.add_argument("--float-digits", type=int, help=f"with --numeric (default {NUMERIC_DIGITS})")
 
     p = sub.add_parser("sweep", help="run the exponent search over a family file")
     common(p)
-    p.add_argument("--mode", choices=["strict", "semi"], default="strict")
+    p.add_argument("--mode", choices=MODES, default="strict")
     p.add_argument("--dmax", type=int, default=16)
     p.add_argument("--csv", help="also write the CSV table to this file")
 

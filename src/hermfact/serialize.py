@@ -8,9 +8,10 @@ one reader, `obj_to_form`; a factor vector or a witness is Gaussian integers
 of content 1, its nonzero entries [j, re, im], and a weight the pair [p, q]
 of its ratio in lowest terms.  Exactly one spelling of each is read, so a
 digest names one artifact; any other is a ValueError naming FORMAT_ERROR.
-Input files keep their own spelling: rationals as strings (or numbers) read
-by `read_ratio`, both triangles written, terms as rows or objects.  Points of
-an ellipticity report are [re, im] pairs of such strings.
+Input files keep their own spelling: rationals as strings or ints read by
+`read_ratio`, both triangles written, terms as rows or objects.  Points of an
+ellipticity report are [re, im] pairs of strings, read only as
+`fraction_to_str` writes them.
 
 Every report and artifact file is `canonical_json` (sorted keys, no
 whitespace, CPython's C encoder) on one line; `python -m json.tool` indents
@@ -40,7 +41,8 @@ from .hermform import (
 )
 from .scalars import GaussianRational, GaussianRow, SparseRow
 from .stabilize import MODES, StabilizationReport, last_exponent, power_matrix, shifted_rows
-from .symbols import EllipticityReport, format_diff_operator_row, require_symbol, searched_form
+from .symbols import (EllipticityReport, format_diff_operator_row, point_sign, require_symbol,
+                      searched_form)
 
 
 class DigitLimitError(ValueError):
@@ -79,18 +81,21 @@ def _written_ratio(text: str) -> tuple[int, int] | None:
 
 
 def read_ratio(value, seen: dict | None = None) -> tuple[int, int]:
-    """The rational `value` as (p, q), q > 0, not always in lowest terms.
+    """The rational `value`, a string or an int, as (p, q), q > 0, not always
+    in lowest terms.
 
     A string "p" or "p/q" of ASCII digits, as `fraction_to_str` writes it,
-    goes straight to ints; any other value goes through `Fraction(value)`, so
-    every spelling it accepts is accepted.  A zero denominator, or a value
-    that is not a rational, raises ValueError.  A reader that passes its own
+    goes straight to ints; any other goes through `Fraction(value)`, so every
+    spelling it accepts is accepted.  A zero denominator, a float, a bool or
+    any value not a rational raises ValueError.  A reader that passes its own
     dict `seen` reads each string once: a form repeats few values.
     """
     if seen is not None and type(value) is str:
         if value not in seen:
             seen[value] = read_ratio(value)
         return seen[value]
+    if type(value) not in (str, int):
+        raise ValueError(f"not a rational: {value!r}")
     ratio = _written_ratio(value) if type(value) is str else None
     if ratio is not None:
         return ratio
@@ -98,14 +103,7 @@ def read_ratio(value, seen: dict | None = None) -> tuple[int, int]:
         x = Fraction(value)
     except ZeroDivisionError:
         raise ValueError("a rational has a zero denominator") from None
-    except (OverflowError, TypeError):
-        raise ValueError(f"not a rational: {value!r}") from None
     return x.numerator, x.denominator
-
-
-def str_to_fraction(value) -> Fraction:
-    p, q = read_ratio(value)
-    return Fraction(p) if q == 1 else Fraction(p, q)
 
 
 def gaussian_to_pair(c: GaussianRational) -> list[str]:
@@ -113,9 +111,17 @@ def gaussian_to_pair(c: GaussianRational) -> list[str]:
 
 
 def pair_to_gaussian(pair) -> GaussianRational:
-    if not (isinstance(pair, list) and len(pair) == 2 and all(isinstance(x, str) for x in pair)):
-        raise ValueError("a Gaussian rational must be a pair [re, im] of strings")
-    return GaussianRational(str_to_fraction(pair[0]), str_to_fraction(pair[1]))
+    """A point's coordinate [re, im] as `gaussian_to_pair` writes it; any
+    other spelling is the format error."""
+    try:
+        c = GaussianRational(*(Fraction(*_written_ratio(x)) for x in pair))
+        written = type(pair) is list and gaussian_to_pair(c) == pair
+    except (TypeError, ValueError):  # not a pair of written strings, or q = 0
+        written = False
+    if not written:
+        raise _wire_error(f"a point's coordinates are written as fraction_to_str writes "
+                          f"them, not {pair!r}")
+    return c
 
 
 FORMAT_ERROR = "artifact is not in the current certificate format"
@@ -406,9 +412,6 @@ def digest_of_text(text: str) -> str:
     return "sha256:" + hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-ARTIFACT_KINDS = frozenset({"weighted_gram_factor", "stabilization_report", "ellipticity_report"})
-
-
 def embedded_artifacts(obj):
     """The artifacts inside obj, in a fixed order; no artifact embeds another,
     so the walk stops at each."""
@@ -485,15 +488,13 @@ def _verify_stabilization(obj: dict) -> tuple[tuple[bool, str], list | None]:
 
 def _sphere_sign(form: BihermitianForm, pairs) -> int | None:
     """The sign, 1, 0 or -1, of the symbol's value at a point, or None off
-    the unit sphere: its numerator's, as the sphere walk reads it."""
+    the unit sphere, as the sphere walk reads it (`symbols.point_sign`)."""
     point = tuple(pair_to_gaussian(pair) for pair in pairs)
     if sum(c.abs2() for c in point) != 1:
         return None
     if len(point) != form.n:
         raise ValueError("point length differs from ambient dimension")
-    q = GaussianRow.from_entries(form.n, enumerate(point))
-    value = form.numerators(q, q)[0][0]
-    return (value > 0) - (value < 0)
+    return point_sign(form, GaussianRow.from_entries(form.n, enumerate(point)))
 
 
 def _verify_ellipticity(obj: dict) -> tuple[tuple[bool, str], tuple | None]:
@@ -639,6 +640,14 @@ def run_verdicts(command: list[str], result: dict, read=None) -> dict | None:
 RENDERING_KEYS = ("operator_rows", "numeric_factor")
 MAX_FLOAT_DIGITS = 1000
 
+
+def require_float_digits(digits) -> None:
+    """The one check of the digits a numeric rendering is asked for, an int
+    from 0 to MAX_FLOAT_DIGITS, of --float-digits and of a report's."""
+    if type(digits) is not int or not 0 <= digits <= MAX_FLOAT_DIGITS:
+        raise ValueError(f"float digits must be an integer from 0 to {MAX_FLOAT_DIGITS}")
+
+
 # The keys of a run report, which may also have `timings`; of each command's
 # result besides its renderings; and of a sweep row.
 RUN_REPORT_KEYS = frozenset({"kind", "command", "input_digest", "verdicts", "result", "digest"})
@@ -655,7 +664,7 @@ def run_renderings(command: list[str], result: dict, float_digits: int | None = 
     differential operator rows, from its form and factor vectors, and, when
     `float_digits` is given, a PSD factor's floating rendering, from its
     form, d, vectors and monomials, with weights folded in as square roots good
-    to that many digits."""
+    to that many digits, checked first, for a signed factor too."""
     name = command[0]
     if name == "symbol" and read[1] is not None:
         (form, vectors), d = read, _d_min(result["ellipticity"]["stabilization"])
@@ -663,11 +672,10 @@ def run_renderings(command: list[str], result: dict, float_digits: int | None = 
         return {"operator_rows": [format_diff_operator_row(row, w)
                                   for (w, _), row in zip(vectors, rows)]}
     if name == "factor" and float_digits is not None:
+        require_float_digits(float_digits)
         form, _, vectors, monomials = read
         if any(w < 0 for w, _ in vectors):
             return {}
-        if type(float_digits) is not int or not 0 <= float_digits <= MAX_FLOAT_DIGITS:
-            raise ValueError(f"float digits must be an integer from 0 to {MAX_FLOAT_DIGITS}")
         rows = numeric_factor(_factor_from_parts(vectors, monomials, form.r), float_digits).rows
         return {"numeric_factor": {
             "kind": "numeric_factor",
@@ -724,14 +732,15 @@ def _verify_factor(obj: dict) -> tuple[tuple[bool, str], tuple]:
     vectors, monomials of M_d)."""
     form, d, vectors, witness = obj_to_factor(obj)
     matrix, monomials = power_matrix(form, d)
-    reason = certificate_failure(matrix, vectors, witness, strict=False)
+    reason = certificate_failure(matrix, vectors, witness)
     return ((True, "ok") if reason is None else (False, reason)), (form, d, vectors, monomials)
 
 
-# The check of each artifact kind: its (ok, reason) and what it read.
+# The check of each artifact kind (the keys are ARTIFACT_KINDS): its (ok, reason) and what it read.
 _VERIFIERS = {"weighted_gram_factor": _verify_factor,
               "stabilization_report": _verify_stabilization,
               "ellipticity_report": _verify_ellipticity}
+ARTIFACT_KINDS = frozenset(_VERIFIERS)
 
 
 def verify_obj(obj: dict) -> tuple[bool, str]:

@@ -43,12 +43,14 @@ from .hermform import (
     MAX_MATRIX_SIZE,
     BihermitianForm,
     HermitianMatrix,
+    bidegree,
     checked_bidegree,
+    coefficient_basis,
     coefficient_matrix,
     from_coefficient_matrix,
     matrix_size,
 )
-from .multiindex import MultiIndex, degree_table, dim_homogeneous, enumerate_degree, monomial_code
+from .multiindex import MultiIndex, degree_table, dim_homogeneous, monomial_code
 from .scalars import SparseRow
 
 MODES = ("strict", "semi")
@@ -72,15 +74,15 @@ def last_exponent(n: int, r: int, m: int, d_max: int) -> int:
 
 
 def power_matrix(form: BihermitianForm, d: int) -> tuple[HermitianMatrix, tuple[MultiIndex, ...]]:
-    """M_d and its monomials, the one choice of builder of an artifact's M_d,
-    which checks the form once: `coefficient_matrix` at d = 0, which reads a
-    form of mixed degrees too, and `shifted_rows` above."""
+    """M_d and its monomials (`coefficient_basis`, which checks the form), the
+    one builder of an artifact's M_d: `coefficient_matrix` at d = 0, which
+    reads a form of mixed degrees too, and `shifted_rows` above."""
     if d < 0:
         raise ValueError("multiplier exponent must be nonnegative")
     if d == 0:
         return coefficient_matrix(form)
-    m = checked_bidegree(form)
-    return shifted_rows(form, m, d), enumerate_degree(form.n, m + d if form.support else m)
+    monomials = coefficient_basis(form, d)
+    return shifted_rows(form, bidegree(form), d), monomials
 
 
 def shifted_rows(form: BihermitianForm, m: int, d: int) -> HermitianMatrix:
@@ -203,10 +205,9 @@ def search_steps(
 
     Each step first scatters the terms (i, i, alpha, alpha) alone, the only
     ones on the diagonal of M_d.  A failing step keeps the unit vector at
-    its first failing diagonal entry, else the witness of
-    `ldl_signature(M_d, strict)`, found without finishing the elimination;
-    the passing one keeps its certificate's weighted vectors
-    (`certify.mode_evidence`).
+    its first failing diagonal entry, else the witness of the mode's
+    elimination, found without finishing it; the passing one keeps its
+    certificate's weighted vectors (`certify.mode_evidence`).
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")

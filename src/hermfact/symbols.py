@@ -181,6 +181,14 @@ class EllipticityReport:
     stabilization: StabilizationReport | None
 
 
+def point_sign(form: BihermitianForm, q: GaussianRow) -> int:
+    """The sign, 1, 0 or -1, of a symbol F (`require_symbol`) of bidegree m
+    at q / q.den, for the walk and `verify`: that of the real numerator
+    form.den * F(q), as F(q / D) = F(q) / D^(2m) for D = q.den > 0."""
+    value = form.numerators(q, q)[0][0]
+    return (value > 0) - (value < 0)
+
+
 def _sample_symbol(form: BihermitianForm):
     """Exact sphere sampling, one point at a time, up to the first decisive
     point: yields None at each sample point that proves nothing and, at the
@@ -191,21 +199,12 @@ def _sample_symbol(form: BihermitianForm):
     unit sphere force a zero.  A walk that meets neither yields None at
     every point.
 
-    Points are evaluated at their Gaussian-integer numerators q over their
-    denominator D, in the form's numerators (`BihermitianForm.numerators`);
+    Points are evaluated at their Gaussian-integer numerators (`point_sign`);
     only the evidence points become GaussianRationals.
     """
     first = {}  # sign, +1 or -1 -> the first point of that sign
     for nums, den in _sphere_numerators(form.n):
-        q = GaussianRow(list(nums[0::2]), list(nums[1::2]), den)
-        re, im, _ = form.numerators(q, q)
-        if im[0] != 0:
-            raise ValueError("kernel is not real-valued on the diagonal")
-        # certify_elliptic_form has checked that the form is bihomogeneous of
-        # some bidegree m, so re[0] is form.den * F(q), and the value at
-        # the sphere point is F(q / den) = F(q) / den^(2m): with both
-        # denominators positive, it has the sign of re[0].
-        sign = (re[0] > 0) - (re[0] < 0)
+        sign = point_sign(form, GaussianRow(list(nums[0::2]), list(nums[1::2]), den))
         if not sign:
             yield _sphere_point(nums, den), None
             return

@@ -181,6 +181,16 @@ def evidence(cert: SignatureCertificate) -> tuple[list, SparseRow | None]:
     return cert.vectors, cert.witness
 
 
+def full_evidence(matrix: HermitianMatrix, strict: bool) -> tuple[list | None, SparseRow | None]:
+    """The evidence of the mode's test, PD if `strict` and PSD if not, that
+    the full elimination of M gives, every block eliminated to its end:
+    (vectors, None) or (None, witness), the first failing block's.
+    `certify.mode_evidence` must give the same, though it stops at that
+    block; without `strict` it is `ldl_signature`'s evidence."""
+    parts, witness = certify._eliminate_blocks(matrix, strict, stop=False)
+    return (None, witness) if witness is not None else (certify._joined(parts)[1], None)
+
+
 def reference_basis(form: BihermitianForm) -> tuple[MultiIndex, ...]:
     """The monomials of M_0, longhand: those of the one degree of the alphas
     and betas, or of every degree up to the largest of them when they have
@@ -409,7 +419,7 @@ def reference_ellipticity_to_obj(report: EllipticityReport) -> dict:
 def reference_obj_to_factor(obj: dict) -> WeightedGramFactor:
     rows = [[{tuple(item["alpha"]): serialize.pair_to_gaussian([item["re"], item["im"]])
               for item in entry} for entry in row["entries"]] for row in obj["rows"]]
-    weights = [serialize.str_to_fraction(row["weight"]) for row in obj["rows"]]
+    weights = [Fraction(*serialize.read_ratio(row["weight"])) for row in obj["rows"]]
     matrix = holo_matrix(obj["n"], rows, weights if rows else None, ncols=obj["shape"][1])
     return WeightedGramFactor(matrix, serialize.obj_to_form(obj["target"]))
 
@@ -493,8 +503,9 @@ def reference_exponent_steps(form: BihermitianForm
 def reference_find_minimal_d(form: BihermitianForm, mode: str, d_max: int):
     """Smallest d <= d_max whose shifted coefficient matrix passes the mode's
     test, each failing step keeping e_p for the first index p whose diagonal
-    entry is negative (or zero, if strict), else its certificate's witness,
-    and the passing one its certificate's weighted vectors."""
+    entry is negative (or zero, if strict), else the witness of its full
+    elimination (`full_evidence`), and the passing one its certificate's
+    weighted vectors."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
     if d_max < 0:
@@ -508,15 +519,15 @@ def reference_find_minimal_d(form: BihermitianForm, mode: str, d_max: int):
     # In one variable every M_d is M_0, and the search stops at d = 0.
     last = d_max if form.n > 1 else 0
     for d, (matrix, _) in zip(range(last + 1), reference_exponent_steps(form)):
-        cert = ldl_signature(matrix, strict=strict)
+        vectors, witness = full_evidence(matrix, strict)
         failing = [p for p, row in enumerate(matrix.entries)
                    if row[p].re < 0 or (strict and row[p].re == 0)]
-        witness = SparseRow(((failing[0], 1, 0),)) if failing else cert.witness
-        step = StabilizationStep(d, cert.size, witness)
+        witness = SparseRow(((failing[0], 1, 0),)) if failing else witness
+        step = StabilizationStep(d, matrix.size, witness)
         report.steps.append(step)
         if step.passes:
             report.d_min = d
-            report.vectors = cert.vectors
+            report.vectors = vectors
             return report
     return report
 
@@ -959,18 +970,23 @@ def lowest_terms_eliminate(s: list[GaussianRow], strict: bool, stop: bool):
 
 
 def assert_equals_lowest_terms_kernel(matrix: HermitianMatrix) -> None:
-    """`ldl_signature`, strict and not, and `mode_evidence` on M give, field
-    by field, what they give with `lowest_terms_eliminate` as the kernel's
+    """`ldl_signature`, and the evidence of `mode_evidence` and of the full
+    elimination (`full_evidence`), strict and not, on M give, field by field,
+    what they give with `lowest_terms_eliminate` as the kernel's
     elimination."""
-    for strict in (False, True):
-        cert, evidence = ldl_signature(matrix, strict), certify.mode_evidence(matrix, strict)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(certify, "_eliminate", lowest_terms_eliminate)
-            want = ldl_signature(matrix, strict)
-            want_evidence = certify.mode_evidence(matrix, strict)
-        for field in dataclasses.fields(cert):
-            assert getattr(cert, field.name) == getattr(want, field.name), (strict, field.name)
-        assert evidence == want_evidence, strict
+
+    def evidence():
+        return [(certify.mode_evidence(matrix, strict), full_evidence(matrix, strict))
+                for strict in (False, True)]
+
+    cert, got = ldl_signature(matrix), evidence()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(certify, "_eliminate", lowest_terms_eliminate)
+        want, want_evidence = ldl_signature(matrix), evidence()
+    for field in dataclasses.fields(cert):
+        assert getattr(cert, field.name) == getattr(want, field.name), field.name
+    for strict, pair, want_pair in zip((False, True), got, want_evidence):
+        assert pair == want_pair, strict
 
 
 # ---------------------------------------------------------------------------
@@ -1187,9 +1203,8 @@ def reference_rank(vectors) -> int:
 def reference_verify(cert: SignatureCertificate) -> tuple[bool, str]:
     """SignatureCertificate.verify by dense GaussianRational products: M =
     sum w v v^adj over nonzero weights, the v independent by rank, and a
-    witness exactly when a weight is negative (or, strict, the vectors are
-    fewer than the rows), of value < 0 (or, strict, <= 0 and v != 0)."""
-    n, vectors, witness, strict = cert.size, cert.vectors, cert.witness, cert.strict
+    witness exactly when a weight is negative, of value < 0."""
+    n, vectors, witness = cert.size, cert.vectors, cert.witness
     entries = cert.matrix.entries
     if any(entries[i][j] != entries[j][i].conjugate() for i in range(n) for j in range(n)):
         return False, "matrix is not Hermitian"
@@ -1211,18 +1226,13 @@ def reference_verify(cert: SignatureCertificate) -> tuple[bool, str]:
                          for (w, _), v in zip(vectors, columns)), ZERO)
             if total != entries[i][j]:
                 return False, f"factor: congruence identity fails at ({i},{j})"
-    if (witness is not None) != (any(w < 0 for w, _ in vectors) or (strict and len(vectors) < n)):
-        return False, ("witness is not present exactly when a weight is negative"
-                       + (" or the vectors are fewer than the rows" if strict else ""))
+    if (witness is not None) != any(w < 0 for w, _ in vectors):
+        return False, "witness is not present exactly when a weight is negative"
     if witness is not None:
         if not in_range(witness):
             return False, "witness index out of range"
-        if strict and not any(x or y for _, x, y in witness.entries):
-            return False, "witness is zero"
-        value = quadratic_value(cert.matrix, witness)
-        if value.re > 0 or (value.re == 0 and not strict):
-            return False, ("witness value is positive" if strict
-                           else "witness value is not negative")
+        if quadratic_value(cert.matrix, witness).re >= 0:
+            return False, "witness value is not negative"
     return True, "ok"
 
 

@@ -14,7 +14,7 @@ from hermfact import (
     ldl_signature,
 )
 from hermfact import certify
-from hermfact.certify import mode_evidence
+from hermfact.certify import factor_failure, mode_evidence, witness_failure
 from hermfact.parsing import parse_expression
 from hermfact.stabilize import power_matrix
 from helpers import (
@@ -23,6 +23,7 @@ from helpers import (
     dense,
     diagonal_matrix,
     embedded,
+    full_evidence,
     is_positive_definite,
     is_positive_semidefinite,
     mat_adjoint,
@@ -112,24 +113,26 @@ def test_is_positive_definite_family_matrices():
 
 
 def test_strict_certificate_of_a_singular_psd_matrix():
-    # [[1, 1], [1, 1]] is PSD with null vector (1, -1), at its zero pivot.
+    # [[1, 1], [1, 1]] is PSD with null vector (1, -1), at its zero pivot:
+    # the PD evidence is that witness, and the certificate has none.
     matrix = HermitianMatrix.from_rows([[1, 1], [1, 1]])
-    assert ldl_signature(matrix).witness is None
-    cert = ldl_signature(matrix, strict=True)
-    assert cert.witness == SparseRow(((0, 1, 0), (1, -1, 0)))
-    assert cert.verify() == (True, "ok")
-    # A strict certificate needs the null vector, nonzero; without `strict`
-    # a witness must have a negative value.
-    assert dataclasses.replace(cert, witness=None).verify() == (
-        False, "witness is not present exactly when a weight is negative or the vectors are "
-        "fewer than the rows")
+    cert = ldl_signature(matrix)
+    assert cert.witness is None
+    null = SparseRow(((0, 1, 0), (1, -1, 0)))
+    assert mode_evidence(matrix, True) == (None, null)
+    assert witness_failure(matrix, null, strict=True) is None
+    # Without the null vector the PSD certificate's vectors do not prove PD;
+    # a PD witness must be nonzero; and a certificate's witness must have a
+    # negative value, so the null vector is no certificate's.
+    assert factor_failure(matrix, cert.vectors, strict=True) == (
+        "factor rows do not span the coefficient space")
     zero = SparseRow(((0, 0, 0), (1, 0, 0)))
-    assert dataclasses.replace(cert, witness=zero).verify() == (False, "witness is zero")
-    assert dataclasses.replace(cert, strict=False).verify() == (
+    assert witness_failure(matrix, zero, strict=True) == "witness is zero"
+    assert dataclasses.replace(cert, witness=null).verify() == (
         False, "witness is not present exactly when a weight is negative")
-    assert dataclasses.replace(cert, strict=False, witness=None).verify() == (True, "ok")
+    assert cert.verify() == (True, "ok")
     # Without negative pivots or zero pivots there is nothing to witness.
-    assert ldl_signature(diagonal_matrix([1, 1]), strict=True).witness is None
+    assert mode_evidence(diagonal_matrix([1, 1]), True)[1] is None
 
 
 def test_is_positive_semidefinite_examples():
@@ -176,7 +179,8 @@ def test_gram_decomposition_examples():
 
 def test_non_hermitian_rejected():
     with pytest.raises(ValueError):
-        ldl_signature([[GaussianRational(0), GaussianRational(1)], [GaussianRational(2), GaussianRational(0)]])
+        HermitianMatrix.from_rows([[GaussianRational(0), GaussianRational(1)],
+                                   [GaussianRational(2), GaussianRational(0)]])
     with pytest.raises(ValueError):
         HermitianMatrix.from_rows([[GaussianRational(0, 1)]])
 
@@ -366,7 +370,6 @@ def _tamperings(cert):
         yield {"vectors": vectors + [vectors[0]]}
     bumped = _bump_entry(cert.matrix.entries, n // 2, last, GaussianRational(1))
     yield {"matrix": unchecked_matrix(bumped)}
-    yield {"strict": not cert.strict}
     if cert.witness is not None:
         # entry 0 of the witness plus one, the witness gone or past the size
         entries, wden = cert.witness.entries, cert.witness.den
@@ -673,7 +676,8 @@ def test_weights_carry_the_inertia_and_mode_evidence_is_the_certificates(strict)
     # On dense, hollow, singular and sparse matrices and shuffled direct sums
     # of them: the signs of the weights count what D does, each nonzero d_k
     # by its sign and each hollow block one of each, and the evidence of the
-    # mode's test is the certificate's vectors or its witness.
+    # mode's test is the full elimination's and proves its claim: for PSD
+    # the certificate's vectors or its witness.
     rng = random.Random(35)
     kinds = (lambda n: rand_hermitian_matrix(rng, n, 9), lambda n: _hollow_matrix(rng, n),
              lambda n: _singular_matrix(rng, n), lambda n: _sparse_matrix(rng, n))
@@ -683,15 +687,23 @@ def test_weights_carry_the_inertia_and_mode_evidence_is_the_certificates(strict)
         parts = [_psd_matrix(rng, rng.randint(1, 6)) if trial % 2
                  else kinds[(trial // 2 + t) % 4](rng.randint(1, 6)) for t in range(1 + trial % 3)]
         matrix = _shuffled_direct_sum(rng, parts)
-        cert = ldl_signature(matrix, strict)
+        cert = ldl_signature(matrix)
         blocks = len(cert.blocks)
         assert cert.inertia == (blocks + sum(d > 0 for d in cert.diag),
                                 blocks + sum(d < 0 for d in cert.diag))
         assert cert.verify() == (True, "ok")
-        assert mode_evidence(matrix, strict) == (
-            (cert.vectors, None) if cert.witness is None else (None, cert.witness))
+        vectors, witness = evidence = mode_evidence(matrix, strict)
+        assert evidence == full_evidence(matrix, strict)
+        if not strict:
+            assert evidence == (
+                (cert.vectors, None) if cert.witness is None else (None, cert.witness))
+        if witness is None:
+            assert vectors == cert.vectors
+            assert factor_failure(matrix, vectors, strict) is None
+        else:
+            assert witness_failure(matrix, witness, strict) is None
         split += len(reference_blocks(matrix)) > 1
         hollow += blocks > 0
-        failing += cert.witness is not None
-        passing += cert.witness is None
+        failing += witness is not None
+        passing += witness is None
     assert split > 80 and hollow > 30 and failing > 30 and passing > 10

@@ -1067,6 +1067,34 @@ def test_factor_float_digits_are_refused_before_the_form_is_read(capsys, expr):
     assert err == "error: float digits must be an integer from 0 to 1000\n"
 
 
+@pytest.mark.parametrize("digits, err", [
+    ("-5", "error: float digits must be an integer from 0 to 1000\n"),
+    ("5", "error: --float-digits needs --numeric\n"),
+], ids=["out_of_range", "in_range"])
+def test_float_digits_without_numeric_are_an_input_error(capsys, digits, err):
+    # --float-digits has an effect only with --numeric, which without it
+    # renders 12 digits: digits given alone are refused, checked first.
+    assert run(capsys, ["factor", "-e", "z1*zb1", "--float-digits", digits]) == (2, "", err)
+    report = json.loads(run(capsys, ["factor", "-e", "z1*zb1", "--numeric"])[1])
+    assert report["result"]["numeric_factor"]["float_digits"] == 12
+
+
+def test_restamped_float_digits_out_of_range_are_an_input_error_whatever_the_factor(
+        capsys, tmp_path):
+    # Digits out of range on a report restamped as a forger would are
+    # refused alike beside a positive factor and beside a signed one, which
+    # has no rendering: they are checked before the rendering is derived.
+    path = tmp_path / "report.json"
+    for expr in ("z1*zb1 + z2*zb2", "z1*zb1 - z2*zb2"):
+        report = json.loads(run(capsys, ["factor", "-e", expr, "--numeric"])[1])
+        numeric = report["result"].setdefault("numeric_factor",
+                                              {"kind": "numeric_factor", "rows": []})
+        numeric["float_digits"] = -5
+        path.write_text(json.dumps(_restamp(report)))
+        assert run(capsys, ["verify", str(path)]) == (
+            2, "", "error: float digits must be an integer from 0 to 1000\n")
+
+
 def test_numeric_factor_names_the_column_of_each_entry(capsys, tmp_path):
     # A matrix kernel of r = 2 columns: each entry of a numeric row names its
     # column i, so sum over rows of h_i conj(h_j) reassembles M within float
@@ -1224,7 +1252,7 @@ def _retyped_form(key, value) -> dict:
 
 
 @pytest.mark.parametrize("key, value", [("i", "1"), ("j", 1.5), ("alpha", 1), ("beta", None),
-                                        ("n", "1"), ("terms", {})])
+                                        ("n", "1"), ("terms", {}), ("re", True), ("re", 0.1)])
 @pytest.mark.parametrize("command", ["check", "stabilize", "symbol", "sweep"])
 def test_a_form_field_of_the_wrong_type_is_an_input_error(capsys, tmp_path, command, key, value):
     form = _retyped_form(key, value)
@@ -1725,6 +1753,28 @@ def test_a_not_elliptic_report_on_a_form_that_symbol_refuses_is_an_input_error(
     mirror.write_text(json.dumps(ellipticity))
     for artifact in (path, mirror):
         assert run(capsys, ["verify", str(artifact)]) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("spelling", ["1.0", " 1", "2/2", "+1", "01"])
+def test_a_point_spelled_another_way_is_an_input_error(capsys, tmp_path, spelling):
+    # A point's coordinate is read only as `fraction_to_str` writes it, so a
+    # report has one digest: the same rational spelled another way, in a
+    # report restamped and in its artifact alone, is the format error.
+    path = tmp_path / "report.json"
+    assert run(capsys, ["symbol", "-e", "z1*zb1 - z2*zb2", "--out", str(path)])[0] == 1
+    report = json.loads(path.read_text())
+    ellipticity = report["result"]["ellipticity"]
+    assert ellipticity["sign_change"]["positive_at"][0] == ["1", "0"]
+    ellipticity["sign_change"]["positive_at"][0][0] = spelling
+    mirror = tmp_path / "mirror.json"
+    path.write_text(json.dumps(_restamp(report)))
+    mirror.write_text(json.dumps(ellipticity))
+    for artifact in (path, mirror):
+        code, out, err = run(capsys, ["verify", str(artifact)])
+        assert (code, out) == (2, "")
+        assert err == ("error: artifact is not in the current certificate format: a point's "
+                       f"coordinates are written as fraction_to_str writes them, not "
+                       f"{[spelling, '0']!r}\n")
 
 
 @pytest.mark.parametrize("argv, forms, vectors", [

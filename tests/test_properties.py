@@ -3,6 +3,7 @@ run draws the same examples)."""
 
 import contextlib
 import copy
+import dataclasses
 import functools
 import io
 import json
@@ -58,6 +59,7 @@ from helpers import (
     dense,
     embedded,
     evidence,
+    full_evidence,
     format_form,
     holo_matrix,
     is_positive_definite,
@@ -598,11 +600,11 @@ NON_CANONICAL = ["2/4", "-0", "007", " 3 ", "+3", "0.5", "-6/9", "1e3", "0/7"]
 def test_rational_reader_equals_fraction(text):
     p, q = serialize.read_ratio(text)
     assert q > 0 and Fraction(p, q) == Fraction(text)
-    assert serialize.str_to_fraction(text) == Fraction(text)
+    assert Fraction(*serialize.read_ratio(text)) == Fraction(text)
 
 
 @pytest.mark.parametrize("value", ["1/0", "+1/0", "0/0", "-5/000", "1/", "", "a", None,
-                                   float("inf")])
+                                   float("inf"), True, 0.1])
 def test_rational_reader_rejects_zero_denominators_and_non_rationals(value):
     with pytest.raises(ValueError):
         serialize.read_ratio(value)
@@ -697,15 +699,21 @@ def test_strict_witness_exactly_when_not_positive_definite(matrix):
     # Block by block (`reference_blocks`; a one-block matrix is its own
     # block): each block's pieces are the reference's on its submatrix, and
     # the witness is the first failing block's.
+    # The PD evidence (`mode_evidence(M, True)`) is its witness, or the
+    # certificate's vectors, and proves its claim.
     cert = ldl_signature(matrix)
-    strict = ldl_signature(matrix, strict=True)
-    assert cert.verify() == strict.verify() == (True, "ok")
+    strict_vectors, strict_witness = mode_evidence(matrix, True)
+    assert cert.verify() == (True, "ok")
+    if strict_witness is None:
+        assert strict_vectors == cert.vectors
+        assert factor_failure(matrix, strict_vectors, strict=True) is None
+    else:
+        assert witness_failure(matrix, strict_witness, strict=True) is None
     failing = strict_failing = None
-    for (block, sub, ours), (_, _, strict_ours) in zip(block_layouts(cert),
-                                                       block_layouts(strict)):
+    for block, sub, ours in block_layouts(cert):
         want = reference_integer_ldl_signature(sub)
         vectors = reference_primitive(reference_weighted_vectors(want))
-        assert ours == strict_ours == (want.permutation, vectors, want.diag, want.blocks)
+        assert ours == (want.permutation, vectors, want.diag, want.blocks)
         if failing is None and want.inertia[1]:
             failing = block, want
         if strict_failing is None and not is_positive_definite(want):
@@ -714,10 +722,10 @@ def test_strict_witness_exactly_when_not_positive_definite(matrix):
     assert (None if cert.witness is None else dense(cert.witness, size)) == (
         None if failing is None else embedded(failing[1].witness, failing[0], size))
     if strict_failing is None:
-        assert strict.witness is None
+        assert strict_witness is None
         return
     block, want = strict_failing
-    witness = dense(strict.witness, size)
+    witness = dense(strict_witness, size)
     if want.inertia[1]:
         assert witness == embedded(want.witness, block, size)
     else:
@@ -772,9 +780,14 @@ def test_fraction_free_kernel_equals_the_lowest_terms_kernel(matrix):
 @settings(SETTINGS, max_examples=200)
 @given(matrix=evidence_matrices())
 def test_mode_evidence_is_the_certificates_witness_or_weighted_vectors(matrix):
+    # The evidence is the full elimination's (`full_evidence`), and for PSD
+    # the certificate's witness or weighted vectors.
+    cert = ldl_signature(matrix)
     for strict in (False, True):
-        cert = ldl_signature(matrix, strict=strict)
         evidence = mode_evidence(matrix, strict)
+        assert evidence == full_evidence(matrix, strict)
+        if strict:
+            continue
         if cert.witness is None:
             assert evidence == (cert.vectors, None)
         else:
@@ -801,22 +814,25 @@ def block_sums(draw):
 @given(drawn=block_sums())
 def test_block_kernel_certifies_direct_sums(drawn):
     # The certificate verifies, its inertia is the sum of the summands', its
-    # vectors are a signed factor of M, and mode_evidence agrees with it.
+    # vectors are a signed factor of M, and mode_evidence agrees with it and
+    # with the full elimination, and proves its claim.
     matrix, parts = drawn
     inertias = [reference_integer_ldl_signature(part).inertia for part in parts]
+    cert = ldl_signature(matrix)
+    assert cert.verify() == (True, "ok")
+    assert cert.inertia == tuple(map(sum, zip(*inertias)))
+    vectors = cert.vectors
+    assert factor_failure(matrix, vectors, strict=False, signed=True) is None
     for strict in (False, True):
-        cert = ldl_signature(matrix, strict=strict)
-        assert cert.verify() == (True, "ok")
-        assert cert.inertia == tuple(map(sum, zip(*inertias)))
-        vectors = cert.vectors
-        assert factor_failure(matrix, vectors, strict=False, signed=True) is None
         evidence = mode_evidence(matrix, strict)
-        if cert.witness is None:
+        assert evidence == full_evidence(matrix, strict)
+        witness = evidence[1]
+        if witness is None:
             assert evidence == (vectors, None)
             assert factor_failure(matrix, vectors, strict) is None
         else:
-            assert evidence == (None, cert.witness)
-            assert witness_failure(matrix, cert.witness, strict) is None
+            assert strict or witness == cert.witness
+            assert witness_failure(matrix, witness, strict) is None
 
 
 # Forms whose searches stop at witnesses of every kind: ladder members (null
@@ -852,10 +868,11 @@ def test_search_blocks_read_in_place_equal_the_full_elimination(text):
     for matrix, _ in islice(reference_exponent_steps(parse_expression(text)), 10):
         dense = HermitianMatrix.from_rows(matrix.entries)
         assert dense == matrix
+        cert = ldl_signature(dense)
+        assert full_evidence(dense, False) == (
+            (cert.vectors, None) if cert.witness is None else (None, cert.witness))
         for strict in (False, True):
-            cert = ldl_signature(dense, strict)
-            assert mode_evidence(matrix, strict) == (
-                (cert.vectors, None) if cert.witness is None else (None, cert.witness))
+            assert mode_evidence(matrix, strict) == full_evidence(dense, strict)
 
 
 @SETTINGS
@@ -922,15 +939,20 @@ def _evidence_respellings(obj: dict) -> list[dict]:
 @SETTINGS
 @given(matrix=hermitian_matrices() | gram_matrices(), strict=st.booleans())
 def test_certificate_codec_equals_reference_and_refuses_respellings(matrix, strict):
-    cert = ldl_signature(matrix, strict=strict)
+    # With `strict`, the witness is the PD evidence's, a null vector of a
+    # singular PSD M among them, beside the certificate's vectors.
+    cert = ldl_signature(matrix)
+    if strict:
+        cert = dataclasses.replace(cert, witness=mode_evidence(matrix, True)[1])
     read = evidence(cert)
     obj = serialize.certificate_to_obj(*read)
     assert obj == reference_evidence_obj(cert)
     assert serialize.obj_to_certificate(obj) == read
     assert serialize.obj_to_certificate(json.loads(serialize.canonical_json(obj))) == read
-    # On the constant form whose matrix is M the evidence verifies, unless a
-    # strict certificate of a singular PSD M has a witness and no negative
-    # weight; every other spelling of it is a format error.
+    # On the constant form whose matrix is M the evidence verifies, unless it
+    # has the PD witness: where no weight is negative (a singular PSD M), or
+    # where that witness is a null vector of value 0; every other spelling of
+    # it is a format error.
     factor = serialize.factor_to_obj(from_coefficient_matrix(matrix, 1, 0, matrix.size), 0,
                                      *evidence(cert))
     for respelled in _evidence_respellings(obj):
@@ -938,11 +960,14 @@ def test_certificate_codec_equals_reference_and_refuses_respellings(matrix, stri
             serialize.obj_to_certificate(respelled)
         with pytest.raises(ValueError, match="not in the current certificate format"):
             serialize.verify_obj({**factor, **respelled})
-    if (cert.witness is None) == (cert.inertia[1] == 0):
-        assert serialize.verify_obj(factor) == (True, "ok")
-    else:
+    if (cert.witness is None) != (cert.inertia[1] == 0):
         assert serialize.verify_obj(factor) == (
             False, "witness is not present exactly when a weight is negative")
+    elif cert.witness is not None and matrix.quadratic_value(cert.witness) >= 0:
+        assert strict
+        assert serialize.verify_obj(factor) == (False, "witness value is not negative")
+    else:
+        assert serialize.verify_obj(factor) == (True, "ok")
 
 
 @settings(SETTINGS, max_examples=300)
