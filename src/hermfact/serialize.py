@@ -40,7 +40,8 @@ from .hermform import (
     matrix_size,
 )
 from .scalars import GaussianRational, GaussianRow, SparseRow
-from .stabilize import MODES, StabilizationReport, last_exponent, power_matrix, shifted_rows
+from .stabilize import (StabilizationReport, last_exponent, power_matrix, require_mode,
+                        shifted_rows)
 from .symbols import (EllipticityReport, format_diff_operator_row, point_sign, require_symbol,
                       searched_form)
 
@@ -80,15 +81,32 @@ def _written_ratio(text: str) -> tuple[int, int] | None:
     return int(p), q
 
 
+# The exponent that ends a decimal spelling, as `Fraction` reads it.
+_EXPONENT = re.compile(r"[eE][-+]?(\d+(?:_\d+)*)\s*\Z")
+
+
+def _require_exponent_within_limit(text: str) -> None:
+    """ValueError if `text` ends in an exponent e with |e| at least the
+    int-to-string limit: 10**|e|, which `Fraction` builds, then has more
+    digits than the limit, and building it takes longer the longer e is."""
+    match = _EXPONENT.search(text)
+    limit = sys.get_int_max_str_digits()
+    if match and limit and (len(match[1]) > limit or int(match[1]) >= limit):
+        raise ValueError(f"a rational's exponent gives a number of more than {limit} digits "
+                         f"(sys.get_int_max_str_digits())")
+
+
 def read_ratio(value, seen: dict | None = None) -> tuple[int, int]:
     """The rational `value`, a string or an int, as (p, q), q > 0, not always
     in lowest terms.
 
     A string "p" or "p/q" of ASCII digits, as `fraction_to_str` writes it,
     goes straight to ints; any other goes through `Fraction(value)`, so every
-    spelling it accepts is accepted.  A zero denominator, a float, a bool or
-    any value not a rational raises ValueError.  A reader that passes its own
-    dict `seen` reads each string once: a form repeats few values.
+    spelling it accepts is accepted, but one whose exponent is past the
+    int-to-string limit is refused before its power of ten is built.  A zero
+    denominator, a float, a bool or any value not a rational raises
+    ValueError.  A reader that passes its own dict `seen` reads each string
+    once: a form repeats few values.
     """
     if seen is not None and type(value) is str:
         if value not in seen:
@@ -99,6 +117,8 @@ def read_ratio(value, seen: dict | None = None) -> tuple[int, int]:
     ratio = _written_ratio(value) if type(value) is str else None
     if ratio is not None:
         return ratio
+    if type(value) is str:
+        _require_exponent_within_limit(value)
     try:
         x = Fraction(value)
     except ZeroDivisionError:
@@ -237,9 +257,10 @@ def _require_keys(obj, keys: frozenset, what: str) -> None:
 
 
 def _require_mode(mode) -> str:
-    if mode not in MODES:
-        raise ValueError(f"{FORMAT_ERROR}: mode must be one of {', '.join(MODES)}, not {mode!r}")
-    return mode
+    try:
+        return require_mode(mode)
+    except ValueError as exc:
+        raise ValueError(f"{FORMAT_ERROR}: {exc}") from None
 
 
 def _sparse_to_obj(row: SparseRow) -> list[list[int]]:

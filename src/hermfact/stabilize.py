@@ -15,15 +15,18 @@ coefficient vectors of a factor of <z, w>^d F.  Passing is monotone in d (if
 a report keeps the witness of the last failing d alone: it proves every
 smaller d fails too.
 
-One function builds each M_d in closed form, from the multinomial theorem
-and the degree tables of `multiindex` (`shifted_rows`): each step of the
-search whose diagonal passes, and above d = 0 every other.  An artifact's
-M_d, with its monomials, is `power_matrix`'s, after one check of the form:
-the form's own coefficient matrix at d = 0, which a form of mixed degrees
-has too, and the closed form above; the multipliers read it too.  M_d holds
-Gaussian-integer dict rows over one denominator (`hermform.HermitianMatrix`),
-and `mode_evidence` reads its blocks straight from the rows, so no step
-builds an n x n matrix.  Every M_d, M_0 included, is at most MAX_MATRIX_SIZE
+One function builds each full M_d in closed form, from the multinomial
+theorem and the degree tables of `multiindex` (`shifted_rows`): each step of
+the search whose diagonal passes, and above d = 0 every other.  The search
+screens each step on the diagonal of M_d alone, one flat list of integers
+scattered from the form's diagonal terms (`shifted_diagonal`); both read one
+index and weight rule (`_shift_rule`).  An artifact's M_d, with its
+monomials, is `power_matrix`'s, after one check of the form: the form's own
+coefficient matrix at d = 0, which a form of mixed degrees has too, and the
+closed form above; the multipliers read it too.  M_d holds Gaussian-integer
+dict rows over one denominator (`hermform.HermitianMatrix`), and
+`mode_evidence` reads its blocks straight from the rows, so no step builds
+an n x n matrix.  Every M_d, M_0 included, is at most MAX_MATRIX_SIZE
 rows (`hermform.matrix_size`); the search stops at the last d within it
 (`last_exponent`), and at d = 0 in one variable, where every M_d is M_0.
 """
@@ -34,7 +37,9 @@ import time
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import repeat
+from functools import partial
+from itertools import chain, compress, count
+from operator import ge, gt
 
 # The search calls mode_evidence; ldl_signature stays bound here because
 # perfbench's tracer, and its test, rebind the kernel under this name too.
@@ -54,6 +59,14 @@ from .multiindex import MultiIndex, degree_table, dim_homogeneous, monomial_code
 from .scalars import SparseRow
 
 MODES = ("strict", "semi")
+
+
+def require_mode(mode) -> str:
+    """mode, if it is one of MODES, else ValueError: the one mode rule, of a
+    search and of a report that names its mode."""
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {', '.join(MODES)}, not {mode!r}")
+    return mode
 
 
 def last_exponent(n: int, r: int, m: int, d_max: int) -> int:
@@ -86,24 +99,56 @@ def power_matrix(form: BihermitianForm, d: int) -> tuple[HermitianMatrix, tuple[
 
 
 def shifted_rows(form: BihermitianForm, m: int, d: int) -> HermitianMatrix:
-    """M_d of a Hermitian-symmetric form of bidegree m in closed form
-    (`_scattered`); the search calls it where the diagonal passes."""
-    rows_re, rows_im = _scattered(form, form.support.items(), m, d)
-    return HermitianMatrix.lowest(rows_re, rows_im or [{} for _ in rows_re], form.den)
-
-
-def _scattered(form: BihermitianForm, terms, m: int, d: int) -> tuple[list[dict], list[dict]]:
-    """The numerator rows re, im over form.den of the part of M_d that the
-    `terms` (key, (x, y)) of the form build; im is [] when every y is 0, as
-    on the diagonal, whose terms are real.
+    """M_d of a Hermitian-symmetric form of bidegree m in closed form, the
+    one builder of a full M_d; the search calls it where the diagonal passes.
 
     By the multinomial theorem <z, w>^d = sum over |mu| = d of
     (d!/mu!) z^mu wbar^mu, so the term c z^alpha wbar^beta of entry (i, j)
-    adds (d!/mu!) c to entry ((i, alpha + mu), (j, beta + mu)) of M_d, for
-    each mu.  Index (i, gamma) of M_d is i * dim + the rank of gamma in the
-    degree table of m + d (`multiindex.degree_table`), looked up at the code
-    of alpha plus the code of mu, whose table holds the weights too, once
-    per monomial alpha of the terms, not once per term.  The size of M_d is
+    adds (d!/mu!) c to entry (i * dim + rank(alpha + mu), j * dim +
+    rank(beta + mu)) of M_d, for each mu (`_shift_rule`).
+    """
+    support = form.support
+    monomials = chain.from_iterable(key[2:] for key in support)
+    dim, weights, ranks = _shift_rule(form, m, d, monomials)
+    rows_re = [{} for _ in range(form.r * dim)]
+    rows_im = [{} for _ in rows_re]
+    for (i, j, alpha, beta), (x, y) in support.items():
+        row_offset, column_offset = i * dim, j * dim
+        for rows, c in ((rows_re, x), (rows_im, y)):
+            if c:
+                for p, q, w in zip(ranks[alpha], ranks[beta], weights):
+                    row, q = rows[p + row_offset], q + column_offset
+                    row[q] = row.get(q, 0) + w * c
+    return HermitianMatrix.lowest(rows_re, rows_im, form.den)
+
+
+def shifted_diagonal(form: BihermitianForm, m: int, d: int) -> list[int]:
+    """The diagonal of M_d, the numerators over form.den of its entries in
+    index order, scattered from the terms (i, i, alpha, alpha) alone, the only
+    ones on it, by the index and weight rule of `shifted_rows`: the term
+    c z^alpha wbar^alpha of entry (i, i) adds (d!/mu!) c to entry
+    i * dim + rank(alpha + mu), for each mu.  A diagonal term is real."""
+    diagonal = [(i, alpha, x) for (i, j, alpha, beta), (x, _) in form.support.items()
+                if i == j and alpha == beta]
+    dim, weights, ranks = _shift_rule(form, m, d, (alpha for _, alpha, _ in diagonal))
+    entries = [0] * (form.r * dim)
+    for i, alpha, x in diagonal:
+        offset = i * dim
+        for p, w in zip(ranks[alpha], weights):
+            entries[p + offset] += w * x
+    return entries
+
+
+def _shift_rule(form: BihermitianForm, m: int, d: int, monomials
+                ) -> tuple[int, tuple[int, ...], dict[MultiIndex, list[int]]]:
+    """The index and weight rule of M_d, the coefficient matrix of
+    <z, w>^d F for a form F of bidegree m, which both its builders share:
+    dim, the number of monomials of degree m + d; the weights d!/mu! of the
+    mu of degree d, in the order of their degree table; and for each of the
+    `monomials` alpha, the ranks of alpha + mu in the degree table of m + d
+    (`multiindex.degree_table`), in the same order.  Index (i, gamma) of M_d
+    is i * dim + the rank of gamma, looked up at the code of alpha plus the
+    code of mu, once per monomial, not once per term.  The size of M_d is
     checked (`matrix_size`) before any table is built.  The zero form is its
     own product with <z, w>^d, of bidegree 0, so its M_d is M_0.
     """
@@ -114,22 +159,13 @@ def _scattered(form: BihermitianForm, terms, m: int, d: int) -> tuple[list[dict]
     width = (m + d).bit_length()  # past every entry of M_d's monomials
     target, shifts = degree_table(n, m + d, width), degree_table(n, d, width)
     # the codes of the mu are the keys of their ranks, in their order
-    rank, mu_codes, weights, dim = target.ranks, shifts.ranks, shifts.weights, len(target)
-    shifted: dict = {}  # alpha -> the rank of alpha + mu for each mu
-    rows_re = [{} for _ in range(form.r * dim)]
-    rows_im = [{} for _ in rows_re] if any(y for _, (_, y) in terms) else []
-    for (i, j, alpha, beta), (x, y) in terms:
-        for mono in (alpha, beta):
-            if mono not in shifted:
-                code = monomial_code(mono, width)
-                shifted[mono] = list(map(rank.__getitem__, map(code.__add__, mu_codes)))
-        row_offset, column_offset = i * dim, j * dim
-        for rows, c in ((rows_re, x), (rows_im, y)):
-            if c:
-                for p, q, w in zip(shifted[alpha], shifted[beta], weights):
-                    row, q = rows[p + row_offset], q + column_offset
-                    row[q] = row.get(q, 0) + w * c
-    return rows_re, rows_im
+    rank, mu_codes = target.ranks, shifts.ranks
+    ranks: dict[MultiIndex, list[int]] = {}
+    for alpha in monomials:
+        if alpha not in ranks:
+            code = monomial_code(alpha, width)
+            ranks[alpha] = [rank[code + mu] for mu in mu_codes]
+    return len(target), shifts.weights, ranks
 
 
 def multiplier_shift(form: BihermitianForm) -> BihermitianForm:
@@ -203,29 +239,28 @@ def search_steps(
     There is always a step d = 0; the form and arguments are checked before
     it, when the first report is asked for.
 
-    Each step first scatters the terms (i, i, alpha, alpha) alone, the only
-    ones on the diagonal of M_d.  A failing step keeps the unit vector at
-    its first failing diagonal entry, else the witness of the mode's
+    Each step is first screened on the diagonal of M_d, a flat list of
+    integers scattered from the terms (i, i, alpha, alpha) alone, the only
+    ones on it (`shifted_diagonal`); M_d is built in full only where every
+    diagonal entry passes.  A failing step keeps the unit vector at its
+    first failing diagonal entry, else the witness of the mode's
     elimination, found without finishing it; the passing one keeps its
     certificate's weighted vectors (`certify.mode_evidence`).
     """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}")
+    require_mode(mode)
     if d_max < 0:
         raise ValueError("d_max must be nonnegative")
     m = checked_bidegree(form)
     report = StabilizationReport(form=form, mode=mode, d_max=d_max, d_min=None)
     strict = mode == "strict"
-    diagonal = [(key, c) for key, c in form.support.items()
-                if key[0] == key[1] and key[2] == key[3]]
+    failing = partial(ge if strict else gt, 0)  # 0 >= M_pp if strict, else 0 > M_pp
     for d in range(last_exponent(form.n, form.r, m, d_max) + 1):
-        rows, _ = _scattered(form, diagonal, m, d)
+        diagonal = shifted_diagonal(form, m, d)
         # e_p* M_d e_p = M_pp, whose numerator over den > 0 has its sign
-        p = next((q for q, x in enumerate(map(dict.get, rows, range(len(rows)), repeat(0)))
-                  if x < 0 or (strict and not x)), None)
+        p = next(compress(count(), map(failing, diagonal)), None)
         vectors, witness = ((None, SparseRow(((p, 1, 0),))) if p is not None
                             else mode_evidence(shifted_rows(form, m, d), strict))
-        report.steps.append(StabilizationStep(d, len(rows), witness))
+        report.steps.append(StabilizationStep(d, len(diagonal), witness))
         if witness is None:
             report.d_min, report.vectors = d, vectors
         yield report

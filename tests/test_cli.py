@@ -1266,6 +1266,21 @@ def test_a_form_field_of_the_wrong_type_is_an_input_error(capsys, tmp_path, comm
     assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("spelling", ["1e10000000", "-2.5e-10_000_000", "1E4300"])
+def test_a_rational_past_the_digit_limit_by_its_exponent_is_refused_at_once(capsys, tmp_path,
+                                                                           spelling):
+    # Fraction builds 10**e for an exponent e: "1e10000000" in a 132-byte
+    # form file took check 7.7 s before it refused the report's number.  The
+    # reader refuses the exponent first, naming the digit limit.
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(_one_term_form(spelling)))
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["check", str(path)])
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert f"more than {sys.get_int_max_str_digits()} digits" in err and err.count("\n") == 1
+
+
 def test_a_zero_term_with_bad_indices_is_an_input_error(capsys, tmp_path):
     # The term is 0, but its i is past r = 1 and its alpha is longer than n = 1.
     path = tmp_path / "g.json"

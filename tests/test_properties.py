@@ -7,6 +7,7 @@ import dataclasses
 import functools
 import io
 import json
+import sys
 from fractions import Fraction
 from itertools import islice
 from math import gcd
@@ -589,8 +590,11 @@ def test_parse_errors_equal_the_reference(data):
 
 
 # The spellings of a rational that fraction_to_str never writes but that
-# Fraction, and so the reader, accepts.
-NON_CANONICAL = ["2/4", "-0", "007", " 3 ", "+3", "0.5", "-6/9", "1e3", "0/7"]
+# Fraction, and so the reader, accepts: an exponent too, up to the
+# int-to-string limit.
+DIGIT_LIMIT = sys.get_int_max_str_digits()
+NON_CANONICAL = ["2/4", "-0", "007", " 3 ", "+3", "0.5", "-6/9", "1e3", "0/7", "-25e-1", "2E+2",
+                 f"1e{DIGIT_LIMIT - 1}", f"3e-{DIGIT_LIMIT - 1}"]
 
 
 @SETTINGS
@@ -604,7 +608,11 @@ def test_rational_reader_equals_fraction(text):
 
 
 @pytest.mark.parametrize("value", ["1/0", "+1/0", "0/0", "-5/000", "1/", "", "a", None,
-                                   float("inf"), True, 0.1])
+                                   float("inf"), True, 0.1,
+                                   # past the limit by its exponent alone, refused unbuilt
+                                   f"1e{DIGIT_LIMIT}", f"1e-{DIGIT_LIMIT}", f"0.5E+{DIGIT_LIMIT}",
+                                   pytest.param("1e" + "9" * (DIGIT_LIMIT + 1),
+                                                id="exponent-past-the-limit-in-length")])
 def test_rational_reader_rejects_zero_denominators_and_non_rationals(value):
     with pytest.raises(ValueError):
         serialize.read_ratio(value)

@@ -269,23 +269,66 @@ def test_steps_decided_by_their_diagonal_build_no_matrix(monkeypatch, text, n, m
 
 
 def test_the_diagonal_screen_allocates_no_imaginary_rows():
-    # The screen scatters the form's diagonal terms alone, which are real, so
-    # it allocates the real rows of M_d alone; its diagonal is M_d's, and
-    # M_d built in full keeps its imaginary rows.
+    # The screen scatters the form's diagonal terms alone, which are real,
+    # into one flat list of integers, the numerators of M_d's diagonal over
+    # the form's denominator; M_d built in full keeps its imaginary rows.
     form = parse_expression("z1^2*zb1^2 + z2^2*zb2^2 + (1/4+1/4*i)*z1*z2*zb2^2"
                             " + (1/4-1/4*i)*z2^2*zb1*zb2")
-    diagonal = [(key, c) for key, c in form.support.items()
-                if key[0] == key[1] and key[2] == key[3]]
-    rows_re, rows_im = stabilize._scattered(form, diagonal, 2, 3)
-    full_re, full_im = stabilize._scattered(form, form.support.items(), 2, 3)
-    assert rows_im == [] and len(full_im) == len(full_re) == len(rows_re) == 6
-    assert any(full_im)
-    assert [row.get(p, 0) for p, row in enumerate(rows_re)] == [
-        row.get(p, 0) for p, row in enumerate(full_re)]
-    assert stabilize.shifted_rows(form, 2, 3) == HermitianMatrix.lowest(full_re, full_im,
-                                                                        form.den)
+    diagonal = stabilize.shifted_diagonal(form, 2, 3)
+    full = stabilize.shifted_rows(form, 2, 3)
+    assert all(type(x) is int for x in diagonal)
+    assert len(full.im) == len(full.re) == len(diagonal) == 6
+    assert any(full.im)
+    assert [Fraction(x, form.den) for x in diagonal] == [
+        Fraction(row.get(p, 0), full.den) for p, row in enumerate(full.re)]
     # A real form's M_d has its imaginary rows too, all empty.
     assert stabilize.power_matrix(quartic_family(-1), 3)[0].im == [{}] * 6
+
+
+def drawn_forms():
+    """Random Hermitian-symmetric quadratics and quartics in 2 and 3
+    variables, with 1 and 2 rows and complex off-diagonal terms, and the zero
+    form of each shape."""
+    rng = random.Random(37)
+    forms = []
+    for n in (2, 3):
+        for r in (1, 2):
+            forms.append(BihermitianForm.zero(n, r))
+            forms += [rand_hermsym_form(rng, n, r, m, terms=6) for m in (1, 2) for _ in range(3)]
+    return forms
+
+
+@pytest.mark.parametrize("form", drawn_forms(), ids=lambda f: f"n{f.n}-r{f.r}-{len(f.support)}")
+def test_the_flat_diagonal_is_the_diagonal_of_m_d(form):
+    # The screen's flat diagonal, scattered from the diagonal terms alone,
+    # equals the diagonal of M_d built in full, entry for entry, in size too:
+    # the zero form's M_d is M_0 at every d.
+    m = hermform.checked_bidegree(form)
+    if form.support:
+        assert any(i != j or alpha != beta for i, j, alpha, beta in form.support)
+        assert any(y for _, y in form.support.values())
+    for d in range(9):
+        diagonal = stabilize.shifted_diagonal(form, m, d)
+        full = stabilize.shifted_rows(form, m, d)
+        assert len(diagonal) == full.size
+        assert [Fraction(x, form.den) for x in diagonal] == [
+            Fraction(row.get(p, 0), full.den) for p, row in enumerate(full.re)]
+
+
+@pytest.mark.parametrize("mode", ["strict", "semi"])
+def test_each_step_keeps_the_witness_of_the_reference_search(mode):
+    # The witness of every step, read off the flat diagonal where it fails
+    # there, else off the elimination, is the reference search's, which reads
+    # the dense diagonal of each shifted M_d; the ladder quartics and a
+    # positive form on two rows pass within the search.
+    rng = random.Random(38)
+    passing = [quartic_family(-1), quartic_family(Fraction(-3, 2)), rand_pd_form(rng, 3, 1, 2)]
+    for form in drawn_forms() + passing:
+        report = find_minimal_d(form, mode, 5)
+        reference = reference_find_minimal_d(form, mode, 5)
+        assert [(step.d, step.size, step.witness) for step in report.steps] == [
+            (step.d, step.size, step.witness) for step in reference.steps]
+        assert report == reference
 
 
 def test_readme_library_example_runs():
