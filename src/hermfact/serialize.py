@@ -85,17 +85,6 @@ def _written_ratio(text: str) -> tuple[int, int] | None:
 _EXPONENT = re.compile(r"[eE][-+]?(\d+(?:_\d+)*)\s*\Z")
 
 
-def _require_exponent_within_limit(text: str) -> None:
-    """ValueError if `text` ends in an exponent e with |e| at least the
-    int-to-string limit: 10**|e|, which `Fraction` builds, then has more
-    digits than the limit, and building it takes longer the longer e is."""
-    match = _EXPONENT.search(text)
-    limit = sys.get_int_max_str_digits()
-    if match and limit and (len(match[1]) > limit or int(match[1]) >= limit):
-        raise ValueError(f"a rational's exponent gives a number of more than {limit} digits "
-                         f"(sys.get_int_max_str_digits())")
-
-
 def read_ratio(value, seen: dict | None = None) -> tuple[int, int]:
     """The rational `value`, a string or an int, as (p, q), q > 0, not always
     in lowest terms.
@@ -117,8 +106,13 @@ def read_ratio(value, seen: dict | None = None) -> tuple[int, int]:
     ratio = _written_ratio(value) if type(value) is str else None
     if ratio is not None:
         return ratio
-    if type(value) is str:
-        _require_exponent_within_limit(value)
+    if type(value) is str and (match := _EXPONENT.search(value)):
+        # Fraction builds 10**|e|, which has more digits than the limit when
+        # |e| reaches it, and takes longer the longer e is
+        limit = sys.get_int_max_str_digits()
+        if limit and (len(match[1]) > limit or int(match[1]) >= limit):
+            raise ValueError(f"a rational's exponent gives a number of more than {limit} "
+                             f"digits (sys.get_int_max_str_digits())")
     try:
         x = Fraction(value)
     except ZeroDivisionError:
